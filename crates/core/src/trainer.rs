@@ -35,9 +35,9 @@ use hetgmp_cluster::{
 use hetgmp_comms::{AllReduceGroup, SyncFormat, TrafficClass, TrafficLedger};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{
-    load_run, run_encoded_len, save_run, CachedWorkerEmbedding, CapacityStats, EmbeddingWorker,
-    ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound, TieredConfig,
-    TieredTable, WorkerEmbedding, WorkerState,
+    load_run, run_encoded_len, save_run, BatchScratch, CachedWorkerEmbedding, CapacityStats,
+    EmbeddingWorker, ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound,
+    TieredConfig, TieredTable, WorkerEmbedding, WorkerState,
 };
 use hetgmp_partition::{Partition, PartitionMetrics};
 use hetgmp_telemetry::{
@@ -58,7 +58,7 @@ pub enum StorageMode {
     /// Fully RAM-resident [`ShardedTable`] (the default).
     Memory,
     /// Spillable [`TieredTable`]: hot pages stay in RAM within
-    /// `budget_bytes`, cold pages live in checksummed spill files. Training
+    /// `budget_bytes`, cold pages live in a checksummed spill file. Training
     /// results are bit-identical to [`StorageMode::Memory`] — only where
     /// the bytes live (and the `capacity.*` fault telemetry) changes.
     Tiered {
@@ -544,6 +544,9 @@ impl StorageTable {
     }
 }
 
+/// Test samples evaluated per forward pass, and per batched table read.
+const EVAL_CHUNK: usize = 512;
+
 /// Replays the epoch's deterministic batch assembly (the same cursor
 /// arithmetic as the pipeline's `assemble_batch`) to predict the order in
 /// which the tiered table's pages will be touched: step-major across
@@ -839,7 +842,7 @@ impl<'d> Trainer<'d> {
                 cfg.seed,
             )),
             StorageMode::Tiered { budget_bytes, dir } => {
-                let t = TieredTable::new(
+                let t = TieredTable::try_new(
                     self.dataset.num_features,
                     cfg.dim,
                     0.05,
@@ -849,7 +852,7 @@ impl<'d> Trainer<'d> {
                         dir: dir.clone(),
                         ..TieredConfig::default()
                     },
-                );
+                )?;
                 t.attach_recorder(registry.global());
                 if let Some(tr) = &self.tracer {
                     t.attach_tracer(Arc::clone(tr));
@@ -1485,17 +1488,21 @@ impl<'d> Trainer<'d> {
         let mut labels = Vec::with_capacity(take);
         let fields = self.dataset.num_fields;
         let dim = cfg.dim;
-        let mut row = vec![0.0f32; dim];
-        for chunk in test[..take].chunks(512) {
+        let mut rows: Vec<u32> = Vec::new();
+        let mut clocks: Vec<u64> = Vec::new();
+        let mut scratch = BatchScratch::default();
+        for chunk in test[..take].chunks(EVAL_CHUNK) {
+            // One batched read per chunk, gathered straight into the input
+            // matrix: a sample's fields are `fields x dim` contiguous
+            // there, which is the layout `read_rows` fills.
             let mut input = Matrix::zeros(chunk.len(), fields * dim);
-            for (r, &idx) in chunk.iter().enumerate() {
-                let sample = self.dataset.sample(idx as usize);
-                for (f, &e) in sample.iter().enumerate() {
-                    table.read_row(e, &mut row);
-                    input.row_mut(r)[f * dim..(f + 1) * dim].copy_from_slice(&row);
-                }
+            rows.clear();
+            for &idx in chunk {
+                rows.extend_from_slice(self.dataset.sample(idx as usize));
                 labels.push(self.dataset.label(idx as usize));
             }
+            clocks.resize(rows.len(), 0);
+            table.read_rows(&rows, input.data_mut(), &mut clocks, &mut scratch);
             let logits = eval_model.forward(&input);
             scores.extend(logits.data().iter().map(|&z| 1.0 / (1.0 + (-z).exp())));
         }
@@ -2053,5 +2060,109 @@ mod tests {
             r.final_auc
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Serves reads from an in-memory table and records how it was asked.
+    /// Evaluation only reads, so the mutating half is unreachable.
+    struct ReadCounter {
+        inner: ShardedTable,
+        batched_reads: std::sync::Mutex<Vec<usize>>,
+        per_row_reads: AtomicU64,
+    }
+
+    impl RowStore for ReadCounter {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn num_rows(&self) -> usize {
+            self.inner.num_rows()
+        }
+        fn clock(&self, row: u32) -> u64 {
+            self.inner.clock(row)
+        }
+        fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
+            self.per_row_reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read_row(row, out)
+        }
+        fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
+            self.batched_reads.lock().unwrap().push(rows.len());
+            self.inner.read_rows(rows, out, clocks, scratch)
+        }
+        fn apply_grad(&self, _: u32, _: &[f32], _: &SparseOpt) -> u64 {
+            unreachable!("evaluation only reads")
+        }
+        fn apply_grads(&self, _: &[u32], _: &[f32], _: &SparseOpt, _: &mut [u64], _: &mut BatchScratch) {
+            unreachable!("evaluation only reads")
+        }
+        fn write_row(&self, _: u32, _: &[f32]) {
+            unreachable!("evaluation only reads")
+        }
+        fn write_rows(&self, _: &[u32], _: &[f32], _: &mut BatchScratch) {
+            unreachable!("evaluation only reads")
+        }
+        fn restore_row(&self, _: u32, _: &[f32], _: u64) {
+            unreachable!("evaluation only reads")
+        }
+        fn has_optimizer_state(&self) -> bool {
+            self.inner.has_optimizer_state()
+        }
+        fn read_accum(&self, row: u32, out: &mut [f32]) -> bool {
+            self.inner.read_accum(row, out)
+        }
+        fn restore_accum(&self, _: u32, _: &[f32]) {
+            unreachable!("evaluation only reads")
+        }
+        fn total_updates(&self) -> u64 {
+            self.inner.total_updates()
+        }
+        fn heap_bytes(&self) -> usize {
+            self.inner.heap_bytes()
+        }
+        fn lock_acquisitions(&self) -> u64 {
+            self.inner.lock_acquisitions()
+        }
+    }
+
+    #[test]
+    fn evaluate_reads_one_batch_per_chunk_and_no_single_rows() {
+        let mut spec = DatasetSpec::tiny();
+        spec.num_samples = 4096;
+        let data = generate(&spec);
+        let cfg = TrainerConfig {
+            max_eval_samples: 2 * EVAL_CHUNK + 76,
+            test_fraction: 0.3,
+            ..fast_config()
+        };
+        let test = data.split(cfg.test_fraction).test;
+        assert!(test.len() > cfg.max_eval_samples, "eval must be capped");
+        let store = ReadCounter {
+            inner: ShardedTable::new(data.num_features, cfg.dim, 0.05, cfg.seed),
+            batched_reads: std::sync::Mutex::new(Vec::new()),
+            per_row_reads: AtomicU64::new(0),
+        };
+        let mut models = vec![CtrModel::new(
+            cfg.model,
+            data.num_fields,
+            cfg.dim,
+            &cfg.hidden,
+            cfg.seed,
+        )];
+        let trainer = Trainer::new(
+            &data,
+            Topology::pcie_island(1),
+            StrategyConfig::het_gmp(0),
+            cfg,
+        );
+        let (auc_v, ll) = trainer.evaluate(&mut models, &store, &test);
+        assert!(auc_v.is_finite() && ll.is_finite());
+        // ceil(take / EVAL_CHUNK) batched reads, each a whole chunk's
+        // fields, and not one per-row read: on a tiered table every
+        // per-row read of a cold page is a page fault.
+        let fields = data.num_fields;
+        assert_eq!(
+            *store.batched_reads.lock().unwrap(),
+            vec![EVAL_CHUNK * fields, EVAL_CHUNK * fields, 76 * fields]
+        );
+        assert_eq!(store.per_row_reads.load(Ordering::Relaxed), 0);
     }
 }

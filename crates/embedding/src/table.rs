@@ -102,8 +102,8 @@ impl BatchScratch {
     /// Counting sort of `0..rows.len()` by `bucket_of(rows[i])`, stable
     /// within a bucket: original indices land in submission order, which is
     /// what keeps duplicate-row applies bit-identical to a per-row loop.
-    /// O(n + num_buckets) per batch; the result is read via
-    /// [`BatchScratch::perm`]. Shared by [`ShardedTable`] (bucket = lock
+    /// O(n + num_buckets) per batch; the tiered store reads the result via
+    /// [`BatchScratch::groups`]. Shared by [`ShardedTable`] (bucket = lock
     /// stripe) and the tiered store (bucket = page).
     pub(crate) fn group_by(
         &mut self,
@@ -135,10 +135,16 @@ impl BatchScratch {
         }
     }
 
-    /// The permutation computed by the last [`BatchScratch::group_by`].
-    #[inline]
-    pub(crate) fn perm(&self) -> &[u32] {
-        &self.perm
+    /// The non-empty groups of the last [`BatchScratch::group_by`],
+    /// ascending by bucket: `(bucket, its slice of the permutation)`.
+    pub(crate) fn groups(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        // The scatter pass left each bucket's *end* in `offsets`.
+        let mut start = 0;
+        self.offsets.iter().enumerate().filter_map(move |(bucket, &end)| {
+            let group = &self.perm[start..end as usize];
+            start = end as usize;
+            (!group.is_empty()).then_some((bucket, group))
+        })
     }
 }
 

@@ -1,5 +1,5 @@
-//! The spillable storage tier: hot pages in RAM, cold pages in checksummed
-//! spill files (§7.4 capacity story past the host's memory).
+//! The spillable storage tier: hot pages in RAM, cold pages in one slotted,
+//! checksummed spill file (§7.4 capacity story past the host's memory).
 //!
 //! [`TieredTable`] implements the exact [`RowStore`] surface of
 //! [`crate::ShardedTable`] — same batched API, same per-row FP operation
@@ -12,36 +12,46 @@
 //!
 //! Rows are grouped into fixed-size **pages** of `rows_per_page`
 //! consecutive rows. A partition-aware buffer manager keeps pages resident
-//! up to a configured byte budget; colder pages live in explicit-IO spill
-//! files. Per-row update clocks always stay in RAM (they are 8 bytes/row
-//! and every staleness decision reads them), so spilling never perturbs
-//! the bounded-asynchrony protocol.
+//! up to a configured byte budget; colder pages live in the spill file.
+//! Per-row update clocks always stay in RAM (they are 8 bytes/row and every
+//! staleness decision reads them), so spilling never perturbs the
+//! bounded-asynchrony protocol.
 //!
 //! Initial values replicate [`crate::ShardedTable::new`]'s per-stripe RNG
 //! exactly (stripe = `row % 256`, offset `(row / 256) * dim`), then cold
 //! pages are spilled until the pool fits the budget — a fresh tiered table
 //! reads back bit-for-bit what the in-memory table holds.
 //!
-//! # Spill files
+//! # Spill file
 //!
-//! One file per page, written tmp → fsync → rename:
+//! One file per table, kept open, divided into fixed-size **slots**: page
+//! `p` owns bytes `[p * slot, (p + 1) * slot)`, where `slot` is the size of
+//! the largest image a page can have (values + accumulators). A fault is a
+//! seek + `read_exact`, a write-back a seek + `write_all`, both under the
+//! tier mutex that is already held. The image in a slot (format version 2):
 //!
 //! ```text
 //! magic     4 bytes   "HGPG"
-//! version   u32       1
+//! version   u32       2
 //! page      u64
 //! rows      u64       rows in this page
 //! dim       u64
-//! has_accum u8
-//! rows × ( clock u64, dim × f32 values, [dim × f32 accum] )   // HGMP row encoding
-//! checksum  u64       FNV-1a 64 over every preceding byte
+//! has_accum u64       0 or 1
+//! values    rows × dim × f32, little-endian
+//! [accum    rows × dim × f32]             // iff has_accum
+//! checksum  u64       FNV-1a 64 over the preceding 64-bit words
 //! ```
 //!
-//! The trailing checksum makes torn writes (a crash between write and
-//! fsync) detectable: loads verify it and reject the file, and
-//! [`TieredTable::verify_page_file`] exposes the same check to tests and
-//! tooling. Stored clocks are informational only — the RAM-resident clock
-//! array stays authoritative across a spill/load round-trip.
+//! Both blocks are contiguous, so encode and decode are bulk little-endian
+//! copies. The checksum guards a fault against a short or corrupt read:
+//! loads verify it and reject the image, and [`TieredTable::verify_page`]
+//! exposes the same check to tests and tooling.
+//!
+//! **Spill pages are scratch.** Nothing ever reads a spill file written by
+//! an earlier process — construction always rebuilds the table from the
+//! init RNG and `--resume` restores rows from the `HGMR` checkpoint — so
+//! write-backs are neither fsynced nor renamed into place: durability is
+//! the checkpoint's job.
 //!
 //! # Eviction
 //!
@@ -51,19 +61,24 @@
 //! Belady-style farthest-next-use choice. The policy only decides *which*
 //! page to drop — never what any row's bytes are — so batch ordering
 //! on/off changes fault counts, not results.
+//!
+//! Buffers of evicted pages are parked on a small free list and the image
+//! staging buffer is kept per table, so a steady-state fault allocates
+//! nothing.
 
 use std::collections::VecDeque;
-use std::fs;
-use std::io::Write as _;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hetgmp_telemetry::{names, Json, Recorder, TraceCollector};
+use hetgmp_telemetry::{names, HetGmpError, Json, Recorder, TraceCollector};
 
 use crate::sparse_optim::SparseOpt;
 use crate::store::{CapacityStats, ReadPathStats, RowStore};
@@ -74,15 +89,109 @@ use crate::table::BatchScratch;
 const STRIPES: usize = 256;
 
 const PAGE_MAGIC: &[u8; 4] = b"HGPG";
-const PAGE_VERSION: u32 = 1;
+const PAGE_VERSION: u32 = 2;
+/// magic, version, page, rows, dim, accumulator flag — a whole number of
+/// 64-bit words, so the payload the checksum folds starts word-aligned.
+const HEADER_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 8;
+const SPILL_FILE: &str = "pages.hgpg";
+/// Evicted page buffers kept for the next fault: one page's values +
+/// accumulators. More would hold RAM the budget does not account for.
+const FREE_BUFFERS: usize = 2;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a 64 folded over little-endian 64-bit words instead of bytes (a
+/// trailing partial word is zero-padded). xor and the odd multiply are both
+/// bijections on `u64`, so any change confined to one word changes the sum.
+fn checksum(bytes: &[u8]) -> u64 {
+    let fold = |h: u64, word: [u8; 8]| {
+        (h ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01b3)
+    };
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        fold(h, w.try_into().expect("8-byte chunk"))
+    });
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = fold(h, last);
     }
     h
+}
+
+/// Size of the image of a page of `values` f32s.
+fn image_bytes(values: usize, has_accum: bool) -> usize {
+    HEADER_BYTES + values * 4 * if has_accum { 2 } else { 1 } + 8
+}
+
+fn put_f32s(dst: &mut [u8], src: &[f32]) {
+    for (d, x) in dst.chunks_exact_mut(4).zip(src) {
+        d.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+fn get_f32s(src: &[u8], dst: &mut Vec<f32>) {
+    dst.clear();
+    dst.extend(
+        src.chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4-byte chunk"))),
+    );
+}
+
+/// Serialises a page into `buf` (resized to exactly the image).
+fn encode_page(buf: &mut Vec<u8>, page: usize, dim: usize, data: &[f32], accum: Option<&[f32]>) {
+    let len = image_bytes(data.len(), accum.is_some());
+    buf.resize(len, 0);
+    buf[0..4].copy_from_slice(PAGE_MAGIC);
+    buf[4..8].copy_from_slice(&PAGE_VERSION.to_le_bytes());
+    buf[8..16].copy_from_slice(&(page as u64).to_le_bytes());
+    buf[16..24].copy_from_slice(&((data.len() / dim) as u64).to_le_bytes());
+    buf[24..32].copy_from_slice(&(dim as u64).to_le_bytes());
+    buf[32..40].copy_from_slice(&u64::from(accum.is_some()).to_le_bytes());
+    let values_end = HEADER_BYTES + data.len() * 4;
+    put_f32s(&mut buf[HEADER_BYTES..values_end], data);
+    if let Some(a) = accum {
+        put_f32s(&mut buf[values_end..len - 8], a);
+    }
+    let sum = checksum(&buf[..len - 8]);
+    buf[len - 8..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Validates `bytes`, read from page `page`'s slot at the length its image
+/// must have (`rows × dim`, accumulators iff `has_accum`): the check every
+/// fault-in load performs before a byte of the image is served.
+fn check_image(bytes: &[u8], page: usize, rows: usize, dim: usize, has_accum: bool) -> Result<(), String> {
+    assert_eq!(bytes.len(), image_bytes(rows * dim, has_accum), "caller reads a whole image");
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("u64"));
+    if &bytes[0..4] != PAGE_MAGIC {
+        return Err(format!("magic {:?} != {PAGE_MAGIC:?}", &bytes[0..4]));
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("u32"));
+    if version != PAGE_VERSION {
+        return Err(format!(
+            "page format version {version} unsupported (this build reads version {PAGE_VERSION})"
+        ));
+    }
+    for (name, at, expect) in [("page id", 8, page), ("row count", 16, rows), ("dim", 24, dim)] {
+        if word(at) != expect as u64 {
+            return Err(format!("{name} {} != expected {expect}", word(at)));
+        }
+    }
+    if word(32) != u64::from(has_accum) {
+        return Err(format!(
+            "accumulator flag {} != expected {}",
+            word(32),
+            u64::from(has_accum)
+        ));
+    }
+    let (body, footer) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
+    let computed = checksum(body);
+    if stored != computed {
+        return Err(format!(
+            "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}): torn or corrupt page image"
+        ));
+    }
+    Ok(())
 }
 
 /// Configuration of the spillable tier.
@@ -92,8 +201,9 @@ pub struct TieredConfig {
     /// transiently while a faulted page is pinned, never at rest (as long
     /// as at least one page fits).
     pub budget_bytes: usize,
-    /// Directory for spill files. `None` creates (and removes on drop) a
-    /// unique directory under the system temp dir.
+    /// Directory for the spill file. `None` creates (and removes on drop) a
+    /// unique directory under the system temp dir. A directory serves one
+    /// live table at a time.
     pub dir: Option<PathBuf>,
     /// Rows per page; `0` sizes pages to ≈32 KiB of values, capped at a
     /// quarter of `budget_bytes` so small budgets still get several
@@ -132,6 +242,14 @@ struct PageState {
 
 struct TierState {
     pages: Vec<PageState>,
+    /// The slotted spill file, open for the table's lifetime.
+    spill: File,
+    /// Image staging buffer shared by every fault and write-back.
+    staging: Vec<u8>,
+    /// Buffers of evicted pages awaiting reuse (at most [`FREE_BUFFERS`]).
+    /// All page buffers are interchangeable: one may hold values now and
+    /// accumulators next, so every reuse overwrites it whole.
+    free: Vec<Vec<f32>>,
     resident_bytes: u64,
     spilled_bytes: u64,
     lru_tick: u64,
@@ -145,6 +263,24 @@ struct TierState {
     tracer: Option<Arc<TraceCollector>>,
 }
 
+impl TierState {
+    fn recycle(&mut self, buf: Vec<f32>) {
+        if self.free.len() < FREE_BUFFERS {
+            self.free.push(buf);
+        }
+    }
+
+    /// Folds one fault's or write-back's IO + codec cost into the
+    /// `capacity.*` cost metrics; `started` is `None` when no recorder was
+    /// attached at the time.
+    fn record_io(&self, started: Option<Instant>, secs: &str, bytes_counter: &str, bytes: usize) {
+        if let (Some(r), Some(t0)) = (&self.recorder, started) {
+            r.histogram_observe(secs, t0.elapsed().as_secs_f64());
+            r.counter_add(bytes_counter, bytes as u64);
+        }
+    }
+}
+
 /// The spillable primary store. See the module docs for layout, spill
 /// format, and eviction policy. All operations are `&self` and safe for
 /// concurrent worker threads (one internal lock serialises tier state;
@@ -155,8 +291,12 @@ pub struct TieredTable {
     rows_per_page: usize,
     num_pages: usize,
     budget_bytes: u64,
+    /// Bytes of one spill-file slot: the image of a full page with
+    /// accumulators.
+    slot_bytes: usize,
     dir: PathBuf,
     own_dir: bool,
+    spill_path: PathBuf,
     clocks: Vec<AtomicU64>,
     lock_acquisitions: AtomicU64,
     /// Snapshot-path rows served from already-resident pages (no fault).
@@ -170,15 +310,33 @@ pub struct TieredTable {
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl TieredTable {
+    /// [`TieredTable::try_new`] for callers with no error path.
+    ///
+    /// # Panics
+    /// Panics if `dim == 0` or the spill directory or file cannot be
+    /// created.
+    pub fn new(num_rows: usize, dim: usize, init_scale: f32, seed: u64, config: TieredConfig) -> Self {
+        Self::try_new(num_rows, dim, init_scale, seed, config)
+            .unwrap_or_else(|e| panic!("tiered: {e}"))
+    }
+
     /// Creates a tiered table whose initial contents are bit-identical to
     /// `ShardedTable::new(num_rows, dim, init_scale, seed)`, then spills
     /// cold pages until the resident pool fits `config.budget_bytes`.
     /// (Construction materialises the table once to replicate the
     /// in-memory init exactly; the budget bounds the pool from then on.)
+    /// Fails with [`HetGmpError::Io`] when the spill directory or the spill
+    /// file cannot be created.
     ///
     /// # Panics
-    /// Panics if `dim == 0` or on spill-directory I/O failure.
-    pub fn new(num_rows: usize, dim: usize, init_scale: f32, seed: u64, config: TieredConfig) -> Self {
+    /// Panics if `dim == 0`.
+    pub fn try_new(
+        num_rows: usize,
+        dim: usize,
+        init_scale: f32,
+        seed: u64,
+        config: TieredConfig,
+    ) -> Result<Self, HetGmpError> {
         assert!(dim > 0, "dim must be positive");
         let rows_per_page = if config.rows_per_page > 0 {
             config.rows_per_page
@@ -202,8 +360,15 @@ impl TieredTable {
                 (std::env::temp_dir().join(unique), true)
             }
         };
-        fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("tiered: cannot create spill dir {}: {e}", dir.display()));
+        fs::create_dir_all(&dir).map_err(|e| HetGmpError::io(&dir, e))?;
+        let spill_path = dir.join(SPILL_FILE);
+        let spill = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&spill_path)
+            .map_err(|e| HetGmpError::io(&spill_path, e))?;
 
         // Replicate the in-memory store's per-stripe init RNG, then
         // scatter stripes into contiguous row pages.
@@ -248,14 +413,19 @@ impl TieredTable {
             rows_per_page,
             num_pages,
             budget_bytes: config.budget_bytes as u64,
+            slot_bytes: image_bytes(rows_per_page * dim, true),
             dir,
             own_dir,
+            spill_path,
             clocks: (0..num_rows).map(|_| AtomicU64::new(0)).collect(),
             lock_acquisitions: AtomicU64::new(0),
             snapshot_rows: AtomicU64::new(0),
             fallback_rows: AtomicU64::new(0),
             state: Mutex::new(TierState {
                 pages,
+                spill,
+                staging: Vec::new(),
+                free: Vec::new(),
                 resident_bytes,
                 spilled_bytes: 0,
                 lru_tick: num_pages as u64,
@@ -270,7 +440,7 @@ impl TieredTable {
         };
         {
             let mut st = table.state.lock();
-            table.enforce_budget(&mut st);
+            table.make_room(&mut st, 0);
             // The construction spill is priming, not training-time fault
             // pressure: start every counter at zero so `capacity.fault.*`
             // measures the run itself.
@@ -278,7 +448,7 @@ impl TieredTable {
             st.evictions = 0;
             st.writebacks = 0;
         }
-        table
+        Ok(table)
     }
 
     /// Rows per page (constant for the table's lifetime).
@@ -297,12 +467,13 @@ impl TieredTable {
         (row as usize / self.rows_per_page) as u32
     }
 
-    /// Spill directory in use.
-    pub fn spill_dir(&self) -> &Path {
-        &self.dir
+    /// The spill file in use.
+    pub fn spill_file(&self) -> &Path {
+        &self.spill_path
     }
 
-    /// Attaches a telemetry recorder for `capacity.fault.*` counters.
+    /// Attaches a telemetry recorder for the `capacity.fault.*` and
+    /// `capacity.spill.*` metrics.
     pub fn attach_recorder(&self, recorder: Arc<dyn Recorder>) {
         self.state.lock().recorder = Some(recorder);
     }
@@ -339,18 +510,14 @@ impl TieredTable {
         st.plan_active = false;
     }
 
-    /// Structural + checksum validation of one spill file, the same check
-    /// every fault-in load performs: magic, version, shape consistency,
-    /// and the trailing FNV-1a 64 checksum. A torn write (crash between
-    /// write and fsync, truncation, bit flip) fails here and is never
-    /// loaded.
-    pub fn verify_page_file(path: &Path) -> Result<(), String> {
-        let bytes = fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::parse_page_bytes(&bytes, None, None, None).map(|_| ())
-    }
-
-    fn page_file(&self, page: usize) -> PathBuf {
-        self.dir.join(format!("page-{page:06}.pg"))
+    /// Reads `page`'s image from its spill slot and validates it exactly as
+    /// a fault-in load does — magic, version, shape, and the trailing
+    /// checksum — without loading it. A truncated file or a flipped byte
+    /// inside the slot fails here and is never served. Meaningful for pages
+    /// that have been spilled; a slot never written holds no image.
+    pub fn verify_page(&self, page: usize) -> Result<(), String> {
+        assert!(page < self.num_pages, "page {page} out of range");
+        self.read_image(&mut self.state.lock(), page)
     }
 
     #[inline]
@@ -372,134 +539,84 @@ impl TieredTable {
         }
     }
 
-    /// Parses and validates a page file image. When `expect_*` are given
-    /// the header must match them exactly. Returns `(values, accum)`.
-    fn parse_page_bytes(
-        bytes: &[u8],
-        expect_page: Option<u64>,
-        expect_rows: Option<u64>,
-        expect_dim: Option<u64>,
-    ) -> Result<(Vec<f32>, Option<Vec<f32>>), String> {
-        const HEADER: usize = 4 + 4 + 8 + 8 + 8 + 1;
-        if bytes.len() < HEADER + 8 {
-            return Err(format!("file too short ({} bytes)", bytes.len()));
-        }
-        let (body, footer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}): torn or corrupt spill file"
-            ));
-        }
-        if &body[0..4] != PAGE_MAGIC {
-            return Err(format!("magic {:?} != {PAGE_MAGIC:?}", &body[0..4]));
-        }
-        let version = u32::from_le_bytes(body[4..8].try_into().expect("u32"));
-        if version != PAGE_VERSION {
-            return Err(format!("page version {version} unsupported"));
-        }
-        let page = u64::from_le_bytes(body[8..16].try_into().expect("u64"));
-        let rows = u64::from_le_bytes(body[16..24].try_into().expect("u64"));
-        let dim = u64::from_le_bytes(body[24..32].try_into().expect("u64"));
-        let has_accum = match body[32] {
-            0 => false,
-            1 => true,
-            other => return Err(format!("corrupt accumulator flag {other}")),
-        };
-        if let Some(e) = expect_page {
-            if page != e {
-                return Err(format!("page id {page} != expected {e}"));
-            }
-        }
-        if let Some(e) = expect_rows {
-            if rows != e {
-                return Err(format!("row count {rows} != expected {e}"));
-            }
-        }
-        if let Some(e) = expect_dim {
-            if dim != e {
-                return Err(format!("dim {dim} != expected {e}"));
-            }
-        }
-        let per_row = 8 + dim as usize * 4 * if has_accum { 2 } else { 1 };
-        let expected_len = HEADER + rows as usize * per_row;
-        if body.len() != expected_len {
-            return Err(format!(
-                "payload length {} != header-implied {expected_len}",
-                body.len()
-            ));
-        }
-        let n = (rows * dim) as usize;
-        let mut values = Vec::with_capacity(n);
-        let mut accum = if has_accum { Vec::with_capacity(n) } else { Vec::new() };
-        let mut off = HEADER;
-        for _ in 0..rows {
-            off += 8; // stored clock: informational; RAM clocks are authoritative
-            for _ in 0..dim {
-                values.push(f32::from_le_bytes(
-                    body[off..off + 4].try_into().expect("f32"),
-                ));
-                off += 4;
-            }
-            if has_accum {
-                for _ in 0..dim {
-                    accum.push(f32::from_le_bytes(
-                        body[off..off + 4].try_into().expect("f32"),
-                    ));
-                    off += 4;
-                }
-            }
-        }
-        Ok((values, if has_accum { Some(accum) } else { None }))
+    fn slot_offset(&self, page: usize) -> u64 {
+        page as u64 * self.slot_bytes as u64
     }
 
-    /// Serialises a resident page and writes its spill file atomically:
-    /// tmp file, fsync, rename. A crash before the rename leaves the old
-    /// file (if any) intact; a crash mid-write leaves a tmp file whose
-    /// truncated image the checksum rejects.
-    fn write_page_file(&self, page: usize, data: &[f32], accum: Option<&[f32]>) {
-        let rows = self.rows_in_page(page);
-        let per_row = 8 + self.dim * 4 * if accum.is_some() { 2 } else { 1 };
-        let mut buf = Vec::with_capacity(4 + 4 + 8 + 8 + 8 + 1 + rows * per_row + 8);
-        buf.extend_from_slice(PAGE_MAGIC);
-        buf.extend_from_slice(&PAGE_VERSION.to_le_bytes());
-        buf.extend_from_slice(&(page as u64).to_le_bytes());
-        buf.extend_from_slice(&(rows as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.dim as u64).to_le_bytes());
-        buf.push(u8::from(accum.is_some()));
-        for local in 0..rows {
-            let row = page * self.rows_per_page + local;
-            let clock = self.clocks[row].load(Ordering::Relaxed);
-            buf.extend_from_slice(&clock.to_le_bytes());
-            for &x in &data[local * self.dim..(local + 1) * self.dim] {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-            if let Some(a) = accum {
-                for &x in &a[local * self.dim..(local + 1) * self.dim] {
-                    buf.extend_from_slice(&x.to_le_bytes());
+    /// Reads `page`'s image into `st.staging` (sized to exactly the image)
+    /// and validates it.
+    fn read_image(&self, st: &mut TierState, page: usize) -> Result<(), String> {
+        let (rows, has_accum) = (self.rows_in_page(page), st.pages[page].has_accum);
+        let len = image_bytes(rows * self.dim, has_accum);
+        st.staging.resize(len, 0);
+        st.spill
+            .seek(SeekFrom::Start(self.slot_offset(page)))
+            .and_then(|_| st.spill.read_exact(&mut st.staging))
+            .map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => {
+                    format!("truncated: the spill file ends inside the {len}-byte image")
                 }
-            }
-        }
-        let checksum = fnv1a(&buf);
-        buf.extend_from_slice(&checksum.to_le_bytes());
+                _ => format!("read: {e}"),
+            })?;
+        check_image(&st.staging, page, rows, self.dim, has_accum)
+    }
 
-        let final_path = self.page_file(page);
-        let tmp_path = self.dir.join(format!("page-{page:06}.tmp"));
-        let mut f = fs::File::create(&tmp_path)
-            .unwrap_or_else(|e| panic!("tiered: create {}: {e}", tmp_path.display()));
-        f.write_all(&buf)
-            .unwrap_or_else(|e| panic!("tiered: write {}: {e}", tmp_path.display()));
-        f.sync_all()
-            .unwrap_or_else(|e| panic!("tiered: fsync {}: {e}", tmp_path.display()));
-        drop(f);
-        fs::rename(&tmp_path, &final_path).unwrap_or_else(|e| {
+    /// Faults a spilled page in: slot → staging → recycled page buffers.
+    fn load_page(&self, st: &mut TierState, page: usize) {
+        let started = st.recorder.is_some().then(Instant::now);
+        self.read_image(st, page).unwrap_or_else(|e| {
             panic!(
-                "tiered: rename {} -> {}: {e}",
-                tmp_path.display(),
-                final_path.display()
+                "tiered: page {page} of spill file {} rejected: {e}",
+                self.spill_path.display()
             )
         });
+        let len = st.staging.len();
+        let values_end = HEADER_BYTES + self.rows_in_page(page) * self.dim * 4;
+        let mut data = st.free.pop().unwrap_or_default();
+        get_f32s(&st.staging[HEADER_BYTES..values_end], &mut data);
+        let accum = st.pages[page].has_accum.then(|| {
+            let mut accum = st.free.pop().unwrap_or_default();
+            get_f32s(&st.staging[values_end..len - 8], &mut accum);
+            accum
+        });
+        let pb = self.page_bytes(st, page);
+        let pg = &mut st.pages[page];
+        pg.data = Some(data);
+        pg.accum = accum;
+        pg.dirty = false;
+        st.resident_bytes += pb;
+        st.spilled_bytes -= pb;
+        st.loads += 1;
+        st.record_io(
+            started,
+            names::CAPACITY_FAULT_LOAD_SECS,
+            names::CAPACITY_SPILL_BYTES_READ,
+            len,
+        );
+        self.emit_fault(st, page, "load", names::CAPACITY_FAULT_LOADS);
+    }
+
+    /// Serialises a page into its spill slot. No fsync, no rename: spill
+    /// pages are scratch (module docs), and a torn image is caught by the
+    /// checksum at the next fault.
+    fn write_page(&self, st: &mut TierState, page: usize, data: &[f32], accum: Option<&[f32]>) {
+        let started = st.recorder.is_some().then(Instant::now);
+        encode_page(&mut st.staging, page, self.dim, data, accum);
+        st.spill
+            .seek(SeekFrom::Start(self.slot_offset(page)))
+            .and_then(|_| st.spill.write_all(&st.staging))
+            .unwrap_or_else(|e| {
+                panic!(
+                    "tiered: write-back of page {page} to {}: {e}",
+                    self.spill_path.display()
+                )
+            });
+        st.record_io(
+            started,
+            names::CAPACITY_FAULT_WRITEBACK_SECS,
+            names::CAPACITY_SPILL_BYTES_WRITTEN,
+            st.staging.len(),
+        );
     }
 
     fn emit_fault(&self, st: &TierState, page: usize, kind: &str, counter: &str) {
@@ -520,38 +637,24 @@ impl TieredTable {
         }
     }
 
-    /// Faults `page` in if spilled, then evicts down to the budget.
+    /// Makes `page` resident: evicts down to the budget first, so the
+    /// victims' buffers are on the free list when the load wants them.
     /// Callers pin the page first so the budget pass never drops it.
     fn ensure_resident(&self, st: &mut TierState, page: usize) {
-        if st.pages[page].data.is_none() {
-            let path = self.page_file(page);
-            let bytes = fs::read(&path)
-                .unwrap_or_else(|e| panic!("tiered: fault load {}: {e}", path.display()));
-            let (values, accum) = Self::parse_page_bytes(
-                &bytes,
-                Some(page as u64),
-                Some(self.rows_in_page(page) as u64),
-                Some(self.dim as u64),
-            )
-            .unwrap_or_else(|e| panic!("tiered: spill file {} rejected: {e}", path.display()));
-            let pb = self.page_bytes(st, page);
-            let pg = &mut st.pages[page];
-            pg.data = Some(values);
-            pg.accum = accum;
-            pg.dirty = false;
-            st.resident_bytes += pb;
-            st.spilled_bytes -= pb;
-            st.loads += 1;
-            self.emit_fault(st, page, "load", names::CAPACITY_FAULT_LOADS);
+        if st.pages[page].data.is_some() {
+            self.make_room(st, 0);
+        } else {
+            self.make_room(st, self.page_bytes(st, page));
+            self.load_page(st, page);
         }
-        self.enforce_budget(st);
     }
 
-    /// Evicts unpinned resident pages until the pool fits the budget.
-    /// Victim choice: farthest next use against the installed plan
-    /// (pages the plan never reads again go first), else LRU.
-    fn enforce_budget(&self, st: &mut TierState) {
-        while st.resident_bytes > self.budget_bytes {
+    /// Evicts unpinned resident pages until the pool plus `incoming` bytes
+    /// fits the budget. Victim choice: farthest next use against the
+    /// installed plan (pages the plan never reads again go first), else
+    /// LRU.
+    fn make_room(&self, st: &mut TierState, incoming: u64) {
+        while st.resident_bytes + incoming > self.budget_bytes {
             let mut victim: Option<(usize, (u64, u64))> = None;
             for (i, p) in st.pages.iter().enumerate() {
                 if p.data.is_none() || p.pinned {
@@ -578,18 +681,18 @@ impl TieredTable {
 
     fn evict(&self, st: &mut TierState, page: usize) {
         let pb = self.page_bytes(st, page);
-        let dirty = st.pages[page].dirty;
-        if dirty {
-            let data = st.pages[page].data.take().expect("evicting resident page");
-            let accum = st.pages[page].accum.take();
-            self.write_page_file(page, &data, accum.as_deref());
+        let pg = &mut st.pages[page];
+        let data = pg.data.take().expect("evicting resident page");
+        let accum = pg.accum.take();
+        if std::mem::take(&mut pg.dirty) {
+            self.write_page(st, page, &data, accum.as_deref());
             st.writebacks += 1;
             self.emit_fault(st, page, "writeback", names::CAPACITY_FAULT_WRITEBACKS);
-        } else {
-            st.pages[page].data = None;
-            st.pages[page].accum = None;
         }
-        st.pages[page].dirty = false;
+        st.recycle(data);
+        if let Some(a) = accum {
+            st.recycle(a);
+        }
         st.resident_bytes -= pb;
         st.spilled_bytes += pb;
         st.evictions += 1;
@@ -625,39 +728,128 @@ impl TieredTable {
         st: &mut TierState,
         page: usize,
         consumes_plan: bool,
-        f: impl FnOnce(&Self, &mut TierState) -> R,
+        f: impl FnOnce(&mut TierState) -> R,
     ) -> R {
         st.pages[page].pinned = true;
         self.ensure_resident(st, page);
         self.touch(st, page, consumes_plan);
-        let r = f(self, &mut *st);
+        let r = f(&mut *st);
         st.pages[page].pinned = false;
         r
+    }
+
+    /// Visits each distinct page of `rows` once, ascending, pinned
+    /// resident, under one hold of the tier lock. `body` gets the page, the
+    /// indices into `rows` that fall in it — submission order preserved, so
+    /// duplicate rows apply in the order the caller gave them — and whether
+    /// the page was resident before the visit. Every page group counts as
+    /// one lock acquisition, the figure the batched API amortises.
+    fn for_each_page(
+        &self,
+        rows: &[u32],
+        scratch: &mut BatchScratch,
+        consumes_plan: bool,
+        mut body: impl FnMut(&mut TierState, usize, &[u32], bool),
+    ) {
+        for &row in rows {
+            self.assert_row(row);
+        }
+        scratch.group_by(rows, self.num_pages, |row| {
+            row as usize / self.rows_per_page
+        });
+        let mut st = self.state.lock();
+        for (page, group) in scratch.groups() {
+            self.count_lock();
+            let resident = st.pages[page].data.is_some();
+            self.with_page(&mut st, page, consumes_plan, |st| {
+                body(st, page, group, resident)
+            });
+        }
+    }
+
+    /// The batched read behind `read_rows` and `read_rows_snapshot`;
+    /// returns how many rows came from already-resident pages and how many
+    /// from pages that had to fault in.
+    fn read_grouped(
+        &self,
+        rows: &[u32],
+        out: &mut [f32],
+        clocks: &mut [u64],
+        scratch: &mut BatchScratch,
+    ) -> (u64, u64) {
+        assert_eq!(
+            out.len(),
+            rows.len() * self.dim,
+            "output buffer length != rows * dim"
+        );
+        assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
+        let dim = self.dim;
+        let (mut resident_rows, mut faulted_rows) = (0u64, 0u64);
+        self.for_each_page(rows, scratch, true, |st, page, group, resident| {
+            let data = st.pages[page].data.as_ref().expect("page resident");
+            for &k in group {
+                let k = k as usize;
+                let row = rows[k] as usize;
+                clocks[k] = self.clocks[row].load(Ordering::Acquire);
+                let slot = (row % self.rows_per_page) * dim;
+                out[k * dim..(k + 1) * dim].copy_from_slice(&data[slot..slot + dim]);
+            }
+            if resident {
+                resident_rows += group.len() as u64;
+            } else {
+                faulted_rows += group.len() as u64;
+            }
+        });
+        (resident_rows, faulted_rows)
+    }
+
+    /// The single-row read behind `read_row` and `read_row_snapshot`;
+    /// returns the pre-read clock and whether the page was already
+    /// resident.
+    fn read_one(&self, row: u32, out: &mut [f32]) -> (u64, bool) {
+        assert_eq!(out.len(), self.dim, "output buffer length != dim");
+        self.assert_row(row);
+        let clock = self.clock(row);
+        let (page, slot) = self.locate(row);
+        self.count_lock();
+        let mut st = self.state.lock();
+        let resident = st.pages[page].data.is_some();
+        self.with_page(&mut st, page, false, |st| {
+            let data = st.pages[page].data.as_ref().expect("page resident");
+            out.copy_from_slice(&data[slot..slot + self.dim]);
+        });
+        (clock, resident)
+    }
+
+    /// Gives a resident page zeroed accumulators if it has none, charging
+    /// the pool for the doubled footprint.
+    fn ensure_accum(st: &mut TierState, page: usize) {
+        if st.pages[page].accum.is_some() {
+            return;
+        }
+        let len = st.pages[page].data.as_ref().expect("page resident").len();
+        let mut accum = st.free.pop().unwrap_or_default();
+        accum.clear();
+        accum.resize(len, 0.0);
+        let pg = &mut st.pages[page];
+        pg.accum = Some(accum);
+        pg.has_accum = true;
+        st.resident_bytes += (len * 4) as u64;
     }
 
     /// The single-row update body — the same FP operation sequence as
     /// `ShardedTable::apply_in_shard`, applied to the page buffers, which
     /// is what keeps the two stores bit-identical.
     fn apply_to_page(st: &mut TierState, page: usize, slot: usize, dim: usize, grad: &[f32], opt: &SparseOpt) {
-        let pg = &mut st.pages[page];
         match *opt {
             SparseOpt::Sgd { lr } => {
-                let data = pg.data.as_mut().expect("page resident");
+                let data = st.pages[page].data.as_mut().expect("page resident");
                 for (p, &g) in data[slot..slot + dim].iter_mut().zip(grad) {
                     *p -= lr * g;
                 }
             }
             SparseOpt::Adagrad { lr, eps } => {
-                let len = pg.data.as_ref().expect("page resident").len();
-                if pg.accum.is_none() {
-                    pg.accum = Some(vec![0.0; len]);
-                    if !pg.has_accum {
-                        pg.has_accum = true;
-                        // The page's footprint just doubled (values +
-                        // accumulators); charge the pool.
-                        st.resident_bytes += (len * 4) as u64;
-                    }
-                }
+                Self::ensure_accum(st, page);
                 let pg = &mut st.pages[page];
                 let data = pg.data.as_mut().expect("page resident");
                 let accum = pg.accum.as_mut().expect("accumulator allocated above");
@@ -701,54 +893,11 @@ impl RowStore for TieredTable {
     }
 
     fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
-        assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        self.assert_row(row);
-        let clock = self.clock(row);
-        let (page, slot) = self.locate(row);
-        self.count_lock();
-        let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| {
-            let data = st.pages[page].data.as_ref().expect("page resident");
-            out.copy_from_slice(&data[slot..slot + t.dim]);
-        });
-        clock
+        self.read_one(row, out).0
     }
 
     fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
-        assert_eq!(
-            out.len(),
-            rows.len() * self.dim,
-            "output buffer length != rows * dim"
-        );
-        assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
-        });
-        let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            self.with_page(&mut st, page, true, |_, st| {
-                let data = st.pages[page].data.as_ref().expect("page resident");
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    clocks[k] = self.clocks[row as usize].load(Ordering::Acquire);
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    out[k * dim..(k + 1) * dim].copy_from_slice(&data[slot..slot + dim]);
-                    i += 1;
-                }
-            });
-        }
+        self.read_grouped(rows, out, clocks, scratch);
     }
 
     fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64 {
@@ -758,8 +907,8 @@ impl RowStore for TieredTable {
         self.count_lock();
         {
             let mut st = self.state.lock();
-            self.with_page(&mut st, page, false, |t, st| {
-                Self::apply_to_page(st, page, slot, t.dim, grad, opt);
+            self.with_page(&mut st, page, false, |st| {
+                Self::apply_to_page(st, page, slot, self.dim, grad, opt);
             });
         }
         self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1
@@ -779,33 +928,16 @@ impl RowStore for TieredTable {
             "gradients length != rows * dim"
         );
         assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
-        });
         let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            self.with_page(&mut st, page, false, |_, st| {
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    Self::apply_to_page(st, page, slot, dim, &grads[k * dim..(k + 1) * dim], opt);
-                    clocks[k] = self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1;
-                    i += 1;
-                }
-            });
-        }
+        self.for_each_page(rows, scratch, false, |st, page, group, _| {
+            for &k in group {
+                let k = k as usize;
+                let row = rows[k] as usize;
+                let slot = (row % self.rows_per_page) * dim;
+                Self::apply_to_page(st, page, slot, dim, &grads[k * dim..(k + 1) * dim], opt);
+                clocks[k] = self.clocks[row].fetch_add(1, Ordering::AcqRel) + 1;
+            }
+        });
     }
 
     fn write_row(&self, row: u32, values: &[f32]) {
@@ -814,10 +946,10 @@ impl RowStore for TieredTable {
         let (page, slot) = self.locate(row);
         self.count_lock();
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| {
+        self.with_page(&mut st, page, false, |st| {
             let pg = &mut st.pages[page];
             let data = pg.data.as_mut().expect("page resident");
-            data[slot..slot + t.dim].copy_from_slice(values);
+            data[slot..slot + self.dim].copy_from_slice(values);
             pg.dirty = true;
         });
     }
@@ -828,35 +960,17 @@ impl RowStore for TieredTable {
             rows.len() * self.dim,
             "values length != rows * dim"
         );
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
-        });
         let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            self.with_page(&mut st, page, false, |_, st| {
-                let pg = &mut st.pages[page];
-                let data = pg.data.as_mut().expect("page resident");
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    data[slot..slot + dim].copy_from_slice(&values[k * dim..(k + 1) * dim]);
-                    i += 1;
-                }
-                pg.dirty = true;
-            });
-        }
+        self.for_each_page(rows, scratch, false, |st, page, group, _| {
+            let pg = &mut st.pages[page];
+            let data = pg.data.as_mut().expect("page resident");
+            for &k in group {
+                let k = k as usize;
+                let slot = (rows[k] as usize % self.rows_per_page) * dim;
+                data[slot..slot + dim].copy_from_slice(&values[k * dim..(k + 1) * dim]);
+            }
+            pg.dirty = true;
+        });
     }
 
     fn restore_row(&self, row: u32, values: &[f32], clock: u64) {
@@ -873,9 +987,9 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| match &st.pages[page].accum {
+        self.with_page(&mut st, page, false, |st| match &st.pages[page].accum {
             Some(a) => {
-                out.copy_from_slice(&a[slot..slot + t.dim]);
+                out.copy_from_slice(&a[slot..slot + self.dim]);
                 true
             }
             None => {
@@ -890,19 +1004,11 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |t, st| {
-            let len = st.pages[page].data.as_ref().expect("page resident").len();
-            let pg = &mut st.pages[page];
-            if pg.accum.is_none() {
-                pg.accum = Some(vec![0.0; len]);
-                if !pg.has_accum {
-                    pg.has_accum = true;
-                    st.resident_bytes += (len * 4) as u64;
-                }
-            }
+        self.with_page(&mut st, page, false, |st| {
+            Self::ensure_accum(st, page);
             let pg = &mut st.pages[page];
             let accum = pg.accum.as_mut().expect("accumulator allocated above");
-            accum[slot..slot + t.dim].copy_from_slice(values);
+            accum[slot..slot + self.dim].copy_from_slice(values);
             pg.dirty = true;
         });
     }
@@ -948,22 +1054,9 @@ impl RowStore for TieredTable {
     // way.
 
     fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64 {
-        assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        self.assert_row(row);
-        let clock = self.clock(row);
-        let (page, slot) = self.locate(row);
-        self.count_lock();
-        let mut st = self.state.lock();
-        let resident = st.pages[page].data.is_some();
-        self.with_page(&mut st, page, false, |t, st| {
-            let data = st.pages[page].data.as_ref().expect("page resident");
-            out.copy_from_slice(&data[slot..slot + t.dim]);
-        });
-        if resident {
-            self.snapshot_rows.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fallback_rows.fetch_add(1, Ordering::Relaxed);
-        }
+        let (clock, resident) = self.read_one(row, out);
+        let tally = if resident { &self.snapshot_rows } else { &self.fallback_rows };
+        tally.fetch_add(1, Ordering::Relaxed);
         clock
     }
 
@@ -974,55 +1067,9 @@ impl RowStore for TieredTable {
         clocks: &mut [u64],
         scratch: &mut BatchScratch,
     ) {
-        assert_eq!(
-            out.len(),
-            rows.len() * self.dim,
-            "output buffer length != rows * dim"
-        );
-        assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        for &row in rows {
-            self.assert_row(row);
-        }
-        scratch.group_by(rows, self.num_pages, |row| {
-            row as usize / self.rows_per_page
-        });
-        let dim = self.dim;
-        let mut st = self.state.lock();
-        let perm = scratch.perm();
-        let (mut snapshots, mut fallbacks) = (0u64, 0u64);
-        let mut i = 0;
-        while i < perm.len() {
-            let page = rows[perm[i] as usize] as usize / self.rows_per_page;
-            self.count_lock();
-            let resident = st.pages[page].data.is_some();
-            let group_start = i;
-            self.with_page(&mut st, page, true, |_, st| {
-                let data = st.pages[page].data.as_ref().expect("page resident");
-                while i < perm.len() {
-                    let k = perm[i] as usize;
-                    let row = rows[k];
-                    if row as usize / self.rows_per_page != page {
-                        break;
-                    }
-                    clocks[k] = self.clocks[row as usize].load(Ordering::Acquire);
-                    let slot = (row as usize % self.rows_per_page) * dim;
-                    out[k * dim..(k + 1) * dim].copy_from_slice(&data[slot..slot + dim]);
-                    i += 1;
-                }
-            });
-            let group_rows = (i - group_start) as u64;
-            if resident {
-                snapshots += group_rows;
-            } else {
-                fallbacks += group_rows;
-            }
-        }
-        if snapshots > 0 {
-            self.snapshot_rows.fetch_add(snapshots, Ordering::Relaxed);
-        }
-        if fallbacks > 0 {
-            self.fallback_rows.fetch_add(fallbacks, Ordering::Relaxed);
-        }
+        let (snapshots, fallbacks) = self.read_grouped(rows, out, clocks, scratch);
+        self.snapshot_rows.fetch_add(snapshots, Ordering::Relaxed);
+        self.fallback_rows.fetch_add(fallbacks, Ordering::Relaxed);
     }
 
     fn read_path_stats(&self) -> ReadPathStats {
@@ -1148,48 +1195,95 @@ mod tests {
         assert_eq!(img_mem, img_tiered, "checkpoint images diverge");
     }
 
+    /// 4 pages of 4 dim-4 rows under a one-page budget: pages 1..4 are
+    /// spilled (without accumulators) at construction.
+    fn four_spilled_pages() -> TieredTable {
+        TieredTable::new(16, 4, 0.1, 3, tiny_cfg(4 * 4 * 4, 4))
+    }
+
+    /// Overwrites `bytes.len()` bytes of the spill file at `offset`.
+    fn patch_spill(t: &TieredTable, offset: u64, bytes: &[u8]) {
+        let mut f = OpenOptions::new().write(true).open(t.spill_file()).unwrap();
+        f.seek(SeekFrom::Start(offset)).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
     #[test]
     fn torn_spill_file_detected_and_rejected() {
-        let dir = std::env::temp_dir().join(format!(
-            "hetgmp-torn-{}-{}",
+        let t = four_spilled_pages();
+        let mem = ShardedTable::new(16, 4, 0.1, 3);
+        for page in 1..4 {
+            t.verify_page(page).expect("intact slot verifies");
+        }
+
+        // One corrupted byte mid-payload of slot 2 fails that page's
+        // checksum...
+        let mid = t.slot_offset(2) + (image_bytes(16, false) / 2) as u64;
+        let mut byte = [0u8; 1];
+        let mut f = File::open(t.spill_file()).unwrap();
+        f.seek(SeekFrom::Start(mid)).unwrap();
+        f.read_exact(&mut byte).unwrap();
+        patch_spill(&t, mid, &[byte[0] ^ 0xFF]);
+        let err = t.verify_page(2).unwrap_err();
+        assert!(err.contains("checksum"), "{err}");
+
+        // ...and only that page's: its neighbours verify and still load.
+        let (mut a, mut b) = (vec![0.0f32; 4], vec![0.0f32; 4]);
+        for page in [1u32, 3] {
+            t.verify_page(page as usize).expect("neighbour slot untouched");
+            t.read_row(page * 4, &mut a);
+            mem.read_row(page * 4, &mut b);
+            assert_eq!(a, b, "page {page} served wrong rows");
+        }
+
+        // The fault path refuses the corrupt page rather than serving it.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut buf = vec![0.0f32; 4];
+            t.read_row(2 * 4, &mut buf);
+        }));
+        assert!(result.is_err(), "corrupt page load must not succeed");
+
+        // A file cut short inside slot 3 is a torn image of page 3 only.
+        let f = OpenOptions::new().write(true).open(t.spill_file()).unwrap();
+        f.set_len(t.slot_offset(3) + 50).unwrap();
+        let err = t.verify_page(3).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+        t.verify_page(1).expect("slots before the cut are whole");
+    }
+
+    #[test]
+    fn version_1_image_refused_with_reason() {
+        let t = four_spilled_pages();
+        // A version-1 header (what per-page spill files carried): same
+        // magic, page, rows and dim, then the row-interleaved payload that
+        // a version-2 reader would mis-parse as a values block.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(PAGE_MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        for field in [2u64, 4, 4] {
+            v1.extend_from_slice(&field.to_le_bytes());
+        }
+        v1.resize(image_bytes(16, false), 0);
+        patch_spill(&t, t.slot_offset(2), &v1);
+        let err = t.verify_page(2).unwrap_err();
+        assert!(err.contains("version 1 unsupported"), "{err}");
+    }
+
+    #[test]
+    fn unusable_spill_dir_is_an_io_error() {
+        let file = std::env::temp_dir().join(format!(
+            "hetgmp-not-a-dir-{}-{}",
             std::process::id(),
             DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
+        fs::write(&file, b"x").unwrap();
         let cfg = TieredConfig {
-            budget_bytes: 4 * 4 * 4, // one 4-row dim-4 page
-            dir: Some(dir.clone()),
-            rows_per_page: 4,
+            dir: Some(file.clone()),
+            ..tiny_cfg(64, 4)
         };
-        let t = TieredTable::new(16, 4, 0.1, 3, cfg);
-        // Pages 1..4 are spilled at construction; their files verify clean.
-        let victim = t.spill_dir().join("page-000003.pg");
-        assert!(victim.exists(), "expected spilled page file");
-        TieredTable::verify_page_file(&victim).expect("intact file verifies");
-
-        // A kill between write and fsync leaves a prefix of the image:
-        // truncation must flip the checksum.
-        let full = fs::read(&victim).unwrap();
-        fs::write(&victim, &full[..full.len() - 5]).unwrap();
-        let err = TieredTable::verify_page_file(&victim).unwrap_err();
-        assert!(err.contains("checksum") || err.contains("length"), "{err}");
-
-        // A corrupted byte mid-payload is equally rejected...
-        let mut flipped = full.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0xFF;
-        fs::write(&victim, &flipped).unwrap();
-        let err = TieredTable::verify_page_file(&victim).unwrap_err();
-        assert!(err.contains("checksum"), "{err}");
-
-        // ...and the fault path refuses to load it rather than serving
-        // corrupt rows.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut buf = vec![0.0f32; 4];
-            t.read_row(3 * 4, &mut buf); // first row of page 3
-        }));
-        assert!(result.is_err(), "corrupt page load must not succeed");
-        drop(t);
-        let _ = fs::remove_dir_all(&dir);
+        let err = TieredTable::try_new(16, 4, 0.1, 3, cfg).err().expect("a file is no spill dir");
+        assert!(matches!(&err, HetGmpError::Io { path, .. } if path == &file), "{err}");
+        fs::remove_file(&file).unwrap();
     }
 
     #[test]

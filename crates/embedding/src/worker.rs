@@ -149,11 +149,15 @@ impl<'a> WorkerEmbedding<'a> {
         let secondaries: Vec<u32> = (0..table.num_rows() as u32)
             .filter(|&e| part.is_secondary(e, worker))
             .collect();
-        let mut cache = SecondaryCache::new(table.dim(), &secondaries);
-        let mut buf = vec![0.0f32; table.dim()];
-        for &e in &secondaries {
-            let clock = table.read_row(e, &mut buf);
-            cache.install(e, &buf, clock);
+        // Warm-load every secondary with one batched read (on a tiered
+        // table a per-row read is up to one page fault per replica).
+        let dim = table.dim();
+        let mut cache = SecondaryCache::new(dim, &secondaries);
+        let mut values = vec![0.0f32; secondaries.len() * dim];
+        let mut clocks = vec![0u64; secondaries.len()];
+        table.read_rows(&secondaries, &mut values, &mut clocks, &mut BatchScratch::default());
+        for ((&e, row), &clock) in secondaries.iter().zip(values.chunks_exact(dim)).zip(&clocks) {
+            cache.install(e, row, clock);
         }
         Self {
             worker,

@@ -3,7 +3,7 @@
 //! path under arbitrary op interleavings, and the fill planners must never
 //! hand duplicate row ids to a batched read.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hetgmp_embedding::{
@@ -241,6 +241,17 @@ fn tiered_snapshot_matches_locked_and_counts_locks() {
 struct CountingStore<'a> {
     inner: &'a ShardedTable,
     batched_reads: Mutex<Vec<Vec<u32>>>,
+    per_row_reads: AtomicUsize,
+}
+
+impl<'a> CountingStore<'a> {
+    fn new(inner: &'a ShardedTable) -> Self {
+        Self {
+            inner,
+            batched_reads: Mutex::new(Vec::new()),
+            per_row_reads: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl RowStore for CountingStore<'_> {
@@ -254,6 +265,7 @@ impl RowStore for CountingStore<'_> {
         self.inner.clock(row)
     }
     fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
+        self.per_row_reads.fetch_add(1, Ordering::Relaxed);
         self.inner.read_row(row, out)
     }
     fn read_rows(
@@ -341,10 +353,7 @@ impl CountingStore<'_> {
 #[test]
 fn lfu_fill_planner_dedups_rows_before_batched_read() {
     let table = ShardedTable::new(16, 4, 0.1, 5);
-    let store = CountingStore {
-        inner: &table,
-        batched_reads: Mutex::new(Vec::new()),
-    };
+    let store = CountingStore::new(&table);
     // All rows primary on worker 1: every unique id worker 0 touches must
     // reach the store exactly once per batch.
     let part = Partition::new(2, vec![0, 1], vec![1; 16]);
@@ -365,10 +374,7 @@ fn lfu_fill_planner_dedups_rows_before_batched_read() {
 #[test]
 fn replica_worker_dedups_rows_before_batched_read() {
     let table = ShardedTable::new(16, 4, 0.1, 5);
-    let store = CountingStore {
-        inner: &table,
-        batched_reads: Mutex::new(Vec::new()),
-    };
+    let store = CountingStore::new(&table);
     let part = Partition::new(2, vec![0, 1], vec![1; 16]);
     let freq = vec![1u64; 16];
     let mut w = WorkerEmbedding::new(0, &store, &part, &freq, StalenessBound::Bounded(10));
@@ -376,4 +382,40 @@ fn replica_worker_dedups_rows_before_batched_read() {
     let mut out = vec![0.0f32; 7 * 4];
     w.read_batch(&samples, &mut out);
     store.assert_all_reads_deduped();
+}
+
+#[test]
+fn replica_worker_warm_loads_through_one_batched_read() {
+    let table = ShardedTable::new(16, 4, 0.1, 5);
+    let opt = SparseOpt::sgd(0.3);
+    for r in 0..16u32 {
+        table.apply_grad(r, &[r as f32; 4], &opt);
+    }
+    let store = CountingStore::new(&table);
+    let mut part = Partition::new(2, vec![0, 1], vec![1; 16]);
+    let secondaries = [2u32, 5, 11, 14];
+    for &e in &secondaries {
+        part.add_replica(e, 0);
+    }
+    let freq = vec![1u64; 16];
+    let mut w = WorkerEmbedding::new(0, &store, &part, &freq, StalenessBound::Infinite);
+    // Set-up is exactly one deduplicated batched read of the secondaries —
+    // on a tiered table a per-row warm-load is a page fault per replica.
+    assert_eq!(*store.batched_reads.lock().unwrap(), vec![secondaries.to_vec()]);
+    assert_eq!(store.per_row_reads.load(Ordering::Relaxed), 0);
+    // The replicas hold the primaries' bits: under an infinite bound they
+    // are served from the cache, with no further table read.
+    let samples: Vec<&[u32]> = vec![&secondaries];
+    let mut out = vec![0.0f32; secondaries.len() * 4];
+    w.read_batch(&samples, &mut out);
+    assert_eq!(store.batched_reads.lock().unwrap().len(), 1);
+    let mut expect = vec![0.0f32; 4];
+    for (k, &e) in secondaries.iter().enumerate() {
+        table.read_row(e, &mut expect);
+        assert_eq!(
+            out[k * 4..(k + 1) * 4].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            "replica of row {e}"
+        );
+    }
 }

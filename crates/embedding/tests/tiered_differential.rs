@@ -12,7 +12,9 @@
 //! which must match bit for bit — an implicitly-zero accumulator reads as
 //! zeros on both sides either way.
 
-use hetgmp_embedding::{BatchScratch, RowStore, ShardedTable, SparseOpt, TieredConfig, TieredTable};
+use hetgmp_embedding::{
+    BatchScratch, CapacityStats, RowStore, ShardedTable, SparseOpt, TieredConfig, TieredTable,
+};
 use proptest::prelude::*;
 
 /// A randomly-generated interleaved workload: table shape, optimizer, and a
@@ -102,6 +104,94 @@ fn assert_stores_bit_identical(a: &dyn RowStore, b: &dyn RowStore, num_rows: usi
     assert_eq!(a.total_updates(), b.total_updates());
 }
 
+/// Runs `w` on a [`ShardedTable`] and its squeezed tiered twin side by side:
+/// every op's outputs and the final tables must match bit for bit. Returns
+/// the tiered table's counters.
+fn run_against_sharded(w: &Workload) -> CapacityStats {
+    let mem = ShardedTable::new(w.num_rows, w.dim, 0.08, w.seed);
+    let tiered = tiny_tiered(w.num_rows, w.dim, w.seed);
+    let mut s_mem = BatchScratch::default();
+    let mut s_tier = BatchScratch::default();
+    for (si, (op, rows)) in w.steps.iter().enumerate() {
+        let mut buf = vec![0.0f32; rows.len() * w.dim];
+        for (pos, g) in buf.chunks_mut(w.dim).enumerate() {
+            for (coord, v) in g.iter_mut().enumerate() {
+                *v = grad_at(si, pos, coord);
+            }
+        }
+        match op % 3 {
+            0 => {
+                let mut c_mem = vec![0u64; rows.len()];
+                let mut c_tier = vec![0u64; rows.len()];
+                mem.apply_grads(rows, &buf, &w.opt, &mut c_mem, &mut s_mem);
+                tiered.apply_grads(rows, &buf, &w.opt, &mut c_tier, &mut s_tier);
+                assert_eq!(c_mem, c_tier, "per-op clocks, step {si}");
+            }
+            1 => {
+                mem.write_rows(rows, &buf, &mut s_mem);
+                tiered.write_rows(rows, &buf, &mut s_tier);
+            }
+            _ => {
+                let mut o_mem = vec![0.0f32; rows.len() * w.dim];
+                let mut o_tier = vec![0.0f32; rows.len() * w.dim];
+                let mut c_mem = vec![0u64; rows.len()];
+                let mut c_tier = vec![0u64; rows.len()];
+                mem.read_rows(rows, &mut o_mem, &mut c_mem, &mut s_mem);
+                tiered.read_rows(rows, &mut o_tier, &mut c_tier, &mut s_tier);
+                assert_eq!(c_mem, c_tier, "read clocks, step {si}");
+                assert_eq!(
+                    o_mem.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    o_tier.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "read data, step {si}"
+                );
+            }
+        }
+    }
+    assert_stores_bit_identical(&mem, &tiered, w.num_rows, w.dim);
+    // The squeeze was real: whenever anything is spilled, the pool is back
+    // inside its budget at rest.
+    let stats = tiered.capacity_stats();
+    assert!(
+        stats.resident_bytes <= stats.budget_bytes || stats.spilled_bytes == 0,
+        "over budget with evictable pages: resident {} > budget {}",
+        stats.resident_bytes,
+        stats.budget_bytes
+    );
+    stats
+}
+
+/// Page buffers are recycled across roles: the buffers of an evicted page
+/// *with* accumulators (both full of live numbers) are what the next faulted
+/// page — with or without accumulators — decodes into, and what a page's
+/// first Adagrad update takes as its zeroed accumulator block. Any stale
+/// float surviving a reuse shows up as a mismatch against the in-memory
+/// table. 4-row pages, RAM for two value blocks: a page with accumulators
+/// fills the budget alone, so every step below evicts.
+#[test]
+fn recycled_buffers_never_leak_between_pages() {
+    let page = |p: u32| -> Vec<u32> { (4 * p..4 * p + 4).collect() };
+    let stats = run_against_sharded(&Workload {
+        num_rows: 24,
+        dim: 3,
+        seed: 17,
+        opt: SparseOpt::Adagrad { lr: 0.3, eps: 1e-8 },
+        steps: vec![
+            (0, page(0)), // page 0 gains accumulators: values + accum resident
+            (2, page(2)), // evicts 0 (two live buffers freed); 2 has no accum
+            (2, page(3)), // second recycled buffer, formerly 0's accumulators
+            (0, page(4)), // fresh accumulators for 4 from a recycled buffer
+            (2, page(0)), // the reverse: accum page into accum-less buffers
+            (1, page(5)), // overwrite an accum-less page in a recycled buffer
+            (0, page(2)), // accumulators for a page that was spilled without
+            (2, page(4)),
+            (2, page(5)),
+            (2, page(2)),
+        ],
+    });
+    assert!(stats.fault_loads >= 8, "every step should fault: {stats:?}");
+    assert!(stats.writebacks >= 4, "dirty pages must round-trip: {stats:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -123,60 +213,7 @@ proptest! {
     /// the same bits and clocks, and the final tables match end to end.
     #[test]
     fn mixed_interleaving_matches_sharded(w in workload_strategy()) {
-        let mem = ShardedTable::new(w.num_rows, w.dim, 0.08, w.seed);
-        let tiered = tiny_tiered(w.num_rows, w.dim, w.seed);
-        let mut s_mem = BatchScratch::default();
-        let mut s_tier = BatchScratch::default();
-        for (si, (op, rows)) in w.steps.iter().enumerate() {
-            let mut buf = vec![0.0f32; rows.len() * w.dim];
-            for (pos, g) in buf.chunks_mut(w.dim).enumerate() {
-                for (coord, v) in g.iter_mut().enumerate() {
-                    *v = grad_at(si, pos, coord);
-                }
-            }
-            match op % 3 {
-                0 => {
-                    let mut c_mem = vec![0u64; rows.len()];
-                    let mut c_tier = vec![0u64; rows.len()];
-                    mem.apply_grads(rows, &buf, &w.opt, &mut c_mem, &mut s_mem);
-                    tiered.apply_grads(rows, &buf, &w.opt, &mut c_tier, &mut s_tier);
-                    prop_assert_eq!(&c_mem, &c_tier, "per-op clocks, step {}", si);
-                }
-                1 => {
-                    mem.write_rows(rows, &buf, &mut s_mem);
-                    tiered.write_rows(rows, &buf, &mut s_tier);
-                }
-                _ => {
-                    let mut o_mem = vec![0.0f32; rows.len() * w.dim];
-                    let mut o_tier = vec![0.0f32; rows.len() * w.dim];
-                    let mut c_mem = vec![0u64; rows.len()];
-                    let mut c_tier = vec![0u64; rows.len()];
-                    mem.read_rows(rows, &mut o_mem, &mut c_mem, &mut s_mem);
-                    tiered.read_rows(rows, &mut o_tier, &mut c_tier, &mut s_tier);
-                    prop_assert_eq!(&c_mem, &c_tier, "read clocks, step {}", si);
-                    prop_assert_eq!(
-                        o_mem.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        o_tier.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "read data, step {}", si
-                    );
-                }
-            }
-        }
-        assert_stores_bit_identical(&mem, &tiered, w.num_rows, w.dim);
-        // The squeeze was real: over-budget workloads must actually have
-        // faulted (construction primes the spill, so any post-construction
-        // re-touch of a cold page counts).
-        let stats = tiered.capacity_stats();
-        let table_bytes = (w.num_rows.div_ceil(4) * 4 * w.dim * 4) as u64;
-        if table_bytes > 2 * 4 * (w.dim * 4) as u64 && !w.steps.is_empty() {
-            prop_assert!(
-                stats.resident_bytes <= stats.budget_bytes
-                    || stats.spilled_bytes == 0,
-                "over budget with evictable pages: resident {} > budget {}",
-                stats.resident_bytes,
-                stats.budget_bytes
-            );
-        }
+        run_against_sharded(&w);
     }
 
     /// The Belady plan is policy-only: running the same workload with an

@@ -157,7 +157,7 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     // Gated on the budget gauge: in-memory runs record no capacity.* at
     // all, so memory-run reports (and the inspect-smoke golden) are
     // unchanged. resident/spilled are disjoint — resident is what
-    // heap_bytes reports as RAM, spilled lives in page files on disk —
+    // heap_bytes reports as RAM, spilled lives in the spill file on disk —
     // so the two lines never double-count a page.
     if let Some(budget) = gauge(names::CAPACITY_BUDGET_BYTES) {
         let resident = gauge(names::CAPACITY_RESIDENT_BYTES).unwrap_or(0.0);
@@ -178,6 +178,31 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
             counter(names::CAPACITY_FAULT_EVICTIONS),
             counter(names::CAPACITY_FAULT_WRITEBACKS),
         );
+        // What a fault costs is wall time, so it prints with the other
+        // nondeterministic figures only.
+        if wall {
+            for (what, secs, bytes) in [
+                ("load", names::CAPACITY_FAULT_LOAD_SECS, names::CAPACITY_SPILL_BYTES_READ),
+                (
+                    "write-back",
+                    names::CAPACITY_FAULT_WRITEBACK_SECS,
+                    names::CAPACITY_SPILL_BYTES_WRITTEN,
+                ),
+            ] {
+                let Some(h) = fin.get("histograms").and_then(|hs| hs.get(secs)) else {
+                    continue;
+                };
+                let field = |k: &str| h.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+                let _ = writeln!(
+                    out,
+                    "  mean {what} cost: {:.1} us over {:.0} ({:.4} s total, {:.1} MiB)",
+                    field("mean") * 1e6,
+                    field("count"),
+                    field("sum"),
+                    counter(bytes) / mib,
+                );
+            }
+        }
     }
 
     // ---- Hot-loop read path ----------------------------------------------
@@ -315,9 +340,12 @@ mod tests {
             concat!(
                 r#"{"event":"final","system":"HET-GMP(s=0)","auc":0.70,"#,
                 r#""counters":{"capacity.fault.loads":120,"capacity.fault.evictions":118,"#,
-                r#""capacity.fault.writebacks":40},"#,
+                r#""capacity.fault.writebacks":40,"capacity.spill.bytes_read":7864320},"#,
                 r#""gauges":{"capacity.budget_bytes":1048576,"#,
-                r#""capacity.resident_bytes":1048576,"capacity.spilled_bytes":2097152}}"#,
+                r#""capacity.resident_bytes":1048576,"capacity.spilled_bytes":2097152},"#,
+                r#""histograms":{"capacity.fault.load_secs":"#,
+                r#"{"count":120,"sum":0.006,"min":0.00004,"max":0.00007,"mean":0.00005,"#,
+                r#""p50":0.00005,"p95":0.00007,"p99":0.00007}}}"#,
             ),
         );
         let a = Artifact::parse(&log).unwrap();
@@ -332,6 +360,13 @@ mod tests {
         assert!(
             r.contains("faults: 120 page load(s), 118 eviction(s), 40 dirty write-back(s)"),
             "{r}"
+        );
+        // Fault cost is wall time: absent by default, present with --wall.
+        assert!(!r.contains("mean load cost"), "{r}");
+        let with_wall = render_report(&a, true).unwrap();
+        assert!(
+            with_wall.contains("mean load cost: 50.0 us over 120 (0.0060 s total, 7.5 MiB)"),
+            "{with_wall}"
         );
     }
 

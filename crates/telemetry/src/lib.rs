@@ -267,14 +267,25 @@ pub mod names {
     pub const TRACE_STAGE_PREFIX: &str = "trace.stage.";
 
     /// Counter: tiered-store page faults — cold pages loaded back from
-    /// their spill files into the resident buffer pool.
+    /// their spill-file slots into the resident buffer pool.
     pub const CAPACITY_FAULT_LOADS: &str = "capacity.fault.loads";
     /// Counter: resident pages evicted by the tiered buffer manager to
     /// stay inside the RAM budget.
     pub const CAPACITY_FAULT_EVICTIONS: &str = "capacity.fault.evictions";
     /// Counter: dirty page evictions that had to write the page back to
-    /// its spill file (clean evictions just drop the copy).
+    /// its spill-file slot (clean evictions just drop the copy).
     pub const CAPACITY_FAULT_WRITEBACKS: &str = "capacity.fault.writebacks";
+    /// Histogram (wall seconds): cost of one page fault — slot read,
+    /// checksum, and decode into page buffers.
+    pub const CAPACITY_FAULT_LOAD_SECS: &str = "capacity.fault.load_secs";
+    /// Histogram (wall seconds): cost of one dirty write-back — encode,
+    /// checksum, and slot write.
+    pub const CAPACITY_FAULT_WRITEBACK_SECS: &str = "capacity.fault.writeback_secs";
+    /// Counter: bytes of page images read from the spill file by faults.
+    pub const CAPACITY_SPILL_BYTES_READ: &str = "capacity.spill.bytes_read";
+    /// Counter: bytes of page images written to the spill file by dirty
+    /// write-backs.
+    pub const CAPACITY_SPILL_BYTES_WRITTEN: &str = "capacity.spill.bytes_written";
     /// Gauge: bytes of embedding pages resident in RAM at the end of the
     /// run (tiered store only; the in-memory store reports everything via
     /// `hotpath.*`).

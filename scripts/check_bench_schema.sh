@@ -250,6 +250,19 @@ case $FILE in
             exit 1
         fi
     done
+
+    # The out-of-core floor on the committed baseline: every over-budget
+    # rung trains at >= 0.15x the in-memory rate (3x the worst rung of the
+    # per-page-file store; ROADMAP's 0.33 is the open target). Smoke runs
+    # are too small to gate.
+    if grep -qE '"smoke":false' "$FILE"; then
+        for ratio in $(grep -oE '"over_budget":true,[^}]*"perf_ratio":[0-9.eE+-]+' "$FILE" | sed 's/.*://'); do
+            if ! awk -v p="$ratio" 'BEGIN { exit !(p >= 0.15) }'; then
+                echo "check_bench_schema: over-budget rung perf_ratio $ratio below the 0.15 floor in $FILE" >&2
+                exit 1
+            fi
+        done
+    fi
     ;;
 *)
     # ---- BENCH_hotpath.json ----------------------------------------------

@@ -78,8 +78,9 @@ grep -q 'faults: 1 crash' "$TMP/crash-int8.log" || {
 #      - resuming the crash run's checkpoint lands on the same bits whether
 #        the resumed table is tiered or fully in memory (the image is
 #        tier-agnostic, so recovery never depends on where rows lived).
-#    Torn spill files — a kill between write and fsync — are rejected by
-#    the page checksum; that path is pinned by the
+#    Spill pages are scratch (no fsync: recovery reads the checkpoint, never
+#    a spill file); a torn or corrupt page image is still rejected by the
+#    page checksum at fault time, and that path is pinned by the
 #    torn_spill_file_detected_and_rejected unit test in hetgmp-embedding.
 TIERED="--preset criteo --scale 0.5 --storage tiered --storage-budget-mb 1"
 final_auc() {

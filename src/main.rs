@@ -91,11 +91,11 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   default; no effect under f32). On 'experiment' both apply to every
   fig8/table2/ablation training run.
 
-  --storage tiered spills cold embedding-table pages to checksummed files
+  --storage tiered spills cold embedding-table pages to a checksummed file
   once the table outgrows --storage-budget-mb (default 64) of RAM; hot
   pages stay resident behind a pin/unpin buffer manager and faults surface
   as capacity.* telemetry. Results are bit-identical to --storage memory.
-  --storage-dir keeps the spill files in a named directory (default: a
+  --storage-dir keeps the spill file in a named directory (default: a
   private temp dir); --batch-ordering off disables the buffer-aware
   eviction hints computed from the epoch's deterministic batch plan (on by
   default; fewer page faults, bit-identical results either way).

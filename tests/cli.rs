@@ -144,6 +144,20 @@ fn exit_codes_follow_sysexits() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(74), "I/O errors exit 74");
+
+    // An unusable spill directory (here: a file) is the same I/O error,
+    // naming the path — not a panic inside the tiered table.
+    let not_a_dir = dir.join("spill");
+    std::fs::write(&not_a_dir, "x").unwrap();
+    let out = het_gmp()
+        .args(["train", "--preset", "tiny", "--workers", "2", "--epochs", "1"])
+        .args(["--storage", "tiered", "--storage-budget-mb", "1"])
+        .args(["--storage-dir", not_a_dir.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(74), "unusable spill dir exits 74");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("I/O error") && err.contains("spill"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
