@@ -12,6 +12,9 @@
 //!   "read_scaling": { "read_batch", "batches", "write_every",
 //!                     "speedup_at_4", "threads": [ per-thread-count
 //!                     locked-vs-snapshot rows/s + retry/fallback stats ] },
+//!   "worker_read": { "fields", "samples", "batches", "write_every",
+//!                    "distinct_rows_per_batch", "worker_us_per_batch",
+//!                    "table_us_per_batch", "worker_over_table" },
 //!   "end_to_end": { "samples_per_sec", "lock_acquisitions",
 //!                   "samples_processed", "wall_secs", "final_auc" } }
 //! ```
@@ -30,7 +33,10 @@ use hetgmp_cluster::Topology;
 use hetgmp_core::strategy::StrategyConfig;
 use hetgmp_core::trainer::{Trainer, TrainerConfig};
 use hetgmp_data::{generate, DatasetSpec, Zipf};
-use hetgmp_embedding::{BatchScratch, ReadPathStats, ShardedTable, SparseOpt};
+use hetgmp_embedding::{
+    BatchScratch, ReadPathStats, ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding,
+};
+use hetgmp_partition::Partition;
 use hetgmp_telemetry::{names, Json, RunManifest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -266,6 +272,101 @@ fn run_read_scaling(cfg: &MicroConfig, smoke: bool) -> (Json, f64) {
     (json, speedup_at_4)
 }
 
+/// The worker layer against its own ceiling: what `WorkerEmbedding::
+/// read_batch` costs per batch next to one snapshot read of the same
+/// distinct rows — everything above 1x is the worker deciding what to read
+/// (resolving lookups, staleness checks, the inter-embedding pass, the
+/// scatter), not the table reading it. Company-shaped batches (43 fields x
+/// 256 samples) on two partitions: worker 0 owns nine rows in ten and
+/// replicates the hottest remote ones (Zipf rank is the row id); a remote
+/// writer touches every `WRITE_EVERY`-th batch's rows, untimed, so
+/// replicas go stale and both sync kinds fire.
+fn run_worker_read(cfg: &MicroConfig, smoke: bool) -> Json {
+    const FIELDS: usize = 43;
+    const SAMPLES: usize = 256;
+    const WRITE_EVERY: usize = 16;
+    let batches = if smoke { 32 } else { 256 };
+
+    let remote = |e: usize| e % 10 == 9;
+    let mut part =
+        Partition::new(2, vec![0, 1], (0..cfg.rows).map(|e| remote(e) as u32).collect());
+    for e in (0..cfg.rows / 50).filter(|&e| remote(e)) {
+        part.add_replica(e as u32, 0);
+    }
+    let freq: Vec<u64> = (0..cfg.rows).map(|e| (cfg.rows / (e + 1)).max(1) as u64).collect();
+
+    let zipf = Zipf::new(cfg.rows, 1.05);
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x43F1E1D5);
+    let ids: Vec<Vec<u32>> = (0..batches)
+        .map(|_| (0..SAMPLES * FIELDS).map(|_| zipf.sample(&mut rng) as u32).collect())
+        .collect();
+    let distinct: Vec<Vec<u32>> = ids
+        .iter()
+        .map(|batch| {
+            let mut rows = batch.clone();
+            rows.sort_unstable();
+            rows.dedup();
+            rows
+        })
+        .collect();
+    let max_distinct = distinct.iter().map(Vec::len).max().unwrap_or(0);
+    let grads = vec![0.01f32; max_distinct * cfg.dim];
+    let opt = SparseOpt::adagrad(0.05);
+
+    let mut worker_us = Vec::with_capacity(cfg.reps);
+    let mut table_us = Vec::with_capacity(cfg.reps);
+    for _ in 0..cfg.reps {
+        let table = ShardedTable::new(cfg.rows, cfg.dim, 0.05, SEED);
+        let mut worker =
+            WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(100));
+        worker.reserve_batch(SAMPLES, FIELDS);
+        let mut out = vec![0.0f32; SAMPLES * FIELDS * cfg.dim];
+        let mut rows_out = vec![0.0f32; max_distinct * cfg.dim];
+        let mut clocks = vec![0u64; max_distinct];
+        let mut scratch = BatchScratch::default();
+        let (mut worker_secs, mut table_secs) = (0.0f64, 0.0f64);
+        for (i, batch) in ids.iter().enumerate() {
+            let samples: Vec<&[u32]> = batch.chunks_exact(FIELDS).collect();
+            let rows = &distinct[i];
+            let n = rows.len();
+            if i % WRITE_EVERY == 0 {
+                let g = &grads[..n * cfg.dim];
+                table.apply_grads(rows, g, &opt, &mut clocks[..n], &mut scratch);
+            }
+            let start = Instant::now();
+            std::hint::black_box(worker.read_batch(&samples, &mut out));
+            worker_secs += start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            table.read_rows_snapshot(rows, &mut rows_out[..n * cfg.dim], &mut clocks[..n]);
+            table_secs += start.elapsed().as_secs_f64();
+            std::hint::black_box((&out, &rows_out));
+        }
+        worker_us.push(worker_secs * 1e6 / batches as f64);
+        table_us.push(table_secs * 1e6 / batches as f64);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (worker, table) = (median(&mut worker_us), median(&mut table_us));
+    let over = worker / table.max(1e-9);
+    let mean_distinct = distinct.iter().map(Vec::len).sum::<usize>() as f64 / batches as f64;
+    eprintln!(
+        "worker-read: read_batch {worker:.0} us/batch | snapshot read of the same \
+         {mean_distinct:.0} distinct rows {table:.0} us/batch | {over:.2}x"
+    );
+    Json::obj([
+        ("fields", Json::U64(FIELDS as u64)),
+        ("samples", Json::U64(SAMPLES as u64)),
+        ("batches", Json::U64(batches as u64)),
+        ("write_every", Json::U64(WRITE_EVERY as u64)),
+        ("distinct_rows_per_batch", Json::F64(mean_distinct)),
+        ("worker_us_per_batch", Json::F64(worker)),
+        ("table_us_per_batch", Json::F64(table)),
+        ("worker_over_table", Json::F64(over)),
+    ])
+}
+
 fn measure_json(m: &Measure) -> Json {
     Json::obj([
         ("rows_per_sec", Json::F64(m.rows_per_sec)),
@@ -347,6 +448,7 @@ fn main() {
     );
     let (read_scaling, speedup_at_4) = run_read_scaling(&cfg, smoke);
     eprintln!("read-scaling: snapshot/locked speedup at 4 threads {speedup_at_4:.2}x");
+    let worker_read = run_worker_read(&cfg, smoke);
     eprintln!("end-to-end fixed-seed training run...");
     let (e2e, manifest) = end_to_end(smoke);
 
@@ -368,6 +470,7 @@ fn main() {
         ("batched", measure_json(&batched)),
         ("speedup", Json::F64(speedup)),
         ("read_scaling", read_scaling),
+        ("worker_read", worker_read),
         ("end_to_end", e2e),
         // The end-to-end training run's identity stamp (the microbench
         // shares its build and seed).

@@ -29,13 +29,16 @@ struct State {
     op: Op,
     /// Combined result for the current generation.
     sum: Vec<f32>,
-    /// Buffered per-participant contributions for `Sum` rounds; the round's
-    /// last arrival reduces them in a value-sorted order so the float
-    /// result depends only on the *multiset* of contributions, never on
-    /// thread arrival order (float addition is not associative — arrival-
+    /// Buffered contributions for `Sum`/`Fused` rounds, one persistent
+    /// buffer per arrival position (refilled, never re-allocated); the
+    /// round's last arrival reduces them in a value-sorted order so the
+    /// float result depends only on the *multiset* of contributions, never
+    /// on thread arrival order (float addition is not associative — arrival-
     /// order accumulation would make same-seed runs diverge by ulps that
     /// chaos-amplify over thousands of iterations).
     parts: Vec<Vec<f32>>,
+    /// One element's `n` contributions, staged for the value sort.
+    col: Vec<f32>,
     /// Scalar max lane for `Fused` rounds (exact: f64 max is order-free).
     aux_max: f64,
     /// Boolean OR lane for `Fused` rounds.
@@ -79,7 +82,8 @@ impl AllReduceGroup {
             state: Mutex::new(State {
                 op: Op::Sum,
                 sum: Vec::new(),
-                parts: Vec::new(),
+                parts: vec![Vec::new(); n],
+                col: vec![0.0; n],
                 aux_max: f64::NEG_INFINITY,
                 aux_or: false,
                 arrived: 0,
@@ -142,7 +146,6 @@ impl AllReduceGroup {
             st.op = op;
             st.sum.clear();
             st.sum.extend_from_slice(data);
-            st.parts.clear();
             st.aux_max = clock;
             st.aux_or = vote;
         } else {
@@ -160,7 +163,9 @@ impl AllReduceGroup {
             st.aux_or |= vote;
         }
         if buffers_parts {
-            st.parts.push(data.to_vec());
+            let part = st.arrived;
+            st.parts[part].clear();
+            st.parts[part].extend_from_slice(data);
         }
         st.arrived += 1;
 
@@ -168,10 +173,9 @@ impl AllReduceGroup {
             if buffers_parts {
                 // Deterministic reduction: sum each element's contributions
                 // in ascending value order (see `State::parts`).
-                let st = &mut *st;
-                let mut col = vec![0.0f32; self.n];
-                for (i, s) in st.sum.iter_mut().enumerate() {
-                    for (c, p) in col.iter_mut().zip(st.parts.iter()) {
+                let State { sum, parts, col, .. } = &mut *st;
+                for (i, s) in sum.iter_mut().enumerate() {
+                    for (c, p) in col.iter_mut().zip(parts.iter()) {
                         *c = p[i];
                     }
                     col.sort_by(f32::total_cmp);

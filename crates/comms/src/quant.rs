@@ -278,26 +278,26 @@ impl ErrorFeedback {
         if format.is_lossless() {
             return;
         }
-        match self.residuals.entry(id) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let r = e.get_mut();
-                debug_assert_eq!(r.len(), grad.len(), "error-feedback dim changed");
-                for (g, res) in grad.iter_mut().zip(r.iter()) {
-                    *g += res;
+        // The residual slot doubles as the staging for the compensated
+        // value, so a row seen before allocates nothing: `res += grad`
+        // (f32 addition commutes, so these are the bits `grad + res` gives),
+        // `grad = res`, transport, `res -= grad`.
+        let res = match self.residuals.entry(id) {
+            std::collections::hash_map::Entry::Occupied(e) => {
+                let res = e.into_mut();
+                debug_assert_eq!(res.len(), grad.len(), "error-feedback dim changed");
+                for (r, g) in res.iter_mut().zip(grad.iter_mut()) {
+                    *r += *g;
+                    *g = *r;
                 }
-                let compensated: Vec<f32> = grad.to_vec();
-                format.transport(grad);
-                for (res, (c, g)) in r.iter_mut().zip(compensated.iter().zip(grad.iter())) {
-                    *res = c - g;
-                }
+                res
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let compensated: Vec<f32> = grad.to_vec();
-                format.transport(grad);
-                let r: Vec<f32> =
-                    compensated.iter().zip(grad.iter()).map(|(c, g)| c - g).collect();
-                e.insert(r);
-            }
+            // First sight: the compensated value is the gradient itself.
+            std::collections::hash_map::Entry::Vacant(e) => e.insert(grad.to_vec()),
+        };
+        format.transport(grad);
+        for (r, g) in res.iter_mut().zip(grad.iter()) {
+            *r -= g;
         }
     }
 

@@ -8,13 +8,17 @@
 //!   local_updates`, so the staleness gap `primary_clock − effective_clock`
 //!   counts exactly the **other workers'** updates this copy has missed.
 
-use std::collections::HashMap;
+use crate::index::IdSlots;
 
 /// Secondary replicas for one worker.
 #[derive(Debug, Clone)]
 pub struct SecondaryCache {
     dim: usize,
-    slots: HashMap<u32, usize>,
+    /// Row id → slot: a dense array, one indexed load per lookup.
+    slots: IdSlots,
+    /// Slot → row id, ascending — slot order *is* id order, so walking the
+    /// slots visits replicas in the order flushes and refreshes must run.
+    rows: Vec<u32>,
     data: Vec<f32>,
     base_clock: Vec<u64>,
     local_updates: Vec<u64>,
@@ -28,10 +32,13 @@ pub struct SecondaryCache {
 
 impl SecondaryCache {
     /// Allocates a cache for the given replica row ids (from the partition's
-    /// secondary list for this worker).
+    /// secondary list for this worker), in any order.
     pub fn new(dim: usize, rows: &[u32]) -> Self {
         assert!(dim > 0, "dim must be positive");
-        let mut slots = HashMap::with_capacity(rows.len());
+        let mut rows = rows.to_vec();
+        rows.sort_unstable();
+        rows.dedup();
+        let mut slots = IdSlots::default();
         for (i, &r) in rows.iter().enumerate() {
             slots.insert(r, i);
         }
@@ -43,37 +50,54 @@ impl SecondaryCache {
             pending_grad: vec![0.0; rows.len() * dim],
             pending_count: vec![0; rows.len()],
             slots,
+            rows,
         }
     }
 
     /// Number of cached rows.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.rows.len()
     }
 
     /// True when the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.rows.is_empty()
+    }
+
+    /// The cached row ids, ascending.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
     }
 
     /// True when `row` has a slot in this cache.
     #[inline]
     pub fn contains(&self, row: u32) -> bool {
-        self.slots.contains_key(&row)
+        self.slots.get(row).is_some()
+    }
+
+    /// `row`'s slot, for callers that resolve a row once and then read its
+    /// clock many times ([`SecondaryCache::clock_at`]). Slots never move.
+    #[inline]
+    pub(crate) fn slot_of(&self, row: u32) -> Option<usize> {
+        self.slots.get(row)
+    }
+
+    /// The effective clock (`base + local`) of the replica in `slot`.
+    #[inline]
+    pub(crate) fn clock_at(&self, slot: usize) -> u64 {
+        self.base_clock[slot] + self.local_updates[slot]
     }
 
     /// The replica's effective clock (`base + local`), or `None` if absent.
     pub fn effective_clock(&self, row: u32) -> Option<u64> {
-        self.slots
-            .get(&row)
-            .map(|&i| self.base_clock[i] + self.local_updates[i])
+        self.slots.get(row).map(|i| self.clock_at(i))
     }
 
     /// Reads the cached value into `out`. Returns false if absent.
     pub fn read(&self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
-        match self.slots.get(&row) {
-            Some(&i) => {
+        match self.slots.get(row) {
+            Some(i) => {
                 out.copy_from_slice(&self.data[i * self.dim..(i + 1) * self.dim]);
                 true
             }
@@ -88,7 +112,7 @@ impl SecondaryCache {
     /// Panics if `row` has no slot.
     pub fn install(&mut self, row: u32, values: &[f32], primary_clock: u64) {
         assert_eq!(values.len(), self.dim, "values length != dim");
-        let &i = self.slots.get(&row).expect("row not in cache");
+        let i = self.slots.get(row).expect("row not in cache");
         self.data[i * self.dim..(i + 1) * self.dim].copy_from_slice(values);
         self.base_clock[i] = primary_clock;
         self.local_updates[i] = 0;
@@ -111,8 +135,8 @@ impl SecondaryCache {
 
     fn apply_delta_inner(&mut self, row: u32, delta: &[f32], count: bool) -> bool {
         assert_eq!(delta.len(), self.dim, "delta length != dim");
-        match self.slots.get(&row) {
-            Some(&i) => {
+        match self.slots.get(row) {
+            Some(i) => {
                 for (d, &x) in self.data[i * self.dim..(i + 1) * self.dim]
                     .iter_mut()
                     .zip(delta)
@@ -136,7 +160,7 @@ impl SecondaryCache {
     /// Panics if `row` has no slot.
     pub fn accumulate_pending(&mut self, row: u32, grad: &[f32]) -> u32 {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        let &i = self.slots.get(&row).expect("row not in cache");
+        let i = self.slots.get(row).expect("row not in cache");
         for (p, &g) in self.pending_grad[i * self.dim..(i + 1) * self.dim]
             .iter_mut()
             .zip(grad)
@@ -149,9 +173,7 @@ impl SecondaryCache {
 
     /// Number of deferred gradients pending for `row` (0 if none or absent).
     pub fn pending_count(&self, row: u32) -> u32 {
-        self.slots
-            .get(&row)
-            .map_or(0, |&i| self.pending_count[i])
+        self.slots.get(row).map_or(0, |i| self.pending_count[i])
     }
 
     /// Moves the accumulated pending gradient for `row` into `out` and
@@ -159,7 +181,7 @@ impl SecondaryCache {
     /// pending.
     pub fn take_pending(&mut self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
-        let Some(&i) = self.slots.get(&row) else {
+        let Some(i) = self.slots.get(row) else {
             return false;
         };
         if self.pending_count[i] == 0 {
@@ -176,29 +198,31 @@ impl SecondaryCache {
     /// primary update (the replica's effective clock advances by one, in
     /// step with the primary's tick from the flush).
     pub fn note_flush(&mut self, row: u32) {
-        if let Some(&i) = self.slots.get(&row) {
+        if let Some(i) = self.slots.get(row) {
             self.local_updates[i] += 1;
         }
     }
 
-    /// Rows that currently hold pending gradients.
+    /// Rows that currently hold pending gradients, ascending.
     pub fn rows_with_pending(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .slots
+        self.rows
             .iter()
-            .filter(|&(_, &i)| self.pending_count[i] > 0)
+            .zip(&self.pending_count)
+            .filter(|&(_, &n)| n > 0)
             .map(|(&r, _)| r)
-            .collect();
-        out.sort_unstable();
-        out
+            .collect()
     }
 
-    /// Approximate heap footprint, bytes.
+    /// Heap footprint, bytes: per replica the values, the pending gradient,
+    /// two clocks, the pending count and the row id; plus the id → slot
+    /// index, which costs 4 bytes per *table* row up to the largest
+    /// replicated id, whether replicated or not.
     pub fn heap_bytes(&self) -> usize {
         (self.data.len() + self.pending_grad.len()) * 4
             + self.base_clock.len() * 16
             + self.pending_count.len() * 4
-            + self.slots.len() * 16
+            + self.rows.len() * 4
+            + self.slots.heap_bytes()
     }
 }
 
@@ -276,6 +300,15 @@ mod tests {
         c.accumulate_pending(9, &[1.0]);
         c.accumulate_pending(2, &[1.0]);
         assert_eq!(c.rows_with_pending(), vec![2, 9]);
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_index() {
+        // Two replicas of dim 2: values and pending gradient (8 B each), two
+        // clocks, a pending count and a row id per replica; and the index,
+        // one `u32` per table row up to id 9.
+        let c = SecondaryCache::new(2, &[5, 9]);
+        assert_eq!(c.heap_bytes(), 2 * (8 + 8 + 16 + 4 + 4) + 10 * 4);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! [`crate::WorkerEmbedding`] makes the two designs directly comparable on
 //! one substrate (see the `cache_comparison` ablation in `hetgmp-core`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use hetgmp_comms::{ErrorFeedback, SyncFormat};
@@ -43,8 +42,6 @@ pub struct CachedWorkerEmbedding<'a> {
     part: &'a Partition,
     bound: StalenessBound,
     cache: LfuCache,
-    scratch_ids: HashMap<u32, usize>,
-    scratch_rows: Vec<f32>,
     scratch: HotScratch,
     /// Per-fetch cache action, aligned with `scratch.fetch_ids`.
     fill_actions: Vec<FillAction>,
@@ -83,12 +80,7 @@ impl<'a> CachedWorkerEmbedding<'a> {
             part,
             bound,
             cache: LfuCache::new(table.dim(), capacity),
-            scratch_ids: HashMap::new(),
-            scratch_rows: Vec::new(),
-            scratch: HotScratch {
-                row_buf: vec![0.0f32; table.dim()],
-                ..HotScratch::default()
-            },
+            scratch: HotScratch::new(table.num_rows(), table.dim()),
             fill_actions: Vec::new(),
             format: SyncFormat::F32,
             feedback_on: true,
@@ -166,34 +158,27 @@ impl<'a> CachedWorkerEmbedding<'a> {
     /// table rollback). Returns the number of rows re-fetched.
     pub fn recover_from_crash(&mut self) -> u64 {
         let dim = self.table.dim();
-        let table = self.table;
         let format = self.format;
-        let ids = self.cache.cached_ids();
-        if !ids.is_empty() {
-            // One shard-grouped (locked) read for the whole cache: recovery
-            // runs at a barrier, so there is no contention to dodge and the
-            // amortised lock path is the cheap one.
-            let HotScratch {
-                batch,
-                fetch_buf,
-                fetch_clocks,
-                ..
-            } = &mut self.scratch;
-            fetch_buf.clear();
-            fetch_buf.resize(ids.len() * dim, 0.0);
-            fetch_clocks.clear();
-            fetch_clocks.resize(ids.len(), 0);
-            table.read_rows(&ids, fetch_buf, fetch_clocks, batch);
-            for (k, &e) in ids.iter().enumerate() {
-                let row = &mut fetch_buf[k * dim..(k + 1) * dim];
-                format.transport(row);
-                self.cache.refresh(e, row, fetch_clocks[k]);
-            }
+        self.scratch.fetch_ids.clear();
+        self.scratch.fetch_ids.extend(self.cache.cached_ids());
+        // One shard-grouped (locked) read for the whole cache: recovery
+        // runs at a barrier, so there is no contention to dodge and the
+        // amortised lock path is the cheap one.
+        let n = self.scratch.fetch(self.table, ReadPath::Locked);
+        let HotScratch {
+            fetch_ids,
+            fetch_buf,
+            fetch_clocks,
+            ..
+        } = &mut self.scratch;
+        for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
+            format.transport(row);
+            self.cache.refresh(fetch_ids[k], row, fetch_clocks[k]);
         }
         // A full re-prime supersedes any error-feedback residuals.
         self.feedback.clear();
-        self.note_quant(ids.len() as u64);
-        ids.len() as u64
+        self.note_quant(n as u64);
+        n as u64
     }
 
     /// Which telemetry hooks are attached: `(recorder, auditor, tracer)`.
@@ -208,22 +193,8 @@ impl<'a> CachedWorkerEmbedding<'a> {
     /// Pre-sizes every read/apply scratch buffer for batches of up to
     /// `batch × fields` lookups (see `WorkerEmbedding::reserve_batch`).
     pub fn reserve_batch(&mut self, batch: usize, fields: usize) {
-        let rows = batch.saturating_mul(fields);
-        let dim = self.table.dim();
-        self.scratch_ids.reserve(rows);
-        self.scratch_rows.reserve(rows * dim);
-        let s = &mut self.scratch;
-        s.fetch_ids.reserve(rows);
-        s.fetch_slots.reserve(rows);
-        s.fetch_install.reserve(rows);
-        s.fetch_buf.reserve(rows * dim);
-        s.fetch_clocks.reserve(rows);
-        s.reduce_slots.reserve(rows);
-        s.reduce_buf.reserve(rows * dim);
-        s.reduce_ids.reserve(rows);
-        s.apply_ids.reserve(rows);
-        s.apply_buf.reserve(rows * dim);
-        s.apply_clocks.reserve(rows);
+        self.scratch.reserve(batch, fields, self.table.dim());
+        self.fill_actions.reserve(batch.saturating_mul(fields));
     }
 
     /// Reads a batch under intra-embedding bounded staleness with dynamic
@@ -233,24 +204,19 @@ impl<'a> CachedWorkerEmbedding<'a> {
         let total: usize = samples.iter().map(|s| s.len()).sum();
         assert_eq!(out.len(), total * dim, "output buffer size mismatch");
         let mut report = ReadReport::default();
-        self.scratch_ids.clear();
-        self.scratch_rows.clear();
+        self.scratch.begin_read();
 
         // Classification runs strictly in batch order — LFU touches and
         // admission decisions are stateful, so they stay at decision time —
         // while the primary-table reads are collected and fetched in one
         // shard-grouped call. Missed rows are admitted with placeholder data
         // (identical victim selection) and filled when the fetch lands.
-        self.scratch.fetch_ids.clear();
-        self.scratch.fetch_slots.clear();
         self.fill_actions.clear();
         for sample in samples {
             for &e in *sample {
-                if self.scratch_ids.contains_key(&e) {
+                let Some(slot) = self.scratch.resolve(e, dim) else {
                     continue;
-                }
-                let slot = self.scratch_rows.len();
-                self.scratch_rows.resize(slot + dim, 0.0);
+                };
                 self.cache.touch(e);
                 if self.part.primary_of(e) == self.worker {
                     self.scratch.fetch_ids.push(e);
@@ -286,7 +252,7 @@ impl<'a> CachedWorkerEmbedding<'a> {
                     };
                     if fresh {
                         self.cache
-                            .read(e, &mut self.scratch_rows[slot..slot + dim]);
+                            .read(e, &mut self.scratch.rows[slot..slot + dim]);
                         report.local_fresh += 1;
                     } else {
                         self.scratch.fetch_ids.push(e);
@@ -322,7 +288,6 @@ impl<'a> CachedWorkerEmbedding<'a> {
                     self.scratch.row_buf.fill(0.0);
                     self.cache.admit(e, &self.scratch.row_buf, clock);
                 }
-                self.scratch_ids.insert(e, slot);
             }
         }
 
@@ -330,38 +295,25 @@ impl<'a> CachedWorkerEmbedding<'a> {
         // rows re-install at the clock observed by the read, admitted rows
         // fill their placeholder (a no-op if a later admission in the same
         // batch already evicted them).
-        let nfetch = self.scratch.fetch_ids.len();
-        if nfetch > 0 {
-            let table = self.table;
+        let nfetch = self.scratch.fetch(self.table, self.read_path);
+        {
             let format = self.format;
-            let read_path = self.read_path;
             let HotScratch {
-                batch,
+                rows,
                 fetch_ids,
                 fetch_slots,
                 fetch_buf,
                 fetch_clocks,
                 ..
             } = &mut self.scratch;
-            fetch_buf.clear();
-            fetch_buf.resize(nfetch * dim, 0.0);
-            fetch_clocks.clear();
-            fetch_clocks.resize(nfetch, 0);
-            match read_path {
-                ReadPath::Snapshot => {
-                    table.read_rows_snapshot(fetch_ids, fetch_buf, fetch_clocks, batch)
-                }
-                ReadPath::Locked => table.read_rows(fetch_ids, fetch_buf, fetch_clocks, batch),
-            }
-            for k in 0..nfetch {
+            for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
                 let slot = fetch_slots[k];
-                let row = &mut fetch_buf[k * dim..(k + 1) * dim];
                 // Refresh/Admit rows crossed the interconnect; local
                 // primaries (None) stay exact.
                 if self.fill_actions[k] != FillAction::None {
                     format.transport(row);
                 }
-                self.scratch_rows[slot..slot + dim].copy_from_slice(row);
+                rows[slot..slot + dim].copy_from_slice(row);
                 match self.fill_actions[k] {
                     FillAction::None => {}
                     // A later admission in the same batch may have evicted a
@@ -383,15 +335,7 @@ impl<'a> CachedWorkerEmbedding<'a> {
         }
         self.note_quant(report.intra_syncs + report.remote_fetches);
 
-        let mut cursor = 0usize;
-        for sample in samples {
-            for &e in *sample {
-                let slot = self.scratch_ids[&e];
-                out[cursor..cursor + dim]
-                    .copy_from_slice(&self.scratch_rows[slot..slot + dim]);
-                cursor += dim;
-            }
-        }
+        self.scratch.scatter(out, dim);
         if let Some(r) = &self.recorder {
             r.counter_add(names::EMBED_READ_LOCAL_PRIMARY, report.local_primary);
             r.counter_add(names::EMBED_READ_LOCAL_FRESH, report.local_fresh);
@@ -440,55 +384,24 @@ impl<'a> CachedWorkerEmbedding<'a> {
         let total: usize = samples.iter().map(|s| s.len()).sum();
         assert_eq!(grads.len(), total * dim, "gradient buffer size mismatch");
 
-        // Local reduction into a flat reusable buffer — no per-row Vec
-        // allocations on the hot path.
-        {
-            let HotScratch {
-                reduce_slots,
-                reduce_buf,
-                ..
-            } = &mut self.scratch;
-            reduce_slots.clear();
-            reduce_buf.clear();
-            let mut cursor = 0usize;
-            for sample in samples {
-                for &e in *sample {
-                    let g = &grads[cursor..cursor + dim];
-                    match reduce_slots.get(&e) {
-                        Some(&slot) => {
-                            for (a, &x) in reduce_buf[slot..slot + dim].iter_mut().zip(g) {
-                                *a += x;
-                            }
-                        }
-                        None => {
-                            reduce_slots.insert(e, reduce_buf.len());
-                            reduce_buf.extend_from_slice(g);
-                        }
-                    }
-                    cursor += dim;
-                }
-            }
-        }
+        self.scratch.reduce(samples, grads, dim);
 
         let mut report = UpdateReport::default();
         // HET writes back eagerly: every reduced gradient hits the primary
         // table, so the whole batch goes through one shard-grouped apply.
         let HotScratch {
             batch,
-            reduce_slots,
+            index,
             reduce_buf,
             reduce_ids,
             apply_buf,
             apply_clocks,
             ..
         } = &mut self.scratch;
-        reduce_ids.clear();
-        reduce_ids.extend(reduce_slots.keys().copied());
-        reduce_ids.sort_unstable();
         apply_buf.clear();
         let mut wire_rows = 0u64;
         for &e in reduce_ids.iter() {
-            let slot = reduce_slots[&e];
+            let slot = index.slot(e) * dim;
             let start = apply_buf.len();
             apply_buf.extend_from_slice(&reduce_buf[slot..slot + dim]);
             // Remote-primary gradients cross the wire: transport them (with

@@ -7,7 +7,7 @@
 //! This module provides the cache so the two designs can be compared on the
 //! same substrate (see the `cache_comparison` ablation).
 
-use std::collections::HashMap;
+use crate::index::IdSlots;
 
 /// A fixed-capacity least-frequently-used cache of embedding rows with
 /// staleness bookkeeping compatible with the bounded-asynchrony protocol.
@@ -15,8 +15,8 @@ use std::collections::HashMap;
 pub struct LfuCache {
     dim: usize,
     capacity: usize,
-    /// id → slot index.
-    slots: HashMap<u32, usize>,
+    /// id → slot index: a dense array that grows to the largest id cached.
+    slots: IdSlots,
     /// Reverse map: slot → id (u32::MAX = free).
     ids: Vec<u32>,
     data: Vec<f32>,
@@ -24,9 +24,10 @@ pub struct LfuCache {
     local_updates: Vec<u64>,
     /// In-cache access frequency per slot.
     slot_freq: Vec<u64>,
-    /// Global access counts (admission decisions need frequency estimates
-    /// for *uncached* rows too).
-    counts: HashMap<u32, u64>,
+    /// Global access counts, indexed by id and grown to the largest id
+    /// touched (admission decisions need frequency estimates for *uncached*
+    /// rows too).
+    counts: Vec<u64>,
 }
 
 impl LfuCache {
@@ -37,13 +38,13 @@ impl LfuCache {
         Self {
             dim,
             capacity,
-            slots: HashMap::with_capacity(capacity),
+            slots: IdSlots::default(),
             ids: vec![u32::MAX; capacity],
             data: vec![0.0; capacity * dim],
             base_clock: vec![0; capacity],
             local_updates: vec![0; capacity],
             slot_freq: vec![0; capacity],
-            counts: HashMap::new(),
+            counts: Vec::new(),
         }
     }
 
@@ -59,21 +60,24 @@ impl LfuCache {
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.slots.len() == 0
     }
 
     /// True when `row` is cached.
     pub fn contains(&self, row: u32) -> bool {
-        self.slots.contains_key(&row)
+        self.slots.get(row).is_some()
     }
 
     /// Records an access to `row` (for admission statistics) and bumps its
     /// in-cache frequency if cached. Returns the updated global count.
     pub fn touch(&mut self, row: u32) -> u64 {
-        let c = self.counts.entry(row).or_insert(0);
-        *c += 1;
-        let count = *c;
-        if let Some(&slot) = self.slots.get(&row) {
+        let i = row as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += 1;
+        let count = self.counts[i];
+        if let Some(slot) = self.slots.get(row) {
             self.slot_freq[slot] = count;
         }
         count
@@ -82,15 +86,15 @@ impl LfuCache {
     /// Effective clock of a cached row.
     pub fn effective_clock(&self, row: u32) -> Option<u64> {
         self.slots
-            .get(&row)
-            .map(|&s| self.base_clock[s] + self.local_updates[s])
+            .get(row)
+            .map(|s| self.base_clock[s] + self.local_updates[s])
     }
 
     /// Reads a cached row into `out`; false when absent.
     pub fn read(&self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
-        match self.slots.get(&row) {
-            Some(&s) => {
+        match self.slots.get(row) {
+            Some(s) => {
                 out.copy_from_slice(&self.data[s * self.dim..(s + 1) * self.dim]);
                 true
             }
@@ -101,8 +105,8 @@ impl LfuCache {
     /// Applies a delta to a cached row, advancing its effective clock.
     pub fn apply_local_delta(&mut self, row: u32, delta: &[f32]) -> bool {
         assert_eq!(delta.len(), self.dim, "delta length != dim");
-        match self.slots.get(&row) {
-            Some(&s) => {
+        match self.slots.get(row) {
+            Some(s) => {
                 for (d, &x) in self.data[s * self.dim..(s + 1) * self.dim]
                     .iter_mut()
                     .zip(delta)
@@ -124,12 +128,12 @@ impl LfuCache {
         if self.capacity == 0 {
             return false;
         }
-        if let Some(&s) = self.slots.get(&row) {
+        if let Some(s) = self.slots.get(row) {
             // Refresh in place.
             self.install_at(s, row, values, primary_clock);
             return true;
         }
-        let freq = self.counts.get(&row).copied().unwrap_or(0);
+        let freq = self.counts.get(row as usize).copied().unwrap_or(0);
         if self.slots.len() < self.capacity {
             let s = self.ids.iter().position(|&i| i == u32::MAX).expect("free slot");
             self.slots.insert(row, s);
@@ -148,7 +152,7 @@ impl LfuCache {
             return false;
         }
         let victim_id = self.ids[victim_slot];
-        self.slots.remove(&victim_id);
+        self.slots.remove(victim_id);
         self.slots.insert(row, victim_slot);
         self.install_at(victim_slot, row, values, primary_clock);
         self.slot_freq[victim_slot] = freq;
@@ -167,7 +171,7 @@ impl LfuCache {
     /// # Panics
     /// Panics if the row is not cached.
     pub fn refresh(&mut self, row: u32, values: &[f32], primary_clock: u64) {
-        let &s = self.slots.get(&row).expect("row not cached");
+        let s = self.slots.get(row).expect("row not cached");
         self.install_at(s, row, values, primary_clock);
     }
 
@@ -179,8 +183,8 @@ impl LfuCache {
     /// cached — evicted by a later admission in the same batch.
     pub fn fill(&mut self, row: u32, values: &[f32]) -> bool {
         assert_eq!(values.len(), self.dim, "values length != dim");
-        match self.slots.get(&row) {
-            Some(&s) => {
+        match self.slots.get(row) {
+            Some(s) => {
                 self.data[s * self.dim..(s + 1) * self.dim].copy_from_slice(values);
                 true
             }
@@ -190,7 +194,7 @@ impl LfuCache {
 
     /// Currently cached row ids (sorted).
     pub fn cached_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.slots.keys().copied().collect();
+        let mut ids: Vec<u32> = self.ids.iter().copied().filter(|&i| i != u32::MAX).collect();
         ids.sort_unstable();
         ids
     }

@@ -37,6 +37,7 @@ pub mod cache;
 pub mod cached_worker;
 pub mod capacity;
 pub mod checkpoint;
+mod index;
 pub mod lfu;
 pub mod report;
 pub mod sparse_optim;

@@ -1,8 +1,12 @@
 //! A worker's view of the distributed embedding table: reads with bounded
 //! asynchrony (intra- and inter-embedding synchronisation, §5.3) and
 //! gradient write-back (§6 "Decentralized Communication").
+//!
+//! Cost model: resolving and classifying a batch is O(lookups), the
+//! inter-embedding check is O(Σ replicas-per-sample²), and no id is ever
+//! hashed — every id → slot map on this path is a dense array
+//! ([`crate::index`]).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use hetgmp_comms::{ErrorFeedback, SyncFormat};
@@ -10,6 +14,7 @@ use hetgmp_partition::Partition;
 use hetgmp_telemetry::{names, Json, ProtocolAuditor, Recorder, TraceCollector};
 
 use crate::cache::SecondaryCache;
+use crate::index::{BatchIndex, ABSENT};
 use crate::report::{ReadReport, UpdateReport, META_ENTRY_BYTES};
 use crate::sparse_optim::SparseOpt;
 use crate::store::{ReadPath, RowStore};
@@ -17,16 +22,43 @@ use crate::table::BatchScratch;
 #[cfg(test)]
 use crate::table::ShardedTable;
 
+/// One field of the sample under the inter-embedding check that is served
+/// from a secondary replica.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SampleReplica {
+    id: u32,
+    /// The replica's slot in the [`SecondaryCache`].
+    cache_slot: u32,
+    /// The id's index among the batch's unique ids.
+    uniq: u32,
+}
+
 /// Reusable hot-path scratch: every buffer the per-batch gather/update path
 /// needs, allocated once per worker and recycled so steady-state iterations
-/// allocate nothing.
+/// allocate nothing. Shared by both worker designs, together with the
+/// passes that do not depend on the replica policy: resolving lookups to
+/// unique ids, the shard-grouped fetch, the scatter and the local reduction.
 #[derive(Default)]
 pub(crate) struct HotScratch {
     /// Shard-grouping permutation for the batched table API.
     pub batch: BatchScratch,
+    /// The batch resolver: id → index among the batch's unique ids, in
+    /// first-appearance order. Re-stamped by every read and every apply.
+    pub index: BatchIndex,
+    /// Unique index of every lookup of the batch being read, sample-major.
+    pub lookups: Vec<u32>,
+    /// Resolved rows of the batch being read, one `dim` slice per unique id.
+    pub rows: Vec<f32>,
+    /// Per unique id of the batch being read: the cache slot of its
+    /// secondary replica, [`ABSENT`] for local primaries and remote rows
+    /// (which take part in no later decision).
+    pub replica_slots: Vec<u32>,
+    /// The replica-served fields of the sample under the inter-embedding
+    /// check, in field order.
+    pub sample_replicas: Vec<SampleReplica>,
     /// Rows to fetch from the primary table this batch.
     pub fetch_ids: Vec<u32>,
-    /// Destination offset in the caller-visible row scratch for each fetch.
+    /// Destination offset in `rows` for each fetch.
     pub fetch_slots: Vec<usize>,
     /// Whether each fetched row must be (re-)installed into the cache.
     pub fetch_install: Vec<bool>,
@@ -41,9 +73,8 @@ pub(crate) struct HotScratch {
     pub row_buf: Vec<f32>,
     /// One-row scratch for local mirror deltas.
     pub delta_buf: Vec<f32>,
-    /// Local-reduction index: unique id → offset into `reduce_buf`.
-    pub reduce_slots: HashMap<u32, usize>,
-    /// Reduced (summed) gradients, one `dim` slice per unique id.
+    /// Reduced (summed) gradients, one `dim` slice per unique id in
+    /// first-appearance order (`index` maps an id to its slice).
     pub reduce_buf: Vec<f32>,
     /// Unique ids of the batch, sorted for deterministic application.
     pub reduce_ids: Vec<u32>,
@@ -53,6 +84,119 @@ pub(crate) struct HotScratch {
     pub apply_buf: Vec<f32>,
     /// Clocks returned by the batched apply.
     pub apply_clocks: Vec<u64>,
+}
+
+impl HotScratch {
+    /// Scratch for a worker over a `num_rows × dim` table.
+    pub fn new(num_rows: usize, dim: usize) -> Self {
+        Self {
+            index: BatchIndex::new(num_rows),
+            row_buf: vec![0.0f32; dim],
+            ..Self::default()
+        }
+    }
+
+    /// Pre-sizes every buffer for batches of up to `batch × fields` lookups.
+    pub fn reserve(&mut self, batch: usize, fields: usize, dim: usize) {
+        let rows = batch.saturating_mul(fields);
+        self.lookups.reserve(rows);
+        self.rows.reserve(rows * dim);
+        self.replica_slots.reserve(rows);
+        self.sample_replicas.reserve(fields);
+        self.fetch_ids.reserve(rows);
+        self.fetch_slots.reserve(rows);
+        self.fetch_install.reserve(rows);
+        self.fetch_wire.reserve(rows);
+        self.fetch_buf.reserve(rows * dim);
+        self.fetch_clocks.reserve(rows);
+        self.reduce_buf.reserve(rows * dim);
+        self.reduce_ids.reserve(rows);
+        self.apply_ids.reserve(rows);
+        self.apply_buf.reserve(rows * dim);
+        self.apply_clocks.reserve(rows);
+    }
+
+    /// Starts resolving a new batch to read.
+    pub fn begin_read(&mut self) {
+        self.index.begin();
+        self.lookups.clear();
+        self.rows.clear();
+        self.replica_slots.clear();
+        self.fetch_ids.clear();
+        self.fetch_slots.clear();
+        self.fetch_install.clear();
+        self.fetch_wire.clear();
+    }
+
+    /// Resolves the next lookup of the batch being read. On an id's first
+    /// appearance returns the offset in `rows` of the zeroed `dim` slice the
+    /// caller must fill; a repeat resolves to the same slice and returns
+    /// `None`.
+    #[inline]
+    pub fn resolve(&mut self, e: u32, dim: usize) -> Option<usize> {
+        if let Some(k) = self.index.get(e) {
+            self.lookups.push(k as u32);
+            return None;
+        }
+        let k = self.rows.len() / dim;
+        self.index.insert(e, k);
+        self.lookups.push(k as u32);
+        self.rows.resize((k + 1) * dim, 0.0);
+        Some(k * dim)
+    }
+
+    /// One shard-grouped read of `fetch_ids` into `fetch_buf` and
+    /// `fetch_clocks`. Returns the number of rows read.
+    pub fn fetch(&mut self, table: &dyn RowStore, path: ReadPath) -> usize {
+        let n = self.fetch_ids.len();
+        self.fetch_buf.clear();
+        self.fetch_buf.resize(n * table.dim(), 0.0);
+        self.fetch_clocks.clear();
+        self.fetch_clocks.resize(n, 0);
+        if n > 0 {
+            let Self { batch, fetch_ids: ids, fetch_buf: buf, fetch_clocks: clocks, .. } = self;
+            match path {
+                ReadPath::Snapshot => table.read_rows_snapshot(ids, buf, clocks, batch),
+                ReadPath::Locked => table.read_rows(ids, buf, clocks, batch),
+            }
+        }
+        n
+    }
+
+    /// Copies every lookup's resolved row into the caller's buffer,
+    /// sample-major.
+    pub fn scatter(&self, out: &mut [f32], dim: usize) {
+        for (dst, &k) in out.chunks_exact_mut(dim).zip(&self.lookups) {
+            let k = k as usize;
+            dst.copy_from_slice(&self.rows[k * dim..(k + 1) * dim]);
+        }
+    }
+
+    /// Local reduction: sums the per-lookup gradients of each unique row
+    /// into `reduce_buf` (one `dim` slice per id, lookups added in batch
+    /// order — no per-row `Vec` on the hot path) and leaves the unique ids
+    /// in `reduce_ids`, sorted for deterministic application.
+    pub fn reduce(&mut self, samples: &[&[u32]], grads: &[f32], dim: usize) {
+        self.index.begin();
+        self.reduce_ids.clear();
+        self.reduce_buf.clear();
+        let ids = samples.iter().flat_map(|s| s.iter());
+        for (&e, g) in ids.zip(grads.chunks_exact(dim)) {
+            match self.index.get(e) {
+                Some(k) => {
+                    for (a, &x) in self.reduce_buf[k * dim..(k + 1) * dim].iter_mut().zip(g) {
+                        *a += x;
+                    }
+                }
+                None => {
+                    self.index.insert(e, self.reduce_ids.len());
+                    self.reduce_ids.push(e);
+                    self.reduce_buf.extend_from_slice(g);
+                }
+            }
+        }
+        self.reduce_ids.sort_unstable();
+    }
 }
 
 /// The staleness bound `s`.
@@ -101,10 +245,7 @@ pub struct WorkerEmbedding<'a> {
     /// The optimizer last used by `apply_gradients`; read-path flushes of
     /// deferred gradients apply the same rule.
     flush_opt: SparseOpt,
-    /// Scratch: unique-id → slot in `scratch_rows`.
-    scratch_ids: HashMap<u32, usize>,
-    scratch_rows: Vec<f32>,
-    /// Batched-path scratch (shard grouping, fetch staging, reduction).
+    /// Batched-path scratch (batch resolver, fetch staging, reduction).
     scratch: HotScratch,
     /// Rows currently holding a deferred (pending) gradient.
     pending_rows: usize,
@@ -167,12 +308,7 @@ impl<'a> WorkerEmbedding<'a> {
             bound,
             cache,
             flush_opt: SparseOpt::sgd(0.01),
-            scratch_ids: HashMap::new(),
-            scratch_rows: Vec::new(),
-            scratch: HotScratch {
-                row_buf: vec![0.0f32; table.dim()],
-                ..HotScratch::default()
-            },
+            scratch: HotScratch::new(table.num_rows(), dim),
             pending_rows: 0,
             format: SyncFormat::F32,
             feedback_on: true,
@@ -252,6 +388,12 @@ impl<'a> WorkerEmbedding<'a> {
         self.cache.len()
     }
 
+    /// The effective clock (`base + local updates`) of this worker's
+    /// secondary replica of `e`; `None` when it holds none.
+    pub fn replica_clock(&self, e: u32) -> Option<u64> {
+        self.cache.effective_clock(e)
+    }
+
     #[inline]
     fn freq_of(&self, e: u32) -> u64 {
         self.freq[e as usize].max(1)
@@ -261,23 +403,7 @@ impl<'a> WorkerEmbedding<'a> {
     /// `batch × fields` lookups, so no steady-state batch — including ones
     /// prefetched off-thread by the pipelined trainer — grows a buffer.
     pub fn reserve_batch(&mut self, batch: usize, fields: usize) {
-        let rows = batch.saturating_mul(fields);
-        let dim = self.table.dim();
-        self.scratch_ids.reserve(rows);
-        self.scratch_rows.reserve(rows * dim);
-        let s = &mut self.scratch;
-        s.fetch_ids.reserve(rows);
-        s.fetch_slots.reserve(rows);
-        s.fetch_install.reserve(rows);
-        s.fetch_wire.reserve(rows);
-        s.fetch_buf.reserve(rows * dim);
-        s.fetch_clocks.reserve(rows);
-        s.reduce_slots.reserve(rows);
-        s.reduce_buf.reserve(rows * dim);
-        s.reduce_ids.reserve(rows);
-        s.apply_ids.reserve(rows);
-        s.apply_buf.reserve(rows * dim);
-        s.apply_clocks.reserve(rows);
+        self.scratch.reserve(batch, fields, self.table.dim());
     }
 
     /// Reads the embeddings for a batch of samples under the bounded-
@@ -290,36 +416,32 @@ impl<'a> WorkerEmbedding<'a> {
         assert_eq!(out.len(), total * dim, "output buffer size mismatch");
 
         let mut report = ReadReport::default();
-        self.scratch_ids.clear();
-        self.scratch_rows.clear();
+        self.scratch.begin_read();
 
-        // Pass 1 — resolve each unique id once: local primary, cached
-        // secondary (with intra-embedding staleness check), or remote fetch.
-        // Rows that need the primary table are *collected* during
-        // classification and fetched afterwards in one shard-grouped
-        // `read_rows` call, so a batch pays one lock per shard touched
-        // instead of one per row. Pending flushes still happen at decision
-        // time (before the fetch), so a synced row's fetched value includes
-        // this worker's own deferred updates — same order as the per-row
-        // path.
-        self.scratch.fetch_ids.clear();
-        self.scratch.fetch_slots.clear();
-        self.scratch.fetch_install.clear();
-        self.scratch.fetch_wire.clear();
+        // Pass 1 — resolve every lookup to its unique id and classify each
+        // unique id once: local primary, cached secondary (with intra-
+        // embedding staleness check), or remote fetch. Rows that need the
+        // primary table are *collected* during classification and fetched
+        // afterwards in one shard-grouped `read_rows` call, so a batch pays
+        // one lock per shard touched instead of one per row. Pending flushes
+        // still happen at decision time (before the fetch), so a synced
+        // row's fetched value includes this worker's own deferred updates —
+        // same order as the per-row path.
         for sample in samples {
             for &e in *sample {
-                if self.scratch_ids.contains_key(&e) {
+                let Some(slot) = self.scratch.resolve(e, dim) else {
                     continue;
-                }
-                let slot = self.scratch_rows.len();
-                self.scratch_rows.resize(slot + dim, 0.0);
+                };
+                let mut replica = ABSENT;
                 if self.part.primary_of(e) == self.worker {
                     self.scratch.fetch_ids.push(e);
                     self.scratch.fetch_slots.push(slot);
                     self.scratch.fetch_install.push(false);
                     self.scratch.fetch_wire.push(false);
                     report.local_primary += 1;
-                } else if self.cache.contains(e) {
+                } else if let Some(cache_slot) = self.cache.slot_of(e) {
+                    replica = cache_slot as u32;
+                    let local_clock = self.cache.clock_at(cache_slot);
                     match self.bound {
                         StalenessBound::Infinite => {
                             // ASP: never check, never sync.
@@ -327,24 +449,19 @@ impl<'a> WorkerEmbedding<'a> {
                                 // Audit-only clock peek: ASP serves the
                                 // replica as-is, so raw and served gaps
                                 // coincide — this is the drift ASP permits.
-                                let local_clock =
-                                    self.cache.effective_clock(e).expect("cached row");
                                 let gap =
                                     self.table.clock(e).saturating_sub(local_clock) as f64;
                                 a.observe_intra(self.recorder.as_deref(), gap, gap);
                             }
                             self.cache
-                                .read(e, &mut self.scratch_rows[slot..slot + dim]);
+                                .read(e, &mut self.scratch.rows[slot..slot + dim]);
                             report.local_fresh += 1;
                         }
                         StalenessBound::Bounded(_) => {
                             // Clock exchange (paper: "send sparse indexes and
                             // clocks ... small compared with the embedding").
                             report.meta_bytes += META_ENTRY_BYTES;
-                            let primary_clock = self.table.clock(e);
-                            let local_clock =
-                                self.cache.effective_clock(e).expect("cached row");
-                            let gap = primary_clock.saturating_sub(local_clock);
+                            let gap = self.table.clock(e).saturating_sub(local_clock);
                             if let Some(a) = &self.auditor {
                                 // A tolerated read is served at the raw gap;
                                 // an intra sync re-fetches, serving gap 0.
@@ -354,7 +471,7 @@ impl<'a> WorkerEmbedding<'a> {
                             }
                             if self.bound.tolerates(gap) {
                                 self.cache
-                                    .read(e, &mut self.scratch_rows[slot..slot + dim]);
+                                    .read(e, &mut self.scratch.rows[slot..slot + dim]);
                                 report.local_fresh += 1;
                             } else {
                                 // Push any deferred gradients first so the
@@ -391,7 +508,7 @@ impl<'a> WorkerEmbedding<'a> {
                     report.meta_bytes += META_ENTRY_BYTES;
                     report.messages += 1;
                 }
-                self.scratch_ids.insert(e, slot);
+                self.scratch.replica_slots.push(replica);
             }
         }
 
@@ -400,13 +517,11 @@ impl<'a> WorkerEmbedding<'a> {
         // are re-installed at their observed clocks. Bit-identical to the
         // old per-row reads: each fetched row is written only by its own
         // flush above, which precedes the read in both orders.
-        let nfetch = self.scratch.fetch_ids.len();
-        if nfetch > 0 {
-            let table = self.table;
+        let nfetch = self.scratch.fetch(self.table, self.read_path);
+        {
             let format = self.format;
-            let read_path = self.read_path;
             let HotScratch {
-                batch,
+                rows,
                 fetch_ids,
                 fetch_slots,
                 fetch_install,
@@ -415,23 +530,12 @@ impl<'a> WorkerEmbedding<'a> {
                 fetch_clocks,
                 ..
             } = &mut self.scratch;
-            fetch_buf.clear();
-            fetch_buf.resize(nfetch * dim, 0.0);
-            fetch_clocks.clear();
-            fetch_clocks.resize(nfetch, 0);
-            match read_path {
-                ReadPath::Snapshot => {
-                    table.read_rows_snapshot(fetch_ids, fetch_buf, fetch_clocks, batch)
-                }
-                ReadPath::Locked => table.read_rows(fetch_ids, fetch_buf, fetch_clocks, batch),
-            }
-            for k in 0..nfetch {
+            for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
                 let slot = fetch_slots[k];
-                let row = &mut fetch_buf[k * dim..(k + 1) * dim];
                 if fetch_wire[k] {
                     format.transport(row);
                 }
-                self.scratch_rows[slot..slot + dim].copy_from_slice(row);
+                rows[slot..slot + dim].copy_from_slice(row);
                 if fetch_install[k] {
                     self.cache.install(fetch_ids[k], row, fetch_clocks[k]);
                 }
@@ -444,29 +548,50 @@ impl<'a> WorkerEmbedding<'a> {
         // Pass 2 — inter-embedding synchronisation: within each sample, all
         // pairs of *secondary* replicas must be mutually fresh under the
         // normalised clock (primaries and just-fetched rows are fresh by
-        // construction).
+        // construction). Only the sample's replica-served fields are
+        // gathered — one indexed load per field — and paired, in field
+        // order; a sample with fewer than two costs O(fields).
         if !matches!(self.bound, StalenessBound::Infinite) {
+            let mut first = 0usize;
             for sample in samples {
-                for (ai, &a) in sample.iter().enumerate() {
-                    for &b in &sample[ai + 1..] {
-                        if a == b {
+                {
+                    let HotScratch {
+                        lookups,
+                        replica_slots,
+                        sample_replicas,
+                        ..
+                    } = &mut self.scratch;
+                    sample_replicas.clear();
+                    let uniqs = &lookups[first..first + sample.len()];
+                    first += sample.len();
+                    for (&id, &uniq) in sample.iter().zip(uniqs) {
+                        let cache_slot = replica_slots[uniq as usize];
+                        if cache_slot != ABSENT {
+                            sample_replicas.push(SampleReplica { id, cache_slot, uniq });
+                        }
+                    }
+                }
+                let n = self.scratch.sample_replicas.len();
+                for i in 0..n {
+                    for j in i + 1..n {
+                        let a = self.scratch.sample_replicas[i];
+                        let b = self.scratch.sample_replicas[j];
+                        if a.id == b.id {
                             continue;
                         }
-                        let (Some(ca), Some(cb)) = (
-                            self.cache.effective_clock(a),
-                            self.cache.effective_clock(b),
-                        ) else {
-                            continue; // at least one side is not a secondary
-                        };
+                        // Read per pair: a sync earlier in this sample moved
+                        // its victim's clock.
+                        let ca = self.cache.clock_at(a.cache_slot as usize);
+                        let cb = self.cache.clock_at(b.cache_slot as usize);
                         // Orient so p_hot ≥ p_cold (paper: assume p_i ≥ p_j).
-                        let (hot, cold, c_hot, c_cold) = if self.freq_of(a) >= self.freq_of(b)
-                        {
-                            (a, b, ca, cb)
-                        } else {
-                            (b, a, cb, ca)
-                        };
-                        let p_hot = self.freq_of(hot) as f64;
-                        let p_cold = self.freq_of(cold) as f64;
+                        let (hot, cold, c_hot, c_cold) =
+                            if self.freq_of(a.id) >= self.freq_of(b.id) {
+                                (a, b, ca, cb)
+                            } else {
+                                (b, a, cb, ca)
+                            };
+                        let p_hot = self.freq_of(hot.id) as f64;
+                        let p_cold = self.freq_of(cold.id) as f64;
                         let gap = (c_hot as f64 * (p_cold / p_hot) - c_cold as f64).abs();
                         let tolerated = self.bound.tolerates_f(gap);
                         if let Some(a) = &self.auditor {
@@ -484,25 +609,27 @@ impl<'a> WorkerEmbedding<'a> {
                             // primaries themselves differ in progress) — no
                             // replica sync can shrink it, so fetching would
                             // be a pure no-op cost.
-                            let lag_hot = self.table.clock(hot).saturating_sub(c_hot);
-                            let lag_cold = self.table.clock(cold).saturating_sub(c_cold);
+                            let lag_hot = self.table.clock(hot.id).saturating_sub(c_hot);
+                            let lag_cold = self.table.clock(cold.id).saturating_sub(c_cold);
                             if lag_hot == 0 && lag_cold == 0 {
                                 continue;
                             }
                             let victim = if lag_hot >= lag_cold { hot } else { cold };
-                            self.flush_pending_into_read(victim, &mut report);
-                            let slot = self.scratch_ids[&victim];
-                            let buf = &mut self.scratch_rows[slot..slot + dim];
+                            self.flush_pending_into_read(victim.id, &mut report);
+                            let slot = victim.uniq as usize * dim;
+                            let buf = &mut self.scratch.rows[slot..slot + dim];
                             let clock = match self.read_path {
-                                ReadPath::Snapshot => self.table.read_row_snapshot(victim, buf),
-                                ReadPath::Locked => self.table.read_row(victim, buf),
+                                ReadPath::Snapshot => {
+                                    self.table.read_row_snapshot(victim.id, buf)
+                                }
+                                ReadPath::Locked => self.table.read_row(victim.id, buf),
                             };
                             self.format.transport(buf);
-                            self.cache.install(victim, buf, clock);
+                            self.cache.install(victim.id, buf, clock);
                             report.inter_syncs += 1;
                             report.data_bytes += self.row_bytes;
                             report.add_src_bytes(
-                                self.part.primary_of(victim),
+                                self.part.primary_of(victim.id),
                                 self.row_bytes,
                                 self.part.num_partitions(),
                             );
@@ -515,15 +642,7 @@ impl<'a> WorkerEmbedding<'a> {
         }
 
         // Pass 3 — scatter resolved rows into the caller's buffer.
-        let mut cursor = 0usize;
-        for sample in samples {
-            for &e in *sample {
-                let slot = self.scratch_ids[&e];
-                out[cursor..cursor + dim]
-                    .copy_from_slice(&self.scratch_rows[slot..slot + dim]);
-                cursor += dim;
-            }
-        }
+        self.scratch.scatter(out, dim);
         self.note_quant(report.intra_syncs + report.inter_syncs + report.remote_fetches);
         if let Some(r) = &self.recorder {
             r.counter_add(names::EMBED_READ_LOCAL_PRIMARY, report.local_primary);
@@ -580,50 +699,17 @@ impl<'a> WorkerEmbedding<'a> {
         let total: usize = samples.iter().map(|s| s.len()).sum();
         assert_eq!(grads.len(), total * dim, "gradient buffer size mismatch");
 
-        // Local reduction: sum gradients per unique row, into a flat
-        // reusable buffer (one `dim` slice per unique id — no per-row Vec
-        // allocations on the hot path).
-        {
-            let HotScratch {
-                reduce_slots,
-                reduce_buf,
-                ..
-            } = &mut self.scratch;
-            reduce_slots.clear();
-            reduce_buf.clear();
-            let mut cursor = 0usize;
-            for sample in samples {
-                for &e in *sample {
-                    let g = &grads[cursor..cursor + dim];
-                    match reduce_slots.get(&e) {
-                        Some(&slot) => {
-                            for (a, &x) in reduce_buf[slot..slot + dim].iter_mut().zip(g) {
-                                *a += x;
-                            }
-                        }
-                        None => {
-                            reduce_slots.insert(e, reduce_buf.len());
-                            reduce_buf.extend_from_slice(g);
-                        }
-                    }
-                    cursor += dim;
-                }
-            }
-        }
+        self.scratch.reduce(samples, grads, dim);
 
         let mut report = UpdateReport::default();
         self.flush_opt = *opt;
-        // Deterministic application order.
-        let mut ids = std::mem::take(&mut self.scratch.reduce_ids);
-        ids.clear();
-        ids.extend(self.scratch.reduce_slots.keys().copied());
-        ids.sort_unstable();
         let lr = opt.learning_rate();
+        // Taken out so routing can call `&mut self` flushes alongside them.
+        let ids = std::mem::take(&mut self.scratch.reduce_ids);
+        let reduce_buf = std::mem::take(&mut self.scratch.reduce_buf);
         let mut delta = std::mem::take(&mut self.scratch.delta_buf);
         delta.clear();
         delta.resize(dim, 0.0);
-        let reduce_slots = std::mem::take(&mut self.scratch.reduce_slots);
-        let reduce_buf = std::mem::take(&mut self.scratch.reduce_buf);
         let mut apply_ids = std::mem::take(&mut self.scratch.apply_ids);
         let mut apply_buf = std::mem::take(&mut self.scratch.apply_buf);
         apply_ids.clear();
@@ -651,7 +737,7 @@ impl<'a> WorkerEmbedding<'a> {
         // bit-for-bit.
         let mut wire_rows = 0u64;
         for &e in &ids {
-            let slot = reduce_slots[&e];
+            let slot = self.scratch.index.slot(e) * dim;
             let g = &reduce_buf[slot..slot + dim];
             let primary_local = self.part.primary_of(e) == self.worker;
             if primary_local {
@@ -724,7 +810,6 @@ impl<'a> WorkerEmbedding<'a> {
             r.counter_add(names::HOTPATH_BATCH_APPLY_ROWS, apply_ids.len() as u64);
         }
         self.scratch.delta_buf = delta;
-        self.scratch.reduce_slots = reduce_slots;
         self.scratch.reduce_buf = reduce_buf;
         self.scratch.apply_ids = apply_ids;
         self.scratch.apply_buf = apply_buf;
@@ -834,25 +919,17 @@ impl<'a> WorkerEmbedding<'a> {
     /// barriers). Returns the number of rows synced.
     pub fn sync_all(&mut self) -> usize {
         let dim = self.table.dim();
-        let table = self.table;
         let format = self.format;
+        self.scratch.fetch_ids.clear();
+        self.scratch.fetch_ids.extend_from_slice(self.cache.rows());
+        let n = self.scratch.fetch(self.table, ReadPath::Locked);
         let HotScratch {
-            batch,
             fetch_ids,
             fetch_buf,
             fetch_clocks,
             ..
         } = &mut self.scratch;
-        fetch_ids.clear();
-        fetch_ids.extend((0..table.num_rows() as u32).filter(|&e| self.cache.contains(e)));
-        let n = fetch_ids.len();
-        fetch_buf.clear();
-        fetch_buf.resize(n * dim, 0.0);
-        fetch_clocks.clear();
-        fetch_clocks.resize(n, 0);
-        table.read_rows(fetch_ids, fetch_buf, fetch_clocks, batch);
-        for k in 0..n {
-            let row = &mut fetch_buf[k * dim..(k + 1) * dim];
+        for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
             format.transport(row);
             self.cache.install(fetch_ids[k], row, fetch_clocks[k]);
         }
@@ -1285,6 +1362,43 @@ mod tests {
             acc += g[0] as f64;
         }
         assert!((acc - 0.2).abs() < 0.01, "accumulated {acc}");
+    }
+
+    #[test]
+    fn batch_resolver_generation_wrap_is_invisible() {
+        // Two workers over twin tables run the same read/apply sequence; one
+        // starts its resolver three batches short of the u32 wrap, so stamps
+        // written before the wrap are still in the index after it.
+        let tables = [ShardedTable::new(4, 2, 0.1, 9), ShardedTable::new(4, 2, 0.1, 9)];
+        let part = setup(&tables[0]);
+        let freq = freq4();
+        let mut workers: Vec<_> = tables
+            .iter()
+            .map(|t| WorkerEmbedding::new(0, t, &part, &freq, StalenessBound::Bounded(1)))
+            .collect();
+        workers[1].scratch.index.set_generation(u32::MAX - 3);
+        let batches: [&[u32]; 4] = [&[0, 2, 2, 3], &[1], &[3, 1, 0], &[2, 0]];
+        let opt = SparseOpt::sgd(0.1);
+        for ids in batches.iter().cycle().take(12) {
+            let samples = [*ids];
+            let grads = vec![0.25f32; ids.len() * 2];
+            let mut outs = [vec![0.0f32; ids.len() * 2], vec![0.0f32; ids.len() * 2]];
+            let reads: Vec<_> = workers
+                .iter_mut()
+                .zip(outs.iter_mut())
+                .map(|(w, out)| w.read_batch(&samples, out))
+                .collect();
+            assert_eq!(reads[0], reads[1]);
+            assert_eq!(outs[0], outs[1]);
+            let updates: Vec<_> = workers
+                .iter_mut()
+                .map(|w| w.apply_gradients(&samples, &grads, &opt))
+                .collect();
+            assert_eq!(updates[0], updates[1]);
+        }
+        for e in 0..4 {
+            assert_eq!(tables[0].clock(e), tables[1].clock(e));
+        }
     }
 
     #[test]

@@ -419,3 +419,22 @@ fn replica_worker_warm_loads_through_one_batched_read() {
         );
     }
 }
+
+#[test]
+fn replica_worker_sync_all_is_one_batched_read_of_exactly_the_replicas() {
+    let table = ShardedTable::new(64, 4, 0.1, 5);
+    let store = CountingStore::new(&table);
+    let mut part = Partition::new(2, vec![0, 1], vec![1; 64]);
+    // Added out of order: the refresh still reads them ascending, and
+    // touches none of the other sixty rows.
+    let secondaries = [41u32, 2, 63, 17];
+    for &e in &secondaries {
+        part.add_replica(e, 0);
+    }
+    let freq = vec![1u64; 64];
+    let mut w = WorkerEmbedding::new(0, &store, &part, &freq, StalenessBound::Bounded(10));
+    store.batched_reads.lock().unwrap().clear();
+    assert_eq!(w.sync_all(), secondaries.len());
+    assert_eq!(*store.batched_reads.lock().unwrap(), vec![vec![2u32, 17, 41, 63]]);
+    assert_eq!(store.per_row_reads.load(Ordering::Relaxed), 0);
+}

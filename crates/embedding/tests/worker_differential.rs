@@ -1,0 +1,466 @@
+//! Differential proptest: `WorkerEmbedding` must make *the same sequence of
+//! protocol decisions* as the worker it replaced.
+//!
+//! The reference below is that worker, kept as a test oracle: ids resolved
+//! through hash maps, and an inter-embedding pass that enumerates **every
+//! pair of fields of every sample** and asks the cache about both sides. The
+//! shipped worker resolves ids through dense indices and pairs only the
+//! sample's replica-served fields; the claim is that the filtered
+//! enumeration is the same decisions in the same order. Random partitions
+//! and replica sets, samples up to 48 fields wide with in-sample duplicates,
+//! every staleness regime, and writers interleaved so that lags are non-zero
+//! and victims re-sync in the middle of a sample.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use hetgmp_embedding::report::META_ENTRY_BYTES;
+use hetgmp_embedding::{
+    ReadReport, SecondaryCache, ShardedTable, SparseOpt, StalenessBound, UpdateReport,
+    WorkerEmbedding,
+};
+use hetgmp_partition::Partition;
+use hetgmp_telemetry::{AuditMode, ProtocolAuditor};
+use proptest::prelude::*;
+
+const WORKER: u32 = 0;
+
+/// The pre-index worker over the public cache API (f32 wire, no telemetry).
+struct ReferenceWorker<'a> {
+    table: &'a ShardedTable,
+    part: &'a Partition,
+    freq: &'a [u64],
+    bound: StalenessBound,
+    cache: SecondaryCache,
+    flush_opt: SparseOpt,
+    auditor: Arc<ProtocolAuditor>,
+}
+
+impl<'a> ReferenceWorker<'a> {
+    fn new(
+        table: &'a ShardedTable,
+        part: &'a Partition,
+        freq: &'a [u64],
+        bound: StalenessBound,
+        auditor: Arc<ProtocolAuditor>,
+    ) -> Self {
+        let dim = table.dim();
+        let secondaries: Vec<u32> = (0..table.num_rows() as u32)
+            .filter(|&e| part.is_secondary(e, WORKER))
+            .collect();
+        let mut cache = SecondaryCache::new(dim, &secondaries);
+        let mut row = vec![0.0f32; dim];
+        for &e in &secondaries {
+            let clock = table.read_row(e, &mut row);
+            cache.install(e, &row, clock);
+        }
+        Self {
+            table,
+            part,
+            freq,
+            bound,
+            cache,
+            flush_opt: SparseOpt::sgd(0.01),
+            auditor,
+        }
+    }
+
+    fn row_bytes(&self) -> u64 {
+        self.table.dim() as u64 * 4
+    }
+
+    fn tolerates(&self, gap: f64) -> bool {
+        match self.bound {
+            StalenessBound::Bounded(s) => gap <= s as f64,
+            StalenessBound::Infinite => true,
+        }
+    }
+
+    fn freq_of(&self, e: u32) -> u64 {
+        self.freq[e as usize].max(1)
+    }
+
+    /// Flushes `e`'s pending gradient as one primary update; true if there
+    /// was one. The caller accounts the bytes.
+    fn flush(&mut self, e: u32, opt: &SparseOpt) -> bool {
+        let mut buf = vec![0.0f32; self.table.dim()];
+        if !self.cache.take_pending(e, &mut buf) {
+            return false;
+        }
+        self.table.apply_grad(e, &buf, opt);
+        self.cache.note_flush(e);
+        true
+    }
+
+    fn flush_into_read(&mut self, e: u32, report: &mut ReadReport) {
+        let opt = self.flush_opt;
+        if self.flush(e, &opt) {
+            self.count_remote_read(e, report);
+            report.meta_bytes += META_ENTRY_BYTES;
+        }
+    }
+
+    fn count_remote_read(&self, e: u32, report: &mut ReadReport) {
+        report.data_bytes += self.row_bytes();
+        report.add_src_bytes(
+            self.part.primary_of(e),
+            self.row_bytes(),
+            self.part.num_partitions(),
+        );
+        report.messages += 1;
+    }
+
+    fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
+        let dim = self.table.dim();
+        let mut report = ReadReport::default();
+        let mut resolved: HashMap<u32, Vec<f32>> = HashMap::new();
+
+        // Pass 1, per row, in first-appearance order.
+        for &e in samples.iter().flat_map(|s| s.iter()) {
+            if resolved.contains_key(&e) {
+                continue;
+            }
+            let mut row = vec![0.0f32; dim];
+            if self.part.primary_of(e) == WORKER {
+                self.table.read_row(e, &mut row);
+                report.local_primary += 1;
+            } else if self.cache.contains(e) {
+                let local = self.cache.effective_clock(e).unwrap();
+                let gap = self.table.clock(e).saturating_sub(local) as f64;
+                if matches!(self.bound, StalenessBound::Infinite) {
+                    self.auditor.observe_intra(None, gap, gap);
+                    self.cache.read(e, &mut row);
+                    report.local_fresh += 1;
+                } else {
+                    report.meta_bytes += META_ENTRY_BYTES;
+                    let fresh = self.tolerates(gap);
+                    self.auditor
+                        .observe_intra(None, gap, if fresh { gap } else { 0.0 });
+                    if fresh {
+                        self.cache.read(e, &mut row);
+                        report.local_fresh += 1;
+                    } else {
+                        self.flush_into_read(e, &mut report);
+                        let clock = self.table.read_row(e, &mut row);
+                        self.cache.install(e, &row, clock);
+                        report.intra_syncs += 1;
+                        self.count_remote_read(e, &mut report);
+                    }
+                }
+            } else {
+                self.table.read_row(e, &mut row);
+                report.remote_fetches += 1;
+                self.count_remote_read(e, &mut report);
+                report.meta_bytes += META_ENTRY_BYTES;
+            }
+            resolved.insert(e, row);
+        }
+
+        // Pass 2: all pairs of fields, both sides asked of the cache.
+        if !matches!(self.bound, StalenessBound::Infinite) {
+            for sample in samples {
+                for (ai, &a) in sample.iter().enumerate() {
+                    for &b in &sample[ai + 1..] {
+                        if a == b {
+                            continue;
+                        }
+                        let (Some(ca), Some(cb)) =
+                            (self.cache.effective_clock(a), self.cache.effective_clock(b))
+                        else {
+                            continue;
+                        };
+                        let (hot, cold, c_hot, c_cold) = if self.freq_of(a) >= self.freq_of(b) {
+                            (a, b, ca, cb)
+                        } else {
+                            (b, a, cb, ca)
+                        };
+                        let ratio = self.freq_of(cold) as f64 / self.freq_of(hot) as f64;
+                        let gap = (c_hot as f64 * ratio - c_cold as f64).abs();
+                        let tolerated = self.tolerates(gap);
+                        self.auditor
+                            .observe_inter(None, gap, if tolerated { gap } else { 0.0 });
+                        if tolerated {
+                            continue;
+                        }
+                        let lag_hot = self.table.clock(hot).saturating_sub(c_hot);
+                        let lag_cold = self.table.clock(cold).saturating_sub(c_cold);
+                        if lag_hot == 0 && lag_cold == 0 {
+                            continue;
+                        }
+                        let victim = if lag_hot >= lag_cold { hot } else { cold };
+                        self.flush_into_read(victim, &mut report);
+                        let row = resolved.get_mut(&victim).unwrap();
+                        let clock = self.table.read_row(victim, row);
+                        self.cache.install(victim, row, clock);
+                        report.inter_syncs += 1;
+                        self.count_remote_read(victim, &mut report);
+                        report.meta_bytes += META_ENTRY_BYTES;
+                    }
+                }
+            }
+        }
+
+        // Pass 3.
+        let ids = samples.iter().flat_map(|s| s.iter());
+        for (dst, e) in out.chunks_exact_mut(dim).zip(ids) {
+            dst.copy_from_slice(&resolved[e]);
+        }
+        report
+    }
+
+    fn count_writeback(&self, e: u32, report: &mut UpdateReport) {
+        report.remote_writebacks += 1;
+        report.data_bytes += self.row_bytes();
+        report.add_dst_bytes(
+            self.part.primary_of(e),
+            self.row_bytes(),
+            self.part.num_partitions(),
+        );
+        report.meta_bytes += META_ENTRY_BYTES;
+        report.messages += 1;
+    }
+
+    fn apply_gradients(
+        &mut self,
+        samples: &[&[u32]],
+        grads: &[f32],
+        opt: &SparseOpt,
+    ) -> UpdateReport {
+        let dim = self.table.dim();
+        let mut reduced: HashMap<u32, Vec<f32>> = HashMap::new();
+        let ids = samples.iter().flat_map(|s| s.iter());
+        for (&e, g) in ids.zip(grads.chunks_exact(dim)) {
+            match reduced.get_mut(&e) {
+                Some(sum) => sum.iter_mut().zip(g).for_each(|(a, &x)| *a += x),
+                None => {
+                    reduced.insert(e, g.to_vec());
+                }
+            }
+        }
+        let mut ids: Vec<u32> = reduced.keys().copied().collect();
+        ids.sort_unstable();
+
+        let mut report = UpdateReport::default();
+        self.flush_opt = *opt;
+        let lr = opt.learning_rate();
+        let n = self.part.num_partitions() as u64;
+        let threshold = match self.bound {
+            StalenessBound::Bounded(s) if s > 0 => Some((s / n).max(1)),
+            StalenessBound::Infinite => Some(u64::MAX),
+            _ => None,
+        };
+        // Direct applies run after the routing loop, as the batched
+        // `apply_grads` call does; rows are distinct, so only flushes of
+        // *other* rows interleave, and those commute.
+        let mut direct: Vec<u32> = Vec::new();
+        for &e in &ids {
+            let g = &reduced[&e];
+            let delta: Vec<f32> = g.iter().map(|&x| -lr * x).collect();
+            if self.part.primary_of(e) == WORKER {
+                direct.push(e);
+                report.local_updates += 1;
+            } else if let (Some(threshold), true) = (threshold, self.cache.contains(e)) {
+                self.cache.apply_local_delta_uncounted(e, &delta);
+                let pending = self.cache.accumulate_pending(e, g) as u64;
+                report.deferred += 1;
+                if pending >= threshold && self.flush(e, opt) {
+                    self.count_writeback(e, &mut report);
+                }
+            } else {
+                direct.push(e);
+                self.count_writeback(e, &mut report);
+                self.cache.apply_local_delta(e, &delta);
+            }
+        }
+        for e in direct {
+            self.table.apply_grad(e, &reduced[&e], opt);
+        }
+        report
+    }
+
+    fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport {
+        let mut report = UpdateReport::default();
+        for e in self.cache.rows_with_pending() {
+            if self.flush(e, opt) {
+                self.count_writeback(e, &mut report);
+            }
+        }
+        report
+    }
+}
+
+/// SplitMix64: the scenario below is drawn from one proptest-chosen seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn bound_strategy() -> impl Strategy<Value = StalenessBound> {
+    prop_oneof![
+        Just(StalenessBound::Bounded(0)),
+        Just(StalenessBound::Bounded(1)),
+        Just(StalenessBound::Bounded(100)),
+        Just(StalenessBound::Infinite),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn worker_matches_all_pairs_reference(
+        num_rows in 4usize..96,
+        dim in 1usize..5,
+        parts in 2usize..5,
+        bound in bound_strategy(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = Rng(seed);
+        // Random primaries; worker 0 replicates about half of the rows it
+        // does not own, so samples carry several replicas each.
+        let primaries: Vec<u32> = (0..num_rows).map(|_| rng.below(parts) as u32).collect();
+        let mut part = Partition::new(parts, vec![0; 1], primaries.clone());
+        for e in 0..num_rows as u32 {
+            if primaries[e as usize] != WORKER && rng.below(2) == 0 {
+                part.add_replica(e, WORKER);
+            }
+        }
+        // Frequencies span 0 (treated as 1) to 200: orientation and the
+        // normalised gap both vary.
+        let freq: Vec<u64> = (0..num_rows).map(|_| rng.below(201) as u64).collect();
+        let opt = if rng.below(2) == 0 { SparseOpt::sgd(0.1) } else { SparseOpt::adagrad(0.05) };
+
+        let table = ShardedTable::new(num_rows, dim, 0.1, seed);
+        let oracle_table = ShardedTable::new(num_rows, dim, 0.1, seed);
+        let audit = || Arc::new(ProtocolAuditor::new(f64::INFINITY, AuditMode::Count));
+        let (auditor, oracle_auditor) = (audit(), audit());
+        let mut worker = WorkerEmbedding::new(WORKER, &table, &part, &freq, bound);
+        worker.attach_auditor(Arc::clone(&auditor));
+        let mut oracle = ReferenceWorker::new(
+            &oracle_table, &part, &freq, bound, Arc::clone(&oracle_auditor),
+        );
+
+        for step in 0..16 {
+            // Ids come from a window of the table so fields repeat inside a
+            // sample and across samples.
+            let window = 1 + rng.below(num_rows);
+            // Peers' updates land at the primaries between our batches — on
+            // rows of the window, so the batch reads them — in bursts sized
+            // around every bound under test: a lag of 1 or 2 passes the
+            // intra check at s = 1 or 100 and is left for the pair check to
+            // find (equal lags exercise the victim tie-break), 101 and 150
+            // exceed every finite bound.
+            for _ in 0..rng.below(8) {
+                let e = rng.below(window) as u32;
+                let g: Vec<f32> = (0..dim).map(|c| 0.01 * (step + c + 1) as f32).collect();
+                for _ in 0..[1, 1, 1, 2, 40, 99, 101, 150][rng.below(8)] {
+                    table.apply_grad(e, &g, &opt);
+                    oracle_table.apply_grad(e, &g, &opt);
+                }
+            }
+            let batch: Vec<Vec<u32>> = (0..1 + rng.below(5))
+                .map(|_| (0..1 + rng.below(48)).map(|_| rng.below(window) as u32).collect())
+                .collect();
+            let samples: Vec<&[u32]> = batch.iter().map(Vec::as_slice).collect();
+            let total: usize = batch.iter().map(Vec::len).sum();
+
+            let mut out = vec![0.0f32; total * dim];
+            let mut oracle_out = vec![0.0f32; total * dim];
+            let report = worker.read_batch(&samples, &mut out);
+            let oracle_report = oracle.read_batch(&samples, &mut oracle_out);
+            prop_assert_eq!(&report, &oracle_report, "read report, step {}", step);
+            prop_assert_eq!(bits(&out), bits(&oracle_out), "rows read, step {}", step);
+
+            if rng.below(4) != 0 {
+                let grads: Vec<f32> =
+                    (0..total * dim).map(|_| rng.below(2001) as f32 / 1000.0 - 1.0).collect();
+                let report = worker.apply_gradients(&samples, &grads, &opt);
+                let oracle_report = oracle.apply_gradients(&samples, &grads, &opt);
+                prop_assert_eq!(&report, &oracle_report, "update report, step {}", step);
+            }
+            if rng.below(6) == 0 {
+                prop_assert_eq!(worker.flush_all(&opt), oracle.flush_all(&opt), "flush, step {}", step);
+            }
+            for e in 0..num_rows as u32 {
+                prop_assert_eq!(
+                    worker.replica_clock(e), oracle.cache.effective_clock(e),
+                    "replica clock of row {}, step {}", e, step
+                );
+                prop_assert_eq!(table.clock(e), oracle_table.clock(e), "primary clock of row {}", e);
+            }
+        }
+        let (summary, oracle_summary) = (auditor.summary(), oracle_auditor.summary());
+        prop_assert_eq!(summary.intra_reads, oracle_summary.intra_reads);
+        prop_assert_eq!(summary.inter_checks, oracle_summary.inter_checks);
+        prop_assert_eq!(summary.max_inter_gap.to_bits(), oracle_summary.max_inter_gap.to_bits());
+    }
+}
+
+// --- dense-index edge cases through the public cache API ----------------
+
+#[test]
+fn ids_beyond_the_index_are_absent_not_a_panic() {
+    let mut c = SecondaryCache::new(2, &[3, 1]);
+    for row in [4, 1000, u32::MAX] {
+        assert!(!c.contains(row));
+        assert_eq!(c.effective_clock(row), None);
+        assert_eq!(c.pending_count(row), 0);
+        assert!(!c.apply_local_delta(row, &[1.0, 1.0]));
+        let mut buf = [0.0f32; 2];
+        assert!(!c.read(row, &mut buf));
+        assert!(!c.take_pending(row, &mut buf));
+        c.note_flush(row);
+    }
+    // A gap inside the index is absent too.
+    assert!(!c.contains(2) && !c.contains(0));
+    assert!(c.contains(1) && c.contains(3));
+}
+
+#[test]
+fn pending_rows_ascend_whatever_order_the_cache_was_built_in() {
+    let mut c = SecondaryCache::new(1, &[40, 7, 19, 3, 7]);
+    assert_eq!(c.len(), 4, "a repeated id is one replica");
+    assert_eq!(c.rows(), &[3, 7, 19, 40]);
+    for row in [19, 40, 3] {
+        c.accumulate_pending(row, &[1.0]);
+    }
+    assert_eq!(c.rows_with_pending(), vec![3, 19, 40]);
+}
+
+#[test]
+fn lfu_grows_past_its_first_seen_id() {
+    use hetgmp_embedding::LfuCache;
+    let mut c = LfuCache::new(1, 2);
+    c.touch(5);
+    assert!(c.admit(5, &[1.0], 0));
+    // Far beyond anything seen so far: absent, then countable, then cacheable.
+    assert!(!c.contains(90_000));
+    assert_eq!(c.effective_clock(90_000), None);
+    assert_eq!(c.touch(90_000), 1);
+    assert_eq!(c.touch(90_000), 2);
+    assert!(c.admit(90_000, &[2.0], 4));
+    assert_eq!(c.effective_clock(90_000), Some(4));
+    // And an id below the first one.
+    assert_eq!(c.touch(0), 1);
+    for _ in 0..3 {
+        c.touch(0);
+    }
+    assert!(c.admit(0, &[3.0], 0), "hotter than the coldest cached row");
+    assert_eq!(c.len(), 2);
+    assert_eq!(c.cached_ids().len(), 2);
+    assert!(c.contains(0));
+}

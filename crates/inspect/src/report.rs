@@ -48,8 +48,14 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         let _ = writeln!(
             out,
             "manifest: seed={} digest={} workers={} depth={} gemm_threads={} \
-             git={} profile={}",
-            m.seed, m.config_digest, m.workers, m.pipeline_depth, m.gemm_threads, m.git_rev,
+             git={}{} profile={}",
+            m.seed,
+            m.config_digest,
+            m.workers,
+            m.pipeline_depth,
+            m.gemm_threads,
+            m.git_rev,
+            if m.git_dirty == Some(true) { "+dirty" } else { "" },
             m.build_profile,
         );
     } else {

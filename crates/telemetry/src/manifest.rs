@@ -35,6 +35,9 @@ pub struct RunManifest {
     pub gemm_threads: u64,
     /// Git revision the binary was built from ("unknown" outside git).
     pub git_rev: String,
+    /// Whether the tree differed from `git_rev` when the stamp was taken;
+    /// `None` outside git and in artifacts written before the field existed.
+    pub git_dirty: Option<bool>,
     /// Cargo build profile: "release" or "debug".
     pub build_profile: String,
 }
@@ -57,6 +60,7 @@ impl RunManifest {
             pipeline_depth: pipeline_depth as u64,
             gemm_threads: gemm_threads as u64,
             git_rev: git_rev().to_string(),
+            git_dirty: git_dirty(),
             build_profile: build_profile().to_string(),
         }
     }
@@ -86,6 +90,7 @@ impl RunManifest {
             ("pipeline_depth", Json::U64(self.pipeline_depth)),
             ("gemm_threads", Json::U64(self.gemm_threads)),
             ("git_rev", Json::from(self.git_rev.as_str())),
+            ("git_dirty", self.git_dirty.map_or(Json::Null, Json::Bool)),
             ("build_profile", Json::from(self.build_profile.as_str())),
         ])
     }
@@ -112,15 +117,16 @@ impl RunManifest {
             pipeline_depth: v.get("pipeline_depth")?.as_u64()?,
             gemm_threads: v.get("gemm_threads")?.as_u64()?,
             git_rev: v.get("git_rev")?.as_str()?.to_string(),
+            git_dirty: v.get("git_dirty").and_then(Json::as_bool),
             build_profile: v.get("build_profile")?.as_str()?.to_string(),
         })
     }
 
     /// Comparability check: the fields that must match for two runs to be
     /// meaningfully diffed. Returns one human-readable line per mismatch.
-    /// `git_rev` is deliberately excluded — comparing two revisions is the
-    /// whole point of a regression diff — but mixing build profiles or
-    /// workloads is flagged.
+    /// `git_rev` and `git_dirty` are deliberately excluded — comparing two
+    /// revisions is the whole point of a regression diff — but mixing build
+    /// profiles or workloads is flagged.
     pub fn mismatches(&self, other: &Self) -> Vec<String> {
         let mut out = Vec::new();
         let mut field = |name: &str, a: &dyn std::fmt::Display, b: &dyn std::fmt::Display| {
@@ -143,6 +149,17 @@ impl RunManifest {
 /// Git revision this binary was built from (stamped by `build.rs`).
 pub fn git_rev() -> &'static str {
     option_env!("HETGMP_GIT_REV").unwrap_or("unknown")
+}
+
+/// Whether the tree differed from [`git_rev`] when `build.rs` took the
+/// stamp (it retakes it when `HEAD` or the ref it names moves); `None`
+/// outside a git checkout.
+pub fn git_dirty() -> Option<bool> {
+    match option_env!("HETGMP_GIT_DIRTY") {
+        Some("true") => Some(true),
+        Some("false") => Some(false),
+        _ => None,
+    }
 }
 
 /// Cargo build profile of this binary.
@@ -188,9 +205,21 @@ mod tests {
         assert!(a.mismatches(&b).is_empty());
         b.seed = 43;
         b.git_rev = "feedfeedfeed".to_string();
+        b.git_dirty = Some(a.git_dirty != Some(true));
         let lines = a.mismatches(&b);
-        assert_eq!(lines.len(), 1, "git_rev must not be flagged: {lines:?}");
+        assert_eq!(lines.len(), 1, "git_rev/git_dirty must not be flagged: {lines:?}");
         assert!(lines[0].starts_with("seed:"), "{lines:?}");
+    }
+
+    #[test]
+    fn headers_without_git_dirty_still_load() {
+        let mut old = sample().to_json();
+        if let Json::Obj(members) = &mut old {
+            members.retain(|(k, _)| k != "git_dirty");
+        }
+        let back = RunManifest::from_json(&old).expect("pre-git_dirty artifact loads");
+        assert_eq!(back.git_dirty, None);
+        assert_eq!(back.git_rev, sample().git_rev);
     }
 
     #[test]

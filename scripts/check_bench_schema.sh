@@ -305,6 +305,14 @@ case $FILE in
         done
     done
 
+    # Worker layer vs its ceiling: `WorkerEmbedding::read_batch` next to one
+    # snapshot read of the same distinct rows.
+    require '"worker_read":\{' 'section "worker_read"'
+    for key in fields samples batches write_every distinct_rows_per_batch \
+        worker_us_per_batch table_us_per_batch worker_over_table; do
+        require "\"worker_read\":\{[^}]*\"$key\":[0-9]" "\"worker_read.$key\""
+    done
+
     [ "$fail" -eq 0 ] || exit 1
 
     # Sanity: throughputs are positive (a zero means the measurement broke).
@@ -322,6 +330,13 @@ case $FILE in
         s4=$(sed -n 's/.*"speedup_at_4":\([0-9.eE+-]*\).*/\1/p' "$FILE")
         if [ -z "$s4" ] || ! awk -v s="$s4" 'BEGIN { exit !(s >= 1.3) }'; then
             echo "check_bench_schema: read_scaling speedup_at_4 '${s4:-missing}' below the 1.3x contract in $FILE" >&2
+            exit 1
+        fi
+        # The worker may cost at most 10x the table read it wraps (the
+        # all-pairs, hash-probing worker sat near 60x).
+        wot=$(sed -n 's/.*"worker_over_table":\([0-9.eE+-]*\).*/\1/p' "$FILE")
+        if [ -z "$wot" ] || ! awk -v r="$wot" 'BEGIN { exit !(r <= 10) }'; then
+            echo "check_bench_schema: worker_read worker_over_table '${wot:-missing}' above the 10x ceiling in $FILE" >&2
             exit 1
         fi
     fi

@@ -76,6 +76,7 @@ config_digest
 pipeline_depth
 gemm_threads
 git_rev
+git_dirty
 build_profile
 "
 for name in $emitted; do
