@@ -1,12 +1,14 @@
 # Convenience targets; all builds are fully offline (deps vendored under
-# third_party/).
+# third_party/). The end-to-end benchmark the driver gates on is a package
+# of its own under benchmark/ (BENCHMARK.json, `bash benchmark/run.sh`);
+# `make benchmark-smoke` builds and smoke-runs it against this tree.
 
 CARGO ?= cargo
 
 .PHONY: build test clippy lint-metrics fault-matrix inspect-smoke tsan \
 	verify bench bench-baseline bench-smoke bench-dense bench-dense-smoke \
-	bench-pipeline bench-pipeline-smoke bench-comms bench-comms-smoke \
-	bench-capacity bench-capacity-smoke bench-schema clean
+	bench-comms bench-comms-smoke bench-capacity bench-capacity-smoke \
+	bench-schema benchmark-smoke clean
 
 build:
 	$(CARGO) build --release --offline --workspace
@@ -42,10 +44,18 @@ inspect-smoke: build
 tsan:
 	sh scripts/tsan.sh
 
+# The frozen benchmark package against this tree: run.sh rebuilds benchmark/
+# when any source it depends on is newer than its binary (so an API break
+# against benchmark/src fails here, not in the driver), then every workload
+# runs shrunk ~20x, one repetition; any failed batch fails the target.
+benchmark-smoke:
+	bash benchmark/run.sh run --smoke --out target/benchmark-smoke.json
+
 # The gate every change must pass: release build, full test suite, clippy
 # with warnings denied, metric-name lint, the fault-injection matrix, the
-# perf-baseline schema check, and the inspect smoke.
-verify: build test clippy lint-metrics fault-matrix bench-schema inspect-smoke
+# perf-baseline schema check, the inspect smoke, and the benchmark smoke.
+verify: build test clippy lint-metrics fault-matrix bench-schema inspect-smoke \
+	benchmark-smoke
 
 bench:
 	$(CARGO) bench --offline --workspace
@@ -63,7 +73,8 @@ bench-smoke: build
 
 # The dense-engine baseline: criterion GEMM microbenchmarks plus the
 # fixed-seed run that writes BENCH_dense.json (blocked vs naive kernels and
-# allocation-free end-to-end training throughput).
+# allocation-free end-to-end training throughput; asserts the stage
+# profiler's self-cost stays under 2% of wall).
 bench-dense: build
 	$(CARGO) bench --offline -p hetgmp-bench --bench bench_gemm
 	$(CARGO) run --release --offline -p hetgmp-bench --bin bench_dense
@@ -71,17 +82,6 @@ bench-dense: build
 # Shrunk dense baseline: same BENCH_dense.json schema.
 bench-dense-smoke: build
 	$(CARGO) run --release --offline -p hetgmp-bench --bin bench_dense -- --smoke
-
-# The pipelined-trainer baseline: the bench_dense end-to-end workload swept
-# over pipeline depths {1,2,4}, writing BENCH_pipeline.json (samples/s,
-# stage stall %, overlap ratio per depth; asserts bit-identical AUC).
-bench-pipeline: build
-	$(CARGO) run --release --offline -p hetgmp-bench --bin bench_pipeline
-	sh scripts/check_bench_schema.sh BENCH_pipeline.json
-
-# Shrunk depth sweep: same schema, written to BENCH_pipeline.smoke.json.
-bench-pipeline-smoke: build
-	$(CARGO) run --release --offline -p hetgmp-bench --bin bench_pipeline -- --smoke
 
 # The compressed-communication baseline: one fixed-seed workload swept over
 # the sync wire formats (f32/f16/bf16/int8), writing BENCH_comms.json
@@ -108,20 +108,16 @@ bench-capacity: build
 bench-capacity-smoke: build
 	$(CARGO) run --release --offline -p hetgmp-bench --bin bench_capacity -- --smoke
 
-# Schema gate for all five committed baselines: runs the smoke benches (which
+# Schema gate for all four committed baselines: runs the smoke benches (which
 # write *.smoke.json siblings, never touching the committed full-run files)
-# and validates both the fresh smoke output and the committed baselines —
-# including the doc-drift check that every "NN.Nk samples/s" figure quoted
-# in ROADMAP.md/CHANGES.md still matches a committed BENCH_*.json.
-bench-schema: bench-smoke bench-dense-smoke bench-pipeline-smoke bench-comms-smoke bench-capacity-smoke
+# and validates both the fresh smoke output and the committed baselines.
+bench-schema: bench-smoke bench-dense-smoke bench-comms-smoke bench-capacity-smoke
 	sh scripts/check_bench_schema.sh BENCH_hotpath.smoke.json
 	sh scripts/check_bench_schema.sh BENCH_dense.smoke.json
-	sh scripts/check_bench_schema.sh BENCH_pipeline.smoke.json
 	sh scripts/check_bench_schema.sh BENCH_comms.smoke.json
 	sh scripts/check_bench_schema.sh BENCH_capacity.smoke.json
 	sh scripts/check_bench_schema.sh
 	sh scripts/check_bench_schema.sh BENCH_dense.json
-	sh scripts/check_bench_schema.sh BENCH_pipeline.json
 	sh scripts/check_bench_schema.sh BENCH_comms.json
 	sh scripts/check_bench_schema.sh BENCH_capacity.json
 

@@ -21,7 +21,9 @@
 //! differential tests in `hetgmp-tensor` guarantee the results match, so
 //! the ratio is purely kernel throughput. `end_to_end.samples_per_sec` is
 //! `hotpath.samples_per_sec` from the same trainer configuration as
-//! `bench_hotpath`, so the two baselines are directly comparable.
+//! `bench_hotpath`, so the two baselines are directly comparable. The
+//! end-to-end run also asserts the stage profiler's self-measured cost
+//! (`telemetry.overhead_secs`) stays under 2% of wall time.
 //! `--smoke` shrinks everything for CI schema checks.
 
 use std::time::Instant;
@@ -87,6 +89,7 @@ fn end_to_end(smoke: bool) -> (Json, RunManifest) {
     let mut spec = DatasetSpec::avazu_like(if smoke { 0.02 } else { 0.08 });
     spec.cluster_affinity = 0.9;
     let data = generate(&spec);
+    let wall_start = Instant::now();
     let r = Trainer::new(
         &data,
         Topology::pcie_island(4),
@@ -101,6 +104,16 @@ fn end_to_end(smoke: bool) -> (Json, RunManifest) {
         },
     )
     .run();
+    // The stage profiler rides the hot path; its self-measured cost must
+    // stay in the noise. 2% of wall is the contract TELEMETRY.md documents.
+    let wall = wall_start.elapsed().as_secs_f64();
+    let overhead = r.telemetry.gauge(names::TELEMETRY_OVERHEAD_SECS).unwrap_or(0.0);
+    let overhead_pct = overhead / wall.max(1e-12) * 100.0;
+    eprintln!("profiler overhead {overhead_pct:.3}% of wall");
+    assert!(
+        overhead_pct < 2.0,
+        "profiler overhead {overhead_pct:.3}% of wall exceeds the 2% budget"
+    );
     let manifest = r.manifest.clone();
     let e2e = Json::obj([
         (

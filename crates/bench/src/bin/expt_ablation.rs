@@ -1,15 +1,14 @@
 //! Ablations: staleness-vs-throughput, replication budget, balance weights,
 //! and static vertex-cut vs dynamic LFU caching.
 //!
-//! `--pipeline-depth N` / `--gemm-threads N` apply one software-pipeline
-//! setting to every training run of the hooked ablations (results are
-//! bit-identical across depths; only wall-clock speed changes).
+//! `--gemm-threads N` applies one GEMM fan-out to every training run of the
+//! hooked ablations (results are bit-identical; only wall-clock speed
+//! changes).
 fn main() {
     let scale = hetgmp_bench::scale_arg(0.15);
-    let (pipeline_depth, gemm_threads) = hetgmp_bench::pipeline_flags();
+    let gemm_threads = hetgmp_bench::gemm_threads_flag();
     let (sync_format, sync_error_feedback) = hetgmp_bench::sync_format_flags();
     let hooks = hetgmp_core::experiments::Hooks {
-        pipeline_depth,
         gemm_threads,
         sync_format,
         sync_error_feedback,

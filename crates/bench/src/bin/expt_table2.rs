@@ -1,15 +1,13 @@
 //! Table 2 — final test AUC vs staleness bound s in {0, 100, 10k, inf}.
 //!
-//! `--pipeline-depth N` / `--gemm-threads N` apply one software-pipeline
-//! setting to every training run in the experiment (AUC is bit-identical
-//! across depths; only wall-clock speed changes).
+//! `--gemm-threads N` applies one GEMM fan-out to every training run in the
+//! experiment (AUC is bit-identical; only wall-clock speed changes).
 fn main() {
     let scale = hetgmp_bench::scale_arg(0.15);
     let epochs = hetgmp_bench::second_arg(3);
-    let (pipeline_depth, gemm_threads) = hetgmp_bench::pipeline_flags();
+    let gemm_threads = hetgmp_bench::gemm_threads_flag();
     let (sync_format, sync_error_feedback) = hetgmp_bench::sync_format_flags();
     let hooks = hetgmp_core::experiments::Hooks {
-        pipeline_depth,
         gemm_threads,
         sync_format,
         sync_error_feedback,

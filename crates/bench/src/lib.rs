@@ -33,13 +33,12 @@ pub fn second_arg(default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Parses the optional `--pipeline-depth N` / `--gemm-threads N` flags
-/// (also `--flag=N`) from argv, returning `(pipeline_depth, gemm_threads)`.
-/// The training experiment binaries (fig8, table2, ablation) thread these
-/// into [`hetgmp_core::experiments::Hooks`] so one flag applies a single
-/// pipeline setting to every trainer run in the experiment.
-pub fn pipeline_flags() -> (Option<usize>, Option<usize>) {
-    parse_pipeline_flags(std::env::args().skip(1))
+/// Parses the optional `--gemm-threads N` flag (also `--gemm-threads=N`)
+/// from argv. The training experiment binaries (fig8, table2, ablation)
+/// thread it into [`hetgmp_core::experiments::Hooks`] so one flag applies a
+/// single GEMM fan-out to every trainer run in the experiment.
+pub fn gemm_threads_flag() -> Option<usize> {
+    parse_gemm_threads_flag(std::env::args().skip(1))
 }
 
 /// Parses the optional `--sync-format F` / `--sync-feedback on|off` flags
@@ -80,22 +79,17 @@ fn parse_sync_format_flags(
     (format, feedback)
 }
 
-fn parse_pipeline_flags(args: impl Iterator<Item = String>) -> (Option<usize>, Option<usize>) {
-    let mut depth = None;
+fn parse_gemm_threads_flag(args: impl Iterator<Item = String>) -> Option<usize> {
     let mut threads = None;
     let mut args = args.peekable();
     while let Some(a) = args.next() {
-        let mut take = |key: &str, slot: &mut Option<usize>| {
-            if let Some(v) = a.strip_prefix(&format!("{key}=")) {
-                *slot = v.parse().ok();
-            } else if a == key {
-                *slot = args.peek().and_then(|v| v.parse().ok());
-            }
-        };
-        take("--pipeline-depth", &mut depth);
-        take("--gemm-threads", &mut threads);
+        if let Some(v) = a.strip_prefix("--gemm-threads=") {
+            threads = v.parse().ok();
+        } else if a == "--gemm-threads" {
+            threads = args.peek().and_then(|v| v.parse().ok());
+        }
     }
-    (depth, threads)
+    threads
 }
 
 #[cfg(test)]
@@ -114,23 +108,18 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_flags_parse_both_forms() {
+    fn gemm_threads_flag_parses_both_forms() {
         let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(
-            parse_pipeline_flags(argv(&["0.2", "--pipeline-depth", "2"]).into_iter()),
-            (Some(2), None)
+            parse_gemm_threads_flag(argv(&["0.2", "--gemm-threads", "2"]).into_iter()),
+            Some(2)
         );
-        assert_eq!(
-            parse_pipeline_flags(
-                argv(&["--pipeline-depth=4", "--gemm-threads=2"]).into_iter()
-            ),
-            (Some(4), Some(2))
-        );
-        assert_eq!(parse_pipeline_flags(argv(&["0.2"]).into_iter()), (None, None));
+        assert_eq!(parse_gemm_threads_flag(argv(&["--gemm-threads=4"]).into_iter()), Some(4));
+        assert_eq!(parse_gemm_threads_flag(argv(&["0.2"]).into_iter()), None);
         // Malformed values fall back to None rather than panicking.
         assert_eq!(
-            parse_pipeline_flags(argv(&["--pipeline-depth", "xyz"]).into_iter()),
-            (None, None)
+            parse_gemm_threads_flag(argv(&["--gemm-threads", "xyz"]).into_iter()),
+            None
         );
     }
 

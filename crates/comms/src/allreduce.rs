@@ -8,8 +8,8 @@
 //! The group reduces whatever bits it is handed; under a lossy
 //! `--sync-format` the *contribution* is what crosses the wire, so the
 //! trainer runs each local gradient through [`crate::DenseQuantizer`]
-//! before contributing (identically at every pipeline depth) and charges
-//! the collective at [`crate::SyncFormat::dense_wire_bytes`].
+//! before contributing and charges the collective at
+//! [`crate::SyncFormat::dense_wire_bytes`].
 
 use parking_lot::{Condvar, Mutex};
 
@@ -18,8 +18,8 @@ enum Op {
     Sum,
     Max,
     /// One-rendezvous combination of a `Sum` on the vector plus a scalar
-    /// max and a boolean OR carried in the aux lanes — the pipelined
-    /// trainer's fused sync point (see [`AllReduceGroup::fused_mean_max`]).
+    /// max and a boolean OR carried in the aux lanes — the trainers' BSP
+    /// sync point (see [`AllReduceGroup::fused_mean_max`]).
     Fused,
 }
 
@@ -242,10 +242,10 @@ impl AllReduceGroup {
     ///
     /// Bit-identical to `allreduce_mean(data)` on the vector lane (same
     /// value-sorted sum, same `1/n` f32 multiply), and exact on the aux
-    /// lanes (f64 max / bool OR are order-free) — so the pipelined trainer
-    /// replaces an `allreduce_mean` + `allreduce_max` (clock sync) pair
-    /// with a single generation-barrier round trip without perturbing any
-    /// training math.
+    /// lanes (f64 max / bool OR are order-free) — so a BSP step issues one
+    /// generation-barrier round trip instead of an `allreduce_mean` +
+    /// `allreduce_max` (clock sync) pair, without perturbing any training
+    /// math.
     pub fn fused_mean_max(&self, data: &mut [f32], clock: f64, vote: bool) -> (f64, bool) {
         let aux = self.combine(data, Op::Fused, clock, vote);
         let inv = 1.0 / self.n as f32;
@@ -258,12 +258,11 @@ impl AllReduceGroup {
     /// Runs `f` in a rank-ordered critical section: within each round every
     /// participant's closure executes serially in ascending rank order.
     ///
-    /// This replaces the trainer's legacy write-back fan-out — `n` full
-    /// barriers, one per rank's turn — with a token ring: the same
-    /// rank-ascending serialization of shared-table mutations (so float
-    /// accumulation order, hence every stored value, is unchanged) at a
-    /// fraction of the rendezvous cost. Each rank blocks only until its
-    /// ticket comes up, not on every peer's turn boundary.
+    /// A token ring: the rank-ascending serialization of shared-table
+    /// mutations that `n` full barriers (one per rank's turn) would give
+    /// — so float accumulation order, hence every stored value, is
+    /// canonical — at a fraction of the rendezvous cost. Each rank blocks
+    /// only until its ticket comes up, not on every peer's turn boundary.
     ///
     /// Rounds are implicit: a rank's `k`-th call gets ticket `k*n + rank`,
     /// so the ring is reusable every iteration without a reset call. All

@@ -22,7 +22,7 @@
 //! All encodings are deterministic (round-to-nearest-even, no
 //! data-dependent branching on accumulated state), which preserves the
 //! workspace's bit-reproducibility contract: a format bit-matches itself
-//! across pipeline depths, thread counts, and checkpoint resume.
+//! across thread counts and checkpoint resume.
 //!
 //! Lossy gradient push paths additionally route through an
 //! [`ErrorFeedback`] accumulator: the quantization residual of each

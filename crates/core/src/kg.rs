@@ -366,12 +366,6 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
             Default::default()
         };
 
-        // Relations: AllReduce-mean gradients, local SGD step.
-        group.allreduce_mean(&mut rel_grad);
-        for (p, &g) in rel.iter_mut().zip(rel_grad.iter()) {
-            *p -= cfg.relation_lr * g / cfg.batch_size.max(1) as f32;
-        }
-
         // Charge simulated time (same model as the CTR trainer).
         let compute_t = cost
             .compute
@@ -396,10 +390,14 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
         embed_bytes.fetch_add(read.data_bytes + update.data_bytes, Ordering::Relaxed);
         triples_done.fetch_add(bs as u64, Ordering::Relaxed);
 
-        // BSP barrier in simulated time.
-        let mut tmax = [clock.now() as f32];
-        group.allreduce_max(&mut tmax);
-        clock.wait_until(tmax[0] as f64);
+        // Relations: one collective carries the gradient mean and, as the
+        // BSP barrier in simulated time, the post-charge clock; then the
+        // local SGD step.
+        let (max_clock, _) = group.fused_mean_max(&mut rel_grad, clock.now(), false);
+        for (p, &g) in rel.iter_mut().zip(rel_grad.iter()) {
+            *p -= cfg.relation_lr * g / cfg.batch_size.max(1) as f32;
+        }
+        clock.wait_until(max_clock);
     }
 }
 

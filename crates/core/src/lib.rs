@@ -34,6 +34,6 @@ pub mod trainer;
 
 pub use kg::{KgResult, KgTrainer, KgTrainerConfig};
 pub use models::{CtrModel, ModelKind};
-pub use pipeline::{BatchStage, PipelineDriver, StepCtx};
+pub use pipeline::{BatchStage, StepCtx};
 pub use strategy::{DenseSync, EmbedHome, PartitionPolicy, StrategyConfig};
 pub use trainer::{EvalPoint, StorageMode, TrainResult, Trainer, TrainerConfig};

@@ -1,9 +1,8 @@
-//! The stage-based batch runtime: one worker's inner training loop,
-//! restructured as a software pipeline over [`StepCtx`] batch slots.
+//! The batch runtime: one worker's inner training loop — the paper's
+//! read → compute → write-back → AllReduce step (§5) — as one straight-line
+//! schedule over a reusable [`StepCtx`].
 //!
-//! ## Stages
-//!
-//! Every batch flows through four stages, tracked on its slot:
+//! ## The step
 //!
 //! ```text
 //!   Fetch ──► Compute ──► Push ──► Sync
@@ -11,66 +10,50 @@
 //!    read)           fwd/bwd)     write-back)    + BSP barrier)
 //! ```
 //!
-//! At `pipeline_depth == 1` the loop is the classic fully sequential
-//! schedule — one slot, every stage in program order, per-rank write-back
-//! barriers — byte-for-byte the pre-pipeline trainer.
+//! Per iteration ([`run_worker_epoch`]):
 //!
-//! At `pipeline_depth >= 2` the runtime overlaps batch `i+1`'s Fetch with
-//! batch `i`'s Sync: the main thread publishes the next fetch into a
-//! work-stealing [`PrefetchCell`], a companion thread (spawned per epoch
-//! inside a nested [`std::thread::scope`]) claims it while the main thread
-//! blocks in collectives, and the main thread steals the job back and runs
-//! it inline if the companion never got scheduled — so an oversubscribed
-//! host degrades to the sequential fetch cost instead of paying a
-//! cross-thread handoff per batch. The worker's [`EmbeddingWorker`] handle
-//! travels with the job; ownership ping-pongs, nothing is shared. The
-//! pipelined schedule also replaces the sequential loop's per-rank
-//! write-back barriers (`n + 1` full rendezvous per iteration) with one
-//! token ring ([`AllReduceGroup::in_rank_order`]) plus a writes-done
-//! rendezvous (the strict-audit abort vote doubles as it when auditing is
-//! on), fuses the dense mean-AllReduce and BSP clock-max barriers into one
-//! collective ([`AllReduceGroup::fused_mean_max`]), and skips the fault
-//! fence entirely when the fault schedule is empty.
+//! 1. *only when the run's fault schedule names a worker fault*: fire due
+//!    faults, then one `barrier()` so a crash rollback is visible before
+//!    any peer reads;
+//! 2. assemble the batch and `read_batch` it;
+//! 3. dense forward/backward;
+//! 4. the reads-done `barrier()` — no gradient lands while a peer reads;
+//! 5. write-back inside [`AllReduceGroup::in_rank_order`] — a token ring
+//!    that serializes the shared-table mutations in ascending rank;
+//! 6. charge the batch's simulated time;
+//! 7. dense sync: under BSP one [`AllReduceGroup::fused_mean_max`] carries
+//!    the gradient mean and the post-charge clock together. Every rank
+//!    enters it only after its ring turn, so returning from it
+//!    happens-after the last write — it is the writes-done rendezvous for
+//!    the next iteration's reads;
+//! 8. the strict-audit abort vote.
 //!
-//! ## Buffer ownership
-//!
-//! Each [`StepCtx`] owns the *entire* per-batch working set — embedding
-//! input matrix, labels, loss/input gradients, and the dense
-//! [`ModelTape`] arena — so a slot can be handed to the companion thread
-//! (and back) without any sharing; the main thread keeps only per-worker
-//! state (model, clock, cursor, dense-gradient buffer).
+//! A fault-free, unaudited BSP step is therefore one barrier, one ring
+//! pass and one collective.
 //!
 //! ## Determinism contract
 //!
-//! On fault-free runs, losses, AUC and checkpoints are **bit-identical**
-//! across every `pipeline_depth` and `gemm_threads` setting:
+//! On fault-free runs, losses, AUC, traffic and checkpoints are
+//! **bit-identical** across `gemm_threads`, storage tier, read path and
+//! checkpoint resume (pinned at two workers; ROADMAP item 1 tracks the
+//! read-phase flush race that breaks run-to-run repeatability at s > 0
+//! with three or more):
 //!
-//! * reads-before-writes is preserved — a prefetch for batch `i+1` is only
-//!   issued after the writes-done rendezvous of batch `i` (an explicit
-//!   barrier, or the abort vote when auditing is on), and no peer can begin
-//!   batch `i+1` write-backs until every worker has consumed its prefetch
-//!   (the reads-done fence);
-//! * write-backs keep the same canonical rank-ascending serialization (the
-//!   token ring realizes exactly the order the barrier loop realized);
-//! * the fused collective reuses the value-sorted summation of the plain
-//!   mean-AllReduce, so gradient means match bitwise;
+//! * reads-before-writes holds within an iteration (step 4) and
+//!   writes-before-reads across iterations (step 7);
+//! * write-backs land in canonical rank-ascending order (step 5):
+//!   concurrent updates to a shared row do not commute under Adagrad, so
+//!   the order is part of the result;
+//! * the collective sums each element's contributions in ascending value
+//!   order, independent of arrival order;
 //! * row-panel parallel GEMMs ([`GemmPool`]) split only the output rows,
 //!   never a reduction, so they match the sequential kernels bitwise.
 //!
-//! Only the *simulated* overlap accounting differs: a prefetched batch's
-//! embedding-read charge may hide behind the previous iteration's dense-sync
-//! window (`pipeline.overlap_ratio` reports how much was hidden). Simulated
-//! timestamps therefore drift between depths, which is why faulted runs —
-//! whose fault *firing times* are clock-dependent — are exempt from the
-//! bit-match (they stay protocol-correct and strict-audit clean; see the
-//! depth-4 crash tests).
-//!
-//! Depth > 2 behaves like depth 2: the write-back dependency caps useful
-//! lookahead at one batch, so extra slots simply sit idle (kept for API
-//! orthogonality and benchmarked as such).
+//! None of the rendezvous charges simulated time; they only pin which of
+//! the protocol's legal interleavings the host threads realize.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use hetgmp_cluster::{
@@ -87,16 +70,14 @@ use crate::models::{CtrModel, ModelTape};
 use crate::strategy::{DenseSync, EmbedHome, StrategyConfig};
 use crate::trainer::{CheckpointImage, TrainerConfig, WorkerFaultState};
 
-/// The stage a [`StepCtx`] batch slot is currently in. `Idle` slots sit in
-/// the [`PipelineDriver`]'s free list; active slots advance strictly
-/// `Fetch → Compute → Push → Sync` and back to `Idle` when recycled.
+/// The four stages of a step, in execution order — the labels the
+/// [`StageProfiler`] attributes wall and simulated time to
+/// (`names::PIPELINE_STAGES` in the same order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchStage {
-    /// In the free list, no batch assigned.
-    Idle,
-    /// Batch assembled; embedding rows being (pre)fetched into `input`.
+    /// Batch assembly + embedding read into `input`.
     Fetch,
-    /// Dense forward/backward on the slot's tape.
+    /// Dense forward/backward on the tape.
     Compute,
     /// Embedding-gradient write-back to the shared table.
     Push,
@@ -104,26 +85,11 @@ pub enum BatchStage {
     Sync,
 }
 
-impl BatchStage {
-    fn can_advance_to(self, next: BatchStage) -> bool {
-        matches!(
-            (self, next),
-            (BatchStage::Idle, BatchStage::Fetch)
-                | (BatchStage::Fetch, BatchStage::Compute)
-                | (BatchStage::Compute, BatchStage::Push)
-                | (BatchStage::Push, BatchStage::Sync)
-        )
-    }
-}
-
-/// One in-flight batch's complete working set. Owning everything a batch
-/// touches (instead of the pre-pipeline trainer's ~600 lines of per-batch
-/// locals) is what lets the runtime hand a whole batch to a companion
-/// thread and double-buffer slots without sharing.
+/// One worker's complete per-batch working set, allocated once per run and
+/// reused by every iteration — the hot loop allocates nothing once warm
+/// (the `dense.*` gauges assert zero steady-state growth of the tape).
 pub struct StepCtx {
-    stage: BatchStage,
-    /// Dataset indices of this batch's samples (assembled by the main
-    /// thread, in cursor order — the companion never advances the cursor).
+    /// Dataset indices of this batch's samples, in cursor order.
     pub(crate) batch_idx: Vec<u32>,
     /// Per-sample labels, filled during Compute.
     pub(crate) labels: Vec<f32>,
@@ -137,19 +103,13 @@ pub struct StepCtx {
     pub(crate) tape: ModelTape,
     /// Traffic report of this batch's embedding read.
     pub(crate) read_report: ReadReport,
-    /// Whether the Fetch was *issued* a batch ahead of consumption (set at
-    /// publish time, deterministic — independent of which thread the OS
-    /// actually ran the fetch on).
-    pub(crate) prefetched: bool,
 }
 
 impl StepCtx {
-    /// A fresh slot with empty buffers; everything grows to its steady-state
-    /// size during the first batches and is then reused (the `dense.*`
-    /// gauges assert zero steady-state growth per tape).
+    /// Empty buffers; everything grows to its steady-state size during the
+    /// first batches.
     pub fn new() -> Self {
         Self {
-            stage: BatchStage::Idle,
             batch_idx: Vec::new(),
             labels: Vec::new(),
             input: Matrix::zeros(0, 0),
@@ -157,33 +117,7 @@ impl StepCtx {
             grad_input: Matrix::zeros(0, 0),
             tape: ModelTape::new(),
             read_report: ReadReport::default(),
-            prefetched: false,
         }
-    }
-
-    /// The slot's current pipeline stage.
-    pub fn stage(&self) -> BatchStage {
-        self.stage
-    }
-
-    /// Whether the slot's last Fetch was issued a batch ahead of
-    /// consumption (regardless of which thread ended up executing it).
-    pub fn is_prefetched(&self) -> bool {
-        self.prefetched
-    }
-
-    fn advance_to(&mut self, next: BatchStage) {
-        debug_assert!(
-            self.stage.can_advance_to(next),
-            "illegal stage transition {:?} -> {next:?}",
-            self.stage
-        );
-        self.stage = next;
-    }
-
-    fn finish(&mut self) {
-        debug_assert_eq!(self.stage, BatchStage::Sync, "recycled mid-stage");
-        self.stage = BatchStage::Idle;
     }
 }
 
@@ -191,26 +125,6 @@ impl Default for StepCtx {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Per-worker pipeline observability, accumulated across epochs and
-/// aggregated into the `pipeline.*` metrics by the trainer.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PipelineStats {
-    /// Wall seconds the main thread spent blocked waiting for a fetch the
-    /// companion had claimed (stage stall). Stolen-back fetches run inline
-    /// and add nothing here.
-    pub(crate) stall_secs: f64,
-    /// Wall seconds of fetch work the companion thread actually executed
-    /// (i.e. genuine overlap realized by the host scheduler).
-    pub(crate) prefetch_secs: f64,
-    /// Batches whose Fetch was issued a batch ahead of consumption
-    /// (deterministic issue-order count, not an executed-on-companion
-    /// count).
-    pub(crate) prefetched: u64,
-    /// Batches executed by the *pipelined* path (depth >= 2); the
-    /// occupancy denominator. Stays 0 on the sequential path.
-    pub(crate) batches: u64,
 }
 
 /// Per-stage attribution profiler: bounded-memory wall and simulated-time
@@ -225,13 +139,12 @@ pub(crate) struct PipelineStats {
 /// histogram folds. That cost is itself measured: `finish_batch` times its
 /// own bookkeeping and adds a calibrated per-read cost for every timestamp
 /// the loop took, accumulating `overhead_secs` (exported as the
-/// `telemetry.overhead_secs` gauge; the pipeline bench asserts it stays
-/// under 2% of hot-path wall time).
+/// `telemetry.overhead_secs` gauge; `bench_dense` asserts it stays under
+/// 2% of hot-path wall time).
 ///
-/// Wall attribution is from the worker main thread's perspective: `fetch`
-/// is assembly + embedding read (or, for a prefetched batch, the time to
-/// acquire it — stall + steal-back); `write_back` includes the rank-order
-/// rendezvous that serializes it; `sync` is the dense collective.
+/// Wall attribution: `fetch` is assembly + embedding read; `write_back`
+/// includes the rank-order ring that serializes it; `sync` is the dense
+/// collective.
 /// Simulated attribution follows the cost model's charges: `fetch` = the
 /// embedding read's comm seconds, `write_back` = the gradient write-back's
 /// comm seconds, `compute` = the batch's compute charge, `sync` = the
@@ -287,7 +200,7 @@ impl StageProfiler {
             BatchStage::Fetch => 0,
             BatchStage::Compute => 1,
             BatchStage::Push => 2,
-            BatchStage::Sync | BatchStage::Idle => 3,
+            BatchStage::Sync => 3,
         }
     }
 
@@ -356,45 +269,6 @@ impl Default for StageProfiler {
     }
 }
 
-/// Owns a worker's [`StepCtx`] slot pool and hands slots to the stage loop:
-/// `acquire` an `Idle` slot for a new batch, `recycle` it after Sync. Depth
-/// is fixed at construction ([`TrainerConfig::pipeline_depth`]); the loop
-/// never holds more than two slots live (current + one prefetch in flight),
-/// so extra depth is spare capacity, not extra lookahead.
-pub struct PipelineDriver {
-    depth: usize,
-    free: Vec<StepCtx>,
-}
-
-impl PipelineDriver {
-    pub(crate) fn new(slots: Vec<StepCtx>) -> Self {
-        let depth = slots.len();
-        debug_assert!(depth >= 1, "pipeline needs at least one slot");
-        Self { depth, free: slots }
-    }
-
-    /// The configured pipeline depth (total slot count).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    fn acquire(&mut self) -> StepCtx {
-        self.free
-            .pop()
-            .expect("pipeline slots exhausted: acquire without matching recycle")
-    }
-
-    fn recycle(&mut self, ctx: StepCtx) {
-        debug_assert!(self.free.len() < self.depth, "recycled a foreign slot");
-        self.free.push(ctx);
-    }
-
-    fn into_slots(self) -> Vec<StepCtx> {
-        debug_assert_eq!(self.free.len(), self.depth, "pipeline slot leaked");
-        self.free
-    }
-}
-
 /// All the borrowed context one worker needs for one epoch.
 pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
     pub(crate) w: usize,
@@ -402,8 +276,7 @@ pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
     pub(crate) dataset: &'d CtrDataset,
     pub(crate) emb: &'a mut (dyn EmbeddingWorker + 'b),
     pub(crate) model: &'a mut CtrModel,
-    pub(crate) slots: &'a mut Vec<StepCtx>,
-    pub(crate) pstats: &'a mut PipelineStats,
+    pub(crate) slot: &'a mut StepCtx,
     pub(crate) pool: Option<Arc<GemmPool>>,
     pub(crate) clock: &'a mut SimClock,
     pub(crate) cursor: &'a mut usize,
@@ -434,144 +307,15 @@ pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
     pub(crate) profiler: &'a mut StageProfiler,
 }
 
-/// Runs one worker's epoch, dispatching on the configured depth: depth 1 is
-/// the classic sequential schedule, depth >= 2 the prefetching pipeline.
+/// Runs one worker's epoch: the eight-step schedule of the module docs.
 pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
-    if ctx.cfg.pipeline_depth >= 2 {
-        run_epoch_pipelined(ctx)
-    } else {
-        run_epoch_sequential(ctx)
-    }
-}
-
-/// A prefetch request: the worker's embedding handle travels into the
-/// [`PrefetchCell`] together with the slot it fills, and both come back in
-/// [`FetchDone`] — exclusive ownership ping-pongs, nothing is shared.
-struct FetchJob<'a, 'b> {
-    emb: &'a mut (dyn EmbeddingWorker + 'b),
-    ctx: StepCtx,
-}
-
-struct FetchDone<'a, 'b> {
-    emb: &'a mut (dyn EmbeddingWorker + 'b),
-    ctx: StepCtx,
-    /// Wall seconds the fetch took *on the companion thread*; 0.0 when the
-    /// main thread stole the job back and ran it inline.
-    fetch_secs: f64,
-}
-
-/// The work-stealing handoff between a worker's main thread and its fetch
-/// companion. The main thread publishes the next batch's fetch job right
-/// after the write-back rendezvous; the companion claims it whenever the OS
-/// schedules it — typically while the main thread is blocked inside the
-/// dense collective, which is exactly the window the prefetch is meant to
-/// fill. If the companion has *not* claimed the job by the time the main
-/// thread needs the batch, the main thread steals it back and runs the
-/// fetch inline: the degenerate case costs one uncontended mutex
-/// acquisition instead of a cross-thread handoff (park + unpark), which is
-/// what keeps depth >= 2 from regressing on a saturated host.
-///
-/// Determinism: which thread executes the fetch is OS-scheduling dependent,
-/// but the fetch itself is the same pure read either way (the table is
-/// quiescent between the write-back rendezvous and the next reads-done
-/// fence). `StepCtx::prefetched` therefore records *issue* order — set when
-/// the job is published, deterministic — and only the wall-clock fields of
-/// [`PipelineStats`] (`stall_secs`, `prefetch_secs`) record what the
-/// scheduler actually did.
-struct PrefetchCell<'a, 'b> {
-    state: Mutex<PrefetchState<'a, 'b>>,
-    ready: Condvar,
-}
-
-enum PrefetchState<'a, 'b> {
-    /// No job in flight.
-    Idle,
-    /// A job is published and unclaimed. The main thread may always steal
-    /// it back; the companion may claim it only when it was `offered`
-    /// (hosts with spare cores) — otherwise a companion that happens to be
-    /// awake (fresh spawn, spurious wakeup) would grab work the main
-    /// thread is better off running inline.
-    Published { job: FetchJob<'a, 'b>, offered: bool },
-    /// The companion claimed the job and is fetching.
-    Claimed,
-    /// The companion finished; the result waits for the main thread.
-    Done(FetchDone<'a, 'b>),
-    /// Epoch over — the companion exits.
-    Shutdown,
-}
-
-/// Runs one fetch job to completion: sample-slice assembly plus the batched
-/// embedding read. Shared by the companion thread and the steal-back path so
-/// both executors run byte-for-byte the same read.
-fn execute_fetch<'a, 'b, 'd>(
-    job: FetchJob<'a, 'b>,
-    dataset: &'d CtrDataset,
-    fields: usize,
-    dim: usize,
-    slices: &mut Vec<&'d [u32]>,
-) -> FetchDone<'a, 'b> {
-    let FetchJob { emb, mut ctx } = job;
-    slices.clear();
-    slices.extend(ctx.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
-    if !slices.is_empty() {
-        ctx.input.reset(slices.len(), fields * dim);
-        ctx.read_report = emb.read_batch(slices, ctx.input.data_mut());
-    } else {
-        ctx.read_report = ReadReport::default();
-    }
-    FetchDone { emb, ctx, fetch_secs: 0.0 }
-}
-
-/// The companion thread body: claim published jobs until shutdown. It only
-/// ever touches state it exclusively owns (the claimed job's emb + slot).
-fn companion_loop(
-    cell: &PrefetchCell<'_, '_>,
-    dataset: &CtrDataset,
-    fields: usize,
-    dim: usize,
-    batch_size: usize,
-) {
-    let mut slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
-    loop {
-        let job = {
-            let mut st = cell.state.lock().expect("prefetch cell poisoned");
-            loop {
-                match &*st {
-                    PrefetchState::Published { offered: true, .. } => {
-                        let PrefetchState::Published { job, .. } =
-                            std::mem::replace(&mut *st, PrefetchState::Claimed)
-                        else {
-                            unreachable!()
-                        };
-                        break job;
-                    }
-                    PrefetchState::Shutdown => return,
-                    _ => st = cell.ready.wait(st).expect("prefetch cell poisoned"),
-                }
-            }
-        };
-        let t0 = Instant::now();
-        let mut done = execute_fetch(job, dataset, fields, dim, &mut slices);
-        done.fetch_secs = t0.elapsed().as_secs_f64();
-        let mut st = cell.state.lock().expect("prefetch cell poisoned");
-        *st = PrefetchState::Done(done);
-        cell.ready.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Depth 1: the classic sequential schedule.
-// ---------------------------------------------------------------------------
-
-fn run_epoch_sequential(ctx: WorkerEpoch<'_, '_, '_>) {
     let WorkerEpoch {
         w,
         shard,
         dataset,
         emb,
         model,
-        slots,
-        pstats: _,
+        slot,
         pool,
         clock,
         cursor,
@@ -603,13 +347,13 @@ fn run_epoch_sequential(ctx: WorkerEpoch<'_, '_, '_>) {
     } = ctx;
     let dim = cfg.dim;
     let fields = dataset.num_fields;
-    let is_bsp = matches!(strategy.dense_sync, DenseSync::AllReduce)
-        && matches!(strategy.embed_home, EmbedHome::Gpu);
     let epoch_start = clock.now();
+    // Whether *any* worker can fault this run decides — uniformly across
+    // workers, so the rendezvous schedules agree — whether the
+    // per-iteration fault fence is needed at all.
+    let have_faults =
+        (0..group.num_participants()).any(|p| !faults.worker_faults(p).is_empty());
 
-    // One slot carries every per-batch buffer; reused across thousands of
-    // iterations, so the hot loop allocates nothing once warm.
-    let slot = slots.first_mut().expect("trainer always allocates slots");
     let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
     let mut dense_grads: Vec<f32> = Vec::new();
     // Stateless SGD on the replicated dense parameters (slot-keyed so a
@@ -622,17 +366,17 @@ fn run_epoch_sequential(ctx: WorkerEpoch<'_, '_, '_>) {
     let row_bytes = cfg.sync_format.row_wire_bytes(dim);
 
     for _ in 0..iters {
-        // ---- Injected faults (iteration boundary). -------------------------
-        process_due_faults(
-            w, faults, fstate, clock, &recorder, tracer, image.as_deref(), table, partition,
-            emb, cost, row_bytes,
-        );
-
-        // Phase fence: a crash rollback must be fully visible before any
-        // peer reads the shared table this iteration, or same-seed runs
-        // diverge on the rollback/read race. Pure thread rendezvous — no
-        // simulated time, no data.
-        group.barrier();
+        // ---- (1) Injected faults, at the iteration boundary. ---------------
+        if have_faults {
+            process_due_faults(
+                w, faults, fstate, clock, &recorder, tracer, image.as_deref(), table, partition,
+                emb, cost, row_bytes,
+            );
+            // A crash rollback must be fully visible before any peer reads
+            // the shared table this iteration, or same-seed runs diverge on
+            // the rollback/read race.
+            group.barrier();
+        }
 
         // Publish the worker's simulated position so instants emitted deeper
         // in the stack (protocol decisions, traffic charges) land at this
@@ -641,78 +385,63 @@ fn run_epoch_sequential(ctx: WorkerEpoch<'_, '_, '_>) {
             t.set_worker_time(w, clock.now());
         }
         let batch_start = clock.now();
-        // ---- Assemble the batch (wrap-around over the local shard). --------
+        // ---- (2) Assemble the batch and read its embeddings. ---------------
         let t_fetch = profiler.start();
         assemble_batch(slot, shard, cursor, batch_size);
-        slot.advance_to(BatchStage::Fetch);
         sample_slices.clear();
         sample_slices.extend(slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
         let actual = sample_slices.len();
-
-        let mut have_grad = false;
-        if actual > 0 {
-            // ---- Embedding read under bounded asynchrony. ------------------
+        // (Degenerate empty-shard corner: skip the math, still join every
+        // rendezvous so peers don't deadlock.)
+        let have_grad = actual > 0;
+        if have_grad {
             slot.input.reset(actual, fields * dim);
             slot.read_report = emb.read_batch(&sample_slices, slot.input.data_mut());
         }
         profiler.wall(BatchStage::Fetch, t_fetch);
-        slot.advance_to(BatchStage::Compute);
-        if actual > 0 {
-            // ---- Dense forward/backward (real math, blocked kernels). -----
+        // ---- (3) Dense forward/backward (real math, blocked kernels). ------
+        if have_grad {
             let t_compute = profiler.start();
             dense_compute(
                 slot, model, dataset, pool.as_ref(), loss_sum_micro, loss_batches, nonfinite,
                 &recorder,
             );
             profiler.wall(BatchStage::Compute, t_compute);
-            have_grad = true;
         }
 
-        // Phase fence: every worker's reads drain before any gradient lands
-        // in the shared table, so a read never races a peer's same-iteration
-        // write-back. The write-backs themselves then run in rank order, one
-        // worker per sub-round: concurrent updates to a shared row do not
-        // commute under Adagrad (the g² accumulator changes the next step),
-        // so a canonical serialization is what makes same-seed runs — and
-        // checkpoint resumes — reproducible. None of this touches simulated
-        // time; it only pins which of the protocol's legal interleavings the
-        // host threads realize.
+        // ---- (4) Reads-done fence. -----------------------------------------
+        // Every worker's reads drain before any gradient lands in the shared
+        // table, so a read never races a peer's same-iteration write-back.
         group.barrier();
-        slot.advance_to(BatchStage::Push);
+        // ---- (5) Write-back, one rank at a time in ascending order. --------
+        // Concurrent updates to a shared row do not commute under Adagrad
+        // (the g² accumulator changes the next step), so a canonical
+        // serialization is what makes same-seed runs — and checkpoint
+        // resumes — reproducible.
         let t_push = profiler.start();
-        let mut up_report = None;
-        for rank in 0..group.num_participants() {
-            if rank == w && have_grad {
-                // ---- Embedding gradient write-back. ------------------------
-                up_report = Some(emb.apply_gradients(
-                    &sample_slices,
-                    slot.grad_input.data(),
-                    &cfg.embed_opt,
-                ));
-            }
-            group.barrier();
-        }
+        let up_report = group.in_rank_order(w, || {
+            have_grad.then(|| {
+                emb.apply_gradients(&sample_slices, slot.grad_input.data(), &cfg.embed_opt)
+            })
+        });
         profiler.wall(BatchStage::Push, t_push);
 
+        // ---- (6) Charge simulated time. ------------------------------------
         if let Some(up_report) = &up_report {
-            // ---- Charge simulated time. ------------------------------------
             charge_batch(
                 w, actual, fields, compute_scale, flops_per_sample, strategy, cost, clock,
-                ledger, tracer, samples, &slot.read_report, up_report, row_bytes, 0.0, false,
-                profiler,
+                ledger, tracer, samples, &slot.read_report, up_report, row_bytes, profiler,
             );
         }
 
-        // ---- Dense synchronisation. ----------------------------------------
-        slot.advance_to(BatchStage::Sync);
+        // ---- (7) Dense sync; also the writes-done rendezvous. --------------
         let t_sync = profiler.start();
         let sync_t = sync_dense(
             w, model, &mut dense_grads, &mut dense_quant, &mut sgd, cfg.grad_clip, strategy,
-            topology, cost, group, ledger, clock, tracer, dense_bytes, is_bsp, false,
+            topology, cost, group, ledger, clock, tracer, dense_bytes,
         );
         profiler.wall(BatchStage::Sync, t_sync);
         profiler.sim(BatchStage::Sync, sync_t);
-        slot.finish();
 
         if let Some(t) = tracer {
             trace_stage_spans(t, w, batch_start, profiler.pending_sim());
@@ -726,9 +455,10 @@ fn run_epoch_sequential(ctx: WorkerEpoch<'_, '_, '_>) {
         }
         profiler.finish_batch();
 
-        // Strict audit: agree collectively on whether the auditor tripped so
-        // every worker leaves at the same iteration boundary (a unilateral
-        // break would strand its peers in the next collective).
+        // ---- (8) Strict audit. ---------------------------------------------
+        // Agree collectively on whether the auditor tripped so every worker
+        // leaves at the same iteration boundary (a unilateral break would
+        // strand its peers in the next collective).
         if let Some(a) = auditor {
             if group.agree(a.is_tripped()) {
                 break;
@@ -748,353 +478,21 @@ fn run_epoch_sequential(ctx: WorkerEpoch<'_, '_, '_>) {
 }
 
 // ---------------------------------------------------------------------------
-// Depth >= 2: the prefetching pipeline.
-// ---------------------------------------------------------------------------
-
-fn run_epoch_pipelined(ctx: WorkerEpoch<'_, '_, '_>) {
-    let WorkerEpoch {
-        w,
-        shard,
-        dataset,
-        emb,
-        model,
-        slots,
-        pstats,
-        pool,
-        clock,
-        cursor,
-        iters,
-        epoch,
-        cfg,
-        strategy,
-        topology,
-        cost,
-        group,
-        ledger,
-        dense_bytes,
-        flops_per_sample,
-        samples,
-        loss_sum_micro,
-        loss_batches,
-        compute_scale,
-        batch_size,
-        tracer,
-        auditor,
-        table,
-        partition,
-        faults,
-        fstate,
-        image,
-        nonfinite,
-        recorder,
-        profiler,
-    } = ctx;
-    let dim = cfg.dim;
-    let fields = dataset.num_fields;
-    let is_bsp = matches!(strategy.dense_sync, DenseSync::AllReduce)
-        && matches!(strategy.embed_home, EmbedHome::Gpu);
-    let epoch_start = clock.now();
-    // Whether *any* worker can fault this run decides — uniformly across
-    // workers, so the collective schedules agree — whether the per-iteration
-    // fault fence is needed at all.
-    let have_faults =
-        (0..group.num_participants()).any(|p| !faults.worker_faults(p).is_empty());
-
-    // Pre-size the embedding scratch so the companion thread never grows
-    // buffers mid-prefetch (allocation hint only, never correctness).
-    emb.reserve_batch(batch_size, fields);
-    let mut emb_slot = Some(emb);
-
-    let mut driver = PipelineDriver::new(std::mem::take(slots));
-    let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
-    let mut dense_grads: Vec<f32> = Vec::new();
-    let mut sgd = Sgd::new(cfg.dense_lr);
-    // Dense-gradient wire transport; per-epoch, exactly as in the
-    // sequential schedule, so depths bit-match each other.
-    let mut dense_quant = DenseQuantizer::new(cfg.sync_format, cfg.sync_error_feedback);
-    let row_bytes = cfg.sync_format.row_wire_bytes(dim);
-    // The previous iteration's dense-sync seconds: the window a prefetched
-    // embedding read can hide behind on the simulated clock (the fetch
-    // genuinely ran during that sync on the wall clock).
-    let mut prev_sync_t = 0.0f64;
-
-    let cell = PrefetchCell {
-        state: Mutex::new(PrefetchState::Idle),
-        ready: Condvar::new(),
-    };
-    // Wake the companion at publish time only when the host has cores to
-    // spare beyond the worker main threads. On an oversubscribed host the
-    // freshly-woken companion wins the scheduler's favor, claims the job,
-    // and the main thread later blocks on it — a net loss over just running
-    // the fetch inline, which the steal-back path does for free. The
-    // companion still exists either way (and the shutdown wake still
-    // reaches it); this gate only decides who is *likely* to run the fetch,
-    // which the determinism contract is explicitly independent of.
-    let spare_cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
-        > group.num_participants();
-
-    std::thread::scope(|scope| {
-        let cell_ref = &cell;
-        scope.spawn(move || companion_loop(cell_ref, dataset, fields, dim, batch_size));
-
-        let mut inflight = false;
-        for i in 0..iters {
-            // ---- Acquire this iteration's slot (prefetched or inline). ----
-            // Fetch wall time from the main thread's perspective: the stall
-            // waiting on the companion, the steal-back inline read, or the
-            // first iteration's inline fetch — whichever path ran.
-            let t_fetch = profiler.start();
-            let mut slot = if inflight {
-                inflight = false;
-                let done = {
-                    let mut st = cell.state.lock().expect("prefetch cell poisoned");
-                    if matches!(&*st, PrefetchState::Published { .. }) {
-                        // The companion never took the job: steal it back
-                        // and fetch inline — same thread the sequential
-                        // schedule uses, no handoff, no waiting.
-                        let PrefetchState::Published { job, .. } =
-                            std::mem::replace(&mut *st, PrefetchState::Idle)
-                        else {
-                            unreachable!()
-                        };
-                        drop(st);
-                        execute_fetch(job, dataset, fields, dim, &mut sample_slices)
-                    } else {
-                        // Claimed (or already done): wait for the companion.
-                        let wait = Instant::now();
-                        while !matches!(&*st, PrefetchState::Done(_)) {
-                            st = cell.ready.wait(st).expect("prefetch cell poisoned");
-                        }
-                        pstats.stall_secs += wait.elapsed().as_secs_f64();
-                        let PrefetchState::Done(done) =
-                            std::mem::replace(&mut *st, PrefetchState::Idle)
-                        else {
-                            unreachable!()
-                        };
-                        pstats.prefetch_secs += done.fetch_secs;
-                        if let Some(t) = tracer {
-                            t.set_worker_time(w, clock.now());
-                            t.worker_instant(
-                                w,
-                                names::TRACE_PIPELINE_PREFETCH,
-                                &[("wall_secs", Json::F64(done.fetch_secs))],
-                            );
-                        }
-                        done
-                    }
-                };
-                pstats.prefetched += 1;
-                emb_slot = Some(done.emb);
-                done.ctx
-            } else {
-                // First iteration (or post-abort): fetch inline. The table
-                // is quiescent at an iteration boundary, so this is the
-                // same read the sequential schedule performs.
-                let mut slot = driver.acquire();
-                assemble_batch(&mut slot, shard, cursor, batch_size);
-                slot.advance_to(BatchStage::Fetch);
-                sample_slices.clear();
-                sample_slices
-                    .extend(slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
-                if !sample_slices.is_empty() {
-                    slot.input.reset(sample_slices.len(), fields * dim);
-                    let emb = emb_slot.as_deref_mut().expect("emb handle present");
-                    slot.read_report = emb.read_batch(&sample_slices, slot.input.data_mut());
-                }
-                slot
-            };
-            profiler.wall(BatchStage::Fetch, t_fetch);
-            pstats.batches += 1;
-            if let Some(t) = tracer {
-                t.set_worker_time(w, clock.now());
-            }
-            let batch_start = clock.now();
-            // The write-back needs the sample slices regardless of where the
-            // fetch ran; rebuilding them is a handful of pointer derefs.
-            sample_slices.clear();
-            sample_slices.extend(slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
-            let actual = sample_slices.len();
-
-            // ---- Reads-done fence: all fetches (pre- or inline) precede ----
-            // any same-iteration write-back, as in the sequential schedule.
-            group.barrier();
-
-            // ---- Dense compute on the slot's own tape. --------------------
-            slot.advance_to(BatchStage::Compute);
-            let mut have_grad = false;
-            if actual > 0 {
-                let t_compute = profiler.start();
-                dense_compute(
-                    &mut slot, model, dataset, pool.as_ref(), loss_sum_micro, loss_batches,
-                    nonfinite, &recorder,
-                );
-                profiler.wall(BatchStage::Compute, t_compute);
-                have_grad = true;
-            }
-
-            // ---- Write-back: token ring replaces the per-rank barriers. ---
-            // Same canonical rank-ascending serialization, two rendezvous
-            // (ring handoff + fence) instead of n + 1 full barriers.
-            slot.advance_to(BatchStage::Push);
-            let t_push = profiler.start();
-            let up_report = {
-                let emb = emb_slot.as_deref_mut().expect("emb handle present");
-                group.in_rank_order(w, || {
-                    have_grad.then(|| {
-                        emb.apply_gradients(
-                            &sample_slices,
-                            slot.grad_input.data(),
-                            &cfg.embed_opt,
-                        )
-                    })
-                })
-            };
-            profiler.wall(BatchStage::Push, t_push);
-            // ---- Writes-done ordering. ------------------------------------
-            // Before any thread may *execute* the batch i+1 fetch, every
-            // rank's ring turn must be complete — a low rank exits its turn
-            // while higher ranks are still writing. Three cases:
-            //  * auditing on: the abort vote below is a full rendezvous
-            //    entered by each rank only after its ring turn, so
-            //    return-from-vote already happens-after the last write;
-            //  * no vote, no spare cores: the published job is never offered
-            //    to the companion, so the fetch runs at steal-back time —
-            //    after this iteration's dense collective, itself a full
-            //    rendezvous past every ring turn;
-            //  * no vote, spare cores: the companion may start fetching the
-            //    moment the job is published, so an explicit barrier must
-            //    order the publish after the last ring turn.
-            // Injected faults keep the barrier unconditionally (rollbacks
-            // below must be ordered against every peer's write-back).
-            // None of these forms charges simulated time.
-            if have_faults || (auditor.is_none() && spare_cores) {
-                group.barrier();
-            }
-
-            // ---- Charge simulated time. -----------------------------------
-            if let Some(up_report) = &up_report {
-                let extra = if slot.prefetched { prev_sync_t } else { 0.0 };
-                charge_batch(
-                    w, actual, fields, compute_scale, flops_per_sample, strategy, cost,
-                    clock, ledger, tracer, samples, &slot.read_report, up_report, row_bytes,
-                    extra, slot.prefetched, profiler,
-                );
-            }
-
-            // ---- Injected faults (skipped entirely on fault-free runs). ---
-            if have_faults {
-                process_due_faults(
-                    w, faults, fstate, clock, &recorder, tracer, image.as_deref(), table,
-                    partition, emb_slot.as_deref_mut().expect("emb handle present"), cost,
-                    row_bytes,
-                );
-                // Rollback-visibility fence: no peer may prefetch (below)
-                // until every rollback is complete.
-                group.barrier();
-            }
-
-            // ---- Collective abort decision gates the next prefetch. -------
-            let tripped = match auditor {
-                Some(a) => group.agree(a.is_tripped()),
-                None => false,
-            };
-
-            // ---- Issue the prefetch for batch i + 1. ----------------------
-            // Safe: every worker has passed the writes-done fence (and the
-            // fault fence), so the table holds exactly this iteration's
-            // final state, and no peer can write batch i+1 gradients until
-            // after the next reads-done fence.
-            if !tripped && i + 1 < iters {
-                let mut next = driver.acquire();
-                assemble_batch(&mut next, shard, cursor, batch_size);
-                next.advance_to(BatchStage::Fetch);
-                // Issued ahead of consumption — deterministic, regardless of
-                // which thread the scheduler ends up running the fetch on.
-                next.prefetched = true;
-                let job = FetchJob {
-                    emb: emb_slot.take().expect("emb handle present"),
-                    ctx: next,
-                };
-                let mut st = cell.state.lock().expect("prefetch cell poisoned");
-                *st = PrefetchState::Published { job, offered: spare_cores };
-                if spare_cores {
-                    cell.ready.notify_one();
-                }
-                drop(st);
-                inflight = true;
-            }
-
-            // ---- Dense sync: one fused collective under BSP. --------------
-            slot.advance_to(BatchStage::Sync);
-            let t_sync = profiler.start();
-            prev_sync_t = sync_dense(
-                w, model, &mut dense_grads, &mut dense_quant, &mut sgd, cfg.grad_clip,
-                strategy, topology, cost, group, ledger, clock, tracer, dense_bytes, is_bsp,
-                is_bsp,
-            );
-            profiler.wall(BatchStage::Sync, t_sync);
-            profiler.sim(BatchStage::Sync, prev_sync_t);
-            slot.finish();
-
-            if let Some(t) = tracer {
-                trace_stage_spans(t, w, batch_start, profiler.pending_sim());
-                t.worker_span(
-                    w,
-                    names::TRACE_BATCH,
-                    batch_start,
-                    clock.now() - batch_start,
-                    &[("samples", Json::U64(actual as u64))],
-                );
-            }
-            profiler.finish_batch();
-            driver.recycle(slot);
-            if tripped {
-                break;
-            }
-        }
-        // Companion shutdown: flip the cell so its wait loop exits; the
-        // scope join waits for it. No prefetch is ever in flight here (the
-        // last iteration and the abort path both skip the issue).
-        let mut st = cell.state.lock().expect("prefetch cell poisoned");
-        *st = PrefetchState::Shutdown;
-        cell.ready.notify_all();
-    });
-
-    *slots = driver.into_slots();
-
-    if let Some(t) = tracer {
-        t.worker_span(
-            w,
-            names::TRACE_EPOCH,
-            epoch_start,
-            clock.now() - epoch_start,
-            &[("epoch", Json::U64(epoch as u64))],
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared stage bodies (both schedules run exactly this code).
+// Stage bodies.
 // ---------------------------------------------------------------------------
 
 /// Fills the slot's batch from the local shard, wrap-around over the
-/// persistent cursor — always on the main thread, so issue order equals
-/// cursor order at every depth.
+/// persistent cursor (an empty shard yields an empty batch).
 fn assemble_batch(slot: &mut StepCtx, shard: &[u32], cursor: &mut usize, batch_size: usize) {
     let bs = batch_size.min(shard.len().max(1));
     slot.batch_idx.clear();
     if !shard.is_empty() {
-        // (Degenerate empty-shard corner: skip math, still join
-        // collectives so peers don't deadlock.)
         for _ in 0..bs {
             slot.batch_idx.push(shard[*cursor % shard.len()]);
             *cursor += 1;
         }
     }
     slot.read_report = ReadReport::default();
-    slot.prefetched = false;
 }
 
 /// Dense forward/backward on the slot's tape — real math, blocked kernels,
@@ -1149,10 +547,7 @@ fn dense_compute(
 }
 
 /// Charges one batch's simulated time (compute, input pipeline, embedding
-/// comm, metadata) and records its traffic. `extra_overlap` widens the
-/// embedding read's hide-behind window by the previous iteration's
-/// dense-sync seconds when the read was prefetched; the sequential schedule
-/// passes `0.0, false` and is unchanged.
+/// comm, metadata) and records its traffic.
 #[allow(clippy::too_many_arguments)]
 fn charge_batch(
     w: usize,
@@ -1169,8 +564,6 @@ fn charge_batch(
     read_report: &ReadReport,
     up_report: &UpdateReport,
     row_bytes: u64,
-    extra_overlap: f64,
-    prefetched: bool,
     profiler: &mut StageProfiler,
 ) {
     // The straggler factor scales arithmetic throughput, not the
@@ -1197,9 +590,8 @@ fn charge_batch(
     let meta_t = comm.meta;
     profiler.sim(BatchStage::Fetch, comm.read);
     profiler.sim(BatchStage::Push, comm.write_back);
-    let window = if strategy.overlap { compute_t } else { 0.0 } + extra_overlap;
-    if strategy.overlap || prefetched {
-        clock.advance_overlapped(TimeCategory::EmbedComm, embed_t, window);
+    if strategy.overlap {
+        clock.advance_overlapped(TimeCategory::EmbedComm, embed_t, compute_t);
     } else {
         clock.advance(TimeCategory::EmbedComm, embed_t);
     }
@@ -1221,17 +613,15 @@ fn charge_batch(
 }
 
 /// Dense gradient synchronisation: mean-AllReduce, clip, SGD step, charges,
-/// and the BSP clock barrier. Returns the dense-sync seconds charged (the
-/// next iteration's prefetch overlap window).
+/// and the BSP clock barrier. Returns the dense-sync seconds charged.
 ///
-/// `fused == false` is the sequential schedule verbatim: plain
-/// `allreduce_mean`, then charges, then a separate f32 `allreduce_max`
-/// barrier under BSP. `fused == true` (pipelined BSP) charges first and
-/// then issues **one** [`AllReduceGroup::fused_mean_max`] whose max lane
-/// carries the post-charge clock — the gradient mean is bit-identical (same
-/// value-sorted summation, same `1/n` scaling); only the barrier's f64
-/// (vs f32) clock precision differs, which never feeds back into the math
-/// on fault-free runs.
+/// Under BSP the step charges first and then issues **one**
+/// [`AllReduceGroup::fused_mean_max`] whose f64 max lane carries the
+/// post-charge clock: the AllReduce is a barrier in simulated time too, and
+/// everyone leaves with the latest clock. ASP systems do not barrier —
+/// their simulated clocks drift freely — but the OS threads still
+/// rendezvous at the plain mean collective (math-level combining without a
+/// time barrier). The gradient mean is bitwise the same either way.
 #[allow(clippy::too_many_arguments)]
 fn sync_dense(
     w: usize,
@@ -1248,20 +638,22 @@ fn sync_dense(
     clock: &mut SimClock,
     tracer: Option<&TraceCollector>,
     dense_bytes: u64,
-    is_bsp: bool,
-    fused: bool,
 ) -> f64 {
+    let is_bsp = matches!(strategy.dense_sync, DenseSync::AllReduce)
+        && matches!(strategy.embed_home, EmbedHome::Gpu);
     model.flatten_grads_into(dense_grads);
-    // The local gradient crosses the wire once per collective; transporting
-    // it before the reduction (identical in the fused and plain paths)
-    // keeps losses depth-invariant under every format.
+    // The local gradient crosses the wire once per collective, before the
+    // reduction.
     quant.transport(dense_grads);
-    if fused {
-        debug_assert!(is_bsp, "the fused collective is a BSP barrier");
+    let charge_allreduce = |clock: &mut SimClock| {
         let t = cost.allreduce_time_at(dense_bytes, clock.now());
         trace_allreduce_span(tracer, topology, w, clock.now(), t, dense_bytes);
         clock.advance(TimeCategory::AllReduceComm, t);
         ledger.record(w, TrafficClass::AllReduce, allreduce_bytes(dense_bytes, topology), 1);
+        t
+    };
+    if is_bsp {
+        let t = charge_allreduce(clock);
         let (max_clock, _) = group.fused_mean_max(dense_grads, clock.now(), false);
         clip_and_step(model, dense_grads, sgd, grad_clip);
         clock.wait_until(max_clock);
@@ -1270,15 +662,8 @@ fn sync_dense(
 
     group.allreduce_mean(dense_grads);
     clip_and_step(model, dense_grads, sgd, grad_clip);
-
-    let t = match strategy.dense_sync {
-        DenseSync::AllReduce => {
-            let t = cost.allreduce_time_at(dense_bytes, clock.now());
-            trace_allreduce_span(tracer, topology, w, clock.now(), t, dense_bytes);
-            clock.advance(TimeCategory::AllReduceComm, t);
-            ledger.record(w, TrafficClass::AllReduce, allreduce_bytes(dense_bytes, topology), 1);
-            t
-        }
+    match strategy.dense_sync {
+        DenseSync::AllReduce => charge_allreduce(clock),
         DenseSync::PsAsync => {
             // Push gradients + pull parameters over the shared host link.
             let n = topology.num_workers() as u64;
@@ -1296,19 +681,7 @@ fn sync_dense(
             ledger.record(w, TrafficClass::AllReduce, 2 * dense_bytes, 2);
             t
         }
-    };
-
-    // BSP: the AllReduce is a barrier in simulated time too.
-    if is_bsp {
-        let mut m = [clock.now() as f32];
-        group.allreduce_max(&mut m);
-        clock.wait_until(m[0] as f64);
-    } else {
-        // ASP systems do not barrier; simulated clocks drift freely,
-        // but the OS threads still rendezvous at the collective above
-        // (math-level combining without a time barrier).
     }
-    t
 }
 
 /// Global-norm clip, then one SGD step on the (replicated) dense
@@ -1713,17 +1086,12 @@ mod tests {
         }
     }
 
-    fn run_shape(
-        data: &hetgmp_data::CtrDataset,
-        depth: usize,
-        threads: usize,
-    ) -> TrainResult {
+    fn run_threads(data: &hetgmp_data::CtrDataset, threads: usize) -> TrainResult {
         Trainer::new(
             data,
             Topology::pcie_island(2),
             StrategyConfig::het_gmp(100),
             TrainerConfig {
-                pipeline_depth: depth,
                 gemm_threads: threads,
                 ..fast_config()
             },
@@ -1733,94 +1101,44 @@ mod tests {
 
     /// Asserts the determinism contract between two fault-free runs: the
     /// whole training curve (losses, AUC, log-loss) matches bitwise.
-    /// Simulated times are deliberately excluded — prefetch overlap changes
-    /// the simulated schedule, never the math.
     fn assert_bit_identical(a: &TrainResult, b: &TrainResult, what: &str) {
         assert_eq!(a.curve.len(), b.curve.len(), "{what}: curve length");
         assert_eq!(a.samples_processed, b.samples_processed, "{what}: samples");
         for (pa, pb) in a.curve.iter().zip(&b.curve) {
-            assert_eq!(
-                pa.train_loss.to_bits(),
-                pb.train_loss.to_bits(),
-                "{what}: epoch {} train_loss {} vs {}",
-                pa.epoch,
-                pa.train_loss,
-                pb.train_loss
-            );
-            assert_eq!(
-                pa.auc.to_bits(),
-                pb.auc.to_bits(),
-                "{what}: epoch {} auc {} vs {}",
-                pa.epoch,
-                pa.auc,
-                pb.auc
-            );
-            assert_eq!(
-                pa.log_loss.to_bits(),
-                pb.log_loss.to_bits(),
-                "{what}: epoch {} log_loss {} vs {}",
-                pa.epoch,
-                pa.log_loss,
-                pb.log_loss
-            );
-        }
-    }
-
-    #[test]
-    fn depth_and_thread_matrix_is_bit_identical_to_sequential() {
-        let data = tiny_dataset();
-        let baseline = run_shape(&data, 1, 1);
-        assert!(baseline.final_auc > 0.55, "AUC {}", baseline.final_auc);
-        for depth in [1usize, 2, 4] {
-            for threads in [1usize, 2, 4] {
-                if (depth, threads) == (1, 1) {
-                    continue;
-                }
-                let r = run_shape(&data, depth, threads);
-                assert_bit_identical(
-                    &baseline,
-                    &r,
-                    &format!("depth {depth} x threads {threads}"),
+            for (name, va, vb) in [
+                ("train_loss", pa.train_loss, pb.train_loss),
+                ("auc", pa.auc, pb.auc),
+                ("log_loss", pa.log_loss, pb.log_loss),
+            ] {
+                assert_eq!(
+                    va.to_bits(),
+                    vb.to_bits(),
+                    "{what}: epoch {} {name} {va} vs {vb}",
+                    pa.epoch
                 );
             }
         }
     }
 
     #[test]
-    fn pipelined_run_reports_prefetch_stats() {
+    fn gemm_thread_matrix_is_bit_identical_to_sequential_kernels() {
         let data = tiny_dataset();
-        let r = run_shape(&data, 2, 1);
-        assert_eq!(
-            r.telemetry.gauge(names::PIPELINE_DEPTH).unwrap_or(0.0),
-            2.0
-        );
-        // Every iteration but each epoch's first consumes a prefetch.
-        let prefetched = r.telemetry.counter(names::PIPELINE_PREFETCHED_BATCHES);
-        assert!(prefetched > 0, "no batch was prefetched");
-        let occupancy = r
-            .telemetry
-            .gauge(names::PIPELINE_STAGE_OCCUPANCY)
-            .unwrap_or(0.0);
-        assert!(
-            occupancy > 0.5 && occupancy < 1.0,
-            "occupancy {occupancy} outside (0.5, 1.0)"
-        );
-        // The sequential run records the shape but no pipelined batches.
-        let seq = run_shape(&data, 1, 1);
-        assert_eq!(seq.telemetry.counter(names::PIPELINE_PREFETCHED_BATCHES), 0);
-        assert_eq!(
-            seq.telemetry.gauge(names::PIPELINE_DEPTH).unwrap_or(0.0),
-            1.0
-        );
+        let baseline = run_threads(&data, 1);
+        assert!(baseline.final_auc > 0.55, "AUC {}", baseline.final_auc);
+        for threads in [2usize, 4] {
+            let r = run_threads(&data, threads);
+            assert_bit_identical(&baseline, &r, &format!("gemm_threads {threads}"));
+            // Simulated time never depends on the host's thread count.
+            assert_eq!(baseline.sim_time.to_bits(), r.sim_time.to_bits());
+        }
     }
 
     #[test]
-    fn pipelined_strict_audit_crash_run_recovers_clean() {
-        // The PR 3 fault contract must survive the pipelined schedule at its
-        // deepest setting: a crash (with rollback) plus a stall under BSP +
-        // strict audit completes the full curve with zero violations, and the
-        // collective abort vote keeps every worker leaving at the same
-        // iteration boundary (a deadlock here would hang the test).
+    fn strict_audit_crash_run_recovers_clean() {
+        // The fault contract: a crash (with rollback) plus a stall under
+        // BSP + strict audit completes the full curve with zero violations,
+        // and the collective abort vote keeps every worker leaving at the
+        // same iteration boundary (a deadlock here would hang the test).
         let data = tiny_dataset();
         let faults = Arc::new(
             FaultSchedule::parse("stall@0:0.0:0.003; crash@1:0.000001", 2, 42).unwrap(),
@@ -1829,10 +1147,7 @@ mod tests {
             &data,
             Topology::pcie_island(2),
             StrategyConfig::het_gmp(0),
-            TrainerConfig {
-                pipeline_depth: 4,
-                ..fast_config()
-            },
+            fast_config(),
         )
         .with_audit(AuditMode::Strict)
         .with_faults(faults)
@@ -1840,7 +1155,7 @@ mod tests {
         let audit = r.audit.expect("audit enabled");
         assert_eq!(audit.total_violations(), 0, "{}", audit.render());
         assert!(audit.strict_failure.is_none());
-        assert_eq!(r.curve.len(), 2, "faulted pipelined run did not complete");
+        assert_eq!(r.curve.len(), 2, "faulted run did not complete");
         assert_eq!(r.telemetry.counter(names::FAULT_CRASHES), 1);
         assert_eq!(r.telemetry.counter(names::FAULT_STALLS), 1);
         assert!(r.breakdown.fault > 0.0, "no fault time charged");
@@ -1848,125 +1163,27 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_checkpoint_resume_matches_sequential_resume() {
-        // Checkpoint/resume operates on whole StepCtx slots: a depth-2 run
-        // resumed from a checkpoint replays exactly the math a sequential
-        // resume replays, so the two resumed runs match bitwise.
-        let dir = std::env::temp_dir().join(format!(
-            "hetgmp-pipeline-ckpt-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn gemm_threads_is_validated_by_builder_and_try_run() {
+        assert!(TrainerConfig::builder().gemm_threads(32).build().is_ok());
+        let err = TrainerConfig::builder().gemm_threads(0).build().unwrap_err();
+        assert_eq!(err.exit_code(), 78, "{err}");
+        assert!(err.to_string().contains("gemm_threads"), "{err}");
+        assert!(TrainerConfig::builder().gemm_threads(33).build().is_err());
+        // TrainerConfig's fields are public; a hand-built zero thread count
+        // would mean no GEMM workers, so try_run must reject it before any
+        // thread spawns.
         let data = tiny_dataset();
-        let full = Trainer::new(
+        let err = Trainer::new(
             &data,
             Topology::pcie_island(2),
-            StrategyConfig::het_gmp(0),
-            TrainerConfig {
-                checkpoint_every: 1,
-                checkpoint_dir: Some(dir.clone()),
-                pipeline_depth: 2,
-                ..fast_config()
-            },
-        )
-        .run();
-        let resume = |depth: usize| {
-            Trainer::new(
-                &data,
-                Topology::pcie_island(2),
-                StrategyConfig::het_gmp(0),
-                TrainerConfig {
-                    resume_from: Some(dir.join("ckpt-epoch-1.hgmr")),
-                    pipeline_depth: depth,
-                    ..fast_config()
-                },
-            )
-            .run()
-        };
-        let seq = resume(1);
-        let piped = resume(2);
-        assert_eq!(piped.curve.len(), 1, "resume should only run epoch 2");
-        assert_bit_identical(&seq, &piped, "resumed depth 2 vs resumed depth 1");
-        // And the resumed run agrees with the uninterrupted one within the
-        // established acceptance tolerance.
-        assert!(
-            (piped.final_auc - full.final_auc).abs() < 0.01,
-            "resumed {} vs uninterrupted {}",
-            piped.final_auc,
-            full.final_auc
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn builder_validates_pipeline_fields() {
-        assert!(TrainerConfig::builder().pipeline_depth(1).build().is_ok());
-        assert!(TrainerConfig::builder().pipeline_depth(8).build().is_ok());
-        let err = TrainerConfig::builder().pipeline_depth(0).build().unwrap_err();
-        assert_eq!(err.exit_code(), 78, "{err}");
-        assert!(err.to_string().contains("pipeline_depth"), "{err}");
-        assert!(TrainerConfig::builder().pipeline_depth(9).build().is_err());
-        assert!(TrainerConfig::builder().gemm_threads(32).build().is_ok());
-        assert!(TrainerConfig::builder().gemm_threads(0).build().is_err());
-        assert!(TrainerConfig::builder().gemm_threads(33).build().is_err());
-    }
-
-    #[test]
-    fn hand_built_zero_pipeline_config_is_an_error_not_a_hang() {
-        // TrainerConfig's fields are public; a zero depth would mean no batch
-        // slots (and a zero thread count no GEMM workers), so try_run must
-        // reject both before any thread spawns.
-        let data = tiny_dataset();
-        for cfg in [
-            TrainerConfig {
-                pipeline_depth: 0,
-                ..fast_config()
-            },
+            StrategyConfig::het_gmp(100),
             TrainerConfig {
                 gemm_threads: 0,
                 ..fast_config()
             },
-        ] {
-            let err = Trainer::new(
-                &data,
-                Topology::pcie_island(2),
-                StrategyConfig::het_gmp(100),
-                cfg,
-            )
-            .try_run()
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 78, "{err}");
-        }
-    }
-
-    #[test]
-    fn stage_transitions_enforce_the_legal_order() {
-        let mut ctx = StepCtx::new();
-        assert_eq!(ctx.stage(), BatchStage::Idle);
-        ctx.advance_to(BatchStage::Fetch);
-        ctx.advance_to(BatchStage::Compute);
-        ctx.advance_to(BatchStage::Push);
-        ctx.advance_to(BatchStage::Sync);
-        ctx.finish();
-        assert_eq!(ctx.stage(), BatchStage::Idle);
-        assert!(!BatchStage::Idle.can_advance_to(BatchStage::Compute));
-        assert!(!BatchStage::Fetch.can_advance_to(BatchStage::Push));
-        assert!(!BatchStage::Sync.can_advance_to(BatchStage::Fetch));
-    }
-
-    #[test]
-    fn driver_round_trips_its_slots() {
-        let mut driver = PipelineDriver::new(vec![StepCtx::new(), StepCtx::new()]);
-        assert_eq!(driver.depth(), 2);
-        let mut a = driver.acquire();
-        let _b = driver.acquire();
-        a.advance_to(BatchStage::Fetch);
-        a.advance_to(BatchStage::Compute);
-        a.advance_to(BatchStage::Push);
-        a.advance_to(BatchStage::Sync);
-        a.finish();
-        driver.recycle(a);
-        driver.recycle(_b);
-        assert_eq!(driver.into_slots().len(), 2);
+        )
+        .try_run()
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 78, "{err}");
     }
 }

@@ -47,9 +47,7 @@ use hetgmp_telemetry::{
 use hetgmp_tensor::{auc, log_loss, GemmPool, Matrix};
 
 use crate::models::{CtrModel, ModelKind};
-use crate::pipeline::{
-    mean_link_time, run_worker_epoch, PipelineStats, StageProfiler, StepCtx, WorkerEpoch,
-};
+use crate::pipeline::{mean_link_time, run_worker_epoch, StageProfiler, StepCtx, WorkerEpoch};
 use crate::strategy::{CacheDesign, EmbedHome, StrategyConfig};
 
 /// Where the primary embedding table keeps its rows.
@@ -119,16 +117,6 @@ pub struct TrainerConfig {
     /// epoch. The dataset, topology, strategy and hyper-parameters must
     /// match the run that wrote the checkpoint.
     pub resume_from: Option<PathBuf>,
-    /// Software-pipeline depth: the number of in-flight [`StepCtx`]
-    /// (crate::pipeline::StepCtx) batch slots per worker. `1` (the default)
-    /// is the classic fully sequential inner loop; `>= 2` runs each worker's
-    /// embedding fetch for batch `i+1` on a companion thread while batch `i`
-    /// finishes its dense sync, and replaces the per-rank write-back
-    /// barriers with a token ring plus one fused sync collective. Losses,
-    /// AUC and checkpoints are bit-identical across depths on fault-free
-    /// runs; only the simulated overlap accounting (and wall-clock speed)
-    /// changes.
-    pub pipeline_depth: usize,
     /// Worker threads per dense GEMM (`1` = sequential kernels). Values
     /// `>= 2` install a per-worker [`hetgmp_tensor::GemmPool`] that splits
     /// large GEMMs into row panels; panel splits are bit-identical to the
@@ -180,7 +168,6 @@ impl Default for TrainerConfig {
             checkpoint_every: 0,
             checkpoint_dir: None,
             resume_from: None,
-            pipeline_depth: 1,
             gemm_threads: 1,
             sync_format: SyncFormat::F32,
             sync_error_feedback: true,
@@ -313,13 +300,6 @@ impl TrainerConfigBuilder {
         self
     }
 
-    /// Software-pipeline depth (in-flight batch slots per worker; must lie
-    /// in `1..=8`). Depth 1 is the sequential inner loop.
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.cfg.pipeline_depth = depth;
-        self
-    }
-
     /// Threads per dense GEMM (must lie in `1..=32`). 1 keeps the
     /// sequential kernels.
     pub fn gemm_threads(mut self, threads: usize) -> Self {
@@ -400,12 +380,6 @@ impl TrainerConfigBuilder {
                 "checkpoint_dir is set but checkpoint_every is 0 (checkpointing disabled)",
             ));
         }
-        if !(1..=8).contains(&c.pipeline_depth) {
-            return Err(HetGmpError::config(
-                "pipeline_depth",
-                format!("must lie in 1..=8, got {}", c.pipeline_depth),
-            ));
-        }
         if !(1..=32).contains(&c.gemm_threads) {
             return Err(HetGmpError::config(
                 "gemm_threads",
@@ -438,12 +412,6 @@ pub struct EvalPoint {
     /// Mean training BCE loss over the epoch's batches — the objective `F`
     /// of the paper's Theorem 1 (the quantity that provably decreases).
     pub train_loss: f64,
-    /// Fraction of this epoch's batches served by a prefetch, summed over
-    /// workers (0 at `pipeline_depth == 1`, where nothing is prefetched).
-    pub stage_occupancy: f64,
-    /// Wall seconds this epoch's workers spent stalled waiting on a
-    /// prefetch that had not finished (0 at depth 1).
-    pub stall_secs: f64,
 }
 
 /// Everything measured in one training run.
@@ -503,7 +471,7 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
     };
     format!(
         "{strategy:?}|model={:?}|dim={}|hidden={:?}|batch={}|epochs={}|opt={:?}|lr={}|test={}|\
-         eval={}|target={:?}|clip={:?}|scales={:?}|hetero={}|ckpt_every={}|depth={}|threads={}|\
+         eval={}|target={:?}|clip={:?}|scales={:?}|hetero={}|ckpt_every={}|threads={}|\
          sync_format={}|sync_ef={}|storage={storage}|ordering={}",
         cfg.model,
         cfg.dim,
@@ -519,7 +487,6 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
         cfg.compute_scales,
         cfg.hetero_aware_batching,
         cfg.checkpoint_every,
-        cfg.pipeline_depth,
         cfg.gemm_threads,
         cfg.sync_format,
         cfg.sync_error_feedback,
@@ -528,8 +495,8 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
 }
 
 /// The run's primary store behind one dispatch point: in-memory or tiered.
-/// Everything downstream (workers, prefetch, checkpoints, evaluation)
-/// borrows it as `&dyn RowStore` and cannot tell the difference.
+/// Everything downstream (workers, checkpoints, evaluation) borrows it as
+/// `&dyn RowStore` and cannot tell the difference.
 enum StorageTable {
     Memory(ShardedTable),
     Tiered(TieredTable),
@@ -632,17 +599,12 @@ impl<'d> Trainer<'d> {
         self
     }
 
-    /// Overrides the software-pipeline shape of this trainer's config:
-    /// `depth` in-flight batch slots per worker
-    /// ([`TrainerConfig::pipeline_depth`]) and `gemm_threads` workers per
-    /// dense GEMM ([`TrainerConfig::gemm_threads`]). `None` keeps the
-    /// config's value. This is the experiment runners' hook path, so one
-    /// CLI flag applies a single pipeline setting to every run in an
-    /// experiment; the values are validated by [`Trainer::try_run`].
-    pub fn with_pipeline(mut self, depth: Option<usize>, gemm_threads: Option<usize>) -> Self {
-        if let Some(d) = depth {
-            self.config.pipeline_depth = d;
-        }
+    /// Overrides the worker threads per dense GEMM
+    /// ([`TrainerConfig::gemm_threads`]). `None` keeps the config's value —
+    /// the experiment runners' hook, so `--gemm-threads` applies one
+    /// setting to every run in an experiment; the value is validated by
+    /// [`Trainer::try_run`].
+    pub fn with_gemm_threads(mut self, gemm_threads: Option<usize>) -> Self {
         if let Some(t) = gemm_threads {
             self.config.gemm_threads = t;
         }
@@ -768,12 +730,9 @@ impl<'d> Trainer<'d> {
                 ),
             ));
         }
-        // TrainerBuilder validates the ranges, but TrainerConfig's fields are
-        // public — a hand-built config with a zero here would hang (no slots)
-        // or panic (no GEMM workers) deep in the run.
-        if cfg.pipeline_depth == 0 {
-            return Err(HetGmpError::config("pipeline_depth", "must be at least 1"));
-        }
+        // TrainerBuilder validates the range, but TrainerConfig's fields are
+        // public — a hand-built config with a zero here would panic (no GEMM
+        // workers) deep in the run.
         if cfg.gemm_threads == 0 {
             return Err(HetGmpError::config("gemm_threads", "must be at least 1"));
         }
@@ -781,7 +740,6 @@ impl<'d> Trainer<'d> {
             cfg.seed,
             RunManifest::digest_of(&config_digest_text(&self.strategy, cfg)),
             n,
-            cfg.pipeline_depth,
             cfg.gemm_threads,
         );
         if let Some(t) = &self.tracer {
@@ -935,14 +893,10 @@ impl<'d> Trainer<'d> {
                 )
             })
             .collect();
-        // One batch-slot pool per worker: every per-batch buffer (tape arena,
-        // embedding input, gradients) lives inside the pool's `StepCtx` slots
-        // for the whole run (zero steady-state allocations); the pipelined
-        // schedule double-buffers across them.
-        let mut slot_pools: Vec<Vec<StepCtx>> = (0..n)
-            .map(|_| (0..cfg.pipeline_depth).map(|_| StepCtx::new()).collect())
-            .collect();
-        let mut pipe_stats: Vec<PipelineStats> = vec![PipelineStats::default(); n];
+        // One batch slot per worker: every per-batch buffer (tape arena,
+        // embedding input, gradients) lives inside it for the whole run
+        // (zero steady-state allocations).
+        let mut slots: Vec<StepCtx> = (0..n).map(|_| StepCtx::new()).collect();
         // Per-worker stage profilers persist across epochs (their timer
         // calibration is paid once) and flush into the worker recorders at
         // every epoch boundary.
@@ -1056,10 +1010,6 @@ impl<'d> Trainer<'d> {
         // ---- Epoch loop ------------------------------------------------------
         let mut curve: Vec<EvalPoint> = Vec::with_capacity(cfg.epochs);
         let mut time_to_target: Option<f64> = None;
-        // Cumulative pipeline counters at the previous epoch boundary, so
-        // each EvalPoint carries this epoch's delta (the occupancy/stall
-        // timeline `inspect report` renders).
-        let (mut seen_prefetched, mut seen_batches, mut seen_stall) = (0u64, 0u64, 0.0f64);
         // Wall-clock throughput baseline (hotpath.*): simulated time measures
         // the modelled cluster; wall time measures this implementation.
         let wall_start = Instant::now();
@@ -1084,13 +1034,13 @@ impl<'d> Trainer<'d> {
             }
             std::thread::scope(|scope| {
                 // Move disjoint &mut of per-worker state into threads.
-                for (w, (((((emb, model), (clock, cursor)), fstate), (slots, pstats)), profiler)) in
+                for (w, (((((emb, model), (clock, cursor)), fstate), slot), profiler)) in
                     embeddings
                         .iter_mut()
                         .zip(models.iter_mut())
                         .zip(clocks.iter_mut().zip(cursors.iter_mut()))
                         .zip(fault_states.iter_mut())
-                        .zip(slot_pools.iter_mut().zip(pipe_stats.iter_mut()))
+                        .zip(slots.iter_mut())
                         .zip(profilers.iter_mut())
                         .enumerate()
                 {
@@ -1107,8 +1057,7 @@ impl<'d> Trainer<'d> {
                             dataset,
                             emb: &mut **emb,
                             model,
-                            slots,
-                            pstats,
+                            slot,
                             pool,
                             clock,
                             cursor,
@@ -1259,25 +1208,12 @@ impl<'d> Trainer<'d> {
             let batches = loss_batches.load(Ordering::Relaxed).max(1);
             let train_loss =
                 loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
-            let tot_prefetched: u64 = pipe_stats.iter().map(|p| p.prefetched).sum();
-            let tot_batches: u64 = pipe_stats.iter().map(|p| p.batches).sum();
-            let tot_stall: f64 = pipe_stats.iter().map(|p| p.stall_secs).sum();
-            let epoch_batches = tot_batches - seen_batches;
-            let stage_occupancy = if epoch_batches > 0 {
-                (tot_prefetched - seen_prefetched) as f64 / epoch_batches as f64
-            } else {
-                0.0
-            };
-            let stall_secs = tot_stall - seen_stall;
-            (seen_prefetched, seen_batches, seen_stall) = (tot_prefetched, tot_batches, tot_stall);
             curve.push(EvalPoint {
                 epoch,
                 sim_time,
                 auc: auc_v,
                 log_loss: ll,
                 train_loss,
-                stage_occupancy,
-                stall_secs,
             });
             registry.global().gauge_set(names::TRAIN_AUC, auc_v);
             registry.global().gauge_set(names::TRAIN_SIM_TIME, sim_time);
@@ -1364,18 +1300,18 @@ impl<'d> Trainer<'d> {
         // violations (must stay 0), and dense-path-only throughput.
         registry.global().counter_add(
             names::DENSE_GEMM_FLOPS,
-            slot_pools.iter().flatten().map(|s| s.tape.flops()).sum::<u64>(),
+            slots.iter().map(|s| s.tape.flops()).sum::<u64>(),
         );
         registry.global().gauge_set(
             names::DENSE_ARENA_BYTES,
-            slot_pools.iter().flatten().map(|s| s.tape.arena_bytes()).sum::<usize>() as f64,
+            slots.iter().map(|s| s.tape.arena_bytes()).sum::<usize>() as f64,
         );
         registry.global().gauge_set(
             names::DENSE_TAPE_GROWTH,
-            slot_pools.iter().flatten().map(|s| s.tape.post_warmup_growth()).sum::<u64>() as f64,
+            slots.iter().map(|s| s.tape.post_warmup_growth()).sum::<u64>() as f64,
         );
-        let dense_secs: f64 = slot_pools.iter().flatten().map(|s| s.tape.dense_secs).sum();
-        let dense_samples: u64 = slot_pools.iter().flatten().map(|s| s.tape.dense_samples).sum();
+        let dense_secs: f64 = slots.iter().map(|s| s.tape.dense_secs).sum();
+        let dense_samples: u64 = slots.iter().map(|s| s.tape.dense_samples).sum();
         registry.global().gauge_set(
             names::DENSE_SAMPLES_PER_SEC,
             if dense_secs > 0.0 {
@@ -1384,35 +1320,11 @@ impl<'d> Trainer<'d> {
                 0.0
             },
         );
-        // Pipeline telemetry: configured shape, prefetch effectiveness, and
-        // how much overlappable simulated time the overlap machinery hid.
-        registry
-            .global()
-            .gauge_set(names::PIPELINE_DEPTH, cfg.pipeline_depth as f64);
+        // The configured GEMM fan-out, and how much overlappable simulated
+        // communication hid behind compute (`strategy.overlap`).
         registry
             .global()
             .gauge_set(names::PIPELINE_GEMM_THREADS, cfg.gemm_threads as f64);
-        let prefetched: u64 = pipe_stats.iter().map(|p| p.prefetched).sum();
-        let pipe_batches: u64 = pipe_stats.iter().map(|p| p.batches).sum();
-        registry
-            .global()
-            .counter_add(names::PIPELINE_PREFETCHED_BATCHES, prefetched);
-        registry.global().gauge_set(
-            names::PIPELINE_STALL_SECS,
-            pipe_stats.iter().map(|p| p.stall_secs).sum::<f64>(),
-        );
-        registry.global().gauge_set(
-            names::PIPELINE_PREFETCH_SECS,
-            pipe_stats.iter().map(|p| p.prefetch_secs).sum::<f64>(),
-        );
-        registry.global().gauge_set(
-            names::PIPELINE_STAGE_OCCUPANCY,
-            if pipe_batches > 0 {
-                prefetched as f64 / pipe_batches as f64
-            } else {
-                0.0
-            },
-        );
         let hidden: f64 = clocks.iter().map(|c| c.hidden_secs()).sum();
         let overlappable: f64 = clocks.iter().map(|c| c.overlappable_secs()).sum();
         registry.global().gauge_set(
@@ -1420,8 +1332,8 @@ impl<'d> Trainer<'d> {
             if overlappable > 0.0 { hidden / overlappable } else { 0.0 },
         );
         // What the profilers cost this run: their own bookkeeping plus the
-        // calibrated price of every timestamp the stage loops took. The
-        // pipeline bench asserts this stays under 2% of hot-path wall time.
+        // calibrated price of every timestamp the stage loops took.
+        // `bench_dense` asserts this stays under 2% of hot-path wall time.
         registry.global().gauge_set(
             names::TELEMETRY_OVERHEAD_SECS,
             profilers.iter().map(StageProfiler::overhead_secs).sum::<f64>(),

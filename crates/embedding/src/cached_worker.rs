@@ -190,13 +190,6 @@ impl<'a> CachedWorkerEmbedding<'a> {
         )
     }
 
-    /// Pre-sizes every read/apply scratch buffer for batches of up to
-    /// `batch × fields` lookups (see `WorkerEmbedding::reserve_batch`).
-    pub fn reserve_batch(&mut self, batch: usize, fields: usize) {
-        self.scratch.reserve(batch, fields, self.table.dim());
-        self.fill_actions.reserve(batch.saturating_mul(fields));
-    }
-
     /// Reads a batch under intra-embedding bounded staleness with dynamic
     /// admission.
     pub fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {

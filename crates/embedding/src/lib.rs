@@ -79,14 +79,6 @@ pub trait EmbeddingWorker: Send {
     ) -> UpdateReport;
     /// Flushes any deferred state (epoch/evaluation barriers).
     fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport;
-    /// Pre-sizes hot-path scratch for batches of up to `batch` samples ×
-    /// `fields` lookups each, so the first batches (and the pipelined
-    /// trainer's prefetch stage, which runs `read_batch` on a companion
-    /// thread) never grow buffers mid-flight. Purely an allocation hint —
-    /// never required for correctness. Default is a no-op.
-    fn reserve_batch(&mut self, batch: usize, fields: usize) {
-        let _ = (batch, fields);
-    }
     /// Refreshes every worker-local replica / cached row from the
     /// authoritative table. Called at epoch barriers *after* all workers
     /// have flushed, so the in-memory state entering the next epoch is
@@ -147,9 +139,6 @@ pub trait EmbeddingWorker: Send {
 }
 
 impl EmbeddingWorker for WorkerEmbedding<'_> {
-    fn reserve_batch(&mut self, batch: usize, fields: usize) {
-        WorkerEmbedding::reserve_batch(self, batch, fields)
-    }
     fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
         WorkerEmbedding::read_batch(self, samples, out)
     }
@@ -191,9 +180,6 @@ impl EmbeddingWorker for WorkerEmbedding<'_> {
 }
 
 impl EmbeddingWorker for CachedWorkerEmbedding<'_> {
-    fn reserve_batch(&mut self, batch: usize, fields: usize) {
-        CachedWorkerEmbedding::reserve_batch(self, batch, fields)
-    }
     fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
         CachedWorkerEmbedding::read_batch(self, samples, out)
     }

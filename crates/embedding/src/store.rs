@@ -2,10 +2,10 @@
 //!
 //! [`RowStore`] is the exact surface of [`ShardedTable`] — per-row and
 //! batched reads/updates/writes, clocks, checkpoint restore hooks — as an
-//! object-safe trait, so the workers, the LFU cache, the pipeline prefetch
-//! stage, and checkpointing are all written against `&dyn RowStore` and do
-//! not care whether rows live in RAM ([`ShardedTable`]) or partly in spill
-//! files ([`crate::TieredTable`]). `&ShardedTable` coerces to
+//! object-safe trait, so the workers, the LFU cache, and checkpointing are
+//! all written against `&dyn RowStore` and do not care whether rows live in
+//! RAM ([`ShardedTable`]) or partly in spill files
+//! ([`crate::TieredTable`]). `&ShardedTable` coerces to
 //! `&dyn RowStore` at every existing call site, so in-memory users are
 //! unchanged.
 

@@ -4,8 +4,8 @@
 //! [`TieredTable`] implements the exact [`RowStore`] surface of
 //! [`crate::ShardedTable`] — same batched API, same per-row FP operation
 //! sequence, same stable duplicate-row ordering — so workers, the LFU
-//! cache, the pipeline prefetch stage, and checkpointing are unchanged
-//! clients, and every result is **bit-identical** to the in-memory store
+//! cache, and checkpointing are unchanged clients, and every result is
+//! **bit-identical** to the in-memory store
 //! (enforced by `tests/tiered_differential.rs`).
 //!
 //! # Layout
@@ -283,8 +283,7 @@ impl TierState {
 
 /// The spillable primary store. See the module docs for layout, spill
 /// format, and eviction policy. All operations are `&self` and safe for
-/// concurrent worker threads (one internal lock serialises tier state;
-/// the pipelined trainer's prefetch thread shares it safely).
+/// concurrent worker threads (one internal lock serialises tier state).
 pub struct TieredTable {
     dim: usize,
     num_rows: usize,

@@ -400,8 +400,7 @@ impl<'a> WorkerEmbedding<'a> {
     }
 
     /// Pre-sizes every read/apply scratch buffer for batches of up to
-    /// `batch × fields` lookups, so no steady-state batch — including ones
-    /// prefetched off-thread by the pipelined trainer — grows a buffer.
+    /// `batch × fields` lookups, so no steady-state batch grows a buffer.
     pub fn reserve_batch(&mut self, batch: usize, fields: usize) {
         self.scratch.reserve(batch, fields, self.table.dim());
     }

@@ -4,7 +4,7 @@
 //! hand duplicate row ids to a batched read.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use hetgmp_embedding::{
     BatchScratch, CachedWorkerEmbedding, ReadPath, ReadPathStats, RowStore, ShardedTable,
@@ -19,7 +19,9 @@ use proptest::prelude::*;
 /// coordinates equal) while readers hammer the snapshot path. Any torn read
 /// — a copy straddling a row mutation — would surface as a row whose
 /// coordinates disagree, because every consistent version of every row is
-/// uniform by construction.
+/// uniform by construction. Writer and readers start together on a barrier
+/// and every reader reads at least once before it checks `stop`, so the
+/// stress is never vacuous however fast the writer finishes.
 #[test]
 fn snapshot_reads_never_observe_torn_rows() {
     const ROWS: usize = 512;
@@ -28,8 +30,10 @@ fn snapshot_reads_never_observe_torn_rows() {
     // init_scale 0.0: every row starts uniform (all zeros).
     let table = ShardedTable::new(ROWS, DIM, 0.0, 7);
     let stop = AtomicBool::new(false);
+    let start = Barrier::new(READERS + 1);
     std::thread::scope(|s| {
         s.spawn(|| {
+            start.wait();
             let opt = SparseOpt::sgd(1.0);
             let mut scratch = BatchScratch::default();
             let mut clocks = vec![0u64; 4];
@@ -54,7 +58,8 @@ fn snapshot_reads_never_observe_torn_rows() {
                 let mut out = vec![0.0f32; ROWS * DIM];
                 let mut clocks = vec![0u64; ROWS];
                 let mut row_buf = vec![0.0f32; DIM];
-                while !stop.load(Ordering::Acquire) {
+                start.wait();
+                loop {
                     table.read_rows_snapshot(&all, &mut out, &mut clocks);
                     for (k, chunk) in out.chunks_exact(DIM).enumerate() {
                         let first = chunk[0].to_bits();
@@ -70,6 +75,9 @@ fn snapshot_reads_never_observe_torn_rows() {
                         row_buf.iter().all(|v| v.to_bits() == first),
                         "torn row {probe}: {row_buf:?}"
                     );
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
                 }
             });
         }

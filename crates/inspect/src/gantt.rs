@@ -82,8 +82,8 @@ pub fn render_gantt(artifact: &Artifact) -> Result<String, HetGmpError> {
     if let Some(m) = manifest {
         let _ = writeln!(
             out,
-            "manifest: seed={} digest={} workers={} depth={} gemm_threads={}",
-            m.seed, m.config_digest, m.workers, m.pipeline_depth, m.gemm_threads,
+            "manifest: seed={} digest={} workers={} gemm_threads={}",
+            m.seed, m.config_digest, m.workers, m.gemm_threads,
         );
     }
     if tracks.is_empty() {

@@ -8,8 +8,8 @@
 //!
 //! * [`report`] — a Figure 8-style breakdown of one telemetry log: traffic
 //!   volume by class (embed data / keys+clocks / AllReduce), simulated time
-//!   by category, the per-epoch pipeline occupancy/stall timeline, and
-//!   (on request) the wall-clock per-stage histograms.
+//!   by category and stage, the per-epoch timeline, and (on request) the
+//!   wall-clock per-stage histograms.
 //! * [`gantt`] — an ASCII per-track occupancy timeline rendered from a
 //!   Chrome trace file: which worker/link was busy when, and how occupied
 //!   each pipeline stage kept its timeline.

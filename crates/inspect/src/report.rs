@@ -2,11 +2,11 @@
 //! pipeline timeline, rendered from one telemetry JSONL log.
 //!
 //! The default report prints only *deterministic* quantities — simulated
-//! seconds, exact traffic bytes, per-epoch occupancy — so the same seed and
+//! seconds, exact traffic bytes, per-epoch AUC — so the same seed and
 //! configuration reproduce the same report byte-for-byte (the
 //! `inspect-smoke` golden comparison relies on this). Wall-clock sections
-//! (per-stage wall histograms, stall seconds, profiler overhead) are added
-//! only when `wall` is requested.
+//! (per-stage wall histograms, profiler overhead) are added only when
+//! `wall` is requested.
 
 use crate::artifact::Artifact;
 use hetgmp_telemetry::{names, HetGmpError, Json};
@@ -47,12 +47,10 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     if let Some(m) = manifest {
         let _ = writeln!(
             out,
-            "manifest: seed={} digest={} workers={} depth={} gemm_threads={} \
-             git={}{} profile={}",
+            "manifest: seed={} digest={} workers={} gemm_threads={} git={}{} profile={}",
             m.seed,
             m.config_digest,
             m.workers,
-            m.pipeline_depth,
             m.gemm_threads,
             m.git_rev,
             if m.git_dirty == Some(true) { "+dirty" } else { "" },
@@ -147,16 +145,12 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         }
     }
 
-    // ---- Pipeline shape and epoch timeline -------------------------------
-    if let (Some(depth), Some(threads)) =
-        (gauge(names::PIPELINE_DEPTH), gauge(names::PIPELINE_GEMM_THREADS))
-    {
+    // ---- Runtime shape ---------------------------------------------------
+    if let Some(threads) = gauge(names::PIPELINE_GEMM_THREADS) {
         let _ = writeln!(
             out,
-            "\npipeline: depth={depth:.0} gemm_threads={threads:.0} overlap_ratio={:.3} \
-             occupancy={:.3}",
+            "\npipeline: gemm_threads={threads:.0} overlap_ratio={:.3}",
             gauge(names::PIPELINE_OVERLAP_RATIO).unwrap_or(0.0),
-            gauge(names::PIPELINE_STAGE_OCCUPANCY).unwrap_or(0.0),
         );
     }
     // ---- Tiered storage (present only when the run spilled) --------------
@@ -215,8 +209,7 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     // Gated on the mode gauge so logs written before the seqlock read path
     // existed render unchanged. Only the *mode* is deterministic; the
     // snapshot/fallback split and the retry count depend on real thread
-    // timing once a prefetch stage contends with the sync writer, so the
-    // counters live in the wall-clock section below.
+    // timing, so the counters live in the wall-clock section below.
     if let Some(mode) = gauge(names::HOTPATH_READ_MODE) {
         let _ = writeln!(
             out,
@@ -231,19 +224,14 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         .collect();
     if !epochs.is_empty() {
         let _ = writeln!(out, "\nepoch timeline");
-        let _ = writeln!(
-            out,
-            "  {:<6} {:>12} {:>8} {:>10}",
-            "epoch", "sim_secs", "auc", "occupancy"
-        );
+        let _ = writeln!(out, "  {:<6} {:>12} {:>8}", "epoch", "sim_secs", "auc");
         for e in &epochs {
             let _ = writeln!(
                 out,
-                "  {:<6} {:>12.4} {:>8.4} {:>10.3}",
+                "  {:<6} {:>12.4} {:>8.4}",
                 e.get("epoch").and_then(Json::as_u64).unwrap_or(0),
                 e.get("sim_time_secs").and_then(Json::as_f64).unwrap_or(0.0),
                 e.get("auc").and_then(Json::as_f64).unwrap_or(0.0),
-                e.get("stage_occupancy").and_then(Json::as_f64).unwrap_or(0.0),
             );
         }
     }
@@ -256,9 +244,6 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         }
         if let Some(v) = gauge(names::TELEMETRY_OVERHEAD_SECS) {
             let _ = writeln!(out, "  telemetry.overhead_secs    {v:.6}");
-        }
-        if let Some(v) = gauge(names::PIPELINE_STALL_SECS) {
-            let _ = writeln!(out, "  pipeline.stall_secs        {v:.6}");
         }
         if gauge(names::HOTPATH_READ_MODE).is_some() {
             let snap = counter(names::HOTPATH_READ_SNAPSHOT);
@@ -295,18 +280,17 @@ mod tests {
     use hetgmp_telemetry::RunManifest;
 
     fn sample_log() -> String {
-        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4, 2, 1);
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4, 1);
         format!(
             "{}\n{}\n{}\n",
             m.to_record().render(),
-            r#"{"event":"epoch","epoch":1,"sim_time_secs":2.5,"auc":0.71,"stage_occupancy":0.96,"stall_secs":0.001}"#,
+            r#"{"event":"epoch","epoch":1,"sim_time_secs":2.5,"auc":0.71}"#,
             concat!(
                 r#"{"event":"final","system":"HET-GMP(s=100)","auc":0.72,"#,
                 r#""counters":{"traffic.bytes.embed_data":600,"traffic.bytes.keys_clocks":100,"#,
                 r#""traffic.bytes.allreduce":300,"traffic.messages.embed_data":6},"#,
                 r#""gauges":{"time.compute_secs":1.0,"time.embed_comm_secs":0.5,"#,
-                r#""pipeline.depth":2.0,"pipeline.gemm_threads":1.0,"#,
-                r#""pipeline.overlap_ratio":0.9,"pipeline.stage.occupancy":0.96,"#,
+                r#""pipeline.gemm_threads":1.0,"pipeline.overlap_ratio":0.9,"#,
                 r#""telemetry.overhead_secs":0.002},"#,
                 r#""histograms":{"pipeline.stage.fetch.sim_secs":"#,
                 r#"{"count":10,"sum":0.5,"min":0.04,"max":0.06,"mean":0.05,"#,
@@ -339,7 +323,7 @@ mod tests {
         let r = render_report(&a, false).unwrap();
         assert!(!r.contains("tiered storage"), "{r}");
 
-        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1, 1, 1);
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1, 1);
         let log = format!(
             "{}\n{}\n",
             m.to_record().render(),
@@ -383,7 +367,7 @@ mod tests {
         let a = Artifact::parse(&sample_log()).unwrap();
         assert!(!render_report(&a, true).unwrap().contains("read path"), "old log grew a section");
 
-        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1, 1, 1);
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1, 1);
         let log = format!(
             "{}\n{}\n",
             m.to_record().render(),

@@ -221,33 +221,15 @@ pub mod names {
     /// end-to-end throughput lives in `hotpath.samples_per_sec`).
     pub const DENSE_SAMPLES_PER_SEC: &str = "dense.samples_per_sec";
 
-    /// Gauge: configured pipeline depth (`StepCtx` slots per worker; 1 =
-    /// sequential legacy path).
-    pub const PIPELINE_DEPTH: &str = "pipeline.depth";
     /// Gauge: configured row-panel GEMM threads per worker.
     pub const PIPELINE_GEMM_THREADS: &str = "pipeline.gemm_threads";
-    /// Counter: batches whose embedding fetch was issued ahead of time by
-    /// the prefetch stage (depth ≥ 2 only).
-    pub const PIPELINE_PREFETCHED_BATCHES: &str = "pipeline.prefetch.batches";
-    /// Counter (seconds): wall-clock time workers spent blocked waiting on
-    /// a prefetched batch that was not ready yet — the pipeline's stall
-    /// time. 0 means every fetch was fully hidden.
+    /// Retired with the prefetch stage and emitted by nothing; the name is
+    /// reserved because `benchmark/src/child.rs` still reads it (as 0).
     pub const PIPELINE_STALL_SECS: &str = "pipeline.stall_secs";
-    /// Counter (seconds): wall-clock time the prefetch stage spent fetching
-    /// batches off the critical path (the work that stalls would otherwise
-    /// expose).
-    pub const PIPELINE_PREFETCH_SECS: &str = "pipeline.prefetch.wall_secs";
     /// Gauge: fraction of overlappable simulated communication hidden
     /// behind compute windows, aggregated over workers (deterministic —
     /// derived from `SimClock` charges, not wall time).
     pub const PIPELINE_OVERLAP_RATIO: &str = "pipeline.overlap_ratio";
-    /// Gauge: fraction of batches in which the fetch stage ran concurrently
-    /// with a compute stage (prefetched batches / total batches) — the
-    /// stage-occupancy figure reported by `BENCH_pipeline.json`.
-    pub const PIPELINE_STAGE_OCCUPANCY: &str = "pipeline.stage.occupancy";
-    /// Trace track: one span per prefetched batch on the companion fetch
-    /// thread (wall-clock duration of the background `read_batch`).
-    pub const TRACE_PIPELINE_PREFETCH: &str = "trace.pipeline.prefetch";
 
     /// Per-stage attribution histograms, suffixed
     /// `<stage>.wall_secs` / `<stage>.sim_secs` where `<stage>` is one of
@@ -259,8 +241,8 @@ pub mod names {
     pub const PIPELINE_STAGES: [&str; 4] = ["fetch", "compute", "write_back", "sync"];
     /// Gauge (seconds): wall time the telemetry/profiling machinery itself
     /// consumed on the hot path (stage timestamps + histogram folds),
-    /// summed over workers. The bench asserts this stays under 2% of the
-    /// hot-path wall time.
+    /// summed over workers. `bench_dense` asserts this stays under 2% of
+    /// the hot-path wall time.
     pub const TELEMETRY_OVERHEAD_SECS: &str = "telemetry.overhead_secs";
     /// Trace spans: per-stage sub-spans of a batch on the worker timeline
     /// (sync trace level only), suffixed by the [`PIPELINE_STAGES`] label.

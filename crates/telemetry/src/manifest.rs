@@ -1,14 +1,13 @@
 //! Run manifests: the provenance header stamped into every artifact.
 //!
 //! A [`RunManifest`] records what produced an artifact — seed, a digest of
-//! the strategy/trainer configuration, topology size, pipeline depth, GEMM
-//! threads, git revision, and build profile — so any two telemetry JSONLs,
-//! Chrome traces, or `BENCH_*.json` files are self-describing and
-//! `het-gmp inspect diff` can refuse to silently compare apples to
-//! oranges. Writers stamp it as the first JSONL record
-//! (`{"event":"manifest","manifest":{...}}`), under `otherData.manifest`
-//! in Chrome traces, and as a top-level `"manifest"` object in bench
-//! JSON.
+//! the strategy/trainer configuration, topology size, GEMM threads, git
+//! revision, and build profile — so any two telemetry JSONLs, Chrome
+//! traces, or `BENCH_*.json` files are self-describing and `het-gmp inspect
+//! diff` can refuse to silently compare apples to oranges. Writers stamp it
+//! as the first JSONL record (`{"event":"manifest","manifest":{...}}`),
+//! under `otherData.manifest` in Chrome traces, and as a top-level
+//! `"manifest"` object in bench JSON.
 
 use crate::json::Json;
 
@@ -29,8 +28,6 @@ pub struct RunManifest {
     pub config_digest: String,
     /// Number of embedding workers in the simulated topology.
     pub workers: u64,
-    /// Software-pipeline depth (`StepCtx` slots per worker).
-    pub pipeline_depth: u64,
     /// Row-panel GEMM threads per worker.
     pub gemm_threads: u64,
     /// Git revision the binary was built from ("unknown" outside git).
@@ -49,7 +46,6 @@ impl RunManifest {
         seed: u64,
         config_digest: impl Into<String>,
         workers: usize,
-        pipeline_depth: usize,
         gemm_threads: usize,
     ) -> Self {
         Self {
@@ -57,7 +53,6 @@ impl RunManifest {
             seed,
             config_digest: config_digest.into(),
             workers: workers as u64,
-            pipeline_depth: pipeline_depth as u64,
             gemm_threads: gemm_threads as u64,
             git_rev: git_rev().to_string(),
             git_dirty: git_dirty(),
@@ -87,7 +82,6 @@ impl RunManifest {
             ("seed", Json::U64(self.seed)),
             ("config_digest", Json::from(self.config_digest.as_str())),
             ("workers", Json::U64(self.workers)),
-            ("pipeline_depth", Json::U64(self.pipeline_depth)),
             ("gemm_threads", Json::U64(self.gemm_threads)),
             ("git_rev", Json::from(self.git_rev.as_str())),
             ("git_dirty", self.git_dirty.map_or(Json::Null, Json::Bool)),
@@ -114,7 +108,6 @@ impl RunManifest {
             seed: v.get("seed")?.as_u64()?,
             config_digest: v.get("config_digest")?.as_str()?.to_string(),
             workers: v.get("workers")?.as_u64()?,
-            pipeline_depth: v.get("pipeline_depth")?.as_u64()?,
             gemm_threads: v.get("gemm_threads")?.as_u64()?,
             git_rev: v.get("git_rev")?.as_str()?.to_string(),
             git_dirty: v.get("git_dirty").and_then(Json::as_bool),
@@ -139,7 +132,6 @@ impl RunManifest {
         field("seed", &self.seed, &other.seed);
         field("config_digest", &self.config_digest, &other.config_digest);
         field("workers", &self.workers, &other.workers);
-        field("pipeline_depth", &self.pipeline_depth, &other.pipeline_depth);
         field("gemm_threads", &self.gemm_threads, &other.gemm_threads);
         field("build_profile", &self.build_profile, &other.build_profile);
         out
@@ -176,7 +168,7 @@ mod tests {
     use super::*;
 
     fn sample() -> RunManifest {
-        RunManifest::new(42, RunManifest::digest_of("cfg"), 4, 2, 1)
+        RunManifest::new(42, RunManifest::digest_of("cfg"), 4, 1)
     }
 
     #[test]
@@ -220,6 +212,19 @@ mod tests {
         let back = RunManifest::from_json(&old).expect("pre-git_dirty artifact loads");
         assert_eq!(back.git_dirty, None);
         assert_eq!(back.git_rev, sample().git_rev);
+    }
+
+    #[test]
+    fn headers_with_the_retired_pipeline_depth_key_still_load() {
+        // Artifacts written before the one-schedule trainer carry the key;
+        // it is ignored on load and never reported as a mismatch.
+        let mut old = sample().to_json();
+        if let Json::Obj(members) = &mut old {
+            members.push(("pipeline_depth".to_string(), Json::U64(2)));
+        }
+        let back = RunManifest::from_json(&old).expect("legacy artifact loads");
+        assert_eq!(back, sample());
+        assert!(sample().mismatches(&back).is_empty());
     }
 
     #[test]

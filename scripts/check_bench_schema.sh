@@ -5,8 +5,6 @@
 #   per-row embedding ops + end-to-end throughput;
 #   BENCH_dense.json    (make bench-dense / bench-dense-smoke) — blocked vs
 #   naive GEMM kernels + the allocation-free tape path's end-to-end run;
-#   BENCH_pipeline.json (make bench-pipeline[-smoke]) — the same end-to-end
-#   workload swept over software-pipeline depths {1,2,4};
 #   BENCH_comms.json    (make bench-comms[-smoke]) — the AUC-vs-bytes sweep
 #   over the sync wire formats (f32/f16/bf16/int8 + error feedback);
 #   BENCH_capacity.json (make bench-capacity[-smoke]) — the tiered-storage
@@ -16,13 +14,8 @@
 # The schema is picked from the file name (*.smoke.json siblings share the
 # full-run schema). The top-level sections and every numeric field the perf
 # tracking relies on must be present, throughputs must be positive, and the
-# dense baseline's steady-state-allocation counter must be exactly 0. The
-# committed (non-smoke) pipeline baseline must additionally beat the
-# committed dense end-to-end samples/s at depth 2 — that regression gate is
-# the point of the pipeline. Finally, every "NN.Nk samples/s" figure quoted
-# in ROADMAP.md / CHANGES.md must match a samples_per_sec recorded in some
-# committed BENCH_*.json to 0.1k — docs drifting from the locked-in
-# baselines fail the check. Prints the speedup on success.
+# dense baseline's steady-state-allocation counter must be exactly 0.
+# Prints the speedup on success.
 #
 # Run from the repo root (make verify does). POSIX sh + grep/sed only — the
 # file is single-line flat JSON emitted by our own renderer, so anchored
@@ -48,61 +41,6 @@ require() {
 }
 
 case $FILE in
-*pipeline*)
-    # ---- BENCH_pipeline.json ---------------------------------------------
-    require '"config":\{' 'section "config"'
-    require '"depths":\[' 'array "depths"'
-    require '"speedup":[0-9]' 'top-level "speedup"'
-
-    for depth in 1 2 4; do
-        for key in samples_per_sec samples_per_cpu_sec stall_pct \
-            overlap_ratio overhead_pct final_auc; do
-            require "\"depth\":$depth,[^]]*\"$key\":[0-9-]" \
-                "\"depths[depth=$depth].$key\""
-        done
-    done
-
-    for key in preset scale workers system epochs reps batch dim seed \
-        gemm_threads smoke; do
-        require "\"config\":\{[^}]*\"$key\":" "\"config.$key\""
-    done
-
-    [ "$fail" -eq 0 ] || exit 1
-
-    # Profiler-overhead budget: the stage profiler's self-measured cost must
-    # stay under 2% of wall at every depth (the bench asserts this too; the
-    # schema check catches a stale committed file).
-    for pct in $(grep -oE '"overhead_pct":[0-9.eE+-]+' "$FILE" | sed 's/.*://'); do
-        if ! awk -v p="$pct" 'BEGIN { exit !(p < 2.0) }'; then
-            echo "check_bench_schema: overhead_pct $pct >= 2% budget in $FILE" >&2
-            exit 1
-        fi
-    done
-
-    # Sanity: every depth trained at a positive rate.
-    if grep -qE '"samples_per_sec":0[,}]' "$FILE"; then
-        echo "check_bench_schema: zero throughput in $FILE" >&2
-        exit 1
-    fi
-
-    # The regression gate on the committed baseline: depth 2 must beat the
-    # committed dense end-to-end figure (same workload, same seed). Smoke
-    # runs are too small to measure throughput meaningfully, so only the
-    # full run is gated.
-    if grep -qE '"smoke":false' "$FILE" && [ -f BENCH_dense.json ]; then
-        d2=$(sed -n 's/.*"depth":2,"samples_per_sec":\([0-9.eE+-]*\).*/\1/p' "$FILE")
-        dense=$(sed -n 's/.*"end_to_end":{"samples_per_sec":\([0-9.eE+-]*\).*/\1/p' BENCH_dense.json)
-        if [ -n "$d2" ] && [ -n "$dense" ]; then
-            if ! awk -v a="$d2" -v b="$dense" 'BEGIN { exit !(a > b) }'; then
-                echo "check_bench_schema: pipeline depth 2 ($d2 samples/s) does not beat the dense baseline ($dense samples/s)" >&2
-                exit 1
-            fi
-        else
-            echo "check_bench_schema: could not extract depth-2/dense samples_per_sec for the cross-check" >&2
-            exit 1
-        fi
-    fi
-    ;;
 *dense*)
     # ---- BENCH_dense.json ------------------------------------------------
     for section in config gemm end_to_end; do
@@ -348,34 +286,11 @@ esac
 # produced it (seed, config digest, build); `inspect diff` keys its
 # mismatch warning off these fields.
 require '"manifest":\{' 'top-level "manifest"'
-for key in schema seed config_digest workers pipeline_depth gemm_threads \
-    git_rev build_profile; do
+for key in schema seed config_digest workers gemm_threads git_rev \
+    build_profile; do
     require "\"manifest\":\{[^}]*\"$key\":" "\"manifest.$key\""
 done
 [ "$fail" -eq 0 ] || exit 1
-
-# ---- doc-drift check -----------------------------------------------------
-# Every "NN.Nk samples/s" figure quoted in the tracking docs must match a
-# samples_per_sec actually recorded in a committed BENCH_*.json (to 0.1k,
-# i.e. the quoting precision). This is what catches a doc still citing a
-# baseline from an older machine or run. TELEMETRY.md / README.md are in
-# the list because their copy-pasteable `inspect` examples quote figures.
-actuals=$(cat BENCH_hotpath.json BENCH_dense.json BENCH_pipeline.json 2>/dev/null |
-    grep -oE '"(dense_)?samples_per_sec":[0-9.]+' | sed 's/.*://')
-for doc in ROADMAP.md CHANGES.md TELEMETRY.md README.md; do
-    [ -f "$doc" ] || continue
-    for quote in $(grep -ohE '[0-9]+(\.[0-9]+)?k samples/s' "$doc" |
-        sed 's/k samples.*//' | sort -u); do
-        ok=$(printf '%s\n' $actuals | awk -v q="$quote" '
-            BEGIN { found = 0 }
-            { d = $1 / 1000 - q; if (d < 0.05 && d > -0.05) found = 1 }
-            END { print found }')
-        if [ "$ok" != 1 ]; then
-            echo "check_bench_schema: $doc quotes ${quote}k samples/s but no committed BENCH_*.json records it (doc drifted from the locked-in baseline)" >&2
-            exit 1
-        fi
-    done
-done
 
 # The comms sweep reports a byte-reduction ratio instead of a speedup, the
 # capacity ladder a fault-reduction ratio.

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # End-to-end smoke of the `het-gmp inspect` subcommand.
 #
-# A tiny fixed-seed pipelined training run writes a telemetry JSONL log and
+# A tiny fixed-seed training run writes a telemetry JSONL log and
 # a sync-level Chrome trace; then all three inspect modes run over them:
 #
 #   * `report`   — rendered output (deterministic sections only) must match
@@ -25,7 +25,7 @@ GOLDEN=tests/golden/inspect_report_tiny.txt
 mkdir -p "$OUT"
 
 "$BIN" train --preset tiny --workers 4 --system het-gmp --epochs 2 --seed 7 \
-    --pipeline-depth 2 --telemetry "$OUT/run.jsonl" \
+    --telemetry "$OUT/run.jsonl" \
     --trace "$OUT/run.trace.json" --trace-level sync > /dev/null
 
 # --- report vs golden ------------------------------------------------------

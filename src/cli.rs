@@ -1,7 +1,9 @@
 //! Command-line argument handling for the `het-gmp` binary.
 //!
 //! Hand-rolled `--flag value` parsing (no external dependency): every
-//! subcommand sees a [`Args`] map plus positional arguments.
+//! subcommand sees a [`Args`] map plus positional arguments, and rejects
+//! flags outside its known set ([`Args::unknown_flag`]) — a typo or a
+//! retired flag must not be silently ignored.
 
 use std::collections::HashMap;
 
@@ -56,6 +58,16 @@ impl Args {
         self.flags.contains_key(name)
     }
 
+    /// The first flag (in name order, so the report is deterministic) that
+    /// is not in `known`, if any.
+    pub fn unknown_flag(&self, known: &[&str]) -> Option<&str> {
+        self.flags
+            .keys()
+            .map(String::as_str)
+            .filter(|k| !known.contains(k))
+            .min()
+    }
+
     /// Typed flag with default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.get(name)
@@ -102,6 +114,14 @@ mod tests {
     fn bad_parse_falls_back() {
         let a = parse("x --n notanumber");
         assert_eq!(a.get_or("n", 7usize), 7);
+    }
+
+    #[test]
+    fn unknown_flag_names_the_first_offender() {
+        let a = parse("train --workers 2 --zeta --frobnicate=3");
+        assert_eq!(a.unknown_flag(&["workers", "zeta", "frobnicate"]), None);
+        assert_eq!(a.unknown_flag(&["workers"]), Some("frobnicate"));
+        assert_eq!(a.unknown_flag(&["workers", "frobnicate"]), Some("zeta"));
     }
 
     #[test]

@@ -46,14 +46,14 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
              [--staleness N] [--workers N] [--epochs N] [--model wdl|dcn|deepfm|din] [--seed N]
              [--telemetry FILE.jsonl] [--trace FILE.trace.json] [--trace-level batch|sync]
              [--audit[=count|strict]] [--faults SPEC] [--checkpoint-every N --checkpoint-dir DIR]
-             [--resume FILE.hgmr] [--pipeline-depth N] [--gemm-threads N]
+             [--resume FILE.hgmr] [--gemm-threads N]
              [--sync-format f32|f16|bf16|int8] [--sync-feedback on|off]
              [--storage memory|tiered] [--storage-budget-mb N] [--storage-dir DIR]
              [--batch-ordering on|off] [--read-path snapshot|locked]
   capacity   --workers N --mem-gb G --dim D [--replication F]
   experiment fig1|fig3|fig7|fig8|fig9|fig10|table2|table3|ablation|all [--scale F] [--telemetry FILE.jsonl]
              [--trace FILE.trace.json] [--trace-level batch|sync] [--audit[=count|strict]]
-             [--pipeline-depth N] [--gemm-threads N] [--sync-format F] [--sync-feedback on|off]
+             [--gemm-threads N] [--sync-format F] [--sync-feedback on|off]
   inspect    report FILE.jsonl [--wall]
              pipeline FILE.trace.json
              diff BASELINE CANDIDATE [--threshold PCT]
@@ -74,19 +74,16 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   with crashes pair naturally with --checkpoint-every N --checkpoint-dir
   DIR (writes DIR/ckpt-epoch-N.hgmr; resume with --resume FILE).
 
-  --pipeline-depth N (1..=8, default 1) runs each worker's embedding
-  fetch for the next batch on a companion thread while the current batch
-  syncs; --gemm-threads N (1..=32, default 1) splits large dense GEMMs
-  into row panels. Both are bit-identical to the sequential schedule on
-  fault-free runs. On 'experiment' they apply to every fig8/table2/
-  ablation training run.
+  --gemm-threads N (1..=32, default 1) splits large dense GEMMs into row
+  panels, bit-identical to the sequential kernels. On 'experiment' it
+  applies to every fig8/table2/ablation training run.
 
   --sync-format picks the wire encoding for inter-worker embedding rows
   and the dense AllReduce payload: f32 (default, bit-exact), f16, bf16,
   or int8 (per-row scale + 1 byte/element, ~3.6x fewer embedding bytes at
   dim 32). Traffic ledgers and the cost model charge the compressed wire
   size; checkpoints stay f32 and any format bit-matches itself across
-  pipeline depths and checkpoint resume. --sync-feedback off disables the
+  checkpoint resume. --sync-feedback off disables the
   per-row error-feedback accumulator on lossy gradient pushes (on by
   default; no effect under f32). On 'experiment' both apply to every
   fig8/table2/ablation training run.
@@ -109,13 +106,15 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   records the mode, snapshot/fallback row counts, and retry rate.
 
   'inspect' analyses the artifacts those runs leave behind. 'report'
-  renders the Fig. 8 traffic/time breakdown and the per-epoch pipeline
-  occupancy timeline from a telemetry JSONL (--wall adds nondeterministic
-  wall-clock stage histograms). 'pipeline' draws an ASCII per-track
+  renders the Fig. 8 traffic/time breakdown, the per-stage attribution
+  and the per-epoch timeline from a telemetry JSONL (--wall adds
+  nondeterministic wall-clock stage histograms). 'pipeline' draws an ASCII per-track
   occupancy gantt from a Chrome trace. 'diff' compares two telemetry
   logs or two BENCH_*.json files metric by metric, warns when the runs'
   manifests disagree, and exits 1 when a directional metric regresses
-  by more than --threshold PCT (default 5).";
+  by more than --threshold PCT (default 5).
+
+  Every subcommand rejects flags it does not know (exit 2).";
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
@@ -151,6 +150,18 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::from(e.exit_code())
         }
+    }
+}
+
+/// Rejects any flag outside `known` with a usage error naming it: a typo or
+/// a retired flag must fail loudly, never fall back to a default the user
+/// did not ask for.
+fn check_flags(args: &Args, command: &str, known: &[&str]) -> Result<(), HetGmpError> {
+    match args.unknown_flag(known) {
+        None => Ok(()),
+        Some(flag) => Err(HetGmpError::usage(format!(
+            "unknown flag --{flag} for '{command}' (see --help)"
+        ))),
     }
 }
 
@@ -334,6 +345,7 @@ fn write_trace(trace: &Option<(Arc<TraceCollector>, String)>) -> Result<(), HetG
 }
 
 fn cmd_gen(args: &Args) -> Result<(), HetGmpError> {
+    check_flags(args, "gen", &["preset", "scale", "out"])?;
     let data = generate(&spec_from(args)?);
     let out = args
         .get("out")
@@ -352,6 +364,11 @@ fn cmd_gen(args: &Args) -> Result<(), HetGmpError> {
 }
 
 fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
+    check_flags(
+        args,
+        "partition",
+        &["in", "fields", "preset", "scale", "workers", "algo", "rounds"],
+    )?;
     let data = load_dataset(args)?;
     let graph = data.to_bigraph();
     let n: usize = args.get_or("workers", 8);
@@ -394,8 +411,6 @@ fn dump_train_telemetry(w: &mut JsonlWriter, r: &TrainResult) -> Result<(), HetG
             ("sim_time_secs".into(), Json::F64(p.sim_time)),
             ("auc".into(), Json::F64(p.auc)),
             ("log_loss".into(), Json::F64(p.log_loss)),
-            ("stage_occupancy".into(), Json::F64(p.stage_occupancy)),
-            ("stall_secs".into(), Json::F64(p.stall_secs)),
         ]))?;
     }
     w.write_snapshot(
@@ -410,6 +425,17 @@ fn dump_train_telemetry(w: &mut JsonlWriter, r: &TrainResult) -> Result<(), HetG
 }
 
 fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
+    check_flags(
+        args,
+        "train",
+        &[
+            "in", "fields", "preset", "scale", "system", "staleness", "workers", "epochs",
+            "batch", "dim", "model", "seed", "telemetry", "trace", "trace-level", "audit",
+            "faults", "checkpoint-every", "checkpoint-dir", "resume", "gemm-threads",
+            "sync-format", "sync-feedback", "storage", "storage-budget-mb", "storage-dir",
+            "batch-ordering", "read-path",
+        ],
+    )?;
     let data = load_dataset(args)?;
     let n: usize = args.get_or("workers", 8);
     let mut telemetry = telemetry_sink(args)?;
@@ -438,7 +464,6 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         .checkpoint_every(args.get_or("checkpoint-every", 0usize))
         .checkpoint_dir(args.get("checkpoint-dir").map(std::path::PathBuf::from))
         .resume_from(args.get("resume").map(std::path::PathBuf::from))
-        .pipeline_depth(parse_flag_usize(args, "pipeline-depth")?.unwrap_or(1))
         .gemm_threads(parse_flag_usize(args, "gemm-threads")?.unwrap_or(1))
         .sync_format(sync_format_flag(args)?.unwrap_or(SyncFormat::F32))
         .sync_error_feedback(sync_feedback_flag(args)?.unwrap_or(true))
@@ -517,6 +542,11 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
 }
 
 fn cmd_capacity(args: &Args) -> Result<(), HetGmpError> {
+    check_flags(
+        args,
+        "capacity",
+        &["workers", "mem-gb", "dim", "replication", "opt-factor"],
+    )?;
     let plan = CapacityPlan {
         num_workers: args.get_or("workers", 24),
         memory_per_worker: (args.get_or("mem-gb", 32u64)) * (1 << 30),
@@ -537,6 +567,14 @@ fn cmd_capacity(args: &Args) -> Result<(), HetGmpError> {
 }
 
 fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
+    check_flags(
+        args,
+        "experiment",
+        &[
+            "scale", "telemetry", "trace", "trace-level", "audit", "gemm-threads",
+            "sync-format", "sync-feedback",
+        ],
+    )?;
     let which = args
         .positional
         .get(1)
@@ -552,7 +590,6 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
             0,
             RunManifest::digest_of(&format!("experiment={which}|scale={scale}")),
             8,
-            parse_flag_usize(args, "pipeline-depth")?.unwrap_or(1),
             parse_flag_usize(args, "gemm-threads")?.unwrap_or(1),
         );
         w.write_record(&manifest.to_record())?;
@@ -562,7 +599,6 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
     let hooks = experiments::Hooks {
         tracer: trace.as_ref().map(|(t, _)| Arc::clone(t)),
         audit: audit_mode(args)?,
-        pipeline_depth: parse_flag_usize(args, "pipeline-depth")?,
         gemm_threads: parse_flag_usize(args, "gemm-threads")?,
         sync_format: sync_format_flag(args)?,
         sync_error_feedback: sync_feedback_flag(args)?,
@@ -644,6 +680,7 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
 /// exit code rather than `()` because `diff` signals "regression found"
 /// with exit 1 (reserving the sysexits codes for real errors).
 fn cmd_inspect(args: &Args) -> Result<ExitCode, HetGmpError> {
+    check_flags(args, "inspect", &["wall", "threshold"])?;
     let mode = args
         .positional
         .get(1)

@@ -171,3 +171,23 @@ fn partition_multilevel_via_unified_interface() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("multilevel"), "{text}");
 }
+
+/// No subcommand silently accepts a flag it does not know: an unknown flag,
+/// a typo of a real one, and the retired `--pipeline-depth` are all usage
+/// errors (exit 2) that name the offender.
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    let cases: [(&[&str], &str); 5] = [
+        (&["train", "--preset", "tiny", "--frobnicate", "3"], "--frobnicate"),
+        (&["train", "--preset", "tiny", "--gemm-thread", "2"], "--gemm-thread"),
+        (&["train", "--preset", "tiny", "--pipeline-depth", "2"], "--pipeline-depth"),
+        (&["experiment", "fig8", "--scale", "0.02", "--pipeline-depth=2"], "--pipeline-depth"),
+        (&["inspect", "report", "run.jsonl", "--wal"], "--wal"),
+    ];
+    for (argv, flag) in cases {
+        let out = het_gmp().args(argv).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{argv:?} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag} ")), "{argv:?}: {err}");
+    }
+}

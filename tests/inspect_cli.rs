@@ -28,7 +28,7 @@ fn train_with_artifacts(dir: &std::path::Path, seed: u64) -> (PathBuf, PathBuf) 
     let out = het_gmp()
         .args([
             "train", "--preset", "tiny", "--workers", "2", "--epochs", "1",
-            "--seed", &seed.to_string(), "--pipeline-depth", "2",
+            "--seed", &seed.to_string(),
             "--telemetry", jsonl.to_str().unwrap(),
             "--trace", trace.to_str().unwrap(), "--trace-level", "sync",
         ])
@@ -55,7 +55,7 @@ fn manifest_round_trips_through_telemetry_and_trace_writers() {
         .expect("manifest fields parse");
     assert_eq!(from_record.seed, 7);
     assert_eq!(from_record.workers, 2);
-    assert_eq!(from_record.pipeline_depth, 2);
+    assert_eq!(from_record.gemm_threads, 1);
     assert!(!from_record.config_digest.is_empty(), "empty config digest");
     assert!(!from_record.build_profile.is_empty(), "empty build profile");
 
@@ -79,7 +79,7 @@ fn manifest_round_trips_through_telemetry_and_trace_writers() {
 fn manifest_round_trips_through_bench_documents() {
     // In-memory round-trip through the Document path (the BENCH_*.json
     // writer shape: a top-level "manifest" member).
-    let m = RunManifest::new(42, RunManifest::digest_of("dim=8|hidden=16"), 4, 2, 1);
+    let m = RunManifest::new(42, RunManifest::digest_of("dim=8|hidden=16"), 4, 1);
     let doc = Json::obj([
         ("manifest", m.to_json()),
         ("end_to_end", Json::obj([("samples_per_sec", Json::F64(1000.0))])),
@@ -89,7 +89,7 @@ fn manifest_round_trips_through_bench_documents() {
 
     // The committed perf baselines are stamped too (tests run from the
     // workspace root, where the BENCH files live).
-    for committed in ["BENCH_hotpath.json", "BENCH_dense.json", "BENCH_pipeline.json"] {
+    for committed in ["BENCH_hotpath.json", "BENCH_dense.json", "BENCH_comms.json"] {
         let artifact = Artifact::load(committed).unwrap();
         let m = artifact
             .manifest()
@@ -197,6 +197,55 @@ fn inspect_diff_warns_on_two_seed_manifest_mismatch() {
         .expect("spawn");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("WARNING") && err.contains("seed"), "{err}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A telemetry log written before the one-schedule trainer — a
+/// `pipeline_depth` manifest key, per-epoch occupancy/stall fields, the
+/// retired `pipeline.*` gauges — still loads, and `inspect diff` against a
+/// current log decides on the metrics, never on the manifest's shape.
+#[test]
+fn inspect_diff_reads_pre_one_schedule_telemetry() {
+    let dir = scratch_dir("inspect-legacy");
+    let (jsonl, _) = train_with_artifacts(&dir, 7);
+    let text = std::fs::read_to_string(&jsonl).unwrap();
+    let legacy = text
+        .replace(r#""gemm_threads":1"#, r#""pipeline_depth":1,"gemm_threads":1"#)
+        .replace(r#""log_loss":"#, r#""stage_occupancy":0.0,"stall_secs":0.0,"log_loss":"#)
+        .replace(
+            r#""pipeline.gemm_threads":"#,
+            r#""pipeline.stage.occupancy":0.0,"pipeline.stall_secs":0.0,"pipeline.gemm_threads":"#,
+        );
+    assert_ne!(legacy, text, "fixture did not pick up the legacy keys");
+    let old = dir.join("legacy.jsonl");
+    std::fs::write(&old, &legacy).unwrap();
+
+    let current = Artifact::load(&jsonl).unwrap();
+    let loaded = Artifact::load(&old).unwrap();
+    assert_eq!(loaded.manifest(), current.manifest(), "legacy manifest must load");
+    let outcome = diff_artifacts(&loaded, &current, &DiffOptions::default()).unwrap();
+    assert!(outcome.manifest_warning.is_none(), "{:?}", outcome.manifest_warning);
+
+    let out = het_gmp()
+        .args(["inspect", "diff", old.to_str().unwrap(), jsonl.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = het_gmp()
+        .args(["inspect", "report", old.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // And a real metric regression in the current log still decides.
+    let regressed = dir.join("regressed.jsonl");
+    std::fs::write(&regressed, text.replace(r#""auc":0."#, r#""auc":0.00"#)).unwrap();
+    let out = het_gmp()
+        .args(["inspect", "diff", old.to_str().unwrap(), regressed.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "regression must exit 1");
 
     std::fs::remove_dir_all(&dir).ok();
 }
