@@ -5,7 +5,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test clippy lint-metrics fault-matrix inspect-smoke tsan \
+.PHONY: build test clippy doc lint-metrics fault-matrix inspect-smoke tsan \
 	verify bench bench-baseline bench-smoke bench-dense bench-dense-smoke \
 	bench-comms bench-comms-smoke bench-capacity bench-capacity-smoke \
 	bench-schema benchmark-smoke clean
@@ -18,6 +18,12 @@ test:
 
 clippy:
 	$(CARGO) clippy --offline --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings denied, over the default members (third_party/ is
+# excluded): a doc comment that links to a private, renamed or deleted item
+# fails here instead of rotting.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --offline
 
 # Metric-name hygiene: every dotted name used in code is defined in
 # hetgmp_telemetry::names and documented in TELEMETRY.md.
@@ -52,9 +58,10 @@ benchmark-smoke:
 	bash benchmark/run.sh run --smoke --out target/benchmark-smoke.json
 
 # The gate every change must pass: release build, full test suite, clippy
-# with warnings denied, metric-name lint, the fault-injection matrix, the
-# perf-baseline schema check, the inspect smoke, and the benchmark smoke.
-verify: build test clippy lint-metrics fault-matrix bench-schema inspect-smoke \
+# and rustdoc with warnings denied, metric-name lint, the fault-injection
+# matrix, the perf-baseline schema check, the inspect smoke, and the
+# benchmark smoke.
+verify: build test clippy doc lint-metrics fault-matrix bench-schema inspect-smoke \
 	benchmark-smoke
 
 bench:

@@ -10,7 +10,7 @@
 //!    read)           fwd/bwd)     write-back)    + BSP barrier)
 //! ```
 //!
-//! Per iteration ([`run_worker_epoch`]):
+//! Per iteration (`run_worker_epoch`):
 //!
 //! 1. *only when the run's fault schedule names a worker fault*: fire due
 //!    faults, then one `barrier()` so a crash rollback is visible before

@@ -830,8 +830,9 @@ impl<'d> Trainer<'d> {
         let loss_sum_micro = AtomicU64::new(0);
         let loss_batches = AtomicU64::new(0);
 
-        // Per-worker persistent state: static vertex-cut replicas (HET-GMP)
-        // or a dynamic LFU cache (HET-style), behind one trait.
+        // Per-worker persistent state: the one embedding worker, under the
+        // replica policy the strategy names — static vertex-cut replicas
+        // (HET-GMP) or a dynamic LFU cache (HET-style).
         let mut embeddings: Vec<Box<dyn EmbeddingWorker + '_>> = (0..n as u32)
             .map(|w| -> Box<dyn EmbeddingWorker + '_> {
                 match self.strategy.cache {

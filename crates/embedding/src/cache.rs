@@ -94,6 +94,7 @@ impl SecondaryCache {
     }
 
     /// Reads the cached value into `out`. Returns false if absent.
+    #[inline]
     pub fn read(&self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
         match self.slots.get(row) {
@@ -110,6 +111,7 @@ impl SecondaryCache {
     ///
     /// # Panics
     /// Panics if `row` has no slot.
+    #[inline]
     pub fn install(&mut self, row: u32, values: &[f32], primary_clock: u64) {
         assert_eq!(values.len(), self.dim, "values length != dim");
         let i = self.slots.get(row).expect("row not in cache");
@@ -122,6 +124,7 @@ impl SecondaryCache {
     /// worker wrote back to the primary) and bumps `local_updates`.
     ///
     /// Returns false (no-op) if the row is not cached.
+    #[inline]
     pub fn apply_local_delta(&mut self, row: u32, delta: &[f32]) -> bool {
         self.apply_delta_inner(row, delta, true)
     }
@@ -129,10 +132,12 @@ impl SecondaryCache {
     /// Applies a local delta *without* advancing the effective clock — used
     /// for deferred updates whose primary write-back has not happened yet
     /// (the clock advances at flush time via [`SecondaryCache::note_flush`]).
+    #[inline]
     pub fn apply_local_delta_uncounted(&mut self, row: u32, delta: &[f32]) -> bool {
         self.apply_delta_inner(row, delta, false)
     }
 
+    #[inline]
     fn apply_delta_inner(&mut self, row: u32, delta: &[f32], count: bool) -> bool {
         assert_eq!(delta.len(), self.dim, "delta length != dim");
         match self.slots.get(row) {
@@ -158,6 +163,7 @@ impl SecondaryCache {
     ///
     /// # Panics
     /// Panics if `row` has no slot.
+    #[inline]
     pub fn accumulate_pending(&mut self, row: u32, grad: &[f32]) -> u32 {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
         let i = self.slots.get(row).expect("row not in cache");
@@ -179,6 +185,7 @@ impl SecondaryCache {
     /// Moves the accumulated pending gradient for `row` into `out` and
     /// clears it; returns false (leaving `out` untouched) when nothing is
     /// pending.
+    #[inline]
     pub fn take_pending(&mut self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
         let Some(i) = self.slots.get(row) else {
@@ -197,6 +204,7 @@ impl SecondaryCache {
     /// Records that `row`'s pending updates were flushed as one merged
     /// primary update (the replica's effective clock advances by one, in
     /// step with the primary's tick from the flush).
+    #[inline]
     pub fn note_flush(&mut self, row: u32) {
         if let Some(i) = self.slots.get(row) {
             self.local_updates[i] += 1;

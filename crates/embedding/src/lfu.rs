@@ -64,12 +64,28 @@ impl LfuCache {
     }
 
     /// True when `row` is cached.
+    #[inline]
     pub fn contains(&self, row: u32) -> bool {
         self.slots.get(row).is_some()
     }
 
+    /// `row`'s slot, for callers that resolve a row once and then read its
+    /// clock ([`LfuCache::clock_at`]). A slot is stable until the next
+    /// admission.
+    #[inline]
+    pub(crate) fn slot_of(&self, row: u32) -> Option<usize> {
+        self.slots.get(row)
+    }
+
+    /// The effective clock (`base + local`) of the row in `slot`.
+    #[inline]
+    pub(crate) fn clock_at(&self, slot: usize) -> u64 {
+        self.base_clock[slot] + self.local_updates[slot]
+    }
+
     /// Records an access to `row` (for admission statistics) and bumps its
     /// in-cache frequency if cached. Returns the updated global count.
+    #[inline]
     pub fn touch(&mut self, row: u32) -> u64 {
         let i = row as usize;
         if i >= self.counts.len() {
@@ -85,12 +101,11 @@ impl LfuCache {
 
     /// Effective clock of a cached row.
     pub fn effective_clock(&self, row: u32) -> Option<u64> {
-        self.slots
-            .get(row)
-            .map(|s| self.base_clock[s] + self.local_updates[s])
+        self.slots.get(row).map(|s| self.clock_at(s))
     }
 
     /// Reads a cached row into `out`; false when absent.
+    #[inline]
     pub fn read(&self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
         match self.slots.get(row) {
@@ -103,6 +118,7 @@ impl LfuCache {
     }
 
     /// Applies a delta to a cached row, advancing its effective clock.
+    #[inline]
     pub fn apply_local_delta(&mut self, row: u32, delta: &[f32]) -> bool {
         assert_eq!(delta.len(), self.dim, "delta length != dim");
         match self.slots.get(row) {
@@ -170,6 +186,7 @@ impl LfuCache {
     ///
     /// # Panics
     /// Panics if the row is not cached.
+    #[inline]
     pub fn refresh(&mut self, row: u32, values: &[f32], primary_clock: u64) {
         let s = self.slots.get(row).expect("row not cached");
         self.install_at(s, row, values, primary_clock);
@@ -179,8 +196,9 @@ impl LfuCache {
     /// frequency bookkeeping. The batched read path admits rows with
     /// placeholder data at classification time (so LFU victim selection is
     /// identical to the per-row order) and fills the values once the
-    /// shard-grouped fetch lands. Returns false when the row is no longer
-    /// cached — evicted by a later admission in the same batch.
+    /// shard-grouped fetch lands. Returns false when the row is not cached
+    /// — its admission was declined.
+    #[inline]
     pub fn fill(&mut self, row: u32, values: &[f32]) -> bool {
         assert_eq!(values.len(), self.dim, "values length != dim");
         match self.slots.get(row) {

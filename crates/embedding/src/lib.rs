@@ -24,27 +24,42 @@
 //! * [`ShardedTable`] — the global primary store: lock-striped rows +
 //!   per-row atomic update clocks; safe for concurrent worker threads
 //!   (stands in for the paper's CUDA embedding tables + NCCL p2p);
-//! * [`SecondaryCache`] — one worker's secondary replicas with base-clock /
-//!   local-update bookkeeping ("extra space for stale gradients", §6);
-//! * [`WorkerEmbedding`] — a worker's view combining both plus the
-//!   [`Partition`](hetgmp_partition::Partition): `read` with staleness
-//!   checks, `apply_gradients` with local reduction and primary write-back,
-//!   returning a [`ReadReport`]/[`UpdateReport`] of every byte that would
-//!   have crossed the interconnect;
+//!   [`TieredTable`] is the same store past its RAM budget, both behind
+//!   [`RowStore`];
+//! * one embedding worker — a worker's view combining the store, the
+//!   [`Partition`](hetgmp_partition::Partition) and its own replicas: `read`
+//!   with staleness checks, `apply_gradients` with local reduction and
+//!   primary write-back, returning a [`ReadReport`]/[`UpdateReport`] of
+//!   every byte that would have crossed the interconnect. It knows the
+//!   whole bounded-staleness protocol and is generic over a small replica
+//!   policy holding what the two designs decide differently. Both are
+//!   reached through [`EmbeddingWorker`]:
+//!   * [`WorkerEmbedding`] — HET-GMP: the static vertex-cut secondaries in a
+//!     [`SecondaryCache`] (base-clock / local-update bookkeeping plus the
+//!     "extra space for stale gradients", §6), under both checks, with
+//!     deferred write-backs;
+//!   * [`CachedWorkerEmbedding`] — HET (arXiv 2112.07221): rows admitted
+//!     dynamically into an [`LfuCache`], under the intra check only, with
+//!     eager write-backs;
 //! * [`SparseOpt`] — per-row SGD / Adagrad applied at the primary.
 
+use std::sync::Arc;
+
+use hetgmp_telemetry::{ProtocolAuditor, Recorder, TraceCollector};
+
 pub mod cache;
-pub mod cached_worker;
+mod cached_worker;
 pub mod capacity;
 pub mod checkpoint;
 mod index;
 pub mod lfu;
+mod replica;
 pub mod report;
 pub mod sparse_optim;
 pub mod store;
 pub mod table;
 pub mod tiered;
-pub mod worker;
+mod worker;
 
 pub use cache::SecondaryCache;
 pub use cached_worker::CachedWorkerEmbedding;
@@ -54,19 +69,24 @@ pub use checkpoint::{
     CheckpointError, RunState, WorkerState,
 };
 pub use lfu::LfuCache;
+pub use replica::WorkerEmbedding;
 pub use report::{ReadReport, UpdateReport};
 pub use sparse_optim::SparseOpt;
-pub use store::{CapacityStats, ReadPath, ReadPathStats, RowStore, SnapshotReader};
+pub use store::{CapacityStats, ReadPath, ReadPathStats, RowStore};
 pub use table::{BatchScratch, ShardedTable};
 pub use tiered::{TieredConfig, TieredTable};
-pub use worker::{StalenessBound, WorkerEmbedding};
+pub use worker::StalenessBound;
 
 pub use hetgmp_comms::SyncFormat;
 
+use replica::ReplicaPolicy;
+use worker::Worker;
+
 /// A worker-side embedding interface: batch reads under some consistency
-/// discipline plus gradient application. Implemented by the statically
-/// replicated [`WorkerEmbedding`] (HET-GMP) and the dynamically cached
-/// [`CachedWorkerEmbedding`] (HET-style), so trainers can swap designs.
+/// discipline plus gradient application. One worker implements it, under
+/// either replica policy — statically replicated ([`WorkerEmbedding`],
+/// HET-GMP) or dynamically cached ([`CachedWorkerEmbedding`], HET-style) —
+/// so trainers hold a `Box<dyn EmbeddingWorker>` and swap designs.
 pub trait EmbeddingWorker: Send {
     /// Reads a batch of samples' rows into `out` (sample-major).
     fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport;
@@ -84,63 +104,39 @@ pub trait EmbeddingWorker: Send {
     /// have flushed, so the in-memory state entering the next epoch is
     /// exactly what a checkpoint resume reconstructs (resumed runs warm-
     /// load replicas from the restored table). Returns the number of rows
-    /// re-fetched; the caller charges their transfer. Default is a no-op
-    /// for implementations that hold no local copies.
-    fn sync_replicas(&mut self) -> u64 {
-        0
-    }
-    /// Attaches a telemetry recorder for `embedding.*` metrics. Default is a
-    /// no-op so trivial implementations stay trivial.
-    fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn hetgmp_telemetry::Recorder>) {
-        let _ = recorder;
-    }
+    /// re-fetched; the caller charges their transfer.
+    fn sync_replicas(&mut self) -> u64;
+    /// Attaches a telemetry recorder for `embedding.*` metrics.
+    fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>);
     /// Attaches a protocol auditor observing every staleness decision.
-    /// Default is a no-op.
-    fn attach_auditor(&mut self, auditor: std::sync::Arc<hetgmp_telemetry::ProtocolAuditor>) {
-        let _ = auditor;
-    }
+    fn attach_auditor(&mut self, auditor: Arc<ProtocolAuditor>);
     /// Attaches a trace collector for per-batch decision instants.
-    /// Default is a no-op.
-    fn attach_tracer(&mut self, tracer: std::sync::Arc<hetgmp_telemetry::TraceCollector>) {
-        let _ = tracer;
-    }
+    fn attach_tracer(&mut self, tracer: Arc<TraceCollector>);
     /// Discards any state lost with the worker's device (pending deferred
     /// gradients, stale replicas) and re-primes local replicas from the
     /// authoritative table, as crash recovery does after the table has been
     /// rolled back to a checkpoint. Returns the number of rows re-fetched
-    /// (the caller charges their transfer to the simulated clock). Default
-    /// is a no-op for implementations that hold no worker-local state.
-    fn recover_from_crash(&mut self) -> u64 {
-        0
-    }
+    /// (the caller charges their transfer to the simulated clock).
+    fn recover_from_crash(&mut self) -> u64;
     /// Reports which telemetry hooks are attached as
     /// `(recorder, auditor, tracer)` — used by debug assertions to verify
-    /// that hooks survive every construction/injection path. Default claims
-    /// none.
-    fn hooks_attached(&self) -> (bool, bool, bool) {
-        (false, false, false)
-    }
+    /// that hooks survive every construction/injection path.
+    fn hooks_attached(&self) -> (bool, bool, bool);
     /// Selects the wire format for inter-worker embedding payloads and
     /// whether lossy gradient pushes carry per-row error feedback. Call
     /// before training (right after construction) so warm-loaded replicas
-    /// go through the same format as steady-state fetches. Default is a
-    /// no-op for implementations that move no embedding bytes.
-    fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {
-        let _ = (format, error_feedback);
-    }
+    /// go through the same format as steady-state fetches.
+    fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool);
     /// Selects which table read path `read_batch` uses: lock-free seqlock
     /// snapshots (the default) or the locked escape hatch. Both are
-    /// bit-identical; call before training so every fetch (including replica
-    /// warm-loads) goes through the chosen path. Default is a no-op for
-    /// implementations that read nothing.
-    fn set_read_path(&mut self, path: ReadPath) {
-        let _ = path;
-    }
+    /// bit-identical; call before training so every fetch goes through the
+    /// chosen path.
+    fn set_read_path(&mut self, path: ReadPath);
 }
 
-impl EmbeddingWorker for WorkerEmbedding<'_> {
+impl<'a, P: ReplicaPolicy<'a>> EmbeddingWorker for Worker<'a, P> {
     fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
-        WorkerEmbedding::read_batch(self, samples, out)
+        Worker::read_batch(self, samples, out)
     }
     fn apply_gradients(
         &mut self,
@@ -148,77 +144,33 @@ impl EmbeddingWorker for WorkerEmbedding<'_> {
         grads: &[f32],
         opt: &SparseOpt,
     ) -> UpdateReport {
-        WorkerEmbedding::apply_gradients(self, samples, grads, opt)
+        Worker::apply_gradients(self, samples, grads, opt)
     }
     fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport {
-        WorkerEmbedding::flush_all(self, opt)
+        Worker::flush_all(self, opt)
     }
     fn sync_replicas(&mut self) -> u64 {
-        WorkerEmbedding::sync_all(self) as u64
+        Worker::sync_all(self) as u64
     }
-    fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn hetgmp_telemetry::Recorder>) {
-        WorkerEmbedding::attach_recorder(self, recorder)
+    fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>) {
+        Worker::attach_recorder(self, recorder)
     }
-    fn attach_auditor(&mut self, auditor: std::sync::Arc<hetgmp_telemetry::ProtocolAuditor>) {
-        WorkerEmbedding::attach_auditor(self, auditor)
+    fn attach_auditor(&mut self, auditor: Arc<ProtocolAuditor>) {
+        Worker::attach_auditor(self, auditor)
     }
-    fn attach_tracer(&mut self, tracer: std::sync::Arc<hetgmp_telemetry::TraceCollector>) {
-        WorkerEmbedding::attach_tracer(self, tracer)
-    }
-    fn recover_from_crash(&mut self) -> u64 {
-        WorkerEmbedding::recover_from_crash(self)
-    }
-    fn hooks_attached(&self) -> (bool, bool, bool) {
-        WorkerEmbedding::hooks_attached(self)
-    }
-    fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {
-        WorkerEmbedding::set_sync_format(self, format, error_feedback)
-    }
-    fn set_read_path(&mut self, path: ReadPath) {
-        WorkerEmbedding::set_read_path(self, path)
-    }
-}
-
-impl EmbeddingWorker for CachedWorkerEmbedding<'_> {
-    fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
-        CachedWorkerEmbedding::read_batch(self, samples, out)
-    }
-    fn apply_gradients(
-        &mut self,
-        samples: &[&[u32]],
-        grads: &[f32],
-        opt: &SparseOpt,
-    ) -> UpdateReport {
-        CachedWorkerEmbedding::apply_gradients(self, samples, grads, opt)
-    }
-    fn flush_all(&mut self, _opt: &SparseOpt) -> UpdateReport {
-        // Dynamic caching writes back eagerly; nothing is deferred.
-        UpdateReport::default()
-    }
-    fn sync_replicas(&mut self) -> u64 {
-        // Same mechanics as crash recovery: the dynamic cache defers
-        // nothing, so "recovery" is exactly a full cached-row refresh.
-        CachedWorkerEmbedding::recover_from_crash(self)
-    }
-    fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn hetgmp_telemetry::Recorder>) {
-        CachedWorkerEmbedding::attach_recorder(self, recorder)
-    }
-    fn attach_auditor(&mut self, auditor: std::sync::Arc<hetgmp_telemetry::ProtocolAuditor>) {
-        CachedWorkerEmbedding::attach_auditor(self, auditor)
-    }
-    fn attach_tracer(&mut self, tracer: std::sync::Arc<hetgmp_telemetry::TraceCollector>) {
-        CachedWorkerEmbedding::attach_tracer(self, tracer)
+    fn attach_tracer(&mut self, tracer: Arc<TraceCollector>) {
+        Worker::attach_tracer(self, tracer)
     }
     fn recover_from_crash(&mut self) -> u64 {
-        CachedWorkerEmbedding::recover_from_crash(self)
+        Worker::recover_from_crash(self)
     }
     fn hooks_attached(&self) -> (bool, bool, bool) {
-        CachedWorkerEmbedding::hooks_attached(self)
+        Worker::hooks_attached(self)
     }
     fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {
-        CachedWorkerEmbedding::set_sync_format(self, format, error_feedback)
+        Worker::set_sync_format(self, format, error_feedback)
     }
     fn set_read_path(&mut self, path: ReadPath) {
-        CachedWorkerEmbedding::set_read_path(self, path)
+        Worker::set_read_path(self, path)
     }
 }

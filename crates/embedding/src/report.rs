@@ -10,6 +10,48 @@
 /// (index `u32` + clock `u64`, as in the paper's "sparse indexes and clocks").
 pub const META_ENTRY_BYTES: u64 = 12;
 
+/// The interconnect counters [`ReadReport`] and [`UpdateReport`] share, so
+/// the worker accounts a remote row in one place whichever way it moves.
+pub(crate) trait Traffic {
+    /// `(data bytes by peer partition, data bytes, metadata bytes, messages)`.
+    fn counters(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64, &mut u64);
+
+    /// One embedding row exchanged with partition `peer`: `row_bytes` of
+    /// payload, one index/clock metadata entry, one message.
+    fn add_remote_row(&mut self, peer: u32, row_bytes: u64, num_partitions: usize) {
+        let (by_peer, data, meta, messages) = self.counters();
+        if by_peer.is_empty() {
+            *by_peer = vec![0; num_partitions];
+        }
+        by_peer[peer as usize] += row_bytes;
+        *data += row_bytes;
+        *meta += META_ENTRY_BYTES;
+        *messages += 1;
+    }
+}
+
+impl Traffic for ReadReport {
+    fn counters(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64, &mut u64) {
+        (
+            &mut self.data_bytes_by_src,
+            &mut self.data_bytes,
+            &mut self.meta_bytes,
+            &mut self.messages,
+        )
+    }
+}
+
+impl Traffic for UpdateReport {
+    fn counters(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64, &mut u64) {
+        (
+            &mut self.data_bytes_by_dst,
+            &mut self.data_bytes,
+            &mut self.meta_bytes,
+            &mut self.messages,
+        )
+    }
+}
+
 /// Accounting for one batch read.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadReport {

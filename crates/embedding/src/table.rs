@@ -372,7 +372,7 @@ impl ShardedTable {
 
     /// Lock-free [`ShardedTable::read_row`]: copies `row` via the stripe
     /// seqlock, retrying torn reads and falling back to the locked path
-    /// after [`MAX_SNAPSHOT_ATTEMPTS`]. A successful snapshot returns
+    /// after `MAX_SNAPSHOT_ATTEMPTS` (8). A successful snapshot returns
     /// exactly the bytes the locked read would have returned at the same
     /// instant, so the two paths are interchangeable bit-for-bit.
     ///

@@ -1,11 +1,20 @@
-//! A worker's view of the distributed embedding table: reads with bounded
-//! asynchrony (intra- and inter-embedding synchronisation, §5.3) and
-//! gradient write-back (§6 "Decentralized Communication").
+//! The embedding worker: one worker's view of the distributed embedding
+//! table — reads with bounded asynchrony (intra- and inter-embedding
+//! synchronisation, §5.3) and gradient write-back (§6 "Decentralized
+//! Communication").
+//!
+//! [`Worker`] is the only place that knows the protocol: resolve, classify
+//! (local primary / replica under the intra check / remote), one batched
+//! fetch and its landing, the inter-embedding pass, scatter; reduce, route
+//! (direct / deferred / wire), one batched apply, mirror; flush, re-prime,
+//! crash recovery; wire format, error feedback and the telemetry hooks.
+//! What the two designs it serves disagree on — which rows are replicated
+//! and when — is a [`ReplicaPolicy`], chosen at compile time.
 //!
 //! Cost model: resolving and classifying a batch is O(lookups), the
 //! inter-embedding check is O(Σ replicas-per-sample²), and no id is ever
-//! hashed — every id → slot map on this path is a dense array
-//! ([`crate::index`]).
+//! hashed — every id → slot map on this path is a dense array (see the
+//! `index` module).
 
 use std::sync::Arc;
 
@@ -13,9 +22,11 @@ use hetgmp_comms::{ErrorFeedback, SyncFormat};
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{names, Json, ProtocolAuditor, Recorder, TraceCollector};
 
-use crate::cache::SecondaryCache;
 use crate::index::{BatchIndex, ABSENT};
-use crate::report::{ReadReport, UpdateReport, META_ENTRY_BYTES};
+use crate::replica::ReplicaPolicy;
+#[cfg(test)]
+use crate::replica::WorkerEmbedding;
+use crate::report::{ReadReport, Traffic, UpdateReport, META_ENTRY_BYTES};
 use crate::sparse_optim::SparseOpt;
 use crate::store::{ReadPath, RowStore};
 use crate::table::BatchScratch;
@@ -25,70 +36,80 @@ use crate::table::ShardedTable;
 /// One field of the sample under the inter-embedding check that is served
 /// from a secondary replica.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SampleReplica {
+struct SampleReplica {
     id: u32,
-    /// The replica's slot in the [`SecondaryCache`].
+    /// The replica's slot in the policy's replica set.
     cache_slot: u32,
     /// The id's index among the batch's unique ids.
     uniq: u32,
 }
 
+/// How a row of the batched fetch lands once the read returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Landing {
+    /// A local primary: scattered exactly as read, never replicated.
+    Local,
+    /// A remote row this worker holds no replica of: it crosses the
+    /// interconnect, and the policy may keep it ([`ReplicaPolicy::fill`]).
+    Miss,
+    /// A stale replica: it crosses the interconnect and is re-installed at
+    /// the clock the read observed ([`ReplicaPolicy::refresh`]).
+    Refresh,
+}
+
 /// Reusable hot-path scratch: every buffer the per-batch gather/update path
 /// needs, allocated once per worker and recycled so steady-state iterations
-/// allocate nothing. Shared by both worker designs, together with the
-/// passes that do not depend on the replica policy: resolving lookups to
-/// unique ids, the shard-grouped fetch, the scatter and the local reduction.
+/// allocate nothing, together with the passes that touch no replica:
+/// resolving lookups to unique ids, the shard-grouped fetch, the scatter and
+/// the local reduction.
 #[derive(Default)]
-pub(crate) struct HotScratch {
+struct HotScratch {
     /// Shard-grouping permutation for the batched table API.
-    pub batch: BatchScratch,
+    batch: BatchScratch,
     /// The batch resolver: id → index among the batch's unique ids, in
     /// first-appearance order. Re-stamped by every read and every apply.
-    pub index: BatchIndex,
+    index: BatchIndex,
     /// Unique index of every lookup of the batch being read, sample-major.
-    pub lookups: Vec<u32>,
+    lookups: Vec<u32>,
     /// Resolved rows of the batch being read, one `dim` slice per unique id.
-    pub rows: Vec<f32>,
-    /// Per unique id of the batch being read: the cache slot of its
-    /// secondary replica, [`ABSENT`] for local primaries and remote rows
-    /// (which take part in no later decision).
-    pub replica_slots: Vec<u32>,
+    rows: Vec<f32>,
+    /// Per unique id of the batch being read: the slot of its replica,
+    /// [`ABSENT`] for local primaries and remote rows (which take part in no
+    /// later decision).
+    replica_slots: Vec<u32>,
     /// The replica-served fields of the sample under the inter-embedding
     /// check, in field order.
-    pub sample_replicas: Vec<SampleReplica>,
+    sample_replicas: Vec<SampleReplica>,
     /// Rows to fetch from the primary table this batch.
-    pub fetch_ids: Vec<u32>,
+    fetch_ids: Vec<u32>,
     /// Destination offset in `rows` for each fetch.
-    pub fetch_slots: Vec<usize>,
-    /// Whether each fetched row must be (re-)installed into the cache.
-    pub fetch_install: Vec<bool>,
-    /// Whether each fetched row crosses the interconnect (and therefore
-    /// goes through the wire format). Local-primary reads stay exact.
-    pub fetch_wire: Vec<bool>,
+    fetch_slots: Vec<usize>,
+    /// What to do with each fetched row when it lands.
+    fetch_landing: Vec<Landing>,
     /// Contiguous staging for batched reads (fetch-order, `dim` per row).
-    pub fetch_buf: Vec<f32>,
+    fetch_buf: Vec<f32>,
     /// Clocks observed by the batched read, fetch-order.
-    pub fetch_clocks: Vec<u64>,
+    fetch_clocks: Vec<u64>,
     /// One-row scratch for pending-gradient flushes.
-    pub row_buf: Vec<f32>,
+    row_buf: Vec<f32>,
     /// One-row scratch for local mirror deltas.
-    pub delta_buf: Vec<f32>,
+    delta_buf: Vec<f32>,
     /// Reduced (summed) gradients, one `dim` slice per unique id in
     /// first-appearance order (`index` maps an id to its slice).
-    pub reduce_buf: Vec<f32>,
+    reduce_buf: Vec<f32>,
     /// Unique ids of the batch, sorted for deterministic application.
-    pub reduce_ids: Vec<u32>,
+    reduce_ids: Vec<u32>,
     /// Rows routed to the single batched `apply_grads` call.
-    pub apply_ids: Vec<u32>,
+    apply_ids: Vec<u32>,
     /// Gradients aligned with `apply_ids`.
-    pub apply_buf: Vec<f32>,
+    apply_buf: Vec<f32>,
     /// Clocks returned by the batched apply.
-    pub apply_clocks: Vec<u64>,
+    apply_clocks: Vec<u64>,
 }
 
 impl HotScratch {
     /// Scratch for a worker over a `num_rows × dim` table.
-    pub fn new(num_rows: usize, dim: usize) -> Self {
+    fn new(num_rows: usize, dim: usize) -> Self {
         Self {
             index: BatchIndex::new(num_rows),
             row_buf: vec![0.0f32; dim],
@@ -97,7 +118,7 @@ impl HotScratch {
     }
 
     /// Pre-sizes every buffer for batches of up to `batch × fields` lookups.
-    pub fn reserve(&mut self, batch: usize, fields: usize, dim: usize) {
+    fn reserve(&mut self, batch: usize, fields: usize, dim: usize) {
         let rows = batch.saturating_mul(fields);
         self.lookups.reserve(rows);
         self.rows.reserve(rows * dim);
@@ -105,8 +126,7 @@ impl HotScratch {
         self.sample_replicas.reserve(fields);
         self.fetch_ids.reserve(rows);
         self.fetch_slots.reserve(rows);
-        self.fetch_install.reserve(rows);
-        self.fetch_wire.reserve(rows);
+        self.fetch_landing.reserve(rows);
         self.fetch_buf.reserve(rows * dim);
         self.fetch_clocks.reserve(rows);
         self.reduce_buf.reserve(rows * dim);
@@ -117,15 +137,14 @@ impl HotScratch {
     }
 
     /// Starts resolving a new batch to read.
-    pub fn begin_read(&mut self) {
+    fn begin_read(&mut self) {
         self.index.begin();
         self.lookups.clear();
         self.rows.clear();
         self.replica_slots.clear();
         self.fetch_ids.clear();
         self.fetch_slots.clear();
-        self.fetch_install.clear();
-        self.fetch_wire.clear();
+        self.fetch_landing.clear();
     }
 
     /// Resolves the next lookup of the batch being read. On an id's first
@@ -133,7 +152,7 @@ impl HotScratch {
     /// caller must fill; a repeat resolves to the same slice and returns
     /// `None`.
     #[inline]
-    pub fn resolve(&mut self, e: u32, dim: usize) -> Option<usize> {
+    fn resolve(&mut self, e: u32, dim: usize) -> Option<usize> {
         if let Some(k) = self.index.get(e) {
             self.lookups.push(k as u32);
             return None;
@@ -145,9 +164,18 @@ impl HotScratch {
         Some(k * dim)
     }
 
+    /// Queues row `e` for the batched fetch: it is read into `rows[slot..]`
+    /// and then lands as `landing` says.
+    #[inline]
+    fn plan_fetch(&mut self, e: u32, slot: usize, landing: Landing) {
+        self.fetch_ids.push(e);
+        self.fetch_slots.push(slot);
+        self.fetch_landing.push(landing);
+    }
+
     /// One shard-grouped read of `fetch_ids` into `fetch_buf` and
     /// `fetch_clocks`. Returns the number of rows read.
-    pub fn fetch(&mut self, table: &dyn RowStore, path: ReadPath) -> usize {
+    fn fetch(&mut self, table: &dyn RowStore, path: ReadPath) -> usize {
         let n = self.fetch_ids.len();
         self.fetch_buf.clear();
         self.fetch_buf.resize(n * table.dim(), 0.0);
@@ -165,7 +193,7 @@ impl HotScratch {
 
     /// Copies every lookup's resolved row into the caller's buffer,
     /// sample-major.
-    pub fn scatter(&self, out: &mut [f32], dim: usize) {
+    fn scatter(&self, out: &mut [f32], dim: usize) {
         for (dst, &k) in out.chunks_exact_mut(dim).zip(&self.lookups) {
             let k = k as usize;
             dst.copy_from_slice(&self.rows[k * dim..(k + 1) * dim]);
@@ -176,7 +204,7 @@ impl HotScratch {
     /// into `reduce_buf` (one `dim` slice per id, lookups added in batch
     /// order — no per-row `Vec` on the hot path) and leaves the unique ids
     /// in `reduce_ids`, sorted for deterministic application.
-    pub fn reduce(&mut self, samples: &[&[u32]], grads: &[f32], dim: usize) {
+    fn reduce(&mut self, samples: &[&[u32]], grads: &[f32], dim: usize) {
         self.index.begin();
         self.reduce_ids.clear();
         self.reduce_buf.clear();
@@ -211,14 +239,10 @@ pub enum StalenessBound {
 }
 
 impl StalenessBound {
-    fn tolerates(&self, gap: u64) -> bool {
-        match *self {
-            StalenessBound::Bounded(s) => gap <= s,
-            StalenessBound::Infinite => true,
-        }
-    }
-
-    fn tolerates_f(&self, gap: f64) -> bool {
+    /// Whether a clock gap — raw (intra) or normalised (inter) — is within
+    /// the bound.
+    #[inline]
+    fn tolerates(&self, gap: f64) -> bool {
         match *self {
             StalenessBound::Bounded(s) => gap <= s as f64,
             StalenessBound::Infinite => true,
@@ -226,31 +250,10 @@ impl StalenessBound {
     }
 }
 
-/// One worker's embedding-table interface.
-///
-/// Owns the worker's [`SecondaryCache`]; shares the global
-/// [`ShardedTable`] (primaries) with all other workers. Every operation
-/// reports the bytes/messages that would have crossed the interconnect so
-/// the trainer can charge simulated time and reproduce the paper's traffic
-/// breakdowns.
-pub struct WorkerEmbedding<'a> {
-    worker: u32,
-    table: &'a dyn RowStore,
-    part: &'a Partition,
-    /// Per-embedding access frequency `p_i` (bigraph degree) for clock
-    /// normalisation; zero frequencies are treated as one.
-    freq: &'a [u64],
-    bound: StalenessBound,
-    cache: SecondaryCache,
-    /// The optimizer last used by `apply_gradients`; read-path flushes of
-    /// deferred gradients apply the same rule.
-    flush_opt: SparseOpt,
-    /// Batched-path scratch (batch resolver, fetch staging, reduction).
-    scratch: HotScratch,
-    /// Rows currently holding a deferred (pending) gradient.
-    pending_rows: usize,
-    /// Wire format for inter-worker embedding payloads ([`SyncFormat::F32`]
-    /// reproduces the uncompressed protocol bit-for-bit).
+/// The wire format of inter-worker embedding payloads, and what the lossy
+/// formats carry beside it.
+struct Wire {
+    /// [`SyncFormat::F32`] reproduces the uncompressed protocol bit-for-bit.
     format: SyncFormat,
     /// Whether lossy gradient pushes carry error feedback.
     feedback_on: bool,
@@ -258,6 +261,62 @@ pub struct WorkerEmbedding<'a> {
     feedback: ErrorFeedback,
     /// Cached `format.row_wire_bytes(dim)`.
     row_bytes: u64,
+}
+
+impl Wire {
+    fn new(format: SyncFormat, feedback_on: bool, dim: usize) -> Self {
+        Self {
+            format,
+            feedback_on,
+            feedback: ErrorFeedback::new(),
+            row_bytes: format.row_wire_bytes(dim),
+        }
+    }
+
+    /// Sends the gradient of row `e` through the wire format (with error
+    /// feedback when enabled) *before* it reaches the primary, so a local
+    /// mirror of the transported value tracks what the primary actually
+    /// received. True when the format is lossy — the row then counts into
+    /// the `comms.quant.*` metrics.
+    #[inline]
+    fn push(&mut self, e: u32, grad: &mut [f32]) -> bool {
+        if self.format.is_lossless() {
+            return false;
+        }
+        if self.feedback_on {
+            self.feedback.compensate_and_transport(self.format, e, grad);
+        } else {
+            self.format.transport(grad);
+        }
+        true
+    }
+}
+
+/// One worker's embedding-table interface, generic over how its replica set
+/// is chosen ([`ReplicaPolicy`]); reached through the two names
+/// [`WorkerEmbedding`](crate::WorkerEmbedding) (static vertex-cut replicas,
+/// HET-GMP) and [`CachedWorkerEmbedding`](crate::CachedWorkerEmbedding)
+/// (dynamic LFU cache, HET).
+///
+/// Owns the worker's replicas; shares the global primary store
+/// ([`crate::ShardedTable`] or any other [`RowStore`]) with all other
+/// workers. Every operation reports the bytes/messages that would have
+/// crossed the interconnect so the trainer can charge simulated time and
+/// reproduce the paper's traffic breakdowns.
+pub struct Worker<'a, P> {
+    worker: u32,
+    table: &'a dyn RowStore,
+    part: &'a Partition,
+    bound: StalenessBound,
+    /// The replica set, and every decision about it that the two designs
+    /// make differently.
+    pub(crate) policy: P,
+    /// The optimizer last used by `apply_gradients`; read-path flushes of
+    /// deferred gradients apply the same rule.
+    flush_opt: SparseOpt,
+    /// Batched-path scratch (batch resolver, fetch staging, reduction).
+    scratch: HotScratch,
+    wire: Wire,
     /// Which table read path fetches go through (seqlock snapshot by
     /// default; both paths return bit-identical bytes).
     read_path: ReadPath,
@@ -266,54 +325,30 @@ pub struct WorkerEmbedding<'a> {
     tracer: Option<Arc<TraceCollector>>,
 }
 
-impl<'a> WorkerEmbedding<'a> {
-    /// Creates the worker view and warm-loads its secondary replicas from
-    /// the primaries (initial placement traffic is not charged, matching the
-    /// paper's measurement of steady-state iterations).
-    pub fn new(
+impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
+    /// The worker view over `policy`'s replica set, which the caller
+    /// re-primes ([`Worker::sync_all`]) if it starts non-empty.
+    pub(crate) fn with_policy(
         worker: u32,
         table: &'a dyn RowStore,
         part: &'a Partition,
-        freq: &'a [u64],
         bound: StalenessBound,
+        policy: P,
     ) -> Self {
-        assert_eq!(
-            freq.len(),
-            table.num_rows(),
-            "frequency table length mismatch"
-        );
         assert_eq!(
             part.num_embeddings(),
             table.num_rows(),
             "partition/table mismatch"
         );
-        let secondaries: Vec<u32> = (0..table.num_rows() as u32)
-            .filter(|&e| part.is_secondary(e, worker))
-            .collect();
-        // Warm-load every secondary with one batched read (on a tiered
-        // table a per-row read is up to one page fault per replica).
-        let dim = table.dim();
-        let mut cache = SecondaryCache::new(dim, &secondaries);
-        let mut values = vec![0.0f32; secondaries.len() * dim];
-        let mut clocks = vec![0u64; secondaries.len()];
-        table.read_rows(&secondaries, &mut values, &mut clocks, &mut BatchScratch::default());
-        for ((&e, row), &clock) in secondaries.iter().zip(values.chunks_exact(dim)).zip(&clocks) {
-            cache.install(e, row, clock);
-        }
         Self {
             worker,
             table,
             part,
-            freq,
             bound,
-            cache,
+            policy,
             flush_opt: SparseOpt::sgd(0.01),
-            scratch: HotScratch::new(table.num_rows(), dim),
-            pending_rows: 0,
-            format: SyncFormat::F32,
-            feedback_on: true,
-            feedback: ErrorFeedback::new(),
-            row_bytes: SyncFormat::F32.row_wire_bytes(table.dim()),
+            scratch: HotScratch::new(table.num_rows(), table.dim()),
+            wire: Wire::new(SyncFormat::F32, true, table.dim()),
             read_path: ReadPath::default(),
             recorder: None,
             auditor: None,
@@ -323,15 +358,12 @@ impl<'a> WorkerEmbedding<'a> {
 
     /// Selects the wire format for inter-worker embedding payloads, and
     /// whether per-row error feedback compensates lossy quantization on the
-    /// gradient-push direction. Re-primes every secondary replica through
-    /// the new format so cached state matches what a fresh fetch delivers.
-    /// Call before training; checkpoint-resumed runs reconstruct the same
-    /// state because residuals are cleared at every full sync.
+    /// gradient-push direction. Re-primes every replica through the new
+    /// format so cached state matches what a fresh fetch delivers. Call
+    /// before training; checkpoint-resumed runs reconstruct the same state
+    /// because residuals are cleared at every full sync.
     pub fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {
-        self.format = format;
-        self.feedback_on = error_feedback;
-        self.feedback.clear();
-        self.row_bytes = format.row_wire_bytes(self.table.dim());
+        self.wire = Wire::new(format, error_feedback, self.table.dim());
         if !format.is_lossless() {
             self.sync_all();
         }
@@ -347,7 +379,7 @@ impl<'a> WorkerEmbedding<'a> {
     /// Counts `rows` quantized payload rows into the `comms.quant.*`
     /// metrics (no-op for lossless formats).
     fn note_quant(&self, rows: u64) {
-        if rows == 0 || self.format.is_lossless() {
+        if rows == 0 || self.wire.format.is_lossless() {
             return;
         }
         if let Some(r) = &self.recorder {
@@ -355,8 +387,27 @@ impl<'a> WorkerEmbedding<'a> {
             r.counter_add(names::COMMS_QUANT_ROWS, rows);
             r.counter_add(
                 names::COMMS_QUANT_BYTES_SAVED,
-                rows * raw.saturating_sub(self.row_bytes),
+                rows * raw.saturating_sub(self.wire.row_bytes),
             );
+        }
+    }
+
+    /// Accounts one embedding row exchanged with `e`'s primary — a fetch,
+    /// a sync or a write-back — into `report`: its wire bytes, attributed to
+    /// the primary's partition, one metadata entry and one message.
+    #[inline]
+    fn count_remote_row(&self, e: u32, report: &mut impl Traffic) {
+        report.add_remote_row(
+            self.part.primary_of(e),
+            self.wire.row_bytes,
+            self.part.num_partitions(),
+        );
+    }
+
+    /// Publishes a deferring policy's backlog of stale-gradient rows.
+    fn record_pending(&self) {
+        if let (true, Some(r)) = (P::DEFERS, &self.recorder) {
+            r.gauge_set(names::EMBED_PENDING_ROWS, self.policy.pending_rows() as f64);
         }
     }
 
@@ -378,31 +429,53 @@ impl<'a> WorkerEmbedding<'a> {
         self.tracer = Some(tracer);
     }
 
-    /// This worker's id.
-    pub fn worker(&self) -> u32 {
-        self.worker
-    }
-
-    /// Number of secondary replicas held.
-    pub fn num_secondaries(&self) -> usize {
-        self.cache.len()
+    /// Which telemetry hooks are attached: `(recorder, auditor, tracer)`.
+    pub fn hooks_attached(&self) -> (bool, bool, bool) {
+        (
+            self.recorder.is_some(),
+            self.auditor.is_some(),
+            self.tracer.is_some(),
+        )
     }
 
     /// The effective clock (`base + local updates`) of this worker's
-    /// secondary replica of `e`; `None` when it holds none.
+    /// replica of `e`; `None` when it holds none.
     pub fn replica_clock(&self, e: u32) -> Option<u64> {
-        self.cache.effective_clock(e)
-    }
-
-    #[inline]
-    fn freq_of(&self, e: u32) -> u64 {
-        self.freq[e as usize].max(1)
+        let slot = self.policy.slot_of(e)?;
+        Some(self.policy.clock_at(slot))
     }
 
     /// Pre-sizes every read/apply scratch buffer for batches of up to
     /// `batch × fields` lookups, so no steady-state batch grows a buffer.
     pub fn reserve_batch(&mut self, batch: usize, fields: usize) {
         self.scratch.reserve(batch, fields, self.table.dim());
+    }
+
+    /// The intra-embedding check (§5.3): whether the replica of `e` in
+    /// `cache_slot` may be served as it is. Bounded reads exchange the clock
+    /// ("send sparse indexes and clocks ... small compared with the
+    /// embedding"); the entry is accounted here for a fresh replica and with
+    /// the re-fetch for a stale one.
+    fn replica_is_fresh(&self, e: u32, cache_slot: usize, report: &mut ReadReport) -> bool {
+        let bounded = !matches!(self.bound, StalenessBound::Infinite);
+        // ASP never checks and never syncs; it peeks at the primary's clock
+        // only for the audit, which then sees the drift ASP permits.
+        if !bounded && self.auditor.is_none() {
+            return true;
+        }
+        let local_clock = self.policy.clock_at(cache_slot);
+        let gap = self.table.clock(e).saturating_sub(local_clock) as f64;
+        let fresh = self.bound.tolerates(gap);
+        if let Some(a) = &self.auditor {
+            // A tolerated read is served at the raw gap; an intra sync
+            // re-fetches, serving gap 0.
+            let served = if fresh { gap } else { 0.0 };
+            a.observe_intra(self.recorder.as_deref(), gap, served);
+        }
+        if fresh && bounded {
+            report.meta_bytes += META_ENTRY_BYTES;
+        }
+        fresh
     }
 
     /// Reads the embeddings for a batch of samples under the bounded-
@@ -418,276 +491,236 @@ impl<'a> WorkerEmbedding<'a> {
         self.scratch.begin_read();
 
         // Pass 1 — resolve every lookup to its unique id and classify each
-        // unique id once: local primary, cached secondary (with intra-
-        // embedding staleness check), or remote fetch. Rows that need the
-        // primary table are *collected* during classification and fetched
-        // afterwards in one shard-grouped `read_rows` call, so a batch pays
-        // one lock per shard touched instead of one per row. Pending flushes
-        // still happen at decision time (before the fetch), so a synced
-        // row's fetched value includes this worker's own deferred updates —
-        // same order as the per-row path.
+        // unique id once, strictly in batch order (the policy's access
+        // counts and admissions are stateful): local primary, replica (with
+        // the intra-embedding staleness check), or remote fetch. Rows that
+        // need the primary table are *collected* during classification and
+        // fetched afterwards in one shard-grouped `read_rows` call, so a
+        // batch pays one lock per shard touched instead of one per row.
+        // Pending flushes still happen at decision time (before the fetch),
+        // so a synced row's fetched value includes this worker's own
+        // deferred updates — same order as the per-row path.
         for sample in samples {
             for &e in *sample {
                 let Some(slot) = self.scratch.resolve(e, dim) else {
                     continue;
                 };
+                self.policy.touch(e);
                 let mut replica = ABSENT;
                 if self.part.primary_of(e) == self.worker {
-                    self.scratch.fetch_ids.push(e);
-                    self.scratch.fetch_slots.push(slot);
-                    self.scratch.fetch_install.push(false);
-                    self.scratch.fetch_wire.push(false);
+                    self.scratch.plan_fetch(e, slot, Landing::Local);
                     report.local_primary += 1;
-                } else if let Some(cache_slot) = self.cache.slot_of(e) {
+                } else if let Some(cache_slot) = self.policy.slot_of(e) {
                     replica = cache_slot as u32;
-                    let local_clock = self.cache.clock_at(cache_slot);
-                    match self.bound {
-                        StalenessBound::Infinite => {
-                            // ASP: never check, never sync.
-                            if let Some(a) = &self.auditor {
-                                // Audit-only clock peek: ASP serves the
-                                // replica as-is, so raw and served gaps
-                                // coincide — this is the drift ASP permits.
-                                let gap =
-                                    self.table.clock(e).saturating_sub(local_clock) as f64;
-                                a.observe_intra(self.recorder.as_deref(), gap, gap);
-                            }
-                            self.cache
-                                .read(e, &mut self.scratch.rows[slot..slot + dim]);
-                            report.local_fresh += 1;
-                        }
-                        StalenessBound::Bounded(_) => {
-                            // Clock exchange (paper: "send sparse indexes and
-                            // clocks ... small compared with the embedding").
-                            report.meta_bytes += META_ENTRY_BYTES;
-                            let gap = self.table.clock(e).saturating_sub(local_clock);
-                            if let Some(a) = &self.auditor {
-                                // A tolerated read is served at the raw gap;
-                                // an intra sync re-fetches, serving gap 0.
-                                let served =
-                                    if self.bound.tolerates(gap) { gap as f64 } else { 0.0 };
-                                a.observe_intra(self.recorder.as_deref(), gap as f64, served);
-                            }
-                            if self.bound.tolerates(gap) {
-                                self.cache
-                                    .read(e, &mut self.scratch.rows[slot..slot + dim]);
-                                report.local_fresh += 1;
-                            } else {
-                                // Push any deferred gradients first so the
-                                // fetched value includes our own updates.
-                                self.flush_pending_into_read(e, &mut report);
-                                self.scratch.fetch_ids.push(e);
-                                self.scratch.fetch_slots.push(slot);
-                                self.scratch.fetch_install.push(true);
-                                self.scratch.fetch_wire.push(true);
-                                report.intra_syncs += 1;
-                                report.data_bytes += self.row_bytes;
-                                report.add_src_bytes(
-                                    self.part.primary_of(e),
-                                    self.row_bytes,
-                                    self.part.num_partitions(),
-                                );
-                                report.messages += 1;
-                            }
-                        }
+                    if self.replica_is_fresh(e, cache_slot, &mut report) {
+                        self.policy
+                            .read(e, &mut self.scratch.rows[slot..slot + dim]);
+                        report.local_fresh += 1;
+                    } else {
+                        // Push any deferred gradients first so the fetched
+                        // value includes our own updates.
+                        let opt = self.flush_opt;
+                        self.flush_row(e, &opt, &mut report);
+                        self.scratch.plan_fetch(e, slot, Landing::Refresh);
+                        report.intra_syncs += 1;
+                        self.count_remote_row(e, &mut report);
                     }
                 } else {
                     // No local replica: model-parallel remote read.
-                    self.scratch.fetch_ids.push(e);
-                    self.scratch.fetch_slots.push(slot);
-                    self.scratch.fetch_install.push(false);
-                    self.scratch.fetch_wire.push(true);
+                    self.scratch.plan_fetch(e, slot, Landing::Miss);
                     report.remote_fetches += 1;
-                    report.data_bytes += self.row_bytes;
-                    report.add_src_bytes(
-                        self.part.primary_of(e),
-                        self.row_bytes,
-                        self.part.num_partitions(),
-                    );
-                    report.meta_bytes += META_ENTRY_BYTES;
-                    report.messages += 1;
+                    self.count_remote_row(e, &mut report);
+                    self.policy.miss(e, self.table);
                 }
                 self.scratch.replica_slots.push(replica);
             }
         }
 
         // One shard-grouped fetch for everything that needs the primary
-        // table, scattered into the resolved-row scratch; synced secondaries
-        // are re-installed at their observed clocks. Bit-identical to the
-        // old per-row reads: each fetched row is written only by its own
-        // flush above, which precedes the read in both orders.
+        // table, scattered into the resolved-row scratch. Bit-identical to
+        // per-row reads: each fetched row is written only by its own flush
+        // above, which precedes the read in both orders.
         let nfetch = self.scratch.fetch(self.table, self.read_path);
-        {
-            let format = self.format;
-            let HotScratch {
-                rows,
-                fetch_ids,
-                fetch_slots,
-                fetch_install,
-                fetch_wire,
-                fetch_buf,
-                fetch_clocks,
-                ..
-            } = &mut self.scratch;
-            for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
-                let slot = fetch_slots[k];
-                if fetch_wire[k] {
-                    format.transport(row);
-                }
-                rows[slot..slot + dim].copy_from_slice(row);
-                if fetch_install[k] {
-                    self.cache.install(fetch_ids[k], row, fetch_clocks[k]);
-                }
-            }
-        }
+        self.land(true);
         if let Some(r) = &self.recorder {
             r.counter_add(names::HOTPATH_BATCH_READ_ROWS, nfetch as u64);
         }
 
-        // Pass 2 — inter-embedding synchronisation: within each sample, all
-        // pairs of *secondary* replicas must be mutually fresh under the
-        // normalised clock (primaries and just-fetched rows are fresh by
-        // construction). Only the sample's replica-served fields are
-        // gathered — one indexed load per field — and paired, in field
-        // order; a sample with fewer than two costs O(fields).
-        if !matches!(self.bound, StalenessBound::Infinite) {
-            let mut first = 0usize;
-            for sample in samples {
-                {
-                    let HotScratch {
-                        lookups,
-                        replica_slots,
-                        sample_replicas,
-                        ..
-                    } = &mut self.scratch;
-                    sample_replicas.clear();
-                    let uniqs = &lookups[first..first + sample.len()];
-                    first += sample.len();
-                    for (&id, &uniq) in sample.iter().zip(uniqs) {
-                        let cache_slot = replica_slots[uniq as usize];
-                        if cache_slot != ABSENT {
-                            sample_replicas.push(SampleReplica { id, cache_slot, uniq });
-                        }
-                    }
-                }
-                let n = self.scratch.sample_replicas.len();
-                for i in 0..n {
-                    for j in i + 1..n {
-                        let a = self.scratch.sample_replicas[i];
-                        let b = self.scratch.sample_replicas[j];
-                        if a.id == b.id {
-                            continue;
-                        }
-                        // Read per pair: a sync earlier in this sample moved
-                        // its victim's clock.
-                        let ca = self.cache.clock_at(a.cache_slot as usize);
-                        let cb = self.cache.clock_at(b.cache_slot as usize);
-                        // Orient so p_hot ≥ p_cold (paper: assume p_i ≥ p_j).
-                        let (hot, cold, c_hot, c_cold) =
-                            if self.freq_of(a.id) >= self.freq_of(b.id) {
-                                (a, b, ca, cb)
-                            } else {
-                                (b, a, cb, ca)
-                            };
-                        let p_hot = self.freq_of(hot.id) as f64;
-                        let p_cold = self.freq_of(cold.id) as f64;
-                        let gap = (c_hot as f64 * (p_cold / p_hot) - c_cold as f64).abs();
-                        let tolerated = self.bound.tolerates_f(gap);
-                        if let Some(a) = &self.auditor {
-                            // A tolerated pair is served at the raw gap; a
-                            // pair that triggers (or needs no) sync is
-                            // content-fresh afterwards, so its served gap
-                            // is 0.
-                            let served = if tolerated { gap } else { 0.0 };
-                            a.observe_inter(self.recorder.as_deref(), gap, served);
-                        }
-                        if !tolerated {
-                            // Sync whichever replica lags its own primary
-                            // more. If neither lags, the normalised gap is a
-                            // property of the *global* update counts (the
-                            // primaries themselves differ in progress) — no
-                            // replica sync can shrink it, so fetching would
-                            // be a pure no-op cost.
-                            let lag_hot = self.table.clock(hot.id).saturating_sub(c_hot);
-                            let lag_cold = self.table.clock(cold.id).saturating_sub(c_cold);
-                            if lag_hot == 0 && lag_cold == 0 {
-                                continue;
-                            }
-                            let victim = if lag_hot >= lag_cold { hot } else { cold };
-                            self.flush_pending_into_read(victim.id, &mut report);
-                            let slot = victim.uniq as usize * dim;
-                            let buf = &mut self.scratch.rows[slot..slot + dim];
-                            let clock = match self.read_path {
-                                ReadPath::Snapshot => {
-                                    self.table.read_row_snapshot(victim.id, buf)
-                                }
-                                ReadPath::Locked => self.table.read_row(victim.id, buf),
-                            };
-                            self.format.transport(buf);
-                            self.cache.install(victim.id, buf, clock);
-                            report.inter_syncs += 1;
-                            report.data_bytes += self.row_bytes;
-                            report.add_src_bytes(
-                                self.part.primary_of(victim.id),
-                                self.row_bytes,
-                                self.part.num_partitions(),
-                            );
-                            report.meta_bytes += META_ENTRY_BYTES;
-                            report.messages += 1;
-                        }
-                    }
-                }
+        // Pass 2 — inter-embedding synchronisation, for policies whose
+        // replicas take part in it.
+        if let Some(freq) = self.policy.frequencies() {
+            if !matches!(self.bound, StalenessBound::Infinite) {
+                self.sync_inter(samples, freq, &mut report);
             }
         }
 
         // Pass 3 — scatter resolved rows into the caller's buffer.
         self.scratch.scatter(out, dim);
-        self.note_quant(report.intra_syncs + report.inter_syncs + report.remote_fetches);
+        self.note_quant(report.remote_total());
         if let Some(r) = &self.recorder {
             r.counter_add(names::EMBED_READ_LOCAL_PRIMARY, report.local_primary);
             r.counter_add(names::EMBED_READ_LOCAL_FRESH, report.local_fresh);
             r.counter_add(names::EMBED_READ_REMOTE, report.remote_fetches);
             r.counter_add(names::EMBED_SYNC_INTRA, report.intra_syncs);
-            r.counter_add(names::EMBED_SYNC_INTER, report.inter_syncs);
-            r.gauge_set(names::EMBED_PENDING_ROWS, self.pending_rows as f64);
+            self.policy.record_read(r.as_ref(), &report);
         }
+        self.record_pending();
         if let Some(t) = &self.tracer {
             let w = self.worker as usize;
+            let [served, fetched] = P::read_mix(&report);
             t.worker_instant(
                 w,
                 names::TRACE_READ,
                 &[
                     ("local_primary", Json::U64(report.local_primary)),
-                    ("local_fresh", Json::U64(report.local_fresh)),
-                    ("remote", Json::U64(report.remote_fetches)),
+                    (served.0, Json::U64(served.1)),
+                    (fetched.0, Json::U64(fetched.1)),
                 ],
             );
-            if report.intra_syncs > 0 {
-                t.worker_instant(
-                    w,
-                    names::TRACE_SYNC,
-                    &[("kind", Json::from("intra")), ("count", Json::U64(report.intra_syncs))],
-                );
-            }
-            if report.inter_syncs > 0 {
-                t.worker_instant(
-                    w,
-                    names::TRACE_SYNC,
-                    &[("kind", Json::from("inter")), ("count", Json::U64(report.inter_syncs))],
-                );
+            for (kind, count) in [("intra", report.intra_syncs), ("inter", report.inter_syncs)] {
+                if count > 0 {
+                    t.worker_instant(
+                        w,
+                        names::TRACE_SYNC,
+                        &[("kind", Json::from(kind)), ("count", Json::U64(count))],
+                    );
+                }
             }
         }
         report
     }
 
+    /// Lands the batched fetch: a row that crossed the interconnect goes
+    /// through the wire format (local-primary reads stay exact), `scatter`
+    /// copies it into its resolved slot, and the policy keeps what it
+    /// replicates — a stale replica re-installed at the clock the read
+    /// observed, a missed row offered for admission.
+    fn land(&mut self, scatter: bool) {
+        let dim = self.table.dim();
+        let format = self.wire.format;
+        let HotScratch {
+            rows,
+            fetch_ids,
+            fetch_slots,
+            fetch_landing,
+            fetch_buf,
+            fetch_clocks,
+            ..
+        } = &mut self.scratch;
+        for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
+            let landing = fetch_landing[k];
+            if landing != Landing::Local {
+                format.transport(row);
+            }
+            if scatter {
+                let slot = fetch_slots[k];
+                rows[slot..slot + dim].copy_from_slice(row);
+            }
+            match landing {
+                Landing::Local => {}
+                Landing::Miss => self.policy.fill(fetch_ids[k], row),
+                Landing::Refresh => self.policy.refresh(fetch_ids[k], row, fetch_clocks[k]),
+            }
+        }
+    }
+
+    /// The inter-embedding pass (§5.3): within each sample, all pairs of
+    /// *secondary* replicas must be mutually fresh under the clock
+    /// normalised by the access frequencies `freq` (primaries and
+    /// just-fetched rows are fresh by construction). Only the sample's
+    /// replica-served fields are gathered — one indexed load per field — and
+    /// paired, in field order; a sample with fewer than two costs O(fields).
+    fn sync_inter(&mut self, samples: &[&[u32]], freq: &[u64], report: &mut ReadReport) {
+        let dim = self.table.dim();
+        // Zero frequencies are treated as one.
+        let freq_of = |e: u32| freq[e as usize].max(1);
+        let mut first = 0usize;
+        for sample in samples {
+            {
+                let HotScratch {
+                    lookups,
+                    replica_slots,
+                    sample_replicas,
+                    ..
+                } = &mut self.scratch;
+                sample_replicas.clear();
+                let uniqs = &lookups[first..first + sample.len()];
+                first += sample.len();
+                for (&id, &uniq) in sample.iter().zip(uniqs) {
+                    let cache_slot = replica_slots[uniq as usize];
+                    if cache_slot != ABSENT {
+                        sample_replicas.push(SampleReplica { id, cache_slot, uniq });
+                    }
+                }
+            }
+            let n = self.scratch.sample_replicas.len();
+            for i in 0..n {
+                for j in i + 1..n {
+                    let a = self.scratch.sample_replicas[i];
+                    let b = self.scratch.sample_replicas[j];
+                    if a.id == b.id {
+                        continue;
+                    }
+                    // Read per pair: a sync earlier in this sample moved
+                    // its victim's clock.
+                    let ca = self.policy.clock_at(a.cache_slot as usize);
+                    let cb = self.policy.clock_at(b.cache_slot as usize);
+                    // Orient so p_hot ≥ p_cold (paper: assume p_i ≥ p_j).
+                    let (hot, cold, c_hot, c_cold) = if freq_of(a.id) >= freq_of(b.id) {
+                        (a, b, ca, cb)
+                    } else {
+                        (b, a, cb, ca)
+                    };
+                    let p_hot = freq_of(hot.id) as f64;
+                    let p_cold = freq_of(cold.id) as f64;
+                    let gap = (c_hot as f64 * (p_cold / p_hot) - c_cold as f64).abs();
+                    let tolerated = self.bound.tolerates(gap);
+                    if let Some(a) = &self.auditor {
+                        // A tolerated pair is served at the raw gap; a pair
+                        // that triggers (or needs no) sync is content-fresh
+                        // afterwards, so its served gap is 0.
+                        let served = if tolerated { gap } else { 0.0 };
+                        a.observe_inter(self.recorder.as_deref(), gap, served);
+                    }
+                    if tolerated {
+                        continue;
+                    }
+                    // Sync whichever replica lags its own primary more. If
+                    // neither lags, the normalised gap is a property of the
+                    // *global* update counts (the primaries themselves
+                    // differ in progress) — no replica sync can shrink it,
+                    // so fetching would be a pure no-op cost.
+                    let lag_hot = self.table.clock(hot.id).saturating_sub(c_hot);
+                    let lag_cold = self.table.clock(cold.id).saturating_sub(c_cold);
+                    if lag_hot == 0 && lag_cold == 0 {
+                        continue;
+                    }
+                    let victim = if lag_hot >= lag_cold { hot } else { cold };
+                    let opt = self.flush_opt;
+                    self.flush_row(victim.id, &opt, report);
+                    let slot = victim.uniq as usize * dim;
+                    let buf = &mut self.scratch.rows[slot..slot + dim];
+                    let clock = match self.read_path {
+                        ReadPath::Snapshot => self.table.read_row_snapshot(victim.id, buf),
+                        ReadPath::Locked => self.table.read_row(victim.id, buf),
+                    };
+                    self.wire.format.transport(buf);
+                    self.policy.refresh(victim.id, buf, clock);
+                    report.inter_syncs += 1;
+                    self.count_remote_row(victim.id, report);
+                }
+            }
+        }
+    }
+
     /// Applies per-lookup gradients for a batch. `samples` and `grads` are
-    /// aligned with the corresponding [`WorkerEmbedding::read_batch`] call
-    /// (`grads` is sample-major, `Σ len(sample) × dim` floats).
+    /// aligned with the corresponding [`Worker::read_batch`] call (`grads`
+    /// is sample-major, `Σ len(sample) × dim` floats).
     ///
     /// Performs the paper's local reduction first (summing duplicate rows in
     /// the batch), then writes every reduced gradient to the row's primary;
-    /// local secondary mirrors receive the same SGD-style delta and count a
-    /// local update (their "stale gradient" copy).
+    /// local replicas receive the same SGD-style delta and count a local
+    /// update (their "stale gradient" copy).
     pub fn apply_gradients(
         &mut self,
         samples: &[&[u32]],
@@ -713,86 +746,68 @@ impl<'a> WorkerEmbedding<'a> {
         let mut apply_buf = std::mem::take(&mut self.scratch.apply_buf);
         apply_ids.clear();
         apply_buf.clear();
-        // Deferral budget: with a positive staleness bound, gradients for
-        // locally-replicated rows are *accumulated* in the secondary's
-        // stale-gradient buffer (paper §6) and flushed as one merged
-        // write-back — this is what shrinks write traffic as `s` grows
-        // (Figure 8's 2-D columns). The budget honours the bound: a worker
-        // deferring `k` updates makes every *other* replica miss up to `k`
-        // updates, and with `N−1` peers deferring symmetrically a replica
-        // can miss `(N−1)·k`; keeping that within `s` gives
-        // `k ≤ max(1, s/N)`.
+        // Deferral budget: under a policy that defers, with a positive
+        // staleness bound, gradients for locally-replicated rows are
+        // *accumulated* in the secondary's stale-gradient buffer (paper §6)
+        // and flushed as one merged write-back — this is what shrinks write
+        // traffic as `s` grows (Figure 8's 2-D columns). The budget honours
+        // the bound: a worker deferring `k` updates makes every *other*
+        // replica miss up to `k` updates, and with `N−1` peers deferring
+        // symmetrically a replica can miss `(N−1)·k`; keeping that within
+        // `s` gives `k ≤ max(1, s/N)`.
         let n = self.part.num_partitions() as u64;
         let defer_threshold: Option<u64> = match self.bound {
-            StalenessBound::Bounded(s) if s > 0 => Some((s / n).max(1)),
+            _ if !P::DEFERS => None,
+            StalenessBound::Bounded(0) => None,
+            StalenessBound::Bounded(s) => Some((s / n).max(1)),
             StalenessBound::Infinite => Some(u64::MAX),
-            _ => None,
         };
         // Route every reduced gradient. Direct applies (local primaries and
         // immediate write-backs) are *collected* and applied in one
         // shard-grouped `apply_grads` call below; deferred rows still flush
         // inline when they hit their budget. Rows are distinct after
-        // reduction, so collecting commutes with the old per-row interleave
+        // reduction, so collecting commutes with a per-row interleave
         // bit-for-bit.
         let mut wire_rows = 0u64;
         for &e in &ids {
             let slot = self.scratch.index.slot(e) * dim;
             let g = &reduce_buf[slot..slot + dim];
-            let primary_local = self.part.primary_of(e) == self.worker;
-            if primary_local {
+            if self.part.primary_of(e) == self.worker {
                 apply_ids.push(e);
                 apply_buf.extend_from_slice(g);
                 report.local_updates += 1;
                 continue;
             }
-            if let (Some(threshold), true) = (defer_threshold, self.cache.contains(e)) {
+            let replicated = self.policy.slot_of(e).is_some();
+            if let (Some(threshold), true) = (defer_threshold, replicated) {
                 // Mirror locally (uncounted — the clock advances at flush),
                 // defer the primary write-back.
                 for (d, &x) in delta.iter_mut().zip(g) {
                     *d = -lr * x;
                 }
-                self.cache.apply_local_delta_uncounted(e, &delta);
-                let pending = self.cache.accumulate_pending(e, g) as u64;
+                let pending = self.policy.defer(e, &delta, g);
                 report.deferred += 1;
-                if pending == 1 {
-                    self.pending_rows += 1;
-                }
-                if pending >= threshold {
-                    self.flush_row(e, opt, &mut report);
+                if pending >= threshold && self.flush_row(e, opt, &mut report) {
+                    report.remote_writebacks += 1;
                 }
                 continue;
             }
-            // Immediate write-back (no replica, or s = 0). The gradient is
-            // transported through the wire format (with error feedback when
-            // enabled) *before* it reaches the primary; the local mirror
-            // applies the transported value so it tracks what the primary
-            // actually received.
+            // Immediate write-back (no replica, s = 0, or an eager policy),
+            // through the wire; the local mirror applies the transported
+            // value.
             apply_ids.push(e);
             let start = apply_buf.len();
             apply_buf.extend_from_slice(g);
-            if !self.format.is_lossless() {
-                let wire = &mut apply_buf[start..];
-                if self.feedback_on {
-                    self.feedback.compensate_and_transport(self.format, e, wire);
-                } else {
-                    self.format.transport(wire);
-                }
+            if self.wire.push(e, &mut apply_buf[start..]) {
                 wire_rows += 1;
             }
             report.remote_writebacks += 1;
-            report.data_bytes += self.row_bytes;
-            report.add_dst_bytes(
-                self.part.primary_of(e),
-                self.row_bytes,
-                self.part.num_partitions(),
-            );
-            report.meta_bytes += META_ENTRY_BYTES;
-            report.messages += 1;
-            if self.cache.contains(e) {
+            self.count_remote_row(e, &mut report);
+            if replicated {
                 for (d, &x) in delta.iter_mut().zip(&apply_buf[start..]) {
                     *d = -lr * x;
                 }
-                self.cache.apply_local_delta(e, &delta);
+                self.policy.mirror(e, &delta);
             }
         }
         self.note_quant(wire_rows);
@@ -807,20 +822,20 @@ impl<'a> WorkerEmbedding<'a> {
         }
         if let Some(r) = &self.recorder {
             r.counter_add(names::HOTPATH_BATCH_APPLY_ROWS, apply_ids.len() as u64);
+            r.counter_add(
+                names::EMBED_UPDATE_DIRECT,
+                report.local_updates + report.remote_writebacks,
+            );
+            if P::DEFERS {
+                r.counter_add(names::EMBED_UPDATE_DEFERRED, report.deferred);
+            }
         }
+        self.record_pending();
         self.scratch.delta_buf = delta;
         self.scratch.reduce_buf = reduce_buf;
         self.scratch.apply_ids = apply_ids;
         self.scratch.apply_buf = apply_buf;
         self.scratch.reduce_ids = ids;
-        if let Some(r) = &self.recorder {
-            r.counter_add(names::EMBED_UPDATE_DEFERRED, report.deferred);
-            r.counter_add(
-                names::EMBED_UPDATE_DIRECT,
-                report.local_updates + report.remote_writebacks,
-            );
-            r.gauge_set(names::EMBED_PENDING_ROWS, self.pending_rows as f64);
-        }
         if let Some(t) = &self.tracer {
             if report.deferred > 0 {
                 t.worker_instant(
@@ -828,7 +843,7 @@ impl<'a> WorkerEmbedding<'a> {
                     names::TRACE_DEFER,
                     &[
                         ("deferred", Json::U64(report.deferred)),
-                        ("pending_rows", Json::U64(self.pending_rows as u64)),
+                        ("pending_rows", Json::U64(self.policy.pending_rows() as u64)),
                     ],
                 );
             }
@@ -836,137 +851,74 @@ impl<'a> WorkerEmbedding<'a> {
         report
     }
 
-    /// Flushes one row's pending gradient to its primary; accounts the
-    /// write-back into `report`.
-    fn flush_row(&mut self, e: u32, opt: &SparseOpt, report: &mut UpdateReport) {
+    /// Flushes row `e`'s pending gradient to its primary as one merged
+    /// update — through the wire, under `opt` — and accounts the write-back
+    /// into `report` (the read report when a sync forces the flush). False
+    /// when nothing was pending.
+    fn flush_row(&mut self, e: u32, opt: &SparseOpt, report: &mut impl Traffic) -> bool {
         let buf = &mut self.scratch.row_buf;
-        if self.cache.take_pending(e, buf) {
-            if !self.format.is_lossless() {
-                if self.feedback_on {
-                    self.feedback.compensate_and_transport(self.format, e, buf);
-                } else {
-                    self.format.transport(buf);
-                }
-            }
-            self.table.apply_grad(e, buf, opt);
-            self.cache.note_flush(e);
-            self.pending_rows = self.pending_rows.saturating_sub(1);
-            if let Some(r) = &self.recorder {
-                r.counter_add(names::EMBED_FLUSH_ROWS, 1);
-            }
-            self.note_quant(1);
-            report.remote_writebacks += 1;
-            report.data_bytes += self.row_bytes;
-            report.add_dst_bytes(
-                self.part.primary_of(e),
-                self.row_bytes,
-                self.part.num_partitions(),
-            );
-            report.meta_bytes += META_ENTRY_BYTES;
-            report.messages += 1;
+        if !self.policy.take_pending(e, buf) {
+            return false;
         }
-    }
-
-    /// Flushes a row's pending gradient during a read-path sync; bytes are
-    /// accounted into the read report. Returns true if anything was flushed.
-    fn flush_pending_into_read(&mut self, e: u32, report: &mut ReadReport) -> bool {
-        let buf = &mut self.scratch.row_buf;
-        if self.cache.take_pending(e, buf) {
-            if !self.format.is_lossless() {
-                if self.feedback_on {
-                    self.feedback.compensate_and_transport(self.format, e, buf);
-                } else {
-                    self.format.transport(buf);
-                }
-            }
-            let opt = self.flush_opt;
-            self.table.apply_grad(e, buf, &opt);
-            self.cache.note_flush(e);
-            self.pending_rows = self.pending_rows.saturating_sub(1);
-            if let Some(r) = &self.recorder {
-                r.counter_add(names::EMBED_FLUSH_ROWS, 1);
-            }
-            self.note_quant(1);
-            report.data_bytes += self.row_bytes;
-            report.add_src_bytes(
-                self.part.primary_of(e),
-                self.row_bytes,
-                self.part.num_partitions(),
-            );
-            report.meta_bytes += META_ENTRY_BYTES;
-            report.messages += 1;
-            true
-        } else {
-            false
+        self.wire.push(e, buf);
+        self.table.apply_grad(e, buf, opt);
+        if let Some(r) = &self.recorder {
+            r.counter_add(names::EMBED_FLUSH_ROWS, 1);
         }
+        self.note_quant(1);
+        self.count_remote_row(e, report);
+        true
     }
 
     /// Flushes every pending deferred gradient (epoch boundaries,
     /// evaluation barriers). Returns the accounting for the write-backs.
     pub fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport {
         let mut report = UpdateReport::default();
-        for e in self.cache.rows_with_pending() {
-            self.flush_row(e, opt, &mut report);
+        for e in self.policy.rows_with_pending() {
+            if self.flush_row(e, opt, &mut report) {
+                report.remote_writebacks += 1;
+            }
         }
-        if let Some(r) = &self.recorder {
-            r.gauge_set(names::EMBED_PENDING_ROWS, self.pending_rows as f64);
-        }
+        self.record_pending();
         report
     }
 
-    /// Forces a full refresh of every secondary replica (used at evaluation
-    /// barriers). Returns the number of rows synced.
+    /// Re-primes every replica the policy currently holds from the
+    /// authoritative table, through the wire format (evaluation and epoch
+    /// barriers, a change of format, crash recovery). Returns the number of
+    /// rows synced.
     pub fn sync_all(&mut self) -> usize {
-        let dim = self.table.dim();
-        let format = self.format;
+        // One shard-grouped *locked* read: a re-prime runs at a barrier, so
+        // there is no contention to dodge and the amortised lock path is the
+        // cheap one.
         self.scratch.fetch_ids.clear();
-        self.scratch.fetch_ids.extend_from_slice(self.cache.rows());
+        self.policy.replicated(&mut self.scratch.fetch_ids);
+        self.scratch.fetch_landing.clear();
+        self.scratch
+            .fetch_landing
+            .resize(self.scratch.fetch_ids.len(), Landing::Refresh);
         let n = self.scratch.fetch(self.table, ReadPath::Locked);
-        let HotScratch {
-            fetch_ids,
-            fetch_buf,
-            fetch_clocks,
-            ..
-        } = &mut self.scratch;
-        for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
-            format.transport(row);
-            self.cache.install(fetch_ids[k], row, fetch_clocks[k]);
-        }
+        self.land(false);
         // A full refresh is a sync point: error-feedback residuals are
         // superseded by the re-prime, and clearing them here makes a
         // checkpoint-resumed run (fresh residuals) bit-match an
         // uninterrupted one.
-        self.feedback.clear();
+        self.wire.feedback.clear();
         self.note_quant(n as u64);
         n
     }
 
     /// Crash recovery: pending deferred gradients lived in (simulated)
     /// device memory and die with the worker — they are *discarded*, not
-    /// flushed — then every secondary replica is re-primed from the
-    /// authoritative table (which the trainer has already rolled back to
-    /// the checkpoint). Returns the number of rows re-fetched.
+    /// flushed — then every replica is re-primed from the authoritative
+    /// table (which the trainer has already rolled back to the checkpoint).
+    /// Returns the number of rows re-fetched.
     pub fn recover_from_crash(&mut self) -> u64 {
-        let dim = self.table.dim();
-        let mut discard = vec![0.0f32; dim];
-        for e in self.cache.rows_with_pending() {
-            self.cache.take_pending(e, &mut discard);
-            self.cache.note_flush(e);
+        for e in self.policy.rows_with_pending() {
+            self.policy.take_pending(e, &mut self.scratch.row_buf);
         }
-        self.pending_rows = 0;
-        if let Some(r) = &self.recorder {
-            r.gauge_set(names::EMBED_PENDING_ROWS, 0.0);
-        }
+        self.record_pending();
         self.sync_all() as u64
-    }
-
-    /// Which telemetry hooks are attached: `(recorder, auditor, tracer)`.
-    pub fn hooks_attached(&self) -> (bool, bool, bool) {
-        (
-            self.recorder.is_some(),
-            self.auditor.is_some(),
-            self.tracer.is_some(),
-        )
     }
 }
 

@@ -10,14 +10,33 @@
 //! and replica sets, samples up to 48 fields wide with in-sample duplicates,
 //! every staleness regime, and writers interleaved so that lags are non-zero
 //! and victims re-sync in the middle of a sample.
+//!
+//! `CachedWorkerEmbedding` gets the same treatment against a per-row LFU
+//! oracle: the shipped worker admits a missed row as a placeholder while it
+//! classifies, fills it when the one batched fetch lands and refreshes a
+//! stale row only if it is still cached by then; the oracle fetches, admits
+//! and refreshes one lookup at a time through the public [`LfuCache`] API.
+//! The claim is that both land in the same cache, bit for bit — through
+//! declined admissions (the placeholder never existed, the fill is a no-op),
+//! displacements of rows cached by earlier batches, and refreshes.
+//!
+//! What the scenario cannot reach, by construction of the LFU rule rather
+//! than for lack of trying: a batch evicting a row it admitted or refreshed
+//! *itself*. A batch touches each id once, admission is strict (`count >
+//! coldest`), and an uncached remote row's count never exceeds the coldest
+//! cached count (it was offered at its last touch and lost), so it can
+//! displace only from an exact tie, which lifts that slot one above
+//! anything the rest of the batch can reach. The worker's "still cached?"
+//! test on a landed refresh is therefore defensive.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use hetgmp_comms::ErrorFeedback;
 use hetgmp_embedding::report::META_ENTRY_BYTES;
 use hetgmp_embedding::{
-    ReadReport, SecondaryCache, ShardedTable, SparseOpt, StalenessBound, UpdateReport,
-    WorkerEmbedding,
+    CachedWorkerEmbedding, LfuCache, ReadReport, SecondaryCache, ShardedTable, SparseOpt,
+    StalenessBound, SyncFormat, UpdateReport, WorkerEmbedding,
 };
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{AuditMode, ProtocolAuditor};
@@ -289,6 +308,140 @@ impl<'a> ReferenceWorker<'a> {
     }
 }
 
+/// The HET-style worker one lookup at a time over the public [`LfuCache`]
+/// API: touch, then local primary / cached row under the intra check /
+/// fetch-and-admit; eager write-back with the mirror applied to whatever is
+/// cached. Rows that cross the wire go through `format`, gradient pushes
+/// with error feedback.
+struct LfuReferenceWorker<'a> {
+    table: &'a ShardedTable,
+    part: &'a Partition,
+    bound: StalenessBound,
+    cache: LfuCache,
+    format: SyncFormat,
+    feedback: ErrorFeedback,
+    auditor: Arc<ProtocolAuditor>,
+}
+
+impl LfuReferenceWorker<'_> {
+    fn row_bytes(&self) -> u64 {
+        self.format.row_wire_bytes(self.table.dim())
+    }
+
+    fn count_remote_read(&self, e: u32, report: &mut ReadReport) {
+        report.data_bytes += self.row_bytes();
+        report.add_src_bytes(
+            self.part.primary_of(e),
+            self.row_bytes(),
+            self.part.num_partitions(),
+        );
+        report.messages += 1;
+    }
+
+    fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
+        let dim = self.table.dim();
+        let mut report = ReadReport::default();
+        let mut resolved: HashMap<u32, Vec<f32>> = HashMap::new();
+        for &e in samples.iter().flat_map(|s| s.iter()) {
+            if resolved.contains_key(&e) {
+                continue;
+            }
+            let mut row = vec![0.0f32; dim];
+            self.cache.touch(e);
+            if self.part.primary_of(e) == WORKER {
+                self.table.read_row(e, &mut row);
+                report.local_primary += 1;
+            } else if let Some(local) = self.cache.effective_clock(e) {
+                let gap = self.table.clock(e).saturating_sub(local);
+                let fresh = match self.bound {
+                    StalenessBound::Infinite => {
+                        self.auditor.observe_intra(None, gap as f64, gap as f64);
+                        true
+                    }
+                    StalenessBound::Bounded(s) => {
+                        report.meta_bytes += META_ENTRY_BYTES;
+                        let fresh = gap <= s;
+                        let served = if fresh { gap as f64 } else { 0.0 };
+                        self.auditor.observe_intra(None, gap as f64, served);
+                        fresh
+                    }
+                };
+                if fresh {
+                    self.cache.read(e, &mut row);
+                    report.local_fresh += 1;
+                } else {
+                    let clock = self.table.read_row(e, &mut row);
+                    self.format.transport(&mut row);
+                    self.cache.refresh(e, &row, clock);
+                    report.intra_syncs += 1;
+                    self.count_remote_read(e, &mut report);
+                }
+            } else {
+                let clock = self.table.read_row(e, &mut row);
+                self.format.transport(&mut row);
+                report.remote_fetches += 1;
+                self.count_remote_read(e, &mut report);
+                report.meta_bytes += META_ENTRY_BYTES;
+                self.cache.admit(e, &row, clock);
+            }
+            resolved.insert(e, row);
+        }
+        let ids = samples.iter().flat_map(|s| s.iter());
+        for (dst, e) in out.chunks_exact_mut(dim).zip(ids) {
+            dst.copy_from_slice(&resolved[e]);
+        }
+        report
+    }
+
+    fn apply_gradients(
+        &mut self,
+        samples: &[&[u32]],
+        grads: &[f32],
+        opt: &SparseOpt,
+    ) -> UpdateReport {
+        let dim = self.table.dim();
+        let mut reduced: HashMap<u32, Vec<f32>> = HashMap::new();
+        let ids = samples.iter().flat_map(|s| s.iter());
+        for (&e, g) in ids.zip(grads.chunks_exact(dim)) {
+            match reduced.get_mut(&e) {
+                Some(sum) => sum.iter_mut().zip(g).for_each(|(a, &x)| *a += x),
+                None => {
+                    reduced.insert(e, g.to_vec());
+                }
+            }
+        }
+        let mut ids: Vec<u32> = reduced.keys().copied().collect();
+        ids.sort_unstable();
+
+        let mut report = UpdateReport::default();
+        let lr = opt.learning_rate();
+        for e in ids {
+            let g = reduced.get_mut(&e).unwrap();
+            if self.part.primary_of(e) == WORKER {
+                report.local_updates += 1;
+            } else {
+                if !self.format.is_lossless() {
+                    self.feedback.compensate_and_transport(self.format, e, g);
+                }
+                report.remote_writebacks += 1;
+                report.data_bytes += self.row_bytes();
+                report.add_dst_bytes(
+                    self.part.primary_of(e),
+                    self.row_bytes(),
+                    self.part.num_partitions(),
+                );
+                report.meta_bytes += META_ENTRY_BYTES;
+                report.messages += 1;
+            }
+            self.table.apply_grad(e, g, opt);
+            // The mirror tracks what the primary received.
+            let delta: Vec<f32> = g.iter().map(|&x| -lr * x).collect();
+            self.cache.apply_local_delta(e, &delta);
+        }
+        report
+    }
+}
+
 /// SplitMix64: the scenario below is drawn from one proptest-chosen seed.
 struct Rng(u64);
 
@@ -407,6 +560,104 @@ proptest! {
         prop_assert_eq!(summary.intra_reads, oracle_summary.intra_reads);
         prop_assert_eq!(summary.inter_checks, oracle_summary.inter_checks);
         prop_assert_eq!(summary.max_inter_gap.to_bits(), oracle_summary.max_inter_gap.to_bits());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn lfu_worker_matches_per_row_reference(
+        num_rows in 4usize..96,
+        dim in 1usize..5,
+        parts in 2usize..5,
+        bound in bound_strategy(),
+        // Capacity class × wire format (the stand-in caps a property at six
+        // inputs).
+        variant in 0usize..8,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (capacity_class, int8) = (variant % 4, variant >= 4);
+        let mut rng = Rng(seed);
+        let primaries: Vec<u32> = (0..num_rows).map(|_| rng.below(parts) as u32).collect();
+        let part = Partition::new(parts, vec![0; 1], primaries);
+        // Nothing cached (every admission declined), one slot, a few slots
+        // (displacements pick among several victims), and room for every id
+        // (nothing is ever evicted).
+        let capacity = [0, 1, 2 + rng.below(6), num_rows][capacity_class];
+        let format = if int8 { SyncFormat::Int8 } else { SyncFormat::F32 };
+        let opt = if rng.below(2) == 0 { SparseOpt::sgd(0.1) } else { SparseOpt::adagrad(0.05) };
+
+        let table = ShardedTable::new(num_rows, dim, 0.1, seed);
+        let oracle_table = ShardedTable::new(num_rows, dim, 0.1, seed);
+        let audit = || Arc::new(ProtocolAuditor::new(f64::INFINITY, AuditMode::Count));
+        let (auditor, oracle_auditor) = (audit(), audit());
+        let mut worker = CachedWorkerEmbedding::new(WORKER, &table, &part, capacity, bound);
+        worker.set_sync_format(format, true);
+        worker.attach_auditor(Arc::clone(&auditor));
+        let mut oracle = LfuReferenceWorker {
+            table: &oracle_table,
+            part: &part,
+            bound,
+            cache: LfuCache::new(dim, capacity),
+            format,
+            feedback: ErrorFeedback::new(),
+            auditor: Arc::clone(&oracle_auditor),
+        };
+
+        for step in 0..16 {
+            // The static test's scenario: ids from a window of the table,
+            // peers' bursts sized around every bound under test.
+            let window = 1 + rng.below(num_rows);
+            for _ in 0..rng.below(8) {
+                let e = rng.below(window) as u32;
+                let g: Vec<f32> = (0..dim).map(|c| 0.01 * (step + c + 1) as f32).collect();
+                for _ in 0..[1, 1, 1, 2, 40, 99, 101, 150][rng.below(8)] {
+                    table.apply_grad(e, &g, &opt);
+                    oracle_table.apply_grad(e, &g, &opt);
+                }
+            }
+            let batch: Vec<Vec<u32>> = (0..1 + rng.below(5))
+                .map(|_| (0..1 + rng.below(48)).map(|_| rng.below(window) as u32).collect())
+                .collect();
+            let samples: Vec<&[u32]> = batch.iter().map(Vec::as_slice).collect();
+            let total: usize = batch.iter().map(Vec::len).sum();
+
+            let mut out = vec![0.0f32; total * dim];
+            let mut oracle_out = vec![0.0f32; total * dim];
+            let report = worker.read_batch(&samples, &mut out);
+            let oracle_report = oracle.read_batch(&samples, &mut oracle_out);
+            prop_assert_eq!(&report, &oracle_report, "read report, step {}", step);
+            prop_assert_eq!(bits(&out), bits(&oracle_out), "rows read, step {}", step);
+
+            if rng.below(4) != 0 {
+                let grads: Vec<f32> =
+                    (0..total * dim).map(|_| rng.below(2001) as f32 / 1000.0 - 1.0).collect();
+                let report = worker.apply_gradients(&samples, &grads, &opt);
+                let oracle_report = oracle.apply_gradients(&samples, &grads, &opt);
+                prop_assert_eq!(&report, &oracle_report, "update report, step {}", step);
+            }
+            prop_assert_eq!(worker.cached_rows(), oracle.cache.len(), "cached rows, step {}", step);
+            let mut row = vec![0.0f32; dim];
+            let mut oracle_row = vec![0.0f32; dim];
+            for e in 0..num_rows as u32 {
+                prop_assert_eq!(
+                    worker.replica_clock(e), oracle.cache.effective_clock(e),
+                    "cached clock of row {}, step {}", e, step
+                );
+                prop_assert_eq!(table.clock(e), oracle_table.clock(e), "primary clock of row {}", e);
+                table.read_row(e, &mut row);
+                oracle_table.read_row(e, &mut oracle_row);
+                prop_assert_eq!(bits(&row), bits(&oracle_row), "primary row {}, step {}", e, step);
+            }
+            let (summary, oracle_summary) = (auditor.summary(), oracle_auditor.summary());
+            prop_assert_eq!(summary.intra_reads, oracle_summary.intra_reads, "step {}", step);
+            prop_assert_eq!(
+                summary.max_intra_gap.to_bits(), oracle_summary.max_intra_gap.to_bits(),
+                "step {}", step
+            );
+        }
+        prop_assert_eq!(auditor.summary().inter_checks, 0, "the LFU design has no inter check");
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! Every run of the trainer, the experiment harness, and the benches leaves
 //! artifacts behind — telemetry JSONL logs, Chrome trace-event timelines,
-//! `BENCH_*.json` result files — each stamped with a [`RunManifest`]
-//! identifying the configuration that produced it. This crate turns those
-//! artifacts back into answers, powering the `het-gmp inspect` subcommand:
+//! `BENCH_*.json` result files — each stamped with a
+//! [`RunManifest`](hetgmp_telemetry::RunManifest) identifying the
+//! configuration that produced it. This crate turns those artifacts back
+//! into answers, powering the `het-gmp inspect` subcommand:
 //!
 //! * [`report`] — a Figure 8-style breakdown of one telemetry log: traffic
 //!   volume by class (embed data / keys+clocks / AllReduce), simulated time

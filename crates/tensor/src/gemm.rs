@@ -1,10 +1,10 @@
 //! Cache-blocked, autovectorization-friendly f32 GEMM kernels.
 //!
-//! One shared microkernel ([`tile_fma`]) computes an `R × C` tile of the
+//! One shared microkernel (`tile_fma`) computes an `R × C` tile of the
 //! output in registers; the three product variants the layers need — `A·B`,
 //! `Aᵀ·B`, `A·Bᵀ` — differ only in how they gather the `R` A-operands and
 //! `C` B-operands per depth step. Strided operands are repacked into small
-//! fixed-size stack panels (at most [`KC`] depth steps at a time) so the
+//! fixed-size stack panels (at most `KC` depth steps at a time) so the
 //! inner loop reads both operands contiguously with no bounds checks.
 //! Epilogues fuse bias addition and ReLU so a dense layer's forward pass is
 //! one pass over the output.
@@ -17,7 +17,7 @@
 //! only other `unsafe` in the workspace.
 //!
 //! When a [`crate::pool::GemmPool`] is installed on the calling thread
-//! (`GemmPool::install`), products above [`PAR_MKN_THRESHOLD`] are split
+//! (`GemmPool::install`), products above `PAR_MKN_THRESHOLD` are split
 //! into disjoint output-row panels executed across the pool. Each panel
 //! runs the ordinary sequential kernel over its rows, so per-element
 //! summation order — and therefore every output bit — is unchanged (see
@@ -37,7 +37,7 @@
 //! runs, machines, and dispatch paths (`dispatch_matches_portable_body`
 //! pins this on AVX2 hosts).
 //!
-//! The naive reference kernels live in [`reference`]; differential tests pin
+//! The naive reference kernels live in [`mod@reference`]; differential tests pin
 //! the blocked kernels against them (relative error ≤ 1e-5 — blocked tiling
 //! does not change the per-element order here, but the fused-bias epilogue
 //! seeds the accumulator with the bias instead of adding it last, which is

@@ -3,9 +3,14 @@
 //! Hand-rolled `--flag value` parsing (no external dependency): every
 //! subcommand sees a [`Args`] map plus positional arguments, and rejects
 //! flags outside its known set ([`Args::unknown_flag`]) — a typo or a
-//! retired flag must not be silently ignored.
+//! retired flag must not be silently ignored — and a value that does not
+//! parse as its flag's type is a usage error ([`Args::parsed`]), never a
+//! silent fall back to the default.
 
 use std::collections::HashMap;
+use std::str::FromStr;
+
+use het_gmp::telemetry::HetGmpError;
 
 /// Parsed command line: positionals + `--flag value` options.
 #[derive(Debug, Default)]
@@ -68,11 +73,23 @@ impl Args {
             .min()
     }
 
-    /// Typed flag with default.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+    /// Typed flag: `None` when absent. A value that does not parse as `T`
+    /// (a bare `--name` included) is a usage error naming the flag and the
+    /// value.
+    pub fn parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, HetGmpError> {
         self.get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse().map_err(|_| {
+                    let ty = std::any::type_name::<T>();
+                    HetGmpError::usage(format!("--{name} expects a {ty} value, got {v:?}"))
+                })
+            })
+            .transpose()
+    }
+
+    /// Typed flag with a default for when it is absent.
+    pub fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, HetGmpError> {
+        Ok(self.parsed(name)?.unwrap_or(default))
     }
 }
 
@@ -90,8 +107,10 @@ mod tests {
         assert_eq!(a.command(), Some("train"));
         assert_eq!(a.positional, vec!["train", "extra"]);
         assert_eq!(a.get("scale"), Some("0.5"));
-        assert_eq!(a.get_or("workers", 1usize), 8);
-        assert_eq!(a.get_or("missing", 3usize), 3);
+        assert_eq!(a.parsed_or("workers", 1usize).unwrap(), 8);
+        assert_eq!(a.parsed_or("missing", 3usize).unwrap(), 3);
+        assert_eq!(a.parsed::<f64>("scale").unwrap(), Some(0.5));
+        assert_eq!(a.parsed::<usize>("missing").unwrap(), None);
     }
 
     #[test]
@@ -107,13 +126,21 @@ mod tests {
     fn flag_followed_by_flag() {
         let a = parse("x --a --b 2");
         assert_eq!(a.get("a"), Some(""));
-        assert_eq!(a.get_or("b", 0), 2);
+        assert_eq!(a.parsed_or("b", 0).unwrap(), 2);
     }
 
     #[test]
-    fn bad_parse_falls_back() {
-        let a = parse("x --n notanumber");
-        assert_eq!(a.get_or("n", 7usize), 7);
+    fn bad_parse_is_a_usage_error_naming_flag_and_value() {
+        let a = parse("x --n notanumber --scale 1x --bare");
+        for (flag, value) in [("n", "notanumber"), ("scale", "1x"), ("bare", "")] {
+            let e = a
+                .parsed_or(flag, 7usize)
+                .expect_err("must not fall back to the default");
+            assert_eq!(e.exit_code(), 2, "{e}");
+            let text = e.to_string();
+            assert!(text.contains(&format!("--{flag} ")), "{text}");
+            assert!(text.contains(&format!("{value:?}")), "{text}");
+        }
     }
 
     #[test]

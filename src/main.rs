@@ -114,7 +114,9 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   manifests disagree, and exits 1 when a directional metric regresses
   by more than --threshold PCT (default 5).
 
-  Every subcommand rejects flags it does not know (exit 2).";
+  Every subcommand rejects flags it does not know, values that do not
+  parse as their flag's type, and --workers 0 (exit 2); none of them falls
+  back to a default.";
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
@@ -166,7 +168,7 @@ fn check_flags(args: &Args, command: &str, known: &[&str]) -> Result<(), HetGmpE
 }
 
 fn spec_from(args: &Args) -> Result<DatasetSpec, HetGmpError> {
-    let scale: f64 = args.get_or("scale", 0.1);
+    let scale: f64 = args.parsed_or("scale", 0.1)?;
     match args.get("preset").unwrap_or("avazu") {
         "avazu" => Ok(DatasetSpec::avazu_like(scale)),
         "criteo" => Ok(DatasetSpec::criteo_like(scale)),
@@ -193,8 +195,7 @@ fn attribute(e: HetGmpError, path: &str) -> HetGmpError {
 fn load_dataset(args: &Args) -> Result<CtrDataset, HetGmpError> {
     if let Some(path) = args.get("in") {
         let fields: usize = args
-            .get("fields")
-            .and_then(|v| v.parse().ok())
+            .parsed("fields")?
             .ok_or_else(|| HetGmpError::usage("--in requires --fields N"))?;
         let file = File::open(path).map_err(|e| HetGmpError::io(path, e))?;
         read_libsvm(BufReader::new(file), fields).map_err(|e| attribute(e, path))
@@ -237,15 +238,12 @@ fn trace_collector(
     Ok(Some((collector, path.to_string())))
 }
 
-/// Parses an optional integer flag, distinguishing "absent" (`None`) from
-/// "present but malformed" (usage error) — a typo must not silently fall
-/// back to the default.
-fn parse_flag_usize(args: &Args, key: &str) -> Result<Option<usize>, HetGmpError> {
-    match args.get(key) {
-        None => Ok(None),
-        Some(v) => v.parse().map(Some).map_err(|_| {
-            HetGmpError::usage(format!("--{key} requires a positive integer, got {v:?}"))
-        }),
+/// Parses `--workers N` (`default` when absent). Zero workers is a usage
+/// error: there is no topology, partition or capacity plan over none.
+fn workers_flag(args: &Args, default: usize) -> Result<usize, HetGmpError> {
+    match args.parsed_or("workers", default)? {
+        0 => Err(HetGmpError::usage("--workers must be at least 1, got 0")),
+        n => Ok(n),
     }
 }
 
@@ -275,14 +273,7 @@ fn storage_flag(args: &Args) -> Result<Option<StorageMode>, HetGmpError> {
         None => Ok(None),
         Some("memory") => Ok(Some(StorageMode::Memory)),
         Some("tiered") => {
-            let budget_mb: usize = match args.get("storage-budget-mb") {
-                None => 64,
-                Some(v) => v.parse().map_err(|_| {
-                    HetGmpError::usage(format!(
-                        "--storage-budget-mb requires a positive integer, got {v:?}"
-                    ))
-                })?,
-            };
+            let budget_mb: usize = args.parsed_or("storage-budget-mb", 64)?;
             if budget_mb == 0 {
                 return Err(HetGmpError::usage("--storage-budget-mb must be positive"));
             }
@@ -371,7 +362,7 @@ fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
     )?;
     let data = load_dataset(args)?;
     let graph = data.to_bigraph();
-    let n: usize = args.get_or("workers", 8);
+    let n = workers_flag(args, 8)?;
     let topo = Topology::pcie_island(n);
     // Every algorithm runs through the one `Partitioner` interface.
     let algo: Box<dyn Partitioner> = match args.get("algo").unwrap_or("hybrid") {
@@ -379,7 +370,7 @@ fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
         "bicut" => Box::new(BiCutPartitioner),
         "multilevel" => Box::new(MultilevelPartitioner::default()),
         "hybrid" => Box::new(HybridPartitioner::new(HybridConfig {
-            rounds: args.get_or("rounds", 3),
+            rounds: args.parsed_or("rounds", 3)?,
             ..Default::default()
         })),
         other => return Err(HetGmpError::usage(format!("unknown algorithm {other:?}"))),
@@ -437,14 +428,14 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         ],
     )?;
     let data = load_dataset(args)?;
-    let n: usize = args.get_or("workers", 8);
+    let n = workers_flag(args, 8)?;
     let mut telemetry = telemetry_sink(args)?;
     let strat = match args.get("system").unwrap_or("het-gmp") {
         "tf-ps" => StrategyConfig::tf_ps(),
         "parallax" => StrategyConfig::parallax(),
         "hugectr" => StrategyConfig::hugectr(),
         "het-mp" => StrategyConfig::het_mp(),
-        "het-gmp" => StrategyConfig::het_gmp(args.get_or("staleness", 100)),
+        "het-gmp" => StrategyConfig::het_gmp(args.parsed_or("staleness", 100)?),
         other => return Err(HetGmpError::usage(format!("unknown system {other:?}"))),
     };
     let model = match args.get("model").unwrap_or("wdl") {
@@ -454,17 +445,17 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         "din" => ModelKind::Din,
         other => return Err(HetGmpError::usage(format!("unknown model {other:?}"))),
     };
-    let seed: u64 = args.get_or("seed", 42);
+    let seed: u64 = args.parsed_or("seed", 42)?;
     let cfg = TrainerConfig::builder()
         .model(model)
-        .epochs(args.get_or("epochs", 3))
-        .batch_size(args.get_or("batch", 256))
-        .dim(args.get_or("dim", 16))
+        .epochs(args.parsed_or("epochs", 3)?)
+        .batch_size(args.parsed_or("batch", 256)?)
+        .dim(args.parsed_or("dim", 16)?)
         .seed(seed)
-        .checkpoint_every(args.get_or("checkpoint-every", 0usize))
+        .checkpoint_every(args.parsed_or("checkpoint-every", 0)?)
         .checkpoint_dir(args.get("checkpoint-dir").map(std::path::PathBuf::from))
         .resume_from(args.get("resume").map(std::path::PathBuf::from))
-        .gemm_threads(parse_flag_usize(args, "gemm-threads")?.unwrap_or(1))
+        .gemm_threads(args.parsed_or("gemm-threads", 1)?)
         .sync_format(sync_format_flag(args)?.unwrap_or(SyncFormat::F32))
         .sync_error_feedback(sync_feedback_flag(args)?.unwrap_or(true))
         .storage(storage_flag(args)?.unwrap_or(StorageMode::Memory))
@@ -548,12 +539,12 @@ fn cmd_capacity(args: &Args) -> Result<(), HetGmpError> {
         &["workers", "mem-gb", "dim", "replication", "opt-factor"],
     )?;
     let plan = CapacityPlan {
-        num_workers: args.get_or("workers", 24),
-        memory_per_worker: (args.get_or("mem-gb", 32u64)) * (1 << 30),
-        dim: args.get_or("dim", 128),
+        num_workers: workers_flag(args, 24)?,
+        memory_per_worker: args.parsed_or("mem-gb", 32u64)? * (1 << 30),
+        dim: args.parsed_or("dim", 128)?,
         bytes_per_param: 4,
-        replication_fraction: args.get_or("replication", 0.01),
-        optimizer_state_factor: args.get_or("opt-factor", 1.0),
+        replication_fraction: args.parsed_or("replication", 0.01)?,
+        optimizer_state_factor: args.parsed_or("opt-factor", 1.0)?,
     };
     println!(
         "{} workers x {} GB, dim {}: up to {:.3e} rows = {:.3e} parameters",
@@ -580,7 +571,7 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         .get(1)
         .map(String::as_str)
         .ok_or_else(|| HetGmpError::usage("experiment name required"))?;
-    let scale: f64 = args.get_or("scale", 0.15);
+    let scale: f64 = args.parsed_or("scale", 0.15)?;
     let mut telemetry = telemetry_sink(args)?;
     if let Some(w) = telemetry.as_mut() {
         // A harness-level manifest: experiment runners vary seeds and
@@ -590,7 +581,7 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
             0,
             RunManifest::digest_of(&format!("experiment={which}|scale={scale}")),
             8,
-            parse_flag_usize(args, "gemm-threads")?.unwrap_or(1),
+            args.parsed_or("gemm-threads", 1)?,
         );
         w.write_record(&manifest.to_record())?;
     }
@@ -599,7 +590,7 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
     let hooks = experiments::Hooks {
         tracer: trace.as_ref().map(|(t, _)| Arc::clone(t)),
         audit: audit_mode(args)?,
-        gemm_threads: parse_flag_usize(args, "gemm-threads")?,
+        gemm_threads: args.parsed("gemm-threads")?,
         sync_format: sync_format_flag(args)?,
         sync_error_feedback: sync_feedback_flag(args)?,
     };
@@ -706,15 +697,9 @@ fn cmd_inspect(args: &Args) -> Result<ExitCode, HetGmpError> {
         "diff" => {
             let baseline = Artifact::load(path(2, "BASELINE and CANDIDATE files")?)?;
             let candidate = Artifact::load(path(3, "BASELINE and CANDIDATE files")?)?;
-            let opts = match args.get("threshold") {
+            let opts = match args.parsed("threshold")? {
                 None => DiffOptions::default(),
-                Some(v) => DiffOptions {
-                    threshold_pct: v.parse().map_err(|_| {
-                        HetGmpError::usage(format!(
-                            "--threshold requires a percentage, got {v:?}"
-                        ))
-                    })?,
-                },
+                Some(threshold_pct) => DiffOptions { threshold_pct },
             };
             let outcome = diff_artifacts(&baseline, &candidate, &opts)?;
             if let Some(warning) = &outcome.manifest_warning {

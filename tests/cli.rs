@@ -191,3 +191,32 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
         assert!(err.contains(&format!("unknown flag {flag} ")), "{argv:?}: {err}");
     }
 }
+
+/// A numeric flag whose value does not parse is a usage error (exit 2) that
+/// names the flag and the value — it must never train, partition or plan on
+/// the default instead — and zero workers is refused by every subcommand
+/// that takes `--workers` before anything can divide by it.
+#[test]
+fn unparsable_numbers_and_zero_workers_are_usage_errors() {
+    let cases: [(&[&str], &str, &str); 12] = [
+        (&["train", "--preset", "tiny", "--workers", "abc", "--epochs", "1"], "--workers", "\"abc\""),
+        (&["train", "--preset", "tiny", "--workers", "2", "--epochs", "1x"], "--epochs", "\"1x\""),
+        (&["train", "--preset", "avazu", "--scale", "abc", "--epochs", "1"], "--scale", "\"abc\""),
+        (&["train", "--preset", "tiny", "--staleness", "-1"], "--staleness", "\"-1\""),
+        (&["train", "--preset", "tiny", "--seed"], "--seed", "\"\""),
+        (&["partition", "--preset", "tiny", "--workers", "four"], "--workers", "\"four\""),
+        (&["partition", "--preset", "tiny", "--workers", "2", "--rounds", "3.5"], "--rounds", "\"3.5\""),
+        (&["capacity", "--workers", "24", "--mem-gb", "lots"], "--mem-gb", "\"lots\""),
+        (&["experiment", "fig8", "--scale", "small"], "--scale", "\"small\""),
+        (&["train", "--preset", "tiny", "--workers", "0", "--epochs", "1"], "--workers", "0"),
+        (&["partition", "--preset", "tiny", "--workers", "0"], "--workers", "0"),
+        (&["capacity", "--workers", "0"], "--workers", "0"),
+    ];
+    for (argv, flag, value) in cases {
+        let out = het_gmp().args(argv).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{argv:?} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{flag} ")) && err.contains(value), "{argv:?}: {err}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed a result: {:?}", out.stdout);
+    }
+}

@@ -132,6 +132,10 @@ const GOLDENS: &[Golden] = &[
     Golden { strategy: "asp", seed: 42, final_auc: 0.6445833333333333, train_loss: 0.5611476428571429, samples: 3584, intra_reads: 112, inter_checks: 0 },
     Golden { strategy: "asp", seed: 1337, final_auc: 0.6526388888888889, train_loss: 0.5621735, samples: 3584, intra_reads: 112, inter_checks: 0 },
     Golden { strategy: "asp", seed: 2026, final_auc: 0.6495833333333333, train_loss: 0.5605652857142858, samples: 3584, intra_reads: 112, inter_checks: 0 },
+    Golden { strategy: "lfu", seed: 42, final_auc: 0.6555555555555556, train_loss: 0.560415, samples: 3584, intra_reads: 570, inter_checks: 0 },
+    Golden { strategy: "lfu", seed: 1337, final_auc: 0.6545833333333333, train_loss: 0.5604402142857142, samples: 3584, intra_reads: 557, inter_checks: 0 },
+    Golden { strategy: "lfu", seed: 2026, final_auc: 0.6379166666666667, train_loss: 0.5563555714285714, samples: 3584, intra_reads: 554, inter_checks: 0 },
+    Golden { strategy: "lfu_int8", seed: 42, final_auc: 0.65625, train_loss: 0.5605328571428572, samples: 3584, intra_reads: 570, inter_checks: 0 },
 ];
 
 fn golden_run(strategy: &str, seed: u64) -> het_gmp::core::trainer::TrainResult {
@@ -146,10 +150,16 @@ fn golden_run_with(
     let mut spec = DatasetSpec::avazu_like(0.03);
     spec.cluster_affinity = 0.9;
     let data = generate(&spec);
+    // A `_int8` suffix runs the named strategy over the lossy wire format.
+    let (strategy, sync_format) = match strategy.strip_suffix("_int8") {
+        Some(base) => (base, Some(het_gmp::comms::SyncFormat::Int8)),
+        None => (strategy, sync_format),
+    };
     let strat = match strategy {
         "bsp" => StrategyConfig::het_gmp(0),
         "ssp" => StrategyConfig::het_gmp(100),
         "asp" => StrategyConfig::het_gmp_asp(),
+        "lfu" => StrategyConfig::het_cache(100, 0.1),
         other => panic!("unknown strategy {other}"),
     };
     Trainer::new(
@@ -290,7 +300,9 @@ fn explicit_f32_sync_format_matches_goldens() {
     }
 }
 
-/// Golden regression over 3 seeds × {BSP (s=0), SSP (s=100), ASP}: final
+/// Golden regression over 3 seeds × {BSP (s=0), SSP (s=100), ASP} on the
+/// static vertex-cut replicas, plus the dynamic LFU cache (`het_cache(100,
+/// 0.1)`) over the same seeds and once through the int8 wire format: final
 /// AUC, mean train loss, sample counts, and the audit's check counts must
 /// reproduce exactly. Any drift means the training math changed — the
 /// batched hot path (and every future optimisation) must keep these bits.
@@ -301,8 +313,9 @@ fn explicit_f32_sync_format_matches_goldens() {
 fn seed_sweep_matches_goldens() {
     let mut rows = String::new();
     let mut failures = Vec::new();
-    for strategy in ["bsp", "ssp", "asp"] {
-        for seed in [42u64, 1337, 2026] {
+    for strategy in ["bsp", "ssp", "asp", "lfu", "lfu_int8"] {
+        let seeds: &[u64] = if strategy == "lfu_int8" { &[42] } else { &[42, 1337, 2026] };
+        for &seed in seeds {
             let r = golden_run(strategy, seed);
             let audit = r.audit.expect("audit enabled");
             let loss = r.curve.last().expect("curve").train_loss;
