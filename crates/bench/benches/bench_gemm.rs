@@ -6,7 +6,12 @@
 //! gradient `Xᵀ·dY`, and the input gradient `dY·Wᵀ`. The `naive_*`
 //! counterparts run the pre-blocking reference kernels kept as the test
 //! oracle, so a report directly shows the speedup locked in by
-//! `BENCH_dense.json`.
+//! `BENCH_dense.json`. The `dense_*` shapes are the benchmark's
+//! dense-bound workload (`avazu_dense`: batch 256, 22 fields × dim 64 =
+//! 1408 inputs, tower 256 × 128, DCN): its three large GEMMs and the
+//! single-column products of its combiner, which bypass the tile nest.
+//! The kernel tier the host dispatched to is printed first; every number
+//! below it belongs to that tier.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetgmp_tensor::Matrix;
@@ -24,6 +29,7 @@ fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 fn bench(c: &mut Criterion) {
+    println!("gemm kernel tier: {}", hetgmp_tensor::gemm::kernel_tier());
     let mut group = c.benchmark_group("gemm");
     group.sample_size(20);
 
@@ -56,6 +62,23 @@ fn bench(c: &mut Criterion) {
     group.bench_function("fused_bias_relu_256x416x64", |b| {
         b.iter(|| x.matmul_bias_relu_into(&w, &bias, &mut out))
     });
+
+    // avazu_dense: layer one of the tower (2·256·1408·256 = 184.5 MFLOP
+    // each) and the combiner's 1536 → 1 (forward, dW, and the k = 1 dX).
+    let x = lcg_matrix(256, 1408, 6);
+    let w1 = lcg_matrix(1408, 256, 7);
+    let dy = lcg_matrix(256, 256, 8);
+    group.bench_function("dense_fwd_256x1408x256", |b| b.iter(|| x.matmul_into(&w1, &mut out)));
+    group.bench_function("dense_dw_1408x256x256", |b| b.iter(|| x.t_matmul_into(&dy, &mut out)));
+    group.bench_function("dense_dx_256x256x1408", |b| b.iter(|| dy.matmul_t_into(&w1, &mut out)));
+    let cat = lcg_matrix(256, 1536, 9);
+    let w = lcg_matrix(1536, 1, 10);
+    let dlogit = lcg_matrix(256, 1, 11);
+    group.bench_function("dense_fwd_256x1536x1", |b| b.iter(|| cat.matmul_into(&w, &mut out)));
+    group.bench_function("dense_dw_1536x256x1", |b| {
+        b.iter(|| cat.t_matmul_into(&dlogit, &mut out))
+    });
+    group.bench_function("dense_dx_256x1x1536", |b| b.iter(|| dlogit.matmul_t_into(&w, &mut out)));
 
     group.finish();
 }

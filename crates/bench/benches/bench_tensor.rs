@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetgmp_core::models::{CtrModel, ModelKind};
-use hetgmp_tensor::{auc, bce_with_logits, Matrix, Mlp};
+use hetgmp_tensor::{auc, bce_with_logits, CrossLayer, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,6 +54,20 @@ fn bench(c: &mut Criterion) {
             m.zero_grad();
             m.backward(&grad)
         });
+    });
+
+    // One cross layer at avazu_dense's width (22 fields × dim 64), each
+    // pass alone: per-row dots plus an element-wise sweep of four matrices.
+    let x0 = random_matrix(256, 1408, 9);
+    let xl = random_matrix(256, 1408, 10);
+    let g = random_matrix(256, 1408, 11);
+    let mut cross = CrossLayer::new(1408, 12);
+    let mut out = Matrix::zeros(0, 0);
+    group.bench_function("cross_forward_256x1408", |b| {
+        b.iter(|| cross.forward_with_x0(&x0, &xl, &mut out));
+    });
+    group.bench_function("cross_backward_256x1408", |b| {
+        b.iter(|| cross.backward_with_x0(&x0, &xl, &g, &mut out));
     });
 
     group.bench_function("auc_100k", |b| {

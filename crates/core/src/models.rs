@@ -423,7 +423,7 @@ impl CtrModel {
                 {
                     let (cat, dense, cross_acts) =
                         (&mut tape.cat, &tape.dense, &tape.cross_acts);
-                    cat.reset(batch, cat_dim);
+                    cat.reshape(batch, cat_dim);
                     let x = cross_acts.last().expect("cross tower is non-empty");
                     let deep_out = dense.output();
                     for r in 0..batch {
@@ -487,8 +487,8 @@ impl CtrModel {
                 {
                     let (g_cat, g_cross, g_deep) =
                         (&tape.g_cat, &mut tape.g_cross, &mut tape.g_deep);
-                    g_cross.reset(batch, self.input_dim);
-                    g_deep.reset(batch, self.deep_out_dim);
+                    g_cross.reshape(batch, self.input_dim);
+                    g_deep.reshape(batch, self.deep_out_dim);
                     for r in 0..batch {
                         g_cross
                             .row_mut(r)
@@ -767,6 +767,41 @@ mod tests {
             );
             assert!(tape.flops() > 0, "{kind:?} flop counter");
             assert!(tape.arena_bytes() > 0, "{kind:?} arena bytes");
+        }
+    }
+
+    #[test]
+    fn reused_tape_matches_fresh_tape_bit_for_bit() {
+        // The tape's buffers are reshaped, not cleared, between batches: a
+        // smaller batch after a larger one of other data must leave every
+        // output as a fresh tape does, for every architecture.
+        for kind in ModelKind::all() {
+            let mut fresh_model = CtrModel::new(kind, 4, 8, &[16, 8], 7);
+            let mut reused_model = CtrModel::new(kind, 4, 8, &[16, 8], 7);
+            let (mut fresh, mut reused) = (ModelTape::new(), ModelTape::new());
+            let mut gx_reused = Matrix::zeros(0, 0);
+            let (big_x, big_g) = (batch(9, 32, 3), batch(9, 1, 5));
+            reused_model.forward_tape(&big_x, &mut reused);
+            reused_model.backward_tape(&big_x, &big_g, &mut gx_reused, &mut reused);
+
+            let x = batch(6, 32, 13);
+            let g = batch(6, 1, 17);
+            let mut gx_fresh = Matrix::zeros(0, 0);
+            for (model, tape, gx) in [
+                (&mut fresh_model, &mut fresh, &mut gx_fresh),
+                (&mut reused_model, &mut reused, &mut gx_reused),
+            ] {
+                model.forward_tape(&x, tape);
+                model.zero_grad();
+                model.backward_tape(&x, &g, gx, tape);
+            }
+            assert_eq!(fresh.logits().data(), reused.logits().data(), "{kind:?} logits");
+            assert_eq!(gx_fresh.data(), gx_reused.data(), "{kind:?} input grad");
+            assert_eq!(
+                fresh_model.flatten_grads(),
+                reused_model.flatten_grads(),
+                "{kind:?} param grads"
+            );
         }
     }
 

@@ -736,12 +736,13 @@ impl<'d> Trainer<'d> {
         if cfg.gemm_threads == 0 {
             return Err(HetGmpError::config("gemm_threads", "must be at least 1"));
         }
-        let manifest = RunManifest::new(
+        let mut manifest = RunManifest::new(
             cfg.seed,
             RunManifest::digest_of(&config_digest_text(&self.strategy, cfg)),
             n,
             cfg.gemm_threads,
         );
+        manifest.gemm_isa = Some(hetgmp_tensor::gemm::kernel_tier().to_string());
         if let Some(t) = &self.tracer {
             t.attach_manifest(manifest.clone());
         }

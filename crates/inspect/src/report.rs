@@ -47,11 +47,12 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     if let Some(m) = manifest {
         let _ = writeln!(
             out,
-            "manifest: seed={} digest={} workers={} gemm_threads={} git={}{} profile={}",
+            "manifest: seed={} digest={} workers={} gemm_threads={} gemm_isa={} git={}{} profile={}",
             m.seed,
             m.config_digest,
             m.workers,
             m.gemm_threads,
+            m.gemm_isa.as_deref().unwrap_or("unknown"),
             m.git_rev,
             if m.git_dirty == Some(true) { "+dirty" } else { "" },
             m.build_profile,

@@ -37,6 +37,13 @@ pub struct RunManifest {
     pub git_dirty: Option<bool>,
     /// Cargo build profile: "release" or "debug".
     pub build_profile: String,
+    /// GEMM kernel tier the host dispatched to (`"avx512f"`, `"avx2"`,
+    /// `"portable"`): every tier computes the same bits at a different
+    /// speed, so a wall-clock number is only comparable within one. Stamped
+    /// by whoever runs dense math ([`RunManifest::new`] leaves it `None` —
+    /// this crate does not know the kernels); `None` too in artifacts
+    /// written before the field existed.
+    pub gemm_isa: Option<String>,
 }
 
 impl RunManifest {
@@ -57,6 +64,7 @@ impl RunManifest {
             git_rev: git_rev().to_string(),
             git_dirty: git_dirty(),
             build_profile: build_profile().to_string(),
+            gemm_isa: None,
         }
     }
 
@@ -86,6 +94,7 @@ impl RunManifest {
             ("git_rev", Json::from(self.git_rev.as_str())),
             ("git_dirty", self.git_dirty.map_or(Json::Null, Json::Bool)),
             ("build_profile", Json::from(self.build_profile.as_str())),
+            ("gemm_isa", self.gemm_isa.as_deref().map_or(Json::Null, Json::from)),
         ])
     }
 
@@ -112,6 +121,7 @@ impl RunManifest {
             git_rev: v.get("git_rev")?.as_str()?.to_string(),
             git_dirty: v.get("git_dirty").and_then(Json::as_bool),
             build_profile: v.get("build_profile")?.as_str()?.to_string(),
+            gemm_isa: v.get("gemm_isa").and_then(Json::as_str).map(str::to_string),
         })
     }
 
@@ -119,7 +129,8 @@ impl RunManifest {
     /// meaningfully diffed. Returns one human-readable line per mismatch.
     /// `git_rev` and `git_dirty` are deliberately excluded — comparing two
     /// revisions is the whole point of a regression diff — but mixing build
-    /// profiles or workloads is flagged.
+    /// profiles, workloads or (when both sides recorded one) GEMM kernel
+    /// tiers is flagged.
     pub fn mismatches(&self, other: &Self) -> Vec<String> {
         let mut out = Vec::new();
         let mut field = |name: &str, a: &dyn std::fmt::Display, b: &dyn std::fmt::Display| {
@@ -134,6 +145,9 @@ impl RunManifest {
         field("workers", &self.workers, &other.workers);
         field("gemm_threads", &self.gemm_threads, &other.gemm_threads);
         field("build_profile", &self.build_profile, &other.build_profile);
+        if let (Some(a), Some(b)) = (&self.gemm_isa, &other.gemm_isa) {
+            field("gemm_isa", a, b);
+        }
         out
     }
 }
@@ -168,7 +182,9 @@ mod tests {
     use super::*;
 
     fn sample() -> RunManifest {
-        RunManifest::new(42, RunManifest::digest_of("cfg"), 4, 1)
+        let mut m = RunManifest::new(42, RunManifest::digest_of("cfg"), 4, 1);
+        m.gemm_isa = Some("avx2".to_string());
+        m
     }
 
     #[test]
@@ -212,6 +228,22 @@ mod tests {
         let back = RunManifest::from_json(&old).expect("pre-git_dirty artifact loads");
         assert_eq!(back.git_dirty, None);
         assert_eq!(back.git_rev, sample().git_rev);
+    }
+
+    #[test]
+    fn headers_without_gemm_isa_still_load() {
+        let mut old = sample().to_json();
+        if let Json::Obj(members) = &mut old {
+            members.retain(|(k, _)| k != "gemm_isa");
+        }
+        let back = RunManifest::from_json(&old).expect("pre-gemm_isa artifact loads");
+        assert_eq!(back.gemm_isa, None);
+        // Unknown on one side is not a disagreement; two known tiers are,
+        // as one warning line.
+        assert!(sample().mismatches(&back).is_empty());
+        let mut other = sample();
+        other.gemm_isa = Some("avx512f".to_string());
+        assert_eq!(sample().mismatches(&other), vec!["gemm_isa: avx2 vs avx512f".to_string()]);
     }
 
     #[test]

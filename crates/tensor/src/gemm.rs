@@ -1,41 +1,58 @@
-//! Cache-blocked, autovectorization-friendly f32 GEMM kernels.
+//! Packed, register-tiled f32 GEMM: one loop nest, three ISA tiers.
 //!
-//! One shared microkernel (`tile_fma`) computes an `R × C` tile of the
-//! output in registers; the three product variants the layers need — `A·B`,
-//! `Aᵀ·B`, `A·Bᵀ` — differ only in how they gather the `R` A-operands and
-//! `C` B-operands per depth step. Strided operands are repacked into small
-//! fixed-size stack panels (at most `KC` depth steps at a time) so the
-//! inner loop reads both operands contiguously with no bounds checks.
-//! Epilogues fuse bias addition and ReLU so a dense layer's forward pass is
-//! one pass over the output.
+//! Every product the layers need — `A·B`, `Aᵀ·B`, `A·Bᵀ` — runs through the
+//! same nest (`nest`). Both operands reach the microkernel from packed,
+//! contiguous panels: a depth chunk of at most `KC` steps of an `MC`-row
+//! block of A is packed once into `R`-row micro-panels (L2-resident), then
+//! each column micro-panel of B is packed once (L1-resident) and swept
+//! across every row tile of the block. The variants differ only in the two
+//! gathers (`Gather`) that fill the panels: an operand whose lines run
+//! along the depth index is transposed into the panel (`Strided`), one
+//! whose lines run along the output index is copied a segment per depth
+//! step (`Segment`). Panels live in a per-thread workspace allocated on a
+//! thread's first product, so a steady-state product allocates nothing.
 //!
-//! On x86-64 the public entry points dispatch at runtime to an AVX2 build
-//! of the same safe body with a wider register tile (4×16 instead of the
-//! baseline 4×8). The `unsafe` here is confined to the three dispatch call
-//! sites (each guarded by `is_x86_feature_detected!("avx2")` on the line
-//! above) plus the disjoint row-panel splits feeding [`crate::pool`] — the
-//! only other `unsafe` in the workspace.
+//! Tails never leave the nest. Columns go down a ladder of narrower tiles
+//! of the same microkernel (`C`, `C/2`, …, 8) and the last partial panel,
+//! like the last partial row tile, is zero-padded in the *panel*: the tile
+//! computes its padding lanes and never stores them. Only a single-column
+//! product (`n = 1`: a logit layer, DCN's combiner, their `dW`) has no tile
+//! to land on — every tile would be one lane wide — so it vectorizes over
+//! the *other* output dimension instead: `row_dots` when A's rows run along
+//! the depth, one scaled row addition per depth step when they run along
+//! the output. Epilogues fuse bias addition and ReLU so a dense layer's
+//! forward pass is one pass over the output.
+//!
+//! The nest is compiled once per entry of the dispatch table (`TIERS`):
+//! portable 4×8, AVX2 4×16, AVX-512 8×32, picked by
+//! `is_x86_feature_detected!` alone ([`kernel_tier`] names the pick). The
+//! `unsafe` here is confined to the one guarded call through that table
+//! plus the disjoint row-panel split feeding [`crate::pool`] — the only
+//! other `unsafe` in the workspace.
 //!
 //! When a [`crate::pool::GemmPool`] is installed on the calling thread
 //! (`GemmPool::install`), products above `PAR_MKN_THRESHOLD` are split
 //! into disjoint output-row panels executed across the pool. Each panel
-//! runs the ordinary sequential kernel over its rows, so per-element
+//! runs the ordinary sequential nest over its rows, so per-element
 //! summation order — and therefore every output bit — is unchanged (see
 //! the determinism contract below).
 //!
 //! # Determinism contract
 //!
 //! For a given shape every output element is accumulated in one fixed
-//! summation order: a single accumulator per element, sequential over the
-//! depth index `p`. Everything else — tile shape, panel packing, the order
-//! tiles are visited in, the depth chunking (partial sums round-trip
-//! through `out` as exact f32 stores/loads), the ISA the body is compiled
-//! for — only regroups *independent* elements and never reassociates a
-//! single element's sum. Rust does not contract `mul`+`add` into fused
-//! multiply-add, so the AVX2 path performs the identical IEEE operation
-//! sequence per element and results are bit-for-bit reproducible across
-//! runs, machines, and dispatch paths (`dispatch_matches_portable_body`
-//! pins this on AVX2 hosts).
+//! summation order: a single accumulator per element, seeded by the
+//! epilogue (`+0.0`, the bias, or the previous output), sequential over the
+//! depth index `p`. Everything else — tile shape, panel packing and its
+//! zero padding, the order tiles are visited in, the depth chunking
+//! (partial sums round-trip through `out` as exact f32 stores/loads), the
+//! lane a product is computed in before `row_dots` transposes it, the ISA
+//! the nest is compiled for — only regroups *independent* elements and
+//! never reassociates a single element's sum. Rust does not contract
+//! `mul`+`add` into fused multiply-add, so every tier performs the
+//! identical IEEE operation sequence per element and results are
+//! bit-for-bit reproducible across runs, machines, and dispatch paths
+//! (`dispatch_matches_portable_body` pins every tier the host has against
+//! the portable tile, and all of them against a scalar triple loop).
 //!
 //! The naive reference kernels live in [`mod@reference`]; differential tests pin
 //! the blocked kernels against them (relative error ≤ 1e-5 — blocked tiling
@@ -44,22 +61,20 @@
 //! why exact-equality is only guaranteed against the fused composition, not
 //! against `reference` + `add_bias`).
 
-/// Rows of the baseline register tile. 4 output rows share each gathered
-/// B operand.
-pub const MR: usize = 4;
-/// Columns of the baseline register tile: 8 f32 = two SSE vectors.
-pub const NR: usize = 8;
+use std::cell::RefCell;
+use std::sync::OnceLock;
 
-/// Rows of the AVX2 register tile.
-const MR_WIDE: usize = 4;
-/// Columns of the AVX2 register tile: 16 f32 = two YMM vectors per row,
-/// giving 8 independent accumulator registers — enough in-flight add
-/// chains to cover the vector-add latency.
-const NR_WIDE: usize = 16;
-
-/// Depth-chunk length: panels are packed at most `KC` depth steps at a
-/// time so the pack buffers are fixed-size stack arrays (≤ 16 KiB each).
+/// Depth-chunk length: panels hold at most `KC` depth steps, so a B
+/// micro-panel (`KC × 32` f32 = 32 KiB at the widest tile) stays in L1
+/// while the A block streams past it.
 const KC: usize = 256;
+
+/// Rows of A packed per block (a multiple of every tier's tile rows):
+/// `MC × KC` f32 = 256 KiB, L2-resident.
+const MC: usize = 256;
+
+/// Widest tile of any tier; sizes the B micro-panel.
+const NR_MAX: usize = 32;
 
 /// Minimum `m·k·n` for a product to be worth fanning out across an
 /// installed [`crate::pool::GemmPool`]: below this the panel hand-off
@@ -67,66 +82,14 @@ const KC: usize = 256;
 /// ~260 µs of work at 1 GFLOP/s; the pool round trip is a few µs).
 pub(crate) const PAR_MKN_THRESHOLD: usize = 1 << 16;
 
-/// Splits `out`'s `m` rows across the installed pool and runs `panel` on
-/// each `(r0, r1)` chunk with a disjoint `&mut` slice of `out`. Returns
-/// false (caller runs sequentially) when no pool is installed or the
-/// product is too small to split.
-fn try_parallel_rows(
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-    panel: impl Fn(usize, usize, &mut [f32]) + Sync,
-) -> bool {
-    let Some(pool) = crate::pool::current() else {
-        return false;
-    };
-    if pool.threads() < 2 || m < 2 * MR || m * k * n < PAR_MKN_THRESHOLD {
-        return false;
-    }
-    let chunks = crate::pool::row_chunks(m, pool.threads(), MR);
-    if chunks.len() < 2 {
-        return false;
-    }
-    let outp = crate::pool::SendPtr(out.as_mut_ptr());
-    let chunks = &chunks;
-    let panel = &panel;
-    pool.run(chunks.len(), &move |ci| {
-        // Bind the wrapper whole so precise capture takes the `Sync`
-        // `SendPtr`, not its raw-pointer field.
-        let outp = outp;
-        let (r0, r1) = chunks[ci];
-        // SAFETY: chunks tile [0, m) disjointly, so each job owns rows
-        // [r0, r1) of `out` exclusively; `out` itself is not touched by
-        // the caller until `run` returns.
-        let o = unsafe { std::slice::from_raw_parts_mut(outp.0.add(r0 * n), (r1 - r0) * n) };
-        panel(r0, r1, o);
-    });
-    true
-}
-/// Upper bounds for the stack panel buffers (stable Rust cannot size an
-/// array by `KC * R` for a const generic `R`).
-const MR_MAX: usize = 8;
-const NR_MAX: usize = 16;
-
-/// The shared microkernel: one fused multiply-add of an `R`-vector of A
-/// operands against a `C`-vector of B operands into the register tile.
-/// Every GEMM variant funnels through this update, so the arithmetic (and
-/// its vectorization) is identical regardless of operand layout.
-#[inline(always)]
-fn tile_fma<const R: usize, const C: usize>(
-    acc: &mut [[f32; C]; R],
-    a: &[f32; R],
-    b: &[f32; C],
-) {
-    for r in 0..R {
-        for c in 0..C {
-            acc[r][c] += a[r] * b[c];
-        }
-    }
+thread_local! {
+    /// The calling thread's packing workspace: one B micro-panel followed by
+    /// one A block, 288 KiB, allocated (zeroed, so untouched pages cost
+    /// nothing) on the thread's first product.
+    static WORKSPACE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Epilogue applied when a tile (or scalar tail) leaves the registers.
+/// Epilogue applied when a tile leaves the registers.
 #[derive(Clone, Copy, PartialEq)]
 pub(crate) enum Epilogue {
     /// `C = acc` (accumulator was seeded with zeros).
@@ -139,17 +102,164 @@ pub(crate) enum Epilogue {
     BiasRelu,
 }
 
-/// Pack an `R × kc` operand panel into depth-major interleaved layout:
-/// `panel[q * R + r] = row_r[q]`, where `row_r` starts at `base + r *
-/// stride + p0`. Pure data movement — the arithmetic later reads the same
-/// values in the same order, just from contiguous memory.
-#[inline(always)]
-fn pack_panel<const R: usize>(src: &[f32], base: usize, stride: usize, p0: usize, kc: usize, panel: &mut [f32]) {
-    for r in 0..R {
-        for (q, &v) in src[base + r * stride + p0..][..kc].iter().enumerate() {
-            panel[q * R + r] = v;
+/// What an element's accumulator starts from.
+#[derive(Clone, Copy, PartialEq)]
+enum Seed {
+    Zero,
+    /// The element's current value in `out`: `Accumulate`, and every depth
+    /// chunk after the first.
+    Out,
+    /// `bias[j]` for column `j`.
+    Bias,
+}
+
+/// How an operand's elements are laid out relative to the panel that
+/// gathers them. `x` is the operand's output index (a row of `C` for the
+/// left operand, a column for the right one), `p` the depth index.
+#[derive(Clone, Copy)]
+enum Gather {
+    /// Element `(x, p)` is `data[x·ld + p]`: each line runs along the depth,
+    /// so the gather transposes (`A` of `A·B`, both operands of `A·Bᵀ`).
+    Strided,
+    /// Element `(x, p)` is `data[p·ld + x]`: each depth step is a contiguous
+    /// segment (`B` of `A·B`, both operands of `Aᵀ·B`).
+    Segment,
+}
+
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    ld: usize,
+    gather: Gather,
+}
+
+impl<'a> Operand<'a> {
+    fn strided(data: &'a [f32], ld: usize) -> Self {
+        Self {
+            data,
+            ld,
+            gather: Gather::Strided,
         }
     }
+
+    fn segment(data: &'a [f32], ld: usize) -> Self {
+        Self {
+            data,
+            ld,
+            gather: Gather::Segment,
+        }
+    }
+
+    /// The operand starting at output index `x` (a row panel's view).
+    fn skip(self, x: usize) -> Self {
+        let start = match self.gather {
+            Gather::Strided => x * self.ld,
+            Gather::Segment => x,
+        };
+        Self {
+            data: &self.data[start.min(self.data.len())..],
+            ..self
+        }
+    }
+}
+
+/// One product `C (m×n) = A·B` over gathered operands.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Operand<'a>,
+    b: Operand<'a>,
+    bias: &'a [f32],
+    seed: Seed,
+    relu: bool,
+}
+
+/// One depth chunk of one A block: what a column micro-panel is swept over.
+#[derive(Clone, Copy)]
+struct Block {
+    i0: usize,
+    mc: usize,
+    p0: usize,
+    kc: usize,
+    seed: Seed,
+    relu: bool,
+}
+
+/// One compilation of [`nest`]: a register-tile shape and the ISA it needs.
+struct Tier {
+    name: &'static str,
+    /// Rows of the register tile; pool row panels align to it.
+    mr: usize,
+    detected: fn() -> bool,
+    /// # Safety
+    /// The CPU must support the tier's ISA: call only after `detected()`
+    /// returned true.
+    nest: unsafe fn(&Product<'_>, &mut [f32], &mut [f32]),
+}
+
+/// The dispatch table, best tier first. Tile shapes: the portable tile is
+/// 4×8 (two SSE vectors per row); AVX2 is 4×16, two YMM per row giving
+/// eight independent add chains — enough to cover the vector-add latency
+/// with 16 registers; AVX-512 is 8×32, sixteen ZMM chains (32 registers),
+/// which halves the operand loads per multiply against 4×32 and keeps
+/// eight chains in flight on the 16- and 8-wide rungs of the tail ladder.
+static TIERS: &[Tier] = &[
+    #[cfg(target_arch = "x86_64")]
+    Tier {
+        name: "avx512f",
+        mr: 8,
+        detected: || std::arch::is_x86_feature_detected!("avx512f"),
+        nest: nest_avx512,
+    },
+    #[cfg(target_arch = "x86_64")]
+    Tier {
+        name: "avx2",
+        mr: 4,
+        detected: || std::arch::is_x86_feature_detected!("avx2"),
+        nest: nest_avx2,
+    },
+    Tier {
+        name: "portable",
+        mr: 4,
+        detected: || true,
+        nest: nest_portable,
+    },
+];
+
+fn nest_portable(g: &Product<'_>, out: &mut [f32], ws: &mut [f32]) {
+    nest::<4, 8>(g, out, ws);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn nest_avx2(g: &Product<'_>, out: &mut [f32], ws: &mut [f32]) {
+    nest::<4, 16>(g, out, ws);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn nest_avx512(g: &Product<'_>, out: &mut [f32], ws: &mut [f32]) {
+    nest::<8, 32>(g, out, ws);
+}
+
+/// The best tier this CPU supports.
+fn active_tier() -> &'static Tier {
+    static ACTIVE: OnceLock<&'static Tier> = OnceLock::new();
+    ACTIVE.get_or_init(|| {
+        TIERS
+            .iter()
+            .find(|t| (t.detected)())
+            .expect("the portable tier is always detected")
+    })
+}
+
+/// Name of the kernel tier every product on this host runs on: `"avx512f"`,
+/// `"avx2"` or `"portable"`. All tiers produce the same bits; this is what a
+/// wall-clock number has to be read against.
+pub fn kernel_tier() -> &'static str {
+    active_tier().name
 }
 
 /// `C (m×n) = A (m×k) · B (k×n)` with the chosen epilogue.
@@ -169,40 +279,22 @@ pub(crate) fn gemm_nn(
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if try_parallel_rows(m, k, n, out, |r0, r1, o| {
-        gemm_nn_seq(r1 - r0, k, n, &a[r0 * k..r1 * k], b, bias, epi, o)
-    }) {
-        return;
-    }
-    gemm_nn_seq(m, k, n, a, b, bias, epi, out);
+    gemm(
+        active_tier(),
+        m,
+        k,
+        n,
+        Operand::strided(a, k),
+        Operand::segment(b, n),
+        bias,
+        epi,
+        out,
+    );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm_nn_seq(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    bias: &[f32],
-    epi: Epilogue,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `wide::gemm_nn` is a safe function whose only requirement
-        // is AVX2 support, checked on the line above.
-        unsafe { wide::gemm_nn(m, k, n, a, b, bias, epi, out) };
-        return;
-    }
-    gemm_nn_body::<MR, NR>(m, k, n, a, b, bias, epi, out);
-}
-
-/// `C (m×n) = Aᵀ · B` where `A` is `k×m` and `B` is `k×n`. Both operand
-/// gathers are contiguous row slices, so this variant needs no packing —
-/// it carries the weight-gradient GEMM (`dW += Xᵀ·dY`, usually with
-/// [`Epilogue::Accumulate`]).
+/// `C (m×n) = Aᵀ · B` where `A` is `k×m` and `B` is `k×n` — the
+/// weight-gradient GEMM (`dW += Xᵀ·dY`, usually with
+/// [`Epilogue::Accumulate`]). Both gathers are contiguous segments.
 pub(crate) fn gemm_tn(
     m: usize,
     k: usize,
@@ -214,43 +306,21 @@ pub(crate) fn gemm_tn(
 ) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    // Aᵀ's rows of `out` correspond to *columns* of the stored `k×m`
-    // operand, so panels keep the full `a` and address it with a row
-    // stride of `m` and a column offset `r0`.
-    if try_parallel_rows(m, k, n, out, |r0, r1, o| {
-        gemm_tn_seq(r1 - r0, k, n, a, m, r0, b, epi, o)
-    }) {
-        return;
-    }
-    gemm_tn_seq(m, k, n, a, m, 0, b, epi, out);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_tn_seq(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    astride: usize,
-    aoff: usize,
-    b: &[f32],
-    epi: Epilogue,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `wide::gemm_tn` is a safe function whose only requirement
-        // is AVX2 support, checked on the line above.
-        unsafe { wide::gemm_tn(m, k, n, a, astride, aoff, b, epi, out) };
-        return;
-    }
-    gemm_tn_body::<MR, NR>(m, k, n, a, astride, aoff, b, epi, out);
+    gemm(
+        active_tier(),
+        m,
+        k,
+        n,
+        Operand::segment(a, m),
+        Operand::segment(b, n),
+        &[],
+        epi,
+        out,
+    );
 }
 
 /// `C (m×n) = A · Bᵀ` where `A` is `m×k` and `B` is `n×k` — the
-/// input-gradient GEMM (`dX = dY·Wᵀ`). Both operands stride by `k`, so
-/// both are repacked into contiguous panels before the microkernel runs.
+/// input-gradient GEMM (`dX = dY·Wᵀ`). Both gathers transpose.
 pub(crate) fn gemm_nt(
     m: usize,
     k: usize,
@@ -262,328 +332,414 @@ pub(crate) fn gemm_nt(
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    if try_parallel_rows(m, k, n, out, |r0, r1, o| {
-        gemm_nt_seq(r1 - r0, k, n, &a[r0 * k..r1 * k], b, epi, o)
-    }) {
-        return;
-    }
-    gemm_nt_seq(m, k, n, a, b, epi, out);
+    gemm(
+        active_tier(),
+        m,
+        k,
+        n,
+        Operand::strided(a, k),
+        Operand::strided(b, k),
+        &[],
+        epi,
+        out,
+    );
 }
 
-fn gemm_nt_seq(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], epi: Epilogue, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `wide::gemm_nt` is a safe function whose only requirement
-        // is AVX2 support, checked on the line above.
-        unsafe { wide::gemm_nt(m, k, n, a, b, epi, out) };
-        return;
-    }
-    gemm_nt_body::<MR, NR>(m, k, n, a, b, epi, out);
-}
-
-/// AVX2 builds of the portable bodies (x86-64 only). `#[target_feature]`
-/// recompiles the same safe code with 256-bit vectors and a wider tile; the
-/// per-element operation sequence is unchanged (see the module docs), so
-/// these produce bit-identical results to the portable path.
-#[cfg(target_arch = "x86_64")]
-mod wide {
-    use super::*;
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_nn(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        bias: &[f32],
-        epi: Epilogue,
-        out: &mut [f32],
-    ) {
-        gemm_nn_body::<MR_WIDE, NR_WIDE>(m, k, n, a, b, bias, epi, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn gemm_tn(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        astride: usize,
-        aoff: usize,
-        b: &[f32],
-        epi: Epilogue,
-        out: &mut [f32],
-    ) {
-        gemm_tn_body::<MR_WIDE, NR_WIDE>(m, k, n, a, astride, aoff, b, epi, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn gemm_nt(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        b: &[f32],
-        epi: Epilogue,
-        out: &mut [f32],
-    ) {
-        gemm_nt_body::<MR_WIDE, NR_WIDE>(m, k, n, a, b, epi, out);
-    }
-}
-
-#[inline(always)]
+/// The shared front end: decomposes the epilogue, serves a single-column
+/// product with the two row-vectorized kernels, and runs every other product
+/// through `tier`'s nest — split into row panels across the installed pool
+/// when it is large enough.
 #[allow(clippy::too_many_arguments)]
-fn gemm_nn_body<const R: usize, const C: usize>(
+fn gemm(
+    tier: &'static Tier,
     m: usize,
     k: usize,
     n: usize,
-    a: &[f32],
-    b: &[f32],
+    a: Operand<'_>,
+    b: Operand<'_>,
     bias: &[f32],
     epi: Epilogue,
     out: &mut [f32],
 ) {
-    let mut apanel = [0.0f32; KC * MR_MAX];
-    let mut i = 0;
-    while i + R <= m {
-        // Depth chunks: the A panel is packed once per chunk and reused
-        // across every column tile; partial sums round-trip through `out`
-        // (exact f32 stores/loads) between chunks.
-        let mut p0 = 0;
-        loop {
-            let kc = KC.min(k - p0);
-            pack_panel::<R>(a, i * k, k, p0, kc, &mut apanel);
-            let seed_epi = if p0 == 0 { epi } else { Epilogue::Accumulate };
-            let write_epi = if p0 + kc == k { epi } else { Epilogue::Store };
+    // The row-panel split below carves `out` up through raw pointers.
+    assert_eq!(out.len(), m * n, "output buffer is not m×n");
+    let (seed, relu) = match epi {
+        Epilogue::Store => (Seed::Zero, false),
+        Epilogue::Accumulate => (Seed::Out, false),
+        Epilogue::Bias => (Seed::Bias, false),
+        Epilogue::BiasRelu => (Seed::Bias, true),
+    };
+    if n == 1 {
+        // One output column: a tile would be one lane wide, so the product
+        // vectorizes over the rows instead. `B` is a plain `k`-vector under
+        // either gather, and the lone bias seeds every row.
+        match seed {
+            Seed::Zero => out.fill(0.0),
+            Seed::Out => {}
+            Seed::Bias => out.fill(bias[0]),
+        }
+        match a.gather {
+            Gather::Strided => row_dots(k, a.data, a.ld, b.data, 0, out),
+            Gather::Segment => {
+                for (p, &bp) in b.data[..k].iter().enumerate() {
+                    for (o, &x) in out.iter_mut().zip(&a.data[p * a.ld..][..m]) {
+                        *o += x * bp;
+                    }
+                }
+            }
+        }
+        if relu {
+            for v in out.iter_mut() {
+                *v = if *v > 0.0 { *v } else { 0.0 };
+            }
+        }
+        return;
+    }
+    let g = Product {
+        m,
+        k,
+        n,
+        a,
+        b,
+        bias,
+        seed,
+        relu,
+    };
+    if !try_parallel_rows(&g, tier, out) {
+        run(tier, &g, out);
+    }
+}
+
+/// Runs `g` sequentially on `tier` with the calling thread's workspace.
+///
+/// # Panics
+/// Panics if this CPU lacks the tier's ISA.
+fn run(tier: &Tier, g: &Product<'_>, out: &mut [f32]) {
+    WORKSPACE.with(|ws| {
+        let mut ws = ws.borrow_mut();
+        if ws.is_empty() {
+            ws.resize(KC * (NR_MAX + MC), 0.0);
+        }
+        assert!(
+            (tier.detected)(),
+            "kernel tier {} is not supported by this CPU",
+            tier.name
+        );
+        // SAFETY: `Tier::nest` requires only that the CPU supports the
+        // tier's ISA, checked on the line above.
+        unsafe { (tier.nest)(g, out, &mut ws) }
+    });
+}
+
+/// Splits `out`'s rows across the installed pool and runs each chunk as a
+/// product of its own over a disjoint `&mut` slice of `out`. Returns false
+/// (caller runs sequentially) when no pool is installed or the product is
+/// too small to split.
+fn try_parallel_rows(g: &Product<'_>, tier: &'static Tier, out: &mut [f32]) -> bool {
+    let Some(pool) = crate::pool::current() else {
+        return false;
+    };
+    let Product { m, k, n, .. } = *g;
+    if pool.threads() < 2 || m < 2 * tier.mr || m * k * n < PAR_MKN_THRESHOLD {
+        return false;
+    }
+    let chunks = crate::pool::row_chunks(m, pool.threads(), tier.mr);
+    if chunks.len() < 2 {
+        return false;
+    }
+    let outp = crate::pool::SendPtr(out.as_mut_ptr());
+    pool.run(chunks.len(), &move |ci| {
+        // Bind the wrapper whole so precise capture takes the `Sync`
+        // `SendPtr`, not its raw-pointer field.
+        let outp = outp;
+        let (r0, r1) = chunks.get(ci);
+        // SAFETY: chunks tile [0, m) disjointly, so each job owns rows
+        // [r0, r1) of `out` exclusively; `out` itself is not touched by
+        // the caller until `run` returns.
+        let o = unsafe { std::slice::from_raw_parts_mut(outp.0.add(r0 * n), (r1 - r0) * n) };
+        run(
+            tier,
+            &Product {
+                m: r1 - r0,
+                a: g.a.skip(r0),
+                ..*g
+            },
+            o,
+        );
+    });
+    true
+}
+
+/// The loop nest. Per depth chunk and A block: pack the block once, then
+/// for each column micro-panel — widest tile first, down the ladder — pack
+/// it once and sweep it across the block's row tiles.
+#[inline(always)]
+fn nest<const R: usize, const C: usize>(g: &Product<'_>, out: &mut [f32], ws: &mut [f32]) {
+    let (bpanel, ablock) = ws.split_at_mut(KC * NR_MAX);
+    let mut p0 = 0;
+    loop {
+        // Partial sums round-trip through `out` (exact f32 stores/loads)
+        // between depth chunks; `k = 0` still runs one empty chunk so the
+        // epilogue lands.
+        let kc = KC.min(g.k - p0);
+        let seed = if p0 == 0 { g.seed } else { Seed::Out };
+        let relu = g.relu && p0 + kc == g.k;
+        for i0 in (0..g.m).step_by(MC) {
+            let mc = MC.min(g.m - i0);
+            for (t, i) in (i0..i0 + mc).step_by(R).enumerate() {
+                let rows = R.min(i0 + mc - i);
+                pack::<R>(g.a, i, rows, p0, kc, &mut ablock[t * R * kc..][..R * kc]);
+            }
+            let blk = Block {
+                i0,
+                mc,
+                p0,
+                kc,
+                seed,
+                relu,
+            };
             let mut j = 0;
-            while j + C <= n {
-                let mut acc = seed_tile::<R, C>(bias, j, i, n, out, seed_epi);
-                for (ap, brow) in apanel[..kc * R]
-                    .chunks_exact(R)
-                    .zip(b[p0 * n..(p0 + kc) * n].chunks_exact(n))
-                {
-                    let av: &[f32; R] = ap.try_into().unwrap();
-                    let bv: &[f32; C] = brow[j..j + C].try_into().unwrap();
-                    tile_fma(&mut acc, av, bv);
-                }
-                write_tile(&acc, i, j, n, out, write_epi);
-                j += C;
-            }
-            p0 += kc;
-            if p0 >= k {
-                break;
+            while j < g.n {
+                let left = g.n - j;
+                j += if C >= 32 && left >= 32 {
+                    sweep::<R, 32>(g, &blk, j, ablock, bpanel, out)
+                } else if C >= 16 && left >= 16 {
+                    sweep::<R, 16>(g, &blk, j, ablock, bpanel, out)
+                } else {
+                    sweep::<R, 8>(g, &blk, j, ablock, bpanel, out)
+                };
             }
         }
-        // Column tail: scalar, same p-order, full depth in one pass.
-        for jj in (n - n % C)..n {
-            for r in 0..R {
-                let mut s = seed_scalar(bias, jj, (i + r) * n + jj, out, epi);
-                for p in 0..k {
-                    s += a[(i + r) * k + p] * b[p * n + jj];
-                }
-                out[(i + r) * n + jj] = finish_scalar(s, epi);
-            }
-        }
-        i += R;
-    }
-    // Row tail: scalar, same p-order.
-    for ii in i..m {
-        for jj in 0..n {
-            let mut s = seed_scalar(bias, jj, ii * n + jj, out, epi);
-            for p in 0..k {
-                s += a[ii * k + p] * b[p * n + jj];
-            }
-            out[ii * n + jj] = finish_scalar(s, epi);
+        p0 += kc;
+        if p0 >= g.k {
+            break;
         }
     }
 }
 
-/// `astride`/`aoff` view `a` as a `k × astride` matrix whose columns
-/// `aoff..aoff+m` are the operand — the row-panel split hands each panel
-/// the full buffer with a column offset (columns of the stored `Aᵀ` are
-/// output rows, so they cannot be sliced contiguously). Whole-matrix
-/// callers pass `astride = m, aoff = 0`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn gemm_tn_body<const R: usize, const C: usize>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    astride: usize,
-    aoff: usize,
-    b: &[f32],
-    epi: Epilogue,
-    out: &mut [f32],
-) {
-    let mut i = 0;
-    while i + R <= m {
-        let mut j = 0;
-        while j + C <= n {
-            let mut acc = seed_tile::<R, C>(&[], j, i, n, out, epi);
-            for (arow, brow) in a.chunks_exact(astride).zip(b.chunks_exact(n)) {
-                let av: &[f32; R] = arow[aoff + i..aoff + i + R].try_into().unwrap();
-                let bv: &[f32; C] = brow[j..j + C].try_into().unwrap();
-                tile_fma(&mut acc, av, bv);
+/// `acc[r][..] += a[r] · b[..]` for each listed row, one statement per row.
+/// Spelled out because a `for r in 0..R` here is a loop LLVM may vectorize
+/// *across rows* (at `R = 8` it does: gathers and scatters over a spilled
+/// tile); with the rows unrolled by hand only the lane loop is left.
+macro_rules! fma_rows {
+    ($acc:ident, $a:ident, $b:ident; $($r:literal)+) => {{
+        $(
+            for c in 0..W {
+                $acc[$r][c] += $a[$r] * $b[c];
             }
-            write_tile(&acc, i, j, n, out, epi);
-            j += C;
-        }
-        for jj in j..n {
-            for r in 0..R {
-                let mut s = seed_scalar(&[], jj, (i + r) * n + jj, out, epi);
-                for p in 0..k {
-                    s += a[p * astride + aoff + i + r] * b[p * n + jj];
-                }
-                out[(i + r) * n + jj] = finish_scalar(s, epi);
-            }
-        }
-        i += R;
-    }
-    for ii in i..m {
-        for jj in 0..n {
-            let mut s = seed_scalar(&[], jj, ii * n + jj, out, epi);
-            for p in 0..k {
-                s += a[p * astride + aoff + ii] * b[p * n + jj];
-            }
-            out[ii * n + jj] = finish_scalar(s, epi);
-        }
-    }
+        )+
+    }};
 }
 
+/// Packs the `W`-wide column micro-panel at column `j` and runs the
+/// microkernel over every row tile of the block. Returns `W`.
 #[inline(always)]
-fn gemm_nt_body<const R: usize, const C: usize>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    epi: Epilogue,
-    out: &mut [f32],
-) {
-    let mut apanel = [0.0f32; KC * MR_MAX];
-    let mut bpanel = [0.0f32; KC * NR_MAX];
-    // Column panels outermost so the B panel — the expensive strided
-    // gather — is packed once per (panel, depth chunk) and reused across
-    // every row tile.
-    let mut j = 0;
-    while j + C <= n {
-        let mut p0 = 0;
-        loop {
-            let kc = KC.min(k - p0);
-            pack_panel::<C>(b, j * k, k, p0, kc, &mut bpanel);
-            let seed_epi = if p0 == 0 { epi } else { Epilogue::Accumulate };
-            let write_epi = if p0 + kc == k { epi } else { Epilogue::Store };
-            let mut i = 0;
-            while i + R <= m {
-                pack_panel::<R>(a, i * k, k, p0, kc, &mut apanel);
-                let mut acc = seed_tile::<R, C>(&[], j, i, n, out, seed_epi);
-                for (ap, bp) in apanel[..kc * R]
-                    .chunks_exact(R)
-                    .zip(bpanel[..kc * C].chunks_exact(C))
-                {
-                    let av: &[f32; R] = ap.try_into().unwrap();
-                    let bv: &[f32; C] = bp.try_into().unwrap();
-                    tile_fma(&mut acc, av, bv);
-                }
-                write_tile(&acc, i, j, n, out, write_epi);
-                i += R;
-            }
-            p0 += kc;
-            if p0 >= k {
-                break;
-            }
-        }
-        // Row tail for this column panel: scalar, same p-order, full depth.
-        for ii in (m - m % R)..m {
-            for jj in j..j + C {
-                let mut s = seed_scalar(&[], jj, ii * n + jj, out, epi);
-                for p in 0..k {
-                    s += a[ii * k + p] * b[jj * k + p];
-                }
-                out[ii * n + jj] = finish_scalar(s, epi);
-            }
-        }
-        j += C;
-    }
-    // Column tail: scalar, same p-order.
-    for jj in j..n {
-        for ii in 0..m {
-            let mut s = seed_scalar(&[], jj, ii * n + jj, out, epi);
-            for p in 0..k {
-                s += a[ii * k + p] * b[jj * k + p];
-            }
-            out[ii * n + jj] = finish_scalar(s, epi);
-        }
-    }
-}
-
-#[inline(always)]
-fn seed_tile<const R: usize, const C: usize>(
-    bias: &[f32],
+fn sweep<const R: usize, const W: usize>(
+    g: &Product<'_>,
+    blk: &Block,
     j: usize,
-    i: usize,
-    n: usize,
-    out: &[f32],
-    epi: Epilogue,
-) -> [[f32; C]; R] {
-    let mut acc = [[0.0f32; C]; R];
-    match epi {
-        Epilogue::Store => {}
-        Epilogue::Accumulate => {
-            for (r, row) in acc.iter_mut().enumerate() {
-                row.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + C]);
-            }
-        }
-        Epilogue::Bias | Epilogue::BiasRelu => {
-            for row in &mut acc {
-                row.copy_from_slice(&bias[j..j + C]);
-            }
-        }
-    }
-    acc
-}
-
-#[inline(always)]
-fn write_tile<const R: usize, const C: usize>(
-    acc: &[[f32; C]; R],
-    i: usize,
-    j: usize,
-    n: usize,
+    ablock: &[f32],
+    bpanel: &mut [f32],
     out: &mut [f32],
-    epi: Epilogue,
-) {
-    for (r, row) in acc.iter().enumerate() {
-        let dst = &mut out[(i + r) * n + j..(i + r) * n + j + C];
-        if epi == Epilogue::BiasRelu {
-            for (d, &v) in dst.iter_mut().zip(row) {
-                *d = if v > 0.0 { v } else { 0.0 };
+) -> usize {
+    let kc = blk.kc;
+    let cols = W.min(g.n - j);
+    let bp = &mut bpanel[..kc * W];
+    pack::<W>(g.b, j, cols, blk.p0, kc, bp);
+    for (t, i) in (blk.i0..blk.i0 + blk.mc).step_by(R).enumerate() {
+        let rows = R.min(blk.i0 + blk.mc - i);
+        let ap = &ablock[t * R * kc..][..R * kc];
+        // Constant-index accesses only: the tile must stay in registers.
+        let mut acc = [[0.0f32; W]; R];
+        for r in 0..R {
+            if r < rows {
+                match blk.seed {
+                    Seed::Zero => {}
+                    Seed::Out => acc[r] = load_lanes(&out[(i + r) * g.n + j..][..cols]),
+                    Seed::Bias => acc[r] = load_lanes(&g.bias[j..j + cols]),
+                }
             }
-        } else {
-            dst.copy_from_slice(row);
+        }
+        // The microkernel: one multiply and one add per element and depth
+        // step, ascending `p`, never contracted.
+        for (av, bv) in ap.chunks_exact(R).zip(bp.chunks_exact(W)) {
+            let av: &[f32; R] = av.try_into().unwrap();
+            let bv: &[f32; W] = bv.try_into().unwrap();
+            match R {
+                4 => fma_rows!(acc, av, bv; 0 1 2 3),
+                8 => fma_rows!(acc, av, bv; 0 1 2 3 4 5 6 7),
+                _ => unreachable!("register tiles have 4 or 8 rows"),
+            }
+        }
+        for r in 0..R {
+            if r < rows {
+                let mut lane = acc[r];
+                if blk.relu {
+                    for v in &mut lane {
+                        *v = if *v > 0.0 { *v } else { 0.0 };
+                    }
+                }
+                let dst = &mut out[(i + r) * g.n + j..][..cols];
+                match <&mut [f32; W]>::try_from(&mut *dst) {
+                    Ok(full) => *full = lane,
+                    Err(_) => dst.copy_from_slice(&lane[..cols]),
+                }
+            }
+        }
+    }
+    W
+}
+
+/// `src` widened to a full lane (zero beyond it), as one fixed-size move
+/// when `src` already fills it.
+#[inline(always)]
+fn load_lanes<const W: usize>(src: &[f32]) -> [f32; W] {
+    match <&[f32; W]>::try_from(src) {
+        Ok(full) => *full,
+        Err(_) => {
+            let mut lane = [0.0; W];
+            lane[..src.len()].copy_from_slice(src);
+            lane
         }
     }
 }
 
+/// Gathers output indices `x0..x0 + valid` of `op` over depth
+/// `p0..p0 + kc` into a depth-major `W`-wide panel: `panel[q·W + x]` is
+/// element `(x0 + x, p0 + q)`, lanes `valid..W` are zero. Pure data
+/// movement — the arithmetic later reads the same values in the same
+/// order, just from contiguous memory.
 #[inline(always)]
-fn seed_scalar(bias: &[f32], j: usize, flat: usize, out: &[f32], epi: Epilogue) -> f32 {
-    match epi {
-        Epilogue::Store => 0.0,
-        Epilogue::Accumulate => out[flat],
-        Epilogue::Bias | Epilogue::BiasRelu => bias[j],
+fn pack<const W: usize>(
+    op: Operand<'_>,
+    x0: usize,
+    valid: usize,
+    p0: usize,
+    kc: usize,
+    panel: &mut [f32],
+) {
+    if kc == 0 {
+        return;
+    }
+    match op.gather {
+        Gather::Strided => {
+            for x in 0..valid {
+                let line = &op.data[(x0 + x) * op.ld + p0..][..kc];
+                for (dst, &v) in panel[x..].iter_mut().step_by(W).zip(line) {
+                    *dst = v;
+                }
+            }
+            if valid < W {
+                for row in panel.chunks_exact_mut(W) {
+                    row[valid..].fill(0.0);
+                }
+            }
+        }
+        Gather::Segment => {
+            for (q, row) in panel.chunks_exact_mut(W).enumerate() {
+                let row: &mut [f32; W] = row.try_into().unwrap();
+                *row = load_lanes(&op.data[(p0 + q) * op.ld + x0..][..valid]);
+            }
+        }
+    }
+}
+
+/// Row-wise dot products, eight rows' chains in flight:
+/// `out[r] += Σ_p a[r·lda + p] · b[r·ldb + p]`, each row one chain in
+/// ascending `p` seeded with `out[r]` — the bits of the scalar loop.
+/// `ldb = 0` shares one `b` vector between all rows (a single-column
+/// product, a cross layer's `x·w`); otherwise `b` is a second matrix (a
+/// cross layer's `Σ_j g_j·x0_j`).
+///
+/// Rows go four to a group: four depth steps of each row are multiplied
+/// along the row, the 4×4 block of products is transposed (shuffles, not
+/// arithmetic) so that lane `r` holds row `r`'s product, and the four
+/// product vectors are added in depth order. A group short of four rows
+/// repeats its last row into the spare lanes and does not store them.
+pub(crate) fn row_dots(k: usize, a: &[f32], lda: usize, b: &[f32], ldb: usize, out: &mut [f32]) {
+    let mut r0 = 0;
+    while r0 + 8 <= out.len() {
+        dot_groups::<2>(
+            k,
+            &a[r0 * lda..],
+            lda,
+            &b[r0 * ldb..],
+            ldb,
+            &mut out[r0..r0 + 8],
+        );
+        r0 += 8;
+    }
+    while r0 < out.len() {
+        let rows = 4.min(out.len() - r0);
+        dot_groups::<1>(
+            k,
+            &a[r0 * lda..],
+            lda,
+            &b[r0 * ldb..],
+            ldb,
+            &mut out[r0..r0 + rows],
+        );
+        r0 += rows;
     }
 }
 
 #[inline(always)]
-fn finish_scalar(s: f32, epi: Epilogue) -> f32 {
-    if epi == Epilogue::BiasRelu && s <= 0.0 {
-        0.0
-    } else {
-        s
+fn transpose4(m: [[f32; 4]; 4]) -> [[f32; 4]; 4] {
+    [
+        [m[0][0], m[1][0], m[2][0], m[3][0]],
+        [m[0][1], m[1][1], m[2][1], m[3][1]],
+        [m[0][2], m[1][2], m[2][2], m[3][2]],
+        [m[0][3], m[1][3], m[2][3], m[3][3]],
+    ]
+}
+
+/// `G` groups of four rows advancing together; `out.len()` is `4·G`, or
+/// less than four when `G = 1`.
+#[inline(always)]
+fn dot_groups<'a, const G: usize>(
+    k: usize,
+    a: &'a [f32],
+    lda: usize,
+    b: &'a [f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    let last = out.len() - 1;
+    let mut s = [[0.0f32; 4]; G];
+    for (r, &seed) in out.iter().enumerate() {
+        s[r / 4][r % 4] = seed;
+    }
+    // Lane `r` of group `g` reads row `4g + r`, or the last row past the end.
+    let lines = |m: &'a [f32], ld: usize| -> [[&'a [f32]; 4]; G] {
+        std::array::from_fn(|g| std::array::from_fn(|r| &m[(4 * g + r).min(last) * ld..][..k]))
+    };
+    let (a, b) = (lines(a, lda), lines(b, ldb));
+    let blocks = k - k % 4;
+    for p in (0..blocks).step_by(4) {
+        for g in 0..G {
+            let (mut av, mut bv) = ([[0.0f32; 4]; 4], [[0.0f32; 4]; 4]);
+            for r in 0..4 {
+                av[r] = a[g][r][p..p + 4].try_into().unwrap();
+                bv[r] = b[g][r][p..p + 4].try_into().unwrap();
+            }
+            // Transposed: lane `r` of step `q` belongs to row `r`.
+            for (aq, bq) in transpose4(av).into_iter().zip(transpose4(bv)) {
+                for r in 0..4 {
+                    s[g][r] += aq[r] * bq[r];
+                }
+            }
+        }
+    }
+    // The depth's last one to three steps, a lane per row as before.
+    for p in blocks..k {
+        for g in 0..G {
+            for r in 0..4 {
+                s[g][r] += a[g][r][p] * b[g][r][p];
+            }
+        }
+    }
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = s[r / 4][r % 4];
     }
 }
 
@@ -646,18 +802,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fill(len: usize, seed: u64) -> Vec<f32> {
-        let mut state = seed;
-        (0..len)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 32) as u32 as f32 / u32::MAX as f32) - 0.5
-            })
-            .collect()
-    }
+    use crate::testdata::{bits, fill, fill_zeroish};
 
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
@@ -749,52 +894,176 @@ mod tests {
         );
     }
 
-    /// The dispatched entry points (AVX2 wide tile on capable hosts) must
-    /// be bit-identical to the portable baseline-tile body: the per-element
-    /// summation order is the same and Rust never contracts mul+add, so
-    /// any divergence is a kernel bug.
-    #[test]
-    fn dispatch_matches_portable_body() {
-        for &(m, k, n) in &[(13usize, 37usize, 19usize), (16, KC + 5, 24), (4, 8, 16)] {
-            let a = fill(m * k, 21);
-            let b = fill(k * n, 22);
-            let bias = fill(n, 23);
-            let mut dispatched = vec![0.0f32; m * n];
-            let mut portable = vec![0.0f32; m * n];
+    const EPILOGUES: [Epilogue; 4] = [
+        Epilogue::Store,
+        Epilogue::Accumulate,
+        Epilogue::Bias,
+        Epilogue::BiasRelu,
+    ];
 
-            gemm_nn(m, k, n, &a, &b, &bias, Epilogue::BiasRelu, &mut dispatched);
-            gemm_nn_body::<MR, NR>(m, k, n, &a, &b, &bias, Epilogue::BiasRelu, &mut portable);
-            assert_eq!(bits(&dispatched), bits(&portable), "nn {m}x{k}x{n}");
-
-            let at = fill(k * m, 24);
-            gemm_tn(m, k, n, &at, &b, Epilogue::Store, &mut dispatched);
-            gemm_tn_body::<MR, NR>(m, k, n, &at, m, 0, &b, Epilogue::Store, &mut portable);
-            assert_eq!(bits(&dispatched), bits(&portable), "tn {m}x{k}x{n}");
-
-            let bt = fill(n * k, 25);
-            gemm_nt(m, k, n, &a, &bt, Epilogue::Store, &mut dispatched);
-            gemm_nt_body::<MR, NR>(m, k, n, &a, &bt, Epilogue::Store, &mut portable);
-            assert_eq!(bits(&dispatched), bits(&portable), "nt {m}x{k}x{n}");
+    /// The oracle every kernel is pinned to: the scalar tail loop of the
+    /// pre-nest bodies, run over the whole product. One accumulator per
+    /// output, seeded by the epilogue, ascending `p`.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_oracle(
+        variant: &str,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        epi: Epilogue,
+        out: &mut [f32],
+    ) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = match epi {
+                    Epilogue::Store => 0.0,
+                    Epilogue::Accumulate => out[i * n + j],
+                    Epilogue::Bias | Epilogue::BiasRelu => bias[j],
+                };
+                for p in 0..k {
+                    s += match variant {
+                        "nn" => a[i * k + p] * b[p * n + j],
+                        "tn" => a[p * m + i] * b[p * n + j],
+                        _ => a[i * k + p] * b[j * k + p],
+                    };
+                }
+                out[i * n + j] = if epi == Epilogue::BiasRelu && s <= 0.0 {
+                    0.0
+                } else {
+                    s
+                };
+            }
         }
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
+    /// `variant`'s product on `tier` (the front end the public entry points
+    /// share, with the tier chosen by the caller).
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_on(
+        tier: &'static Tier,
+        variant: &str,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        bias: &[f32],
+        epi: Epilogue,
+        out: &mut [f32],
+    ) {
+        let (a, b) = match variant {
+            "nn" => (Operand::strided(a, k), Operand::segment(b, n)),
+            "tn" => (Operand::segment(a, m), Operand::segment(b, n)),
+            _ => (Operand::strided(a, k), Operand::strided(b, k)),
+        };
+        gemm(tier, m, k, n, a, b, bias, epi, out);
+    }
+
+    /// The tiers this host can run; a tier it lacks is named, never passed
+    /// over in silence.
+    fn detected_tiers() -> Vec<&'static Tier> {
+        let (have, lack): (Vec<_>, Vec<_>) = TIERS.iter().partition(|t| (t.detected)());
+        for t in lack {
+            println!("skipped: {}", t.name);
+        }
+        have
+    }
+
+    /// Every tier the host has must be bit-identical to the portable 4×8
+    /// tile, and both to the scalar loop: the per-element summation order is
+    /// the same and Rust never contracts mul+add, so any divergence is a
+    /// kernel bug. The widths walk every rung of every tier's column ladder
+    /// and its padded remainder, the heights every partial row tile, the
+    /// depths the empty product, the single step and the `KC` seam; `n = 1`
+    /// and `k = 1` are the degenerate kernels.
+    #[test]
+    fn dispatch_matches_portable_body() {
+        let portable = TIERS.last().unwrap();
+        assert_eq!(portable.name, "portable");
+        let mut negative_zeros = 0;
+        for tier in detected_tiers() {
+            for &n in &[1usize, 7, 8, 15, 16, 17, 31, 32, 33, 48] {
+                for &m in &[1usize, 3, 4, 5, 9] {
+                    for &k in &[0usize, 1, KC - 1, KC, KC + 1] {
+                        let a = fill_zeroish(m * k, 21);
+                        let b = fill_zeroish(k * n, 22);
+                        let bias = fill_zeroish(n, 23);
+                        let before = fill_zeroish(m * n, 24);
+                        for variant in ["nn", "tn", "nt"] {
+                            for epi in EPILOGUES {
+                                let mut got = before.clone();
+                                let mut want = before.clone();
+                                let mut scalar = before.clone();
+                                gemm_on(tier, variant, m, k, n, &a, &b, &bias, epi, &mut got);
+                                gemm_on(portable, variant, m, k, n, &a, &b, &bias, epi, &mut want);
+                                scalar_oracle(variant, m, k, n, &a, &b, &bias, epi, &mut scalar);
+                                let case = format!("{} {variant} {m}x{k}x{n}", tier.name);
+                                assert_eq!(bits(&got), bits(&want), "{case} vs portable");
+                                assert_eq!(bits(&got), bits(&scalar), "{case} vs scalar");
+                                negative_zeros +=
+                                    got.iter().filter(|v| v.to_bits() == 1 << 31).count();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            negative_zeros > 0,
+            "the inputs must drive some sums to -0.0"
+        );
+    }
+
+    /// `row_dots` against one scalar chain per row: every row count around
+    /// the group sizes, every depth remainder, a shared vector and a second
+    /// matrix, seeds and sums that land on `-0.0`.
+    #[test]
+    fn row_dots_match_scalar_chains() {
+        for rows in [1usize, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 19] {
+            for k in [0usize, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65] {
+                for ldb in [0, k + 2] {
+                    let lda = k + 3;
+                    let a = fill_zeroish(rows * lda, 41);
+                    let b = fill_zeroish(rows.max(1) * ldb + k, 42);
+                    let seeds = fill_zeroish(rows, 43);
+                    let mut got = seeds.clone();
+                    row_dots(k, &a, lda, &b, ldb, &mut got);
+                    let want: Vec<f32> = (0..rows)
+                        .map(|r| {
+                            let mut s = seeds[r];
+                            for p in 0..k {
+                                s += a[r * lda + p] * b[r * ldb + p];
+                            }
+                            s
+                        })
+                        .collect();
+                    assert_eq!(bits(&got), bits(&want), "rows {rows} k {k} ldb {ldb}");
+                }
+            }
+        }
     }
 
     /// Row-panel fan-out must be bit-identical to the sequential path for
-    /// every variant, epilogue, and thread count — the foundation of the
-    /// trainer's `gemm_threads` determinism guarantee. Shapes are sized
-    /// past `PAR_MKN_THRESHOLD` so the split actually engages.
+    /// every variant, epilogue, thread count and tier — the foundation of
+    /// the trainer's `gemm_threads` determinism guarantee. Panels align to
+    /// the tier's tile rows (8 on AVX-512), so the row counts leave partial
+    /// tiles in the last panel; shapes are sized past `PAR_MKN_THRESHOLD`
+    /// so the split actually engages.
     #[test]
     fn pool_matches_sequential_bitwise() {
         use crate::pool::GemmPool;
         // 96·96·32 = 294912 ≥ threshold; 96 rows exercise uneven chunking
         // at 3 threads, and (41, 80, 23)-ish shapes hit every tail.
-        for &(m, k, n) in &[(96usize, 96usize, 32usize), (77, 64, 48), (40, 120, 31)] {
-            if m * k * n < PAR_MKN_THRESHOLD {
-                continue;
-            }
+        for &(m, k, n) in &[
+            (96usize, 96usize, 32usize),
+            (77, 64, 48),
+            (40, 120, 31),
+            (90, 70, 33),
+        ] {
+            assert!(m * k * n >= PAR_MKN_THRESHOLD);
             let a = fill(m * k, 31);
             let b = fill(k * n, 32);
             let at = fill(k * m, 33);
@@ -802,25 +1071,54 @@ mod tests {
             let bias = fill(n, 35);
             let seed_out = fill(m * n, 36);
 
-            let run_all = |out: &mut Vec<Vec<f32>>| {
-                let mut c = vec![0.0f32; m * n];
-                gemm_nn(m, k, n, &a, &b, &bias, Epilogue::BiasRelu, &mut c);
-                out.push(c.clone());
-                c.copy_from_slice(&seed_out);
-                gemm_tn(m, k, n, &at, &b, Epilogue::Accumulate, &mut c);
-                out.push(c.clone());
-                gemm_nt(m, k, n, &a, &bt, Epilogue::Store, &mut c);
-                out.push(c);
-            };
+            for tier in detected_tiers() {
+                let run_all = |out: &mut Vec<Vec<f32>>| {
+                    let mut c = vec![0.0f32; m * n];
+                    gemm_on(
+                        tier,
+                        "nn",
+                        m,
+                        k,
+                        n,
+                        &a,
+                        &b,
+                        &bias,
+                        Epilogue::BiasRelu,
+                        &mut c,
+                    );
+                    out.push(c.clone());
+                    c.copy_from_slice(&seed_out);
+                    gemm_on(
+                        tier,
+                        "tn",
+                        m,
+                        k,
+                        n,
+                        &at,
+                        &b,
+                        &[],
+                        Epilogue::Accumulate,
+                        &mut c,
+                    );
+                    out.push(c.clone());
+                    gemm_on(tier, "nt", m, k, n, &a, &bt, &[], Epilogue::Store, &mut c);
+                    out.push(c);
+                };
 
-            let mut sequential = Vec::new();
-            run_all(&mut sequential);
-            for threads in [2usize, 3, 4] {
-                let pool = GemmPool::new(threads);
-                let mut pooled = Vec::new();
-                pool.install(|| run_all(&mut pooled));
-                for (s, p) in sequential.iter().zip(&pooled) {
-                    assert_eq!(bits(s), bits(p), "{m}x{k}x{n} @ {threads} threads");
+                let mut sequential = Vec::new();
+                run_all(&mut sequential);
+                for threads in [2usize, 3, 4] {
+                    let pool = GemmPool::new(threads);
+                    let mut pooled = Vec::new();
+                    pool.install(|| run_all(&mut pooled));
+                    for (s, p) in sequential.iter().zip(&pooled) {
+                        assert_eq!(
+                            bits(s),
+                            bits(p),
+                            "{} {m}x{k}x{n} @ {threads} threads",
+                            tier.name
+                        );
+                    }
                 }
             }
         }

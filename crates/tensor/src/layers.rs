@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::gemm::row_dots;
 use crate::matrix::Matrix;
 use crate::tape::DenseTape;
 
@@ -26,7 +27,7 @@ pub trait Layer: Send {
     fn backward(&mut self, grad_out: &Matrix) -> Matrix;
 
     /// In-place forward: writes the batch output into `out` (resized via
-    /// [`Matrix::reset`], so a reused `out` does not reallocate). Does NOT
+    /// [`Matrix::reshape`], so a reused `out` does not reallocate). Does NOT
     /// cache the input — callers keeping activations on a tape pass it back
     /// to [`Layer::backward_into`].
     fn forward_into(&mut self, input: &Matrix, out: &mut Matrix);
@@ -153,7 +154,7 @@ impl Layer for Dense {
                 self.mask.len(),
                 "backward shape mismatch"
             );
-            self.masked.reset(grad_out.rows(), grad_out.cols());
+            self.masked.reshape(grad_out.rows(), grad_out.cols());
             for ((m, &g), &keep) in self
                 .masked
                 .data_mut()
@@ -220,7 +221,7 @@ impl Layer for Relu {
     }
 
     fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        out.reset(input.rows(), input.cols());
+        out.reshape(input.rows(), input.cols());
         self.mask.clear();
         self.mask.reserve(input.data().len());
         for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
@@ -236,7 +237,7 @@ impl Layer for Relu {
             self.mask.len(),
             "backward shape mismatch"
         );
-        grad_in.reset(grad_out.rows(), grad_out.cols());
+        grad_in.reshape(grad_out.rows(), grad_out.cols());
         for ((gi, &g), &keep) in grad_in
             .data_mut()
             .iter_mut()
@@ -298,14 +299,20 @@ impl CrossLayer {
         assert_eq!(x0.cols(), input.cols(), "cross width mismatch");
         let rows = input.rows();
         let dim = input.cols();
-        out.reset(rows, dim);
-        for r in 0..rows {
-            let xl = input.row(r);
-            let dot: f32 = xl.iter().zip(&self.w).map(|(&x, &w)| x * w).sum();
-            let x0r = x0.row(r);
-            let o = out.row_mut(r);
-            for j in 0..dim {
-                o[j] = x0r[j] * dot + self.b[j] + xl[j];
+        out.reshape(rows, dim);
+        // Eight rows at a time: their dots advance together (one chain per
+        // row, ascending j — `row_dots`), then the element-wise pass runs
+        // while the rows are still in cache.
+        for r0 in (0..rows).step_by(8) {
+            let r1 = rows.min(r0 + 8);
+            // `-0.0` is what `Iterator::sum` seeds an f32 sum with.
+            let mut dots = [-0.0f32; 8];
+            row_dots(dim, &input.data()[r0 * dim..], dim, &self.w, 0, &mut dots[..r1 - r0]);
+            for (r, &dot) in (r0..r1).zip(&dots) {
+                let lanes = out.row_mut(r).iter_mut().zip(x0.row(r)).zip(&self.b).zip(input.row(r));
+                for (((o, &x0j), &bj), &xlj) in lanes {
+                    *o = x0j * dot + bj + xlj;
+                }
             }
         }
     }
@@ -324,21 +331,28 @@ impl CrossLayer {
     ) {
         let rows = grad_out.rows();
         let dim = grad_out.cols();
-        grad_in.reset(rows, dim);
-        // dL/db_j = Σ_r g_j — a column sum, hoisted out of the row loop.
-        grad_out.col_sums_into(&mut self.grad_b);
-        for r in 0..rows {
-            let g = grad_out.row(r);
-            let x0r = x0.row(r);
-            let xl = input.row(r);
+        grad_in.reshape(rows, dim);
+        // Eight rows at a time, as in the forward pass.
+        for r0 in (0..rows).step_by(8) {
+            let r1 = rows.min(r0 + 8);
             // s = Σ_j g_j·x0_j  (scalar per row)
-            let s: f32 = g.iter().zip(x0r).map(|(&gj, &x0j)| gj * x0j).sum();
-            let gi = grad_in.row_mut(r);
-            for j in 0..dim {
+            let mut s = [-0.0f32; 8];
+            let (g, x0) = (&grad_out.data()[r0 * dim..], &x0.data()[r0 * dim..]);
+            row_dots(dim, g, dim, x0, dim, &mut s[..r1 - r0]);
+            for (r, &s) in (r0..r1).zip(&s) {
+                let g = grad_out.row(r);
+                // dL/db_j = Σ_r g_j — a column sum, rows ascending.
+                for (gb, &gj) in self.grad_b.iter_mut().zip(g) {
+                    *gb += gj;
+                }
                 // dL/dxl_j = g_j (identity) + s·w_j (through the dot product)
-                gi[j] = g[j] + s * self.w[j];
+                for ((gi, &gj), &wj) in grad_in.row_mut(r).iter_mut().zip(g).zip(&self.w) {
+                    *gi = gj + s * wj;
+                }
                 // dL/dw_j = s·xl_j
-                self.grad_w[j] += s * xl[j];
+                for (gw, &xlj) in self.grad_w.iter_mut().zip(input.row(r)) {
+                    *gw += s * xlj;
+                }
             }
         }
     }
@@ -555,6 +569,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata::{bits, fill, fill_zeroish, poisoned};
 
     fn finite_diff_check(
         mut fwd: impl FnMut(&Matrix) -> f32,
@@ -730,6 +745,147 @@ mod tests {
         });
         let after = loss(&mut mlp);
         assert!(after < before, "loss {before} -> {after}");
+    }
+
+    fn zeroish(rows: usize, cols: usize, seed: u64) -> Matrix {
+        Matrix::from_vec(rows, cols, fill_zeroish(rows * cols, seed))
+    }
+
+    /// The cross layer's passes as they were before the dots went eight
+    /// rows at a time: one scalar chain per row. Kept as the oracle.
+    fn cross_forward_scalar(c: &CrossLayer, x0: &Matrix, input: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(input.rows(), input.cols());
+        for r in 0..input.rows() {
+            let xl = input.row(r);
+            let dot: f32 = xl.iter().zip(&c.w).map(|(&x, &w)| x * w).sum();
+            let x0r = x0.row(r);
+            let o = out.row_mut(r);
+            for j in 0..input.cols() {
+                o[j] = x0r[j] * dot + c.b[j] + xl[j];
+            }
+        }
+        out
+    }
+
+    fn cross_backward_scalar(
+        c: &mut CrossLayer,
+        x0: &Matrix,
+        input: &Matrix,
+        grad_out: &Matrix,
+    ) -> Matrix {
+        let mut grad_in = Matrix::zeros(grad_out.rows(), grad_out.cols());
+        grad_out.col_sums_into(&mut c.grad_b);
+        for r in 0..grad_out.rows() {
+            let g = grad_out.row(r);
+            let xl = input.row(r);
+            let s: f32 = g.iter().zip(x0.row(r)).map(|(&gj, &x0j)| gj * x0j).sum();
+            let gi = grad_in.row_mut(r);
+            for j in 0..grad_out.cols() {
+                gi[j] = g[j] + s * c.w[j];
+                c.grad_w[j] += s * xl[j];
+            }
+        }
+        grad_in
+    }
+
+    #[test]
+    fn cross_layer_matches_scalar_chains_bitwise() {
+        // Row counts around the eight-row groups, widths around the
+        // four-step blocks, signed zeros throughout, two accumulating
+        // backward passes.
+        let mut negative_zero_dots = 0;
+        for rows in [1usize, 3, 4, 7, 8, 9, 17] {
+            for dim in [1usize, 2, 3, 4, 5, 8, 22, 67] {
+                let x0 = zeroish(rows, dim, 51);
+                let xl = zeroish(rows, dim, 52);
+                let g = zeroish(rows, dim, 53);
+                let mut fast = CrossLayer::new(dim, 9);
+                fast.w = zeroish(1, dim, 54).data().to_vec();
+                fast.b = fill(dim, 55);
+                let mut slow = CrossLayer::new(dim, 9);
+                slow.w = fast.w.clone();
+                slow.b = fast.b.clone();
+
+                let mut out = Matrix::zeros(0, 0);
+                fast.forward_with_x0(&x0, &xl, &mut out);
+                let want = cross_forward_scalar(&slow, &x0, &xl);
+                assert_eq!(bits(out.data()), bits(want.data()), "forward {rows}x{dim}");
+
+                for pass in 0..2 {
+                    let mut grad_in = Matrix::zeros(0, 0);
+                    fast.backward_with_x0(&x0, &xl, &g, &mut grad_in);
+                    let want = cross_backward_scalar(&mut slow, &x0, &xl, &g);
+                    let case = format!("backward {rows}x{dim} pass {pass}");
+                    assert_eq!(bits(grad_in.data()), bits(want.data()), "{case} grad_in");
+                    assert_eq!(bits(&fast.grad_w), bits(&slow.grad_w), "{case} grad_w");
+                    assert_eq!(bits(&fast.grad_b), bits(&slow.grad_b), "{case} grad_b");
+                }
+                negative_zero_dots += (0..rows)
+                    .filter(|&r| {
+                        let dot: f32 = xl.row(r).iter().zip(&fast.w).map(|(&x, &w)| x * w).sum();
+                        dot.to_bits() == 1 << 31
+                    })
+                    .count();
+            }
+        }
+        assert!(negative_zero_dots > 0, "the inputs must drive some dots to -0.0");
+    }
+
+    /// Both passes of `fresh` into fresh buffers and of its twin `dirty` into
+    /// NaN-filled, wrongly shaped ones: same outputs, same parameter
+    /// gradients.
+    fn assert_overwrites(
+        what: &str,
+        mut fresh: impl Layer,
+        mut dirty: impl Layer,
+        x: &Matrix,
+        g: &Matrix,
+    ) {
+        let (mut y_fresh, mut y_dirty) =
+            (Matrix::zeros(0, 0), poisoned(x.rows() + 2, g.cols() + 3));
+        fresh.forward_into(x, &mut y_fresh);
+        dirty.forward_into(x, &mut y_dirty);
+        assert_eq!(y_fresh, y_dirty, "{what} forward");
+        let (mut gx_fresh, mut gx_dirty) = (Matrix::zeros(0, 0), poisoned(x.rows() / 2, x.cols()));
+        fresh.backward_into(x, g, &mut gx_fresh);
+        dirty.backward_into(x, g, &mut gx_dirty);
+        assert_eq!(gx_fresh, gx_dirty, "{what} backward");
+        let grads = |layer: &mut dyn Layer| {
+            let mut flat = Vec::new();
+            layer.visit_params(&mut |_, g| flat.extend_from_slice(g));
+            bits(&flat)
+        };
+        assert_eq!(grads(&mut fresh), grads(&mut dirty), "{what} parameter gradients");
+    }
+
+    /// Every layer pass skips the zero-fill of its output (`reshape`, not
+    /// `reset`), so each must write every element.
+    #[test]
+    fn layer_passes_overwrite_poisoned_wrongly_shaped_buffers() {
+        let (rows, dim) = (11usize, 13usize);
+        let x = Matrix::from_vec(rows, dim, fill(rows * dim, 61));
+
+        // Dense with and without the fused ReLU, and the logit-shaped layer.
+        for (out_dim, relu) in [(9usize, false), (9, true), (1, false), (1, true)] {
+            let g = Matrix::from_vec(rows, out_dim, fill(rows * out_dim, 63));
+            let make = || match relu {
+                true => Dense::new_relu(dim, out_dim, 5),
+                false => Dense::new(dim, out_dim, 5),
+            };
+            let mut dirty = make();
+            dirty.masked = poisoned(rows + 1, out_dim + 1);
+            assert_overwrites(&format!("dense {out_dim} relu={relu}"), make(), dirty, &x, &g);
+        }
+
+        let g = Matrix::from_vec(rows, dim, fill(rows * dim, 64));
+        assert_overwrites("relu", Relu::new(), Relu::new(), &x, &g);
+
+        let cross = || {
+            let mut c = CrossLayer::new(dim, 3);
+            c.set_x0(Matrix::from_vec(rows, dim, fill(rows * dim, 62)));
+            c
+        };
+        assert_overwrites("cross", cross(), cross(), &x, &g);
     }
 
     #[test]

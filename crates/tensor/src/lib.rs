@@ -33,6 +33,8 @@ pub mod pool;
 pub mod metrics;
 pub mod optim;
 pub mod tape;
+#[cfg(test)]
+mod testdata;
 
 pub use fm::{FmInteraction, TargetAttention};
 pub use layers::{CrossLayer, Dense, Layer, Mlp, Relu};

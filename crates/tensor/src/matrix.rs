@@ -102,6 +102,18 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Reshapes to `rows × cols` **without** clearing, reusing the
+    /// allocation: elements that were already there keep whatever they held
+    /// and only a grown tail is zero-filled. For a buffer whose every
+    /// element the caller is about to overwrite — the output of a product
+    /// or of an element-wise pass — where [`Matrix::reset`]'s memset is dead
+    /// work. A reader that relies on zeros wants `reset`.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Bytes of backing storage currently reserved (capacity, not length).
     /// The `DenseTape` arena-bytes gauge sums this over its buffers to
     /// assert steady-state allocations stay flat after warmup.
@@ -134,7 +146,7 @@ impl Matrix {
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.reset(m, n);
+        out.reshape(m, n);
         gemm::gemm_nn(m, k, n, &self.data, &other.data, &[], Epilogue::Store, &mut out.data);
     }
 
@@ -144,7 +156,7 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         assert_eq!(bias.len(), other.cols, "bias length mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.reset(m, n);
+        out.reshape(m, n);
         gemm::gemm_nn(m, k, n, &self.data, &other.data, bias, Epilogue::Bias, &mut out.data);
     }
 
@@ -155,7 +167,7 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         assert_eq!(bias.len(), other.cols, "bias length mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
-        out.reset(m, n);
+        out.reshape(m, n);
         gemm::gemm_nn(m, k, n, &self.data, &other.data, bias, Epilogue::BiasRelu, &mut out.data);
     }
 
@@ -171,7 +183,7 @@ impl Matrix {
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        out.reset(m, n);
+        out.reshape(m, n);
         gemm::gemm_tn(m, k, n, &self.data, &other.data, Epilogue::Store, &mut out.data);
     }
 
@@ -196,7 +208,7 @@ impl Matrix {
     pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
-        out.reset(m, n);
+        out.reshape(m, n);
         gemm::gemm_nt(m, k, n, &self.data, &other.data, Epilogue::Store, &mut out.data);
     }
 
@@ -270,6 +282,7 @@ impl Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdata::{bits, poisoned};
 
     #[test]
     fn zeros_and_access() {
@@ -412,6 +425,64 @@ mod tests {
         let mut out = vec![10.0f32, 20.0];
         m.col_sums_into(&mut out);
         assert_eq!(out, vec![14., 26.]);
+    }
+
+    #[test]
+    fn reshape_keeps_contents_and_zero_fills_growth() {
+        let mut m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        let before = m.capacity_bytes();
+        m.reshape(1, 3);
+        assert_eq!((m.rows(), m.cols()), (1, 3));
+        assert_eq!(m.data(), &[1., 2., 3.], "a shrink keeps what was there");
+        assert_eq!(m.capacity_bytes(), before, "and the allocation");
+        m.reshape(3, 2);
+        assert_eq!(m.data(), &[1., 2., 3., 0., 0., 0.], "only the grown tail is filled");
+    }
+
+    /// Every overwriting `*_into` kernel skips the zero-fill of its output
+    /// (`reshape`, not `reset`), so each must write every element: the same
+    /// bits into a larger and into a smaller NaN-filled buffer as into a
+    /// fresh one. The shapes hit partial row tiles, every rung of the column
+    /// ladder and its padded remainder, the depth-chunk seam, the empty and
+    /// the single-step depth, and the single-column kernels.
+    #[test]
+    fn into_kernels_overwrite_poisoned_wrongly_shaped_buffers() {
+        for &(m, k, n) in &[
+            (7usize, 13usize, 11usize),
+            (9, 1, 17),
+            (5, 11, 1),
+            (12, 9, 1),
+            (3, 0, 5),
+            (4, 0, 1),
+            (10, 260, 57),
+            (1, 6, 33),
+        ] {
+            let a = rand_matrix(m, k, 11);
+            let b = rand_matrix(k, n, 12);
+            let at = rand_matrix(k, m, 13);
+            let bt = rand_matrix(n, k, 14);
+            let bias: Vec<f32> = rand_matrix(1, n, 15).data().to_vec();
+            type Kernel<'a> = &'a dyn Fn(&mut Matrix);
+            let kernels: [(&str, Kernel); 5] = [
+                ("matmul_into", &|out| a.matmul_into(&b, out)),
+                ("matmul_bias_into", &|out| a.matmul_bias_into(&b, &bias, out)),
+                ("matmul_bias_relu_into", &|out| a.matmul_bias_relu_into(&b, &bias, out)),
+                ("t_matmul_into", &|out| at.t_matmul_into(&b, out)),
+                ("matmul_t_into", &|out| a.matmul_t_into(&bt, out)),
+            ];
+            for (name, kernel) in kernels {
+                let mut fresh = Matrix::zeros(0, 0);
+                kernel(&mut fresh);
+                for (rows, cols) in [(m + 3, n + 2), (m / 2, n)] {
+                    let mut dirty = poisoned(rows, cols);
+                    kernel(&mut dirty);
+                    let what = format!("{name} {m}x{k}x{n} into {rows}x{cols}");
+                    let shape = |m: &Matrix| (m.rows(), m.cols());
+                    assert_eq!(shape(&fresh), shape(&dirty), "{what}");
+                    assert_eq!(bits(fresh.data()), bits(dirty.data()), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

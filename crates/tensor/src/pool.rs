@@ -212,19 +212,30 @@ pub(crate) struct SendPtr(pub *mut f32);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// Splits `m` output rows into at most `parts` contiguous chunks, each a
-/// multiple of `align` rows (except the last). Returns `(start, end)` pairs.
-pub(crate) fn row_chunks(m: usize, parts: usize, align: usize) -> Vec<(usize, usize)> {
-    let parts = parts.clamp(1, m.max(1));
-    let per = m.div_ceil(parts).div_ceil(align) * align;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    while start < m {
-        let end = (start + per).min(m);
-        out.push((start, end));
-        start = end;
+/// `m` output rows split into at most `parts` contiguous chunks, each a
+/// multiple of `align` rows (except the last): chunk `i` is rows
+/// `[i·per, min((i+1)·per, m))`. A value, not a list, so splitting a
+/// product allocates nothing.
+#[derive(Clone, Copy)]
+pub(crate) struct RowChunks {
+    m: usize,
+    per: usize,
+}
+
+impl RowChunks {
+    pub(crate) fn len(&self) -> usize {
+        self.m.div_ceil(self.per)
     }
-    out
+
+    /// `(start, end)` of chunk `i < len()`.
+    pub(crate) fn get(&self, i: usize) -> (usize, usize) {
+        (i * self.per, ((i + 1) * self.per).min(self.m))
+    }
+}
+
+pub(crate) fn row_chunks(m: usize, parts: usize, align: usize) -> RowChunks {
+    let parts = parts.clamp(1, m.max(1));
+    RowChunks { m, per: m.div_ceil(parts).div_ceil(align).max(1) * align }
 }
 
 #[cfg(test)]
@@ -233,15 +244,20 @@ mod tests {
 
     #[test]
     fn row_chunks_cover_exactly() {
-        for m in [1usize, 3, 4, 7, 16, 100, 257] {
-            for parts in [1usize, 2, 3, 4, 8] {
-                let chunks = row_chunks(m, parts, 4);
-                assert!(chunks.len() <= parts);
-                assert_eq!(chunks.first().unwrap().0, 0);
-                assert_eq!(chunks.last().unwrap().1, m);
-                for w in chunks.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "chunks must tile [0, m)");
-                    assert_eq!(w[0].1 % 4, 0, "interior boundaries align");
+        // Alignments: the 4-row tiles of the portable and AVX2 tiers, the
+        // 8-row tile of AVX-512.
+        for align in [4usize, 8] {
+            for m in [1usize, 3, 4, 7, 16, 100, 257] {
+                for parts in [1usize, 2, 3, 4, 8] {
+                    let chunks = row_chunks(m, parts, align);
+                    let chunks: Vec<_> = (0..chunks.len()).map(|i| chunks.get(i)).collect();
+                    assert!(chunks.len() <= parts);
+                    assert_eq!(chunks.first().unwrap().0, 0);
+                    assert_eq!(chunks.last().unwrap().1, m);
+                    for w in chunks.windows(2) {
+                        assert_eq!(w[0].1, w[1].0, "chunks must tile [0, m)");
+                        assert_eq!(w[0].1 % align, 0, "interior boundaries align");
+                    }
                 }
             }
         }

@@ -6,7 +6,7 @@
 //! Each worker owns one tape for the lifetime of a training run. Per batch:
 //!
 //! 1. `Mlp::forward_tape` writes every layer's activation into
-//!    `acts[i]` (resized in place via [`Matrix::reset`], so after the first
+//!    `acts[i]` (resized in place via [`Matrix::reshape`], so after the first
 //!    batch no buffer grows again — the last batch of an epoch may be
 //!    *smaller*, which reuses capacity);
 //! 2. the caller computes the loss gradient into its own scratch matrix

@@ -77,6 +77,7 @@ gemm_threads
 git_rev
 git_dirty
 build_profile
+gemm_isa
 "
 for name in $emitted; do
     if ! grep -qF "$name" "$DOC"; then

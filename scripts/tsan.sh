@@ -1,10 +1,18 @@
 #!/usr/bin/env sh
-# ThreadSanitizer pass over the seqlock read path. The snapshot reader is
-# written in safe Rust over atomics (no `unsafe` data races to hide), but
-# TSan is the independent witness that the fence/ordering choreography in
-# `ShardedTable` is what the comments claim — so it runs the concurrent
-# read-path suite (torn-read stress + differential tests) under
-# `-Zsanitizer=thread`.
+# ThreadSanitizer pass over the code that is concurrent by design.
+#
+# * The seqlock read path. The snapshot reader is written in safe Rust over
+#   atomics (no `unsafe` data races to hide), but TSan is the independent
+#   witness that the fence/ordering choreography in `ShardedTable` is what
+#   the comments claim — so it runs the concurrent read-path suite
+#   (torn-read stress + differential tests).
+# * `AllReduceGroup`. Contributions and results move outside the state
+#   mutex, through per-slot locks, fenced only by the round's counters; the
+#   unit suite (the threaded stress that reorders arrivals and switches op
+#   and length between rounds included) runs under TSan.
+# * `GemmPool`. Row panels of one product are written through raw pointers
+#   from several threads; the pool's suite and the pooled-vs-sequential
+#   GEMM test run under TSan.
 #
 # TSan needs a nightly toolchain (and, on some installs, the rust-src
 # component to rebuild std instrumented). Neither is a build dependency of
@@ -34,7 +42,7 @@ case $host in
     ;;
 esac
 
-echo "tsan: running the read-path suite under ThreadSanitizer ($host)"
+echo "tsan: running the read-path, allreduce and gemm-pool suites under ThreadSanitizer ($host)"
 
 # Instrumenting std requires -Zbuild-std, which needs rust-src; fall back
 # to uninstrumented std (still catches races between our own atomics and
@@ -56,9 +64,13 @@ fi
 # only silences false positives inside *uninstrumented std* internals
 # (see scripts/tsan.supp), which the build-std path does not need but is
 # harmless under it.
-RUSTFLAGS="$flags" \
-    TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/scripts/tsan.supp" \
-    cargo +nightly test --offline $build_std --target "$host" \
-    -p hetgmp-embedding --test read_path
+tsan_test() {
+    RUSTFLAGS="$flags" \
+        TSAN_OPTIONS="halt_on_error=1 suppressions=$(pwd)/scripts/tsan.supp" \
+        cargo +nightly test --offline $build_std --target "$host" "$@"
+}
+tsan_test -p hetgmp-embedding --test read_path
+tsan_test -p hetgmp-comms --lib allreduce
+tsan_test -p hetgmp-tensor --lib pool
 
 echo "tsan: OK"

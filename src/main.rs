@@ -577,12 +577,13 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         // A harness-level manifest: experiment runners vary seeds and
         // strategies internally, so seed 0 marks "multi-run log" and the
         // digest covers the harness invocation itself.
-        let manifest = RunManifest::new(
+        let mut manifest = RunManifest::new(
             0,
             RunManifest::digest_of(&format!("experiment={which}|scale={scale}")),
             8,
             args.parsed_or("gemm-threads", 1)?,
         );
+        manifest.gemm_isa = Some(hetgmp_tensor::gemm::kernel_tier().to_string());
         w.write_record(&manifest.to_record())?;
     }
     // Experiment runners use 8-worker topologies throughout.
