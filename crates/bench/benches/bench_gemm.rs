@@ -37,7 +37,10 @@ fn bench(c: &mut Criterion) {
     for &n in &[64usize, 128, 256] {
         let a = lcg_matrix(n, n, 1);
         let b_m = lcg_matrix(n, n, 2);
-        group.bench_function(format!("blocked_{n}x{n}x{n}"), |b| b.iter(|| a.matmul(&b_m)));
+        let mut out = Matrix::zeros(0, 0);
+        group.bench_function(format!("blocked_{n}x{n}x{n}"), |b| {
+            b.iter(|| a.matmul_into(&b_m, &mut out))
+        });
         group.bench_function(format!("naive_{n}x{n}x{n}"), |b| b.iter(|| a.matmul_ref(&b_m)));
     }
 
@@ -45,17 +48,17 @@ fn bench(c: &mut Criterion) {
     let x = lcg_matrix(256, 416, 3); // batch × features
     let w = lcg_matrix(416, 64, 4); // features × hidden
     let dy = lcg_matrix(256, 64, 5); // batch × hidden
-    group.bench_function("blocked_fwd_256x416x64", |b| b.iter(|| x.matmul(&w)));
+    let mut out = Matrix::zeros(0, 0);
+    group.bench_function("blocked_fwd_256x416x64", |b| b.iter(|| x.matmul_into(&w, &mut out)));
     group.bench_function("naive_fwd_256x416x64", |b| b.iter(|| x.matmul_ref(&w)));
-    group.bench_function("blocked_dw_416x256x64", |b| b.iter(|| x.t_matmul(&dy)));
+    group.bench_function("blocked_dw_416x256x64", |b| b.iter(|| x.t_matmul_into(&dy, &mut out)));
     group.bench_function("naive_dw_416x256x64", |b| b.iter(|| x.t_matmul_ref(&dy)));
-    group.bench_function("blocked_dx_256x64x416", |b| b.iter(|| dy.matmul_t(&w)));
+    group.bench_function("blocked_dx_256x64x416", |b| b.iter(|| dy.matmul_t_into(&w, &mut out)));
     group.bench_function("naive_dx_256x64x416", |b| b.iter(|| dy.matmul_t_ref(&w)));
 
     // Fused epilogues: bias and bias+ReLU folded into the kernel's write
     // phase (what `Dense::forward_into` actually calls).
     let bias = vec![0.01f32; 64];
-    let mut out = Matrix::zeros(0, 0);
     group.bench_function("fused_bias_256x416x64", |b| {
         b.iter(|| x.matmul_bias_into(&w, &bias, &mut out))
     });

@@ -1,8 +1,8 @@
 //! Performance of the dense-math substrate (the per-iteration DNN kernels).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hetgmp_core::models::{CtrModel, ModelKind};
-use hetgmp_tensor::{auc, bce_with_logits, CrossLayer, Matrix, Mlp};
+use hetgmp_core::models::{CtrModel, ModelKind, ModelTape};
+use hetgmp_tensor::{auc, bce_with_logits_into, CrossLayer, DenseTape, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -18,17 +18,19 @@ fn bench(c: &mut Criterion) {
     group.bench_function("matmul_256x416x64", |b| {
         let a = random_matrix(256, 416, 1);
         let w = random_matrix(416, 64, 2);
-        b.iter(|| a.matmul(&w));
+        let mut out = Matrix::zeros(0, 0);
+        b.iter(|| a.matmul_into(&w, &mut out));
     });
 
     group.bench_function("mlp_forward_backward", |b| {
         let mut mlp = Mlp::new(416, &[64, 32], 3);
         let x = random_matrix(256, 416, 4);
         let g = random_matrix(256, 1, 5);
+        let (mut tape, mut gx) = (DenseTape::new(), Matrix::zeros(0, 0));
         b.iter(|| {
-            let _ = mlp.forward(&x);
+            mlp.forward_tape(&x, &mut tape);
             mlp.zero_grad();
-            mlp.backward(&g)
+            mlp.backward_tape(&x, &g, &mut gx, &mut tape)
         });
     });
 
@@ -36,11 +38,13 @@ fn bench(c: &mut Criterion) {
         let mut m = CtrModel::new(ModelKind::Wdl, 26, 16, &[64, 32], 1);
         let x = random_matrix(256, 416, 6);
         let labels: Vec<f32> = (0..256).map(|i| (i % 2) as f32).collect();
+        let mut tape = ModelTape::new();
+        let (mut grad, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         b.iter(|| {
-            let logits = m.forward(&x);
-            let (_, grad) = bce_with_logits(&logits, &labels);
+            m.forward_tape(&x, &mut tape);
+            bce_with_logits_into(tape.logits(), &labels, &mut grad);
             m.zero_grad();
-            m.backward(&grad)
+            m.backward_tape(&x, &grad, &mut gx, &mut tape)
         });
     });
 
@@ -48,11 +52,13 @@ fn bench(c: &mut Criterion) {
         let mut m = CtrModel::new(ModelKind::Dcn, 26, 16, &[64, 32], 1);
         let x = random_matrix(256, 416, 7);
         let labels: Vec<f32> = (0..256).map(|i| (i % 2) as f32).collect();
+        let mut tape = ModelTape::new();
+        let (mut grad, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         b.iter(|| {
-            let logits = m.forward(&x);
-            let (_, grad) = bce_with_logits(&logits, &labels);
+            m.forward_tape(&x, &mut tape);
+            bce_with_logits_into(tape.logits(), &labels, &mut grad);
             m.zero_grad();
-            m.backward(&grad)
+            m.backward_tape(&x, &grad, &mut gx, &mut tape)
         });
     });
 

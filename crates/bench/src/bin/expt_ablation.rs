@@ -1,15 +1,9 @@
 //! Ablations: staleness-vs-throughput, replication budget, balance weights,
 //! and static vertex-cut vs dynamic LFU caching.
-//!
-//! `--gemm-threads N` applies one GEMM fan-out to every training run of the
-//! hooked ablations (results are bit-identical; only wall-clock speed
-//! changes).
 fn main() {
     let scale = hetgmp_bench::scale_arg(0.15);
-    let gemm_threads = hetgmp_bench::gemm_threads_flag();
     let (sync_format, sync_error_feedback) = hetgmp_bench::sync_format_flags();
     let hooks = hetgmp_core::experiments::Hooks {
-        gemm_threads,
         sync_format,
         sync_error_feedback,
         ..Default::default()

@@ -1,14 +1,9 @@
 //! Table 2 — final test AUC vs staleness bound s in {0, 100, 10k, inf}.
-//!
-//! `--gemm-threads N` applies one GEMM fan-out to every training run in the
-//! experiment (AUC is bit-identical; only wall-clock speed changes).
 fn main() {
     let scale = hetgmp_bench::scale_arg(0.15);
     let epochs = hetgmp_bench::second_arg(3);
-    let gemm_threads = hetgmp_bench::gemm_threads_flag();
     let (sync_format, sync_error_feedback) = hetgmp_bench::sync_format_flags();
     let hooks = hetgmp_core::experiments::Hooks {
-        gemm_threads,
         sync_format,
         sync_error_feedback,
         ..Default::default()

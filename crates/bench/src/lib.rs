@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # hetgmp-bench
 //!
@@ -17,135 +18,149 @@
 //!   data generation), plus one representative-kernel bench per table/figure
 //!   so `cargo bench` exercises every experiment path.
 
-/// Parses the experiment scale from argv (first positional) with a default.
+use std::str::FromStr;
+
+use hetgmp_comms::SyncFormat;
+
+const USAGE: &str = "usage: expt_<name> [SCALE] [EPOCHS] \
+                     [--sync-format f32|f16|bf16|int8] [--sync-feedback on|off]";
+
+/// argv as the `expt_*` binaries read it: positionals in order, and the
+/// two wire-format flags (`--flag V` or `--flag=V`) wherever they appear.
+#[derive(Debug, Default, PartialEq)]
+struct ExptArgs {
+    positional: Vec<String>,
+    sync_format: Option<SyncFormat>,
+    sync_feedback: Option<bool>,
+}
+
+impl ExptArgs {
+    /// Absent means default; anything present must parse, and the error
+    /// names the flag and the value — a misspelt value must never run (and
+    /// print a table for) the default instead.
+    fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut out = Self::default();
+        while let Some(arg) = args.next() {
+            let Some(flag) = arg.strip_prefix("--") else {
+                out.positional.push(arg);
+                continue;
+            };
+            let (name, value) = match flag.split_once('=') {
+                Some((name, value)) => (name, value.to_string()),
+                None => (flag, args.next().ok_or(format!("--{flag} expects a value"))?),
+            };
+            match name {
+                "sync-format" => {
+                    out.sync_format = Some(SyncFormat::parse(&value).map_err(|_| {
+                        format!("--sync-format expects f32|f16|bf16|int8, got {value:?}")
+                    })?);
+                }
+                "sync-feedback" => {
+                    out.sync_feedback = Some(match value.as_str() {
+                        "on" => true,
+                        "off" => false,
+                        _ => return Err(format!("--sync-feedback expects on|off, got {value:?}")),
+                    });
+                }
+                _ => return Err(format!("unknown flag --{name}")),
+            }
+        }
+        Ok(out)
+    }
+
+    /// The `i`-th positional (`what` names it in the error), `default`
+    /// when absent.
+    fn positional<T: FromStr>(&self, i: usize, what: &str, default: T) -> Result<T, String> {
+        match self.positional.get(i) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{what} expects a number, got {v:?}")),
+        }
+    }
+}
+
+/// Prints the usage text and `reason` on stderr and exits 2.
+fn usage_exit(reason: &str) -> ! {
+    eprintln!("{USAGE}\n  {reason}");
+    std::process::exit(2)
+}
+
+fn argv() -> ExptArgs {
+    ExptArgs::parse(std::env::args().skip(1)).unwrap_or_else(|reason| usage_exit(&reason))
+}
+
+/// The experiment scale: argv's first positional, `default` when absent.
+/// A value that does not parse is a usage error (exit 2).
 pub fn scale_arg(default: f64) -> f64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default)
+    argv().positional(0, "SCALE", default).unwrap_or_else(|reason| usage_exit(&reason))
 }
 
-/// Parses an optional second positional argument (e.g. epochs).
+/// argv's second positional (e.g. epochs), `default` when absent. A value
+/// that does not parse is a usage error (exit 2).
 pub fn second_arg(default: usize) -> usize {
-    std::env::args()
-        .nth(2)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(default)
+    argv().positional(1, "EPOCHS", default).unwrap_or_else(|reason| usage_exit(&reason))
 }
 
-/// Parses the optional `--gemm-threads N` flag (also `--gemm-threads=N`)
-/// from argv. The training experiment binaries (fig8, table2, ablation)
-/// thread it into [`hetgmp_core::experiments::Hooks`] so one flag applies a
-/// single GEMM fan-out to every trainer run in the experiment.
-pub fn gemm_threads_flag() -> Option<usize> {
-    parse_gemm_threads_flag(std::env::args().skip(1))
-}
-
-/// Parses the optional `--sync-format F` / `--sync-feedback on|off` flags
-/// (also `--flag=V`) from argv, returning `(sync_format, error_feedback)`.
-/// The training experiment binaries thread these into
+/// The optional `--sync-format F` / `--sync-feedback on|off` flags (also
+/// `--flag=V`) as `(sync_format, error_feedback)`, `None` when absent. The
+/// training experiment binaries thread these into
 /// [`hetgmp_core::experiments::Hooks`] so one flag applies a single wire
-/// format to every trainer run in the experiment. Unknown format spellings
-/// fall back to `None` (the f32 default) rather than aborting.
-pub fn sync_format_flags() -> (Option<hetgmp_comms::SyncFormat>, Option<bool>) {
-    parse_sync_format_flags(std::env::args().skip(1))
-}
-
-fn parse_sync_format_flags(
-    args: impl Iterator<Item = String>,
-) -> (Option<hetgmp_comms::SyncFormat>, Option<bool>) {
-    let mut format = None;
-    let mut feedback = None;
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--sync-format=") {
-            format = hetgmp_comms::SyncFormat::parse(v).ok();
-        } else if a == "--sync-format" {
-            format = args.peek().and_then(|v| hetgmp_comms::SyncFormat::parse(v).ok());
-        } else if let Some(v) = a.strip_prefix("--sync-feedback=") {
-            feedback = match v {
-                "on" => Some(true),
-                "off" => Some(false),
-                _ => None,
-            };
-        } else if a == "--sync-feedback" {
-            feedback = match args.peek().map(String::as_str) {
-                Some("on") => Some(true),
-                Some("off") => Some(false),
-                _ => None,
-            };
-        }
-    }
-    (format, feedback)
-}
-
-fn parse_gemm_threads_flag(args: impl Iterator<Item = String>) -> Option<usize> {
-    let mut threads = None;
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if let Some(v) = a.strip_prefix("--gemm-threads=") {
-            threads = v.parse().ok();
-        } else if a == "--gemm-threads" {
-            threads = args.peek().and_then(|v| v.parse().ok());
-        }
-    }
-    threads
+/// format to every trainer run in the experiment. An unknown spelling is a
+/// usage error (exit 2).
+pub fn sync_format_flags() -> (Option<SyncFormat>, Option<bool>) {
+    let args = argv();
+    (args.sync_format, args.sync_feedback)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn defaults_apply_without_args() {
-        // Test binaries receive no positional args we control; the helper
-        // must fall back to the default (or parse whatever harness args
-        // exist — either way it returns a finite value).
-        let s = scale_arg(0.25);
-        assert!(s.is_finite());
-        let e = second_arg(3);
-        assert!(e > 0);
+    fn parse(v: &[&str]) -> Result<ExptArgs, String> {
+        ExptArgs::parse(v.iter().map(|s| s.to_string()))
     }
 
     #[test]
-    fn gemm_threads_flag_parses_both_forms() {
-        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    fn defaults_apply_without_args() {
+        let args = parse(&[]).unwrap();
+        assert_eq!(args, ExptArgs::default());
+        assert_eq!(args.positional(0, "SCALE", 0.25), Ok(0.25));
+        assert_eq!(args.positional(1, "EPOCHS", 3usize), Ok(3));
+    }
+
+    #[test]
+    fn positionals_parse_or_name_the_value() {
+        let args = parse(&["--sync-format", "int8", "0.2", "4"]).unwrap();
+        assert_eq!(args.positional(0, "SCALE", 0.25), Ok(0.2));
+        assert_eq!(args.positional(1, "EPOCHS", 3usize), Ok(4));
+        let args = parse(&["0,2", "four"]).unwrap();
         assert_eq!(
-            parse_gemm_threads_flag(argv(&["0.2", "--gemm-threads", "2"]).into_iter()),
-            Some(2)
+            args.positional(0, "SCALE", 0.25),
+            Err("SCALE expects a number, got \"0,2\"".to_string())
         );
-        assert_eq!(parse_gemm_threads_flag(argv(&["--gemm-threads=4"]).into_iter()), Some(4));
-        assert_eq!(parse_gemm_threads_flag(argv(&["0.2"]).into_iter()), None);
-        // Malformed values fall back to None rather than panicking.
-        assert_eq!(
-            parse_gemm_threads_flag(argv(&["--gemm-threads", "xyz"]).into_iter()),
-            None
-        );
+        assert!(args.positional(1, "EPOCHS", 3usize).unwrap_err().contains("\"four\""));
     }
 
     #[test]
     fn sync_format_flags_parse_both_forms() {
-        use hetgmp_comms::SyncFormat;
-        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let flags = |v: &[&str]| parse(v).map(|a| (a.sync_format, a.sync_feedback));
+        assert_eq!(flags(&["0.2", "--sync-format", "int8"]), Ok((Some(SyncFormat::Int8), None)));
         assert_eq!(
-            parse_sync_format_flags(argv(&["0.2", "--sync-format", "int8"]).into_iter()),
-            (Some(SyncFormat::Int8), None)
+            flags(&["--sync-format=bf16", "--sync-feedback=off"]),
+            Ok((Some(SyncFormat::Bf16), Some(false)))
         );
-        assert_eq!(
-            parse_sync_format_flags(
-                argv(&["--sync-format=bf16", "--sync-feedback=off"]).into_iter()
-            ),
-            (Some(SyncFormat::Bf16), Some(false))
-        );
-        assert_eq!(
-            parse_sync_format_flags(argv(&["--sync-feedback", "on"]).into_iter()),
-            (None, Some(true))
-        );
-        assert_eq!(parse_sync_format_flags(argv(&["0.2"]).into_iter()), (None, None));
-        // Malformed values fall back to None rather than panicking.
-        assert_eq!(
-            parse_sync_format_flags(argv(&["--sync-format", "f64"]).into_iter()),
-            (None, None)
-        );
+        assert_eq!(flags(&["--sync-feedback", "on"]), Ok((None, Some(true))));
+        assert_eq!(flags(&["0.2"]), Ok((None, None)));
+        // Malformed values are errors naming flag and value, never the
+        // default under another name.
+        for (argv, flag, value) in [
+            (&["--sync-format", "f64"][..], "--sync-format", "\"f64\""),
+            (&["--sync-format=in8"], "--sync-format", "\"in8\""),
+            (&["--sync-feedback", "maybe"], "--sync-feedback", "\"maybe\""),
+            (&["--sync-feedback"], "--sync-feedback", "expects a value"),
+            (&["--frobnicate", "2"], "--frobnicate", "unknown flag"),
+        ] {
+            let err = flags(argv).unwrap_err();
+            assert!(err.contains(flag) && err.contains(value), "{argv:?}: {err}");
+        }
     }
 }

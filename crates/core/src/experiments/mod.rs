@@ -57,9 +57,6 @@ pub struct Hooks {
     pub tracer: Option<Arc<TraceCollector>>,
     /// Protocol-audit mode applied to every trainer run.
     pub audit: AuditMode,
-    /// Worker threads per dense GEMM applied to every trainer run (`None`
-    /// keeps each runner's default of 1, sequential kernels).
-    pub gemm_threads: Option<usize>,
     /// Wire format for embedding and dense-gradient payloads applied to
     /// every trainer run (`None` keeps each runner's default of f32).
     pub sync_format: Option<hetgmp_comms::SyncFormat>,
@@ -74,7 +71,6 @@ impl Hooks {
         if let Some(t) = &self.tracer {
             trainer = trainer.with_tracer(Arc::clone(t));
         }
-        trainer = trainer.with_gemm_threads(self.gemm_threads);
         trainer = trainer.with_sync_format(self.sync_format, self.sync_error_feedback);
         trainer.with_audit(self.audit)
     }

@@ -12,7 +12,7 @@
 //!   parameters and hence more AllReduce traffic in the paper's Figure 8.
 
 use hetgmp_tensor::fm::{FmInteraction, TargetAttention};
-use hetgmp_tensor::layers::{CrossLayer, Dense, Layer, Mlp};
+use hetgmp_tensor::layers::{CrossLayer, Dense, Mlp};
 use hetgmp_tensor::tape::DenseTape;
 use hetgmp_tensor::Matrix;
 
@@ -181,15 +181,9 @@ impl CtrModel {
                 }
             }
             ModelKind::Dcn => {
-                // Deep tower without scalar head; ReLU fused into each
-                // Dense kernel (same math and parameter order).
-                let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-                let mut d = input_dim;
-                for (i, &h) in hidden.iter().enumerate() {
-                    layers.push(Box::new(Dense::new_relu(d, h, seed.wrapping_add(i as u64))));
-                    d = h;
-                }
-                let deep = Mlp::from_layers(layers);
+                // Deep tower without scalar head: it feeds the combiner.
+                let deep = Mlp::without_head(input_dim, hidden, seed);
+                let d = *hidden.last().expect("checked non-empty above");
                 let cross = (0..3)
                     .map(|i| CrossLayer::new(input_dim, seed.wrapping_add(100 + i)))
                     .collect();
@@ -242,136 +236,10 @@ impl CtrModel {
         self.input_dim
     }
 
-    /// Forward pass: returns per-sample logits (`batch × 1`).
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        assert_eq!(input.cols(), self.input_dim, "input width mismatch");
-        match self.kind {
-            ModelKind::Wdl => {
-                let deep = self.deep.forward(input);
-                let wide = self
-                    .head
-                    .as_mut()
-                    .expect("WDL has a wide head")
-                    .forward(input);
-                let mut out = deep;
-                for (o, &w) in out.data_mut().iter_mut().zip(wide.data()) {
-                    *o += w;
-                }
-                out
-            }
-            ModelKind::DeepFm => {
-                let deep = self.deep.forward(input);
-                let fm = self.fm.as_mut().expect("DeepFM has an FM term").forward(input);
-                let mut out = deep;
-                for (o, &f) in out.data_mut().iter_mut().zip(fm.data()) {
-                    *o += f;
-                }
-                out
-            }
-            ModelKind::Din => {
-                let pooled = self
-                    .att
-                    .as_mut()
-                    .expect("DIN has attention")
-                    .forward(input);
-                self.deep.forward(&pooled)
-            }
-            ModelKind::Dcn => {
-                let mut x = input.clone();
-                for layer in &mut self.cross {
-                    layer.set_x0(input.clone());
-                    x = layer.forward(&x);
-                }
-                let deep = self.deep.forward(input);
-                // Concatenate [cross ; deep] per row.
-                let batch = input.rows();
-                let cat_dim = self.input_dim + self.deep_out_dim;
-                let mut cat = Matrix::zeros(batch, cat_dim);
-                for r in 0..batch {
-                    cat.row_mut(r)[..self.input_dim].copy_from_slice(x.row(r));
-                    cat.row_mut(r)[self.input_dim..].copy_from_slice(deep.row(r));
-                }
-                self.head.as_mut().expect("DCN has a combiner").forward(&cat)
-            }
-        }
-    }
-
-    /// Backward pass from per-sample logit gradients; accumulates parameter
-    /// gradients and returns `dL/d-input` (`batch × input_dim`) — the
-    /// gradient scattered back onto the embedding rows.
-    pub fn backward(&mut self, grad_logits: &Matrix) -> Matrix {
-        match self.kind {
-            ModelKind::Wdl => {
-                let g_deep = self.deep.backward(grad_logits);
-                let g_wide = self
-                    .head
-                    .as_mut()
-                    .expect("WDL has a wide head")
-                    .backward(grad_logits);
-                let mut out = g_deep;
-                for (o, &w) in out.data_mut().iter_mut().zip(g_wide.data()) {
-                    *o += w;
-                }
-                out
-            }
-            ModelKind::DeepFm => {
-                let g_deep = self.deep.backward(grad_logits);
-                let g_fm = self
-                    .fm
-                    .as_mut()
-                    .expect("DeepFM has an FM term")
-                    .backward(grad_logits);
-                let mut out = g_deep;
-                for (o, &f) in out.data_mut().iter_mut().zip(g_fm.data()) {
-                    *o += f;
-                }
-                out
-            }
-            ModelKind::Din => {
-                let g_pooled = self.deep.backward(grad_logits);
-                self.att
-                    .as_mut()
-                    .expect("DIN has attention")
-                    .backward(&g_pooled)
-            }
-            ModelKind::Dcn => {
-                let g_cat = self
-                    .head
-                    .as_mut()
-                    .expect("DCN has a combiner")
-                    .backward(grad_logits);
-                let batch = g_cat.rows();
-                let mut g_cross = Matrix::zeros(batch, self.input_dim);
-                let mut g_deep = Matrix::zeros(batch, self.deep_out_dim);
-                for r in 0..batch {
-                    g_cross
-                        .row_mut(r)
-                        .copy_from_slice(&g_cat.row(r)[..self.input_dim]);
-                    g_deep
-                        .row_mut(r)
-                        .copy_from_slice(&g_cat.row(r)[self.input_dim..]);
-                }
-                let g_deep_in = self.deep.backward(&g_deep);
-                let mut g = g_cross;
-                for layer in self.cross.iter_mut().rev() {
-                    g = layer.backward(&g);
-                }
-                // x0 enters every cross layer; its direct gradient reaches
-                // the input through the first layer's identity + dot paths,
-                // plus the deep tower's input gradient.
-                let mut out = g;
-                for (o, &d) in out.data_mut().iter_mut().zip(g_deep_in.data()) {
-                    *o += d;
-                }
-                out
-            }
-        }
-    }
-
-    /// Allocation-free forward pass into `tape` (logits land in
-    /// [`ModelTape::logits`]). Mathematically identical to [`Self::forward`]
-    /// but reuses the tape's buffers across batches — zero steady-state
-    /// allocations once every buffer reached its high-water size.
+    /// Allocation-free forward pass into `tape`: per-sample logits
+    /// (`batch × 1`) land in [`ModelTape::logits`]. Reuses the tape's
+    /// buffers across batches — zero steady-state allocations once every
+    /// buffer reached its high-water size.
     pub fn forward_tape(&mut self, input: &Matrix, tape: &mut ModelTape) {
         assert_eq!(input.cols(), self.input_dim, "input width mismatch");
         let batch = input.rows();
@@ -517,8 +385,9 @@ impl CtrModel {
                     );
                     std::mem::swap(&mut tape.g_cross, &mut tape.g_aux);
                 }
-                // Same identity as legacy backward: input grad = cross-chain
-                // grad + deep tower grad (f32 a+b is commutative bitwise).
+                // x0 enters every cross layer; its direct gradient reaches
+                // the input through the first layer's identity + dot paths,
+                // plus the deep tower's input gradient.
                 for (o, &c) in grad_in.data_mut().iter_mut().zip(tape.g_cross.data()) {
                     *o += c;
                 }
@@ -563,13 +432,6 @@ impl CtrModel {
         out
     }
 
-    /// Flattens dense gradients into one vector.
-    pub fn flatten_grads(&mut self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.flatten_grads_into(&mut out);
-        out
-    }
-
     /// Flattens dense gradients into a caller-owned buffer (cleared first),
     /// so the training loop reuses one allocation across iterations.
     pub fn flatten_grads_into(&mut self, out: &mut Vec<f32>) {
@@ -610,7 +472,8 @@ impl CtrModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgmp_tensor::bce_with_logits;
+    use hetgmp_tensor::bce_with_logits_into;
+    use hetgmp_tensor::loss::sigmoid;
 
     fn batch(rows: usize, dim: usize, seed: u64) -> Matrix {
         let mut v = Vec::with_capacity(rows * dim);
@@ -622,12 +485,20 @@ mod tests {
         Matrix::from_vec(rows, dim, v)
     }
 
+    fn flat_grads(m: &mut CtrModel) -> Vec<f32> {
+        let mut out = Vec::new();
+        m.flatten_grads_into(&mut out);
+        out
+    }
+
     #[test]
     fn wdl_shapes() {
         let mut m = CtrModel::new(ModelKind::Wdl, 4, 8, &[16, 8], 1);
         assert_eq!(m.input_dim(), 32);
         let x = batch(5, 32, 7);
-        let y = m.forward(&x);
+        let mut tape = ModelTape::new();
+        m.forward_tape(&x, &mut tape);
+        let y = tape.logits();
         assert_eq!(y.rows(), 5);
         assert_eq!(y.cols(), 1);
     }
@@ -637,7 +508,9 @@ mod tests {
         let mut wdl = CtrModel::new(ModelKind::Wdl, 4, 8, &[16, 8], 1);
         let mut dcn = CtrModel::new(ModelKind::Dcn, 4, 8, &[16, 8], 1);
         let x = batch(3, 32, 9);
-        let y = dcn.forward(&x);
+        let mut tape = ModelTape::new();
+        dcn.forward_tape(&x, &mut tape);
+        let y = tape.logits();
         assert_eq!((y.rows(), y.cols()), (3, 1));
         // DCN's cross tower adds parameters — the paper's reason for its
         // larger AllReduce share in Figure 8.
@@ -678,12 +551,15 @@ mod tests {
         for kind in ModelKind::all() {
             let mut m = CtrModel::new(kind, 4, 8, &[16], 3);
             let x = batch(5, 32, 7);
-            let y = m.forward(&x);
+            let mut tape = ModelTape::new();
+            m.forward_tape(&x, &mut tape);
+            let y = tape.logits();
             assert_eq!((y.rows(), y.cols()), (5, 1), "{kind:?}");
             // Embedding gradient must flow for every architecture.
             let g = Matrix::from_vec(5, 1, vec![1.0; 5]);
             m.zero_grad();
-            let gx = m.backward(&g);
+            let mut gx = Matrix::zeros(0, 0);
+            m.backward_tape(&x, &g, &mut gx, &mut tape);
             assert_eq!(gx.cols(), 32, "{kind:?}");
             assert!(gx.norm() > 0.0, "{kind:?} blocked embedding gradients");
         }
@@ -697,17 +573,16 @@ mod tests {
         let mut m = CtrModel::new(kind, 3, 4, &[16], 3);
         let x = batch(16, 12, 5);
         let labels: Vec<f32> = (0..16).map(|i| (i % 2) as f32).collect();
-        let initial = {
-            let logits = m.forward(&x);
-            bce_with_logits(&logits, &labels).0
-        };
+        let mut tape = ModelTape::new();
+        let (mut grad, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        m.forward_tape(&x, &mut tape);
+        let initial = bce_with_logits_into(tape.logits(), &labels, &mut grad);
         let mut last = initial;
         for _ in 0..60 {
-            let logits = m.forward(&x);
-            let (loss, grad) = bce_with_logits(&logits, &labels);
-            last = loss;
+            m.forward_tape(&x, &mut tape);
+            last = bce_with_logits_into(tape.logits(), &labels, &mut grad);
             m.zero_grad();
-            let _ = m.backward(&grad);
+            m.backward_tape(&x, &grad, &mut gx, &mut tape);
             m.visit_params(&mut |p, g| {
                 for (pi, gi) in p.iter_mut().zip(g.iter()) {
                     *pi -= 0.3 * gi;
@@ -727,44 +602,49 @@ mod tests {
         // embedding table.
         let mut m = CtrModel::new(ModelKind::Dcn, 2, 4, &[8], 11);
         let x = batch(4, 8, 3);
-        let logits = m.forward(&x);
-        let (_, grad) = bce_with_logits(&logits, &[1.0, 0.0, 1.0, 0.0]);
+        let mut tape = ModelTape::new();
+        let (mut grad, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        m.forward_tape(&x, &mut tape);
+        bce_with_logits_into(tape.logits(), &[1.0, 0.0, 1.0, 0.0], &mut grad);
         m.zero_grad();
-        let gx = m.backward(&grad);
+        m.backward_tape(&x, &grad, &mut gx, &mut tape);
         assert_eq!(gx.rows(), 4);
         assert_eq!(gx.cols(), 8);
         assert!(gx.norm() > 0.0);
     }
 
     #[test]
-    fn tape_path_matches_legacy_bit_for_bit() {
-        // The tape path must be a pure re-plumbing: same kernels, same
-        // summation order ⇒ identical logits, input gradients, and parameter
-        // gradients for every architecture.
-        for kind in ModelKind::all() {
-            let mut legacy = CtrModel::new(kind, 4, 8, &[16, 8], 7);
-            let mut taped = CtrModel::new(kind, 4, 8, &[16, 8], 7);
+    fn tape_path_matches_pinned_legacy_scores_bit_for_bit() {
+        // The allocating `CtrModel::forward` is gone; these are the scores
+        // `Trainer::evaluate` computed through it on this batch (printed by
+        // the parent commit's tree), and the tape path must still produce
+        // exactly them for every architecture.
+        let pinned: [(ModelKind, [u32; 6]); 4] = [
+            (
+                ModelKind::Wdl,
+                [0x3eca47ec, 0x3e6abd72, 0x3e18898b, 0x3e697973, 0x3e888f93, 0x3e7f17b0],
+            ),
+            (
+                ModelKind::Dcn,
+                [0x3ee5398b, 0x3f002832, 0x3ee4a9ce, 0x3ee11f33, 0x3ed420f0, 0x3ee0b063],
+            ),
+            (
+                ModelKind::DeepFm,
+                [0x3f75dbf8, 0x3f6c4605, 0x3f68da88, 0x3f6dddf1, 0x3f67a092, 0x3f6a0fa4],
+            ),
+            (
+                ModelKind::Din,
+                [0x3ec42624, 0x3e9edfb4, 0x3eac7f94, 0x3e9c504d, 0x3ea346c0, 0x3e813c18],
+            ),
+        ];
+        for (kind, want) in pinned {
+            let mut model = CtrModel::new(kind, 4, 8, &[16, 8], 7);
             let mut tape = ModelTape::new();
-            let x = batch(6, 32, 13);
-            let g = batch(6, 1, 17);
-
-            let logits_legacy = legacy.forward(&x);
-            legacy.zero_grad();
-            let gx_legacy = legacy.backward(&g);
-
-            taped.forward_tape(&x, &mut tape);
-            taped.zero_grad();
-            let mut gx_taped = Matrix::zeros(0, 0);
-            taped.backward_tape(&x, &g, &mut gx_taped, &mut tape);
+            model.forward_tape(&batch(6, 32, 13), &mut tape);
+            let scores: Vec<u32> =
+                tape.logits().data().iter().map(|&z| sigmoid(z).to_bits()).collect();
+            assert_eq!(scores, want, "{kind:?} scores");
             tape.end_batch();
-
-            assert_eq!(logits_legacy.data(), tape.logits().data(), "{kind:?} logits");
-            assert_eq!(gx_legacy.data(), gx_taped.data(), "{kind:?} input grad");
-            assert_eq!(
-                legacy.flatten_grads(),
-                taped.flatten_grads(),
-                "{kind:?} param grads"
-            );
             assert!(tape.flops() > 0, "{kind:?} flop counter");
             assert!(tape.arena_bytes() > 0, "{kind:?} arena bytes");
         }
@@ -798,8 +678,8 @@ mod tests {
             assert_eq!(fresh.logits().data(), reused.logits().data(), "{kind:?} logits");
             assert_eq!(gx_fresh.data(), gx_reused.data(), "{kind:?} input grad");
             assert_eq!(
-                fresh_model.flatten_grads(),
-                reused_model.flatten_grads(),
+                flat_grads(&mut fresh_model),
+                flat_grads(&mut reused_model),
                 "{kind:?} param grads"
             );
         }
@@ -833,7 +713,10 @@ mod tests {
         assert_eq!(m2.flatten_params(), flat);
         // Identical params ⇒ identical outputs.
         let x = batch(3, 8, 4);
-        assert_eq!(m.forward(&x).data(), m2.forward(&x).data());
+        let (mut t, mut t2) = (ModelTape::new(), ModelTape::new());
+        m.forward_tape(&x, &mut t);
+        m2.forward_tape(&x, &mut t2);
+        assert_eq!(t.logits().data(), t2.logits().data());
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! ## Determinism contract
 //!
 //! On fault-free runs, losses, AUC, traffic and checkpoints are
-//! **bit-identical** across `gemm_threads`, storage tier, read path and
-//! checkpoint resume (pinned at two workers; ROADMAP item 1 tracks the
+//! **bit-identical** across storage tier, read path and checkpoint
+//! resume (pinned at two workers; ROADMAP item 1 tracks the
 //! read-phase flush race that breaks run-to-run repeatability at s > 0
 //! with three or more):
 //!
@@ -46,8 +46,8 @@
 //!   the order is part of the result;
 //! * the collective sums each element's contributions in ascending value
 //!   order, independent of arrival order;
-//! * row-panel parallel GEMMs ([`GemmPool`]) split only the output rows,
-//!   never a reduction, so they match the sequential kernels bitwise.
+//! * a worker's dense math runs on its own thread through the sequential
+//!   kernels, one fixed summation order per output element.
 //!
 //! None of the rendezvous charges simulated time; they only pin which of
 //! the protocol's legal interleavings the host threads realize.
@@ -64,7 +64,7 @@ use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{EmbeddingWorker, ReadReport, RowStore, UpdateReport};
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{names, HistogramSummary, Json, ProtocolAuditor, Recorder, TraceCollector};
-use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, GemmPool, Matrix, Sgd};
+use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, Matrix, Sgd};
 
 use crate::models::{CtrModel, ModelTape};
 use crate::strategy::{DenseSync, EmbedHome, StrategyConfig};
@@ -277,7 +277,6 @@ pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
     pub(crate) emb: &'a mut (dyn EmbeddingWorker + 'b),
     pub(crate) model: &'a mut CtrModel,
     pub(crate) slot: &'a mut StepCtx,
-    pub(crate) pool: Option<Arc<GemmPool>>,
     pub(crate) clock: &'a mut SimClock,
     pub(crate) cursor: &'a mut usize,
     pub(crate) iters: usize,
@@ -316,7 +315,6 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
         emb,
         model,
         slot,
-        pool,
         clock,
         cursor,
         iters,
@@ -403,8 +401,7 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
         if have_grad {
             let t_compute = profiler.start();
             dense_compute(
-                slot, model, dataset, pool.as_ref(), loss_sum_micro, loss_batches, nonfinite,
-                &recorder,
+                slot, model, dataset, loss_sum_micro, loss_batches, nonfinite, &recorder,
             );
             profiler.wall(BatchStage::Compute, t_compute);
         }
@@ -495,16 +492,13 @@ fn assemble_batch(slot: &mut StepCtx, shard: &[u32], cursor: &mut usize, batch_s
     slot.read_report = ReadReport::default();
 }
 
-/// Dense forward/backward on the slot's tape — real math, blocked kernels,
-/// optionally row-panel parallel under the worker's [`GemmPool`].
+/// Dense forward/backward on the slot's tape — real math, blocked kernels.
 /// Everything between entry and `end_batch` reuses tape buffers — zero
 /// allocations once warm (the `dense.*` gauges assert it).
-#[allow(clippy::too_many_arguments)]
 fn dense_compute(
     slot: &mut StepCtx,
     model: &mut CtrModel,
     dataset: &CtrDataset,
-    pool: Option<&Arc<GemmPool>>,
     loss_sum_micro: &AtomicU64,
     loss_batches: &AtomicU64,
     nonfinite: &AtomicU64,
@@ -519,31 +513,24 @@ fn dense_compute(
         tape,
         ..
     } = slot;
-    let mut body = || {
-        let dense_start = Instant::now();
-        model.forward_tape(input, tape);
-        labels.clear();
-        labels.extend(batch_idx.iter().map(|&i| dataset.label(i as usize)));
-        let batch_loss = bce_with_logits_into(tape.logits(), labels, grad_logits);
-        if batch_loss.is_finite() {
-            loss_sum_micro
-                .fetch_add((batch_loss.max(0.0) as f64 * 1e6) as u64, Ordering::Relaxed);
-            loss_batches.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // `max(0.0)` on a NaN would silently yield 0.0 and bury the
-            // divergence in the epoch's mean loss; count it instead.
-            nonfinite.fetch_add(1, Ordering::Relaxed);
-            recorder.counter_add(names::TRAIN_LOSS_NONFINITE, 1);
-        }
-        model.zero_grad();
-        model.backward_tape(input, grad_logits, grad_input, tape);
-        tape.dense_secs += dense_start.elapsed().as_secs_f64();
-        tape.end_batch();
-    };
-    match pool {
-        Some(p) => p.install(body),
-        None => body(),
+    let dense_start = Instant::now();
+    model.forward_tape(input, tape);
+    labels.clear();
+    labels.extend(batch_idx.iter().map(|&i| dataset.label(i as usize)));
+    let batch_loss = bce_with_logits_into(tape.logits(), labels, grad_logits);
+    if batch_loss.is_finite() {
+        loss_sum_micro.fetch_add((batch_loss.max(0.0) as f64 * 1e6) as u64, Ordering::Relaxed);
+        loss_batches.fetch_add(1, Ordering::Relaxed);
+    } else {
+        // `max(0.0)` on a NaN would silently yield 0.0 and bury the
+        // divergence in the epoch's mean loss; count it instead.
+        nonfinite.fetch_add(1, Ordering::Relaxed);
+        recorder.counter_add(names::TRAIN_LOSS_NONFINITE, 1);
     }
+    model.zero_grad();
+    model.backward_tape(input, grad_logits, grad_input, tape);
+    tape.dense_secs += dense_start.elapsed().as_secs_f64();
+    tape.end_batch();
 }
 
 /// Charges one batch's simulated time (compute, input pipeline, embedding
@@ -1065,7 +1052,7 @@ mod tests {
     use hetgmp_telemetry::AuditMode;
 
     use crate::strategy::StrategyConfig;
-    use crate::trainer::{TrainResult, Trainer, TrainerConfig};
+    use crate::trainer::{Trainer, TrainerConfig};
 
     use super::*;
 
@@ -1083,53 +1070,6 @@ mod tests {
             hidden: vec![16],
             max_eval_samples: 256,
             ..Default::default()
-        }
-    }
-
-    fn run_threads(data: &hetgmp_data::CtrDataset, threads: usize) -> TrainResult {
-        Trainer::new(
-            data,
-            Topology::pcie_island(2),
-            StrategyConfig::het_gmp(100),
-            TrainerConfig {
-                gemm_threads: threads,
-                ..fast_config()
-            },
-        )
-        .run()
-    }
-
-    /// Asserts the determinism contract between two fault-free runs: the
-    /// whole training curve (losses, AUC, log-loss) matches bitwise.
-    fn assert_bit_identical(a: &TrainResult, b: &TrainResult, what: &str) {
-        assert_eq!(a.curve.len(), b.curve.len(), "{what}: curve length");
-        assert_eq!(a.samples_processed, b.samples_processed, "{what}: samples");
-        for (pa, pb) in a.curve.iter().zip(&b.curve) {
-            for (name, va, vb) in [
-                ("train_loss", pa.train_loss, pb.train_loss),
-                ("auc", pa.auc, pb.auc),
-                ("log_loss", pa.log_loss, pb.log_loss),
-            ] {
-                assert_eq!(
-                    va.to_bits(),
-                    vb.to_bits(),
-                    "{what}: epoch {} {name} {va} vs {vb}",
-                    pa.epoch
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_thread_matrix_is_bit_identical_to_sequential_kernels() {
-        let data = tiny_dataset();
-        let baseline = run_threads(&data, 1);
-        assert!(baseline.final_auc > 0.55, "AUC {}", baseline.final_auc);
-        for threads in [2usize, 4] {
-            let r = run_threads(&data, threads);
-            assert_bit_identical(&baseline, &r, &format!("gemm_threads {threads}"));
-            // Simulated time never depends on the host's thread count.
-            assert_eq!(baseline.sim_time.to_bits(), r.sim_time.to_bits());
         }
     }
 
@@ -1160,30 +1100,5 @@ mod tests {
         assert_eq!(r.telemetry.counter(names::FAULT_STALLS), 1);
         assert!(r.breakdown.fault > 0.0, "no fault time charged");
         assert!(r.final_auc > 0.55, "AUC collapsed: {}", r.final_auc);
-    }
-
-    #[test]
-    fn gemm_threads_is_validated_by_builder_and_try_run() {
-        assert!(TrainerConfig::builder().gemm_threads(32).build().is_ok());
-        let err = TrainerConfig::builder().gemm_threads(0).build().unwrap_err();
-        assert_eq!(err.exit_code(), 78, "{err}");
-        assert!(err.to_string().contains("gemm_threads"), "{err}");
-        assert!(TrainerConfig::builder().gemm_threads(33).build().is_err());
-        // TrainerConfig's fields are public; a hand-built zero thread count
-        // would mean no GEMM workers, so try_run must reject it before any
-        // thread spawns.
-        let data = tiny_dataset();
-        let err = Trainer::new(
-            &data,
-            Topology::pcie_island(2),
-            StrategyConfig::het_gmp(100),
-            TrainerConfig {
-                gemm_threads: 0,
-                ..fast_config()
-            },
-        )
-        .try_run()
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 78, "{err}");
     }
 }

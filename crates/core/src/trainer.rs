@@ -44,9 +44,10 @@ use hetgmp_telemetry::{
     names, AuditMode, AuditSummary, HetGmpError, Json, MetricsRegistry, ProtocolAuditor, Recorder,
     RunManifest, TelemetrySnapshot, TraceCollector,
 };
-use hetgmp_tensor::{auc, log_loss, GemmPool, Matrix};
+use hetgmp_tensor::loss::sigmoid;
+use hetgmp_tensor::{auc, log_loss, Matrix};
 
-use crate::models::{CtrModel, ModelKind};
+use crate::models::{CtrModel, ModelKind, ModelTape};
 use crate::pipeline::{mean_link_time, run_worker_epoch, StageProfiler, StepCtx, WorkerEpoch};
 use crate::strategy::{CacheDesign, EmbedHome, StrategyConfig};
 
@@ -117,11 +118,6 @@ pub struct TrainerConfig {
     /// epoch. The dataset, topology, strategy and hyper-parameters must
     /// match the run that wrote the checkpoint.
     pub resume_from: Option<PathBuf>,
-    /// Worker threads per dense GEMM (`1` = sequential kernels). Values
-    /// `>= 2` install a per-worker [`hetgmp_tensor::GemmPool`] that splits
-    /// large GEMMs into row panels; panel splits are bit-identical to the
-    /// sequential kernels by construction.
-    pub gemm_threads: usize,
     /// Wire format for inter-worker embedding payloads and the dense
     /// AllReduce (`f32` default = bit-exact identity transport). Lossy
     /// formats decode-on-arrival, so replicas hold exactly what a real
@@ -168,7 +164,6 @@ impl Default for TrainerConfig {
             checkpoint_every: 0,
             checkpoint_dir: None,
             resume_from: None,
-            gemm_threads: 1,
             sync_format: SyncFormat::F32,
             sync_error_feedback: true,
             storage: StorageMode::Memory,
@@ -300,13 +295,6 @@ impl TrainerConfigBuilder {
         self
     }
 
-    /// Threads per dense GEMM (must lie in `1..=32`). 1 keeps the
-    /// sequential kernels.
-    pub fn gemm_threads(mut self, threads: usize) -> Self {
-        self.cfg.gemm_threads = threads;
-        self
-    }
-
     /// Wire format for inter-worker embedding payloads and the dense
     /// AllReduce. `f32` (the default) is the bit-exact identity transport.
     pub fn sync_format(mut self, format: SyncFormat) -> Self {
@@ -361,12 +349,7 @@ impl TrainerConfigBuilder {
             return Err(HetGmpError::config("batch_size", "must be positive"));
         }
         if let Some(scales) = &c.compute_scales {
-            if scales.iter().any(|&s| !s.is_finite() || s <= 0.0) {
-                return Err(HetGmpError::config(
-                    "compute_scales",
-                    "every slowdown factor must be positive and finite",
-                ));
-            }
+            check_compute_scales(scales)?;
         }
         if c.checkpoint_every > 0 && c.checkpoint_dir.is_none() {
             return Err(HetGmpError::config(
@@ -380,12 +363,6 @@ impl TrainerConfigBuilder {
                 "checkpoint_dir is set but checkpoint_every is 0 (checkpointing disabled)",
             ));
         }
-        if !(1..=32).contains(&c.gemm_threads) {
-            return Err(HetGmpError::config(
-                "gemm_threads",
-                format!("must lie in 1..=32, got {}", c.gemm_threads),
-            ));
-        }
         if let StorageMode::Tiered { budget_bytes, .. } = &c.storage {
             if *budget_bytes == 0 {
                 return Err(HetGmpError::config(
@@ -396,6 +373,18 @@ impl TrainerConfigBuilder {
         }
         Ok(self.cfg)
     }
+}
+
+/// A slowdown factor divides the simulated compute rate and, under
+/// heterogeneity-aware batching, a batch size.
+fn check_compute_scales(scales: &[f64]) -> Result<(), HetGmpError> {
+    if scales.iter().any(|&s| !s.is_finite() || s <= 0.0) {
+        return Err(HetGmpError::config(
+            "compute_scales",
+            "every slowdown factor must be positive and finite",
+        ));
+    }
+    Ok(())
 }
 
 /// One evaluation point on the convergence curve (Figure 7).
@@ -471,7 +460,7 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
     };
     format!(
         "{strategy:?}|model={:?}|dim={}|hidden={:?}|batch={}|epochs={}|opt={:?}|lr={}|test={}|\
-         eval={}|target={:?}|clip={:?}|scales={:?}|hetero={}|ckpt_every={}|threads={}|\
+         eval={}|target={:?}|clip={:?}|scales={:?}|hetero={}|ckpt_every={}|\
          sync_format={}|sync_ef={}|storage={storage}|ordering={}",
         cfg.model,
         cfg.dim,
@@ -487,7 +476,6 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
         cfg.compute_scales,
         cfg.hetero_aware_batching,
         cfg.checkpoint_every,
-        cfg.gemm_threads,
         cfg.sync_format,
         cfg.sync_error_feedback,
         cfg.batch_ordering,
@@ -599,18 +587,6 @@ impl<'d> Trainer<'d> {
         self
     }
 
-    /// Overrides the worker threads per dense GEMM
-    /// ([`TrainerConfig::gemm_threads`]). `None` keeps the config's value —
-    /// the experiment runners' hook, so `--gemm-threads` applies one
-    /// setting to every run in an experiment; the value is validated by
-    /// [`Trainer::try_run`].
-    pub fn with_gemm_threads(mut self, gemm_threads: Option<usize>) -> Self {
-        if let Some(t) = gemm_threads {
-            self.config.gemm_threads = t;
-        }
-        self
-    }
-
     /// Overrides the wire format for embedding and dense-gradient payloads
     /// ([`TrainerConfig::sync_format`]) and lossy-push error feedback
     /// ([`TrainerConfig::sync_error_feedback`]). `None` keeps the config's
@@ -626,35 +602,6 @@ impl<'d> Trainer<'d> {
         }
         if let Some(ef) = error_feedback {
             self.config.sync_error_feedback = ef;
-        }
-        self
-    }
-
-    /// Overrides the primary-table storage tier
-    /// ([`TrainerConfig::storage`]) and buffer-aware batch ordering
-    /// ([`TrainerConfig::batch_ordering`]). `None` keeps the config's
-    /// value. This is the experiment runners' hook path, so one CLI flag
-    /// applies a single storage setting to every run in an experiment.
-    pub fn with_storage(
-        mut self,
-        mode: Option<StorageMode>,
-        ordering: Option<bool>,
-    ) -> Self {
-        if let Some(m) = mode {
-            self.config.storage = m;
-        }
-        if let Some(o) = ordering {
-            self.config.batch_ordering = o;
-        }
-        self
-    }
-
-    /// Overrides the embedding read path ([`TrainerConfig::read_path`]).
-    /// `None` keeps the config's value — the experiment runners' hook, so
-    /// `--read-path` applies one setting to every run in an experiment.
-    pub fn with_read_path(mut self, path: Option<ReadPath>) -> Self {
-        if let Some(p) = path {
-            self.config.read_path = p;
         }
         self
     }
@@ -730,17 +677,21 @@ impl<'d> Trainer<'d> {
                 ),
             ));
         }
-        // TrainerBuilder validates the range, but TrainerConfig's fields are
-        // public — a hand-built config with a zero here would panic (no GEMM
-        // workers) deep in the run.
-        if cfg.gemm_threads == 0 {
-            return Err(HetGmpError::config("gemm_threads", "must be at least 1"));
+        // TrainerBuilder validates the factors, but TrainerConfig's fields
+        // are public and only here is the worker count known.
+        if let Some(scales) = &cfg.compute_scales {
+            if scales.len() != n {
+                return Err(HetGmpError::config(
+                    "compute_scales",
+                    format!("{} slowdown factors for {n} workers", scales.len()),
+                ));
+            }
+            check_compute_scales(scales)?;
         }
         let mut manifest = RunManifest::new(
             cfg.seed,
             RunManifest::digest_of(&config_digest_text(&self.strategy, cfg)),
             n,
-            cfg.gemm_threads,
         );
         manifest.gemm_isa = Some(hetgmp_tensor::gemm::kernel_tier().to_string());
         if let Some(t) = &self.tracer {
@@ -903,24 +854,13 @@ impl<'d> Trainer<'d> {
         // calibration is paid once) and flush into the worker recorders at
         // every epoch boundary.
         let mut profilers: Vec<StageProfiler> = (0..n).map(|_| StageProfiler::new()).collect();
-        // Optional row-panel GEMM pools, one per worker; helper threads
-        // persist across every epoch and batch.
-        let gemm_pools: Vec<Option<Arc<GemmPool>>> = (0..n)
-            .map(|_| (cfg.gemm_threads > 1).then(|| GemmPool::new(cfg.gemm_threads)))
-            .collect();
         let dense_bytes = cfg.sync_format.dense_wire_bytes(models[0].num_dense_params());
         let flops_per_sample = models[0].flops_per_sample();
         // Per-worker compute scales and (optionally) speed-proportional
         // batch sizes so a straggler's BSP iteration takes as long as its
         // peers'.
-        let compute_scales: Vec<f64> = match &cfg.compute_scales {
-            Some(scales) => {
-                assert_eq!(scales.len(), n, "compute_scales length != workers");
-                assert!(scales.iter().all(|&s| s > 0.0), "scales must be positive");
-                scales.clone()
-            }
-            None => vec![1.0; n],
-        };
+        let compute_scales: Vec<f64> =
+            cfg.compute_scales.clone().unwrap_or_else(|| vec![1.0; n]);
         let batch_sizes: Vec<usize> = if cfg.hetero_aware_batching {
             let speeds: Vec<f64> = compute_scales.iter().map(|&s| 1.0 / s).collect();
             let mean_speed = speeds.iter().sum::<f64>() / n as f64;
@@ -1011,6 +951,9 @@ impl<'d> Trainer<'d> {
 
         // ---- Epoch loop ------------------------------------------------------
         let mut curve: Vec<EvalPoint> = Vec::with_capacity(cfg.epochs);
+        // The evaluation's dense arena, warm after the first epoch's first
+        // chunk.
+        let mut eval_tape = ModelTape::new();
         let mut time_to_target: Option<f64> = None;
         // Wall-clock throughput baseline (hotpath.*): simulated time measures
         // the modelled cluster; wall time measures this implementation.
@@ -1051,7 +994,6 @@ impl<'d> Trainer<'d> {
                     let batch_size = batch_sizes[w];
                     let image = ckpt_image.clone();
                     let recorder = Arc::clone(&worker_recorders[w]);
-                    let pool = gemm_pools[w].clone();
                     scope.spawn(move || {
                         run_worker_epoch(WorkerEpoch {
                             w,
@@ -1060,7 +1002,6 @@ impl<'d> Trainer<'d> {
                             emb: &mut **emb,
                             model,
                             slot,
-                            pool,
                             clock,
                             cursor,
                             iters: iters_per_epoch,
@@ -1206,7 +1147,8 @@ impl<'d> Trainer<'d> {
             }
 
             let sim_time = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-            let (auc_v, ll) = self.evaluate(&mut models, table.as_store(), &split.test);
+            let (auc_v, ll) =
+                self.evaluate(&mut models, table.as_store(), &split.test, &mut eval_tape);
             let batches = loss_batches.load(Ordering::Relaxed).max(1);
             let train_loss =
                 loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
@@ -1322,11 +1264,8 @@ impl<'d> Trainer<'d> {
                 0.0
             },
         );
-        // The configured GEMM fan-out, and how much overlappable simulated
-        // communication hid behind compute (`strategy.overlap`).
-        registry
-            .global()
-            .gauge_set(names::PIPELINE_GEMM_THREADS, cfg.gemm_threads as f64);
+        // How much overlappable simulated communication hid behind compute
+        // (`strategy.overlap`).
         let hidden: f64 = clocks.iter().map(|c| c.hidden_secs()).sum();
         let overlappable: f64 = clocks.iter().map(|c| c.overlappable_secs()).sum();
         registry.global().gauge_set(
@@ -1369,12 +1308,14 @@ impl<'d> Trainer<'d> {
     }
 
     /// Evaluates test AUC/log-loss with the mean dense model and the fresh
-    /// global embedding table.
+    /// global embedding table, one [`EVAL_CHUNK`] of samples at a time
+    /// through `tape` (each chunk closes with [`ModelTape::end_batch`]).
     fn evaluate(
         &self,
         models: &mut [CtrModel],
         table: &dyn RowStore,
         test: &[u32],
+        tape: &mut ModelTape,
     ) -> (f64, f64) {
         let cfg = &self.config;
         let n = models.len();
@@ -1405,11 +1346,13 @@ impl<'d> Trainer<'d> {
         let mut rows: Vec<u32> = Vec::new();
         let mut clocks: Vec<u64> = Vec::new();
         let mut scratch = BatchScratch::default();
+        let mut input = Matrix::zeros(0, 0);
         for chunk in test[..take].chunks(EVAL_CHUNK) {
             // One batched read per chunk, gathered straight into the input
             // matrix: a sample's fields are `fields x dim` contiguous
-            // there, which is the layout `read_rows` fills.
-            let mut input = Matrix::zeros(chunk.len(), fields * dim);
+            // there, which is the layout `read_rows` fills — every element,
+            // so the reused buffer is reshaped, not cleared.
+            input.reshape(chunk.len(), fields * dim);
             rows.clear();
             for &idx in chunk {
                 rows.extend_from_slice(self.dataset.sample(idx as usize));
@@ -1417,8 +1360,9 @@ impl<'d> Trainer<'d> {
             }
             clocks.resize(rows.len(), 0);
             table.read_rows(&rows, input.data_mut(), &mut clocks, &mut scratch);
-            let logits = eval_model.forward(&input);
-            scores.extend(logits.data().iter().map(|&z| 1.0 / (1.0 + (-z).exp())));
+            eval_model.forward_tape(&input, tape);
+            tape.end_batch();
+            scores.extend(tape.logits().data().iter().map(|&z| sigmoid(z)));
         }
         (auc(&scores, &labels), log_loss(&scores, &labels))
     }
@@ -1813,6 +1757,33 @@ mod tests {
     }
 
     #[test]
+    fn hand_built_compute_scales_are_an_error_not_a_panic() {
+        // Only `try_run` knows the worker count, and a struct literal
+        // bypasses the builder's check of the factors themselves.
+        let data = tiny_dataset();
+        for (scales, needle) in [
+            (vec![1.0, 2.0, 4.0], "3 slowdown factors for 2 workers"),
+            (vec![1.0, 0.0], "positive and finite"),
+            (vec![f64::NAN, 1.0], "positive and finite"),
+        ] {
+            let err = Trainer::new(
+                &data,
+                Topology::pcie_island(2),
+                StrategyConfig::het_gmp(100),
+                TrainerConfig {
+                    compute_scales: Some(scales),
+                    ..fast_config()
+                },
+            )
+            .try_run()
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 78, "{err}");
+            assert!(err.to_string().contains("compute_scales"), "{err}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    #[test]
     fn run_records_hotpath_baseline_metrics() {
         let data = tiny_dataset();
         let r = Trainer::new(
@@ -2067,7 +2038,8 @@ mod tests {
             StrategyConfig::het_gmp(0),
             cfg,
         );
-        let (auc_v, ll) = trainer.evaluate(&mut models, &store, &test);
+        let mut tape = ModelTape::new();
+        let (auc_v, ll) = trainer.evaluate(&mut models, &store, &test, &mut tape);
         assert!(auc_v.is_finite() && ll.is_finite());
         // ceil(take / EVAL_CHUNK) batched reads, each a whole chunk's
         // fields, and not one per-row read: on a tiered table every
@@ -2078,5 +2050,26 @@ mod tests {
             vec![EVAL_CHUNK * fields, EVAL_CHUNK * fields, 76 * fields]
         );
         assert_eq!(store.per_row_reads.load(Ordering::Relaxed), 0);
+
+        // Two full chunks and a short one on one tape and one input matrix:
+        // nothing grows after the first full chunk, and the reused buffers
+        // return the bits a fresh tape and a fresh input per chunk return.
+        assert_eq!(tape.post_warmup_growth(), 0);
+        let dim = trainer.config.dim;
+        let (mut scores, mut labels) = (Vec::new(), Vec::new());
+        for chunk in test[..trainer.config.max_eval_samples].chunks(EVAL_CHUNK) {
+            let mut input = Matrix::zeros(chunk.len(), fields * dim);
+            for (&idx, sample) in chunk.iter().zip(input.data_mut().chunks_mut(fields * dim)) {
+                for (&row, out) in data.sample(idx as usize).iter().zip(sample.chunks_mut(dim)) {
+                    store.inner.read_row(row, out);
+                }
+                labels.push(data.label(idx as usize));
+            }
+            let mut fresh = ModelTape::new();
+            models[0].forward_tape(&input, &mut fresh);
+            scores.extend(fresh.logits().data().iter().map(|&z| sigmoid(z)));
+        }
+        assert_eq!(auc(&scores, &labels).to_bits(), auc_v.to_bits());
+        assert_eq!(log_loss(&scores, &labels).to_bits(), ll.to_bits());
     }
 }

@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn classifies_jsonl_and_extracts_manifest() {
-        let m = RunManifest::new(9, RunManifest::digest_of("x"), 2, 1);
+        let m = RunManifest::new(9, RunManifest::digest_of("x"), 2);
         let log = format!(
             "{}\n{}\n{}\n",
             m.to_record().render(),
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn classifies_documents_via_either_manifest_home() {
-        let m = RunManifest::new(9, RunManifest::digest_of("x"), 2, 1);
+        let m = RunManifest::new(9, RunManifest::digest_of("x"), 2);
         let bench = format!(
             "{{\n  \"samples_per_sec\": 1000.5,\n  \"manifest\": {}\n}}",
             m.to_json().render()

@@ -220,7 +220,7 @@ mod tests {
     use hetgmp_telemetry::RunManifest;
 
     fn bench(samples_per_sec: f64, stall_pct: f64, seed: u64) -> Artifact {
-        let m = RunManifest::new(seed, RunManifest::digest_of("cfg"), 2, 1);
+        let m = RunManifest::new(seed, RunManifest::digest_of("cfg"), 2);
         Artifact::parse(&format!(
             r#"{{"samples_per_sec": {samples_per_sec}, "stall_pct": {stall_pct}, "final_auc": 0.75, "manifest": {}}}"#,
             m.to_json().render()

@@ -82,8 +82,8 @@ pub fn render_gantt(artifact: &Artifact) -> Result<String, HetGmpError> {
     if let Some(m) = manifest {
         let _ = writeln!(
             out,
-            "manifest: seed={} digest={} workers={} gemm_threads={}",
-            m.seed, m.config_digest, m.workers, m.gemm_threads,
+            "manifest: seed={} digest={} workers={}",
+            m.seed, m.config_digest, m.workers,
         );
     }
     if tracks.is_empty() {

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Post-hoc analysis of HET-GMP run artifacts.
 //!
 //! Every run of the trainer, the experiment harness, and the benches leaves

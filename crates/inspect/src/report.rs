@@ -47,11 +47,10 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     if let Some(m) = manifest {
         let _ = writeln!(
             out,
-            "manifest: seed={} digest={} workers={} gemm_threads={} gemm_isa={} git={}{} profile={}",
+            "manifest: seed={} digest={} workers={} gemm_isa={} git={}{} profile={}",
             m.seed,
             m.config_digest,
             m.workers,
-            m.gemm_threads,
             m.gemm_isa.as_deref().unwrap_or("unknown"),
             m.git_rev,
             if m.git_dirty == Some(true) { "+dirty" } else { "" },
@@ -147,12 +146,8 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     }
 
     // ---- Runtime shape ---------------------------------------------------
-    if let Some(threads) = gauge(names::PIPELINE_GEMM_THREADS) {
-        let _ = writeln!(
-            out,
-            "\npipeline: gemm_threads={threads:.0} overlap_ratio={:.3}",
-            gauge(names::PIPELINE_OVERLAP_RATIO).unwrap_or(0.0),
-        );
+    if let Some(overlap) = gauge(names::PIPELINE_OVERLAP_RATIO) {
+        let _ = writeln!(out, "\npipeline: overlap_ratio={overlap:.3}");
     }
     // ---- Tiered storage (present only when the run spilled) --------------
     // Gated on the budget gauge: in-memory runs record no capacity.* at
@@ -281,7 +276,7 @@ mod tests {
     use hetgmp_telemetry::RunManifest;
 
     fn sample_log() -> String {
-        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4, 1);
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4);
         format!(
             "{}\n{}\n{}\n",
             m.to_record().render(),
@@ -291,7 +286,7 @@ mod tests {
                 r#""counters":{"traffic.bytes.embed_data":600,"traffic.bytes.keys_clocks":100,"#,
                 r#""traffic.bytes.allreduce":300,"traffic.messages.embed_data":6},"#,
                 r#""gauges":{"time.compute_secs":1.0,"time.embed_comm_secs":0.5,"#,
-                r#""pipeline.gemm_threads":1.0,"pipeline.overlap_ratio":0.9,"#,
+                r#""pipeline.overlap_ratio":0.9,"#,
                 r#""telemetry.overhead_secs":0.002},"#,
                 r#""histograms":{"pipeline.stage.fetch.sim_secs":"#,
                 r#"{"count":10,"sum":0.5,"min":0.04,"max":0.06,"mean":0.05,"#,
@@ -324,7 +319,7 @@ mod tests {
         let r = render_report(&a, false).unwrap();
         assert!(!r.contains("tiered storage"), "{r}");
 
-        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1, 1);
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1);
         let log = format!(
             "{}\n{}\n",
             m.to_record().render(),
@@ -368,7 +363,7 @@ mod tests {
         let a = Artifact::parse(&sample_log()).unwrap();
         assert!(!render_report(&a, true).unwrap().contains("read path"), "old log grew a section");
 
-        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1, 1);
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1);
         let log = format!(
             "{}\n{}\n",
             m.to_record().render(),

@@ -52,12 +52,6 @@ pub enum HetGmpError {
         /// What invariant was violated.
         reason: String,
     },
-    /// A communication endpoint became unavailable at runtime (a peer's
-    /// mailbox dropped, e.g. because the fault injector crashed it).
-    Comms {
-        /// What channel operation failed and why.
-        reason: String,
-    },
 }
 
 impl HetGmpError {
@@ -117,21 +111,13 @@ impl HetGmpError {
         }
     }
 
-    /// Unavailable communication endpoint (dropped peer mailbox).
-    pub fn comms(reason: impl Into<String>) -> Self {
-        Self::Comms {
-            reason: reason.into(),
-        }
-    }
-
     /// Process exit code for this error, following BSD `sysexits.h`
-    /// conventions: 2 = usage, 65 = bad data, 69 = unavailable peer,
-    /// 70 = internal invariant (audit) failure, 74 = I/O, 78 = bad config.
+    /// conventions: 2 = usage, 65 = bad data, 70 = internal invariant
+    /// (audit) failure, 74 = I/O, 78 = bad config.
     pub fn exit_code(&self) -> u8 {
         match self {
             Self::Usage { .. } => 2,
             Self::Data { .. } | Self::Checkpoint { .. } => 65,
-            Self::Comms { .. } => 69,
             Self::Audit { .. } => 70,
             Self::Io { .. } => 74,
             Self::Config { .. } => 78,
@@ -143,8 +129,7 @@ impl HetGmpError {
         match self {
             Self::Io { path, .. } | Self::Checkpoint { path, .. } => Some(path),
             Self::Data { path, .. } => path.as_deref(),
-            Self::Config { .. } | Self::Usage { .. } | Self::Audit { .. }
-            | Self::Comms { .. } => None,
+            Self::Config { .. } | Self::Usage { .. } | Self::Audit { .. } => None,
         }
     }
 }
@@ -173,7 +158,6 @@ impl fmt::Display for HetGmpError {
             }
             Self::Usage { reason } => write!(f, "usage error: {reason}"),
             Self::Audit { reason } => write!(f, "audit failure: {reason}"),
-            Self::Comms { reason } => write!(f, "communication failure: {reason}"),
         }
     }
 }
@@ -202,7 +186,6 @@ mod tests {
         );
         assert_eq!(HetGmpError::config("dim", "x").exit_code(), 78);
         assert_eq!(HetGmpError::audit("stale read").exit_code(), 70);
-        assert_eq!(HetGmpError::comms("peer mailbox dropped").exit_code(), 69);
     }
 
     #[test]

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Unified telemetry for the HET-GMP workspace.
 //!
 //! Every instrumented component — the traffic ledger, simulated clocks,
@@ -144,8 +146,6 @@ pub mod names {
     pub const TRACE_DEFER: &str = "trace.defer";
     /// Trace instant: traffic-ledger charge (sync level).
     pub const TRACE_TRAFFIC: &str = "trace.traffic";
-    /// Trace instant: point-to-point mailbox send (sync level).
-    pub const TRACE_MAILBOX_SEND: &str = "trace.mailbox.send";
 
     /// Counter: batches whose loss came back non-finite (NaN/∞). Non-zero
     /// means the run diverged; the CLI fails such runs.
@@ -221,8 +221,6 @@ pub mod names {
     /// end-to-end throughput lives in `hotpath.samples_per_sec`).
     pub const DENSE_SAMPLES_PER_SEC: &str = "dense.samples_per_sec";
 
-    /// Gauge: configured row-panel GEMM threads per worker.
-    pub const PIPELINE_GEMM_THREADS: &str = "pipeline.gemm_threads";
     /// Retired with the prefetch stage and emitted by nothing; the name is
     /// reserved because `benchmark/src/child.rs` still reads it (as 0).
     pub const PIPELINE_STALL_SECS: &str = "pipeline.stall_secs";

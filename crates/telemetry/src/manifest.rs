@@ -1,8 +1,8 @@
 //! Run manifests: the provenance header stamped into every artifact.
 //!
 //! A [`RunManifest`] records what produced an artifact — seed, a digest of
-//! the strategy/trainer configuration, topology size, GEMM threads, git
-//! revision, and build profile — so any two telemetry JSONLs, Chrome
+//! the strategy/trainer configuration, topology size, git revision, and
+//! build profile — so any two telemetry JSONLs, Chrome
 //! traces, or `BENCH_*.json` files are self-describing and `het-gmp inspect
 //! diff` can refuse to silently compare apples to oranges. Writers stamp it
 //! as the first JSONL record (`{"event":"manifest","manifest":{...}}`),
@@ -28,8 +28,6 @@ pub struct RunManifest {
     pub config_digest: String,
     /// Number of embedding workers in the simulated topology.
     pub workers: u64,
-    /// Row-panel GEMM threads per worker.
-    pub gemm_threads: u64,
     /// Git revision the binary was built from ("unknown" outside git).
     pub git_rev: String,
     /// Whether the tree differed from `git_rev` when the stamp was taken;
@@ -49,18 +47,12 @@ pub struct RunManifest {
 impl RunManifest {
     /// Manifest for the current build: git rev and profile are stamped at
     /// compile time, the run parameters come from the caller.
-    pub fn new(
-        seed: u64,
-        config_digest: impl Into<String>,
-        workers: usize,
-        gemm_threads: usize,
-    ) -> Self {
+    pub fn new(seed: u64, config_digest: impl Into<String>, workers: usize) -> Self {
         Self {
             schema: MANIFEST_SCHEMA_VERSION,
             seed,
             config_digest: config_digest.into(),
             workers: workers as u64,
-            gemm_threads: gemm_threads as u64,
             git_rev: git_rev().to_string(),
             git_dirty: git_dirty(),
             build_profile: build_profile().to_string(),
@@ -90,7 +82,6 @@ impl RunManifest {
             ("seed", Json::U64(self.seed)),
             ("config_digest", Json::from(self.config_digest.as_str())),
             ("workers", Json::U64(self.workers)),
-            ("gemm_threads", Json::U64(self.gemm_threads)),
             ("git_rev", Json::from(self.git_rev.as_str())),
             ("git_dirty", self.git_dirty.map_or(Json::Null, Json::Bool)),
             ("build_profile", Json::from(self.build_profile.as_str())),
@@ -117,7 +108,6 @@ impl RunManifest {
             seed: v.get("seed")?.as_u64()?,
             config_digest: v.get("config_digest")?.as_str()?.to_string(),
             workers: v.get("workers")?.as_u64()?,
-            gemm_threads: v.get("gemm_threads")?.as_u64()?,
             git_rev: v.get("git_rev")?.as_str()?.to_string(),
             git_dirty: v.get("git_dirty").and_then(Json::as_bool),
             build_profile: v.get("build_profile")?.as_str()?.to_string(),
@@ -143,7 +133,6 @@ impl RunManifest {
         field("seed", &self.seed, &other.seed);
         field("config_digest", &self.config_digest, &other.config_digest);
         field("workers", &self.workers, &other.workers);
-        field("gemm_threads", &self.gemm_threads, &other.gemm_threads);
         field("build_profile", &self.build_profile, &other.build_profile);
         if let (Some(a), Some(b)) = (&self.gemm_isa, &other.gemm_isa) {
             field("gemm_isa", a, b);
@@ -182,7 +171,7 @@ mod tests {
     use super::*;
 
     fn sample() -> RunManifest {
-        let mut m = RunManifest::new(42, RunManifest::digest_of("cfg"), 4, 1);
+        let mut m = RunManifest::new(42, RunManifest::digest_of("cfg"), 4);
         m.gemm_isa = Some("avx2".to_string());
         m
     }
@@ -257,6 +246,21 @@ mod tests {
         let back = RunManifest::from_json(&old).expect("legacy artifact loads");
         assert_eq!(back, sample());
         assert!(sample().mismatches(&back).is_empty());
+    }
+
+    #[test]
+    fn headers_with_the_retired_gemm_threads_key_still_load() {
+        // Artifacts written while row-panel GEMM was a knob carry the key
+        // (always, it was a required field); it is ignored on load and
+        // never reported as a mismatch, whatever its value.
+        let mut old = sample().to_json();
+        if let Json::Obj(members) = &mut old {
+            members.push(("gemm_threads".to_string(), Json::U64(4)));
+        }
+        let back = RunManifest::from_json(&old).expect("legacy artifact loads");
+        assert_eq!(back, sample());
+        assert!(sample().mismatches(&back).is_empty());
+        assert!(sample().to_json().get("gemm_threads").is_none());
     }
 
     #[test]

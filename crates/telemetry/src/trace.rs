@@ -545,7 +545,7 @@ mod tests {
     #[test]
     fn attached_manifest_lands_in_other_data() {
         let c = TraceCollector::new(1, TraceLevel::Batch);
-        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4, 1);
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4);
         c.attach_manifest(m.clone());
         assert_eq!(c.manifest(), Some(m.clone()));
         let doc = Json::parse(&c.to_chrome_json().render()).unwrap();

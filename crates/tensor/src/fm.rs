@@ -15,7 +15,6 @@ pub struct FmInteraction {
     dim: usize,
     /// Cached per-row per-dim field sums from the forward pass.
     sums: Vec<f32>,
-    input: Option<Matrix>,
 }
 
 impl FmInteraction {
@@ -26,20 +25,12 @@ impl FmInteraction {
             fields,
             dim,
             sums: Vec::new(),
-            input: None,
         }
     }
 
-    /// Forward pass: input `(batch × F·d)` → output `(batch × 1)`.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out);
-        self.input = Some(input.clone());
-        out
-    }
-
-    /// In-place forward — caches only the per-row field sums, not the
-    /// input; pair with [`FmInteraction::backward_into`].
+    /// Forward pass: input `(batch × F·d)` → output `(batch × 1)`, written
+    /// into `out`. Caches only the per-row field sums, not the input; pair
+    /// with [`FmInteraction::backward_into`].
     pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
         assert_eq!(input.cols(), self.fields * self.dim, "input width mismatch");
         let batch = input.rows();
@@ -62,16 +53,8 @@ impl FmInteraction {
         }
     }
 
-    /// Backward pass: `dL/dv_{f,d} = g · (Σ_f' v_{f',d} − v_{f,d})`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input = self.input.take().expect("forward before backward");
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(&input, grad_out, &mut grad_in);
-        self.input = Some(input);
-        grad_in
-    }
-
-    /// In-place backward: `input` is the matrix passed to the matching
+    /// Backward pass: `dL/dv_{f,d} = g · (Σ_f' v_{f',d} − v_{f,d})`, written
+    /// into `grad_in`. `input` is the matrix passed to the matching
     /// [`FmInteraction::forward_into`].
     pub fn backward_into(&mut self, input: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
         assert_eq!(grad_out.cols(), 1, "grad must be a column");
@@ -106,7 +89,6 @@ pub struct TargetAttention {
     scores: Vec<f32>,
     dalpha: Vec<f32>,
     dscore: Vec<f32>,
-    input: Option<Matrix>,
 }
 
 impl TargetAttention {
@@ -121,7 +103,6 @@ impl TargetAttention {
             scores: Vec::new(),
             dalpha: Vec::new(),
             dscore: Vec::new(),
-            input: None,
         }
     }
 
@@ -130,16 +111,9 @@ impl TargetAttention {
         2 * self.dim
     }
 
-    /// Forward: input `(batch × F·d)` → `(batch × 2·d)`.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out);
-        self.input = Some(input.clone());
-        out
-    }
-
-    /// In-place forward — caches only the attention weights, not the
-    /// input; pair with [`TargetAttention::backward_into`].
+    /// Forward: input `(batch × F·d)` → `(batch × 2·d)`, written into
+    /// `out`. Caches only the attention weights, not the input; pair with
+    /// [`TargetAttention::backward_into`].
     pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
         assert_eq!(input.cols(), self.fields * self.dim, "input width mismatch");
         let batch = input.rows();
@@ -185,15 +159,7 @@ impl TargetAttention {
 
     /// Backward: gradients flow to the target (direct + through the
     /// attention scores) and to every behaviour (weighted + score paths).
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input = self.input.take().expect("forward before backward");
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(&input, grad_out, &mut grad_in);
-        self.input = Some(input);
-        grad_in
-    }
-
-    /// In-place backward: `input` is the matrix passed to the matching
+    /// `input` is the matrix passed to the matching
     /// [`TargetAttention::forward_into`].
     pub fn backward_into(&mut self, input: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
         let batch = input.rows();
@@ -279,7 +245,8 @@ mod tests {
         // y = 0.5(52−30) = 11.
         let mut fm = FmInteraction::new(2, 2);
         let x = Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
-        let y = fm.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        fm.forward_into(&x, &mut y);
         assert_eq!(y.get(0, 0), 11.0);
     }
 
@@ -288,7 +255,8 @@ mod tests {
         // With one field there are no pairwise interactions.
         let mut fm = FmInteraction::new(1, 3);
         let x = Matrix::from_vec(1, 3, vec![2.0, -1.0, 0.5]);
-        let y = fm.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        fm.forward_into(&x, &mut y);
         assert!(y.get(0, 0).abs() < 1e-6);
     }
 
@@ -296,13 +264,14 @@ mod tests {
     fn fm_gradcheck() {
         let mut fm = FmInteraction::new(3, 2);
         let x = Matrix::from_vec(2, 6, vec![0.5, -1.0, 2.0, 0.3, -0.7, 1.1, 1.0, 0.2, -0.4, 0.8, 0.6, -0.9]);
-        let _ = fm.forward(&x);
+        let (mut y, mut grad) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        fm.forward_into(&x, &mut y);
         let g = Matrix::from_vec(2, 1, vec![1.0, 1.0]);
-        let grad = fm.backward(&g);
+        fm.backward_into(&x, &g, &mut grad);
         gradcheck(
             |inp| {
-                let mut probe = FmInteraction::new(3, 2);
-                probe.forward(inp).data().iter().sum()
+                fm.forward_into(inp, &mut y);
+                y.data().iter().sum()
             },
             &x,
             &grad,
@@ -315,7 +284,8 @@ mod tests {
     fn attention_shapes_and_weights_sum_to_one() {
         let mut att = TargetAttention::new(4, 3);
         let x = Matrix::from_vec(2, 12, (0..24).map(|i| (i as f32) * 0.1 - 1.0).collect());
-        let y = att.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        att.forward_into(&x, &mut y);
         assert_eq!(y.cols(), 6);
         assert_eq!(y.rows(), 2);
         for r in 0..2 {
@@ -333,7 +303,7 @@ mod tests {
         // Behaviour 0 equals the target; behaviour 1 is opposite. α_0 > α_1.
         let mut att = TargetAttention::new(3, 2);
         let x = Matrix::from_vec(1, 6, vec![1.0, 0.5, 1.0, 0.5, -1.0, -0.5]);
-        let _ = att.forward(&x);
+        att.forward_into(&x, &mut Matrix::zeros(0, 0));
         assert!(att.alphas[0] > att.alphas[1]);
     }
 
@@ -341,13 +311,14 @@ mod tests {
     fn attention_gradcheck() {
         let mut att = TargetAttention::new(3, 2);
         let x = Matrix::from_vec(2, 6, vec![0.4, -0.2, 0.9, 0.1, -0.5, 0.7, -0.3, 0.8, 0.2, -0.6, 0.5, 0.3]);
-        let _ = att.forward(&x);
+        let (mut y, mut grad) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        att.forward_into(&x, &mut y);
         let g = Matrix::from_vec(2, 4, vec![1.0; 8]);
-        let grad = att.backward(&g);
+        att.backward_into(&x, &g, &mut grad);
         gradcheck(
             |inp| {
-                let mut probe = TargetAttention::new(3, 2);
-                probe.forward(inp).data().iter().sum()
+                att.forward_into(inp, &mut y);
+                y.data().iter().sum()
             },
             &x,
             &grad,

@@ -26,16 +26,10 @@
 //! The nest is compiled once per entry of the dispatch table (`TIERS`):
 //! portable 4×8, AVX2 4×16, AVX-512 8×32, picked by
 //! `is_x86_feature_detected!` alone ([`kernel_tier`] names the pick). The
-//! `unsafe` here is confined to the one guarded call through that table
-//! plus the disjoint row-panel split feeding [`crate::pool`] — the only
-//! other `unsafe` in the workspace.
-//!
-//! When a [`crate::pool::GemmPool`] is installed on the calling thread
-//! (`GemmPool::install`), products above `PAR_MKN_THRESHOLD` are split
-//! into disjoint output-row panels executed across the pool. Each panel
-//! runs the ordinary sequential nest over its rows, so per-element
-//! summation order — and therefore every output bit — is unchanged (see
-//! the determinism contract below).
+//! one guarded call through that table (`run`) is the only `unsafe` in
+//! the workspace; every other crate forbids it. A product runs on the
+//! calling thread: the trainer parallelises across workers, never inside
+//! one.
 //!
 //! # Determinism contract
 //!
@@ -75,12 +69,6 @@ const MC: usize = 256;
 
 /// Widest tile of any tier; sizes the B micro-panel.
 const NR_MAX: usize = 32;
-
-/// Minimum `m·k·n` for a product to be worth fanning out across an
-/// installed [`crate::pool::GemmPool`]: below this the panel hand-off
-/// costs more than the arithmetic it distributes (a 64×64×32 product is
-/// ~260 µs of work at 1 GFLOP/s; the pool round trip is a few µs).
-pub(crate) const PAR_MKN_THRESHOLD: usize = 1 << 16;
 
 thread_local! {
     /// The calling thread's packing workspace: one B micro-panel followed by
@@ -149,18 +137,6 @@ impl<'a> Operand<'a> {
             gather: Gather::Segment,
         }
     }
-
-    /// The operand starting at output index `x` (a row panel's view).
-    fn skip(self, x: usize) -> Self {
-        let start = match self.gather {
-            Gather::Strided => x * self.ld,
-            Gather::Segment => x,
-        };
-        Self {
-            data: &self.data[start.min(self.data.len())..],
-            ..self
-        }
-    }
 }
 
 /// One product `C (m×n) = A·B` over gathered operands.
@@ -190,8 +166,6 @@ struct Block {
 /// One compilation of [`nest`]: a register-tile shape and the ISA it needs.
 struct Tier {
     name: &'static str,
-    /// Rows of the register tile; pool row panels align to it.
-    mr: usize,
     detected: fn() -> bool,
     /// # Safety
     /// The CPU must support the tier's ISA: call only after `detected()`
@@ -209,20 +183,17 @@ static TIERS: &[Tier] = &[
     #[cfg(target_arch = "x86_64")]
     Tier {
         name: "avx512f",
-        mr: 8,
         detected: || std::arch::is_x86_feature_detected!("avx512f"),
         nest: nest_avx512,
     },
     #[cfg(target_arch = "x86_64")]
     Tier {
         name: "avx2",
-        mr: 4,
         detected: || std::arch::is_x86_feature_detected!("avx2"),
         nest: nest_avx2,
     },
     Tier {
         name: "portable",
-        mr: 4,
         detected: || true,
         nest: nest_portable,
     },
@@ -347,8 +318,7 @@ pub(crate) fn gemm_nt(
 
 /// The shared front end: decomposes the epilogue, serves a single-column
 /// product with the two row-vectorized kernels, and runs every other product
-/// through `tier`'s nest — split into row panels across the installed pool
-/// when it is large enough.
+/// through `tier`'s nest.
 #[allow(clippy::too_many_arguments)]
 fn gemm(
     tier: &'static Tier,
@@ -361,7 +331,6 @@ fn gemm(
     epi: Epilogue,
     out: &mut [f32],
 ) {
-    // The row-panel split below carves `out` up through raw pointers.
     assert_eq!(out.len(), m * n, "output buffer is not m×n");
     let (seed, relu) = match epi {
         Epilogue::Store => (Seed::Zero, false),
@@ -405,15 +374,14 @@ fn gemm(
         seed,
         relu,
     };
-    if !try_parallel_rows(&g, tier, out) {
-        run(tier, &g, out);
-    }
+    run(tier, &g, out);
 }
 
 /// Runs `g` sequentially on `tier` with the calling thread's workspace.
 ///
 /// # Panics
 /// Panics if this CPU lacks the tier's ISA.
+#[allow(unsafe_code)]
 fn run(tier: &Tier, g: &Product<'_>, out: &mut [f32]) {
     WORKSPACE.with(|ws| {
         let mut ws = ws.borrow_mut();
@@ -429,45 +397,6 @@ fn run(tier: &Tier, g: &Product<'_>, out: &mut [f32]) {
         // tier's ISA, checked on the line above.
         unsafe { (tier.nest)(g, out, &mut ws) }
     });
-}
-
-/// Splits `out`'s rows across the installed pool and runs each chunk as a
-/// product of its own over a disjoint `&mut` slice of `out`. Returns false
-/// (caller runs sequentially) when no pool is installed or the product is
-/// too small to split.
-fn try_parallel_rows(g: &Product<'_>, tier: &'static Tier, out: &mut [f32]) -> bool {
-    let Some(pool) = crate::pool::current() else {
-        return false;
-    };
-    let Product { m, k, n, .. } = *g;
-    if pool.threads() < 2 || m < 2 * tier.mr || m * k * n < PAR_MKN_THRESHOLD {
-        return false;
-    }
-    let chunks = crate::pool::row_chunks(m, pool.threads(), tier.mr);
-    if chunks.len() < 2 {
-        return false;
-    }
-    let outp = crate::pool::SendPtr(out.as_mut_ptr());
-    pool.run(chunks.len(), &move |ci| {
-        // Bind the wrapper whole so precise capture takes the `Sync`
-        // `SendPtr`, not its raw-pointer field.
-        let outp = outp;
-        let (r0, r1) = chunks.get(ci);
-        // SAFETY: chunks tile [0, m) disjointly, so each job owns rows
-        // [r0, r1) of `out` exclusively; `out` itself is not touched by
-        // the caller until `run` returns.
-        let o = unsafe { std::slice::from_raw_parts_mut(outp.0.add(r0 * n), (r1 - r0) * n) };
-        run(
-            tier,
-            &Product {
-                m: r1 - r0,
-                a: g.a.skip(r0),
-                ..*g
-            },
-            o,
-        );
-    });
-    true
 }
 
 /// The loop nest. Per depth chunk and A block: pack the block once, then
@@ -1041,84 +970,6 @@ mod tests {
                         })
                         .collect();
                     assert_eq!(bits(&got), bits(&want), "rows {rows} k {k} ldb {ldb}");
-                }
-            }
-        }
-    }
-
-    /// Row-panel fan-out must be bit-identical to the sequential path for
-    /// every variant, epilogue, thread count and tier — the foundation of
-    /// the trainer's `gemm_threads` determinism guarantee. Panels align to
-    /// the tier's tile rows (8 on AVX-512), so the row counts leave partial
-    /// tiles in the last panel; shapes are sized past `PAR_MKN_THRESHOLD`
-    /// so the split actually engages.
-    #[test]
-    fn pool_matches_sequential_bitwise() {
-        use crate::pool::GemmPool;
-        // 96·96·32 = 294912 ≥ threshold; 96 rows exercise uneven chunking
-        // at 3 threads, and (41, 80, 23)-ish shapes hit every tail.
-        for &(m, k, n) in &[
-            (96usize, 96usize, 32usize),
-            (77, 64, 48),
-            (40, 120, 31),
-            (90, 70, 33),
-        ] {
-            assert!(m * k * n >= PAR_MKN_THRESHOLD);
-            let a = fill(m * k, 31);
-            let b = fill(k * n, 32);
-            let at = fill(k * m, 33);
-            let bt = fill(n * k, 34);
-            let bias = fill(n, 35);
-            let seed_out = fill(m * n, 36);
-
-            for tier in detected_tiers() {
-                let run_all = |out: &mut Vec<Vec<f32>>| {
-                    let mut c = vec![0.0f32; m * n];
-                    gemm_on(
-                        tier,
-                        "nn",
-                        m,
-                        k,
-                        n,
-                        &a,
-                        &b,
-                        &bias,
-                        Epilogue::BiasRelu,
-                        &mut c,
-                    );
-                    out.push(c.clone());
-                    c.copy_from_slice(&seed_out);
-                    gemm_on(
-                        tier,
-                        "tn",
-                        m,
-                        k,
-                        n,
-                        &at,
-                        &b,
-                        &[],
-                        Epilogue::Accumulate,
-                        &mut c,
-                    );
-                    out.push(c.clone());
-                    gemm_on(tier, "nt", m, k, n, &a, &bt, &[], Epilogue::Store, &mut c);
-                    out.push(c);
-                };
-
-                let mut sequential = Vec::new();
-                run_all(&mut sequential);
-                for threads in [2usize, 3, 4] {
-                    let pool = GemmPool::new(threads);
-                    let mut pooled = Vec::new();
-                    pool.install(|| run_all(&mut pooled));
-                    for (s, p) in sequential.iter().zip(&pooled) {
-                        assert_eq!(
-                            bits(s),
-                            bits(p),
-                            "{} {m}x{k}x{n} @ {threads} threads",
-                            tier.name
-                        );
-                    }
                 }
             }
         }

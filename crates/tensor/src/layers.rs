@@ -1,14 +1,10 @@
 //! Neural-network layers with explicit backward passes.
 //!
-//! Two calling conventions coexist:
-//!
-//! * the **in-place API** (`forward_into`/`backward_into`) is the hot path:
-//!   the caller owns every activation and gradient buffer (see
-//!   [`crate::DenseTape`]) and passes the layer's forward input back to
-//!   `backward_into` explicitly, so a steady-state batch allocates nothing;
-//! * the **legacy API** (`forward`/`backward`) allocates its outputs and
-//!   caches a clone of the input inside the layer — kept for tests and
-//!   one-shot evaluation, implemented on top of the in-place methods.
+//! One calling convention: every pass is in place. The caller owns every
+//! activation and gradient buffer (see [`crate::DenseTape`]) and passes a
+//! layer's forward input back to its backward pass explicitly, so a layer
+//! caches nothing but what only it can know (a ReLU keep-mask) and a
+//! steady-state batch allocates nothing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,49 +13,10 @@ use crate::gemm::row_dots;
 use crate::matrix::Matrix;
 use crate::tape::DenseTape;
 
-/// A differentiable layer.
-pub trait Layer: Send {
-    /// Forward pass for a batch (`rows` = batch size).
-    fn forward(&mut self, input: &Matrix) -> Matrix;
-
-    /// Backward pass: takes `dL/d-output`, accumulates parameter gradients
-    /// internally, returns `dL/d-input`.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix;
-
-    /// In-place forward: writes the batch output into `out` (resized via
-    /// [`Matrix::reshape`], so a reused `out` does not reallocate). Does NOT
-    /// cache the input — callers keeping activations on a tape pass it back
-    /// to [`Layer::backward_into`].
-    fn forward_into(&mut self, input: &Matrix, out: &mut Matrix);
-
-    /// In-place backward: `input` is the same matrix given to the matching
-    /// [`Layer::forward_into`]; accumulates parameter gradients and writes
-    /// `dL/d-input` into `grad_in`.
-    fn backward_into(&mut self, input: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix);
-
-    /// Visits `(params, grads)` buffer pairs in a stable order. Used by
-    /// optimizers and by dense-parameter AllReduce.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32]));
-
-    /// Total number of scalar parameters.
-    fn num_params(&self) -> usize;
-
-    /// Zeroes accumulated gradients.
-    fn zero_grad(&mut self);
-
-    /// GEMM flops (2 per multiply-add) of one *forward* pass over `rows`
-    /// samples; backward costs ≈ 2× this. Feeds the `dense.gemm_flops`
-    /// telemetry counter. Parameter-free layers report 0.
-    fn flops(&self, rows: usize) -> u64 {
-        let _ = rows;
-        0
-    }
-}
-
 /// Fully connected layer `Y = X·W + b`, Kaiming-uniform initialised, with
 /// an optional fused ReLU epilogue (`Y = max(X·W + b, 0)`).
 ///
-/// The fused form replaces a `Dense` + [`Relu`] pair: same math, same
+/// The fused form is a dense layer followed by a ReLU: same math, same
 /// parameter count and visit order (ReLU has no parameters), one kernel
 /// pass instead of two full passes over the activation.
 pub struct Dense {
@@ -72,7 +29,6 @@ pub struct Dense {
     mask: Vec<bool>,
     /// Reused scratch for the masked upstream gradient (ReLU backward).
     masked: Matrix,
-    input: Option<Matrix>,
 }
 
 impl Dense {
@@ -91,7 +47,6 @@ impl Dense {
             relu: false,
             mask: Vec::new(),
             masked: Matrix::zeros(0, 0),
-            input: None,
         }
     }
 
@@ -116,25 +71,12 @@ impl Dense {
     pub fn has_relu(&self) -> bool {
         self.relu
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out);
-        self.input = Some(input.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input = self.input.take().expect("backward called before forward");
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(&input, grad_out, &mut grad_in);
-        self.input = Some(input);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
+    /// Forward pass for a batch (`rows` = batch size): writes the output
+    /// into `out` (resized via [`Matrix::reshape`], so a reused `out` does
+    /// not reallocate). Does NOT cache the input — callers keeping
+    /// activations on a tape pass it back to [`Dense::backward_into`].
+    pub fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
         if self.relu {
             input.matmul_bias_relu_into(&self.w, &self.b, out);
             // Keep-mask from the clamped output: out > 0 ⟺ pre-act > 0.
@@ -145,7 +87,10 @@ impl Layer for Dense {
         }
     }
 
-    fn backward_into(&mut self, input: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
+    /// Backward pass: `input` is the same matrix given to the matching
+    /// [`Dense::forward_into`]; accumulates parameter gradients and writes
+    /// `dL/d-input` into `grad_in`.
+    pub fn backward_into(&mut self, input: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
         // dW += Xᵀ·dY ; db += colsum(dY) ; dX = dY·Wᵀ — with dY masked
         // first when the ReLU epilogue is fused in.
         let dy: &Matrix = if self.relu {
@@ -173,101 +118,41 @@ impl Layer for Dense {
         dy.matmul_t_into(&self.w, grad_in);
     }
 
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    /// Visits `(params, grads)` buffer pairs in a stable order. Used by
+    /// optimizers and by dense-parameter AllReduce.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(self.w.data_mut(), self.grad_w.data_mut());
         f(&mut self.b, &mut self.grad_b);
     }
 
-    fn num_params(&self) -> usize {
+    /// Total number of scalar parameters.
+    pub fn num_params(&self) -> usize {
         self.w.rows() * self.w.cols() + self.b.len()
     }
 
-    fn zero_grad(&mut self) {
+    /// Zeroes accumulated gradients.
+    pub fn zero_grad(&mut self) {
         self.grad_w.clear();
         self.grad_b.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    fn flops(&self, rows: usize) -> u64 {
+    /// GEMM flops (2 per multiply-add) of one *forward* pass over `rows`
+    /// samples; backward costs ≈ 2× this. Feeds the `dense.gemm_flops`
+    /// telemetry counter.
+    pub fn flops(&self, rows: usize) -> u64 {
         2 * rows as u64 * self.w.rows() as u64 * self.w.cols() as u64
     }
 }
 
-/// Rectified linear unit.
-#[derive(Default)]
-pub struct Relu {
-    mask: Vec<bool>,
-}
-
-impl Relu {
-    /// New ReLU.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Relu {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        // ReLU backward needs only the mask, not the forward input.
-        let empty = Matrix::zeros(0, 0);
-        self.backward_into(&empty, grad_out, &mut out);
-        out
-    }
-
-    fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        out.reshape(input.rows(), input.cols());
-        self.mask.clear();
-        self.mask.reserve(input.data().len());
-        for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
-            let keep = x > 0.0;
-            self.mask.push(keep);
-            *o = if keep { x } else { 0.0 };
-        }
-    }
-
-    fn backward_into(&mut self, _input: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
-        assert_eq!(
-            grad_out.data().len(),
-            self.mask.len(),
-            "backward shape mismatch"
-        );
-        grad_in.reshape(grad_out.rows(), grad_out.cols());
-        for ((gi, &g), &keep) in grad_in
-            .data_mut()
-            .iter_mut()
-            .zip(grad_out.data())
-            .zip(&self.mask)
-        {
-            *gi = if keep { g } else { 0.0 };
-        }
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut [f32], &mut [f32])) {}
-
-    fn num_params(&self) -> usize {
-        0
-    }
-
-    fn zero_grad(&mut self) {}
-}
-
 /// DCN cross layer: `x_{l+1} = x_0 ⊙ (x_l·w) + b + x_l` (Wang et al. 2017).
 ///
-/// `x_0` is the layer-0 input of the cross network; the layer receives it at
-/// construction time of each forward pass via [`CrossLayer::set_x0`].
+/// `x_0` is the layer-0 input of the cross network; both passes take it by
+/// reference alongside the layer's own input.
 pub struct CrossLayer {
     w: Vec<f32>,
     b: Vec<f32>,
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
-    x0: Option<Matrix>,
-    input: Option<Matrix>,
 }
 
 impl CrossLayer {
@@ -280,16 +165,7 @@ impl CrossLayer {
             b: vec![0.0; dim],
             grad_w: vec![0.0; dim],
             grad_b: vec![0.0; dim],
-            x0: None,
-            input: None,
         }
-    }
-
-    /// Provides the cross-network input `x_0` for the current batch. Must be
-    /// called before `forward`. (The in-place methods take `x0` by reference
-    /// instead — no per-batch clone.)
-    pub fn set_x0(&mut self, x0: Matrix) {
-        self.x0 = Some(x0);
     }
 
     /// In-place forward with `x0` passed by reference:
@@ -356,100 +232,59 @@ impl CrossLayer {
             }
         }
     }
-}
 
-impl Layer for CrossLayer {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.forward_into(input, &mut out);
-        self.input = Some(input.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let input = self.input.take().expect("forward before backward");
-        let mut grad_in = Matrix::zeros(0, 0);
-        self.backward_into(&input, grad_out, &mut grad_in);
-        self.input = Some(input);
-        grad_in
-    }
-
-    fn forward_into(&mut self, input: &Matrix, out: &mut Matrix) {
-        let x0 = self.x0.take().expect("set_x0 before forward");
-        self.forward_with_x0(&x0, input, out);
-        self.x0 = Some(x0);
-    }
-
-    fn backward_into(&mut self, input: &Matrix, grad_out: &Matrix, grad_in: &mut Matrix) {
-        let x0 = self.x0.take().expect("x0 cached");
-        self.backward_with_x0(&x0, input, grad_out, grad_in);
-        self.x0 = Some(x0);
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
+    /// Visits `(params, grads)` buffer pairs in a stable order.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
         f(&mut self.w, &mut self.grad_w);
         f(&mut self.b, &mut self.grad_b);
     }
 
-    fn num_params(&self) -> usize {
+    /// Total number of scalar parameters.
+    pub fn num_params(&self) -> usize {
         self.w.len() + self.b.len()
     }
 
-    fn zero_grad(&mut self) {
+    /// Zeroes accumulated gradients.
+    pub fn zero_grad(&mut self) {
         self.grad_w.iter_mut().for_each(|g| *g = 0.0);
         self.grad_b.iter_mut().for_each(|g| *g = 0.0);
     }
 
-    fn flops(&self, rows: usize) -> u64 {
-        // dot (2·dim) + scale-add output (2·dim) per row.
+    /// Flops of one forward pass over `rows` samples: dot (2·dim) +
+    /// scale-add output (2·dim) per row.
+    pub fn flops(&self, rows: usize) -> u64 {
         4 * rows as u64 * self.w.len() as u64
     }
 }
 
-/// A sequential stack of layers ending in a single logit column.
+/// A sequential stack of [`Dense`] layers.
 pub struct Mlp {
-    layers: Vec<Box<dyn Layer>>,
+    layers: Vec<Dense>,
 }
 
 impl Mlp {
     /// Builds `in_dim → hidden[0] → … → hidden[n-1] → 1` with ReLU after
-    /// each hidden layer (fused into the [`Dense`] kernel).
+    /// each hidden layer (fused into the [`Dense`] kernel), ending in a
+    /// single logit column.
     pub fn new(in_dim: usize, hidden: &[usize], seed: u64) -> Self {
-        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+        let mut mlp = Self::without_head(in_dim, hidden, seed);
+        let dim = hidden.last().copied().unwrap_or(in_dim);
+        let head_seed = seed.wrapping_add(hidden.len() as u64);
+        mlp.layers.push(Dense::new(dim, 1, head_seed));
+        mlp
+    }
+
+    /// The hidden stack of [`Mlp::new`] without its logit head: the output
+    /// is the last hidden activation (DCN's deep tower, which feeds a
+    /// combiner). Layer `i` is seeded with `seed + i`, as in `new`.
+    pub fn without_head(in_dim: usize, hidden: &[usize], seed: u64) -> Self {
+        let mut layers = Vec::with_capacity(hidden.len() + 1);
         let mut dim = in_dim;
         for (i, &h) in hidden.iter().enumerate() {
-            layers.push(Box::new(Dense::new_relu(dim, h, seed.wrapping_add(i as u64))));
+            layers.push(Dense::new_relu(dim, h, seed.wrapping_add(i as u64)));
             dim = h;
         }
-        layers.push(Box::new(Dense::new(
-            dim,
-            1,
-            seed.wrapping_add(hidden.len() as u64),
-        )));
         Self { layers }
-    }
-
-    /// Builds from explicit layers (used by DCN's combined tower).
-    pub fn from_layers(layers: Vec<Box<dyn Layer>>) -> Self {
-        Self { layers }
-    }
-
-    /// Forward through the stack.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    /// Backward through the stack; returns `dL/d-input`.
-    pub fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
     }
 
     /// Allocation-free forward: every layer's activation lands in
@@ -534,13 +369,6 @@ impl Mlp {
         out
     }
 
-    /// Copies all gradients into one flat vector.
-    pub fn flatten_grads(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        self.visit_params(&mut |_, g| out.extend_from_slice(g));
-        out
-    }
-
     /// Overwrites parameters from a flat vector produced by
     /// [`Mlp::flatten_params`].
     ///
@@ -598,7 +426,8 @@ mod tests {
         d.w = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         d.b = vec![0.5, -0.5];
         let x = Matrix::from_vec(1, 2, vec![1., 1.]);
-        let y = d.forward(&x);
+        let mut y = Matrix::zeros(0, 0);
+        d.forward_into(&x, &mut y);
         assert_eq!(y.data(), &[4.5, 5.5]);
     }
 
@@ -608,16 +437,13 @@ mod tests {
         // Loss = sum of outputs; dL/dY = ones.
         let mut layer = Dense::new(3, 2, 7);
         let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
-        let _ = layer.forward(&x);
-        let grad_in = layer.backward(&ones);
-        let w = layer.w.clone();
-        let b = layer.b.clone();
+        let (mut y, mut grad_in) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        layer.forward_into(&x, &mut y);
+        layer.backward_into(&x, &ones, &mut grad_in);
         finite_diff_check(
             move |inp| {
-                let mut probe = Dense::new(3, 2, 0);
-                probe.w = w.clone();
-                probe.b = b.clone();
-                probe.forward(inp).data().iter().sum()
+                layer.forward_into(inp, &mut y);
+                y.data().iter().sum()
             },
             &x,
             &grad_in,
@@ -631,10 +457,11 @@ mod tests {
         let mut layer = Dense::new(2, 1, 3);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let g = Matrix::from_vec(1, 1, vec![1.0]);
-        let _ = layer.forward(&x);
-        let _ = layer.backward(&g);
-        let _ = layer.forward(&x);
-        let _ = layer.backward(&g);
+        let (mut y, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        for _ in 0..2 {
+            layer.forward_into(&x, &mut y);
+            layer.backward_into(&x, &g, &mut gx);
+        }
         // dW = x·g accumulated twice.
         assert_eq!(layer.grad_w.data(), &[2.0, 4.0]);
         layer.zero_grad();
@@ -643,12 +470,18 @@ mod tests {
 
     #[test]
     fn relu_masks_negatives() {
-        let mut r = Relu::new();
+        // The fused epilogue over an identity layer is a bare ReLU.
+        let mut r = Dense::new_relu(4, 4, 1);
+        r.w.clear();
+        for i in 0..4 {
+            r.w.set(i, i, 1.0);
+        }
         let x = Matrix::from_vec(1, 4, vec![-1.0, 2.0, 0.0, 3.0]);
-        let y = r.forward(&x);
+        let (mut y, mut gi) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        r.forward_into(&x, &mut y);
         assert_eq!(y.data(), &[0.0, 2.0, 0.0, 3.0]);
         let g = Matrix::from_vec(1, 4, vec![1.0; 4]);
-        let gi = r.backward(&g);
+        r.backward_into(&x, &g, &mut gi);
         assert_eq!(gi.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -658,8 +491,8 @@ mod tests {
         c.w = vec![0.0; 3];
         c.b = vec![0.0; 3];
         let x0 = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        c.set_x0(x0.clone());
-        let y = c.forward(&x0);
+        let mut y = Matrix::zeros(0, 0);
+        c.forward_with_x0(&x0, &x0, &mut y);
         // With w = 0: y = x0 (identity passthrough).
         assert_eq!(y.data(), x0.data());
     }
@@ -669,19 +502,14 @@ mod tests {
         let x0 = Matrix::from_vec(2, 3, vec![0.3, -0.7, 1.2, 0.9, 0.1, -0.4]);
         let xl = Matrix::from_vec(2, 3, vec![1.0, 0.5, -0.2, -1.1, 0.8, 0.6]);
         let mut c = CrossLayer::new(3, 11);
-        let w = c.w.clone();
-        let b = c.b.clone();
-        c.set_x0(x0.clone());
-        let _ = c.forward(&xl);
         let ones = Matrix::from_vec(2, 3, vec![1.0; 6]);
-        let grad_in = c.backward(&ones);
+        let (mut y, mut grad_in) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        c.forward_with_x0(&x0, &xl, &mut y);
+        c.backward_with_x0(&x0, &xl, &ones, &mut grad_in);
         finite_diff_check(
             move |inp| {
-                let mut probe = CrossLayer::new(3, 0);
-                probe.w = w.clone();
-                probe.b = b.clone();
-                probe.set_x0(x0.clone());
-                probe.forward(inp).data().iter().sum()
+                c.forward_with_x0(&x0, inp, &mut y);
+                y.data().iter().sum()
             },
             &xl,
             &grad_in,
@@ -694,7 +522,9 @@ mod tests {
     fn mlp_shapes_and_params() {
         let mut mlp = Mlp::new(8, &[16, 4], 1);
         let x = Matrix::zeros(3, 8);
-        let y = mlp.forward(&x);
+        let mut tape = DenseTape::new();
+        mlp.forward_tape(&x, &mut tape);
+        let y = tape.output();
         assert_eq!(y.rows(), 3);
         assert_eq!(y.cols(), 1);
         assert_eq!(mlp.num_params(), 8 * 16 + 16 + 16 * 4 + 4 + 4 + 1);
@@ -716,34 +546,36 @@ mod tests {
         let mut mlp = Mlp::new(2, &[8], 9);
         let x = Matrix::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
         let target = [0.0f32, 1.0, 1.0, 0.0];
-        let loss = |m: &mut Mlp| -> f32 {
-            let y = m.forward(&x);
-            y.data()
+        let mut tape = DenseTape::new();
+        let loss = |m: &mut Mlp, tape: &mut DenseTape| -> f32 {
+            m.forward_tape(&x, tape);
+            tape.output()
+                .data()
                 .iter()
                 .zip(&target)
                 .map(|(&p, &t)| (p - t) * (p - t))
                 .sum::<f32>()
         };
-        let before = loss(&mut mlp);
-        // dL/dy = 2(y−t)
-        let y = mlp.forward(&x);
+        let before = loss(&mut mlp, &mut tape);
+        // dL/dy = 2(y−t), from the forward pass `loss` just ran.
         let g = Matrix::from_vec(
             4,
             1,
-            y.data()
+            tape.output()
+                .data()
                 .iter()
                 .zip(&target)
                 .map(|(&p, &t)| 2.0 * (p - t))
                 .collect(),
         );
         mlp.zero_grad();
-        let _ = mlp.backward(&g);
+        mlp.backward_tape(&x, &g, &mut Matrix::zeros(0, 0), &mut tape);
         mlp.visit_params(&mut |p, gr| {
             for (pi, gi) in p.iter_mut().zip(gr.iter()) {
                 *pi -= 0.01 * gi;
             }
         });
-        let after = loss(&mut mlp);
+        let after = loss(&mut mlp, &mut tape);
         assert!(after < before, "loss {before} -> {after}");
     }
 
@@ -833,29 +665,22 @@ mod tests {
 
     /// Both passes of `fresh` into fresh buffers and of its twin `dirty` into
     /// NaN-filled, wrongly shaped ones: same outputs, same parameter
-    /// gradients.
-    fn assert_overwrites(
+    /// gradients. `passes` runs a layer forward into its first buffer and
+    /// backward into its second, and returns the parameter gradients.
+    fn assert_overwrites<L>(
         what: &str,
-        mut fresh: impl Layer,
-        mut dirty: impl Layer,
-        x: &Matrix,
-        g: &Matrix,
+        (mut fresh, mut dirty): (L, L),
+        (x, g): (&Matrix, &Matrix),
+        passes: impl Fn(&mut L, &mut Matrix, &mut Matrix) -> Vec<f32>,
     ) {
         let (mut y_fresh, mut y_dirty) =
             (Matrix::zeros(0, 0), poisoned(x.rows() + 2, g.cols() + 3));
-        fresh.forward_into(x, &mut y_fresh);
-        dirty.forward_into(x, &mut y_dirty);
-        assert_eq!(y_fresh, y_dirty, "{what} forward");
         let (mut gx_fresh, mut gx_dirty) = (Matrix::zeros(0, 0), poisoned(x.rows() / 2, x.cols()));
-        fresh.backward_into(x, g, &mut gx_fresh);
-        dirty.backward_into(x, g, &mut gx_dirty);
+        let grads_fresh = passes(&mut fresh, &mut y_fresh, &mut gx_fresh);
+        let grads_dirty = passes(&mut dirty, &mut y_dirty, &mut gx_dirty);
+        assert_eq!(y_fresh, y_dirty, "{what} forward");
         assert_eq!(gx_fresh, gx_dirty, "{what} backward");
-        let grads = |layer: &mut dyn Layer| {
-            let mut flat = Vec::new();
-            layer.visit_params(&mut |_, g| flat.extend_from_slice(g));
-            bits(&flat)
-        };
-        assert_eq!(grads(&mut fresh), grads(&mut dirty), "{what} parameter gradients");
+        assert_eq!(bits(&grads_fresh), bits(&grads_dirty), "{what} parameter gradients");
     }
 
     /// Every layer pass skips the zero-fill of its output (`reshape`, not
@@ -874,18 +699,26 @@ mod tests {
             };
             let mut dirty = make();
             dirty.masked = poisoned(rows + 1, out_dim + 1);
-            assert_overwrites(&format!("dense {out_dim} relu={relu}"), make(), dirty, &x, &g);
+            let what = format!("dense {out_dim} relu={relu}");
+            assert_overwrites(&what, (make(), dirty), (&x, &g), |d, y, gx| {
+                d.forward_into(&x, y);
+                d.backward_into(&x, &g, gx);
+                let mut flat = Vec::new();
+                d.visit_params(&mut |_, g| flat.extend_from_slice(g));
+                flat
+            });
         }
 
         let g = Matrix::from_vec(rows, dim, fill(rows * dim, 64));
-        assert_overwrites("relu", Relu::new(), Relu::new(), &x, &g);
-
-        let cross = || {
-            let mut c = CrossLayer::new(dim, 3);
-            c.set_x0(Matrix::from_vec(rows, dim, fill(rows * dim, 62)));
-            c
-        };
-        assert_overwrites("cross", cross(), cross(), &x, &g);
+        let x0 = Matrix::from_vec(rows, dim, fill(rows * dim, 62));
+        let cross = || CrossLayer::new(dim, 3);
+        assert_overwrites("cross", (cross(), cross()), (&x, &g), |c, y, gx| {
+            c.forward_with_x0(&x0, &x, y);
+            c.backward_with_x0(&x0, &x, &g, gx);
+            let mut flat = Vec::new();
+            c.visit_params(&mut |_, g| flat.extend_from_slice(g));
+            flat
+        });
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! # hetgmp-tensor
 //!
@@ -16,8 +17,9 @@
 //!   (naive loops survive as `*_ref` reference oracles);
 //! * [`tape`] — [`DenseTape`], the reusable activation/gradient arena that
 //!   lets a worker run forward/backward allocation-free in steady state;
-//! * [`layers`] — `Dense`, `ReLU`, and DCN's `CrossLayer`, each with explicit
-//!   backward passes; [`Mlp`] stacks them;
+//! * [`layers`] — `Dense` (with a fused ReLU epilogue) and DCN's
+//!   `CrossLayer`, each with explicit in-place forward and backward passes;
+//!   [`Mlp`] stacks `Dense` layers;
 //! * [`loss`] — numerically-stable binary cross-entropy with logits;
 //! * [`metrics`] — AUC (Mann–Whitney with tie handling) and log-loss;
 //! * [`optim`] — SGD/Momentum, Adagrad, Adam for the dense parameters
@@ -29,7 +31,6 @@ pub mod gemm;
 pub mod layers;
 pub mod loss;
 pub mod matrix;
-pub mod pool;
 pub mod metrics;
 pub mod optim;
 pub mod tape;
@@ -37,10 +38,9 @@ pub mod tape;
 mod testdata;
 
 pub use fm::{FmInteraction, TargetAttention};
-pub use layers::{CrossLayer, Dense, Layer, Mlp, Relu};
-pub use loss::{bce_with_logits, bce_with_logits_into};
+pub use layers::{CrossLayer, Dense, Mlp};
+pub use loss::bce_with_logits_into;
 pub use matrix::Matrix;
 pub use metrics::{auc, log_loss};
 pub use optim::{Adagrad, Adam, DenseOptimizer, Sgd};
-pub use pool::GemmPool;
 pub use tape::DenseTape;

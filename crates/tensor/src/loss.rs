@@ -2,24 +2,12 @@
 
 use crate::matrix::Matrix;
 
-/// Numerically-stable BCE-with-logits.
-///
-/// Returns `(mean_loss, dL/dlogits)` where the gradient is already divided by
-/// the batch size (so optimizers see the mean-loss gradient).
+/// Numerically-stable BCE-with-logits: writes `dL/dlogits` into a
+/// caller-owned `grad` matrix (resized via [`Matrix::reset`], reusing its
+/// allocation) and returns the mean loss. The gradient is already divided
+/// by the batch size (so optimizers see the mean-loss gradient).
 ///
 /// Stable form: `max(z,0) − z·y + ln(1 + e^{−|z|})`; gradient `σ(z) − y`.
-///
-/// # Panics
-/// Panics if `logits` is not a single-column matrix matching `labels`.
-pub fn bce_with_logits(logits: &Matrix, labels: &[f32]) -> (f32, Matrix) {
-    let mut grad = Matrix::zeros(logits.rows(), 1);
-    let loss = bce_with_logits_into(logits, labels, &mut grad);
-    (loss, grad)
-}
-
-/// In-place [`bce_with_logits`]: writes `dL/dlogits` into a caller-owned
-/// `grad` matrix (resized via [`Matrix::reset`], reusing its allocation)
-/// and returns the mean loss. The hot-loop form.
 ///
 /// # Panics
 /// Panics if `logits` is not a single-column matrix matching `labels`.
@@ -50,7 +38,8 @@ mod tests {
     #[test]
     fn zero_logit_loss_is_ln2() {
         let logits = Matrix::from_vec(2, 1, vec![0.0, 0.0]);
-        let (loss, grad) = bce_with_logits(&logits, &[0.0, 1.0]);
+        let mut grad = Matrix::zeros(0, 0);
+        let loss = bce_with_logits_into(&logits, &[0.0, 1.0], &mut grad);
         assert!((loss - std::f32::consts::LN_2).abs() < 1e-6);
         // grad = (σ(0) − y)/n = (0.5 − y)/2
         assert!((grad.get(0, 0) - 0.25).abs() < 1e-6);
@@ -60,14 +49,15 @@ mod tests {
     #[test]
     fn confident_correct_low_loss() {
         let logits = Matrix::from_vec(2, 1, vec![10.0, -10.0]);
-        let (loss, _) = bce_with_logits(&logits, &[1.0, 0.0]);
+        let loss = bce_with_logits_into(&logits, &[1.0, 0.0], &mut Matrix::zeros(0, 0));
         assert!(loss < 1e-3);
     }
 
     #[test]
     fn confident_wrong_high_loss() {
         let logits = Matrix::from_vec(1, 1, vec![10.0]);
-        let (loss, grad) = bce_with_logits(&logits, &[0.0]);
+        let mut grad = Matrix::zeros(0, 0);
+        let loss = bce_with_logits_into(&logits, &[0.0], &mut grad);
         assert!(loss > 9.0);
         assert!(grad.get(0, 0) > 0.99);
     }
@@ -75,7 +65,8 @@ mod tests {
     #[test]
     fn stable_for_large_magnitude() {
         let logits = Matrix::from_vec(2, 1, vec![500.0, -500.0]);
-        let (loss, grad) = bce_with_logits(&logits, &[1.0, 0.0]);
+        let mut grad = Matrix::zeros(0, 0);
+        let loss = bce_with_logits_into(&logits, &[1.0, 0.0], &mut grad);
         assert!(loss.is_finite());
         assert!(grad.data().iter().all(|g| g.is_finite()));
     }
@@ -85,12 +76,10 @@ mod tests {
         let z0 = 0.7f32;
         let y = 1.0f32;
         let eps = 1e-3;
-        let at = |z: f32| {
-            let (l, _) = bce_with_logits(&Matrix::from_vec(1, 1, vec![z]), &[y]);
-            l
-        };
+        let mut g = Matrix::zeros(0, 0);
+        let mut at = |z: f32| bce_with_logits_into(&Matrix::from_vec(1, 1, vec![z]), &[y], &mut g);
         let num = (at(z0 + eps) - at(z0 - eps)) / (2.0 * eps);
-        let (_, g) = bce_with_logits(&Matrix::from_vec(1, 1, vec![z0]), &[y]);
+        at(z0);
         assert!((num - g.get(0, 0)).abs() < 1e-3);
     }
 

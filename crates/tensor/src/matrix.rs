@@ -132,17 +132,11 @@ impl Matrix {
         }
     }
 
-    /// `self · other` — shapes `(m×k)·(k×n) → (m×n)`, blocked kernel.
+    /// `out = self · other` — shapes `(m×k)·(k×n) → (m×n)`, blocked kernel,
+    /// reusing `out`'s allocation.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// `out = self · other`, reusing `out`'s allocation.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
@@ -171,15 +165,8 @@ impl Matrix {
         gemm::gemm_nn(m, k, n, &self.data, &other.data, bias, Epilogue::BiasRelu, &mut out.data);
     }
 
-    /// `selfᵀ · other` — shapes `(k×m)ᵀ·(k×n) → (m×n)`. Used for weight
-    /// gradients (`Xᵀ · dY`).
-    pub fn t_matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        self.t_matmul_into(other, &mut out);
-        out
-    }
-
-    /// `out = selfᵀ · other`, reusing `out`'s allocation.
+    /// `out = selfᵀ · other` — shapes `(k×m)ᵀ·(k×n) → (m×n)`, reusing
+    /// `out`'s allocation.
     pub fn t_matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
@@ -196,15 +183,8 @@ impl Matrix {
         gemm::gemm_tn(m, k, n, &self.data, &other.data, Epilogue::Accumulate, &mut out.data);
     }
 
-    /// `self · otherᵀ` — shapes `(m×k)·(n×k)ᵀ → (m×n)`. Used for input
-    /// gradients (`dY · Wᵀ`).
-    pub fn matmul_t(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_t_into(other, &mut out);
-        out
-    }
-
-    /// `out = self · otherᵀ`, reusing `out`'s allocation.
+    /// `out = self · otherᵀ` — shapes `(m×k)·(n×k)ᵀ → (m×n)`, the
+    /// input-gradient product (`dY · Wᵀ`), reusing `out`'s allocation.
     pub fn matmul_t_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
@@ -240,27 +220,9 @@ impl Matrix {
         out
     }
 
-    /// Adds `bias` (length `cols`) to every row.
-    pub fn add_bias(&mut self, bias: &[f32]) {
-        assert_eq!(bias.len(), self.cols, "bias length mismatch");
-        for r in 0..self.rows {
-            for (x, &b) in self.row_mut(r).iter_mut().zip(bias) {
-                *x += b;
-            }
-        }
-    }
-
-    /// Column sums (used for bias gradients). Allocates; hot paths use
-    /// [`Self::col_sums_into`].
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.cols];
-        self.col_sums_into(&mut out);
-        out
-    }
-
     /// **Accumulates** column sums into `out` (`out[j] += Σ_r self[r][j]`)
     /// — callers that want plain sums must zero `out` first. The
-    /// accumulate form lets `Dense::backward` feed `grad_b` directly.
+    /// accumulate form lets `Dense::backward_into` feed `grad_b` directly.
     ///
     /// # Panics
     /// Panics if `out.len() != cols`.
@@ -304,7 +266,8 @@ mod tests {
     fn matmul_known() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let mut c = Matrix::zeros(0, 0);
+        a.matmul_into(&b, &mut c);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
 
@@ -313,7 +276,8 @@ mod tests {
         let a = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]);
         // aᵀ·b where aᵀ is (2×3)
-        let c = a.t_matmul(&b);
+        let mut c = Matrix::zeros(0, 0);
+        a.t_matmul_into(&b, &mut c);
         assert_eq!(c.rows(), 2);
         assert_eq!(c.cols(), 2);
         // aᵀ = [[1,3,5],[2,4,6]]; aᵀ·b = [[1+5, 3+5],[2+6, 4+6]]
@@ -325,16 +289,23 @@ mod tests {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(2, 3, vec![1., 0., 1., 0., 1., 0.]);
         // a·bᵀ → (2×2): row0·row0 = 1+3 = 4; row0·row1 = 2
-        let c = a.matmul_t(&b);
+        let mut c = Matrix::zeros(0, 0);
+        a.matmul_t_into(&b, &mut c);
         assert_eq!(c.data(), &[4., 2., 10., 5.]);
     }
 
     #[test]
     fn bias_and_col_sums() {
-        let mut m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        m.add_bias(&[10., 20.]);
-        assert_eq!(m.data(), &[11., 22., 13., 24.]);
-        assert_eq!(m.col_sums(), vec![24., 46.]);
+        // The bias through the fused kernel (identity weights), then plain
+        // column sums into a zeroed accumulator.
+        let m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
+        let eye = Matrix::from_vec(2, 2, vec![1., 0., 0., 1.]);
+        let mut out = Matrix::zeros(0, 0);
+        m.matmul_bias_into(&eye, &[10., 20.], &mut out);
+        assert_eq!(out.data(), &[11., 22., 13., 24.]);
+        let mut sums = vec![0.0f32; 2];
+        out.col_sums_into(&mut sums);
+        assert_eq!(sums, vec![24., 46.]);
     }
 
     #[test]
@@ -355,7 +326,7 @@ mod tests {
     fn matmul_shape_checked() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Matrix::zeros(0, 0));
     }
 
     fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -378,15 +349,19 @@ mod tests {
         for &(m, k, n) in &[(7usize, 13usize, 11usize), (16, 8, 24), (1, 5, 1), (9, 1, 17)] {
             let a = rand_matrix(m, k, 1);
             let b = rand_matrix(k, n, 2);
-            for (x, y) in a.matmul(&b).data().iter().zip(a.matmul_ref(&b).data()) {
+            let mut out = Matrix::zeros(0, 0);
+            a.matmul_into(&b, &mut out);
+            for (x, y) in out.data().iter().zip(a.matmul_ref(&b).data()) {
                 assert!((x - y).abs() / x.abs().max(1.0) <= 1e-5);
             }
             let at = rand_matrix(k, m, 3);
-            for (x, y) in at.t_matmul(&b).data().iter().zip(at.t_matmul_ref(&b).data()) {
+            at.t_matmul_into(&b, &mut out);
+            for (x, y) in out.data().iter().zip(at.t_matmul_ref(&b).data()) {
                 assert!((x - y).abs() / x.abs().max(1.0) <= 1e-5);
             }
             let bt = rand_matrix(n, k, 4);
-            for (x, y) in a.matmul_t(&bt).data().iter().zip(a.matmul_t_ref(&bt).data()) {
+            a.matmul_t_into(&bt, &mut out);
+            for (x, y) in out.data().iter().zip(a.matmul_t_ref(&bt).data()) {
                 assert!((x - y).abs() / x.abs().max(1.0) <= 1e-5);
             }
         }
@@ -411,7 +386,8 @@ mod tests {
     fn t_matmul_acc_accumulates() {
         let a = rand_matrix(8, 5, 8);
         let b = rand_matrix(8, 7, 9);
-        let once = a.t_matmul(&b);
+        let mut once = Matrix::zeros(0, 0);
+        a.t_matmul_into(&b, &mut once);
         let mut acc = once.clone();
         a.t_matmul_acc(&b, &mut acc);
         for (&x, &y) in acc.data().iter().zip(once.data()) {

@@ -1,11 +1,17 @@
 //! Property tests for the tensor substrate.
 
-use hetgmp_tensor::{auc, bce_with_logits, Matrix, Mlp};
+use hetgmp_tensor::{auc, bce_with_logits_into, Matrix, Mlp};
 use proptest::prelude::*;
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-5.0f32..5.0, rows * cols)
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
+}
+
+fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
+    a.matmul_into(b, &mut out);
+    out
 }
 
 proptest! {
@@ -15,7 +21,7 @@ proptest! {
         for i in 0..4 {
             eye.set(i, i, 1.0);
         }
-        let out = a.matmul(&eye);
+        let out = matmul(&a, &eye);
         for (x, y) in out.data().iter().zip(a.data()) {
             prop_assert!((x - y).abs() < 1e-5);
         }
@@ -28,9 +34,9 @@ proptest! {
         for (x, y) in bc.data_mut().iter_mut().zip(c.data()) {
             *x += y;
         }
-        let lhs = a.matmul(&bc);
-        let ab = a.matmul(&b);
-        let ac = a.matmul(&c);
+        let lhs = matmul(&a, &bc);
+        let ab = matmul(&a, &b);
+        let ac = matmul(&a, &c);
         for i in 0..lhs.data().len() {
             let rhs = ab.data()[i] + ac.data()[i];
             prop_assert!((lhs.data()[i] - rhs).abs() < 1e-3,
@@ -41,7 +47,8 @@ proptest! {
     #[test]
     fn transpose_variants_consistent(a in matrix(3, 5), b in matrix(3, 4)) {
         // aᵀ·b  computed directly == explicit transpose then matmul.
-        let t = a.t_matmul(&b);
+        let mut t = Matrix::zeros(0, 0);
+        a.t_matmul_into(&b, &mut t);
         // Build aᵀ explicitly.
         let mut at = Matrix::zeros(5, 3);
         for r in 0..3 {
@@ -49,7 +56,7 @@ proptest! {
                 at.set(c, r, a.get(r, c));
             }
         }
-        let expected = at.matmul(&b);
+        let expected = matmul(&at, &b);
         for (x, y) in t.data().iter().zip(expected.data()) {
             prop_assert!((x - y).abs() < 1e-3);
         }
@@ -91,7 +98,8 @@ proptest! {
     fn bce_gradient_sign_matches_error(z in -8.0f32..8.0, y in prop::bool::ANY) {
         let label = if y { 1.0f32 } else { 0.0 };
         let logits = Matrix::from_vec(1, 1, vec![z]);
-        let (loss, grad) = bce_with_logits(&logits, &[label]);
+        let mut grad = Matrix::zeros(0, 0);
+        let loss = bce_with_logits_into(&logits, &[label], &mut grad);
         prop_assert!(loss >= 0.0);
         let p = 1.0 / (1.0 + (-z).exp());
         // grad sign equals sign of (p − y).
@@ -102,7 +110,7 @@ proptest! {
     fn blocked_gemm_matches_naive_reference(a in matrix(5, 11), b in matrix(11, 9)) {
         // The blocked engine vs the pre-blocking naive kernel, on a shape
         // with both row and column tail loops in play.
-        let blocked = a.matmul(&b);
+        let blocked = matmul(&a, &b);
         let naive = a.matmul_ref(&b);
         for (x, y) in blocked.data().iter().zip(naive.data()) {
             let tol = 1e-5 * y.abs().max(1.0);

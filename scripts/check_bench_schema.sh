@@ -286,8 +286,7 @@ esac
 # produced it (seed, config digest, build); `inspect diff` keys its
 # mismatch warning off these fields.
 require '"manifest":\{' 'top-level "manifest"'
-for key in schema seed config_digest workers gemm_threads git_rev \
-    build_profile; do
+for key in schema seed config_digest workers git_rev build_profile; do
     require "\"manifest\":\{[^}]*\"$key\":" "\"manifest.$key\""
 done
 [ "$fail" -eq 0 ] || exit 1

@@ -73,7 +73,6 @@ pipeline.stage.<stage>.sim_secs
 telemetry.overhead_secs
 trace.stage.<stage>
 config_digest
-gemm_threads
 git_rev
 git_dirty
 build_profile

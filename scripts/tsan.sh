@@ -10,9 +10,6 @@
 #   mutex, through per-slot locks, fenced only by the round's counters; the
 #   unit suite (the threaded stress that reorders arrivals and switches op
 #   and length between rounds included) runs under TSan.
-# * `GemmPool`. Row panels of one product are written through raw pointers
-#   from several threads; the pool's suite and the pooled-vs-sequential
-#   GEMM test run under TSan.
 #
 # TSan needs a nightly toolchain (and, on some installs, the rust-src
 # component to rebuild std instrumented). Neither is a build dependency of
@@ -42,7 +39,7 @@ case $host in
     ;;
 esac
 
-echo "tsan: running the read-path, allreduce and gemm-pool suites under ThreadSanitizer ($host)"
+echo "tsan: running the read-path and allreduce suites under ThreadSanitizer ($host)"
 
 # Instrumenting std requires -Zbuild-std, which needs rust-src; fall back
 # to uninstrumented std (still catches races between our own atomics and
@@ -71,6 +68,5 @@ tsan_test() {
 }
 tsan_test -p hetgmp-embedding --test read_path
 tsan_test -p hetgmp-comms --lib allreduce
-tsan_test -p hetgmp-tensor --lib pool
 
 echo "tsan: OK"

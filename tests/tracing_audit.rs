@@ -254,7 +254,7 @@ fn empty_trace_export_is_valid_metadata_only_chrome_json() {
     let path = dir.join("empty.trace.json");
 
     let collector = TraceCollector::new(2, TraceLevel::Batch);
-    collector.attach_manifest(RunManifest::new(5, RunManifest::digest_of("x"), 2, 1));
+    collector.attach_manifest(RunManifest::new(5, RunManifest::digest_of("x"), 2));
     collector.write_chrome_trace(path.to_str().unwrap()).unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
