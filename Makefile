@@ -42,8 +42,9 @@ fault-matrix: build
 inspect-smoke: build
 	sh scripts/inspect_smoke.sh
 
-# ThreadSanitizer over the concurrent suites: the seqlock read path and the
-# AllReduce group (its threaded stress included).
+# ThreadSanitizer over the concurrent suites: the seqlock read path, the
+# AllReduce group (its threaded stress included) and the write phase's
+# WriteExchange hand-off.
 # Needs a nightly toolchain (-Zsanitizer=thread is unstable); the script
 # skips with a notice when nightly is absent, so this target is safe to
 # run anywhere but only *checks* where nightly is installed. Not part of

@@ -83,16 +83,6 @@ struct State {
     collected: usize,
 }
 
-/// Rank-ordered token ring state (see [`AllReduceGroup::in_rank_order`]).
-struct RingState {
-    /// Next ticket allowed to run; tickets are issued as
-    /// `round(rank) * n + rank`, so within every round the critical
-    /// sections execute in ascending rank order.
-    next: u64,
-    /// Per-rank round counters (how many times each rank has entered).
-    counts: Vec<u64>,
-}
-
 /// A sum-AllReduce group over `n` participants.
 pub struct AllReduceGroup {
     n: usize,
@@ -109,8 +99,6 @@ pub struct AllReduceGroup {
     /// `LANE` keys for it to work on (only a round's last arrival takes
     /// this lock, so it is never contended).
     sorter: Mutex<Sorter>,
-    ring: Mutex<RingState>,
-    ring_cv: Condvar,
 }
 
 impl AllReduceGroup {
@@ -137,11 +125,6 @@ impl AllReduceGroup {
             filled_cv: Condvar::new(),
             slots: (1..n).map(|_| RwLock::new(Vec::new())).collect(),
             sorter: Mutex::new(Sorter::new(n)),
-            ring: Mutex::new(RingState {
-                next: 0,
-                counts: vec![0; n],
-            }),
-            ring_cv: Condvar::new(),
         }
     }
 
@@ -318,40 +301,6 @@ impl AllReduceGroup {
             *x *= inv;
         }
         aux
-    }
-
-    /// Runs `f` in a rank-ordered critical section: within each round every
-    /// participant's closure executes serially in ascending rank order.
-    ///
-    /// A token ring: the rank-ascending serialization of shared-table
-    /// mutations that `n` full barriers (one per rank's turn) would give
-    /// — so float accumulation order, hence every stored value, is
-    /// canonical — at a fraction of the rendezvous cost. Each rank blocks
-    /// only until its ticket comes up, not on every peer's turn boundary.
-    ///
-    /// Rounds are implicit: a rank's `k`-th call gets ticket `k*n + rank`,
-    /// so the ring is reusable every iteration without a reset call. All
-    /// participants must call it the same number of times.
-    pub fn in_rank_order<R>(&self, rank: usize, f: impl FnOnce() -> R) -> R {
-        assert!(rank < self.n, "rank out of range");
-        if self.n == 1 {
-            return f();
-        }
-        let ticket = {
-            let mut ring = self.ring.lock();
-            let t = ring.counts[rank] * self.n as u64 + rank as u64;
-            ring.counts[rank] += 1;
-            while ring.next != t {
-                self.ring_cv.wait(&mut ring);
-            }
-            t
-        };
-        let out = f();
-        let mut ring = self.ring.lock();
-        debug_assert_eq!(ring.next, ticket);
-        ring.next += 1;
-        self.ring_cv.notify_all();
-        out
     }
 }
 
@@ -824,40 +773,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn in_rank_order_serializes_ascending_per_round() {
-        use std::sync::Mutex as StdMutex;
-        let n = 4;
-        let g = Arc::new(AllReduceGroup::new(n));
-        let order = Arc::new(StdMutex::new(Vec::new()));
-        let rounds = 25u64;
-        let handles: Vec<_> = (0..n)
-            .map(|rank| {
-                let g = Arc::clone(&g);
-                let order = Arc::clone(&order);
-                std::thread::spawn(move || {
-                    for _ in 0..rounds {
-                        g.in_rank_order(rank, || order.lock().unwrap().push(rank));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let order = order.lock().unwrap();
-        assert_eq!(order.len(), n * rounds as usize);
-        for (i, chunk) in order.chunks(n).enumerate() {
-            assert_eq!(chunk, &[0, 1, 2, 3], "round {i} ran out of order");
-        }
-    }
-
-    #[test]
-    fn in_rank_order_single_participant_runs_inline() {
-        let g = AllReduceGroup::new(1);
-        assert_eq!(g.in_rank_order(0, || 42), 42);
     }
 
     #[test]

@@ -17,33 +17,42 @@
 //!    any peer reads;
 //! 2. assemble the batch and `read_batch` it;
 //! 3. dense forward/backward;
-//! 4. the reads-done `barrier()` — no gradient lands while a peer reads;
-//! 5. write-back inside [`AllReduceGroup::in_rank_order`] — a token ring
-//!    that serializes the shared-table mutations in ascending rank;
-//! 6. charge the batch's simulated time;
-//! 7. dense sync: under BSP one [`AllReduceGroup::fused_mean_max`] carries
+//! 4. route the write-back (`route_gradients`), outside any fence: reduce,
+//!    encode and bin the batch's gradient rows by primary owner into this
+//!    rank's outboxes of the [`WriteExchange`] — nothing shared is touched;
+//! 5. the reads-done `barrier()` — no gradient lands while a peer reads,
+//!    and every rank's outboxes are published;
+//! 6. apply: each rank applies the rows routed to *its own* primaries,
+//!    sources in ascending rank, in one batched call — all owners side by
+//!    side, on disjoint rows ([`WriteExchange::apply_owned`]). This is the
+//!    paper's §6 write path: a gradient travels to the worker holding the
+//!    primary, which applies it;
+//! 7. charge the batch's simulated time;
+//! 8. dense sync: under BSP one [`AllReduceGroup::fused_mean_max`] carries
 //!    the gradient mean and the post-charge clock together. Every rank
-//!    enters it only after its ring turn, so returning from it
+//!    enters it only after applying its own rows, so returning from it
 //!    happens-after the last write — it is the writes-done rendezvous for
-//!    the next iteration's reads;
-//! 8. the strict-audit abort vote.
+//!    the next iteration's reads and routing;
+//! 9. the strict-audit abort vote.
 //!
-//! A fault-free, unaudited BSP step is therefore one barrier, one ring
-//! pass and one collective.
+//! A fault-free, unaudited BSP step is therefore one barrier and one
+//! collective.
 //!
 //! ## Determinism contract
 //!
 //! On fault-free runs, losses, AUC, traffic and checkpoints are
 //! **bit-identical** across storage tier, read path and checkpoint
-//! resume (pinned at two workers; ROADMAP item 1 tracks the
-//! read-phase flush race that breaks run-to-run repeatability at s > 0
-//! with three or more):
+//! resume, at any worker count where no read-phase flush fires (`s = 0`,
+//! HET-MP, the LFU cache; ROADMAP item 1 tracks the read-phase flush race
+//! that breaks run-to-run repeatability at `s > 0` with three or more
+//! workers):
 //!
-//! * reads-before-writes holds within an iteration (step 4) and
-//!   writes-before-reads across iterations (step 7);
-//! * write-backs land in canonical rank-ascending order (step 5):
-//!   concurrent updates to a shared row do not commute under Adagrad, so
-//!   the order is part of the result;
+//! * reads-before-writes holds within an iteration (step 5) and
+//!   writes-before-reads across iterations (step 8);
+//! * every row sees its write-backs in canonical source-rank-ascending
+//!   order (step 6): updates to one row do not commute under Adagrad, so
+//!   their order is part of the result; updates to different rows commute,
+//!   so nothing else about the write phase's order is;
 //! * the collective sums each element's contributions in ascending value
 //!   order, independent of arrival order;
 //! * a worker's dense math runs on its own thread through the sequential
@@ -61,7 +70,7 @@ use hetgmp_cluster::{
 };
 use hetgmp_comms::{AllReduceGroup, DenseQuantizer, TrafficClass, TrafficLedger};
 use hetgmp_data::CtrDataset;
-use hetgmp_embedding::{EmbeddingWorker, ReadReport, RowStore, UpdateReport};
+use hetgmp_embedding::{EmbeddingWorker, ReadReport, RowStore, UpdateReport, WriteExchange};
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{names, HistogramSummary, Json, ProtocolAuditor, Recorder, TraceCollector};
 use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, Matrix, Sgd};
@@ -142,9 +151,9 @@ impl Default for StepCtx {
 /// `telemetry.overhead_secs` gauge; `bench_dense` asserts it stays under
 /// 2% of hot-path wall time).
 ///
-/// Wall attribution: `fetch` is assembly + embedding read; `write_back`
-/// includes the rank-order ring that serializes it; `sync` is the dense
-/// collective.
+/// Wall attribution: `fetch` is assembly + embedding read; `write_back` is
+/// routing plus this rank's own-row apply (the reads-done barrier between
+/// them belongs to no stage); `sync` is the dense collective.
 /// Simulated attribution follows the cost model's charges: `fetch` = the
 /// embedding read's comm seconds, `write_back` = the gradient write-back's
 /// comm seconds, `compute` = the batch's compute charge, `sync` = the
@@ -286,6 +295,7 @@ pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
     pub(crate) topology: &'a Topology,
     pub(crate) cost: &'a CostModel,
     pub(crate) group: &'a AllReduceGroup,
+    pub(crate) exchange: &'a WriteExchange,
     pub(crate) ledger: &'a TrafficLedger,
     pub(crate) dense_bytes: u64,
     pub(crate) flops_per_sample: f64,
@@ -306,7 +316,7 @@ pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
     pub(crate) profiler: &'a mut StageProfiler,
 }
 
-/// Runs one worker's epoch: the eight-step schedule of the module docs.
+/// Runs one worker's epoch: the nine-step schedule of the module docs.
 pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
     let WorkerEpoch {
         w,
@@ -324,6 +334,7 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
         topology,
         cost,
         group,
+        exchange,
         ledger,
         dense_bytes,
         flops_per_sample,
@@ -406,24 +417,30 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
             profiler.wall(BatchStage::Compute, t_compute);
         }
 
-        // ---- (4) Reads-done fence. -----------------------------------------
-        // Every worker's reads drain before any gradient lands in the shared
-        // table, so a read never races a peer's same-iteration write-back.
-        group.barrier();
-        // ---- (5) Write-back, one rank at a time in ascending order. --------
-        // Concurrent updates to a shared row do not commute under Adagrad
-        // (the g² accumulator changes the next step), so a canonical
-        // serialization is what makes same-seed runs — and checkpoint
-        // resumes — reproducible.
-        let t_push = profiler.start();
-        let up_report = group.in_rank_order(w, || {
-            have_grad.then(|| {
-                emb.apply_gradients(&sample_slices, slot.grad_input.data(), &cfg.embed_opt)
-            })
+        // ---- (4) Route the write-back, outside any fence. ------------------
+        // Reduce, encode and bin by primary owner; only this rank's
+        // outboxes are written.
+        let t_route = profiler.start();
+        let up_report = have_grad.then(|| {
+            emb.route_gradients(&sample_slices, slot.grad_input.data(), &cfg.embed_opt, exchange)
         });
-        profiler.wall(BatchStage::Push, t_push);
+        profiler.wall(BatchStage::Push, t_route);
 
-        // ---- (6) Charge simulated time. ------------------------------------
+        // ---- (5) Reads-done fence. -----------------------------------------
+        // Every worker's reads drain before any gradient lands in the shared
+        // table, so a read never races a peer's same-iteration write-back;
+        // and every outbox is published before any owner drains.
+        group.barrier();
+        // ---- (6) Apply the rows this rank owns, sources in rank order. -----
+        // Updates to one row do not commute under Adagrad (the g² accumulator
+        // changes the next step), so each row's canonical source order is
+        // what makes same-seed runs — and checkpoint resumes — reproducible;
+        // owners never share a row, so they need no order among themselves.
+        let t_apply = profiler.start();
+        exchange.apply_owned(w, table, &cfg.embed_opt);
+        profiler.wall(BatchStage::Push, t_apply);
+
+        // ---- (7) Charge simulated time. ------------------------------------
         if let Some(up_report) = &up_report {
             charge_batch(
                 w, actual, fields, compute_scale, flops_per_sample, strategy, cost, clock,
@@ -431,7 +448,7 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
             );
         }
 
-        // ---- (7) Dense sync; also the writes-done rendezvous. --------------
+        // ---- (8) Dense sync; also the writes-done rendezvous. --------------
         let t_sync = profiler.start();
         let sync_t = sync_dense(
             w, model, &mut dense_grads, &mut dense_quant, &mut sgd, cfg.grad_clip, strategy,
@@ -452,7 +469,7 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
         }
         profiler.finish_batch();
 
-        // ---- (8) Strict audit. ---------------------------------------------
+        // ---- (9) Strict audit. ---------------------------------------------
         // Agree collectively on whether the auditor tripped so every worker
         // leaves at the same iteration boundary (a unilateral break would
         // strand its peers in the next collective).

@@ -45,6 +45,25 @@ pub enum CacheDesign {
     },
 }
 
+impl CacheDesign {
+    /// Rejects a cache the trainer cannot size: `capacity_fraction` must be
+    /// a number in `(0, 1]` (NaN or a negative value would silently size a
+    /// zero-slot cache, a huge one would abort in its allocation).
+    pub(crate) fn validate(&self) -> Result<(), HetGmpError> {
+        match *self {
+            CacheDesign::DynamicLfu { capacity_fraction }
+                if !(capacity_fraction > 0.0 && capacity_fraction <= 1.0) =>
+            {
+                Err(HetGmpError::config(
+                    "cache.capacity_fraction",
+                    format!("must lie in (0, 1], got {capacity_fraction}"),
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// How the bigraph is partitioned.
 #[derive(Debug, Clone)]
 pub enum PartitionPolicy {
@@ -325,14 +344,7 @@ impl StrategyConfigBuilder {
                 ));
             }
         }
-        if let CacheDesign::DynamicLfu { capacity_fraction } = c.cache {
-            if !(capacity_fraction > 0.0 && capacity_fraction <= 1.0) {
-                return Err(HetGmpError::config(
-                    "cache.capacity_fraction",
-                    format!("must lie in (0, 1], got {capacity_fraction}"),
-                ));
-            }
-        }
+        c.cache.validate()?;
         Ok(self.cfg)
     }
 }

@@ -37,7 +37,7 @@ use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{
     load_run, run_encoded_len, save_run, BatchScratch, CachedWorkerEmbedding, CapacityStats,
     EmbeddingWorker, ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound,
-    TieredConfig, TieredTable, WorkerEmbedding, WorkerState,
+    TieredConfig, TieredTable, WorkerEmbedding, WorkerState, WriteExchange,
 };
 use hetgmp_partition::{Partition, PartitionMetrics};
 use hetgmp_telemetry::{
@@ -688,6 +688,9 @@ impl<'d> Trainer<'d> {
             }
             check_compute_scales(scales)?;
         }
+        // Likewise `StrategyConfig::het_cache` and a literal `CacheDesign`
+        // never pass through `StrategyBuilder::build`.
+        self.strategy.cache.validate()?;
         let mut manifest = RunManifest::new(
             cfg.seed,
             RunManifest::digest_of(&config_digest_text(&self.strategy, cfg)),
@@ -771,6 +774,7 @@ impl<'d> Trainer<'d> {
             }
         };
         let group = AllReduceGroup::new(n);
+        let exchange = WriteExchange::new(n);
         let mut ledger = TrafficLedger::from_registry(&registry);
         if let Some(t) = &self.tracer {
             ledger.attach_tracer(Arc::clone(t));
@@ -938,6 +942,7 @@ impl<'d> Trainer<'d> {
         let topology = &self.topology;
         let cost_ref = &cost;
         let group_ref = &group;
+        let exchange_ref = &exchange;
         let ledger_ref = &ledger;
         let samples_ctr = &samples_processed;
         let loss_sum_ref = &loss_sum_micro;
@@ -1011,6 +1016,7 @@ impl<'d> Trainer<'d> {
                             topology,
                             cost: cost_ref,
                             group: group_ref,
+                            exchange: exchange_ref,
                             ledger: ledger_ref,
                             dense_bytes,
                             flops_per_sample,
@@ -1754,6 +1760,25 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 78, "{err}");
         assert!(err.to_string().contains("checkpoint_dir"), "{err}");
+    }
+
+    #[test]
+    fn hand_built_lfu_fraction_is_an_error_not_a_zero_slot_cache() {
+        // NaN and negatives cast to a zero-slot cache and trained silently;
+        // a huge fraction aborted inside the cache's allocation.
+        let data = tiny_dataset();
+        for fraction in [f64::NAN, -0.5, 0.0, 1.5] {
+            let err = Trainer::new(
+                &data,
+                Topology::pcie_island(2),
+                StrategyConfig::het_cache(100, fraction),
+                fast_config(),
+            )
+            .try_run()
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 78, "{fraction}: {err}");
+            assert!(err.to_string().contains("cache.capacity_fraction"), "{fraction}: {err}");
+        }
     }
 
     #[test]

@@ -11,6 +11,21 @@ use crate::index::IdSlots;
 
 /// A fixed-capacity least-frequently-used cache of embedding rows with
 /// staleness bookkeeping compatible with the bounded-asynchrony protocol.
+///
+/// # Admission is amortised O(1)
+///
+/// Two facts make the victim search incremental. Slots are never freed (an
+/// eviction re-fills its slot at once), so the occupied slots are always
+/// `0..len()` and the first free one is `len()`. And a slot's frequency
+/// never falls: [`LfuCache::touch`] raises it to the row's global count,
+/// and an eviction installs a frequency strictly above the one it displaces.
+/// So the cache keeps `min_freq`, a lower bound on every slot's frequency,
+/// and `cursor`, below which every slot is strictly above `min_freq`: a
+/// candidate no hotter than `min_freq` is declined without a look at the
+/// slots, and the first coldest slot is the first slot at or after `cursor`
+/// still at `min_freq`. Only when the cursor runs off the end — no slot is
+/// left at that level — is the cache rescanned for the next minimum: one
+/// pass over the slots per minimum *level*, not per miss.
 #[derive(Debug)]
 pub struct LfuCache {
     dim: usize,
@@ -22,8 +37,12 @@ pub struct LfuCache {
     data: Vec<f32>,
     base_clock: Vec<u64>,
     local_updates: Vec<u64>,
-    /// In-cache access frequency per slot.
+    /// In-cache access frequency per slot; never decreases.
     slot_freq: Vec<u64>,
+    /// A lower bound on every occupied slot's frequency.
+    min_freq: u64,
+    /// Every slot below this index is strictly above `min_freq`.
+    cursor: usize,
     /// Global access counts, indexed by id and grown to the largest id
     /// touched (admission decisions need frequency estimates for *uncached*
     /// rows too).
@@ -44,6 +63,8 @@ impl LfuCache {
             base_clock: vec![0; capacity],
             local_updates: vec![0; capacity],
             slot_freq: vec![0; capacity],
+            min_freq: 0,
+            cursor: 0,
             counts: Vec::new(),
         }
     }
@@ -151,28 +172,43 @@ impl LfuCache {
         }
         let freq = self.counts.get(row as usize).copied().unwrap_or(0);
         if self.slots.len() < self.capacity {
-            let s = self.ids.iter().position(|&i| i == u32::MAX).expect("free slot");
+            let s = self.slots.len();
             self.slots.insert(row, s);
             self.install_at(s, row, values, primary_clock);
             self.slot_freq[s] = freq;
             return true;
         }
-        // Find the coldest victim.
-        let (victim_slot, &victim_freq) = self
-            .slot_freq
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, f)| *f)
-            .expect("non-empty cache");
-        if freq <= victim_freq {
+        let Some(victim_slot) = self.coldest_below(freq) else {
             return false;
-        }
+        };
         let victim_id = self.ids[victim_slot];
         self.slots.remove(victim_id);
         self.slots.insert(row, victim_slot);
         self.install_at(victim_slot, row, values, primary_clock);
         self.slot_freq[victim_slot] = freq;
         true
+    }
+
+    /// The first of the coldest slots of a full cache, if it is strictly
+    /// colder than `freq`; see the type docs for why this rarely scans.
+    fn coldest_below(&mut self, freq: u64) -> Option<usize> {
+        loop {
+            if freq <= self.min_freq {
+                return None;
+            }
+            let hotter = self.slot_freq[self.cursor..]
+                .iter()
+                .take_while(|&&f| f > self.min_freq)
+                .count();
+            self.cursor += hotter;
+            if self.cursor < self.capacity {
+                return Some(self.cursor);
+            }
+            // No slot is left at this level: the next minimum is the least
+            // frequency present, and it is first met at or after slot 0.
+            self.min_freq = *self.slot_freq.iter().min().expect("non-empty cache");
+            self.cursor = 0;
+        }
     }
 
     fn install_at(&mut self, slot: usize, row: u32, values: &[f32], primary_clock: u64) {
@@ -219,8 +255,102 @@ impl LfuCache {
 }
 
 #[cfg(test)]
+impl LfuCache {
+    /// [`LfuCache::admit`] as it was first written, kept as the oracle: one
+    /// scan for the first free slot, one for the first coldest slot, per
+    /// miss.
+    fn admit_reference(&mut self, row: u32, values: &[f32], primary_clock: u64) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        if let Some(s) = self.slots.get(row) {
+            self.install_at(s, row, values, primary_clock);
+            return true;
+        }
+        let freq = self.counts.get(row as usize).copied().unwrap_or(0);
+        let slot = if self.slots.len() < self.capacity {
+            self.ids.iter().position(|&i| i == u32::MAX).expect("free slot")
+        } else {
+            let (victim_slot, &victim_freq) = self
+                .slot_freq
+                .iter()
+                .enumerate()
+                .min_by_key(|&(_, f)| *f)
+                .expect("non-empty cache");
+            if freq <= victim_freq {
+                return false;
+            }
+            self.slots.remove(self.ids[victim_slot]);
+            victim_slot
+        };
+        self.slots.insert(row, slot);
+        self.install_at(slot, row, values, primary_clock);
+        self.slot_freq[slot] = freq;
+        true
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cursor finds the double scan's victim: the same admissions,
+        /// the same slot for every cached id, after every operation.
+        #[test]
+        fn admit_matches_double_scan_reference(
+            capacity_class in 0usize..5,
+            ids_class in 0usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let capacity = [0, 1, 2, 7, 64][capacity_class];
+            // Few ids against the capacity keeps most slots tied at the
+            // same few frequencies; many ids keeps the cache evicting.
+            let num_ids = [3u64, 9, 80, 400][ids_class];
+            let mut state = seed;
+            let mut next = move |n: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % n
+            };
+            let mut fast = LfuCache::new(1, capacity);
+            let mut slow = LfuCache::new(1, capacity);
+            for op in 0..400u64 {
+                let row = next(num_ids) as u32;
+                match next(4) {
+                    // A batch touches an id once and offers it if uncached —
+                    // the worker's sequence.
+                    0 | 1 => {
+                        prop_assert_eq!(fast.touch(row), slow.touch(row));
+                        if !slow.contains(row) {
+                            let clock = next(50);
+                            prop_assert_eq!(
+                                fast.admit(row, &[op as f32], clock),
+                                slow.admit_reference(row, &[op as f32], clock),
+                                "admit of row {} at op {}", row, op
+                            );
+                        }
+                    }
+                    // Touches alone pile ties up and lift cached slots.
+                    2 => prop_assert_eq!(fast.touch(row), slow.touch(row)),
+                    // An untouched offer (frequency possibly 0), or a
+                    // refresh in place when the row is cached.
+                    _ => prop_assert_eq!(
+                        fast.admit(row, &[op as f32], op),
+                        slow.admit_reference(row, &[op as f32], op),
+                        "offer of row {} at op {}", row, op
+                    ),
+                }
+                prop_assert_eq!(fast.cached_ids(), slow.cached_ids(), "op {}", op);
+                for id in slow.cached_ids() {
+                    prop_assert_eq!(fast.slot_of(id), slow.slot_of(id), "slot of {} at op {}", id, op);
+                    prop_assert_eq!(fast.effective_clock(id), slow.effective_clock(id));
+                }
+            }
+        }
+    }
 
     #[test]
     fn fills_free_slots_first() {

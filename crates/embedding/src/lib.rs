@@ -30,8 +30,10 @@
 //! * one embedding worker — a worker's view combining the store, the
 //!   [`Partition`](hetgmp_partition::Partition) and its own replicas: `read`
 //!   with staleness checks, `apply_gradients` with local reduction and
-//!   primary write-back, returning a [`ReadReport`]/[`UpdateReport`] of
-//!   every byte that would have crossed the interconnect. It knows the
+//!   primary write-back — at once, or routed by owner through a
+//!   [`WriteExchange`] and applied by each row's primary holder (§6) —
+//!   returning a [`ReadReport`]/[`UpdateReport`] of every byte that would
+//!   have crossed the interconnect. It knows the
 //!   whole bounded-staleness protocol and is generic over a small replica
 //!   policy holding what the two designs decide differently. Both are
 //!   reached through [`EmbeddingWorker`]:
@@ -61,6 +63,7 @@ pub mod store;
 pub mod table;
 pub mod tiered;
 mod worker;
+pub mod writeback;
 
 pub use cache::SecondaryCache;
 pub use cached_worker::CachedWorkerEmbedding;
@@ -77,6 +80,7 @@ pub use store::{CapacityStats, ReadPath, ReadPathStats, RowStore};
 pub use table::{BatchScratch, ShardedTable};
 pub use tiered::{TieredConfig, TieredTable};
 pub use worker::StalenessBound;
+pub use writeback::WriteExchange;
 
 pub use hetgmp_comms::SyncFormat;
 
@@ -97,6 +101,18 @@ pub trait EmbeddingWorker: Send {
         samples: &[&[u32]],
         grads: &[f32],
         opt: &SparseOpt,
+    ) -> UpdateReport;
+    /// The route half of [`EmbeddingWorker::apply_gradients`]: bins the
+    /// batch's reduced gradients into this worker's outboxes of `exchange`
+    /// by primary owner, touching no shared state, and returns the same
+    /// report. The owners apply them after the step's reads-done rendezvous
+    /// ([`WriteExchange::apply_owned`]).
+    fn route_gradients(
+        &mut self,
+        samples: &[&[u32]],
+        grads: &[f32],
+        opt: &SparseOpt,
+        exchange: &WriteExchange,
     ) -> UpdateReport;
     /// Flushes any deferred state (epoch/evaluation barriers).
     fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport;
@@ -146,6 +162,15 @@ impl<'a, P: ReplicaPolicy<'a>> EmbeddingWorker for Worker<'a, P> {
         opt: &SparseOpt,
     ) -> UpdateReport {
         Worker::apply_gradients(self, samples, grads, opt)
+    }
+    fn route_gradients(
+        &mut self,
+        samples: &[&[u32]],
+        grads: &[f32],
+        opt: &SparseOpt,
+        exchange: &WriteExchange,
+    ) -> UpdateReport {
+        Worker::route_gradients(self, samples, grads, opt, exchange)
     }
     fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport {
         Worker::flush_all(self, opt)

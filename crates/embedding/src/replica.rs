@@ -217,4 +217,10 @@ impl<'a> Worker<'a, StaticReplicas<'a>> {
     pub fn num_secondaries(&self) -> usize {
         self.policy.cache.len()
     }
+
+    /// Gradients waiting in the stale-gradient buffer of this worker's
+    /// replica of `e` (0 when it holds none).
+    pub fn pending_count(&self, e: u32) -> u32 {
+        self.policy.cache.pending_count(e)
+    }
 }

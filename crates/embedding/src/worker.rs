@@ -6,8 +6,11 @@
 //! [`Worker`] is the only place that knows the protocol: resolve, classify
 //! (local primary / replica under the intra check / remote), one batched
 //! fetch and its landing, the inter-embedding pass, scatter; reduce, route
-//! (direct / deferred / wire), one batched apply, mirror; flush, re-prime,
+//! (direct / deferred / wire) by primary owner, mirror; flush, re-prime,
 //! crash recovery; wire format, error feedback and the telemetry hooks.
+//! The apply half of a write-back is one batched `apply_grads` call, by
+//! this worker ([`Worker::apply_gradients`]) or by each row's owner after
+//! the step's rendezvous (the `writeback` module).
 //! What the two designs it serves disagree on — which rows are replicated
 //! and when — is a [`ReplicaPolicy`], chosen at compile time.
 //!
@@ -30,6 +33,7 @@ use crate::report::{ReadReport, Traffic, UpdateReport, META_ENTRY_BYTES};
 use crate::sparse_optim::SparseOpt;
 use crate::store::{ReadPath, RowStore};
 use crate::table::BatchScratch;
+use crate::writeback::WriteExchange;
 #[cfg(test)]
 use crate::table::ShardedTable;
 
@@ -99,7 +103,8 @@ struct HotScratch {
     reduce_buf: Vec<f32>,
     /// Unique ids of the batch, sorted for deterministic application.
     reduce_ids: Vec<u32>,
-    /// Rows routed to the single batched `apply_grads` call.
+    /// Rows `apply_gradients` routed to its single batched `apply_grads`
+    /// call (the trainer's steps route into a `WriteExchange` instead).
     apply_ids: Vec<u32>,
     /// Gradients aligned with `apply_ids`.
     apply_buf: Vec<f32>,
@@ -721,11 +726,71 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     /// the batch), then writes every reduced gradient to the row's primary;
     /// local replicas receive the same SGD-style delta and count a local
     /// update (their "stale gradient" copy).
+    ///
+    /// This is [`Worker::route_gradients`] with the apply half run at once,
+    /// by this worker, for every owner — one shard-grouped `apply_grads`
+    /// call. Concurrent callers must order themselves.
     pub fn apply_gradients(
         &mut self,
         samples: &[&[u32]],
         grads: &[f32],
         opt: &SparseOpt,
+    ) -> UpdateReport {
+        let mut ids = std::mem::take(&mut self.scratch.apply_ids);
+        let mut buf = std::mem::take(&mut self.scratch.apply_buf);
+        ids.clear();
+        buf.clear();
+        let report = self.route(samples, grads, opt, |_, e, g| {
+            ids.push(e);
+            buf.extend_from_slice(g);
+        });
+        if !ids.is_empty() {
+            let HotScratch {
+                batch,
+                apply_clocks,
+                ..
+            } = &mut self.scratch;
+            apply_clocks.clear();
+            apply_clocks.resize(ids.len(), 0);
+            self.table.apply_grads(&ids, &buf, opt, apply_clocks, batch);
+        }
+        self.scratch.apply_ids = ids;
+        self.scratch.apply_buf = buf;
+        report
+    }
+
+    /// The route half of the owner-ordered write phase (see the `writeback`
+    /// module): reduces the batch's per-lookup gradients, decides each
+    /// row's fate and bins what must reach a primary into this worker's
+    /// outboxes of `exchange`, by owner. Touches no shared state — the
+    /// owners apply after the step's reads-done rendezvous
+    /// ([`WriteExchange::apply_owned`]) — and reports exactly what
+    /// [`Worker::apply_gradients`] would.
+    pub fn route_gradients(
+        &mut self,
+        samples: &[&[u32]],
+        grads: &[f32],
+        opt: &SparseOpt,
+        exchange: &WriteExchange,
+    ) -> UpdateReport {
+        let mut out = exchange.route_from(self.worker as usize);
+        self.route(samples, grads, opt, |owner, e, g| {
+            out.push(owner as usize, e, g)
+        })
+    }
+
+    /// The one routing implementation: local reduction, then for every
+    /// unique row in ascending id either `emit(owner, row, gradient)` — a
+    /// local primary, an immediate write-back through the wire, or a
+    /// deferred row's merged flush once it hits its budget — or a deferral
+    /// into the replica's stale-gradient buffer. Emits each row at most
+    /// once.
+    fn route(
+        &mut self,
+        samples: &[&[u32]],
+        grads: &[f32],
+        opt: &SparseOpt,
+        mut emit: impl FnMut(u32, u32, &[f32]),
     ) -> UpdateReport {
         let dim = self.table.dim();
         let total: usize = samples.iter().map(|s| s.len()).sum();
@@ -738,14 +803,10 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         let lr = opt.learning_rate();
         // Taken out so routing can call `&mut self` flushes alongside them.
         let ids = std::mem::take(&mut self.scratch.reduce_ids);
-        let reduce_buf = std::mem::take(&mut self.scratch.reduce_buf);
+        let mut reduce_buf = std::mem::take(&mut self.scratch.reduce_buf);
         let mut delta = std::mem::take(&mut self.scratch.delta_buf);
         delta.clear();
         delta.resize(dim, 0.0);
-        let mut apply_ids = std::mem::take(&mut self.scratch.apply_ids);
-        let mut apply_buf = std::mem::take(&mut self.scratch.apply_buf);
-        apply_ids.clear();
-        apply_buf.clear();
         // Deferral budget: under a policy that defers, with a positive
         // staleness bound, gradients for locally-replicated rows are
         // *accumulated* in the secondary's stale-gradient buffer (paper §6)
@@ -762,19 +823,17 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             StalenessBound::Bounded(s) => Some((s / n).max(1)),
             StalenessBound::Infinite => Some(u64::MAX),
         };
-        // Route every reduced gradient. Direct applies (local primaries and
-        // immediate write-backs) are *collected* and applied in one
-        // shard-grouped `apply_grads` call below; deferred rows still flush
-        // inline when they hit their budget. Rows are distinct after
-        // reduction, so collecting commutes with a per-row interleave
-        // bit-for-bit.
+        // Rows are distinct after reduction, so the order they are emitted
+        // in — and whether a flush is applied inline or with the rest —
+        // cannot reach a stored bit.
         let mut wire_rows = 0u64;
+        let mut flushed = 0u64;
         for &e in &ids {
             let slot = self.scratch.index.slot(e) * dim;
-            let g = &reduce_buf[slot..slot + dim];
-            if self.part.primary_of(e) == self.worker {
-                apply_ids.push(e);
-                apply_buf.extend_from_slice(g);
+            let g = &mut reduce_buf[slot..slot + dim];
+            let owner = self.part.primary_of(e);
+            if owner == self.worker {
+                emit(owner, e, g);
                 report.local_updates += 1;
                 continue;
             }
@@ -782,50 +841,39 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             if let (Some(threshold), true) = (defer_threshold, replicated) {
                 // Mirror locally (uncounted — the clock advances at flush),
                 // defer the primary write-back.
-                for (d, &x) in delta.iter_mut().zip(g) {
+                for (d, &x) in delta.iter_mut().zip(g.iter()) {
                     *d = -lr * x;
                 }
                 let pending = self.policy.defer(e, &delta, g);
                 report.deferred += 1;
-                if pending >= threshold && self.flush_row(e, opt, &mut report) {
+                if pending >= threshold && self.take_flush(e, &mut report) {
+                    emit(owner, e, &self.scratch.row_buf);
                     report.remote_writebacks += 1;
+                    flushed += 1;
                 }
                 continue;
             }
             // Immediate write-back (no replica, s = 0, or an eager policy),
             // through the wire; the local mirror applies the transported
             // value.
-            apply_ids.push(e);
-            let start = apply_buf.len();
-            apply_buf.extend_from_slice(g);
-            if self.wire.push(e, &mut apply_buf[start..]) {
+            if self.wire.push(e, g) {
                 wire_rows += 1;
             }
             report.remote_writebacks += 1;
             self.count_remote_row(e, &mut report);
             if replicated {
-                for (d, &x) in delta.iter_mut().zip(&apply_buf[start..]) {
+                for (d, &x) in delta.iter_mut().zip(g.iter()) {
                     *d = -lr * x;
                 }
                 self.policy.mirror(e, &delta);
             }
+            emit(owner, e, g);
         }
         self.note_quant(wire_rows);
-        if !apply_ids.is_empty() {
-            let HotScratch {
-                batch, apply_clocks, ..
-            } = &mut self.scratch;
-            apply_clocks.clear();
-            apply_clocks.resize(apply_ids.len(), 0);
-            self.table
-                .apply_grads(&apply_ids, &apply_buf, opt, apply_clocks, batch);
-        }
         if let Some(r) = &self.recorder {
-            r.counter_add(names::HOTPATH_BATCH_APPLY_ROWS, apply_ids.len() as u64);
-            r.counter_add(
-                names::EMBED_UPDATE_DIRECT,
-                report.local_updates + report.remote_writebacks,
-            );
+            let direct = report.local_updates + report.remote_writebacks;
+            r.counter_add(names::HOTPATH_BATCH_APPLY_ROWS, direct - flushed);
+            r.counter_add(names::EMBED_UPDATE_DIRECT, direct);
             if P::DEFERS {
                 r.counter_add(names::EMBED_UPDATE_DEFERRED, report.deferred);
             }
@@ -833,8 +881,6 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         self.record_pending();
         self.scratch.delta_buf = delta;
         self.scratch.reduce_buf = reduce_buf;
-        self.scratch.apply_ids = apply_ids;
-        self.scratch.apply_buf = apply_buf;
         self.scratch.reduce_ids = ids;
         if let Some(t) = &self.tracer {
             if report.deferred > 0 {
@@ -851,23 +897,32 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         report
     }
 
-    /// Flushes row `e`'s pending gradient to its primary as one merged
-    /// update — through the wire, under `opt` — and accounts the write-back
-    /// into `report` (the read report when a sync forces the flush). False
-    /// when nothing was pending.
-    fn flush_row(&mut self, e: u32, opt: &SparseOpt, report: &mut impl Traffic) -> bool {
+    /// Moves row `e`'s pending gradient — one merged update — through the
+    /// wire into `scratch.row_buf` and accounts the write-back into
+    /// `report` (the read report when a sync forces the flush). False when
+    /// nothing was pending.
+    fn take_flush(&mut self, e: u32, report: &mut impl Traffic) -> bool {
         let buf = &mut self.scratch.row_buf;
         if !self.policy.take_pending(e, buf) {
             return false;
         }
         self.wire.push(e, buf);
-        self.table.apply_grad(e, buf, opt);
         if let Some(r) = &self.recorder {
             r.counter_add(names::EMBED_FLUSH_ROWS, 1);
         }
         self.note_quant(1);
         self.count_remote_row(e, report);
         true
+    }
+
+    /// [`Worker::take_flush`] applied to the primary at once, under `opt`:
+    /// the read path's flush-before-sync and the barrier flushes.
+    fn flush_row(&mut self, e: u32, opt: &SparseOpt, report: &mut impl Traffic) -> bool {
+        let taken = self.take_flush(e, report);
+        if taken {
+            self.table.apply_grad(e, &self.scratch.row_buf, opt);
+        }
+        taken
     }
 
     /// Flushes every pending deferred gradient (epoch boundaries,

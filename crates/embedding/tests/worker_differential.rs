@@ -20,6 +20,11 @@
 //! declined admissions (the placeholder never existed, the fill is a no-op),
 //! displacements of rows cached by earlier batches, and refreshes.
 //!
+//! The write phase has its own oracle at the end of the file: routing into a
+//! [`WriteExchange`] and letting every owner apply its rows must leave the
+//! table, the replicas and the reports exactly as the workers'
+//! `apply_gradients` called one rank at a time, ascending, does.
+//!
 //! What the scenario cannot reach, by construction of the LFU rule rather
 //! than for lack of trying: a batch evicting a row it admitted or refreshed
 //! *itself*. A batch touches each id once, admission is strict (`count >
@@ -35,8 +40,8 @@ use std::sync::Arc;
 use hetgmp_comms::ErrorFeedback;
 use hetgmp_embedding::report::META_ENTRY_BYTES;
 use hetgmp_embedding::{
-    CachedWorkerEmbedding, LfuCache, ReadReport, SecondaryCache, ShardedTable, SparseOpt,
-    StalenessBound, SyncFormat, UpdateReport, WorkerEmbedding,
+    CachedWorkerEmbedding, EmbeddingWorker, LfuCache, ReadReport, SecondaryCache, ShardedTable,
+    SparseOpt, StalenessBound, SyncFormat, UpdateReport, WorkerEmbedding, WriteExchange,
 };
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{AuditMode, ProtocolAuditor};
@@ -714,4 +719,353 @@ fn lfu_grows_past_its_first_seen_id() {
     assert_eq!(c.len(), 2);
     assert_eq!(c.cached_ids().len(), 2);
     assert!(c.contains(0));
+}
+
+// --- the owner-ordered write phase against the rank-ordered one ---------
+
+/// What the write-order oracle reads off a worker beside the trait: its
+/// replica of `e` as `(effective clock, deferred gradients waiting)`.
+trait Probe: EmbeddingWorker {
+    fn replica(&self, e: u32) -> (Option<u64>, u32);
+}
+
+impl Probe for WorkerEmbedding<'_> {
+    fn replica(&self, e: u32) -> (Option<u64>, u32) {
+        (self.replica_clock(e), self.pending_count(e))
+    }
+}
+
+impl Probe for CachedWorkerEmbedding<'_> {
+    fn replica(&self, e: u32) -> (Option<u64>, u32) {
+        (self.replica_clock(e), 0)
+    }
+}
+
+/// A row's stored state: value bits, Adagrad accumulator bits, clock.
+fn row_state(table: &ShardedTable, e: u32) -> (Vec<u32>, Vec<u32>, u64) {
+    let mut row = vec![0.0f32; table.dim()];
+    let mut accum = vec![0.0f32; table.dim()];
+    let clock = table.read_row(e, &mut row);
+    table.read_accum(e, &mut accum);
+    (bits(&row), bits(&accum), clock)
+}
+
+/// Rows every rank's every batch carries: owned by one rank, replicated (or
+/// cached) by all the others, so each step sends several sources' gradients
+/// to one owner's row and deferral budgets fill.
+const HOT: usize = 4;
+const ROWS: usize = 40;
+const STEPS: usize = 40;
+
+/// Runs `workers` (owner-ordered: route, then every owner applies) over
+/// `table` beside `twins` (rank-ordered `apply_gradients`) over `twin` and
+/// compares everything after every step. Returns how many write phases
+/// flushed a deferred gradient because it hit its budget.
+fn check_write_order<W: Probe>(
+    case: &str,
+    mut workers: Vec<W>,
+    mut twins: Vec<W>,
+    table: &ShardedTable,
+    twin: &ShardedTable,
+    opt: &SparseOpt,
+    rng: &mut Rng,
+) -> usize {
+    let (n, dim) = (workers.len(), table.dim());
+    let exchange = WriteExchange::new(n);
+    let mut flushes = 0;
+    for step in 0..STEPS {
+        // A rank's batch: the hot rows plus a draw of the rest, with
+        // repeats inside and across samples; every few steps one rank has
+        // nothing to write.
+        let idle = (step % 5 == 3).then(|| rng.below(n));
+        let batches: Vec<Vec<Vec<u32>>> = (0..n)
+            .map(|_| {
+                (0..1 + rng.below(3))
+                    .map(|_| {
+                        (0..HOT as u32)
+                            .chain((0..rng.below(10)).map(|_| rng.below(ROWS) as u32))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let grads: Vec<Vec<f32>> = batches
+            .iter()
+            .map(|b| {
+                let total: usize = b.iter().map(Vec::len).sum();
+                (0..total * dim)
+                    .map(|_| rng.below(2001) as f32 / 1000.0 - 1.0)
+                    .collect()
+            })
+            .collect();
+
+        // Reads, one rank at a time on both sides (a read-phase flush at
+        // s > 0 writes the table, so their order is part of the scenario).
+        for w in 0..n {
+            let samples: Vec<&[u32]> = batches[w].iter().map(Vec::as_slice).collect();
+            let mut out = vec![0.0f32; grads[w].len()];
+            let mut twin_out = out.clone();
+            let read = workers[w].read_batch(&samples, &mut out);
+            let twin_read = twins[w].read_batch(&samples, &mut twin_out);
+            assert_eq!(
+                read, twin_read,
+                "{case}: read report of rank {w}, step {step}"
+            );
+            assert_eq!(
+                bits(&out),
+                bits(&twin_out),
+                "{case}: rows read by rank {w}, step {step}"
+            );
+        }
+
+        // A deferring rank's replica clocks move in the write phase only
+        // when a budget flush turns its pending gradients into one update.
+        let clocks = |workers: &[W]| -> Vec<Option<u64>> {
+            let rows = 0..ROWS as u32;
+            workers
+                .iter()
+                .flat_map(|w| rows.clone().map(|e| w.replica(e).0))
+                .collect()
+        };
+        let clocks_before = clocks(&workers);
+
+        // Writes. The reference is the token ring's order: ascending rank.
+        // The exchange is routed and drained in *descending* rank, so only
+        // its own ordering can make the two agree.
+        let mut routed = vec![None; n];
+        for w in (0..n).rev().filter(|&w| Some(w) != idle) {
+            let samples: Vec<&[u32]> = batches[w].iter().map(Vec::as_slice).collect();
+            routed[w] = Some(workers[w].route_gradients(&samples, &grads[w], opt, &exchange));
+        }
+        for w in (0..n).rev() {
+            exchange.apply_owned(w, table, opt);
+        }
+        for w in (0..n).filter(|&w| Some(w) != idle) {
+            let samples: Vec<&[u32]> = batches[w].iter().map(Vec::as_slice).collect();
+            let applied = twins[w].apply_gradients(&samples, &grads[w], opt);
+            assert_eq!(
+                routed[w].as_ref(),
+                Some(&applied),
+                "{case}: report of rank {w}, step {step}"
+            );
+        }
+
+        for e in 0..ROWS as u32 {
+            assert_eq!(
+                row_state(table, e),
+                row_state(twin, e),
+                "{case}: row {e}, step {step}"
+            );
+            for w in 0..n {
+                assert_eq!(
+                    workers[w].replica(e),
+                    twins[w].replica(e),
+                    "{case}: rank {w}'s replica of row {e}, step {step}"
+                );
+            }
+        }
+        let clocks_after = clocks(&workers);
+        flushes += (0..n)
+            .filter(|&w| {
+                let mine = w * ROWS..(w + 1) * ROWS;
+                routed[w].as_ref().is_some_and(|r| r.deferred > 0)
+                    && clocks_before[mine.clone()] != clocks_after[mine]
+            })
+            .count();
+    }
+    // Nothing is left in flight on either side.
+    for w in 0..n {
+        assert_eq!(
+            exchange.apply_owned(w, table, opt),
+            0,
+            "{case}: undrained rows for {w}"
+        );
+        assert_eq!(
+            workers[w].flush_all(opt),
+            twins[w].flush_all(opt),
+            "{case}: final flush of {w}"
+        );
+    }
+    for e in 0..ROWS as u32 {
+        assert_eq!(
+            row_state(table, e),
+            row_state(twin, e),
+            "{case}: row {e} after the flush"
+        );
+    }
+    flushes
+}
+
+#[test]
+fn owner_ordered_matches_rank_ordered_reference() {
+    // {2, 3, 4 workers} x {static replicas at s = 0, 4, 100; LFU} x {f32,
+    // int8 + feedback} x {SGD, Adagrad}, two seeds each: 96 cases.
+    let mut cases = 0;
+    for n in [2usize, 3, 4] {
+        for policy in ["s0", "s4", "s100", "lfu"] {
+            for int8 in [false, true] {
+                for adagrad in [false, true] {
+                    for seed in [0x5EED_u64, 0xC0FFEE] {
+                        let case =
+                            format!("n {n} {policy} int8 {int8} adagrad {adagrad} seed {seed:#x}");
+                        let mut rng = Rng(seed ^ (cases as u64) << 32);
+                        let primaries: Vec<u32> = (0..ROWS).map(|_| rng.below(n) as u32).collect();
+                        let mut part = Partition::new(n, vec![0; 1], primaries.clone());
+                        for e in 0..ROWS as u32 {
+                            for w in 0..n as u32 {
+                                let hot = (e as usize) < HOT;
+                                if primaries[e as usize] != w && (hot || rng.below(3) == 0) {
+                                    part.add_replica(e, w);
+                                }
+                            }
+                        }
+                        let freq: Vec<u64> = (0..ROWS).map(|_| 1 + rng.below(50) as u64).collect();
+                        let opt = if adagrad {
+                            SparseOpt::adagrad(0.05)
+                        } else {
+                            SparseOpt::sgd(0.1)
+                        };
+                        let format = if int8 {
+                            SyncFormat::Int8
+                        } else {
+                            SyncFormat::F32
+                        };
+                        let dim = 1 + rng.below(4);
+                        let table = ShardedTable::new(ROWS, dim, 0.1, seed);
+                        let twin = ShardedTable::new(ROWS, dim, 0.1, seed);
+                        if policy == "lfu" {
+                            // Room for the hot rows and a few more: the
+                            // mirrors of evicted rows come and go.
+                            let make = |t| -> Vec<CachedWorkerEmbedding> {
+                                (0..n as u32)
+                                    .map(|w| {
+                                        let mut worker = CachedWorkerEmbedding::new(
+                                            w,
+                                            t,
+                                            &part,
+                                            HOT + 3,
+                                            StalenessBound::Bounded(100),
+                                        );
+                                        worker.set_sync_format(format, true);
+                                        worker
+                                    })
+                                    .collect()
+                            };
+                            check_write_order(
+                                &case,
+                                make(&table),
+                                make(&twin),
+                                &table,
+                                &twin,
+                                &opt,
+                                &mut rng,
+                            );
+                        } else {
+                            let s = policy[1..].parse().expect("staleness");
+                            let make = |t| -> Vec<WorkerEmbedding> {
+                                (0..n as u32)
+                                    .map(|w| {
+                                        let mut worker = WorkerEmbedding::new(
+                                            w,
+                                            t,
+                                            &part,
+                                            &freq,
+                                            StalenessBound::Bounded(s),
+                                        );
+                                        worker.set_sync_format(format, true);
+                                        worker
+                                    })
+                                    .collect()
+                            };
+                            let flushes = check_write_order(
+                                &case,
+                                make(&table),
+                                make(&twin),
+                                &table,
+                                &twin,
+                                &opt,
+                                &mut rng,
+                            );
+                            // The deferral budget max(1, s / n) is hit within
+                            // the run everywhere but at s = 0 (nothing is
+                            // deferred) and s = 100 on two workers (50).
+                            assert_eq!(flushes > 0, s == 4 || (s == 100 && n > 2), "{case}");
+                        }
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases >= 64);
+}
+
+/// The hand-off itself, across real threads: four ranks publish, meet at a
+/// barrier, drain and apply their own rows, and meet again (the step's
+/// closing collective), 120 times; every few rounds a rank has nothing to
+/// publish. The table must end as if every round's contributions had been
+/// applied one source at a time in ascending rank. (`make tsan` runs this
+/// under ThreadSanitizer.)
+#[test]
+fn write_exchange_hands_off_across_threads() {
+    const N: usize = 4;
+    const ROUNDS: usize = 120;
+    let dim = 3;
+    let opt = SparseOpt::adagrad(0.05);
+    // What `src` contributes in `round`, in routing order: the hot rows
+    // (every source hits every owner) and a few of its own choosing.
+    let contributions = |round: usize, src: usize| -> Vec<(u32, Vec<f32>)> {
+        if (round + src).is_multiple_of(5) {
+            return Vec::new();
+        }
+        let mut rng = Rng((round * N + src) as u64);
+        (0..HOT as u32)
+            .chain((0..rng.below(12)).map(|k| (HOT + (7 * k + src + round) % (ROWS - HOT)) as u32))
+            .map(|row| {
+                (
+                    row,
+                    (0..dim)
+                        .map(|_| rng.below(2001) as f32 / 1000.0 - 1.0)
+                        .collect(),
+                )
+            })
+            .collect()
+    };
+    let table = ShardedTable::new(ROWS, dim, 0.1, 11);
+    let exchange = WriteExchange::new(N);
+    let group = hetgmp_comms::AllReduceGroup::new(N);
+    std::thread::scope(|scope| {
+        for rank in 0..N {
+            let (table, exchange, group) = (&table, &exchange, &group);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let rows = contributions(round, rank);
+                    if !rows.is_empty() {
+                        let mut out = exchange.route_from(rank);
+                        for (row, g) in &rows {
+                            out.push(*row as usize % N, *row, g);
+                        }
+                    }
+                    group.barrier();
+                    let expected: usize = (0..N)
+                        .flat_map(|src| contributions(round, src))
+                        .filter(|(row, _)| *row as usize % N == rank)
+                        .count();
+                    assert_eq!(exchange.apply_owned(rank, table, &opt), expected);
+                    group.barrier();
+                }
+            });
+        }
+    });
+    let twin = ShardedTable::new(ROWS, dim, 0.1, 11);
+    for round in 0..ROUNDS {
+        for src in 0..N {
+            for (row, g) in contributions(round, src) {
+                twin.apply_grad(row, &g, &opt);
+            }
+        }
+    }
+    for e in 0..ROWS as u32 {
+        assert_eq!(row_state(&table, e), row_state(&twin, e), "row {e}");
+    }
 }

@@ -10,6 +10,11 @@
 #   mutex, through per-slot locks, fenced only by the round's counters; the
 #   unit suite (the threaded stress that reorders arrivals and switches op
 #   and length between rounds included) runs under TSan.
+# * `WriteExchange`, the write phase's hand-off. A source fills its
+#   outboxes before the reads-done barrier and each owner drains its column
+#   after it; `write_exchange_hands_off_across_threads` (four ranks, 120
+#   publish / barrier / drain rounds, a rank idle every few) is the witness
+#   that the barrier is all the ordering the uncontended cell locks need.
 #
 # TSan needs a nightly toolchain (and, on some installs, the rust-src
 # component to rebuild std instrumented). Neither is a build dependency of
@@ -39,7 +44,7 @@ case $host in
     ;;
 esac
 
-echo "tsan: running the read-path and allreduce suites under ThreadSanitizer ($host)"
+echo "tsan: running the read-path, allreduce and write-exchange suites under ThreadSanitizer ($host)"
 
 # Instrumenting std requires -Zbuild-std, which needs rust-src; fall back
 # to uninstrumented std (still catches races between our own atomics and
@@ -68,5 +73,6 @@ tsan_test() {
 }
 tsan_test -p hetgmp-embedding --test read_path
 tsan_test -p hetgmp-comms --lib allreduce
+tsan_test -p hetgmp-embedding --test worker_differential write_exchange_hands_off
 
 echo "tsan: OK"

@@ -119,8 +119,9 @@ struct Golden {
 
 /// Pinned by running the suite once and copying the printed rows; see
 /// `seed_sweep_matches_goldens` for the regeneration procedure. The runs
-/// are deterministic by construction (phase fences + rank-ordered
-/// write-backs), so these are equality pins, not statistical checks.
+/// are deterministic by construction (phase fences + every row's
+/// write-backs applied by its owner in ascending source rank), so these are
+/// equality pins, not statistical checks.
 #[rustfmt::skip]
 const GOLDENS: &[Golden] = &[
     Golden { strategy: "bsp", seed: 42, final_auc: 0.6422222222222222, train_loss: 0.5607099285714285, samples: 3584, intra_reads: 112, inter_checks: 279 },
@@ -147,6 +148,15 @@ fn golden_run_with(
     seed: u64,
     sync_format: Option<het_gmp::comms::SyncFormat>,
 ) -> het_gmp::core::trainer::TrainResult {
+    golden_run_on(2, strategy, seed, sync_format)
+}
+
+fn golden_run_on(
+    workers: usize,
+    strategy: &str,
+    seed: u64,
+    sync_format: Option<het_gmp::comms::SyncFormat>,
+) -> het_gmp::core::trainer::TrainResult {
     let mut spec = DatasetSpec::avazu_like(0.03);
     spec.cluster_affinity = 0.9;
     let data = generate(&spec);
@@ -159,12 +169,13 @@ fn golden_run_with(
         "bsp" => StrategyConfig::het_gmp(0),
         "ssp" => StrategyConfig::het_gmp(100),
         "asp" => StrategyConfig::het_gmp_asp(),
+        "mp" => StrategyConfig::het_mp(),
         "lfu" => StrategyConfig::het_cache(100, 0.1),
         other => panic!("unknown strategy {other}"),
     };
     Trainer::new(
         &data,
-        Topology::pcie_island(2),
+        Topology::pcie_island(workers),
         strat,
         TrainerConfig {
             epochs: 2,
@@ -370,6 +381,83 @@ fn seed_sweep_matches_goldens() {
     assert!(
         failures.is_empty(),
         "golden drift:\n{}\nactual rows (paste into GOLDENS after an \
+         intentional math change):\n{rows}",
+        failures.join("\n")
+    );
+}
+
+/// The seed sweep's columns past two workers, on the configurations with no
+/// read-phase flush — `het_gmp(0)`, `het_mp` and `het_cache(100, 0.1)`
+/// defer nothing, so nothing is written while a peer reads and the runs
+/// repeat at any worker count. `het_gmp(s > 0)` at three or more workers
+/// stays property-tested until ROADMAP item 1 lands.
+#[rustfmt::skip]
+const WIDE_GOLDENS: &[(usize, Golden)] = &[
+    (3, Golden { strategy: "bsp", seed: 42, final_auc: 0.6536111111111111, train_loss: 0.5695366, samples: 3840, intra_reads: 120, inter_checks: 6351 }),
+    (3, Golden { strategy: "bsp_int8", seed: 42, final_auc: 0.6569444444444444, train_loss: 0.5693578, samples: 3840, intra_reads: 120, inter_checks: 6351 }),
+    (3, Golden { strategy: "mp", seed: 42, final_auc: 0.6443055555555556, train_loss: 0.5636829333333334, samples: 3840, intra_reads: 0, inter_checks: 0 }),
+    (3, Golden { strategy: "mp_int8", seed: 42, final_auc: 0.6431944444444444, train_loss: 0.5640148666666666, samples: 3840, intra_reads: 0, inter_checks: 0 }),
+    (3, Golden { strategy: "lfu", seed: 42, final_auc: 0.6420833333333333, train_loss: 0.5612532666666666, samples: 3840, intra_reads: 459, inter_checks: 0 }),
+    (3, Golden { strategy: "lfu_int8", seed: 42, final_auc: 0.6502777777777777, train_loss: 0.5621496, samples: 3840, intra_reads: 459, inter_checks: 0 }),
+    (4, Golden { strategy: "bsp", seed: 42, final_auc: 0.6409722222222223, train_loss: 0.564300125, samples: 4096, intra_reads: 128, inter_checks: 330 }),
+    (4, Golden { strategy: "bsp_int8", seed: 42, final_auc: 0.6433333333333333, train_loss: 0.564523125, samples: 4096, intra_reads: 128, inter_checks: 330 }),
+    (4, Golden { strategy: "mp", seed: 42, final_auc: 0.6666666666666666, train_loss: 0.573869375, samples: 4096, intra_reads: 0, inter_checks: 0 }),
+    (4, Golden { strategy: "mp_int8", seed: 42, final_auc: 0.6661111111111111, train_loss: 0.5743075, samples: 4096, intra_reads: 0, inter_checks: 0 }),
+    (4, Golden { strategy: "lfu", seed: 42, final_auc: 0.6665277777777778, train_loss: 0.574069125, samples: 4096, intra_reads: 387, inter_checks: 0 }),
+    (4, Golden { strategy: "lfu_int8", seed: 42, final_auc: 0.66625, train_loss: 0.5743114375, samples: 4096, intra_reads: 387, inter_checks: 0 }),
+];
+
+/// A `WIDE_GOLDENS` row as source text: what is compared, and what is
+/// pasted back after an intentional math change.
+fn wide_row(workers: usize, g: &Golden) -> String {
+    format!(
+        "({workers}, Golden {{ strategy: \"{}\", seed: {}, final_auc: {:?}, train_loss: {:?}, \
+         samples: {}, intra_reads: {}, inter_checks: {} }}),",
+        g.strategy, g.seed, g.final_auc, g.train_loss, g.samples, g.intra_reads, g.inter_checks,
+    )
+}
+
+/// Three and four workers reproduce their pinned rows, and a second run of
+/// the same configuration reproduces the first to the last bit.
+#[test]
+fn wide_seed_sweep_matches_goldens_and_repeats() {
+    let mut rows = String::new();
+    let mut failures = Vec::new();
+    for workers in [3usize, 4] {
+        for strategy in ["bsp", "bsp_int8", "mp", "mp_int8", "lfu", "lfu_int8"] {
+            let run = || {
+                let r = golden_run_on(workers, strategy, 42, None);
+                let audit = r.audit.expect("audit enabled");
+                assert_eq!(audit.total_violations(), 0, "{workers}/{strategy}: {}", audit.render());
+                let measured = Golden {
+                    strategy,
+                    seed: 42,
+                    final_auc: r.final_auc,
+                    train_loss: r.curve.last().expect("curve").train_loss,
+                    samples: r.samples_processed,
+                    intra_reads: audit.intra_reads,
+                    inter_checks: audit.inter_checks,
+                };
+                wide_row(workers, &measured)
+            };
+            let (first, second) = (run(), run());
+            if first != second {
+                failures.push(format!("{workers}/{strategy}: two runs differ:\n{first}\n{second}"));
+            }
+            let pinned = WIDE_GOLDENS
+                .iter()
+                .find(|(w, g)| *w == workers && g.strategy == strategy)
+                .map(|(w, g)| wide_row(*w, g));
+            if pinned.as_deref() != Some(first.as_str()) {
+                failures.push(format!("{workers}/{strategy}: {first} != pinned {pinned:?}"));
+            }
+            rows.push_str(&format!("    {first}\n"));
+        }
+    }
+    println!("wide golden rows:\n{rows}");
+    assert!(
+        failures.is_empty(),
+        "wide golden drift:\n{}\nactual rows (paste into WIDE_GOLDENS after an \
          intentional math change):\n{rows}",
         failures.join("\n")
     );
