@@ -618,11 +618,14 @@ mod tests {
         // The allocating `CtrModel::forward` is gone; these are the scores
         // `Trainer::evaluate` computed through it on this batch (printed by
         // the parent commit's tree), and the tape path must still produce
-        // exactly them for every architecture.
+        // exactly them for every architecture. Re-based once when the GEMM
+        // nest's depth step became one fused multiply-add (a single
+        // rounding): WDL's scores 4 and 5 and DIN's 1, 5 and 6 moved by one
+        // to three ulps; DCN's and DeepFM's did not move.
         let pinned: [(ModelKind, [u32; 6]); 4] = [
             (
                 ModelKind::Wdl,
-                [0x3eca47ec, 0x3e6abd72, 0x3e18898b, 0x3e697973, 0x3e888f93, 0x3e7f17b0],
+                [0x3eca47ec, 0x3e6abd72, 0x3e18898b, 0x3e697970, 0x3e888f95, 0x3e7f17b0],
             ),
             (
                 ModelKind::Dcn,
@@ -634,7 +637,7 @@ mod tests {
             ),
             (
                 ModelKind::Din,
-                [0x3ec42624, 0x3e9edfb4, 0x3eac7f94, 0x3e9c504d, 0x3ea346c0, 0x3e813c18],
+                [0x3ec42623, 0x3e9edfb4, 0x3eac7f94, 0x3e9c504d, 0x3ea346bf, 0x3e813c17],
             ),
         ];
         for (kind, want) in pinned {

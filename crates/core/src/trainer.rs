@@ -178,7 +178,9 @@ impl TrainerConfig {
     /// Unlike struct-literal construction, [`TrainerConfigBuilder::build`]
     /// rejects invalid hyper-parameters (`dim == 0`, empty `hidden`,
     /// `test_fraction` outside `(0, 1)`) with a [`HetGmpError::Config`]
-    /// instead of panicking deep inside training.
+    /// instead of panicking deep inside training. `Trainer::try_run`
+    /// repeats the checks a struct literal would bypass on the dense step
+    /// (`dense_lr`, `grad_clip`) and on `compute_scales`.
     pub fn builder() -> TrainerConfigBuilder {
         TrainerConfigBuilder {
             cfg: Self::default(),
@@ -229,7 +231,7 @@ impl TrainerConfigBuilder {
         self
     }
 
-    /// Dense-parameter learning rate.
+    /// Dense-parameter learning rate (finite, non-negative).
     pub fn dense_lr(mut self, lr: f32) -> Self {
         self.cfg.dense_lr = lr;
         self
@@ -253,7 +255,7 @@ impl TrainerConfigBuilder {
         self
     }
 
-    /// Dense gradient clip (`None` disables).
+    /// Dense gradient clip (`None` disables; otherwise finite, positive).
     pub fn grad_clip(mut self, clip: Option<f32>) -> Self {
         self.cfg.grad_clip = clip;
         self
@@ -351,6 +353,7 @@ impl TrainerConfigBuilder {
         if let Some(scales) = &c.compute_scales {
             check_compute_scales(scales)?;
         }
+        check_dense_step(c.dense_lr, c.grad_clip)?;
         if c.checkpoint_every > 0 && c.checkpoint_dir.is_none() {
             return Err(HetGmpError::config(
                 "checkpoint_every",
@@ -383,6 +386,28 @@ fn check_compute_scales(scales: &[f64]) -> Result<(), HetGmpError> {
             "compute_scales",
             "every slowdown factor must be positive and finite",
         ));
+    }
+    Ok(())
+}
+
+/// The dense step scales every gradient by `clip / norm` once the norm
+/// exceeds `clip`, then steps by `-dense_lr`: a clip that is not a finite
+/// positive number, or a rate that is not a finite non-negative one, climbs
+/// the loss or turns the parameters into NaN.
+fn check_dense_step(dense_lr: f32, grad_clip: Option<f32>) -> Result<(), HetGmpError> {
+    if !(dense_lr.is_finite() && dense_lr >= 0.0) {
+        return Err(HetGmpError::config(
+            "dense_lr",
+            format!("must be finite and non-negative, got {dense_lr}"),
+        ));
+    }
+    if let Some(clip) = grad_clip {
+        if !(clip.is_finite() && clip > 0.0) {
+            return Err(HetGmpError::config(
+                "grad_clip",
+                format!("must be None or finite and positive, got {clip}"),
+            ));
+        }
     }
     Ok(())
 }
@@ -688,6 +713,7 @@ impl<'d> Trainer<'d> {
             }
             check_compute_scales(scales)?;
         }
+        check_dense_step(cfg.dense_lr, cfg.grad_clip)?;
         // Likewise `StrategyConfig::het_cache` and a literal `CacheDesign`
         // never pass through `StrategyBuilder::build`.
         self.strategy.cache.validate()?;
@@ -1805,6 +1831,48 @@ mod tests {
             assert_eq!(err.exit_code(), 78, "{err}");
             assert!(err.to_string().contains("compute_scales"), "{err}");
             assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn dense_step_hyper_parameters_are_checked() {
+        // A negative clip flipped every dense step uphill (and an all-zero
+        // gradient to NaN), a NaN clip disabled clipping, and a NaN,
+        // infinite or negative rate diverged — all silently. A zero rate
+        // freezes the dense model and is allowed.
+        let data = tiny_dataset();
+        for v in [f32::NAN, -1.0, 0.0, f32::INFINITY] {
+            let lr = TrainerConfig {
+                dense_lr: v,
+                ..fast_config()
+            };
+            let clip = TrainerConfig {
+                grad_clip: Some(v),
+                ..fast_config()
+            };
+            for (field, cfg, ok) in [("dense_lr", lr, v == 0.0), ("grad_clip", clip, false)] {
+                let built = TrainerConfig::builder()
+                    .dense_lr(cfg.dense_lr)
+                    .grad_clip(cfg.grad_clip)
+                    .build();
+                let run = Trainer::new(
+                    &data,
+                    Topology::pcie_island(2),
+                    StrategyConfig::het_gmp(100),
+                    TrainerConfig { epochs: 0, ..cfg },
+                )
+                .try_run();
+                for err in [built.err(), run.err()] {
+                    match err {
+                        None => assert!(ok, "{field} = {v} was accepted"),
+                        Some(err) => {
+                            assert!(!ok, "{field} = {v}: {err}");
+                            assert_eq!(err.exit_code(), 78, "{err}");
+                            assert!(err.to_string().contains(field), "{err}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -36,17 +36,32 @@
 //! For a given shape every output element is accumulated in one fixed
 //! summation order: a single accumulator per element, seeded by the
 //! epilogue (`+0.0`, the bias, or the previous output), sequential over the
-//! depth index `p`. Everything else — tile shape, panel packing and its
-//! zero padding, the order tiles are visited in, the depth chunking
-//! (partial sums round-trip through `out` as exact f32 stores/loads), the
-//! lane a product is computed in before `row_dots` transposes it, the ISA
-//! the nest is compiled for — only regroups *independent* elements and
-//! never reassociates a single element's sum. Rust does not contract
-//! `mul`+`add` into fused multiply-add, so every tier performs the
-//! identical IEEE operation sequence per element and results are
-//! bit-for-bit reproducible across runs, machines, and dispatch paths
-//! (`dispatch_matches_portable_body` pins every tier the host has against
-//! the portable tile, and all of them against a scalar triple loop).
+//! depth index `p`. What one depth step is follows from two rules:
+//!
+//! 1. In the nest (every product with `n ≥ 2`) a step is one IEEE fused
+//!    multiply-add, `acc = a.mul_add(b, acc)`: one rounding per step.
+//! 2. In the single-column kernels (`n = 1`: `row_dots` and the segment
+//!    branch of `gemm`) a step is a multiply and then an add, two
+//!    roundings. Rust never contracts `mul`+`add` on its own, so these
+//!    stay unfused on every tier.
+//!
+//! Both operations are exactly specified by IEEE 754, so every tier
+//! computes the identical value per element. Everything else — tile
+//! shape, panel packing and its zero padding, the order tiles are visited
+//! in, the depth chunking (partial sums round-trip through `out` as exact
+//! f32 stores/loads), the lane a product is computed in before `row_dots`
+//! transposes it, the ISA the nest is compiled for — only regroups
+//! *independent* elements and never reassociates a single element's sum.
+//! Results are bit-for-bit reproducible across runs, machines, and
+//! dispatch paths (`dispatch_matches_portable_body` pins every tier the
+//! host has against the portable tile, and all of them against a scalar
+//! triple loop that follows the same two rules).
+//!
+//! The AVX2 and AVX-512 tiers compile the nest with FMA enabled, and their
+//! `detected` checks it. The portable tier enables nothing, so there each
+//! lane's `mul_add` is a call to `fmaf`, which runs on the FMA unit when
+//! the CPU has one and in software when it does not: the same bits, far
+//! slower.
 //!
 //! The naive reference kernels live in [`mod@reference`]; differential tests pin
 //! the blocked kernels against them (relative error ≤ 1e-5 — blocked tiling
@@ -175,21 +190,29 @@ struct Tier {
 
 /// The dispatch table, best tier first. Tile shapes: the portable tile is
 /// 4×8 (two SSE vectors per row); AVX2 is 4×16, two YMM per row giving
-/// eight independent add chains — enough to cover the vector-add latency
-/// with 16 registers; AVX-512 is 8×32, sixteen ZMM chains (32 registers),
-/// which halves the operand loads per multiply against 4×32 and keeps
-/// eight chains in flight on the 16- and 8-wide rungs of the tail ladder.
+/// eight independent FMA chains — enough to cover the FMA latency on two
+/// ports with 16 registers; AVX-512 is 8×32, sixteen ZMM chains (32
+/// registers), which halves the operand loads per multiply against 4×32
+/// and keeps eight chains in flight on the 16- and 8-wide rungs of the tail
+/// ladder.
 static TIERS: &[Tier] = &[
+    // `avx512f` implies `fma` at compile time; checked here all the same.
     #[cfg(target_arch = "x86_64")]
     Tier {
         name: "avx512f",
-        detected: || std::arch::is_x86_feature_detected!("avx512f"),
+        detected: || {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("fma")
+        },
         nest: nest_avx512,
     },
     #[cfg(target_arch = "x86_64")]
     Tier {
         name: "avx2",
-        detected: || std::arch::is_x86_feature_detected!("avx2"),
+        detected: || {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        },
         nest: nest_avx2,
     },
     Tier {
@@ -204,7 +227,7 @@ fn nest_portable(g: &Product<'_>, out: &mut [f32], ws: &mut [f32]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn nest_avx2(g: &Product<'_>, out: &mut [f32], ws: &mut [f32]) {
     nest::<4, 16>(g, out, ws);
 }
@@ -446,7 +469,8 @@ fn nest<const R: usize, const C: usize>(g: &Product<'_>, out: &mut [f32], ws: &m
     }
 }
 
-/// `acc[r][..] += a[r] · b[..]` for each listed row, one statement per row.
+/// `acc[r][..] = fma(a[r], b[..], acc[r][..])` for each listed row, one
+/// statement per row: a single-rounding fused multiply-add per lane.
 /// Spelled out because a `for r in 0..R` here is a loop LLVM may vectorize
 /// *across rows* (at `R = 8` it does: gathers and scatters over a spilled
 /// tile); with the rows unrolled by hand only the lane loop is left.
@@ -454,7 +478,7 @@ macro_rules! fma_rows {
     ($acc:ident, $a:ident, $b:ident; $($r:literal)+) => {{
         $(
             for c in 0..W {
-                $acc[$r][c] += $a[$r] * $b[c];
+                $acc[$r][c] = $a[$r].mul_add($b[c], $acc[$r][c]);
             }
         )+
     }};
@@ -489,8 +513,8 @@ fn sweep<const R: usize, const W: usize>(
                 }
             }
         }
-        // The microkernel: one multiply and one add per element and depth
-        // step, ascending `p`, never contracted.
+        // The microkernel: one fused multiply-add per element and depth
+        // step, ascending `p`.
         for (av, bv) in ap.chunks_exact(R).zip(bp.chunks_exact(W)) {
             let av: &[f32; R] = av.try_into().unwrap();
             let bv: &[f32; W] = bv.try_into().unwrap();
@@ -830,9 +854,10 @@ mod tests {
         Epilogue::BiasRelu,
     ];
 
-    /// The oracle every kernel is pinned to: the scalar tail loop of the
-    /// pre-nest bodies, run over the whole product. One accumulator per
-    /// output, seeded by the epilogue, ascending `p`.
+    /// The oracle every kernel is pinned to: one accumulator per output,
+    /// seeded by the epilogue, ascending `p`, each step a fused
+    /// multiply-add when `n ≥ 2` (the nest) and a multiply then an add
+    /// when `n = 1` (the single-column kernels).
     #[allow(clippy::too_many_arguments)]
     fn scalar_oracle(
         variant: &str,
@@ -853,11 +878,12 @@ mod tests {
                     Epilogue::Bias | Epilogue::BiasRelu => bias[j],
                 };
                 for p in 0..k {
-                    s += match variant {
-                        "nn" => a[i * k + p] * b[p * n + j],
-                        "tn" => a[p * m + i] * b[p * n + j],
-                        _ => a[i * k + p] * b[j * k + p],
+                    let (x, y) = match variant {
+                        "nn" => (a[i * k + p], b[p * n + j]),
+                        "tn" => (a[p * m + i], b[p * n + j]),
+                        _ => (a[i * k + p], b[j * k + p]),
                     };
+                    s = if n == 1 { s + x * y } else { x.mul_add(y, s) };
                 }
                 out[i * n + j] = if epi == Epilogue::BiasRelu && s <= 0.0 {
                     0.0
@@ -903,9 +929,10 @@ mod tests {
 
     /// Every tier the host has must be bit-identical to the portable 4×8
     /// tile, and both to the scalar loop: the per-element summation order is
-    /// the same and Rust never contracts mul+add, so any divergence is a
-    /// kernel bug. The widths walk every rung of every tier's column ladder
-    /// and its padded remainder, the heights every partial row tile, the
+    /// the same and each step is the same exactly specified IEEE operation
+    /// (see `scalar_oracle`), so any divergence is a kernel bug. The widths
+    /// walk every rung of every tier's column ladder and its padded
+    /// remainder, the heights every partial row tile, the
     /// depths the empty product, the single step and the `KC` seam; `n = 1`
     /// and `k = 1` are the degenerate kernels.
     #[test]
@@ -944,6 +971,35 @@ mod tests {
             negative_zeros > 0,
             "the inputs must drive some sums to -0.0"
         );
+    }
+
+    /// Each depth step of the nest rounds once. With `x = 1 + 2⁻¹²`,
+    /// `x·x = 1 + 2⁻¹¹ + 2⁻²⁴` is a tie that a separate multiply rounds
+    /// down to `1 + 2⁻¹¹`; so `-(1 + 2⁻¹¹)·1 + x·x` is exactly `2⁻²⁴`
+    /// fused and `0` unfused, in every lane, tier and variant.
+    #[test]
+    fn nest_rounds_once_per_depth_step() {
+        let x = 1.0 + 2f32.powi(-12);
+        let (a_row, b_col) = ([-(1.0 + 2f32.powi(-11)), x], [1.0, x]);
+        let (m, k, n) = (9, 2, 33);
+        let want = vec![2f32.powi(-24); m * n];
+        for tier in detected_tiers() {
+            for variant in ["nn", "tn", "nt"] {
+                // `a[i, p]` and `b[p, j]` in each variant's layout.
+                let a: Vec<f32> = match variant {
+                    "tn" => (0..k * m).map(|e| a_row[e / m]).collect(),
+                    _ => (0..m * k).map(|e| a_row[e % k]).collect(),
+                };
+                let b: Vec<f32> = match variant {
+                    "nt" => (0..n * k).map(|e| b_col[e % k]).collect(),
+                    _ => (0..k * n).map(|e| b_col[e / n]).collect(),
+                };
+                let mut got = vec![f32::NAN; m * n];
+                let epi = Epilogue::Store;
+                gemm_on(tier, variant, m, k, n, &a, &b, &[], epi, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{} {variant}", tier.name);
+            }
+        }
     }
 
     /// `row_dots` against one scalar chain per row: every row count around
