@@ -5,7 +5,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test clippy doc lint-metrics fault-matrix inspect-smoke tsan \
+.PHONY: build test clippy doc lint-metrics lint-rounding fault-matrix inspect-smoke tsan \
 	verify bench bench-baseline bench-smoke bench-dense bench-dense-smoke \
 	bench-comms bench-comms-smoke bench-capacity bench-capacity-smoke \
 	bench-schema benchmark-smoke clean
@@ -29,6 +29,12 @@ doc:
 # hetgmp_telemetry::names and documented in TELEMETRY.md.
 lint-metrics:
 	sh scripts/check_metric_names.sh
+
+# No per-element libm rounding (round_ties_even/round/floor/ceil/trunc) in
+# non-test code of the hot-path crates: on the x86-64 baseline each is an
+# out-of-line call that keeps its loop scalar. See the script's header.
+lint-rounding:
+	sh scripts/check_hot_rounding.sh
 
 # Fault-injection smoke matrix: crash (with checkpoint/restore), stall,
 # and link degradation through the release CLI under --audit=strict.
@@ -60,10 +66,10 @@ benchmark-smoke:
 	bash benchmark/run.sh run --smoke --out target/benchmark-smoke.json
 
 # The gate every change must pass: release build, full test suite, clippy
-# and rustdoc with warnings denied, metric-name lint, the fault-injection
-# matrix, the perf-baseline schema check, the inspect smoke, and the
-# benchmark smoke.
-verify: build test clippy doc lint-metrics fault-matrix bench-schema inspect-smoke \
+# and rustdoc with warnings denied, metric-name lint, hot-path rounding
+# lint, the fault-injection matrix, the perf-baseline schema check, the
+# inspect smoke, and the benchmark smoke.
+verify: build test clippy doc lint-metrics lint-rounding fault-matrix bench-schema inspect-smoke \
 	benchmark-smoke
 
 bench:

@@ -11,7 +11,11 @@
 //!   (8-bit mantissa, full f32 dynamic range);
 //! * `int8` — per-row symmetric quantization: one f32 scale
 //!   (`max|x| / 127`) plus one signed byte per element, half-even
-//!   rounding.
+//!   rounding. The rounding adds and subtracts 1.5·2²³ instead of calling
+//!   `round_ties_even` (an out-of-line `rintf` per element on the x86-64
+//!   baseline), with the same bits, so the row is one vectorisable pass.
+//!   A row so small that `1 / scale` overflows is divided by its scale
+//!   instead, never multiplied by infinity.
 //!
 //! Workers never materialise byte buffers (threads share memory); the
 //! simulated wire is modelled by *transporting* a row in place —
@@ -28,9 +32,9 @@
 //! [`ErrorFeedback`] accumulator: the quantization residual of each
 //! write-back is remembered per row and added to that row's next
 //! gradient before encoding, so rounding error accumulates toward a
-//! correction instead of a bias (1-bit SGD / EF-SGD style).
-
-use std::collections::HashMap;
+//! correction instead of a bias (1-bit SGD / EF-SGD style). Its residuals
+//! live in one contiguous arena behind a dense id index: like the
+//! embedding worker's own maps, it hashes no id.
 
 use hetgmp_telemetry::HetGmpError;
 
@@ -224,11 +228,25 @@ pub fn bf16_bits_to_f32(b: u16) -> f32 {
     f32::from_bits((b as u32) << 16)
 }
 
+/// 1.5·2²³. Adding it to a float of magnitude below 2²² lands in
+/// [2²³, 2²⁴), where the spacing of f32 is exactly 1, so the addition itself
+/// rounds to an integer, ties to even (the default rounding mode; the
+/// constant is even, so parity is preserved); subtracting it back is exact.
+const ROUND_SHIFTER: f32 = 12_582_912.0;
+
+/// `v.round_ties_even()` for `|v| < 2²²`, with the same bits (the sign of
+/// zero and NaN included), in a few inline bitwise and add instructions:
+/// the x86-64 baseline has no SSE4.1 `roundss`, so `round_ties_even` is an
+/// out-of-line `rintf` call per element and keeps its loop scalar.
+#[inline(always)]
+fn round_half_even_small(v: f32) -> f32 {
+    ((v.abs() + ROUND_SHIFTER) - ROUND_SHIFTER).copysign(v)
+}
+
 /// Per-row symmetric int8 transport: `scale = max|x| / 127`, each element
 /// `clamp(round_half_even(x / scale), -127, 127) · scale`. The scale rides
 /// the wire as a raw f32 (the `+ 4` in [`SyncFormat::row_wire_bytes`]), so
-/// decoding is exact given the bytes. An all-zero (or non-finite-free
-/// zero-max) row stays exactly zero.
+/// decoding is exact given the bytes. An all-zero row stays exactly zero.
 fn transport_int8(row: &mut [f32]) {
     let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
     if max_abs == 0.0 || !max_abs.is_finite() {
@@ -239,9 +257,31 @@ fn transport_int8(row: &mut [f32]) {
     }
     let scale = max_abs / 127.0;
     let inv = 1.0 / scale;
+    if !inv.is_finite() {
+        transport_int8_tiny(row, max_abs, scale);
+        return;
+    }
+    // |x · inv| ≤ 127·(1 + a few ulps), far inside round_half_even_small's
+    // domain; NaN elements stay NaN.
     for x in row {
-        let q = (*x * inv).round_ties_even().clamp(-127.0, 127.0);
-        *x = q * scale;
+        *x = round_half_even_small(*x * inv).clamp(-127.0, 127.0) * scale;
+    }
+}
+
+/// The int8 transport of a row with `max|x| < 127 / f32::MAX`, whose
+/// `1 / scale` overflows (multiplying by it would turn every zero into
+/// NaN): each element is divided by the scale instead. Such a scale is
+/// subnormal and keeps few significant bits, so it is rounded down where
+/// `127 · scale` would decode above the row's max; a scale that underflows
+/// to zero leaves the row as it is.
+#[cold]
+fn transport_int8_tiny(row: &mut [f32], max_abs: f32, scale: f32) {
+    let scale = if 127.0 * scale > max_abs { scale.next_down() } else { scale };
+    if scale == 0.0 {
+        return;
+    }
+    for x in row {
+        *x = round_half_even_small(*x / scale).clamp(-127.0, 127.0) * scale;
     }
 }
 
@@ -258,9 +298,31 @@ fn transport_int8(row: &mut [f32]) {
 /// stay f32, and [`ErrorFeedback::clear`] drops all state at epoch
 /// boundaries (replica resync) and crash recovery so a resumed run
 /// bit-matches an uninterrupted one.
+///
+/// Storage is a dense id → slot index, one `(id, offset, len)` entry per
+/// row holding a residual, and one contiguous arena of residuals: no id is
+/// hashed and no row allocates. Slots record offsets, not indices, because
+/// rows differ in length ([`DenseQuantizer`]'s last chunk is short).
 #[derive(Debug, Default)]
 pub struct ErrorFeedback {
-    residuals: HashMap<u32, Vec<f32>>,
+    /// Per id, its index in `slots` or [`NO_SLOT`]. Grows to the largest
+    /// id pushed unless sized up front ([`ErrorFeedback::with_capacity`]).
+    slot_of: Vec<u32>,
+    /// One entry per row holding a residual, in first-push order.
+    slots: Vec<Slot>,
+    /// Every residual, back to back.
+    arena: Vec<f32>,
+}
+
+/// Marks an id holding no residual in [`ErrorFeedback`]'s index.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where one row's residual lives in [`ErrorFeedback`]'s arena.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: u32,
+    offset: usize,
+    len: usize,
 }
 
 impl ErrorFeedback {
@@ -269,31 +331,53 @@ impl ErrorFeedback {
         Self::default()
     }
 
+    /// An empty accumulator whose index already covers ids `0..num_ids`,
+    /// for an owner that knows its table's row count: the index is sized
+    /// once instead of growing with the ids pushed.
+    pub fn with_capacity(num_ids: usize) -> Self {
+        Self { slot_of: vec![NO_SLOT; num_ids], ..Self::default() }
+    }
+
     /// Compensates `grad` with row `id`'s stored residual, transports it
     /// through `format`, and stores the new residual. On return `grad`
     /// holds exactly the values the receiving side decodes.
     ///
     /// [`SyncFormat::F32`] short-circuits: no residual is read or stored.
+    ///
+    /// # Panics
+    /// Panics if `grad`'s length differs from the residual row `id` holds.
     pub fn compensate_and_transport(&mut self, format: SyncFormat, id: u32, grad: &mut [f32]) {
         if format.is_lossless() {
             return;
         }
+        let i = id as usize;
+        if i >= self.slot_of.len() {
+            self.slot_of.resize(i + 1, NO_SLOT);
+        }
         // The residual slot doubles as the staging for the compensated
-        // value, so a row seen before allocates nothing: `res += grad`
-        // (f32 addition commutes, so these are the bits `grad + res` gives),
-        // `grad = res`, transport, `res -= grad`.
-        let res = match self.residuals.entry(id) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let res = e.into_mut();
-                debug_assert_eq!(res.len(), grad.len(), "error-feedback dim changed");
+        // value: `res += grad` (f32 addition commutes, so these are the bits
+        // `grad + res` gives), `grad = res`, transport, `res -= grad`.
+        let res = match self.slot_of[i] {
+            NO_SLOT => {
+                // First sight: the compensated value is the gradient itself.
+                let offset = self.arena.len();
+                self.slot_of[i] = u32::try_from(self.slots.len()).expect("one slot per u32 id");
+                self.slots.push(Slot { id, offset, len: grad.len() });
+                self.arena.extend_from_slice(grad);
+                &mut self.arena[offset..]
+            }
+            s => {
+                let Slot { offset, len, .. } = self.slots[s as usize];
+                // An arena row of the wrong length would spill into its
+                // neighbour's residual.
+                assert_eq!(len, grad.len(), "error-feedback dim changed");
+                let res = &mut self.arena[offset..offset + len];
                 for (r, g) in res.iter_mut().zip(grad.iter_mut()) {
                     *r += *g;
                     *g = *r;
                 }
                 res
             }
-            // First sight: the compensated value is the gradient itself.
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(grad.to_vec()),
         };
         format.transport(grad);
         for (r, g) in res.iter_mut().zip(grad.iter()) {
@@ -303,18 +387,36 @@ impl ErrorFeedback {
 
     /// Number of rows currently carrying a residual.
     pub fn len(&self) -> usize {
-        self.residuals.len()
+        self.slots.len()
     }
 
     /// `true` when no row carries a residual.
     pub fn is_empty(&self) -> bool {
-        self.residuals.is_empty()
+        self.slots.is_empty()
     }
 
     /// Drops every stored residual (epoch-boundary resync, crash
     /// recovery) so worker state matches a freshly constructed worker.
+    /// Resets only the ids holding a residual, so it costs time in
+    /// proportion to those rows, not to the index; buffers keep their
+    /// capacity.
     pub fn clear(&mut self) {
-        self.residuals.clear();
+        for s in self.slots.drain(..) {
+            self.slot_of[s.id as usize] = NO_SLOT;
+        }
+        self.arena.clear();
+    }
+
+    /// Row `id`'s stored residual, if it holds one.
+    #[cfg(test)]
+    fn residual(&self, id: u32) -> Option<&[f32]> {
+        match self.slot_of.get(id as usize) {
+            Some(&s) if s != NO_SLOT => {
+                let Slot { offset, len, .. } = self.slots[s as usize];
+                Some(&self.arena[offset..offset + len])
+            }
+            _ => None,
+        }
     }
 }
 
@@ -355,6 +457,8 @@ impl DenseQuantizer {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     #[test]
@@ -584,5 +688,201 @@ mod tests {
         assert_eq!(ef.len(), 1);
         ef.clear();
         assert!(ef.is_empty());
+    }
+
+    /// The int8 kernel rounding through `round_ties_even`: the oracle the
+    /// transported bits must equal on every row whose `1 / scale` is finite.
+    fn transport_int8_reference(row: &mut [f32]) {
+        let max_abs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        if max_abs == 0.0 || !max_abs.is_finite() {
+            return;
+        }
+        let scale = max_abs / 127.0;
+        let inv = 1.0 / scale;
+        for x in row {
+            let q = (*x * inv).round_ties_even().clamp(-127.0, 127.0);
+            *x = q * scale;
+        }
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a:e} vs {b:e}");
+        }
+    }
+
+    /// Transports `row` through the int8 kernel and through the reference
+    /// and asserts the same bits.
+    fn check_int8_against_reference(row: &[f32]) {
+        let mut got = row.to_vec();
+        SyncFormat::Int8.transport(&mut got);
+        let mut want = row.to_vec();
+        transport_int8_reference(&mut want);
+        assert_bits_eq(&got, &want, &format!("{row:?}"));
+    }
+
+    #[test]
+    fn int8_rounding_matches_reference_on_ties_integers_and_signed_zeros() {
+        // A row whose max is 127 has scale 1 and `1 / scale` 1, so every
+        // other element reaches the rounding as itself.
+        let mut probes = vec![0.0f32, -0.0, 0.25, -0.25, 127.5, -127.5, 128.5, -128.5];
+        for k in -128..=127 {
+            for v in [k as f32, k as f32 + 0.5] {
+                probes.extend([v, v.next_up(), v.next_down()]);
+            }
+        }
+        for &v in &probes {
+            check_int8_against_reference(&[127.0, v]);
+            check_int8_against_reference(&[v, -127.0, -v]);
+        }
+        check_int8_against_reference(&[-0.0, 0.0, -0.0]);
+        check_int8_against_reference(&[1.0, -0.0, -1e-30, 1e-30]);
+    }
+
+    #[test]
+    fn int8_rounding_matches_reference_just_past_the_clamp() {
+        // `scale` and `1 / scale` each round, so the max element can land
+        // just above ±127 before the clamp. Walk consecutive maxima until
+        // enough rows have done so.
+        let mut m = 1.0f32;
+        let mut past_clamp = 0;
+        while past_clamp < 1000 {
+            if m * (1.0 / (m / 127.0)) > 127.0 {
+                past_clamp += 1;
+            }
+            check_int8_against_reference(&[m, -m, m * 0.5, -m.next_down()]);
+            m = m.next_up();
+        }
+    }
+
+    #[test]
+    fn int8_rounding_matches_reference_on_nan_elements() {
+        let quiet_payload = f32::from_bits(0x7FC0_1234);
+        let negative_signalling = f32::from_bits(0xFFA0_0001);
+        for row in [
+            vec![1.0f32, f32::NAN, -0.5, -f32::NAN],
+            vec![quiet_payload, 0.3, negative_signalling, -0.0],
+            vec![f32::NAN],
+        ] {
+            check_int8_against_reference(&row);
+        }
+    }
+
+    #[test]
+    fn int8_rounding_matches_reference_on_random_rows() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1E8);
+        for i in 0..100_000 {
+            let dim = [1, 3, 16, 64, 256][i % 5];
+            // Row maxima over 80 binades, elements up to 2^12 below them.
+            let top = 2f32.powi(rng.gen_range(-40i32..=40));
+            let row: Vec<f32> = (0..dim)
+                .map(|_| {
+                    (rng.gen::<f32>() * 2.0 - 1.0) * top * 2f32.powi(-rng.gen_range(0i32..=12))
+                })
+                .collect();
+            check_int8_against_reference(&row);
+        }
+    }
+
+    #[test]
+    fn int8_tiny_rows_stay_finite_signed_and_in_range() {
+        // Below max|row| = 127 / f32::MAX (about 3.7e-37), `1 / scale`
+        // overflows to +inf.
+        for m in [3e-37f32, 1e-38, 1e-44, f32::MIN_POSITIVE] {
+            let row = [0.0f32, m, -m / 2.0, -0.0, m * 0.3, -m, m * 1e-3];
+            let mut out = row;
+            SyncFormat::Int8.transport(&mut out);
+            for (&o, &x) in out.iter().zip(&row) {
+                assert!(!o.is_nan(), "max {m:e}: {x:e} -> NaN");
+                assert_eq!(o.is_sign_negative(), x.is_sign_negative(), "max {m:e}: {x:e} -> {o:e}");
+                assert!(o.abs() <= m, "max {m:e}: {x:e} -> {o:e} exceeds the row's max");
+                assert!((o - x).abs() <= m / 127.0, "max {m:e}: {x:e} -> {o:e} is over a step off");
+            }
+            if m / 127.0 == 0.0 {
+                assert_bits_eq(&out, &row, "a scale that underflows leaves the row as it is");
+            }
+        }
+    }
+
+    /// The accumulator keyed by a `HashMap` of per-row `Vec`s: the oracle
+    /// the arena's transported bits and residuals must equal.
+    #[derive(Default)]
+    struct HashMapFeedback {
+        residuals: HashMap<u32, Vec<f32>>,
+    }
+
+    impl HashMapFeedback {
+        fn compensate_and_transport(&mut self, format: SyncFormat, id: u32, grad: &mut [f32]) {
+            let res = match self.residuals.entry(id) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    let res = e.into_mut();
+                    for (r, g) in res.iter_mut().zip(grad.iter_mut()) {
+                        *r += *g;
+                        *g = *r;
+                    }
+                    res
+                }
+                std::collections::hash_map::Entry::Vacant(e) => e.insert(grad.to_vec()),
+            };
+            format.transport(grad);
+            for (r, g) in res.iter_mut().zip(grad.iter()) {
+                *r -= g;
+            }
+        }
+    }
+
+    #[test]
+    fn error_feedback_matches_hash_map_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xEF);
+        for format in [SyncFormat::Int8, SyncFormat::Bf16, SyncFormat::F16] {
+            let mut ef = ErrorFeedback::new();
+            let mut reference = HashMapFeedback::default();
+            // Rounds are separated by `clear()`; each round gives some ids a
+            // new length, as a re-seen id after a clear may have.
+            for round in 0..3u32 {
+                // DenseQuantizer-shaped: full chunks, and a short last
+                // chunk on every seventh id; one id far past the others.
+                let len_of = |id: u32| match id {
+                    1_000_003 => 16,
+                    _ if (id + round) % 7 == 6 => 37 + round as usize,
+                    _ => DENSE_CHUNK,
+                };
+                for _ in 0..600 {
+                    let id = if rng.gen_bool(0.02) { 1_000_003 } else { rng.gen_range(0u32..40) };
+                    let top = 2f32.powi(rng.gen_range(-12i32..=2));
+                    let grad: Vec<f32> =
+                        (0..len_of(id)).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * top).collect();
+                    let (mut got, mut want) = (grad.clone(), grad);
+                    ef.compensate_and_transport(format, id, &mut got);
+                    reference.compensate_and_transport(format, id, &mut want);
+                    let what = format!("{format} round {round} id {id}");
+                    assert_bits_eq(&got, &want, &what);
+                    let res = ef.residual(id).expect("a pushed id holds a residual");
+                    assert_bits_eq(res, &reference.residuals[&id], &what);
+                }
+                assert_eq!(ef.len(), reference.residuals.len());
+                for (&id, res) in &reference.residuals {
+                    let what = format!("{format} end of round {round}, id {id}");
+                    assert_bits_eq(ef.residual(id).expect("held"), res, &what);
+                }
+                ef.clear();
+                reference.residuals.clear();
+                assert!(ef.is_empty());
+                assert!(ef.residual(3).is_none() && ef.residual(1_000_003).is_none());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "error-feedback dim changed")]
+    fn error_feedback_rejects_a_changed_length() {
+        let mut ef = ErrorFeedback::new();
+        ef.compensate_and_transport(SyncFormat::Int8, 3, &mut [1.0, 0.5]);
+        ef.compensate_and_transport(SyncFormat::Int8, 3, &mut [1.0, 0.5, 0.25]);
     }
 }

@@ -78,7 +78,8 @@ impl CapacityPlan {
     /// Memory footprint of `rows` rows on the busiest worker assuming
     /// balanced primaries plus a full local replication budget.
     pub fn per_worker_bytes(&self, rows: u64) -> u64 {
-        let primaries = (rows as f64 / self.num_workers as f64).ceil();
+        let primaries =
+            (rows as f64 / self.num_workers as f64).ceil(); // allow(libm-rounding): once per plan
         let secondaries = rows as f64 * self.replication_fraction;
         (primaries * self.primary_row_bytes() + secondaries * self.secondary_row_bytes()) as u64
     }

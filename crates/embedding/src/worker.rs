@@ -17,7 +17,8 @@
 //! Cost model: resolving and classifying a batch is O(lookups), the
 //! inter-embedding check is O(Σ replicas-per-sample²), and no id is ever
 //! hashed — every id → slot map on this path is a dense array (see the
-//! `index` module).
+//! `index` module), the wire's error-feedback residuals included
+//! ([`ErrorFeedback`] keeps a dense index over one residual arena).
 
 use std::sync::Arc;
 
@@ -269,13 +270,14 @@ struct Wire {
 }
 
 impl Wire {
-    fn new(format: SyncFormat, feedback_on: bool, dim: usize) -> Self {
-        Self {
-            format,
-            feedback_on,
-            feedback: ErrorFeedback::new(),
-            row_bytes: format.row_wire_bytes(dim),
-        }
+    /// The wire over a `num_rows × dim` table.
+    fn new(format: SyncFormat, feedback_on: bool, num_rows: usize, dim: usize) -> Self {
+        let feedback = if feedback_on && !format.is_lossless() {
+            ErrorFeedback::with_capacity(num_rows)
+        } else {
+            ErrorFeedback::new()
+        };
+        Self { format, feedback_on, feedback, row_bytes: format.row_wire_bytes(dim) }
     }
 
     /// Sends the gradient of row `e` through the wire format (with error
@@ -353,7 +355,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             policy,
             flush_opt: SparseOpt::sgd(0.01),
             scratch: HotScratch::new(table.num_rows(), table.dim()),
-            wire: Wire::new(SyncFormat::F32, true, table.dim()),
+            wire: Wire::new(SyncFormat::F32, true, table.num_rows(), table.dim()),
             read_path: ReadPath::default(),
             recorder: None,
             auditor: None,
@@ -368,7 +370,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     /// before training; checkpoint-resumed runs reconstruct the same state
     /// because residuals are cleared at every full sync.
     pub fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {
-        self.wire = Wire::new(format, error_feedback, self.table.dim());
+        self.wire = Wire::new(format, error_feedback, self.table.num_rows(), self.table.dim());
         if !format.is_lossless() {
             self.sync_all();
         }
