@@ -1,7 +1,9 @@
 //! Performance of the distributed embedding table: bounded-async reads,
-//! gradient write-back, and the underlying sharded store.
+//! gradient write-back, the underlying sharded store, and how its two read
+//! paths scale with threads.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hetgmp_data::Zipf;
 use hetgmp_embedding::{BatchScratch, ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
 use hetgmp_partition::Partition;
 use rand::rngs::StdRng;
@@ -103,5 +105,77 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench);
+/// Rows of the read-scaling table.
+const SCALING_ROWS: usize = 200_000;
+/// Rows per read: small batches are where the locked path's per-call lock
+/// and shard grouping dominate, which is what the snapshot path removes.
+const READ_BATCH: usize = 128;
+/// Read batches per thread per iteration.
+const SCALING_BATCHES: usize = 256;
+/// Thread 0 also applies a gradient to every this-many-th batch's rows, so
+/// both paths meet the same writer and the snapshot path's retry and
+/// fallback run instead of an uncontended best case.
+const WRITE_EVERY: usize = 16;
+
+/// The read path's thread scaling: one Zipf-skewed, read-mostly workload
+/// through the locked batched read (`read_rows`) and the seqlock snapshot
+/// read (`read_rows_snapshot`) at 1, 2 and 4 threads sharing one table.
+/// This is the measurement that keeps `ReadPath` a runtime choice.
+fn read_scaling(c: &mut Criterion) {
+    const SEED: u64 = 0xB45E11 ^ 0xC0FFEE;
+    let zipf = Zipf::new(SCALING_ROWS, 1.05);
+    let per_thread: Vec<Vec<Vec<u32>>> = (0..4u64)
+        .map(|t| {
+            let mut rng = StdRng::seed_from_u64(SEED ^ t.wrapping_mul(0x9E3779B9));
+            (0..SCALING_BATCHES)
+                .map(|_| (0..READ_BATCH).map(|_| zipf.sample(&mut rng) as u32).collect())
+                .collect()
+        })
+        .collect();
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let grads: Vec<f32> = (0..READ_BATCH * DIM).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+    let opt = SparseOpt::adagrad(0.05);
+    let table = ShardedTable::new(SCALING_ROWS, DIM, 0.05, 1);
+
+    let mut group = c.benchmark_group("embedding");
+    group.sample_size(20);
+    for threads in [1usize, 2, 4] {
+        for (path, snapshot) in [("locked", false), ("snapshot", true)] {
+            group.bench_function(format!("read_rows_{path}_{threads}t"), |b| {
+                b.iter(|| {
+                    std::thread::scope(|scope| {
+                        for (t, batches) in per_thread[..threads].iter().enumerate() {
+                            let (table, grads, opt) = (&table, &grads, &opt);
+                            scope.spawn(move || {
+                                let mut scratch = BatchScratch::default();
+                                let mut out = vec![0.0f32; READ_BATCH * DIM];
+                                let mut clocks = vec![0u64; READ_BATCH];
+                                for (i, batch) in batches.iter().enumerate() {
+                                    if snapshot {
+                                        table.read_rows_snapshot(batch, &mut out, &mut clocks);
+                                    } else {
+                                        table.read_rows(batch, &mut out, &mut clocks, &mut scratch);
+                                    }
+                                    criterion::black_box(&out);
+                                    if t == 0 && i % WRITE_EVERY == 0 {
+                                        table.apply_grads(
+                                            batch,
+                                            grads,
+                                            opt,
+                                            &mut clocks,
+                                            &mut scratch,
+                                        );
+                                    }
+                                }
+                            });
+                        }
+                    })
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench, read_scaling);
 criterion_main!(benches);

@@ -5,8 +5,8 @@
 //! dim 16 = 416 input features, hidden 64): forward `X·W`, the weight
 //! gradient `Xᵀ·dY`, and the input gradient `dY·Wᵀ`. The `naive_*`
 //! counterparts run the pre-blocking reference kernels kept as the test
-//! oracle, so a report directly shows the speedup locked in by
-//! `BENCH_dense.json`. The `dense_*` shapes are the benchmark's
+//! oracle, so a report directly shows the blocked kernels' speedup over
+//! them. The `dense_*` shapes are the benchmark's
 //! dense-bound workload (`avazu_dense`: batch 256, 22 fields × dim 64 =
 //! 1408 inputs, tower 256 × 128, DCN): its three large GEMMs and the
 //! single-column products of its combiner, which bypass the tile nest.

@@ -8,7 +8,11 @@
 //!   on cut quality and load balance;
 //! * **static vs dynamic caching** — HET-GMP's graph-planned vertex-cut
 //!   replicas against the predecessor HET's dynamic LFU cache at equal
-//!   memory, replaying the same access stream through both.
+//!   memory, replaying the same access stream through both;
+//! * **re-partitioning under drift** — keep, redo, or warm-start refine a
+//!   partition after the access pattern moves;
+//! * **straggler tolerance** — uniform vs speed-proportional batches with
+//!   one slow worker.
 
 use std::fmt;
 
@@ -38,22 +42,13 @@ pub struct StalenessThroughput {
 
 /// Sweeps staleness and measures throughput + embedding traffic.
 pub fn staleness_throughput(data: &CtrDataset, s_values: &[u64]) -> StalenessThroughput {
-    staleness_throughput_with(data, s_values, None)
+    staleness_throughput_instrumented(data, s_values, None, &Hooks::default())
 }
 
 /// Like [`staleness_throughput`], optionally appending one telemetry
-/// snapshot per staleness setting (event `ablation.staleness`).
-pub fn staleness_throughput_with(
-    data: &CtrDataset,
-    s_values: &[u64],
-    telemetry: Option<&mut JsonlWriter>,
-) -> StalenessThroughput {
-    staleness_throughput_instrumented(data, s_values, telemetry, &Hooks::default())
-}
-
-/// Like [`staleness_throughput_with`], additionally threading observability
-/// [`Hooks`] through every trainer run; audited runs carry an `audit` object
-/// in their `ablation.staleness` JSONL records.
+/// snapshot per staleness setting (event `ablation.staleness`) and
+/// threading observability [`Hooks`] through every trainer run; audited
+/// runs carry an `audit` object in their JSONL records.
 pub fn staleness_throughput_instrumented(
     data: &CtrDataset,
     s_values: &[u64],
@@ -305,8 +300,8 @@ pub struct StragglerReport {
 /// One worker runs `factor`× slower than its peers; compares uniform
 /// batching (BSP stalls on the straggler every iteration) against
 /// speed-proportional batching (paper §3's heterogeneity-aware
-/// load-balancer for *computation*).
-pub fn straggler_tolerance(data: &CtrDataset, factor: f64) -> StragglerReport {
+/// load-balancer for *computation*). `hooks` apply to every trainer run.
+pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &Hooks) -> StragglerReport {
     let topo = Topology::pcie_island(8);
     let mut scales = vec![1.0; 8];
     scales[0] = factor;
@@ -316,7 +311,7 @@ pub fn straggler_tolerance(data: &CtrDataset, factor: f64) -> StragglerReport {
         (format!("{factor}x straggler, uniform batches"), Some(scales.clone()), false),
         (format!("{factor}x straggler, aware batching"), Some(scales), true),
     ] {
-        let trainer = Trainer::new(
+        let trainer = hooks.apply(Trainer::new(
             data,
             topo.clone(),
             StrategyConfig::het_gmp(100),
@@ -332,7 +327,7 @@ pub fn straggler_tolerance(data: &CtrDataset, factor: f64) -> StragglerReport {
                 hetero_aware_batching: aware,
                 ..Default::default()
             },
-        );
+        ));
         rows.push((label, trainer.run().throughput));
     }
     StragglerReport { rows }
@@ -435,55 +430,55 @@ impl fmt::Display for DriftReport {
     }
 }
 
-/// Convenience: run all ablations at the given scale.
-pub fn run(
-    scale: f64,
-) -> (
-    StalenessThroughput,
-    ReplicationSweep,
-    BalanceSweep,
-) {
-    run_with(scale, None)
+/// Every ablation, in the order `het-gmp experiment ablation` prints them.
+#[derive(Debug, Clone)]
+pub struct AblationReport {
+    /// Staleness vs throughput.
+    pub staleness: StalenessThroughput,
+    /// Vertex-cut replication budget.
+    pub replication: ReplicationSweep,
+    /// Soft-balance hyper-parameters.
+    pub balance: BalanceSweep,
+    /// Static vertex-cut replicas vs the dynamic LFU cache.
+    pub cache: CacheComparison,
+    /// Re-partitioning under access drift.
+    pub drift: DriftReport,
+    /// One 4× straggler, uniform vs speed-proportional batches.
+    pub straggler: StragglerReport,
 }
 
-/// Like [`run`], optionally appending telemetry records: one snapshot per
-/// staleness setting (event `ablation.staleness`) and one plain record per
-/// replication-sweep row (event `ablation.replication` — partitioning only,
-/// no trainer, so the row fields are the full story).
-pub fn run_with(
-    scale: f64,
-    telemetry: Option<&mut JsonlWriter>,
-) -> (
-    StalenessThroughput,
-    ReplicationSweep,
-    BalanceSweep,
-) {
-    run_instrumented(scale, telemetry, &Hooks::default())
+impl fmt::Display for AblationReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}\n\n{}\n\n{}\n\n{}\n\n{}\n\n{}",
+            self.staleness, self.replication, self.balance, self.cache, self.drift, self.straggler
+        )
+    }
 }
 
-/// Like [`run_with`], additionally threading observability [`Hooks`]
-/// through the training-based sweeps (the partitioning-only sweeps have no
-/// trainer to instrument).
+/// Runs every ablation at the given scale (criteo-like), optionally
+/// appending telemetry records — one snapshot per staleness setting (event
+/// `ablation.staleness`) and one plain record per replication-sweep row
+/// (event `ablation.replication` — partitioning only, no trainer, so the
+/// row fields are the full story) — and threading observability [`Hooks`]
+/// through every trainer run.
 pub fn run_instrumented(
     scale: f64,
     mut telemetry: Option<&mut JsonlWriter>,
     hooks: &Hooks,
-) -> (
-    StalenessThroughput,
-    ReplicationSweep,
-    BalanceSweep,
-) {
+) -> AblationReport {
     let data = generate(&DatasetSpec::criteo_like(scale));
     let graph = data.to_bigraph();
-    let st = staleness_throughput_instrumented(
+    let staleness = staleness_throughput_instrumented(
         &data,
         &[0, 10, 100, 1000],
         telemetry.as_deref_mut(),
         hooks,
     );
-    let rep = replication_sweep(&graph, &[0.0, 0.005, 0.01, 0.05, 0.2]);
+    let replication = replication_sweep(&graph, &[0.0, 0.005, 0.01, 0.05, 0.2]);
     if let Some(w) = telemetry {
-        for &(frac, remote, factor) in &rep.rows {
+        for &(frac, remote, factor) in &replication.rows {
             let record = Json::Obj(vec![
                 ("event".into(), Json::from("ablation.replication")),
                 ("budget_fraction".into(), Json::F64(frac)),
@@ -495,7 +490,14 @@ pub fn run_instrumented(
             }
         }
     }
-    (st, rep, balance_sweep(&graph))
+    AblationReport {
+        staleness,
+        replication,
+        balance: balance_sweep(&graph),
+        cache: cache_comparison(&data, 256),
+        drift: repartition_drift(scale),
+        straggler: straggler_tolerance(&data, 4.0, hooks),
+    }
 }
 
 #[cfg(test)]
@@ -534,7 +536,7 @@ mod tests {
         // A strong straggler (10x) so the compute term dominates the
         // iteration and the BSP stall is unmistakable.
         let data = generate(&DatasetSpec::avazu_like(0.05));
-        let report = straggler_tolerance(&data, 10.0);
+        let report = straggler_tolerance(&data, 10.0, &Hooks::default());
         let homogeneous = report.rows[0].1;
         let uniform = report.rows[1].1;
         let aware = report.rows[2].1;

@@ -107,20 +107,11 @@ fn run_panel(
     }
 }
 
-/// Runs Figure 8 (both models × all datasets) at the given scale.
-pub fn run(scale: f64) -> BreakdownReport {
-    run_with(scale, None)
-}
-
-/// Like [`run`], optionally appending one telemetry snapshot per bar
-/// (event `fig8`) to a JSONL writer.
-pub fn run_with(scale: f64, telemetry: Option<&mut JsonlWriter>) -> BreakdownReport {
-    run_instrumented(scale, telemetry, &Hooks::default())
-}
-
-/// Like [`run_with`], additionally threading observability [`Hooks`]
-/// (trace collector, protocol auditor) through every trainer run; audited
-/// runs carry an `audit` object in their `fig8` JSONL records.
+/// Runs Figure 8 (both models × all datasets) at the given scale,
+/// optionally appending one telemetry snapshot per bar (event `fig8`) to a
+/// JSONL writer and threading observability [`Hooks`] (trace collector,
+/// protocol auditor) through every trainer run; audited runs carry an
+/// `audit` object in their `fig8` JSONL records.
 pub fn run_instrumented(
     scale: f64,
     mut telemetry: Option<&mut JsonlWriter>,

@@ -1,10 +1,11 @@
 //! Experiment runners — one module per table/figure of the paper's §7
-//! (plus the motivating Figures 1 and 3 and extra ablations).
+//! (plus the motivating Figures 1 and 3, extra ablations and the §3 KG
+//! extension).
 //!
 //! Every module exposes a `run(...)` returning a plain data struct that
-//! implements `Display` (the text rendering the `hetgmp-bench` binaries
-//! print), so results are equally consumable programmatically (tests,
-//! `EXPERIMENTS.md` generation) and on stdout.
+//! implements `Display` (the text `het-gmp experiment NAME` prints), so
+//! results are equally consumable programmatically (tests, `EXPERIMENTS.md`
+//! generation) and on stdout.
 //!
 //! All experiments take a `scale` parameter: 1.0 reproduces the default
 //! scaled-down datasets (see DESIGN.md's substitutions), smaller values give
@@ -23,6 +24,7 @@ pub mod comm_breakdown;
 pub mod convergence;
 pub mod cooccurrence;
 pub mod hierarchy;
+pub mod kg;
 pub mod overhead;
 pub mod partitioners;
 pub mod scalability;
@@ -47,8 +49,7 @@ pub(crate) fn emit(
 
 /// Optional observability hooks threaded through the experiment runners
 /// that train: a shared Chrome-trace collector and a protocol-audit mode.
-/// The default is fully off, so `run(...)`/`run_with(...)` behave exactly
-/// as before.
+/// The default is fully off.
 #[derive(Clone, Default)]
 pub struct Hooks {
     /// Trace collector shared by every trainer run in the experiment (build

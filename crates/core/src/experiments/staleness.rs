@@ -43,25 +43,12 @@ pub fn bounds() -> Vec<(String, StalenessBound)> {
     ]
 }
 
-/// Runs Table 2 at the given scale/epochs.
-pub fn run(scale: f64, epochs: usize) -> StalenessReport {
-    run_with(scale, epochs, None)
-}
-
-/// Like [`run`], optionally appending one telemetry snapshot per cell
-/// (event `table2`) to a JSONL writer.
-pub fn run_with(
-    scale: f64,
-    epochs: usize,
-    telemetry: Option<&mut JsonlWriter>,
-) -> StalenessReport {
-    run_instrumented(scale, epochs, telemetry, &Hooks::default())
-}
-
-/// Like [`run_with`], additionally threading observability [`Hooks`]
-/// through every trainer run; audited runs carry an `audit` object in
-/// their `table2` JSONL records (the auditor's gap histograms make the
-/// drift behind the `s=inf` AUC drop directly visible).
+/// Runs Table 2 at the given scale/epochs, optionally appending one
+/// telemetry snapshot per cell (event `table2`) to a JSONL writer and
+/// threading observability [`Hooks`] through every trainer run; audited
+/// runs carry an `audit` object in their `table2` JSONL records (the
+/// auditor's gap histograms make the drift behind the `s=inf` AUC drop
+/// directly visible).
 pub fn run_instrumented(
     scale: f64,
     epochs: usize,

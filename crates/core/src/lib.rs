@@ -24,7 +24,7 @@
 //! ## Experiment index
 //!
 //! See `DESIGN.md` at the workspace root; each `experiments::*` module maps
-//! to one table or figure and is driven by a binary in `hetgmp-bench`.
+//! to one table or figure and is run by `het-gmp experiment NAME`.
 
 pub mod experiments;
 pub mod kg;

@@ -148,8 +148,8 @@ impl Default for StepCtx {
 /// histogram folds. That cost is itself measured: `finish_batch` times its
 /// own bookkeeping and adds a calibrated per-read cost for every timestamp
 /// the loop took, accumulating `overhead_secs` (exported as the
-/// `telemetry.overhead_secs` gauge; `bench_dense` asserts it stays under
-/// 2% of hot-path wall time).
+/// `telemetry.overhead_secs` gauge, which the benchmark ledger reports as
+/// `telemetry.profiler_overhead_pct`).
 ///
 /// Wall attribution: `fetch` is assembly + embedding read; `write_back` is
 /// routing plus this rank's own-row apply (the reads-done barrier between

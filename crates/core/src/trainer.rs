@@ -128,14 +128,6 @@ pub struct TrainerConfig {
     pub sync_error_feedback: bool,
     /// Primary-table storage tier: RAM-only, or spillable under a budget.
     pub storage: StorageMode,
-    /// Buffer-aware batch ordering: before each epoch the trainer replays
-    /// the deterministic batch assembly to predict the page touch sequence
-    /// and hands it to the tiered store as Belady-style eviction hints.
-    /// Fewer page faults on over-budget tables; training results are
-    /// bit-identical on or off (the plan only picks eviction victims — it
-    /// never reorders work or touches values). No-op under
-    /// [`StorageMode::Memory`]. On by default.
-    pub batch_ordering: bool,
     /// Which table read path the embedding hot loop uses: lock-free seqlock
     /// snapshots (the default) or the locked escape hatch. Bit-identical
     /// results either way — a consistent snapshot returns exactly the bytes
@@ -167,7 +159,6 @@ impl Default for TrainerConfig {
             sync_format: SyncFormat::F32,
             sync_error_feedback: true,
             storage: StorageMode::Memory,
-            batch_ordering: true,
             read_path: ReadPath::default(),
         }
     }
@@ -313,12 +304,6 @@ impl TrainerConfigBuilder {
     /// Primary-table storage tier (RAM-only, or spillable under a budget).
     pub fn storage(mut self, mode: StorageMode) -> Self {
         self.cfg.storage = mode;
-        self
-    }
-
-    /// Enables/disables buffer-aware batch ordering for tiered storage.
-    pub fn batch_ordering(mut self, on: bool) -> Self {
-        self.cfg.batch_ordering = on;
         self
     }
 
@@ -486,7 +471,7 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
     format!(
         "{strategy:?}|model={:?}|dim={}|hidden={:?}|batch={}|epochs={}|opt={:?}|lr={}|test={}|\
          eval={}|target={:?}|clip={:?}|scales={:?}|hetero={}|ckpt_every={}|\
-         sync_format={}|sync_ef={}|storage={storage}|ordering={}",
+         sync_format={}|sync_ef={}|storage={storage}",
         cfg.model,
         cfg.dim,
         cfg.hidden,
@@ -503,7 +488,6 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
         cfg.checkpoint_every,
         cfg.sync_format,
         cfg.sync_error_feedback,
-        cfg.batch_ordering,
     )
 }
 
@@ -534,7 +518,9 @@ const EVAL_CHUNK: usize = 512;
 /// exactly the order `read_rows`'s page grouping visits them. The tiered
 /// store turns this into Belady-style eviction hints; the plan never
 /// changes *what* is computed, only which resident page is evicted on a
-/// fault, so results are bit-identical with the plan on or off.
+/// fault, so results are bit-identical with the plan on or off (pinned at
+/// the store by `tiered`'s `plan_does_not_change_results` and the
+/// `epoch_plan_never_changes_results` proptest).
 fn plan_epoch_pages(
     table: &TieredTable,
     dataset: &CtrDataset,
@@ -992,21 +978,19 @@ impl<'d> Trainer<'d> {
         for epoch in start_epoch..=cfg.epochs {
             loss_sum_micro.store(0, Ordering::Relaxed);
             loss_batches.store(0, Ordering::Relaxed);
-            // Buffer-aware batch ordering: hand the tiered store this
-            // epoch's predicted page touch sequence before the workers
-            // start. Pure eviction policy — see `plan_epoch_pages`.
-            if cfg.batch_ordering {
-                if let StorageTable::Tiered(tt) = &table {
-                    let plan = plan_epoch_pages(
-                        tt,
-                        dataset,
-                        &shards,
-                        &cursors,
-                        &batch_sizes,
-                        iters_per_epoch,
-                    );
-                    tt.set_epoch_plan(&plan);
-                }
+            // Buffer-aware eviction: hand the tiered store this epoch's
+            // predicted page touch sequence before the workers start. Pure
+            // eviction policy — see `plan_epoch_pages`.
+            if let StorageTable::Tiered(tt) = &table {
+                let plan = plan_epoch_pages(
+                    tt,
+                    dataset,
+                    &shards,
+                    &cursors,
+                    &batch_sizes,
+                    iters_per_epoch,
+                );
+                tt.set_epoch_plan(&plan);
             }
             std::thread::scope(|scope| {
                 // Move disjoint &mut of per-worker state into threads.
@@ -1306,7 +1290,7 @@ impl<'d> Trainer<'d> {
         );
         // What the profilers cost this run: their own bookkeeping plus the
         // calibrated price of every timestamp the stage loops took.
-        // `bench_dense` asserts this stays under 2% of hot-path wall time.
+        // The benchmark ledger reports it as `telemetry.profiler_overhead_pct`.
         registry.global().gauge_set(
             names::TELEMETRY_OVERHEAD_SECS,
             profilers.iter().map(StageProfiler::overhead_secs).sum::<f64>(),
@@ -1896,6 +1880,9 @@ mod tests {
             r.telemetry.gauge(names::HOTPATH_SAMPLES_PER_SEC).unwrap_or(0.0) > 0.0,
             "throughput gauge missing"
         );
+        // Zero steady-state allocations, end to end: no worker's tape grew
+        // after its first batch.
+        assert_eq!(r.telemetry.gauge(names::DENSE_TAPE_GROWTH), Some(0.0));
     }
 
     #[test]

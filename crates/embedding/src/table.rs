@@ -71,8 +71,9 @@ pub struct ShardedTable {
     seqs: Vec<SeqWord>,
     clocks: Vec<AtomicU64>,
     /// Data-path shard lock acquisitions (reads, updates, writes — both the
-    /// per-row and the batched API). The `hotpath.*` metrics and the bench
-    /// harness read this to show how much the batched path amortises.
+    /// per-row and the batched API). The `hotpath.*` metrics and the
+    /// benchmark ledger read this to show how much the batched path
+    /// amortises.
     lock_acquisitions: AtomicU64,
     /// Rows served lock-free by the snapshot path (`hotpath.read.snapshot`).
     snapshot_rows: AtomicU64,

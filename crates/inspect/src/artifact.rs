@@ -2,7 +2,8 @@
 //!
 //! Artifacts come in two shapes: line-oriented telemetry logs (one JSON
 //! record per line, written by `--telemetry`) and single-document JSON
-//! files (Chrome traces from `--trace`, `BENCH_*.json` from the benches).
+//! files (Chrome traces from `--trace`, or any JSON document with a
+//! top-level `manifest` member).
 //! The loader detects the shape from the content, not the file name, and
 //! extracts the [`RunManifest`] from wherever that shape stamps it:
 //! a `{"event":"manifest"}` first record, `otherData.manifest`, or a
@@ -21,7 +22,7 @@ pub enum Artifact {
         /// Every record, in file order (including the manifest record).
         records: Vec<Json>,
     },
-    /// A single JSON document: a bench result or a Chrome trace.
+    /// A single JSON document: a Chrome trace or a result document.
     Document {
         /// `manifest` / `otherData.manifest` member, when present.
         manifest: Option<RunManifest>,
@@ -53,7 +54,7 @@ impl Artifact {
         }
         // A telemetry log has *every* non-empty line parseable on its own
         // and tags each record with `event`; single-document files (compact
-        // bench results, pretty-printed Chrome traces) do not.
+        // result documents, pretty-printed Chrome traces) do not.
         if lines.len() > 1 {
             let line_wise: Result<Vec<Json>, ()> = lines
                 .iter()

@@ -2,9 +2,9 @@
 
 //! Post-hoc analysis of HET-GMP run artifacts.
 //!
-//! Every run of the trainer, the experiment harness, and the benches leaves
-//! artifacts behind — telemetry JSONL logs, Chrome trace-event timelines,
-//! `BENCH_*.json` result files — each stamped with a
+//! Every run of the trainer and the experiment harness leaves artifacts
+//! behind — telemetry JSONL logs and Chrome trace-event timelines — each
+//! stamped with a
 //! [`RunManifest`](hetgmp_telemetry::RunManifest) identifying the
 //! configuration that produced it. This crate turns those artifacts back
 //! into answers, powering the `het-gmp inspect` subcommand:
@@ -16,8 +16,8 @@
 //! * [`gantt`] — an ASCII per-track occupancy timeline rendered from a
 //!   Chrome trace file: which worker/link was busy when, and how occupied
 //!   each pipeline stage kept its timeline.
-//! * [`diff`] — a cross-run comparison of two telemetry logs or two bench
-//!   files: per-metric deltas, configurable regression thresholds on the
+//! * [`diff`] — a cross-run comparison of two telemetry logs or two JSON
+//!   documents: per-metric deltas, configurable regression thresholds on the
 //!   throughput/quality metrics, and a loud warning when the two runs'
 //!   manifests show they were not measuring the same configuration.
 //!

@@ -33,7 +33,7 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
             0,
             "`inspect report` reads a telemetry JSONL log (write one with --telemetry); \
              got a single JSON document — use `inspect pipeline` for traces or \
-             `inspect diff` for bench files",
+             `inspect diff` to compare two documents",
         ));
     };
     let Some(fin) = artifact.final_record() else {

@@ -239,8 +239,8 @@ pub mod names {
     pub const PIPELINE_STAGES: [&str; 4] = ["fetch", "compute", "write_back", "sync"];
     /// Gauge (seconds): wall time the telemetry/profiling machinery itself
     /// consumed on the hot path (stage timestamps + histogram folds),
-    /// summed over workers. `bench_dense` asserts this stays under 2% of
-    /// the hot-path wall time.
+    /// summed over workers. The benchmark ledger reports it as a share of
+    /// worker wall time (`telemetry.profiler_overhead_pct`).
     pub const TELEMETRY_OVERHEAD_SECS: &str = "telemetry.overhead_secs";
     /// Trace spans: per-stage sub-spans of a batch on the worker timeline
     /// (sync trace level only), suffixed by the [`PIPELINE_STAGES`] label.

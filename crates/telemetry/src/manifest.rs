@@ -2,12 +2,12 @@
 //!
 //! A [`RunManifest`] records what produced an artifact — seed, a digest of
 //! the strategy/trainer configuration, topology size, git revision, and
-//! build profile — so any two telemetry JSONLs, Chrome
-//! traces, or `BENCH_*.json` files are self-describing and `het-gmp inspect
-//! diff` can refuse to silently compare apples to oranges. Writers stamp it
-//! as the first JSONL record (`{"event":"manifest","manifest":{...}}`),
-//! under `otherData.manifest` in Chrome traces, and as a top-level
-//! `"manifest"` object in bench JSON.
+//! build profile — so any two telemetry JSONLs or Chrome traces are
+//! self-describing and `het-gmp inspect diff` can refuse to silently
+//! compare apples to oranges. Writers stamp it as the first JSONL record
+//! (`{"event":"manifest","manifest":{...}}`) and under `otherData.manifest`
+//! in Chrome traces; a JSON document may carry it as a top-level
+//! `"manifest"` object.
 
 use crate::json::Json;
 

@@ -8,8 +8,8 @@
 //! het-gmp train      --preset criteo --scale 0.1 --system het-gmp --staleness 100
 //!                    [--telemetry out.jsonl] [--trace out.trace.json] [--audit[=strict]]
 //! het-gmp capacity   --workers 24 --mem-gb 32 --dim 128
-//! het-gmp experiment fig1|fig3|fig7|fig8|fig9|fig10|table2|table3|ablation|all [--telemetry out.jsonl]
-//! het-gmp inspect    report run.jsonl | pipeline run.trace.json | diff base.json cand.json
+//! het-gmp experiment NAME|all --scale 0.15 [--telemetry out.jsonl]
+//! het-gmp inspect    report run.jsonl | pipeline run.trace.json | diff base.jsonl cand.jsonl
 //! ```
 //!
 //! Errors surface as [`HetGmpError`] with BSD `sysexits`-style exit codes:
@@ -41,6 +41,8 @@ use het_gmp::telemetry::{
 mod cli;
 use cli::Args;
 
+/// The `--help` text; `{experiments}` stands for the names in
+/// [`EXPERIMENTS`] (see [`usage`]).
 const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|inspect> [--flags]
   gen        --preset avazu|criteo|company|tiny --scale F --out FILE
   partition  (--in FILE --fields N | --preset P --scale F) --workers N --algo hybrid|random|bicut|multilevel [--rounds N]
@@ -52,7 +54,7 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
              [--sync-format f32|f16|bf16|int8] [--sync-feedback on|off]
              [--storage memory|tiered] [--storage-budget-mb N] [--storage-dir DIR]
   capacity   --workers N --mem-gb G --dim D [--replication F]
-  experiment fig1|fig3|fig7|fig8|fig9|fig10|table2|table3|ablation|all [--scale F] [--telemetry FILE.jsonl]
+  experiment {experiments}|all [--scale F] [--telemetry FILE.jsonl]
              [--trace FILE.trace.json] [--trace-level batch|sync] [--audit[=count|strict]]
              [--sync-format F] [--sync-feedback on|off]
   inspect    report FILE.jsonl [--wall]
@@ -100,7 +102,7 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   and the per-epoch timeline from a telemetry JSONL (--wall adds
   nondeterministic wall-clock stage histograms). 'pipeline' draws an ASCII per-track
   occupancy gantt from a Chrome trace. 'diff' compares two telemetry
-  logs or two BENCH_*.json files metric by metric, warns when the runs'
+  logs or two JSON documents metric by metric, warns when the runs'
   manifests disagree, and exits 1 when a directional metric regresses
   by more than --threshold PCT (default 5).
 
@@ -108,10 +110,16 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   parse as their flag's type, and --workers 0 (exit 2); none of them falls
   back to a default.";
 
+/// [`USAGE`] with the experiment names filled in from [`EXPERIMENTS`].
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    USAGE.replace("{experiments}", &names.join("|"))
+}
+
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
     if args.has("help") {
-        println!("{USAGE}");
+        println!("{}", usage());
         return ExitCode::SUCCESS;
     }
     let result = match args.command() {
@@ -132,7 +140,7 @@ fn main() -> ExitCode {
             }
         }
         _ => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -517,6 +525,58 @@ fn cmd_capacity(args: &Args) -> Result<(), HetGmpError> {
     Ok(())
 }
 
+/// A paper experiment: the scale, the `--telemetry` sink and the
+/// observability hooks in, its report printed on stdout.
+type Runner = fn(f64, Option<&mut JsonlWriter>, &experiments::Hooks);
+
+/// Epochs of the experiments that take a count (Figure 7, Table 2).
+const EXPERIMENT_EPOCHS: usize = 3;
+
+/// Every `het-gmp experiment NAME`, in the order `experiment all` runs
+/// them. The usage text, the dispatch and `all` read this one table.
+const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("fig1", |scale, _, _| println!("{}", experiments::overhead::run(scale))),
+    ("fig3", |scale, _, _| print_each(experiments::cooccurrence::run(scale))),
+    ("table3", |scale, _, _| print_each(experiments::partitioners::run(scale))),
+    ("fig7", |scale, _, _| {
+        println!("{}", experiments::convergence::run(scale, EXPERIMENT_EPOCHS))
+    }),
+    ("fig8", |scale, telemetry, hooks| {
+        println!("{}", experiments::comm_breakdown::run_instrumented(scale, telemetry, hooks))
+    }),
+    ("table2", |scale, telemetry, hooks| {
+        let report =
+            experiments::staleness::run_instrumented(scale, EXPERIMENT_EPOCHS, telemetry, hooks);
+        println!("{report}")
+    }),
+    ("fig9", |scale, _, _| print_each(experiments::hierarchy::run(scale))),
+    ("fig10", |scale, _, _| print_each(experiments::scalability::run(scale))),
+    ("ablation", |scale, telemetry, hooks| {
+        println!("{}", experiments::ablation::run_instrumented(scale, telemetry, hooks))
+    }),
+    ("kg", |scale, _, _| println!("{}", experiments::kg::run(scale))),
+];
+
+/// Prints a per-dataset experiment's reports, each followed by a blank line.
+fn print_each<T: std::fmt::Display>(reports: Vec<T>) {
+    for r in reports {
+        println!("{r}\n");
+    }
+}
+
+/// The [`EXPERIMENTS`] entries `het-gmp experiment WHICH` runs: all of
+/// them for `all`, else the one named.
+fn experiments_for(which: &str) -> Result<&'static [(&'static str, Runner)], HetGmpError> {
+    if which == "all" {
+        return Ok(EXPERIMENTS);
+    }
+    EXPERIMENTS
+        .iter()
+        .position(|(name, _)| *name == which)
+        .map(|i| &EXPERIMENTS[i..=i])
+        .ok_or_else(|| HetGmpError::usage(format!("unknown experiment {which:?} (see --help)")))
+}
+
 fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
     check_flags(
         args,
@@ -531,6 +591,7 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         .get(1)
         .map(String::as_str)
         .ok_or_else(|| HetGmpError::usage("experiment name required"))?;
+    let selected = experiments_for(which)?;
     let scale: f64 = args.parsed_or("scale", 0.15)?;
     let mut telemetry = telemetry_sink(args)?;
     if let Some(w) = telemetry.as_mut() {
@@ -553,70 +614,8 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         sync_format: sync_format_flag(args)?,
         sync_error_feedback: sync_feedback_flag(args)?,
     };
-    match which {
-        "fig1" => println!("{}", experiments::overhead::run(scale)),
-        "fig3" => {
-            for r in experiments::cooccurrence::run(scale) {
-                println!("{r}\n");
-            }
-        }
-        "fig7" => println!("{}", experiments::convergence::run(scale, 3)),
-        "fig8" => println!(
-            "{}",
-            experiments::comm_breakdown::run_instrumented(scale, telemetry.as_mut(), &hooks)
-        ),
-        "fig9" => {
-            for r in experiments::hierarchy::run(scale) {
-                println!("{r}\n");
-            }
-        }
-        "fig10" => {
-            for r in experiments::scalability::run(scale) {
-                println!("{r}\n");
-            }
-        }
-        "table2" => println!(
-            "{}",
-            experiments::staleness::run_instrumented(scale, 3, telemetry.as_mut(), &hooks)
-        ),
-        "table3" => {
-            for r in experiments::partitioners::run(scale) {
-                println!("{r}\n");
-            }
-        }
-        "ablation" => {
-            let (st, rep, bal) =
-                experiments::ablation::run_instrumented(scale, telemetry.as_mut(), &hooks);
-            println!("{st}\n\n{rep}\n\n{bal}");
-        }
-        "all" => {
-            println!("{}", experiments::overhead::run(scale));
-            for r in experiments::cooccurrence::run(scale) {
-                println!("{r}\n");
-            }
-            for r in experiments::partitioners::run(scale) {
-                println!("{r}\n");
-            }
-            println!(
-                "{}",
-                experiments::comm_breakdown::run_instrumented(scale, telemetry.as_mut(), &hooks)
-            );
-            println!(
-                "{}",
-                experiments::staleness::run_instrumented(scale, 3, telemetry.as_mut(), &hooks)
-            );
-            for r in experiments::hierarchy::run(scale) {
-                println!("{r}\n");
-            }
-            for r in experiments::scalability::run(scale) {
-                println!("{r}\n");
-            }
-        }
-        other => {
-            return Err(HetGmpError::usage(format!(
-                "unknown experiment {other:?} (see --help)"
-            )))
-        }
+    for (_, runner) in selected {
+        runner(scale, telemetry.as_mut(), &hooks);
     }
     if let Some(w) = telemetry.as_mut() {
         w.flush()?;
@@ -674,5 +673,31 @@ fn cmd_inspect(args: &Args) -> Result<ExitCode, HetGmpError> {
         other => Err(HetGmpError::usage(format!(
             "unknown inspect mode {other:?} (report|pipeline|diff)"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `all` runs every experiment in the table, each name runs exactly
+    /// itself, and the usage line lists every name.
+    #[test]
+    fn all_and_usage_cover_every_experiment() {
+        let names = |entries: &[(&'static str, Runner)]| -> Vec<&'static str> {
+            entries.iter().map(|(name, _)| *name).collect()
+        };
+        let every = names(EXPERIMENTS);
+        assert_eq!(names(experiments_for("all").unwrap()), every);
+        for &name in &every {
+            assert_eq!(names(experiments_for(name).unwrap()), [name]);
+        }
+        let err = experiments_for("fig11").unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        let usage = usage();
+        assert!(
+            usage.contains(&format!("  experiment {}|all [", every.join("|"))),
+            "{usage}"
+        );
     }
 }

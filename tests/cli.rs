@@ -225,3 +225,18 @@ fn unparsable_numbers_and_zero_workers_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{argv:?} printed a result: {:?}", out.stdout);
     }
 }
+
+/// The §3 KG extension has a route: `experiment kg` exits 0 and prints one
+/// row per system.
+#[test]
+fn experiment_kg_prints_every_system() {
+    let out = het_gmp()
+        .args(["experiment", "kg", "--scale", "0.02"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    for system in ["HET-MP ", "HET-GMP(s=0) ", "HET-GMP(s=100) "] {
+        assert!(text.lines().any(|l| l.starts_with(system)), "no {system}row:\n{text}");
+    }
+}

@@ -204,7 +204,7 @@ fn tiered_storage_matches_goldens() {
             .iter()
             .find(|g| g.strategy == "ssp" && g.seed == seed)
             .expect("golden row");
-        let r = golden_run_tiered("ssp", seed, true);
+        let r = golden_run_tiered("ssp", seed);
         let loss = r.curve.last().expect("curve").train_loss;
         assert_eq!(r.final_auc, g.final_auc, "seed {seed}: tiered moved the AUC");
         assert_eq!(loss, g.train_loss, "seed {seed}: tiered moved the loss");
@@ -217,49 +217,7 @@ fn tiered_storage_matches_goldens() {
     }
 }
 
-/// Buffer-aware batch ordering is pure eviction policy: the same tiered run
-/// with ordering on vs off must finish with the *identical* final state —
-/// checkpoint files byte for byte, AUC and loss bit for bit.
-#[test]
-fn batch_ordering_on_off_yields_identical_final_tables() {
-    let base = std::env::temp_dir().join(format!("hetgmp-it-order-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let mut runs = Vec::new();
-    for (tag, ordering) in [("on", true), ("off", false)] {
-        let dir = base.join(tag);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let r = golden_run_tiered_ckpt("ssp", 42, ordering, Some(dir.clone()));
-        let ckpt = std::fs::read(dir.join("ckpt-epoch-2.hgmr")).expect("checkpoint written");
-        runs.push((r, ckpt));
-    }
-    let (on, off) = (&runs[0], &runs[1]);
-    assert_eq!(
-        on.0.final_auc, off.0.final_auc,
-        "ordering changed the AUC"
-    );
-    assert_eq!(
-        on.0.curve.last().unwrap().train_loss,
-        off.0.curve.last().unwrap().train_loss,
-        "ordering changed the loss"
-    );
-    assert_eq!(on.1, off.1, "ordering changed the checkpointed table bytes");
-    let _ = std::fs::remove_dir_all(&base);
-}
-
-fn golden_run_tiered(
-    strategy: &str,
-    seed: u64,
-    ordering: bool,
-) -> het_gmp::core::trainer::TrainResult {
-    golden_run_tiered_ckpt(strategy, seed, ordering, None)
-}
-
-fn golden_run_tiered_ckpt(
-    strategy: &str,
-    seed: u64,
-    ordering: bool,
-    checkpoint_dir: Option<std::path::PathBuf>,
-) -> het_gmp::core::trainer::TrainResult {
+fn golden_run_tiered(strategy: &str, seed: u64) -> het_gmp::core::trainer::TrainResult {
     let mut spec = DatasetSpec::avazu_like(0.03);
     spec.cluster_affinity = 0.9;
     let data = generate(&spec);
@@ -283,9 +241,6 @@ fn golden_run_tiered_ckpt(
                 budget_bytes: 4 << 10,
                 dir: None,
             },
-            batch_ordering: ordering,
-            checkpoint_every: if checkpoint_dir.is_some() { 2 } else { 0 },
-            checkpoint_dir,
             ..Default::default()
         },
     )

@@ -71,13 +71,10 @@ fn manifest_round_trips_through_telemetry_and_trace_writers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Bench documents carry the same top-level manifest shape: the committed
-/// baselines parse, and a manifest embedded in a fresh document round-trips
-/// to an equal struct.
+/// A JSON document with a top-level "manifest" member (a bench document's
+/// shape) round-trips its manifest to an equal struct.
 #[test]
 fn manifest_round_trips_through_bench_documents() {
-    // In-memory round-trip through the Document path (the BENCH_*.json
-    // writer shape: a top-level "manifest" member).
     let m = RunManifest::new(42, RunManifest::digest_of("dim=8|hidden=16"), 4);
     let doc = Json::obj([
         ("manifest", m.to_json()),
@@ -85,17 +82,6 @@ fn manifest_round_trips_through_bench_documents() {
     ]);
     let artifact = Artifact::parse(&doc.render()).expect("document parses");
     assert_eq!(artifact.manifest(), Some(&m), "document round-trip changed the manifest");
-
-    // The committed perf baselines are stamped too (tests run from the
-    // workspace root, where the BENCH files live).
-    for committed in ["BENCH_hotpath.json", "BENCH_dense.json", "BENCH_comms.json"] {
-        let artifact = Artifact::load(committed).unwrap();
-        let m = artifact
-            .manifest()
-            .unwrap_or_else(|| panic!("{committed} has no parseable run manifest"));
-        assert!(m.workers > 0, "{committed}: zero workers in manifest");
-        assert_eq!(m.config_digest.len(), 16, "{committed}: digest is not 16 hex chars");
-    }
 }
 
 /// `inspect report` and `inspect pipeline` render their headline sections

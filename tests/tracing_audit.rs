@@ -119,7 +119,8 @@ fn strict_audit_bsp_run_reports_zero_violations() {
 
 /// The experiment runners emit audited JSONL records with the documented
 /// event names: `ablation.staleness` snapshots carry an `audit` object,
-/// `ablation.replication` rows are plain records.
+/// `ablation.replication` rows are plain records. Stdout carries every
+/// ablation section, the three beyond the JSONL-backed sweeps included.
 #[test]
 fn experiment_ablation_jsonl_event_shapes() {
     let dir = scratch_dir("abl-jsonl");
@@ -133,6 +134,14 @@ fn experiment_ablation_jsonl_event_shapes() {
         .output()
         .expect("spawn");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for heading in [
+        "Ablation — static vertex-cut replicas vs dynamic LFU cache (equal memory)",
+        "Ablation — re-partitioning under access drift (criteo-like, 8 partitions)",
+        "Ablation — straggler tolerance (WDL, 8 GPUs, 1 slow worker)",
+    ] {
+        assert!(stdout.lines().any(|l| l == heading), "no {heading:?}:\n{stdout}");
+    }
 
     let text = std::fs::read_to_string(&tele).unwrap();
     let lines: Vec<&str> = text.lines().collect();
