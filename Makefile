@@ -5,8 +5,8 @@
 
 CARGO ?= cargo
 
-.PHONY: build test clippy doc lint-metrics lint-rounding fault-matrix inspect-smoke tsan \
-	verify bench benchmark-smoke clean
+.PHONY: build test clippy doc lint-metrics lint-rounding lint-unsafe fault-matrix inspect-smoke \
+	tsan verify bench benchmark-smoke clean
 
 build:
 	$(CARGO) build --release --offline --workspace
@@ -33,6 +33,12 @@ lint-metrics:
 # out-of-line call that keeps its loop scalar. See the script's header.
 lint-rounding:
 	sh scripts/check_hot_rounding.sh
+
+# One `unsafe` site: the guarded call in gemm::run is the only unsafe block
+# and the only #[allow(unsafe_code)] in the first-party sources, tensor's
+# crate root denies unsafe_code and every other crate root forbids it.
+lint-unsafe:
+	sh scripts/check_unsafe.sh
 
 # Fault-injection smoke matrix: crash (with checkpoint/restore), stall,
 # and link degradation through the release CLI under --audit=strict.
@@ -65,10 +71,10 @@ benchmark-smoke:
 
 # The gate every change must pass: release build, full test suite, clippy
 # and rustdoc with warnings denied, metric-name lint, hot-path rounding
-# lint, the fault-injection matrix, the inspect smoke, and the benchmark
-# smoke.
-verify: build test clippy doc lint-metrics lint-rounding fault-matrix inspect-smoke \
-	benchmark-smoke
+# lint, the one-unsafe-site lint, the fault-injection matrix, the inspect
+# smoke, and the benchmark smoke.
+verify: build test clippy doc lint-metrics lint-rounding lint-unsafe fault-matrix \
+	inspect-smoke benchmark-smoke
 
 # Criterion microbenchmarks, one bench per layer (crates/bench/benches).
 # benchmark/ is the performance record; these are for looking closer.

@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetgmp_core::models::{CtrModel, ModelKind, ModelTape};
-use hetgmp_tensor::{auc, bce_with_logits_into, CrossLayer, DenseTape, Matrix, Mlp};
+use hetgmp_tensor::{auc, bce_with_logits_into, CrossTower, DenseTape, Matrix, Mlp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,32 +48,42 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("dcn_step", |b| {
-        let mut m = CtrModel::new(ModelKind::Dcn, 26, 16, &[64, 32], 1);
-        let x = random_matrix(256, 416, 7);
-        let labels: Vec<f32> = (0..256).map(|i| (i % 2) as f32).collect();
-        let mut tape = ModelTape::new();
-        let (mut grad, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        b.iter(|| {
-            m.forward_tape(&x, &mut tape);
-            bce_with_logits_into(tape.logits(), &labels, &mut grad);
-            m.zero_grad();
-            m.backward_tape(&x, &grad, &mut gx, &mut tape)
+    // The two DCN shapes: the default (26 fields × dim 16, [64, 32]) and
+    // avazu_dense's (22 × 64, [256, 128]), batch 256 each.
+    for (name, fields, dim, hidden) in [
+        ("dcn_step", 26, 16, [64, 32]),
+        ("dcn_step_256x1408", 22, 64, [256, 128]),
+    ] {
+        group.bench_function(name, |b| {
+            let mut m = CtrModel::new(ModelKind::Dcn, fields, dim, &hidden, 1);
+            let x = random_matrix(256, fields * dim, 7);
+            let labels: Vec<f32> = (0..256).map(|i| (i % 2) as f32).collect();
+            let mut tape = ModelTape::new();
+            let (mut grad, mut gx) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            b.iter(|| {
+                m.forward_tape(&x, &mut tape);
+                bce_with_logits_into(tape.logits(), &labels, &mut grad);
+                m.zero_grad();
+                m.backward_tape(&x, &grad, &mut gx, &mut tape)
+            });
         });
-    });
+    }
 
-    // One cross layer at avazu_dense's width (22 fields × dim 64), each
-    // pass alone: per-row dots plus an element-wise sweep of four matrices.
+    // DCN's three-layer cross tower at avazu_dense's width (22 fields ×
+    // dim 64), each pass alone: forward writes x_L and the dots; backward
+    // rebuilds x_1, x_2 per row block and adds into the input gradient.
     let x0 = random_matrix(256, 1408, 9);
-    let xl = random_matrix(256, 1408, 10);
-    let g = random_matrix(256, 1408, 11);
-    let mut cross = CrossLayer::new(1408, 12);
-    let mut out = Matrix::zeros(0, 0);
-    group.bench_function("cross_forward_256x1408", |b| {
-        b.iter(|| cross.forward_with_x0(&x0, &xl, &mut out));
+    let dy: Vec<f32> = random_matrix(256, 1, 10).data().to_vec();
+    let w_top: Vec<f32> = random_matrix(1, 1408, 11).data().to_vec();
+    let mut tower = CrossTower::new(1408, 3, 12);
+    let (mut out, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let mut grad_in = random_matrix(256, 1408, 13);
+    tower.forward(&x0, &mut out, &mut dots);
+    group.bench_function("cross_tower_forward_256x1408", |b| {
+        b.iter(|| tower.forward(&x0, &mut out, &mut dots));
     });
-    group.bench_function("cross_backward_256x1408", |b| {
-        b.iter(|| cross.backward_with_x0(&x0, &xl, &g, &mut out));
+    group.bench_function("cross_tower_backward_256x1408", |b| {
+        b.iter(|| tower.backward(&x0, &dots, &dy, &w_top, &mut grad_in));
     });
 
     group.bench_function("auc_100k", |b| {

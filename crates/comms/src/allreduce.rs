@@ -1,18 +1,22 @@
 //! A reusable sum-AllReduce across worker threads.
 //!
 //! Semantics match one NCCL `ncclAllReduce(sum)` call: every participant
-//! contributes a same-length f32 vector and receives the element-wise sum.
-//! A round has three phases — contribute, reduce, collect — fenced by a
-//! few counters under one small mutex, so the group can be reused every
-//! iteration without re-allocation races. The *data* never moves under
-//! that mutex: each of the first `n − 1` arrivals copies its contribution
-//! into the slot of its arrival position, the last arrival reduces the
-//! slots and its own vector (it never copies in) into slot 0, and everyone
-//! else copies the result out of slot 0 — each slot behind its own lock,
-//! so the copies of different ranks run side by side. Only a max round
-//! keeps its data under the mutex: it carries a clock, a vote or nothing at
-//! all (`barrier`), max is exact and commutative, and folding it in place
-//! costs each participant one lock instead of three.
+//! contributes a same-length f32 vector and receives the element-wise sum
+//! (or, for the mean collectives, the sum times `1/n`). A round has three
+//! phases — contribute, reduce, collect — fenced by a few counters under
+//! one small mutex, so the group can be reused every iteration without
+//! re-allocation races. No vector data is copied to get there: each of the
+//! first `n − 1` arrivals *swaps* its vector into the slot of its arrival
+//! position (a pointer swap under the mutex), the last arrival takes the
+//! slots, reduces them and its own vector, and writes the result — scaled
+//! by `1/n` in the same pass for a mean — into its own vector and back
+//! into every slot, outside the mutex. Each contributor then swaps its own
+//! allocation back out of its slot, result included. The slots' own
+//! placeholder allocations never hold data, so a steady state allocates
+//! nothing and every rank keeps the buffer it came with. Only a max round
+//! keeps its data under the mutex: it carries a clock, a vote or nothing
+//! at all (`barrier`), max is exact and commutative, and folding it in
+//! place costs each participant one lock.
 //!
 //! # The sum is order-free
 //!
@@ -35,13 +39,16 @@
 //!   `n`) whose every step is a branch-free lane-wise `min`/`max` — `LANE`
 //!   columns are sorted at once — then mapped back and added row by row.
 //!
+//! A mean multiplies that sum by the f32 `1/n` as it is stored, which is
+//! the bits of a separate `×1/n` pass over the stored sum.
+//!
 //! The group reduces whatever bits it is handed; under a lossy
 //! `--sync-format` the *contribution* is what crosses the wire, so the
 //! trainer runs each local gradient through [`crate::DenseQuantizer`]
 //! before contributing and charges the collective at
 //! [`crate::SyncFormat::dense_wire_bytes`].
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Elements sorted side by side by one pass of the compare-exchange
 /// network: wide enough that every step is a handful of full vectors on any
@@ -51,15 +58,16 @@ const LANE: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
     Sum,
+    /// A `Sum` times `1/n`, folded into the reduction's store: the plain
+    /// mean and the trainers' BSP sync point, whose scalar max and boolean
+    /// OR ride in the aux lanes (see [`AllReduceGroup::fused_mean_max`]).
+    Mean,
     Max,
-    /// One-rendezvous combination of a `Sum` on the vector plus a scalar
-    /// max and a boolean OR carried in the aux lanes — the trainers' BSP
-    /// sync point (see [`AllReduceGroup::fused_mean_max`]).
-    Fused,
 }
 
-/// The round's bookkeeping: everything the state mutex guards. No vector
-/// data lives here.
+/// The round's bookkeeping and the contributors' slots: everything the
+/// state mutex guards. Vector data is swapped in and out here, never
+/// copied.
 struct State {
     /// Element-wise combine op and vector length of the current round (all
     /// participants of a round must agree on both).
@@ -67,20 +75,23 @@ struct State {
     len: usize,
     /// Running element-wise max of a `Max` round.
     max: Vec<f32>,
-    /// Scalar max lane for `Fused` rounds (exact: f64 max is order-free).
+    /// Scalar max lane (exact: f64 max is order-free).
     aux_max: f64,
-    /// Boolean OR lane for `Fused` rounds.
+    /// Boolean OR lane.
     aux_or: bool,
     /// Participants that have entered this round; the value a participant
     /// reads on entry is its arrival position.
     arrived: usize,
-    /// Arrivals whose contribution is complete in its slot.
-    filled: usize,
-    /// The round's result is complete (in `max`, or in slot 0).
+    /// The round's result is complete (in `max`, or in every slot).
     reduced: bool,
-    /// Participants that have copied the result out. The round closes —
-    /// and the next may overwrite the slots — when all `n` have.
+    /// Participants that have taken the result. The round closes — and
+    /// the next may refill the slots — when all `n` have.
     collected: usize,
+    /// One buffer per arrival position but the last. A contributor's
+    /// vector sits here from its arrival until it takes the result; in
+    /// between rounds each slot holds an empty placeholder. The last
+    /// arrival takes the whole list out while it reduces.
+    slots: Vec<Vec<f32>>,
 }
 
 /// A sum-AllReduce group over `n` participants.
@@ -90,11 +101,6 @@ pub struct AllReduceGroup {
     /// Wakes participants waiting for the result, and those waiting for the
     /// previous round to drain.
     cv: Condvar,
-    /// Wakes the last arrival when the slots are complete.
-    filled_cv: Condvar,
-    /// One persistent buffer per arrival position but the last (refilled,
-    /// never re-allocated). Slot 0 doubles as the round's result.
-    slots: Vec<RwLock<Vec<f32>>>,
     /// The compare-exchange network that sorts `n` values, and `n` rows of
     /// `LANE` keys for it to work on (only a round's last arrival takes
     /// this lock, so it is never contended).
@@ -117,13 +123,11 @@ impl AllReduceGroup {
                 aux_max: f64::NEG_INFINITY,
                 aux_or: false,
                 arrived: 0,
-                filled: 0,
                 reduced: false,
                 collected: 0,
+                slots: vec![Vec::new(); n - 1],
             }),
             cv: Condvar::new(),
-            filled_cv: Condvar::new(),
-            slots: (1..n).map(|_| RwLock::new(Vec::new())).collect(),
             sorter: Mutex::new(Sorter::new(n)),
         }
     }
@@ -134,132 +138,138 @@ impl AllReduceGroup {
     }
 
     /// Contributes `data` and blocks until all `n` participants have
-    /// contributed; `data` is overwritten with the element-wise sum.
+    /// contributed; `data` is overwritten with the element-wise sum. The
+    /// caller keeps its allocation: `data` leaves with the pointer and
+    /// capacity it came with.
     ///
     /// Every participant must pass the same length each round.
     ///
     /// # Panics
     /// Panics on length disagreement within a round.
-    pub fn allreduce_sum(&self, data: &mut [f32]) {
-        self.allreduce(data, Op::Sum);
+    pub fn allreduce_sum(&self, data: &mut Vec<f32>) {
+        self.reduce(data, Op::Sum, f64::NEG_INFINITY, false);
+    }
+
+    /// AllReduce followed by division by `n` (mean of the contributions),
+    /// the `1/n` multiply folded into the reduction's store.
+    pub fn allreduce_mean(&self, data: &mut Vec<f32>) {
+        self.reduce(data, Op::Mean, f64::NEG_INFINITY, false);
+    }
+
+    /// Fused dense-sync collective: one rendezvous that mean-reduces
+    /// `data`, max-reduces `clock` and OR-reduces `vote`. Returns
+    /// `(max of all clocks, OR of all votes)`.
+    ///
+    /// Bit-identical to `allreduce_mean(data)` on the vector lane, and
+    /// exact on the aux lanes (f64 max / bool OR are order-free) — so a BSP
+    /// step issues one generation-barrier round trip instead of an
+    /// `allreduce_mean` + `allreduce_max` (clock sync) pair, without
+    /// perturbing any training math.
+    pub fn fused_mean_max(&self, data: &mut Vec<f32>, clock: f64, vote: bool) -> (f64, bool) {
+        self.reduce(data, Op::Mean, clock, vote)
     }
 
     /// Element-wise max AllReduce (used e.g. to implement simulated-clock
     /// barriers: everyone leaves with the latest clock).
     pub fn allreduce_max(&self, data: &mut [f32]) {
-        self.allreduce(data, Op::Max);
+        if self.n == 1 {
+            return;
+        }
+        // Exact, commutative and tiny (a clock, a vote, a phase fence):
+        // folded in place under the mutex, one lock per participant.
+        let (mut st, position) = self.enter(Op::Max, data.len(), f64::NEG_INFINITY, false);
+        if position == 0 {
+            st.max.clear();
+            st.max.extend_from_slice(data);
+        } else {
+            for (s, &x) in st.max.iter_mut().zip(data.iter()) {
+                if x > *s {
+                    *s = x;
+                }
+            }
+        }
+        if position + 1 == self.n {
+            st.reduced = true;
+            self.cv.notify_all();
+        } else {
+            while !st.reduced {
+                self.cv.wait(&mut st);
+            }
+        }
+        data.copy_from_slice(&st.max);
+        self.leave(st);
     }
 
-    fn allreduce(&self, data: &mut [f32], op: Op) {
-        self.combine(data, op, f64::NEG_INFINITY, false);
-    }
-
-    /// One rendezvous combining the vector reduction with the aux lanes.
-    /// Returns `(max of all clocks, OR of all votes)`.
-    fn combine(&self, data: &mut [f32], op: Op, clock: f64, vote: bool) -> (f64, bool) {
+    /// A `Sum` or `Mean` round: contributors swap their vectors in and
+    /// out of their slots, the last arrival reduces.
+    fn reduce(&self, data: &mut Vec<f32>, op: Op, clock: f64, vote: bool) -> (f64, bool) {
         if self.n == 1 {
             return (clock, vote);
         }
+        let (mut st, position) = self.enter(op, data.len(), clock, vote);
+        if position + 1 < self.n {
+            std::mem::swap(&mut st.slots[position], data);
+            while !st.reduced {
+                self.cv.wait(&mut st);
+            }
+            std::mem::swap(&mut st.slots[position], data);
+        } else {
+            // Every contribution is in its slot (each swapped in before
+            // this arrival could take the lock). Reduce outside the mutex.
+            let mut slots = std::mem::take(&mut st.slots);
+            drop(st);
+            // `s·1.0` is `s` to the bit for every sum the network stores
+            // (an addition never returns a signalling NaN), so a sum round
+            // shares the mean's store.
+            let scale = if op == Op::Mean { 1.0 / self.n as f32 } else { 1.0 };
+            self.sorter.lock().reduce_into(data, &mut slots, scale);
+            st = self.state.lock();
+            st.slots = slots;
+            st.reduced = true;
+            self.cv.notify_all();
+        }
+        self.leave(st)
+    }
+
+    /// Joins the current round — after the previous one has drained — and
+    /// returns the locked state with this participant's arrival position.
+    fn enter(&self, op: Op, len: usize, clock: f64, vote: bool) -> (MutexGuard<'_, State>, usize) {
         let mut st = self.state.lock();
         // A fast participant may re-enter for the next round while the
         // previous round is still in its collection phase (`arrived == n`);
-        // it must wait for the round to drain or it would overwrite a slot
-        // a slower participant has yet to read.
+        // it must wait for the round to drain or it would take a slot a
+        // slower participant has yet to empty.
         while st.arrived == self.n {
             self.cv.wait(&mut st);
         }
         let position = st.arrived;
         if position == 0 {
             st.op = op;
-            st.len = data.len();
+            st.len = len;
             st.aux_max = clock;
             st.aux_or = vote;
         } else {
-            assert_eq!(st.len, data.len(), "allreduce length mismatch");
+            assert_eq!(st.len, len, "allreduce length mismatch");
             assert_eq!(st.op, op, "mixed ops within one allreduce round");
             st.aux_max = st.aux_max.max(clock);
             st.aux_or |= vote;
         }
         st.arrived += 1;
-        let last = st.arrived == self.n;
+        (st, position)
+    }
 
-        if op == Op::Max {
-            // Exact, commutative and tiny (a clock, a vote, a phase fence):
-            // folded in place under the mutex, one lock per participant.
-            if position == 0 {
-                st.max.clear();
-                st.max.extend_from_slice(data);
-            } else {
-                for (s, &x) in st.max.iter_mut().zip(data.iter()) {
-                    if x > *s {
-                        *s = x;
-                    }
-                }
-            }
-            if last {
-                st.reduced = true;
-                self.cv.notify_all();
-            } else {
-                while !st.reduced {
-                    self.cv.wait(&mut st);
-                }
-            }
-            data.copy_from_slice(&st.max);
-        } else if !last {
-            drop(st);
-            {
-                let mut slot = self.slots[position].write();
-                slot.clear();
-                slot.extend_from_slice(data);
-            }
-            st = self.state.lock();
-            st.filled += 1;
-            if st.filled + 1 == self.n && st.arrived == self.n {
-                // The last arrival is already in, so it may be waiting.
-                self.filled_cv.notify_one();
-            }
-            while !st.reduced {
-                self.cv.wait(&mut st);
-            }
-            drop(st);
-            data.copy_from_slice(&self.slots[0].read());
-            st = self.state.lock();
-        } else {
-            // The last arrival reduces straight from its own vector.
-            while st.filled + 1 < self.n {
-                self.filled_cv.wait(&mut st);
-            }
-            drop(st);
-            {
-                let mut first = self.slots[0].write();
-                let rest: Vec<_> = self.slots[1..].iter().map(|s| s.read()).collect();
-                self.sorter.lock().sum_into(data, &mut first, &rest);
-            }
-            st = self.state.lock();
-            st.reduced = true;
-            self.cv.notify_all();
-        }
-
+    /// Takes the result: returns the aux lanes and, as the round's last
+    /// collector, opens the next round.
+    fn leave(&self, mut st: MutexGuard<'_, State>) -> (f64, bool) {
         let aux = (st.aux_max, st.aux_or);
         st.collected += 1;
         if st.collected == self.n {
-            // Round drained: open the next one.
             st.arrived = 0;
-            st.filled = 0;
             st.reduced = false;
             st.collected = 0;
             self.cv.notify_all();
         }
         aux
-    }
-
-    /// AllReduce followed by division by `n` (mean of the contributions).
-    pub fn allreduce_mean(&self, data: &mut [f32]) {
-        self.allreduce_sum(data);
-        let inv = 1.0 / self.n as f32;
-        for x in data {
-            *x *= inv;
-        }
     }
 
     /// Collective OR: every participant contributes a vote and all of them
@@ -283,24 +293,6 @@ impl AllReduceGroup {
     pub fn barrier(&self) {
         let mut z = [0.0f32];
         self.allreduce_max(&mut z);
-    }
-
-    /// Fused dense-sync collective: one rendezvous that mean-reduces
-    /// `data`, max-reduces `clock` and OR-reduces `vote`.
-    ///
-    /// Bit-identical to `allreduce_mean(data)` on the vector lane (same
-    /// value-sorted sum, same `1/n` f32 multiply), and exact on the aux
-    /// lanes (f64 max / bool OR are order-free) — so a BSP step issues one
-    /// generation-barrier round trip instead of an `allreduce_mean` +
-    /// `allreduce_max` (clock sync) pair, without perturbing any training
-    /// math.
-    pub fn fused_mean_max(&self, data: &mut [f32], clock: f64, vote: bool) -> (f64, bool) {
-        let aux = self.combine(data, Op::Fused, clock, vote);
-        let inv = 1.0 / self.n as f32;
-        for x in data.iter_mut() {
-            *x *= inv;
-        }
-        aux
     }
 }
 
@@ -351,28 +343,22 @@ impl Sorter {
         }
     }
 
-    /// The value-sorted sum of `mine`, `first` and `rest`, element by
-    /// element, left in both `first` and `mine`.
-    fn sum_into<S: std::ops::Deref<Target = Vec<f32>>>(
-        &mut self,
-        mine: &mut [f32],
-        first: &mut [f32],
-        rest: &[S],
-    ) {
-        if rest.is_empty() {
+    /// The value-sorted sum of `mine` and every vector in `others`,
+    /// element by element, times `scale`, left in `mine` and in every
+    /// vector of `others`.
+    fn reduce_into(&mut self, mine: &mut [f32], others: &mut [Vec<f32>], scale: f32) {
+        if let [other] = others {
             // Two values: sorted or not, the sum is the same bits.
-            for (m, f) in mine.iter_mut().zip(first) {
-                let s = *m + *f;
+            for (m, o) in mine.iter_mut().zip(other.iter_mut()) {
+                let s = (*m + *o) * scale;
                 *m = s;
-                *f = s;
+                *o = s;
             }
             return;
         }
         for start in (0..mine.len()).step_by(LANE) {
             let end = mine.len().min(start + LANE);
-            let rows = [&mine[start..end], &first[start..end]]
-                .into_iter()
-                .chain(rest.iter().map(|r| &r[start..end]));
+            let rows = std::iter::once(&mine[start..end]).chain(others.iter().map(|r| &r[start..end]));
             // A short last block leaves stale keys in its spare lanes; they
             // are sorted and summed like the rest and never stored.
             for (keys, row) in self.keys.chunks_exact_mut(LANE).zip(rows) {
@@ -396,8 +382,14 @@ impl Sorter {
                     *s += f32::from_bits(total_order_key(k) as u32);
                 }
             }
-            mine[start..end].copy_from_slice(&sums[..end - start]);
-            first[start..end].copy_from_slice(&sums[..end - start]);
+            for s in &mut sums {
+                *s *= scale;
+            }
+            let sums = &sums[..end - start];
+            mine[start..end].copy_from_slice(sums);
+            for other in others.iter_mut() {
+                other[start..end].copy_from_slice(sums);
+            }
         }
     }
 }
@@ -423,19 +415,20 @@ mod tests {
             .collect()
     }
 
-    /// What a round leaves every participant with, computed as the group
-    /// computes it: the last arrival folds the others' slots into its own
-    /// vector and slot 0.
+    /// What a sum round leaves every participant with, computed as the
+    /// group computes it: the last arrival folds the others' slots into its
+    /// own vector and writes the result back into every slot.
     fn sorterless_sum(parts: &[Vec<f32>]) -> Vec<f32> {
         let n = parts.len();
         if n == 1 {
             return parts[0].clone();
         }
         let mut mine = parts[n - 1].clone();
-        let mut first = parts[0].clone();
-        let rest: Vec<&Vec<f32>> = parts[1..n - 1].iter().collect();
-        Sorter::new(n).sum_into(&mut mine, &mut first, &rest);
-        assert_eq!(bits(&mine), bits(&first), "both copies of the result agree");
+        let mut slots = parts[..n - 1].to_vec();
+        Sorter::new(n).reduce_into(&mut mine, &mut slots, 1.0);
+        for slot in &slots {
+            assert_eq!(bits(&mine), bits(slot), "every copy of the result agrees");
+        }
         mine
     }
 
@@ -617,6 +610,67 @@ mod tests {
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
         g.allreduce_mean(&mut v);
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn every_contributor_gets_its_own_buffer_back() {
+        // Every rank leaves every round with the allocation it came with —
+        // pointer and capacity — holding the oracle's sum times 1/n to the
+        // bit (`-0.0` included) after either mean collective, and the plain
+        // sum after `allreduce_sum`. Column `i` of a round is `-0.0` on
+        // every rank when `(i + round) % 5 == 0`.
+        fn part(round: usize, rank: usize, len: usize) -> Vec<f32> {
+            let mut state = (round * 131 + rank) as u64 ^ 0x2545_F491_4F6C_DD1D;
+            (0..len)
+                .map(|i| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let unit = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                    if (i + round).is_multiple_of(5) {
+                        -0.0
+                    } else {
+                        unit * 10f32.powi((state >> 33) as i32 % 5 - 2)
+                    }
+                })
+                .collect()
+        }
+        let len = 2 * LANE + 5;
+        for n in [2usize, 3, 4] {
+            let g = Arc::new(AllReduceGroup::new(n));
+            let handles: Vec<_> = (0..n)
+                .map(|rank| {
+                    let g = Arc::clone(&g);
+                    std::thread::spawn(move || {
+                        let mut v = Vec::with_capacity(len + rank);
+                        let mut negative_zeros = 0;
+                        for round in 0..30 {
+                            let parts: Vec<_> = (0..n).map(|r| part(round, r, len)).collect();
+                            v.clear();
+                            v.extend_from_slice(&parts[rank]);
+                            let own = (v.as_ptr(), v.capacity());
+                            let mut want = sorted_sum_oracle(&parts);
+                            match round % 3 {
+                                0 => g.allreduce_mean(&mut v),
+                                1 => {
+                                    g.fused_mean_max(&mut v, 0.0, false);
+                                }
+                                _ => g.allreduce_sum(&mut v),
+                            }
+                            if round % 3 != 2 {
+                                want.iter_mut().for_each(|s| *s *= 1.0 / n as f32);
+                            }
+                            let case = format!("n {n} rank {rank} round {round}");
+                            assert_eq!((v.as_ptr(), v.capacity()), own, "{case}: not its own buffer");
+                            assert_eq!(bits(&v), bits(&want), "{case}");
+                            negative_zeros += v.iter().filter(|x| x.to_bits() == 1 << 31).count();
+                        }
+                        assert!(negative_zeros > 0, "the rounds must reduce to -0.0 somewhere");
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,20 @@
 //! * **WDL** (Cheng et al. 2016): a deep MLP tower plus a wide linear head,
 //!   summed — `logit = MLP(x) + W·x`;
 //! * **DCN** (Wang et al. 2017): an explicit-feature-crossing tower
-//!   (`CrossLayer` stack) alongside a deep tower, concatenated into a final
-//!   dense combiner — the cross tower is why DCN carries more dense
-//!   parameters and hence more AllReduce traffic in the paper's Figure 8.
+//!   ([`CrossTower`]) alongside a deep tower, both read by a final
+//!   one-column combiner over `[cross ; deep]` — the cross tower is why DCN
+//!   carries more dense parameters and hence more AllReduce traffic in the
+//!   paper's Figure 8.
+//!
+//! DCN's combiner never forms the concatenation: its forward pass seeds
+//! each logit with the bias and continues one dot-product chain from the
+//! cross tower's output into the deep tower's, and its input gradient is
+//! the rank-1 `dY·wᵀ`, which the deep tower receives written directly and
+//! the cross tower generates block by block inside its own backward pass.
+//! WDL's wide head adds its rank-1 input gradient straight into `grad_in`.
 
 use hetgmp_tensor::fm::{FmInteraction, TargetAttention};
-use hetgmp_tensor::layers::{CrossLayer, Dense, Mlp};
+use hetgmp_tensor::layers::{CrossTower, Dense, Mlp};
 use hetgmp_tensor::tape::DenseTape;
 use hetgmp_tensor::Matrix;
 
@@ -59,19 +67,18 @@ pub struct CtrModel {
     deep: Mlp,
     /// WDL: wide linear head. DCN: final combiner over `[cross ; deep]`.
     head: Option<Dense>,
-    /// DCN cross tower (empty otherwise).
-    cross: Vec<CrossLayer>,
+    /// DCN cross tower.
+    cross: Option<CrossTower>,
     /// DeepFM second-order interaction.
     fm: Option<FmInteraction>,
     /// DIN target attention.
     att: Option<TargetAttention>,
-    deep_out_dim: usize,
 }
 
 /// Per-worker arena for allocation-free [`CtrModel`] forward/backward:
 /// owns a [`DenseTape`] for the deep tower plus every named scratch matrix
-/// the architecture-specific paths need (wide/FM auxiliary output, DIN
-/// pooling, DCN concat/split buffers and cross-tower activations).
+/// the architecture-specific paths need (wide/FM/cross output, DIN
+/// pooling, DCN's cross-tower dots and deep-tower upstream gradient).
 ///
 /// One tape lives for a whole training run; after the first batch every
 /// buffer has its steady-state capacity, and [`ModelTape::end_batch`]
@@ -80,20 +87,19 @@ pub struct CtrModel {
 #[derive(Default)]
 pub struct ModelTape {
     dense: DenseTape,
-    /// Second-path output (WDL wide head, DeepFM FM term).
+    /// Second-path output (WDL wide head, DeepFM FM term, DCN cross
+    /// tower's top activation).
     aux: Matrix,
-    /// Second-path input gradient (also the DCN cross ping-pong scratch).
+    /// DeepFM's FM input gradient.
     g_aux: Matrix,
     /// DIN attention output / its gradient.
     pooled: Matrix,
     g_pooled: Matrix,
-    /// DCN `[cross ; deep]` concat / its gradient / the split halves.
-    cat: Matrix,
-    g_cat: Matrix,
-    g_cross: Matrix,
+    /// DCN cross tower's per-layer, per-row dots (`layers × batch`).
+    cross_dots: Matrix,
+    /// DCN deep tower's upstream gradient (the combiner's rank-1 `dY·wᵀ`
+    /// over the deep half).
     g_deep: Matrix,
-    /// DCN cross-tower activations (`cross_acts[i]` = output of layer i).
-    cross_acts: Vec<Matrix>,
     /// Final per-sample logits of the most recent forward.
     logits: Matrix,
     /// Wall seconds spent in dense forward/loss/backward (throughput gauge).
@@ -128,12 +134,6 @@ impl ModelTape {
         self.dense.post_warmup_growth()
     }
 
-    fn ensure_cross(&mut self, n: usize) {
-        while self.cross_acts.len() < n {
-            self.cross_acts.push(Matrix::zeros(0, 0));
-        }
-    }
-
     /// Closes a batch: snapshots total reserved bytes (deep tape + every
     /// named scratch buffer) and counts post-warmup growth.
     pub fn end_batch(&mut self) {
@@ -141,16 +141,9 @@ impl ModelTape {
             + self.g_aux.capacity_bytes()
             + self.pooled.capacity_bytes()
             + self.g_pooled.capacity_bytes()
-            + self.cat.capacity_bytes()
-            + self.g_cat.capacity_bytes()
-            + self.g_cross.capacity_bytes()
+            + self.cross_dots.capacity_bytes()
             + self.g_deep.capacity_bytes()
-            + self.logits.capacity_bytes()
-            + self
-                .cross_acts
-                .iter()
-                .map(Matrix::capacity_bytes)
-                .sum::<usize>();
+            + self.logits.capacity_bytes();
         self.dense.end_batch(extra);
     }
 }
@@ -174,29 +167,25 @@ impl CtrModel {
                     input_dim,
                     deep,
                     head,
-                    cross: Vec::new(),
+                    cross: None,
                     fm: None,
                     att: None,
-                    deep_out_dim: 1,
                 }
             }
             ModelKind::Dcn => {
                 // Deep tower without scalar head: it feeds the combiner.
                 let deep = Mlp::without_head(input_dim, hidden, seed);
                 let d = *hidden.last().expect("checked non-empty above");
-                let cross = (0..3)
-                    .map(|i| CrossLayer::new(input_dim, seed.wrapping_add(100 + i)))
-                    .collect();
+                let cross = CrossTower::new(input_dim, 3, seed.wrapping_add(100));
                 let head = Some(Dense::new(input_dim + d, 1, seed.wrapping_add(999)));
                 Self {
                     kind,
                     input_dim,
                     deep,
                     head,
-                    cross,
+                    cross: Some(cross),
                     fm: None,
                     att: None,
-                    deep_out_dim: d,
                 }
             }
             ModelKind::DeepFm => Self {
@@ -204,10 +193,9 @@ impl CtrModel {
                 input_dim,
                 deep: Mlp::new(input_dim, hidden, seed),
                 head: None,
-                cross: Vec::new(),
+                cross: None,
                 fm: Some(FmInteraction::new(num_fields, dim)),
                 att: None,
-                deep_out_dim: 1,
             },
             ModelKind::Din => {
                 let att = TargetAttention::new(num_fields, dim);
@@ -217,10 +205,9 @@ impl CtrModel {
                     input_dim,
                     deep,
                     head: None,
-                    cross: Vec::new(),
+                    cross: None,
                     fm: None,
                     att: Some(att),
-                    deep_out_dim: 1,
                 }
             }
         }
@@ -278,29 +265,12 @@ impl CtrModel {
                 logits.data_mut().copy_from_slice(dense.output().data());
             }
             ModelKind::Dcn => {
-                let ncross = self.cross.len();
-                tape.ensure_cross(ncross);
-                for i in 0..ncross {
-                    let (before, rest) = tape.cross_acts.split_at_mut(i);
-                    let prev: &Matrix = if i == 0 { input } else { &before[i - 1] };
-                    self.cross[i].forward_with_x0(input, prev, &mut rest[0]);
-                    tape.dense.add_flops(self.cross[i].flops(batch));
-                }
+                let cross = self.cross.as_ref().expect("DCN has a cross tower");
+                cross.forward(input, &mut tape.aux, &mut tape.cross_dots);
+                tape.dense.add_flops(cross.flops(batch));
                 self.deep.forward_tape(input, &mut tape.dense);
-                let cat_dim = self.input_dim + self.deep_out_dim;
-                {
-                    let (cat, dense, cross_acts) =
-                        (&mut tape.cat, &tape.dense, &tape.cross_acts);
-                    cat.reshape(batch, cat_dim);
-                    let x = cross_acts.last().expect("cross tower is non-empty");
-                    let deep_out = dense.output();
-                    for r in 0..batch {
-                        cat.row_mut(r)[..self.input_dim].copy_from_slice(x.row(r));
-                        cat.row_mut(r)[self.input_dim..].copy_from_slice(deep_out.row(r));
-                    }
-                }
-                let head = self.head.as_mut().expect("DCN has a combiner");
-                head.forward_into(&tape.cat, &mut tape.logits);
+                let head = self.head.as_ref().expect("DCN has a combiner");
+                head.forward_concat_into(&[&tape.aux, tape.dense.output()], &mut tape.logits);
                 tape.dense.add_flops(head.flops(batch));
             }
         }
@@ -326,16 +296,17 @@ impl CtrModel {
                 match self.kind {
                     ModelKind::Wdl => {
                         let head = self.head.as_mut().expect("WDL has a wide head");
-                        head.backward_into(input, grad_logits, &mut tape.g_aux);
+                        head.backward_concat_params(&[input], grad_logits);
+                        grad_in.add_outer(grad_logits.data(), head.weights());
                         tape.dense.add_flops(2 * head.flops(batch));
                     }
                     _ => {
                         let fm = self.fm.as_mut().expect("DeepFM has an FM term");
                         fm.backward_into(input, grad_logits, &mut tape.g_aux);
+                        for (o, &a) in grad_in.data_mut().iter_mut().zip(tape.g_aux.data()) {
+                            *o += a;
+                        }
                     }
-                }
-                for (o, &a) in grad_in.data_mut().iter_mut().zip(tape.g_aux.data()) {
-                    *o += a;
                 }
             }
             ModelKind::Din => {
@@ -350,47 +321,18 @@ impl CtrModel {
             }
             ModelKind::Dcn => {
                 let head = self.head.as_mut().expect("DCN has a combiner");
-                head.backward_into(&tape.cat, grad_logits, &mut tape.g_cat);
+                head.backward_concat_params(&[&tape.aux, tape.dense.output()], grad_logits);
                 tape.dense.add_flops(2 * head.flops(batch));
-                {
-                    let (g_cat, g_cross, g_deep) =
-                        (&tape.g_cat, &mut tape.g_cross, &mut tape.g_deep);
-                    g_cross.reshape(batch, self.input_dim);
-                    g_deep.reshape(batch, self.deep_out_dim);
-                    for r in 0..batch {
-                        g_cross
-                            .row_mut(r)
-                            .copy_from_slice(&g_cat.row(r)[..self.input_dim]);
-                        g_deep
-                            .row_mut(r)
-                            .copy_from_slice(&g_cat.row(r)[self.input_dim..]);
-                    }
-                }
+                // The combiner's input gradient is rank 1: the deep half is
+                // written as the deep tower's upstream, the cross half is
+                // formed block by block inside the cross tower.
+                let (w_cross, w_deep) = head.weights().split_at(self.input_dim);
+                tape.g_deep.set_outer(grad_logits.data(), w_deep);
                 self.deep
                     .backward_tape(input, &tape.g_deep, grad_in, &mut tape.dense);
-                // Cross chain backward, newest → oldest, ping-ponging the
-                // upstream gradient between `g_cross` and `g_aux`.
-                for i in (0..self.cross.len()).rev() {
-                    tape.dense.add_flops(2 * self.cross[i].flops(batch));
-                    let layer_in: &Matrix = if i == 0 {
-                        input
-                    } else {
-                        &tape.cross_acts[i - 1]
-                    };
-                    self.cross[i].backward_with_x0(
-                        input,
-                        layer_in,
-                        &tape.g_cross,
-                        &mut tape.g_aux,
-                    );
-                    std::mem::swap(&mut tape.g_cross, &mut tape.g_aux);
-                }
-                // x0 enters every cross layer; its direct gradient reaches
-                // the input through the first layer's identity + dot paths,
-                // plus the deep tower's input gradient.
-                for (o, &c) in grad_in.data_mut().iter_mut().zip(tape.g_cross.data()) {
-                    *o += c;
-                }
+                let cross = self.cross.as_mut().expect("DCN has a cross tower");
+                tape.dense.add_flops(2 * cross.flops(batch));
+                cross.backward(input, &tape.cross_dots, grad_logits.data(), w_cross, grad_in);
             }
         }
     }
@@ -398,8 +340,8 @@ impl CtrModel {
     /// Visits all `(param, grad)` buffers in a stable order (cross → deep →
     /// head) — the dense payload of AllReduce.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        for layer in &mut self.cross {
-            layer.visit_params(f);
+        if let Some(cross) = &mut self.cross {
+            cross.visit_params(f);
         }
         self.deep.visit_params(f);
         if let Some(head) = &mut self.head {
@@ -418,11 +360,7 @@ impl CtrModel {
 
     /// Zeroes all parameter gradients.
     pub fn zero_grad(&mut self) {
-        let mut _noop = 0;
-        self.visit_params(&mut |_, g| {
-            g.iter_mut().for_each(|x| *x = 0.0);
-            _noop += 1;
-        });
+        self.visit_params(&mut |_, g| g.fill(0.0));
     }
 
     /// Flattens dense parameters into one vector.
@@ -449,7 +387,9 @@ impl CtrModel {
         assert_eq!(cursor, flat.len(), "flat length mismatch");
     }
 
-    /// Loads dense gradients from a flat vector (post-AllReduce).
+    /// Loads dense gradients from a flat vector (post-AllReduce). The
+    /// trainer's step does not need it: it feeds the optimizer slices of
+    /// the reduced vector directly.
     pub fn load_grads(&mut self, flat: &[f32]) {
         let mut cursor = 0usize;
         self.visit_params(&mut |_, g| {
@@ -686,6 +626,59 @@ mod tests {
                 "{kind:?} param grads"
             );
         }
+    }
+
+    /// FNV-1a 64 over the bit patterns of `v`.
+    fn digest(v: &[f32]) -> u64 {
+        v.iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn dcn_and_wdl_training_step_bits_are_pinned() {
+        // One forward and backward, digests of the logits, the input
+        // gradient and the flat parameter gradients. Batch 37 is ragged
+        // against every row block and group; 64 fills them. Row 2's logit
+        // gradient is zero, every fourth head weight is zero, and row 5's
+        // logit gradient is the smallest subnormal, so every head product
+        // of that row underflows to a signed zero.
+        let shapes: [(usize, usize, usize, &[usize]); 2] = [(37, 5, 8, &[16, 8]), (64, 4, 16, &[32, 16])];
+        let pinned = [
+            (ModelKind::Dcn, 0, [0x83f8faa2d6ae23ba, 0xc3507fd57bd8382f, 0xc4f8b87228deb600]),
+            (ModelKind::Wdl, 0, [0x9fe170cfbf502a3d, 0xca544021a1522121, 0xe4e46a33c091dcd4]),
+            (ModelKind::Dcn, 1, [0x36f247b44a9543c1, 0x6499bd6e01678661, 0xcee6be3eacb561c3]),
+            (ModelKind::Wdl, 1, [0x1f7b07bfefc79a01, 0x64a1feb7cac73d8a, 0x30bd05581d60d4a0]),
+        ];
+        let mut negative_zeros = 0;
+        for (kind, shape, want) in pinned {
+            let (rows, fields, dim, hidden) = shapes[shape];
+            let mut m = CtrModel::new(kind, fields, dim, hidden, 5);
+            // The head's weights are the second-to-last buffer visited.
+            let mut buffers = 0;
+            m.visit_params(&mut |_, _| buffers += 1);
+            let mut i = 0;
+            m.visit_params(&mut |p, _| {
+                if i + 2 == buffers {
+                    p.iter_mut().skip(1).step_by(4).for_each(|w| *w = 0.0);
+                }
+                i += 1;
+            });
+            let x = batch(rows, fields * dim, 21);
+            let mut dy = batch(rows, 1, 22);
+            dy.data_mut()[2] = 0.0;
+            dy.data_mut()[5] = -f32::from_bits(1);
+            let mut tape = ModelTape::new();
+            let mut gx = Matrix::zeros(0, 0);
+            m.forward_tape(&x, &mut tape);
+            m.zero_grad();
+            m.backward_tape(&x, &dy, &mut gx, &mut tape);
+            let got = [digest(tape.logits().data()), digest(gx.data()), digest(&flat_grads(&mut m))];
+            let case = format!("{kind:?} {rows}x{fields}x{dim} [logits, grad_in, param grads]");
+            assert_eq!(got, want, "{case}: {got:x?}");
+            negative_zeros += gx.data().iter().filter(|v| v.to_bits() == 1 << 31).count();
+        }
+        assert!(negative_zeros > 0, "the underflowing row must reach grad_in as -0.0");
     }
 
     #[test]

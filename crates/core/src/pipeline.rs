@@ -690,7 +690,10 @@ fn sync_dense(
 
 /// Global-norm clip, then one SGD step on the (replicated) dense
 /// parameters — same math as the former inline loop (`p -= lr·g`), routed
-/// through the optimizer abstraction's slot protocol.
+/// through the optimizer abstraction's slot protocol. Each parameter
+/// buffer is stepped with its slice of the reduced flat vector, taken by
+/// cursor in `visit_params` order; the model's own gradient buffers keep
+/// the local gradient until the next `zero_grad`.
 fn clip_and_step(
     model: &mut CtrModel,
     dense_grads: &mut [f32],
@@ -706,13 +709,14 @@ fn clip_and_step(
             }
         }
     }
-    model.load_grads(dense_grads);
     sgd.begin_step();
-    let mut slot = 0usize;
-    model.visit_params(&mut |p, g| {
-        sgd.update(slot, p, g);
+    let (mut slot, mut cursor) = (0usize, 0usize);
+    model.visit_params(&mut |p, _| {
+        sgd.update(slot, p, &dense_grads[cursor..cursor + p.len()]);
         slot += 1;
+        cursor += p.len();
     });
+    assert_eq!(cursor, dense_grads.len(), "flat gradient length mismatch");
 }
 
 /// The ring's bottleneck hop names the AllReduce span's track.

@@ -21,15 +21,18 @@
 //! the *other* output dimension instead: `row_dots` when A's rows run along
 //! the depth, one scaled row addition per depth step when they run along
 //! the output. Epilogues fuse bias addition and ReLU so a dense layer's
-//! forward pass is one pass over the output.
+//! forward pass is one pass over the output. The opposite degenerate case,
+//! depth `k = 1` (a one-column layer's input gradient `dY·Wᵀ`), needs no
+//! product at all: its consumers form each element as `rank1` where they
+//! read it.
 //!
 //! The nest is compiled once per entry of the dispatch table (`TIERS`):
 //! portable 4×8, AVX2 4×16, AVX-512 8×32, picked by
 //! `is_x86_feature_detected!` alone ([`kernel_tier`] names the pick). The
 //! one guarded call through that table (`run`) is the only `unsafe` in
-//! the workspace; every other crate forbids it. A product runs on the
-//! calling thread: the trainer parallelises across workers, never inside
-//! one.
+//! the workspace; every other crate forbids it (`make lint-unsafe` checks
+//! both). A product runs on the calling thread: the trainer parallelises
+//! across workers, never inside one.
 //!
 //! # Determinism contract
 //!
@@ -696,6 +699,23 @@ fn dot_groups<'a, const G: usize>(
     }
 }
 
+/// One element of a rank-1 product `a·bᵀ` as the nest computes it (a
+/// product with depth `k = 1`): one fused multiply-add onto the `+0.0`
+/// seed, `fma(a, b, +0.0)`. Outside an FMA-enabled tier body `mul_add` is
+/// an `fmaf` call per element, so this spells the same value out: a
+/// nonzero exact product rounds once either way and keeps its sign when
+/// it underflows to zero, while an exact zero product (an operand is
+/// `±0.0`) plus `+0.0` is `+0.0`.
+#[inline(always)]
+pub(crate) fn rank1(a: f32, b: f32) -> f32 {
+    let p = a * b;
+    if a == 0.0 || b == 0.0 {
+        p + 0.0
+    } else {
+        p
+    }
+}
+
 /// Naive reference kernels: the pre-engine scalar triple loops, kept
 /// verbatim as the oracle the blocked kernels are differentially tested
 /// (and benchmarked) against. Not used on any hot path.
@@ -1000,6 +1020,31 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "{} {variant}", tier.name);
             }
         }
+    }
+
+    /// `rank1` against the depth-1 product of the nest on every tier and
+    /// against `fma(a, b, +0.0)`, over zeros of both signs, products that
+    /// underflow to either zero, subnormals, the extremes, infinities and
+    /// NaN (any NaN matches any NaN).
+    #[test]
+    fn rank1_is_the_depth1_nest_product() {
+        let tiny = f32::from_bits(1);
+        let v = [0.0f32, -0.0, tiny, -tiny, 1e-30, -1e-30, 0.5, -3.0, f32::MAX, f32::INFINITY];
+        let vals: Vec<f32> = v.into_iter().chain([f32::NEG_INFINITY, f32::NAN]).collect();
+        let n = vals.len();
+        let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+        for tier in detected_tiers() {
+            let mut nest = vec![f32::NAN; n * n];
+            gemm_on(tier, "nt", n, 1, n, &vals, &vals, &[], Epilogue::Store, &mut nest);
+            for (e, &want) in nest.iter().enumerate() {
+                let (a, b) = (vals[e / n], vals[e % n]);
+                let got = rank1(a, b);
+                assert!(same(got, want), "{} {a:e}·{b:e}: {got:e} vs {want:e}", tier.name);
+                assert!(same(got, a.mul_add(b, 0.0)), "{a:e}·{b:e} vs fma");
+            }
+        }
+        assert_eq!(rank1(1e-30, -1e-30).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(rank1(-0.0, 2.0).to_bits(), 0);
     }
 
     /// `row_dots` against one scalar chain per row: every row count around

@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::gemm::row_dots;
+use crate::gemm::{gemm_tn, rank1, row_dots, Epilogue};
 use crate::matrix::Matrix;
 use crate::tape::DenseTape;
 
@@ -118,6 +118,58 @@ impl Dense {
         dy.matmul_t_into(&self.w, grad_in);
     }
 
+    /// The weights, row-major `in_dim × out_dim` (for a one-column layer,
+    /// the weight of each input in order).
+    pub fn weights(&self) -> &[f32] {
+        self.w.data()
+    }
+
+    /// Forward of a one-column linear layer over the column concatenation
+    /// `[parts₀ ; parts₁ ; …]`, without forming it: each row's logit is
+    /// seeded with the bias and continues one chain, ascending, through
+    /// the parts in order — the bits of [`Dense::forward_into`] on the
+    /// concatenation.
+    pub fn forward_concat_into(&self, parts: &[&Matrix], out: &mut Matrix) {
+        let rows = self.check_concat(parts);
+        out.reshape(rows, 1);
+        out.data_mut().fill(self.b[0]);
+        let mut w = self.w.data();
+        for part in parts {
+            let (wp, rest) = w.split_at(part.cols());
+            row_dots(part.cols(), part.data(), part.cols(), wp, 0, out.data_mut());
+            w = rest;
+        }
+    }
+
+    /// The parameter half of [`Dense::backward_into`] for a one-column
+    /// linear layer over the concatenation of `parts`: `dW += [parts]ᵀ·dY`
+    /// part by part, `db += Σ dY`. The input gradient `dY·Wᵀ` is rank 1,
+    /// so it is not formed here: the consumer builds it from `dY` and
+    /// [`Dense::weights`] where it is used ([`Matrix::add_outer`],
+    /// [`Matrix::set_outer`], [`CrossTower::backward`]).
+    pub fn backward_concat_params(&mut self, parts: &[&Matrix], grad_out: &Matrix) {
+        let rows = self.check_concat(parts);
+        assert_eq!((grad_out.rows(), grad_out.cols()), (rows, 1), "logit gradient shape mismatch");
+        let mut offset = 0;
+        for part in parts {
+            let gw = &mut self.grad_w.data_mut()[offset..offset + part.cols()];
+            gemm_tn(part.cols(), rows, 1, part.data(), grad_out.data(), Epilogue::Accumulate, gw);
+            offset += part.cols();
+        }
+        grad_out.col_sums_into(&mut self.grad_b);
+    }
+
+    /// Rows of `parts`, after checking that they are a one-column linear
+    /// layer's input split by columns.
+    fn check_concat(&self, parts: &[&Matrix]) -> usize {
+        assert!(!self.relu && self.out_dim() == 1, "concatenated passes need a one-column linear layer");
+        let rows = parts.first().map_or(0, |p| p.rows());
+        assert!(parts.iter().all(|p| p.rows() == rows), "concatenated parts disagree on rows");
+        let width: usize = parts.iter().map(|p| p.cols()).sum();
+        assert_eq!(width, self.in_dim(), "concatenated width mismatch");
+        rows
+    }
+
     /// Visits `(params, grads)` buffer pairs in a stable order. Used by
     /// optimizers and by dense-parameter AllReduce.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
@@ -144,11 +196,8 @@ impl Dense {
     }
 }
 
-/// DCN cross layer: `x_{l+1} = x_0 ⊙ (x_l·w) + b + x_l` (Wang et al. 2017).
-///
-/// `x_0` is the layer-0 input of the cross network; both passes take it by
-/// reference alongside the layer's own input.
-pub struct CrossLayer {
+/// One layer of a [`CrossTower`]: `x_{l+1} = x_0 ⊙ (x_l·w) + b + x_l`.
+struct CrossLayer {
     w: Vec<f32>,
     b: Vec<f32>,
     grad_w: Vec<f32>,
@@ -156,8 +205,7 @@ pub struct CrossLayer {
 }
 
 impl CrossLayer {
-    /// New cross layer of width `dim`.
-    pub fn new(dim: usize, seed: u64) -> Self {
+    fn new(dim: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let bound = (1.0 / dim as f32).sqrt();
         Self {
@@ -167,93 +215,194 @@ impl CrossLayer {
             grad_b: vec![0.0; dim],
         }
     }
+}
 
-    /// In-place forward with `x0` passed by reference:
-    /// `out = x0 ⊙ (input·w) + b + input`.
-    pub fn forward_with_x0(&mut self, x0: &Matrix, input: &Matrix, out: &mut Matrix) {
-        assert_eq!(x0.rows(), input.rows(), "x0/batch mismatch");
-        assert_eq!(x0.cols(), input.cols(), "cross width mismatch");
-        let rows = input.rows();
-        let dim = input.cols();
+/// Rows a [`CrossTower`] pass carries through every layer before it moves
+/// on: two groups of `row_dots`, and at DCN's widest tower (1,408) a block
+/// of `x_0`, its activations and its gradient still fit in L2.
+const CROSS_BLOCK: usize = 8;
+
+/// DCN's cross network (Wang et al. 2017): layers
+/// `x_{l+1} = x_0 ⊙ (x_l·w_l) + b_l + x_l`, `x_0` the tower's input.
+///
+/// Both passes sweep the batch once, eight rows at a time, and run every
+/// layer on a block while it is in cache. The forward pass writes
+/// only the top activation `x_L` and the `L × batch` dots `x_l·w_l`; the
+/// backward pass rebuilds a block's `x_1 … x_{L-1}` from `x_0` and those
+/// dots (the same expression on the same operands, so the same bits).
+/// Every per-element sum keeps its order: the dots are `row_dots` chains
+/// seeded with `-0.0` (what `Iterator::sum` seeds with), and `grad_w`/
+/// `grad_b` accumulate over rows in ascending order, block after block.
+pub struct CrossTower {
+    layers: Vec<CrossLayer>,
+    /// Backward's per-block scratch: `x_1 … x_{L-1}`, then the upstream
+    /// gradient, [`CROSS_BLOCK`] rows each.
+    scratch: Vec<f32>,
+}
+
+impl CrossTower {
+    /// `depth` layers of width `dim`; layer `i` is seeded with `seed + i`.
+    ///
+    /// # Panics
+    /// Panics if `depth` is 0.
+    pub fn new(dim: usize, depth: usize, seed: u64) -> Self {
+        assert!(depth > 0, "a cross tower needs at least one layer");
+        Self {
+            layers: (0..depth).map(|i| CrossLayer::new(dim, seed.wrapping_add(i as u64))).collect(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Width of every layer.
+    fn dim(&self) -> usize {
+        self.layers[0].w.len()
+    }
+
+    /// Number of layers.
+    fn depth(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// Forward pass: writes the top activation `x_L` into `out`
+    /// (`rows × dim`) and layer `l`'s dot `x_l·w_l` of row `r` into
+    /// `dots[l][r]` (`depth × rows`), the two things backward needs.
+    ///
+    /// # Panics
+    /// Panics unless `x0` is `dim` wide.
+    pub fn forward(&self, x0: &Matrix, out: &mut Matrix, dots: &mut Matrix) {
+        let (rows, dim) = (x0.rows(), self.dim());
+        assert_eq!(x0.cols(), dim, "cross tower x0 width mismatch");
         out.reshape(rows, dim);
-        // Eight rows at a time: their dots advance together (one chain per
-        // row, ascending j — `row_dots`), then the element-wise pass runs
-        // while the rows are still in cache.
-        for r0 in (0..rows).step_by(8) {
-            let r1 = rows.min(r0 + 8);
-            // `-0.0` is what `Iterator::sum` seeds an f32 sum with.
-            let mut dots = [-0.0f32; 8];
-            row_dots(dim, &input.data()[r0 * dim..], dim, &self.w, 0, &mut dots[..r1 - r0]);
-            for (r, &dot) in (r0..r1).zip(&dots) {
-                let lanes = out.row_mut(r).iter_mut().zip(x0.row(r)).zip(&self.b).zip(input.row(r));
-                for (((o, &x0j), &bj), &xlj) in lanes {
-                    *o = x0j * dot + bj + xlj;
+        dots.reshape(self.depth(), rows);
+        for r0 in (0..rows).step_by(CROSS_BLOCK) {
+            let r1 = rows.min(r0 + CROSS_BLOCK);
+            let x0b = &x0.data()[r0 * dim..r1 * dim];
+            let xb = &mut out.data_mut()[r0 * dim..r1 * dim];
+            for (l, layer) in self.layers.iter().enumerate() {
+                let d = &mut dots.row_mut(l)[r0..r1];
+                d.fill(-0.0);
+                // Layer 0 reads x_0; every later layer updates the block in
+                // place (its dot has already read the whole row).
+                row_dots(dim, if l == 0 { x0b } else { &*xb }, dim, &layer.w, 0, d);
+                for ((x, x0r), &dot) in xb.chunks_exact_mut(dim).zip(x0b.chunks_exact(dim)).zip(&*d) {
+                    if l == 0 {
+                        cross_row(x, x0r, dot, &layer.b, x0r);
+                    } else {
+                        // `cross_row`'s sum: its last addition commutes.
+                        for ((o, &x0j), &bj) in x.iter_mut().zip(x0r).zip(&layer.b) {
+                            *o += x0j * dot + bj;
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// In-place backward with `x0` and the forward `input` by reference.
-    /// Accumulates `grad_w`/`grad_b`, writes `dL/d-input` into `grad_in`.
+    /// Backward pass after [`CrossTower::forward`] on the same `x0`, whose
+    /// `dots` it takes back. The tower feeds a one-column linear head, so
+    /// the upstream gradient of `x_L` is the rank-1 `dY·wᵀ` (`dY` =
+    /// `grad_top`, `w` = `w_top`, the head's weights over `x_L`): each
+    /// block forms its rows as `gemm::rank1` does and never stores
+    /// them. Accumulates every layer's `grad_w`/`grad_b` and **adds** the
+    /// gradient of `x_0` into `grad_in` (`rows × dim`), which holds the
+    /// input gradient of the other towers.
     ///
-    /// (x0 is an input from the embedding side; its gradient flows through
-    /// `grad_in` of the *first* cross layer, where `x_l = x_0`.)
-    pub fn backward_with_x0(
+    /// That input gradient is `x_0`'s as the bottom layer's `x_l` only: its
+    /// role as every layer's multiplicand is held fixed, as DCN's cross
+    /// backward here always has. The full derivative would add
+    /// `g_{l+1} ⊙ (x_l·w_l)` for every layer `l`, and would move every DCN
+    /// result. The parameter gradients are exact.
+    ///
+    /// # Panics
+    /// Panics unless every operand's rows and widths match `x0`'s batch,
+    /// the tower's width and its depth.
+    pub fn backward(
         &mut self,
         x0: &Matrix,
-        input: &Matrix,
-        grad_out: &Matrix,
+        dots: &Matrix,
+        grad_top: &[f32],
+        w_top: &[f32],
         grad_in: &mut Matrix,
     ) {
-        let rows = grad_out.rows();
-        let dim = grad_out.cols();
-        grad_in.reshape(rows, dim);
-        // Eight rows at a time, as in the forward pass.
-        for r0 in (0..rows).step_by(8) {
-            let r1 = rows.min(r0 + 8);
-            // s = Σ_j g_j·x0_j  (scalar per row)
-            let mut s = [-0.0f32; 8];
-            let (g, x0) = (&grad_out.data()[r0 * dim..], &x0.data()[r0 * dim..]);
-            row_dots(dim, g, dim, x0, dim, &mut s[..r1 - r0]);
-            for (r, &s) in (r0..r1).zip(&s) {
-                let g = grad_out.row(r);
-                // dL/db_j = Σ_r g_j — a column sum, rows ascending.
-                for (gb, &gj) in self.grad_b.iter_mut().zip(g) {
-                    *gb += gj;
+        let (rows, dim, depth) = (x0.rows(), self.dim(), self.depth());
+        assert_eq!(x0.cols(), dim, "cross tower x0 width mismatch");
+        assert_eq!((dots.rows(), dots.cols()), (depth, rows), "cross tower dots shape mismatch");
+        assert_eq!(grad_top.len(), rows, "cross tower upstream rows mismatch");
+        assert_eq!(w_top.len(), dim, "cross tower head width mismatch");
+        assert_eq!((grad_in.rows(), grad_in.cols()), (rows, dim), "cross tower grad_in shape mismatch");
+        let slot = CROSS_BLOCK * dim;
+        self.scratch.resize(depth * slot, 0.0);
+        let (xs, g) = self.scratch.split_at_mut((depth - 1) * slot);
+        for r0 in (0..rows).step_by(CROSS_BLOCK) {
+            let r1 = rows.min(r0 + CROSS_BLOCK);
+            let n = (r1 - r0) * dim;
+            let x0b = &x0.data()[r0 * dim..r1 * dim];
+            // x_1 … x_{L-1} of the block, slot l - 1 holding x_l.
+            for l in 1..depth {
+                let (done, next) = xs.split_at_mut((l - 1) * slot);
+                let prev = if l == 1 { x0b } else { &done[(l - 2) * slot..][..n] };
+                let rows_l = next[..n].chunks_exact_mut(dim).zip(x0b.chunks_exact(dim));
+                let dots_l = &dots.row(l - 1)[r0..r1];
+                for (((x, x0r), xp), &dot) in rows_l.zip(prev.chunks_exact(dim)).zip(dots_l) {
+                    cross_row(x, x0r, dot, &self.layers[l - 1].b, xp);
                 }
-                // dL/dxl_j = g_j (identity) + s·w_j (through the dot product)
-                for ((gi, &gj), &wj) in grad_in.row_mut(r).iter_mut().zip(g).zip(&self.w) {
-                    *gi = gj + s * wj;
+            }
+            let g = &mut g[..n];
+            for (gr, &dy) in g.chunks_exact_mut(dim).zip(&grad_top[r0..r1]) {
+                for (gj, &wj) in gr.iter_mut().zip(w_top) {
+                    *gj = rank1(dy, wj);
                 }
-                // dL/dw_j = s·xl_j
-                for (gw, &xlj) in self.grad_w.iter_mut().zip(input.row(r)) {
-                    *gw += s * xlj;
+            }
+            for (l, layer) in self.layers.iter_mut().enumerate().rev() {
+                let xl = if l == 0 { x0b } else { &xs[(l - 1) * slot..][..n] };
+                // s = Σ_j g_j·x0_j per row: the scalar every partial
+                // derivative of this layer goes through.
+                let mut s = [-0.0f32; CROSS_BLOCK];
+                row_dots(dim, g, dim, x0b, dim, &mut s[..r1 - r0]);
+                for (i, (gr, xr)) in g.chunks_exact_mut(dim).zip(xl.chunks_exact(dim)).enumerate() {
+                    let s = s[i];
+                    // dL/db = g; dL/dw = s·x_l; dL/dx_l = g + s·w.
+                    let params = layer.grad_b.iter_mut().zip(&mut layer.grad_w).zip(&layer.w);
+                    if l > 0 {
+                        for (((gb, gw), &wj), (gj, &xj)) in params.zip(gr.iter_mut().zip(xr)) {
+                            *gb += *gj;
+                            *gw += s * xj;
+                            *gj += s * wj;
+                        }
+                    } else {
+                        let gi = grad_in.row_mut(r0 + i);
+                        for ((((gb, gw), &wj), (&gj, &xj)), o) in params.zip(gr.iter().zip(xr)).zip(gi) {
+                            *gb += gj;
+                            *gw += s * xj;
+                            *o += gj + s * wj;
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// Visits `(params, grads)` buffer pairs in a stable order.
+    /// Visits `(params, grads)` buffer pairs in a stable order: each
+    /// layer's `w` then `b`, bottom layer first.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        f(&mut self.w, &mut self.grad_w);
-        f(&mut self.b, &mut self.grad_b);
+        for layer in &mut self.layers {
+            f(&mut layer.w, &mut layer.grad_w);
+            f(&mut layer.b, &mut layer.grad_b);
+        }
     }
 
-    /// Total number of scalar parameters.
-    pub fn num_params(&self) -> usize {
-        self.w.len() + self.b.len()
-    }
-
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.grad_w.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_b.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    /// Flops of one forward pass over `rows` samples: dot (2·dim) +
-    /// scale-add output (2·dim) per row.
+    /// Flops of one forward pass over `rows` samples: per layer and row, a
+    /// dot (2·dim) and the scale-add output (2·dim).
     pub fn flops(&self, rows: usize) -> u64 {
-        4 * rows as u64 * self.w.len() as u64
+        4 * rows as u64 * self.dim() as u64 * self.depth() as u64
+    }
+}
+
+/// One cross layer on one row: `out[j] = x0[j]·dot + b[j] + xl[j]`.
+#[inline(always)]
+fn cross_row(out: &mut [f32], x0: &[f32], dot: f32, b: &[f32], xl: &[f32]) {
+    for (((o, &x0j), &bj), &xlj) in out.iter_mut().zip(x0).zip(b).zip(xl) {
+        *o = x0j * dot + bj + xlj;
     }
 }
 
@@ -382,16 +531,6 @@ impl Mlp {
         });
         assert_eq!(cursor, flat.len(), "flat parameter length mismatch");
     }
-
-    /// Overwrites gradient buffers from a flat vector (post-AllReduce).
-    pub fn load_grads(&mut self, flat: &[f32]) {
-        let mut cursor = 0usize;
-        self.visit_params(&mut |_, g| {
-            g.copy_from_slice(&flat[cursor..cursor + g.len()]);
-            cursor += g.len();
-        });
-        assert_eq!(cursor, flat.len(), "flat gradient length mismatch");
-    }
 }
 
 #[cfg(test)]
@@ -487,32 +626,52 @@ mod tests {
 
     #[test]
     fn cross_layer_identity_component() {
-        let mut c = CrossLayer::new(3, 5);
-        c.w = vec![0.0; 3];
-        c.b = vec![0.0; 3];
+        // With every w = 0 and b = 0 each layer passes x_l through.
+        let mut t = CrossTower::new(3, 3, 5);
+        for layer in &mut t.layers {
+            layer.w = vec![0.0; 3];
+            layer.b = vec![0.0; 3];
+        }
         let x0 = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let mut y = Matrix::zeros(0, 0);
-        c.forward_with_x0(&x0, &x0, &mut y);
-        // With w = 0: y = x0 (identity passthrough).
+        let (mut y, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        t.forward(&x0, &mut y, &mut dots);
         assert_eq!(y.data(), x0.data());
     }
 
     #[test]
     fn cross_layer_gradcheck() {
+        // Every parameter gradient of three layers under a one-column head,
+        // L = Σ_r dy_r·(x_L[r]·w_top), against central differences. (The
+        // input gradient holds x_0's multiplicand role fixed — see
+        // `CrossTower::backward` — so only the scalar oracle pins it.)
         let x0 = Matrix::from_vec(2, 3, vec![0.3, -0.7, 1.2, 0.9, 0.1, -0.4]);
-        let xl = Matrix::from_vec(2, 3, vec![1.0, 0.5, -0.2, -1.1, 0.8, 0.6]);
-        let mut c = CrossLayer::new(3, 11);
-        let ones = Matrix::from_vec(2, 3, vec![1.0; 6]);
-        let (mut y, mut grad_in) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        c.forward_with_x0(&x0, &xl, &mut y);
-        c.backward_with_x0(&x0, &xl, &ones, &mut grad_in);
+        let (dy, w_top) = ([0.7f32, -1.3], [0.4f32, -0.2, 0.9]);
+        let mut t = CrossTower::new(3, 3, 11);
+        for layer in &mut t.layers {
+            layer.b = vec![0.1, -0.2, 0.3];
+        }
+        let (mut out, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        t.forward(&x0, &mut out, &mut dots);
+        t.backward(&x0, &dots, &dy, &w_top, &mut Matrix::zeros(2, 3));
+        let (mut params, mut grads) = (Vec::new(), Vec::new());
+        t.visit_params(&mut |p, g| {
+            params.extend_from_slice(p);
+            grads.extend_from_slice(g);
+        });
+        let n = params.len();
         finite_diff_check(
-            move |inp| {
-                c.forward_with_x0(&x0, inp, &mut y);
-                y.data().iter().sum()
+            move |flat| {
+                let mut cursor = 0;
+                t.visit_params(&mut |p, _| {
+                    p.copy_from_slice(&flat.data()[cursor..][..p.len()]);
+                    cursor += p.len();
+                });
+                t.forward(&x0, &mut out, &mut dots);
+                let logit = |r: usize| out.row(r).iter().zip(&w_top).map(|(x, w)| x * w).sum::<f32>();
+                (0..2).map(|r| dy[r] * logit(r)).sum()
             },
-            &xl,
-            &grad_in,
+            &Matrix::from_vec(1, n, params),
+            &Matrix::from_vec(1, n, grads),
             1e-3,
             1e-2,
         );
@@ -620,47 +779,105 @@ mod tests {
         grad_in
     }
 
+    /// A tower of signed-zero-heavy weights and random biases, the same
+    /// tower on every call.
+    fn zeroish_tower(dim: usize, depth: usize) -> CrossTower {
+        let mut t = CrossTower::new(dim, depth, 9);
+        for (l, layer) in t.layers.iter_mut().enumerate() {
+            layer.w = fill_zeroish(dim, 54 + l as u64);
+            layer.b = fill(dim, 55 + l as u64);
+        }
+        t
+    }
+
     #[test]
     fn cross_layer_matches_scalar_chains_bitwise() {
-        // Row counts around the eight-row groups, widths around the
-        // four-step blocks, signed zeros throughout, two accumulating
-        // backward passes.
+        // The tower against the one-layer scalar oracles chained: row
+        // counts around the blocks and their four-row groups, widths around
+        // the four-step blocks, one layer and three, signed zeros
+        // throughout, upstream products that underflow, and two
+        // accumulating backward passes.
         let mut negative_zero_dots = 0;
-        for rows in [1usize, 3, 4, 7, 8, 9, 17] {
-            for dim in [1usize, 2, 3, 4, 5, 8, 22, 67] {
-                let x0 = zeroish(rows, dim, 51);
-                let xl = zeroish(rows, dim, 52);
-                let g = zeroish(rows, dim, 53);
-                let mut fast = CrossLayer::new(dim, 9);
-                fast.w = zeroish(1, dim, 54).data().to_vec();
-                fast.b = fill(dim, 55);
-                let mut slow = CrossLayer::new(dim, 9);
-                slow.w = fast.w.clone();
-                slow.b = fast.b.clone();
+        for depth in [1usize, 3] {
+            for rows in [1usize, 3, 4, 7, 8, 9, 17] {
+                for dim in [1usize, 2, 3, 4, 5, 8, 22, 67] {
+                    let case = format!("depth {depth} {rows}x{dim}");
+                    let x0 = zeroish(rows, dim, 51);
+                    let (mut fast, mut slow) = (zeroish_tower(dim, depth), zeroish_tower(dim, depth));
+                    let mut dy = fill_zeroish(rows, 56);
+                    dy[0] = -f32::from_bits(1);
+                    let w_top = fill_zeroish(dim, 57);
 
-                let mut out = Matrix::zeros(0, 0);
-                fast.forward_with_x0(&x0, &xl, &mut out);
-                let want = cross_forward_scalar(&slow, &x0, &xl);
-                assert_eq!(bits(out.data()), bits(want.data()), "forward {rows}x{dim}");
+                    let (mut out, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+                    fast.forward(&x0, &mut out, &mut dots);
+                    let mut xs = vec![x0.clone()];
+                    for layer in &slow.layers {
+                        xs.push(cross_forward_scalar(layer, &x0, &xs[xs.len() - 1]));
+                    }
+                    assert_eq!(bits(out.data()), bits(xs[depth].data()), "{case} forward");
+                    for (l, layer) in slow.layers.iter().enumerate() {
+                        let want: Vec<f32> = (0..rows)
+                            .map(|r| xs[l].row(r).iter().zip(&layer.w).map(|(&x, &w)| x * w).sum())
+                            .collect();
+                        assert_eq!(bits(dots.row(l)), bits(&want), "{case} dots of layer {l}");
+                        negative_zero_dots += want.iter().filter(|d| d.to_bits() == 1 << 31).count();
+                    }
 
-                for pass in 0..2 {
-                    let mut grad_in = Matrix::zeros(0, 0);
-                    fast.backward_with_x0(&x0, &xl, &g, &mut grad_in);
-                    let want = cross_backward_scalar(&mut slow, &x0, &xl, &g);
-                    let case = format!("backward {rows}x{dim} pass {pass}");
-                    assert_eq!(bits(grad_in.data()), bits(want.data()), "{case} grad_in");
-                    assert_eq!(bits(&fast.grad_w), bits(&slow.grad_w), "{case} grad_w");
-                    assert_eq!(bits(&fast.grad_b), bits(&slow.grad_b), "{case} grad_b");
+                    for pass in 0..2 {
+                        let base = zeroish(rows, dim, 58 + pass);
+                        let mut grad_in = base.clone();
+                        fast.backward(&x0, &dots, &dy, &w_top, &mut grad_in);
+                        let top = (0..rows * dim).map(|e| dy[e / dim].mul_add(w_top[e % dim], 0.0));
+                        let mut g = Matrix::from_vec(rows, dim, top.collect());
+                        for l in (0..depth).rev() {
+                            g = cross_backward_scalar(&mut slow.layers[l], &x0, &xs[l], &g);
+                        }
+                        let want: Vec<f32> =
+                            base.data().iter().zip(g.data()).map(|(b, g)| b + g).collect();
+                        let case = format!("{case} pass {pass}");
+                        assert_eq!(bits(grad_in.data()), bits(&want), "{case} grad_in");
+                        for (l, (f, s)) in fast.layers.iter().zip(&slow.layers).enumerate() {
+                            assert_eq!(bits(&f.grad_w), bits(&s.grad_w), "{case} grad_w of layer {l}");
+                            assert_eq!(bits(&f.grad_b), bits(&s.grad_b), "{case} grad_b of layer {l}");
+                        }
+                    }
                 }
-                negative_zero_dots += (0..rows)
-                    .filter(|&r| {
-                        let dot: f32 = xl.row(r).iter().zip(&fast.w).map(|(&x, &w)| x * w).sum();
-                        dot.to_bits() == 1 << 31
-                    })
-                    .count();
             }
         }
         assert!(negative_zero_dots > 0, "the inputs must drive some dots to -0.0");
+    }
+
+    #[test]
+    fn dense_concat_passes_match_the_concatenation_bitwise() {
+        // A one-column head over [a ; b] split by columns, against the same
+        // head over the concatenated matrix: logits, weight and bias
+        // gradients, and the rank-1 input gradient.
+        for (rows, wa, wb) in [(37usize, 13usize, 8usize), (8, 1, 5), (3, 6, 0)] {
+            let (a, b) = (zeroish(rows, wa, 71), zeroish(rows, wb, 72));
+            let cat = Matrix::from_vec(
+                rows,
+                wa + wb,
+                (0..rows).flat_map(|r| a.row(r).iter().chain(b.row(r)).copied()).collect(),
+            );
+            let mut dy = zeroish(rows, 1, 73);
+            dy.data_mut()[rows - 1] = -f32::from_bits(1);
+            let (mut split, mut whole) = (Dense::new(wa + wb, 1, 74), Dense::new(wa + wb, 1, 74));
+            let (mut y_split, mut y_whole) = (poisoned(1, 1), Matrix::zeros(0, 0));
+            let mut gx = Matrix::zeros(0, 0);
+            split.forward_concat_into(&[&a, &b], &mut y_split);
+            whole.forward_into(&cat, &mut y_whole);
+            let case = format!("{rows} rows, {wa} + {wb} wide");
+            assert_eq!(bits(y_split.data()), bits(y_whole.data()), "{case} logits");
+            for _ in 0..2 {
+                split.backward_concat_params(&[&a, &b], &dy);
+                whole.backward_into(&cat, &dy, &mut gx);
+            }
+            assert_eq!(bits(split.grad_w.data()), bits(whole.grad_w.data()), "{case} grad_w");
+            assert_eq!(bits(&split.grad_b), bits(&whole.grad_b), "{case} grad_b");
+            let mut outer = poisoned(2, 2);
+            outer.set_outer(dy.data(), split.weights());
+            assert_eq!(bits(outer.data()), bits(gx.data()), "{case} input gradient");
+        }
     }
 
     /// Both passes of `fresh` into fresh buffers and of its twin `dirty` into
@@ -709,16 +926,83 @@ mod tests {
             });
         }
 
-        let g = Matrix::from_vec(rows, dim, fill(rows * dim, 64));
-        let x0 = Matrix::from_vec(rows, dim, fill(rows * dim, 62));
-        let cross = || CrossLayer::new(dim, 3);
-        assert_overwrites("cross", (cross(), cross()), (&x, &g), |c, y, gx| {
-            c.forward_with_x0(&x0, &x, y);
-            c.backward_with_x0(&x0, &x, &g, gx);
-            let mut flat = Vec::new();
-            c.visit_params(&mut |_, g| flat.extend_from_slice(g));
+        // The cross tower: its activation and dots into poisoned buffers,
+        // its backward over NaN-filled scratch. Backward adds into
+        // `grad_in`, so both start from the same one.
+        let (dy, w_top) = (fill(rows, 63), fill(dim, 64));
+        let passes = |t: &mut CrossTower, out: &mut Matrix, dots: &mut Matrix| {
+            t.forward(&x, out, dots);
+            let mut grad_in = x.clone();
+            t.backward(&x, dots, &dy, &w_top, &mut grad_in);
+            let mut flat = grad_in.data().to_vec();
+            t.visit_params(&mut |_, g| flat.extend_from_slice(g));
             flat
-        });
+        };
+        let mut dirty = CrossTower::new(dim, 3, 3);
+        dirty.scratch = vec![f32::NAN; 4 * CROSS_BLOCK * dim];
+        let (mut out_fresh, mut dots_fresh) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let (mut out_dirty, mut dots_dirty) = (poisoned(rows + 2, dim + 3), poisoned(1, 2));
+        let fresh = passes(&mut CrossTower::new(dim, 3, 3), &mut out_fresh, &mut dots_fresh);
+        let dirty = passes(&mut dirty, &mut out_dirty, &mut dots_dirty);
+        assert_eq!(out_fresh, out_dirty, "cross forward");
+        assert_eq!(dots_fresh, dots_dirty, "cross dots");
+        assert_eq!(bits(&fresh), bits(&dirty), "cross backward");
+    }
+
+    /// A valid backward call on a two-layer tower, 5 wide over 3 rows, with
+    /// the operand named `bad` swapped for one of the wrong shape.
+    fn cross_backward_with(bad: &str) {
+        let mut t = CrossTower::new(5, 2, 1);
+        let x0 = Matrix::from_vec(3, 5, fill(15, 2));
+        let (mut out, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        t.forward(&x0, &mut out, &mut dots);
+        let (mut x, mut dy, mut w, mut grad_in) = (x0, vec![1.0; 3], vec![1.0; 5], Matrix::zeros(3, 5));
+        match bad {
+            "x0" => x = Matrix::zeros(3, 4),
+            "dots" => dots = Matrix::zeros(3, 3),
+            "grad_top" => dy.push(1.0),
+            "w_top" => w.truncate(4),
+            "grad_in" => grad_in = Matrix::zeros(2, 5),
+            _ => unreachable!(),
+        }
+        t.backward(&x, &dots, &dy, &w, &mut grad_in);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross tower x0 width mismatch")]
+    fn cross_tower_forward_checks_x0_width() {
+        let (mut out, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        CrossTower::new(5, 2, 1).forward(&Matrix::zeros(3, 6), &mut out, &mut dots);
+    }
+
+    #[test]
+    #[should_panic(expected = "cross tower x0 width mismatch")]
+    fn cross_tower_backward_checks_x0_width() {
+        cross_backward_with("x0");
+    }
+
+    #[test]
+    #[should_panic(expected = "cross tower dots shape mismatch")]
+    fn cross_tower_backward_checks_dots_shape() {
+        cross_backward_with("dots");
+    }
+
+    #[test]
+    #[should_panic(expected = "cross tower upstream rows mismatch")]
+    fn cross_tower_backward_checks_upstream_rows() {
+        cross_backward_with("grad_top");
+    }
+
+    #[test]
+    #[should_panic(expected = "cross tower head width mismatch")]
+    fn cross_tower_backward_checks_head_width() {
+        cross_backward_with("w_top");
+    }
+
+    #[test]
+    #[should_panic(expected = "cross tower grad_in shape mismatch")]
+    fn cross_tower_backward_checks_grad_in_shape() {
+        cross_backward_with("grad_in");
     }
 
     #[test]

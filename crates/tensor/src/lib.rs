@@ -18,8 +18,8 @@
 //! * [`tape`] — [`DenseTape`], the reusable activation/gradient arena that
 //!   lets a worker run forward/backward allocation-free in steady state;
 //! * [`layers`] — `Dense` (with a fused ReLU epilogue) and DCN's
-//!   `CrossLayer`, each with explicit in-place forward and backward passes;
-//!   [`Mlp`] stacks `Dense` layers;
+//!   [`CrossTower`], each with explicit in-place forward and backward
+//!   passes; [`Mlp`] stacks `Dense` layers;
 //! * [`loss`] — numerically-stable binary cross-entropy with logits;
 //! * [`metrics`] — AUC (Mann–Whitney with tie handling) and log-loss;
 //! * [`optim`] — SGD/Momentum, Adagrad, Adam for the dense parameters
@@ -38,7 +38,7 @@ pub mod tape;
 mod testdata;
 
 pub use fm::{FmInteraction, TargetAttention};
-pub use layers::{CrossLayer, Dense, Mlp};
+pub use layers::{CrossTower, Dense, Mlp};
 pub use loss::bce_with_logits_into;
 pub use matrix::Matrix;
 pub use metrics::{auc, log_loss};

@@ -192,6 +192,36 @@ impl Matrix {
         gemm::gemm_nt(m, k, n, &self.data, &other.data, Epilogue::Store, &mut out.data);
     }
 
+    /// `self = col · rowᵀ` (reshaped to `col.len() × row.len()`): the input
+    /// gradient `dY·Wᵀ` of a one-column layer, `col` its logit gradient and
+    /// `row` its weights. The bits of [`Self::matmul_t_into`] at depth 1, in
+    /// one pass and no packing.
+    pub fn set_outer(&mut self, col: &[f32], row: &[f32]) {
+        self.reshape(col.len(), row.len());
+        let single = row.len() == 1;
+        for (out, &c) in self.data.chunks_exact_mut(row.len().max(1)).zip(col) {
+            for (o, &r) in out.iter_mut().zip(row) {
+                *o = depth1(c, r, single);
+            }
+        }
+    }
+
+    /// `self += col · rowᵀ`, each added element formed as in
+    /// [`Self::set_outer`]: a one-column head's input gradient added where
+    /// it is consumed instead of materialised first.
+    ///
+    /// # Panics
+    /// Panics unless `self` is `col.len() × row.len()`.
+    pub fn add_outer(&mut self, col: &[f32], row: &[f32]) {
+        assert_eq!((self.rows, self.cols), (col.len(), row.len()), "add_outer shape mismatch");
+        let single = row.len() == 1;
+        for (out, &c) in self.data.chunks_exact_mut(row.len().max(1)).zip(col) {
+            for (o, &r) in out.iter_mut().zip(row) {
+                *o += depth1(c, r, single);
+            }
+        }
+    }
+
     /// Naive-loop `self · other` — the pre-engine kernel, kept as the
     /// reference oracle for differential tests and benches.
     pub fn matmul_ref(&self, other: &Matrix) -> Matrix {
@@ -241,10 +271,23 @@ impl Matrix {
     }
 }
 
+/// One element of a depth-1 product as the GEMM front end forms it: the
+/// nest's fused step ([`gemm::rank1`]), unless the product has a single
+/// output column, which the single-column kernel forms as a multiply and
+/// then an add onto `+0.0`.
+#[inline(always)]
+fn depth1(a: f32, b: f32, single_column: bool) -> f32 {
+    if single_column {
+        a * b + 0.0
+    } else {
+        gemm::rank1(a, b)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testdata::{bits, poisoned};
+    use crate::testdata::{bits, fill_zeroish, poisoned};
 
     #[test]
     fn zeros_and_access() {
@@ -459,6 +502,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn outer_products_are_the_depth1_product_bitwise() {
+        // A logit gradient with zeros of both signs and a subnormal whose
+        // products underflow to signed zeros, against weights with zeros;
+        // a single weight is the single-column kernel's product.
+        let col = [0.3, -0.0, 0.0, -f32::from_bits(1), 1.5, -0.25, 7.0];
+        for width in [19usize, 1] {
+            let row = fill_zeroish(width, 5);
+            let mut want = Matrix::zeros(0, 0);
+            let w = Matrix::from_vec(width, 1, row.clone());
+            Matrix::from_vec(7, 1, col.to_vec()).matmul_t_into(&w, &mut want);
+            let mut got = poisoned(3, 40);
+            got.set_outer(&col, &row);
+            assert_eq!((got.rows(), got.cols()), (7, width));
+            assert_eq!(bits(got.data()), bits(want.data()), "set_outer {width}");
+            if width > 1 {
+                assert!(want.data().iter().any(|v| v.to_bits() == 1 << 31), "want a -0.0 product");
+            }
+
+            let base = Matrix::from_vec(7, width, fill_zeroish(7 * width, 6));
+            let mut sum = base.clone();
+            sum.add_outer(&col, &row);
+            let added: Vec<f32> = base.data().iter().zip(want.data()).map(|(b, w)| b + w).collect();
+            assert_eq!(bits(sum.data()), bits(&added), "add_outer {width}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "add_outer shape mismatch")]
+    fn add_outer_shape_checked() {
+        Matrix::zeros(3, 4).add_outer(&[1.0; 3], &[1.0; 5]);
     }
 
     #[test]
