@@ -270,6 +270,29 @@ fn distance(h: &[f32], r: &[f32], t: &[f32]) -> f32 {
         .sum()
 }
 
+/// Gradient of one triple's margin-ranking loss
+/// `max(0, γ + d(h, r, t) − d(h, r, t'))` with `d` = [`distance`], written
+/// into `grad = [dL/dh ; dL/dt ; dL/dt']` (`3·dim`). `dL/dr` equals
+/// `dL/dh`. Returns `false`, writing nothing, where the hinge is flat.
+fn margin_ranking_grad(h: &[f32], r: &[f32], t: &[f32], neg: &[f32], margin: f32, grad: &mut [f32]) -> bool {
+    let d_pos = distance(h, r, t);
+    let d_neg = distance(h, r, neg);
+    if margin + d_pos - d_neg <= 0.0 {
+        return false;
+    }
+    let (gh, rest) = grad.split_at_mut(h.len());
+    let (gt, gn) = rest.split_at_mut(h.len());
+    for d in 0..h.len() {
+        let e_pos = h[d] + r[d] - t[d];
+        let e_neg = h[d] + r[d] - neg[d];
+        // dL/dh = 2(e_pos − e_neg); dL/dt = −2 e_pos; dL/dt' = 2 e_neg
+        gh[d] = 2.0 * (e_pos - e_neg);
+        gt[d] = -2.0 * e_pos;
+        gn[d] = 2.0 * e_neg;
+    }
+    true
+}
+
 struct KgWorkerCtx<'a, 'b, 'd> {
     w: usize,
     shard: &'a [u32],
@@ -330,35 +353,21 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
             Default::default()
         };
 
-        // Margin-ranking gradients per triple.
+        // Margin-ranking gradients per triple; dL/dr is dL/dh.
         rel_grad.iter_mut().for_each(|g| *g = 0.0);
         let mut grads = vec![0.0f32; total_rows * dim];
-        let mut active = 0usize;
         for (j, &(_h, r, _t, _n)) in triple_ids.iter().enumerate() {
             let base = j * 3 * dim;
             let (hv, rest) = flat[base..base + 3 * dim].split_at(dim);
             let (tv, nv) = rest.split_at(dim);
-            let rv = &rel[r as usize * dim..(r as usize + 1) * dim];
-            let d_pos = distance(hv, rv, tv);
-            let d_neg = distance(hv, rv, nv);
-            let loss = cfg.margin + d_pos - d_neg;
-            if loss <= 0.0 {
-                continue;
-            }
-            active += 1;
+            let rows = r as usize * dim..(r as usize + 1) * dim;
             let g = &mut grads[base..base + 3 * dim];
-            let rg = &mut rel_grad[r as usize * dim..(r as usize + 1) * dim];
-            for d in 0..dim {
-                let e_pos = hv[d] + rv[d] - tv[d];
-                let e_neg = hv[d] + rv[d] - nv[d];
-                // dL/dh = 2(e_pos − e_neg); dL/dt = −2 e_pos; dL/dt' = 2 e_neg
-                g[d] = 2.0 * (e_pos - e_neg);
-                g[dim + d] = -2.0 * e_pos;
-                g[2 * dim + d] = 2.0 * e_neg;
-                rg[d] += 2.0 * (e_pos - e_neg);
+            if margin_ranking_grad(hv, &rel[rows.clone()], tv, nv, cfg.margin, g) {
+                for (rg, &gh) in rel_grad[rows].iter_mut().zip(&g[..dim]) {
+                    *rg += gh;
+                }
             }
         }
-        let _ = active;
 
         let update = if total_rows > 0 {
             we.apply_gradients(&sample_refs, &grads, &cfg.entity_opt)
@@ -405,6 +414,42 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
 mod tests {
     use super::*;
     use hetgmp_data::{generate_kg, KgSpec};
+    use hetgmp_tensor::gradcheck::gradcheck;
+
+    #[test]
+    fn margin_ranking_gradient_matches_finite_differences() {
+        // Each of h, r, t and t' against central differences of the loss,
+        // with the margin wide enough that no probe reaches the hinge.
+        let (dim, margin) = (6usize, 4.0f32);
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..4 {
+            let v: Vec<Vec<f32>> =
+                (0..4).map(|_| (0..dim).map(|_| rng.gen_range(-0.5..0.5)).collect()).collect();
+            let mut grad = vec![0.0f32; 3 * dim];
+            assert!(margin_ranking_grad(&v[0], &v[1], &v[2], &v[3], margin, &mut grad));
+            // h, r, t and t' against dL/dh, dL/dh, dL/dt and dL/dt'.
+            for (arg, part) in [0usize, 0, 1, 2].into_iter().enumerate() {
+                let at = |p: &[f32]| {
+                    let mut args: Vec<&[f32]> = v.iter().map(Vec::as_slice).collect();
+                    args[arg] = p;
+                    let (h, r, t, n) = (args[0], args[1], args[2], args[3]);
+                    let loss = margin as f64 + distance(h, r, t) as f64 - distance(h, r, n) as f64;
+                    assert!(loss > 0.0, "a probe reached the hinge");
+                    loss
+                };
+                gradcheck(at, &v[arg], &grad[part * dim..][..dim], 1e-2, 1e-4, 1e-3);
+            }
+        }
+    }
+
+    #[test]
+    fn margin_ranking_gradient_is_zero_past_the_hinge() {
+        // d(h, r, t) = 0 and d(h, r, t') = 25, so a margin of 1 is met.
+        let (h, r, t) = ([0.1f32, 0.2], [0.0f32, 0.1], [0.1f32, 0.3]);
+        let mut grad = [f32::NAN; 6];
+        assert!(!margin_ranking_grad(&h, &r, &t, &[5.1, 0.3], 1.0, &mut grad));
+        assert!(grad.iter().all(|g| g.is_nan()), "nothing written");
+    }
 
     fn small_kg() -> hetgmp_data::KgDataset {
         let mut spec = KgSpec::small();

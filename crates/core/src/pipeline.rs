@@ -365,8 +365,7 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
 
     let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
     let mut dense_grads: Vec<f32> = Vec::new();
-    // Stateless SGD on the replicated dense parameters (slot-keyed so a
-    // momentum variant could slot in without touching the loop).
+    // Stateless SGD on the replicated dense parameters.
     let mut sgd = Sgd::new(cfg.dense_lr);
     // Dense-gradient wire transport. Per-epoch so its error-feedback
     // residuals reset at the same barrier replica resync does — a

@@ -307,11 +307,12 @@ impl CrossTower {
     /// gradient of `x_0` into `grad_in` (`rows × dim`), which holds the
     /// input gradient of the other towers.
     ///
-    /// That input gradient is `x_0`'s as the bottom layer's `x_l` only: its
-    /// role as every layer's multiplicand is held fixed, as DCN's cross
-    /// backward here always has. The full derivative would add
-    /// `g_{l+1} ⊙ (x_l·w_l)` for every layer `l`, and would move every DCN
-    /// result. The parameter gradients are exact.
+    /// `x_0` enters every layer twice, as the multiplicand and (bottom layer
+    /// only) as `x_l`, so with `g_{l+1} = dL/dx_{l+1}` its gradient is
+    /// `Σ_l g_{l+1} ⊙ (x_l·w_l) + g_1 + (g_1·x_0)·w_0`. Each row's terms are
+    /// added into `grad_in` as the layers are walked top-down, the
+    /// multiplicand term of layer `l` before `g_{l+1}` is overwritten, and
+    /// the bottom layer's two terms last.
     ///
     /// # Panics
     /// Panics unless every operand's rows and widths match `x0`'s batch,
@@ -359,22 +360,25 @@ impl CrossTower {
                 // derivative of this layer goes through.
                 let mut s = [-0.0f32; CROSS_BLOCK];
                 row_dots(dim, g, dim, x0b, dim, &mut s[..r1 - r0]);
-                for (i, (gr, xr)) in g.chunks_exact_mut(dim).zip(xl.chunks_exact(dim)).enumerate() {
+                let rows_l = g.chunks_exact_mut(dim).zip(xl.chunks_exact(dim));
+                for (i, ((gr, xr), &dot)) in rows_l.zip(&dots.row(l)[r0..r1]).enumerate() {
                     let s = s[i];
-                    // dL/db = g; dL/dw = s·x_l; dL/dx_l = g + s·w.
+                    // dL/db = g; dL/dw = s·x_l; dL/dx_l = g + s·w; and
+                    // dL/dx_0 gains g·dot, x_0 being the multiplicand.
                     let params = layer.grad_b.iter_mut().zip(&mut layer.grad_w).zip(&layer.w);
+                    let gi = grad_in.row_mut(r0 + i);
                     if l > 0 {
-                        for (((gb, gw), &wj), (gj, &xj)) in params.zip(gr.iter_mut().zip(xr)) {
+                        for ((((gb, gw), &wj), (gj, &xj)), o) in params.zip(gr.iter_mut().zip(xr)).zip(gi) {
                             *gb += *gj;
                             *gw += s * xj;
+                            *o += *gj * dot;
                             *gj += s * wj;
                         }
                     } else {
-                        let gi = grad_in.row_mut(r0 + i);
                         for ((((gb, gw), &wj), (&gj, &xj)), o) in params.zip(gr.iter().zip(xr)).zip(gi) {
                             *gb += gj;
                             *gw += s * xj;
-                            *o += gj + s * wj;
+                            *o = *o + gj * dot + (gj + s * wj);
                         }
                     }
                 }
@@ -536,27 +540,12 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::{gradcheck, gradcheck_params};
     use crate::testdata::{bits, fill, fill_zeroish, poisoned};
 
-    fn finite_diff_check(
-        mut fwd: impl FnMut(&Matrix) -> f32,
-        input: &Matrix,
-        analytic: &Matrix,
-        eps: f32,
-        tol: f32,
-    ) {
-        for i in 0..input.data().len() {
-            let mut plus = input.clone();
-            plus.data_mut()[i] += eps;
-            let mut minus = input.clone();
-            minus.data_mut()[i] -= eps;
-            let num = (fwd(&plus) - fwd(&minus)) / (2.0 * eps);
-            let ana = analytic.data()[i];
-            assert!(
-                (num - ana).abs() < tol.max(0.05 * num.abs()),
-                "grad[{i}]: numeric {num} vs analytic {ana}"
-            );
-        }
+    /// `Σ_e dy_e·y_e` in f64: the loss whose gradient over `y` is `dy`.
+    fn weighted_sum(dy: &[f32], y: &[f32]) -> f64 {
+        dy.iter().zip(y).map(|(&d, &v)| d as f64 * v as f64).sum()
     }
 
     #[test]
@@ -572,23 +561,21 @@ mod tests {
 
     #[test]
     fn dense_backward_gradcheck() {
-        let x = Matrix::from_vec(2, 3, vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5]);
-        // Loss = sum of outputs; dL/dY = ones.
-        let mut layer = Dense::new(3, 2, 7);
-        let ones = Matrix::from_vec(2, 2, vec![1.0; 4]);
+        // dX, dW and db of a linear layer under L = Σ dY ⊙ Y.
+        let x = Matrix::from_vec(3, 4, fill(12, 1));
+        let dy = Matrix::from_vec(3, 2, fill(6, 2));
+        let mut layer = Dense::new(4, 2, 7);
         let (mut y, mut grad_in) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         layer.forward_into(&x, &mut y);
-        layer.backward_into(&x, &ones, &mut grad_in);
-        finite_diff_check(
-            move |inp| {
-                layer.forward_into(inp, &mut y);
-                y.data().iter().sum()
-            },
-            &x,
-            &grad_in,
-            1e-3,
-            1e-2,
-        );
+        layer.backward_into(&x, &dy, &mut grad_in);
+        let loss = |layer: &mut Dense, x: &Matrix, y: &mut Matrix| {
+            layer.forward_into(x, y);
+            weighted_sum(dy.data(), y.data())
+        };
+        let probe = |p: &[f32]| Matrix::from_vec(3, 4, p.to_vec());
+        gradcheck(|p| loss(&mut layer, &probe(p), &mut y), x.data(), grad_in.data(), 1e-2, 1e-4, 1e-3);
+        let params_loss = |l: &mut Dense| loss(l, &x, &mut y);
+        gradcheck_params(&mut layer, Dense::visit_params, params_loss, 1e-2, 1e-4, 1e-3);
     }
 
     #[test]
@@ -640,41 +627,31 @@ mod tests {
 
     #[test]
     fn cross_layer_gradcheck() {
-        // Every parameter gradient of three layers under a one-column head,
-        // L = Σ_r dy_r·(x_L[r]·w_top), against central differences. (The
-        // input gradient holds x_0's multiplicand role fixed — see
-        // `CrossTower::backward` — so only the scalar oracle pins it.)
-        let x0 = Matrix::from_vec(2, 3, vec![0.3, -0.7, 1.2, 0.9, 0.1, -0.4]);
-        let (dy, w_top) = ([0.7f32, -1.3], [0.4f32, -0.2, 0.9]);
-        let mut t = CrossTower::new(3, 3, 11);
-        for layer in &mut t.layers {
-            layer.b = vec![0.1, -0.2, 0.3];
+        // The input x_0 and every parameter of three layers under a
+        // one-column head, L = Σ_r dy_r·(x_L[r]·w_top), against central
+        // differences: 11 rows, ragged against the eight-row blocks.
+        let (rows, dim) = (11usize, 5usize);
+        let x0 = Matrix::from_vec(rows, dim, fill(rows * dim, 3));
+        let (dy, w_top) = (fill(rows, 4), fill(dim, 5));
+        let mut t = CrossTower::new(dim, 3, 11);
+        for (l, layer) in t.layers.iter_mut().enumerate() {
+            layer.b = fill(dim, 6 + l as u64);
         }
         let (mut out, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        let mut grad_in = Matrix::zeros(rows, dim);
         t.forward(&x0, &mut out, &mut dots);
-        t.backward(&x0, &dots, &dy, &w_top, &mut Matrix::zeros(2, 3));
-        let (mut params, mut grads) = (Vec::new(), Vec::new());
-        t.visit_params(&mut |p, g| {
-            params.extend_from_slice(p);
-            grads.extend_from_slice(g);
-        });
-        let n = params.len();
-        finite_diff_check(
-            move |flat| {
-                let mut cursor = 0;
-                t.visit_params(&mut |p, _| {
-                    p.copy_from_slice(&flat.data()[cursor..][..p.len()]);
-                    cursor += p.len();
-                });
-                t.forward(&x0, &mut out, &mut dots);
-                let logit = |r: usize| out.row(r).iter().zip(&w_top).map(|(x, w)| x * w).sum::<f32>();
-                (0..2).map(|r| dy[r] * logit(r)).sum()
-            },
-            &Matrix::from_vec(1, n, params),
-            &Matrix::from_vec(1, n, grads),
-            1e-3,
-            1e-2,
-        );
+        t.backward(&x0, &dots, &dy, &w_top, &mut grad_in);
+        let loss = |t: &CrossTower, x0: &Matrix, out: &mut Matrix, dots: &mut Matrix| {
+            t.forward(x0, out, dots);
+            (0..rows)
+                .map(|r| dy[r] as f64 * weighted_sum(&w_top, out.row(r)))
+                .sum::<f64>()
+        };
+        let probe = |p: &[f32]| Matrix::from_vec(rows, dim, p.to_vec());
+        let x0_loss = |p: &[f32]| loss(&t, &probe(p), &mut out, &mut dots);
+        gradcheck(x0_loss, x0.data(), grad_in.data(), 1e-2, 1e-4, 1e-3);
+        let params_loss = |t: &mut CrossTower| loss(t, &x0, &mut out, &mut dots);
+        gradcheck_params(&mut t, CrossTower::visit_params, params_loss, 1e-2, 1e-4, 1e-3);
     }
 
     #[test]
@@ -758,22 +735,27 @@ mod tests {
         out
     }
 
+    /// One layer's backward: returns `dL/dx_l` and adds the multiplicand
+    /// term `g·(x_l·w)` of `dL/dx_0` into `grad_x0`.
     fn cross_backward_scalar(
         c: &mut CrossLayer,
         x0: &Matrix,
         input: &Matrix,
         grad_out: &Matrix,
+        grad_x0: &mut Matrix,
     ) -> Matrix {
         let mut grad_in = Matrix::zeros(grad_out.rows(), grad_out.cols());
         grad_out.col_sums_into(&mut c.grad_b);
         for r in 0..grad_out.rows() {
             let g = grad_out.row(r);
             let xl = input.row(r);
+            let dot: f32 = xl.iter().zip(&c.w).map(|(&x, &w)| x * w).sum();
             let s: f32 = g.iter().zip(x0.row(r)).map(|(&gj, &x0j)| gj * x0j).sum();
             let gi = grad_in.row_mut(r);
             for j in 0..grad_out.cols() {
                 gi[j] = g[j] + s * c.w[j];
                 c.grad_w[j] += s * xl[j];
+                grad_x0.row_mut(r)[j] += g[j] * dot;
             }
         }
         grad_in
@@ -829,11 +811,12 @@ mod tests {
                         fast.backward(&x0, &dots, &dy, &w_top, &mut grad_in);
                         let top = (0..rows * dim).map(|e| dy[e / dim].mul_add(w_top[e % dim], 0.0));
                         let mut g = Matrix::from_vec(rows, dim, top.collect());
+                        let mut want = base.clone();
                         for l in (0..depth).rev() {
-                            g = cross_backward_scalar(&mut slow.layers[l], &x0, &xs[l], &g);
+                            g = cross_backward_scalar(&mut slow.layers[l], &x0, &xs[l], &g, &mut want);
                         }
-                        let want: Vec<f32> =
-                            base.data().iter().zip(g.data()).map(|(b, g)| b + g).collect();
+                        // The bottom layer's x_l term lands last.
+                        let want: Vec<f32> = want.data().iter().zip(g.data()).map(|(w, g)| w + g).collect();
                         let case = format!("{case} pass {pass}");
                         assert_eq!(bits(grad_in.data()), bits(&want), "{case} grad_in");
                         for (l, (f, s)) in fast.layers.iter().zip(&slow.layers).enumerate() {

@@ -22,12 +22,13 @@
 //!   passes; [`Mlp`] stacks `Dense` layers;
 //! * [`loss`] — numerically-stable binary cross-entropy with logits;
 //! * [`metrics`] — AUC (Mann–Whitney with tie handling) and log-loss;
-//! * [`optim`] — SGD/Momentum, Adagrad, Adam for the dense parameters
-//!   (sparse embedding optimizers live in `hetgmp-embedding`, where per-row
-//!   state matters).
+//! * [`optim`] — plain SGD for the dense parameters (sparse embedding
+//!   optimizers live in `hetgmp-embedding`, where per-row state matters);
+//! * [`gradcheck`] — the central-difference check every backward pass is
+//!   tested against.
 
-pub mod fm;
 pub mod gemm;
+pub mod gradcheck;
 pub mod layers;
 pub mod loss;
 pub mod matrix;
@@ -37,10 +38,9 @@ pub mod tape;
 #[cfg(test)]
 mod testdata;
 
-pub use fm::{FmInteraction, TargetAttention};
 pub use layers::{CrossTower, Dense, Mlp};
 pub use loss::bce_with_logits_into;
 pub use matrix::Matrix;
 pub use metrics::{auc, log_loss};
-pub use optim::{Adagrad, Adam, DenseOptimizer, Sgd};
+pub use optim::{DenseOptimizer, Sgd};
 pub use tape::DenseTape;

@@ -73,14 +73,15 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_difference() {
-        let z0 = 0.7f32;
-        let y = 1.0f32;
-        let eps = 1e-3;
+        // Logits of both signs against both labels; the gradient is the
+        // mean loss's.
+        let (z, y) = ([0.7f32, -1.3, 2.5, -0.2], [1.0f32, 0.0, 0.0, 1.0]);
+        let logits = |z: &[f32]| Matrix::from_vec(4, 1, z.to_vec());
         let mut g = Matrix::zeros(0, 0);
-        let mut at = |z: f32| bce_with_logits_into(&Matrix::from_vec(1, 1, vec![z]), &[y], &mut g);
-        let num = (at(z0 + eps) - at(z0 - eps)) / (2.0 * eps);
-        at(z0);
-        assert!((num - g.get(0, 0)).abs() < 1e-3);
+        bce_with_logits_into(&logits(&z), &y, &mut g);
+        let mut scratch = Matrix::zeros(0, 0);
+        let loss = |p: &[f32]| bce_with_logits_into(&logits(p), &y, &mut scratch) as f64;
+        crate::gradcheck::gradcheck(loss, &z, g.data(), 1e-2, 1e-4, 1e-3);
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Dense-parameter optimizers.
+//! Dense-parameter optimizer.
 //!
-//! These step the DNN weights (the AllReduce-synchronised part of the hybrid
-//! architecture). They hold per-buffer state internally, keyed by the stable
-//! visitation order of [`crate::Mlp::visit_params`].
+//! Plain SGD steps the DNN weights (the AllReduce-synchronised part of the
+//! hybrid architecture). Per-row optimizer state belongs to the sparse side
+//! (`hetgmp-embedding`'s `SparseOpt`).
 
-/// A stateful optimizer over a fixed sequence of parameter buffers.
+/// An optimizer over a fixed sequence of parameter buffers; kept as a trait
+/// because the benchmark's frozen replay calls `begin_step` and `update`.
 pub trait DenseOptimizer: Send {
     /// Begins a step; called once before the per-buffer updates of a step.
     fn begin_step(&mut self) {}
@@ -14,157 +15,24 @@ pub trait DenseOptimizer: Send {
     fn update(&mut self, slot: usize, params: &mut [f32], grads: &[f32]);
 }
 
-/// SGD with optional momentum.
+/// Plain stochastic gradient descent: `p ← p − lr·g`.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
-    /// Momentum coefficient (0 = plain SGD).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
-    /// Plain SGD.
+    /// SGD with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
+        Self { lr }
     }
 }
 
 impl DenseOptimizer for Sgd {
-    fn update(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        while self.velocity.len() <= slot {
-            self.velocity.push(Vec::new());
-        }
-        let v = &mut self.velocity[slot];
-        if v.len() != params.len() {
-            v.resize(params.len(), 0.0);
-        }
-        for ((p, &g), vi) in params.iter_mut().zip(grads).zip(v.iter_mut()) {
-            *vi = self.momentum * *vi + g;
-            *p -= self.lr * *vi;
-        }
-    }
-}
-
-/// Adagrad — the optimizer most large-scale CTR systems default to for
-/// sparse-heavy models.
-#[derive(Debug, Clone)]
-pub struct Adagrad {
-    /// Learning rate.
-    pub lr: f32,
-    /// Denominator floor.
-    pub eps: f32,
-    accum: Vec<Vec<f32>>,
-}
-
-impl Adagrad {
-    /// New Adagrad with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            eps: 1e-8,
-            accum: Vec::new(),
-        }
-    }
-}
-
-impl DenseOptimizer for Adagrad {
-    fn update(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
-        while self.accum.len() <= slot {
-            self.accum.push(Vec::new());
-        }
-        let a = &mut self.accum[slot];
-        if a.len() != params.len() {
-            a.resize(params.len(), 0.0);
-        }
-        for ((p, &g), ai) in params.iter_mut().zip(grads).zip(a.iter_mut()) {
-            *ai += g * g;
-            *p -= self.lr * g / (ai.sqrt() + self.eps);
-        }
-    }
-}
-
-/// Adam with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Denominator floor.
-    pub eps: f32,
-    t: u32,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-}
-
-impl Adam {
-    /// Adam with standard β values.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl DenseOptimizer for Adam {
-    fn begin_step(&mut self) {
-        self.t += 1;
-    }
-
-    fn update(&mut self, slot: usize, params: &mut [f32], grads: &[f32]) {
-        while self.m.len() <= slot {
-            self.m.push(Vec::new());
-            self.v.push(Vec::new());
-        }
-        let m = &mut self.m[slot];
-        let v = &mut self.v[slot];
-        if m.len() != params.len() {
-            m.resize(params.len(), 0.0);
-            v.resize(params.len(), 0.0);
-        }
-        let t = self.t.max(1) as i32;
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
-        for (((p, &g), mi), vi) in params
-            .iter_mut()
-            .zip(grads)
-            .zip(m.iter_mut())
-            .zip(v.iter_mut())
-        {
-            *mi = self.beta1 * *mi + (1.0 - self.beta1) * g;
-            *vi = self.beta2 * *vi + (1.0 - self.beta2) * g * g;
-            let mhat = *mi / bc1;
-            let vhat = *vi / bc2;
-            *p -= self.lr * mhat / (vhat.sqrt() + self.eps);
+    fn update(&mut self, _slot: usize, params: &mut [f32], grads: &[f32]) {
+        for (p, &g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 }
@@ -173,65 +41,16 @@ impl DenseOptimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimise f(x) = (x − 3)² from x = 0 with each optimizer.
-    fn minimise(opt: &mut dyn DenseOptimizer, steps: usize) -> f32 {
-        let mut x = [0.0f32];
-        for _ in 0..steps {
-            opt.begin_step();
-            let g = [2.0 * (x[0] - 3.0)];
-            opt.update(0, &mut x, &g);
-        }
-        x[0]
-    }
-
     #[test]
     fn sgd_converges() {
+        // Minimise f(x) = (x − 3)² from x = 0.
         let mut o = Sgd::new(0.1);
-        let x = minimise(&mut o, 100);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
-    fn momentum_converges() {
-        let mut o = Sgd::with_momentum(0.05, 0.9);
-        let x = minimise(&mut o, 200);
-        assert!((x - 3.0).abs() < 1e-2, "x = {x}");
-    }
-
-    #[test]
-    fn adagrad_converges() {
-        let mut o = Adagrad::new(1.0);
-        let x = minimise(&mut o, 500);
-        assert!((x - 3.0).abs() < 0.05, "x = {x}");
-    }
-
-    #[test]
-    fn adam_converges() {
-        let mut o = Adam::new(0.2);
-        let x = minimise(&mut o, 300);
-        assert!((x - 3.0).abs() < 0.05, "x = {x}");
-    }
-
-    #[test]
-    fn slots_are_independent() {
-        let mut o = Adagrad::new(0.5);
-        let mut a = [0.0f32];
-        let mut b = [0.0f32];
-        o.update(0, &mut a, &[1.0]);
-        o.update(1, &mut b, &[100.0]);
-        // Different accumulators: slot 1's huge gradient must not dampen
-        // slot 0's next step.
-        let a_before = a[0];
-        o.update(0, &mut a, &[1.0]);
-        assert!((a[0] - a_before).abs() > 0.1);
-    }
-
-    #[test]
-    fn zero_gradient_no_move() {
-        let mut o = Adam::new(0.1);
-        let mut x = [1.5f32];
-        o.begin_step();
-        o.update(0, &mut x, &[0.0]);
-        assert_eq!(x[0], 1.5);
+        let mut x = [0.0f32];
+        for _ in 0..100 {
+            o.begin_step();
+            let g = [2.0 * (x[0] - 3.0)];
+            o.update(0, &mut x, &g);
+        }
+        assert!((x[0] - 3.0).abs() < 1e-3, "x = {}", x[0]);
     }
 }

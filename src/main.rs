@@ -47,7 +47,7 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   gen        --preset avazu|criteo|company|tiny --scale F --out FILE
   partition  (--in FILE --fields N | --preset P --scale F) --workers N --algo hybrid|random|bicut|multilevel [--rounds N]
   train      (--in FILE --fields N | --preset P --scale F) --system tf-ps|parallax|hugectr|het-mp|het-gmp
-             [--staleness N] [--workers N] [--epochs N] [--model wdl|dcn|deepfm|din] [--seed N]
+             [--staleness N] [--workers N] [--epochs N] [--model wdl|dcn] [--seed N]
              [--telemetry FILE.jsonl] [--trace FILE.trace.json] [--trace-level batch|sync]
              [--audit[=count|strict]] [--faults SPEC] [--checkpoint-every N --checkpoint-dir DIR]
              [--resume FILE.hgmr]
@@ -412,8 +412,6 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
     let model = match args.get("model").unwrap_or("wdl") {
         "wdl" => ModelKind::Wdl,
         "dcn" => ModelKind::Dcn,
-        "deepfm" => ModelKind::DeepFm,
-        "din" => ModelKind::Din,
         other => return Err(HetGmpError::usage(format!("unknown model {other:?}"))),
     };
     let seed: u64 = args.parsed_or("seed", 42)?;

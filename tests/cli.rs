@@ -72,14 +72,27 @@ fn gen_partition_train_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An unknown system and the models the CLI no longer builds (DeepFM and
+/// DIN were deleted) are refused by name; the usage line lists `wdl|dcn`.
 #[test]
 fn train_rejects_unknown_system() {
-    let out = het_gmp()
-        .args(["train", "--preset", "tiny", "--system", "sparkle"])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown system"));
+    let cases = [
+        (["--system", "sparkle"], "unknown system"),
+        (["--model", "deepfm"], "unknown model"),
+        (["--model", "din"], "unknown model"),
+    ];
+    for (flag, want) in cases {
+        let out = het_gmp()
+            .args(["train", "--preset", "tiny"])
+            .args(flag)
+            .output()
+            .expect("spawn");
+        assert!(!out.status.success(), "{flag:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{flag:?}: {err}");
+    }
+    let usage = het_gmp().arg("--help").output().expect("spawn");
+    assert!(String::from_utf8_lossy(&usage.stdout).contains("[--model wdl|dcn]"));
 }
 
 #[test]
