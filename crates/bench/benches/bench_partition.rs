@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetgmp_bigraph::Bigraph;
+use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, DatasetSpec};
 use hetgmp_partition::{
     bicut_partition, random_partition, HybridConfig, HybridPartitioner,
@@ -12,6 +13,19 @@ use hetgmp_partition::vertexcut::replicate_hot_embeddings;
 
 fn graph() -> Bigraph {
     generate(&DatasetSpec::criteo_like(0.1)).to_bigraph()
+}
+
+/// The training split's bigraph of a benchmark-ledger CTR workload: seed 7,
+/// `cluster_affinity` 0.9, 10% held out, as the trainer builds it.
+fn ledger_graph(spec: DatasetSpec) -> Bigraph {
+    let data = generate(&DatasetSpec {
+        cluster_affinity: 0.9,
+        seed: 7,
+        ..spec
+    });
+    let train = data.split(0.1).train;
+    let rows: Vec<&[u32]> = train.iter().map(|&i| data.sample(i as usize)).collect();
+    Bigraph::from_samples(data.num_features, &rows)
 }
 
 fn bench(c: &mut Criterion) {
@@ -52,6 +66,32 @@ fn bench(c: &mut Criterion) {
     group.bench_function("hybrid_3_rounds", |b| {
         b.iter(|| HybridPartitioner::new(HybridConfig::default()).partition_rounds(&g, 8));
     });
+
+    // Algorithm 1 at the shapes of the `avazu_gmp` and `company_fetch`
+    // benchmark workloads (`StrategyConfig::het_gmp`'s partitioner, with
+    // the topology's weight matrix).
+    for (name, spec, topo) in [
+        (
+            "hybrid_avazu_x4_pcie",
+            DatasetSpec::avazu_like(1.0),
+            Topology::pcie_island(4),
+        ),
+        (
+            "hybrid_company_x2",
+            DatasetSpec::company_like(1.0),
+            Topology::pcie_island(2),
+        ),
+    ] {
+        let g = ledger_graph(spec);
+        let mut cfg = HybridConfig {
+            seed: 7,
+            ..HybridConfig::default()
+        };
+        cfg.onedee.weights = Some(topo.weight_matrix());
+        group.bench_function(name, |b| {
+            b.iter(|| HybridPartitioner::new(cfg.clone()).partition_rounds(&g, topo.num_workers()));
+        });
+    }
 
     group.bench_function("metrics", |b| {
         let part = random_partition(&g, 8, 7);

@@ -22,11 +22,13 @@ pub struct Bigraph {
 impl Bigraph {
     /// Builds the bigraph from per-sample embedding-access lists.
     ///
-    /// `num_embeddings` must exceed every id referenced in `rows`.
+    /// `num_embeddings` must exceed every id referenced in `rows`. A row is
+    /// anything that borrows as a slice, so callers can pass views of rows
+    /// they already hold (`&[EmbId]`, `[EmbId; K]`, ...) instead of copies.
     ///
     /// # Panics
     /// Panics if a referenced embedding id is out of range.
-    pub fn from_samples(num_embeddings: usize, rows: &[Vec<EmbId>]) -> Self {
+    pub fn from_samples<R: AsRef<[EmbId]>>(num_embeddings: usize, rows: &[R]) -> Self {
         let sample_to_emb = Csr::from_rows(rows);
         if let Some(max) = sample_to_emb.max_neighbor() {
             assert!(
@@ -260,9 +262,33 @@ mod tests {
         Bigraph::from_samples(2, &[vec![5]]);
     }
 
+    /// Borrowed rows, fixed-size rows and owned rows build the same two
+    /// CSRs, in the neighbour order given.
+    #[test]
+    fn borrowed_rows_build_the_same_csr() {
+        let owned: Vec<Vec<EmbId>> = vec![vec![4, 1], vec![], vec![2, 2, 0], vec![3]];
+        let g = Bigraph::from_samples(5, &owned);
+        let views: Vec<&[EmbId]> = owned.iter().map(Vec::as_slice).collect();
+        let literal: [&[EmbId]; 4] = [&[4, 1], &[], &[2, 2, 0], &[3]];
+        for other in [
+            Bigraph::from_samples(5, &views),
+            Bigraph::from_samples(5, &literal),
+        ] {
+            assert_eq!(other.sample_to_emb(), g.sample_to_emb());
+            assert_eq!(other.emb_to_sample(), g.emb_to_sample());
+        }
+        let pairs = [[0u32, 3], [3, 1]];
+        let from_pairs = Bigraph::from_samples(4, &pairs);
+        let from_vecs = Bigraph::from_samples(4, &[vec![0u32, 3], vec![3, 1]]);
+        assert_eq!(from_pairs.sample_to_emb(), from_vecs.sample_to_emb());
+        assert_eq!(from_pairs.emb_to_sample(), from_vecs.emb_to_sample());
+        assert_eq!(g.sample_to_emb().offsets(), &[0, 2, 2, 5, 6]);
+        assert_eq!(g.sample_to_emb().indices(), &[4, 1, 2, 2, 0, 3]);
+    }
+
     #[test]
     fn empty_graph() {
-        let g = Bigraph::from_samples(0, &[]);
+        let g = Bigraph::from_samples::<Vec<EmbId>>(0, &[]);
         assert_eq!(g.num_samples(), 0);
         assert_eq!(g.num_embeddings(), 0);
         assert_eq!(g.num_edges(), 0);

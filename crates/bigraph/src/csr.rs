@@ -21,14 +21,15 @@ pub struct Csr {
 impl Csr {
     /// Builds a CSR from per-row neighbour lists.
     ///
-    /// Neighbour order within a row is preserved.
-    pub fn from_rows(rows: &[Vec<u32>]) -> Self {
-        let nnz: usize = rows.iter().map(Vec::len).sum();
+    /// Neighbour order within a row is preserved. Rows may be anything that
+    /// borrows as a slice (`Vec<u32>`, `&[u32]`, `[u32; K]`, ...).
+    pub fn from_rows<R: AsRef<[u32]>>(rows: &[R]) -> Self {
+        let nnz: usize = rows.iter().map(|r| r.as_ref().len()).sum();
         let mut offsets = Vec::with_capacity(rows.len() + 1);
         let mut indices = Vec::with_capacity(nnz);
         offsets.push(0);
         for row in rows {
-            indices.extend_from_slice(row);
+            indices.extend_from_slice(row.as_ref());
             offsets.push(indices.len());
         }
         Self { offsets, indices }
@@ -122,6 +123,19 @@ impl Csr {
     #[inline]
     pub fn neighbors(&self, row: usize) -> &[u32] {
         &self.indices[self.offsets[row]..self.offsets[row + 1]]
+    }
+
+    /// The `num_rows + 1` row offsets: row `r`'s neighbours are
+    /// `indices()[offsets()[r]..offsets()[r + 1]]`.
+    #[inline]
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Every stored neighbour id, row after row.
+    #[inline]
+    pub fn indices(&self) -> &[u32] {
+        &self.indices
     }
 
     /// Out-degree of `row`.

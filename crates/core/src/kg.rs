@@ -119,18 +119,10 @@ impl<'d> KgTrainer<'d> {
         let (train, test) = self.kg.split(0.1);
 
         // Bigraph over training triples only.
-        let rows: Vec<Vec<u32>> = train
-            .iter()
-            .map(|&i| {
-                let (h, _, t) = self.kg.triples[i as usize];
-                if h == t {
-                    vec![h]
-                } else {
-                    vec![h, t]
-                }
-            })
-            .collect();
-        let graph = hetgmp_bigraph::Bigraph::from_samples(self.kg.num_entities, &rows);
+        let graph = {
+            let rows: Vec<_> = train.iter().map(|&i| self.kg.entity_row(i as usize)).collect();
+            hetgmp_bigraph::Bigraph::from_samples(self.kg.num_entities, &rows)
+        };
         let partition = self
             .strategy
             .partition

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use hetgmp_embedding::StalenessBound;
 use hetgmp_partition::{
-    BiCutPartitioner, HybridConfig, HybridPartitioner, MultilevelConfig, MultilevelPartitioner,
-    Partitioner, RandomPartitioner, ReplicationBudget,
+    check_weights, BiCutPartitioner, HybridConfig, HybridPartitioner, MultilevelConfig,
+    MultilevelPartitioner, Partitioner, RandomPartitioner, ReplicationBudget,
 };
 use hetgmp_telemetry::{HetGmpError, Recorder, TraceCollector};
 
@@ -343,6 +343,9 @@ impl StrategyConfigBuilder {
                     "Algorithm 1 needs at least one 1D round",
                 ));
             }
+            if let Some(w) = &cfg.onedee.weights {
+                check_weights(w).map_err(|e| HetGmpError::config("onedee.weights", e))?;
+            }
         }
         c.cache.validate()?;
         Ok(self.cfg)
@@ -424,5 +427,29 @@ mod tests {
             ..Default::default()
         });
         assert!(StrategyConfig::builder().partition(bad_rounds).build().is_err());
+    }
+
+    /// NaN, +∞ and a negative off-diagonal weight are config errors naming
+    /// `onedee.weights`; a non-zero diagonal is legal.
+    #[test]
+    fn strategy_builder_checks_weight_values() {
+        let build = |w: Vec<Vec<f64>>| {
+            let mut cfg = HybridConfig::default();
+            cfg.onedee.weights = Some(w);
+            StrategyConfig::builder()
+                .partition(PartitionPolicy::Hybrid(cfg))
+                .build()
+        };
+        for bad in [
+            vec![vec![0.0, f64::NAN], vec![1.0, 0.0]],
+            vec![vec![0.0, 1.0], vec![f64::INFINITY, 0.0]],
+            vec![vec![0.0, -0.5], vec![1.0, 0.0]],
+            vec![vec![f64::NAN, 1.0], vec![1.0, 0.0]],
+        ] {
+            let err = build(bad.clone()).unwrap_err();
+            assert_eq!(err.exit_code(), 78, "{bad:?}");
+            assert!(err.to_string().contains("onedee.weights"), "{err}");
+        }
+        assert!(build(vec![vec![3.0, 1.0], vec![1.0, 0.5]]).is_ok());
     }
 }

@@ -729,12 +729,11 @@ impl<'d> Trainer<'d> {
 
         // ---- Data & partition ------------------------------------------------
         let split = self.dataset.split(cfg.test_fraction);
-        let train_rows: Vec<Vec<u32>> = split
-            .train
-            .iter()
-            .map(|&i| self.dataset.sample(i as usize).to_vec())
-            .collect();
-        let graph = Bigraph::from_samples(self.dataset.num_features, &train_rows);
+        let graph = {
+            let rows: Vec<&[u32]> =
+                split.train.iter().map(|&i| self.dataset.sample(i as usize)).collect();
+            Bigraph::from_samples(self.dataset.num_features, &rows)
+        };
         let partition = self.build_partition_recorded(&graph, registry.global());
         let partition_metrics = match self.strategy.embed_home {
             EmbedHome::Gpu => Some(PartitionMetrics::compute(&graph, &partition, None)),

@@ -55,12 +55,7 @@ impl CtrDataset {
     /// vertex per row, one embedding vertex per feature, an edge per lookup.
     pub fn to_bigraph(&self) -> Bigraph {
         let edges: Vec<(u32, u32)> = (0..self.num_samples())
-            .flat_map(|i| {
-                self.sample(i)
-                    .iter()
-                    .map(move |&f| (i as u32, f))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|i| self.sample(i).iter().map(move |&f| (i as u32, f)))
             .collect();
         Bigraph::from_edges(self.num_samples(), self.num_features, &edges)
     }

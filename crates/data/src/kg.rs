@@ -15,6 +15,19 @@ use rand::{Rng, SeedableRng};
 use crate::zipf::Zipf;
 use hetgmp_bigraph::Bigraph;
 
+/// One triple's bigraph row, held inline (see [`KgDataset::entity_row`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntityRow {
+    ids: [u32; 2],
+    len: u8,
+}
+
+impl AsRef<[u32]> for EntityRow {
+    fn as_ref(&self) -> &[u32] {
+        &self.ids[..self.len as usize]
+    }
+}
+
 /// Parameters of a synthetic knowledge graph.
 #[derive(Debug, Clone)]
 pub struct KgSpec {
@@ -117,12 +130,18 @@ impl KgDataset {
     /// triple connecting its head and tail **entity** vertices — the
     /// "two embeddings per sample" shape the paper contrasts with CTR.
     pub fn to_bigraph(&self) -> Bigraph {
-        let rows: Vec<Vec<u32>> = self
-            .triples
-            .iter()
-            .map(|&(h, _, t)| if h == t { vec![h] } else { vec![h, t] })
-            .collect();
+        let rows: Vec<EntityRow> = (0..self.len()).map(|i| self.entity_row(i)).collect();
         Bigraph::from_samples(self.num_entities, &rows)
+    }
+
+    /// The entity vertices triple `i` links in the bigraph: head then tail,
+    /// or the head alone when the two coincide.
+    pub fn entity_row(&self, i: usize) -> EntityRow {
+        let (h, _, t) = self.triples[i];
+        EntityRow {
+            ids: [h, t],
+            len: if h == t { 1 } else { 2 },
+        }
     }
 
     /// Deterministic train/test split by stride.

@@ -38,6 +38,6 @@ pub mod zipf;
 pub use dataset::{Batch, BatchIter, CtrDataset, TrainTestSplit};
 pub use generate::generate;
 pub use io::{read_csv_hashed, read_libsvm, write_libsvm, ParseError};
-pub use kg::{generate_kg, KgDataset, KgSpec};
+pub use kg::{generate_kg, EntityRow, KgDataset, KgSpec};
 pub use spec::DatasetSpec;
 pub use zipf::Zipf;

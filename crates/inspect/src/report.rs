@@ -76,6 +76,47 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         fin.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_f64)
     };
 
+    // ---- Algorithm 1 (present only when the hybrid partitioner ran) -----
+    // Gated on the rounds counter: random and baseline partitions record
+    // no partition.* at all. Rounds, moves and the per-round remote-fetch
+    // scores are deterministic; the wall time prints only with --wall.
+    let hist = |name: &str, field: &str| -> f64 {
+        fin.get("histograms")
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get(field))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+    };
+    let rounds = counter(names::PARTITION_ROUNDS);
+    if rounds > 0.0 {
+        let _ = writeln!(out, "\npartitioner (Algorithm 1)");
+        let _ = writeln!(
+            out,
+            "  {rounds:.0} round(s), {:.0} vertex move(s)",
+            counter(names::PARTITION_MOVES)
+        );
+        let _ = writeln!(
+            out,
+            "  remote fetches per epoch after a round: best {:.0}, worst {:.0}; \
+             {:.0} removed from the initial placement",
+            hist(names::PARTITION_ROUND_SCORE, "min"),
+            hist(names::PARTITION_ROUND_SCORE, "max"),
+            hist(names::PARTITION_ROUND_IMPROVEMENT, "sum"),
+        );
+        if let Some(budget) = gauge(names::PARTITION_REPLICATION_BUDGET) {
+            let _ = writeln!(
+                out,
+                "  replication: {:.0} secondary replica(s), budget {budget:.0} slot(s) per partition",
+                counter(names::PARTITION_REPLICAS_CREATED),
+            );
+        }
+        if wall {
+            if let Some(secs) = gauge(names::PARTITION_WALL_SECS) {
+                let _ = writeln!(out, "  wall time: {secs:.4} s");
+            }
+        }
+    }
+
     // ---- Figure 8: traffic by class -------------------------------------
     let bytes: Vec<f64> = TRAFFIC_CLASSES
         .iter()
@@ -354,6 +395,45 @@ mod tests {
             with_wall.contains("mean load cost: 50.0 us over 120 (0.0060 s total, 7.5 MiB)"),
             "{with_wall}"
         );
+    }
+
+    #[test]
+    fn partitioner_section_appears_only_when_algorithm_1_ran() {
+        // The sample log records no partition.* metrics: no section.
+        let a = Artifact::parse(&sample_log()).unwrap();
+        assert!(!render_report(&a, true).unwrap().contains("partitioner"));
+
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4);
+        let log = format!(
+            "{}\n{}\n",
+            m.to_record().render(),
+            concat!(
+                r#"{"event":"final","system":"HET-GMP(s=100)","auc":0.70,"#,
+                r#""counters":{"partition.rounds":3,"partition.moves":40508,"#,
+                r#""partition.replicas.created":560},"#,
+                r#""gauges":{"partition.replication.budget":140,"partition.wall_secs":0.0731},"#,
+                r#""histograms":{"partition.round.remote_fetches":"#,
+                r#"{"count":3,"sum":283000,"min":89000,"max":101000,"mean":94333,"#,
+                r#""p50":93000,"p95":101000,"p99":101000},"#,
+                r#""partition.round.improvement":"#,
+                r#"{"count":3,"sum":802000,"min":4000,"max":790000,"mean":267333,"#,
+                r#""p50":8000,"p95":790000,"p99":790000}}}"#,
+            ),
+        );
+        let a = Artifact::parse(&log).unwrap();
+        let r = render_report(&a, false).unwrap();
+        let section = concat!(
+            "partitioner (Algorithm 1)\n",
+            "  3 round(s), 40508 vertex move(s)\n",
+            "  remote fetches per epoch after a round: best 89000, worst 101000; ",
+            "802000 removed from the initial placement\n",
+            "  replication: 560 secondary replica(s), budget 140 slot(s) per partition\n",
+        );
+        assert!(r.contains(section), "{r}");
+        // Partitioning time is wall time: absent by default.
+        assert!(!r.contains("wall time"), "{r}");
+        let w = render_report(&a, true).unwrap();
+        assert!(w.contains(&format!("{section}  wall time: 0.0731 s\n")), "{w}");
     }
 
     #[test]

@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn empty_graph() {
-        let g = Bigraph::from_samples(0, &[]);
+        let g = Bigraph::from_samples::<Vec<u32>>(0, &[]);
         let co = CooccurrenceGraph::build(&g, &CooccurrenceConfig::default());
         assert!(cluster_cooccurrence(&co, 4, 3).is_empty());
     }

@@ -10,11 +10,10 @@ use std::time::Instant;
 use hetgmp_bigraph::Bigraph;
 use hetgmp_telemetry::{names, Json, Recorder, TraceCollector};
 
-use crate::metrics::PartitionMetrics;
 use crate::onedee::{OneDeeConfig, OneDeeState};
 use crate::random::random_partition;
 use crate::types::Partition;
-use crate::vertexcut::{replicate_hot_embeddings_threaded, ReplicationBudget};
+use crate::vertexcut::{replicate_from_counts, ReplicationBudget};
 
 /// Configuration of Algorithm 1.
 #[derive(Debug, Clone)]
@@ -160,16 +159,13 @@ impl HybridPartitioner {
         );
         let mut state = OneDeeState::new(g, &part, self.config.onedee.clone());
         let mut rounds = Vec::with_capacity(self.config.rounds);
-        // Pre-sweep baseline so round 1's improvement is meaningful; only
-        // computed when someone is listening.
-        let mut prev_fetches = self
-            .recorder
-            .as_ref()
-            .map(|_| PartitionMetrics::compute(g, &part, None).remote_fetches);
+        // Pre-sweep baseline so round 1's improvement is meaningful. Every
+        // remote-fetch count comes from the state's access counts, O(|X|·N).
+        let mut prev_fetches = state.remote_fetches(&part);
         let mut round_start_secs = start.elapsed().as_secs_f64();
         for round in 1..=self.config.rounds {
             let moved = state.sweep(g, &mut part);
-            let metrics = PartitionMetrics::compute(g, &part, None);
+            let remote_fetches = state.remote_fetches(&part);
             if let Some(t) = &self.tracer {
                 let end_secs = start.elapsed().as_secs_f64();
                 t.driver_span(
@@ -179,7 +175,7 @@ impl HybridPartitioner {
                     &[
                         ("round", Json::U64(round as u64)),
                         ("moved", Json::U64(moved as u64)),
-                        ("remote_fetches", Json::U64(metrics.remote_fetches)),
+                        ("remote_fetches", Json::U64(remote_fetches)),
                     ],
                 );
                 round_start_secs = end_secs;
@@ -187,24 +183,26 @@ impl HybridPartitioner {
             if let Some(r) = &self.recorder {
                 r.counter_add(names::PARTITION_ROUNDS, 1);
                 r.counter_add(names::PARTITION_MOVES, moved as u64);
-                r.histogram_observe(names::PARTITION_ROUND_SCORE, metrics.remote_fetches as f64);
-                let improvement =
-                    prev_fetches.unwrap_or(metrics.remote_fetches) as f64 - metrics.remote_fetches as f64;
-                r.histogram_observe(names::PARTITION_ROUND_IMPROVEMENT, improvement);
-                prev_fetches = Some(metrics.remote_fetches);
+                r.histogram_observe(names::PARTITION_ROUND_SCORE, remote_fetches as f64);
+                r.histogram_observe(
+                    names::PARTITION_ROUND_IMPROVEMENT,
+                    prev_fetches as f64 - remote_fetches as f64,
+                );
             }
+            prev_fetches = remote_fetches;
             rounds.push(RoundStats {
                 round,
                 moved,
-                remote_fetches: metrics.remote_fetches,
+                remote_fetches,
                 elapsed_secs: start.elapsed().as_secs_f64(),
             });
         }
         if let Some(budget) = self.config.replication {
-            let created = replicate_hot_embeddings_threaded(
-                g,
+            // The state's counts are current for the final sample owners.
+            let created = replicate_from_counts(
+                state.counts(),
                 &mut part,
-                budget,
+                budget.slots(g.num_embeddings()),
                 self.config.onedee.score_threads,
             );
             if let Some(r) = &self.recorder {
@@ -238,6 +236,7 @@ pub fn migration_cost(before: &Partition, after: &Partition) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::PartitionMetrics;
 
     fn graph() -> Bigraph {
         // Locality-structured: 4 blocks of samples each reusing a block of

@@ -38,6 +38,8 @@ pub mod multilevel;
 pub mod onedee;
 pub mod partitioner;
 pub mod random;
+#[cfg(test)]
+mod reference;
 pub mod types;
 pub mod vertexcut;
 
@@ -46,7 +48,7 @@ pub use cooccurrence::cluster_cooccurrence;
 pub use hybrid::{migration_cost, HybridConfig, HybridPartitioner, RoundStats};
 pub use metrics::PartitionMetrics;
 pub use multilevel::{multilevel_partition, MultilevelConfig};
-pub use onedee::OneDeeConfig;
+pub use onedee::{check_weights, OneDeeConfig};
 pub use partitioner::{
     BiCutPartitioner, MultilevelPartitioner, Partitioner, RandomPartitioner,
 };

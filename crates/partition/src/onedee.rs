@@ -29,9 +29,61 @@
 //! cut edges migrate away from slow links first — the paper's "hierarchical"
 //! partitioning of Figure 9.
 //!
-//! The sweep maintains `count(x, i)` (accesses of embedding `x` by samples
-//! in partition `i`) and the per-partition weighted communication totals
-//! *exactly and incrementally*, so `T` rounds cost `O(T·(|E| + |V|·N²))`.
+//! # Cost of a round
+//!
+//! One [`OneDeeState::sweep`] over a graph with edge set `E`, samples `S`,
+//! embeddings `X` and `N` partitions runs five phases:
+//!
+//! | phase | work | threads |
+//! |---|---|---|
+//! | sample fill: every sample's `δc` toward all `N` partitions | `O(|E|·N)` | all |
+//! | sample loop: detach, score, attach, one sample at a time | `O(|E| + |S|·N)` | one |
+//! | `count(x, i)` rebuilt from the embedding → sample CSR | `O(|E| + |X|·N)` | all |
+//! | embedding fill: every embedding's `δc` toward all partitions | `O(|X|·N²)` | all |
+//! | embedding loop: detach, score, attach, one primary at a time | `O(|X|·N)` | one |
+//!
+//! The sample fill is the only phase that looks up an edge's primary in the
+//! [`Partition`]. It records each edge's primary as one byte, and the sample
+//! loop, which runs while no primary can move, streams those bytes in CSR
+//! order instead of chasing the table again. The driver's remote-fetch
+//! count after a round is `Σ_x Σ_{i ≠ primary(x)} count(x, i)`, `O(|X|·N)`.
+//!
+//! # Identical placements
+//!
+//! The sequential loops decide every move, in a fixed vertex order, from
+//! floating-point totals; the result is a pure function of the graph, the
+//! initial partition and the config, identical for every `score_threads`.
+//! The fills only write scores the loops read, each computed by one thread
+//! in the serial order; the count rebuild is exact integer arithmetic.
+//!
+//! Every loop that adds weights adds *all* `N` (or `|edges|`) terms, with no
+//! `p ≠ j` or `count > 0` test, and still produces the bits a loop that
+//! skipped those terms would. A skipped term is always `+0.0`, and adding
+//! `+0.0` is the identity on every total these loops hold:
+//! - the state's flat `N × N` weight copy has a zero diagonal, so the
+//!   `p = j` term is `w[j][j] = +0.0`, and `count · w` with count `0` is
+//!   `+0.0` because [`OneDeeState::new`] admits only finite weights whose
+//!   sign bit is clear;
+//! - `x − (+0.0) = x` for every `x`, and `x + (+0.0) = x` for every `x`
+//!   except `−0.0`;
+//! - a total that starts at `+0.0` and only adds or subtracts sign-clear
+//!   finite terms never holds `−0.0`: round-to-nearest gives `+0.0` for an
+//!   exact cancellation, and `−0.0` can only come from `−0.0` itself.
+//!
+//! Each loop keeps its operands and their order (the detach/attach sums
+//! run in a local accumulator over the sample's edges in CSR order), so the
+//! totals are bit-identical to the branching form it replaced.
+//!
+//! # Why `count(x, i)` is rebuilt
+//!
+//! Only the embedding sweep and replication read the access counts. Patching
+//! them as samples move costs two random read-modify-writes per edge of
+//! every moved sample — in the first rounds that is half the samples — so
+//! the sample loop leaves them alone and the counts are recomputed after it,
+//! in parallel over embedding ranges, from each embedding's samples and
+//! their owners.
+
+use std::ops::Range;
 
 use hetgmp_bigraph::Bigraph;
 
@@ -48,20 +100,22 @@ pub struct OneDeeConfig {
     pub gamma: f64,
     /// `N×N` communication weight matrix; `None` = homogeneous (all ones off
     /// the diagonal). Use `Topology::weight_matrix()` for hierarchy-aware
-    /// partitioning.
+    /// partitioning. Every entry must be finite and every off-diagonal
+    /// entry non-negative (see [`check_weights`]); the diagonal is ignored.
     pub weights: Option<Vec<Vec<f64>>>,
     /// Hard balance slack: no partition may hold more than
     /// `slack × (count / N)` samples (or embedding primaries). The soft
     /// α/β/γ terms steer placement *within* this feasible region; the cap is
     /// what guarantees the "balanced" in balanced partitioning.
     pub slack: f64,
-    /// Worker threads for the δg edge-cut scoring (`0` = one per available
-    /// core). The δc term of every candidate is a pure function of state
-    /// that is *frozen* for the duration of a sweep (sample scores read only
-    /// primaries, which sample moves never touch; embedding scores read only
-    /// the access-count rows, which embedding moves never touch), so the
-    /// scoring fans out across threads while the move decisions stay
-    /// sequential — the result is identical for every thread count.
+    /// Worker threads for the δg edge-cut scoring and the access-count
+    /// rebuild (`0` = one per available core). The δc term of every
+    /// candidate is a pure function of state that is *frozen* for the
+    /// duration of a sweep (sample scores read only primaries, which sample
+    /// moves never touch; embedding scores read only the access-count rows,
+    /// which embedding moves never touch), so the scoring fans out across
+    /// threads while the move decisions stay sequential — the result is
+    /// identical for every thread count.
     pub score_threads: usize,
 }
 
@@ -78,6 +132,33 @@ impl Default for OneDeeConfig {
     }
 }
 
+/// Checks a weight matrix's values: square, every entry finite, every
+/// off-diagonal entry non-negative (`−0.0` included). The diagonal may hold
+/// any finite value; the sweep ignores it. A NaN would make every
+/// `score < best` comparison false and a negative weight rewards cut edges.
+pub fn check_weights(m: &[Vec<f64>]) -> Result<(), String> {
+    for (i, row) in m.iter().enumerate() {
+        if row.len() != m.len() {
+            return Err(format!(
+                "weight matrix not square: row {i} has {} entries, expected {}",
+                row.len(),
+                m.len()
+            ));
+        }
+        for (j, &w) in row.iter().enumerate() {
+            if !w.is_finite() {
+                return Err(format!(
+                    "weight matrix entry [{i}][{j}] = {w} is not finite"
+                ));
+            }
+            if i != j && w.is_sign_negative() {
+                return Err(format!("weight matrix entry [{i}][{j}] = {w} is negative"));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Resolves a `score_threads` config value: `0` = available parallelism.
 pub(crate) fn resolve_threads(cfg: usize) -> usize {
     if cfg > 0 {
@@ -87,35 +168,89 @@ pub(crate) fn resolve_threads(cfg: usize) -> usize {
     }
 }
 
-/// Fills `out[v * n + j]` for `v` in `0..num_vertices` by calling
-/// `score(v, &mut out[v*n..(v+1)*n])`, fanned out over `threads` workers on
-/// contiguous vertex ranges. Each entry is written by exactly one thread and
-/// computed by the same FP sequence as a serial loop, so the fill is
-/// deterministic for every thread count.
-pub(crate) fn parallel_fill<F>(out: &mut [f64], n: usize, num_vertices: usize, threads: usize, score: F)
-where
-    F: Fn(u32, &mut [f64]) + Sync,
-{
-    debug_assert_eq!(out.len(), num_vertices * n);
-    let threads = threads.min(num_vertices.max(1));
-    if threads <= 1 || num_vertices == 0 {
-        for (v, row) in out.chunks_mut(n).enumerate() {
-            score(v as u32, row);
-        }
-        return;
-    }
-    let per = num_vertices.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, chunk) in out.chunks_mut(per * n).enumerate() {
-            let score = &score;
-            scope.spawn(move || {
-                let base = t * per;
-                for (i, row) in chunk.chunks_mut(n).enumerate() {
-                    score((base + i) as u32, row);
+/// Candidates scored side by side by the sample fill.
+const LANES: usize = 4;
+
+/// Splits the rows of a CSR with `offsets` into at most `parts` contiguous
+/// ranges of about equal `edges + rows`, covering every row in order.
+fn row_ranges(offsets: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let rows = offsets.len() - 1;
+    let total = offsets[rows] + rows;
+    let parts = parts.clamp(1, rows.max(1));
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for t in 1..=parts {
+        let end = if t == parts {
+            rows
+        } else {
+            // First row r ≥ start with offsets[r] + r ≥ target.
+            let target = total * t / parts;
+            let (mut lo, mut hi) = (start, rows);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if offsets[mid] + mid < target {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
                 }
-            });
+            }
+            lo
+        };
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
+}
+
+/// Cuts `buf` into consecutive pieces ending at the ascending `ends`.
+fn split_at_ends<T>(mut buf: &mut [T], ends: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut pieces = Vec::new();
+    let mut at = 0;
+    for end in ends {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(end - at);
+        pieces.push(head);
+        buf = tail;
+        at = end;
+    }
+    pieces
+}
+
+/// Runs `work` on every piece: the first on the calling thread, the rest on
+/// scoped threads.
+pub(crate) fn run_pieces<W: Send>(pieces: Vec<W>, work: impl Fn(W) + Sync) {
+    let mut pieces = pieces.into_iter();
+    let Some(first) = pieces.next() else { return };
+    std::thread::scope(|scope| {
+        for piece in pieces {
+            let work = &work;
+            scope.spawn(move || work(piece));
+        }
+        work(first);
+    });
+}
+
+/// Writes `counts[x * n + i]` = accesses of embedding `x` from samples owned
+/// by partition `i`, for every embedding, in parallel over embedding ranges
+/// of the transposed CSR. Exact integers: the same for every thread count.
+pub(crate) fn rebuild_counts(counts: &mut [u32], g: &Bigraph, part: &Partition, threads: usize) {
+    let n = part.num_partitions();
+    debug_assert_eq!(counts.len(), g.num_embeddings() * n);
+    let ranges = row_ranges(g.emb_to_sample().offsets(), threads);
+    let pieces = split_at_ends(counts, ranges.iter().map(|r| r.end * n));
+    run_pieces(ranges.into_iter().zip(pieces).collect(), |(xs, rows)| {
+        for (x, row) in xs.zip(rows.chunks_exact_mut(n)) {
+            count_row(x, row, g, part);
         }
     });
+}
+
+/// Writes embedding `x`'s access count per partition into `row`.
+#[inline]
+fn count_row(x: usize, row: &mut [u32], g: &Bigraph, part: &Partition) {
+    row.fill(0);
+    for &s in g.samples_of(x as u32) {
+        row[part.sample_owner(s) as usize] += 1;
+    }
 }
 
 /// Incremental sweep state; create once, call [`OneDeeState::sweep`] per
@@ -123,7 +258,8 @@ where
 /// stay exact.
 pub struct OneDeeState {
     n: usize,
-    /// Flattened `count(x, i)`: `counts[x * n + i]`.
+    /// Flattened `count(x, i)`: `counts[x * n + i]`. Current after `new`
+    /// and after every sweep (rebuilt between its two halves).
     counts: Vec<u32>,
     /// Per-partition weighted communication `δc(G_i)`.
     comm: Vec<f64>,
@@ -131,13 +267,21 @@ pub struct OneDeeState {
     sample_cnt: Vec<usize>,
     /// Per-partition embedding-primary counts.
     emb_cnt: Vec<usize>,
-    /// Off-diagonal weight matrix `w[i][j]` = cost of partition `i` reading
-    /// from partition `j`.
-    w: Vec<Vec<f64>>,
+    /// Flat weight matrix, `w[i * n + j]` = cost of partition `i` reading
+    /// from partition `j`; the diagonal is `+0.0` whatever the config says.
+    w: Vec<f64>,
     /// Mean off-diagonal weight — the constant scale of the balance terms.
     w_mean: f64,
-    /// Reusable `|V| × N` candidate-score table for the parallel δc fill.
+    /// The same weights by column, each padded with zeros to a multiple of
+    /// [`LANES`]: `w_cols[p * stride + j] = w[j][p]`.
+    w_cols: Vec<f64>,
+    /// Padded column length, `N` rounded up to a multiple of [`LANES`].
+    stride: usize,
+    /// Reusable `|V| × N` candidate-score table for the parallel δc fills.
     cost: Vec<f64>,
+    /// Primary of each edge's embedding (sample → embedding CSR order), as
+    /// the last sample fill found it.
+    edge_primary: Vec<u8>,
     cfg: OneDeeConfig,
 }
 
@@ -145,29 +289,38 @@ impl OneDeeState {
     /// Builds sweep state for `g` under the current `part` assignment.
     ///
     /// # Panics
-    /// Panics if a provided weight matrix does not match the partition count.
+    /// Panics if a provided weight matrix does not match the partition
+    /// count or fails [`check_weights`].
     pub fn new(g: &Bigraph, part: &Partition, cfg: OneDeeConfig) -> Self {
         let n = part.num_partitions();
-        let w = match &cfg.weights {
+        let mut w: Vec<f64> = match &cfg.weights {
             Some(m) => {
                 assert_eq!(m.len(), n, "weight matrix rows != partitions");
-                assert!(m.iter().all(|r| r.len() == n), "weight matrix not square");
-                m.clone()
-            }
-            None => {
-                let mut m = vec![vec![1.0; n]; n];
-                for (i, row) in m.iter_mut().enumerate() {
-                    row[i] = 0.0;
+                if let Err(e) = check_weights(m) {
+                    panic!("{e}");
                 }
-                m
+                m.concat()
             }
+            None => vec![1.0; n * n],
         };
+        for i in 0..n {
+            w[i * n + i] = 0.0;
+        }
         let w_mean = if n > 1 {
-            let total: f64 = w.iter().flatten().sum();
+            let total: f64 = w.iter().sum();
             total / (n * (n - 1)) as f64
         } else {
             1.0
         };
+        let stride = n.next_multiple_of(LANES);
+        let mut w_cols = vec![0.0; n * stride];
+        for (i, row) in w.chunks_exact(n).enumerate() {
+            for (p, &wip) in row.iter().enumerate() {
+                w_cols[p * stride + i] = wip;
+            }
+        }
+        // Partition ids are stored per edge as one byte.
+        const _: () = assert!(crate::types::MAX_PARTITIONS <= 256);
         let mut state = Self {
             n,
             counts: vec![0u32; g.num_embeddings() * n],
@@ -176,29 +329,39 @@ impl OneDeeState {
             emb_cnt: vec![0; n],
             w,
             w_mean,
+            w_cols,
+            stride,
             cost: Vec::new(),
+            edge_primary: vec![0; g.num_edges()],
             cfg,
         };
         state.rebuild(g, part);
         state
     }
 
-    /// Recomputes all cached statistics from scratch.
+    /// Recomputes all cached statistics from scratch. The `comm` totals
+    /// take one sequential pass in sample order, adding every edge's
+    /// weight (the owner's own diagonal contributes `+0.0`).
     fn rebuild(&mut self, g: &Bigraph, part: &Partition) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
-        self.comm.iter_mut().for_each(|c| *c = 0.0);
-        self.sample_cnt.iter_mut().for_each(|c| *c = 0);
-        self.emb_cnt.iter_mut().for_each(|c| *c = 0);
+        let n = self.n;
+        rebuild_counts(
+            &mut self.counts,
+            g,
+            part,
+            resolve_threads(self.cfg.score_threads),
+        );
+        self.comm.fill(0.0);
+        self.sample_cnt.fill(0);
+        self.emb_cnt.fill(0);
         for s in 0..g.num_samples() as u32 {
             let i = part.sample_owner(s) as usize;
             self.sample_cnt[i] += 1;
+            let w_i = &self.w[i * n..(i + 1) * n];
+            let mut acc = self.comm[i];
             for &x in g.embeddings_of(s) {
-                self.counts[x as usize * self.n + i] += 1;
-                let p = part.primary_of(x) as usize;
-                if p != i {
-                    self.comm[i] += self.w[i][p];
-                }
+                acc += w_i[part.primary_of(x) as usize];
             }
+            self.comm[i] = acc;
         }
         for x in 0..g.num_embeddings() as u32 {
             self.emb_cnt[part.primary_of(x) as usize] += 1;
@@ -216,6 +379,38 @@ impl OneDeeState {
         self.counts[x as usize * self.n + i]
     }
 
+    /// The flattened access counts, `counts[x * N + i]`.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// Remote fetches per epoch under `part` before replication:
+    /// `Σ_x Σ_{i ≠ primary(x)} count(x, i)`, equal to
+    /// [`PartitionMetrics::remote_fetches`](crate::PartitionMetrics) of a
+    /// partition without secondaries.
+    pub fn remote_fetches(&self, part: &Partition) -> u64 {
+        self.counts
+            .chunks_exact(self.n)
+            .enumerate()
+            .map(|(x, row)| {
+                let local = row[part.primary_of(x as u32) as usize];
+                row.iter().map(|&c| c as u64).sum::<u64>() - local as u64
+            })
+            .sum()
+    }
+
+    /// Per-partition sample counts.
+    #[cfg(test)]
+    pub(crate) fn sample_counts(&self) -> &[usize] {
+        &self.sample_cnt
+    }
+
+    /// Per-partition embedding-primary counts.
+    #[cfg(test)]
+    pub(crate) fn primary_counts(&self) -> &[usize] {
+        &self.emb_cnt
+    }
+
     #[inline]
     fn gap(value: f64, avg: f64) -> f64 {
         (value - avg) / avg.max(1.0)
@@ -224,10 +419,53 @@ impl OneDeeState {
     /// One full sweep over samples then embedding primaries. Returns the
     /// number of vertices that moved.
     pub fn sweep(&mut self, g: &Bigraph, part: &mut Partition) -> usize {
-        let mut moved = 0usize;
-        moved += self.sweep_samples(g, part);
+        let mut moved = self.sweep_samples(g, part);
+        self.fill_embeddings(g, part);
         moved += self.sweep_embeddings(g, part);
         moved
+    }
+
+    /// Fills `cost[s * n + j]` with sample `s`'s δc toward partition `j`
+    /// and `edge_primary` with every edge's primary, from one read of each
+    /// edge's primary. Per `j` the terms are added in edge order from
+    /// `+0.0`, as the serial `Σ_{x : p(x) ≠ j} w[j][p(x)]` does; the
+    /// [`LANES`] candidates of a block accumulate side by side in registers.
+    fn fill_samples(&mut self, g: &Bigraph, part: &Partition) {
+        let (n, stride) = (self.n, self.stride);
+        let csr = g.sample_to_emb();
+        let (offsets, emb) = (csr.offsets(), csr.indices());
+        self.cost.clear();
+        self.cost.resize(g.num_samples() * n, 0.0);
+        let ranges = row_ranges(offsets, resolve_threads(self.cfg.score_threads));
+        let costs = split_at_ends(&mut self.cost, ranges.iter().map(|r| r.end * n));
+        let edges = split_at_ends(
+            &mut self.edge_primary,
+            ranges.iter().map(|r| offsets[r.end]),
+        );
+        let w_cols = &self.w_cols;
+        let pieces: Vec<_> = ranges.into_iter().zip(costs).zip(edges).collect();
+        run_pieces(pieces, |((samples, cost), primaries)| {
+            let base = offsets[samples.start];
+            for (p, &x) in primaries.iter_mut().zip(&emb[base..]) {
+                *p = part.primary_of(x) as u8;
+            }
+            for (s, out) in samples.zip(cost.chunks_exact_mut(n)) {
+                let edge_primaries = &primaries[offsets[s] - base..offsets[s + 1] - base];
+                for (block, out) in out.chunks_mut(LANES).enumerate() {
+                    let mut acc = [0.0f64; LANES];
+                    for &p in edge_primaries {
+                        let at = p as usize * stride + block * LANES;
+                        let col: &[f64; LANES] = w_cols[at..at + LANES]
+                            .try_into()
+                            .expect("a column block holds LANES weights");
+                        for (a, &w) in acc.iter_mut().zip(col) {
+                            *a += w;
+                        }
+                    }
+                    out.copy_from_slice(&acc[..out.len()]);
+                }
+            }
+        });
     }
 
     fn sweep_samples(&mut self, g: &Bigraph, part: &mut Partition) -> usize {
@@ -238,48 +476,25 @@ impl OneDeeState {
         // Parallel δc scoring: a sample's communication cost toward each
         // candidate partition depends only on its embeddings' primaries,
         // and the sample sweep never moves a primary — so the whole table
-        // is valid for the entire sweep and fans out across threads while
-        // the move decisions below stay strictly sequential.
-        let mut cost = std::mem::take(&mut self.cost);
-        cost.clear();
-        cost.resize(g.num_samples() * n, 0.0);
-        {
-            let w = &self.w;
-            parallel_fill(
-                &mut cost,
-                n,
-                g.num_samples(),
-                resolve_threads(self.cfg.score_threads),
-                |s, out| {
-                    for j in 0..n {
-                        let mut c = 0.0;
-                        for &x in g.embeddings_of(s) {
-                            let p = part.primary_of(x) as usize;
-                            if p != j {
-                                c += w[j][p];
-                            }
-                        }
-                        out[j] = c;
-                    }
-                },
-            );
-        }
+        // (and every recorded edge primary) is valid for the entire sweep
+        // while the move decisions below stay strictly sequential.
+        self.fill_samples(g, part);
 
+        let offsets = g.sample_to_emb().offsets();
         let mut moved = 0usize;
-        for s in 0..g.num_samples() as u32 {
-            let embs = g.embeddings_of(s);
-            let old = part.sample_owner(s) as usize;
+        for s in 0..g.num_samples() {
+            let primaries = &self.edge_primary[offsets[s]..offsets[s + 1]];
+            let old = part.sample_owner(s as u32) as usize;
 
             // Detach s from its partition so the candidate scores are
             // marginal costs of (re-)adding it.
             self.sample_cnt[old] -= 1;
-            for &x in embs {
-                self.counts[x as usize * n + old] -= 1;
-                let p = part.primary_of(x) as usize;
-                if p != old {
-                    self.comm[old] -= self.w[old][p];
-                }
+            let w_old = &self.w[old * n..(old + 1) * n];
+            let mut acc = self.comm[old];
+            for &p in primaries {
+                acc -= w_old[p as usize];
             }
+            self.comm[old] = acc;
 
             let avg_comm = self.comm.iter().sum::<f64>() / n as f64;
             let mut best = old;
@@ -289,10 +504,10 @@ impl OneDeeState {
                 if j != old && self.sample_cnt[j] + 1 > cap {
                     continue; // hard balance cap (staying is always allowed)
                 }
-                let comm_cost = cost[s as usize * n + j];
+                let comm_cost = self.cost[s * n + j];
                 let balance = self.cfg.alpha * Self::gap(self.sample_cnt[j] as f64, avg_samples)
                     + self.cfg.gamma * Self::gap(self.comm[j], avg_comm);
-                let score = comm_cost + embs.len() as f64 * self.w_mean * balance;
+                let score = comm_cost + primaries.len() as f64 * self.w_mean * balance;
                 if j == old {
                     stay_score = score;
                 }
@@ -308,20 +523,52 @@ impl OneDeeState {
 
             // Attach to the winner.
             self.sample_cnt[best] += 1;
-            for &x in embs {
-                self.counts[x as usize * n + best] += 1;
-                let p = part.primary_of(x) as usize;
-                if p != best {
-                    self.comm[best] += self.w[best][p];
-                }
+            let w_best = &self.w[best * n..(best + 1) * n];
+            let mut acc = self.comm[best];
+            for &p in primaries {
+                acc += w_best[p as usize];
             }
+            self.comm[best] = acc;
             if best != old {
-                part.move_sample(s, best as u32);
+                part.move_sample(s as u32, best as u32);
                 moved += 1;
             }
         }
-        self.cost = cost;
         moved
+    }
+
+    /// Rebuilds `count(x, i)` for the sample owners the sample sweep left
+    /// and fills `cost[x * n + j]` with embedding `x`'s δc toward `j`, in
+    /// one parallel pass over embedding ranges. Placing the primary on `j`
+    /// turns every access from `k ≠ j` into a remote fetch over link
+    /// `(k, j)`; per `j` the terms are added in `k` order from `+0.0`. The
+    /// embedding sweep never changes a count, so the table stays valid for
+    /// the whole sweep no matter which primaries move.
+    fn fill_embeddings(&mut self, g: &Bigraph, part: &Partition) {
+        let n = self.n;
+        self.cost.clear();
+        self.cost.resize(g.num_embeddings() * n, 0.0);
+        let ranges = row_ranges(
+            g.emb_to_sample().offsets(),
+            resolve_threads(self.cfg.score_threads),
+        );
+        let counts = split_at_ends(&mut self.counts, ranges.iter().map(|r| r.end * n));
+        let costs = split_at_ends(&mut self.cost, ranges.iter().map(|r| r.end * n));
+        let w = &self.w;
+        let pieces: Vec<_> = ranges.into_iter().zip(counts).zip(costs).collect();
+        run_pieces(pieces, |((xs, counts), cost)| {
+            for ((x, row), out) in xs
+                .zip(counts.chunks_exact_mut(n))
+                .zip(cost.chunks_exact_mut(n))
+            {
+                count_row(x, row, g, part);
+                for (k, &cnt) in row.iter().enumerate() {
+                    for (c, &wkj) in out.iter_mut().zip(&w[k * n..(k + 1) * n]) {
+                        *c += cnt as f64 * wkj;
+                    }
+                }
+            }
+        });
     }
 
     fn sweep_embeddings(&mut self, g: &Bigraph, part: &mut Partition) -> usize {
@@ -329,52 +576,22 @@ impl OneDeeState {
         let avg_embs = g.num_embeddings() as f64 / n as f64;
         let cap = (avg_embs * self.cfg.slack).ceil() as usize;
 
-        // Parallel δc scoring: an embedding's candidate cost reads only its
-        // own access-count row (and the weight matrix), and the embedding
-        // sweep never changes a count — the table stays valid for the whole
-        // sweep no matter which primaries move.
-        let mut cost = std::mem::take(&mut self.cost);
-        cost.clear();
-        cost.resize(g.num_embeddings() * n, 0.0);
-        {
-            let w = &self.w;
-            let counts = &self.counts;
-            parallel_fill(
-                &mut cost,
-                n,
-                g.num_embeddings(),
-                resolve_threads(self.cfg.score_threads),
-                |x, out| {
-                    let row = &counts[x as usize * n..(x as usize + 1) * n];
-                    for j in 0..n {
-                        // Cost of placing the primary on j: every access
-                        // from k ≠ j becomes a remote fetch over link (k, j).
-                        let mut c = 0.0;
-                        for (k, &cnt) in row.iter().enumerate() {
-                            if k != j && cnt > 0 {
-                                c += cnt as f64 * w[k][j];
-                            }
-                        }
-                        out[j] = c;
-                    }
-                },
-            );
-        }
-
         let mut moved = 0usize;
-        for x in 0..g.num_embeddings() as u32 {
-            let old = part.primary_of(x) as usize;
-            let row = &self.counts[x as usize * n..(x as usize + 1) * n];
+        for x in 0..g.num_embeddings() {
+            let old = part.primary_of(x as u32) as usize;
+            let row = &self.counts[x * n..(x + 1) * n];
 
             // Detach: remove x's contribution to every partition's comm.
             self.emb_cnt[old] -= 1;
             for (k, &cnt) in row.iter().enumerate() {
-                if k != old && cnt > 0 {
-                    self.comm[k] -= cnt as f64 * self.w[k][old];
-                }
+                self.comm[k] -= cnt as f64 * self.w[k * n + old];
             }
 
             let avg_comm = self.comm.iter().sum::<f64>() / n as f64;
+            // Scale by sqrt(freq): hot embeddings answer mostly to the
+            // communication term, cold ones to balance.
+            let freq: u32 = row.iter().sum();
+            let heat = (freq as f64).max(1.0).sqrt();
             let mut best = old;
             let mut stay_score = f64::INFINITY;
             let mut best_score = f64::INFINITY;
@@ -382,13 +599,10 @@ impl OneDeeState {
                 if j != old && self.emb_cnt[j] + 1 > cap {
                     continue; // hard balance cap
                 }
-                let comm_cost = cost[x as usize * n + j];
+                let comm_cost = self.cost[x * n + j];
                 let balance = self.cfg.beta * Self::gap(self.emb_cnt[j] as f64, avg_embs)
                     + self.cfg.gamma * Self::gap(self.comm[j], avg_comm);
-                // Scale by sqrt(freq): hot embeddings answer mostly to the
-                // communication term, cold ones to balance.
-                let freq: u32 = row.iter().sum();
-                let score = comm_cost + (freq as f64).max(1.0).sqrt() * self.w_mean * balance;
+                let score = comm_cost + heat * self.w_mean * balance;
                 if j == old {
                     stay_score = score;
                 }
@@ -403,16 +617,13 @@ impl OneDeeState {
 
             self.emb_cnt[best] += 1;
             for (k, &cnt) in row.iter().enumerate() {
-                if k != best && cnt > 0 {
-                    self.comm[k] += cnt as f64 * self.w[k][best];
-                }
+                self.comm[k] += cnt as f64 * self.w[k * n + best];
             }
             if best != old {
-                part.move_primary(x, best as u32);
+                part.move_primary(x as u32, best as u32);
                 moved += 1;
             }
         }
-        self.cost = cost;
         moved
     }
 }
@@ -428,7 +639,11 @@ mod tests {
     fn communities() -> Bigraph {
         let mut rows = Vec::new();
         for i in 0..40 {
-            rows.push(vec![(i % 10) as u32, ((i + 1) % 10) as u32, ((i + 3) % 10) as u32]);
+            rows.push(vec![
+                (i % 10) as u32,
+                ((i + 1) % 10) as u32,
+                ((i + 3) % 10) as u32,
+            ]);
         }
         for i in 0..40 {
             rows.push(vec![
@@ -565,6 +780,71 @@ mod tests {
             m.weighted_cost,
             unweighted.weighted_cost
         );
+    }
+
+    /// NaN, +∞ and a negative off-diagonal weight are each refused.
+    #[test]
+    fn non_finite_or_negative_weights_rejected() {
+        let g = communities();
+        let part = random_partition(&g, 2, 0);
+        for (bad, why) in [
+            (f64::NAN, "not finite"),
+            (f64::INFINITY, "not finite"),
+            (-0.25, "negative"),
+            (-0.0, "negative"),
+        ] {
+            let m = vec![vec![0.0, bad], vec![1.0, 0.0]];
+            assert!(check_weights(&m).unwrap_err().contains(why), "{bad}");
+            let cfg = OneDeeConfig {
+                weights: Some(m),
+                ..Default::default()
+            };
+            let panic = std::panic::catch_unwind(|| OneDeeState::new(&g, &part, cfg))
+                .err()
+                .unwrap_or_else(|| panic!("weight {bad} accepted"));
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("weight matrix") && msg.contains(why),
+                "{bad}: {msg}"
+            );
+        }
+        assert!(check_weights(&[vec![f64::NAN, 1.0], vec![1.0, 0.0]]).is_err());
+    }
+
+    /// The diagonal is ignored: a non-zero one partitions exactly as zero.
+    #[test]
+    fn non_zero_diagonal_is_ignored() {
+        let g = communities();
+        let run = |diag: f64| {
+            let w = vec![
+                vec![diag, 1.0 / 3.0, 0.7],
+                vec![1.1, diag * 2.0, 2.9],
+                vec![0.7, 1.0 / 7.0, diag],
+            ];
+            let mut part = random_partition(&g, 3, 4);
+            let mut state = OneDeeState::new(
+                &g,
+                &part,
+                OneDeeConfig {
+                    weights: Some(w),
+                    ..Default::default()
+                },
+            );
+            let moves: Vec<usize> = (0..4).map(|_| state.sweep(&g, &mut part)).collect();
+            let bits: Vec<u64> = state.comm_totals().iter().map(|c| c.to_bits()).collect();
+            (moves, part, bits)
+        };
+        let (moves, zero, bits) = run(0.0);
+        for diag in [5.0, 0.3] {
+            let (m, p, b) = run(diag);
+            assert_eq!((&m, &b), (&moves, &bits), "diagonal {diag}");
+            for s in 0..g.num_samples() as u32 {
+                assert_eq!(p.sample_owner(s), zero.sample_owner(s));
+            }
+            for x in 0..g.num_embeddings() as u32 {
+                assert_eq!(p.primary_of(x), zero.primary_of(x));
+            }
+        }
     }
 
     #[test]

@@ -45,19 +45,27 @@ impl ReplicationBudget {
 }
 
 /// Runs greedy vertex-cut replication, adding secondaries to `part` in
-/// place. Returns the number of secondary replicas created. Candidate
-/// scanning runs on one thread per available core; see
-/// [`replicate_hot_embeddings_threaded`].
+/// place. Returns the number of secondary replicas created. The access
+/// counts are taken and the candidates scanned on one thread per available
+/// core; the result is the same for every thread count.
 pub fn replicate_hot_embeddings(
     g: &Bigraph,
     part: &mut Partition,
     budget: ReplicationBudget,
 ) -> usize {
-    replicate_hot_embeddings_threaded(g, part, budget, 0)
+    let slots = budget.slots(g.num_embeddings());
+    if slots == 0 {
+        return 0;
+    }
+    let mut counts = vec![0u32; g.num_embeddings() * part.num_partitions()];
+    crate::onedee::rebuild_counts(&mut counts, g, part, crate::onedee::resolve_threads(0));
+    replicate_from_counts(&counts, part, slots, 0)
 }
 
-/// [`replicate_hot_embeddings`] with an explicit scan-thread count (`0` =
-/// one per available core).
+/// Greedy replication from precomputed access counts, `counts[x * N + i]`
+/// = accesses of embedding `x` by samples on partition `i` (the counts
+/// Algorithm 1's 1D state already holds after its last sweep). Gives each
+/// partition up to `slots` secondaries and returns how many were created.
 ///
 /// Each partition's candidate scan — collect its remotely-accessed
 /// embeddings, rank by `count(x, i)` descending with id tie-break — reads
@@ -65,58 +73,48 @@ pub fn replicate_hot_embeddings(
 /// scans fan out across threads; the winning replica sets are then applied
 /// sequentially in partition order. The result is identical for every
 /// thread count.
-pub fn replicate_hot_embeddings_threaded(
-    g: &Bigraph,
+pub(crate) fn replicate_from_counts(
+    counts: &[u32],
     part: &mut Partition,
-    budget: ReplicationBudget,
+    slots: usize,
     score_threads: usize,
 ) -> usize {
     let n = part.num_partitions();
-    let slots = budget.slots(g.num_embeddings());
+    let num_embeddings = part.num_embeddings();
+    debug_assert_eq!(counts.len(), num_embeddings * n);
     if slots == 0 {
         return 0;
     }
 
-    // count(x, i) for all embeddings × partitions.
-    let mut counts = vec![0u32; g.num_embeddings() * n];
-    for s in 0..g.num_samples() as u32 {
-        let i = part.sample_owner(s) as usize;
-        for &x in g.embeddings_of(s) {
-            counts[x as usize * n + i] += 1;
-        }
-    }
-
     // Candidates for partition i: embeddings not local to i with a positive
-    // access count, ranked by count(x, i) descending (ties by id for
-    // determinism), truncated to the slot budget.
+    // access count, ranked by count(x, i) descending (ties by id, so the
+    // order is total and the top `slots` are unique), truncated to the slot
+    // budget.
     let scan = |i: u32| -> Vec<u32> {
-        let mut candidates: Vec<(u32, u32)> = (0..g.num_embeddings() as u32)
+        let mut candidates: Vec<(u32, u32)> = (0..num_embeddings as u32)
             .filter(|&x| !part.is_local(x, i))
             .map(|x| (counts[x as usize * n + i as usize], x))
             .filter(|&(c, _)| c > 0)
             .collect();
-        candidates.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        candidates.iter().take(slots).map(|&(_, x)| x).collect()
-    };
-    let threads = crate::onedee::resolve_threads(score_threads).min(n.max(1));
-    let mut winners: Vec<Vec<u32>> = vec![Vec::new(); n];
-    if threads <= 1 {
-        for (i, w) in winners.iter_mut().enumerate() {
-            *w = scan(i as u32);
+        let rank = |a: &(u32, u32), b: &(u32, u32)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+        if candidates.len() > slots {
+            candidates.select_nth_unstable_by(slots, rank);
+            candidates.truncate(slots);
         }
-    } else {
-        let per = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, chunk) in winners.chunks_mut(per).enumerate() {
-                let scan = &scan;
-                scope.spawn(move || {
-                    for (k, w) in chunk.iter_mut().enumerate() {
-                        *w = scan((t * per + k) as u32);
-                    }
-                });
+        candidates.sort_unstable_by(rank);
+        candidates.iter().map(|&(_, x)| x).collect()
+    };
+    let threads = crate::onedee::resolve_threads(score_threads).clamp(1, n);
+    let mut winners: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let per = n.div_ceil(threads);
+    crate::onedee::run_pieces(
+        winners.chunks_mut(per).enumerate().collect(),
+        |(t, chunk)| {
+            for (k, w) in chunk.iter_mut().enumerate() {
+                *w = scan((t * per + k) as u32);
             }
-        });
-    }
+        },
+    );
 
     let mut created = 0usize;
     for (i, list) in winners.iter().enumerate() {

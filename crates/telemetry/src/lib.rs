@@ -106,7 +106,7 @@ pub mod names {
     pub const PARTITION_REPLICAS_CREATED: &str = "partition.replicas.created";
     /// Replication budget, in replica slots (gauge).
     pub const PARTITION_REPLICATION_BUDGET: &str = "partition.replication.budget";
-    /// Wall-clock seconds spent partitioning (histogram via span).
+    /// Wall-clock seconds spent partitioning (gauge).
     pub const PARTITION_WALL_SECS: &str = "partition.wall_secs";
 
     /// Samples processed by the trainer.
