@@ -63,7 +63,7 @@ pub struct ConvergenceReport {
 }
 
 /// The systems compared in Figure 7.
-fn systems() -> Vec<StrategyConfig> {
+pub(super) fn systems() -> Vec<StrategyConfig> {
     vec![
         StrategyConfig::tf_ps(),
         StrategyConfig::parallax(),

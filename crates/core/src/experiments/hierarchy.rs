@@ -39,7 +39,7 @@ pub struct HierarchyReport {
     pub runs: Vec<HierarchyRun>,
 }
 
-fn policies(topo: &Topology) -> Vec<(String, StrategyConfig)> {
+pub(super) fn policies(topo: &Topology) -> Vec<(String, StrategyConfig)> {
     vec![
         ("random".into(), StrategyConfig::het_mp()),
         (

@@ -82,3 +82,53 @@ impl Hooks {
         result.audit.as_ref().map(|a| ("audit", a.to_json()))
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use hetgmp_cluster::Topology;
+    use hetgmp_embedding::StalenessBound;
+
+    use crate::strategy::{CacheDesign, StrategyConfig};
+
+    /// `Trainer::try_run` refuses a strategy `StrategyConfig::validate`
+    /// rejects, so every preset, and every strategy an experiment trains
+    /// with, must pass it.
+    #[test]
+    fn every_preset_and_experiment_strategy_validates() {
+        let mut strategies = vec![
+            StrategyConfig::tf_ps(),
+            StrategyConfig::parallax(),
+            StrategyConfig::hugectr(),
+            StrategyConfig::het_mp(),
+            StrategyConfig::het_gmp(0),
+            StrategyConfig::het_gmp(100),
+            StrategyConfig::het_gmp_asp(),
+            StrategyConfig::het_cache(100, 0.1),
+            StrategyConfig::het_cache(100, 1.0),
+            // A custom strategy, and a weight matrix with a non-zero
+            // diagonal (the sweep ignores the diagonal).
+            StrategyConfig {
+                name: "mine".into(),
+                staleness: StalenessBound::Bounded(50),
+                cache: CacheDesign::DynamicLfu { capacity_fraction: 0.1 },
+                ..StrategyConfig::het_gmp(0)
+            },
+            StrategyConfig::het_gmp(0)
+                .with_weight_matrix(Some(vec![vec![3.0, 1.0], vec![1.0, 0.5]])),
+        ];
+        strategies.extend(super::convergence::systems());
+        let hierarchy = super::hierarchy::policies(&Topology::cluster_b(2));
+        strategies.extend(hierarchy.into_iter().map(|(_, s)| s));
+        for n in [1, 2, 4, 8, 16, 24] {
+            strategies.extend(super::scalability::systems(&Topology::cluster_b_scaled(n)));
+        }
+        for (label, bound) in super::staleness::bounds() {
+            strategies.push(super::staleness::strategy(&label, bound));
+        }
+        for s in &strategies {
+            if let Err(e) = s.validate() {
+                panic!("{}: {e}", s.name);
+            }
+        }
+    }
+}

@@ -39,17 +39,22 @@ pub struct ScalabilityReport {
     pub points: Vec<ScalePoint>,
 }
 
+/// The systems compared on `topo`: HugeCTR, and HET-GMP partitioning by
+/// the topology's link weights (none on one worker).
+pub(super) fn systems(topo: &Topology) -> Vec<StrategyConfig> {
+    let weights = (topo.num_workers() > 1).then(|| topo.weight_matrix());
+    vec![
+        StrategyConfig::hugectr(),
+        StrategyConfig::het_gmp(100).with_weight_matrix(weights),
+    ]
+}
+
 /// Runs one dataset's panel over the given GPU counts.
 pub fn run_dataset(data: &CtrDataset, label: &str, gpu_counts: &[usize]) -> ScalabilityReport {
     let mut points = Vec::new();
     for &n in gpu_counts {
         let topo = Topology::cluster_b_scaled(n);
-        let systems = vec![
-            StrategyConfig::hugectr(),
-            StrategyConfig::het_gmp(100)
-                .with_weight_matrix(if n > 1 { Some(topo.weight_matrix()) } else { None }),
-        ];
-        for strat in systems {
+        for strat in systems(&topo) {
             let name = if strat.name.starts_with("HET-GMP") {
                 "HET-GMP".to_string()
             } else {

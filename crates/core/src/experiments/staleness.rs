@@ -33,6 +33,15 @@ pub struct StalenessReport {
     pub rows: Vec<StalenessRow>,
 }
 
+/// HET-GMP under staleness `bound`, named by its `label`.
+pub(super) fn strategy(label: &str, bound: StalenessBound) -> StrategyConfig {
+    StrategyConfig {
+        name: format!("HET-GMP({label})"),
+        staleness: bound,
+        ..StrategyConfig::het_gmp(0)
+    }
+}
+
 /// The paper's four staleness settings.
 pub fn bounds() -> Vec<(String, StalenessBound)> {
     vec![
@@ -61,13 +70,10 @@ pub fn run_instrumented(
         let data = generate(&spec);
         let mut aucs = Vec::new();
         for (label, bound) in bounds() {
-            let mut strat = StrategyConfig::het_gmp(0);
-            strat.staleness = bound;
-            strat.name = format!("HET-GMP({label})");
             let trainer = hooks.apply(Trainer::new(
                 &data,
                 topo.clone(),
-                strat,
+                strategy(&label, bound),
                 TrainerConfig {
                     model: ModelKind::Wdl,
                     epochs,
@@ -134,12 +140,10 @@ mod tests {
         let data = generate(&spec);
         let mut results = Vec::new();
         for (label, bound) in bounds() {
-            let mut strat = StrategyConfig::het_gmp(0);
-            strat.staleness = bound;
             let trainer = Trainer::new(
                 &data,
                 topo.clone(),
-                strat,
+                strategy(&label, bound),
                 TrainerConfig {
                     model: ModelKind::Wdl,
                     epochs: 3,

@@ -20,10 +20,12 @@ use hetgmp_comms::AllReduceGroup;
 use hetgmp_data::KgDataset;
 use hetgmp_embedding::{ShardedTable, SparseOpt, WorkerEmbedding};
 use hetgmp_partition::PartitionMetrics;
+use hetgmp_telemetry::HetGmpError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::strategy::StrategyConfig;
+use crate::trainer::Placement;
 
 /// TransE training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -112,35 +114,46 @@ impl<'d> KgTrainer<'d> {
     }
 
     /// Runs training and evaluation.
+    ///
+    /// # Panics
+    /// Panics on a configuration error; use [`KgTrainer::try_run`] to
+    /// handle it.
     pub fn run(&self) -> KgResult {
+        self.try_run()
+            .unwrap_or_else(|e| panic!("KG training run failed: {e}"))
+    }
+
+    /// Runs training and evaluation, or returns a [`HetGmpError::Config`]
+    /// naming the field when `dim` or `batch_size` is 0. `epochs: 0` is
+    /// legal: the run partitions, evaluates the initial table and returns.
+    pub fn try_run(&self) -> Result<KgResult, HetGmpError> {
         let cfg = &self.config;
+        if cfg.dim == 0 {
+            return Err(HetGmpError::config("dim", "embedding dimension must be positive"));
+        }
+        if cfg.batch_size == 0 {
+            return Err(HetGmpError::config("batch_size", "must be positive"));
+        }
         let n = self.topology.num_workers();
         let cost = CostModel::new(self.topology.clone());
         let (train, test) = self.kg.split(0.1);
 
         // Bigraph over training triples only.
-        let graph = {
-            let rows: Vec<_> = train.iter().map(|&i| self.kg.entity_row(i as usize)).collect();
-            hetgmp_bigraph::Bigraph::from_samples(self.kg.num_entities, &rows)
-        };
-        let partition = self
-            .strategy
-            .partition
-            .partitioner(cfg.seed)
-            .partition(&graph, &self.topology);
+        let Placement {
+            graph,
+            partition,
+            freq,
+            shards,
+            iters_per_epoch: iters,
+        } = Placement::build(
+            self.kg.num_entities,
+            &train,
+            |i| self.kg.entity_row(i as usize),
+            self.strategy.partition.partitioner(cfg.seed).as_ref(),
+            &self.topology,
+            cfg.batch_size,
+        );
         let partition_metrics = PartitionMetrics::compute(&graph, &partition, None);
-        let freq: Vec<u64> = (0..graph.num_embeddings() as u32)
-            .map(|e| graph.emb_frequency(e) as u64)
-            .collect();
-
-        let shards: Vec<Vec<u32>> = partition
-            .samples_by_partition()
-            .into_iter()
-            .map(|local| local.into_iter().map(|s| train[s as usize]).collect())
-            .collect();
-        let mean_shard =
-            (shards.iter().map(Vec::len).sum::<usize>() as f64 / n as f64).round() as usize;
-        let iters = mean_shard.max(1).div_ceil(cfg.batch_size).max(1);
 
         let entities = ShardedTable::new(self.kg.num_entities, cfg.dim, 0.1, cfg.seed);
         let group = AllReduceGroup::new(n);
@@ -234,7 +247,7 @@ impl<'d> KgTrainer<'d> {
         }
         let sim_time = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
         let done = triples_done.load(Ordering::Relaxed);
-        KgResult {
+        Ok(KgResult {
             strategy: self.strategy.name.clone(),
             mrr: mrr / take.max(1) as f64,
             hits_at_10: hits as f64 / take.max(1) as f64,
@@ -246,7 +259,7 @@ impl<'d> KgTrainer<'d> {
             },
             embed_bytes: embed_bytes.load(Ordering::Relaxed),
             partition_metrics,
-        }
+        })
     }
 }
 
@@ -448,6 +461,23 @@ mod tests {
         spec.num_entities = 400;
         spec.num_triples = 6000;
         generate_kg(&spec)
+    }
+
+    /// A zero dimension or batch size is a config error naming the field,
+    /// not a panic inside the run.
+    #[test]
+    fn zero_dim_or_batch_is_a_config_error() {
+        let kg = small_kg();
+        for (field, config) in [
+            ("dim", KgTrainerConfig { dim: 0, ..Default::default() }),
+            ("batch_size", KgTrainerConfig { batch_size: 0, ..Default::default() }),
+        ] {
+            let trainer =
+                KgTrainer::new(&kg, Topology::pcie_island(2), StrategyConfig::het_gmp(100), config);
+            let err = trainer.try_run().expect_err(field);
+            assert_eq!(err.exit_code(), 78, "{err}");
+            assert!(matches!(&err, HetGmpError::Config { param, .. } if param == field), "{err}");
+        }
     }
 
     #[test]

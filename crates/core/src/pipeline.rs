@@ -72,12 +72,14 @@ use hetgmp_comms::{AllReduceGroup, DenseQuantizer, TrafficClass, TrafficLedger};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{EmbeddingWorker, ReadReport, RowStore, UpdateReport, WriteExchange};
 use hetgmp_partition::Partition;
-use hetgmp_telemetry::{names, HistogramSummary, Json, ProtocolAuditor, Recorder, TraceCollector};
+use hetgmp_telemetry::{
+    names, HistogramSummary, Json, MetricsRegistry, ProtocolAuditor, Recorder, TraceCollector,
+};
 use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, Matrix, Sgd};
 
 use crate::models::{CtrModel, ModelTape};
 use crate::strategy::{DenseSync, EmbedHome, StrategyConfig};
-use crate::trainer::{CheckpointImage, TrainerConfig, WorkerFaultState};
+use crate::trainer::{CheckpointImage, StorageTable, TrainerConfig};
 
 /// The four stages of a step, in execution order — the labels the
 /// [`StageProfiler`] attributes wall and simulated time to
@@ -278,92 +280,114 @@ impl Default for StageProfiler {
     }
 }
 
-/// All the borrowed context one worker needs for one epoch.
-pub(crate) struct WorkerEpoch<'a, 'b, 'd> {
-    pub(crate) w: usize,
-    pub(crate) shard: &'a [u32],
-    pub(crate) dataset: &'d CtrDataset,
-    pub(crate) emb: &'a mut (dyn EmbeddingWorker + 'b),
-    pub(crate) model: &'a mut CtrModel,
-    pub(crate) slot: &'a mut StepCtx,
-    pub(crate) clock: &'a mut SimClock,
-    pub(crate) cursor: &'a mut usize,
-    pub(crate) iters: usize,
-    pub(crate) epoch: usize,
+/// What every worker thread of a run reads and none owns: the
+/// configuration, the shared table and partition, the collectives, the
+/// cost model, the run's hooks and its counters. The driver builds it once
+/// per run ([`crate::Trainer::try_run`]'s set-up) and every worker thread
+/// borrows it, every epoch.
+pub(crate) struct RunCtx<'a> {
     pub(crate) cfg: &'a TrainerConfig,
     pub(crate) strategy: &'a StrategyConfig,
+    pub(crate) dataset: &'a CtrDataset,
     pub(crate) topology: &'a Topology,
-    pub(crate) cost: &'a CostModel,
-    pub(crate) group: &'a AllReduceGroup,
-    pub(crate) exchange: &'a WriteExchange,
-    pub(crate) ledger: &'a TrafficLedger,
+    /// The primary store, RAM-only or tiered.
+    pub(crate) storage: &'a StorageTable,
+    pub(crate) partition: &'a Partition,
+    /// Each worker's training shard (dataset indices).
+    pub(crate) shards: &'a [Vec<u32>],
+    pub(crate) iters_per_epoch: usize,
+    pub(crate) cost: CostModel,
+    pub(crate) faults: Arc<FaultSchedule>,
+    /// One registry for the whole run: the partitioner records globally,
+    /// each worker into its own recorder, and the final snapshot merges
+    /// everything.
+    pub(crate) registry: MetricsRegistry,
+    pub(crate) group: AllReduceGroup,
+    pub(crate) exchange: WriteExchange,
+    pub(crate) ledger: TrafficLedger,
+    pub(crate) tracer: Option<&'a TraceCollector>,
+    pub(crate) auditor: Option<Arc<ProtocolAuditor>>,
+    /// Dense parameters per model replica, and their wire bytes per sync.
+    pub(crate) num_dense: usize,
     pub(crate) dense_bytes: u64,
     pub(crate) flops_per_sample: f64,
-    pub(crate) samples: &'a AtomicU64,
-    pub(crate) loss_sum_micro: &'a AtomicU64,
-    pub(crate) loss_batches: &'a AtomicU64,
+    /// Wire bytes of one embedding row.
+    pub(crate) row_bytes: u64,
+    /// Samples processed, over the whole run.
+    pub(crate) samples: AtomicU64,
+    /// The epoch's training loss (fixed-point micro-units, so plain atomics
+    /// suffice) and the batches it sums over; reset every epoch.
+    pub(crate) loss_sum_micro: AtomicU64,
+    pub(crate) loss_batches: AtomicU64,
+    /// Batches whose loss came back non-finite, over the whole run.
+    pub(crate) nonfinite: AtomicU64,
+}
+
+impl<'a> RunCtx<'a> {
+    /// The primary store, whichever tier holds it.
+    pub(crate) fn table(&self) -> &'a dyn RowStore {
+        self.storage.as_store()
+    }
+}
+
+/// What one worker keeps from epoch to epoch. Every worker owns one; the
+/// driver hands each thread its own for the epoch and takes it back at the
+/// barrier.
+pub(crate) struct WorkerRun<'t> {
+    /// The worker's rank.
+    pub(crate) w: usize,
+    /// The one embedding worker, under the strategy's replica policy.
+    pub(crate) emb: Box<dyn EmbeddingWorker + 't>,
+    /// The worker's dense replica (identical init on every worker).
+    pub(crate) model: CtrModel,
+    /// Every per-batch buffer, reused by every step.
+    pub(crate) slot: StepCtx,
+    pub(crate) clock: SimClock,
+    /// Position in the shard; wraps around, persists across epochs.
+    pub(crate) cursor: usize,
+    pub(crate) fstate: WorkerFaultState,
+    /// Stage histograms, flushed into `recorder` at every epoch's end (the
+    /// timer calibration is paid once per run).
+    pub(crate) profiler: StageProfiler,
+    pub(crate) recorder: Arc<dyn Recorder>,
+    /// Slowdown factor of this worker's accelerator (1.0 = nominal).
     pub(crate) compute_scale: f64,
     pub(crate) batch_size: usize,
-    pub(crate) tracer: Option<&'a TraceCollector>,
-    pub(crate) auditor: Option<&'a ProtocolAuditor>,
-    pub(crate) table: &'a dyn RowStore,
-    pub(crate) partition: &'a Partition,
-    pub(crate) faults: &'a FaultSchedule,
-    pub(crate) fstate: &'a mut WorkerFaultState,
-    pub(crate) image: Option<Arc<CheckpointImage>>,
-    pub(crate) nonfinite: &'a AtomicU64,
-    pub(crate) recorder: Arc<dyn Recorder>,
-    pub(crate) profiler: &'a mut StageProfiler,
+}
+
+/// Per-worker fault-injection cursor and accumulated downtime, persistent
+/// across epochs (the schedule is consumed once per run).
+#[derive(Debug, Default)]
+pub(crate) struct WorkerFaultState {
+    /// Index of the next unconsumed event in `faults.worker_faults(w)`.
+    pub(crate) next: usize,
+    /// Total stall seconds charged so far (gauge source).
+    pub(crate) stall_secs: f64,
+    /// Total crash-recovery seconds charged so far (gauge source).
+    pub(crate) recovery_secs: f64,
 }
 
 /// Runs one worker's epoch: the nine-step schedule of the module docs.
-pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
-    let WorkerEpoch {
-        w,
-        shard,
-        dataset,
-        emb,
-        model,
-        slot,
-        clock,
-        cursor,
-        iters,
-        epoch,
-        cfg,
-        strategy,
-        topology,
-        cost,
-        group,
-        exchange,
-        ledger,
-        dense_bytes,
-        flops_per_sample,
-        samples,
-        loss_sum_micro,
-        loss_batches,
-        compute_scale,
-        batch_size,
-        tracer,
-        auditor,
-        table,
-        partition,
-        faults,
-        fstate,
-        image,
-        nonfinite,
-        recorder,
-        profiler,
-    } = ctx;
+/// `image` is the checkpoint a crash rolls back to (present whenever the
+/// schedule can crash).
+pub(crate) fn run_worker_epoch(
+    run: &RunCtx<'_>,
+    me: &mut WorkerRun<'_>,
+    epoch: usize,
+    image: Option<&CheckpointImage>,
+) {
+    let (cfg, dataset, group) = (run.cfg, run.dataset, &run.group);
+    let shard = &run.shards[me.w];
     let dim = cfg.dim;
     let fields = dataset.num_fields;
-    let epoch_start = clock.now();
+    let epoch_start = me.clock.now();
     // Whether *any* worker can fault this run decides — uniformly across
     // workers, so the rendezvous schedules agree — whether the
     // per-iteration fault fence is needed at all.
     let have_faults =
-        (0..group.num_participants()).any(|p| !faults.worker_faults(p).is_empty());
+        (0..group.num_participants()).any(|p| !run.faults.worker_faults(p).is_empty());
 
-    let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(batch_size);
+    let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(me.batch_size);
     let mut dense_grads: Vec<f32> = Vec::new();
     // Stateless SGD on the replicated dense parameters.
     let mut sgd = Sgd::new(cfg.dense_lr);
@@ -371,15 +395,11 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
     // residuals reset at the same barrier replica resync does — a
     // checkpoint-resumed run bit-matches an uninterrupted one.
     let mut dense_quant = DenseQuantizer::new(cfg.sync_format, cfg.sync_error_feedback);
-    let row_bytes = cfg.sync_format.row_wire_bytes(dim);
 
-    for _ in 0..iters {
+    for _ in 0..run.iters_per_epoch {
         // ---- (1) Injected faults, at the iteration boundary. ---------------
         if have_faults {
-            process_due_faults(
-                w, faults, fstate, clock, &recorder, tracer, image.as_deref(), table, partition,
-                emb, cost, row_bytes,
-            );
+            process_due_faults(run, me, image);
             // A crash rollback must be fully visible before any peer reads
             // the shared table this iteration, or same-seed runs diverge on
             // the rollback/read race.
@@ -389,41 +409,40 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
         // Publish the worker's simulated position so instants emitted deeper
         // in the stack (protocol decisions, traffic charges) land at this
         // batch's timestamp on the timeline.
-        if let Some(t) = tracer {
-            t.set_worker_time(w, clock.now());
+        if let Some(t) = run.tracer {
+            t.set_worker_time(me.w, me.clock.now());
         }
-        let batch_start = clock.now();
+        let batch_start = me.clock.now();
         // ---- (2) Assemble the batch and read its embeddings. ---------------
-        let t_fetch = profiler.start();
-        assemble_batch(slot, shard, cursor, batch_size);
+        let t_fetch = me.profiler.start();
+        assemble_batch(&mut me.slot, shard, &mut me.cursor, me.batch_size);
         sample_slices.clear();
-        sample_slices.extend(slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
+        sample_slices.extend(me.slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
         let actual = sample_slices.len();
         // (Degenerate empty-shard corner: skip the math, still join every
         // rendezvous so peers don't deadlock.)
         let have_grad = actual > 0;
         if have_grad {
-            slot.input.reset(actual, fields * dim);
-            slot.read_report = emb.read_batch(&sample_slices, slot.input.data_mut());
+            me.slot.input.reset(actual, fields * dim);
+            me.slot.read_report = me.emb.read_batch(&sample_slices, me.slot.input.data_mut());
         }
-        profiler.wall(BatchStage::Fetch, t_fetch);
+        me.profiler.wall(BatchStage::Fetch, t_fetch);
         // ---- (3) Dense forward/backward (real math, blocked kernels). ------
         if have_grad {
-            let t_compute = profiler.start();
-            dense_compute(
-                slot, model, dataset, loss_sum_micro, loss_batches, nonfinite, &recorder,
-            );
-            profiler.wall(BatchStage::Compute, t_compute);
+            let t_compute = me.profiler.start();
+            dense_compute(run, me);
+            me.profiler.wall(BatchStage::Compute, t_compute);
         }
 
         // ---- (4) Route the write-back, outside any fence. ------------------
         // Reduce, encode and bin by primary owner; only this rank's
         // outboxes are written.
-        let t_route = profiler.start();
+        let t_route = me.profiler.start();
         let up_report = have_grad.then(|| {
-            emb.route_gradients(&sample_slices, slot.grad_input.data(), &cfg.embed_opt, exchange)
+            let grads = me.slot.grad_input.data();
+            me.emb.route_gradients(&sample_slices, grads, &cfg.embed_opt, &run.exchange)
         });
-        profiler.wall(BatchStage::Push, t_route);
+        me.profiler.wall(BatchStage::Push, t_route);
 
         // ---- (5) Reads-done fence. -----------------------------------------
         // Every worker's reads drain before any gradient lands in the shared
@@ -435,56 +454,50 @@ pub(crate) fn run_worker_epoch(ctx: WorkerEpoch<'_, '_, '_>) {
         // changes the next step), so each row's canonical source order is
         // what makes same-seed runs — and checkpoint resumes — reproducible;
         // owners never share a row, so they need no order among themselves.
-        let t_apply = profiler.start();
-        exchange.apply_owned(w, table, &cfg.embed_opt);
-        profiler.wall(BatchStage::Push, t_apply);
+        let t_apply = me.profiler.start();
+        run.exchange.apply_owned(me.w, run.table(), &cfg.embed_opt);
+        me.profiler.wall(BatchStage::Push, t_apply);
 
         // ---- (7) Charge simulated time. ------------------------------------
         if let Some(up_report) = &up_report {
-            charge_batch(
-                w, actual, fields, compute_scale, flops_per_sample, strategy, cost, clock,
-                ledger, tracer, samples, &slot.read_report, up_report, row_bytes, profiler,
-            );
+            charge_batch(run, me, actual, up_report);
         }
 
         // ---- (8) Dense sync; also the writes-done rendezvous. --------------
-        let t_sync = profiler.start();
-        let sync_t = sync_dense(
-            w, model, &mut dense_grads, &mut dense_quant, &mut sgd, cfg.grad_clip, strategy,
-            topology, cost, group, ledger, clock, tracer, dense_bytes,
-        );
-        profiler.wall(BatchStage::Sync, t_sync);
-        profiler.sim(BatchStage::Sync, sync_t);
+        let t_sync = me.profiler.start();
+        let sync_t = sync_dense(run, me, &mut dense_grads, &mut dense_quant, &mut sgd);
+        me.profiler.wall(BatchStage::Sync, t_sync);
+        me.profiler.sim(BatchStage::Sync, sync_t);
 
-        if let Some(t) = tracer {
-            trace_stage_spans(t, w, batch_start, profiler.pending_sim());
+        if let Some(t) = run.tracer {
+            trace_stage_spans(t, me.w, batch_start, me.profiler.pending_sim());
             t.worker_span(
-                w,
+                me.w,
                 names::TRACE_BATCH,
                 batch_start,
-                clock.now() - batch_start,
+                me.clock.now() - batch_start,
                 &[("samples", Json::U64(actual as u64))],
             );
         }
-        profiler.finish_batch();
+        me.profiler.finish_batch();
 
         // ---- (9) Strict audit. ---------------------------------------------
         // Agree collectively on whether the auditor tripped so every worker
         // leaves at the same iteration boundary (a unilateral break would
         // strand its peers in the next collective).
-        if let Some(a) = auditor {
+        if let Some(a) = &run.auditor {
             if group.agree(a.is_tripped()) {
                 break;
             }
         }
     }
 
-    if let Some(t) = tracer {
+    if let Some(t) = run.tracer {
         t.worker_span(
-            w,
+            me.w,
             names::TRACE_EPOCH,
             epoch_start,
-            clock.now() - epoch_start,
+            me.clock.now() - epoch_start,
             &[("epoch", Json::U64(epoch as u64))],
         );
     }
@@ -511,15 +524,7 @@ fn assemble_batch(slot: &mut StepCtx, shard: &[u32], cursor: &mut usize, batch_s
 /// Dense forward/backward on the slot's tape — real math, blocked kernels.
 /// Everything between entry and `end_batch` reuses tape buffers — zero
 /// allocations once warm (the `dense.*` gauges assert it).
-fn dense_compute(
-    slot: &mut StepCtx,
-    model: &mut CtrModel,
-    dataset: &CtrDataset,
-    loss_sum_micro: &AtomicU64,
-    loss_batches: &AtomicU64,
-    nonfinite: &AtomicU64,
-    recorder: &Arc<dyn Recorder>,
-) {
+fn dense_compute(run: &RunCtx<'_>, me: &mut WorkerRun<'_>) {
     let StepCtx {
         batch_idx,
         labels,
@@ -528,20 +533,22 @@ fn dense_compute(
         grad_input,
         tape,
         ..
-    } = slot;
+    } = &mut me.slot;
+    let model = &mut me.model;
     let dense_start = Instant::now();
     model.forward_tape(input, tape);
     labels.clear();
-    labels.extend(batch_idx.iter().map(|&i| dataset.label(i as usize)));
+    labels.extend(batch_idx.iter().map(|&i| run.dataset.label(i as usize)));
     let batch_loss = bce_with_logits_into(tape.logits(), labels, grad_logits);
     if batch_loss.is_finite() {
-        loss_sum_micro.fetch_add((batch_loss.max(0.0) as f64 * 1e6) as u64, Ordering::Relaxed);
-        loss_batches.fetch_add(1, Ordering::Relaxed);
+        run.loss_sum_micro
+            .fetch_add((batch_loss.max(0.0) as f64 * 1e6) as u64, Ordering::Relaxed);
+        run.loss_batches.fetch_add(1, Ordering::Relaxed);
     } else {
         // `max(0.0)` on a NaN would silently yield 0.0 and bury the
         // divergence in the epoch's mean loss; count it instead.
-        nonfinite.fetch_add(1, Ordering::Relaxed);
-        recorder.counter_add(names::TRAIN_LOSS_NONFINITE, 1);
+        run.nonfinite.fetch_add(1, Ordering::Relaxed);
+        me.recorder.counter_add(names::TRAIN_LOSS_NONFINITE, 1);
     }
     model.zero_grad();
     model.backward_tape(input, grad_logits, grad_input, tape);
@@ -551,68 +558,52 @@ fn dense_compute(
 
 /// Charges one batch's simulated time (compute, input pipeline, embedding
 /// comm, metadata) and records its traffic.
-#[allow(clippy::too_many_arguments)]
-fn charge_batch(
-    w: usize,
-    actual: usize,
-    fields: usize,
-    compute_scale: f64,
-    flops_per_sample: f64,
-    strategy: &StrategyConfig,
-    cost: &CostModel,
-    clock: &mut SimClock,
-    ledger: &TrafficLedger,
-    tracer: Option<&TraceCollector>,
-    samples: &AtomicU64,
-    read_report: &ReadReport,
-    up_report: &UpdateReport,
-    row_bytes: u64,
-    profiler: &mut StageProfiler,
-) {
+fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_report: &UpdateReport) {
+    let cost = &run.cost;
+    let clock = &mut me.clock;
     // The straggler factor scales arithmetic throughput, not the
     // fixed launch overhead (a slow accelerator still dispatches
     // kernels at normal latency).
-    let flops = flops_per_sample * actual as f64;
+    let flops = run.flops_per_sample * actual as f64;
     let compute_t = cost.compute.per_batch_overhead
-        + (flops / cost.compute.flops_per_second) * compute_scale;
+        + (flops / cost.compute.flops_per_second) * me.compute_scale;
     clock.advance(TimeCategory::Compute, compute_t);
-    profiler.sim(BatchStage::Compute, compute_t);
+    me.profiler.sim(BatchStage::Compute, compute_t);
 
     // Input pipeline (overlapped behind compute).
-    let input_bytes = (actual * fields * 4) as u64;
+    let input_bytes = (actual * run.dataset.num_fields * 4) as u64;
     clock.advance_overlapped(
         TimeCategory::HostIo,
         cost.link_transfer_time(LinkClass::HostPcie, input_bytes),
         compute_t,
     );
 
-    let comm = charge_embedding_comm(
-        w, strategy, cost, read_report, up_report, row_bytes, tracer, clock.now(),
-    );
+    let read_report = &me.slot.read_report;
+    let comm = charge_embedding_comm(run, me.w, read_report, up_report, clock.now());
     let embed_t = comm.read + comm.write_back;
     let meta_t = comm.meta;
-    profiler.sim(BatchStage::Fetch, comm.read);
-    profiler.sim(BatchStage::Push, comm.write_back);
-    if strategy.overlap {
+    me.profiler.sim(BatchStage::Fetch, comm.read);
+    me.profiler.sim(BatchStage::Push, comm.write_back);
+    if run.strategy.overlap {
         clock.advance_overlapped(TimeCategory::EmbedComm, embed_t, compute_t);
     } else {
         clock.advance(TimeCategory::EmbedComm, embed_t);
     }
     clock.advance(TimeCategory::MetaComm, meta_t);
 
-    ledger.record(
-        w,
+    run.ledger.record(
+        me.w,
         TrafficClass::EmbedData,
         read_report.data_bytes + up_report.data_bytes,
         read_report.messages + up_report.messages,
     );
-    ledger.record(
-        w,
+    run.ledger.record(
+        me.w,
         TrafficClass::KeysClocks,
         read_report.meta_bytes + up_report.meta_bytes,
         read_report.messages + up_report.messages,
     );
-    samples.fetch_add(actual as u64, Ordering::Relaxed);
+    run.samples.fetch_add(actual as u64, Ordering::Relaxed);
 }
 
 /// Dense gradient synchronisation: mean-AllReduce, clip, SGD step, charges,
@@ -625,63 +616,56 @@ fn charge_batch(
 /// their simulated clocks drift freely — but the OS threads still
 /// rendezvous at the plain mean collective (math-level combining without a
 /// time barrier). The gradient mean is bitwise the same either way.
-#[allow(clippy::too_many_arguments)]
 fn sync_dense(
-    w: usize,
-    model: &mut CtrModel,
+    run: &RunCtx<'_>,
+    me: &mut WorkerRun<'_>,
     dense_grads: &mut Vec<f32>,
     quant: &mut DenseQuantizer,
     sgd: &mut Sgd,
-    grad_clip: Option<f32>,
-    strategy: &StrategyConfig,
-    topology: &Topology,
-    cost: &CostModel,
-    group: &AllReduceGroup,
-    ledger: &TrafficLedger,
-    clock: &mut SimClock,
-    tracer: Option<&TraceCollector>,
-    dense_bytes: u64,
 ) -> f64 {
+    let (strategy, grad_clip, w) = (run.strategy, run.cfg.grad_clip, me.w);
     let is_bsp = matches!(strategy.dense_sync, DenseSync::AllReduce)
         && matches!(strategy.embed_home, EmbedHome::Gpu);
-    model.flatten_grads_into(dense_grads);
+    me.model.flatten_grads_into(dense_grads);
     // The local gradient crosses the wire once per collective, before the
     // reduction.
     quant.transport(dense_grads);
     let charge_allreduce = |clock: &mut SimClock| {
-        let t = cost.allreduce_time_at(dense_bytes, clock.now());
-        trace_allreduce_span(tracer, topology, w, clock.now(), t, dense_bytes);
+        let t = run.cost.allreduce_time_at(run.dense_bytes, clock.now());
+        trace_allreduce_span(run, w, clock.now(), t);
         clock.advance(TimeCategory::AllReduceComm, t);
-        ledger.record(w, TrafficClass::AllReduce, allreduce_bytes(dense_bytes, topology), 1);
+        let bytes = allreduce_bytes(run.dense_bytes, run.topology);
+        run.ledger.record(w, TrafficClass::AllReduce, bytes, 1);
         t
     };
     if is_bsp {
-        let t = charge_allreduce(clock);
-        let (max_clock, _) = group.fused_mean_max(dense_grads, clock.now(), false);
-        clip_and_step(model, dense_grads, sgd, grad_clip);
-        clock.wait_until(max_clock);
+        let t = charge_allreduce(&mut me.clock);
+        let (max_clock, _) = run.group.fused_mean_max(dense_grads, me.clock.now(), false);
+        clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
+        me.clock.wait_until(max_clock);
         return t;
     }
 
-    group.allreduce_mean(dense_grads);
-    clip_and_step(model, dense_grads, sgd, grad_clip);
+    run.group.allreduce_mean(dense_grads);
+    clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
     match strategy.dense_sync {
-        DenseSync::AllReduce => charge_allreduce(clock),
+        DenseSync::AllReduce => charge_allreduce(&mut me.clock),
         DenseSync::PsAsync => {
             // Push gradients + pull parameters over the shared host link.
-            let n = topology.num_workers() as u64;
-            let t = cost.link_transfer_time(LinkClass::HostPcie, 2 * dense_bytes * n);
-            if let Some(tr) = tracer {
+            let n = run.topology.num_workers() as u64;
+            let dense_bytes = run.dense_bytes;
+            let t = run.cost.link_transfer_time(LinkClass::HostPcie, 2 * dense_bytes * n);
+            if let Some(tr) = run.tracer {
                 tr.link_span(
                     LinkClass::HostPcie.label(),
                     names::TRACE_ALLREDUCE,
-                    clock.now(),
+                    me.clock.now(),
                     t,
                     &[("worker", Json::U64(w as u64)), ("bytes", Json::U64(2 * dense_bytes))],
                 );
             }
-            clock.advance(TimeCategory::AllReduceComm, t);
-            ledger.record(w, TrafficClass::AllReduce, 2 * dense_bytes, 2);
+            me.clock.advance(TimeCategory::AllReduceComm, t);
+            run.ledger.record(w, TrafficClass::AllReduce, 2 * dense_bytes, 2);
             t
         }
     }
@@ -719,18 +703,11 @@ fn clip_and_step(
 }
 
 /// The ring's bottleneck hop names the AllReduce span's track.
-fn trace_allreduce_span(
-    tracer: Option<&TraceCollector>,
-    topology: &Topology,
-    w: usize,
-    start: f64,
-    t: f64,
-    dense_bytes: u64,
-) {
-    if let Some(tr) = tracer {
-        let n = topology.num_workers();
+fn trace_allreduce_span(run: &RunCtx<'_>, w: usize, start: f64, t: f64) {
+    if let Some(tr) = run.tracer {
+        let n = run.topology.num_workers();
         let label = if n > 1 {
-            topology.link(w, (w + 1) % n).label()
+            run.topology.link(w, (w + 1) % n).label()
         } else {
             LinkClass::Local.label()
         };
@@ -739,7 +716,7 @@ fn trace_allreduce_span(
             names::TRACE_ALLREDUCE,
             start,
             t,
-            &[("worker", Json::U64(w as u64)), ("bytes", Json::U64(dense_bytes))],
+            &[("worker", Json::U64(w as u64)), ("bytes", Json::U64(run.dense_bytes))],
         );
     }
 }
@@ -749,21 +726,9 @@ fn trace_allreduce_span(
 /// collectives: the worker never abandons a rendezvous, so peers are
 /// never stranded — they simply absorb the downtime through the BSP
 /// simulated-time barrier.
-#[allow(clippy::too_many_arguments)]
-fn process_due_faults(
-    w: usize,
-    faults: &FaultSchedule,
-    fstate: &mut WorkerFaultState,
-    clock: &mut SimClock,
-    recorder: &Arc<dyn Recorder>,
-    tracer: Option<&TraceCollector>,
-    image: Option<&CheckpointImage>,
-    table: &dyn RowStore,
-    partition: &Partition,
-    emb: &mut dyn EmbeddingWorker,
-    cost: &CostModel,
-    row_bytes: u64,
-) {
+fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&CheckpointImage>) {
+    let (w, faults, tracer, table) = (me.w, &run.faults, run.tracer, run.table());
+    let (clock, fstate, recorder) = (&mut me.clock, &mut me.fstate, &me.recorder);
     while let Some(f) = faults.worker_faults(w).get(fstate.next) {
         if f.at > clock.now() {
             break;
@@ -804,7 +769,7 @@ fn process_due_faults(
                 let mut lost = 0u64;
                 let mut rolled = 0u64;
                 for e in 0..table.num_rows() as u32 {
-                    if partition.primary_of(e) != w as u32 {
+                    if run.partition.primary_of(e) != w as u32 {
                         continue;
                     }
                     let cur = table.clock(e);
@@ -829,16 +794,17 @@ fn process_due_faults(
                         lost += cur.saturating_sub(ck);
                     }
                 }
-                let refreshed = emb.recover_from_crash();
+                let refreshed = me.emb.recover_from_crash();
                 // Recovery cost: restart, restore this worker's shard of
                 // the image over the host link, re-fetch refreshed
                 // replicas from peers, and replay the work done since the
                 // image was captured.
+                let cost = &run.cost;
                 let n_workers = cost.topology.num_workers() as u64;
                 let restore_t = cost
                     .link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
                 let refresh_t =
-                    mean_link_time(w, cost, refreshed.saturating_mul(row_bytes));
+                    mean_link_time(w, cost, refreshed.saturating_mul(run.row_bytes));
                 let replay_t = (crash_time - image.sim_times[w]).max(0.0);
                 let recovery_t = faults.restart_overhead() + restore_t + refresh_t + replay_t;
                 clock.advance(TimeCategory::Fault, recovery_t);
@@ -865,7 +831,7 @@ fn process_due_faults(
 }
 
 /// Ring AllReduce wire bytes: `2·(N−1)/N · payload` per worker.
-pub(crate) fn allreduce_bytes(dense_bytes: u64, topology: &Topology) -> u64 {
+fn allreduce_bytes(dense_bytes: u64, topology: &Topology) -> u64 {
     let n = topology.num_workers() as u64;
     if n <= 1 {
         0
@@ -887,22 +853,19 @@ pub(crate) struct EmbedCommTimes {
 }
 
 /// Converts the per-source byte breakdowns into per-direction embedding
-/// and metadata seconds ([`EmbedCommTimes`]) for worker `w` under the given
-/// strategy. When a tracer is attached, each per-peer transfer also becomes
+/// and metadata seconds ([`EmbedCommTimes`]) for worker `w` under the
+/// run's strategy. When a tracer is attached, each per-peer transfer also becomes
 /// a `trace.link.transfer` span on the link-class track, laid out
 /// sequentially from `start_secs`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn charge_embedding_comm(
+fn charge_embedding_comm(
+    run: &RunCtx<'_>,
     w: usize,
-    strategy: &StrategyConfig,
-    cost: &CostModel,
     read: &ReadReport,
     up: &UpdateReport,
-    row_bytes: u64,
-    tracer: Option<&TraceCollector>,
     start_secs: f64,
 ) -> EmbedCommTimes {
-    match strategy.embed_home {
+    let (cost, tracer) = (&run.cost, run.tracer);
+    match run.strategy.embed_home {
         EmbedHome::CpuPs => {
             // Every lookup/update crosses the host link, regardless of the
             // GPU partition: charge the full working set. The parameter
@@ -917,7 +880,7 @@ pub(crate) fn charge_embedding_comm(
                 // data_bytes only counts remote rows; reconstruct full rows
                 // from counts via bytes-per-row of the remote ones, falling
                 // back to the configured wire size when everything was local.
-                estimate_row_bytes(read, up, row_bytes)
+                estimate_row_bytes(read, up, run.row_bytes)
             } else {
                 0
             };

@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use hetgmp_embedding::StalenessBound;
 use hetgmp_partition::{
-    check_weights, BiCutPartitioner, HybridConfig, HybridPartitioner, MultilevelConfig,
-    MultilevelPartitioner, Partitioner, RandomPartitioner, ReplicationBudget,
+    check_weights, BiCutPartitioner, HybridConfig, HybridPartitioner, Partitioner,
+    RandomPartitioner, ReplicationBudget,
 };
 use hetgmp_telemetry::{HetGmpError, Recorder, TraceCollector};
 
@@ -45,25 +45,6 @@ pub enum CacheDesign {
     },
 }
 
-impl CacheDesign {
-    /// Rejects a cache the trainer cannot size: `capacity_fraction` must be
-    /// a number in `(0, 1]` (NaN or a negative value would silently size a
-    /// zero-slot cache, a huge one would abort in its allocation).
-    pub(crate) fn validate(&self) -> Result<(), HetGmpError> {
-        match *self {
-            CacheDesign::DynamicLfu { capacity_fraction }
-                if !(capacity_fraction > 0.0 && capacity_fraction <= 1.0) =>
-            {
-                Err(HetGmpError::config(
-                    "cache.capacity_fraction",
-                    format!("must lie in (0, 1], got {capacity_fraction}"),
-                ))
-            }
-            _ => Ok(()),
-        }
-    }
-}
-
 /// How the bigraph is partitioned.
 #[derive(Debug, Clone)]
 pub enum PartitionPolicy {
@@ -73,8 +54,6 @@ pub enum PartitionPolicy {
     BiCut,
     /// Algorithm 1 with the given parameters.
     Hybrid(HybridConfig),
-    /// METIS-style multilevel coarsen–partition–refine.
-    Multilevel(MultilevelConfig),
 }
 
 impl PartitionPolicy {
@@ -82,23 +61,13 @@ impl PartitionPolicy {
     /// experiment code dispatches through this single interface — no
     /// algorithm-specific call sites.
     pub fn partitioner(&self, seed: u64) -> Box<dyn Partitioner> {
-        self.partitioner_recorded(seed, None)
+        self.partitioner_instrumented(seed, None, None)
     }
 
-    /// Like [`PartitionPolicy::partitioner`], with a telemetry recorder
-    /// attached where the algorithm supports one (Algorithm 1 emits
-    /// `partition.*` metrics).
-    pub fn partitioner_recorded(
-        &self,
-        seed: u64,
-        recorder: Option<Arc<dyn Recorder>>,
-    ) -> Box<dyn Partitioner> {
-        self.partitioner_instrumented(seed, recorder, None)
-    }
-
-    /// Like [`PartitionPolicy::partitioner_recorded`], additionally wiring a
-    /// trace collector where supported (Algorithm 1 emits
-    /// `trace.partition.round` spans on the driver track).
+    /// Like [`PartitionPolicy::partitioner`], with a telemetry recorder and
+    /// a trace collector attached where the algorithm supports them
+    /// (Algorithm 1 emits `partition.*` metrics and `trace.partition.round`
+    /// spans on the driver track).
     pub fn partitioner_instrumented(
         &self,
         seed: u64,
@@ -118,9 +87,6 @@ impl PartitionPolicy {
                 }
                 Box::new(p)
             }
-            PartitionPolicy::Multilevel(cfg) => Box::new(MultilevelPartitioner {
-                config: cfg.clone(),
-            }),
         }
     }
 }
@@ -267,76 +233,16 @@ impl StrategyConfig {
         self
     }
 
-    /// A validating builder for a custom strategy, starting from the
-    /// HET-GMP(s=0) preset. [`StrategyConfigBuilder::build`] rejects
-    /// nonsensical axis combinations (empty name, zero hybrid rounds, LFU
-    /// cache fractions outside `(0, 1]`) with a [`HetGmpError::Config`].
-    pub fn builder() -> StrategyConfigBuilder {
-        StrategyConfigBuilder {
-            cfg: Self {
-                name: "custom".into(),
-                ..Self::het_gmp(0)
-            },
-        }
-    }
-}
-
-/// Builder for [`StrategyConfig`] — see [`StrategyConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct StrategyConfigBuilder {
-    cfg: StrategyConfig,
-}
-
-impl StrategyConfigBuilder {
-    /// Display name (must be non-empty).
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.cfg.name = name.into();
-        self
-    }
-
-    /// Embedding placement.
-    pub fn embed_home(mut self, home: EmbedHome) -> Self {
-        self.cfg.embed_home = home;
-        self
-    }
-
-    /// Partitioning policy.
-    pub fn partition(mut self, policy: PartitionPolicy) -> Self {
-        self.cfg.partition = policy;
-        self
-    }
-
-    /// Staleness bound for secondary replicas.
-    pub fn staleness(mut self, bound: StalenessBound) -> Self {
-        self.cfg.staleness = bound;
-        self
-    }
-
-    /// Dense-parameter synchronisation.
-    pub fn dense_sync(mut self, sync: DenseSync) -> Self {
-        self.cfg.dense_sync = sync;
-        self
-    }
-
-    /// Whether embedding communication overlaps with computation.
-    pub fn overlap(mut self, overlap: bool) -> Self {
-        self.cfg.overlap = overlap;
-        self
-    }
-
-    /// Local-copy management.
-    pub fn cache(mut self, cache: CacheDesign) -> Self {
-        self.cfg.cache = cache;
-        self
-    }
-
-    /// Validates and returns the strategy.
-    pub fn build(self) -> Result<StrategyConfig, HetGmpError> {
-        let c = &self.cfg;
-        if c.name.is_empty() {
+    /// Rejects a strategy the trainer cannot run: an empty name, a hybrid
+    /// policy with no 1D round or with a weight matrix `check_weights`
+    /// refuses, and an LFU cache fraction outside `(0, 1]` (NaN or a
+    /// negative value would size a zero-slot cache, a huge one would abort
+    /// in its allocation). [`crate::Trainer::try_run`] calls it first.
+    pub fn validate(&self) -> Result<(), HetGmpError> {
+        if self.name.is_empty() {
             return Err(HetGmpError::config("name", "strategy name must be non-empty"));
         }
-        if let PartitionPolicy::Hybrid(cfg) = &c.partition {
+        if let PartitionPolicy::Hybrid(cfg) = &self.partition {
             if cfg.rounds == 0 {
                 return Err(HetGmpError::config(
                     "partition.rounds",
@@ -347,8 +253,15 @@ impl StrategyConfigBuilder {
                 check_weights(w).map_err(|e| HetGmpError::config("onedee.weights", e))?;
             }
         }
-        c.cache.validate()?;
-        Ok(self.cfg)
+        if let CacheDesign::DynamicLfu { capacity_fraction } = self.cache {
+            if !(capacity_fraction > 0.0 && capacity_fraction <= 1.0) {
+                return Err(HetGmpError::config(
+                    "cache.capacity_fraction",
+                    format!("must lie in (0, 1], got {capacity_fraction}"),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -403,42 +316,51 @@ mod tests {
 
     #[test]
     fn strategy_builder_validates() {
-        let s = StrategyConfig::builder()
-            .name("mine")
-            .staleness(StalenessBound::Bounded(50))
-            .cache(CacheDesign::DynamicLfu {
+        let s = StrategyConfig {
+            name: "mine".into(),
+            staleness: StalenessBound::Bounded(50),
+            cache: CacheDesign::DynamicLfu {
                 capacity_fraction: 0.1,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(s.name, "mine");
-        assert_eq!(s.staleness, StalenessBound::Bounded(50));
+            },
+            ..StrategyConfig::het_gmp(0)
+        };
+        assert!(s.validate().is_ok());
 
-        let err = StrategyConfig::builder().name("").build().unwrap_err();
+        let err = StrategyConfig {
+            name: String::new(),
+            ..s.clone()
+        }
+        .validate()
+        .unwrap_err();
         assert_eq!(err.exit_code(), 78);
-        assert!(StrategyConfig::builder()
-            .cache(CacheDesign::DynamicLfu {
+        assert!(StrategyConfig {
+            cache: CacheDesign::DynamicLfu {
                 capacity_fraction: 0.0,
-            })
-            .build()
-            .is_err());
+            },
+            ..s.clone()
+        }
+        .validate()
+        .is_err());
         let bad_rounds = PartitionPolicy::Hybrid(HybridConfig {
             rounds: 0,
             ..Default::default()
         });
-        assert!(StrategyConfig::builder().partition(bad_rounds).build().is_err());
+        assert!(StrategyConfig {
+            partition: bad_rounds,
+            ..s
+        }
+        .validate()
+        .is_err());
     }
 
     /// NaN, +∞ and a negative off-diagonal weight are config errors naming
     /// `onedee.weights`; a non-zero diagonal is legal.
     #[test]
     fn strategy_builder_checks_weight_values() {
-        let build = |w: Vec<Vec<f64>>| {
-            let mut cfg = HybridConfig::default();
-            cfg.onedee.weights = Some(w);
-            StrategyConfig::builder()
-                .partition(PartitionPolicy::Hybrid(cfg))
-                .build()
+        let validate = |w: Vec<Vec<f64>>| {
+            StrategyConfig::het_gmp(0)
+                .with_weight_matrix(Some(w))
+                .validate()
         };
         for bad in [
             vec![vec![0.0, f64::NAN], vec![1.0, 0.0]],
@@ -446,10 +368,10 @@ mod tests {
             vec![vec![0.0, -0.5], vec![1.0, 0.0]],
             vec![vec![f64::NAN, 1.0], vec![1.0, 0.0]],
         ] {
-            let err = build(bad.clone()).unwrap_err();
+            let err = validate(bad.clone()).unwrap_err();
             assert_eq!(err.exit_code(), 78, "{bad:?}");
             assert!(err.to_string().contains("onedee.weights"), "{err}");
         }
-        assert!(build(vec![vec![3.0, 1.0], vec![1.0, 0.5]]).is_ok());
+        assert!(validate(vec![vec![3.0, 1.0], vec![1.0, 0.5]]).is_ok());
     }
 }

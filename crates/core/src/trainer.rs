@@ -39,7 +39,7 @@ use hetgmp_embedding::{
     EmbeddingWorker, ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound,
     TieredConfig, TieredTable, WorkerEmbedding, WorkerState, WriteExchange,
 };
-use hetgmp_partition::{Partition, PartitionMetrics};
+use hetgmp_partition::{Partition, PartitionMetrics, Partitioner};
 use hetgmp_telemetry::{
     names, AuditMode, AuditSummary, HetGmpError, Json, MetricsRegistry, ProtocolAuditor, Recorder,
     RunManifest, TelemetrySnapshot, TraceCollector,
@@ -48,7 +48,9 @@ use hetgmp_tensor::loss::sigmoid;
 use hetgmp_tensor::{auc, log_loss, Matrix};
 
 use crate::models::{CtrModel, ModelKind, ModelTape};
-use crate::pipeline::{mean_link_time, run_worker_epoch, StageProfiler, StepCtx, WorkerEpoch};
+use crate::pipeline::{
+    mean_link_time, run_worker_epoch, RunCtx, StageProfiler, StepCtx, WorkerFaultState, WorkerRun,
+};
 use crate::strategy::{CacheDesign, EmbedHome, StrategyConfig};
 
 /// Where the primary embedding table keeps its rows.
@@ -165,236 +167,87 @@ impl Default for TrainerConfig {
 }
 
 impl TrainerConfig {
-    /// A validating builder starting from [`TrainerConfig::default`].
-    /// Unlike struct-literal construction, [`TrainerConfigBuilder::build`]
-    /// rejects invalid hyper-parameters (`dim == 0`, empty `hidden`,
-    /// `test_fraction` outside `(0, 1)`) with a [`HetGmpError::Config`]
-    /// instead of panicking deep inside training. `Trainer::try_run`
-    /// repeats the checks a struct literal would bypass on the dense step
-    /// (`dense_lr`, `grad_clip`) and on `compute_scales`.
-    pub fn builder() -> TrainerConfigBuilder {
-        TrainerConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-}
-
-/// Builder for [`TrainerConfig`] — see [`TrainerConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct TrainerConfigBuilder {
-    cfg: TrainerConfig,
-}
-
-impl TrainerConfigBuilder {
-    /// Model architecture.
-    pub fn model(mut self, model: ModelKind) -> Self {
-        self.cfg.model = model;
-        self
-    }
-
-    /// Embedding dimension `d` (must be positive).
-    pub fn dim(mut self, dim: usize) -> Self {
-        self.cfg.dim = dim;
-        self
-    }
-
-    /// Deep-tower hidden sizes (must be non-empty).
-    pub fn hidden(mut self, hidden: Vec<usize>) -> Self {
-        self.cfg.hidden = hidden;
-        self
-    }
-
-    /// Mini-batch size per worker (must be positive).
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.cfg.batch_size = batch_size;
-        self
-    }
-
-    /// Training epochs.
-    pub fn epochs(mut self, epochs: usize) -> Self {
-        self.cfg.epochs = epochs;
-        self
-    }
-
-    /// Sparse optimizer for the embedding table.
-    pub fn embed_opt(mut self, opt: SparseOpt) -> Self {
-        self.cfg.embed_opt = opt;
-        self
-    }
-
-    /// Dense-parameter learning rate (finite, non-negative).
-    pub fn dense_lr(mut self, lr: f32) -> Self {
-        self.cfg.dense_lr = lr;
-        self
-    }
-
-    /// Held-out test fraction (must lie strictly between 0 and 1).
-    pub fn test_fraction(mut self, f: f64) -> Self {
-        self.cfg.test_fraction = f;
-        self
-    }
-
-    /// Cap on evaluated test samples.
-    pub fn max_eval_samples(mut self, n: usize) -> Self {
-        self.cfg.max_eval_samples = n;
-        self
-    }
-
-    /// Early-stop AUC target.
-    pub fn auc_target(mut self, target: Option<f64>) -> Self {
-        self.cfg.auc_target = target;
-        self
-    }
-
-    /// Dense gradient clip (`None` disables; otherwise finite, positive).
-    pub fn grad_clip(mut self, clip: Option<f32>) -> Self {
-        self.cfg.grad_clip = clip;
-        self
-    }
-
-    /// Per-worker compute slowdown factors.
-    pub fn compute_scales(mut self, scales: Option<Vec<f64>>) -> Self {
-        self.cfg.compute_scales = scales;
-        self
-    }
-
-    /// Heterogeneity-aware load balancing.
-    pub fn hetero_aware_batching(mut self, on: bool) -> Self {
-        self.cfg.hetero_aware_batching = on;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Checkpoint period in epochs (0 disables).
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.cfg.checkpoint_every = every;
-        self
-    }
-
-    /// Directory for run checkpoints.
-    pub fn checkpoint_dir(mut self, dir: Option<PathBuf>) -> Self {
-        self.cfg.checkpoint_dir = dir;
-        self
-    }
-
-    /// Run-checkpoint file to resume from.
-    pub fn resume_from(mut self, path: Option<PathBuf>) -> Self {
-        self.cfg.resume_from = path;
-        self
-    }
-
-    /// Wire format for inter-worker embedding payloads and the dense
-    /// AllReduce. `f32` (the default) is the bit-exact identity transport.
-    pub fn sync_format(mut self, format: SyncFormat) -> Self {
-        self.cfg.sync_format = format;
-        self
-    }
-
-    /// Enables/disables per-row error feedback on lossy gradient pushes.
-    pub fn sync_error_feedback(mut self, on: bool) -> Self {
-        self.cfg.sync_error_feedback = on;
-        self
-    }
-
-    /// Primary-table storage tier (RAM-only, or spillable under a budget).
-    pub fn storage(mut self, mode: StorageMode) -> Self {
-        self.cfg.storage = mode;
-        self
-    }
-
-    /// Selects the embedding hot-loop read path (seqlock snapshot by
-    /// default, or the locked escape hatch).
-    pub fn read_path(mut self, path: ReadPath) -> Self {
-        self.cfg.read_path = path;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    pub fn build(self) -> Result<TrainerConfig, HetGmpError> {
-        let c = &self.cfg;
-        if c.dim == 0 {
+    /// Rejects a configuration [`Trainer::try_run`] cannot train, naming
+    /// the offending field in a [`HetGmpError::Config`] (exit code 78):
+    /// `dim`, `batch_size` or a hidden size of 0, no hidden layer, a
+    /// `test_fraction` outside `(0, 1)`, `compute_scales` that are not one
+    /// finite positive factor per worker (`workers` is the topology's
+    /// count), a dense step that climbs or turns NaN, checkpointing half
+    /// configured, or a tiered store with no RAM budget. `epochs: 0` is
+    /// legal: the run sets up, evaluates nothing and returns.
+    pub fn validate(&self, workers: usize) -> Result<(), HetGmpError> {
+        if self.dim == 0 {
             return Err(HetGmpError::config("dim", "embedding dimension must be positive"));
         }
-        if c.hidden.is_empty() {
+        if self.hidden.is_empty() {
             return Err(HetGmpError::config("hidden", "at least one hidden layer is required"));
         }
-        if c.hidden.contains(&0) {
+        if self.hidden.contains(&0) {
             return Err(HetGmpError::config("hidden", "hidden layer sizes must be positive"));
         }
-        if !(c.test_fraction > 0.0 && c.test_fraction < 1.0) {
+        if !(self.test_fraction > 0.0 && self.test_fraction < 1.0) {
             return Err(HetGmpError::config(
                 "test_fraction",
-                format!("must lie strictly between 0 and 1, got {}", c.test_fraction),
+                format!("must lie strictly between 0 and 1, got {}", self.test_fraction),
             ));
         }
-        if c.batch_size == 0 {
+        if self.batch_size == 0 {
             return Err(HetGmpError::config("batch_size", "must be positive"));
         }
-        if let Some(scales) = &c.compute_scales {
-            check_compute_scales(scales)?;
-        }
-        check_dense_step(c.dense_lr, c.grad_clip)?;
-        if c.checkpoint_every > 0 && c.checkpoint_dir.is_none() {
-            return Err(HetGmpError::config(
-                "checkpoint_every",
-                "periodic checkpointing requires a checkpoint_dir",
-            ));
-        }
-        if c.checkpoint_dir.is_some() && c.checkpoint_every == 0 {
-            return Err(HetGmpError::config(
-                "checkpoint_dir",
-                "checkpoint_dir is set but checkpoint_every is 0 (checkpointing disabled)",
-            ));
-        }
-        if let StorageMode::Tiered { budget_bytes, .. } = &c.storage {
-            if *budget_bytes == 0 {
+        // A slowdown factor divides the simulated compute rate and, under
+        // heterogeneity-aware batching, a batch size.
+        if let Some(scales) = &self.compute_scales {
+            if scales.len() != workers {
                 return Err(HetGmpError::config(
-                    "storage",
-                    "tiered storage needs a positive RAM budget",
+                    "compute_scales",
+                    format!("{} slowdown factors for {workers} workers", scales.len()),
+                ));
+            }
+            if scales.iter().any(|&s| !s.is_finite() || s <= 0.0) {
+                return Err(HetGmpError::config(
+                    "compute_scales",
+                    "every slowdown factor must be positive and finite",
                 ));
             }
         }
-        Ok(self.cfg)
-    }
-}
-
-/// A slowdown factor divides the simulated compute rate and, under
-/// heterogeneity-aware batching, a batch size.
-fn check_compute_scales(scales: &[f64]) -> Result<(), HetGmpError> {
-    if scales.iter().any(|&s| !s.is_finite() || s <= 0.0) {
-        return Err(HetGmpError::config(
-            "compute_scales",
-            "every slowdown factor must be positive and finite",
-        ));
-    }
-    Ok(())
-}
-
-/// The dense step scales every gradient by `clip / norm` once the norm
-/// exceeds `clip`, then steps by `-dense_lr`: a clip that is not a finite
-/// positive number, or a rate that is not a finite non-negative one, climbs
-/// the loss or turns the parameters into NaN.
-fn check_dense_step(dense_lr: f32, grad_clip: Option<f32>) -> Result<(), HetGmpError> {
-    if !(dense_lr.is_finite() && dense_lr >= 0.0) {
-        return Err(HetGmpError::config(
-            "dense_lr",
-            format!("must be finite and non-negative, got {dense_lr}"),
-        ));
-    }
-    if let Some(clip) = grad_clip {
-        if !(clip.is_finite() && clip > 0.0) {
+        // The dense step scales every gradient by `clip / norm` once the
+        // norm exceeds `clip`, then steps by `-dense_lr`: a clip that is not
+        // a finite positive number, or a rate that is not a finite
+        // non-negative one, climbs the loss or turns the parameters into NaN.
+        if !(self.dense_lr.is_finite() && self.dense_lr >= 0.0) {
             return Err(HetGmpError::config(
-                "grad_clip",
-                format!("must be None or finite and positive, got {clip}"),
+                "dense_lr",
+                format!("must be finite and non-negative, got {}", self.dense_lr),
             ));
         }
+        if let Some(clip) = self.grad_clip {
+            if !(clip.is_finite() && clip > 0.0) {
+                return Err(HetGmpError::config(
+                    "grad_clip",
+                    format!("must be None or finite and positive, got {clip}"),
+                ));
+            }
+        }
+        if self.checkpoint_every > 0 && self.checkpoint_dir.is_none() {
+            return Err(HetGmpError::config(
+                "checkpoint_dir",
+                "checkpoint_every > 0 but checkpoint_dir is unset",
+            ));
+        }
+        if self.checkpoint_dir.is_some() && self.checkpoint_every == 0 {
+            return Err(HetGmpError::config(
+                "checkpoint_every",
+                "checkpoint_dir is set but checkpoint_every is 0 (checkpointing disabled)",
+            ));
+        }
+        if let StorageMode::Tiered { budget_bytes: 0, .. } = self.storage {
+            return Err(HetGmpError::config(
+                "storage",
+                "tiered storage needs a positive RAM budget",
+            ));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// One evaluation point on the convergence curve (Figure 7).
@@ -494,13 +347,13 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
 /// The run's primary store behind one dispatch point: in-memory or tiered.
 /// Everything downstream (workers, checkpoints, evaluation) borrows it as
 /// `&dyn RowStore` and cannot tell the difference.
-enum StorageTable {
+pub(crate) enum StorageTable {
     Memory(ShardedTable),
     Tiered(TieredTable),
 }
 
 impl StorageTable {
-    fn as_store(&self) -> &dyn RowStore {
+    pub(crate) fn as_store(&self) -> &dyn RowStore {
         match self {
             StorageTable::Memory(t) => t,
             StorageTable::Tiered(t) => t,
@@ -521,28 +374,21 @@ const EVAL_CHUNK: usize = 512;
 /// fault, so results are bit-identical with the plan on or off (pinned at
 /// the store by `tiered`'s `plan_does_not_change_results` and the
 /// `epoch_plan_never_changes_results` proptest).
-fn plan_epoch_pages(
-    table: &TieredTable,
-    dataset: &CtrDataset,
-    shards: &[Vec<u32>],
-    cursors: &[usize],
-    batch_sizes: &[usize],
-    iters: usize,
-) -> Vec<u32> {
-    let mut cur: Vec<usize> = cursors.to_vec();
+fn plan_epoch_pages(table: &TieredTable, run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Vec<u32> {
+    let mut cur: Vec<usize> = workers.iter().map(|me| me.cursor).collect();
     let mut plan: Vec<u32> = Vec::new();
     let mut pages: Vec<u32> = Vec::new();
-    for _ in 0..iters {
-        for (w, shard) in shards.iter().enumerate() {
+    for _ in 0..run.iters_per_epoch {
+        for (w, shard) in run.shards.iter().enumerate() {
             if shard.is_empty() {
                 continue;
             }
-            let bs = batch_sizes[w].min(shard.len());
+            let bs = workers[w].batch_size.min(shard.len());
             pages.clear();
             for _ in 0..bs {
                 let idx = shard[cur[w] % shard.len()];
                 cur[w] += 1;
-                for &e in dataset.sample(idx as usize) {
+                for &e in run.dataset.sample(idx as usize) {
                     pages.push(table.page_of_row(e));
                 }
             }
@@ -552,6 +398,66 @@ fn plan_epoch_pages(
         }
     }
     plan
+}
+
+/// The set-up both trainers share, from the training rows to the epoch
+/// length: the bigraph over the training samples, its partition, each
+/// embedding's access count, each worker's shard of dataset indices and
+/// the iterations per epoch.
+pub(crate) struct Placement {
+    pub(crate) graph: Bigraph,
+    pub(crate) partition: Partition,
+    pub(crate) freq: Vec<u64>,
+    pub(crate) shards: Vec<Vec<u32>>,
+    pub(crate) iters_per_epoch: usize,
+}
+
+impl Placement {
+    /// Partitions the samples `train` (dataset indices, whose embedding ids
+    /// `row` returns) over `topology` with `partitioner`.
+    pub(crate) fn build<R: AsRef<[u32]>>(
+        num_embeddings: usize,
+        train: &[u32],
+        row: impl Fn(u32) -> R,
+        partitioner: &dyn Partitioner,
+        topology: &Topology,
+        batch_size: usize,
+    ) -> Self {
+        // The row list lives only as long as the build.
+        let graph = {
+            let rows: Vec<R> = train.iter().map(|&i| row(i)).collect();
+            Bigraph::from_samples(num_embeddings, &rows)
+        };
+        let partition = partitioner.partition(&graph, topology);
+        let freq: Vec<u64> = (0..graph.num_embeddings() as u32)
+            .map(|e| graph.emb_frequency(e) as u64)
+            .collect();
+        let shards: Vec<Vec<u32>> = partition
+            .samples_by_partition()
+            .into_iter()
+            .map(|local| local.into_iter().map(|s| train[s as usize]).collect())
+            .collect();
+        // Iterations per epoch follow the *mean* shard size (workers with
+        // smaller shards wrap around; persistent cursors even out coverage
+        // across epochs). Using the max would let residual imbalance from
+        // the partitioner's slack inflate every worker's iteration count.
+        let n = topology.num_workers();
+        let mean_shard =
+            (shards.iter().map(Vec::len).sum::<usize>() as f64 / n as f64).round() as usize;
+        let iters_per_epoch = mean_shard.max(1).div_ceil(batch_size).max(1);
+        Self {
+            graph,
+            partition,
+            freq,
+            shards,
+            iters_per_epoch,
+        }
+    }
+}
+
+/// The latest simulated clock over `workers`.
+fn sim_time(workers: &[WorkerRun<'_>]) -> f64 {
+    workers.iter().map(|me| me.clock.now()).fold(0.0, f64::max)
 }
 
 /// The distributed trainer for one (dataset, topology, strategy) triple.
@@ -637,29 +543,6 @@ impl<'d> Trainer<'d> {
         self
     }
 
-    /// Builds the partition this strategy would train with (also used by
-    /// partition-only experiments). Dispatches through the unified
-    /// [`hetgmp_partition::Partitioner`] interface.
-    pub fn build_partition(&self, graph: &Bigraph) -> Partition {
-        self.strategy
-            .partition
-            .partitioner(self.config.seed)
-            .partition(graph, &self.topology)
-    }
-
-    /// [`Trainer::build_partition`] with `partition.*` telemetry recorded
-    /// into `recorder`.
-    fn build_partition_recorded(
-        &self,
-        graph: &Bigraph,
-        recorder: Arc<dyn Recorder>,
-    ) -> Partition {
-        self.strategy
-            .partition
-            .partitioner_instrumented(self.config.seed, Some(recorder), self.tracer.clone())
-            .partition(graph, &self.topology)
-    }
-
     /// Runs training and returns the measurements.
     ///
     /// # Panics
@@ -671,9 +554,87 @@ impl<'d> Trainer<'d> {
     }
 
     /// Runs training and returns the measurements, or an error when the
-    /// fault schedule does not match the topology or checkpoint I/O fails.
+    /// configuration is invalid ([`TrainerConfig::validate`],
+    /// [`StrategyConfig::validate`], a fault schedule for another worker
+    /// count) or checkpoint I/O fails. Every check runs before any work.
+    ///
+    /// The run goes in phases: set-up (partition, table, workers, resume),
+    /// then per epoch the workers' epoch on one thread each, the barrier,
+    /// the periodic checkpoint and the evaluation, then finish.
     pub fn try_run(&self) -> Result<TrainResult, HetGmpError> {
         let cfg = &self.config;
+        let n = self.topology.num_workers();
+        cfg.validate(n)?;
+        self.strategy.validate()?;
+        let faults = self.fault_schedule()?;
+        if let Some(t) = &self.tracer {
+            t.attach_manifest(self.manifest());
+        }
+
+        // ---- Set-up ----------------------------------------------------------
+        let registry = MetricsRegistry::new(n);
+        let split = self.dataset.split(cfg.test_fraction);
+        let placement = Placement::build(
+            self.dataset.num_features,
+            &split.train,
+            |i| self.dataset.sample(i as usize),
+            self.strategy
+                .partition
+                .partitioner_instrumented(cfg.seed, Some(registry.global()), self.tracer.clone())
+                .as_ref(),
+            &self.topology,
+            cfg.batch_size,
+        );
+        let partition_metrics = match self.strategy.embed_home {
+            EmbedHome::Gpu => Some(PartitionMetrics::compute(
+                &placement.graph,
+                &placement.partition,
+                None,
+            )),
+            EmbedHome::CpuPs => None,
+        };
+        let storage = self.open_table(&registry)?;
+        let auditor = self.auditor();
+        let mut workers = self.workers(storage.as_store(), &placement, &registry, auditor.as_ref());
+        let run = self.run_ctx(&storage, &placement, registry, faults, auditor, &mut workers[0]);
+        let start_epoch = self.resume(&run, &mut workers)?;
+
+        // ---- Epochs ----------------------------------------------------------
+        // The in-memory image crashes roll back to, refreshed at every
+        // checkpoint; only materialised when the schedule can crash.
+        let mut image = run
+            .faults
+            .has_crashes()
+            .then(|| CheckpointImage::capture(run.table(), &workers, run.num_dense));
+        let mut curve: Vec<EvalPoint> = Vec::with_capacity(cfg.epochs);
+        // The evaluation's dense arena, warm after the first chunk.
+        let mut eval_tape = ModelTape::new();
+        let mut time_to_target: Option<f64> = None;
+        // Wall-clock throughput baseline (hotpath.*): simulated time measures
+        // the modelled cluster; wall time measures this implementation.
+        let wall_start = Instant::now();
+        for epoch in start_epoch..=cfg.epochs {
+            if !train_epoch(&run, &mut workers, epoch, image.as_ref()) {
+                break;
+            }
+            barrier(&run, &mut workers);
+            if cfg.checkpoint_every > 0 && epoch % cfg.checkpoint_every == 0 {
+                checkpoint(&run, &mut workers, epoch, &mut image)?;
+            }
+            let point = self.evaluate_epoch(&run, &mut workers, epoch, &split.test, &mut eval_tape);
+            curve.push(point);
+            if cfg.auc_target.is_some_and(|target| point.auc >= target) {
+                time_to_target = Some(point.sim_time);
+                break;
+            }
+        }
+        let wall_secs = wall_start.elapsed().as_secs_f64();
+        Ok(self.finish(&run, &workers, curve, time_to_target, wall_secs, partition_metrics))
+    }
+
+    /// The injected fault schedule (an empty one without
+    /// [`Trainer::with_faults`]), which must cover the topology's workers.
+    fn fault_schedule(&self) -> Result<Arc<FaultSchedule>, HetGmpError> {
         let n = self.topology.num_workers();
         let faults = self
             .faults
@@ -688,143 +649,97 @@ impl<'d> Trainer<'d> {
                 ),
             ));
         }
-        // TrainerBuilder validates the factors, but TrainerConfig's fields
-        // are public and only here is the worker count known.
-        if let Some(scales) = &cfg.compute_scales {
-            if scales.len() != n {
-                return Err(HetGmpError::config(
-                    "compute_scales",
-                    format!("{} slowdown factors for {n} workers", scales.len()),
-                ));
-            }
-            check_compute_scales(scales)?;
-        }
-        check_dense_step(cfg.dense_lr, cfg.grad_clip)?;
-        // Likewise `StrategyConfig::het_cache` and a literal `CacheDesign`
-        // never pass through `StrategyBuilder::build`.
-        self.strategy.cache.validate()?;
-        let mut manifest = RunManifest::new(
-            cfg.seed,
-            RunManifest::digest_of(&config_digest_text(&self.strategy, cfg)),
-            n,
-        );
-        manifest.gemm_isa = Some(hetgmp_tensor::gemm::kernel_tier().to_string());
-        if let Some(t) = &self.tracer {
-            t.attach_manifest(manifest.clone());
-        }
-        let cost = CostModel::new(self.topology.clone()).with_faults(Arc::clone(&faults));
-        // One registry for the whole run: the partitioner records globally,
-        // each worker thread records into its own recorder (no hot-path
-        // contention), and the final snapshot merges everything.
-        let registry = MetricsRegistry::new(n);
-        let auditor = if self.audit.is_on() {
+        Ok(faults)
+    }
+
+    /// The protocol auditor [`Trainer::with_audit`] asked for, checking
+    /// against the strategy's staleness bound.
+    fn auditor(&self) -> Option<Arc<ProtocolAuditor>> {
+        self.audit.is_on().then(|| {
             let bound = match self.strategy.staleness {
                 StalenessBound::Bounded(s) => s as f64,
                 StalenessBound::Infinite => f64::INFINITY,
             };
-            Some(Arc::new(ProtocolAuditor::new(bound, self.audit)))
-        } else {
-            None
-        };
+            Arc::new(ProtocolAuditor::new(bound, self.audit))
+        })
+    }
 
-        // ---- Data & partition ------------------------------------------------
-        let split = self.dataset.split(cfg.test_fraction);
-        let graph = {
-            let rows: Vec<&[u32]> =
-                split.train.iter().map(|&i| self.dataset.sample(i as usize)).collect();
-            Bigraph::from_samples(self.dataset.num_features, &rows)
-        };
-        let partition = self.build_partition_recorded(&graph, registry.global());
-        let partition_metrics = match self.strategy.embed_home {
-            EmbedHome::Gpu => Some(PartitionMetrics::compute(&graph, &partition, None)),
-            EmbedHome::CpuPs => None,
-        };
-        let freq: Vec<u64> = (0..graph.num_embeddings() as u32)
-            .map(|e| graph.emb_frequency(e) as u64)
-            .collect();
+    /// The run's identity stamp: seed, config digest, worker count, build.
+    fn manifest(&self) -> RunManifest {
+        let mut manifest = RunManifest::new(
+            self.config.seed,
+            RunManifest::digest_of(&config_digest_text(&self.strategy, &self.config)),
+            self.topology.num_workers(),
+        );
+        manifest.gemm_isa = Some(hetgmp_tensor::gemm::kernel_tier().to_string());
+        manifest
+    }
 
-        // Worker shards (dataset indices).
-        let shards: Vec<Vec<u32>> = partition
-            .samples_by_partition()
-            .into_iter()
-            .map(|local| local.into_iter().map(|s| split.train[s as usize]).collect())
-            .collect();
-        // Iterations per epoch follow the *mean* shard size (workers with
-        // smaller shards wrap around; persistent cursors even out coverage
-        // across epochs). Using the max would let residual imbalance from
-        // the partitioner's slack inflate every worker's iteration count.
-        let mean_shard =
-            (shards.iter().map(Vec::len).sum::<usize>() as f64 / n as f64).round() as usize;
-        let iters_per_epoch = mean_shard.max(1).div_ceil(cfg.batch_size).max(1);
+    /// A dense model replica; every worker's starts identical.
+    fn new_model(&self) -> CtrModel {
+        let cfg = &self.config;
+        CtrModel::new(cfg.model, self.dataset.num_fields, cfg.dim, &cfg.hidden, cfg.seed)
+    }
 
-        // ---- Shared state ----------------------------------------------------
-        let table = match &cfg.storage {
-            StorageMode::Memory => StorageTable::Memory(ShardedTable::new(
-                self.dataset.num_features,
-                cfg.dim,
-                0.05,
-                cfg.seed,
-            )),
+    /// Opens the primary table in the configured storage tier.
+    fn open_table(&self, registry: &MetricsRegistry) -> Result<StorageTable, HetGmpError> {
+        let cfg = &self.config;
+        let rows = self.dataset.num_features;
+        Ok(match &cfg.storage {
+            StorageMode::Memory => {
+                StorageTable::Memory(ShardedTable::new(rows, cfg.dim, 0.05, cfg.seed))
+            }
             StorageMode::Tiered { budget_bytes, dir } => {
-                let t = TieredTable::try_new(
-                    self.dataset.num_features,
-                    cfg.dim,
-                    0.05,
-                    cfg.seed,
-                    TieredConfig {
-                        budget_bytes: *budget_bytes,
-                        dir: dir.clone(),
-                        ..TieredConfig::default()
-                    },
-                )?;
+                let tiered = TieredConfig {
+                    budget_bytes: *budget_bytes,
+                    dir: dir.clone(),
+                    ..TieredConfig::default()
+                };
+                let t = TieredTable::try_new(rows, cfg.dim, 0.05, cfg.seed, tiered)?;
                 t.attach_recorder(registry.global());
                 if let Some(tr) = &self.tracer {
                     t.attach_tracer(Arc::clone(tr));
                 }
                 StorageTable::Tiered(t)
             }
-        };
-        let group = AllReduceGroup::new(n);
-        let exchange = WriteExchange::new(n);
-        let mut ledger = TrafficLedger::from_registry(&registry);
-        if let Some(t) = &self.tracer {
-            ledger.attach_tracer(Arc::clone(t));
-        }
-        let ledger = ledger;
-        let samples_processed = AtomicU64::new(0);
-        // Training-loss accumulators (fixed-point micro-units so plain
-        // atomics suffice).
-        let loss_sum_micro = AtomicU64::new(0);
-        let loss_batches = AtomicU64::new(0);
+        })
+    }
 
-        // Per-worker persistent state: the one embedding worker, under the
-        // replica policy the strategy names — static vertex-cut replicas
-        // (HET-GMP) or a dynamic LFU cache (HET-style).
-        let mut embeddings: Vec<Box<dyn EmbeddingWorker + '_>> = (0..n as u32)
-            .map(|w| -> Box<dyn EmbeddingWorker + '_> {
+    /// Every worker's persistent state: the one embedding worker, under the
+    /// replica policy the strategy names — static vertex-cut replicas
+    /// (HET-GMP) or a dynamic LFU cache (HET-style) — with its hooks, and
+    /// its model, buffers, clock, cursors, profiler and batch size.
+    fn workers<'t>(
+        &self,
+        table: &'t dyn RowStore,
+        placement: &'t Placement,
+        registry: &MetricsRegistry,
+        auditor: Option<&Arc<ProtocolAuditor>>,
+    ) -> Vec<WorkerRun<'t>> {
+        let cfg = &self.config;
+        let n = self.topology.num_workers();
+        let mut embs: Vec<Box<dyn EmbeddingWorker + 't>> = (0..n as u32)
+            .map(|w| -> Box<dyn EmbeddingWorker + 't> {
+                let (partition, staleness) = (&placement.partition, self.strategy.staleness);
                 match self.strategy.cache {
                     CacheDesign::StaticVertexCut => Box::new(WorkerEmbedding::new(
                         w,
-                        table.as_store(),
-                        &partition,
-                        &freq,
-                        self.strategy.staleness,
+                        table,
+                        partition,
+                        &placement.freq,
+                        staleness,
                     )),
                     CacheDesign::DynamicLfu { capacity_fraction } => {
                         let capacity =
-                            (graph.num_embeddings() as f64 * capacity_fraction) as usize;
+                            (placement.graph.num_embeddings() as f64 * capacity_fraction) as usize;
                         Box::new(CachedWorkerEmbedding::new(
-                            w,
-                            table.as_store(),
-                            &partition,
-                            capacity,
-                            self.strategy.staleness,
+                            w, table, partition, capacity, staleness,
                         ))
                     }
                 }
             })
             .collect();
-        for (w, emb) in embeddings.iter_mut().enumerate() {
+        for (w, emb) in embs.iter_mut().enumerate() {
             // Select the wire format before attaching telemetry: the
             // replica re-prime that a lossy format triggers is initial
             // placement, not steady-state traffic, so it stays uncharged
@@ -835,522 +750,187 @@ impl<'d> Trainer<'d> {
             // rows, so this never perturbs the training trajectory.
             emb.set_read_path(cfg.read_path);
             emb.attach_recorder(registry.worker(w));
-            if let Some(a) = &auditor {
+            if let Some(a) = auditor {
                 emb.attach_auditor(Arc::clone(a));
             }
             if let Some(t) = &self.tracer {
                 emb.attach_tracer(Arc::clone(t));
             }
-            // Hooks must survive every construction path (a regression here
-            // once silently dropped the auditor when a cache design rebuilt
-            // its inner worker).
-            debug_assert_eq!(
-                emb.hooks_attached(),
-                (true, auditor.is_some(), self.tracer.is_some()),
-                "telemetry hooks dropped on worker {w}"
-            );
         }
-        let mut models: Vec<CtrModel> = (0..n)
-            .map(|_| {
-                CtrModel::new(
-                    cfg.model,
-                    self.dataset.num_fields,
-                    cfg.dim,
-                    &cfg.hidden,
-                    cfg.seed, // identical init across workers
-                )
+        // Compute scales and (optionally) speed-proportional batch sizes so
+        // a straggler's BSP iteration takes as long as its peers'.
+        let scales: Vec<f64> = cfg.compute_scales.clone().unwrap_or_else(|| vec![1.0; n]);
+        let mean_speed = scales.iter().map(|&s| 1.0 / s).sum::<f64>() / n as f64;
+        embs.into_iter()
+            .enumerate()
+            .map(|(w, emb)| WorkerRun {
+                w,
+                emb,
+                model: self.new_model(),
+                slot: StepCtx::new(),
+                clock: SimClock::with_recorder(registry.worker(w)),
+                cursor: 0,
+                fstate: WorkerFaultState::default(),
+                profiler: StageProfiler::new(),
+                recorder: registry.worker(w),
+                compute_scale: scales[w],
+                batch_size: if cfg.hetero_aware_batching {
+                    let speed = 1.0 / scales[w];
+                    ((cfg.batch_size as f64 * speed / mean_speed).round() as usize).max(1)
+                } else {
+                    cfg.batch_size
+                },
             })
-            .collect();
-        // One batch slot per worker: every per-batch buffer (tape arena,
-        // embedding input, gradients) lives inside it for the whole run
-        // (zero steady-state allocations).
-        let mut slots: Vec<StepCtx> = (0..n).map(|_| StepCtx::new()).collect();
-        // Per-worker stage profilers persist across epochs (their timer
-        // calibration is paid once) and flush into the worker recorders at
-        // every epoch boundary.
-        let mut profilers: Vec<StageProfiler> = (0..n).map(|_| StageProfiler::new()).collect();
-        let dense_bytes = cfg.sync_format.dense_wire_bytes(models[0].num_dense_params());
-        let flops_per_sample = models[0].flops_per_sample();
-        // Per-worker compute scales and (optionally) speed-proportional
-        // batch sizes so a straggler's BSP iteration takes as long as its
-        // peers'.
-        let compute_scales: Vec<f64> =
-            cfg.compute_scales.clone().unwrap_or_else(|| vec![1.0; n]);
-        let batch_sizes: Vec<usize> = if cfg.hetero_aware_batching {
-            let speeds: Vec<f64> = compute_scales.iter().map(|&s| 1.0 / s).collect();
-            let mean_speed = speeds.iter().sum::<f64>() / n as f64;
-            speeds
-                .iter()
-                .map(|&sp| ((cfg.batch_size as f64 * sp / mean_speed).round() as usize).max(1))
-                .collect()
-        } else {
-            vec![cfg.batch_size; n]
-        };
-        let mut clocks: Vec<SimClock> = (0..n)
-            .map(|w| SimClock::with_recorder(registry.worker(w)))
-            .collect();
-        let mut cursors: Vec<usize> = vec![0; n];
-        let mut fault_states: Vec<WorkerFaultState> =
-            (0..n).map(|_| WorkerFaultState::default()).collect();
-        let nonfinite = AtomicU64::new(0);
-        let num_dense = models[0].num_dense_params();
+            .collect()
+    }
 
-        // ---- Resume ----------------------------------------------------------
-        let mut start_epoch = 1usize;
-        if let Some(path) = &cfg.resume_from {
-            let file = File::open(path).map_err(|e| HetGmpError::io(path.clone(), e))?;
-            let state = load_run(table.as_store(), &mut BufReader::new(file))
-                .map_err(|e| e.into_workspace(path.clone()))?;
-            if state.workers.len() != n {
+    /// The context every worker thread shares, taking the dense-model
+    /// constants from `first`'s replica.
+    fn run_ctx<'a>(
+        &'a self,
+        storage: &'a StorageTable,
+        placement: &'a Placement,
+        registry: MetricsRegistry,
+        faults: Arc<FaultSchedule>,
+        auditor: Option<Arc<ProtocolAuditor>>,
+        first: &mut WorkerRun<'_>,
+    ) -> RunCtx<'a> {
+        let cfg = &self.config;
+        let n = self.topology.num_workers();
+        let num_dense = first.model.num_dense_params();
+        let mut ledger = TrafficLedger::from_registry(&registry);
+        if let Some(t) = &self.tracer {
+            ledger.attach_tracer(Arc::clone(t));
+        }
+        RunCtx {
+            cfg,
+            strategy: &self.strategy,
+            dataset: self.dataset,
+            topology: &self.topology,
+            storage,
+            partition: &placement.partition,
+            shards: &placement.shards,
+            iters_per_epoch: placement.iters_per_epoch,
+            cost: CostModel::new(self.topology.clone()).with_faults(Arc::clone(&faults)),
+            faults,
+            registry,
+            group: AllReduceGroup::new(n),
+            exchange: WriteExchange::new(n),
+            ledger,
+            tracer: self.tracer.as_deref(),
+            auditor,
+            num_dense,
+            dense_bytes: cfg.sync_format.dense_wire_bytes(num_dense),
+            flops_per_sample: first.model.flops_per_sample(),
+            row_bytes: cfg.sync_format.row_wire_bytes(cfg.dim),
+            samples: AtomicU64::new(0),
+            loss_sum_micro: AtomicU64::new(0),
+            loss_batches: AtomicU64::new(0),
+            nonfinite: AtomicU64::new(0),
+        }
+    }
+
+    /// Restores [`TrainerConfig::resume_from`] into the table and every
+    /// worker — dense model, shard cursor, simulated clock, fault cursor —
+    /// and returns the first epoch to train (1 without a checkpoint).
+    fn resume(
+        &self,
+        run: &RunCtx<'_>,
+        workers: &mut [WorkerRun<'_>],
+    ) -> Result<usize, HetGmpError> {
+        let Some(path) = &self.config.resume_from else {
+            return Ok(1);
+        };
+        let file = File::open(path).map_err(|e| HetGmpError::io(path.clone(), e))?;
+        let state = load_run(run.table(), &mut BufReader::new(file))
+            .map_err(|e| e.into_workspace(path.clone()))?;
+        if state.workers.len() != workers.len() {
+            return Err(HetGmpError::config(
+                "resume_from",
+                format!(
+                    "checkpoint has {} workers but topology has {}",
+                    state.workers.len(),
+                    workers.len()
+                ),
+            ));
+        }
+        for (me, ws) in workers.iter_mut().zip(&state.workers) {
+            if ws.dense_params.len() != run.num_dense {
                 return Err(HetGmpError::config(
                     "resume_from",
                     format!(
-                        "checkpoint has {} workers but topology has {n}",
-                        state.workers.len()
+                        "checkpoint dense model has {} parameters but this \
+                         configuration has {}",
+                        ws.dense_params.len(),
+                        run.num_dense
                     ),
                 ));
             }
-            for (w, ws) in state.workers.iter().enumerate() {
-                if ws.dense_params.len() != num_dense {
-                    return Err(HetGmpError::config(
-                        "resume_from",
-                        format!(
-                            "checkpoint dense model has {} parameters but this \
-                             configuration has {num_dense}",
-                            ws.dense_params.len()
-                        ),
-                    ));
-                }
-                models[w].load_params(&ws.dense_params);
-                cursors[w] = ws.cursor as usize;
-                // Seeding the resumed clock is a free forward jump: the time
-                // before the checkpoint was already charged by the original
-                // run.
-                clocks[w].wait_until(ws.sim_time);
-                // Skip fault events the original run already took.
-                let events = faults.worker_faults(w);
-                while fault_states[w].next < events.len()
-                    && events[fault_states[w].next].at <= ws.sim_time
-                {
-                    fault_states[w].next += 1;
-                }
-            }
-            start_epoch = state.epoch as usize + 1;
-        }
-
-        // In-memory image crashes roll back to; refreshed at every
-        // checkpoint save. Only materialised when the schedule can crash.
-        let mut ckpt_image: Option<Arc<CheckpointImage>> = faults
-            .has_crashes()
-            .then(|| Arc::new(CheckpointImage::capture(table.as_store(), &clocks, num_dense)));
-
-        let worker_recorders: Vec<Arc<dyn Recorder>> = (0..n)
-            .map(|w| registry.worker(w) as Arc<dyn Recorder>)
-            .collect();
-
-        let strategy = &self.strategy;
-        let dataset = self.dataset;
-        let topology = &self.topology;
-        let cost_ref = &cost;
-        let group_ref = &group;
-        let exchange_ref = &exchange;
-        let ledger_ref = &ledger;
-        let samples_ctr = &samples_processed;
-        let loss_sum_ref = &loss_sum_micro;
-        let loss_batches_ref = &loss_batches;
-        let tracer_ref: Option<&TraceCollector> = self.tracer.as_deref();
-        let auditor_ref: Option<&ProtocolAuditor> = auditor.as_deref();
-        let faults_ref: &FaultSchedule = &faults;
-        let nonfinite_ref = &nonfinite;
-        let table_ref: &dyn RowStore = table.as_store();
-        let partition_ref = &partition;
-
-        // ---- Epoch loop ------------------------------------------------------
-        let mut curve: Vec<EvalPoint> = Vec::with_capacity(cfg.epochs);
-        // The evaluation's dense arena, warm after the first epoch's first
-        // chunk.
-        let mut eval_tape = ModelTape::new();
-        let mut time_to_target: Option<f64> = None;
-        // Wall-clock throughput baseline (hotpath.*): simulated time measures
-        // the modelled cluster; wall time measures this implementation.
-        let wall_start = Instant::now();
-        for epoch in start_epoch..=cfg.epochs {
-            loss_sum_micro.store(0, Ordering::Relaxed);
-            loss_batches.store(0, Ordering::Relaxed);
-            // Buffer-aware eviction: hand the tiered store this epoch's
-            // predicted page touch sequence before the workers start. Pure
-            // eviction policy — see `plan_epoch_pages`.
-            if let StorageTable::Tiered(tt) = &table {
-                let plan = plan_epoch_pages(
-                    tt,
-                    dataset,
-                    &shards,
-                    &cursors,
-                    &batch_sizes,
-                    iters_per_epoch,
-                );
-                tt.set_epoch_plan(&plan);
-            }
-            std::thread::scope(|scope| {
-                // Move disjoint &mut of per-worker state into threads.
-                for (w, (((((emb, model), (clock, cursor)), fstate), slot), profiler)) in
-                    embeddings
-                        .iter_mut()
-                        .zip(models.iter_mut())
-                        .zip(clocks.iter_mut().zip(cursors.iter_mut()))
-                        .zip(fault_states.iter_mut())
-                        .zip(slots.iter_mut())
-                        .zip(profilers.iter_mut())
-                        .enumerate()
-                {
-                    let shard = &shards[w];
-                    let compute_scale = compute_scales[w];
-                    let batch_size = batch_sizes[w];
-                    let image = ckpt_image.clone();
-                    let recorder = Arc::clone(&worker_recorders[w]);
-                    scope.spawn(move || {
-                        run_worker_epoch(WorkerEpoch {
-                            w,
-                            shard,
-                            dataset,
-                            emb: &mut **emb,
-                            model,
-                            slot,
-                            clock,
-                            cursor,
-                            iters: iters_per_epoch,
-                            epoch,
-                            cfg,
-                            strategy,
-                            topology,
-                            cost: cost_ref,
-                            group: group_ref,
-                            exchange: exchange_ref,
-                            ledger: ledger_ref,
-                            dense_bytes,
-                            flops_per_sample,
-                            samples: samples_ctr,
-                            loss_sum_micro: loss_sum_ref,
-                            loss_batches: loss_batches_ref,
-                            compute_scale,
-                            batch_size,
-                            tracer: tracer_ref,
-                            auditor: auditor_ref,
-                            table: table_ref,
-                            partition: partition_ref,
-                            faults: faults_ref,
-                            fstate,
-                            image,
-                            nonfinite: nonfinite_ref,
-                            recorder,
-                            profiler,
-                        });
-                    });
-                }
-            });
-
-            // Per-stage histograms leave the workers once per epoch — one
-            // merge per (stage, kind) per worker, off the hot path.
-            for (w, prof) in profilers.iter_mut().enumerate() {
-                prof.flush(worker_recorders[w].as_ref());
-            }
-
-            // The epoch's plan is spent; the barrier work below (flushes,
-            // replica refresh, checkpointing, evaluation) runs on plain LRU.
-            if let StorageTable::Tiered(tt) = &table {
-                tt.clear_epoch_plan();
-            }
-
-            // Strict audit: a tripped auditor aborted every worker at the
-            // last iteration boundary; abandon the run without evaluating.
-            if auditor.as_ref().is_some_and(|a| a.is_tripped()) {
-                break;
-            }
-
-            // ---- Evaluation barrier -----------------------------------------
-            // Flush deferred secondary gradients so the evaluation (and the
-            // next epoch) sees every update; charge the write-backs.
-            for (w, (emb, clock)) in embeddings.iter_mut().zip(clocks.iter_mut()).enumerate() {
-                let rep = emb.flush_all(&cfg.embed_opt);
-                if rep.data_bytes > 0 {
-                    let mut t = 0.0;
-                    for (dst, &bytes) in rep.data_bytes_by_dst.iter().enumerate() {
-                        if bytes > 0 {
-                            t += cost.transfer_time_at(w, dst, bytes, clock.now());
-                        }
-                    }
-                    clock.advance(TimeCategory::EmbedComm, t);
-                    ledger.record(w, TrafficClass::EmbedData, rep.data_bytes, rep.messages);
-                    ledger.record(w, TrafficClass::KeysClocks, rep.meta_bytes, rep.messages);
-                }
-            }
-            // Second pass, after *every* worker has flushed: re-prime local
-            // replicas from the now-final table. This makes the state
-            // entering the next epoch identical to what a checkpoint resume
-            // reconstructs (resumed workers warm-load replicas from the
-            // restored table), so a resumed run replays the uninterrupted
-            // run's math.
-            for (w, (emb, clock)) in embeddings.iter_mut().zip(clocks.iter_mut()).enumerate() {
-                let refreshed = emb.sync_replicas();
-                if refreshed > 0 {
-                    let bytes = refreshed.saturating_mul(cfg.sync_format.row_wire_bytes(cfg.dim));
-                    clock.advance(TimeCategory::EmbedComm, mean_link_time(w, &cost, bytes));
-                    ledger.record(w, TrafficClass::EmbedData, bytes, refreshed);
-                }
-            }
-
-            // ---- Periodic checkpoint ----------------------------------------
-            // Written at the epoch boundary, after the flush above: nothing is
-            // pending, so the file captures an exact, resumable state.
-            if cfg.checkpoint_every > 0 && epoch % cfg.checkpoint_every == 0 {
-                // TrainerBuilder validates this pairing, but TrainerConfig's
-                // fields are public — a hand-built config can reach here with
-                // no directory, and that must surface as a config error, not
-                // a panic.
-                let dir = cfg.checkpoint_dir.as_ref().ok_or_else(|| {
-                    HetGmpError::config(
-                        "checkpoint_dir",
-                        "checkpoint_every > 0 but checkpoint_dir is unset",
-                    )
-                })?;
-                std::fs::create_dir_all(dir).map_err(|e| HetGmpError::io(dir.clone(), e))?;
-                let state = RunState {
-                    epoch: epoch as u64,
-                    workers: (0..n)
-                        .map(|w| WorkerState {
-                            sim_time: clocks[w].now(),
-                            cursor: cursors[w] as u64,
-                            dense_params: models[w].flatten_params(),
-                        })
-                        .collect(),
-                };
-                let path = dir.join(format!("ckpt-epoch-{epoch}.hgmr"));
-                let file = File::create(&path).map_err(|e| HetGmpError::io(path.clone(), e))?;
-                let mut writer = BufWriter::new(file);
-                let bytes = save_run(table.as_store(), &state, &mut writer)
-                    .map_err(|e| e.into_workspace(path.clone()))?;
-                // Every worker streams its shard of the image over the host
-                // link in parallel; charge each one its share.
-                let io_t =
-                    cost.link_transfer_time(LinkClass::HostPcie, bytes / n.max(1) as u64);
-                let ckpt_start = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-                for clock in clocks.iter_mut() {
-                    clock.advance(TimeCategory::HostIo, io_t);
-                }
-                registry.global().counter_add(names::CHECKPOINT_SAVES, 1);
-                registry.global().counter_add(names::CHECKPOINT_BYTES, bytes);
-                if let Some(t) = &self.tracer {
-                    t.driver_span(
-                        names::TRACE_CHECKPOINT,
-                        ckpt_start,
-                        io_t,
-                        &[
-                            ("epoch", Json::U64(epoch as u64)),
-                            ("bytes", Json::U64(bytes)),
-                        ],
-                    );
-                }
-                // Future crashes roll back to this image instead of the
-                // start-of-run one.
-                if ckpt_image.is_some() {
-                    ckpt_image = Some(Arc::new(CheckpointImage::capture(
-                        table.as_store(),
-                        &clocks,
-                        num_dense,
-                    )));
-                }
-            }
-
-            let sim_time = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-            let (auc_v, ll) =
-                self.evaluate(&mut models, table.as_store(), &split.test, &mut eval_tape);
-            let batches = loss_batches.load(Ordering::Relaxed).max(1);
-            let train_loss =
-                loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
-            curve.push(EvalPoint {
-                epoch,
-                sim_time,
-                auc: auc_v,
-                log_loss: ll,
-                train_loss,
-            });
-            registry.global().gauge_set(names::TRAIN_AUC, auc_v);
-            registry.global().gauge_set(names::TRAIN_SIM_TIME, sim_time);
-            if let Some(target) = cfg.auc_target {
-                if auc_v >= target && time_to_target.is_none() {
-                    time_to_target = Some(sim_time);
-                    break;
-                }
+            me.model.load_params(&ws.dense_params);
+            me.cursor = ws.cursor as usize;
+            // Seeding the resumed clock is a free forward jump: the time
+            // before the checkpoint was already charged by the original run.
+            me.clock.wait_until(ws.sim_time);
+            // Skip fault events the original run already took.
+            let events = run.faults.worker_faults(me.w);
+            while me.fstate.next < events.len() && events[me.fstate.next].at <= ws.sim_time {
+                me.fstate.next += 1;
             }
         }
+        Ok(state.epoch as usize + 1)
+    }
 
-        let per_worker: Vec<TimeBreakdown> = clocks.iter().map(|c| *c.breakdown()).collect();
-        let mut breakdown = TimeBreakdown::default();
-        for b in &per_worker {
-            breakdown = breakdown.merged(b);
-        }
-        let sim_time = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-        let samples_total = samples_processed.load(Ordering::Relaxed);
-        let final_auc = curve.last().map_or(0.5, |p| p.auc);
-        registry
-            .global()
-            .counter_add(names::TRAIN_SAMPLES, samples_total);
-        registry.global().gauge_set(names::TRAIN_SIM_TIME, sim_time);
-        registry.global().gauge_set(names::TRAIN_AUC, final_auc);
-        let wall_secs = wall_start.elapsed().as_secs_f64();
-        registry.global().gauge_set(
-            names::HOTPATH_SAMPLES_PER_SEC,
-            if wall_secs > 0.0 {
-                samples_total as f64 / wall_secs
-            } else {
-                0.0
-            },
-        );
-        registry.global().gauge_set(
-            names::HOTPATH_LOCK_ACQUISITIONS,
-            table.as_store().lock_acquisitions() as f64,
-        );
-        // Read-path accounting: how many row reads the seqlock snapshot
-        // path served, how often a torn version word forced a retry, and
-        // how many rows fell back to the locked path (contention or a
-        // tiered page fault). The mode gauge lets `inspect report` state
-        // which path the run used without parsing argv.
-        let rp = table.as_store().read_path_stats();
-        registry
-            .global()
-            .counter_add(names::HOTPATH_READ_SNAPSHOT, rp.snapshot_rows);
-        registry
-            .global()
-            .counter_add(names::HOTPATH_READ_RETRIES, rp.retries);
-        registry
-            .global()
-            .counter_add(names::HOTPATH_READ_FALLBACK, rp.fallback_rows);
-        registry.global().gauge_set(
-            names::HOTPATH_READ_MODE,
-            match cfg.read_path {
-                ReadPath::Snapshot => 1.0,
-                ReadPath::Locked => 0.0,
-            },
-        );
-        // Capacity telemetry (tiered runs only, so `inspect report` can
-        // gate its capacity section on `capacity.budget_bytes`): the
-        // buffer-manager counters accumulated through the attached recorder
-        // during the run; the resident/spilled byte split is set here —
-        // disjoint by construction, so RAM accounting never double-counts
-        // partitions whose authoritative copy is on disk.
-        let capacity = match &table {
-            StorageTable::Tiered(tt) => {
-                let cs = tt.capacity_stats();
-                registry
-                    .global()
-                    .gauge_set(names::CAPACITY_RESIDENT_BYTES, cs.resident_bytes as f64);
-                registry
-                    .global()
-                    .gauge_set(names::CAPACITY_SPILLED_BYTES, cs.spilled_bytes as f64);
-                registry
-                    .global()
-                    .gauge_set(names::CAPACITY_BUDGET_BYTES, cs.budget_bytes as f64);
-                Some(cs)
-            }
-            StorageTable::Memory(_) => None,
-        };
-        // Dense-engine telemetry, aggregated over every slot's tape: real
-        // GEMM work done, arena high-water mark, steady-state allocation
-        // violations (must stay 0), and dense-path-only throughput.
-        registry.global().counter_add(
-            names::DENSE_GEMM_FLOPS,
-            slots.iter().map(|s| s.tape.flops()).sum::<u64>(),
-        );
-        registry.global().gauge_set(
-            names::DENSE_ARENA_BYTES,
-            slots.iter().map(|s| s.tape.arena_bytes()).sum::<usize>() as f64,
-        );
-        registry.global().gauge_set(
-            names::DENSE_TAPE_GROWTH,
-            slots.iter().map(|s| s.tape.post_warmup_growth()).sum::<u64>() as f64,
-        );
-        let dense_secs: f64 = slots.iter().map(|s| s.tape.dense_secs).sum();
-        let dense_samples: u64 = slots.iter().map(|s| s.tape.dense_samples).sum();
-        registry.global().gauge_set(
-            names::DENSE_SAMPLES_PER_SEC,
-            if dense_secs > 0.0 {
-                dense_samples as f64 / dense_secs
-            } else {
-                0.0
-            },
-        );
-        // How much overlappable simulated communication hid behind compute
-        // (`strategy.overlap`).
-        let hidden: f64 = clocks.iter().map(|c| c.hidden_secs()).sum();
-        let overlappable: f64 = clocks.iter().map(|c| c.overlappable_secs()).sum();
-        registry.global().gauge_set(
-            names::PIPELINE_OVERLAP_RATIO,
-            if overlappable > 0.0 { hidden / overlappable } else { 0.0 },
-        );
-        // What the profilers cost this run: their own bookkeeping plus the
-        // calibrated price of every timestamp the stage loops took.
-        // The benchmark ledger reports it as `telemetry.profiler_overhead_pct`.
-        registry.global().gauge_set(
-            names::TELEMETRY_OVERHEAD_SECS,
-            profilers.iter().map(StageProfiler::overhead_secs).sum::<f64>(),
-        );
-        Ok(TrainResult {
-            strategy: self.strategy.name.clone(),
-            final_auc,
+    /// Evaluates the epoch's models on the test split and records the
+    /// curve point.
+    fn evaluate_epoch(
+        &self,
+        run: &RunCtx<'_>,
+        workers: &mut [WorkerRun<'_>],
+        epoch: usize,
+        test: &[u32],
+        tape: &mut ModelTape,
+    ) -> EvalPoint {
+        let sim_time = sim_time(workers);
+        let models = workers.iter_mut().map(|me| &mut me.model);
+        let (auc_v, ll) = self.evaluate(models, run.table(), test, tape);
+        let batches = run.loss_batches.load(Ordering::Relaxed).max(1);
+        let train_loss = run.loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
+        run.registry.global().gauge_set(names::TRAIN_AUC, auc_v);
+        run.registry.global().gauge_set(names::TRAIN_SIM_TIME, sim_time);
+        EvalPoint {
+            epoch,
             sim_time,
-            time_to_target,
-            samples_processed: samples_total,
-            throughput: if sim_time > 0.0 {
-                samples_total as f64 / sim_time
-            } else {
-                0.0
-            },
-            breakdown,
-            per_worker,
-            traffic_bytes: [
-                ledger.total_bytes(TrafficClass::EmbedData),
-                ledger.total_bytes(TrafficClass::KeysClocks),
-                ledger.total_bytes(TrafficClass::AllReduce),
-            ],
-            partition_metrics,
-            telemetry: registry.snapshot(),
-            audit: auditor.as_ref().map(|a| a.summary()),
-            nonfinite_batches: nonfinite.load(Ordering::Relaxed),
-            manifest,
-            capacity,
-            curve,
-        })
+            auc: auc_v,
+            log_loss: ll,
+            train_loss,
+        }
     }
 
     /// Evaluates test AUC/log-loss with the mean dense model and the fresh
     /// global embedding table, one [`EVAL_CHUNK`] of samples at a time
     /// through `tape` (each chunk closes with [`ModelTape::end_batch`]).
-    fn evaluate(
+    fn evaluate<'m>(
         &self,
-        models: &mut [CtrModel],
+        models: impl IntoIterator<Item = &'m mut CtrModel>,
         table: &dyn RowStore,
         test: &[u32],
         tape: &mut ModelTape,
     ) -> (f64, f64) {
         let cfg = &self.config;
-        let n = models.len();
         // Mean dense parameters (identical under BSP; averaged under ASP).
-        let mut mean = models[0].flatten_params();
-        for model in models.iter_mut().skip(1) {
+        let mut models = models.into_iter();
+        let mut mean = models.next().expect("at least one worker").flatten_params();
+        let mut n = 1usize;
+        for model in models {
             for (m, x) in mean.iter_mut().zip(model.flatten_params()) {
                 *m += x;
             }
+            n += 1;
         }
         for m in &mut mean {
             *m /= n as f32;
         }
-        let mut eval_model = CtrModel::new(
-            cfg.model,
-            self.dataset.num_fields,
-            cfg.dim,
-            &cfg.hidden,
-            cfg.seed,
-        );
+        let mut eval_model = self.new_model();
         eval_model.load_params(&mean);
 
         let take = test.len().min(cfg.max_eval_samples);
@@ -1381,18 +961,270 @@ impl<'d> Trainer<'d> {
         }
         (auc(&scores, &labels), log_loss(&scores, &labels))
     }
+
+    /// Records the run's closing telemetry and assembles the result.
+    fn finish(
+        &self,
+        run: &RunCtx<'_>,
+        workers: &[WorkerRun<'_>],
+        curve: Vec<EvalPoint>,
+        time_to_target: Option<f64>,
+        wall_secs: f64,
+        partition_metrics: Option<PartitionMetrics>,
+    ) -> TrainResult {
+        let per_worker: Vec<TimeBreakdown> =
+            workers.iter().map(|me| *me.clock.breakdown()).collect();
+        let mut breakdown = TimeBreakdown::default();
+        for b in &per_worker {
+            breakdown = breakdown.merged(b);
+        }
+        let sim_time = sim_time(workers);
+        let samples_total = run.samples.load(Ordering::Relaxed);
+        let final_auc = curve.last().map_or(0.5, |p| p.auc);
+        let global = run.registry.global();
+        global.counter_add(names::TRAIN_SAMPLES, samples_total);
+        global.gauge_set(names::TRAIN_SIM_TIME, sim_time);
+        global.gauge_set(names::TRAIN_AUC, final_auc);
+        global.gauge_set(
+            names::HOTPATH_SAMPLES_PER_SEC,
+            if wall_secs > 0.0 {
+                samples_total as f64 / wall_secs
+            } else {
+                0.0
+            },
+        );
+        let capacity = record_closing_gauges(run, workers);
+        TrainResult {
+            strategy: self.strategy.name.clone(),
+            final_auc,
+            sim_time,
+            time_to_target,
+            samples_processed: samples_total,
+            throughput: if sim_time > 0.0 {
+                samples_total as f64 / sim_time
+            } else {
+                0.0
+            },
+            breakdown,
+            per_worker,
+            traffic_bytes: [
+                run.ledger.total_bytes(TrafficClass::EmbedData),
+                run.ledger.total_bytes(TrafficClass::KeysClocks),
+                run.ledger.total_bytes(TrafficClass::AllReduce),
+            ],
+            partition_metrics,
+            telemetry: run.registry.snapshot(),
+            audit: run.auditor.as_ref().map(|a| a.summary()),
+            nonfinite_batches: run.nonfinite.load(Ordering::Relaxed),
+            manifest: self.manifest(),
+            capacity,
+            curve,
+        }
+    }
 }
 
-/// Per-worker fault-injection cursor and accumulated downtime, persistent
-/// across epochs (the schedule is consumed once per run).
-#[derive(Debug, Default)]
-pub(crate) struct WorkerFaultState {
-    /// Index of the next unconsumed event in `faults.worker_faults(w)`.
-    pub(crate) next: usize,
-    /// Total stall seconds charged so far (gauge source).
-    pub(crate) stall_secs: f64,
-    /// Total crash-recovery seconds charged so far (gauge source).
-    pub(crate) recovery_secs: f64,
+/// One epoch on every worker, one thread each, between the tiered store's
+/// epoch plan and the stage-profiler flush. Returns `false` when a strict
+/// audit tripped: every worker then left at the same iteration boundary
+/// and the run is abandoned without evaluating.
+fn train_epoch(
+    run: &RunCtx<'_>,
+    workers: &mut [WorkerRun<'_>],
+    epoch: usize,
+    image: Option<&CheckpointImage>,
+) -> bool {
+    run.loss_sum_micro.store(0, Ordering::Relaxed);
+    run.loss_batches.store(0, Ordering::Relaxed);
+    // Buffer-aware eviction: hand the tiered store this epoch's predicted
+    // page touch sequence before the workers start. Pure eviction policy —
+    // see `plan_epoch_pages`.
+    if let StorageTable::Tiered(tt) = run.storage {
+        tt.set_epoch_plan(&plan_epoch_pages(tt, run, workers));
+    }
+    std::thread::scope(|scope| {
+        for me in workers.iter_mut() {
+            scope.spawn(move || run_worker_epoch(run, me, epoch, image));
+        }
+    });
+    // Per-stage histograms leave the workers once per epoch — one merge
+    // per (stage, kind) per worker, off the hot path.
+    for me in workers.iter_mut() {
+        me.profiler.flush(me.recorder.as_ref());
+    }
+    // The epoch's plan is spent; the barrier work after it (flushes,
+    // replica refresh, checkpointing, evaluation) runs on plain LRU.
+    if let StorageTable::Tiered(tt) = run.storage {
+        tt.clear_epoch_plan();
+    }
+    !run.auditor.as_ref().is_some_and(|a| a.is_tripped())
+}
+
+/// The epoch barrier, in two passes. First every worker flushes its
+/// deferred secondary gradients, so the evaluation (and the next epoch)
+/// sees every update; the write-backs are charged. Then, after *every*
+/// worker has flushed, each re-primes its local replicas from the
+/// now-final table. This makes the state entering the next epoch identical
+/// to what a checkpoint resume reconstructs (resumed workers warm-load
+/// replicas from the restored table), so a resumed run replays the
+/// uninterrupted run's math.
+fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
+    for me in workers.iter_mut() {
+        let rep = me.emb.flush_all(&run.cfg.embed_opt);
+        if rep.data_bytes > 0 {
+            let mut t = 0.0;
+            for (dst, &bytes) in rep.data_bytes_by_dst.iter().enumerate() {
+                if bytes > 0 {
+                    t += run.cost.transfer_time_at(me.w, dst, bytes, me.clock.now());
+                }
+            }
+            me.clock.advance(TimeCategory::EmbedComm, t);
+            run.ledger.record(me.w, TrafficClass::EmbedData, rep.data_bytes, rep.messages);
+            run.ledger.record(me.w, TrafficClass::KeysClocks, rep.meta_bytes, rep.messages);
+        }
+    }
+    for me in workers.iter_mut() {
+        let refreshed = me.emb.sync_replicas();
+        if refreshed > 0 {
+            let bytes = refreshed.saturating_mul(run.row_bytes);
+            me.clock.advance(TimeCategory::EmbedComm, mean_link_time(me.w, &run.cost, bytes));
+            run.ledger.record(me.w, TrafficClass::EmbedData, bytes, refreshed);
+        }
+    }
+}
+
+/// Writes `ckpt-epoch-<epoch>.hgmr`. Runs after the barrier, so nothing is
+/// pending and the file captures an exact, resumable state; then moves
+/// the crash image (if the run keeps one) up to this point.
+fn checkpoint(
+    run: &RunCtx<'_>,
+    workers: &mut [WorkerRun<'_>],
+    epoch: usize,
+    image: &mut Option<CheckpointImage>,
+) -> Result<(), HetGmpError> {
+    let dir = (run.cfg.checkpoint_dir.as_ref())
+        .expect("TrainerConfig::validate pairs checkpoint_every with a checkpoint_dir");
+    std::fs::create_dir_all(dir).map_err(|e| HetGmpError::io(dir.clone(), e))?;
+    let state = RunState {
+        epoch: epoch as u64,
+        workers: workers
+            .iter_mut()
+            .map(|me| WorkerState {
+                sim_time: me.clock.now(),
+                cursor: me.cursor as u64,
+                dense_params: me.model.flatten_params(),
+            })
+            .collect(),
+    };
+    let path = dir.join(format!("ckpt-epoch-{epoch}.hgmr"));
+    let file = File::create(&path).map_err(|e| HetGmpError::io(path.clone(), e))?;
+    let bytes = save_run(run.table(), &state, &mut BufWriter::new(file))
+        .map_err(|e| e.into_workspace(path.clone()))?;
+    // Every worker streams its shard of the image over the host link in
+    // parallel; charge each one its share.
+    let io_t = run
+        .cost
+        .link_transfer_time(LinkClass::HostPcie, bytes / workers.len().max(1) as u64);
+    let ckpt_start = sim_time(workers);
+    for me in workers.iter_mut() {
+        me.clock.advance(TimeCategory::HostIo, io_t);
+    }
+    run.registry.global().counter_add(names::CHECKPOINT_SAVES, 1);
+    run.registry.global().counter_add(names::CHECKPOINT_BYTES, bytes);
+    if let Some(t) = run.tracer {
+        t.driver_span(
+            names::TRACE_CHECKPOINT,
+            ckpt_start,
+            io_t,
+            &[("epoch", Json::U64(epoch as u64)), ("bytes", Json::U64(bytes))],
+        );
+    }
+    // Future crashes roll back to this image instead of the start-of-run
+    // one.
+    if image.is_some() {
+        *image = Some(CheckpointImage::capture(run.table(), workers, run.num_dense));
+    }
+    Ok(())
+}
+
+/// The run's closing gauges beyond the training curve: lock and read-path
+/// accounting, tiered capacity, the dense engine's work and arena, the
+/// communication overlap and the profilers' own cost. Returns the tiered
+/// store's capacity stats (`None` for RAM-only runs).
+fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<CapacityStats> {
+    let global = run.registry.global();
+    let table = run.table();
+    global.gauge_set(names::HOTPATH_LOCK_ACQUISITIONS, table.lock_acquisitions() as f64);
+    // Read-path accounting: how many row reads the seqlock snapshot path
+    // served, how often a torn version word forced a retry, and how many
+    // rows fell back to the locked path (contention or a tiered page
+    // fault). The mode gauge lets `inspect report` state which path the
+    // run used without parsing argv.
+    let rp = table.read_path_stats();
+    global.counter_add(names::HOTPATH_READ_SNAPSHOT, rp.snapshot_rows);
+    global.counter_add(names::HOTPATH_READ_RETRIES, rp.retries);
+    global.counter_add(names::HOTPATH_READ_FALLBACK, rp.fallback_rows);
+    global.gauge_set(
+        names::HOTPATH_READ_MODE,
+        match run.cfg.read_path {
+            ReadPath::Snapshot => 1.0,
+            ReadPath::Locked => 0.0,
+        },
+    );
+    // Capacity telemetry (tiered runs only, so `inspect report` can gate
+    // its capacity section on `capacity.budget_bytes`): the buffer-manager
+    // counters accumulated through the attached recorder during the run;
+    // the resident/spilled byte split is set here — disjoint by
+    // construction, so RAM accounting never double-counts partitions whose
+    // authoritative copy is on disk.
+    let capacity = match run.storage {
+        StorageTable::Tiered(tt) => {
+            let cs = tt.capacity_stats();
+            global.gauge_set(names::CAPACITY_RESIDENT_BYTES, cs.resident_bytes as f64);
+            global.gauge_set(names::CAPACITY_SPILLED_BYTES, cs.spilled_bytes as f64);
+            global.gauge_set(names::CAPACITY_BUDGET_BYTES, cs.budget_bytes as f64);
+            Some(cs)
+        }
+        StorageTable::Memory(_) => None,
+    };
+    // Dense-engine telemetry, aggregated over every slot's tape: real GEMM
+    // work done, arena high-water mark, steady-state allocation violations
+    // (must stay 0), and dense-path-only throughput.
+    let tapes = || workers.iter().map(|me| &me.slot.tape);
+    global.counter_add(names::DENSE_GEMM_FLOPS, tapes().map(|t| t.flops()).sum::<u64>());
+    global.gauge_set(
+        names::DENSE_ARENA_BYTES,
+        tapes().map(|t| t.arena_bytes()).sum::<usize>() as f64,
+    );
+    global.gauge_set(
+        names::DENSE_TAPE_GROWTH,
+        tapes().map(|t| t.post_warmup_growth()).sum::<u64>() as f64,
+    );
+    let dense_secs: f64 = tapes().map(|t| t.dense_secs).sum();
+    let dense_samples: u64 = tapes().map(|t| t.dense_samples).sum();
+    global.gauge_set(
+        names::DENSE_SAMPLES_PER_SEC,
+        if dense_secs > 0.0 {
+            dense_samples as f64 / dense_secs
+        } else {
+            0.0
+        },
+    );
+    // How much overlappable simulated communication hid behind compute
+    // (`strategy.overlap`).
+    let hidden: f64 = workers.iter().map(|me| me.clock.hidden_secs()).sum();
+    let overlappable: f64 = workers.iter().map(|me| me.clock.overlappable_secs()).sum();
+    global.gauge_set(
+        names::PIPELINE_OVERLAP_RATIO,
+        if overlappable > 0.0 { hidden / overlappable } else { 0.0 },
+    );
+    // What the profilers cost this run: their own bookkeeping plus the
+    // calibrated price of every timestamp the stage loops took. The
+    // benchmark ledger reports it as `telemetry.profiler_overhead_pct`.
+    global.gauge_set(
+        names::TELEMETRY_OVERHEAD_SECS,
+        workers.iter().map(|me| me.profiler.overhead_secs()).sum::<f64>(),
+    );
+    capacity
 }
 
 /// In-memory copy of the last checkpoint: per-row values + clocks of the
@@ -1416,7 +1248,7 @@ pub(crate) struct CheckpointImage {
 }
 
 impl CheckpointImage {
-    fn capture(table: &dyn RowStore, clocks: &[SimClock], dense_len: usize) -> Self {
+    fn capture(table: &dyn RowStore, workers: &[WorkerRun<'_>], dense_len: usize) -> Self {
         let rows = table.num_rows();
         let dim = table.dim();
         let mut row_clocks = Vec::with_capacity(rows);
@@ -1436,8 +1268,8 @@ impl CheckpointImage {
             clocks: row_clocks,
             values,
             accums,
-            sim_times: clocks.iter().map(|c| c.now()).collect(),
-            bytes: run_encoded_len(table, clocks.len(), dense_len),
+            sim_times: workers.iter().map(|me| me.clock.now()).collect(),
+            bytes: run_encoded_len(table, workers.len(), dense_len),
         }
     }
 }
@@ -1462,35 +1294,6 @@ mod tests {
             max_eval_samples: 256,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn builder_validates_hyper_parameters() {
-        let ok = TrainerConfig::builder()
-            .dim(8)
-            .hidden(vec![16])
-            .batch_size(64)
-            .epochs(2)
-            .test_fraction(0.2)
-            .seed(7)
-            .build()
-            .unwrap();
-        assert_eq!(ok.dim, 8);
-        assert_eq!(ok.hidden, vec![16]);
-        assert_eq!(ok.test_fraction, 0.2);
-
-        let err = TrainerConfig::builder().dim(0).build().unwrap_err();
-        assert!(err.to_string().contains("dim"), "{err}");
-        assert_eq!(err.exit_code(), 78);
-        assert!(TrainerConfig::builder().hidden(vec![]).build().is_err());
-        assert!(TrainerConfig::builder().hidden(vec![16, 0]).build().is_err());
-        assert!(TrainerConfig::builder().test_fraction(0.0).build().is_err());
-        assert!(TrainerConfig::builder().test_fraction(1.0).build().is_err());
-        assert!(TrainerConfig::builder().batch_size(0).build().is_err());
-        assert!(TrainerConfig::builder()
-            .compute_scales(Some(vec![1.0, 0.0]))
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -1729,31 +1532,137 @@ mod tests {
         assert!(r.curve.len() <= 8);
     }
 
+    /// A hand-built config `try_run` cannot train is a config error naming
+    /// the field (exit code 78), returned before any work: not a panic deep
+    /// inside the run, and not a run that trains on a value it ignores.
+    /// `compute_scales`, a checkpoint period without a directory, the LFU
+    /// fraction and the dense step have tests of their own below.
+    #[test]
+    fn hand_built_configs_are_config_errors_not_panics() {
+        let data = tiny_dataset();
+        let cfg = |f: fn(&mut TrainerConfig)| {
+            let mut c = fast_config();
+            f(&mut c);
+            c
+        };
+        let gmp = StrategyConfig::het_gmp(100);
+        let weights = |w: Vec<Vec<f64>>| gmp.clone().with_weight_matrix(Some(w));
+        let cases: Vec<(&str, TrainerConfig, StrategyConfig)> = vec![
+            ("dim", cfg(|c| c.dim = 0), gmp.clone()),
+            ("hidden", cfg(|c| c.hidden = vec![]), gmp.clone()),
+            ("hidden", cfg(|c| c.hidden = vec![0]), gmp.clone()),
+            ("hidden", cfg(|c| c.hidden = vec![16, 0]), gmp.clone()),
+            ("batch_size", cfg(|c| c.batch_size = 0), gmp.clone()),
+            ("test_fraction", cfg(|c| c.test_fraction = 0.0), gmp.clone()),
+            ("test_fraction", cfg(|c| c.test_fraction = 1.0), gmp.clone()),
+            (
+                "storage",
+                cfg(|c| c.storage = StorageMode::Tiered { budget_bytes: 0, dir: None }),
+                gmp.clone(),
+            ),
+            (
+                "checkpoint_every",
+                cfg(|c| c.checkpoint_dir = Some(PathBuf::from("/tmp/ckpts"))),
+                gmp.clone(),
+            ),
+            ("partition.rounds", fast_config(), gmp.clone().with_rounds(0)),
+            ("name", fast_config(), StrategyConfig { name: String::new(), ..gmp.clone() }),
+            // NaN, +∞ and negative off-diagonal weights, and a NaN diagonal.
+            ("onedee.weights", fast_config(), weights(vec![vec![0.0, f64::NAN], vec![1.0, 0.0]])),
+            (
+                "onedee.weights",
+                fast_config(),
+                weights(vec![vec![0.0, 1.0], vec![f64::INFINITY, 0.0]]),
+            ),
+            ("onedee.weights", fast_config(), weights(vec![vec![0.0, -0.5], vec![1.0, 0.0]])),
+            ("onedee.weights", fast_config(), weights(vec![vec![f64::NAN, 1.0], vec![1.0, 0.0]])),
+        ];
+        for (field, config, strategy) in cases {
+            let label = format!("{field}: {config:?} / {strategy:?}");
+            let err = Trainer::new(&data, Topology::pcie_island(2), strategy, config)
+                .try_run()
+                .expect_err(&label);
+            assert_eq!(err.exit_code(), 78, "{label}: {err}");
+            match &err {
+                HetGmpError::Config { param, .. } => assert_eq!(param, field, "{label}: {err}"),
+                other => panic!("{label}: not a config error: {other}"),
+            }
+        }
+
+        // What the checks accept: a complete hand-built config, and
+        // checkpointing with both of its fields.
+        let ok = TrainerConfig {
+            test_fraction: 0.2,
+            seed: 7,
+            ..fast_config()
+        };
+        assert!(ok.validate(2).is_ok());
+        let ckpt = TrainerConfig {
+            checkpoint_every: 2,
+            checkpoint_dir: Some(PathBuf::from("/tmp/ckpts")),
+            ..ok
+        };
+        assert!(ckpt.validate(2).is_ok());
+    }
+
+    #[test]
+    fn builder_validates_hyper_parameters() {
+        let ok = TrainerConfig {
+            dim: 8,
+            hidden: vec![16],
+            batch_size: 64,
+            epochs: 2,
+            test_fraction: 0.2,
+            seed: 7,
+            ..Default::default()
+        };
+        assert!(ok.validate(2).is_ok());
+
+        let with = |f: fn(&mut TrainerConfig)| {
+            let mut c = TrainerConfig::default();
+            f(&mut c);
+            c.validate(2)
+        };
+        let err = with(|c| c.dim = 0).unwrap_err();
+        assert!(err.to_string().contains("dim"), "{err}");
+        assert_eq!(err.exit_code(), 78);
+        assert!(with(|c| c.hidden = vec![]).is_err());
+        assert!(with(|c| c.hidden = vec![16, 0]).is_err());
+        assert!(with(|c| c.test_fraction = 0.0).is_err());
+        assert!(with(|c| c.test_fraction = 1.0).is_err());
+        assert!(with(|c| c.batch_size = 0).is_err());
+        assert!(with(|c| c.compute_scales = Some(vec![1.0, 0.0])).is_err());
+    }
+
     #[test]
     fn builder_validates_checkpoint_fields() {
         // Period without a directory (and vice versa) is a config error.
-        let err = TrainerConfig::builder()
-            .checkpoint_every(2)
-            .build()
-            .unwrap_err();
+        let err = TrainerConfig {
+            checkpoint_every: 2,
+            ..Default::default()
+        }
+        .validate(2)
+        .unwrap_err();
         assert_eq!(err.exit_code(), 78, "{err}");
-        assert!(TrainerConfig::builder()
-            .checkpoint_dir(Some(PathBuf::from("/tmp/ckpts")))
-            .build()
-            .is_err());
-        assert!(TrainerConfig::builder()
-            .checkpoint_every(2)
-            .checkpoint_dir(Some(PathBuf::from("/tmp/ckpts")))
-            .build()
-            .is_ok());
+        assert!(TrainerConfig {
+            checkpoint_dir: Some(PathBuf::from("/tmp/ckpts")),
+            ..Default::default()
+        }
+        .validate(2)
+        .is_err());
+        assert!(TrainerConfig {
+            checkpoint_every: 2,
+            checkpoint_dir: Some(PathBuf::from("/tmp/ckpts")),
+            ..Default::default()
+        }
+        .validate(2)
+        .is_ok());
     }
 
     #[test]
     fn hand_built_config_missing_checkpoint_dir_is_an_error_not_a_panic() {
-        // TrainerConfig's fields are public, so a caller can bypass
-        // TrainerBuilder's validation entirely; the trainer must still
-        // surface the broken pairing as a config error, not a panic at the
-        // first checkpoint boundary.
+        // A checkpoint period without a directory is a config error before
+        // any work, not a panic at the first checkpoint boundary.
         let data = tiny_dataset();
         let err = Trainer::new(
             &data,
@@ -1792,8 +1701,8 @@ mod tests {
 
     #[test]
     fn hand_built_compute_scales_are_an_error_not_a_panic() {
-        // Only `try_run` knows the worker count, and a struct literal
-        // bypasses the builder's check of the factors themselves.
+        // The count is checked against the topology's workers, and every
+        // factor must be positive and finite.
         let data = tiny_dataset();
         for (scales, needle) in [
             (vec![1.0, 2.0, 4.0], "3 slowdown factors for 2 workers"),
@@ -1834,10 +1743,6 @@ mod tests {
                 ..fast_config()
             };
             for (field, cfg, ok) in [("dense_lr", lr, v == 0.0), ("grad_clip", clip, false)] {
-                let built = TrainerConfig::builder()
-                    .dense_lr(cfg.dense_lr)
-                    .grad_clip(cfg.grad_clip)
-                    .build();
                 let run = Trainer::new(
                     &data,
                     Topology::pcie_island(2),
@@ -1845,14 +1750,12 @@ mod tests {
                     TrainerConfig { epochs: 0, ..cfg },
                 )
                 .try_run();
-                for err in [built.err(), run.err()] {
-                    match err {
-                        None => assert!(ok, "{field} = {v} was accepted"),
-                        Some(err) => {
-                            assert!(!ok, "{field} = {v}: {err}");
-                            assert_eq!(err.exit_code(), 78, "{err}");
-                            assert!(err.to_string().contains(field), "{err}");
-                        }
+                match run.err() {
+                    None => assert!(ok, "{field} = {v} was accepted"),
+                    Some(err) => {
+                        assert!(!ok, "{field} = {v}: {err}");
+                        assert_eq!(err.exit_code(), 78, "{err}");
+                        assert!(err.to_string().contains(field), "{err}");
                     }
                 }
             }
@@ -2104,7 +2007,7 @@ mod tests {
             batched_reads: std::sync::Mutex::new(Vec::new()),
             per_row_reads: AtomicU64::new(0),
         };
-        let mut models = vec![CtrModel::new(
+        let mut models = [CtrModel::new(
             cfg.model,
             data.num_fields,
             cfg.dim,
@@ -2118,7 +2021,7 @@ mod tests {
             cfg,
         );
         let mut tape = ModelTape::new();
-        let (auc_v, ll) = trainer.evaluate(&mut models, &store, &test, &mut tape);
+        let (auc_v, ll) = trainer.evaluate(models.iter_mut(), &store, &test, &mut tape);
         assert!(auc_v.is_finite() && ll.is_finite());
         // ceil(take / EVAL_CHUNK) batched reads, each a whole chunk's
         // fields, and not one per-row read: on a tiered table every

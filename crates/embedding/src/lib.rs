@@ -135,10 +135,6 @@ pub trait EmbeddingWorker: Send {
     /// rolled back to a checkpoint. Returns the number of rows re-fetched
     /// (the caller charges their transfer to the simulated clock).
     fn recover_from_crash(&mut self) -> u64;
-    /// Reports which telemetry hooks are attached as
-    /// `(recorder, auditor, tracer)` — used by debug assertions to verify
-    /// that hooks survive every construction/injection path.
-    fn hooks_attached(&self) -> (bool, bool, bool);
     /// Selects the wire format for inter-worker embedding payloads and
     /// whether lossy gradient pushes carry per-row error feedback. Call
     /// before training (right after construction) so warm-loaded replicas
@@ -189,9 +185,6 @@ impl<'a, P: ReplicaPolicy<'a>> EmbeddingWorker for Worker<'a, P> {
     }
     fn recover_from_crash(&mut self) -> u64 {
         Worker::recover_from_crash(self)
-    }
-    fn hooks_attached(&self) -> (bool, bool, bool) {
-        Worker::hooks_attached(self)
     }
     fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {
         Worker::set_sync_format(self, format, error_feedback)

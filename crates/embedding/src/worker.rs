@@ -436,15 +436,6 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         self.tracer = Some(tracer);
     }
 
-    /// Which telemetry hooks are attached: `(recorder, auditor, tracer)`.
-    pub fn hooks_attached(&self) -> (bool, bool, bool) {
-        (
-            self.recorder.is_some(),
-            self.auditor.is_some(),
-            self.tracer.is_some(),
-        )
-    }
-
     /// The effective clock (`base + local updates`) of this worker's
     /// replica of `e`; `None` when it holds none.
     pub fn replica_clock(&self, e: u32) -> Option<u64> {
@@ -1302,20 +1293,6 @@ mod tests {
         assert_eq!(out, primary);
         // Nothing pending remains.
         assert_eq!(w0.flush_all(&opt).remote_writebacks, 0);
-    }
-
-    #[test]
-    fn hooks_attached_reports_truthfully() {
-        let table = ShardedTable::new(4, 2, 0.0, 1);
-        let part = setup(&table);
-        let freq = freq4();
-        let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(1));
-        assert_eq!(w0.hooks_attached(), (false, false, false));
-        w0.attach_auditor(Arc::new(ProtocolAuditor::new(
-            f64::INFINITY,
-            hetgmp_telemetry::AuditMode::Count,
-        )));
-        assert_eq!(w0.hooks_attached(), (false, true, false));
     }
 
     #[test]

@@ -39,12 +39,13 @@ fn main() {
 
     // 3. Train HET-GMP (hybrid partitioning + bounded asynchrony, s = 100)
     //    on a simulated 4-GPU PCIe server, against the HET-MP baseline.
-    //    The builder validates hyper-parameters up front.
+    //    `run` checks the config before any work (`try_run` returns the
+    //    error instead of panicking).
     let topo = Topology::pcie_island(4);
-    let config = TrainerConfig::builder()
-        .epochs(3)
-        .build()
-        .expect("valid trainer config");
+    let config = TrainerConfig {
+        epochs: 3,
+        ..TrainerConfig::default()
+    };
     for strat in [StrategyConfig::het_mp(), StrategyConfig::het_gmp(100)] {
         let trainer = Trainer::new(&data, topo.clone(), strat, config.clone());
         let result = trainer.run();

@@ -415,19 +415,21 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         other => return Err(HetGmpError::usage(format!("unknown model {other:?}"))),
     };
     let seed: u64 = args.parsed_or("seed", 42)?;
-    let cfg = TrainerConfig::builder()
-        .model(model)
-        .epochs(args.parsed_or("epochs", 3)?)
-        .batch_size(args.parsed_or("batch", 256)?)
-        .dim(args.parsed_or("dim", 16)?)
-        .seed(seed)
-        .checkpoint_every(args.parsed_or("checkpoint-every", 0)?)
-        .checkpoint_dir(args.get("checkpoint-dir").map(std::path::PathBuf::from))
-        .resume_from(args.get("resume").map(std::path::PathBuf::from))
-        .sync_format(sync_format_flag(args)?.unwrap_or(SyncFormat::F32))
-        .sync_error_feedback(sync_feedback_flag(args)?.unwrap_or(true))
-        .storage(storage_flag(args)?.unwrap_or(StorageMode::Memory))
-        .build()?;
+    // `Trainer::try_run` checks the config before any work.
+    let cfg = TrainerConfig {
+        model,
+        epochs: args.parsed_or("epochs", 3)?,
+        batch_size: args.parsed_or("batch", 256)?,
+        dim: args.parsed_or("dim", 16)?,
+        seed,
+        checkpoint_every: args.parsed_or("checkpoint-every", 0)?,
+        checkpoint_dir: args.get("checkpoint-dir").map(std::path::PathBuf::from),
+        resume_from: args.get("resume").map(std::path::PathBuf::from),
+        sync_format: sync_format_flag(args)?.unwrap_or(SyncFormat::F32),
+        sync_error_feedback: sync_feedback_flag(args)?.unwrap_or(true),
+        storage: storage_flag(args)?.unwrap_or(StorageMode::Memory),
+        ..TrainerConfig::default()
+    };
     let faults = match args.get("faults") {
         None => None,
         Some(spec) => Some(Arc::new(FaultSchedule::parse(spec, n, seed).map_err(

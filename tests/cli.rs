@@ -129,6 +129,22 @@ fn train_telemetry_flag_writes_parseable_jsonl() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `train` builds its config as a struct literal; `Trainer::try_run`'s
+/// check must still turn a zero batch or dimension into a config error
+/// naming the field, before any work.
+#[test]
+fn train_zero_batch_or_dim_is_a_config_error_naming_the_field() {
+    for (flag, field) in [("--batch", "`batch_size`"), ("--dim", "`dim`")] {
+        let out = het_gmp()
+            .args(["train", "--preset", "tiny", "--workers", "2", "--epochs", "1", flag, "0"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(78), "{flag} 0 exits 78");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(field), "{flag} 0: {err}");
+    }
+}
+
 #[test]
 fn exit_codes_follow_sysexits() {
     // Usage error -> 2.

@@ -14,14 +14,14 @@ fn fixed_seed_result() -> het_gmp::core::trainer::TrainResult {
     let mut spec = DatasetSpec::tiny();
     spec.num_samples = 512;
     let data = generate(&spec);
-    let cfg = TrainerConfig::builder()
-        .dim(8)
-        .hidden(vec![16])
-        .batch_size(64)
-        .epochs(1)
-        .seed(1234)
-        .build()
-        .unwrap();
+    let cfg = TrainerConfig {
+        dim: 8,
+        hidden: vec![16],
+        batch_size: 64,
+        epochs: 1,
+        seed: 1234,
+        ..TrainerConfig::default()
+    };
     Trainer::new(&data, Topology::pcie_island(4), StrategyConfig::het_gmp(10), cfg).run()
 }
 
