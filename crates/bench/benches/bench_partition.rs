@@ -41,11 +41,13 @@ fn bench(c: &mut Criterion) {
         b.iter(|| bicut_partition(&g, 8));
     });
 
+    let island = Topology::nvlink_island(8);
     group.bench_function("onedee_sweep", |b| {
         let part0 = random_partition(&g, 8, 7);
+        let weights = island.weight_matrix();
         b.iter(|| {
             let mut part = part0.clone();
-            let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default());
+            let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default(), &weights);
             state.sweep(&g, &mut part);
             part
         });
@@ -64,12 +66,11 @@ fn bench(c: &mut Criterion) {
     });
 
     group.bench_function("hybrid_3_rounds", |b| {
-        b.iter(|| HybridPartitioner::new(HybridConfig::default()).partition_rounds(&g, 8));
+        b.iter(|| HybridPartitioner::new(HybridConfig::default()).partition_rounds(&g, &island));
     });
 
     // Algorithm 1 at the shapes of the `avazu_gmp` and `company_fetch`
-    // benchmark workloads (`StrategyConfig::het_gmp`'s partitioner, with
-    // the topology's weight matrix).
+    // benchmark workloads (`StrategyConfig::het_gmp`'s partitioner).
     for (name, spec, topo) in [
         (
             "hybrid_avazu_x4_pcie",
@@ -83,19 +84,18 @@ fn bench(c: &mut Criterion) {
         ),
     ] {
         let g = ledger_graph(spec);
-        let mut cfg = HybridConfig {
+        let cfg = HybridConfig {
             seed: 7,
             ..HybridConfig::default()
         };
-        cfg.onedee.weights = Some(topo.weight_matrix());
         group.bench_function(name, |b| {
-            b.iter(|| HybridPartitioner::new(cfg.clone()).partition_rounds(&g, topo.num_workers()));
+            b.iter(|| HybridPartitioner::new(cfg.clone()).partition_rounds(&g, &topo));
         });
     }
 
     group.bench_function("metrics", |b| {
         let part = random_partition(&g, 8, 7);
-        b.iter(|| PartitionMetrics::compute(&g, &part, None));
+        b.iter(|| PartitionMetrics::compute(&g, &part));
     });
 
     group.finish();

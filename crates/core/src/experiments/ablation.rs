@@ -121,8 +121,9 @@ pub fn replication_sweep(graph: &Bigraph, fractions: &[f64]) -> ReplicationSweep
             },
             ..Default::default()
         };
-        let (part, _) = HybridPartitioner::new(cfg).partition_rounds(graph, 8);
-        let m = PartitionMetrics::compute(graph, &part, None);
+        let (part, _) =
+            HybridPartitioner::new(cfg).partition_rounds(graph, &Topology::nvlink_island(8));
+        let m = PartitionMetrics::compute(graph, &part);
         rows.push((frac, m.remote_fetches, m.replication_factor));
     }
     ReplicationSweep { rows }
@@ -179,8 +180,9 @@ pub fn balance_sweep(graph: &Bigraph) -> BalanceSweep {
             },
             ..Default::default()
         };
-        let (part, _) = HybridPartitioner::new(cfg).partition_rounds(graph, 8);
-        let m = PartitionMetrics::compute(graph, &part, None);
+        let (part, _) =
+            HybridPartitioner::new(cfg).partition_rounds(graph, &Topology::nvlink_island(8));
+        let m = PartitionMetrics::compute(graph, &part);
         rows.push((label.to_string(), m.remote_fetches, m.sample_imbalance()));
     }
     BalanceSweep { rows }
@@ -219,7 +221,8 @@ pub fn cache_comparison(data: &CtrDataset, batch_size: usize) -> CacheComparison
     let n = 8usize;
     let dim = 16usize;
     let graph = data.to_bigraph();
-    let (part, _) = HybridPartitioner::new(HybridConfig::default()).partition_rounds(&graph, n);
+    let (part, _) = HybridPartitioner::new(HybridConfig::default())
+        .partition_rounds(&graph, &Topology::nvlink_island(n));
     let freq: Vec<u64> = (0..graph.num_embeddings() as u32)
         .map(|e| graph.emb_frequency(e) as u64)
         .collect();
@@ -378,21 +381,22 @@ pub fn repartition_drift(scale: f64) -> DriftReport {
         replication: None,
         ..Default::default()
     };
+    let topo = Topology::nvlink_island(8);
     let partitioner = HybridPartitioner::new(cfg);
-    let (old, _) = partitioner.partition_rounds(&yesterday, 8);
+    let (old, _) = partitioner.partition_rounds(&yesterday, &topo);
 
-    let stale = PartitionMetrics::compute(&today, &old, None);
+    let stale = PartitionMetrics::compute(&today, &old);
 
     let (fresh, _) = HybridPartitioner::new(HybridConfig {
         replication: None,
         seed: 0xF2E5,
         ..Default::default()
     })
-    .partition_rounds(&today, 8);
-    let fresh_m = PartitionMetrics::compute(&today, &fresh, None);
+    .partition_rounds(&today, &topo);
+    let fresh_m = PartitionMetrics::compute(&today, &fresh);
 
-    let (warm, _) = partitioner.partition_from(&today, old.clone());
-    let warm_m = PartitionMetrics::compute(&today, &warm, None);
+    let (warm, _) = partitioner.partition_from(&today, old.clone(), &topo);
+    let warm_m = PartitionMetrics::compute(&today, &warm);
 
     DriftReport {
         rows: vec![

@@ -11,10 +11,11 @@ use std::fmt;
 
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, CtrDataset, DatasetSpec};
+use hetgmp_partition::HybridConfig;
 
 use crate::experiments::render_table;
 use crate::models::ModelKind;
-use crate::strategy::StrategyConfig;
+use crate::strategy::{PartitionPolicy, StrategyConfig};
 use crate::trainer::{Trainer, TrainerConfig};
 
 /// One policy's measurement.
@@ -39,22 +40,23 @@ pub struct HierarchyReport {
     pub runs: Vec<HierarchyRun>,
 }
 
-pub(super) fn policies(topo: &Topology) -> Vec<(String, StrategyConfig)> {
+pub(super) fn policies() -> Vec<(String, StrategyConfig)> {
+    // Pure 1D edge-cut (no replication), weighted or not by the topology.
+    let one_d = |hierarchical: bool| StrategyConfig {
+        partition: PartitionPolicy::Hybrid(HybridConfig {
+            hierarchical,
+            replication: None,
+            ..HybridConfig::default()
+        }),
+        ..StrategyConfig::het_gmp(0)
+    };
     vec![
         ("random".into(), StrategyConfig::het_mp()),
-        (
-            // Homogeneous weights: locality-aware but topology-oblivious.
-            "non-hierarchical".into(),
-            StrategyConfig::het_gmp(0).with_replication(None),
-        ),
-        (
-            // Weighted edge-cut from the real topology (paper: inter-machine
-            // cost 10× intra-machine).
-            "hierarchical".into(),
-            StrategyConfig::het_gmp(0)
-                .with_replication(None)
-                .with_weight_matrix(Some(topo.weight_matrix())),
-        ),
+        // Uniform weights: locality-aware but topology-oblivious.
+        ("non-hierarchical".into(), one_d(false)),
+        // Weighted edge-cut from the real topology (paper: inter-machine
+        // cost 10× intra-machine).
+        ("hierarchical".into(), one_d(true)),
     ]
 }
 
@@ -62,7 +64,7 @@ pub(super) fn policies(topo: &Topology) -> Vec<(String, StrategyConfig)> {
 pub fn run_dataset(data: &CtrDataset, label: &str) -> HierarchyReport {
     let topo = Topology::cluster_b(2); // 2 machines × 8 GPUs, 10 GbE
     let mut runs = Vec::new();
-    for (policy, strat) in policies(&topo) {
+    for (policy, strat) in policies() {
         let trainer = Trainer::new(
             data,
             topo.clone(),
@@ -140,28 +142,43 @@ impl fmt::Display for HierarchyReport {
 mod tests {
     use super::*;
 
+    /// The paper's Figure 9 claim, on fetch counts, which are exact:
+    /// hierarchical < non-hierarchical < random cross-machine fetches on
+    /// every dataset, and hierarchical faster than random. Hierarchical is
+    /// at least as fast as non-hierarchical on criteo-like and
+    /// company-like only: on avazu-like the weights barely move the cut
+    /// (EXPERIMENTS.md, Figure 9) and it is slightly slower.
     #[test]
     fn hierarchical_reduces_cross_machine_traffic() {
-        let mut spec = DatasetSpec::avazu_like(0.04);
-        spec.cluster_affinity = 0.9;
-        let data = generate(&spec);
-        let report = run_dataset(&data, "avazu-like");
-        assert_eq!(report.runs.len(), 3);
-        let random = &report.runs[0];
-        let hier = &report.runs[2];
-        assert!(
-            hier.cross_machine < random.cross_machine,
-            "hier {} !< random {}",
-            hier.cross_machine,
-            random.cross_machine
-        );
-        // Throughput ordering (the paper's headline for Fig 9a).
-        assert!(
-            hier.throughput > random.throughput,
-            "hier {} !> random {}",
-            hier.throughput,
-            random.throughput
-        );
-        assert!(report.to_string().contains("Figure 9"));
+        for mut spec in DatasetSpec::paper_presets(0.04) {
+            spec.cluster_affinity = 0.9;
+            let report = run_dataset(&generate(&spec), &spec.name);
+            let [random, flat, hier] = &report.runs[..] else {
+                panic!("{}: {} runs", spec.name, report.runs.len());
+            };
+            let label = format!(
+                "{}: cross-machine fetches random {}, non-hierarchical {}, hierarchical {}",
+                spec.name, random.cross_machine, flat.cross_machine, hier.cross_machine
+            );
+            assert!(hier.cross_machine < flat.cross_machine, "{label}");
+            assert!(flat.cross_machine < random.cross_machine, "{label}");
+            assert!(
+                hier.throughput > random.throughput,
+                "{}: hier {} !> random {}",
+                spec.name,
+                hier.throughput,
+                random.throughput
+            );
+            if spec.name != "avazu-like" {
+                assert!(
+                    hier.throughput >= flat.throughput,
+                    "{}: hier {} < non-hier {}",
+                    spec.name,
+                    hier.throughput,
+                    flat.throughput
+                );
+            }
+            assert!(report.to_string().contains("Figure 9"));
+        }
     }
 }

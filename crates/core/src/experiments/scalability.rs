@@ -39,14 +39,10 @@ pub struct ScalabilityReport {
     pub points: Vec<ScalePoint>,
 }
 
-/// The systems compared on `topo`: HugeCTR, and HET-GMP partitioning by
-/// the topology's link weights (none on one worker).
-pub(super) fn systems(topo: &Topology) -> Vec<StrategyConfig> {
-    let weights = (topo.num_workers() > 1).then(|| topo.weight_matrix());
-    vec![
-        StrategyConfig::hugectr(),
-        StrategyConfig::het_gmp(100).with_weight_matrix(weights),
-    ]
+/// The systems compared: HugeCTR, and HET-GMP partitioning by the
+/// topology's link weights.
+pub(super) fn systems() -> Vec<StrategyConfig> {
+    vec![StrategyConfig::hugectr(), StrategyConfig::het_gmp(100)]
 }
 
 /// Runs one dataset's panel over the given GPU counts.
@@ -54,7 +50,7 @@ pub fn run_dataset(data: &CtrDataset, label: &str, gpu_counts: &[usize]) -> Scal
     let mut points = Vec::new();
     for &n in gpu_counts {
         let topo = Topology::cluster_b_scaled(n);
-        for strat in systems(&topo) {
+        for strat in systems() {
             let name = if strat.name.starts_with("HET-GMP") {
                 "HET-GMP".to_string()
             } else {

@@ -153,7 +153,7 @@ impl<'d> KgTrainer<'d> {
             &self.topology,
             cfg.batch_size,
         );
-        let partition_metrics = PartitionMetrics::compute(&graph, &partition, None);
+        let partition_metrics = PartitionMetrics::compute(&graph, &partition);
 
         let entities = ShardedTable::new(self.kg.num_entities, cfg.dim, 0.1, cfg.seed);
         let group = AllReduceGroup::new(n);

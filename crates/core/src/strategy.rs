@@ -4,8 +4,8 @@ use std::sync::Arc;
 
 use hetgmp_embedding::StalenessBound;
 use hetgmp_partition::{
-    check_weights, BiCutPartitioner, HybridConfig, HybridPartitioner, Partitioner,
-    RandomPartitioner, ReplicationBudget,
+    BiCutPartitioner, HybridConfig, HybridPartitioner, Partitioner, RandomPartitioner,
+    ReplicationBudget,
 };
 use hetgmp_telemetry::{HetGmpError, Recorder, TraceCollector};
 
@@ -225,19 +225,10 @@ impl StrategyConfig {
         self
     }
 
-    /// Supplies a topology weight matrix for hierarchy-aware partitioning.
-    pub fn with_weight_matrix(mut self, weights: Option<Vec<Vec<f64>>>) -> Self {
-        if let PartitionPolicy::Hybrid(cfg) = &mut self.partition {
-            cfg.onedee.weights = weights;
-        }
-        self
-    }
-
     /// Rejects a strategy the trainer cannot run: an empty name, a hybrid
-    /// policy with no 1D round or with a weight matrix `check_weights`
-    /// refuses, and an LFU cache fraction outside `(0, 1]` (NaN or a
-    /// negative value would size a zero-slot cache, a huge one would abort
-    /// in its allocation). [`crate::Trainer::try_run`] calls it first.
+    /// policy with no 1D round, and an LFU cache fraction outside `(0, 1]`
+    /// (NaN or a negative value would size a zero-slot cache, a huge one
+    /// would abort in its allocation). [`crate::Trainer::try_run`] calls it first.
     pub fn validate(&self) -> Result<(), HetGmpError> {
         if self.name.is_empty() {
             return Err(HetGmpError::config("name", "strategy name must be non-empty"));
@@ -248,9 +239,6 @@ impl StrategyConfig {
                     "partition.rounds",
                     "Algorithm 1 needs at least one 1D round",
                 ));
-            }
-            if let Some(w) = &cfg.onedee.weights {
-                check_weights(w).map_err(|e| HetGmpError::config("onedee.weights", e))?;
             }
         }
         if let CacheDesign::DynamicLfu { capacity_fraction } = self.cache {
@@ -351,27 +339,5 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    /// NaN, +∞ and a negative off-diagonal weight are config errors naming
-    /// `onedee.weights`; a non-zero diagonal is legal.
-    #[test]
-    fn strategy_builder_checks_weight_values() {
-        let validate = |w: Vec<Vec<f64>>| {
-            StrategyConfig::het_gmp(0)
-                .with_weight_matrix(Some(w))
-                .validate()
-        };
-        for bad in [
-            vec![vec![0.0, f64::NAN], vec![1.0, 0.0]],
-            vec![vec![0.0, 1.0], vec![f64::INFINITY, 0.0]],
-            vec![vec![0.0, -0.5], vec![1.0, 0.0]],
-            vec![vec![f64::NAN, 1.0], vec![1.0, 0.0]],
-        ] {
-            let err = validate(bad.clone()).unwrap_err();
-            assert_eq!(err.exit_code(), 78, "{bad:?}");
-            assert!(err.to_string().contains("onedee.weights"), "{err}");
-        }
-        assert!(validate(vec![vec![3.0, 1.0], vec![1.0, 0.5]]).is_ok());
     }
 }

@@ -71,8 +71,8 @@ mod tests {
     #[test]
     fn beats_random() {
         let g = graph();
-        let bicut = PartitionMetrics::compute(&g, &bicut_partition(&g, 4), None);
-        let random = PartitionMetrics::compute(&g, &random_partition(&g, 4, 1), None);
+        let bicut = PartitionMetrics::compute(&g, &bicut_partition(&g, 4));
+        let random = PartitionMetrics::compute(&g, &random_partition(&g, 4, 1));
         assert!(
             bicut.remote_fetches < random.remote_fetches,
             "bicut {} vs random {}",

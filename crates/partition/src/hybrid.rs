@@ -8,6 +8,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hetgmp_bigraph::Bigraph;
+use hetgmp_cluster::Topology;
 use hetgmp_telemetry::{names, Json, Recorder, TraceCollector};
 
 use crate::onedee::{OneDeeConfig, OneDeeState};
@@ -20,8 +21,13 @@ use crate::vertexcut::{replicate_from_counts, ReplicationBudget};
 pub struct HybridConfig {
     /// Number of 1D sweeps (`T` in Algorithm 1). The paper evaluates 1/3/5.
     pub rounds: usize,
-    /// 1D score hyper-parameters and weight matrix.
+    /// 1D score hyper-parameters.
     pub onedee: OneDeeConfig,
+    /// Whether the 1D sweeps weigh a cut edge by its link: `true` (the
+    /// paper's hierarchical partitioning) uses the topology's profiled
+    /// weight matrix, `false` (Figure 9's non-hierarchical baseline) costs
+    /// every remote access 1. The two agree on a homogeneous topology.
+    pub hierarchical: bool,
     /// 2D replication budget; `None` disables vertex-cut (pure 1D — used for
     /// the Figure 9 comparison, which replicates nothing).
     pub replication: Option<ReplicationBudget>,
@@ -34,6 +40,7 @@ impl Default for HybridConfig {
         Self {
             rounds: 3,
             onedee: OneDeeConfig::default(),
+            hierarchical: true,
             // Paper §7: "we select top 1% embeddings as secondaries".
             replication: Some(ReplicationBudget::FractionOfEmbeddings(0.01)),
             seed: 0x9E7,
@@ -72,40 +79,6 @@ impl HybridPartitioner {
         }
     }
 
-    /// The configuration this partitioner runs with.
-    pub fn config(&self) -> &HybridConfig {
-        &self.config
-    }
-
-    /// The same partitioner — attached recorder and tracer included — with
-    /// a different configuration. Used when the topology supplies the
-    /// weight matrix at partition time.
-    pub fn reconfigured(&self, config: HybridConfig) -> Self {
-        let next = Self {
-            config,
-            recorder: self.recorder.clone(),
-            tracer: self.tracer.clone(),
-        };
-        // Telemetry hooks must survive reconfiguration: a previous rewrite
-        // rebuilt the partitioner here and silently dropped them.
-        debug_assert_eq!(
-            (next.has_recorder(), next.has_tracer()),
-            (self.has_recorder(), self.has_tracer()),
-            "reconfigured() dropped telemetry hooks"
-        );
-        next
-    }
-
-    /// Whether a telemetry recorder is attached (hook-survival assertions).
-    pub fn has_recorder(&self) -> bool {
-        self.recorder.is_some()
-    }
-
-    /// Whether a trace collector is attached (hook-survival assertions).
-    pub fn has_tracer(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Attaches a telemetry recorder: every run then emits `partition.*`
     /// metrics (per-round score/improvement, moves, replication budget and
     /// replicas created, wall time).
@@ -122,15 +95,11 @@ impl HybridPartitioner {
         self
     }
 
-    /// Runs Algorithm 1 on `g` with `num_partitions` workers.
+    /// Runs Algorithm 1 on `g` across the workers of `topo`.
     /// Returns the final partition and the per-round statistics.
-    pub fn partition_rounds(
-        &self,
-        g: &Bigraph,
-        num_partitions: usize,
-    ) -> (Partition, Vec<RoundStats>) {
-        let initial = random_partition(g, num_partitions, self.config.seed);
-        self.partition_from(g, initial)
+    pub fn partition_rounds(&self, g: &Bigraph, topo: &Topology) -> (Partition, Vec<RoundStats>) {
+        let initial = random_partition(g, topo.num_workers(), self.config.seed);
+        self.partition_from(g, initial, topo)
     }
 
     /// Runs Algorithm 1 warm-started from an existing assignment — the
@@ -146,6 +115,29 @@ impl HybridPartitioner {
         &self,
         g: &Bigraph,
         initial: Partition,
+        topo: &Topology,
+    ) -> (Partition, Vec<RoundStats>) {
+        self.partition_weighted(g, initial, &self.weight_matrix(topo))
+    }
+
+    /// The 1D sweeps' weight matrix on `topo` (see
+    /// [`HybridConfig::hierarchical`]).
+    fn weight_matrix(&self, topo: &Topology) -> Vec<Vec<f64>> {
+        if self.config.hierarchical {
+            return topo.weight_matrix();
+        }
+        let n = topo.num_workers();
+        (0..n)
+            .map(|i| (0..n).map(|j| if i == j { 0.0 } else { 1.0 }).collect())
+            .collect()
+    }
+
+    /// [`Self::partition_from`] with the weight matrix given directly.
+    pub(crate) fn partition_weighted(
+        &self,
+        g: &Bigraph,
+        initial: Partition,
+        weights: &[Vec<f64>],
     ) -> (Partition, Vec<RoundStats>) {
         let start = Instant::now();
         let mut part = Partition::new(
@@ -157,7 +149,7 @@ impl HybridPartitioner {
                 .map(|e| initial.primary_of(e))
                 .collect(),
         );
-        let mut state = OneDeeState::new(g, &part, self.config.onedee.clone());
+        let mut state = OneDeeState::new(g, &part, self.config.onedee.clone(), weights);
         let mut rounds = Vec::with_capacity(self.config.rounds);
         // Pre-sweep baseline so round 1's improvement is meaningful. Every
         // remote-fetch count comes from the state's access counts, O(|X|·N).
@@ -259,7 +251,8 @@ mod tests {
             replication: None,
             ..Default::default()
         };
-        let (_, rounds) = HybridPartitioner::new(cfg).partition_rounds(&g, 4);
+        let (_, rounds) =
+            HybridPartitioner::new(cfg).partition_rounds(&g, &Topology::nvlink_island(4));
         assert_eq!(rounds.len(), 5);
         // Round stats are non-increasing in remote fetches (greedy sweeps
         // only accept improving moves in aggregate; allow tiny tolerance).
@@ -287,10 +280,10 @@ mod tests {
             replication: Some(ReplicationBudget::PerPartitionSlots(2)),
             ..Default::default()
         });
-        let (p0, _) = no_rep.partition_rounds(&g, 4);
-        let (p1, _) = with_rep.partition_rounds(&g, 4);
-        let m0 = PartitionMetrics::compute(&g, &p0, None);
-        let m1 = PartitionMetrics::compute(&g, &p1, None);
+        let (p0, _) = no_rep.partition_rounds(&g, &Topology::nvlink_island(4));
+        let (p1, _) = with_rep.partition_rounds(&g, &Topology::nvlink_island(4));
+        let m0 = PartitionMetrics::compute(&g, &p0);
+        let m1 = PartitionMetrics::compute(&g, &p1);
         assert!(m1.remote_fetches <= m0.remote_fetches);
         assert!(m1.replication_factor > 1.0);
         // The hot embedding 0 (every sample reads it) must be replicated
@@ -301,9 +294,10 @@ mod tests {
     #[test]
     fn beats_random_substantially() {
         let g = graph();
-        let (p, _) = HybridPartitioner::new(HybridConfig::default()).partition_rounds(&g, 4);
-        let ours = PartitionMetrics::compute(&g, &p, None);
-        let rand = PartitionMetrics::compute(&g, &random_partition(&g, 4, 1), None);
+        let (p, _) = HybridPartitioner::new(HybridConfig::default())
+            .partition_rounds(&g, &Topology::nvlink_island(4));
+        let ours = PartitionMetrics::compute(&g, &p);
+        let rand = PartitionMetrics::compute(&g, &random_partition(&g, 4, 1));
         assert!(
             (ours.remote_fetches as f64) < 0.6 * rand.remote_fetches as f64,
             "ours {} vs random {}",
@@ -316,8 +310,9 @@ mod tests {
     fn deterministic() {
         let g = graph();
         let cfg = HybridConfig::default();
-        let (p1, _) = HybridPartitioner::new(cfg.clone()).partition_rounds(&g, 4);
-        let (p2, _) = HybridPartitioner::new(cfg).partition_rounds(&g, 4);
+        let topo = Topology::nvlink_island(4);
+        let (p1, _) = HybridPartitioner::new(cfg.clone()).partition_rounds(&g, &topo);
+        let (p2, _) = HybridPartitioner::new(cfg).partition_rounds(&g, &topo);
         for s in 0..g.num_samples() as u32 {
             assert_eq!(p1.sample_owner(s), p2.sample_owner(s));
         }
@@ -345,7 +340,7 @@ mod tests {
                 },
                 ..Default::default()
             };
-            HybridPartitioner::new(cfg).partition_rounds(&g, 4)
+            HybridPartitioner::new(cfg).partition_rounds(&g, &Topology::nvlink_island(4))
         };
         let (base, base_rounds) = run(1);
         for threads in [0, 2, 4] {
@@ -381,9 +376,10 @@ mod tests {
             replication: None,
             ..Default::default()
         });
-        let (first, _) = partitioner.partition_rounds(&g, 4);
+        let (first, _) = partitioner.partition_rounds(&g, &Topology::nvlink_island(4));
         // Refining from the converged placement barely moves anything…
-        let (refined, rounds) = partitioner.partition_from(&g, first.clone());
+        let (refined, rounds) =
+            partitioner.partition_from(&g, first.clone(), &Topology::nvlink_island(4));
         let warm_migration = migration_cost(&first, &refined);
         // …whereas a fresh run from a different random seed lands on a
         // placement far from the old one.
@@ -392,14 +388,14 @@ mod tests {
             seed: 12345,
             ..Default::default()
         });
-        let (fresh, _) = cold.partition_rounds(&g, 4);
+        let (fresh, _) = cold.partition_rounds(&g, &Topology::nvlink_island(4));
         let cold_migration = migration_cost(&first, &fresh);
         assert!(
             warm_migration < cold_migration,
             "warm {warm_migration} !< cold {cold_migration}"
         );
         // Quality does not regress.
-        let before = PartitionMetrics::compute(&g, &first, None).remote_fetches;
+        let before = PartitionMetrics::compute(&g, &first).remote_fetches;
         let after = rounds.last().unwrap().remote_fetches;
         assert!(after <= before);
     }
@@ -422,7 +418,7 @@ mod tests {
         let tracer = Arc::new(TraceCollector::new(0, TraceLevel::Batch));
         let partitioner =
             HybridPartitioner::new(HybridConfig::default()).with_tracer(Arc::clone(&tracer));
-        let (_, rounds) = partitioner.partition_rounds(&g, 4);
+        let (_, rounds) = partitioner.partition_rounds(&g, &Topology::nvlink_island(4));
         let events = tracer.events();
         let round_spans: Vec<_> = events
             .iter()
@@ -441,23 +437,8 @@ mod tests {
     #[test]
     fn validates_output() {
         let g = graph();
-        let (p, _) = HybridPartitioner::new(HybridConfig::default()).partition_rounds(&g, 8);
+        let (p, _) = HybridPartitioner::new(HybridConfig::default())
+            .partition_rounds(&g, &Topology::nvlink_island(8));
         assert!(p.validate(&g).is_ok());
-    }
-
-    #[test]
-    fn reconfigured_keeps_telemetry_hooks() {
-        use hetgmp_telemetry::{MemoryRecorder, TraceLevel};
-        let recorder: Arc<dyn Recorder> = Arc::new(MemoryRecorder::new());
-        let tracer = Arc::new(TraceCollector::new(0, TraceLevel::Batch));
-        let p = HybridPartitioner::new(HybridConfig::default())
-            .with_recorder(recorder)
-            .with_tracer(tracer);
-        assert!(p.has_recorder() && p.has_tracer());
-        let q = p.reconfigured(HybridConfig { rounds: 1, ..HybridConfig::default() });
-        assert!(q.has_recorder() && q.has_tracer());
-        let bare = HybridPartitioner::new(HybridConfig::default());
-        let r = bare.reconfigured(HybridConfig::default());
-        assert!(!r.has_recorder() && !r.has_tracer());
     }
 }

@@ -34,7 +34,6 @@ pub mod bicut;
 pub mod cooccurrence;
 pub mod hybrid;
 pub mod metrics;
-pub mod multilevel;
 pub mod onedee;
 pub mod partitioner;
 pub mod random;
@@ -47,11 +46,8 @@ pub use bicut::bicut_partition;
 pub use cooccurrence::cluster_cooccurrence;
 pub use hybrid::{migration_cost, HybridConfig, HybridPartitioner, RoundStats};
 pub use metrics::PartitionMetrics;
-pub use multilevel::{multilevel_partition, MultilevelConfig};
-pub use onedee::{check_weights, OneDeeConfig};
-pub use partitioner::{
-    BiCutPartitioner, MultilevelPartitioner, Partitioner, RandomPartitioner,
-};
+pub use onedee::OneDeeConfig;
+pub use partitioner::{BiCutPartitioner, Partitioner, RandomPartitioner};
 pub use random::random_partition;
 pub use types::Partition;
 pub use vertexcut::{replicate_hot_embeddings, ReplicationBudget};

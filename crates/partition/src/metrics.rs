@@ -14,9 +14,6 @@ pub struct PartitionMetrics {
     pub remote_fetches: u64,
     /// Total embedding accesses per epoch (`|E|`).
     pub total_accesses: u64,
-    /// Bandwidth-weighted remote cost (uses the supplied weight matrix, or
-    /// counts when none is given).
-    pub weighted_cost: f64,
     /// `fetch_matrix[k][p]` = embeddings fetched by worker `k` from worker
     /// `p` per epoch (Figure 9(b)'s heatmap).
     pub fetch_matrix: Vec<Vec<u64>>,
@@ -32,10 +29,9 @@ pub struct PartitionMetrics {
 
 impl PartitionMetrics {
     /// Computes all metrics in one pass over the edges.
-    pub fn compute(g: &Bigraph, part: &Partition, weights: Option<&[Vec<f64>]>) -> Self {
+    pub fn compute(g: &Bigraph, part: &Partition) -> Self {
         let n = part.num_partitions();
         let mut remote = 0u64;
-        let mut weighted = 0.0f64;
         let mut fetch_matrix = vec![vec![0u64; n]; n];
         for s in 0..g.num_samples() as u32 {
             let k = part.sample_owner(s);
@@ -44,17 +40,12 @@ impl PartitionMetrics {
                     remote += 1;
                     let p = part.primary_of(x);
                     fetch_matrix[k as usize][p as usize] += 1;
-                    weighted += match weights {
-                        Some(w) => w[k as usize][p as usize],
-                        None => 1.0,
-                    };
                 }
             }
         }
         Self {
             remote_fetches: remote,
             total_accesses: g.num_edges() as u64,
-            weighted_cost: weighted,
             fetch_matrix,
             samples_per_partition: part.samples_per_partition(),
             primaries_per_partition: part.primaries_per_partition(),
@@ -133,7 +124,7 @@ mod tests {
     fn perfect_partition_no_remote() {
         let g = graph();
         let p = Partition::new(2, vec![0, 0, 1, 1], vec![0, 0, 1, 1]);
-        let m = PartitionMetrics::compute(&g, &p, None);
+        let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.remote_fetches, 0);
         assert_eq!(m.remote_fraction(), 0.0);
         assert_eq!(m.total_accesses, 8);
@@ -143,7 +134,7 @@ mod tests {
     fn crossed_partition_all_remote() {
         let g = graph();
         let p = Partition::new(2, vec![0, 0, 1, 1], vec![1, 1, 0, 0]);
-        let m = PartitionMetrics::compute(&g, &p, None);
+        let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.remote_fetches, 8);
         assert_eq!(m.remote_fraction(), 1.0);
         assert_eq!(m.fetch_matrix[0][1], 4);
@@ -156,34 +147,19 @@ mod tests {
         let mut p = Partition::new(2, vec![0, 0, 1, 1], vec![1, 1, 0, 0]);
         p.add_replica(0, 0);
         p.add_replica(1, 0);
-        let m = PartitionMetrics::compute(&g, &p, None);
+        let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.remote_fetches, 4); // partition 1's fetches remain
         assert!((m.replication_factor - 1.5).abs() < 1e-12);
         assert_eq!(m.replicas_per_partition, vec![4, 2]);
     }
 
     #[test]
-    fn weighted_cost_uses_matrix() {
-        let g = graph();
-        let p = Partition::new(2, vec![0, 0, 1, 1], vec![1, 1, 0, 0]);
-        let w = vec![vec![0.0, 3.0], vec![5.0, 0.0]];
-        let m = PartitionMetrics::compute(&g, &p, Some(&w));
-        assert_eq!(m.weighted_cost, 4.0 * 3.0 + 4.0 * 5.0);
-    }
-
-    #[test]
     fn reduction_vs_baseline() {
         let g = graph();
-        let bad = PartitionMetrics::compute(
-            &g,
-            &Partition::new(2, vec![0, 0, 1, 1], vec![1, 1, 0, 0]),
-            None,
-        );
-        let good = PartitionMetrics::compute(
-            &g,
-            &Partition::new(2, vec![0, 0, 1, 1], vec![0, 0, 1, 1]),
-            None,
-        );
+        let bad =
+            PartitionMetrics::compute(&g, &Partition::new(2, vec![0, 0, 1, 1], vec![1, 1, 0, 0]));
+        let good =
+            PartitionMetrics::compute(&g, &Partition::new(2, vec![0, 0, 1, 1], vec![0, 0, 1, 1]));
         assert!((good.reduction_vs(&bad) - 1.0).abs() < 1e-12);
         assert_eq!(bad.reduction_vs(&bad), 0.0);
     }
@@ -192,7 +168,7 @@ mod tests {
     fn imbalance_ratio() {
         let g = graph();
         let p = Partition::new(2, vec![0, 0, 0, 1], vec![0, 1, 0, 1]);
-        let m = PartitionMetrics::compute(&g, &p, None);
+        let m = PartitionMetrics::compute(&g, &p);
         assert!((m.sample_imbalance() - 1.5).abs() < 1e-12); // 3 vs mean 2
     }
 
@@ -200,7 +176,7 @@ mod tests {
     fn cross_machine_counting() {
         let g = graph();
         let p = Partition::new(2, vec![0, 0, 1, 1], vec![1, 1, 0, 0]);
-        let m = PartitionMetrics::compute(&g, &p, None);
+        let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.cross_machine_fetches(&[0, 0]), 0);
         assert_eq!(m.cross_machine_fetches(&[0, 1]), 8);
     }

@@ -89,7 +89,10 @@ use hetgmp_bigraph::Bigraph;
 
 use crate::types::Partition;
 
-/// Hyper-parameters of the 1D sweep.
+/// Hyper-parameters of the 1D sweep. The weight matrix is not one of them:
+/// [`OneDeeState::new`] takes it as an argument, and the hybrid driver
+/// derives it from the topology (see
+/// [`HybridConfig::hierarchical`](crate::HybridConfig::hierarchical)).
 #[derive(Debug, Clone)]
 pub struct OneDeeConfig {
     /// Sample-count balance weight (`α` in Eq. 4).
@@ -98,11 +101,6 @@ pub struct OneDeeConfig {
     pub beta: f64,
     /// Communication balance weight (`γ`, Eq. 5).
     pub gamma: f64,
-    /// `N×N` communication weight matrix; `None` = homogeneous (all ones off
-    /// the diagonal). Use `Topology::weight_matrix()` for hierarchy-aware
-    /// partitioning. Every entry must be finite and every off-diagonal
-    /// entry non-negative (see [`check_weights`]); the diagonal is ignored.
-    pub weights: Option<Vec<Vec<f64>>>,
     /// Hard balance slack: no partition may hold more than
     /// `slack × (count / N)` samples (or embedding primaries). The soft
     /// α/β/γ terms steer placement *within* this feasible region; the cap is
@@ -125,7 +123,6 @@ impl Default for OneDeeConfig {
             alpha: 1.0,
             beta: 1.0,
             gamma: 1.0,
-            weights: None,
             slack: 1.05,
             score_threads: 0,
         }
@@ -136,7 +133,7 @@ impl Default for OneDeeConfig {
 /// off-diagonal entry non-negative (`−0.0` included). The diagonal may hold
 /// any finite value; the sweep ignores it. A NaN would make every
 /// `score < best` comparison false and a negative weight rewards cut edges.
-pub fn check_weights(m: &[Vec<f64>]) -> Result<(), String> {
+fn check_weights(m: &[Vec<f64>]) -> Result<(), String> {
     for (i, row) in m.iter().enumerate() {
         if row.len() != m.len() {
             return Err(format!(
@@ -286,23 +283,23 @@ pub struct OneDeeState {
 }
 
 impl OneDeeState {
-    /// Builds sweep state for `g` under the current `part` assignment.
+    /// Builds sweep state for `g` under the current `part` assignment, with
+    /// `weights[i][j]` the cost of partition `i` reading one embedding from
+    /// partition `j` (`Topology::weight_matrix` is the paper's choice; the
+    /// diagonal is ignored).
     ///
     /// # Panics
-    /// Panics if a provided weight matrix does not match the partition
-    /// count or fails [`check_weights`].
-    pub fn new(g: &Bigraph, part: &Partition, cfg: OneDeeConfig) -> Self {
+    /// Panics if `weights` does not match the partition count, or if an
+    /// entry is not finite or an off-diagonal entry is negative (`−0.0`
+    /// included): the branch-free sums need every weight finite and
+    /// sign-clear.
+    pub fn new(g: &Bigraph, part: &Partition, cfg: OneDeeConfig, weights: &[Vec<f64>]) -> Self {
         let n = part.num_partitions();
-        let mut w: Vec<f64> = match &cfg.weights {
-            Some(m) => {
-                assert_eq!(m.len(), n, "weight matrix rows != partitions");
-                if let Err(e) = check_weights(m) {
-                    panic!("{e}");
-                }
-                m.concat()
-            }
-            None => vec![1.0; n * n],
-        };
+        assert_eq!(weights.len(), n, "weight matrix rows != partitions");
+        if let Err(e) = check_weights(weights) {
+            panic!("{e}");
+        }
+        let mut w = weights.concat();
         for i in 0..n {
             w[i * n + i] = 0.0;
         }
@@ -633,6 +630,12 @@ mod tests {
     use super::*;
     use crate::metrics::PartitionMetrics;
     use crate::random::random_partition;
+    use hetgmp_cluster::Topology;
+
+    /// Weight 1 on every link: an NVLink island's profiled matrix.
+    fn uniform(n: usize) -> Vec<Vec<f64>> {
+        Topology::nvlink_island(n).weight_matrix()
+    }
 
     /// Two planted communities of samples/embeddings plus a couple of
     /// bridging samples.
@@ -661,12 +664,12 @@ mod tests {
     fn sweep_reduces_remote_accesses() {
         let g = communities();
         let mut part = random_partition(&g, 2, 3);
-        let before = PartitionMetrics::compute(&g, &part, None).remote_fetches;
-        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default());
+        let before = PartitionMetrics::compute(&g, &part).remote_fetches;
+        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default(), &uniform(2));
         for _ in 0..3 {
             state.sweep(&g, &mut part);
         }
-        let after = PartitionMetrics::compute(&g, &part, None).remote_fetches;
+        let after = PartitionMetrics::compute(&g, &part).remote_fetches;
         assert!(after < before, "remote accesses {before} -> {after}");
         assert!(part.validate(&g).is_ok());
     }
@@ -675,12 +678,12 @@ mod tests {
     fn finds_planted_communities() {
         let g = communities();
         let mut part = random_partition(&g, 2, 11);
-        let baseline = PartitionMetrics::compute(&g, &part, None).remote_fetches;
-        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default());
+        let baseline = PartitionMetrics::compute(&g, &part).remote_fetches;
+        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default(), &uniform(2));
         for _ in 0..5 {
             state.sweep(&g, &mut part);
         }
-        let m = PartitionMetrics::compute(&g, &part, None);
+        let m = PartitionMetrics::compute(&g, &part);
         // The paper's own Table 3 reports 63-68% reduction after 5 rounds;
         // hold this implementation to at least 55% on planted communities.
         let reduction = 1.0 - m.remote_fetches as f64 / baseline as f64;
@@ -696,7 +699,7 @@ mod tests {
     fn balance_maintained() {
         let g = communities();
         let mut part = random_partition(&g, 2, 5);
-        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default());
+        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default(), &uniform(2));
         for _ in 0..4 {
             state.sweep(&g, &mut part);
         }
@@ -713,7 +716,7 @@ mod tests {
     fn converges_to_stability() {
         let g = communities();
         let mut part = random_partition(&g, 2, 9);
-        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default());
+        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default(), &uniform(2));
         let mut last_moves = usize::MAX;
         for _ in 0..8 {
             last_moves = state.sweep(&g, &mut part);
@@ -726,10 +729,10 @@ mod tests {
     fn incremental_stats_match_rebuild() {
         let g = communities();
         let mut part = random_partition(&g, 3, 4);
-        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default());
+        let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default(), &uniform(3));
         state.sweep(&g, &mut part);
         // Rebuild from scratch and compare comm totals.
-        let fresh = OneDeeState::new(&g, &part, OneDeeConfig::default());
+        let fresh = OneDeeState::new(&g, &part, OneDeeConfig::default(), &uniform(3));
         for (a, b) in state.comm.iter().zip(&fresh.comm) {
             assert!((a - b).abs() < 1e-6, "drift: {a} vs {b}");
         }
@@ -752,33 +755,29 @@ mod tests {
         // A little extra slack: the communities graph is tiny (82 samples
         // over 4 partitions), so the default 1.05 cap quantises harshly.
         let cfg = OneDeeConfig {
-            weights: Some(w.clone()),
             slack: 1.2,
             ..Default::default()
         };
-        let mut part = random_partition(&g, 4, 6);
-        let mut state = OneDeeState::new(&g, &part, cfg);
-        for _ in 0..5 {
-            state.sweep(&g, &mut part);
-        }
-        let m = PartitionMetrics::compute(&g, &part, Some(&w));
-        let unweighted = {
-            let mut part2 = random_partition(&g, 4, 6);
-            let cfg2 = OneDeeConfig {
-                slack: 1.2,
-                ..Default::default()
-            };
-            let mut s2 = OneDeeState::new(&g, &part2, cfg2);
+        // Σ_k Σ_p fetch_matrix[k][p] · w[k][p] after five sweeps.
+        let weighted_cost = |sweep_weights: &[Vec<f64>]| {
+            let mut part = random_partition(&g, 4, 6);
+            let mut state = OneDeeState::new(&g, &part, cfg.clone(), sweep_weights);
             for _ in 0..5 {
-                s2.sweep(&g, &mut part2);
+                state.sweep(&g, &mut part);
             }
-            PartitionMetrics::compute(&g, &part2, Some(&w))
+            let m = PartitionMetrics::compute(&g, &part);
+            m.fetch_matrix
+                .iter()
+                .zip(&w)
+                .flat_map(|(fetches, costs)| fetches.iter().zip(costs))
+                .map(|(&f, &c)| f as f64 * c)
+                .sum::<f64>()
         };
+        let aware = weighted_cost(&w);
+        let oblivious = weighted_cost(&uniform(4));
         assert!(
-            m.weighted_cost <= unweighted.weighted_cost,
-            "hierarchy-aware {} should beat oblivious {}",
-            m.weighted_cost,
-            unweighted.weighted_cost
+            aware <= oblivious,
+            "hierarchy-aware {aware} should beat oblivious {oblivious}"
         );
     }
 
@@ -795,13 +794,11 @@ mod tests {
         ] {
             let m = vec![vec![0.0, bad], vec![1.0, 0.0]];
             assert!(check_weights(&m).unwrap_err().contains(why), "{bad}");
-            let cfg = OneDeeConfig {
-                weights: Some(m),
-                ..Default::default()
-            };
-            let panic = std::panic::catch_unwind(|| OneDeeState::new(&g, &part, cfg))
-                .err()
-                .unwrap_or_else(|| panic!("weight {bad} accepted"));
+            let panic = std::panic::catch_unwind(|| {
+                OneDeeState::new(&g, &part, OneDeeConfig::default(), &m)
+            })
+            .err()
+            .unwrap_or_else(|| panic!("weight {bad} accepted"));
             let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(
                 msg.contains("weight matrix") && msg.contains(why),
@@ -822,14 +819,7 @@ mod tests {
                 vec![0.7, 1.0 / 7.0, diag],
             ];
             let mut part = random_partition(&g, 3, 4);
-            let mut state = OneDeeState::new(
-                &g,
-                &part,
-                OneDeeConfig {
-                    weights: Some(w),
-                    ..Default::default()
-                },
-            );
+            let mut state = OneDeeState::new(&g, &part, OneDeeConfig::default(), &w);
             let moves: Vec<usize> = (0..4).map(|_| state.sweep(&g, &mut part)).collect();
             let bits: Vec<u64> = state.comm_totals().iter().map(|c| c.to_bits()).collect();
             (moves, part, bits)
@@ -852,10 +842,6 @@ mod tests {
     fn bad_weight_matrix_rejected() {
         let g = communities();
         let part = random_partition(&g, 2, 0);
-        let cfg = OneDeeConfig {
-            weights: Some(vec![vec![0.0; 3]; 3]),
-            ..Default::default()
-        };
-        let _ = OneDeeState::new(&g, &part, cfg);
+        let _ = OneDeeState::new(&g, &part, OneDeeConfig::default(), &uniform(3));
     }
 }

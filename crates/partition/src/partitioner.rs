@@ -4,10 +4,12 @@
 //! the Table 3 baselines — is invocable through one trait:
 //! `partition(graph, topology) → Partition`. Callers (the Table 3 runner,
 //! the trainer's strategy layer, the CLI) dispatch through `&dyn
-//! Partitioner` and never need algorithm-specific plumbing; the topology
-//! argument lets hierarchy-aware algorithms derive their communication
-//! weight matrix ([`Topology::weight_matrix`]) instead of requiring the
-//! caller to thread it into a config.
+//! Partitioner` and never need algorithm-specific plumbing. The topology
+//! is the only source of the communication weight matrix: Algorithm 1
+//! derives it from the topology it partitions for
+//! ([`Topology::weight_matrix`], or uniform weights when
+//! [`HybridConfig::hierarchical`](crate::HybridConfig::hierarchical) is
+//! off), and no config carries one.
 //!
 //! ```
 //! use hetgmp_bigraph::Bigraph;
@@ -31,14 +33,15 @@ use hetgmp_cluster::Topology;
 
 use crate::bicut::bicut_partition;
 use crate::hybrid::HybridPartitioner;
-use crate::multilevel::{multilevel_partition, MultilevelConfig};
 use crate::random::random_partition;
 use crate::types::Partition;
 
 /// A bigraph partitioning algorithm.
 ///
 /// Implementations must return a partition over exactly
-/// `topo.num_workers()` parts covering every vertex of `g`.
+/// `topo.num_workers()` parts covering every vertex of `g`. An algorithm
+/// that weighs cut edges by link takes the weights from `topo`; nothing
+/// else supplies them.
 pub trait Partitioner {
     /// Human-readable algorithm name (Table 3 row label).
     fn name(&self) -> &str;
@@ -91,43 +94,9 @@ impl Partitioner for HybridPartitioner {
         "hybrid (Algorithm 1)"
     }
 
-    /// Runs Algorithm 1 with the topology's profiled weight matrix when the
-    /// config does not pin one explicitly.
+    /// Runs Algorithm 1 with the weight matrix `topo` implies.
     fn partition(&self, g: &Bigraph, topo: &Topology) -> Partition {
-        if self.config().onedee.weights.is_none() {
-            let mut cfg = self.config().clone();
-            cfg.onedee.weights = Some(topo.weight_matrix());
-            // `reconfigured`, not `new`: an attached recorder/tracer must
-            // survive the weight-matrix injection.
-            self.reconfigured(cfg)
-                .partition_rounds(g, topo.num_workers())
-                .0
-        } else {
-            self.partition_rounds(g, topo.num_workers()).0
-        }
-    }
-}
-
-/// The coarsen–partition–refine variant (METIS-style multilevel scheme).
-#[derive(Debug, Clone, Default)]
-pub struct MultilevelPartitioner {
-    /// Multilevel scheme configuration.
-    pub config: MultilevelConfig,
-}
-
-impl Partitioner for MultilevelPartitioner {
-    fn name(&self) -> &str {
-        "multilevel"
-    }
-
-    fn partition(&self, g: &Bigraph, topo: &Topology) -> Partition {
-        if self.config.onedee.weights.is_none() {
-            let mut cfg = self.config.clone();
-            cfg.onedee.weights = Some(topo.weight_matrix());
-            multilevel_partition(g, topo.num_workers(), &cfg)
-        } else {
-            multilevel_partition(g, topo.num_workers(), &self.config)
-        }
+        self.partition_rounds(g, topo).0
     }
 }
 
@@ -135,6 +104,7 @@ impl Partitioner for MultilevelPartitioner {
 mod tests {
     use super::*;
     use crate::hybrid::HybridConfig;
+    use crate::vertexcut::ReplicationBudget;
 
     fn graph() -> Bigraph {
         let rows: Vec<Vec<u32>> = (0..40)
@@ -151,7 +121,6 @@ mod tests {
             Box::new(RandomPartitioner::default()),
             Box::new(BiCutPartitioner),
             Box::new(HybridPartitioner::new(HybridConfig::default())),
-            Box::new(MultilevelPartitioner::default()),
         ];
         for algo in &algos {
             let part = algo.partition(&g, &topo);
@@ -160,18 +129,40 @@ mod tests {
         }
     }
 
+    /// On a homogeneous island every link weighs the same, so the
+    /// topology's matrix and the uniform one are the same bits: hierarchical
+    /// and non-hierarchical runs agree, and the trait call is exactly
+    /// `partition_rounds`, down to owners, primaries and replica masks.
     #[test]
     fn trait_hybrid_matches_inherent_with_weights() {
         let g = graph();
         let topo = Topology::nvlink_island(4);
-        // Pin the weight matrix so both paths run identical configs.
-        let mut cfg = HybridConfig::default();
-        cfg.onedee.weights = Some(topo.weight_matrix());
-        let p = HybridPartitioner::new(cfg.clone());
-        let via_trait = Partitioner::partition(&p, &g, &topo);
-        let (direct, _) = p.partition_rounds(&g, 4);
+        let run = |hierarchical: bool| {
+            let cfg = HybridConfig {
+                hierarchical,
+                replication: Some(ReplicationBudget::PerPartitionSlots(2)),
+                ..HybridConfig::default()
+            };
+            let p = HybridPartitioner::new(cfg);
+            let via_trait = Partitioner::partition(&p, &g, &topo);
+            let (direct, _) = p.partition_rounds(&g, &topo);
+            assert_same(&g, &via_trait, &direct);
+            direct
+        };
+        let hierarchical = run(true);
+        assert!((0..g.num_embeddings() as u32).any(|e| hierarchical.replica_count(e) > 1));
+        assert_same(&g, &hierarchical, &run(false));
+    }
+
+    fn assert_same(g: &Bigraph, a: &Partition, b: &Partition) {
+        for s in 0..g.num_samples() as u32 {
+            assert_eq!(a.sample_owner(s), b.sample_owner(s), "sample {s}");
+        }
         for e in 0..g.num_embeddings() as u32 {
-            assert_eq!(via_trait.primary_of(e), direct.primary_of(e));
+            assert_eq!(a.primary_of(e), b.primary_of(e), "primary of {e}");
+            for k in 0..a.num_partitions() as u32 {
+                assert_eq!(a.is_local(e, k), b.is_local(e, k), "replica of {e} on {k}");
+            }
         }
     }
 
@@ -181,11 +172,10 @@ mod tests {
             Box::new(RandomPartitioner::default()),
             Box::new(BiCutPartitioner),
             Box::new(HybridPartitioner::new(HybridConfig::default())),
-            Box::new(MultilevelPartitioner::default()),
         ];
         let mut names: Vec<&str> = algos.iter().map(|a| a.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), 3);
     }
 }

@@ -34,12 +34,14 @@ pub(crate) struct ReferenceState {
 }
 
 impl ReferenceState {
-    pub(crate) fn new(g: &Bigraph, part: &Partition, cfg: OneDeeConfig) -> Self {
+    pub(crate) fn new(
+        g: &Bigraph,
+        part: &Partition,
+        cfg: OneDeeConfig,
+        weights: &[Vec<f64>],
+    ) -> Self {
         let n = part.num_partitions();
-        let mut w = match &cfg.weights {
-            Some(m) => m.clone(),
-            None => vec![vec![1.0; n]; n],
-        };
+        let mut w = weights.to_vec();
         for (i, row) in w.iter_mut().enumerate() {
             row[i] = 0.0;
         }
@@ -275,13 +277,14 @@ pub(crate) fn reference_partition(
     g: &Bigraph,
     initial: &Partition,
     cfg: &HybridConfig,
+    weights: &[Vec<f64>],
 ) -> (Partition, Vec<RoundStats>) {
     let mut part = initial.clone();
-    let mut state = ReferenceState::new(g, &part, cfg.onedee.clone());
+    let mut state = ReferenceState::new(g, &part, cfg.onedee.clone(), weights);
     let mut rounds = Vec::new();
     for round in 1..=cfg.rounds {
         let moved = state.sweep(g, &mut part);
-        let metrics = PartitionMetrics::compute(g, &part, None);
+        let metrics = PartitionMetrics::compute(g, &part);
         rounds.push(RoundStats {
             round,
             moved,
@@ -365,14 +368,14 @@ mod tests {
             .collect()
     }
 
-    fn weights(n: usize, choice: u32, rng: &mut StdRng) -> Option<Vec<Vec<f64>>> {
+    fn weights(n: usize, choice: u32, rng: &mut StdRng) -> Vec<Vec<f64>> {
         match choice {
-            0 => None,
-            1 => Some(Topology::pcie_island(n).weight_matrix()),
-            2 if n.is_multiple_of(2) => Some(Topology::qpi_dual_socket(n).weight_matrix()),
-            2 => Some(Topology::cluster_b_scaled(n).weight_matrix()),
-            3 => Some(two_machines(n).weight_matrix()),
-            _ => Some(non_dyadic(n, rng)),
+            0 => Topology::nvlink_island(n).weight_matrix(),
+            1 => Topology::pcie_island(n).weight_matrix(),
+            2 if n.is_multiple_of(2) => Topology::qpi_dual_socket(n).weight_matrix(),
+            2 => Topology::cluster_b_scaled(n).weight_matrix(),
+            3 => two_machines(n).weight_matrix(),
+            _ => non_dyadic(n, rng),
         }
     }
 
@@ -396,10 +399,16 @@ mod tests {
     /// Sweep by sweep, the state matches the reference: the same moves,
     /// partition, counts, balance counters and communication totals to the
     /// bit.
-    fn check_states(g: &Bigraph, initial: &Partition, cfg: &OneDeeConfig, rounds: usize) {
+    fn check_states(
+        g: &Bigraph,
+        initial: &Partition,
+        cfg: &OneDeeConfig,
+        w: &[Vec<f64>],
+        rounds: usize,
+    ) {
         let (mut part, mut ref_part) = (initial.clone(), initial.clone());
-        let mut state = OneDeeState::new(g, &part, cfg.clone());
-        let mut oracle = ReferenceState::new(g, &ref_part, cfg.clone());
+        let mut state = OneDeeState::new(g, &part, cfg.clone(), w);
+        let mut oracle = ReferenceState::new(g, &ref_part, cfg.clone(), w);
         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         for round in 0..=rounds {
             if round > 0 {
@@ -440,8 +449,8 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let g = random_graph(&mut rng);
+            let w = weights(n, weight_choice, &mut rng);
             let onedee = OneDeeConfig {
-                weights: weights(n, weight_choice, &mut rng),
                 slack: [1.05, 1.3][rng.gen_range(0..2usize)],
                 score_threads: threads,
                 ..OneDeeConfig::default()
@@ -451,12 +460,13 @@ mod tests {
                 1 => Some(ReplicationBudget::PerPartitionSlots(rng.gen_range(1..6usize))),
                 _ => Some(ReplicationBudget::FractionOfEmbeddings(0.1)),
             };
-            let cfg = HybridConfig { rounds, onedee, replication, seed };
+            let cfg = HybridConfig { rounds, onedee, replication, seed, ..HybridConfig::default() };
             let initial = random_partition(&g, n, seed);
-            check_states(&g, &initial, &cfg.onedee, rounds);
+            check_states(&g, &initial, &cfg.onedee, &w, rounds);
 
-            let (part, stats) = HybridPartitioner::new(cfg.clone()).partition_from(&g, initial.clone());
-            let (ref_part, ref_stats) = reference_partition(&g, &initial, &cfg);
+            let (part, stats) =
+                HybridPartitioner::new(cfg.clone()).partition_weighted(&g, initial.clone(), &w);
+            let (ref_part, ref_stats) = reference_partition(&g, &initial, &cfg, &w);
             assert_same_partition(&g, &part, &ref_part, "final");
             prop_assert_eq!(stats.len(), ref_stats.len());
             for (a, b) in stats.iter().zip(&ref_stats) {
@@ -485,25 +495,24 @@ mod tests {
             })
             .collect();
         let g = Bigraph::from_samples(400, &rows);
-        for (weights, threads) in [
-            (None, 2),
-            (Some(Topology::qpi_dual_socket(4).weight_matrix()), 4),
-            (Some(non_dyadic(4, &mut rng)), 3),
+        for (w, threads) in [
+            (Topology::nvlink_island(4).weight_matrix(), 2),
+            (Topology::qpi_dual_socket(4).weight_matrix(), 4),
+            (non_dyadic(4, &mut rng), 3),
         ] {
             let cfg = HybridConfig {
                 rounds: 5,
                 onedee: OneDeeConfig {
-                    weights,
                     score_threads: threads,
                     ..OneDeeConfig::default()
                 },
                 ..HybridConfig::default()
             };
             let initial = random_partition(&g, 4, 7);
-            check_states(&g, &initial, &cfg.onedee, 5);
+            check_states(&g, &initial, &cfg.onedee, &w, 5);
             let (part, stats) =
-                HybridPartitioner::new(cfg.clone()).partition_from(&g, initial.clone());
-            let (ref_part, ref_stats) = reference_partition(&g, &initial, &cfg);
+                HybridPartitioner::new(cfg.clone()).partition_weighted(&g, initial.clone(), &w);
+            let (ref_part, ref_stats) = reference_partition(&g, &initial, &cfg, &w);
             assert_same_partition(&g, &part, &ref_part, "final");
             for (a, b) in stats.iter().zip(&ref_stats) {
                 assert_eq!((a.moved, a.remote_fetches), (b.moved, b.remote_fetches));

@@ -152,7 +152,7 @@ mod tests {
     fn replicates_hottest_first() {
         let g = hot_graph();
         let mut p = base_partition();
-        let before = PartitionMetrics::compute(&g, &p, None).remote_fetches;
+        let before = PartitionMetrics::compute(&g, &p).remote_fetches;
         let created = replicate_hot_embeddings(
             &g,
             &mut p,
@@ -161,7 +161,7 @@ mod tests {
         assert!(created >= 1);
         // Partition 1's single slot must go to embedding 0 (hottest remote).
         assert!(p.is_secondary(0, 1));
-        let after = PartitionMetrics::compute(&g, &p, None).remote_fetches;
+        let after = PartitionMetrics::compute(&g, &p).remote_fetches;
         assert!(after < before, "{before} -> {after}");
     }
 
@@ -207,7 +207,7 @@ mod tests {
         let g = hot_graph();
         let mut p = base_partition();
         replicate_hot_embeddings(&g, &mut p, ReplicationBudget::FractionOfEmbeddings(1.0));
-        let m = PartitionMetrics::compute(&g, &p, None);
+        let m = PartitionMetrics::compute(&g, &p);
         assert_eq!(m.remote_fetches, 0);
     }
 

@@ -6,6 +6,7 @@
 //! cargo run --release --example partition_explorer [partitions] [scale]
 //! ```
 
+use het_gmp::cluster::Topology;
 use het_gmp::data::{generate, DatasetSpec};
 use het_gmp::partition::{
     bicut_partition, random_partition, HybridConfig, HybridPartitioner, Partition,
@@ -13,7 +14,7 @@ use het_gmp::partition::{
 };
 
 fn describe(name: &str, part: &Partition, graph: &het_gmp::bigraph::Bigraph) {
-    let m = PartitionMetrics::compute(graph, part, None);
+    let m = PartitionMetrics::compute(graph, part);
     println!(
         "{name:<22} remote/epoch {:>9}  ({:.1}% of accesses)  sample-imbalance {:.3}  replication {:.3}",
         m.remote_fetches,
@@ -38,6 +39,7 @@ fn main() {
         graph.num_edges()
     );
 
+    let topo = Topology::nvlink_island(n);
     describe("random", &random_partition(&graph, n, 7), &graph);
     describe("bicut", &bicut_partition(&graph, n), &graph);
 
@@ -47,7 +49,7 @@ fn main() {
             replication: None,
             ..Default::default()
         })
-        .partition_rounds(&graph, n);
+        .partition_rounds(&graph, &topo);
         describe(&format!("hybrid-1D ({rounds} rounds)"), &part, &graph);
         if rounds == 5 {
             for s in &stats {
@@ -64,11 +66,11 @@ fn main() {
         replication: Some(ReplicationBudget::FractionOfEmbeddings(0.01)),
         ..Default::default()
     })
-    .partition_rounds(&graph, n);
+    .partition_rounds(&graph, &topo);
     describe("hybrid-2D (top 1%)", &part, &graph);
 
     // Fetch heatmap for the final hybrid partition.
-    let m = PartitionMetrics::compute(&graph, &part, None);
+    let m = PartitionMetrics::compute(&graph, &part);
     println!("\nworker-pair fetch heatmap (rows: reading worker):");
     for row in &m.fetch_matrix {
         let cells: Vec<String> = row.iter().map(|c| format!("{c:>8}")).collect();

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! het-gmp gen        --preset avazu|criteo|company --scale 0.1 --out data.svm
-//! het-gmp partition  --in data.svm --fields 22 --workers 8 --algo hybrid|random|bicut|multilevel
+//! het-gmp partition  --in data.svm --fields 22 --workers 8 --algo hybrid|random|bicut
 //! het-gmp train      --preset criteo --scale 0.1 --system het-gmp --staleness 100
 //!                    [--telemetry out.jsonl] [--trace out.trace.json] [--audit[=strict]]
 //! het-gmp capacity   --workers 24 --mem-gb 32 --dim 128
@@ -30,8 +30,8 @@ use het_gmp::core::trainer::{StorageMode, TrainResult, Trainer, TrainerConfig};
 use het_gmp::data::{generate, read_libsvm, write_libsvm, CtrDataset, DatasetSpec};
 use het_gmp::embedding::CapacityPlan;
 use het_gmp::partition::{
-    BiCutPartitioner, HybridConfig, HybridPartitioner, MultilevelPartitioner, PartitionMetrics,
-    Partitioner, RandomPartitioner,
+    BiCutPartitioner, HybridConfig, HybridPartitioner, PartitionMetrics, Partitioner,
+    RandomPartitioner,
 };
 use het_gmp::inspect::{diff_artifacts, render_gantt, render_report, Artifact, DiffOptions};
 use het_gmp::telemetry::{
@@ -45,7 +45,7 @@ use cli::Args;
 /// [`EXPERIMENTS`] (see [`usage`]).
 const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|inspect> [--flags]
   gen        --preset avazu|criteo|company|tiny --scale F --out FILE
-  partition  (--in FILE --fields N | --preset P --scale F) --workers N --algo hybrid|random|bicut|multilevel [--rounds N]
+  partition  (--in FILE --fields N | --preset P --scale F) --workers N --algo hybrid|random|bicut [--rounds N]
   train      (--in FILE --fields N | --preset P --scale F) --system tf-ps|parallax|hugectr|het-mp|het-gmp
              [--staleness N] [--workers N] [--epochs N] [--model wdl|dcn] [--seed N]
              [--telemetry FILE.jsonl] [--trace FILE.trace.json] [--trace-level batch|sync]
@@ -340,7 +340,6 @@ fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
     let algo: Box<dyn Partitioner> = match args.get("algo").unwrap_or("hybrid") {
         "random" => Box::new(RandomPartitioner { seed: 7 }),
         "bicut" => Box::new(BiCutPartitioner),
-        "multilevel" => Box::new(MultilevelPartitioner::default()),
         "hybrid" => Box::new(HybridPartitioner::new(HybridConfig {
             rounds: args.parsed_or("rounds", 3)?,
             ..Default::default()
@@ -348,7 +347,7 @@ fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
         other => return Err(HetGmpError::usage(format!("unknown algorithm {other:?}"))),
     };
     let part = algo.partition(&graph, &topo);
-    let m = PartitionMetrics::compute(&graph, &part, None);
+    let m = PartitionMetrics::compute(&graph, &part);
     println!(
         "{} over {} workers: remote fetches/epoch {} ({:.1}% of accesses), \
          sample imbalance {:.3}, replication factor {:.3}",

@@ -190,15 +190,17 @@ fn exit_codes_follow_sysexits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--algo multilevel` names no algorithm: it gets the usage error every
+/// unknown name gets.
 #[test]
-fn partition_multilevel_via_unified_interface() {
+fn partition_multilevel_is_an_unknown_algorithm() {
     let out = het_gmp()
         .args(["partition", "--preset", "tiny", "--workers", "4", "--algo", "multilevel"])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("multilevel"), "{text}");
+    assert_eq!(out.status.code(), Some(2), "unknown algorithm exits 2");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown algorithm \"multilevel\""), "{err}");
 }
 
 /// No subcommand silently accepts a flag it does not know: an unknown flag,

@@ -25,15 +25,13 @@ fn pipeline_dataset_to_partition_to_training() {
     assert!(stats.gini > 0.5, "skewness missing: gini {}", stats.gini);
 
     // Algorithm 1 produces a valid partition that beats random.
-    let (part, rounds) = HybridPartitioner::new(HybridConfig::default()).partition_rounds(&graph, 8);
+    let (part, rounds) = HybridPartitioner::new(HybridConfig::default())
+        .partition_rounds(&graph, &Topology::nvlink_island(8));
     assert!(part.validate(&graph).is_ok());
     assert!(rounds.len() == 3);
-    let ours = PartitionMetrics::compute(&graph, &part, None);
-    let random = PartitionMetrics::compute(
-        &graph,
-        &het_gmp::partition::random_partition(&graph, 8, 1),
-        None,
-    );
+    let ours = PartitionMetrics::compute(&graph, &part);
+    let random =
+        PartitionMetrics::compute(&graph, &het_gmp::partition::random_partition(&graph, 8, 1));
     assert!(ours.remote_fetches < random.remote_fetches);
 
     // Training on that partition learns (AUC above chance) and accounts

@@ -65,7 +65,7 @@ fn single_hot_feature_dataset() {
         replication: Some(ReplicationBudget::PerPartitionSlots(1)),
         ..Default::default()
     })
-    .partition_rounds(&graph, 4);
+    .partition_rounds(&graph, &Topology::nvlink_island(4));
     assert!(part.replica_count(0) >= 3, "hot feature not replicated");
 }
 
@@ -79,7 +79,7 @@ fn heavily_skewed_shards_do_not_deadlock() {
     for s in 0..(graph.num_samples() as u32 * 3 / 4) {
         part.move_sample(s, 0);
     }
-    let m = PartitionMetrics::compute(&graph, &part, None);
+    let m = PartitionMetrics::compute(&graph, &part);
     assert!(m.sample_imbalance() > 2.0, "setup not skewed enough");
     // Training still proceeds (the trainer builds its own partition, so this
     // exercise runs the skew through the trainer via the random policy with
@@ -102,12 +102,12 @@ fn zero_replication_budget_matches_pure_1d() {
         replication: Some(ReplicationBudget::FractionOfEmbeddings(0.0)),
         ..Default::default()
     })
-    .partition_rounds(&graph, 4);
+    .partition_rounds(&graph, &Topology::nvlink_island(4));
     let (without, _) = HybridPartitioner::new(HybridConfig {
         replication: None,
         ..Default::default()
     })
-    .partition_rounds(&graph, 4);
+    .partition_rounds(&graph, &Topology::nvlink_island(4));
     assert_eq!(with_zero.replication_factor(), 1.0);
     for e in 0..graph.num_embeddings() as u32 {
         assert_eq!(with_zero.primary_of(e), without.primary_of(e));
@@ -134,9 +134,10 @@ fn unaccessed_embeddings_are_harmless() {
     // A vocabulary far larger than the accessed set.
     let rows: Vec<Vec<u32>> = (0..64).map(|i| vec![i % 4, 4 + i % 3]).collect();
     let graph = Bigraph::from_samples(10_000, &rows);
-    let (part, _) = HybridPartitioner::new(HybridConfig::default()).partition_rounds(&graph, 4);
+    let (part, _) = HybridPartitioner::new(HybridConfig::default())
+        .partition_rounds(&graph, &Topology::nvlink_island(4));
     assert!(part.validate(&graph).is_ok());
-    let m = PartitionMetrics::compute(&graph, &part, None);
+    let m = PartitionMetrics::compute(&graph, &part);
     // Unaccessed embeddings spread across partitions by the balance term.
     let primaries = m.primaries_per_partition.clone();
     let max = *primaries.iter().max().unwrap();

@@ -2,6 +2,7 @@
 //! randomly generated workloads.
 
 use het_gmp::bigraph::Bigraph;
+use het_gmp::cluster::Topology;
 use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
 use het_gmp::partition::{
     bicut_partition, random_partition, HybridConfig, HybridPartitioner, PartitionMetrics,
@@ -29,7 +30,7 @@ proptest! {
             replication: Some(ReplicationBudget::FractionOfEmbeddings(0.1)),
             ..Default::default()
         })
-        .partition_rounds(&g, n);
+        .partition_rounds(&g, &Topology::nvlink_island(n));
         prop_assert!(part.validate(&g).is_ok());
         prop_assert_eq!(part.num_partitions(), n);
         // Every embedding has exactly one primary and >= 1 replica.
@@ -53,13 +54,13 @@ proptest! {
     fn hybrid_never_worse_than_its_random_init(g in bigraph_strategy(), n in 2usize..6) {
         let seed = 0x9E7; // HybridConfig::default().seed
         let random = random_partition(&g, n, seed);
-        let random_m = PartitionMetrics::compute(&g, &random, None);
+        let random_m = PartitionMetrics::compute(&g, &random);
         let (part, _) = HybridPartitioner::new(HybridConfig {
             replication: None,
             ..Default::default()
         })
-        .partition_rounds(&g, n);
-        let ours = PartitionMetrics::compute(&g, &part, None);
+        .partition_rounds(&g, &Topology::nvlink_island(n));
+        let ours = PartitionMetrics::compute(&g, &part);
         prop_assert!(ours.remote_fetches <= random_m.remote_fetches,
             "hybrid {} worse than random {}", ours.remote_fetches, random_m.remote_fetches);
     }
