@@ -6,7 +6,7 @@
 CARGO ?= cargo
 
 .PHONY: build test clippy doc lint-metrics lint-rounding lint-unsafe fault-matrix inspect-smoke \
-	tsan verify bench benchmark-smoke clean
+	repeat-check tsan verify bench benchmark-smoke clean
 
 build:
 	$(CARGO) build --release --offline --workspace
@@ -52,6 +52,13 @@ fault-matrix: build
 inspect-smoke: build
 	sh scripts/inspect_smoke.sh
 
+# Run-to-run repeatability: the canonical 4-worker HET-GMP(s=100) run,
+# five times; the printed summary and the embedding.{sync,flush,update}.*
+# counters must match in every run, with sync flushes firing. The script
+# names what it leaves out (wall time, seqlock retries).
+repeat-check: build
+	sh scripts/repeat_check.sh
+
 # ThreadSanitizer over the concurrent suites: the seqlock read path, the
 # AllReduce group (its threaded stress included) and the write phase's
 # WriteExchange hand-off.
@@ -72,9 +79,9 @@ benchmark-smoke:
 # The gate every change must pass: release build, full test suite, clippy
 # and rustdoc with warnings denied, metric-name lint, hot-path rounding
 # lint, the one-unsafe-site lint, the fault-injection matrix, the inspect
-# smoke, and the benchmark smoke.
+# smoke, the repeatability check, and the benchmark smoke.
 verify: build test clippy doc lint-metrics lint-rounding lint-unsafe fault-matrix \
-	inspect-smoke benchmark-smoke
+	inspect-smoke repeat-check benchmark-smoke
 
 # Criterion microbenchmarks, one bench per layer (crates/bench/benches).
 # benchmark/ is the performance record; these are for looking closer.

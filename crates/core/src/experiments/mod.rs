@@ -67,12 +67,14 @@ pub struct Hooks {
 }
 
 impl Hooks {
-    /// Applies the hooks to a trainer.
+    /// Applies the hooks to a trainer, the wire format to its config.
     pub(crate) fn apply<'d>(&self, mut trainer: Trainer<'d>) -> Trainer<'d> {
         if let Some(t) = &self.tracer {
             trainer = trainer.with_tracer(Arc::clone(t));
         }
-        trainer = trainer.with_sync_format(self.sync_format, self.sync_error_feedback);
+        let cfg = &mut trainer.config;
+        cfg.sync_format = self.sync_format.unwrap_or(cfg.sync_format);
+        cfg.sync_error_feedback = self.sync_error_feedback.unwrap_or(cfg.sync_error_feedback);
         trainer.with_audit(self.audit)
     }
 

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hetgmp_cluster::{CostModel, SimClock, TimeCategory, Topology};
 use hetgmp_comms::AllReduceGroup;
 use hetgmp_data::KgDataset;
-use hetgmp_embedding::{ShardedTable, SparseOpt, WorkerEmbedding};
+use hetgmp_embedding::{ShardedTable, SparseOpt, WorkerEmbedding, WriteExchange};
 use hetgmp_partition::PartitionMetrics;
 use hetgmp_telemetry::HetGmpError;
 use rand::rngs::StdRng;
@@ -172,6 +172,7 @@ impl<'d> KgTrainer<'d> {
             .map(|w| WorkerEmbedding::new(w, &entities, &partition, &freq, self.strategy.staleness))
             .collect();
         let mut clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
+        let exchange = WriteExchange::new(n);
 
         let kg = self.kg;
         for epoch in 0..cfg.epochs {
@@ -209,7 +210,10 @@ impl<'d> KgTrainer<'d> {
                 }
             });
             for we in &mut workers {
-                we.flush_all(&cfg.entity_opt);
+                we.flush_all(&exchange);
+            }
+            for owner in 0..n {
+                exchange.apply_owned(owner, &entities, &cfg.entity_opt);
             }
         }
 

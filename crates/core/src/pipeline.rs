@@ -41,14 +41,13 @@
 //! ## Determinism contract
 //!
 //! On fault-free runs, losses, AUC, traffic and checkpoints are
-//! **bit-identical** across storage tier, read path and checkpoint
-//! resume, at any worker count where no read-phase flush fires (`s = 0`,
-//! HET-MP, the LFU cache; ROADMAP item 1 tracks the read-phase flush race
-//! that breaks run-to-run repeatability at `s > 0` with three or more
-//! workers):
+//! **bit-identical** run to run and across storage tier, read path and
+//! checkpoint resume, at any worker count and staleness bound:
 //!
 //! * reads-before-writes holds within an iteration (step 5) and
-//!   writes-before-reads across iterations (step 8);
+//!   writes-before-reads across iterations (step 8); no read writes the
+//!   table — a sync that re-fetches a replica holding deferred gradients
+//!   routes their flush with step 4's write-back;
 //! * every row sees its write-backs in canonical source-rank-ascending
 //!   order (step 6): updates to one row do not commute under Adagrad, so
 //!   their order is part of the result; updates to different rows commute,

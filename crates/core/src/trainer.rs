@@ -465,7 +465,7 @@ pub struct Trainer<'d> {
     dataset: &'d CtrDataset,
     topology: Topology,
     strategy: StrategyConfig,
-    config: TrainerConfig,
+    pub(crate) config: TrainerConfig,
     tracer: Option<Arc<TraceCollector>>,
     audit: AuditMode,
     faults: Option<Arc<FaultSchedule>>,
@@ -501,25 +501,6 @@ impl<'d> Trainer<'d> {
     /// collector with one slot per worker in this trainer's topology.
     pub fn with_tracer(mut self, tracer: Arc<TraceCollector>) -> Self {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Overrides the wire format for embedding and dense-gradient payloads
-    /// ([`TrainerConfig::sync_format`]) and lossy-push error feedback
-    /// ([`TrainerConfig::sync_error_feedback`]). `None` keeps the config's
-    /// value. This is the experiment runners' hook path, so one CLI flag
-    /// applies a single wire format to every run in an experiment.
-    pub fn with_sync_format(
-        mut self,
-        format: Option<SyncFormat>,
-        error_feedback: Option<bool>,
-    ) -> Self {
-        if let Some(f) = format {
-            self.config.sync_format = f;
-        }
-        if let Some(ef) = error_feedback {
-            self.config.sync_error_feedback = ef;
-        }
         self
     }
 
@@ -829,8 +810,8 @@ impl<'d> Trainer<'d> {
     }
 
     /// Restores [`TrainerConfig::resume_from`] into the table and every
-    /// worker — dense model, shard cursor, simulated clock, fault cursor —
-    /// and returns the first epoch to train (1 without a checkpoint).
+    /// worker — replicas, dense model, shard cursor, simulated clock, fault
+    /// cursor — and returns the first epoch to train (1 without a checkpoint).
     fn resume(
         &self,
         run: &RunCtx<'_>,
@@ -865,6 +846,9 @@ impl<'d> Trainer<'d> {
                 ));
             }
             me.model.load_params(&ws.dense_params);
+            // Re-prime the replicas (warm-loaded from the fresh table) from
+            // the restored one, uncharged like the warm load.
+            me.emb.sync_replicas();
             me.cursor = ws.cursor as usize;
             // Seeding the resumed clock is a free forward jump: the time
             // before the checkpoint was already charged by the original run.
@@ -1057,17 +1041,17 @@ fn train_epoch(
     !run.auditor.as_ref().is_some_and(|a| a.is_tripped())
 }
 
-/// The epoch barrier, in two passes. First every worker flushes its
-/// deferred secondary gradients, so the evaluation (and the next epoch)
-/// sees every update; the write-backs are charged. Then, after *every*
-/// worker has flushed, each re-primes its local replicas from the
-/// now-final table. This makes the state entering the next epoch identical
-/// to what a checkpoint resume reconstructs (resumed workers warm-load
-/// replicas from the restored table), so a resumed run replays the
-/// uninterrupted run's math.
+/// The epoch barrier, in three passes: every worker routes its deferred
+/// secondary gradients (the write-backs are charged); every owner applies
+/// them, as a step's write phase does, so the evaluation (and the next
+/// epoch) sees every update; each worker re-primes its local replicas from
+/// the now-final table. The state entering the next epoch is then what a
+/// checkpoint resume reconstructs (resumed workers re-prime replicas from
+/// the restored table), so a resumed run replays the uninterrupted run's
+/// math.
 fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
     for me in workers.iter_mut() {
-        let rep = me.emb.flush_all(&run.cfg.embed_opt);
+        let rep = me.emb.flush_all(&run.exchange);
         if rep.data_bytes > 0 {
             let mut t = 0.0;
             for (dst, &bytes) in rep.data_bytes_by_dst.iter().enumerate() {
@@ -1079,6 +1063,9 @@ fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
             run.ledger.record(me.w, TrafficClass::EmbedData, rep.data_bytes, rep.messages);
             run.ledger.record(me.w, TrafficClass::KeysClocks, rep.meta_bytes, rep.messages);
         }
+    }
+    for me in workers.iter() {
+        run.exchange.apply_owned(me.w, run.table(), &run.cfg.embed_opt);
     }
     for me in workers.iter_mut() {
         let refreshed = me.emb.sync_replicas();

@@ -26,6 +26,9 @@ pub struct SecondaryCache {
     /// (paper §6: "Secondary embeddings require extra space for stale
     /// gradients").
     pending_grad: Vec<f32>,
+    /// The local deltas those gradients applied to `data`, which a sync
+    /// keeps ([`SecondaryCache::sync`]).
+    pending_delta: Vec<f32>,
     /// Number of batch gradients accumulated in `pending_grad` per slot.
     pending_count: Vec<u32>,
 }
@@ -48,6 +51,7 @@ impl SecondaryCache {
             base_clock: vec![0; rows.len()],
             local_updates: vec![0; rows.len()],
             pending_grad: vec![0.0; rows.len() * dim],
+            pending_delta: vec![0.0; rows.len() * dim],
             pending_count: vec![0; rows.len()],
             slots,
             rows,
@@ -126,19 +130,6 @@ impl SecondaryCache {
     /// Returns false (no-op) if the row is not cached.
     #[inline]
     pub fn apply_local_delta(&mut self, row: u32, delta: &[f32]) -> bool {
-        self.apply_delta_inner(row, delta, true)
-    }
-
-    /// Applies a local delta *without* advancing the effective clock — used
-    /// for deferred updates whose primary write-back has not happened yet
-    /// (the clock advances at flush time via [`SecondaryCache::note_flush`]).
-    #[inline]
-    pub fn apply_local_delta_uncounted(&mut self, row: u32, delta: &[f32]) -> bool {
-        self.apply_delta_inner(row, delta, false)
-    }
-
-    #[inline]
-    fn apply_delta_inner(&mut self, row: u32, delta: &[f32], count: bool) -> bool {
         assert_eq!(delta.len(), self.dim, "delta length != dim");
         match self.slots.get(row) {
             Some(i) => {
@@ -148,30 +139,29 @@ impl SecondaryCache {
                 {
                     *d += x;
                 }
-                if count {
-                    self.local_updates[i] += 1;
-                }
+                self.local_updates[i] += 1;
                 true
             }
             None => false,
         }
     }
 
-    /// Accumulates a deferred gradient for `row`; returns the new pending
-    /// count. The caller is responsible for flushing via
+    /// Defers one update of `row`: applies `delta` to the cached copy
+    /// *without* advancing the clock and adds `grad` to the pending
+    /// gradient. Returns the new pending count; the caller flushes via
     /// [`SecondaryCache::take_pending`] when its staleness budget is spent.
     ///
     /// # Panics
     /// Panics if `row` has no slot.
     #[inline]
-    pub fn accumulate_pending(&mut self, row: u32, grad: &[f32]) -> u32 {
+    pub fn accumulate_pending(&mut self, row: u32, delta: &[f32], grad: &[f32]) -> u32 {
+        assert_eq!(delta.len(), self.dim, "delta length != dim");
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
         let i = self.slots.get(row).expect("row not in cache");
-        for (p, &g) in self.pending_grad[i * self.dim..(i + 1) * self.dim]
-            .iter_mut()
-            .zip(grad)
-        {
-            *p += g;
+        for (k, (&x, &g)) in (i * self.dim..).zip(delta.iter().zip(grad)) {
+            self.data[k] += x;
+            self.pending_delta[k] += x;
+            self.pending_grad[k] += g;
         }
         self.pending_count[i] += 1;
         self.pending_count[i]
@@ -182,9 +172,10 @@ impl SecondaryCache {
         self.slots.get(row).map_or(0, |i| self.pending_count[i])
     }
 
-    /// Moves the accumulated pending gradient for `row` into `out` and
-    /// clears it; returns false (leaving `out` untouched) when nothing is
-    /// pending.
+    /// Moves `row`'s pending gradient into `out` — one merged update bound
+    /// for the primary, counted as the replica's own — and drops its delta,
+    /// which the copy already holds. Returns false, leaving `out` untouched,
+    /// when nothing is pending.
     #[inline]
     pub fn take_pending(&mut self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
@@ -194,21 +185,29 @@ impl SecondaryCache {
         if self.pending_count[i] == 0 {
             return false;
         }
-        let src = &mut self.pending_grad[i * self.dim..(i + 1) * self.dim];
-        out.copy_from_slice(src);
-        src.iter_mut().for_each(|x| *x = 0.0);
+        let span = i * self.dim..(i + 1) * self.dim;
+        out.copy_from_slice(&self.pending_grad[span.clone()]);
+        self.pending_grad[span.clone()].fill(0.0);
+        self.pending_delta[span].fill(0.0);
         self.pending_count[i] = 0;
+        self.local_updates[i] += 1;
         true
     }
 
-    /// Records that `row`'s pending updates were flushed as one merged
-    /// primary update (the replica's effective clock advances by one, in
-    /// step with the primary's tick from the flush).
-    #[inline]
-    pub fn note_flush(&mut self, row: u32) {
-        if let Some(i) = self.slots.get(row) {
-            self.local_updates[i] += 1;
+    /// Re-installs `row` from `values`, the primary as a sync observed it at
+    /// `primary_clock`, keeping this worker's deferred updates: their delta
+    /// is added to `values` (what the replica now serves), and the pending
+    /// gradient stays for the caller to take as the flush it now sends.
+    ///
+    /// # Panics
+    /// Panics if `row` has no slot.
+    pub fn sync(&mut self, row: u32, values: &mut [f32], primary_clock: u64) {
+        let i = self.slots.get(row).expect("row not in cache");
+        if self.pending_count[i] > 0 {
+            let delta = &self.pending_delta[i * self.dim..(i + 1) * self.dim];
+            values.iter_mut().zip(delta).for_each(|(v, &d)| *v += d);
         }
+        self.install(row, values, primary_clock);
     }
 
     /// Rows that currently hold pending gradients, ascending.
@@ -221,12 +220,12 @@ impl SecondaryCache {
             .collect()
     }
 
-    /// Heap footprint, bytes: per replica the values, the pending gradient,
-    /// two clocks, the pending count and the row id; plus the id → slot
-    /// index, which costs 4 bytes per *table* row up to the largest
-    /// replicated id, whether replicated or not.
+    /// Heap footprint, bytes: per replica the values, the pending gradient
+    /// and delta, two clocks, the pending count and the row id; plus the
+    /// id → slot index, which costs 4 bytes per *table* row up to the
+    /// largest replicated id, whether replicated or not.
     pub fn heap_bytes(&self) -> usize {
-        (self.data.len() + self.pending_grad.len()) * 4
+        (self.data.len() + self.pending_grad.len() + self.pending_delta.len()) * 4
             + self.base_clock.len() * 16
             + self.pending_count.len() * 4
             + self.rows.len() * 4
@@ -284,9 +283,13 @@ mod tests {
     fn pending_accumulates_and_drains() {
         let mut c = SecondaryCache::new(2, &[4]);
         assert_eq!(c.pending_count(4), 0);
-        assert_eq!(c.accumulate_pending(4, &[1.0, 2.0]), 1);
-        assert_eq!(c.accumulate_pending(4, &[0.5, -1.0]), 2);
+        assert_eq!(c.accumulate_pending(4, &[-0.1, -0.2], &[1.0, 2.0]), 1);
+        assert_eq!(c.accumulate_pending(4, &[-0.05, 0.1], &[0.5, -1.0]), 2);
+        // The deltas reach the copy at once, the clock does not move.
         let mut buf = vec![0.0; 2];
+        c.read(4, &mut buf);
+        assert_eq!(buf, vec![-0.1 + -0.05, -0.2 + 0.1]);
+        assert_eq!(c.effective_clock(4), Some(0));
         assert!(c.take_pending(4, &mut buf));
         assert_eq!(buf, vec![1.5, 1.0]);
         assert_eq!(c.pending_count(4), 0);
@@ -295,28 +298,54 @@ mod tests {
     }
 
     #[test]
-    fn note_flush_advances_effective_clock() {
+    fn take_pending_advances_effective_clock() {
         let mut c = SecondaryCache::new(2, &[1]);
         c.install(1, &[0.0, 0.0], 5);
-        c.note_flush(1);
+        c.accumulate_pending(1, &[0.0, 0.0], &[1.0, 1.0]);
+        assert_eq!(c.effective_clock(1), Some(5));
+        c.take_pending(1, &mut [0.0; 2]);
         assert_eq!(c.effective_clock(1), Some(6));
+    }
+
+    #[test]
+    fn sync_keeps_the_pending_delta() {
+        let mut c = SecondaryCache::new(2, &[1, 2]);
+        c.accumulate_pending(1, &[-0.25, 0.5], &[1.0, -2.0]);
+        c.accumulate_pending(1, &[-0.25, 0.0], &[1.0, 0.0]);
+        // The primary moved on to 3.0 at clock 7: the replica serves it plus
+        // its own two updates, which then leave as one merged flush.
+        let mut row = [3.0f32, 3.0];
+        c.sync(1, &mut row, 7);
+        assert_eq!(row, [2.5, 3.5]);
+        let mut buf = [0.0f32; 2];
+        c.read(1, &mut buf);
+        assert_eq!(buf, row);
+        assert_eq!(c.effective_clock(1), Some(7));
+        assert!(c.take_pending(1, &mut buf));
+        assert_eq!(buf, [2.0, -2.0]);
+        assert_eq!(c.effective_clock(1), Some(8));
+        // Nothing pending: a plain re-install.
+        let mut row = [1.0f32, 1.0];
+        c.sync(2, &mut row, 4);
+        assert_eq!(row, [1.0, 1.0]);
+        assert_eq!(c.effective_clock(2), Some(4));
     }
 
     #[test]
     fn rows_with_pending_sorted() {
         let mut c = SecondaryCache::new(1, &[9, 2, 5]);
-        c.accumulate_pending(9, &[1.0]);
-        c.accumulate_pending(2, &[1.0]);
+        c.accumulate_pending(9, &[0.0], &[1.0]);
+        c.accumulate_pending(2, &[0.0], &[1.0]);
         assert_eq!(c.rows_with_pending(), vec![2, 9]);
     }
 
     #[test]
     fn heap_bytes_counts_the_index() {
-        // Two replicas of dim 2: values and pending gradient (8 B each), two
-        // clocks, a pending count and a row id per replica; and the index,
-        // one `u32` per table row up to id 9.
+        // Two replicas of dim 2: values, pending gradient and pending delta
+        // (8 B each), two clocks, a pending count and a row id per replica;
+        // and the index, one `u32` per table row up to id 9.
         let c = SecondaryCache::new(2, &[5, 9]);
-        assert_eq!(c.heap_bytes(), 2 * (8 + 8 + 16 + 4 + 4) + 10 * 4);
+        assert_eq!(c.heap_bytes(), 2 * (8 + 8 + 8 + 16 + 4 + 4) + 10 * 4);
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl<'a> ReplicaPolicy<'a> for LfuReplicas {
     /// rule cannot in fact evict a row the batch has just touched — see
     /// `tests/worker_differential.rs` — so the test is defensive.)
     #[inline]
-    fn refresh(&mut self, e: u32, row: &[f32], clock: u64) {
+    fn refresh(&mut self, e: u32, row: &mut [f32], clock: u64) {
         if self.cache.contains(e) {
             self.cache.refresh(e, row, clock);
         }

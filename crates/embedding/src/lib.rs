@@ -114,8 +114,8 @@ pub trait EmbeddingWorker: Send {
         opt: &SparseOpt,
         exchange: &WriteExchange,
     ) -> UpdateReport;
-    /// Flushes any deferred state (epoch/evaluation barriers).
-    fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport;
+    /// Routes any deferred state into `exchange` (epoch/evaluation barriers).
+    fn flush_all(&mut self, exchange: &WriteExchange) -> UpdateReport;
     /// Refreshes every worker-local replica / cached row from the
     /// authoritative table. Called at epoch barriers *after* all workers
     /// have flushed, so the in-memory state entering the next epoch is
@@ -168,8 +168,8 @@ impl<'a, P: ReplicaPolicy<'a>> EmbeddingWorker for Worker<'a, P> {
     ) -> UpdateReport {
         Worker::route_gradients(self, samples, grads, opt, exchange)
     }
-    fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport {
-        Worker::flush_all(self, opt)
+    fn flush_all(&mut self, exchange: &WriteExchange) -> UpdateReport {
+        Worker::flush_all(self, exchange)
     }
     fn sync_replicas(&mut self) -> u64 {
         Worker::sync_all(self) as u64

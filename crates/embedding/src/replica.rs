@@ -16,8 +16,8 @@
 //!    [`ReplicaPolicy::fill`] when it lands);
 //! 3. how a re-fetched stale replica is re-installed
 //!    ([`ReplicaPolicy::refresh`]);
-//! 4. whether a stale replica has a deferred gradient to flush before its
-//!    re-fetch ([`ReplicaPolicy::take_pending`]);
+//! 4. whether a stale replica has a deferred gradient to flush when it is
+//!    re-fetched ([`ReplicaPolicy::take_pending`]);
 //! 5. whether the replicas take part in the inter-embedding pass
 //!    ([`ReplicaPolicy::frequencies`]);
 //! 6. whether write-backs to replicated rows may be deferred
@@ -67,8 +67,9 @@ pub trait ReplicaPolicy<'a>: Send {
     /// (2) The row fetched for a miss on `e` has landed.
     fn fill(&mut self, _e: u32, _row: &[f32]) {}
     /// (3) The row re-fetched for the stale replica of `e` has landed,
-    /// observed at `clock`.
-    fn refresh(&mut self, e: u32, row: &[f32], clock: u64);
+    /// observed at `clock`; a deferring policy adds its own pending updates
+    /// to `row` first ([`SecondaryCache::sync`]).
+    fn refresh(&mut self, e: u32, row: &mut [f32], clock: u64);
     /// (4) Moves `e`'s deferred gradient into `out` and advances the
     /// replica's clock by the one merged update it is about to become;
     /// false, leaving `out` alone, when nothing is pending.
@@ -135,16 +136,13 @@ impl<'a> ReplicaPolicy<'a> for StaticReplicas<'a> {
         out.extend_from_slice(self.cache.rows());
     }
     #[inline]
-    fn refresh(&mut self, e: u32, row: &[f32], clock: u64) {
-        self.cache.install(e, row, clock);
+    fn refresh(&mut self, e: u32, row: &mut [f32], clock: u64) {
+        self.cache.sync(e, row, clock);
     }
     #[inline]
     fn take_pending(&mut self, e: u32, out: &mut [f32]) -> bool {
         let taken = self.cache.take_pending(e, out);
-        if taken {
-            self.cache.note_flush(e);
-            self.pending_rows = self.pending_rows.saturating_sub(1);
-        }
+        self.pending_rows -= taken as usize;
         taken
     }
     #[inline]
@@ -153,8 +151,7 @@ impl<'a> ReplicaPolicy<'a> for StaticReplicas<'a> {
     }
     #[inline]
     fn defer(&mut self, e: u32, delta: &[f32], grad: &[f32]) -> u64 {
-        self.cache.apply_local_delta_uncounted(e, delta);
-        let pending = self.cache.accumulate_pending(e, grad) as u64;
+        let pending = self.cache.accumulate_pending(e, delta, grad) as u64;
         if pending == 1 {
             self.pending_rows += 1;
         }

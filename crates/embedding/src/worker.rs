@@ -10,7 +10,8 @@
 //! crash recovery; wire format, error feedback and the telemetry hooks.
 //! The apply half of a write-back is one batched `apply_grads` call, by
 //! this worker ([`Worker::apply_gradients`]) or by each row's owner after
-//! the step's rendezvous (the `writeback` module).
+//! the step's rendezvous (the `writeback` module); nothing else writes the
+//! table, a sync's flush included.
 //! What the two designs it serves disagree on — which rows are replicated
 //! and when — is a [`ReplicaPolicy`], chosen at compile time.
 //!
@@ -97,6 +98,10 @@ struct HotScratch {
     fetch_clocks: Vec<u64>,
     /// One-row scratch for pending-gradient flushes.
     row_buf: Vec<f32>,
+    /// The step's sync flushes, in the order taken; [`Worker::route`]
+    /// emits them ahead of the batch. Gradients aligned in `stash_grads`.
+    stash_ids: Vec<u32>,
+    stash_grads: Vec<f32>,
     /// One-row scratch for local mirror deltas.
     delta_buf: Vec<f32>,
     /// Reduced (summed) gradients, one `dim` slice per unique id in
@@ -318,9 +323,6 @@ pub struct Worker<'a, P> {
     /// The replica set, and every decision about it that the two designs
     /// make differently.
     pub(crate) policy: P,
-    /// The optimizer last used by `apply_gradients`; read-path flushes of
-    /// deferred gradients apply the same rule.
-    flush_opt: SparseOpt,
     /// Batched-path scratch (batch resolver, fetch staging, reduction).
     scratch: HotScratch,
     wire: Wire,
@@ -353,7 +355,6 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             part,
             bound,
             policy,
-            flush_opt: SparseOpt::sgd(0.01),
             scratch: HotScratch::new(table.num_rows(), table.dim()),
             wire: Wire::new(SyncFormat::F32, true, table.num_rows(), table.dim()),
             read_path: ReadPath::default(),
@@ -485,6 +486,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         let total: usize = samples.iter().map(|s| s.len()).sum();
         assert_eq!(out.len(), total * dim, "output buffer size mismatch");
 
+        debug_assert!(self.scratch.stash_ids.is_empty(), "a sync flush was never routed");
         let mut report = ReadReport::default();
         self.scratch.begin_read();
 
@@ -495,9 +497,6 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         // need the primary table are *collected* during classification and
         // fetched afterwards in one shard-grouped `read_rows` call, so a
         // batch pays one lock per shard touched instead of one per row.
-        // Pending flushes still happen at decision time (before the fetch),
-        // so a synced row's fetched value includes this worker's own
-        // deferred updates — same order as the per-row path.
         for sample in samples {
             for &e in *sample {
                 let Some(slot) = self.scratch.resolve(e, dim) else {
@@ -515,10 +514,6 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                             .read(e, &mut self.scratch.rows[slot..slot + dim]);
                         report.local_fresh += 1;
                     } else {
-                        // Push any deferred gradients first so the fetched
-                        // value includes our own updates.
-                        let opt = self.flush_opt;
-                        self.flush_row(e, &opt, &mut report);
                         self.scratch.plan_fetch(e, slot, Landing::Refresh);
                         report.intra_syncs += 1;
                         self.count_remote_row(e, &mut report);
@@ -536,10 +531,10 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
 
         // One shard-grouped fetch for everything that needs the primary
         // table, scattered into the resolved-row scratch. Bit-identical to
-        // per-row reads: each fetched row is written only by its own flush
-        // above, which precedes the read in both orders.
+        // per-row reads: no read writes the table, so the fetch order
+        // cannot reach a byte.
         let nfetch = self.scratch.fetch(self.table, self.read_path);
-        self.land(true);
+        self.land(true, &mut report);
         if let Some(r) = &self.recorder {
             r.counter_add(names::HOTPATH_BATCH_READ_ROWS, nfetch as u64);
         }
@@ -589,35 +584,29 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     }
 
     /// Lands the batched fetch: a row that crossed the interconnect goes
-    /// through the wire format (local-primary reads stay exact), `scatter`
-    /// copies it into its resolved slot, and the policy keeps what it
-    /// replicates — a stale replica re-installed at the clock the read
-    /// observed, a missed row offered for admission.
-    fn land(&mut self, scatter: bool) {
+    /// through the wire format (local-primary reads stay exact), the policy
+    /// keeps what it replicates — a stale replica re-installed at the clock
+    /// the read observed plus its own updates, their flush stashed; a missed
+    /// row offered for admission — and `scatter` copies it into its slot.
+    fn land(&mut self, scatter: bool, report: &mut ReadReport) {
         let dim = self.table.dim();
-        let format = self.wire.format;
-        let HotScratch {
-            rows,
-            fetch_ids,
-            fetch_slots,
-            fetch_landing,
-            fetch_buf,
-            fetch_clocks,
-            ..
-        } = &mut self.scratch;
-        for (k, row) in fetch_buf.chunks_exact_mut(dim).enumerate() {
-            let landing = fetch_landing[k];
+        for k in 0..self.scratch.fetch_ids.len() {
+            let s = &mut self.scratch;
+            let (e, landing) = (s.fetch_ids[k], s.fetch_landing[k]);
+            let row = &mut s.fetch_buf[k * dim..(k + 1) * dim];
             if landing != Landing::Local {
-                format.transport(row);
-            }
-            if scatter {
-                let slot = fetch_slots[k];
-                rows[slot..slot + dim].copy_from_slice(row);
+                self.wire.format.transport(row);
             }
             match landing {
                 Landing::Local => {}
-                Landing::Miss => self.policy.fill(fetch_ids[k], row),
-                Landing::Refresh => self.policy.refresh(fetch_ids[k], row, fetch_clocks[k]),
+                Landing::Miss => self.policy.fill(e, row),
+                Landing::Refresh => self.policy.refresh(e, row, s.fetch_clocks[k]),
+            }
+            if scatter {
+                s.rows[s.fetch_slots[k]..][..dim].copy_from_slice(row);
+            }
+            if landing == Landing::Refresh {
+                self.stash_flush(e, report);
             }
         }
     }
@@ -694,8 +683,6 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                         continue;
                     }
                     let victim = if lag_hot >= lag_cold { hot } else { cold };
-                    let opt = self.flush_opt;
-                    self.flush_row(victim.id, &opt, report);
                     let slot = victim.uniq as usize * dim;
                     let buf = &mut self.scratch.rows[slot..slot + dim];
                     let clock = match self.read_path {
@@ -704,6 +691,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                     };
                     self.wire.format.transport(buf);
                     self.policy.refresh(victim.id, buf, clock);
+                    self.stash_flush(victim.id, report);
                     report.inter_syncs += 1;
                     self.count_remote_row(victim.id, report);
                 }
@@ -772,12 +760,12 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         })
     }
 
-    /// The one routing implementation: local reduction, then for every
-    /// unique row in ascending id either `emit(owner, row, gradient)` — a
-    /// local primary, an immediate write-back through the wire, or a
-    /// deferred row's merged flush once it hits its budget — or a deferral
-    /// into the replica's stale-gradient buffer. Emits each row at most
-    /// once.
+    /// The one routing implementation: the stashed sync flushes, then local
+    /// reduction, then for every unique row in ascending id either
+    /// `emit(owner, row, gradient)` — a local primary, an immediate
+    /// write-back through the wire, or a deferred row's merged flush once
+    /// it hits its budget — or a deferral into the replica's stale-gradient
+    /// buffer. Emits each batch row at most once.
     fn route(
         &mut self,
         samples: &[&[u32]],
@@ -789,10 +777,10 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         let total: usize = samples.iter().map(|s| s.len()).sum();
         assert_eq!(grads.len(), total * dim, "gradient buffer size mismatch");
 
+        self.emit_stash(&mut emit);
         self.scratch.reduce(samples, grads, dim);
 
         let mut report = UpdateReport::default();
-        self.flush_opt = *opt;
         let lr = opt.learning_rate();
         // Taken out so routing can call `&mut self` flushes alongside them.
         let ids = std::mem::take(&mut self.scratch.reduce_ids);
@@ -817,8 +805,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             StalenessBound::Infinite => Some(u64::MAX),
         };
         // Rows are distinct after reduction, so the order they are emitted
-        // in — and whether a flush is applied inline or with the rest —
-        // cannot reach a stored bit.
+        // in cannot reach a stored bit; a row's stashed sync flush went
+        // first, and its owner applies the two in that order.
         let mut wire_rows = 0u64;
         let mut flushed = 0u64;
         for &e in &ids {
@@ -890,10 +878,20 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         report
     }
 
+    /// Emits the stashed sync flushes, in the order taken, and empties them.
+    fn emit_stash(&mut self, emit: &mut impl FnMut(u32, u32, &[f32])) {
+        let dim = self.table.dim();
+        let HotScratch { stash_ids, stash_grads, .. } = &mut self.scratch;
+        for (&e, g) in stash_ids.iter().zip(stash_grads.chunks_exact(dim)) {
+            emit(self.part.primary_of(e), e, g);
+        }
+        stash_ids.clear();
+        stash_grads.clear();
+    }
+
     /// Moves row `e`'s pending gradient — one merged update — through the
     /// wire into `scratch.row_buf` and accounts the write-back into
-    /// `report` (the read report when a sync forces the flush). False when
-    /// nothing was pending.
+    /// `report`. False when nothing was pending.
     fn take_flush(&mut self, e: u32, report: &mut impl Traffic) -> bool {
         let buf = &mut self.scratch.row_buf;
         if !self.policy.take_pending(e, buf) {
@@ -908,22 +906,28 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         true
     }
 
-    /// [`Worker::take_flush`] applied to the primary at once, under `opt`:
-    /// the read path's flush-before-sync and the barrier flushes.
-    fn flush_row(&mut self, e: u32, opt: &SparseOpt, report: &mut impl Traffic) -> bool {
-        let taken = self.take_flush(e, report);
-        if taken {
-            self.table.apply_grad(e, &self.scratch.row_buf, opt);
+    /// A sync re-installed row `e`: its pending gradient, if any, leaves
+    /// now (the read `report` counts it) and waits in the stash.
+    fn stash_flush(&mut self, e: u32, report: &mut ReadReport) {
+        if self.take_flush(e, report) {
+            let s = &mut self.scratch;
+            s.stash_ids.push(e);
+            s.stash_grads.extend_from_slice(&s.row_buf);
+            if let Some(r) = &self.recorder {
+                r.counter_add(names::EMBED_FLUSH_SYNC, 1);
+            }
         }
-        taken
     }
 
-    /// Flushes every pending deferred gradient (epoch boundaries,
-    /// evaluation barriers). Returns the accounting for the write-backs.
-    pub fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport {
+    /// Routes the stash, then every pending deferred gradient, into `exchange`
+    /// (epoch and evaluation barriers). Returns the write-backs' accounting.
+    pub fn flush_all(&mut self, exchange: &WriteExchange) -> UpdateReport {
+        let mut out = exchange.route_from(self.worker as usize);
+        self.emit_stash(&mut |owner, e, g| out.push(owner as usize, e, g));
         let mut report = UpdateReport::default();
         for e in self.policy.rows_with_pending() {
-            if self.flush_row(e, opt, &mut report) {
+            if self.take_flush(e, &mut report) {
+                out.push(self.part.primary_of(e) as usize, e, &self.scratch.row_buf);
                 report.remote_writebacks += 1;
             }
         }
@@ -946,7 +950,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             .fetch_landing
             .resize(self.scratch.fetch_ids.len(), Landing::Refresh);
         let n = self.scratch.fetch(self.table, ReadPath::Locked);
-        self.land(false);
+        // (At a barrier `flush_all` ran first: nothing is pending.)
+        self.land(false, &mut ReadReport::default());
         // A full refresh is a sync point: error-feedback residuals are
         // superseded by the re-prime, and clearing them here makes a
         // checkpoint-resumed run (fresh residuals) bit-match an
@@ -965,6 +970,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         for e in self.policy.rows_with_pending() {
             self.policy.take_pending(e, &mut self.scratch.row_buf);
         }
+        self.scratch.stash_ids.clear();
+        self.scratch.stash_grads.clear();
         self.record_pending();
         self.sync_all() as u64
     }
@@ -985,6 +992,17 @@ mod tests {
 
     fn freq4() -> Vec<u64> {
         vec![10, 5, 10, 5]
+    }
+
+    /// The barrier flush over `setup`'s two workers: `w` routes, both
+    /// owners apply.
+    fn flush(w: &mut WorkerEmbedding, table: &ShardedTable, opt: &SparseOpt) -> UpdateReport {
+        let exchange = WriteExchange::new(2);
+        let report = w.flush_all(&exchange);
+        for owner in 0..2 {
+            exchange.apply_owned(owner, table, opt);
+        }
+        report
     }
 
     #[test]
@@ -1232,14 +1250,14 @@ mod tests {
         let opt = SparseOpt::sgd(0.1);
         w0.apply_gradients(&samples, &grads, &opt);
         w0.apply_gradients(&samples, &grads, &opt);
-        let rep = w0.flush_all(&opt);
+        let rep = flush(&mut w0, &table, &opt);
         assert_eq!(rep.remote_writebacks, 1);
         assert_eq!(table.clock(2), 1);
         let mut row = vec![0.0; 2];
         table.read_row(2, &mut row);
         assert!((row[0] + 0.4).abs() < 1e-6);
         // Nothing left to flush.
-        assert_eq!(w0.flush_all(&opt).remote_writebacks, 0);
+        assert_eq!(flush(&mut w0, &table, &opt).remote_writebacks, 0);
     }
 
     #[test]
@@ -1252,8 +1270,8 @@ mod tests {
         let grads = vec![1.0, 0.0];
         let opt = SparseOpt::sgd(0.1);
         // One deferred local update, then three updates by another worker →
-        // intra gap exceeds 2 → sync; the sync must flush our pending grad
-        // so the re-fetched value includes it.
+        // intra gap exceeds 2 → sync; the served value must still include
+        // our pending update.
         w0.apply_gradients(&samples, &grads, &opt);
         for _ in 0..3 {
             table.apply_grad(2, &[1.0, 0.0], &opt);
@@ -1263,6 +1281,88 @@ mod tests {
         assert_eq!(r.intra_syncs, 1);
         // Value includes all four updates: −0.4.
         assert!((out[0] + 0.4).abs() < 1e-6, "got {}", out[0]);
+    }
+
+    #[test]
+    fn sync_leaves_the_table_alone_and_routes_its_flush() {
+        let table = ShardedTable::new(4, 2, 0.0, 1);
+        let part = setup(&table);
+        let freq = freq4();
+        let opt = SparseOpt::adagrad(0.1);
+        // s = 4 over 2 workers: a budget of 2, so one update stays pending.
+        let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(4));
+        let samples: Vec<&[u32]> = vec![&[2]];
+        w0.apply_gradients(&samples, &[0.5, -1.0], &opt);
+        assert_eq!(w0.pending_count(2), 1);
+        let mut mirror = [0.0f32; 2];
+        w0.policy.read(2, &mut mirror); // the pending delta, on a zero row
+        for _ in 0..5 {
+            table.apply_grad(2, &[1.0, 0.25], &opt);
+        }
+        let mut primary = [0.0f32; 2];
+        let clock = table.read_row(2, &mut primary);
+
+        let mut out = [0.0f32; 2];
+        let r = w0.read_batch(&samples, &mut out);
+        assert_eq!(r.intra_syncs, 1);
+        // The read wrote nothing: the primary is as the peer left it.
+        let mut after = [0.0f32; 2];
+        assert_eq!(table.read_row(2, &mut after), clock);
+        assert_eq!(after, primary);
+        // It served the fetched primary plus its own pending delta, and the
+        // replica counts the flush in flight as its own update.
+        assert_eq!(out, [primary[0] + mirror[0], primary[1] + mirror[1]]);
+        assert_eq!(w0.pending_count(2), 0);
+        assert_eq!(w0.replica_clock(2), Some(clock + 1));
+
+        // The flush travels with the step's write-back to the owner, ahead
+        // of the batch's own (deferred again) gradient.
+        let exchange = WriteExchange::new(2);
+        let up = w0.route_gradients(&samples, &[0.5, -1.0], &opt, &exchange);
+        assert_eq!(up.deferred, 1);
+        assert_eq!(table.clock(2), clock, "routing touches nothing shared");
+        assert_eq!(exchange.apply_owned(1, &table, &opt), 1);
+        assert_eq!(table.clock(2), clock + 1);
+        assert_eq!(Some(table.clock(2)), w0.replica_clock(2));
+    }
+
+    #[test]
+    fn inter_sync_victim_routes_its_flush() {
+        // Worker 0 replicates the hot row 0 and the cold row 2, both owned
+        // by worker 1; s = 4 gives a budget of 2, so one update of row 2
+        // stays pending.
+        let table = ShardedTable::new(4, 2, 0.0, 1);
+        let mut part = Partition::new(2, vec![0, 1], vec![1, 1, 1, 1]);
+        part.add_replica(0, 0);
+        part.add_replica(2, 0);
+        let freq = vec![100, 1, 1, 1];
+        let opt = SparseOpt::sgd(0.1);
+        let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(4));
+        w0.apply_gradients(&[&[2]], &[1.0, -1.0], &opt);
+        assert_eq!(w0.pending_count(2), 1);
+        // Row 0 runs 600 updates ahead (intra sync), row 2 two (fresh):
+        // the pair's normalised gap 600/100 − 0 = 6 > 4 makes row 2, the
+        // replica that lags its primary, the victim.
+        for _ in 0..600 {
+            table.apply_grad(0, &[0.1, 0.0], &opt);
+        }
+        for _ in 0..2 {
+            table.apply_grad(2, &[0.25, 0.5], &opt);
+        }
+        let mut primary = [0.0f32; 2];
+        table.read_row(2, &mut primary);
+        let samples: Vec<&[u32]> = vec![&[0, 2]];
+        let mut out = vec![0.0; 4];
+        let r = w0.read_batch(&samples, &mut out);
+        assert_eq!((r.intra_syncs, r.inter_syncs), (1, 1), "{r:?}");
+        assert_eq!(table.clock(2), 2, "the sync wrote nothing");
+        assert_eq!(out[2..], [primary[0] - 0.1, primary[1] + 0.1]);
+        assert_eq!(w0.replica_clock(2), Some(3));
+        // A write phase with nothing of its own still carries the flush.
+        let exchange = WriteExchange::new(2);
+        w0.route_gradients(&[], &[], &opt, &exchange);
+        assert_eq!(exchange.apply_owned(1, &table, &opt), 1);
+        assert_eq!(Some(table.clock(2)), w0.replica_clock(2));
     }
 
     #[test]
@@ -1292,7 +1392,7 @@ mod tests {
         table.read_row(2, &mut primary);
         assert_eq!(out, primary);
         // Nothing pending remains.
-        assert_eq!(w0.flush_all(&opt).remote_writebacks, 0);
+        assert_eq!(flush(&mut w0, &table, &opt).remote_writebacks, 0);
     }
 
     #[test]

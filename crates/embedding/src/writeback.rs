@@ -15,10 +15,10 @@
 //! Updates to one row do not commute (Adagrad's `g²` accumulator changes
 //! the next step, and float addition is not associative); updates to
 //! different rows do. A row has exactly one owner, the owner applies its
-//! contributions source by source, and one source contributes a row at most
-//! once per step (the batch is reduced first) — so every row sees its
-//! updates in ascending source rank, the same sequence a one-rank-at-a-time
-//! write-back produces, and every stored bit and clock is the same.
+//! contributions source by source in routing order, and a source sends a
+//! row at most twice per step: a read's sync flush, then the reduced
+//! batch's write. So every row sees its updates in the order a
+//! one-rank-at-a-time write-back produces, and every bit and clock agrees.
 //!
 //! # The hand-off
 //!

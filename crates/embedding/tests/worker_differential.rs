@@ -23,7 +23,9 @@
 //! The write phase has its own oracle at the end of the file: routing into a
 //! [`WriteExchange`] and letting every owner apply its rows must leave the
 //! table, the replicas and the reports exactly as the workers'
-//! `apply_gradients` called one rank at a time, ascending, does.
+//! `apply_gradients` called one rank at a time, ascending, does — with the
+//! two sides reading in opposite rank orders, since no read writes the
+//! table (a sync's flush joins the owner's inbox with the step's writes).
 //!
 //! What the scenario cannot reach, by construction of the LFU rule rather
 //! than for lack of trying: a batch evicting a row it admitted or refreshed
@@ -50,13 +52,19 @@ use proptest::prelude::*;
 const WORKER: u32 = 0;
 
 /// The pre-index worker over the public cache API (f32 wire, no telemetry).
+/// It keeps its own book of the local deltas its deferred gradients applied,
+/// and merges a synced replica through `install` + `apply_local_delta`.
 struct ReferenceWorker<'a> {
     table: &'a ShardedTable,
     part: &'a Partition,
     freq: &'a [u64],
     bound: StalenessBound,
     cache: SecondaryCache,
-    flush_opt: SparseOpt,
+    /// Row → sum of the deltas its pending gradients applied to the replica.
+    deltas: HashMap<u32, Vec<f32>>,
+    /// The step's sync flushes, in the order taken; applied first by the
+    /// next write.
+    stash: Vec<(u32, Vec<f32>)>,
     auditor: Arc<ProtocolAuditor>,
 }
 
@@ -84,7 +92,8 @@ impl<'a> ReferenceWorker<'a> {
             freq,
             bound,
             cache,
-            flush_opt: SparseOpt::sgd(0.01),
+            deltas: HashMap::new(),
+            stash: Vec::new(),
             auditor,
         }
     }
@@ -111,16 +120,33 @@ impl<'a> ReferenceWorker<'a> {
         if !self.cache.take_pending(e, &mut buf) {
             return false;
         }
+        self.deltas.remove(&e);
         self.table.apply_grad(e, &buf, opt);
-        self.cache.note_flush(e);
         true
     }
 
-    fn flush_into_read(&mut self, e: u32, report: &mut ReadReport) {
-        let opt = self.flush_opt;
-        if self.flush(e, &opt) {
+    /// Re-fetches `e`'s replica into `row`. A pending gradient is stashed
+    /// for the next write, and the replica is the fetched value plus its
+    /// own pending delta, with the flush in flight as one own update; `row`
+    /// is what the replica then holds.
+    fn sync(&mut self, e: u32, row: &mut [f32], report: &mut ReadReport) {
+        let clock = self.table.read_row(e, row);
+        let mut grad = vec![0.0f32; self.table.dim()];
+        let flushed = self.cache.take_pending(e, &mut grad);
+        self.cache.install(e, row, clock);
+        if flushed {
+            self.cache.apply_local_delta(e, &self.deltas.remove(&e).unwrap());
+            self.cache.read(e, row);
+            self.stash.push((e, grad));
             self.count_remote_read(e, report);
             report.meta_bytes += META_ENTRY_BYTES;
+        }
+    }
+
+    /// Applies the stashed sync flushes, in the order taken.
+    fn apply_stash(&mut self, opt: &SparseOpt) {
+        for (e, g) in self.stash.drain(..) {
+            self.table.apply_grad(e, &g, opt);
         }
     }
 
@@ -164,9 +190,7 @@ impl<'a> ReferenceWorker<'a> {
                         self.cache.read(e, &mut row);
                         report.local_fresh += 1;
                     } else {
-                        self.flush_into_read(e, &mut report);
-                        let clock = self.table.read_row(e, &mut row);
-                        self.cache.install(e, &row, clock);
+                        self.sync(e, &mut row, &mut report);
                         report.intra_syncs += 1;
                         self.count_remote_read(e, &mut report);
                     }
@@ -212,10 +236,9 @@ impl<'a> ReferenceWorker<'a> {
                             continue;
                         }
                         let victim = if lag_hot >= lag_cold { hot } else { cold };
-                        self.flush_into_read(victim, &mut report);
-                        let row = resolved.get_mut(&victim).unwrap();
-                        let clock = self.table.read_row(victim, row);
-                        self.cache.install(victim, row, clock);
+                        let mut row = resolved.remove(&victim).unwrap();
+                        self.sync(victim, &mut row, &mut report);
+                        resolved.insert(victim, row);
                         report.inter_syncs += 1;
                         self.count_remote_read(victim, &mut report);
                         report.meta_bytes += META_ENTRY_BYTES;
@@ -264,8 +287,8 @@ impl<'a> ReferenceWorker<'a> {
         let mut ids: Vec<u32> = reduced.keys().copied().collect();
         ids.sort_unstable();
 
+        self.apply_stash(opt);
         let mut report = UpdateReport::default();
-        self.flush_opt = *opt;
         let lr = opt.learning_rate();
         let n = self.part.num_partitions() as u64;
         let threshold = match self.bound {
@@ -284,8 +307,9 @@ impl<'a> ReferenceWorker<'a> {
                 direct.push(e);
                 report.local_updates += 1;
             } else if let (Some(threshold), true) = (threshold, self.cache.contains(e)) {
-                self.cache.apply_local_delta_uncounted(e, &delta);
-                let pending = self.cache.accumulate_pending(e, g) as u64;
+                let own = self.deltas.entry(e).or_insert_with(|| vec![0.0; dim]);
+                own.iter_mut().zip(&delta).for_each(|(a, &x)| *a += x);
+                let pending = self.cache.accumulate_pending(e, &delta, g) as u64;
                 report.deferred += 1;
                 if pending >= threshold && self.flush(e, opt) {
                     self.count_writeback(e, &mut report);
@@ -303,6 +327,7 @@ impl<'a> ReferenceWorker<'a> {
     }
 
     fn flush_all(&mut self, opt: &SparseOpt) -> UpdateReport {
+        self.apply_stash(opt);
         let mut report = UpdateReport::default();
         for e in self.cache.rows_with_pending() {
             if self.flush(e, opt) {
@@ -543,22 +568,35 @@ proptest! {
             prop_assert_eq!(&report, &oracle_report, "read report, step {}", step);
             prop_assert_eq!(bits(&out), bits(&oracle_out), "rows read, step {}", step);
 
-            if rng.below(4) != 0 {
-                let grads: Vec<f32> =
-                    (0..total * dim).map(|_| rng.below(2001) as f32 / 1000.0 - 1.0).collect();
-                let report = worker.apply_gradients(&samples, &grads, &opt);
-                let oracle_report = oracle.apply_gradients(&samples, &grads, &opt);
-                prop_assert_eq!(&report, &oracle_report, "update report, step {}", step);
-            }
+            // Every read is followed by a write, as in a training step; one
+            // in four batches writes nothing but the read's sync flushes.
+            let (written, grads): (&[&[u32]], Vec<f32>) = if rng.below(4) != 0 {
+                let grads = (0..total * dim).map(|_| rng.below(2001) as f32 / 1000.0 - 1.0);
+                (&samples, grads.collect())
+            } else {
+                (&[], Vec::new())
+            };
+            let report = worker.apply_gradients(written, &grads, &opt);
+            let oracle_report = oracle.apply_gradients(written, &grads, &opt);
+            prop_assert_eq!(&report, &oracle_report, "update report, step {}", step);
             if rng.below(6) == 0 {
-                prop_assert_eq!(worker.flush_all(&opt), oracle.flush_all(&opt), "flush, step {}", step);
+                let exchange = WriteExchange::new(parts);
+                let flushed = worker.flush_all(&exchange);
+                for owner in 0..parts {
+                    exchange.apply_owned(owner, &table, &opt);
+                }
+                prop_assert_eq!(flushed, oracle.flush_all(&opt), "flush, step {}", step);
             }
+            let (mut row, mut oracle_row) = (vec![0.0f32; dim], vec![0.0f32; dim]);
             for e in 0..num_rows as u32 {
                 prop_assert_eq!(
                     worker.replica_clock(e), oracle.cache.effective_clock(e),
                     "replica clock of row {}, step {}", e, step
                 );
                 prop_assert_eq!(table.clock(e), oracle_table.clock(e), "primary clock of row {}", e);
+                table.read_row(e, &mut row);
+                oracle_table.read_row(e, &mut oracle_row);
+                prop_assert_eq!(bits(&row), bits(&oracle_row), "primary row {}, step {}", e, step);
             }
         }
         let (summary, oracle_summary) = (auditor.summary(), oracle_auditor.summary());
@@ -679,7 +717,6 @@ fn ids_beyond_the_index_are_absent_not_a_panic() {
         let mut buf = [0.0f32; 2];
         assert!(!c.read(row, &mut buf));
         assert!(!c.take_pending(row, &mut buf));
-        c.note_flush(row);
     }
     // A gap inside the index is absent too.
     assert!(!c.contains(2) && !c.contains(0));
@@ -692,7 +729,7 @@ fn pending_rows_ascend_whatever_order_the_cache_was_built_in() {
     assert_eq!(c.len(), 4, "a repeated id is one replica");
     assert_eq!(c.rows(), &[3, 7, 19, 40]);
     for row in [19, 40, 3] {
-        c.accumulate_pending(row, &[1.0]);
+        c.accumulate_pending(row, &[0.0], &[1.0]);
     }
     assert_eq!(c.rows_with_pending(), vec![3, 19, 40]);
 }
@@ -757,10 +794,17 @@ const HOT: usize = 4;
 const ROWS: usize = 40;
 const STEPS: usize = 40;
 
+/// What a write-order run saw happen, per kind of flush.
+struct Flushes {
+    /// Write phases in which a deferred gradient hit its budget.
+    budget: usize,
+    /// Rows whose deferred gradient a read's sync took.
+    sync: usize,
+}
+
 /// Runs `workers` (owner-ordered: route, then every owner applies) over
 /// `table` beside `twins` (rank-ordered `apply_gradients`) over `twin` and
-/// compares everything after every step. Returns how many write phases
-/// flushed a deferred gradient because it hit its budget.
+/// compares everything after every step.
 fn check_write_order<W: Probe>(
     case: &str,
     mut workers: Vec<W>,
@@ -769,14 +813,14 @@ fn check_write_order<W: Probe>(
     twin: &ShardedTable,
     opt: &SparseOpt,
     rng: &mut Rng,
-) -> usize {
+) -> Flushes {
     let (n, dim) = (workers.len(), table.dim());
     let exchange = WriteExchange::new(n);
-    let mut flushes = 0;
+    let mut flushes = Flushes { budget: 0, sync: 0 };
     for step in 0..STEPS {
         // A rank's batch: the hot rows plus a draw of the rest, with
         // repeats inside and across samples; every few steps one rank has
-        // nothing to write.
+        // an empty shard and neither reads nor writes.
         let idle = (step % 5 == 3).then(|| rng.below(n));
         let batches: Vec<Vec<Vec<u32>>> = (0..n)
             .map(|_| {
@@ -799,20 +843,33 @@ fn check_write_order<W: Probe>(
             })
             .collect();
 
-        // Reads, one rank at a time on both sides (a read-phase flush at
-        // s > 0 writes the table, so their order is part of the scenario).
-        for w in 0..n {
+        // Reads, one rank at a time: descending on the exchange's side,
+        // ascending on the reference's. No read writes the table (a sync's
+        // flush waits for the write phase), so the order cannot show.
+        let active = |w: &usize| Some(*w) != idle;
+        let pending =
+            |w: &W| -> Vec<bool> { (0..ROWS as u32).map(|e| w.replica(e).1 > 0).collect() };
+        let mut reads = vec![None; n];
+        for w in (0..n).rev().filter(active) {
             let samples: Vec<&[u32]> = batches[w].iter().map(Vec::as_slice).collect();
             let mut out = vec![0.0f32; grads[w].len()];
-            let mut twin_out = out.clone();
-            let read = workers[w].read_batch(&samples, &mut out);
+            let before = pending(&workers[w]);
+            let report = workers[w].read_batch(&samples, &mut out);
+            let after = pending(&workers[w]);
+            flushes.sync += before.iter().zip(&after).filter(|&(&b, &a)| b && !a).count();
+            reads[w] = Some((report, out));
+        }
+        for w in (0..n).filter(active) {
+            let samples: Vec<&[u32]> = batches[w].iter().map(Vec::as_slice).collect();
+            let mut twin_out = vec![0.0f32; grads[w].len()];
             let twin_read = twins[w].read_batch(&samples, &mut twin_out);
+            let (read, out) = reads[w].as_ref().expect("read above");
             assert_eq!(
-                read, twin_read,
+                read, &twin_read,
                 "{case}: read report of rank {w}, step {step}"
             );
             assert_eq!(
-                bits(&out),
+                bits(out),
                 bits(&twin_out),
                 "{case}: rows read by rank {w}, step {step}"
             );
@@ -833,14 +890,14 @@ fn check_write_order<W: Probe>(
         // The exchange is routed and drained in *descending* rank, so only
         // its own ordering can make the two agree.
         let mut routed = vec![None; n];
-        for w in (0..n).rev().filter(|&w| Some(w) != idle) {
+        for w in (0..n).rev().filter(active) {
             let samples: Vec<&[u32]> = batches[w].iter().map(Vec::as_slice).collect();
             routed[w] = Some(workers[w].route_gradients(&samples, &grads[w], opt, &exchange));
         }
         for w in (0..n).rev() {
             exchange.apply_owned(w, table, opt);
         }
-        for w in (0..n).filter(|&w| Some(w) != idle) {
+        for w in (0..n).filter(active) {
             let samples: Vec<&[u32]> = batches[w].iter().map(Vec::as_slice).collect();
             let applied = twins[w].apply_gradients(&samples, &grads[w], opt);
             assert_eq!(
@@ -865,7 +922,7 @@ fn check_write_order<W: Probe>(
             }
         }
         let clocks_after = clocks(&workers);
-        flushes += (0..n)
+        flushes.budget += (0..n)
             .filter(|&w| {
                 let mine = w * ROWS..(w + 1) * ROWS;
                 routed[w].as_ref().is_some_and(|r| r.deferred > 0)
@@ -873,18 +930,27 @@ fn check_write_order<W: Probe>(
             })
             .count();
     }
-    // Nothing is left in flight on either side.
+    // Nothing is left in flight on either side. The barrier flush goes
+    // through the owners too: every rank routes, then every owner applies;
+    // the reference applies each rank's flush before the next routes.
     for w in 0..n {
         assert_eq!(
             exchange.apply_owned(w, table, opt),
             0,
             "{case}: undrained rows for {w}"
         );
-        assert_eq!(
-            workers[w].flush_all(opt),
-            twins[w].flush_all(opt),
-            "{case}: final flush of {w}"
-        );
+    }
+    let twin_exchange = WriteExchange::new(n);
+    for w in 0..n {
+        let flushed = workers[w].flush_all(&exchange);
+        let twin_flushed = twins[w].flush_all(&twin_exchange);
+        for owner in 0..n {
+            twin_exchange.apply_owned(owner, twin, opt);
+        }
+        assert_eq!(flushed, twin_flushed, "{case}: final flush of {w}");
+    }
+    for owner in (0..n).rev() {
+        exchange.apply_owned(owner, table, opt);
     }
     for e in 0..ROWS as u32 {
         assert_eq!(
@@ -898,11 +964,11 @@ fn check_write_order<W: Probe>(
 
 #[test]
 fn owner_ordered_matches_rank_ordered_reference() {
-    // {2, 3, 4 workers} x {static replicas at s = 0, 4, 100; LFU} x {f32,
-    // int8 + feedback} x {SGD, Adagrad}, two seeds each: 96 cases.
+    // {2, 3, 4 workers} x {static replicas at s = 0, 4, 8, 100; LFU} x
+    // {f32, int8 + feedback} x {SGD, Adagrad}, two seeds each: 120 cases.
     let mut cases = 0;
     for n in [2usize, 3, 4] {
-        for policy in ["s0", "s4", "s100", "lfu"] {
+        for policy in ["s0", "s4", "s8", "s100", "lfu"] {
             for int8 in [false, true] {
                 for adagrad in [false, true] {
                     for seed in [0x5EED_u64, 0xC0FFEE] {
@@ -988,8 +1054,15 @@ fn owner_ordered_matches_rank_ordered_reference() {
                             );
                             // The deferral budget max(1, s / n) is hit within
                             // the run everywhere but at s = 0 (nothing is
-                            // deferred) and s = 100 on two workers (50).
-                            assert_eq!(flushes > 0, s == 4 || (s == 100 && n > 2), "{case}");
+                            // deferred) and s = 100 on two workers (50). A
+                            // sync takes a flush wherever a gradient can
+                            // outlive its step (a budget of 2 or more) and a
+                            // replica goes stale within the run (not at
+                            // s = 100).
+                            let budget = s == 4 || s == 8 || (s == 100 && n > 2);
+                            assert_eq!(flushes.budget > 0, budget, "{case}");
+                            let sync = s / n as u64 >= 2 && s < 100;
+                            assert_eq!(flushes.sync > 0, sync, "{case}");
                         }
                         cases += 1;
                     }
@@ -997,7 +1070,7 @@ fn owner_ordered_matches_rank_ordered_reference() {
             }
         }
     }
-    assert!(cases >= 64);
+    assert!(cases >= 120);
 }
 
 /// The hand-off itself, across real threads: four ranks publish, meet at a

@@ -81,6 +81,8 @@ pub mod names {
     pub const EMBED_UPDATE_DIRECT: &str = "embedding.update.direct";
     /// Pending-buffer rows flushed to primaries.
     pub const EMBED_FLUSH_ROWS: &str = "embedding.flush.rows";
+    /// Of those, rows flushed because a sync re-fetched their replica.
+    pub const EMBED_FLUSH_SYNC: &str = "embedding.flush.sync";
     /// LFU cache hits (dynamic-cache workers only).
     pub const EMBED_CACHE_HIT: &str = "embedding.cache.hit";
     /// LFU cache misses (dynamic-cache workers only).

@@ -1,0 +1,58 @@
+#!/usr/bin/env sh
+# Run-to-run repeatability of the canonical end-to-end run: 4 workers,
+# HET-GMP(s=100), avazu-like, one epoch, seed 7.
+#
+# The run is started five times. Every run must print the same summary
+# (final AUC, simulated throughput, comm share, the epoch line) and end
+# with the same protocol counters in its `--telemetry` log: every
+# `embedding.sync.*`, `embedding.flush.*` and `embedding.update.*` counter
+# of the "final" record. `embedding.flush.sync` must be non-zero, or the
+# run never exercised the read-phase sync flush this check exists for.
+#
+# Deliberately not compared, because they measure the host, not the run:
+#   * wall-time fields — `*.wall_secs` histograms, `*.samples_per_sec`
+#     gauges, `telemetry.overhead_secs`, `partition.wall_secs`;
+#   * seqlock retry counters — `hotpath.read.retries` and
+#     `hotpath.read.fallback` count reader/writer collisions in real time.
+# None of them matches the three prefixes above.
+#
+# Run from the repo root (make repeat-check / make verify does). Needs the
+# release binary (make build); an optional argument names another binary.
+# POSIX sh + grep/sed/sort/diff only.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+BIN=${1:-target/release/het-gmp}
+[ -x "$BIN" ] || { echo "repeat_check: $BIN missing (run 'make build' first)" >&2; exit 1; }
+BIN=$(cd "$(dirname "$BIN")" && pwd)/$(basename "$BIN")
+OUT=$(pwd)/target/repeat-check
+rm -rf "$OUT"
+
+for i in 1 2 3 4 5; do
+    # One directory per run, one log name: the printed summary names it.
+    mkdir -p "$OUT/$i"
+    (cd "$OUT/$i" && "$BIN" train --preset avazu --scale 1.0 --workers 4 \
+        --system het-gmp --staleness 100 --epochs 1 --seed 7 \
+        --telemetry run.jsonl > summary.txt)
+    grep '"event":"final"' "$OUT/$i/run.jsonl" |
+        grep -oE '"embedding\.(sync|flush|update)\.[A-Za-z0-9_.]*":[0-9]+' |
+        sort > "$OUT/$i/counters.txt"
+    cat "$OUT/$i/summary.txt" "$OUT/$i/counters.txt" > "$OUT/$i/observed.txt"
+done
+
+if ! grep -qE '"embedding\.flush\.sync":[1-9]' "$OUT/1/counters.txt"; then
+    echo "repeat_check: no sync flush fired; the check proves nothing" >&2
+    exit 1
+fi
+
+status=0
+for i in 2 3 4 5; do
+    if ! diff -u "$OUT/1/observed.txt" "$OUT/$i/observed.txt"; then
+        echo "repeat_check: run $i differs from run 1" >&2
+        status=1
+    fi
+done
+[ "$status" -eq 0 ] || exit 1
+
+echo "repeat_check: OK (5 of 5 runs print the same summary and protocol counters)"

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
+use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding, WriteExchange};
 use het_gmp::partition::Partition;
 
 /// Builds a 2-worker layout where embedding 0 is primary on worker 1 with a
@@ -98,9 +98,11 @@ fn concurrent_workers_converge_to_consistent_table() {
     let part = Arc::new(part);
     let freq: Arc<Vec<u64>> = Arc::new((0..rows).map(|i| (rows - i) as u64).collect());
     let opt = SparseOpt::sgd(0.01);
+    let exchange = WriteExchange::new(4);
 
     std::thread::scope(|scope| {
         for w in 0..4u32 {
+            let exchange = &exchange;
             let table = Arc::clone(&table);
             let part = Arc::clone(&part);
             let freq = Arc::clone(&freq);
@@ -115,10 +117,13 @@ fn concurrent_workers_converge_to_consistent_table() {
                     we.read_batch(&samples, &mut out);
                     we.apply_gradients(&samples, &grads, &opt);
                 }
-                we.flush_all(&opt);
+                we.flush_all(exchange);
             });
         }
     });
+    for owner in 0..4 {
+        exchange.apply_owned(owner, &*table, &opt);
+    }
 
     // All 4 workers × 50 iterations × 0.5 gradient at lr 0.01 — primaries
     // must reflect every update exactly (flushes merge, nothing lost).

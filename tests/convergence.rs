@@ -6,8 +6,8 @@
 use het_gmp::cluster::Topology;
 use het_gmp::core::strategy::StrategyConfig;
 use het_gmp::core::trainer::{StorageMode, Trainer, TrainerConfig};
-use het_gmp::data::{generate, DatasetSpec};
-use het_gmp::telemetry::AuditMode;
+use het_gmp::data::{generate, CtrDataset, DatasetSpec};
+use het_gmp::telemetry::{names, AuditMode};
 
 fn dataset() -> het_gmp::data::CtrDataset {
     let mut spec = DatasetSpec::avazu_like(0.06);
@@ -151,43 +151,69 @@ fn golden_run_with(
     golden_run_on(2, strategy, seed, sync_format)
 }
 
-fn golden_run_on(
-    workers: usize,
-    strategy: &str,
-    seed: u64,
-    sync_format: Option<het_gmp::comms::SyncFormat>,
-) -> het_gmp::core::trainer::TrainResult {
-    let mut spec = DatasetSpec::avazu_like(0.03);
+/// The data a golden row trains on: `avazu_like(0.03)`, or twice that for
+/// `het_gmp(8)` (`"s8"`). That is the configuration whose replicas go
+/// stale while holding deferred gradients at three workers as well as
+/// four, so its runs exercise the read-phase sync flush
+/// (`embedding.flush.sync`); at the smaller scale no configuration does at
+/// three workers.
+fn golden_data(strategy: &str) -> CtrDataset {
+    let scale = if strategy.starts_with("s8") { 0.06 } else { 0.03 };
+    let mut spec = DatasetSpec::avazu_like(scale);
     spec.cluster_affinity = 0.9;
-    let data = generate(&spec);
-    // A `_int8` suffix runs the named strategy over the lossy wire format.
+    generate(&spec)
+}
+
+/// The golden run's strategy and wire format: a `_int8` suffix runs the
+/// named strategy over the lossy wire format.
+fn golden_strategy(
+    strategy: &str,
+    sync_format: Option<het_gmp::comms::SyncFormat>,
+) -> (StrategyConfig, Option<het_gmp::comms::SyncFormat>) {
     let (strategy, sync_format) = match strategy.strip_suffix("_int8") {
         Some(base) => (base, Some(het_gmp::comms::SyncFormat::Int8)),
         None => (strategy, sync_format),
     };
     let strat = match strategy {
         "bsp" => StrategyConfig::het_gmp(0),
+        "s8" => StrategyConfig::het_gmp(8),
         "ssp" => StrategyConfig::het_gmp(100),
         "asp" => StrategyConfig::het_gmp_asp(),
         "mp" => StrategyConfig::het_mp(),
         "lfu" => StrategyConfig::het_cache(100, 0.1),
         other => panic!("unknown strategy {other}"),
     };
+    (strat, sync_format)
+}
+
+/// The golden configuration: 2 epochs, dim 8, batch 128, one hidden layer.
+fn golden_config(seed: u64, sync_format: Option<het_gmp::comms::SyncFormat>) -> TrainerConfig {
+    TrainerConfig {
+        epochs: 2,
+        dim: 8,
+        batch_size: 128,
+        hidden: vec![16],
+        seed,
+        sync_format: sync_format.unwrap_or_default(),
+        ..Default::default()
+    }
+}
+
+fn golden_run_on(
+    workers: usize,
+    strategy: &str,
+    seed: u64,
+    sync_format: Option<het_gmp::comms::SyncFormat>,
+) -> het_gmp::core::trainer::TrainResult {
+    let data = golden_data(strategy);
+    let (strat, sync_format) = golden_strategy(strategy, sync_format);
     Trainer::new(
         &data,
         Topology::pcie_island(workers),
         strat,
-        TrainerConfig {
-            epochs: 2,
-            dim: 8,
-            batch_size: 128,
-            hidden: vec![16],
-            seed,
-            ..Default::default()
-        },
+        golden_config(seed, sync_format),
     )
     .with_audit(AuditMode::Count)
-    .with_sync_format(sync_format, None)
     .run()
 }
 
@@ -204,7 +230,7 @@ fn tiered_storage_matches_goldens() {
             .iter()
             .find(|g| g.strategy == "ssp" && g.seed == seed)
             .expect("golden row");
-        let r = golden_run_tiered("ssp", seed);
+        let r = golden_run_tiered(2, "ssp", seed);
         let loss = r.curve.last().expect("curve").train_loss;
         assert_eq!(r.final_auc, g.final_auc, "seed {seed}: tiered moved the AUC");
         assert_eq!(loss, g.train_loss, "seed {seed}: tiered moved the loss");
@@ -217,35 +243,84 @@ fn tiered_storage_matches_goldens() {
     }
 }
 
-fn golden_run_tiered(strategy: &str, seed: u64) -> het_gmp::core::trainer::TrainResult {
-    let mut spec = DatasetSpec::avazu_like(0.03);
-    spec.cluster_affinity = 0.9;
-    let data = generate(&spec);
-    let strat = match strategy {
-        "bsp" => StrategyConfig::het_gmp(0),
-        "ssp" => StrategyConfig::het_gmp(100),
-        "asp" => StrategyConfig::het_gmp_asp(),
-        other => panic!("unknown strategy {other}"),
-    };
+fn golden_run_tiered(
+    workers: usize,
+    strategy: &str,
+    seed: u64,
+) -> het_gmp::core::trainer::TrainResult {
+    let data = golden_data(strategy);
+    let (strat, sync_format) = golden_strategy(strategy, None);
     Trainer::new(
         &data,
-        Topology::pcie_island(2),
+        Topology::pcie_island(workers),
         strat,
         TrainerConfig {
-            epochs: 2,
-            dim: 8,
-            batch_size: 128,
-            hidden: vec![16],
-            seed,
             storage: StorageMode::Tiered {
                 budget_bytes: 4 << 10,
                 dir: None,
             },
-            ..Default::default()
+            ..golden_config(seed, sync_format)
         },
     )
     .with_audit(AuditMode::Count)
     .run()
+}
+
+/// The {memory, tiered} column at four workers, on `het_gmp(8)`, where
+/// replicas sync while holding deferred gradients: the tiered run must
+/// reproduce the in-memory run's AUC, loss, traffic and flush count.
+#[test]
+fn tiered_storage_matches_memory_at_four_workers() {
+    let memory = golden_run_on(4, "s8", 42, None);
+    let tiered = golden_run_tiered(4, "s8", 42);
+    let flushes = memory.telemetry.counter(names::EMBED_FLUSH_SYNC);
+    assert!(flushes > 0, "no sync flush fired: this column proves nothing");
+    assert_eq!(tiered.telemetry.counter(names::EMBED_FLUSH_SYNC), flushes);
+    assert_eq!(tiered.final_auc, memory.final_auc, "tiered moved the AUC");
+    let loss = |r: &het_gmp::core::trainer::TrainResult| r.curve.last().expect("curve").train_loss;
+    assert_eq!(loss(&tiered), loss(&memory), "tiered moved the loss");
+    assert_eq!(tiered.traffic_bytes, memory.traffic_bytes, "tiered moved the traffic");
+    let cs = tiered.capacity.expect("tiered run reports capacity stats");
+    assert!(cs.spilled_bytes > 0 && cs.fault_loads > 0, "nothing spilled or faulted");
+}
+
+/// Checkpoint resume at four workers on `het_gmp(8)`: epoch 2 resumed from
+/// epoch 1's checkpoint replays the uninterrupted run's epoch 2 exactly —
+/// its AUC, its loss and the traffic it moves — with sync flushes firing
+/// in it.
+#[test]
+fn resume_matches_uninterrupted_at_four_workers() {
+    let dir = std::env::temp_dir().join(format!("hetgmp-it-resume4-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let data = golden_data("s8");
+    let run = |cfg: TrainerConfig| {
+        Trainer::new(&data, Topology::pcie_island(4), StrategyConfig::het_gmp(8), cfg).run()
+    };
+    let full = run(TrainerConfig {
+        checkpoint_every: 1,
+        checkpoint_dir: Some(dir.clone()),
+        ..golden_config(42, None)
+    });
+    let first = run(TrainerConfig {
+        epochs: 1,
+        ..golden_config(42, None)
+    });
+    let resumed = run(TrainerConfig {
+        resume_from: Some(dir.join("ckpt-epoch-1.hgmr")),
+        ..golden_config(42, None)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed.curve.len(), 1, "resume should only run epoch 2");
+    assert!(
+        resumed.telemetry.counter(names::EMBED_FLUSH_SYNC) > 0,
+        "no sync flush fired in epoch 2: this test proves nothing"
+    );
+    assert_eq!(resumed.final_auc, full.final_auc);
+    assert_eq!(resumed.curve[0].train_loss, full.curve[1].train_loss);
+    let epoch_two: Vec<u64> = (0..3)
+        .map(|k| full.traffic_bytes[k] - first.traffic_bytes[k])
+        .collect();
+    assert_eq!(resumed.traffic_bytes.to_vec(), epoch_two, "epoch 2 moved other traffic");
 }
 
 /// `--sync-format f32` is the identity transport: selecting it explicitly
@@ -341,21 +416,27 @@ fn seed_sweep_matches_goldens() {
     );
 }
 
-/// The seed sweep's columns past two workers, on the configurations with no
-/// read-phase flush — `het_gmp(0)`, `het_mp` and `het_cache(100, 0.1)`
-/// defer nothing, so nothing is written while a peer reads and the runs
-/// repeat at any worker count. `het_gmp(s > 0)` at three or more workers
-/// stays property-tested until ROADMAP item 1 lands.
+/// The seed sweep's columns past two workers. `het_gmp(0)`, `het_mp` and
+/// `het_cache(100, 0.1)` defer nothing; `het_gmp(8)` (`"s8"`, on the larger
+/// dataset of `golden_data`) defers, and its replicas go stale holding
+/// deferred gradients, so every run of it takes sync flushes at read time.
+/// No read writes the table — those flushes reach the primaries through
+/// their owners in the write phase — so every row repeats at any worker
+/// count.
 #[rustfmt::skip]
 const WIDE_GOLDENS: &[(usize, Golden)] = &[
     (3, Golden { strategy: "bsp", seed: 42, final_auc: 0.6536111111111111, train_loss: 0.5695366, samples: 3840, intra_reads: 120, inter_checks: 6351 }),
     (3, Golden { strategy: "bsp_int8", seed: 42, final_auc: 0.6569444444444444, train_loss: 0.5693577333333334, samples: 3840, intra_reads: 120, inter_checks: 6351 }),
+    (3, Golden { strategy: "s8", seed: 42, final_auc: 0.7450173235909574, train_loss: 0.5612805925925927, samples: 6912, intra_reads: 432, inter_checks: 32225 }),
+    (3, Golden { strategy: "s8_int8", seed: 42, final_auc: 0.7434050289869988, train_loss: 0.5618987037037037, samples: 6912, intra_reads: 432, inter_checks: 32225 }),
     (3, Golden { strategy: "mp", seed: 42, final_auc: 0.6443055555555556, train_loss: 0.5636829333333334, samples: 3840, intra_reads: 0, inter_checks: 0 }),
     (3, Golden { strategy: "mp_int8", seed: 42, final_auc: 0.6431944444444444, train_loss: 0.5640148666666666, samples: 3840, intra_reads: 0, inter_checks: 0 }),
     (3, Golden { strategy: "lfu", seed: 42, final_auc: 0.6420833333333333, train_loss: 0.5612532666666666, samples: 3840, intra_reads: 459, inter_checks: 0 }),
     (3, Golden { strategy: "lfu_int8", seed: 42, final_auc: 0.6502777777777777, train_loss: 0.5621495333333333, samples: 3840, intra_reads: 459, inter_checks: 0 }),
     (4, Golden { strategy: "bsp", seed: 42, final_auc: 0.6409722222222223, train_loss: 0.5643000625, samples: 4096, intra_reads: 128, inter_checks: 330 }),
     (4, Golden { strategy: "bsp_int8", seed: 42, final_auc: 0.6433333333333333, train_loss: 0.5645231875, samples: 4096, intra_reads: 128, inter_checks: 330 }),
+    (4, Golden { strategy: "s8", seed: 42, final_auc: 0.7415526053994718, train_loss: 0.5589860714285714, samples: 7168, intra_reads: 448, inter_checks: 42470 }),
+    (4, Golden { strategy: "s8_int8", seed: 42, final_auc: 0.7444341532022916, train_loss: 0.5586018928571429, samples: 7168, intra_reads: 448, inter_checks: 42470 }),
     (4, Golden { strategy: "mp", seed: 42, final_auc: 0.6666666666666666, train_loss: 0.573869375, samples: 4096, intra_reads: 0, inter_checks: 0 }),
     (4, Golden { strategy: "mp_int8", seed: 42, final_auc: 0.6661111111111111, train_loss: 0.5743075, samples: 4096, intra_reads: 0, inter_checks: 0 }),
     (4, Golden { strategy: "lfu", seed: 42, final_auc: 0.6665277777777778, train_loss: 0.574069125, samples: 4096, intra_reads: 387, inter_checks: 0 }),
@@ -379,11 +460,17 @@ fn wide_seed_sweep_matches_goldens_and_repeats() {
     let mut rows = String::new();
     let mut failures = Vec::new();
     for workers in [3usize, 4] {
-        for strategy in ["bsp", "bsp_int8", "mp", "mp_int8", "lfu", "lfu_int8"] {
+        for strategy in ["bsp", "bsp_int8", "s8", "s8_int8", "mp", "mp_int8", "lfu", "lfu_int8"] {
             let run = || {
                 let r = golden_run_on(workers, strategy, 42, None);
                 let audit = r.audit.expect("audit enabled");
                 assert_eq!(audit.total_violations(), 0, "{workers}/{strategy}: {}", audit.render());
+                let flushes = r.telemetry.counter(names::EMBED_FLUSH_SYNC);
+                assert_eq!(
+                    flushes > 0,
+                    strategy.starts_with("s8"),
+                    "{workers}/{strategy}: {flushes} sync flushes"
+                );
                 let measured = Golden {
                     strategy,
                     seed: 42,
@@ -393,7 +480,7 @@ fn wide_seed_sweep_matches_goldens_and_repeats() {
                     intra_reads: audit.intra_reads,
                     inter_checks: audit.inter_checks,
                 };
-                wide_row(workers, &measured)
+                format!("{} // {flushes} sync flushes", wide_row(workers, &measured))
             };
             let (first, second) = (run(), run());
             if first != second {
@@ -403,7 +490,8 @@ fn wide_seed_sweep_matches_goldens_and_repeats() {
                 .iter()
                 .find(|(w, g)| *w == workers && g.strategy == strategy)
                 .map(|(w, g)| wide_row(*w, g));
-            if pinned.as_deref() != Some(first.as_str()) {
+            let (first, _) = first.split_once(" // ").expect("row and flush count");
+            if pinned.as_deref() != Some(first) {
                 failures.push(format!("{workers}/{strategy}: {first} != pinned {pinned:?}"));
             }
             rows.push_str(&format!("    {first}\n"));
