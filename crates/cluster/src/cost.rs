@@ -21,8 +21,6 @@ pub struct ComputeModel {
     pub flops_per_second: f64,
     /// Fixed per-batch kernel-launch/framework overhead, seconds.
     pub per_batch_overhead: f64,
-    /// Bytes/second for embedding-table gather/scatter in device memory.
-    pub memory_bandwidth: f64,
 }
 
 impl Default for ComputeModel {
@@ -30,7 +28,6 @@ impl Default for ComputeModel {
         Self {
             flops_per_second: 14e12,
             per_batch_overhead: 30e-6,
-            memory_bandwidth: 700e9,
         }
     }
 }
@@ -40,12 +37,6 @@ impl ComputeModel {
     #[inline]
     pub fn compute_time(&self, flops: f64) -> f64 {
         self.per_batch_overhead + flops / self.flops_per_second
-    }
-
-    /// Time for a local gather/scatter of `bytes` in device memory.
-    #[inline]
-    pub fn local_access_time(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.memory_bandwidth
     }
 }
 

@@ -328,13 +328,6 @@ impl Topology {
             LinkClass::Local.bandwidth()
         }
     }
-
-    /// Per-GPU memory budget in bytes. RTX TITAN (cluster A) has 24 GB;
-    /// V100 (cluster B) has 32 GB. The simulation scales workloads down, so
-    /// this is exposed as configuration rather than hard-coded in callers.
-    pub fn gpu_memory_bytes(&self) -> u64 {
-        32 * (1 << 30)
-    }
 }
 
 #[cfg(test)]

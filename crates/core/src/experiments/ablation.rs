@@ -26,9 +26,9 @@ use hetgmp_partition::{
     ReplicationBudget,
 };
 
-use hetgmp_telemetry::{Json, JsonlWriter};
+use hetgmp_telemetry::Json;
 
-use crate::experiments::{emit, render_table, Hooks};
+use crate::experiments::{render_table, Hooks};
 use crate::models::ModelKind;
 use crate::strategy::StrategyConfig;
 use crate::trainer::{Trainer, TrainerConfig};
@@ -40,25 +40,17 @@ pub struct StalenessThroughput {
     pub rows: Vec<(String, f64, u64)>,
 }
 
-/// Sweeps staleness and measures throughput + embedding traffic.
-pub fn staleness_throughput(data: &CtrDataset, s_values: &[u64]) -> StalenessThroughput {
-    staleness_throughput_instrumented(data, s_values, None, &Hooks::default())
-}
-
-/// Like [`staleness_throughput`], optionally appending one telemetry
-/// snapshot per staleness setting (event `ablation.staleness`) and
-/// threading observability [`Hooks`] through every trainer run; audited
-/// runs carry an `audit` object in their JSONL records.
-pub fn staleness_throughput_instrumented(
+/// Sweeps staleness and measures throughput + embedding traffic, one
+/// `ablation.staleness` record per setting.
+pub fn staleness_throughput(
     data: &CtrDataset,
     s_values: &[u64],
-    mut telemetry: Option<&mut JsonlWriter>,
-    hooks: &Hooks,
+    hooks: &mut Hooks,
 ) -> StalenessThroughput {
     let topo = Topology::pcie_island(8);
     let mut rows = Vec::new();
     for &s in s_values {
-        let trainer = hooks.apply(Trainer::new(
+        let trainer = Trainer::new(
             data,
             topo.clone(),
             StrategyConfig::het_gmp(s),
@@ -70,16 +62,10 @@ pub fn staleness_throughput_instrumented(
                 hidden: vec![64, 32],
                 ..Default::default()
             },
-        ));
-        let r = trainer.run();
-        if let Some(w) = telemetry.as_deref_mut() {
-            let mut extra = vec![
-                ("staleness", Json::U64(s)),
-                ("throughput", Json::F64(r.throughput)),
-            ];
-            extra.extend(hooks.audit_extra(&r));
-            emit(w, "ablation.staleness", &extra, &r.telemetry);
-        }
+        );
+        let r = hooks.train("ablation.staleness", trainer, |r| {
+            vec![("staleness", Json::U64(s)), ("throughput", Json::F64(r.throughput))]
+        });
         rows.push((format!("s={s}"), r.throughput, r.traffic_bytes[0]));
     }
     StalenessThroughput { rows }
@@ -303,8 +289,9 @@ pub struct StragglerReport {
 /// One worker runs `factor`× slower than its peers; compares uniform
 /// batching (BSP stalls on the straggler every iteration) against
 /// speed-proportional batching (paper §3's heterogeneity-aware
-/// load-balancer for *computation*). `hooks` apply to every trainer run.
-pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &Hooks) -> StragglerReport {
+/// load-balancer for *computation*), one `ablation.straggler` record per
+/// setting.
+pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &mut Hooks) -> StragglerReport {
     let topo = Topology::pcie_island(8);
     let mut scales = vec![1.0; 8];
     scales[0] = factor;
@@ -314,7 +301,7 @@ pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &Hooks) -> Str
         (format!("{factor}x straggler, uniform batches"), Some(scales.clone()), false),
         (format!("{factor}x straggler, aware batching"), Some(scales), true),
     ] {
-        let trainer = hooks.apply(Trainer::new(
+        let trainer = Trainer::new(
             data,
             topo.clone(),
             StrategyConfig::het_gmp(100),
@@ -330,8 +317,11 @@ pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &Hooks) -> Str
                 hetero_aware_batching: aware,
                 ..Default::default()
             },
-        ));
-        rows.push((label, trainer.run().throughput));
+        );
+        let r = hooks.train("ablation.straggler", trainer, |r| {
+            vec![("setting", Json::from(label.as_str())), ("throughput", Json::F64(r.throughput))]
+        });
+        rows.push((label, r.throughput));
     }
     StragglerReport { rows }
 }
@@ -461,38 +451,24 @@ impl fmt::Display for AblationReport {
     }
 }
 
-/// Runs every ablation at the given scale (criteo-like), optionally
-/// appending telemetry records — one snapshot per staleness setting (event
-/// `ablation.staleness`) and one plain record per replication-sweep row
-/// (event `ablation.replication` — partitioning only, no trainer, so the
-/// row fields are the full story) — and threading observability [`Hooks`]
-/// through every trainer run.
-pub fn run_instrumented(
-    scale: f64,
-    mut telemetry: Option<&mut JsonlWriter>,
-    hooks: &Hooks,
-) -> AblationReport {
+/// Runs every ablation at the given scale (criteo-like). Besides the
+/// trained cells' records, each replication-sweep row appends one plain
+/// `ablation.replication` record (partitioning only, no trainer, so the
+/// row fields are the full story).
+pub fn run(scale: f64, hooks: &mut Hooks) -> AblationReport {
     let data = generate(&DatasetSpec::criteo_like(scale));
     let graph = data.to_bigraph();
-    let staleness = staleness_throughput_instrumented(
-        &data,
-        &[0, 10, 100, 1000],
-        telemetry.as_deref_mut(),
-        hooks,
-    );
+    let staleness = staleness_throughput(&data, &[0, 10, 100, 1000], hooks);
     let replication = replication_sweep(&graph, &[0.0, 0.005, 0.01, 0.05, 0.2]);
-    if let Some(w) = telemetry {
-        for &(frac, remote, factor) in &replication.rows {
-            let record = Json::Obj(vec![
-                ("event".into(), Json::from("ablation.replication")),
-                ("budget_fraction".into(), Json::F64(frac)),
-                ("remote_fetches".into(), Json::U64(remote)),
-                ("replication_factor".into(), Json::F64(factor)),
-            ]);
-            if let Err(e) = w.write_record(&record) {
-                eprintln!("telemetry: {e}");
-            }
-        }
+    for &(frac, remote, factor) in &replication.rows {
+        hooks.append(|w| {
+            w.write_record(&Json::obj([
+                ("event", Json::from("ablation.replication")),
+                ("budget_fraction", Json::F64(frac)),
+                ("remote_fetches", Json::U64(remote)),
+                ("replication_factor", Json::F64(factor)),
+            ]))
+        });
     }
     AblationReport {
         staleness,
@@ -524,7 +500,7 @@ mod tests {
     #[test]
     fn staleness_increases_throughput() {
         let data = generate(&DatasetSpec::avazu_like(0.04));
-        let sweep = staleness_throughput(&data, &[0, 1000]);
+        let sweep = staleness_throughput(&data, &[0, 1000], &mut Hooks::default());
         let (_, tp0, bytes0) = &sweep.rows[0];
         let (_, tp1k, bytes1k) = &sweep.rows[1];
         // Looser staleness can only reduce sync traffic.
@@ -540,7 +516,7 @@ mod tests {
         // A strong straggler (10x) so the compute term dominates the
         // iteration and the BSP stall is unmistakable.
         let data = generate(&DatasetSpec::avazu_like(0.05));
-        let report = straggler_tolerance(&data, 10.0, &Hooks::default());
+        let report = straggler_tolerance(&data, 10.0, &mut Hooks::default());
         let homogeneous = report.rows[0].1;
         let uniform = report.rows[1].1;
         let aware = report.rows[2].1;

@@ -11,9 +11,9 @@ use std::fmt;
 
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, CtrDataset, DatasetSpec};
-use hetgmp_telemetry::{Json, JsonlWriter};
+use hetgmp_telemetry::Json;
 
-use crate::experiments::{emit, render_table, Hooks};
+use crate::experiments::{render_table, Hooks};
 use crate::models::ModelKind;
 use crate::strategy::StrategyConfig;
 use crate::trainer::{Trainer, TrainerConfig};
@@ -63,13 +63,12 @@ fn run_panel(
     model: ModelKind,
     data: &CtrDataset,
     label: &str,
-    mut telemetry: Option<&mut JsonlWriter>,
-    hooks: &Hooks,
+    hooks: &mut Hooks,
 ) -> BreakdownPanel {
     let topo = Topology::pcie_island(8);
     let mut bars = Vec::new();
     for (setting, strat) in settings() {
-        let trainer = hooks.apply(Trainer::new(
+        let trainer = Trainer::new(
             data,
             topo.clone(),
             strat,
@@ -81,16 +80,10 @@ fn run_panel(
                 hidden: vec![64, 32],
                 ..Default::default()
             },
-        ));
-        let r = trainer.run();
-        if let Some(w) = telemetry.as_deref_mut() {
-            let mut extra = vec![
-                ("workload", Json::from(label)),
-                ("setting", Json::from(setting.as_str())),
-            ];
-            extra.extend(hooks.audit_extra(&r));
-            emit(w, "fig8", &extra, &r.telemetry);
-        }
+        );
+        let r = hooks.train("fig8", trainer, |_| {
+            vec![("workload", Json::from(label)), ("setting", Json::from(setting.as_str()))]
+        });
         // Average per iteration ≈ per epoch totals / iterations; iterations
         // ≈ samples / (batch × workers). Report per-iteration bytes.
         let iters = (r.samples_processed as f64 / (256.0 * 8.0)).max(1.0);
@@ -107,16 +100,9 @@ fn run_panel(
     }
 }
 
-/// Runs Figure 8 (both models × all datasets) at the given scale,
-/// optionally appending one telemetry snapshot per bar (event `fig8`) to a
-/// JSONL writer and threading observability [`Hooks`] (trace collector,
-/// protocol auditor) through every trainer run; audited runs carry an
-/// `audit` object in their `fig8` JSONL records.
-pub fn run_instrumented(
-    scale: f64,
-    mut telemetry: Option<&mut JsonlWriter>,
-    hooks: &Hooks,
-) -> BreakdownReport {
+/// Runs Figure 8 (both models × all datasets) at the given scale, one
+/// `fig8` record per bar.
+pub fn run(scale: f64, hooks: &mut Hooks) -> BreakdownReport {
     let mut panels = Vec::new();
     for model in [ModelKind::Wdl, ModelKind::Dcn] {
         for spec in DatasetSpec::paper_presets(scale) {
@@ -125,7 +111,6 @@ pub fn run_instrumented(
                 model,
                 &data,
                 &format!("{}-{}", model.name(), spec.name),
-                telemetry.as_deref_mut(),
                 hooks,
             ));
         }
@@ -188,7 +173,7 @@ mod tests {
     #[test]
     fn partitioning_reduces_embed_traffic() {
         let data = generate(&DatasetSpec::avazu_like(0.04));
-        let panel = run_panel(ModelKind::Wdl, &data, "WDL-test", None, &Hooks::default());
+        let panel = run_panel(ModelKind::Wdl, &data, "WDL-test", &mut Hooks::default());
         assert_eq!(panel.bars.len(), 4);
         let random = panel.bars[0].embed_bytes;
         let oned = panel.bars[1].embed_bytes;
@@ -203,8 +188,8 @@ mod tests {
     #[test]
     fn dcn_has_more_allreduce_than_wdl() {
         let data = generate(&DatasetSpec::avazu_like(0.03));
-        let wdl = run_panel(ModelKind::Wdl, &data, "WDL", None, &Hooks::default());
-        let dcn = run_panel(ModelKind::Dcn, &data, "DCN", None, &Hooks::default());
+        let wdl = run_panel(ModelKind::Wdl, &data, "WDL", &mut Hooks::default());
+        let dcn = run_panel(ModelKind::Dcn, &data, "DCN", &mut Hooks::default());
         assert!(
             dcn.bars[0].allreduce_bytes > wdl.bars[0].allreduce_bytes,
             "dcn {} vs wdl {}",

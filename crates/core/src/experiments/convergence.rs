@@ -11,8 +11,9 @@ use std::fmt;
 
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, DatasetSpec};
+use hetgmp_telemetry::Json;
 
-use crate::experiments::render_table;
+use crate::experiments::{render_table, Hooks};
 use crate::models::ModelKind;
 use crate::strategy::StrategyConfig;
 use crate::trainer::{EvalPoint, Trainer, TrainerConfig};
@@ -79,10 +80,14 @@ pub(super) fn systems() -> Vec<StrategyConfig> {
     ]
 }
 
-/// Runs one panel.
-pub fn run_panel(model: ModelKind, spec: &DatasetSpec, epochs: usize) -> ConvergencePanel {
+/// Epochs every Figure 7 run trains.
+const EPOCHS: usize = 3;
+
+/// Runs one panel, one `fig7` record per system.
+pub fn run_panel(model: ModelKind, spec: &DatasetSpec, hooks: &mut Hooks) -> ConvergencePanel {
     let data = generate(spec);
     let topo = Topology::pcie_island(8); // cluster A node, as in the paper
+    let workload = format!("{}-{}", model.name(), spec.name);
     let mut runs = Vec::new();
     for strat in systems() {
         let trainer = Trainer::new(
@@ -91,7 +96,7 @@ pub fn run_panel(model: ModelKind, spec: &DatasetSpec, epochs: usize) -> Converg
             strat.clone(),
             TrainerConfig {
                 model,
-                epochs,
+                epochs: EPOCHS,
                 // dim 32: enough embedding bytes per lookup that the
                 // communication differences the figure is about are visible
                 // over the fixed per-iteration costs.
@@ -101,7 +106,12 @@ pub fn run_panel(model: ModelKind, spec: &DatasetSpec, epochs: usize) -> Converg
                 ..Default::default()
             },
         );
-        let result = trainer.run();
+        let result = hooks.train("fig7", trainer, |r| {
+            vec![
+                ("workload", Json::from(workload.as_str())),
+                ("system", Json::from(r.strategy.as_str())),
+            ]
+        });
         runs.push(ConvergenceRun {
             system: result.strategy.clone(),
             final_auc: result.final_auc,
@@ -125,18 +135,18 @@ pub fn run_panel(model: ModelKind, spec: &DatasetSpec, epochs: usize) -> Converg
             .map(|p| p.sim_time);
     }
     ConvergencePanel {
-        workload: format!("{}-{}", model.name(), spec.name),
+        workload,
         auc_target: target,
         runs,
     }
 }
 
 /// Runs all six panels at the given dataset scale.
-pub fn run(scale: f64, epochs: usize) -> ConvergenceReport {
+pub fn run(scale: f64, hooks: &mut Hooks) -> ConvergenceReport {
     let mut panels = Vec::new();
     for model in [ModelKind::Wdl, ModelKind::Dcn] {
         for spec in DatasetSpec::paper_presets(scale) {
-            panels.push(run_panel(model, &spec, epochs));
+            panels.push(run_panel(model, &spec, hooks));
         }
     }
     ConvergenceReport { panels }
@@ -195,7 +205,7 @@ mod tests {
     #[test]
     fn het_gmp_beats_baselines_on_time() {
         let spec = DatasetSpec::avazu_like(0.04);
-        let panel = run_panel(ModelKind::Wdl, &spec, 3);
+        let panel = run_panel(ModelKind::Wdl, &spec, &mut Hooks::default());
         assert_eq!(panel.runs.len(), 7);
         // Every GPU system reaches a reasonable AUC.
         let gmp = panel

@@ -12,8 +12,9 @@ use std::fmt;
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, CtrDataset, DatasetSpec};
 use hetgmp_partition::HybridConfig;
+use hetgmp_telemetry::Json;
 
-use crate::experiments::render_table;
+use crate::experiments::{render_table, Hooks};
 use crate::models::ModelKind;
 use crate::strategy::{PartitionPolicy, StrategyConfig};
 use crate::trainer::{Trainer, TrainerConfig};
@@ -60,8 +61,9 @@ pub(super) fn policies() -> Vec<(String, StrategyConfig)> {
     ]
 }
 
-/// Runs Figure 9 on one dataset (16 workers / 2 machines, as in the paper).
-pub fn run_dataset(data: &CtrDataset, label: &str) -> HierarchyReport {
+/// Runs Figure 9 on one dataset (16 workers / 2 machines, as in the
+/// paper), one `fig9` record per policy.
+pub fn run_dataset(data: &CtrDataset, label: &str, hooks: &mut Hooks) -> HierarchyReport {
     let topo = Topology::cluster_b(2); // 2 machines × 8 GPUs, 10 GbE
     let mut runs = Vec::new();
     for (policy, strat) in policies() {
@@ -78,7 +80,9 @@ pub fn run_dataset(data: &CtrDataset, label: &str) -> HierarchyReport {
                 ..Default::default()
             },
         );
-        let r = trainer.run();
+        let r = hooks.train("fig9", trainer, |_| {
+            vec![("dataset", Json::from(label)), ("policy", Json::from(policy.as_str()))]
+        });
         let pm = r.partition_metrics.as_ref().expect("GPU strategy");
         let machine_of: Vec<usize> = (0..topo.num_workers())
             .map(|w| topo.machine_of(w))
@@ -97,13 +101,10 @@ pub fn run_dataset(data: &CtrDataset, label: &str) -> HierarchyReport {
 }
 
 /// Runs Figure 9(a) over all three datasets at the given scale.
-pub fn run(scale: f64) -> Vec<HierarchyReport> {
+pub fn run(scale: f64, hooks: &mut Hooks) -> Vec<HierarchyReport> {
     DatasetSpec::paper_presets(scale)
         .iter()
-        .map(|spec| {
-            let data = generate(spec);
-            run_dataset(&data, &spec.name)
-        })
+        .map(|spec| run_dataset(&generate(spec), &spec.name, hooks))
         .collect()
 }
 
@@ -152,7 +153,7 @@ mod tests {
     fn hierarchical_reduces_cross_machine_traffic() {
         for mut spec in DatasetSpec::paper_presets(0.04) {
             spec.cluster_affinity = 0.9;
-            let report = run_dataset(&generate(&spec), &spec.name);
+            let report = run_dataset(&generate(&spec), &spec.name, &mut Hooks::default());
             let [random, flat, hier] = &report.runs[..] else {
                 panic!("{}: {} runs", spec.name, report.runs.len());
             };

@@ -11,8 +11,9 @@ use std::fmt;
 
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, DatasetSpec};
+use hetgmp_telemetry::Json;
 
-use crate::experiments::render_table;
+use crate::experiments::{render_table, Hooks};
 use crate::strategy::StrategyConfig;
 use crate::trainer::{Trainer, TrainerConfig};
 
@@ -34,8 +35,8 @@ pub struct OverheadReport {
     pub cells: Vec<OverheadCell>,
 }
 
-/// Runs Figure 1 at the given dataset scale.
-pub fn run(scale: f64) -> OverheadReport {
+/// Runs Figure 1 at the given dataset scale, one `fig1` record per cell.
+pub fn run(scale: f64, hooks: &mut Hooks) -> OverheadReport {
     let topologies = vec![
         Topology::nvlink_island(4),
         Topology::pcie_island(4),
@@ -58,7 +59,12 @@ pub fn run(scale: f64) -> OverheadReport {
                     ..Default::default()
                 },
             );
-            let result = trainer.run();
+            let result = hooks.train("fig1", trainer, |_| {
+                vec![
+                    ("topology", Json::from(topo.name.as_str())),
+                    ("dataset", Json::from(spec.name.as_str())),
+                ]
+            });
             cells.push(OverheadCell {
                 topology: topo.name.clone(),
                 dataset: spec.name.clone(),
@@ -96,7 +102,7 @@ mod tests {
 
     #[test]
     fn slower_interconnect_larger_share() {
-        let report = run(0.02);
+        let report = run(0.02, &mut Hooks::default());
         let share = |topo: &str, ds: &str| {
             report
                 .cells

@@ -13,8 +13,9 @@ use std::fmt;
 
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, CtrDataset, DatasetSpec};
+use hetgmp_telemetry::Json;
 
-use crate::experiments::render_table;
+use crate::experiments::{render_table, Hooks};
 use crate::models::ModelKind;
 use crate::strategy::StrategyConfig;
 use crate::trainer::{Trainer, TrainerConfig};
@@ -45,8 +46,14 @@ pub(super) fn systems() -> Vec<StrategyConfig> {
     vec![StrategyConfig::hugectr(), StrategyConfig::het_gmp(100)]
 }
 
-/// Runs one dataset's panel over the given GPU counts.
-pub fn run_dataset(data: &CtrDataset, label: &str, gpu_counts: &[usize]) -> ScalabilityReport {
+/// Runs one dataset's panel over the given GPU counts, one `fig10` record
+/// per point.
+pub fn run_dataset(
+    data: &CtrDataset,
+    label: &str,
+    gpu_counts: &[usize],
+    hooks: &mut Hooks,
+) -> ScalabilityReport {
     let mut points = Vec::new();
     for &n in gpu_counts {
         let topo = Topology::cluster_b_scaled(n);
@@ -76,7 +83,13 @@ pub fn run_dataset(data: &CtrDataset, label: &str, gpu_counts: &[usize]) -> Scal
                     ..Default::default()
                 },
             );
-            let r = trainer.run();
+            let r = hooks.train("fig10", trainer, |_| {
+                vec![
+                    ("dataset", Json::from(label)),
+                    ("system", Json::from(name.as_str())),
+                    ("gpus", Json::U64(n as u64)),
+                ]
+            });
             points.push(ScalePoint {
                 system: name,
                 gpus: n,
@@ -95,13 +108,13 @@ pub fn run_dataset(data: &CtrDataset, label: &str, gpu_counts: &[usize]) -> Scal
 /// The scale is clamped to ≥ 0.4: below that, 16–24 workers see shards of a
 /// few hundred samples and the ladder degenerates to one iteration per
 /// epoch, which measures fixed costs rather than scaling.
-pub fn run(scale: f64) -> Vec<ScalabilityReport> {
+pub fn run(scale: f64, hooks: &mut Hooks) -> Vec<ScalabilityReport> {
     let scale = scale.max(0.4);
     let criteo = generate(&DatasetSpec::criteo_like(scale));
     let company = generate(&DatasetSpec::company_like(scale));
     vec![
-        run_dataset(&criteo, "criteo-like", &[1, 2, 4, 8, 16, 24]),
-        run_dataset(&company, "company-like", &[2, 4, 8, 16, 24]),
+        run_dataset(&criteo, "criteo-like", &[1, 2, 4, 8, 16, 24], hooks),
+        run_dataset(&company, "company-like", &[2, 4, 8, 16, 24], hooks),
     ]
 }
 
@@ -169,7 +182,7 @@ mod tests {
         let mut spec = DatasetSpec::company_like(0.4);
         spec.cluster_affinity = 0.9;
         let data = generate(&spec);
-        let report = run_dataset(&data, "company-like", &[4, 16]);
+        let report = run_dataset(&data, "company-like", &[4, 16], &mut Hooks::default());
         let hc4 = report.throughput("HugeCTR", 4).unwrap();
         let hc16 = report.throughput("HugeCTR", 16).unwrap();
         // Paper: HugeCTR throughput *collapses* crossing to Ethernet.

@@ -10,9 +10,9 @@ use std::fmt;
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, DatasetSpec};
 use hetgmp_embedding::StalenessBound;
-use hetgmp_telemetry::{Json, JsonlWriter};
+use hetgmp_telemetry::Json;
 
-use crate::experiments::{emit, render_table, Hooks};
+use crate::experiments::{render_table, Hooks};
 use crate::models::ModelKind;
 use crate::strategy::StrategyConfig;
 use crate::trainer::{Trainer, TrainerConfig};
@@ -52,47 +52,39 @@ pub fn bounds() -> Vec<(String, StalenessBound)> {
     ]
 }
 
-/// Runs Table 2 at the given scale/epochs, optionally appending one
-/// telemetry snapshot per cell (event `table2`) to a JSONL writer and
-/// threading observability [`Hooks`] through every trainer run; audited
-/// runs carry an `audit` object in their `table2` JSONL records (the
-/// auditor's gap histograms make the drift behind the `s=inf` AUC drop
-/// directly visible).
-pub fn run_instrumented(
-    scale: f64,
-    epochs: usize,
-    mut telemetry: Option<&mut JsonlWriter>,
-    hooks: &Hooks,
-) -> StalenessReport {
+/// Epochs every Table 2 run trains.
+const EPOCHS: usize = 3;
+
+/// Runs Table 2 at the given scale, one `table2` record per cell (audited,
+/// the auditor's gaps make the drift behind the `s=inf` AUC drop directly
+/// visible).
+pub fn run(scale: f64, hooks: &mut Hooks) -> StalenessReport {
     let topo = Topology::pcie_island(8);
     let mut rows = Vec::new();
     for spec in DatasetSpec::paper_presets(scale) {
         let data = generate(&spec);
         let mut aucs = Vec::new();
         for (label, bound) in bounds() {
-            let trainer = hooks.apply(Trainer::new(
+            let trainer = Trainer::new(
                 &data,
                 topo.clone(),
                 strategy(&label, bound),
                 TrainerConfig {
                     model: ModelKind::Wdl,
-                    epochs,
+                    epochs: EPOCHS,
                     dim: 16,
                     batch_size: 256,
                     hidden: vec![64, 32],
                     ..Default::default()
                 },
-            ));
-            let r = trainer.run();
-            if let Some(w) = telemetry.as_deref_mut() {
-                let mut extra = vec![
+            );
+            let r = hooks.train("table2", trainer, |r| {
+                vec![
                     ("dataset", Json::from(spec.name.as_str())),
                     ("staleness", Json::from(label.as_str())),
                     ("auc", Json::F64(r.final_auc)),
-                ];
-                extra.extend(hooks.audit_extra(&r));
-                emit(w, "table2", &extra, &r.telemetry);
-            }
+                ]
+            });
             aucs.push((label, r.final_auc));
         }
         rows.push(StalenessRow {

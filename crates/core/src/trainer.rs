@@ -498,7 +498,8 @@ impl<'d> Trainer<'d> {
     /// Attaches a trace collector: the run emits Chrome-trace events
     /// (epoch/batch spans per worker, link transfers, partitioner rounds,
     /// protocol decisions at sync detail level) into `tracer`. Build the
-    /// collector with one slot per worker in this trainer's topology.
+    /// collector with one slot per worker in this trainer's topology;
+    /// [`Trainer::try_run`] rejects a smaller one.
     pub fn with_tracer(mut self, tracer: Arc<TraceCollector>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -537,7 +538,8 @@ impl<'d> Trainer<'d> {
     /// Runs training and returns the measurements, or an error when the
     /// configuration is invalid ([`TrainerConfig::validate`],
     /// [`StrategyConfig::validate`], a fault schedule for another worker
-    /// count) or checkpoint I/O fails. Every check runs before any work.
+    /// count, a trace collector with fewer tracks than workers) or
+    /// checkpoint I/O fails. Every check runs before any work.
     ///
     /// The run goes in phases: set-up (partition, table, workers, resume),
     /// then per epoch the workers' epoch on one thread each, the barrier,
@@ -549,6 +551,15 @@ impl<'d> Trainer<'d> {
         self.strategy.validate()?;
         let faults = self.fault_schedule()?;
         if let Some(t) = &self.tracer {
+            if t.num_workers() < n {
+                return Err(HetGmpError::config(
+                    "tracer",
+                    format!(
+                        "trace collector has {} worker tracks but topology has {n}",
+                        t.num_workers()
+                    ),
+                ));
+            }
             t.attach_manifest(self.manifest());
         }
 
@@ -1607,6 +1618,25 @@ mod tests {
         assert!(with(|c| c.test_fraction = 1.0).is_err());
         assert!(with(|c| c.batch_size = 0).is_err());
         assert!(with(|c| c.compute_scales = Some(vec![1.0, 0.0])).is_err());
+    }
+
+    #[test]
+    fn too_small_trace_collector_is_a_config_error() {
+        use hetgmp_telemetry::{TraceCollector, TraceLevel};
+        let data = tiny_dataset();
+        let tracer = Arc::new(TraceCollector::new(1, TraceLevel::Batch));
+        let err = Trainer::new(
+            &data,
+            Topology::pcie_island(2),
+            StrategyConfig::het_gmp(100),
+            fast_config(),
+        )
+        .with_tracer(Arc::clone(&tracer))
+        .try_run()
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 78, "{err}");
+        assert!(err.to_string().contains("tracer"), "{err}");
+        assert!(tracer.is_empty(), "a rejected run recorded events");
     }
 
     #[test]

@@ -128,25 +128,6 @@ impl HotScratch {
         }
     }
 
-    /// Pre-sizes every buffer for batches of up to `batch × fields` lookups.
-    fn reserve(&mut self, batch: usize, fields: usize, dim: usize) {
-        let rows = batch.saturating_mul(fields);
-        self.lookups.reserve(rows);
-        self.rows.reserve(rows * dim);
-        self.replica_slots.reserve(rows);
-        self.sample_replicas.reserve(fields);
-        self.fetch_ids.reserve(rows);
-        self.fetch_slots.reserve(rows);
-        self.fetch_landing.reserve(rows);
-        self.fetch_buf.reserve(rows * dim);
-        self.fetch_clocks.reserve(rows);
-        self.reduce_buf.reserve(rows * dim);
-        self.reduce_ids.reserve(rows);
-        self.apply_ids.reserve(rows);
-        self.apply_buf.reserve(rows * dim);
-        self.apply_clocks.reserve(rows);
-    }
-
     /// Starts resolving a new batch to read.
     fn begin_read(&mut self) {
         self.index.begin();
@@ -442,12 +423,6 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     pub fn replica_clock(&self, e: u32) -> Option<u64> {
         let slot = self.policy.slot_of(e)?;
         Some(self.policy.clock_at(slot))
-    }
-
-    /// Pre-sizes every read/apply scratch buffer for batches of up to
-    /// `batch × fields` lookups, so no steady-state batch grows a buffer.
-    pub fn reserve_batch(&mut self, batch: usize, fields: usize) {
-        self.scratch.reserve(batch, fields, self.table.dim());
     }
 
     /// The intra-embedding check (§5.3): whether the replica of `e` in

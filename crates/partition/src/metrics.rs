@@ -76,11 +76,6 @@ impl PartitionMetrics {
         imbalance(&self.samples_per_partition)
     }
 
-    /// Load-imbalance ratio of replica slots.
-    pub fn memory_imbalance(&self) -> f64 {
-        imbalance(&self.replicas_per_partition)
-    }
-
     /// Cross-machine fetch count given each worker's machine index
     /// (hierarchical-partitioning analysis of Figure 9).
     pub fn cross_machine_fetches(&self, machine_of: &[usize]) -> u64 {

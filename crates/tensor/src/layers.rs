@@ -67,11 +67,6 @@ impl Dense {
         self.w.rows()
     }
 
-    /// Whether the fused ReLU epilogue is enabled.
-    pub fn has_relu(&self) -> bool {
-        self.relu
-    }
-
     /// Forward pass for a batch (`rows` = batch size): writes the output
     /// into `out` (resized via [`Matrix::reshape`], so a reused `out` does
     /// not reallocate). Does NOT cache the input — callers keeping

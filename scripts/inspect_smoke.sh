@@ -12,6 +12,10 @@
 #   * `diff`     — a run diffed against itself must exit 0; the same log
 #                  with an injected AUC drop must exit 1.
 #
+# A multi-run leg follows: `experiment fig9` (16 workers on 2 machines)
+# writes one shared trace over all its runs, whose gantt must show worker
+# tracks 0-15.
+#
 # Run from the repo root (make inspect-smoke / make verify does). Needs the
 # release binary (make build). POSIX sh + grep/sed/diff only.
 set -eu
@@ -53,4 +57,17 @@ if "$BIN" inspect diff "$OUT/run.jsonl" "$OUT/regressed.jsonl" > /dev/null 2>&1;
     exit 1
 fi
 
-echo "inspect_smoke: OK (report golden, gantt stages, diff exit codes)"
+# --- multi-run: every fig9 worker has a track ------------------------------
+"$BIN" experiment fig9 --scale 0.02 \
+    --telemetry "$OUT/fig9.jsonl" --trace "$OUT/fig9.trace.json" > /dev/null
+"$BIN" inspect pipeline "$OUT/fig9.trace.json" > "$OUT/fig9-gantt.txt"
+w=0
+while [ "$w" -lt 16 ]; do
+    if ! grep -q "workers/worker $w " "$OUT/fig9-gantt.txt"; then
+        echo "inspect_smoke: worker track $w missing from the fig9 gantt" >&2
+        exit 1
+    fi
+    w=$((w + 1))
+done
+
+echo "inspect_smoke: OK (report golden, gantt stages, diff exit codes, fig9 worker tracks)"

@@ -84,8 +84,10 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   size; checkpoints stay f32 and any format bit-matches itself across
   checkpoint resume. --sync-feedback off disables the
   per-row error-feedback accumulator on lossy gradient pushes (on by
-  default; no effect under f32). On 'experiment' both apply to every
-  fig8/table2/ablation training run.
+  default; no effect under f32). On 'experiment' both, like --telemetry,
+  --trace and --audit, apply to every training run (fig3, table3 and kg
+  take none of them; the launcher says so on stderr). 'experiment
+  --audit=strict' writes its artifacts, then exits 70 if any run tripped.
 
   --storage tiered spills cold embedding-table pages to a checksummed file
   once the table outgrows --storage-budget-mb (default 64) of RAM; hot
@@ -112,7 +114,7 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
 
 /// [`USAGE`] with the experiment names filled in from [`EXPERIMENTS`].
 fn usage() -> String {
-    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
     USAGE.replace("{experiments}", &names.join("|"))
 }
 
@@ -524,54 +526,52 @@ fn cmd_capacity(args: &Args) -> Result<(), HetGmpError> {
     Ok(())
 }
 
-/// A paper experiment: the scale, the `--telemetry` sink and the
-/// observability hooks in, its report printed on stdout.
-type Runner = fn(f64, Option<&mut JsonlWriter>, &experiments::Hooks);
+/// A paper experiment: the scale and the hooks every training run goes
+/// through in, its report printed on stdout (a per-dataset experiment's
+/// reports each followed by a blank line).
+type Runner = fn(f64, &mut experiments::Hooks);
 
-/// Epochs of the experiments that take a count (Figure 7, Table 2).
-const EXPERIMENT_EPOCHS: usize = 3;
+/// A `het-gmp experiment NAME`: the name, the most workers any of its
+/// training runs uses (0: no run goes through the hooks) and its runner.
+type Experiment = (&'static str, usize, Runner);
 
-/// Every `het-gmp experiment NAME`, in the order `experiment all` runs
-/// them. The usage text, the dispatch and `all` read this one table.
-const EXPERIMENTS: &[(&str, Runner)] = &[
-    ("fig1", |scale, _, _| println!("{}", experiments::overhead::run(scale))),
-    ("fig3", |scale, _, _| print_each(experiments::cooccurrence::run(scale))),
-    ("table3", |scale, _, _| print_each(experiments::partitioners::run(scale))),
-    ("fig7", |scale, _, _| {
-        println!("{}", experiments::convergence::run(scale, EXPERIMENT_EPOCHS))
+/// Every experiment, in the order `experiment all` runs them. The usage
+/// text, the dispatch, `all` and the trace collector's size read this one
+/// table.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig1", 8, |scale, hooks| println!("{}", experiments::overhead::run(scale, hooks))),
+    ("fig3", 0, |scale, _| {
+        experiments::cooccurrence::run(scale).iter().for_each(|r| println!("{r}\n"))
     }),
-    ("fig8", |scale, telemetry, hooks| {
-        println!("{}", experiments::comm_breakdown::run_instrumented(scale, telemetry, hooks))
+    ("table3", 0, |scale, _| {
+        experiments::partitioners::run(scale).iter().for_each(|r| println!("{r}\n"))
     }),
-    ("table2", |scale, telemetry, hooks| {
-        let report =
-            experiments::staleness::run_instrumented(scale, EXPERIMENT_EPOCHS, telemetry, hooks);
-        println!("{report}")
+    ("fig7", 8, |scale, hooks| println!("{}", experiments::convergence::run(scale, hooks))),
+    ("fig8", 8, |scale, hooks| println!("{}", experiments::comm_breakdown::run(scale, hooks))),
+    ("table2", 8, |scale, hooks| println!("{}", experiments::staleness::run(scale, hooks))),
+    ("fig9", 16, |scale, hooks| {
+        experiments::hierarchy::run(scale, hooks).iter().for_each(|r| println!("{r}\n"))
     }),
-    ("fig9", |scale, _, _| print_each(experiments::hierarchy::run(scale))),
-    ("fig10", |scale, _, _| print_each(experiments::scalability::run(scale))),
-    ("ablation", |scale, telemetry, hooks| {
-        println!("{}", experiments::ablation::run_instrumented(scale, telemetry, hooks))
+    ("fig10", 24, |scale, hooks| {
+        experiments::scalability::run(scale, hooks).iter().for_each(|r| println!("{r}\n"))
     }),
-    ("kg", |scale, _, _| println!("{}", experiments::kg::run(scale))),
+    ("ablation", 8, |scale, hooks| println!("{}", experiments::ablation::run(scale, hooks))),
+    // Trains through `core::kg`'s own loop, which takes no hooks.
+    ("kg", 0, |scale, _| println!("{}", experiments::kg::run(scale))),
 ];
 
-/// Prints a per-dataset experiment's reports, each followed by a blank line.
-fn print_each<T: std::fmt::Display>(reports: Vec<T>) {
-    for r in reports {
-        println!("{r}\n");
-    }
-}
+/// The flags `experiment` hands to every training run through the hooks.
+const HOOK_FLAGS: &[&str] = &["telemetry", "trace", "audit", "sync-format", "sync-feedback"];
 
 /// The [`EXPERIMENTS`] entries `het-gmp experiment WHICH` runs: all of
 /// them for `all`, else the one named.
-fn experiments_for(which: &str) -> Result<&'static [(&'static str, Runner)], HetGmpError> {
+fn experiments_for(which: &str) -> Result<&'static [Experiment], HetGmpError> {
     if which == "all" {
         return Ok(EXPERIMENTS);
     }
     EXPERIMENTS
         .iter()
-        .position(|(name, _)| *name == which)
+        .position(|(name, ..)| *name == which)
         .map(|i| &EXPERIMENTS[i..=i])
         .ok_or_else(|| HetGmpError::usage(format!("unknown experiment {which:?} (see --help)")))
 }
@@ -592,36 +592,44 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         .ok_or_else(|| HetGmpError::usage("experiment name required"))?;
     let selected = experiments_for(which)?;
     let scale: f64 = args.parsed_or("scale", 0.15)?;
-    let mut telemetry = telemetry_sink(args)?;
-    if let Some(w) = telemetry.as_mut() {
+    let workers = selected.iter().map(|&(_, workers, _)| workers).max().unwrap_or(0);
+    let trace = trace_collector(args, workers)?;
+    let mut hooks = experiments::Hooks {
+        tracer: trace.as_ref().map(|(t, _)| Arc::clone(t)),
+        audit: audit_mode(args)?,
+        sync_format: sync_format_flag(args)?,
+        sync_error_feedback: sync_feedback_flag(args)?,
+        telemetry: telemetry_sink(args)?,
+        failure: None,
+    };
+    if let Some(w) = hooks.telemetry.as_mut() {
         // A harness-level manifest: experiment runners vary seeds and
         // strategies internally, so seed 0 marks "multi-run log" and the
         // digest covers the harness invocation itself.
         let mut manifest = RunManifest::new(
             0,
             RunManifest::digest_of(&format!("experiment={which}|scale={scale}")),
-            8,
+            workers,
         );
         manifest.gemm_isa = Some(hetgmp_tensor::gemm::kernel_tier().to_string());
         w.write_record(&manifest.to_record())?;
     }
-    // Experiment runners use 8-worker topologies throughout.
-    let trace = trace_collector(args, 8)?;
-    let hooks = experiments::Hooks {
-        tracer: trace.as_ref().map(|(t, _)| Arc::clone(t)),
-        audit: audit_mode(args)?,
-        sync_format: sync_format_flag(args)?,
-        sync_error_feedback: sync_feedback_flag(args)?,
-    };
-    for (_, runner) in selected {
-        runner(scale, telemetry.as_mut(), &hooks);
+    let hook_flags: Vec<&str> = HOOK_FLAGS.iter().copied().filter(|f| args.has(f)).collect();
+    for &(name, workers, runner) in selected {
+        if workers == 0 && !hook_flags.is_empty() {
+            eprintln!(
+                "experiment {name}: no run goes through the experiment hooks; ignoring --{}",
+                hook_flags.join(", --")
+            );
+        }
+        runner(scale, &mut hooks);
     }
-    if let Some(w) = telemetry.as_mut() {
+    if let Some(w) = hooks.telemetry.as_mut() {
         w.flush()?;
         println!("telemetry: {}", w.path().display());
     }
     write_trace(&trace)?;
-    Ok(())
+    hooks.failure.map_or(Ok(()), Err)
 }
 
 /// `inspect report|pipeline|diff` — post-hoc artifact analysis. Returns an
@@ -683,8 +691,8 @@ mod tests {
     /// itself, and the usage line lists every name.
     #[test]
     fn all_and_usage_cover_every_experiment() {
-        let names = |entries: &[(&'static str, Runner)]| -> Vec<&'static str> {
-            entries.iter().map(|(name, _)| *name).collect()
+        let names = |entries: &[Experiment]| -> Vec<&'static str> {
+            entries.iter().map(|(name, ..)| *name).collect()
         };
         let every = names(EXPERIMENTS);
         assert_eq!(names(experiments_for("all").unwrap()), every);

@@ -121,6 +121,9 @@ fn experiment_reports_render() {
     assert!(fig3[0].to_string().contains("Figure 3"));
     let t3 = het_gmp::core::experiments::partitioners::run(0.02);
     assert!(t3[0].to_string().contains("Table 3"));
-    let fig1 = het_gmp::core::experiments::overhead::run(0.02);
+    let fig1 = het_gmp::core::experiments::overhead::run(
+        0.02,
+        &mut het_gmp::core::experiments::Hooks::default(),
+    );
     assert!(fig1.to_string().contains("Figure 1"));
 }

@@ -250,6 +250,47 @@ fn experiment_table2_jsonl_event_shapes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Figure 9's runner honours every hook flag: one audited `fig9` record
+/// per dataset x policy, and the shared collector has a track for each of
+/// its 16 workers.
+#[test]
+fn experiment_fig9_honours_hooks() {
+    let dir = scratch_dir("fig9-hooks");
+    let tele = dir.join("out.jsonl");
+    let trace = dir.join("out.trace.json");
+
+    let out = het_gmp()
+        .args([
+            "experiment", "fig9", "--scale", "0.02", "--audit",
+            "--telemetry", tele.to_str().unwrap(),
+            "--trace", trace.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let text = std::fs::read_to_string(&tele).unwrap();
+    let fig9: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains(r#""event":"fig9""#))
+        .collect();
+    // 3 datasets x 3 policies.
+    assert_eq!(fig9.len(), 9, "{text}");
+    for l in &fig9 {
+        assert!(l.contains(r#""dataset":"#), "{l}");
+        assert!(l.contains(r#""policy":"#), "{l}");
+        assert!(l.contains(r#""audit":"#), "{l}");
+    }
+
+    let trace_text = std::fs::read_to_string(&trace).unwrap();
+    assert!(
+        trace_text.contains(r#""ph":"X","pid":0,"tid":15,"#),
+        "no span on worker 15"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A collector that recorded no spans still exports a *valid* Chrome
 /// trace: the traceEvents array holds only process/thread metadata (no
 /// "X" events), otherData carries the attached manifest, and the inspect
