@@ -1,10 +1,13 @@
 //! Performance of the distributed embedding table: bounded-async reads,
-//! gradient write-back, the underlying sharded store, and how its two read
-//! paths scale with threads.
+//! gradient write-back, the underlying sharded store, how its two read
+//! paths scale with threads, and the spillable tier's fault path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetgmp_data::Zipf;
-use hetgmp_embedding::{BatchScratch, ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
+use hetgmp_embedding::{
+    BatchScratch, RowStore, ShardedTable, SparseOpt, StalenessBound, TieredConfig, TieredTable,
+    WorkerEmbedding,
+};
 use hetgmp_partition::Partition;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -177,5 +180,45 @@ fn read_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench, read_scaling);
+/// Rows and width of the tiered sweep's table, and its RAM budget: the
+/// geometry of the `avazu_tiered` benchmark workload, where two pages with
+/// Adagrad accumulators fit.
+const TIERED_ROWS: usize = 3_500;
+const TIERED_DIM: usize = 32;
+const TIERED_BUDGET: usize = 120 << 10;
+
+/// The spillable tier's fault path: one `read_rows` and one Adagrad
+/// `apply_grads` over every row of a table 3.7x over its budget, so each
+/// sweep loads and writes back most pages.
+fn tiered_sweep(c: &mut Criterion) {
+    let table = TieredTable::new(
+        TIERED_ROWS,
+        TIERED_DIM,
+        0.05,
+        1,
+        TieredConfig {
+            budget_bytes: TIERED_BUDGET,
+            ..TieredConfig::default()
+        },
+    );
+    let rows: Vec<u32> = (0..TIERED_ROWS as u32).collect();
+    let grads = vec![0.01f32; TIERED_ROWS * TIERED_DIM];
+    let opt = SparseOpt::adagrad(0.05);
+    let mut scratch = BatchScratch::default();
+    let mut out = vec![0.0f32; TIERED_ROWS * TIERED_DIM];
+    let mut clocks = vec![0u64; TIERED_ROWS];
+
+    let mut group = c.benchmark_group("embedding");
+    group.sample_size(20);
+    group.bench_function("tiered_sweep", |b| {
+        b.iter(|| {
+            table.read_rows(&rows, &mut out, &mut clocks, &mut scratch);
+            criterion::black_box(&out);
+            table.apply_grads(&rows, &grads, &opt, &mut clocks, &mut scratch);
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench, read_scaling, tiered_sweep);
 criterion_main!(benches);

@@ -365,15 +365,16 @@ impl StorageTable {
 const EVAL_CHUNK: usize = 512;
 
 /// Replays the epoch's deterministic batch assembly (the same cursor
-/// arithmetic as the pipeline's `assemble_batch`) to predict the order in
-/// which the tiered table's pages will be touched: step-major across
-/// workers, one entry per distinct page per batch in ascending-page order —
-/// exactly the order `read_rows`'s page grouping visits them. The tiered
-/// store turns this into Belady-style eviction hints; the plan never
-/// changes *what* is computed, only which resident page is evicted on a
-/// fault, so results are bit-identical with the plan on or off (pinned at
-/// the store by `tiered`'s `plan_does_not_change_results` and the
-/// `epoch_plan_never_changes_results` proptest).
+/// arithmetic as the pipeline's `assemble_batch`) to predict the tiered
+/// table's read sweeps: step-major across workers, one sweep per batch,
+/// holding one entry per distinct page. The store consumes a sweep's
+/// entries together, so it does not matter that `read_rows` visits the
+/// resident pages first. The tiered store turns this into Belady-style
+/// eviction hints; the plan never changes *what* is computed, only which
+/// resident page is evicted on a fault, so results are bit-identical with
+/// the plan on or off (pinned at the store by `tiered`'s
+/// `plan_does_not_change_results` and the `epoch_plan_never_changes_results`
+/// proptest).
 fn plan_epoch_pages(table: &TieredTable, run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Vec<u32> {
     let mut cur: Vec<usize> = workers.iter().map(|me| me.cursor).collect();
     let mut plan: Vec<u32> = Vec::new();
@@ -1029,7 +1030,7 @@ fn train_epoch(
     run.loss_sum_micro.store(0, Ordering::Relaxed);
     run.loss_batches.store(0, Ordering::Relaxed);
     // Buffer-aware eviction: hand the tiered store this epoch's predicted
-    // page touch sequence before the workers start. Pure eviction policy —
+    // read sweeps before the workers start. Pure eviction policy —
     // see `plan_epoch_pages`.
     if let StorageTable::Tiered(tt) = run.storage {
         tt.set_epoch_plan(&plan_epoch_pages(tt, run, workers));

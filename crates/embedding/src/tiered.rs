@@ -28,24 +28,28 @@
 //! `p` owns bytes `[p * slot, (p + 1) * slot)`, where `slot` is the size of
 //! the largest image a page can have (values + accumulators). A fault is a
 //! seek + `read_exact`, a write-back a seek + `write_all`, both under the
-//! tier mutex that is already held. The image in a slot (format version 2):
+//! tier mutex that is already held. (Positional reads and writes would
+//! save the seek but need a per-OS extension trait; measured, they gained
+//! nothing.) The image in a slot (format version 3):
 //!
 //! ```text
 //! magic     4 bytes   "HGPG"
-//! version   u32       2
+//! version   u32       3
 //! page      u64
 //! rows      u64       rows in this page
 //! dim       u64
 //! has_accum u64       0 or 1
 //! values    rows × dim × f32, little-endian
 //! [accum    rows × dim × f32]             // iff has_accum
-//! checksum  u64       FNV-1a 64 over the preceding 64-bit words
+//! checksum  u64       8-lane FNV-1a 64 over the preceding 64-bit words
 //! ```
 //!
 //! Both blocks are contiguous, so encode and decode are bulk little-endian
 //! copies. The checksum guards a fault against a short or corrupt read:
 //! loads verify it and reject the image, and [`TieredTable::verify_page`]
-//! exposes the same check to tests and tooling.
+//! exposes the same check to tests and tooling. It runs eight independent
+//! FNV-1a chains over interleaved words and folds them at the end, so the
+//! multiplies overlap instead of each waiting on the last.
 //!
 //! **Spill pages are scratch.** Nothing ever reads a spill file written by
 //! an earlier process — construction always rebuilds the table from the
@@ -53,14 +57,24 @@
 //! write-backs are neither fsynced nor renamed into place: durability is
 //! the checkpoint's job.
 //!
-//! # Eviction
+//! # Sweeps and eviction
+//!
+//! A batched call is one **sweep**: it visits each page it needs once,
+//! first the pages already resident, then the rest, each faulted in on its
+//! visit. A sweep in ascending page order would reach the pages the last
+//! sweep left resident only after its own faults had evicted them. Rows
+//! keep their submission order within a page, and the order across pages
+//! changes no bits: reads are pure, and applies to different pages commute.
 //!
 //! Default policy is LRU over unpinned resident pages. When the trainer
 //! installs a per-epoch page-access plan ([`TieredTable::set_epoch_plan`],
 //! computed from the deterministic batch schedule), eviction switches to a
-//! Belady-style farthest-next-use choice. The policy only decides *which*
-//! page to drop — never what any row's bytes are — so batch ordering
-//! on/off changes fault counts, not results.
+//! Belady-style farthest-next-use choice. The plan is counted in read
+//! sweeps: a sweep over `n` pages consumes the plan's next `n` entries
+//! together, whatever order it visits them in, so the next-use keys stay
+//! exact. The policy only decides *which* page to drop — never what any
+//! row's bytes are — so batch ordering on/off changes fault counts, not
+//! results.
 //!
 //! Buffers of evicted pages are parked on a small free list and the image
 //! staging buffer is kept per table, so a steady-state fault allocates
@@ -89,7 +103,7 @@ use crate::table::BatchScratch;
 const STRIPES: usize = 256;
 
 const PAGE_MAGIC: &[u8; 4] = b"HGPG";
-const PAGE_VERSION: u32 = 2;
+const PAGE_VERSION: u32 = 3;
 /// magic, version, page, rows, dim, accumulator flag — a whole number of
 /// 64-bit words, so the payload the checksum folds starts word-aligned.
 const HEADER_BYTES: usize = 4 + 4 + 8 + 8 + 8 + 8;
@@ -98,24 +112,36 @@ const SPILL_FILE: &str = "pages.hgpg";
 /// accumulators. More would hold RAM the budget does not account for.
 const FREE_BUFFERS: usize = 2;
 
-/// FNV-1a 64 folded over little-endian 64-bit words instead of bytes (a
-/// trailing partial word is zero-padded). xor and the odd multiply are both
-/// bijections on `u64`, so any change confined to one word changes the sum.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Independent FNV-1a chains in [`checksum`].
+const LANES: usize = 8;
+
+/// FNV-1a 64 over little-endian 64-bit words, run as [`LANES`] independent
+/// chains: word `i` folds into lane `i % LANES` (a trailing partial word is
+/// zero-padded), then the lanes fold into one sum in lane order. One serial
+/// chain waits a full multiply latency per word; eight keep the multiplier
+/// busy. xor and the odd multiply are both bijections on `u64`, so any change
+/// confined to one word changes its lane, and the final fold carries that
+/// lane's change into the sum.
 fn checksum(bytes: &[u8]) -> u64 {
-    let fold = |h: u64, word: [u8; 8]| {
-        (h ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01b3)
-    };
-    let mut words = bytes.chunks_exact(8);
-    let mut h = (&mut words).fold(0xcbf2_9ce4_8422_2325, |h, w| {
-        fold(h, w.try_into().expect("8-byte chunk"))
-    });
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut last = [0u8; 8];
-        last[..tail.len()].copy_from_slice(tail);
-        h = fold(h, last);
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(FNV_PRIME);
+    let mut lanes = [FNV_BASIS; LANES];
+    let mut blocks = bytes.chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = fold(
+                *lane,
+                u64::from_le_bytes(w.try_into().expect("8-byte word")),
+            );
+        }
     }
-    h
+    for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        *lane = fold(*lane, u64::from_le_bytes(word));
+    }
+    lanes.into_iter().fold(FNV_BASIS, fold)
 }
 
 /// Size of the image of a page of `values` f32s.
@@ -206,8 +232,8 @@ pub struct TieredConfig {
     /// live table at a time.
     pub dir: Option<PathBuf>,
     /// Rows per page; `0` sizes pages to ≈32 KiB of values, capped at a
-    /// quarter of `budget_bytes` so small budgets still get several
-    /// evictable pages.
+    /// quarter of `budget_bytes` of values. With Adagrad accumulators a page
+    /// takes twice its values, so a capped budget holds two pages.
     pub rows_per_page: usize,
 }
 
@@ -253,8 +279,9 @@ struct TierState {
     resident_bytes: u64,
     spilled_bytes: u64,
     lru_tick: u64,
-    /// Position in the installed epoch plan (one tick per page-group read).
-    touch_seq: u64,
+    /// Entries of the installed epoch plan consumed so far: every read
+    /// sweep consumes one per distinct page it visits.
+    plan_pos: u64,
     plan_active: bool,
     loads: u64,
     evictions: u64,
@@ -428,7 +455,7 @@ impl TieredTable {
                 resident_bytes,
                 spilled_bytes: 0,
                 lru_tick: num_pages as u64,
-                touch_seq: 0,
+                plan_pos: 0,
                 plan_active: false,
                 loads: 0,
                 evictions: 0,
@@ -483,11 +510,13 @@ impl TieredTable {
         self.state.lock().tracer = Some(tracer);
     }
 
-    /// Installs the buffer-aware epoch plan: the sequence of pages the
-    /// trainer's batch schedule will read this epoch, in order. Eviction
-    /// switches from LRU to Belady-style farthest-next-use against this
-    /// plan. Installing a plan never changes any row's bytes — only which
-    /// pages fault — so results stay bit-identical to the unplanned run.
+    /// Installs the buffer-aware epoch plan: the pages the trainer's batch
+    /// schedule will read this epoch, one read sweep after another, each
+    /// sweep's distinct pages in any order. Each read sweep over `n` pages
+    /// consumes the next `n` entries. Eviction switches from LRU to
+    /// Belady-style farthest-next-use against this plan. Installing a plan
+    /// never changes any row's bytes — only which pages fault — so results
+    /// stay bit-identical to the unplanned run.
     pub fn set_epoch_plan(&self, page_seq: &[u32]) {
         let mut st = self.state.lock();
         for p in st.pages.iter_mut() {
@@ -496,7 +525,7 @@ impl TieredTable {
         for (pos, &p) in page_seq.iter().enumerate() {
             st.pages[p as usize].next_uses.push_back(pos as u64);
         }
-        st.touch_seq = 0;
+        st.plan_pos = 0;
         st.plan_active = true;
     }
 
@@ -698,19 +727,17 @@ impl TieredTable {
         self.emit_fault(st, page, "evict", names::CAPACITY_FAULT_EVICTIONS);
     }
 
-    /// Marks a touch for LRU; read touches additionally consume the plan.
-    fn touch(&self, st: &mut TierState, page: usize, consumes_plan: bool) {
+    /// Marks a touch for LRU. A read sweep's touches pass `plan_end`, the
+    /// plan position where the sweep ends, and retire every use of the page
+    /// before it: the sweep's own entry, whichever order it visits its pages
+    /// in, and any that a drifting plan left behind.
+    fn touch(&self, st: &mut TierState, page: usize, plan_end: Option<u64>) {
         st.lru_tick += 1;
         st.pages[page].last_use = st.lru_tick;
-        if consumes_plan && st.plan_active {
-            let pos = st.touch_seq;
-            st.touch_seq += 1;
-            while let Some(&front) = st.pages[page].next_uses.front() {
-                if front <= pos {
-                    st.pages[page].next_uses.pop_front();
-                } else {
-                    break;
-                }
+        if let Some(end) = plan_end.filter(|_| st.plan_active) {
+            let uses = &mut st.pages[page].next_uses;
+            while uses.front().is_some_and(|&pos| pos < end) {
+                uses.pop_front();
             }
         }
     }
@@ -726,23 +753,28 @@ impl TieredTable {
         &self,
         st: &mut TierState,
         page: usize,
-        consumes_plan: bool,
+        plan_end: Option<u64>,
         f: impl FnOnce(&mut TierState) -> R,
     ) -> R {
         st.pages[page].pinned = true;
         self.ensure_resident(st, page);
-        self.touch(st, page, consumes_plan);
+        self.touch(st, page, plan_end);
         let r = f(&mut *st);
         st.pages[page].pinned = false;
         r
     }
 
-    /// Visits each distinct page of `rows` once, ascending, pinned
-    /// resident, under one hold of the tier lock. `body` gets the page, the
-    /// indices into `rows` that fall in it — submission order preserved, so
-    /// duplicate rows apply in the order the caller gave them — and whether
-    /// the page was resident before the visit. Every page group counts as
-    /// one lock acquisition, the figure the batched API amortises.
+    /// Visits each distinct page of `rows` once, pinned resident, under one
+    /// hold of the tier lock: first the pages already resident, ascending,
+    /// then the rest, ascending, each faulted in on its visit. Visiting the
+    /// resident pages first serves them before the sweep's own faults can
+    /// evict them. `body` gets the page, the indices into `rows` that fall in
+    /// it — submission order preserved, so duplicate rows apply in the order
+    /// the caller gave them — and whether the page was resident before the
+    /// visit. The order across pages changes no bits: reads are pure, and
+    /// applies to different pages commute. Every page group counts as one
+    /// lock acquisition, the figure the batched API amortises. A read sweep
+    /// (`consumes_plan`) consumes one plan entry per page.
     fn for_each_page(
         &self,
         rows: &[u32],
@@ -757,12 +789,24 @@ impl TieredTable {
             row as usize / self.rows_per_page
         });
         let mut st = self.state.lock();
-        for (page, group) in scratch.groups() {
-            self.count_lock();
-            let resident = st.pages[page].data.is_some();
-            self.with_page(&mut st, page, consumes_plan, |st| {
-                body(st, page, group, resident)
-            });
+        let plan_end = consumes_plan.then(|| {
+            st.plan_pos += scratch.groups().count() as u64;
+            st.plan_pos
+        });
+        // Every visit takes a fresh LRU tick, so a page whose tick is newer
+        // than `swept` has had its visit.
+        let swept = st.lru_tick;
+        for resident_pass in [true, false] {
+            for (page, group) in scratch.groups() {
+                let resident = st.pages[page].data.is_some();
+                if st.pages[page].last_use > swept || (resident_pass && !resident) {
+                    continue;
+                }
+                self.count_lock();
+                self.with_page(&mut st, page, plan_end, |st| {
+                    body(st, page, group, resident)
+                });
+            }
         }
     }
 
@@ -813,7 +857,7 @@ impl TieredTable {
         self.count_lock();
         let mut st = self.state.lock();
         let resident = st.pages[page].data.is_some();
-        self.with_page(&mut st, page, false, |st| {
+        self.with_page(&mut st, page, None, |st| {
             let data = st.pages[page].data.as_ref().expect("page resident");
             out.copy_from_slice(&data[slot..slot + self.dim]);
         });
@@ -906,7 +950,7 @@ impl RowStore for TieredTable {
         self.count_lock();
         {
             let mut st = self.state.lock();
-            self.with_page(&mut st, page, false, |st| {
+            self.with_page(&mut st, page, None, |st| {
                 Self::apply_to_page(st, page, slot, self.dim, grad, opt);
             });
         }
@@ -945,7 +989,7 @@ impl RowStore for TieredTable {
         let (page, slot) = self.locate(row);
         self.count_lock();
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |st| {
+        self.with_page(&mut st, page, None, |st| {
             let pg = &mut st.pages[page];
             let data = pg.data.as_mut().expect("page resident");
             data[slot..slot + self.dim].copy_from_slice(values);
@@ -986,7 +1030,7 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |st| match &st.pages[page].accum {
+        self.with_page(&mut st, page, None, |st| match &st.pages[page].accum {
             Some(a) => {
                 out.copy_from_slice(&a[slot..slot + self.dim]);
                 true
@@ -1003,7 +1047,7 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, false, |st| {
+        self.with_page(&mut st, page, None, |st| {
             Self::ensure_accum(st, page);
             let pg = &mut st.pages[page];
             let accum = pg.accum.as_mut().expect("accumulator allocated above");
@@ -1207,6 +1251,15 @@ mod tests {
         f.write_all(bytes).unwrap();
     }
 
+    /// Reads `len` bytes of the spill file at `offset`.
+    fn read_spill(t: &TieredTable, offset: u64, len: usize) -> Vec<u8> {
+        let mut f = File::open(t.spill_file()).unwrap();
+        f.seek(SeekFrom::Start(offset)).unwrap();
+        let mut bytes = vec![0u8; len];
+        f.read_exact(&mut bytes).unwrap();
+        bytes
+    }
+
     #[test]
     fn torn_spill_file_detected_and_rejected() {
         let t = four_spilled_pages();
@@ -1218,11 +1271,7 @@ mod tests {
         // One corrupted byte mid-payload of slot 2 fails that page's
         // checksum...
         let mid = t.slot_offset(2) + (image_bytes(16, false) / 2) as u64;
-        let mut byte = [0u8; 1];
-        let mut f = File::open(t.spill_file()).unwrap();
-        f.seek(SeekFrom::Start(mid)).unwrap();
-        f.read_exact(&mut byte).unwrap();
-        patch_spill(&t, mid, &[byte[0] ^ 0xFF]);
+        patch_spill(&t, mid, &[read_spill(&t, mid, 1)[0] ^ 0xFF]);
         let err = t.verify_page(2).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
 
@@ -1266,6 +1315,115 @@ mod tests {
         patch_spill(&t, t.slot_offset(2), &v1);
         let err = t.verify_page(2).unwrap_err();
         assert!(err.contains("version 1 unsupported"), "{err}");
+    }
+
+    /// 5 pages of 8 dim-5 rows under a budget of one page with
+    /// accumulators, after one Adagrad sweep over every row: pages 0..4
+    /// are spilled with accumulators, page 4 is resident.
+    fn spilled_accum_pages() -> TieredTable {
+        let (rows, dim) = (40, 5);
+        let t = TieredTable::new(rows, dim, 0.1, 3, tiny_cfg(2 * 8 * dim * 4, 8));
+        let all: Vec<u32> = (0..rows as u32).collect();
+        let grads: Vec<f32> = (0..rows * dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut clocks = vec![0u64; rows];
+        t.apply_grads(
+            &all,
+            &grads,
+            &SparseOpt::adagrad(0.1),
+            &mut clocks,
+            &mut BatchScratch::default(),
+        );
+        t
+    }
+
+    #[test]
+    fn every_single_byte_flip_of_an_accumulator_image_is_rejected() {
+        let t = spilled_accum_pages();
+        let page = 2;
+        let len = image_bytes(8 * 5, true);
+        let section = 8 * 5 * 4;
+        let slot = t.slot_offset(page);
+        let image = read_spill(&t, slot, len);
+        for p in 0..4 {
+            t.verify_page(p).expect("spilled accumulator page verifies");
+        }
+        // The header and the footer byte by byte; each 64-byte block is one
+        // word of every lane, so the first and last block of the values and
+        // the accumulators cover every lane at both ends of each section.
+        let block = 8 * LANES;
+        let mut offsets: Vec<usize> = (0..HEADER_BYTES).chain(len - 8..len).collect();
+        for start in [HEADER_BYTES, HEADER_BYTES + section] {
+            offsets.extend(start..start + block);
+            offsets.extend(start + section - block..start + section);
+        }
+        for at in offsets {
+            patch_spill(&t, slot + at as u64, &[image[at] ^ 0xFF]);
+            assert!(
+                t.verify_page(page).is_err(),
+                "flip at byte {at} of {len} was accepted"
+            );
+            for neighbour in [page - 1, page + 1] {
+                t.verify_page(neighbour).expect("neighbour slot untouched");
+            }
+            patch_spill(&t, slot + at as u64, &image[at..at + 1]);
+        }
+        t.verify_page(page).expect("restored image verifies");
+
+        let f = OpenOptions::new().write(true).open(t.spill_file()).unwrap();
+        f.set_len(slot + len as u64 - 1).unwrap();
+        let err = t.verify_page(page).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+        t.verify_page(page - 1)
+            .expect("slots before the cut are whole");
+    }
+
+    #[test]
+    fn version_2_image_refused_with_reason() {
+        let t = spilled_accum_pages();
+        // The version-2 image of page 2: the same layout, sealed with one
+        // serial FNV-1a chain over the words.
+        let len = image_bytes(8 * 5, true);
+        let mut v2 = read_spill(&t, t.slot_offset(2), len);
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let serial = v2[..len - 8].chunks_exact(8).fold(FNV_BASIS, |h, w| {
+            (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(FNV_PRIME)
+        });
+        v2[len - 8..].copy_from_slice(&serial.to_le_bytes());
+        patch_spill(&t, t.slot_offset(2), &v2);
+        let err = t.verify_page(2).unwrap_err();
+        assert!(err.contains("version 2 unsupported"), "{err}");
+    }
+
+    #[test]
+    fn sweeps_visit_resident_pages_first() {
+        // Two pages fit. Pages 0 and 1 stay resident at construction.
+        let (dim, rpp, pages) = (4, 4, 8u64);
+        let t = TieredTable::new(32, dim, 0.1, 5, tiny_cfg(2 * rpp * dim * 4, rpp));
+        let all: Vec<u32> = (0..32).collect();
+        let mut scratch = BatchScratch::default();
+        let mut out = vec![0.0f32; all.len() * dim];
+        let mut clocks = vec![0u64; all.len()];
+        let grads = vec![0.5f32; all.len() * dim];
+        let loads = || t.capacity_stats().fault_loads;
+        let mut faults = Vec::new();
+        for _ in 0..2 {
+            let before = loads();
+            t.read_rows(&all, &mut out, &mut clocks, &mut scratch);
+            faults.push(loads() - before);
+        }
+        let before = loads();
+        t.apply_grads(
+            &all,
+            &grads,
+            &SparseOpt::sgd(0.1),
+            &mut clocks,
+            &mut scratch,
+        );
+        faults.push(loads() - before);
+        // Each sweep serves the two pages the last one left resident before
+        // its own faults evict them. In ascending order every page of the
+        // second read sweep and of the apply sweep would fault.
+        assert_eq!(faults, vec![pages - 2; 3]);
     }
 
     #[test]
