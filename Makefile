@@ -55,13 +55,13 @@ inspect-smoke: build
 # Run-to-run repeatability: the canonical 4-worker HET-GMP(s=100) run,
 # five times; the printed summary and the embedding.{sync,flush,update}.*
 # counters must match in every run, with sync flushes firing. The script
-# names what it leaves out (wall time, seqlock retries).
+# names what it leaves out (wall time, read-path counters).
 repeat-check: build
 	sh scripts/repeat_check.sh
 
-# ThreadSanitizer over the concurrent suites: the seqlock read path, the
-# AllReduce group (its threaded stress included) and the write phase's
-# WriteExchange hand-off.
+# ThreadSanitizer over the concurrent suites: the segment table under
+# concurrent readers and owners, the AllReduce group (its threaded stress
+# included) and the write phase's WriteExchange hand-off.
 # Needs a nightly toolchain (-Zsanitizer=thread is unstable); the script
 # skips with a notice when nightly is absent, so this target is safe to
 # run anywhere but only *checks* where nightly is installed. Not part of

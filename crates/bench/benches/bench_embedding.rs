@@ -1,12 +1,14 @@
 //! Performance of the distributed embedding table: bounded-async reads,
-//! gradient write-back, the underlying sharded store, how its two read
-//! paths scale with threads, and the spillable tier's fault path.
+//! gradient write-back, the underlying segmented store, its read and
+//! owner-apply phases at two threads, and the spillable tier's fault path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetgmp_data::Zipf;
+use std::sync::Barrier;
+
 use hetgmp_embedding::{
     BatchScratch, RowStore, ShardedTable, SparseOpt, StalenessBound, TieredConfig, TieredTable,
-    WorkerEmbedding,
+    WorkerEmbedding, WriteExchange,
 };
 use hetgmp_partition::Partition;
 use rand::rngs::StdRng;
@@ -67,7 +69,7 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    // Batched table API vs the per-row loops above: same rows, one shard
+    // Batched table API vs the per-row loops above: same rows, one segment
     // lock per group instead of one per row.
     let batch_rows: Vec<u32> = (0..BATCH as u32).map(|i| (i * 37) % ROWS as u32).collect();
 
@@ -108,75 +110,77 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// Rows of the read-scaling table.
-const SCALING_ROWS: usize = 200_000;
-/// Rows per read: small batches are where the locked path's per-call lock
-/// and shard grouping dominate, which is what the snapshot path removes.
-const READ_BATCH: usize = 128;
-/// Read batches per thread per iteration.
-const SCALING_BATCHES: usize = 256;
-/// Thread 0 also applies a gradient to every this-many-th batch's rows, so
-/// both paths meet the same writer and the snapshot path's retry and
-/// fallback run instead of an uncontended best case.
-const WRITE_EVERY: usize = 16;
+/// Rows of the owner-phase table: `company_fetch`'s 92k-row vocabulary.
+const PHASE_ROWS: usize = 92_000;
+/// Owners, one thread each, as in `company_fetch`.
+const PHASE_OWNERS: usize = 2;
+/// Zipf draws per owner batch; about 3.9k distinct rows after dedup.
+const PHASE_DRAWS: usize = 8_192;
+/// Batches per owner per iteration.
+const PHASE_BATCHES: usize = 8;
 
-/// The read path's thread scaling: one Zipf-skewed, read-mostly workload
-/// through the locked batched read (`read_rows`) and the seqlock snapshot
-/// read (`read_rows_snapshot`) at 1, 2 and 4 threads sharing one table.
-/// This is the measurement that keeps `ReadPath` a runtime choice.
-fn read_scaling(c: &mut Criterion) {
-    const SEED: u64 = 0xB45E11 ^ 0xC0FFEE;
-    let zipf = Zipf::new(SCALING_ROWS, 1.05);
-    let per_thread: Vec<Vec<Vec<u32>>> = (0..4u64)
+/// The in-memory table as the trainer drives it: two owners, one thread
+/// each, on a table with one segment per owner. Each step is a read phase
+/// (every owner reads its batch's distinct rows), a barrier, the routing
+/// of an Adagrad gradient per row to its primary owner, a barrier, and the
+/// owner apply (`WriteExchange::apply_owned`).
+fn owner_phases(c: &mut Criterion) {
+    let zipf = Zipf::new(PHASE_ROWS, 1.05);
+    let batches: Vec<Vec<Vec<u32>>> = (0..PHASE_OWNERS as u64)
         .map(|t| {
-            let mut rng = StdRng::seed_from_u64(SEED ^ t.wrapping_mul(0x9E3779B9));
-            (0..SCALING_BATCHES)
-                .map(|_| (0..READ_BATCH).map(|_| zipf.sample(&mut rng) as u32).collect())
+            let mut rng = StdRng::seed_from_u64(0x0A5E ^ t.wrapping_mul(0x9E3779B9));
+            (0..PHASE_BATCHES)
+                .map(|_| {
+                    let mut ids: Vec<u32> =
+                        (0..PHASE_DRAWS).map(|_| zipf.sample(&mut rng) as u32).collect();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    ids
+                })
                 .collect()
         })
         .collect();
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let grads: Vec<f32> = (0..READ_BATCH * DIM).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+    let mut rng = StdRng::seed_from_u64(7);
+    let primary = (0..PHASE_ROWS).map(|_| rng.gen_range(0..PHASE_OWNERS as u32)).collect();
+    let part = Partition::new(PHASE_OWNERS, vec![0], primary);
+    let table = ShardedTable::with_partition(PHASE_ROWS, DIM, 0.05, 1, &part);
+    let exchange = WriteExchange::new(PHASE_OWNERS);
     let opt = SparseOpt::adagrad(0.05);
-    let table = ShardedTable::new(SCALING_ROWS, DIM, 0.05, 1);
+    let grad = [0.01f32; DIM];
 
     let mut group = c.benchmark_group("embedding");
     group.sample_size(20);
-    for threads in [1usize, 2, 4] {
-        for (path, snapshot) in [("locked", false), ("snapshot", true)] {
-            group.bench_function(format!("read_rows_{path}_{threads}t"), |b| {
-                b.iter(|| {
-                    std::thread::scope(|scope| {
-                        for (t, batches) in per_thread[..threads].iter().enumerate() {
-                            let (table, grads, opt) = (&table, &grads, &opt);
-                            scope.spawn(move || {
-                                let mut scratch = BatchScratch::default();
-                                let mut out = vec![0.0f32; READ_BATCH * DIM];
-                                let mut clocks = vec![0u64; READ_BATCH];
-                                for (i, batch) in batches.iter().enumerate() {
-                                    if snapshot {
-                                        table.read_rows_snapshot(batch, &mut out, &mut clocks);
-                                    } else {
-                                        table.read_rows(batch, &mut out, &mut clocks, &mut scratch);
-                                    }
-                                    criterion::black_box(&out);
-                                    if t == 0 && i % WRITE_EVERY == 0 {
-                                        table.apply_grads(
-                                            batch,
-                                            grads,
-                                            opt,
-                                            &mut clocks,
-                                            &mut scratch,
-                                        );
-                                    }
+    group.bench_function(format!("owner_phases_{PHASE_OWNERS}t"), |b| {
+        b.iter(|| {
+            let fence = Barrier::new(PHASE_OWNERS);
+            std::thread::scope(|scope| {
+                for (owner, mine) in batches.iter().enumerate() {
+                    let (table, part, exchange, opt, fence) =
+                        (&table, &part, &exchange, &opt, &fence);
+                    scope.spawn(move || {
+                        let mut scratch = BatchScratch::default();
+                        let longest = mine.iter().map(Vec::len).max().unwrap_or(0);
+                        let mut out = vec![0.0f32; longest * DIM];
+                        let mut clocks = vec![0u64; longest];
+                        for ids in mine {
+                            let n = ids.len();
+                            table.read_rows(ids, &mut out[..n * DIM], &mut clocks[..n], &mut scratch);
+                            criterion::black_box(&out);
+                            {
+                                let mut routing = exchange.route_from(owner);
+                                for &row in ids {
+                                    routing.push(part.primary_of(row) as usize, row, &grad);
                                 }
-                            });
+                            }
+                            fence.wait();
+                            exchange.apply_owned(owner, table, opt);
+                            fence.wait();
                         }
-                    })
-                });
-            });
-        }
-    }
+                    });
+                }
+            })
+        });
+    });
     group.finish();
 }
 
@@ -220,5 +224,5 @@ fn tiered_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench, read_scaling, tiered_sweep);
+criterion_group!(benches, bench, owner_phases, tiered_sweep);
 criterion_main!(benches);

@@ -56,7 +56,8 @@ use crate::strategy::{CacheDesign, EmbedHome, StrategyConfig};
 /// Where the primary embedding table keeps its rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageMode {
-    /// Fully RAM-resident [`ShardedTable`] (the default).
+    /// Fully RAM-resident [`ShardedTable`], one segment per primary owner
+    /// (the default).
     Memory,
     /// Spillable [`TieredTable`]: hot pages stay in RAM within
     /// `budget_bytes`, cold pages live in a checksummed spill file. Training
@@ -130,11 +131,11 @@ pub struct TrainerConfig {
     pub sync_error_feedback: bool,
     /// Primary-table storage tier: RAM-only, or spillable under a budget.
     pub storage: StorageMode,
-    /// Which table read path the embedding hot loop uses: lock-free seqlock
-    /// snapshots (the default) or the locked escape hatch. Bit-identical
-    /// results either way — a consistent snapshot returns exactly the bytes
-    /// the locked read would have — so this is deliberately *not* part of
-    /// the config digest.
+    /// Which table read path the embedding hot loop uses (see
+    /// [`ReadPath`]). On the in-memory table both arms are the same locked
+    /// batch read; on the tiered one the snapshot arm counts resident rows
+    /// apart from faulted ones. Bit-identical results either way, so this
+    /// is deliberately *not* part of the config digest.
     pub read_path: ReadPath,
 }
 
@@ -349,14 +350,16 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
 /// `&dyn RowStore` and cannot tell the difference.
 pub(crate) enum StorageTable {
     Memory(ShardedTable),
-    Tiered(TieredTable),
+    /// Boxed: the buffer manager's state is several times the in-memory
+    /// table's handle.
+    Tiered(Box<TieredTable>),
 }
 
 impl StorageTable {
     pub(crate) fn as_store(&self) -> &dyn RowStore {
         match self {
             StorageTable::Memory(t) => t,
-            StorageTable::Tiered(t) => t,
+            StorageTable::Tiered(t) => &**t,
         }
     }
 }
@@ -584,7 +587,7 @@ impl<'d> Trainer<'d> {
             }
             EmbedHome::CpuPs => None,
         };
-        let storage = self.open_table(&registry)?;
+        let storage = self.open_table(&registry, &placement.partition)?;
         let auditor = self.auditor();
         let mut workers = self.workers(storage.as_store(), &placement, &registry, auditor.as_ref());
         let run = self.run_ctx(&storage, &placement, registry, faults, auditor, &mut workers[0]);
@@ -672,14 +675,20 @@ impl<'d> Trainer<'d> {
         CtrModel::new(cfg.model, self.dataset.num_fields, cfg.dim, &cfg.hidden, cfg.seed)
     }
 
-    /// Opens the primary table in the configured storage tier.
-    fn open_table(&self, registry: &MetricsRegistry) -> Result<StorageTable, HetGmpError> {
+    /// Opens the primary table in the configured storage tier. In memory,
+    /// each primary owner of `partition` gets its own segment, so the write
+    /// phase's owners never share a lock.
+    fn open_table(
+        &self,
+        registry: &MetricsRegistry,
+        partition: &Partition,
+    ) -> Result<StorageTable, HetGmpError> {
         let cfg = &self.config;
         let rows = self.dataset.num_features;
         Ok(match &cfg.storage {
-            StorageMode::Memory => {
-                StorageTable::Memory(ShardedTable::new(rows, cfg.dim, 0.05, cfg.seed))
-            }
+            StorageMode::Memory => StorageTable::Memory(ShardedTable::with_partition(
+                rows, cfg.dim, 0.05, cfg.seed, partition,
+            )),
             StorageMode::Tiered { budget_bytes, dir } => {
                 let tiered = TieredConfig {
                     budget_bytes: *budget_bytes,
@@ -691,7 +700,7 @@ impl<'d> Trainer<'d> {
                 if let Some(tr) = &self.tracer {
                     t.attach_tracer(Arc::clone(tr));
                 }
-                StorageTable::Tiered(t)
+                StorageTable::Tiered(Box::new(t))
             }
         })
     }
@@ -736,9 +745,9 @@ impl<'d> Trainer<'d> {
             // placement, not steady-state traffic, so it stays uncharged
             // and unmetered like construction-time placement does.
             emb.set_sync_format(cfg.sync_format, cfg.sync_error_feedback);
-            // Route the hot-loop fetches through the seqlock snapshot path
-            // (or the locked escape hatch). Both paths return bit-identical
-            // rows, so this never perturbs the training trajectory.
+            // Route the hot-loop fetches through the configured read path.
+            // Both paths return bit-identical rows, so this never perturbs
+            // the training trajectory.
             emb.set_read_path(cfg.read_path);
             emb.attach_recorder(registry.worker(w));
             if let Some(a) = auditor {
@@ -1151,11 +1160,11 @@ fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<
     let global = run.registry.global();
     let table = run.table();
     global.gauge_set(names::HOTPATH_LOCK_ACQUISITIONS, table.lock_acquisitions() as f64);
-    // Read-path accounting: how many row reads the seqlock snapshot path
-    // served, how often a torn version word forced a retry, and how many
-    // rows fell back to the locked path (contention or a tiered page
-    // fault). The mode gauge lets `inspect report` state which path the
-    // run used without parsing argv.
+    // Read-path accounting: how many rows a tiered store's snapshot path
+    // served from resident pages and how many through a fault (all zero
+    // in memory, where no read tears and so none retries). The mode gauge
+    // lets `inspect report` state which path the run used without parsing
+    // argv.
     let rp = table.read_path_stats();
     global.counter_add(names::HOTPATH_READ_SNAPSHOT, rp.snapshot_rows);
     global.counter_add(names::HOTPATH_READ_RETRIES, rp.retries);

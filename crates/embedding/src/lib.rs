@@ -140,10 +140,9 @@ pub trait EmbeddingWorker: Send {
     /// before training (right after construction) so warm-loaded replicas
     /// go through the same format as steady-state fetches.
     fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool);
-    /// Selects which table read path `read_batch` uses: lock-free seqlock
-    /// snapshots (the default) or the locked escape hatch. Both are
-    /// bit-identical; call before training so every fetch goes through the
-    /// chosen path.
+    /// Selects which table read path `read_batch` uses (see
+    /// [`ReadPath`]). Both are bit-identical; call before training so
+    /// every fetch goes through the chosen path.
     fn set_read_path(&mut self, path: ReadPath);
 }
 

@@ -13,18 +13,16 @@ use crate::sparse_optim::SparseOpt;
 use crate::table::{BatchScratch, ShardedTable};
 
 /// Which table read path the embedding hot loop uses. Both return
-/// bit-identical bytes for the same rows; they differ only in who waits on
-/// whom, so this is a runtime knob (`--read-path`), not part of the config
-/// digest.
+/// bit-identical bytes for the same rows. On [`ShardedTable`] both are the
+/// same batched read, one lock per segment touched; on
+/// [`crate::TieredTable`] the snapshot arm serves resident pages first and
+/// counts them apart from faulted rows. Not part of the config digest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
-    /// Lock-free seqlock snapshot reads (the default): zero lock
-    /// acquisitions on the read-mostly path, torn reads retried, bounded
-    /// fallback to the locked path.
+    /// [`RowStore::read_rows_snapshot`] (the default).
     #[default]
     Snapshot,
-    /// The pre-seqlock escape hatch: every read takes its stripe's read
-    /// lock.
+    /// [`RowStore::read_rows`], the differential oracle.
     Locked,
 }
 
@@ -39,18 +37,15 @@ impl ReadPath {
 }
 
 /// Outcome counters of the snapshot read path, drained into the
-/// `hotpath.read.*` metrics at end of run. All-zero when the store never
-/// served a snapshot read (e.g. `--read-path locked`).
+/// `hotpath.read.*` metrics at end of run. All-zero for a store without a
+/// snapshot structure ([`ShardedTable`]) and under [`ReadPath::Locked`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReadPathStats {
-    /// Rows served lock-free (consistent seqlock copy, or a resident page
-    /// for tiered stores).
+    /// Rows served from a resident page of a tiered store.
     pub snapshot_rows: u64,
-    /// Read attempts retried after observing a torn (odd or advanced)
-    /// version word.
+    /// Read attempts retried. Always 0: no store has a read that can tear.
     pub retries: u64,
-    /// Rows served by the locked fallback (retry budget exhausted, or a
-    /// page fault on a tiered store).
+    /// Rows a tiered store served through a page fault.
     pub fallback_rows: u64,
 }
 
@@ -135,20 +130,17 @@ pub trait RowStore: Sync {
 
     // --- snapshot reads ------------------------------------------------
     //
-    // Lock-free reads with locked-path fallback. The defaults delegate to
-    // the locked reads, so a store without a snapshot structure is still
-    // correct (if slower); `ShardedTable` overrides with the per-stripe
-    // seqlock and `TieredTable` with resident-page copies.
+    // The defaults delegate to the locked reads, which is all
+    // `ShardedTable` needs; `TieredTable` overrides them to serve resident
+    // pages first and count them apart from faults.
 
-    /// Lock-free [`RowStore::read_row`] where the store supports it;
-    /// bit-identical to the locked read either way.
+    /// [`RowStore::read_row`] through the store's snapshot structure, if it
+    /// has one; bit-identical to the locked read either way.
     fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64 {
         self.read_row(row, out)
     }
 
-    /// Batched [`RowStore::read_row_snapshot`]. `scratch` is only used by
-    /// implementations that still group rows (the tiered store groups by
-    /// page; the seqlock path reads rows in caller order and ignores it).
+    /// Batched [`RowStore::read_row_snapshot`].
     fn read_rows_snapshot(
         &self,
         rows: &[u32],
@@ -220,21 +212,6 @@ impl RowStore for ShardedTable {
     }
     fn lock_acquisitions(&self) -> u64 {
         ShardedTable::lock_acquisitions(self)
-    }
-    fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64 {
-        ShardedTable::read_row_snapshot(self, row, out)
-    }
-    fn read_rows_snapshot(
-        &self,
-        rows: &[u32],
-        out: &mut [f32],
-        clocks: &mut [u64],
-        _scratch: &mut BatchScratch,
-    ) {
-        ShardedTable::read_rows_snapshot(self, rows, out, clocks)
-    }
-    fn read_path_stats(&self) -> ReadPathStats {
-        ShardedTable::read_path_stats(self)
     }
 }
 

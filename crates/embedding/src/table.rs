@@ -1,4 +1,4 @@
-//! The global primary store: lock-striped embedding rows + atomic clocks.
+//! The global primary store: segments of plain embedding rows, one lock each.
 //!
 //! This is the simulation substitute for the paper's per-GPU CUDA embedding
 //! tables connected by NCCL p2p: primaries live in one shared, thread-safe
@@ -6,88 +6,122 @@
 //! [`crate::WorkerEmbedding`] view consults the partition and reports bytes
 //! that would have crossed the interconnect).
 //!
-//! # Storage layout and the seqlock read path
+//! # Layout: segments and placement
 //!
-//! Row data lives *outside* the stripe locks, as f32 bit patterns behind
-//! relaxed atomics (`data[shard]` is a `Vec<AtomicU32>`). The per-stripe
-//! `RwLock` still serializes writers against each other and against the
-//! locked read path, and guards the (lazily allocated) Adagrad
-//! accumulators — but the read-mostly hot path never takes it. Instead,
-//! every stripe carries a cache-line-padded **seqlock** word: writers bump
-//! it to odd before mutating a row and back to even after, and
-//! [`ShardedTable::read_rows_snapshot`] copies the row between two version
-//! reads, retrying if the version was odd or moved. A consistent snapshot
-//! read returns exactly the bytes the locked read would have, so switching
-//! read paths cannot change results — only who waits on whom.
+//! A table is a set of **segments** plus a placement that maps each row to
+//! a `(segment, slot)`. A segment is one `RwLock` over plain `f32` rows and
+//! their lazily allocated Adagrad accumulators, and one update clock per
+//! slot that [`ShardedTable::clock`] reads without the lock. A batched call
+//! groups its rows by segment and takes one guard per segment touched.
+//!
+//! * [`ShardedTable::new`] stripes rows round-robin over 256 segments:
+//!   segment `row % 256`, slot `row / 256`, computed from the row id and
+//!   never stored. The KG trainer, the benchmark replay and most tests use
+//!   it.
+//! * [`ShardedTable::with_partition`] gives each primary owner one segment
+//!   holding its rows in ascending id order. The trainer's write phase has
+//!   every owner apply only its own rows, side by side after the reads-done
+//!   barrier, so on this layout two owners never meet on a lock or on a
+//!   cache line, and one owner's apply takes one lock per source.
+//!
+//! The placement moves no bit. Every row draws its initial values from its
+//! stripe's generator whatever segment it lands in, and every operation is
+//! per row, in the caller's order within a segment.
 
-use std::sync::atomic::{fence, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::RwLock;
+use hetgmp_partition::Partition;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::sparse_optim::SparseOpt;
-use crate::store::ReadPathStats;
 
-/// Number of lock stripes. Rows are distributed round-robin (`row % SHARDS`)
-/// so hot rows spread across stripes.
-const SHARDS: usize = 256;
+/// Segments of the striped layout; rows go round-robin (`row % STRIPES`)
+/// so hot rows spread across locks. Each stripe also seeds the initial
+/// values of its rows, whatever the layout.
+const STRIPES: usize = 256;
+/// `log2(STRIPES)`: a row id is its own striped location code.
+const STRIPE_BITS: u32 = 8;
 
-/// Snapshot read attempts per row before giving up and taking the stripe
-/// read lock. A writer parked mid-mutation (descheduled between the odd and
-/// even bumps) would otherwise spin readers forever; the fallback bounds the
-/// wait and is counted separately so the telemetry shows how often it fires.
-const MAX_SNAPSHOT_ATTEMPTS: u64 = 8;
-
-/// Per-stripe lock-protected state. Row *values* are not here — they live in
-/// [`ShardedTable::data`] so the snapshot read path can copy them without
-/// forming a reference that aliases a writer's exclusive borrow.
-struct Shard {
-    /// Adagrad accumulators (`rows_per_shard * dim`, indexed like the data
-    /// stripe), allocated lazily on first Adagrad update. Only ever read or
-    /// written under the stripe lock; the snapshot path never touches them.
+/// A segment's lock-protected rows.
+struct Rows {
+    /// `dim` floats per slot.
+    values: Vec<f32>,
+    /// Adagrad accumulators, indexed like `values`, allocated on the
+    /// segment's first Adagrad update.
     accum: Option<Vec<f32>>,
 }
 
-/// One seqlock version word, padded to its own cache line so reader
-/// validation loads on one stripe never false-share with writer bumps on a
-/// neighbouring stripe.
+impl Rows {
+    /// Applies one gradient to the row at `slot`. The single update body of
+    /// [`ShardedTable::apply_grad`] and [`ShardedTable::apply_grads`], so
+    /// the two are the same FP operation sequence by construction.
+    #[inline]
+    fn apply(&mut self, slot: usize, dim: usize, grad: &[f32], opt: &SparseOpt) {
+        let row = slot * dim..(slot + 1) * dim;
+        match *opt {
+            SparseOpt::Sgd { lr } => {
+                for (p, &g) in self.values[row].iter_mut().zip(grad) {
+                    *p -= lr * g;
+                }
+            }
+            SparseOpt::Adagrad { lr, eps } => {
+                let len = self.values.len();
+                let acc = self.accum.get_or_insert_with(|| vec![0.0; len]);
+                for ((p, &g), a) in self.values[row.clone()].iter_mut().zip(grad).zip(&mut acc[row]) {
+                    *a += g * g;
+                    *p -= lr * g / (a.sqrt() + eps);
+                }
+            }
+        }
+    }
+}
+
+/// One lock's worth of rows, on its own cache line so two owners' lock
+/// words never false-share.
 #[repr(align(64))]
-struct SeqWord(AtomicU64);
+struct Segment {
+    rows: RwLock<Rows>,
+    /// Update clock per slot. Read without the lock; written only by the
+    /// holder of the write lock.
+    clocks: Vec<AtomicU64>,
+}
+
+impl Segment {
+    /// Ticks the clock of `slot` and returns its new value. The caller
+    /// holds the write lock, so a load and a store suffice. The `Release`
+    /// store pairs with [`ShardedTable::clock`]'s `Acquire` load: a thread
+    /// that sees the new clock also sees the update it counts.
+    #[inline]
+    fn tick(&self, slot: usize) -> u64 {
+        let clock = self.clocks[slot].load(Ordering::Relaxed) + 1;
+        self.clocks[slot].store(clock, Ordering::Release);
+        clock
+    }
+}
 
 /// The authoritative embedding table: `num_rows × dim` f32, with a per-row
 /// update clock counting applied gradient updates (the `c_i` of §5.3).
 pub struct ShardedTable {
     dim: usize,
     num_rows: usize,
-    /// Row values per stripe, `dim` floats per row (stored as f32 bits),
-    /// indexed by `(row / SHARDS) * dim`. Mutated only while holding the
-    /// stripe's write lock *and* inside an odd seqlock window; readable
-    /// either under the read lock or via a validated snapshot copy.
-    data: Vec<Vec<AtomicU32>>,
-    shards: Vec<RwLock<Shard>>,
-    /// Per-stripe seqlock version words: even = quiescent, odd = a row
-    /// mutation is in flight somewhere in the stripe.
-    seqs: Vec<SeqWord>,
-    clocks: Vec<AtomicU64>,
-    /// Data-path shard lock acquisitions (reads, updates, writes — both the
-    /// per-row and the batched API). The `hotpath.*` metrics and the
+    segments: Vec<Segment>,
+    /// Location code per row, `slot << segment_bits | segment`, for
+    /// owner-placed tables. `None` on the striped layout, where the row id
+    /// is its own code.
+    placement: Option<Vec<u32>>,
+    segment_bits: u32,
+    /// Data-path segment lock acquisitions (reads, updates, writes — both
+    /// the per-row and the batched API). The `hotpath.*` metrics and the
     /// benchmark ledger read this to show how much the batched path
     /// amortises.
     lock_acquisitions: AtomicU64,
-    /// Rows served lock-free by the snapshot path (`hotpath.read.snapshot`).
-    snapshot_rows: AtomicU64,
-    /// Snapshot attempts retried after observing a torn version word
-    /// (`hotpath.read.retries`).
-    read_retries: AtomicU64,
-    /// Rows the snapshot path handed to the locked fallback after
-    /// [`MAX_SNAPSHOT_ATTEMPTS`] (`hotpath.read.fallback`).
-    fallback_rows: AtomicU64,
 }
 
 /// Reusable scratch for the batched table API ([`ShardedTable::read_rows`],
 /// [`ShardedTable::apply_grads`], [`ShardedTable::write_rows`]). Callers keep
-/// one per worker so grouping a batch by shard allocates nothing once the
+/// one per worker so grouping a batch by segment allocates nothing once the
 /// buffer has warmed up.
 #[derive(Default)]
 pub struct BatchScratch {
@@ -103,9 +137,9 @@ impl BatchScratch {
     /// Counting sort of `0..rows.len()` by `bucket_of(rows[i])`, stable
     /// within a bucket: original indices land in submission order, which is
     /// what keeps duplicate-row applies bit-identical to a per-row loop.
-    /// O(n + num_buckets) per batch; the tiered store reads the result via
-    /// [`BatchScratch::groups`]. Shared by [`ShardedTable`] (bucket = lock
-    /// stripe) and the tiered store (bucket = page).
+    /// O(n + num_buckets) per batch; read the result via
+    /// [`BatchScratch::groups`]. Shared by [`ShardedTable`] (bucket =
+    /// segment) and the tiered store (bucket = page).
     pub(crate) fn group_by(
         &mut self,
         rows: &[u32],
@@ -150,97 +184,97 @@ impl BatchScratch {
 }
 
 impl ShardedTable {
-    /// Creates a table initialised uniformly in `[-init_scale, init_scale]`,
-    /// deterministic in `seed`.
+    /// Creates a striped table initialised uniformly in
+    /// `[-init_scale, init_scale]`, deterministic in `seed`.
     pub fn new(num_rows: usize, dim: usize, init_scale: f32, seed: u64) -> Self {
+        let lens = (0..STRIPES).map(|s| num_rows.saturating_sub(s).div_ceil(STRIPES)).collect();
+        Self::build(num_rows, dim, init_scale, seed, lens, STRIPE_BITS, None)
+    }
+
+    /// Creates a table with one segment per primary owner of `partition`,
+    /// holding the same initial bits as [`ShardedTable::new`] with the same
+    /// arguments.
+    ///
+    /// # Panics
+    /// Panics if `partition` does not place exactly `num_rows` embeddings.
+    pub fn with_partition(
+        num_rows: usize,
+        dim: usize,
+        init_scale: f32,
+        seed: u64,
+        partition: &Partition,
+    ) -> Self {
+        assert_eq!(
+            partition.num_embeddings(),
+            num_rows,
+            "partition places a different number of rows"
+        );
+        let owners = partition.num_partitions();
+        let bits = u32::BITS - (owners as u32 - 1).leading_zeros();
+        assert!(
+            (num_rows as u64) << bits <= 1 << u32::BITS,
+            "{num_rows} rows over {owners} owners overflow a u32 location code"
+        );
+        let mut lens = vec![0usize; owners];
+        let placement = (0..num_rows as u32)
+            .map(|row| {
+                let owner = partition.primary_of(row);
+                let slot = &mut lens[owner as usize];
+                *slot += 1;
+                (*slot as u32 - 1) << bits | owner
+            })
+            .collect();
+        Self::build(num_rows, dim, init_scale, seed, lens, bits, Some(placement))
+    }
+
+    /// A table of segments holding `lens[s]` rows each, placed by
+    /// `placement` (see [`ShardedTable::locate`]), every row drawn from its
+    /// stripe's generator.
+    fn build(
+        num_rows: usize,
+        dim: usize,
+        init_scale: f32,
+        seed: u64,
+        lens: Vec<usize>,
+        segment_bits: u32,
+        placement: Option<Vec<u32>>,
+    ) -> Self {
         assert!(dim > 0, "dim must be positive");
-        let rows_per_shard = num_rows.div_ceil(SHARDS);
-        let mut shards = Vec::with_capacity(SHARDS);
-        let mut data = Vec::with_capacity(SHARDS);
-        let mut seqs = Vec::with_capacity(SHARDS);
-        for s in 0..SHARDS {
-            let mut rng = StdRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15));
-            let stripe: Vec<AtomicU32> = (0..rows_per_shard * dim)
-                .map(|_| AtomicU32::new(rng.gen_range(-init_scale..=init_scale).to_bits()))
-                .collect();
-            data.push(stripe);
-            shards.push(RwLock::new(Shard { accum: None }));
-            seqs.push(SeqWord(AtomicU64::new(0)));
-        }
-        let clocks = (0..num_rows).map(|_| AtomicU64::new(0)).collect();
-        Self {
+        let mut table = Self {
             dim,
             num_rows,
-            data,
-            shards,
-            seqs,
-            clocks,
+            segments: Vec::new(),
+            placement,
+            segment_bits,
             lock_acquisitions: AtomicU64::new(0),
-            snapshot_rows: AtomicU64::new(0),
-            read_retries: AtomicU64::new(0),
-            fallback_rows: AtomicU64::new(0),
+        };
+        let mut values: Vec<Vec<f32>> = lens.iter().map(|&n| vec![0.0; n * dim]).collect();
+        for stripe in 0..STRIPES {
+            let mut rng =
+                StdRng::seed_from_u64(seed ^ (stripe as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            for row in (stripe..num_rows).step_by(STRIPES) {
+                let (segment, slot) = table.locate(row as u32);
+                for v in &mut values[segment][slot * dim..(slot + 1) * dim] {
+                    *v = rng.gen_range(-init_scale..=init_scale);
+                }
+            }
         }
+        table.segments = values
+            .into_iter()
+            .zip(lens)
+            .map(|(values, n)| Segment {
+                rows: RwLock::new(Rows { values, accum: None }),
+                clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            })
+            .collect();
+        table
     }
 
-    /// Total data-path shard lock acquisitions since construction. One
+    /// Total data-path segment lock acquisitions since construction. One
     /// per-row call costs one acquisition; one batched call costs one per
-    /// *distinct shard touched* — the quantity the hot path amortises. The
-    /// snapshot read path costs zero except when it falls back.
+    /// *distinct segment touched* — the quantity the hot path amortises.
     pub fn lock_acquisitions(&self) -> u64 {
         self.lock_acquisitions.load(Ordering::Relaxed)
-    }
-
-    /// Outcome counters of the snapshot read path since construction.
-    pub fn read_path_stats(&self) -> ReadPathStats {
-        ReadPathStats {
-            snapshot_rows: self.snapshot_rows.load(Ordering::Relaxed),
-            retries: self.read_retries.load(Ordering::Relaxed),
-            fallback_rows: self.fallback_rows.load(Ordering::Relaxed),
-        }
-    }
-
-    #[inline]
-    fn count_lock(&self) {
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Opens an odd seqlock window on `shard`. Must be called with the
-    /// stripe write lock held (writers are mutually serialized, so the
-    /// version word cleanly alternates odd/even). The release fence orders
-    /// the odd store before the row stores that follow it.
-    #[inline]
-    fn begin_row_write(&self, shard: usize) {
-        self.seqs[shard].0.fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::Release);
-    }
-
-    /// Closes the seqlock window opened by [`ShardedTable::begin_row_write`];
-    /// the release bump orders the row stores before the even store.
-    #[inline]
-    fn end_row_write(&self, shard: usize) {
-        self.seqs[shard].0.fetch_add(1, Ordering::Release);
-    }
-
-    /// Copies one row out of a data stripe. Element loads are relaxed: the
-    /// caller either holds the stripe lock (no concurrent writer exists) or
-    /// is inside a seqlock read that validates the copy afterwards.
-    #[inline]
-    fn load_row(data: &[AtomicU32], slot: usize, out: &mut [f32]) {
-        let cells = &data[slot..slot + out.len()];
-        for (o, cell) in out.iter_mut().zip(cells) {
-            *o = f32::from_bits(cell.load(Ordering::Relaxed));
-        }
-    }
-
-    /// Orders `scratch.perm` by `(shard, original index)` and validates every
-    /// row index. Within a shard the caller's order is preserved, so a batch
-    /// with duplicate rows applies them in exactly the sequence a per-row
-    /// loop would.
-    fn group_by_shard(&self, rows: &[u32], scratch: &mut BatchScratch) {
-        for &row in rows {
-            assert!((row as usize) < self.num_rows, "row {row} out of range");
-        }
-        scratch.group_by(rows, SHARDS, |row| row as usize % SHARDS);
     }
 
     /// Embedding dimension.
@@ -255,39 +289,68 @@ impl ShardedTable {
         self.num_rows
     }
 
+    /// `(segment, slot)` of `row`.
     #[inline]
     fn locate(&self, row: u32) -> (usize, usize) {
-        let shard = row as usize % SHARDS;
-        let slot = (row as usize / SHARDS) * self.dim;
-        (shard, slot)
+        let code = match &self.placement {
+            Some(codes) => codes[row as usize],
+            None => row,
+        };
+        let segment = code & ((1 << self.segment_bits) - 1);
+        (segment as usize, (code >> self.segment_bits) as usize)
+    }
+
+    #[inline]
+    fn check_row(&self, row: u32) {
+        assert!((row as usize) < self.num_rows, "row {row} out of range");
+    }
+
+    fn read_segment(&self, segment: usize) -> RwLockReadGuard<'_, Rows> {
+        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.segments[segment].rows.read()
+    }
+
+    fn write_segment(&self, segment: usize) -> RwLockWriteGuard<'_, Rows> {
+        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.segments[segment].rows.write()
+    }
+
+    /// Orders `scratch` by `(segment, original index)` and validates every
+    /// row index. Within a segment the caller's order is preserved, so a
+    /// batch with duplicate rows applies them in exactly the sequence a
+    /// per-row loop would.
+    fn group_by_segment(&self, rows: &[u32], scratch: &mut BatchScratch) {
+        for &row in rows {
+            self.check_row(row);
+        }
+        scratch.group_by(rows, self.segments.len(), |row| self.locate(row).0);
     }
 
     /// Current update clock of `row`.
     #[inline]
     pub fn clock(&self, row: u32) -> u64 {
-        self.clocks[row as usize].load(Ordering::Acquire)
+        let (segment, slot) = self.locate(row);
+        self.segments[segment].clocks[slot].load(Ordering::Acquire)
     }
 
-    /// Reads `row` into `out`; returns the row's clock observed *before* the
-    /// read (a consistent-enough snapshot for staleness bookkeeping).
+    /// Reads `row` into `out`; returns the row's clock, read under the same
+    /// lock as the values.
     ///
     /// # Panics
     /// Panics if `out.len() != dim` or `row` out of range.
     pub fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
         assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        assert!((row as usize) < self.num_rows, "row {row} out of range");
-        let clock = self.clock(row);
-        let (shard, slot) = self.locate(row);
-        self.count_lock();
-        let _guard = self.shards[shard].read();
-        Self::load_row(&self.data[shard], slot, out);
-        clock
+        self.check_row(row);
+        let (segment, slot) = self.locate(row);
+        let held = self.read_segment(segment);
+        out.copy_from_slice(&held.values[slot * self.dim..(slot + 1) * self.dim]);
+        self.segments[segment].clocks[slot].load(Ordering::Relaxed)
     }
 
     /// Batched [`ShardedTable::read_row`]: reads `rows[k]` into
-    /// `out[k*dim..(k+1)*dim]` and stores each row's pre-read clock in
-    /// `clocks[k]`, taking each shard lock once per batch instead of once
-    /// per row. Bit-identical to a per-row loop (rows are disjoint slices).
+    /// `out[k*dim..(k+1)*dim]` and stores each row's clock in `clocks[k]`,
+    /// taking each segment's lock once per batch instead of once per row.
+    /// Bit-identical to a per-row loop (rows are disjoint slices).
     ///
     /// # Panics
     /// Panics if `out.len() != rows.len() * dim`, `clocks.len() !=
@@ -305,180 +368,47 @@ impl ShardedTable {
             "output buffer length != rows * dim"
         );
         assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        self.group_by_shard(rows, scratch);
+        self.group_by_segment(rows, scratch);
         let dim = self.dim;
-        let mut i = 0;
-        while i < scratch.perm.len() {
-            let shard = rows[scratch.perm[i] as usize] as usize % SHARDS;
-            self.count_lock();
-            let _guard = self.shards[shard].read();
-            let data = &self.data[shard];
-            while i < scratch.perm.len() {
-                let k = scratch.perm[i] as usize;
-                let row = rows[k];
-                if row as usize % SHARDS != shard {
-                    break;
-                }
-                clocks[k] = self.clock(row);
-                let slot = (row as usize / SHARDS) * dim;
-                Self::load_row(data, slot, &mut out[k * dim..(k + 1) * dim]);
-                i += 1;
+        for (segment, group) in scratch.groups() {
+            let held = self.read_segment(segment);
+            let seg_clocks = &self.segments[segment].clocks;
+            for &k in group {
+                let k = k as usize;
+                let slot = self.locate(rows[k]).1;
+                clocks[k] = seg_clocks[slot].load(Ordering::Relaxed);
+                out[k * dim..(k + 1) * dim]
+                    .copy_from_slice(&held.values[slot * dim..(slot + 1) * dim]);
             }
         }
     }
 
-    /// One seqlock read attempt loop for `row`. Returns `(clock, retries,
-    /// fell_back)`; on fallback the row was served by the locked
-    /// [`ShardedTable::read_row`] (which counts its lock acquisition).
-    #[inline]
-    fn snapshot_row(&self, row: u32, out: &mut [f32]) -> (u64, u64, bool) {
-        let (shard, slot) = self.locate(row);
-        let seq = &self.seqs[shard].0;
-        let data = &self.data[shard];
-        let mut retries = 0u64;
-        loop {
-            let v1 = seq.load(Ordering::Acquire);
-            if v1 & 1 == 0 {
-                let clock = self.clock(row);
-                Self::load_row(data, slot, out);
-                // Order the row loads before the validation load; paired
-                // with the writer's release bumps, `v2 == v1` proves no
-                // mutation overlapped the copy.
-                fence(Ordering::Acquire);
-                if seq.load(Ordering::Relaxed) == v1 {
-                    return (clock, retries, false);
-                }
-            }
-            retries += 1;
-            if retries >= MAX_SNAPSHOT_ATTEMPTS {
-                let clock = self.read_row(row, out);
-                return (clock, retries, true);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    #[inline]
-    fn note_read_stats(&self, snapshots: u64, retries: u64, fallbacks: u64) {
-        if snapshots > 0 {
-            self.snapshot_rows.fetch_add(snapshots, Ordering::Relaxed);
-        }
-        if retries > 0 {
-            self.read_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-        if fallbacks > 0 {
-            self.fallback_rows.fetch_add(fallbacks, Ordering::Relaxed);
-        }
-    }
-
-    /// Lock-free [`ShardedTable::read_row`]: copies `row` via the stripe
-    /// seqlock, retrying torn reads and falling back to the locked path
-    /// after `MAX_SNAPSHOT_ATTEMPTS` (8). A successful snapshot returns
-    /// exactly the bytes the locked read would have returned at the same
-    /// instant, so the two paths are interchangeable bit-for-bit.
+    /// [`ShardedTable::read_rows`] for callers that keep no
+    /// [`BatchScratch`]; it groups through a fresh one.
     ///
     /// # Panics
-    /// Panics if `out.len() != dim` or `row` out of range.
-    pub fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64 {
-        assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        assert!((row as usize) < self.num_rows, "row {row} out of range");
-        let (clock, retries, fell_back) = self.snapshot_row(row, out);
-        self.note_read_stats(!fell_back as u64, retries, fell_back as u64);
-        clock
-    }
-
-    /// Batched [`ShardedTable::read_row_snapshot`]: zero lock acquisitions
-    /// on the happy path and — unlike [`ShardedTable::read_rows`] — no
-    /// shard grouping pass either: rows are copied in the caller's order
-    /// straight out of the stripes, validated per row by the seqlock.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != rows.len() * dim`, `clocks.len() !=
-    /// rows.len()`, or any row is out of range.
+    /// As [`ShardedTable::read_rows`].
     pub fn read_rows_snapshot(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64]) {
-        assert_eq!(
-            out.len(),
-            rows.len() * self.dim,
-            "output buffer length != rows * dim"
-        );
-        assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        for &row in rows {
-            assert!((row as usize) < self.num_rows, "row {row} out of range");
-        }
-        let dim = self.dim;
-        let (mut snapshots, mut retries, mut fallbacks) = (0u64, 0u64, 0u64);
-        for (k, &row) in rows.iter().enumerate() {
-            let (clock, r, fell_back) = self.snapshot_row(row, &mut out[k * dim..(k + 1) * dim]);
-            clocks[k] = clock;
-            retries += r;
-            if fell_back {
-                fallbacks += 1;
-            } else {
-                snapshots += 1;
-            }
-        }
-        self.note_read_stats(snapshots, retries, fallbacks);
+        self.read_rows(rows, out, clocks, &mut BatchScratch::default())
     }
 
     /// Applies one gradient `grad` to `row` under `opt`, increments the
     /// row's clock, and returns the new clock value.
     pub fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64 {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        assert!((row as usize) < self.num_rows, "row {row} out of range");
-        let (shard, slot) = self.locate(row);
-        {
-            self.count_lock();
-            let mut guard = self.shards[shard].write();
-            self.begin_row_write(shard);
-            Self::apply_in_shard(&self.data[shard], &mut guard.accum, slot, self.dim, grad, opt);
-            self.end_row_write(shard);
-        }
-        self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// The single-row update body shared by [`ShardedTable::apply_grad`] and
-    /// [`ShardedTable::apply_grads`], so the two paths are the same FP
-    /// operation sequence by construction. Caller holds the stripe write
-    /// lock and an open seqlock window.
-    #[inline]
-    fn apply_in_shard(
-        data: &[AtomicU32],
-        accum: &mut Option<Vec<f32>>,
-        slot: usize,
-        dim: usize,
-        grad: &[f32],
-        opt: &SparseOpt,
-    ) {
-        match *opt {
-            SparseOpt::Sgd { lr } => {
-                for (cell, &g) in data[slot..slot + dim].iter().zip(grad) {
-                    let p = f32::from_bits(cell.load(Ordering::Relaxed));
-                    cell.store((p - lr * g).to_bits(), Ordering::Relaxed);
-                }
-            }
-            SparseOpt::Adagrad { lr, eps } => {
-                if accum.is_none() {
-                    *accum = Some(vec![0.0; data.len()]);
-                }
-                let acc = accum.as_mut().expect("accumulator allocated above");
-                let acc = &mut acc[slot..slot + dim];
-                for ((cell, &g), a) in data[slot..slot + dim].iter().zip(grad).zip(acc.iter_mut()) {
-                    *a += g * g;
-                    let p = f32::from_bits(cell.load(Ordering::Relaxed));
-                    cell.store((p - lr * g / (a.sqrt() + eps)).to_bits(), Ordering::Relaxed);
-                }
-            }
-        }
+        self.check_row(row);
+        let (segment, slot) = self.locate(row);
+        let mut held = self.write_segment(segment);
+        held.apply(slot, self.dim, grad, opt);
+        self.segments[segment].tick(slot)
     }
 
     /// Batched [`ShardedTable::apply_grad`]: applies `grads[k*dim..(k+1)*dim]`
     /// to `rows[k]` under `opt`, ticking each row's clock and storing the new
-    /// clock in `clocks[k]`. Each shard lock is taken once per batch; within
-    /// a shard, rows apply in the caller's order, so duplicate rows (and the
-    /// resulting Adagrad accumulator sequence) are bit-identical to a
-    /// per-row loop over `apply_grad`. The seqlock window opens and closes
-    /// around each row, so snapshot readers only ever retry the row being
-    /// mutated, not the whole batch.
+    /// clock in `clocks[k]`. Each segment's lock is taken once per batch;
+    /// within a segment, rows apply in the caller's order, so duplicate rows
+    /// (and the resulting Adagrad accumulator sequence) are bit-identical to
+    /// a per-row loop over `apply_grad`.
     ///
     /// # Panics
     /// Panics if `grads.len() != rows.len() * dim`, `clocks.len() !=
@@ -497,33 +427,15 @@ impl ShardedTable {
             "gradients length != rows * dim"
         );
         assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
-        self.group_by_shard(rows, scratch);
+        self.group_by_segment(rows, scratch);
         let dim = self.dim;
-        let mut i = 0;
-        while i < scratch.perm.len() {
-            let shard = rows[scratch.perm[i] as usize] as usize % SHARDS;
-            self.count_lock();
-            let mut guard = self.shards[shard].write();
-            let data = &self.data[shard];
-            while i < scratch.perm.len() {
-                let k = scratch.perm[i] as usize;
-                let row = rows[k];
-                if row as usize % SHARDS != shard {
-                    break;
-                }
-                let slot = (row as usize / SHARDS) * dim;
-                self.begin_row_write(shard);
-                Self::apply_in_shard(
-                    data,
-                    &mut guard.accum,
-                    slot,
-                    dim,
-                    &grads[k * dim..(k + 1) * dim],
-                    opt,
-                );
-                self.end_row_write(shard);
-                clocks[k] = self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1;
-                i += 1;
+        for (segment, group) in scratch.groups() {
+            let mut held = self.write_segment(segment);
+            for &k in group {
+                let k = k as usize;
+                let slot = self.locate(rows[k]).1;
+                held.apply(slot, dim, &grads[k * dim..(k + 1) * dim], opt);
+                clocks[k] = self.segments[segment].tick(slot);
             }
         }
     }
@@ -532,19 +444,15 @@ impl ShardedTable {
     /// checkpoint restore). Does not advance the clock.
     pub fn write_row(&self, row: u32, values: &[f32]) {
         assert_eq!(values.len(), self.dim, "values length != dim");
-        let (shard, slot) = self.locate(row);
-        self.count_lock();
-        let _guard = self.shards[shard].write();
-        self.begin_row_write(shard);
-        for (cell, &v) in self.data[shard][slot..slot + self.dim].iter().zip(values) {
-            cell.store(v.to_bits(), Ordering::Relaxed);
-        }
-        self.end_row_write(shard);
+        self.check_row(row);
+        let (segment, slot) = self.locate(row);
+        let mut held = self.write_segment(segment);
+        held.values[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
     }
 
     /// Batched [`ShardedTable::write_row`]: overwrites `rows[k]` with
-    /// `values[k*dim..(k+1)*dim]`, one shard lock per batch per shard. Does
-    /// not advance clocks. Duplicate rows write in the caller's order (last
+    /// `values[k*dim..(k+1)*dim]`, one lock per segment per batch. Does not
+    /// advance clocks. Duplicate rows write in the caller's order (last
     /// write wins, same as a per-row loop).
     ///
     /// # Panics
@@ -556,30 +464,15 @@ impl ShardedTable {
             rows.len() * self.dim,
             "values length != rows * dim"
         );
-        self.group_by_shard(rows, scratch);
+        self.group_by_segment(rows, scratch);
         let dim = self.dim;
-        let mut i = 0;
-        while i < scratch.perm.len() {
-            let shard = rows[scratch.perm[i] as usize] as usize % SHARDS;
-            self.count_lock();
-            let _guard = self.shards[shard].write();
-            let data = &self.data[shard];
-            while i < scratch.perm.len() {
-                let k = scratch.perm[i] as usize;
-                let row = rows[k];
-                if row as usize % SHARDS != shard {
-                    break;
-                }
-                let slot = (row as usize / SHARDS) * dim;
-                self.begin_row_write(shard);
-                for (cell, &v) in data[slot..slot + dim]
-                    .iter()
-                    .zip(&values[k * dim..(k + 1) * dim])
-                {
-                    cell.store(v.to_bits(), Ordering::Relaxed);
-                }
-                self.end_row_write(shard);
-                i += 1;
+        for (segment, group) in scratch.groups() {
+            let mut held = self.write_segment(segment);
+            for &k in group {
+                let k = k as usize;
+                let slot = self.locate(rows[k]).1;
+                held.values[slot * dim..(slot + 1) * dim]
+                    .copy_from_slice(&values[k * dim..(k + 1) * dim]);
             }
         }
     }
@@ -592,29 +485,34 @@ impl ShardedTable {
     /// computed with saturating subtraction precisely so replicas that
     /// observed the lost updates read as "fresh", not as violations).
     pub fn restore_row(&self, row: u32, values: &[f32], clock: u64) {
-        self.write_row(row, values);
-        self.clocks[row as usize].store(clock, Ordering::Release);
+        assert_eq!(values.len(), self.dim, "values length != dim");
+        self.check_row(row);
+        let (segment, slot) = self.locate(row);
+        let mut held = self.write_segment(segment);
+        held.values[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
+        self.segments[segment].clocks[slot].store(clock, Ordering::Release);
     }
 
-    /// True if any shard holds allocated optimizer (Adagrad) state.
+    /// True if any segment holds allocated optimizer (Adagrad) state.
     pub fn has_optimizer_state(&self) -> bool {
-        self.shards.iter().any(|s| s.read().accum.is_some())
+        self.segments.iter().any(|s| s.rows.read().accum.is_some())
     }
 
     /// Reads `row`'s Adagrad accumulator into `out`. Returns `false` (and
-    /// zero-fills `out`) if the row's shard has never taken an Adagrad
-    /// update — the accumulator is implicitly zero.
+    /// zero-fills `out`) if the row's segment has never taken an Adagrad
+    /// update — the accumulator is implicitly zero. Which rows share a
+    /// segment depends on the layout, so only the values are
+    /// layout-independent, not this flag.
     ///
     /// # Panics
     /// Panics if `out.len() != dim` or `row` out of range.
     pub fn read_accum(&self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "output buffer length != dim");
-        assert!((row as usize) < self.num_rows, "row {row} out of range");
-        let (shard, slot) = self.locate(row);
-        let guard = self.shards[shard].read();
-        match &guard.accum {
+        self.check_row(row);
+        let (segment, slot) = self.locate(row);
+        match &self.segments[segment].rows.read().accum {
             Some(a) => {
-                out.copy_from_slice(&a[slot..slot + self.dim]);
+                out.copy_from_slice(&a[slot * self.dim..(slot + 1) * self.dim]);
                 true
             }
             None => {
@@ -624,39 +522,41 @@ impl ShardedTable {
         }
     }
 
-    /// Overwrites `row`'s Adagrad accumulator, allocating shard state as
+    /// Overwrites `row`'s Adagrad accumulator, allocating segment state as
     /// needed (checkpoint restore and crash rollback: optimizer state must
     /// move with the values it produced, or a restored Adagrad run re-takes
     /// the early large steps and diverges from the uninterrupted one).
     pub fn restore_accum(&self, row: u32, values: &[f32]) {
         assert_eq!(values.len(), self.dim, "values length != dim");
-        assert!((row as usize) < self.num_rows, "row {row} out of range");
-        let (shard, slot) = self.locate(row);
-        let mut guard = self.shards[shard].write();
-        if guard.accum.is_none() {
-            guard.accum = Some(vec![0.0; self.data[shard].len()]);
-        }
-        let accum = guard.accum.as_mut().expect("accumulator allocated above");
-        accum[slot..slot + self.dim].copy_from_slice(values);
+        self.check_row(row);
+        let (segment, slot) = self.locate(row);
+        let mut held = self.segments[segment].rows.write();
+        let len = held.values.len();
+        let accum = held.accum.get_or_insert_with(|| vec![0.0; len]);
+        accum[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
     }
 
     /// Sum of all clocks — total updates applied to the table.
     pub fn total_updates(&self) -> u64 {
-        self.clocks
+        self.segments
             .iter()
+            .flat_map(|s| &s.clocks)
             .map(|c| c.load(Ordering::Relaxed))
             .sum()
     }
 
     /// Approximate heap footprint, bytes.
     pub fn heap_bytes(&self) -> usize {
-        let data: usize = self.data.iter().map(|stripe| stripe.len() * 4).sum();
-        let accum: usize = self
-            .shards
+        let rows: usize = self
+            .segments
             .iter()
-            .map(|s| s.read().accum.as_ref().map_or(0, Vec::len) * 4)
+            .map(|s| {
+                let held = s.rows.read();
+                let floats = held.values.len() + held.accum.as_ref().map_or(0, Vec::len);
+                floats * 4 + s.clocks.len() * 8
+            })
             .sum();
-        data + accum + self.clocks.len() * 8
+        rows + self.placement.as_ref().map_or(0, |codes| codes.len() * 4)
     }
 }
 
@@ -831,26 +731,53 @@ mod tests {
         }
     }
 
+    /// Rows `0..num_rows` over `owners` primaries, dealt out unevenly.
+    fn owners_of(num_rows: usize, owners: u32) -> Partition {
+        let primary = (0..num_rows as u32).map(|r| (r * 7 + r / 3) % owners).collect();
+        Partition::new(owners as usize, vec![0], primary)
+    }
+
     #[test]
-    fn snapshot_reads_take_no_locks() {
-        let t = ShardedTable::new(1024, 4, 0.1, 1);
-        let rows: Vec<u32> = (0..512u32).collect();
+    fn batched_read_takes_one_lock_per_segment() {
+        let striped = ShardedTable::new(1024, 4, 0.1, 1);
+        let owned = ShardedTable::with_partition(1024, 4, 0.1, 1, &owners_of(1024, 4));
+        let rows: Vec<u32> = (0..512u32).collect(); // every segment of both
         let mut out = vec![0.0f32; rows.len() * 4];
         let mut clocks = vec![0u64; rows.len()];
-        let before = t.lock_acquisitions();
-        t.read_rows_snapshot(&rows, &mut out, &mut clocks);
-        assert_eq!(t.lock_acquisitions() - before, 0);
-        let stats = t.read_path_stats();
-        assert_eq!(stats.snapshot_rows, 512);
-        assert_eq!(stats.fallback_rows, 0);
-        // Uncontended reads never observe a torn version.
-        assert_eq!(stats.retries, 0);
+        for (table, segments) in [(&striped, 256), (&owned, 4)] {
+            let before = table.lock_acquisitions();
+            table.read_rows_snapshot(&rows, &mut out, &mut clocks);
+            assert_eq!(table.lock_acquisitions() - before, segments);
+        }
+        // One owner's rows are one segment: one lock, however many rows.
+        let part = owners_of(1024, 4);
+        let mine: Vec<u32> = (0..1024u32).filter(|&r| part.primary_of(r) == 2).collect();
+        let before = owned.lock_acquisitions();
+        let opt = SparseOpt::adagrad(0.1);
+        let grads = vec![0.5f32; mine.len() * 4];
+        let mut clocks = vec![0u64; mine.len()];
+        owned.apply_grads(&mine, &grads, &opt, &mut clocks, &mut BatchScratch::default());
+        assert_eq!(owned.lock_acquisitions() - before, 1);
+    }
+
+    #[test]
+    fn owner_placement_starts_with_the_striped_bits() {
+        let striped = ShardedTable::new(700, 3, 0.1, 5);
+        let owned = ShardedTable::with_partition(700, 3, 0.1, 5, &owners_of(700, 3));
+        let (mut a, mut b) = ([0.0f32; 3], [0.0f32; 3]);
+        for row in 0..700 {
+            striped.read_row(row, &mut a);
+            owned.read_row(row, &mut b);
+            assert_eq!(a.map(f32::to_bits), b.map(f32::to_bits), "row {row}");
+        }
+        // Exact segments, plus four bytes of location code per row.
+        assert_eq!(owned.heap_bytes(), 700 * (3 * 4 + 8 + 4));
     }
 
     #[test]
     fn apply_grads_bit_identical_to_per_row_loop() {
         // Duplicate rows included on purpose: the batched path must preserve
-        // the caller's order within a shard so accumulator sequences match.
+        // the caller's order within a segment so accumulator sequences match.
         let rows: Vec<u32> = vec![3, 259, 3, 514, 2, 3, 258];
         let dim = 4;
         let grads: Vec<f32> = (0..rows.len() * dim).map(|i| (i as f32) * 0.3 - 2.0).collect();
@@ -914,7 +841,7 @@ mod tests {
     #[test]
     fn batched_ops_amortise_lock_acquisitions() {
         let t = ShardedTable::new(1024, 4, 0.0, 1);
-        let rows: Vec<u32> = (0..512u32).collect(); // 256 shards, 2 rows each
+        let rows: Vec<u32> = (0..512u32).collect(); // 256 stripes, 2 rows each
         let mut scratch = BatchScratch::default();
         let mut out = vec![0.0f32; rows.len() * 4];
         let mut clocks = vec![0u64; rows.len()];
@@ -949,7 +876,7 @@ mod tests {
     #[test]
     fn heap_bytes_reasonable() {
         let t = ShardedTable::new(1000, 16, 0.1, 1);
-        // Shard padding rounds up; at least rows*dim*4 bytes.
-        assert!(t.heap_bytes() >= 1000 * 16 * 4);
+        // Values and clocks exactly: the striped layout stores no map.
+        assert_eq!(t.heap_bytes(), 1000 * (16 * 4 + 8));
     }
 }

@@ -66,7 +66,7 @@ enum Landing {
 /// Reusable hot-path scratch: every buffer the per-batch gather/update path
 /// needs, allocated once per worker and recycled so steady-state iterations
 /// allocate nothing, together with the passes that touch no replica:
-/// resolving lookups to unique ids, the shard-grouped fetch, the scatter and
+/// resolving lookups to unique ids, the segment-grouped fetch, the scatter and
 /// the local reduction.
 #[derive(Default)]
 struct HotScratch {
@@ -165,7 +165,7 @@ impl HotScratch {
         self.fetch_landing.push(landing);
     }
 
-    /// One shard-grouped read of `fetch_ids` into `fetch_buf` and
+    /// One segment-grouped read of `fetch_ids` into `fetch_buf` and
     /// `fetch_clocks`. Returns the number of rows read.
     fn fetch(&mut self, table: &dyn RowStore, path: ReadPath) -> usize {
         let n = self.fetch_ids.len();
@@ -307,8 +307,8 @@ pub struct Worker<'a, P> {
     /// Batched-path scratch (batch resolver, fetch staging, reduction).
     scratch: HotScratch,
     wire: Wire,
-    /// Which table read path fetches go through (seqlock snapshot by
-    /// default; both paths return bit-identical bytes).
+    /// Which table read path fetches go through (snapshot by default;
+    /// both paths return bit-identical bytes).
     read_path: ReadPath,
     recorder: Option<Arc<dyn Recorder>>,
     auditor: Option<Arc<ProtocolAuditor>>,
@@ -470,8 +470,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         // counts and admissions are stateful): local primary, replica (with
         // the intra-embedding staleness check), or remote fetch. Rows that
         // need the primary table are *collected* during classification and
-        // fetched afterwards in one shard-grouped `read_rows` call, so a
-        // batch pays one lock per shard touched instead of one per row.
+        // fetched afterwards in one segment-grouped `read_rows` call, so a
+        // batch pays one lock per segment touched instead of one per row.
         for sample in samples {
             for &e in *sample {
                 let Some(slot) = self.scratch.resolve(e, dim) else {
@@ -504,7 +504,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             }
         }
 
-        // One shard-grouped fetch for everything that needs the primary
+        // One segment-grouped fetch for everything that needs the primary
         // table, scattered into the resolved-row scratch. Bit-identical to
         // per-row reads: no read writes the table, so the fetch order
         // cannot reach a byte.
@@ -684,7 +684,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     /// update (their "stale gradient" copy).
     ///
     /// This is [`Worker::route_gradients`] with the apply half run at once,
-    /// by this worker, for every owner — one shard-grouped `apply_grads`
+    /// by this worker, for every owner — one segment-grouped `apply_grads`
     /// call. Concurrent callers must order themselves.
     pub fn apply_gradients(
         &mut self,
@@ -915,9 +915,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     /// barriers, a change of format, crash recovery). Returns the number of
     /// rows synced.
     pub fn sync_all(&mut self) -> usize {
-        // One shard-grouped *locked* read: a re-prime runs at a barrier, so
-        // there is no contention to dodge and the amortised lock path is the
-        // cheap one.
+        // One segment-grouped read: a re-prime runs at a barrier, where
+        // the locked batch read is all any store needs.
         self.scratch.fetch_ids.clear();
         self.policy.replicated(&mut self.scratch.fetch_ids);
         self.scratch.fetch_landing.clear();

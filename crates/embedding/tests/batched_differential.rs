@@ -5,6 +5,7 @@
 //! run relies on every update being a reproducible FP operation sequence).
 
 use hetgmp_embedding::{BatchScratch, ShardedTable, SparseOpt};
+use hetgmp_partition::Partition;
 use proptest::prelude::*;
 
 /// A randomly-generated batched workload: table shape, optimizer, and a
@@ -76,8 +77,94 @@ fn assert_tables_bit_identical(a: &ShardedTable, b: &ShardedTable, num_rows: usi
     assert_eq!(a.total_updates(), b.total_updates());
 }
 
+/// `num_rows` rows dealt over `owners` primaries by a salted hash.
+fn hashed_owners(num_rows: usize, owners: u32, salt: u64) -> Partition {
+    let primary = (0..num_rows as u64)
+        .map(|r| ((r ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as u32 % owners)
+        .collect();
+    Partition::new(owners as usize, vec![0], primary)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Where a row lives never changes its bits: the same op sequence on
+    /// the striped and the owner-placed table leaves the same values,
+    /// clocks, accumulator values and `total_updates`. (Accumulator
+    /// *presence* is per segment, so that flag may differ.)
+    #[test]
+    fn owner_placement_matches_striped(
+        w in workload_strategy(),
+        owners in 1u32..6,
+        salt in 0u64..u64::MAX,
+    ) {
+        let striped = ShardedTable::new(w.num_rows, w.dim, 0.08, w.seed);
+        let part = hashed_owners(w.num_rows, owners, salt);
+        let owned = ShardedTable::with_partition(w.num_rows, w.dim, 0.08, w.seed, &part);
+        let mut scratch = BatchScratch::default();
+        for (bi, batch) in w.batches.iter().enumerate() {
+            let mut grads = vec![0.0f32; batch.len() * w.dim];
+            for (pos, g) in grads.chunks_mut(w.dim).enumerate() {
+                for (coord, v) in g.iter_mut().enumerate() {
+                    *v = grad_at(bi, pos, coord);
+                }
+            }
+            match bi % 4 {
+                0 => {
+                    let (mut a, mut b) = (vec![0u64; batch.len()], vec![0u64; batch.len()]);
+                    striped.apply_grads(batch, &grads, &w.opt, &mut a, &mut scratch);
+                    owned.apply_grads(batch, &grads, &w.opt, &mut b, &mut scratch);
+                    prop_assert_eq!(a, b, "apply clocks, batch {}", bi);
+                }
+                1 => {
+                    striped.write_rows(batch, &grads, &mut scratch);
+                    owned.write_rows(batch, &grads, &mut scratch);
+                }
+                2 => {
+                    for (k, &row) in batch.iter().enumerate() {
+                        let g = &grads[k * w.dim..(k + 1) * w.dim];
+                        prop_assert_eq!(striped.apply_grad(row, g, &w.opt), owned.apply_grad(row, g, &w.opt));
+                    }
+                }
+                _ => {
+                    let (row, g) = (batch[0], &grads[..w.dim]);
+                    striped.restore_row(row, g, bi as u64);
+                    owned.restore_row(row, g, bi as u64);
+                    striped.restore_accum(row, g);
+                    owned.restore_accum(row, g);
+                }
+            }
+            let n = batch.len() * w.dim;
+            let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
+            let (mut ca, mut cb) = (vec![0u64; batch.len()], vec![0u64; batch.len()]);
+            striped.read_rows(batch, &mut a, &mut ca, &mut scratch);
+            owned.read_rows(batch, &mut b, &mut cb, &mut scratch);
+            prop_assert_eq!(ca, cb, "read clocks, batch {}", bi);
+            prop_assert_eq!(
+                a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "read values, batch {}", bi
+            );
+        }
+        let (mut ra, mut rb) = (vec![0.0f32; w.dim], vec![0.0f32; w.dim]);
+        for row in 0..w.num_rows as u32 {
+            prop_assert_eq!(striped.read_row(row, &mut ra), owned.read_row(row, &mut rb));
+            prop_assert_eq!(
+                ra.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                rb.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "row {} values", row
+            );
+            striped.read_accum(row, &mut ra);
+            owned.read_accum(row, &mut rb);
+            prop_assert_eq!(
+                ra.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                rb.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                "row {} accumulator", row
+            );
+        }
+        prop_assert_eq!(striped.total_updates(), owned.total_updates());
+        prop_assert_eq!(striped.has_optimizer_state(), owned.has_optimizer_state());
+    }
 
     /// apply_grads == loop over apply_grad, bit for bit, including
     /// duplicate rows, for both optimizers.

@@ -1,7 +1,7 @@
-//! Read-path contract tests: the seqlock snapshot path must never expose a
-//! torn row under concurrent writers, must be *bit-identical* to the locked
-//! path under arbitrary op interleavings, and the fill planners must never
-//! hand duplicate row ids to a batched read.
+//! Read-path contract tests: the snapshot path must never expose a torn row
+//! under concurrent writers, must be *bit-identical* to the locked path
+//! under arbitrary op interleavings, and the fill planners must never hand
+//! duplicate row ids to a batched read.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 // --- torn-read stress ---------------------------------------------------
 
 /// A writer keeps overwriting rows with *uniform* values (all `dim`
-/// coordinates equal) while readers hammer the snapshot path. Any torn read
+/// coordinates equal) while readers hammer the batched read. Any torn read
 /// — a copy straddling a row mutation — would surface as a row whose
 /// coordinates disagree, because every consistent version of every row is
 /// uniform by construction. Writer and readers start together on a barrier
@@ -41,9 +41,8 @@ fn snapshot_reads_never_observe_torn_rows() {
                 let row = i % ROWS as u32;
                 let val = i as f32;
                 table.write_row(row, &[val; DIM]);
-                // A batched apply exercises the per-row seqlock windows
-                // inside a held write lock: a uniform gradient keeps the
-                // rows uniform.
+                // A batched apply mutates many rows under one held write
+                // lock: a uniform gradient keeps the rows uniform.
                 if i % 64 == 0 {
                     let rows = [row, (row + 17) % ROWS as u32, row, (row + 63) % ROWS as u32];
                     let grads = [1.0f32; 4 * DIM];
@@ -82,11 +81,8 @@ fn snapshot_reads_never_observe_torn_rows() {
             });
         }
     });
-    // Every row read was served by exactly one of the two outcomes.
+    // The counters stay consistent (a fallback also counts a lock).
     let stats = table.read_path_stats();
-    assert!(stats.snapshot_rows > 0, "no snapshot reads recorded");
-    // Retries/fallbacks are timing-dependent; the invariant is only that
-    // the counters are consistent (fallbacks also counted a lock).
     assert!(stats.fallback_rows <= table.lock_acquisitions());
 }
 
@@ -193,8 +189,7 @@ proptest! {
                 b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
         }
-        // Single-threaded snapshot reads never contend: all snapshots, no
-        // retries, no fallbacks.
+        // The in-memory table neither retries a read nor falls back.
         let stats = table.read_path_stats();
         prop_assert_eq!(stats.retries, 0);
         prop_assert_eq!(stats.fallback_rows, 0);

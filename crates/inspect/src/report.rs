@@ -243,15 +243,17 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     }
 
     // ---- Hot-loop read path ----------------------------------------------
-    // Gated on the mode gauge so logs written before the seqlock read path
-    // existed render unchanged. Only the *mode* is deterministic; the
-    // snapshot/fallback split and the retry count depend on real thread
-    // timing, so the counters live in the wall-clock section below.
+    // Gated on the mode gauge so logs written before the read-path knob
+    // existed render unchanged. The label names the knob, not a mechanism:
+    // the in-memory table serves both arms with the same locked batch
+    // read. Only the *mode* is deterministic; the tiered store's
+    // resident/faulted split depends on the run's timing, so the counters
+    // live in the wall-clock section below.
     if let Some(mode) = gauge(names::HOTPATH_READ_MODE) {
         let _ = writeln!(
             out,
             "\nread path: {}",
-            if mode >= 1.0 { "snapshot (seqlock)" } else { "locked" }
+            if mode >= 1.0 { "snapshot (default)" } else { "locked (differential oracle)" }
         );
     }
 
@@ -438,7 +440,7 @@ mod tests {
 
     #[test]
     fn read_path_section_is_gated_on_the_mode_gauge() {
-        // Logs written before the seqlock read path existed have no mode
+        // Logs written before the read-path knob existed have no mode
         // gauge: no section, deterministic or wall.
         let a = Artifact::parse(&sample_log()).unwrap();
         assert!(!render_report(&a, true).unwrap().contains("read path"), "old log grew a section");
@@ -458,7 +460,8 @@ mod tests {
         let r = render_report(&a, false).unwrap();
         // The mode line is deterministic; the counters are wall-only
         // because the snapshot/fallback split depends on thread timing.
-        assert!(r.contains("read path: snapshot (seqlock)"), "{r}");
+        assert!(r.contains("read path: snapshot (default)"), "{r}");
+        assert!(!r.contains("seqlock"), "{r}");
         assert!(!r.contains("hotpath.read:"), "{r}");
         let w = render_report(&a, true).unwrap();
         assert!(

@@ -187,24 +187,25 @@ pub mod names {
     /// Counter: embedding rows updated through the batched (shard-grouped)
     /// apply path.
     pub const HOTPATH_BATCH_APPLY_ROWS: &str = "hotpath.batch.apply_rows";
-    /// Gauge: total data-path shard lock acquisitions on the primary table
-    /// over the run (what batching amortises).
+    /// Gauge: total data-path lock acquisitions on the primary table over
+    /// the run (what batching amortises): one per segment a batched call
+    /// touches in memory, one per page group on a tiered store.
     pub const HOTPATH_LOCK_ACQUISITIONS: &str = "hotpath.lock_acquisitions";
     /// Gauge: end-to-end training throughput in samples per *wall-clock*
     /// second (the perf-baseline number; simulated-time throughput lives in
     /// `train.*`).
     pub const HOTPATH_SAMPLES_PER_SEC: &str = "hotpath.samples_per_sec";
-    /// Counter: embedding rows served lock-free by the seqlock snapshot
-    /// read path (consistent copy on the first or a retried attempt).
+    /// Counter: rows a tiered store's snapshot read served from resident
+    /// pages; 0 on the in-memory table, which has no snapshot structure.
     pub const HOTPATH_READ_SNAPSHOT: &str = "hotpath.read.snapshot";
-    /// Counter: snapshot read attempts discarded because the row's seqlock
-    /// version word was torn (odd, or changed across the copy).
+    /// Counter: retried snapshot read attempts. Always 0: no store has a
+    /// read that can tear.
     pub const HOTPATH_READ_RETRIES: &str = "hotpath.read.retries";
-    /// Counter: rows the snapshot path handed to the locked fallback —
-    /// retry budget exhausted under write pressure, or a tiered page fault.
+    /// Counter: rows a tiered store's snapshot read served through a page
+    /// fault; 0 on the in-memory table.
     pub const HOTPATH_READ_FALLBACK: &str = "hotpath.read.fallback";
-    /// Gauge: read path selected for the run's hot loop (1 = seqlock
-    /// snapshot, 0 = locked escape hatch).
+    /// Gauge: read path selected for the run's hot loop (1 = snapshot, the
+    /// default; 0 = locked, the differential oracle).
     pub const HOTPATH_READ_MODE: &str = "hotpath.read.mode";
 
     /// Counter: floating-point operations executed by the blocked dense

@@ -12,8 +12,9 @@
 # Deliberately not compared, because they measure the host, not the run:
 #   * wall-time fields — `*.wall_secs` histograms, `*.samples_per_sec`
 #     gauges, `telemetry.overhead_secs`, `partition.wall_secs`;
-#   * seqlock retry counters — `hotpath.read.retries` and
-#     `hotpath.read.fallback` count reader/writer collisions in real time.
+#   * read-path counters — `hotpath.read.retries` and
+#     `hotpath.read.fallback`, which a tiered store fills as its pages
+#     happen to be resident.
 # None of them matches the three prefixes above.
 #
 # Run from the repo root (make repeat-check / make verify does). Needs the

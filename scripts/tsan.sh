@@ -1,11 +1,13 @@
 #!/usr/bin/env sh
 # ThreadSanitizer pass over the code that is concurrent by design.
 #
-# * The seqlock read path. The snapshot reader is written in safe Rust over
-#   atomics (no `unsafe` data races to hide), but TSan is the independent
-#   witness that the fence/ordering choreography in `ShardedTable` is what
-#   the comments claim — so it runs the concurrent read-path suite
-#   (torn-read stress + differential tests).
+# * The segment table. Readers share a segment's `RwLock` while owners
+#   apply under its write lock, and clocks are read without the lock; TSan
+#   is the independent witness that the lock and the clocks' release /
+#   acquire pairs order every access as the comments claim. It runs the
+#   read-path suite (torn-row stress + differential tests), the table's
+#   concurrent updates and `concurrent_owners_match_a_one_thread_replay`
+#   (four owners applying their exchange columns side by side).
 # * `AllReduceGroup`. Contributions and results move outside the state
 #   mutex, through per-slot locks, fenced only by the round's counters; the
 #   unit suite (the threaded stress that reorders arrivals and switches op
@@ -44,7 +46,7 @@ case $host in
     ;;
 esac
 
-echo "tsan: running the read-path, allreduce and write-exchange suites under ThreadSanitizer ($host)"
+echo "tsan: running the segment-table, allreduce and write-exchange suites under ThreadSanitizer ($host)"
 
 # Instrumenting std requires -Zbuild-std, which needs rust-src; fall back
 # to uninstrumented std (still catches races between our own atomics and
@@ -72,6 +74,7 @@ tsan_test() {
         cargo +nightly test --offline $build_std --target "$host" "$@"
 }
 tsan_test -p hetgmp-embedding --test read_path
+tsan_test -p hetgmp-embedding --lib -- concurrent_
 tsan_test -p hetgmp-comms --lib allreduce
 tsan_test -p hetgmp-embedding --test worker_differential write_exchange_hands_off
 

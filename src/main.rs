@@ -95,9 +95,8 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   as capacity.* telemetry. Results are bit-identical to --storage memory.
   --storage-dir keeps the spill file in a named directory (default: a
   private temp dir). Eviction follows hints computed from the epoch's
-  deterministic batch plan, and the hot loop reads rows lock-free under a
-  per-stripe seqlock (hotpath.read.* telemetry records snapshot/fallback
-  row counts and the retry rate).
+  deterministic batch plan; hotpath.read.* telemetry counts the rows the
+  hot loop read from resident pages and through faults.
 
   'inspect' analyses the artifacts those runs leave behind. 'report'
   renders the Fig. 8 traffic/time breakdown, the per-stage attribution
