@@ -7,11 +7,88 @@
 //! is deliberately simple — α-β (latency + size/bandwidth) per message plus a
 //! FLOP-rate compute term — because the paper's phenomena are bandwidth
 //! phenomena.
+//!
+//! ## Grouped issue
+//!
+//! A worker issues one phase's point-to-point transfers together, as grouped
+//! `ncclSend`/`ncclRecv` calls do ([`CostModel::group_schedule_at`]). Each
+//! transfer occupies one link resource of the issuing worker:
+//!
+//! | link class | resource |
+//! |---|---|
+//! | NVLink | the link to that peer (one per peer pair) |
+//! | PCIe | the worker's PCIe port |
+//! | QPI | the worker's socket uplink |
+//! | Ethernet | the worker's machine NIC |
+//! | local | none: free |
+//!
+//! Transfers on one resource queue behind each other: the resource pays the
+//! largest latency among them once, plus every transfer's bytes over its
+//! bandwidth. Distinct resources run side by side, so the group takes as
+//! long as its busiest resource. Faults scale each transfer's own terms as
+//! [`CostModel::transfer_time_at`] does, so a group of one transfer costs
+//! exactly what that method returns.
 
 use std::sync::Arc;
 
 use crate::fault::{FaultSchedule, RetryPolicy};
 use crate::topology::{LinkClass, Topology, WorkerId};
+
+/// One point-to-point transfer of a grouped issue: `bytes` between the
+/// issuing worker and `peer`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Transfer {
+    /// The worker at the other end.
+    pub peer: WorkerId,
+    /// Payload bytes.
+    pub bytes: u64,
+}
+
+/// Where one transfer sits in its group's schedule, in seconds from the
+/// group's issue.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Slot {
+    /// When the transfer starts occupying its resource.
+    pub start: f64,
+    /// How long it occupies it (the resource's latency is carried by the
+    /// transfer that pays it).
+    pub secs: f64,
+}
+
+/// The time one group kept one link resource busy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkBusy {
+    /// The resource's link class.
+    pub class: LinkClass,
+    /// The one latency the resource paid: the largest fault-scaled α among
+    /// its transfers, plus any partition wait that came with it.
+    pub latency: f64,
+    /// Σ fault-scaled bytes/β over its transfers.
+    pub bandwidth: f64,
+    /// Transfers queued on it.
+    pub transfers: u64,
+}
+
+/// A grouped issue, scheduled: see the module docs for the rule.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GroupSchedule {
+    /// The group's time: its busiest resource's.
+    pub secs: f64,
+    /// One slot per transfer, in the order the transfers were given.
+    pub slots: Vec<Slot>,
+    /// One entry per resource used, in order of first use.
+    pub busy: Vec<LinkBusy>,
+}
+
+/// A link resource of the issuing worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resource {
+    /// NVLink: one link per peer pair.
+    Peer(WorkerId),
+    /// Everything else is one port per class: the PCIe port, the socket's
+    /// QPI uplink, the machine's NIC.
+    Port(LinkClass),
+}
 
 /// Compute-side constants for one simulated accelerator.
 #[derive(Debug, Clone)]
@@ -95,6 +172,89 @@ impl CostModel {
             return wait + f.degrade_factor(src, dst, now + wait) * base;
         }
         f.degrade_factor(src, dst, now) * base
+    }
+
+    /// A transfer's two terms at simulated instant `now`, scaled the way
+    /// [`CostModel::transfer_time_at`] scales their sum: the latency (with
+    /// any partition wait) and the bytes over the bandwidth.
+    fn terms_at(&self, src: WorkerId, dst: WorkerId, bytes: u64, now: f64) -> (f64, f64) {
+        let link = self.topology.link(src, dst);
+        let (latency, bandwidth) = (link.latency(), bytes as f64 / link.bandwidth());
+        let Some(f) = self.faults.as_ref().filter(|_| src != dst) else {
+            return (latency, bandwidth);
+        };
+        if let Some(heal) = f.partition_heal_time(src, dst, now) {
+            let wait = RetryPolicy::with_base(latency).wait_for_heal(heal - now);
+            let k = f.degrade_factor(src, dst, now + wait);
+            return (wait + k * latency, k * bandwidth);
+        }
+        let k = f.degrade_factor(src, dst, now);
+        (k * latency, k * bandwidth)
+    }
+
+    /// Schedules `transfers`, issued together by `src` at simulated instant
+    /// `now`, under the grouped-issue rule of the module docs.
+    ///
+    /// On each resource the transfer with the largest latency (the first
+    /// one, among equals) goes first and costs its full
+    /// [`CostModel::transfer_time_at`]; the others follow it in the order
+    /// given, each costing its bytes over its bandwidth. A transfer to `src`
+    /// itself is free and uses no resource.
+    pub fn group_schedule_at(&self, src: WorkerId, transfers: &[Transfer], now: f64) -> GroupSchedule {
+        let mut sched = GroupSchedule {
+            secs: 0.0,
+            slots: vec![Slot::default(); transfers.len()],
+            busy: Vec::new(),
+        };
+        let mut keys: Vec<Resource> = Vec::new();
+        // Per resource: its first-paying transfer and that transfer's
+        // latency and full time.
+        let mut payers: Vec<(usize, f64, f64)> = Vec::new();
+        // Per transfer: its resource and bandwidth term.
+        let mut placed: Vec<Option<(usize, f64)>> = Vec::with_capacity(transfers.len());
+        for (i, t) in transfers.iter().enumerate() {
+            let class = self.topology.link(src, t.peer);
+            if class == LinkClass::Local {
+                placed.push(None);
+                continue;
+            }
+            let key = match class {
+                LinkClass::NvLink => Resource::Peer(t.peer),
+                other => Resource::Port(other),
+            };
+            let (latency, bandwidth) = self.terms_at(src, t.peer, t.bytes, now);
+            let r = keys.iter().position(|&k| k == key).unwrap_or_else(|| {
+                keys.push(key);
+                payers.push((i, f64::NEG_INFINITY, 0.0));
+                sched.busy.push(LinkBusy {
+                    class,
+                    latency: 0.0,
+                    bandwidth: 0.0,
+                    transfers: 0,
+                });
+                keys.len() - 1
+            });
+            if latency > payers[r].1 {
+                payers[r] = (i, latency, self.transfer_time_at(src, t.peer, t.bytes, now));
+            }
+            let busy = &mut sched.busy[r];
+            busy.bandwidth += bandwidth;
+            busy.transfers += 1;
+            placed.push(Some((r, bandwidth)));
+        }
+        let mut ends: Vec<f64> = payers.iter().map(|&(_, _, total)| total).collect();
+        for (r, &(payer, latency, total)) in payers.iter().enumerate() {
+            sched.slots[payer] = Slot { start: 0.0, secs: total };
+            sched.busy[r].latency = latency;
+        }
+        for (i, p) in placed.into_iter().enumerate() {
+            if let Some((r, bandwidth)) = p.filter(|&(r, _)| payers[r].0 != i) {
+                sched.slots[i] = Slot { start: ends[r], secs: bandwidth };
+                ends[r] += bandwidth;
+            }
+        }
+        sched.secs = ends.into_iter().fold(0.0, f64::max);
+        sched
     }
 
     /// Time for a message over an explicit link class (e.g. the CPU
@@ -277,5 +437,125 @@ mod tests {
         assert_eq!(m.transfer_time_at(0, 1, 1 << 20, 0.6), healthy);
         // An allreduce during the outage parks the whole ring.
         assert!(m.allreduce_time_at(1 << 20, 0.1) >= 0.4);
+    }
+
+    const MB: u64 = 1 << 20;
+
+    fn to(peers: &[WorkerId], bytes: u64) -> Vec<Transfer> {
+        peers.iter().map(|&peer| Transfer { peer, bytes }).collect()
+    }
+
+    /// α + n·bytes/β on one link class.
+    fn queued(class: LinkClass, n: u64, bytes: u64) -> f64 {
+        class.latency() + (n * bytes) as f64 / class.bandwidth()
+    }
+
+    fn close(a: f64, b: f64) -> bool {
+        (a - b).abs() <= 1e-12 * b.abs().max(1e-9)
+    }
+
+    #[test]
+    fn group_nvlink_island_runs_every_peer_side_by_side() {
+        let m = CostModel::new(Topology::nvlink_island(4));
+        let g = m.group_schedule_at(0, &to(&[1, 2, 3], MB), 0.0);
+        // Three links, one transfer each: the group costs one transfer.
+        assert_eq!(g.secs, m.transfer_time(0, 1, MB));
+        assert_eq!(g.busy.len(), 3);
+        assert!(g.slots.iter().all(|s| s.start == 0.0 && s.secs == g.secs));
+    }
+
+    #[test]
+    fn group_pcie_island_queues_on_the_port() {
+        let m = CostModel::new(Topology::pcie_island(4));
+        let g = m.group_schedule_at(0, &to(&[1, 2, 3], MB), 0.0);
+        assert!(close(g.secs, queued(LinkClass::Pcie3, 3, MB)), "{}", g.secs);
+        assert_eq!(g.busy.len(), 1);
+        let busy = g.busy[0];
+        assert_eq!((busy.class, busy.transfers), (LinkClass::Pcie3, 3));
+        assert_eq!(busy.latency, LinkClass::Pcie3.latency());
+        // The first transfer pays the latency; the others stream behind it.
+        assert_eq!(g.slots[0], Slot { start: 0.0, secs: m.transfer_time(0, 1, MB) });
+        assert_eq!(g.slots[1].start, g.slots[0].secs);
+        assert!(close(g.slots[2].start + g.slots[2].secs, g.secs));
+        // Never slower than issuing the three one after another.
+        assert!(g.secs < 3.0 * m.transfer_time(0, 1, MB));
+    }
+
+    #[test]
+    fn group_qpi_dual_socket_overlaps_port_and_uplink() {
+        let m = CostModel::new(Topology::qpi_dual_socket(8));
+        let g = m.group_schedule_at(0, &to(&[1, 4, 5], MB), 0.0);
+        let pcie = queued(LinkClass::Pcie3, 1, MB);
+        let qpi = queued(LinkClass::Qpi, 2, MB);
+        assert!(close(g.secs, pcie.max(qpi)));
+        assert_eq!(g.busy.len(), 2);
+        // The PCIe and QPI transfers start together.
+        assert_eq!(g.slots[0].start, 0.0);
+        assert_eq!(g.slots[1].start, 0.0);
+        assert!(g.slots[2].start > 0.0);
+    }
+
+    #[test]
+    fn group_cluster_a_is_bound_by_the_nic() {
+        let m = CostModel::new(Topology::cluster_a(2));
+        let g = m.group_schedule_at(0, &to(&[1, 4, 8, 9], MB), 0.0);
+        let nic = queued(LinkClass::Ethernet1G, 2, MB);
+        assert!(close(g.secs, nic));
+        let classes: Vec<LinkClass> = g.busy.iter().map(|b| b.class).collect();
+        assert_eq!(classes, [LinkClass::Pcie3, LinkClass::Qpi, LinkClass::Ethernet1G]);
+    }
+
+    #[test]
+    fn group_cluster_b_gives_each_nvlink_peer_its_own_link() {
+        let m = CostModel::new(Topology::cluster_b(2));
+        // Two NVLink peers, one QPI peer, one Ethernet peer: four resources.
+        let g = m.group_schedule_at(0, &to(&[1, 2, 4, 8], 4096), 0.0);
+        assert_eq!(g.busy.len(), 4);
+        assert!(g.slots.iter().all(|s| s.start == 0.0));
+        assert_eq!(g.secs, m.transfer_time(0, 8, 4096));
+    }
+
+    #[test]
+    fn group_cluster_b_scaled_shares_one_nic_across_machines() {
+        let m = CostModel::new(Topology::cluster_b_scaled(24));
+        // Peers on two other machines still leave through worker 0's NIC.
+        let g = m.group_schedule_at(0, &to(&[8, 16, 3], MB), 0.0);
+        assert!(close(g.secs, queued(LinkClass::Ethernet10G, 2, MB)));
+        assert_eq!(g.slots[2], Slot { start: 0.0, secs: m.transfer_time(0, 3, MB) });
+        // A one-transfer group costs exactly the transfer.
+        let one = m.group_schedule_at(0, &to(&[16], MB), 0.0);
+        assert_eq!(one.secs, m.transfer_time(0, 16, MB));
+    }
+
+    #[test]
+    fn group_of_one_matches_transfer_time_at_under_faults() {
+        let f = FaultSchedule::parse("degrade@0-1:1.0:1.0:8; partition@0-2:0.0:0.5", 4, 0).unwrap();
+        let m = CostModel::new(Topology::pcie_island(4)).with_faults(Arc::new(f));
+        for (peer, now) in [(1, 0.5), (1, 1.5), (2, 0.1), (2, 0.7), (3, 1.5)] {
+            let g = m.group_schedule_at(0, &to(&[peer], 12_345), now);
+            assert_eq!(g.secs, m.transfer_time_at(0, peer, 12_345, now), "peer {peer} at {now}");
+            assert_eq!(g.slots[0], Slot { start: 0.0, secs: g.secs });
+        }
+        // A degraded transfer scales only its own terms: grouped with a
+        // healthy one, the port pays the slow latency once plus both
+        // transfers' bytes, the slow ones eight times over.
+        let g = m.group_schedule_at(0, &to(&[3, 1], MB), 1.5);
+        let bw = MB as f64 / LinkClass::Pcie3.bandwidth();
+        let expect = 8.0 * LinkClass::Pcie3.latency() + 9.0 * bw;
+        assert!(close(g.secs, expect), "{} vs {expect}", g.secs);
+        // The degraded transfer has the larger latency, so it goes first.
+        assert_eq!(g.slots[1].start, 0.0);
+        // During the partition the wait is latency the port pays once.
+        let g = m.group_schedule_at(0, &to(&[2, 3], MB), 0.1);
+        assert!(g.secs >= 0.4 + bw, "{}", g.secs);
+        assert!(g.busy[0].latency >= 0.4);
+    }
+
+    #[test]
+    fn group_local_and_empty_are_free() {
+        let m = CostModel::new(Topology::pcie_island(2));
+        assert_eq!(m.group_schedule_at(1, &[], 0.0), GroupSchedule::default());
+        let g = m.group_schedule_at(1, &to(&[1], MB), 0.0);
+        assert_eq!((g.secs, g.slots[0], g.busy.len()), (0.0, Slot::default(), 0));
     }
 }

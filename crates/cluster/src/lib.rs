@@ -29,7 +29,7 @@ pub mod fault;
 pub mod simclock;
 pub mod topology;
 
-pub use cost::{ComputeModel, CostModel};
+pub use cost::{ComputeModel, CostModel, GroupSchedule, LinkBusy, Slot, Transfer};
 pub use fault::{FaultSchedule, RetryPolicy, WorkerFault, WorkerFaultKind};
 pub use simclock::{SimClock, TimeBreakdown, TimeCategory};
 pub use topology::{LinkClass, Topology, WorkerId};

@@ -27,6 +27,17 @@ pub enum LinkClass {
 }
 
 impl LinkClass {
+    /// Every link class, in declaration order.
+    pub const ALL: [LinkClass; 7] = [
+        LinkClass::Local,
+        LinkClass::NvLink,
+        LinkClass::Pcie3,
+        LinkClass::Qpi,
+        LinkClass::Ethernet10G,
+        LinkClass::Ethernet1G,
+        LinkClass::HostPcie,
+    ];
+
     /// Effective bandwidth in bytes/second.
     pub fn bandwidth(self) -> f64 {
         const GB: f64 = 1e9;

@@ -24,6 +24,7 @@ use hetgmp_telemetry::HetGmpError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::charge::{charge, Dense, LinkTallies, Phases, Transfer, Wire};
 use crate::strategy::StrategyConfig;
 use crate::trainer::Placement;
 
@@ -335,6 +336,14 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
         embed_bytes,
     } = ctx;
     let dim = cfg.dim;
+    let wire = Wire {
+        cost,
+        ledger: None,
+        tracer: None,
+        host_ps: false,
+        row_bytes: (dim * 4) as u64,
+    };
+    let mut links = LinkTallies::default();
     let mut cursor = rng.gen_range(0..shard.len().max(1));
     let mut rel_grad = vec![0.0f32; rel.len()];
 
@@ -384,27 +393,19 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
             Default::default()
         };
 
-        // Charge simulated time (same model as the CTR trainer).
+        // Charge simulated time through the trainer's charge path: the
+        // embedding rows (no metadata; this loop never charged it) behind
+        // the compute, then the relations' collective.
         let compute_t = cost
             .compute
             .compute_time((6 * dim * bs) as f64 * 3.0);
         clock.advance(TimeCategory::Compute, compute_t);
-        let mut comm_t = 0.0;
-        for (src, &bytes) in read.data_bytes_by_src.iter().enumerate() {
-            if bytes > 0 {
-                comm_t += cost.transfer_time(w, src, bytes);
-            }
-        }
-        for (dst, &bytes) in update.data_bytes_by_dst.iter().enumerate() {
-            if bytes > 0 {
-                comm_t += cost.transfer_time(w, dst, bytes);
-            }
-        }
-        clock.advance_overlapped(TimeCategory::EmbedComm, comm_t, compute_t);
-        clock.advance(
-            TimeCategory::AllReduceComm,
-            cost.allreduce_time((rel_grad.len() * 4) as u64),
-        );
+        let read_x = Transfer::exchange(&read.data_bytes_by_src, &[], wire.row_bytes);
+        let write_x = Transfer::exchange(&update.data_bytes_by_dst, &[], wire.row_bytes);
+        let step = Phases::Step { read: &read_x, write: &write_x, overlap: Some(compute_t) };
+        charge(&wire, w, clock, &mut links, step);
+        let relations = Dense::Ring((rel_grad.len() * 4) as u64);
+        charge(&wire, w, clock, &mut links, Phases::Dense(relations));
         embed_bytes.fetch_add(read.data_bytes + update.data_bytes, Ordering::Relaxed);
         triples_done.fetch_add(bs as u64, Ordering::Relaxed);
 

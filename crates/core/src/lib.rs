@@ -26,6 +26,7 @@
 //! See `DESIGN.md` at the workspace root; each `experiments::*` module maps
 //! to one table or figure and is run by `het-gmp experiment NAME`.
 
+mod charge;
 pub mod experiments;
 pub mod kg;
 pub mod models;

@@ -65,9 +65,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hetgmp_cluster::{
-    CostModel, FaultSchedule, LinkClass, SimClock, TimeCategory, Topology, WorkerFaultKind,
+    CostModel, FaultSchedule, LinkClass, SimClock, TimeCategory, WorkerFaultKind,
 };
-use hetgmp_comms::{AllReduceGroup, DenseQuantizer, TrafficClass, TrafficLedger};
+use hetgmp_comms::{AllReduceGroup, DenseQuantizer, TrafficLedger};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{EmbeddingWorker, ReadReport, RowStore, UpdateReport, WriteExchange};
 use hetgmp_partition::Partition;
@@ -76,6 +76,7 @@ use hetgmp_telemetry::{
 };
 use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, Matrix, Sgd};
 
+use crate::charge::{charge, Dense, LinkTallies, Phases, Transfer, Wire};
 use crate::models::{CtrModel, ModelTape};
 use crate::strategy::{DenseSync, EmbedHome, StrategyConfig};
 use crate::trainer::{CheckpointImage, StorageTable, TrainerConfig};
@@ -288,7 +289,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) cfg: &'a TrainerConfig,
     pub(crate) strategy: &'a StrategyConfig,
     pub(crate) dataset: &'a CtrDataset,
-    pub(crate) topology: &'a Topology,
     /// The primary store, RAM-only or tiered.
     pub(crate) storage: &'a StorageTable,
     pub(crate) partition: &'a Partition,
@@ -327,6 +327,17 @@ impl<'a> RunCtx<'a> {
     pub(crate) fn table(&self) -> &'a dyn RowStore {
         self.storage.as_store()
     }
+
+    /// What the run's traffic is charged against.
+    pub(crate) fn wire(&self) -> Wire<'_> {
+        Wire {
+            cost: &self.cost,
+            ledger: Some(&self.ledger),
+            tracer: self.tracer,
+            host_ps: matches!(self.strategy.embed_home, EmbedHome::CpuPs),
+            row_bytes: self.row_bytes,
+        }
+    }
 }
 
 /// What one worker keeps from epoch to epoch. Every worker owns one; the
@@ -342,6 +353,8 @@ pub(crate) struct WorkerRun<'t> {
     /// Every per-batch buffer, reused by every step.
     pub(crate) slot: StepCtx,
     pub(crate) clock: SimClock,
+    /// Busy link seconds of every group this worker issued.
+    pub(crate) links: LinkTallies,
     /// Position in the shard; wraps around, persists across epochs.
     pub(crate) cursor: usize,
     pub(crate) fstate: WorkerFaultState,
@@ -556,7 +569,7 @@ fn dense_compute(run: &RunCtx<'_>, me: &mut WorkerRun<'_>) {
 }
 
 /// Charges one batch's simulated time (compute, input pipeline, embedding
-/// comm, metadata) and records its traffic.
+/// comm, metadata) and records its traffic through [`charge`].
 fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_report: &UpdateReport) {
     let cost = &run.cost;
     let clock = &mut me.clock;
@@ -577,38 +590,21 @@ fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_repo
         compute_t,
     );
 
-    let read_report = &me.slot.read_report;
-    let comm = charge_embedding_comm(run, me.w, read_report, up_report, clock.now());
-    let embed_t = comm.read + comm.write_back;
-    let meta_t = comm.meta;
-    me.profiler.sim(BatchStage::Fetch, comm.read);
-    me.profiler.sim(BatchStage::Push, comm.write_back);
-    if run.strategy.overlap {
-        clock.advance_overlapped(TimeCategory::EmbedComm, embed_t, compute_t);
-    } else {
-        clock.advance(TimeCategory::EmbedComm, embed_t);
-    }
-    clock.advance(TimeCategory::MetaComm, meta_t);
-
-    run.ledger.record(
-        me.w,
-        TrafficClass::EmbedData,
-        read_report.data_bytes + up_report.data_bytes,
-        read_report.messages + up_report.messages,
-    );
-    run.ledger.record(
-        me.w,
-        TrafficClass::KeysClocks,
-        read_report.meta_bytes + up_report.meta_bytes,
-        read_report.messages + up_report.messages,
-    );
+    let wire = run.wire();
+    let (read, write) = wire.step(&me.slot.read_report, up_report);
+    let overlap = run.strategy.overlap.then_some(compute_t);
+    let step = Phases::Step { read: &read, write: &write, overlap };
+    let comm = charge(&wire, me.w, clock, &mut me.links, step);
+    me.profiler.sim(BatchStage::Fetch, comm.data[0]);
+    me.profiler.sim(BatchStage::Push, comm.data[1]);
     run.samples.fetch_add(actual as u64, Ordering::Relaxed);
 }
 
-/// Dense gradient synchronisation: mean-AllReduce, clip, SGD step, charges,
-/// and the BSP clock barrier. Returns the dense-sync seconds charged.
+/// Dense gradient synchronisation: the collective's charge, mean-AllReduce,
+/// clip, SGD step and the BSP clock barrier. Returns the dense-sync seconds
+/// charged.
 ///
-/// Under BSP the step charges first and then issues **one**
+/// Every system charges first. Under BSP the step then issues **one**
 /// [`AllReduceGroup::fused_mean_max`] whose f64 max lane carries the
 /// post-charge clock: the AllReduce is a barrier in simulated time too, and
 /// everyone leaves with the latest clock. ASP systems do not barrier —
@@ -629,45 +625,21 @@ fn sync_dense(
     // The local gradient crosses the wire once per collective, before the
     // reduction.
     quant.transport(dense_grads);
-    let charge_allreduce = |clock: &mut SimClock| {
-        let t = run.cost.allreduce_time_at(run.dense_bytes, clock.now());
-        trace_allreduce_span(run, w, clock.now(), t);
-        clock.advance(TimeCategory::AllReduceComm, t);
-        let bytes = allreduce_bytes(run.dense_bytes, run.topology);
-        run.ledger.record(w, TrafficClass::AllReduce, bytes, 1);
-        t
+    let dense = match strategy.dense_sync {
+        DenseSync::AllReduce => Dense::Ring(run.dense_bytes),
+        // Push gradients + pull parameters over the shared host link.
+        DenseSync::PsAsync => Dense::HostPs(run.dense_bytes),
     };
+    let t = charge(&run.wire(), w, &mut me.clock, &mut me.links, Phases::Dense(dense)).total();
     if is_bsp {
-        let t = charge_allreduce(&mut me.clock);
         let (max_clock, _) = run.group.fused_mean_max(dense_grads, me.clock.now(), false);
         clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
         me.clock.wait_until(max_clock);
-        return t;
+    } else {
+        run.group.allreduce_mean(dense_grads);
+        clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
     }
-
-    run.group.allreduce_mean(dense_grads);
-    clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
-    match strategy.dense_sync {
-        DenseSync::AllReduce => charge_allreduce(&mut me.clock),
-        DenseSync::PsAsync => {
-            // Push gradients + pull parameters over the shared host link.
-            let n = run.topology.num_workers() as u64;
-            let dense_bytes = run.dense_bytes;
-            let t = run.cost.link_transfer_time(LinkClass::HostPcie, 2 * dense_bytes * n);
-            if let Some(tr) = run.tracer {
-                tr.link_span(
-                    LinkClass::HostPcie.label(),
-                    names::TRACE_ALLREDUCE,
-                    me.clock.now(),
-                    t,
-                    &[("worker", Json::U64(w as u64)), ("bytes", Json::U64(2 * dense_bytes))],
-                );
-            }
-            me.clock.advance(TimeCategory::AllReduceComm, t);
-            run.ledger.record(w, TrafficClass::AllReduce, 2 * dense_bytes, 2);
-            t
-        }
-    }
+    t
 }
 
 /// Global-norm clip, then one SGD step on the (replicated) dense
@@ -701,25 +673,6 @@ fn clip_and_step(
     assert_eq!(cursor, dense_grads.len(), "flat gradient length mismatch");
 }
 
-/// The ring's bottleneck hop names the AllReduce span's track.
-fn trace_allreduce_span(run: &RunCtx<'_>, w: usize, start: f64, t: f64) {
-    if let Some(tr) = run.tracer {
-        let n = run.topology.num_workers();
-        let label = if n > 1 {
-            run.topology.link(w, (w + 1) % n).label()
-        } else {
-            LinkClass::Local.label()
-        };
-        tr.link_span(
-            label,
-            names::TRACE_ALLREDUCE,
-            start,
-            t,
-            &[("worker", Json::U64(w as u64)), ("bytes", Json::U64(run.dense_bytes))],
-        );
-    }
-}
-
 /// Consumes every fault event due at the worker's current simulated time.
 /// Faults fire inside the affected worker's own thread, between
 /// collectives: the worker never abandons a rendezvous, so peers are
@@ -727,7 +680,8 @@ fn trace_allreduce_span(run: &RunCtx<'_>, w: usize, start: f64, t: f64) {
 /// simulated-time barrier.
 fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&CheckpointImage>) {
     let (w, faults, tracer, table) = (me.w, &run.faults, run.tracer, run.table());
-    let (clock, fstate, recorder) = (&mut me.clock, &mut me.fstate, &me.recorder);
+    let (clock, fstate, recorder, links) =
+        (&mut me.clock, &mut me.fstate, &me.recorder, &mut me.links);
     while let Some(f) = faults.worker_faults(w).get(fstate.next) {
         if f.at > clock.now() {
             break;
@@ -796,14 +750,16 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                 let refreshed = me.emb.recover_from_crash();
                 // Recovery cost: restart, restore this worker's shard of
                 // the image over the host link, re-fetch refreshed
-                // replicas from peers, and replay the work done since the
-                // image was captured.
+                // replicas from their owners as one group, and replay the
+                // work done since the image was captured.
                 let cost = &run.cost;
                 let n_workers = cost.topology.num_workers() as u64;
                 let restore_t = cost
                     .link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
+                let reprime = Transfer::rows(&refreshed, run.row_bytes);
                 let refresh_t =
-                    mean_link_time(w, cost, refreshed.saturating_mul(run.row_bytes));
+                    charge(&run.wire(), w, clock, links, Phases::Recovery(&reprime)).total();
+                let refreshed: u64 = refreshed.iter().sum();
                 let replay_t = (crash_time - image.sim_times[w]).max(0.0);
                 let recovery_t = faults.restart_overhead() + restore_t + refresh_t + replay_t;
                 clock.advance(TimeCategory::Fault, recovery_t);
@@ -824,152 +780,6 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                         ],
                     );
                 }
-            }
-        }
-    }
-}
-
-/// Ring AllReduce wire bytes: `2·(N−1)/N · payload` per worker.
-fn allreduce_bytes(dense_bytes: u64, topology: &Topology) -> u64 {
-    let n = topology.num_workers() as u64;
-    if n <= 1 {
-        0
-    } else {
-        2 * (n - 1) * dense_bytes / n
-    }
-}
-
-/// One batch's embedding-communication seconds, split by direction so the
-/// stage profiler can attribute them: `read` belongs to the Fetch stage,
-/// `write_back` to Push, `meta` to neither (it stays `time.meta_comm`).
-/// The total charge is exactly `read + write_back` — the split never
-/// changes what the clock advances by.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EmbedCommTimes {
-    pub(crate) read: f64,
-    pub(crate) write_back: f64,
-    pub(crate) meta: f64,
-}
-
-/// Converts the per-source byte breakdowns into per-direction embedding
-/// and metadata seconds ([`EmbedCommTimes`]) for worker `w` under the
-/// run's strategy. When a tracer is attached, each per-peer transfer also becomes
-/// a `trace.link.transfer` span on the link-class track, laid out
-/// sequentially from `start_secs`.
-fn charge_embedding_comm(
-    run: &RunCtx<'_>,
-    w: usize,
-    read: &ReadReport,
-    up: &UpdateReport,
-    start_secs: f64,
-) -> EmbedCommTimes {
-    let (cost, tracer) = (&run.cost, run.tracer);
-    match run.strategy.embed_home {
-        EmbedHome::CpuPs => {
-            // Every lookup/update crosses the host link, regardless of the
-            // GPU partition: charge the full working set. The parameter
-            // server's host link is a *shared* resource: N workers pulling
-            // simultaneously each see 1/N of its bandwidth — this contention
-            // is precisely why the paper's CPU-PS baselines (TF, Parallax)
-            // fall behind GPU model parallelism (Figure 7).
-            let n = cost.topology.num_workers() as u64;
-            let lookups = read.lookups();
-            let updates = up.updates();
-            let dim_bytes = if lookups + updates > 0 {
-                // data_bytes only counts remote rows; reconstruct full rows
-                // from counts via bytes-per-row of the remote ones, falling
-                // back to the configured wire size when everything was local.
-                estimate_row_bytes(read, up, run.row_bytes)
-            } else {
-                0
-            };
-            let total_bytes = (lookups + updates) * dim_bytes * n;
-            let t = cost.link_transfer_time(LinkClass::HostPcie, total_bytes);
-            if let Some(tr) = tracer {
-                if total_bytes > 0 {
-                    tr.link_span(
-                        LinkClass::HostPcie.label(),
-                        names::TRACE_LINK_TRANSFER,
-                        start_secs,
-                        t,
-                        &[("worker", Json::U64(w as u64)), ("bytes", Json::U64(total_bytes))],
-                    );
-                }
-            }
-            let meta_bytes = (lookups + updates) * 12 * n;
-            let mt = cost.link_transfer_time(LinkClass::HostPcie, meta_bytes);
-            // The shared-link charge was computed over the combined working
-            // set; apportion it by row count for stage attribution only
-            // (lookups are Fetch work, updates are Push work).
-            let read_frac = if lookups + updates > 0 {
-                lookups as f64 / (lookups + updates) as f64
-            } else {
-                0.0
-            };
-            EmbedCommTimes {
-                read: t * read_frac,
-                write_back: t * (1.0 - read_frac),
-                meta: mt,
-            }
-        }
-        EmbedHome::Gpu => {
-            let mut t = 0.0;
-            for (src, &bytes) in read.data_bytes_by_src.iter().enumerate() {
-                if bytes > 0 {
-                    let dt = cost.transfer_time_at(w, src, bytes, start_secs + t);
-                    if let Some(tr) = tracer {
-                        tr.link_span(
-                            cost.topology.link(w, src).label(),
-                            names::TRACE_LINK_TRANSFER,
-                            start_secs + t,
-                            dt,
-                            &[
-                                ("dir", Json::from("read")),
-                                ("worker", Json::U64(w as u64)),
-                                ("peer", Json::U64(src as u64)),
-                                ("bytes", Json::U64(bytes)),
-                            ],
-                        );
-                    }
-                    t += dt;
-                }
-            }
-            let read_t = t;
-            for (dst, &bytes) in up.data_bytes_by_dst.iter().enumerate() {
-                if bytes > 0 {
-                    let dt = cost.transfer_time_at(w, dst, bytes, start_secs + t);
-                    if let Some(tr) = tracer {
-                        tr.link_span(
-                            cost.topology.link(w, dst).label(),
-                            names::TRACE_LINK_TRANSFER,
-                            start_secs + t,
-                            dt,
-                            &[
-                                ("dir", Json::from("writeback")),
-                                ("worker", Json::U64(w as u64)),
-                                ("peer", Json::U64(dst as u64)),
-                                ("bytes", Json::U64(bytes)),
-                            ],
-                        );
-                    }
-                    t += dt;
-                }
-            }
-            // Latency is charged per (batch, peer) round-trip inside
-            // `transfer_time` above — real systems coalesce a batch's rows
-            // into one request per peer, so per-row latency would be wrong.
-            // Metadata crosses the same fabric; charge it at the worker's
-            // mean link bandwidth.
-            let meta = read.meta_bytes + up.meta_bytes;
-            let mt = if meta > 0 {
-                mean_link_time(w, cost, meta)
-            } else {
-                0.0
-            };
-            EmbedCommTimes {
-                read: read_t,
-                write_back: t - read_t,
-                meta: mt,
             }
         }
     }
@@ -998,31 +808,6 @@ fn trace_stage_spans(tracer: &TraceCollector, w: usize, batch_start: f64, sim: [
             at += sim[i];
         }
     }
-}
-
-/// Bytes per embedding row, estimated from whichever report carried data;
-/// `fallback` (the configured per-row wire size) covers all-local batches.
-fn estimate_row_bytes(read: &ReadReport, up: &UpdateReport, fallback: u64) -> u64 {
-    let remote_rows = read.remote_total() + up.remote_writebacks;
-    match (read.data_bytes + up.data_bytes).checked_div(remote_rows) {
-        Some(b) if remote_rows > 0 => b,
-        _ => fallback,
-    }
-}
-
-/// α-β time for `bytes` over worker `w`'s average non-local link.
-pub(crate) fn mean_link_time(w: usize, cost: &CostModel, bytes: u64) -> f64 {
-    let n = cost.topology.num_workers();
-    if n <= 1 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for p in 0..n {
-        if p != w {
-            total += cost.transfer_time(w, p, bytes / (n as u64 - 1).max(1));
-        }
-    }
-    total / (n - 1) as f64
 }
 
 #[cfg(test)]

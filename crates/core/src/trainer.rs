@@ -47,9 +47,10 @@ use hetgmp_telemetry::{
 use hetgmp_tensor::loss::sigmoid;
 use hetgmp_tensor::{auc, log_loss, Matrix};
 
+use crate::charge::{charge, publish_links, Phases, Transfer};
 use crate::models::{CtrModel, ModelKind, ModelTape};
 use crate::pipeline::{
-    mean_link_time, run_worker_epoch, RunCtx, StageProfiler, StepCtx, WorkerFaultState, WorkerRun,
+    run_worker_epoch, RunCtx, StageProfiler, StepCtx, WorkerFaultState, WorkerRun,
 };
 use crate::strategy::{CacheDesign, EmbedHome, StrategyConfig};
 
@@ -769,6 +770,7 @@ impl<'d> Trainer<'d> {
                 model: self.new_model(),
                 slot: StepCtx::new(),
                 clock: SimClock::with_recorder(registry.worker(w)),
+                links: Default::default(),
                 cursor: 0,
                 fstate: WorkerFaultState::default(),
                 profiler: StageProfiler::new(),
@@ -806,7 +808,6 @@ impl<'d> Trainer<'d> {
             cfg,
             strategy: &self.strategy,
             dataset: self.dataset,
-            topology: &self.topology,
             storage,
             partition: &placement.partition,
             shards: &placement.shards,
@@ -1063,38 +1064,26 @@ fn train_epoch(
 }
 
 /// The epoch barrier, in three passes: every worker routes its deferred
-/// secondary gradients (the write-backs are charged); every owner applies
-/// them, as a step's write phase does, so the evaluation (and the next
-/// epoch) sees every update; each worker re-primes its local replicas from
-/// the now-final table. The state entering the next epoch is then what a
+/// secondary gradients (charged as one group, by destination); every owner
+/// applies them, as a step's write phase does, so the evaluation (and the
+/// next epoch) sees every update; each worker re-primes its local replicas
+/// from the now-final table (one group, by primary owner). The state entering the next epoch is then what a
 /// checkpoint resume reconstructs (resumed workers re-prime replicas from
 /// the restored table), so a resumed run replays the uninterrupted run's
 /// math.
 fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
+    let wire = run.wire();
     for me in workers.iter_mut() {
         let rep = me.emb.flush_all(&run.exchange);
-        if rep.data_bytes > 0 {
-            let mut t = 0.0;
-            for (dst, &bytes) in rep.data_bytes_by_dst.iter().enumerate() {
-                if bytes > 0 {
-                    t += run.cost.transfer_time_at(me.w, dst, bytes, me.clock.now());
-                }
-            }
-            me.clock.advance(TimeCategory::EmbedComm, t);
-            run.ledger.record(me.w, TrafficClass::EmbedData, rep.data_bytes, rep.messages);
-            run.ledger.record(me.w, TrafficClass::KeysClocks, rep.meta_bytes, rep.messages);
-        }
+        let flush = Transfer::exchange(&rep.data_bytes_by_dst, &rep.meta_bytes_by_dst, run.row_bytes);
+        charge(&wire, me.w, &mut me.clock, &mut me.links, Phases::Barrier("flush", &flush));
     }
     for me in workers.iter() {
         run.exchange.apply_owned(me.w, run.table(), &run.cfg.embed_opt);
     }
     for me in workers.iter_mut() {
-        let refreshed = me.emb.sync_replicas();
-        if refreshed > 0 {
-            let bytes = refreshed.saturating_mul(run.row_bytes);
-            me.clock.advance(TimeCategory::EmbedComm, mean_link_time(me.w, &run.cost, bytes));
-            run.ledger.record(me.w, TrafficClass::EmbedData, bytes, refreshed);
-        }
+        let reprime = Transfer::rows(&me.emb.sync_replicas(), run.row_bytes);
+        charge(&wire, me.w, &mut me.clock, &mut me.links, Phases::Barrier("reprime", &reprime));
     }
 }
 
@@ -1223,6 +1212,8 @@ fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<
         names::PIPELINE_OVERLAP_RATIO,
         if overlappable > 0.0 { hidden / overlappable } else { 0.0 },
     );
+    // Busy seconds per link class, latency and bandwidth apart.
+    publish_links(global.as_ref(), workers.iter().map(|me| me.links));
     // What the profilers cost this run: their own bookkeeping plus the
     // calibrated price of every timestamp the stage loops took. The
     // benchmark ledger reports it as `telemetry.profiler_overhead_pct`.
@@ -1501,14 +1492,45 @@ mod tests {
                 .iter()
                 .any(|e| e.track == TraceTrack::Worker(w) && e.name == names::TRACE_EPOCH));
         }
-        // Two workers on one PCIe island exchange embedding bytes.
+        // Two workers on one PCIe island exchange embedding bytes. Link
+        // spans are laid out from each group's schedule: on the worker's one
+        // PCIe port a group's keys and clocks queue behind its rows.
+        let arg = |e: &hetgmp_telemetry::TraceEvent, key: &str| {
+            e.args.iter().find(|(k, _)| k == key).map(|(_, v)| v.render())
+        };
+        let transfers: Vec<_> = events
+            .iter()
+            .filter(|e| e.track == TraceTrack::Link("pcie3".into()) && e.name == names::TRACE_LINK_TRANSFER)
+            .collect();
+        let of_class = |class: &str| {
+            let class = Json::from(class).render();
+            transfers.iter().filter(move |e| arg(e, "class").as_ref() == Some(&class))
+        };
+        assert!(of_class("embed_data").next().is_some(), "no link transfer spans");
         assert!(
+            of_class("keys_clocks").any(|m| of_class("embed_data").any(|d| {
+                (arg(d, "worker"), arg(d, "dir")) == (arg(m, "worker"), arg(m, "dir"))
+                    && (d.ts_us + d.dur_us - m.ts_us).abs() < 1e-9
+            })),
+            "no metadata span queued behind its group's rows"
+        );
+        // On a dual-socket machine a group's PCIe and QPI transfers start
+        // together: the port and the uplink are separate resources.
+        let tracer = Arc::new(TraceCollector::new(4, TraceLevel::Batch));
+        Trainer::new(&data, Topology::qpi_dual_socket(4), StrategyConfig::het_gmp(100), fast_config())
+            .with_tracer(Arc::clone(&tracer))
+            .run();
+        let starts = |label: &str| -> Vec<(Option<String>, u64)> {
+            let events = tracer.events();
             events
                 .iter()
-                .any(|e| matches!(&e.track, TraceTrack::Link(_))
-                    && e.name == names::TRACE_LINK_TRANSFER),
-            "no link transfer spans"
-        );
+                .filter(|e| e.track == TraceTrack::Link(label.into()) && e.name == names::TRACE_LINK_TRANSFER)
+                .map(|e| (arg(e, "worker"), e.ts_us.to_bits()))
+                .collect()
+        };
+        let qpi = starts("qpi");
+        assert!(!qpi.is_empty(), "no QPI transfers");
+        assert!(starts("pcie3").iter().any(|s| qpi.contains(s)), "no PCIe and QPI transfer issued together");
         // Algorithm 1's rounds land on the driver track.
         assert!(events
             .iter()

@@ -120,9 +120,10 @@ pub trait EmbeddingWorker: Send {
     /// authoritative table. Called at epoch barriers *after* all workers
     /// have flushed, so the in-memory state entering the next epoch is
     /// exactly what a checkpoint resume reconstructs (resumed runs warm-
-    /// load replicas from the restored table). Returns the number of rows
-    /// re-fetched; the caller charges their transfer.
-    fn sync_replicas(&mut self) -> u64;
+    /// load replicas from the restored table). Returns the rows re-fetched
+    /// from each primary owner, indexed by partition; the caller charges
+    /// their transfer.
+    fn sync_replicas(&mut self) -> Vec<u64>;
     /// Attaches a telemetry recorder for `embedding.*` metrics.
     fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>);
     /// Attaches a protocol auditor observing every staleness decision.
@@ -132,9 +133,10 @@ pub trait EmbeddingWorker: Send {
     /// Discards any state lost with the worker's device (pending deferred
     /// gradients, stale replicas) and re-primes local replicas from the
     /// authoritative table, as crash recovery does after the table has been
-    /// rolled back to a checkpoint. Returns the number of rows re-fetched
-    /// (the caller charges their transfer to the simulated clock).
-    fn recover_from_crash(&mut self) -> u64;
+    /// rolled back to a checkpoint. Returns the rows re-fetched from each
+    /// primary owner (the caller charges their transfer to the simulated
+    /// clock).
+    fn recover_from_crash(&mut self) -> Vec<u64>;
     /// Selects the wire format for inter-worker embedding payloads and
     /// whether lossy gradient pushes carry per-row error feedback. Call
     /// before training (right after construction) so warm-loaded replicas
@@ -170,8 +172,8 @@ impl<'a, P: ReplicaPolicy<'a>> EmbeddingWorker for Worker<'a, P> {
     fn flush_all(&mut self, exchange: &WriteExchange) -> UpdateReport {
         Worker::flush_all(self, exchange)
     }
-    fn sync_replicas(&mut self) -> u64 {
-        Worker::sync_all(self) as u64
+    fn sync_replicas(&mut self) -> Vec<u64> {
+        Worker::sync_all(self)
     }
     fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>) {
         Worker::attach_recorder(self, recorder)
@@ -182,7 +184,7 @@ impl<'a, P: ReplicaPolicy<'a>> EmbeddingWorker for Worker<'a, P> {
     fn attach_tracer(&mut self, tracer: Arc<TraceCollector>) {
         Worker::attach_tracer(self, tracer)
     }
-    fn recover_from_crash(&mut self) -> u64 {
+    fn recover_from_crash(&mut self) -> Vec<u64> {
         Worker::recover_from_crash(self)
     }
     fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {

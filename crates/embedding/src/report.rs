@@ -13,41 +13,66 @@ pub const META_ENTRY_BYTES: u64 = 12;
 /// The interconnect counters [`ReadReport`] and [`UpdateReport`] share, so
 /// the worker accounts a remote row in one place whichever way it moves.
 pub(crate) trait Traffic {
-    /// `(data bytes by peer partition, data bytes, metadata bytes, messages)`.
-    fn counters(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64, &mut u64);
+    /// `(data bytes by peer, metadata bytes by peer, data bytes, metadata
+    /// bytes)`.
+    fn counters(&mut self) -> (&mut Vec<u64>, &mut Vec<u64>, &mut u64, &mut u64);
 
     /// One embedding row exchanged with partition `peer`: `row_bytes` of
-    /// payload, one index/clock metadata entry, one message.
+    /// payload and one index/clock metadata entry.
     fn add_remote_row(&mut self, peer: u32, row_bytes: u64, num_partitions: usize) {
-        let (by_peer, data, meta, messages) = self.counters();
-        if by_peer.is_empty() {
-            *by_peer = vec![0; num_partitions];
-        }
-        by_peer[peer as usize] += row_bytes;
+        let (data_by_peer, _, data, _) = self.counters();
+        add_at(data_by_peer, peer, row_bytes, num_partitions);
         *data += row_bytes;
+        self.add_meta_entry(peer, num_partitions);
+    }
+
+    /// One index/clock metadata entry exchanged with partition `peer`.
+    fn add_meta_entry(&mut self, peer: u32, num_partitions: usize) {
+        let (_, meta_by_peer, _, meta) = self.counters();
+        add_at(meta_by_peer, peer, META_ENTRY_BYTES, num_partitions);
         *meta += META_ENTRY_BYTES;
-        *messages += 1;
+    }
+}
+
+/// Adds `bytes` to `by_peer[peer]`, sizing the breakdown on first use.
+fn add_at(by_peer: &mut Vec<u64>, peer: u32, bytes: u64, num_partitions: usize) {
+    if by_peer.is_empty() {
+        *by_peer = vec![0; num_partitions];
+    }
+    by_peer[peer as usize] += bytes;
+}
+
+/// Adds `other` into `into` element-wise, sizing `into` on first use.
+fn merge_by_peer(into: &mut Vec<u64>, other: &[u64]) {
+    if other.is_empty() {
+        return;
+    }
+    if into.is_empty() {
+        *into = vec![0; other.len()];
+    }
+    for (a, &b) in into.iter_mut().zip(other) {
+        *a += b;
     }
 }
 
 impl Traffic for ReadReport {
-    fn counters(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64, &mut u64) {
+    fn counters(&mut self) -> (&mut Vec<u64>, &mut Vec<u64>, &mut u64, &mut u64) {
         (
             &mut self.data_bytes_by_src,
+            &mut self.meta_bytes_by_src,
             &mut self.data_bytes,
             &mut self.meta_bytes,
-            &mut self.messages,
         )
     }
 }
 
 impl Traffic for UpdateReport {
-    fn counters(&mut self) -> (&mut Vec<u64>, &mut u64, &mut u64, &mut u64) {
+    fn counters(&mut self) -> (&mut Vec<u64>, &mut Vec<u64>, &mut u64, &mut u64) {
         (
             &mut self.data_bytes_by_dst,
+            &mut self.meta_bytes_by_dst,
             &mut self.data_bytes,
             &mut self.meta_bytes,
-            &mut self.messages,
         )
     }
 }
@@ -59,6 +84,9 @@ pub struct ReadReport {
     /// (indexed by partition id); needed to charge heterogeneous links
     /// correctly. Empty until the first remote transfer.
     pub data_bytes_by_src: Vec<u64>,
+    /// Metadata bytes broken down by the partition the keys and clocks
+    /// were exchanged with. Empty until the first metadata entry.
+    pub meta_bytes_by_src: Vec<u64>,
     /// Lookups served from a local primary.
     pub local_primary: u64,
     /// Lookups served from a local secondary that passed the staleness
@@ -74,8 +102,6 @@ pub struct ReadReport {
     pub data_bytes: u64,
     /// Index/clock metadata bytes that crossed the interconnect.
     pub meta_bytes: u64,
-    /// Remote round-trip messages (for latency charging).
-    pub messages: u64,
 }
 
 impl ReadReport {
@@ -98,16 +124,16 @@ impl ReadReport {
         self.data_bytes_by_src[src as usize] += bytes;
     }
 
+    /// Adds one index/clock metadata entry exchanged with partition `src`,
+    /// to its breakdown and to the total.
+    pub fn add_src_meta(&mut self, src: u32, num_partitions: usize) {
+        self.add_meta_entry(src, num_partitions);
+    }
+
     /// Merges another report into this one.
     pub fn merge(&mut self, other: &ReadReport) {
-        if !other.data_bytes_by_src.is_empty() {
-            if self.data_bytes_by_src.is_empty() {
-                self.data_bytes_by_src = vec![0; other.data_bytes_by_src.len()];
-            }
-            for (a, &b) in self.data_bytes_by_src.iter_mut().zip(&other.data_bytes_by_src) {
-                *a += b;
-            }
-        }
+        merge_by_peer(&mut self.data_bytes_by_src, &other.data_bytes_by_src);
+        merge_by_peer(&mut self.meta_bytes_by_src, &other.meta_bytes_by_src);
         self.local_primary += other.local_primary;
         self.local_fresh += other.local_fresh;
         self.intra_syncs += other.intra_syncs;
@@ -115,7 +141,6 @@ impl ReadReport {
         self.remote_fetches += other.remote_fetches;
         self.data_bytes += other.data_bytes;
         self.meta_bytes += other.meta_bytes;
-        self.messages += other.messages;
     }
 }
 
@@ -125,6 +150,9 @@ pub struct UpdateReport {
     /// Gradient bytes broken down by destination (primary's) partition.
     /// Empty until the first remote write-back.
     pub data_bytes_by_dst: Vec<u64>,
+    /// Metadata bytes broken down by destination partition. Empty until
+    /// the first remote write-back.
+    pub meta_bytes_by_dst: Vec<u64>,
     /// Gradient rows applied to a local primary.
     pub local_updates: u64,
     /// Gradient rows written back to a remote primary.
@@ -136,8 +164,6 @@ pub struct UpdateReport {
     pub data_bytes: u64,
     /// Metadata bytes (indices/clocks) that crossed the interconnect.
     pub meta_bytes: u64,
-    /// Remote messages.
-    pub messages: u64,
 }
 
 impl UpdateReport {
@@ -154,22 +180,21 @@ impl UpdateReport {
         self.data_bytes_by_dst[dst as usize] += bytes;
     }
 
+    /// Adds one index/clock metadata entry sent to partition `dst`, to its
+    /// breakdown and to the total.
+    pub fn add_dst_meta(&mut self, dst: u32, num_partitions: usize) {
+        self.add_meta_entry(dst, num_partitions);
+    }
+
     /// Merges another report into this one.
     pub fn merge(&mut self, other: &UpdateReport) {
-        if !other.data_bytes_by_dst.is_empty() {
-            if self.data_bytes_by_dst.is_empty() {
-                self.data_bytes_by_dst = vec![0; other.data_bytes_by_dst.len()];
-            }
-            for (a, &b) in self.data_bytes_by_dst.iter_mut().zip(&other.data_bytes_by_dst) {
-                *a += b;
-            }
-        }
+        merge_by_peer(&mut self.data_bytes_by_dst, &other.data_bytes_by_dst);
+        merge_by_peer(&mut self.meta_bytes_by_dst, &other.meta_bytes_by_dst);
         self.local_updates += other.local_updates;
         self.remote_writebacks += other.remote_writebacks;
         self.deferred += other.deferred;
         self.data_bytes += other.data_bytes;
         self.meta_bytes += other.meta_bytes;
-        self.messages += other.messages;
     }
 }
 
@@ -187,7 +212,6 @@ mod tests {
             remote_fetches: 4,
             data_bytes: 100,
             meta_bytes: 24,
-            messages: 6,
             ..Default::default()
         };
         assert_eq!(r.lookups(), 11);
@@ -200,14 +224,14 @@ mod tests {
         let b = ReadReport {
             local_primary: 1,
             data_bytes: 64,
-            messages: 1,
+            meta_bytes: 12,
             ..Default::default()
         };
         a.merge(&b);
         a.merge(&b);
         assert_eq!(a.local_primary, 2);
         assert_eq!(a.data_bytes, 128);
-        assert_eq!(a.messages, 2);
+        assert_eq!(a.meta_bytes, 24);
     }
 
     #[test]
@@ -237,5 +261,23 @@ mod tests {
         // Merging an untracked report leaves the breakdown intact.
         r.merge(&ReadReport::default());
         assert_eq!(r.data_bytes_by_src, vec![8, 128, 0, 32]);
+    }
+
+    #[test]
+    fn per_peer_metadata_accounting() {
+        let mut r = ReadReport::default();
+        r.add_remote_row(2, 64, 3);
+        r.add_src_meta(1, 3);
+        assert_eq!(r.data_bytes_by_src, vec![0, 0, 64]);
+        assert_eq!(r.meta_bytes_by_src, vec![0, META_ENTRY_BYTES, META_ENTRY_BYTES]);
+        assert_eq!((r.data_bytes, r.meta_bytes), (64, 2 * META_ENTRY_BYTES));
+        let mut u = UpdateReport::default();
+        u.add_remote_row(0, 32, 3);
+        u.add_dst_meta(0, 3);
+        let v = u.clone();
+        u.merge(&v);
+        assert_eq!(u.data_bytes_by_dst, vec![64, 0, 0]);
+        assert_eq!(u.meta_bytes_by_dst, vec![4 * META_ENTRY_BYTES, 0, 0]);
+        assert_eq!(u.meta_bytes, 4 * META_ENTRY_BYTES);
     }
 }

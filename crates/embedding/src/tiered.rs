@@ -347,12 +347,14 @@ impl TieredTable {
     }
 
     /// Creates a tiered table whose initial contents are bit-identical to
-    /// `ShardedTable::new(num_rows, dim, init_scale, seed)`, then spills
-    /// cold pages until the resident pool fits `config.budget_bytes`.
-    /// (Construction materialises the table once to replicate the
-    /// in-memory init exactly; the budget bounds the pool from then on.)
-    /// Fails with [`HetGmpError::Io`] when the spill directory or the spill
-    /// file cannot be created.
+    /// `ShardedTable::new(num_rows, dim, init_scale, seed)`. Pages are
+    /// written in row order straight from the in-memory store's per-stripe
+    /// init generators: the low pages stay resident while they fit
+    /// `config.budget_bytes`, and every page after the first that does not
+    /// fit goes straight to the spill file, so construction needs the
+    /// budget plus one page of RAM, whatever the table's size. Fails with
+    /// [`HetGmpError::Io`] when the spill directory or the spill file
+    /// cannot be created.
     ///
     /// # Panics
     /// Panics if `dim == 0`.
@@ -396,43 +398,6 @@ impl TieredTable {
             .open(&spill_path)
             .map_err(|e| HetGmpError::io(&spill_path, e))?;
 
-        // Replicate the in-memory store's per-stripe init RNG, then
-        // scatter stripes into contiguous row pages.
-        let rows_per_stripe = num_rows.div_ceil(STRIPES);
-        let stripes: Vec<Vec<f32>> = (0..STRIPES)
-            .map(|s| {
-                let mut rng =
-                    StdRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15));
-                (0..rows_per_stripe * dim)
-                    .map(|_| rng.gen_range(-init_scale..=init_scale))
-                    .collect()
-            })
-            .collect();
-        let mut pages = Vec::with_capacity(num_pages);
-        let mut resident_bytes = 0u64;
-        for p in 0..num_pages {
-            let rows_here = rows_per_page.min(num_rows - p * rows_per_page);
-            let mut data = vec![0.0f32; rows_here * dim];
-            for local in 0..rows_here {
-                let row = p * rows_per_page + local;
-                let stripe = row % STRIPES;
-                let off = (row / STRIPES) * dim;
-                data[local * dim..(local + 1) * dim]
-                    .copy_from_slice(&stripes[stripe][off..off + dim]);
-            }
-            resident_bytes += (data.len() * 4) as u64;
-            pages.push(PageState {
-                data: Some(data),
-                accum: None,
-                has_accum: false,
-                dirty: true,
-                pinned: false,
-                // Evict from the tail first at construction: low pages
-                // stay resident, deterministically.
-                last_use: (num_pages - p) as u64,
-                next_uses: VecDeque::new(),
-            });
-        }
         let table = Self {
             dim,
             num_rows,
@@ -448,11 +413,11 @@ impl TieredTable {
             snapshot_rows: AtomicU64::new(0),
             fallback_rows: AtomicU64::new(0),
             state: Mutex::new(TierState {
-                pages,
+                pages: Vec::with_capacity(num_pages),
                 spill,
                 staging: Vec::new(),
                 free: Vec::new(),
-                resident_bytes,
+                resident_bytes: 0,
                 spilled_bytes: 0,
                 lru_tick: num_pages as u64,
                 plan_pos: 0,
@@ -464,17 +429,59 @@ impl TieredTable {
                 tracer: None,
             }),
         };
-        {
-            let mut st = table.state.lock();
-            table.make_room(&mut st, 0);
-            // The construction spill is priming, not training-time fault
-            // pressure: start every counter at zero so `capacity.fault.*`
-            // measures the run itself.
-            st.loads = 0;
-            st.evictions = 0;
-            st.writebacks = 0;
-        }
+        table.write_initial_pages(&mut table.state.lock(), init_scale, seed);
         Ok(table)
+    }
+
+    /// Fills every page with its initial rows, drawn in row order from the
+    /// 256 per-stripe generators of `ShardedTable::new` (row `r` takes the
+    /// next `dim` values of stripe `r % 256`, as the stripes lay them
+    /// out). Pages stay resident while they fit the budget; from the first
+    /// that does not, each is written to its spill slot as soon as it is
+    /// whole, through one reused buffer. The LRU ticks rank the low pages
+    /// newest, so the first evictions take the high ones.
+    fn write_initial_pages(&self, st: &mut TierState, init_scale: f32, seed: u64) {
+        let dim = self.dim;
+        let mut stripes: Vec<StdRng> = (0..STRIPES)
+            .map(|s| StdRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15)))
+            .collect();
+        let mut spill_buf: Option<Vec<f32>> = None;
+        for p in 0..self.num_pages {
+            let first = p * self.rows_per_page;
+            let rows_here = self.rows_in_page(p);
+            let bytes = (rows_here * dim * 4) as u64;
+            let resident = spill_buf.is_none() && st.resident_bytes + bytes <= self.budget_bytes;
+            let mut data = match spill_buf.take() {
+                Some(buf) => buf,
+                None => Vec::with_capacity(rows_here * dim),
+            };
+            data.clear();
+            for row in first..first + rows_here {
+                let rng = &mut stripes[row % STRIPES];
+                data.extend((0..dim).map(|_| rng.gen_range(-init_scale..=init_scale)));
+            }
+            let data = if resident {
+                st.resident_bytes += bytes;
+                Some(data)
+            } else {
+                self.write_page(st, p, &data, None);
+                st.spilled_bytes += bytes;
+                spill_buf = Some(data);
+                None
+            };
+            st.pages.push(PageState {
+                dirty: data.is_some(),
+                data,
+                accum: None,
+                has_accum: false,
+                pinned: false,
+                last_use: (self.num_pages - p) as u64,
+                next_uses: VecDeque::new(),
+            });
+        }
+        if let Some(buf) = spill_buf {
+            st.recycle(buf);
+        }
     }
 
     /// Rows per page (constant for the table's lifetime).

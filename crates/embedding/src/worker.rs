@@ -31,7 +31,7 @@ use crate::index::{BatchIndex, ABSENT};
 use crate::replica::ReplicaPolicy;
 #[cfg(test)]
 use crate::replica::WorkerEmbedding;
-use crate::report::{ReadReport, Traffic, UpdateReport, META_ENTRY_BYTES};
+use crate::report::{ReadReport, Traffic, UpdateReport};
 use crate::sparse_optim::SparseOpt;
 use crate::store::{ReadPath, RowStore};
 use crate::table::BatchScratch;
@@ -293,7 +293,7 @@ impl Wire {
 ///
 /// Owns the worker's replicas; shares the global primary store
 /// ([`crate::ShardedTable`] or any other [`RowStore`]) with all other
-/// workers. Every operation reports the bytes/messages that would have
+/// workers. Every operation reports the bytes, per peer, that would have
 /// crossed the interconnect so the trainer can charge simulated time and
 /// reproduce the paper's traffic breakdowns.
 pub struct Worker<'a, P> {
@@ -383,7 +383,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
 
     /// Accounts one embedding row exchanged with `e`'s primary — a fetch,
     /// a sync or a write-back — into `report`: its wire bytes, attributed to
-    /// the primary's partition, one metadata entry and one message.
+    /// the primary's partition, and one metadata entry.
     #[inline]
     fn count_remote_row(&self, e: u32, report: &mut impl Traffic) {
         report.add_remote_row(
@@ -447,7 +447,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             a.observe_intra(self.recorder.as_deref(), gap, served);
         }
         if fresh && bounded {
-            report.meta_bytes += META_ENTRY_BYTES;
+            report.add_src_meta(self.part.primary_of(e), self.part.num_partitions());
         }
         fresh
     }
@@ -912,9 +912,9 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
 
     /// Re-primes every replica the policy currently holds from the
     /// authoritative table, through the wire format (evaluation and epoch
-    /// barriers, a change of format, crash recovery). Returns the number of
-    /// rows synced.
-    pub fn sync_all(&mut self) -> usize {
+    /// barriers, a change of format, crash recovery). Returns the rows
+    /// synced from each primary owner, indexed by partition.
+    pub fn sync_all(&mut self) -> Vec<u64> {
         // One segment-grouped read: a re-prime runs at a barrier, where
         // the locked batch read is all any store needs.
         self.scratch.fetch_ids.clear();
@@ -932,22 +932,26 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         // uninterrupted one.
         self.wire.feedback.clear();
         self.note_quant(n as u64);
-        n
+        let mut per_owner = vec![0u64; self.part.num_partitions()];
+        for &e in &self.scratch.fetch_ids {
+            per_owner[self.part.primary_of(e) as usize] += 1;
+        }
+        per_owner
     }
 
     /// Crash recovery: pending deferred gradients lived in (simulated)
     /// device memory and die with the worker — they are *discarded*, not
     /// flushed — then every replica is re-primed from the authoritative
     /// table (which the trainer has already rolled back to the checkpoint).
-    /// Returns the number of rows re-fetched.
-    pub fn recover_from_crash(&mut self) -> u64 {
+    /// Returns the rows re-fetched from each primary owner.
+    pub fn recover_from_crash(&mut self) -> Vec<u64> {
         for e in self.policy.rows_with_pending() {
             self.policy.take_pending(e, &mut self.scratch.row_buf);
         }
         self.scratch.stash_ids.clear();
         self.scratch.stash_grads.clear();
         self.record_pending();
-        self.sync_all() as u64
+        self.sync_all()
     }
 }
 
@@ -1355,7 +1359,7 @@ mod tests {
         w0.apply_gradients(&samples, &grads, &opt);
         table.apply_grad(2, &[1.0, 0.0], &opt);
         let refreshed = w0.recover_from_crash();
-        assert_eq!(refreshed, 1); // one secondary replica re-primed
+        assert_eq!(refreshed, [0, 1]); // one secondary replica re-primed, from its owner
         // The discarded gradients never reach the primary...
         assert_eq!(table.clock(2), 1);
         // ...and the local replica now mirrors the primary exactly.
@@ -1467,7 +1471,7 @@ mod tests {
         let freq = freq4();
         let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Infinite);
         table.apply_grad(2, &[1.0, 0.0], &SparseOpt::sgd(0.5));
-        assert_eq!(w0.sync_all(), 1);
+        assert_eq!(w0.sync_all(), [0, 1]);
         let samples: Vec<&[u32]> = vec![&[2]];
         let mut out = vec![0.0; 2];
         w0.read_batch(&samples, &mut out);

@@ -437,7 +437,7 @@ fn replica_worker_sync_all_is_one_batched_read_of_exactly_the_replicas() {
     let freq = vec![1u64; 64];
     let mut w = WorkerEmbedding::new(0, &store, &part, &freq, StalenessBound::Bounded(10));
     store.batched_reads.lock().unwrap().clear();
-    assert_eq!(w.sync_all(), secondaries.len());
+    assert_eq!(w.sync_all().iter().sum::<u64>(), secondaries.len() as u64);
     assert_eq!(*store.batched_reads.lock().unwrap(), vec![vec![2u32, 17, 41, 63]]);
     assert_eq!(store.per_row_reads.load(Ordering::Relaxed), 0);
 }

@@ -40,7 +40,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hetgmp_comms::ErrorFeedback;
-use hetgmp_embedding::report::META_ENTRY_BYTES;
 use hetgmp_embedding::{
     CachedWorkerEmbedding, EmbeddingWorker, LfuCache, ReadReport, SecondaryCache, ShardedTable,
     SparseOpt, StalenessBound, SyncFormat, UpdateReport, WorkerEmbedding, WriteExchange,
@@ -139,7 +138,7 @@ impl<'a> ReferenceWorker<'a> {
             self.cache.read(e, row);
             self.stash.push((e, grad));
             self.count_remote_read(e, report);
-            report.meta_bytes += META_ENTRY_BYTES;
+            report.add_src_meta(self.part.primary_of(e), self.part.num_partitions());
         }
     }
 
@@ -157,7 +156,6 @@ impl<'a> ReferenceWorker<'a> {
             self.row_bytes(),
             self.part.num_partitions(),
         );
-        report.messages += 1;
     }
 
     fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
@@ -182,7 +180,7 @@ impl<'a> ReferenceWorker<'a> {
                     self.cache.read(e, &mut row);
                     report.local_fresh += 1;
                 } else {
-                    report.meta_bytes += META_ENTRY_BYTES;
+                    report.add_src_meta(self.part.primary_of(e), self.part.num_partitions());
                     let fresh = self.tolerates(gap);
                     self.auditor
                         .observe_intra(None, gap, if fresh { gap } else { 0.0 });
@@ -199,7 +197,7 @@ impl<'a> ReferenceWorker<'a> {
                 self.table.read_row(e, &mut row);
                 report.remote_fetches += 1;
                 self.count_remote_read(e, &mut report);
-                report.meta_bytes += META_ENTRY_BYTES;
+                report.add_src_meta(self.part.primary_of(e), self.part.num_partitions());
             }
             resolved.insert(e, row);
         }
@@ -241,7 +239,7 @@ impl<'a> ReferenceWorker<'a> {
                         resolved.insert(victim, row);
                         report.inter_syncs += 1;
                         self.count_remote_read(victim, &mut report);
-                        report.meta_bytes += META_ENTRY_BYTES;
+                        report.add_src_meta(self.part.primary_of(victim), self.part.num_partitions());
                     }
                 }
             }
@@ -263,8 +261,7 @@ impl<'a> ReferenceWorker<'a> {
             self.row_bytes(),
             self.part.num_partitions(),
         );
-        report.meta_bytes += META_ENTRY_BYTES;
-        report.messages += 1;
+        report.add_dst_meta(self.part.primary_of(e), self.part.num_partitions());
     }
 
     fn apply_gradients(
@@ -365,7 +362,6 @@ impl LfuReferenceWorker<'_> {
             self.row_bytes(),
             self.part.num_partitions(),
         );
-        report.messages += 1;
     }
 
     fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
@@ -389,7 +385,7 @@ impl LfuReferenceWorker<'_> {
                         true
                     }
                     StalenessBound::Bounded(s) => {
-                        report.meta_bytes += META_ENTRY_BYTES;
+                        report.add_src_meta(self.part.primary_of(e), self.part.num_partitions());
                         let fresh = gap <= s;
                         let served = if fresh { gap as f64 } else { 0.0 };
                         self.auditor.observe_intra(None, gap as f64, served);
@@ -411,7 +407,7 @@ impl LfuReferenceWorker<'_> {
                 self.format.transport(&mut row);
                 report.remote_fetches += 1;
                 self.count_remote_read(e, &mut report);
-                report.meta_bytes += META_ENTRY_BYTES;
+                report.add_src_meta(self.part.primary_of(e), self.part.num_partitions());
                 self.cache.admit(e, &row, clock);
             }
             resolved.insert(e, row);
@@ -460,8 +456,7 @@ impl LfuReferenceWorker<'_> {
                     self.row_bytes(),
                     self.part.num_partitions(),
                 );
-                report.meta_bytes += META_ENTRY_BYTES;
-                report.messages += 1;
+                report.add_dst_meta(self.part.primary_of(e), self.part.num_partitions());
             }
             self.table.apply_grad(e, g, opt);
             // The mirror tracks what the primary received.

@@ -158,6 +158,44 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         let _ = writeln!(out, "  {cat:<20} {s:>12.4} {share:>7.1}%");
     }
 
+    // ---- Link classes of the grouped exchange ----------------------------
+    // One row per link class that carried a transfer
+    // (`traffic.link.<class>.transfers`). Latency is what each group paid
+    // once per link resource; bandwidth is the bytes behind it.
+    let link_classes: Vec<&str> = fin
+        .get("counters")
+        .and_then(Json::as_obj)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|(k, _)| k.strip_prefix(names::TRAFFIC_LINK_PREFIX)?.strip_suffix(".transfers"))
+        .collect();
+    if !link_classes.is_empty() {
+        let link = |class: &str, what: &str| format!("{}{class}.{what}", names::TRAFFIC_LINK_PREFIX);
+        let _ = writeln!(out, "\nlinks (grouped exchange, summed over workers)");
+        let _ = writeln!(
+            out,
+            "  {:<14} {:>10} {:>14} {:>16} {:>9}",
+            "class", "transfers", "latency_secs", "bandwidth_secs", "latency"
+        );
+        let (mut lat_total, mut busy_total) = (0.0, 0.0);
+        for class in link_classes {
+            let lat = gauge(&link(class, "latency_secs")).unwrap_or(0.0);
+            let bw = gauge(&link(class, "bandwidth_secs")).unwrap_or(0.0);
+            let share = if lat + bw > 0.0 { 100.0 * lat / (lat + bw) } else { 0.0 };
+            let n = counter(&link(class, "transfers"));
+            let _ = writeln!(out, "  {class:<14} {n:>10.0} {lat:>14.4} {bw:>16.4} {share:>8.1}%");
+            lat_total += lat;
+            busy_total += lat + bw;
+        }
+        if busy_total > 0.0 {
+            let _ = writeln!(
+                out,
+                "  latency share of charged link time: {:.1}%",
+                100.0 * lat_total / busy_total
+            );
+        }
+    }
+
     // ---- Per-stage simulated attribution ---------------------------------
     let stage_hist = |stage: &str, kind: &str| -> Option<(f64, f64, f64)> {
         let h = fin
@@ -353,6 +391,30 @@ mod tests {
 
         let with_wall = render_report(&a, true).unwrap();
         assert!(with_wall.contains("telemetry.overhead_secs"), "{with_wall}");
+    }
+
+    #[test]
+    fn links_section_lists_each_link_class_with_its_latency_share() {
+        let a = Artifact::parse(&sample_log()).unwrap();
+        assert!(!render_report(&a, false).unwrap().contains("links (grouped"));
+
+        let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 4);
+        let log = format!(
+            "{}\n{}\n",
+            m.to_record().render(),
+            concat!(
+                r#"{"event":"final","system":"HET-GMP(s=100)","auc":0.70,"#,
+                r#""counters":{"traffic.link.pcie3.transfers":40,"traffic.link.qpi.transfers":8},"#,
+                r#""gauges":{"traffic.link.pcie3.latency_secs":0.003,"#,
+                r#""traffic.link.pcie3.bandwidth_secs":0.001,"#,
+                r#""traffic.link.qpi.latency_secs":0.001,"traffic.link.qpi.bandwidth_secs":0.003}}"#,
+            ),
+        );
+        let r = render_report(&Artifact::parse(&log).unwrap(), false).unwrap();
+        assert!(r.contains("links (grouped exchange"), "{r}");
+        assert!(r.contains("pcie3"), "{r}");
+        assert!(r.contains("75.0%") && r.contains("25.0%"), "per-class shares: {r}");
+        assert!(r.contains("latency share of charged link time: 50.0%"), "{r}");
     }
 
     #[test]

@@ -58,8 +58,13 @@ pub mod names {
     /// Bytes moved per traffic class; suffixed by class label:
     /// `embed_data`, `keys_clocks`, `allreduce`.
     pub const TRAFFIC_BYTES_PREFIX: &str = "traffic.bytes.";
-    /// Messages per traffic class; same suffixes as bytes.
+    /// Messages per traffic class; same suffixes as bytes. One message is
+    /// one transfer: one (phase, source, destination, class) exchange.
     pub const TRAFFIC_MESSAGES_PREFIX: &str = "traffic.messages.";
+    /// Per-link-class records of the grouped exchange, summed over
+    /// workers: `traffic.link.<class>.{latency_secs, bandwidth_secs,
+    /// transfers}`, `<class>` a link-class label (`pcie3`, `nvlink`, …).
+    pub const TRAFFIC_LINK_PREFIX: &str = "traffic.link.";
 
     /// Simulated seconds per time category; suffixed by category:
     /// `compute`, `embed_comm`, `meta_comm`, `allreduce_comm`, `host_io`.

@@ -68,6 +68,9 @@ done
 # the run-manifest fields every artifact is stamped with. Each must appear
 # in TELEMETRY.md verbatim.
 emitted="
+traffic.link.<class>.latency_secs
+traffic.link.<class>.bandwidth_secs
+traffic.link.<class>.transfers
 pipeline.stage.<stage>.wall_secs
 pipeline.stage.<stage>.sim_secs
 telemetry.overhead_secs

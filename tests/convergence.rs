@@ -416,6 +416,27 @@ fn seed_sweep_matches_goldens() {
     );
 }
 
+/// One ledger message is one transfer the clock charged: on every `GOLDENS`
+/// configuration the embedding and metadata messages equal the transfers
+/// the grouped exchange put on the links (`traffic.link.<class>.transfers`),
+/// and every worker step sends one collective.
+#[test]
+fn ledger_messages_are_the_charged_transfers() {
+    for strategy in ["bsp", "ssp", "asp", "lfu", "lfu_int8"] {
+        let seeds: &[u64] = if strategy == "lfu_int8" { &[42] } else { &[42, 1337, 2026] };
+        for &seed in seeds {
+            let t = golden_run(strategy, seed).telemetry;
+            let messages = |class: &str| t.counter(&format!("{}{class}", names::TRAFFIC_MESSAGES_PREFIX));
+            let sent = messages("embed_data") + messages("keys_clocks");
+            let charged = t.counter_prefix_sum(names::TRAFFIC_LINK_PREFIX);
+            assert!(sent > 0, "{strategy}/{seed}: no embedding traffic");
+            assert_eq!(sent, charged, "{strategy}/{seed}: ledger messages vs charged transfers");
+            let steps = t.counter(names::TRAIN_SAMPLES) / golden_config(seed, None).batch_size as u64;
+            assert_eq!(messages("allreduce"), steps, "{strategy}/{seed}: one collective per step");
+        }
+    }
+}
+
 /// The seed sweep's columns past two workers. `het_gmp(0)`, `het_mp` and
 /// `het_cache(100, 0.1)` defer nothing; `het_gmp(8)` (`"s8"`, on the larger
 /// dataset of `golden_data`) defers, and its replicas go stale holding
