@@ -4,18 +4,13 @@
 //! reproduction moves f32 rows by default. HET (arXiv 2112.07221) shows
 //! the staleness-bounded embedding exchange is where the bytes are, and
 //! compressing it is cheaper than overlapping it — so [`SyncFormat`]
-//! offers three lossy wire encodings beside the f32 identity:
-//!
-//! * `f16` — IEEE 754 binary16, round-to-nearest-even (11-bit mantissa);
-//! * `bf16` — truncated f32 exponent range, round-to-nearest-even
-//!   (8-bit mantissa, full f32 dynamic range);
-//! * `int8` — per-row symmetric quantization: one f32 scale
-//!   (`max|x| / 127`) plus one signed byte per element, half-even
-//!   rounding. The rounding adds and subtracts 1.5·2²³ instead of calling
-//!   `round_ties_even` (an out-of-line `rintf` per element on the x86-64
-//!   baseline), with the same bits, so the row is one vectorisable pass.
-//!   A row so small that `1 / scale` overflows is divided by its scale
-//!   instead, never multiplied by infinity.
+//! offers one lossy wire encoding beside the f32 identity, `int8`: per-row
+//! symmetric quantization, one f32 scale (`max|x| / 127`) plus one signed
+//! byte per element, half-even rounding. The rounding adds and subtracts
+//! 1.5·2²³ instead of calling `round_ties_even` (an out-of-line `rintf`
+//! per element on the x86-64 baseline), with the same bits, so the row is
+//! one vectorisable pass. A row so small that `1 / scale` overflows is
+//! divided by its scale instead, never multiplied by infinity.
 //!
 //! Workers never materialise byte buffers (threads share memory); the
 //! simulated wire is modelled by *transporting* a row in place —
@@ -48,39 +43,30 @@ pub enum SyncFormat {
     /// Raw f32 rows — the identity transport (default, bit-exact).
     #[default]
     F32,
-    /// IEEE 754 binary16 with round-to-nearest-even.
-    F16,
-    /// bfloat16 (truncated f32) with round-to-nearest-even.
-    Bf16,
     /// Per-row symmetric int8: one f32 scale + one byte per element.
     Int8,
 }
 
 impl SyncFormat {
     /// Every supported format, in lossless-to-lossy order.
-    pub const ALL: [SyncFormat; 4] =
-        [SyncFormat::F32, SyncFormat::F16, SyncFormat::Bf16, SyncFormat::Int8];
+    pub const ALL: [SyncFormat; 2] = [SyncFormat::F32, SyncFormat::Int8];
 
     /// Canonical CLI / config spelling.
     pub fn name(self) -> &'static str {
         match self {
             SyncFormat::F32 => "f32",
-            SyncFormat::F16 => "f16",
-            SyncFormat::Bf16 => "bf16",
             SyncFormat::Int8 => "int8",
         }
     }
 
-    /// Parses the CLI spelling (`f32 | f16 | bf16 | int8`).
+    /// Parses the CLI spelling (`f32 | int8`).
     pub fn parse(s: &str) -> Result<Self, HetGmpError> {
         match s {
             "f32" => Ok(SyncFormat::F32),
-            "f16" => Ok(SyncFormat::F16),
-            "bf16" => Ok(SyncFormat::Bf16),
             "int8" => Ok(SyncFormat::Int8),
             other => Err(HetGmpError::config(
                 "sync-format",
-                format!("unknown format `{other}` (expected f32 | f16 | bf16 | int8)"),
+                format!("unknown format `{other}` (expected f32 | int8)"),
             )),
         }
     }
@@ -99,7 +85,6 @@ impl SyncFormat {
     pub fn row_wire_bytes(self, dim: usize) -> u64 {
         match self {
             SyncFormat::F32 => (dim * 4) as u64,
-            SyncFormat::F16 | SyncFormat::Bf16 => (dim * 2) as u64,
             SyncFormat::Int8 => (dim + 4) as u64,
         }
     }
@@ -109,7 +94,6 @@ impl SyncFormat {
     pub fn dense_wire_bytes(self, n: usize) -> u64 {
         match self {
             SyncFormat::F32 => (n * 4) as u64,
-            SyncFormat::F16 | SyncFormat::Bf16 => (n * 2) as u64,
             SyncFormat::Int8 => (n + 4 * n.div_ceil(DENSE_CHUNK)) as u64,
         }
     }
@@ -119,16 +103,6 @@ impl SyncFormat {
     pub fn transport(self, row: &mut [f32]) {
         match self {
             SyncFormat::F32 => {}
-            SyncFormat::F16 => {
-                for x in row {
-                    *x = f16_bits_to_f32(f32_to_f16_bits(*x));
-                }
-            }
-            SyncFormat::Bf16 => {
-                for x in row {
-                    *x = bf16_bits_to_f32(f32_to_bf16_bits(*x));
-                }
-            }
             SyncFormat::Int8 => transport_int8(row),
         }
     }
@@ -138,94 +112,6 @@ impl std::fmt::Display for SyncFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// f32 → IEEE 754 binary16 bits, round-to-nearest-even.
-///
-/// Handles normals, subnormals, overflow-to-infinity, and NaN (quietened,
-/// payload truncated). Deterministic: a pure function of the input bits.
-pub fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-
-    if exp == 0xFF {
-        // Inf / NaN: preserve the class; keep NaNs quiet and non-zero.
-        return if man == 0 { sign | 0x7C00 } else { sign | 0x7E00 };
-    }
-
-    // Unbiased exponent, re-biased for f16 (bias 15 vs 127).
-    let e = exp - 127 + 15;
-    if e >= 0x1F {
-        // Overflows f16's range: round to infinity.
-        return sign | 0x7C00;
-    }
-    if e <= 0 {
-        // Subnormal (or underflow to zero). Shift the full 24-bit
-        // significand (implicit leading 1) right until the exponent
-        // field is zero, rounding half-to-even on the dropped bits.
-        if e < -10 {
-            return sign; // underflows even the smallest subnormal
-        }
-        let full = man | 0x0080_0000; // implicit bit
-        let shift = (14 - e) as u32; // bits dropped from the 24-bit significand
-        let kept = full >> shift;
-        let dropped = full & ((1 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let round_up = dropped > half || (dropped == half && (kept & 1) == 1);
-        return sign | (kept + round_up as u32) as u16;
-    }
-
-    // Normal: keep the top 10 mantissa bits, round half-to-even on the
-    // 13 dropped ones. A mantissa carry can overflow into the exponent
-    // field — the integer add handles that correctly (binades are
-    // adjacent in the bit encoding), including overflow to infinity.
-    let kept = man >> 13;
-    let dropped = man & 0x1FFF;
-    let round_up = dropped > 0x1000 || (dropped == 0x1000 && (kept & 1) == 1);
-    let h = ((e as u32) << 10) | kept;
-    sign | (h + round_up as u32) as u16
-}
-
-/// IEEE 754 binary16 bits → f32 (exact — every f16 value is an f32).
-pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = ((h >> 10) & 0x1F) as u32;
-    let man = (h & 0x03FF) as u32;
-    let bits = match (exp, man) {
-        (0, 0) => sign,                            // ±0
-        (0, m) => {
-            // Subnormal: value = m · 2⁻²⁴; normalise into f32
-            // (m = 2^lead · 1.frac ⇒ value = 1.frac · 2^(lead−24)).
-            let lead = 31 - m.leading_zeros();     // position of the top set bit
-            let e = 103 + lead;                    // biased: 127 + lead − 24
-            let frac = (m << (23 - lead)) & 0x007F_FFFF;
-            sign | (e << 23) | frac
-        }
-        (0x1F, 0) => sign | 0x7F80_0000,           // ±inf
-        (0x1F, m) => sign | 0x7FC0_0000 | (m << 13), // NaN (kept quiet)
-        (e, m) => sign | ((e + 127 - 15) << 23) | (m << 13),
-    };
-    f32::from_bits(bits)
-}
-
-/// f32 → bfloat16 bits, round-to-nearest-even (the standard
-/// `(bits + ((bits >> 16) & 1) + 0x7FFF) >> 16` trick; NaNs bypass the
-/// add so they cannot round into an infinity).
-pub fn f32_to_bf16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    if x.is_nan() {
-        // Truncate but force a set mantissa bit so the NaN survives.
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    let rounded = bits.wrapping_add(((bits >> 16) & 1) + 0x7FFF);
-    (rounded >> 16) as u16
-}
-
-/// bfloat16 bits → f32 (exact: bf16 is a truncated f32).
-pub fn bf16_bits_to_f32(b: u16) -> f32 {
-    f32::from_bits((b as u32) << 16)
 }
 
 /// 1.5·2²³. Adding it to a float of magnitude below 2²² lands in
@@ -474,8 +360,6 @@ mod tests {
     #[test]
     fn wire_bytes_per_format() {
         assert_eq!(SyncFormat::F32.row_wire_bytes(16), 64);
-        assert_eq!(SyncFormat::F16.row_wire_bytes(16), 32);
-        assert_eq!(SyncFormat::Bf16.row_wire_bytes(16), 32);
         assert_eq!(SyncFormat::Int8.row_wire_bytes(16), 20);
         // int8 crosses 3.5x reduction at dim 28.
         assert!(SyncFormat::Int8.row_wire_bytes(32) * 7 / 2 <= SyncFormat::F32.row_wire_bytes(32));
@@ -484,8 +368,6 @@ mod tests {
     #[test]
     fn dense_wire_bytes_per_format() {
         assert_eq!(SyncFormat::F32.dense_wire_bytes(1000), 4000);
-        assert_eq!(SyncFormat::F16.dense_wire_bytes(1000), 2000);
-        assert_eq!(SyncFormat::Bf16.dense_wire_bytes(1000), 2000);
         // 1000 elements = 4 blocks of ≤256 → 1000 bytes + 4 scales.
         assert_eq!(SyncFormat::Int8.dense_wire_bytes(1000), 1016);
         assert_eq!(SyncFormat::Int8.dense_wire_bytes(0), 0);
@@ -556,59 +438,6 @@ mod tests {
             assert_eq!(SyncFormat::parse(f.name()).unwrap(), f);
         }
         assert!(SyncFormat::parse("fp8").is_err());
-    }
-
-    #[test]
-    fn f16_exact_values_survive() {
-        // Values exactly representable in binary16 round-trip bit-exactly.
-        for &x in &[0.0f32, -0.0, 1.0, -1.0, 0.5, 1.5, 2.0, 65504.0, -65504.0, 6.1035156e-5] {
-            let rt = f16_bits_to_f32(f32_to_f16_bits(x));
-            assert_eq!(rt.to_bits(), x.to_bits(), "f16 round-trip changed {x}");
-        }
-    }
-
-    #[test]
-    fn f16_rounds_to_nearest_even() {
-        // 1 + 2^-11 is exactly halfway between 1.0 and the next f16
-        // (1 + 2^-10); half-even rounds down to 1.0.
-        let halfway = 1.0f32 + 2.0f32.powi(-11);
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(halfway)), 1.0);
-        // 1 + 3·2^-11 is halfway between 1+2^-10 (odd mantissa) and
-        // 1+2^-9 (even); half-even rounds up.
-        let halfway_up = 1.0f32 + 3.0 * 2.0f32.powi(-11);
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(halfway_up)), 1.0 + 2.0f32.powi(-9));
-        // Just above/below halfway round to nearest.
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(1.0 + 2.0f32.powi(-11) + 2.0f32.powi(-20))), 1.0 + 2.0f32.powi(-10));
-    }
-
-    #[test]
-    fn f16_subnormals_and_limits() {
-        // Smallest f16 subnormal is 2^-24.
-        let tiny = 2.0f32.powi(-24);
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(tiny)), tiny);
-        // Half of it rounds to zero (ties-to-even: 0 is even).
-        assert_eq!(f16_bits_to_f32(f32_to_f16_bits(2.0f32.powi(-25))), 0.0);
-        // Above f16 max rounds to infinity.
-        assert!(f16_bits_to_f32(f32_to_f16_bits(70000.0)).is_infinite());
-        // Negative zero keeps its sign.
-        assert_eq!(f32_to_f16_bits(-0.0), 0x8000);
-        // NaN survives.
-        assert!(f16_bits_to_f32(f32_to_f16_bits(f32::NAN)).is_nan());
-    }
-
-    #[test]
-    fn bf16_truncation_and_rounding() {
-        // bf16 keeps f32's exponent: huge magnitudes survive.
-        let big = 3.0e38f32;
-        let rt = bf16_bits_to_f32(f32_to_bf16_bits(big));
-        assert!((rt - big).abs() / big < 1.0 / 128.0);
-        // Exactly representable values are unchanged.
-        for &x in &[1.0f32, -2.0, 0.15625] {
-            assert_eq!(bf16_bits_to_f32(f32_to_bf16_bits(x)).to_bits(), x.to_bits());
-        }
-        // Halfway case: 1 + 2^-9 is between 1.0 and 1 + 2^-8; even wins.
-        assert_eq!(bf16_bits_to_f32(f32_to_bf16_bits(1.0 + 2.0f32.powi(-9))), 1.0);
-        assert!(bf16_bits_to_f32(f32_to_bf16_bits(f32::NAN)).is_nan());
     }
 
     #[test]
@@ -839,42 +668,41 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xEF);
-        for format in [SyncFormat::Int8, SyncFormat::Bf16, SyncFormat::F16] {
-            let mut ef = ErrorFeedback::new();
-            let mut reference = HashMapFeedback::default();
-            // Rounds are separated by `clear()`; each round gives some ids a
-            // new length, as a re-seen id after a clear may have.
-            for round in 0..3u32 {
-                // DenseQuantizer-shaped: full chunks, and a short last
-                // chunk on every seventh id; one id far past the others.
-                let len_of = |id: u32| match id {
-                    1_000_003 => 16,
-                    _ if (id + round) % 7 == 6 => 37 + round as usize,
-                    _ => DENSE_CHUNK,
-                };
-                for _ in 0..600 {
-                    let id = if rng.gen_bool(0.02) { 1_000_003 } else { rng.gen_range(0u32..40) };
-                    let top = 2f32.powi(rng.gen_range(-12i32..=2));
-                    let grad: Vec<f32> =
-                        (0..len_of(id)).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * top).collect();
-                    let (mut got, mut want) = (grad.clone(), grad);
-                    ef.compensate_and_transport(format, id, &mut got);
-                    reference.compensate_and_transport(format, id, &mut want);
-                    let what = format!("{format} round {round} id {id}");
-                    assert_bits_eq(&got, &want, &what);
-                    let res = ef.residual(id).expect("a pushed id holds a residual");
-                    assert_bits_eq(res, &reference.residuals[&id], &what);
-                }
-                assert_eq!(ef.len(), reference.residuals.len());
-                for (&id, res) in &reference.residuals {
-                    let what = format!("{format} end of round {round}, id {id}");
-                    assert_bits_eq(ef.residual(id).expect("held"), res, &what);
-                }
-                ef.clear();
-                reference.residuals.clear();
-                assert!(ef.is_empty());
-                assert!(ef.residual(3).is_none() && ef.residual(1_000_003).is_none());
+        let format = SyncFormat::Int8;
+        let mut ef = ErrorFeedback::new();
+        let mut reference = HashMapFeedback::default();
+        // Rounds are separated by `clear()`; each round gives some ids a
+        // new length, as a re-seen id after a clear may have.
+        for round in 0..3u32 {
+            // DenseQuantizer-shaped: full chunks, and a short last
+            // chunk on every seventh id; one id far past the others.
+            let len_of = |id: u32| match id {
+                1_000_003 => 16,
+                _ if (id + round) % 7 == 6 => 37 + round as usize,
+                _ => DENSE_CHUNK,
+            };
+            for _ in 0..600 {
+                let id = if rng.gen_bool(0.02) { 1_000_003 } else { rng.gen_range(0u32..40) };
+                let top = 2f32.powi(rng.gen_range(-12i32..=2));
+                let grad: Vec<f32> =
+                    (0..len_of(id)).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * top).collect();
+                let (mut got, mut want) = (grad.clone(), grad);
+                ef.compensate_and_transport(format, id, &mut got);
+                reference.compensate_and_transport(format, id, &mut want);
+                let what = format!("{format} round {round} id {id}");
+                assert_bits_eq(&got, &want, &what);
+                let res = ef.residual(id).expect("a pushed id holds a residual");
+                assert_bits_eq(res, &reference.residuals[&id], &what);
             }
+            assert_eq!(ef.len(), reference.residuals.len());
+            for (&id, res) in &reference.residuals {
+                let what = format!("{format} end of round {round}, id {id}");
+                assert_bits_eq(ef.residual(id).expect("held"), res, &what);
+            }
+            ef.clear();
+            reference.residuals.clear();
+            assert!(ef.is_empty());
+            assert!(ef.residual(3).is_none() && ef.residual(1_000_003).is_none());
         }
     }
 

@@ -95,11 +95,6 @@ proptest! {
             let bound = match format {
                 // Identity.
                 SyncFormat::F32 => 0.0,
-                // Half an ulp at 11 bits of significand, plus slack for
-                // subnormal granularity near zero.
-                SyncFormat::F16 => max_abs * 2.0f32.powi(-11) + 2.0f32.powi(-24),
-                // Half an ulp at 8 bits of significand.
-                SyncFormat::Bf16 => max_abs * 2.0f32.powi(-8) + 1e-41,
                 // Half a quantization step.
                 SyncFormat::Int8 => max_abs / 127.0 / 2.0 + 1e-6,
             };
@@ -110,17 +105,15 @@ proptest! {
                 );
             }
             // Determinism: a second transport of the same input is
-            // bit-identical, and transporting already-transported data
-            // is a fixed point (decode(encode(x)) is representable).
+            // bit-identical, and transporting f32 data is a fixed point.
             let mut again = row.clone();
             format.transport(&mut again);
             let mut twice = v.clone();
             format.transport(&mut twice);
             for ((a, b), c) in v.iter().zip(again.iter()).zip(twice.iter()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
-                if !matches!(format, SyncFormat::Int8) {
-                    // int8 re-transport may re-derive a different scale;
-                    // the float formats are idempotent bit-for-bit.
+                if format.is_lossless() {
+                    // int8 re-transport may re-derive a different scale.
                     prop_assert_eq!(a.to_bits(), c.to_bits());
                 }
             }

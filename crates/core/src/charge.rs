@@ -54,15 +54,16 @@ impl Transfer {
     }
 
     /// A CPU-PS phase: `rows` rows and their metadata, all over the host
-    /// link; the bytes are the ones the reports counted.
-    fn host(data_bytes: u64, meta_bytes: u64, rows: u64) -> Vec<Self> {
+    /// link. Every row crosses it, local or not: `rows · row_bytes` of data
+    /// and `rows · META_ENTRY_BYTES` of keys and clocks. Nothing for no rows.
+    fn host(rows: u64, row_bytes: u64) -> Vec<Self> {
         if rows == 0 {
             return Vec::new();
         }
         let host = |class, bytes| Transfer { peer: HOST, class, bytes, rows };
         vec![
-            host(TrafficClass::EmbedData, data_bytes),
-            host(TrafficClass::KeysClocks, meta_bytes),
+            host(TrafficClass::EmbedData, rows * row_bytes),
+            host(TrafficClass::KeysClocks, rows * META_ENTRY_BYTES),
         ]
     }
 }
@@ -118,8 +119,8 @@ impl Wire<'_> {
     pub(crate) fn step(&self, read: &ReadReport, up: &UpdateReport) -> (Vec<Transfer>, Vec<Transfer>) {
         if self.host_ps {
             return (
-                Transfer::host(read.data_bytes, read.meta_bytes, read.lookups()),
-                Transfer::host(up.data_bytes, up.meta_bytes, up.updates()),
+                Transfer::host(read.lookups(), self.row_bytes),
+                Transfer::host(up.updates(), self.row_bytes),
             );
         }
         (
@@ -147,7 +148,8 @@ pub(crate) enum Phases<'t> {
     /// Under a CPU parameter server every row of both groups crosses the
     /// host link, which the `N` workers share: the step pays the host link
     /// for `rows · row_bytes · N` bytes of data and `rows · 12 · N` bytes of
-    /// metadata, and the data time is split between the groups by rows.
+    /// metadata, and the data time is split between the groups by rows. The
+    /// ledger records each worker's own `rows · row_bytes` and `rows · 12`.
     Step {
         read: &'t [Transfer],
         write: &'t [Transfer],
@@ -155,8 +157,9 @@ pub(crate) enum Phases<'t> {
     },
     /// One barrier group, charged in full: `"flush"` or `"reprime"`.
     Barrier(&'static str, &'t [Transfer]),
-    /// The crash re-prime: priced for the recovery charge the caller
-    /// makes, recorded nowhere.
+    /// The crash re-prime: issued and recorded as a barrier group
+    /// (`"recovery"`), but the clock is left alone, because the caller folds
+    /// the time into its recovery charge.
     Recovery(&'t [Transfer]),
     /// The dense collective.
     Dense(Dense),
@@ -234,11 +237,9 @@ pub(crate) fn charge(
             charged
         }
         Phases::Recovery(transfers) => {
-            let sched = wire.cost.group_schedule_at(w, &links_of(transfers), start);
-            Charged {
-                data: [sched.secs, 0.0],
-                meta: 0.0,
-            }
+            let charged = issue(wire, w, "recovery", transfers, start, links);
+            record(transfers);
+            charged
         }
         Phases::Dense(dense) => {
             let n = wire.cost.topology.num_workers();
@@ -427,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_is_priced_but_not_recorded() {
+    fn recovery_is_priced_and_recorded() {
         let cost = CostModel::new(Topology::nvlink_island(4));
         let ledger = TrafficLedger::new(4);
         let wire = wire(&cost, &ledger);
@@ -436,13 +437,20 @@ mod tests {
         let c = charge(&wire, 0, &mut clock, &mut links, Phases::Recovery(&reprime));
         // Two NVLink peers, two links: the group costs one transfer.
         assert_eq!(c.total(), cost.transfer_time(0, 1, 192));
-        assert_eq!((clock.now(), ledger.grand_total_bytes()), (0.0, 0));
-        assert_eq!(links, LinkTallies::default());
-        // The same rows at a barrier are charged and recorded.
-        let c = charge(&wire, 0, &mut clock, &mut links, Phases::Barrier("reprime", &reprime));
-        assert_eq!(clock.now(), c.total());
+        // The caller folds the time into its recovery charge: the clock
+        // stays put, but the ledger and the link tallies see the group.
+        assert_eq!(clock.now(), 0.0);
         assert_eq!(ledger.messages(0, TrafficClass::EmbedData), 2);
         assert_eq!(ledger.bytes(0, TrafficClass::EmbedData), 384);
+        let nvlink = |l: &LinkTallies| l[LinkClass::ALL.iter().position(|&c| c == LinkClass::NvLink).unwrap()];
+        assert_eq!(nvlink(&links).transfers, 2);
+        // The same rows at a barrier are charged, recorded and tallied alike.
+        let recovery_links = links;
+        let c = charge(&wire, 0, &mut clock, &mut links, Phases::Barrier("reprime", &reprime));
+        assert_eq!(clock.now(), c.total());
+        assert_eq!(ledger.messages(0, TrafficClass::EmbedData), 4);
+        assert_eq!(ledger.bytes(0, TrafficClass::EmbedData), 768);
+        assert_eq!(nvlink(&links).transfers, 2 * nvlink(&recovery_links).transfers);
     }
 
     #[test]
@@ -459,8 +467,10 @@ mod tests {
         let t = cost.link_transfer_time(host, 8 * 64 * 2);
         assert_eq!(c.data, [t * 0.5, t * (1.0 - 0.5)]);
         assert_eq!(c.meta, cost.link_transfer_time(host, 8 * 12 * 2));
-        // The ledger keeps the reports' bytes.
-        assert_eq!(ledger.bytes(1, TrafficClass::EmbedData), 64);
-        assert_eq!(ledger.bytes(1, TrafficClass::KeysClocks), 12);
+        // The ledger records this worker's rows, local ones included: 4
+        // lookups and 4 updates, without the shared link's factor N.
+        assert_eq!(ledger.bytes(1, TrafficClass::EmbedData), 8 * 64);
+        assert_eq!(ledger.bytes(1, TrafficClass::KeysClocks), 8 * 12);
+        assert_eq!(ledger.messages(1, TrafficClass::EmbedData), 2);
     }
 }

@@ -750,8 +750,9 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                 let refreshed = me.emb.recover_from_crash();
                 // Recovery cost: restart, restore this worker's shard of
                 // the image over the host link, re-fetch refreshed
-                // replicas from their owners as one group, and replay the
-                // work done since the image was captured.
+                // replicas from their owners as one group (recorded like a
+                // barrier re-prime), and replay the work done since the
+                // image was captured.
                 let cost = &run.cost;
                 let n_workers = cost.topology.num_workers() as u64;
                 let restore_t = cost

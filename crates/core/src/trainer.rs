@@ -368,43 +368,6 @@ impl StorageTable {
 /// Test samples evaluated per forward pass, and per batched table read.
 const EVAL_CHUNK: usize = 512;
 
-/// Replays the epoch's deterministic batch assembly (the same cursor
-/// arithmetic as the pipeline's `assemble_batch`) to predict the tiered
-/// table's read sweeps: step-major across workers, one sweep per batch,
-/// holding one entry per distinct page. The store consumes a sweep's
-/// entries together, so it does not matter that `read_rows` visits the
-/// resident pages first. The tiered store turns this into Belady-style
-/// eviction hints; the plan never changes *what* is computed, only which
-/// resident page is evicted on a fault, so results are bit-identical with
-/// the plan on or off (pinned at the store by `tiered`'s
-/// `plan_does_not_change_results` and the `epoch_plan_never_changes_results`
-/// proptest).
-fn plan_epoch_pages(table: &TieredTable, run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Vec<u32> {
-    let mut cur: Vec<usize> = workers.iter().map(|me| me.cursor).collect();
-    let mut plan: Vec<u32> = Vec::new();
-    let mut pages: Vec<u32> = Vec::new();
-    for _ in 0..run.iters_per_epoch {
-        for (w, shard) in run.shards.iter().enumerate() {
-            if shard.is_empty() {
-                continue;
-            }
-            let bs = workers[w].batch_size.min(shard.len());
-            pages.clear();
-            for _ in 0..bs {
-                let idx = shard[cur[w] % shard.len()];
-                cur[w] += 1;
-                for &e in run.dataset.sample(idx as usize) {
-                    pages.push(table.page_of_row(e));
-                }
-            }
-            pages.sort_unstable();
-            pages.dedup();
-            plan.extend_from_slice(&pages);
-        }
-    }
-    plan
-}
-
 /// The set-up both trainers share, from the training rows to the epoch
 /// length: the bigraph over the training samples, its partition, each
 /// embedding's access count, each worker's shard of dataset indices and
@@ -1027,10 +990,10 @@ impl<'d> Trainer<'d> {
     }
 }
 
-/// One epoch on every worker, one thread each, between the tiered store's
-/// epoch plan and the stage-profiler flush. Returns `false` when a strict
-/// audit tripped: every worker then left at the same iteration boundary
-/// and the run is abandoned without evaluating.
+/// One epoch on every worker, one thread each, then the stage-profiler
+/// flush. Returns `false` when a strict audit tripped: every worker then
+/// left at the same iteration boundary and the run is abandoned without
+/// evaluating.
 fn train_epoch(
     run: &RunCtx<'_>,
     workers: &mut [WorkerRun<'_>],
@@ -1039,12 +1002,6 @@ fn train_epoch(
 ) -> bool {
     run.loss_sum_micro.store(0, Ordering::Relaxed);
     run.loss_batches.store(0, Ordering::Relaxed);
-    // Buffer-aware eviction: hand the tiered store this epoch's predicted
-    // read sweeps before the workers start. Pure eviction policy —
-    // see `plan_epoch_pages`.
-    if let StorageTable::Tiered(tt) = run.storage {
-        tt.set_epoch_plan(&plan_epoch_pages(tt, run, workers));
-    }
     std::thread::scope(|scope| {
         for me in workers.iter_mut() {
             scope.spawn(move || run_worker_epoch(run, me, epoch, image));
@@ -1054,11 +1011,6 @@ fn train_epoch(
     // per (stage, kind) per worker, off the hot path.
     for me in workers.iter_mut() {
         me.profiler.flush(me.recorder.as_ref());
-    }
-    // The epoch's plan is spent; the barrier work after it (flushes,
-    // replica refresh, checkpointing, evaluation) runs on plain LRU.
-    if let StorageTable::Tiered(tt) = run.storage {
-        tt.clear_epoch_plan();
     }
     !run.auditor.as_ref().is_some_and(|a| a.is_tripped())
 }

@@ -66,21 +66,14 @@
 //! keep their submission order within a page, and the order across pages
 //! changes no bits: reads are pure, and applies to different pages commute.
 //!
-//! Default policy is LRU over unpinned resident pages. When the trainer
-//! installs a per-epoch page-access plan ([`TieredTable::set_epoch_plan`],
-//! computed from the deterministic batch schedule), eviction switches to a
-//! Belady-style farthest-next-use choice. The plan is counted in read
-//! sweeps: a sweep over `n` pages consumes the plan's next `n` entries
-//! together, whatever order it visits them in, so the next-use keys stay
-//! exact. The policy only decides *which* page to drop — never what any
-//! row's bytes are — so batch ordering on/off changes fault counts, not
-//! results.
+//! Eviction is LRU over unpinned resident pages: the victim is the one
+//! whose last visit is oldest. The policy only decides *which* page to
+//! drop, never what any row's bytes are.
 //!
 //! Buffers of evicted pages are parked on a small free list and the image
 //! staging buffer is kept per table, so a steady-state fault allocates
 //! nothing.
 
-use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -261,9 +254,6 @@ struct PageState {
     pinned: bool,
     /// LRU tick of the last touch.
     last_use: u64,
-    /// Upcoming plan positions at which this page will be read
-    /// (buffer-aware ordering mode only).
-    next_uses: VecDeque<u64>,
 }
 
 struct TierState {
@@ -279,10 +269,6 @@ struct TierState {
     resident_bytes: u64,
     spilled_bytes: u64,
     lru_tick: u64,
-    /// Entries of the installed epoch plan consumed so far: every read
-    /// sweep consumes one per distinct page it visits.
-    plan_pos: u64,
-    plan_active: bool,
     loads: u64,
     evictions: u64,
     writebacks: u64,
@@ -420,8 +406,6 @@ impl TieredTable {
                 resident_bytes: 0,
                 spilled_bytes: 0,
                 lru_tick: num_pages as u64,
-                plan_pos: 0,
-                plan_active: false,
                 loads: 0,
                 evictions: 0,
                 writebacks: 0,
@@ -476,7 +460,6 @@ impl TieredTable {
                 has_accum: false,
                 pinned: false,
                 last_use: (self.num_pages - p) as u64,
-                next_uses: VecDeque::new(),
             });
         }
         if let Some(buf) = spill_buf {
@@ -494,12 +477,6 @@ impl TieredTable {
         self.num_pages
     }
 
-    /// The page holding `row`.
-    #[inline]
-    pub fn page_of_row(&self, row: u32) -> u32 {
-        (row as usize / self.rows_per_page) as u32
-    }
-
     /// The spill file in use.
     pub fn spill_file(&self) -> &Path {
         &self.spill_path
@@ -515,34 +492,6 @@ impl TieredTable {
     /// `trace.capacity.fault` span on the driver timeline.
     pub fn attach_tracer(&self, tracer: Arc<TraceCollector>) {
         self.state.lock().tracer = Some(tracer);
-    }
-
-    /// Installs the buffer-aware epoch plan: the pages the trainer's batch
-    /// schedule will read this epoch, one read sweep after another, each
-    /// sweep's distinct pages in any order. Each read sweep over `n` pages
-    /// consumes the next `n` entries. Eviction switches from LRU to
-    /// Belady-style farthest-next-use against this plan. Installing a plan
-    /// never changes any row's bytes — only which pages fault — so results
-    /// stay bit-identical to the unplanned run.
-    pub fn set_epoch_plan(&self, page_seq: &[u32]) {
-        let mut st = self.state.lock();
-        for p in st.pages.iter_mut() {
-            p.next_uses.clear();
-        }
-        for (pos, &p) in page_seq.iter().enumerate() {
-            st.pages[p as usize].next_uses.push_back(pos as u64);
-        }
-        st.plan_pos = 0;
-        st.plan_active = true;
-    }
-
-    /// Removes any installed plan; eviction falls back to LRU.
-    pub fn clear_epoch_plan(&self) {
-        let mut st = self.state.lock();
-        for p in st.pages.iter_mut() {
-            p.next_uses.clear();
-        }
-        st.plan_active = false;
     }
 
     /// Reads `page`'s image from its spill slot and validates it exactly as
@@ -684,32 +633,18 @@ impl TieredTable {
         }
     }
 
-    /// Evicts unpinned resident pages until the pool plus `incoming` bytes
-    /// fits the budget. Victim choice: farthest next use against the
-    /// installed plan (pages the plan never reads again go first), else
-    /// LRU.
+    /// Evicts unpinned resident pages, least recently used first, until the
+    /// pool plus `incoming` bytes fits the budget.
     fn make_room(&self, st: &mut TierState, incoming: u64) {
         while st.resident_bytes + incoming > self.budget_bytes {
-            let mut victim: Option<(usize, (u64, u64))> = None;
-            for (i, p) in st.pages.iter().enumerate() {
-                if p.data.is_none() || p.pinned {
-                    continue;
-                }
-                // Sort key: farther next use wins; among ties, older
-                // last_use wins. Without a plan every next_use is MAX, so
-                // this degrades to plain LRU.
-                let next = if st.plan_active {
-                    p.next_uses.front().copied().unwrap_or(u64::MAX)
-                } else {
-                    u64::MAX
-                };
-                let key = (next, u64::MAX - p.last_use);
-                match victim {
-                    Some((_, best)) if key <= best => {}
-                    _ => victim = Some((i, key)),
-                }
-            }
-            let Some((v, _)) = victim else { break };
+            let victim = st
+                .pages
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.data.is_some() && !p.pinned)
+                .min_by_key(|(_, p)| p.last_use)
+                .map(|(i, _)| i);
+            let Some(v) = victim else { break };
             self.evict(st, v);
         }
     }
@@ -734,38 +669,18 @@ impl TieredTable {
         self.emit_fault(st, page, "evict", names::CAPACITY_FAULT_EVICTIONS);
     }
 
-    /// Marks a touch for LRU. A read sweep's touches pass `plan_end`, the
-    /// plan position where the sweep ends, and retire every use of the page
-    /// before it: the sweep's own entry, whichever order it visits its pages
-    /// in, and any that a drifting plan left behind.
-    fn touch(&self, st: &mut TierState, page: usize, plan_end: Option<u64>) {
-        st.lru_tick += 1;
-        st.pages[page].last_use = st.lru_tick;
-        if let Some(end) = plan_end.filter(|_| st.plan_active) {
-            let uses = &mut st.pages[page].next_uses;
-            while uses.front().is_some_and(|&pos| pos < end) {
-                uses.pop_front();
-            }
-        }
-    }
-
     fn assert_row(&self, row: u32) {
         assert!((row as usize) < self.num_rows, "row {row} out of range");
     }
 
-    /// Runs `f` with `page` pinned resident. The single entry point for
-    /// every data access, so pin/unpin and budget enforcement cannot be
-    /// bypassed.
-    fn with_page<R>(
-        &self,
-        st: &mut TierState,
-        page: usize,
-        plan_end: Option<u64>,
-        f: impl FnOnce(&mut TierState) -> R,
-    ) -> R {
+    /// Runs `f` with `page` pinned resident, stamping the visit with a fresh
+    /// LRU tick. The single entry point for every data access, so pin/unpin
+    /// and budget enforcement cannot be bypassed.
+    fn with_page<R>(&self, st: &mut TierState, page: usize, f: impl FnOnce(&mut TierState) -> R) -> R {
         st.pages[page].pinned = true;
         self.ensure_resident(st, page);
-        self.touch(st, page, plan_end);
+        st.lru_tick += 1;
+        st.pages[page].last_use = st.lru_tick;
         let r = f(&mut *st);
         st.pages[page].pinned = false;
         r
@@ -780,13 +695,11 @@ impl TieredTable {
     /// the caller gave them — and whether the page was resident before the
     /// visit. The order across pages changes no bits: reads are pure, and
     /// applies to different pages commute. Every page group counts as one
-    /// lock acquisition, the figure the batched API amortises. A read sweep
-    /// (`consumes_plan`) consumes one plan entry per page.
+    /// lock acquisition, the figure the batched API amortises.
     fn for_each_page(
         &self,
         rows: &[u32],
         scratch: &mut BatchScratch,
-        consumes_plan: bool,
         mut body: impl FnMut(&mut TierState, usize, &[u32], bool),
     ) {
         for &row in rows {
@@ -796,10 +709,6 @@ impl TieredTable {
             row as usize / self.rows_per_page
         });
         let mut st = self.state.lock();
-        let plan_end = consumes_plan.then(|| {
-            st.plan_pos += scratch.groups().count() as u64;
-            st.plan_pos
-        });
         // Every visit takes a fresh LRU tick, so a page whose tick is newer
         // than `swept` has had its visit.
         let swept = st.lru_tick;
@@ -810,7 +719,7 @@ impl TieredTable {
                     continue;
                 }
                 self.count_lock();
-                self.with_page(&mut st, page, plan_end, |st| {
+                self.with_page(&mut st, page, |st| {
                     body(st, page, group, resident)
                 });
             }
@@ -835,7 +744,7 @@ impl TieredTable {
         assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
         let dim = self.dim;
         let (mut resident_rows, mut faulted_rows) = (0u64, 0u64);
-        self.for_each_page(rows, scratch, true, |st, page, group, resident| {
+        self.for_each_page(rows, scratch, |st, page, group, resident| {
             let data = st.pages[page].data.as_ref().expect("page resident");
             for &k in group {
                 let k = k as usize;
@@ -864,7 +773,7 @@ impl TieredTable {
         self.count_lock();
         let mut st = self.state.lock();
         let resident = st.pages[page].data.is_some();
-        self.with_page(&mut st, page, None, |st| {
+        self.with_page(&mut st, page, |st| {
             let data = st.pages[page].data.as_ref().expect("page resident");
             out.copy_from_slice(&data[slot..slot + self.dim]);
         });
@@ -957,7 +866,7 @@ impl RowStore for TieredTable {
         self.count_lock();
         {
             let mut st = self.state.lock();
-            self.with_page(&mut st, page, None, |st| {
+            self.with_page(&mut st, page, |st| {
                 Self::apply_to_page(st, page, slot, self.dim, grad, opt);
             });
         }
@@ -979,7 +888,7 @@ impl RowStore for TieredTable {
         );
         assert_eq!(clocks.len(), rows.len(), "clocks length != rows");
         let dim = self.dim;
-        self.for_each_page(rows, scratch, false, |st, page, group, _| {
+        self.for_each_page(rows, scratch, |st, page, group, _| {
             for &k in group {
                 let k = k as usize;
                 let row = rows[k] as usize;
@@ -996,7 +905,7 @@ impl RowStore for TieredTable {
         let (page, slot) = self.locate(row);
         self.count_lock();
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, None, |st| {
+        self.with_page(&mut st, page, |st| {
             let pg = &mut st.pages[page];
             let data = pg.data.as_mut().expect("page resident");
             data[slot..slot + self.dim].copy_from_slice(values);
@@ -1011,7 +920,7 @@ impl RowStore for TieredTable {
             "values length != rows * dim"
         );
         let dim = self.dim;
-        self.for_each_page(rows, scratch, false, |st, page, group, _| {
+        self.for_each_page(rows, scratch, |st, page, group, _| {
             let pg = &mut st.pages[page];
             let data = pg.data.as_mut().expect("page resident");
             for &k in group {
@@ -1037,7 +946,7 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, None, |st| match &st.pages[page].accum {
+        self.with_page(&mut st, page, |st| match &st.pages[page].accum {
             Some(a) => {
                 out.copy_from_slice(&a[slot..slot + self.dim]);
                 true
@@ -1054,7 +963,7 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, None, |st| {
+        self.with_page(&mut st, page, |st| {
             Self::ensure_accum(st, page);
             let pg = &mut st.pages[page];
             let accum = pg.accum.as_mut().expect("accumulator allocated above");
@@ -1463,56 +1372,25 @@ mod tests {
     }
 
     #[test]
-    fn epoch_plan_beats_lru_on_cyclic_sweep() {
+    fn lru_faults_every_access_on_a_cyclic_sweep_one_page_too_big() {
         // The classic LRU-pathological workload: cyclically sweep one more
-        // page than fits. LRU evicts exactly the page needed next and
-        // faults on every access; Belady-from-plan keeps part of the
-        // working set pinned down and faults strictly less.
+        // page than fits. Pages 0 and 1 are resident at construction, so the
+        // first two reads hit; from then on LRU evicts exactly the page
+        // needed next and every access faults.
         let dim = 4;
         let rpp = 2;
-        let pages = 4usize;
-        let budget = 2 * rpp * dim * 4; // two of four pages fit
-        let sweep: Vec<u32> = (0..pages as u32).cycle().take(40).collect();
-
-        let faults_with = |plan: bool| {
-            let t = TieredTable::new(pages * rpp, dim, 0.1, 7, tiny_cfg(budget, rpp));
-            if plan {
-                t.set_epoch_plan(&sweep);
-            }
-            let mut scratch = BatchScratch::default();
-            let mut out = vec![0.0f32; dim];
-            let mut clocks = vec![0u64; 1];
-            for &p in &sweep {
-                let row = [p * rpp as u32];
-                t.read_rows(&row, &mut out, &mut clocks, &mut scratch);
-            }
-            t.capacity_stats().fault_loads
-        };
-        let lru = faults_with(false);
-        let belady = faults_with(true);
-        assert!(
-            belady < lru,
-            "plan-driven eviction should fault less: belady={belady} lru={lru}"
-        );
-    }
-
-    #[test]
-    fn plan_does_not_change_results() {
-        let dim = 3;
-        let rows: Vec<u32> = (0..48u32).rev().collect();
-        let grads: Vec<f32> = (0..rows.len() * dim).map(|i| (i as f32).sin()).collect();
-        let run = |plan: bool| {
-            let t = TieredTable::new(48, dim, 0.1, 11, tiny_cfg(2 * dim * 4 * 4, 4));
-            if plan {
-                let seq: Vec<u32> = (0..t.num_pages() as u32).rev().collect();
-                t.set_epoch_plan(&seq);
-            }
-            let mut scratch = BatchScratch::default();
-            let mut clocks = vec![0u64; rows.len()];
-            t.apply_grads(&rows, &grads, &SparseOpt::adagrad(0.2), &mut clocks, &mut scratch);
-            read_all_bits(&t)
-        };
-        assert_eq!(run(false), run(true), "eviction policy leaked into results");
+        let pages = 3usize;
+        let budget = 2 * rpp * dim * 4; // two of three pages fit
+        let sweep: Vec<u32> = (0..pages as u32).cycle().take(30).collect();
+        let t = TieredTable::new(pages * rpp, dim, 0.1, 7, tiny_cfg(budget, rpp));
+        let mut scratch = BatchScratch::default();
+        let mut out = vec![0.0f32; dim];
+        let mut clocks = vec![0u64; 1];
+        for &p in &sweep {
+            let row = [p * rpp as u32];
+            t.read_rows(&row, &mut out, &mut clocks, &mut scratch);
+        }
+        assert_eq!(t.capacity_stats().fault_loads, sweep.len() as u64 - 2);
     }
 
     #[test]

@@ -215,52 +215,4 @@ proptest! {
     fn mixed_interleaving_matches_sharded(w in workload_strategy()) {
         run_against_sharded(&w);
     }
-
-    /// The Belady plan is policy-only: running the same workload with an
-    /// (arbitrary, even wrong) epoch plan installed yields bit-identical
-    /// tables to the planless run — only fault counts may differ.
-    #[test]
-    fn epoch_plan_never_changes_results(w in workload_strategy()) {
-        let unplanned = tiny_tiered(w.num_rows, w.dim, w.seed);
-        let planned = tiny_tiered(w.num_rows, w.dim, w.seed);
-        // A deliberately imperfect plan: the pages of the first step only,
-        // repeated — the pop-ahead self-correction must absorb the drift.
-        let plan: Vec<u32> = w.steps[0].1.iter().map(|&r| planned.page_of_row(r)).collect();
-        planned.set_epoch_plan(&plan);
-        let mut s_a = BatchScratch::default();
-        let mut s_b = BatchScratch::default();
-        for (si, (op, rows)) in w.steps.iter().enumerate() {
-            let mut buf = vec![0.0f32; rows.len() * w.dim];
-            for (pos, g) in buf.chunks_mut(w.dim).enumerate() {
-                for (coord, v) in g.iter_mut().enumerate() {
-                    *v = grad_at(si, pos, coord);
-                }
-            }
-            let mut c_a = vec![0u64; rows.len()];
-            let mut c_b = vec![0u64; rows.len()];
-            match op % 3 {
-                0 => {
-                    unplanned.apply_grads(rows, &buf, &w.opt, &mut c_a, &mut s_a);
-                    planned.apply_grads(rows, &buf, &w.opt, &mut c_b, &mut s_b);
-                }
-                1 => {
-                    unplanned.write_rows(rows, &buf, &mut s_a);
-                    planned.write_rows(rows, &buf, &mut s_b);
-                }
-                _ => {
-                    let mut o_a = vec![0.0f32; rows.len() * w.dim];
-                    let mut o_b = vec![0.0f32; rows.len() * w.dim];
-                    unplanned.read_rows(rows, &mut o_a, &mut c_a, &mut s_a);
-                    planned.read_rows(rows, &mut o_b, &mut c_b, &mut s_b);
-                    prop_assert_eq!(
-                        o_a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        o_b.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "read data, step {}", si
-                    );
-                }
-            }
-        }
-        planned.clear_epoch_plan();
-        assert_stores_bit_identical(&unplanned, &planned, w.num_rows, w.dim);
-    }
 }

@@ -4,10 +4,14 @@
 #
 # The run is started five times. Every run must print the same summary
 # (final AUC, simulated throughput, comm share, the epoch line) and end
-# with the same protocol counters in its `--telemetry` log: every
-# `embedding.sync.*`, `embedding.flush.*` and `embedding.update.*` counter
-# of the "final" record. `embedding.flush.sync` must be non-zero, or the
-# run never exercised the read-phase sync flush this check exists for.
+# with the same protocol and ledger counters in its `--telemetry` log:
+# every `embedding.sync.*`, `embedding.flush.*` and `embedding.update.*`
+# counter of the "final" record, and its traffic ledger — every
+# `traffic.bytes.*` and `traffic.messages.*` counter and every
+# `traffic.link.<class>.transfers` counter. A ledger counter that differs
+# between runs is a charge-path bug. `embedding.flush.sync` must be
+# non-zero, or the run never exercised the read-phase sync flush this check
+# exists for.
 #
 # Deliberately not compared, because they measure the host, not the run:
 #   * wall-time fields — `*.wall_secs` histograms, `*.samples_per_sec`
@@ -15,7 +19,7 @@
 #   * read-path counters — `hotpath.read.retries` and
 #     `hotpath.read.fallback`, which a tiered store fills as its pages
 #     happen to be resident.
-# None of them matches the three prefixes above.
+# None of them matches the names above.
 #
 # Run from the repo root (make repeat-check / make verify does). Needs the
 # release binary (make build); an optional argument names another binary.
@@ -37,13 +41,18 @@ for i in 1 2 3 4 5; do
         --system het-gmp --staleness 100 --epochs 1 --seed 7 \
         --telemetry run.jsonl > summary.txt)
     grep '"event":"final"' "$OUT/$i/run.jsonl" |
-        grep -oE '"embedding\.(sync|flush|update)\.[A-Za-z0-9_.]*":[0-9]+' |
+        grep -oE '"(embedding\.(sync|flush|update)|traffic\.(bytes|messages))\.[A-Za-z0-9_.]*":[0-9]+|"traffic\.link\.[A-Za-z0-9_]*\.transfers":[0-9]+' |
         sort > "$OUT/$i/counters.txt"
     cat "$OUT/$i/summary.txt" "$OUT/$i/counters.txt" > "$OUT/$i/observed.txt"
 done
 
 if ! grep -qE '"embedding\.flush\.sync":[1-9]' "$OUT/1/counters.txt"; then
     echo "repeat_check: no sync flush fired; the check proves nothing" >&2
+    exit 1
+fi
+
+if ! grep -q '"traffic\.bytes\.embed_data":' "$OUT/1/counters.txt"; then
+    echo "repeat_check: the final record carries no traffic ledger" >&2
     exit 1
 fi
 
@@ -56,4 +65,4 @@ for i in 2 3 4 5; do
 done
 [ "$status" -eq 0 ] || exit 1
 
-echo "repeat_check: OK (5 of 5 runs print the same summary and protocol counters)"
+echo "repeat_check: OK (5 of 5 runs print the same summary, protocol and ledger counters)"

@@ -51,7 +51,7 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
              [--telemetry FILE.jsonl] [--trace FILE.trace.json] [--trace-level batch|sync]
              [--audit[=count|strict]] [--faults SPEC] [--checkpoint-every N --checkpoint-dir DIR]
              [--resume FILE.hgmr]
-             [--sync-format f32|f16|bf16|int8] [--sync-feedback on|off]
+             [--sync-format f32|int8] [--sync-feedback on|off]
              [--storage memory|tiered] [--storage-budget-mb N] [--storage-dir DIR]
   capacity   --workers N --mem-gb G --dim D [--replication F]
   experiment {experiments}|all [--scale F] [--telemetry FILE.jsonl]
@@ -78,9 +78,9 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   DIR (writes DIR/ckpt-epoch-N.hgmr; resume with --resume FILE).
 
   --sync-format picks the wire encoding for inter-worker embedding rows
-  and the dense AllReduce payload: f32 (default, bit-exact), f16, bf16,
-  or int8 (per-row scale + 1 byte/element, ~3.6x fewer embedding bytes at
-  dim 32). Traffic ledgers and the cost model charge the compressed wire
+  and the dense AllReduce payload: f32 (default, bit-exact) or int8
+  (per-row scale + 1 byte/element, ~3.6x fewer embedding bytes at dim
+  32). Traffic ledgers and the cost model charge the compressed wire
   size; checkpoints stay f32 and any format bit-matches itself across
   checkpoint resume. --sync-feedback off disables the
   per-row error-feedback accumulator on lossy gradient pushes (on by
@@ -94,9 +94,9 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   pages stay resident behind a pin/unpin buffer manager and faults surface
   as capacity.* telemetry. Results are bit-identical to --storage memory.
   --storage-dir keeps the spill file in a named directory (default: a
-  private temp dir). Eviction follows hints computed from the epoch's
-  deterministic batch plan; hotpath.read.* telemetry counts the rows the
-  hot loop read from resident pages and through faults.
+  private temp dir). Eviction is LRU over the unpinned resident pages;
+  hotpath.read.* telemetry counts the rows the hot loop read from
+  resident pages and through faults.
 
   'inspect' analyses the artifacts those runs leave behind. 'report'
   renders the Fig. 8 traffic/time breakdown, the per-stage attribution
@@ -246,9 +246,16 @@ fn workers_flag(args: &Args, default: usize) -> Result<usize, HetGmpError> {
     }
 }
 
-/// Parses `--sync-format f32|f16|bf16|int8` (`None` when absent).
+/// Parses `--sync-format f32|int8` (`None` when absent). Any other value is
+/// a usage error that names it.
 fn sync_format_flag(args: &Args) -> Result<Option<SyncFormat>, HetGmpError> {
-    args.get("sync-format").map(SyncFormat::parse).transpose()
+    args.get("sync-format")
+        .map(|v| {
+            SyncFormat::parse(v).map_err(|_| {
+                HetGmpError::usage(format!("--sync-format expects f32|int8, got {v:?}"))
+            })
+        })
+        .transpose()
 }
 
 /// Parses `--sync-feedback on|off` (`None` when absent; the trainer

@@ -257,6 +257,25 @@ fn unparsable_numbers_and_zero_workers_are_usage_errors() {
     }
 }
 
+/// `--sync-format` takes `f32|int8` only: `f16` and `bf16` are usage errors
+/// (exit 2) that name the value, like any other unknown format.
+#[test]
+fn removed_sync_formats_are_usage_errors_naming_the_value() {
+    for format in ["f16", "bf16"] {
+        let out = het_gmp()
+            .args(["train", "--preset", "tiny", "--epochs", "1", "--sync-format", format])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--sync-format {format} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--sync-format") && err.contains(&format!("\"{format}\"")),
+            "{format}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{format} printed a result: {:?}", out.stdout);
+    }
+}
+
 /// The §3 KG extension has a route: `experiment kg` exits 0 and prints one
 /// row per system.
 #[test]
