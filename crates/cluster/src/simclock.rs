@@ -10,7 +10,7 @@
 //! mirrored to the `clock.now_secs` gauge, so unified snapshots carry the
 //! same breakdown this type reports directly.
 
-use hetgmp_telemetry::{names, Recorder, SimTimeCell};
+use hetgmp_telemetry::{names, Recorder};
 use std::sync::Arc;
 
 /// Categories of charged time.
@@ -120,7 +120,6 @@ pub struct SimClock {
     /// Total seconds submitted through `advance_overlapped`, hidden or not.
     charged_overlappable: f64,
     recorder: Option<Arc<dyn Recorder>>,
-    cell: SimTimeCell,
 }
 
 impl std::fmt::Debug for SimClock {
@@ -151,13 +150,6 @@ impl SimClock {
     /// `time.*_secs` histograms and `clock.now_secs`.
     pub fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>) {
         self.recorder = Some(recorder);
-    }
-
-    /// A shared cell mirroring this clock's position, for simulated-time
-    /// spans ([`hetgmp_telemetry::SpanGuard`]) and other observers that
-    /// cannot borrow the `&mut` clock. Clones share the cell.
-    pub fn time_cell(&self) -> SimTimeCell {
-        self.cell.clone()
     }
 
     /// Current simulated time in seconds.
@@ -224,7 +216,6 @@ impl SimClock {
     pub fn wait_until(&mut self, other_time: f64) {
         if other_time > self.now {
             self.now = other_time;
-            self.cell.set(self.now);
             if let Some(r) = &self.recorder {
                 r.gauge_set(names::CLOCK_NOW, self.now);
             }
@@ -240,7 +231,6 @@ impl SimClock {
             TimeCategory::HostIo => self.breakdown.host_io += seconds,
             TimeCategory::Fault => self.breakdown.fault += seconds,
         }
-        self.cell.set(self.now);
         if let Some(r) = &self.recorder {
             r.histogram_observe(category.metric(), seconds);
             r.gauge_set(names::CLOCK_NOW, self.now);
@@ -331,27 +321,6 @@ mod tests {
             (snap.histogram("time.embed_comm_secs").sum - c.breakdown().embed_comm).abs() < 1e-12
         );
         assert_eq!(snap.gauge("clock.now_secs"), Some(c.now()));
-    }
-
-    #[test]
-    fn time_cell_tracks_the_clock() {
-        let mut c = SimClock::new();
-        let cell = c.time_cell();
-        assert_eq!(cell.get(), 0.0);
-        c.advance(TimeCategory::Compute, 2.0);
-        assert_eq!(cell.get(), 2.0);
-        c.wait_until(5.0);
-        assert_eq!(cell.get(), 5.0);
-        // Simulated-time spans read the same cell.
-        use hetgmp_telemetry::{MemoryRecorder, SpanGuard};
-        let rec = MemoryRecorder::new();
-        {
-            let _g = SpanGuard::with_clock(&rec, "time.batch_secs", c.time_cell());
-            c.advance(TimeCategory::EmbedComm, 1.5);
-        }
-        let h = rec.snapshot().histogram("time.batch_secs");
-        assert_eq!(h.count, 1);
-        assert!((h.sum - 1.5).abs() < 1e-12);
     }
 
     #[test]

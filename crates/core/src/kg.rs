@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hetgmp_cluster::{CostModel, SimClock, TimeCategory, Topology};
 use hetgmp_comms::AllReduceGroup;
 use hetgmp_data::KgDataset;
-use hetgmp_embedding::{ShardedTable, SparseOpt, WorkerEmbedding, WriteExchange};
+use hetgmp_embedding::{RowStore, ShardedTable, SparseOpt, WorkerEmbedding, WriteExchange};
 use hetgmp_partition::PartitionMetrics;
 use hetgmp_telemetry::HetGmpError;
 use rand::rngs::StdRng;

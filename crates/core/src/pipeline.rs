@@ -79,7 +79,7 @@ use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, Matrix, Sgd};
 use crate::charge::{charge, Dense, LinkTallies, Phases, Transfer, Wire};
 use crate::models::{CtrModel, ModelTape};
 use crate::strategy::{DenseSync, EmbedHome, StrategyConfig};
-use crate::trainer::{CheckpointImage, StorageTable, TrainerConfig};
+use crate::trainer::{CheckpointImage, TrainerConfig};
 
 /// The four stages of a step, in execution order — the labels the
 /// [`StageProfiler`] attributes wall and simulated time to
@@ -290,7 +290,7 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) strategy: &'a StrategyConfig,
     pub(crate) dataset: &'a CtrDataset,
     /// The primary store, RAM-only or tiered.
-    pub(crate) storage: &'a StorageTable,
+    pub(crate) table: &'a dyn RowStore,
     pub(crate) partition: &'a Partition,
     /// Each worker's training shard (dataset indices).
     pub(crate) shards: &'a [Vec<u32>],
@@ -322,12 +322,7 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) nonfinite: AtomicU64,
 }
 
-impl<'a> RunCtx<'a> {
-    /// The primary store, whichever tier holds it.
-    pub(crate) fn table(&self) -> &'a dyn RowStore {
-        self.storage.as_store()
-    }
-
+impl RunCtx<'_> {
     /// What the run's traffic is charged against.
     pub(crate) fn wire(&self) -> Wire<'_> {
         Wire {
@@ -467,7 +462,7 @@ pub(crate) fn run_worker_epoch(
         // what makes same-seed runs — and checkpoint resumes — reproducible;
         // owners never share a row, so they need no order among themselves.
         let t_apply = me.profiler.start();
-        run.exchange.apply_owned(me.w, run.table(), &cfg.embed_opt);
+        run.exchange.apply_owned(me.w, run.table, &cfg.embed_opt);
         me.profiler.wall(BatchStage::Push, t_apply);
 
         // ---- (7) Charge simulated time. ------------------------------------
@@ -679,7 +674,7 @@ fn clip_and_step(
 /// never stranded — they simply absorb the downtime through the BSP
 /// simulated-time barrier.
 fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&CheckpointImage>) {
-    let (w, faults, tracer, table) = (me.w, &run.faults, run.tracer, run.table());
+    let (w, faults, tracer, table) = (me.w, &run.faults, run.tracer, run.table);
     let (clock, fstate, recorder, links) =
         (&mut me.clock, &mut me.fstate, &me.recorder, &mut me.links);
     while let Some(f) = faults.worker_faults(w).get(fstate.next) {

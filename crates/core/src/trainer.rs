@@ -346,25 +346,6 @@ fn config_digest_text(strategy: &StrategyConfig, cfg: &TrainerConfig) -> String 
     )
 }
 
-/// The run's primary store behind one dispatch point: in-memory or tiered.
-/// Everything downstream (workers, checkpoints, evaluation) borrows it as
-/// `&dyn RowStore` and cannot tell the difference.
-pub(crate) enum StorageTable {
-    Memory(ShardedTable),
-    /// Boxed: the buffer manager's state is several times the in-memory
-    /// table's handle.
-    Tiered(Box<TieredTable>),
-}
-
-impl StorageTable {
-    pub(crate) fn as_store(&self) -> &dyn RowStore {
-        match self {
-            StorageTable::Memory(t) => t,
-            StorageTable::Tiered(t) => &**t,
-        }
-    }
-}
-
 /// Test samples evaluated per forward pass, and per batched table read.
 const EVAL_CHUNK: usize = 512;
 
@@ -551,10 +532,10 @@ impl<'d> Trainer<'d> {
             }
             EmbedHome::CpuPs => None,
         };
-        let storage = self.open_table(&registry, &placement.partition)?;
+        let table = self.open_table(&registry, &placement.partition)?;
         let auditor = self.auditor();
-        let mut workers = self.workers(storage.as_store(), &placement, &registry, auditor.as_ref());
-        let run = self.run_ctx(&storage, &placement, registry, faults, auditor, &mut workers[0]);
+        let mut workers = self.workers(&*table, &placement, &registry, auditor.as_ref());
+        let run = self.run_ctx(&*table, &placement, registry, faults, auditor, &mut workers[0]);
         let start_epoch = self.resume(&run, &mut workers)?;
 
         // ---- Epochs ----------------------------------------------------------
@@ -563,7 +544,7 @@ impl<'d> Trainer<'d> {
         let mut image = run
             .faults
             .has_crashes()
-            .then(|| CheckpointImage::capture(run.table(), &workers, run.num_dense));
+            .then(|| CheckpointImage::capture(run.table, &workers, run.num_dense));
         let mut curve: Vec<EvalPoint> = Vec::with_capacity(cfg.epochs);
         // The evaluation's dense arena, warm after the first chunk.
         let mut eval_tape = ModelTape::new();
@@ -641,16 +622,17 @@ impl<'d> Trainer<'d> {
 
     /// Opens the primary table in the configured storage tier. In memory,
     /// each primary owner of `partition` gets its own segment, so the write
-    /// phase's owners never share a lock.
+    /// phase's owners never share a lock. A tiered table reports its faults
+    /// to the run's recorder and tracer.
     fn open_table(
         &self,
         registry: &MetricsRegistry,
         partition: &Partition,
-    ) -> Result<StorageTable, HetGmpError> {
+    ) -> Result<Box<dyn RowStore>, HetGmpError> {
         let cfg = &self.config;
         let rows = self.dataset.num_features;
         Ok(match &cfg.storage {
-            StorageMode::Memory => StorageTable::Memory(ShardedTable::with_partition(
+            StorageMode::Memory => Box::new(ShardedTable::with_partition(
                 rows, cfg.dim, 0.05, cfg.seed, partition,
             )),
             StorageMode::Tiered { budget_bytes, dir } => {
@@ -664,7 +646,7 @@ impl<'d> Trainer<'d> {
                 if let Some(tr) = &self.tracer {
                     t.attach_tracer(Arc::clone(tr));
                 }
-                StorageTable::Tiered(Box::new(t))
+                Box::new(t)
             }
         })
     }
@@ -753,7 +735,7 @@ impl<'d> Trainer<'d> {
     /// constants from `first`'s replica.
     fn run_ctx<'a>(
         &'a self,
-        storage: &'a StorageTable,
+        table: &'a dyn RowStore,
         placement: &'a Placement,
         registry: MetricsRegistry,
         faults: Arc<FaultSchedule>,
@@ -771,7 +753,7 @@ impl<'d> Trainer<'d> {
             cfg,
             strategy: &self.strategy,
             dataset: self.dataset,
-            storage,
+            table,
             partition: &placement.partition,
             shards: &placement.shards,
             iters_per_epoch: placement.iters_per_epoch,
@@ -806,7 +788,7 @@ impl<'d> Trainer<'d> {
             return Ok(1);
         };
         let file = File::open(path).map_err(|e| HetGmpError::io(path.clone(), e))?;
-        let state = load_run(run.table(), &mut BufReader::new(file))
+        let state = load_run(run.table, &mut BufReader::new(file))
             .map_err(|e| e.into_workspace(path.clone()))?;
         if state.workers.len() != workers.len() {
             return Err(HetGmpError::config(
@@ -859,7 +841,7 @@ impl<'d> Trainer<'d> {
     ) -> EvalPoint {
         let sim_time = sim_time(workers);
         let models = workers.iter_mut().map(|me| &mut me.model);
-        let (auc_v, ll) = self.evaluate(models, run.table(), test, tape);
+        let (auc_v, ll) = self.evaluate(models, run.table, test, tape);
         let batches = run.loss_batches.load(Ordering::Relaxed).max(1);
         let train_loss = run.loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
         run.registry.global().gauge_set(names::TRAIN_AUC, auc_v);
@@ -1031,7 +1013,7 @@ fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
         charge(&wire, me.w, &mut me.clock, &mut me.links, Phases::Barrier("flush", &flush));
     }
     for me in workers.iter() {
-        run.exchange.apply_owned(me.w, run.table(), &run.cfg.embed_opt);
+        run.exchange.apply_owned(me.w, run.table, &run.cfg.embed_opt);
     }
     for me in workers.iter_mut() {
         let reprime = Transfer::rows(&me.emb.sync_replicas(), run.row_bytes);
@@ -1064,7 +1046,7 @@ fn checkpoint(
     };
     let path = dir.join(format!("ckpt-epoch-{epoch}.hgmr"));
     let file = File::create(&path).map_err(|e| HetGmpError::io(path.clone(), e))?;
-    let bytes = save_run(run.table(), &state, &mut BufWriter::new(file))
+    let bytes = save_run(run.table, &state, &mut BufWriter::new(file))
         .map_err(|e| e.into_workspace(path.clone()))?;
     // Every worker streams its shard of the image over the host link in
     // parallel; charge each one its share.
@@ -1088,18 +1070,18 @@ fn checkpoint(
     // Future crashes roll back to this image instead of the start-of-run
     // one.
     if image.is_some() {
-        *image = Some(CheckpointImage::capture(run.table(), workers, run.num_dense));
+        *image = Some(CheckpointImage::capture(run.table, workers, run.num_dense));
     }
     Ok(())
 }
 
 /// The run's closing gauges beyond the training curve: lock and read-path
 /// accounting, tiered capacity, the dense engine's work and arena, the
-/// communication overlap and the profilers' own cost. Returns the tiered
-/// store's capacity stats (`None` for RAM-only runs).
+/// communication overlap and the profilers' own cost. Returns the store's
+/// capacity stats when it has a RAM budget (`None` for RAM-only runs).
 fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<CapacityStats> {
     let global = run.registry.global();
-    let table = run.table();
+    let table = run.table;
     global.gauge_set(names::HOTPATH_LOCK_ACQUISITIONS, table.lock_acquisitions() as f64);
     // Read-path accounting: how many rows a tiered store's snapshot path
     // served from resident pages and how many through a fault (all zero
@@ -1123,16 +1105,13 @@ fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<
     // the resident/spilled byte split is set here — disjoint by
     // construction, so RAM accounting never double-counts partitions whose
     // authoritative copy is on disk.
-    let capacity = match run.storage {
-        StorageTable::Tiered(tt) => {
-            let cs = tt.capacity_stats();
-            global.gauge_set(names::CAPACITY_RESIDENT_BYTES, cs.resident_bytes as f64);
-            global.gauge_set(names::CAPACITY_SPILLED_BYTES, cs.spilled_bytes as f64);
-            global.gauge_set(names::CAPACITY_BUDGET_BYTES, cs.budget_bytes as f64);
-            Some(cs)
-        }
-        StorageTable::Memory(_) => None,
-    };
+    let cs = table.capacity_stats();
+    let capacity = (cs.budget_bytes > 0).then(|| {
+        global.gauge_set(names::CAPACITY_RESIDENT_BYTES, cs.resident_bytes as f64);
+        global.gauge_set(names::CAPACITY_SPILLED_BYTES, cs.spilled_bytes as f64);
+        global.gauge_set(names::CAPACITY_BUDGET_BYTES, cs.budget_bytes as f64);
+        cs
+    });
     // Dense-engine telemetry, aggregated over every slot's tape: real GEMM
     // work done, arena high-water mark, steady-state allocation violations
     // (must stay 0), and dense-path-only throughput.

@@ -22,11 +22,12 @@
 //!   staler secondary is synchronised.
 //!
 //! Components:
-//! * [`ShardedTable`] — the global primary store: lock-striped rows +
-//!   per-row atomic update clocks; safe for concurrent worker threads
-//!   (stands in for the paper's CUDA embedding tables + NCCL p2p);
-//!   [`TieredTable`] is the same store past its RAM budget, both behind
-//!   [`RowStore`];
+//! * [`ShardedTable`] — the global primary store: segments of plain rows,
+//!   one lock each (one segment per primary owner in the trainer), plus
+//!   per-row update clocks; safe for concurrent worker threads (stands in
+//!   for the paper's CUDA embedding tables + NCCL p2p); [`TieredTable`] is
+//!   the same store past its RAM budget, its pages holding the same row
+//!   core, and both are reached only through [`RowStore`];
 //! * one embedding worker — a worker's view combining the store, the
 //!   [`Partition`](hetgmp_partition::Partition) and its own replicas: `read`
 //!   with staleness checks, `apply_gradients` with local reduction and

@@ -1,19 +1,19 @@
 //! The storage abstraction behind the primary embedding store.
 //!
-//! [`RowStore`] is the exact surface of [`ShardedTable`] — per-row and
+//! [`RowStore`] is the one surface of the primary store — per-row and
 //! batched reads/updates/writes, clocks, checkpoint restore hooks — as an
-//! object-safe trait, so the workers, the LFU cache, and checkpointing are
-//! all written against `&dyn RowStore` and do not care whether rows live in
-//! RAM ([`ShardedTable`]) or partly in spill files
-//! ([`crate::TieredTable`]). `&ShardedTable` coerces to
-//! `&dyn RowStore` at every existing call site, so in-memory users are
-//! unchanged.
+//! object-safe trait, so the trainer, the workers, the LFU cache and
+//! checkpointing are all written against `&dyn RowStore` and do not care
+//! whether rows live in RAM ([`crate::ShardedTable`]) or partly in spill files
+//! ([`crate::TieredTable`]). Each store defines every method once, in its
+//! `impl RowStore`; both keep their rows in the same row core
+//! (`table::Rows`).
 
 use crate::sparse_optim::SparseOpt;
-use crate::table::{BatchScratch, ShardedTable};
+use crate::table::BatchScratch;
 
 /// Which table read path the embedding hot loop uses. Both return
-/// bit-identical bytes for the same rows. On [`ShardedTable`] both are the
+/// bit-identical bytes for the same rows. On [`crate::ShardedTable`] both are the
 /// same batched read, one lock per segment touched; on
 /// [`crate::TieredTable`] the snapshot arm serves resident pages first and
 /// counts them apart from faulted rows. Not part of the config digest.
@@ -27,7 +27,7 @@ pub enum ReadPath {
 }
 
 impl ReadPath {
-    /// CLI/report spelling (`--read-path snapshot|locked`).
+    /// Report spelling of the path.
     pub fn as_str(&self) -> &'static str {
         match self {
             ReadPath::Snapshot => "snapshot",
@@ -38,7 +38,7 @@ impl ReadPath {
 
 /// Outcome counters of the snapshot read path, drained into the
 /// `hotpath.read.*` metrics at end of run. All-zero for a store without a
-/// snapshot structure ([`ShardedTable`]) and under [`ReadPath::Locked`].
+/// snapshot structure ([`crate::ShardedTable`]) and under [`ReadPath::Locked`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReadPathStats {
     /// Rows served from a resident page of a tiered store.
@@ -72,7 +72,7 @@ pub struct CapacityStats {
 /// f32 rows with per-row update clocks, batched access via
 /// [`BatchScratch`], and checkpoint restore hooks. Implementations must be
 /// safe for concurrent worker threads (`Sync`) and bit-identical to
-/// [`ShardedTable`] for the same operation sequence — the differential
+/// [`crate::ShardedTable`] for the same operation sequence — the differential
 /// suite in `tests/tiered_differential.rs` enforces that.
 pub trait RowStore: Sync {
     /// Embedding dimension.
@@ -81,13 +81,31 @@ pub trait RowStore: Sync {
     fn num_rows(&self) -> usize;
     /// Current update clock of `row`.
     fn clock(&self, row: u32) -> u64;
-    /// Reads `row` into `out`; returns the pre-read clock.
+    /// Reads `row` into `out`; returns the row's clock, read under the
+    /// same lock as the values.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != dim` or `row` out of range.
     fn read_row(&self, row: u32, out: &mut [f32]) -> u64;
-    /// Batched [`RowStore::read_row`]; see [`ShardedTable::read_rows`].
+    /// Batched [`RowStore::read_row`]: reads `rows[k]` into
+    /// `out[k*dim..(k+1)*dim]` and stores each row's clock in `clocks[k]`,
+    /// taking each lock once per batch instead of once per row.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != rows.len() * dim`, `clocks.len() !=
+    /// rows.len()`, or any row is out of range.
     fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch);
-    /// Applies one gradient and ticks the row clock; returns the new clock.
+    /// Applies one gradient `grad` to `row` under `opt`, ticks the row's
+    /// clock, and returns the new clock value.
     fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64;
-    /// Batched [`RowStore::apply_grad`]; see [`ShardedTable::apply_grads`].
+    /// Batched [`RowStore::apply_grad`]: applies `grads[k*dim..(k+1)*dim]`
+    /// to `rows[k]` under `opt`, storing each new clock in `clocks[k]`.
+    /// Duplicate rows apply in the caller's order, bit-identical to a
+    /// per-row loop.
+    ///
+    /// # Panics
+    /// Panics if `grads.len() != rows.len() * dim`, `clocks.len() !=
+    /// rows.len()`, or any row is out of range.
     fn apply_grads(
         &self,
         rows: &[u32],
@@ -96,18 +114,30 @@ pub trait RowStore: Sync {
         clocks: &mut [u64],
         scratch: &mut BatchScratch,
     );
-    /// Overwrites `row` without advancing its clock.
+    /// Overwrites `row` with explicit values (tests and model checkpoint
+    /// restore). Does not advance the clock.
     fn write_row(&self, row: u32, values: &[f32]);
-    /// Batched [`RowStore::write_row`]; see [`ShardedTable::write_rows`].
+    /// Batched [`RowStore::write_row`]: overwrites `rows[k]` with
+    /// `values[k*dim..(k+1)*dim]`; duplicate rows write in the caller's
+    /// order (last write wins).
     fn write_rows(&self, rows: &[u32], values: &[f32], scratch: &mut BatchScratch);
-    /// Overwrites `row` with explicit values *and* clock (restore path).
+    /// Overwrites `row` with explicit values *and* clock — checkpoint
+    /// restore and crash-recovery rollback, where the row must rejoin the
+    /// protocol exactly as it was saved. The stored clock replaces the
+    /// current one and may move backwards: rolling back lost updates
+    /// shrinks the clock, and staleness gaps are computed with saturating
+    /// subtraction precisely so replicas that observed the lost updates
+    /// read as "fresh", not as violations.
     fn restore_row(&self, row: u32, values: &[f32], clock: u64);
     /// True if any optimizer (Adagrad) state has been allocated.
     fn has_optimizer_state(&self) -> bool;
     /// Reads `row`'s Adagrad accumulator; `false` + zero-fill when the
     /// accumulator is implicitly zero.
     fn read_accum(&self, row: u32, out: &mut [f32]) -> bool;
-    /// Overwrites `row`'s Adagrad accumulator, allocating as needed.
+    /// Overwrites `row`'s Adagrad accumulator, allocating as needed
+    /// (checkpoint restore and crash rollback: optimizer state must move
+    /// with the values it produced, or a restored Adagrad run re-takes the
+    /// early large steps and diverges from the uninterrupted one).
     fn restore_accum(&self, row: u32, values: &[f32]);
     /// Sum of all clocks — total updates applied.
     fn total_updates(&self) -> u64;
@@ -115,8 +145,9 @@ pub trait RowStore: Sync {
     /// excluded — they are reported by [`RowStore::spilled_bytes`], so RAM
     /// accounting never double-counts partitions that live on disk.
     fn heap_bytes(&self) -> usize;
-    /// Data-path lock acquisitions since construction (what the batched
-    /// API amortises; see [`ShardedTable::lock_acquisitions`]).
+    /// Data-path lock acquisitions since construction. One per-row call
+    /// costs one acquisition; one batched call costs one per *distinct
+    /// segment or page touched* — the quantity the batched API amortises.
     fn lock_acquisitions(&self) -> u64;
     /// Bytes whose authoritative copy currently lives in spill files.
     /// 0 for fully resident stores.
@@ -157,67 +188,10 @@ pub trait RowStore: Sync {
     }
 }
 
-impl RowStore for ShardedTable {
-    fn dim(&self) -> usize {
-        ShardedTable::dim(self)
-    }
-    fn num_rows(&self) -> usize {
-        ShardedTable::num_rows(self)
-    }
-    fn clock(&self, row: u32) -> u64 {
-        ShardedTable::clock(self, row)
-    }
-    fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
-        ShardedTable::read_row(self, row, out)
-    }
-    fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
-        ShardedTable::read_rows(self, rows, out, clocks, scratch)
-    }
-    fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64 {
-        ShardedTable::apply_grad(self, row, grad, opt)
-    }
-    fn apply_grads(
-        &self,
-        rows: &[u32],
-        grads: &[f32],
-        opt: &SparseOpt,
-        clocks: &mut [u64],
-        scratch: &mut BatchScratch,
-    ) {
-        ShardedTable::apply_grads(self, rows, grads, opt, clocks, scratch)
-    }
-    fn write_row(&self, row: u32, values: &[f32]) {
-        ShardedTable::write_row(self, row, values)
-    }
-    fn write_rows(&self, rows: &[u32], values: &[f32], scratch: &mut BatchScratch) {
-        ShardedTable::write_rows(self, rows, values, scratch)
-    }
-    fn restore_row(&self, row: u32, values: &[f32], clock: u64) {
-        ShardedTable::restore_row(self, row, values, clock)
-    }
-    fn has_optimizer_state(&self) -> bool {
-        ShardedTable::has_optimizer_state(self)
-    }
-    fn read_accum(&self, row: u32, out: &mut [f32]) -> bool {
-        ShardedTable::read_accum(self, row, out)
-    }
-    fn restore_accum(&self, row: u32, values: &[f32]) {
-        ShardedTable::restore_accum(self, row, values)
-    }
-    fn total_updates(&self) -> u64 {
-        ShardedTable::total_updates(self)
-    }
-    fn heap_bytes(&self) -> usize {
-        ShardedTable::heap_bytes(self)
-    }
-    fn lock_acquisitions(&self) -> u64 {
-        ShardedTable::lock_acquisitions(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::ShardedTable;
 
     #[test]
     fn sharded_table_coerces_to_row_store() {

@@ -1,4 +1,5 @@
-//! The global primary store: segments of plain embedding rows, one lock each.
+//! The global primary store: segments of plain embedding rows, one lock each,
+//! and the row core both stores share.
 //!
 //! This is the simulation substitute for the paper's per-GPU CUDA embedding
 //! tables connected by NCCL p2p: primaries live in one shared, thread-safe
@@ -6,13 +7,22 @@
 //! [`crate::WorkerEmbedding`] view consults the partition and reports bytes
 //! that would have crossed the interconnect).
 //!
+//! # The row core
+//!
+//! `Rows` is the one row body: `dim` floats per slot, lazily allocated
+//! Adagrad accumulators, and the per-slot read, write, update and
+//! accumulator operations. `init_rng` and `draw_row` are the one
+//! initial-value generator, and `tick` the one clock rule. This table's
+//! segments and [`crate::TieredTable`]'s pages both hold `Rows`, so the two
+//! stores run the same FP operation sequence by construction.
+//!
 //! # Layout: segments and placement
 //!
 //! A table is a set of **segments** plus a placement that maps each row to
-//! a `(segment, slot)`. A segment is one `RwLock` over plain `f32` rows and
-//! their lazily allocated Adagrad accumulators, and one update clock per
-//! slot that [`ShardedTable::clock`] reads without the lock. A batched call
-//! groups its rows by segment and takes one guard per segment touched.
+//! a `(segment, slot)`. A segment is one `RwLock` over its `Rows` and one
+//! update clock per slot, which [`RowStore::clock`] reads without the lock.
+//! A batched call groups its rows by segment and takes one guard per
+//! segment touched.
 //!
 //! * [`ShardedTable::new`] stripes rows round-robin over 256 segments:
 //!   segment `row % 256`, slot `row / 256`, computed from the row id and
@@ -28,6 +38,7 @@
 //! stripe's generator whatever segment it lands in, and every operation is
 //! per row, in the caller's order within a segment.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hetgmp_partition::Partition;
@@ -36,30 +47,74 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::sparse_optim::SparseOpt;
+use crate::store::RowStore;
 
-/// Segments of the striped layout; rows go round-robin (`row % STRIPES`)
-/// so hot rows spread across locks. Each stripe also seeds the initial
-/// values of its rows, whatever the layout.
-const STRIPES: usize = 256;
+/// Initial-value streams: row `r` takes the next `dim` values of stream
+/// `r % STRIPES`, whatever store or layout holds it. Also the segment count
+/// of the striped layout, so hot rows spread across locks.
+pub(crate) const STRIPES: usize = 256;
 /// `log2(STRIPES)`: a row id is its own striped location code.
 const STRIPE_BITS: u32 = 8;
 
-/// A segment's lock-protected rows.
-struct Rows {
+/// The generator of stripe `stripe`'s initial values.
+pub(crate) fn init_rng(seed: u64, stripe: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (stripe as u64).wrapping_mul(0x9E3779B97F4A7C15))
+}
+
+/// Draws one row's initial values, uniform in `[-init_scale, init_scale]`,
+/// from its stripe's generator.
+#[inline]
+pub(crate) fn draw_row(rng: &mut StdRng, init_scale: f32, out: &mut [f32]) {
+    for v in out {
+        *v = rng.gen_range(-init_scale..=init_scale);
+    }
+}
+
+/// Ticks `clock` and returns its new value. The caller holds the lock that
+/// guards the row's values, so a load and a store suffice. The `Release`
+/// store pairs with [`RowStore::clock`]'s `Acquire` load: a thread that
+/// sees the new clock also sees the update it counts.
+#[inline]
+pub(crate) fn tick(clock: &AtomicU64) -> u64 {
+    let next = clock.load(Ordering::Relaxed) + 1;
+    clock.store(next, Ordering::Release);
+    next
+}
+
+/// Rows of `dim` floats and their Adagrad accumulators: a segment of this
+/// table, or a resident page of the tiered store. Every per-slot operation
+/// takes `dim` from the length of the slice it is given.
+pub(crate) struct Rows {
     /// `dim` floats per slot.
-    values: Vec<f32>,
+    pub(crate) values: Vec<f32>,
     /// Adagrad accumulators, indexed like `values`, allocated on the
-    /// segment's first Adagrad update.
-    accum: Option<Vec<f32>>,
+    /// first Adagrad update.
+    pub(crate) accum: Option<Vec<f32>>,
 }
 
 impl Rows {
-    /// Applies one gradient to the row at `slot`. The single update body of
-    /// [`ShardedTable::apply_grad`] and [`ShardedTable::apply_grads`], so
-    /// the two are the same FP operation sequence by construction.
     #[inline]
-    fn apply(&mut self, slot: usize, dim: usize, grad: &[f32], opt: &SparseOpt) {
-        let row = slot * dim..(slot + 1) * dim;
+    fn span(slot: usize, dim: usize) -> Range<usize> {
+        slot * dim..(slot + 1) * dim
+    }
+
+    /// Copies the row at `slot` into `out`.
+    #[inline]
+    pub(crate) fn read(&self, slot: usize, out: &mut [f32]) {
+        out.copy_from_slice(&self.values[Self::span(slot, out.len())]);
+    }
+
+    /// Overwrites the row at `slot` with `values`.
+    #[inline]
+    pub(crate) fn write(&mut self, slot: usize, values: &[f32]) {
+        self.values[Self::span(slot, values.len())].copy_from_slice(values);
+    }
+
+    /// Applies one gradient to the row at `slot`: the single update body
+    /// of both stores, per-row and batched alike.
+    #[inline]
+    pub(crate) fn apply(&mut self, slot: usize, grad: &[f32], opt: &SparseOpt) {
+        let row = Self::span(slot, grad.len());
         match *opt {
             SparseOpt::Sgd { lr } => {
                 for (p, &g) in self.values[row].iter_mut().zip(grad) {
@@ -76,6 +131,30 @@ impl Rows {
             }
         }
     }
+
+    /// Copies the accumulator of `slot` into `out`. Returns `false` (and
+    /// zero-fills `out`) while no accumulator is allocated: it is
+    /// implicitly zero.
+    pub(crate) fn read_accum(&self, slot: usize, out: &mut [f32]) -> bool {
+        match &self.accum {
+            Some(a) => {
+                out.copy_from_slice(&a[Self::span(slot, out.len())]);
+                true
+            }
+            None => {
+                out.fill(0.0);
+                false
+            }
+        }
+    }
+
+    /// Overwrites the accumulator of `slot`, allocating zeroed
+    /// accumulators first if there are none.
+    pub(crate) fn restore_accum(&mut self, slot: usize, values: &[f32]) {
+        let len = self.values.len();
+        let accum = self.accum.get_or_insert_with(|| vec![0.0; len]);
+        accum[Self::span(slot, values.len())].copy_from_slice(values);
+    }
 }
 
 /// One lock's worth of rows, on its own cache line so two owners' lock
@@ -88,21 +167,10 @@ struct Segment {
     clocks: Vec<AtomicU64>,
 }
 
-impl Segment {
-    /// Ticks the clock of `slot` and returns its new value. The caller
-    /// holds the write lock, so a load and a store suffice. The `Release`
-    /// store pairs with [`ShardedTable::clock`]'s `Acquire` load: a thread
-    /// that sees the new clock also sees the update it counts.
-    #[inline]
-    fn tick(&self, slot: usize) -> u64 {
-        let clock = self.clocks[slot].load(Ordering::Relaxed) + 1;
-        self.clocks[slot].store(clock, Ordering::Release);
-        clock
-    }
-}
-
 /// The authoritative embedding table: `num_rows × dim` f32, with a per-row
 /// update clock counting applied gradient updates (the `c_i` of §5.3).
+/// Every operation but construction and the three-argument
+/// [`ShardedTable::read_rows_snapshot`] goes through [`RowStore`].
 pub struct ShardedTable {
     dim: usize,
     num_rows: usize,
@@ -119,10 +187,10 @@ pub struct ShardedTable {
     lock_acquisitions: AtomicU64,
 }
 
-/// Reusable scratch for the batched table API ([`ShardedTable::read_rows`],
-/// [`ShardedTable::apply_grads`], [`ShardedTable::write_rows`]). Callers keep
-/// one per worker so grouping a batch by segment allocates nothing once the
-/// buffer has warmed up.
+/// Reusable scratch for the batched table API ([`RowStore::read_rows`],
+/// [`RowStore::apply_grads`], [`RowStore::write_rows`]). Callers keep one
+/// per worker so grouping a batch by segment or page allocates nothing
+/// once the buffer has warmed up.
 #[derive(Default)]
 pub struct BatchScratch {
     /// Permutation of `0..rows.len()` ordered by `(bucket, original index)`:
@@ -229,7 +297,7 @@ impl ShardedTable {
 
     /// A table of segments holding `lens[s]` rows each, placed by
     /// `placement` (see [`ShardedTable::locate`]), every row drawn from its
-    /// stripe's generator.
+    /// stripe's generator, stripe by stripe.
     fn build(
         num_rows: usize,
         dim: usize,
@@ -248,45 +316,26 @@ impl ShardedTable {
             segment_bits,
             lock_acquisitions: AtomicU64::new(0),
         };
-        let mut values: Vec<Vec<f32>> = lens.iter().map(|&n| vec![0.0; n * dim]).collect();
+        let mut segments: Vec<Rows> = lens
+            .iter()
+            .map(|&n| Rows { values: vec![0.0; n * dim], accum: None })
+            .collect();
         for stripe in 0..STRIPES {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (stripe as u64).wrapping_mul(0x9E3779B97F4A7C15));
+            let mut rng = init_rng(seed, stripe);
             for row in (stripe..num_rows).step_by(STRIPES) {
                 let (segment, slot) = table.locate(row as u32);
-                for v in &mut values[segment][slot * dim..(slot + 1) * dim] {
-                    *v = rng.gen_range(-init_scale..=init_scale);
-                }
+                draw_row(&mut rng, init_scale, &mut segments[segment].values[Rows::span(slot, dim)]);
             }
         }
-        table.segments = values
+        table.segments = segments
             .into_iter()
             .zip(lens)
-            .map(|(values, n)| Segment {
-                rows: RwLock::new(Rows { values, accum: None }),
+            .map(|(rows, n)| Segment {
+                rows: RwLock::new(rows),
                 clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
             })
             .collect();
         table
-    }
-
-    /// Total data-path segment lock acquisitions since construction. One
-    /// per-row call costs one acquisition; one batched call costs one per
-    /// *distinct segment touched* — the quantity the hot path amortises.
-    pub fn lock_acquisitions(&self) -> u64 {
-        self.lock_acquisitions.load(Ordering::Relaxed)
-    }
-
-    /// Embedding dimension.
-    #[inline]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.num_rows
     }
 
     /// `(segment, slot)` of `row`.
@@ -326,42 +375,45 @@ impl ShardedTable {
         scratch.group_by(rows, self.segments.len(), |row| self.locate(row).0);
     }
 
-    /// Current update clock of `row`.
+    /// [`RowStore::read_rows`] for callers that keep no
+    /// [`BatchScratch`]; it groups through a fresh one.
+    ///
+    /// # Panics
+    /// As [`RowStore::read_rows`].
+    pub fn read_rows_snapshot(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64]) {
+        self.read_rows(rows, out, clocks, &mut BatchScratch::default())
+    }
+}
+
+impl RowStore for ShardedTable {
     #[inline]
-    pub fn clock(&self, row: u32) -> u64 {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    #[inline]
+    fn num_rows(&self) -> usize {
+        self.num_rows
+    }
+
+    #[inline]
+    fn clock(&self, row: u32) -> u64 {
         let (segment, slot) = self.locate(row);
         self.segments[segment].clocks[slot].load(Ordering::Acquire)
     }
 
-    /// Reads `row` into `out`; returns the row's clock, read under the same
-    /// lock as the values.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != dim` or `row` out of range.
-    pub fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
+    fn read_row(&self, row: u32, out: &mut [f32]) -> u64 {
         assert_eq!(out.len(), self.dim, "output buffer length != dim");
         self.check_row(row);
         let (segment, slot) = self.locate(row);
         let held = self.read_segment(segment);
-        out.copy_from_slice(&held.values[slot * self.dim..(slot + 1) * self.dim]);
+        held.read(slot, out);
         self.segments[segment].clocks[slot].load(Ordering::Relaxed)
     }
 
-    /// Batched [`ShardedTable::read_row`]: reads `rows[k]` into
-    /// `out[k*dim..(k+1)*dim]` and stores each row's clock in `clocks[k]`,
-    /// taking each segment's lock once per batch instead of once per row.
-    /// Bit-identical to a per-row loop (rows are disjoint slices).
-    ///
-    /// # Panics
-    /// Panics if `out.len() != rows.len() * dim`, `clocks.len() !=
-    /// rows.len()`, or any row is out of range.
-    pub fn read_rows(
-        &self,
-        rows: &[u32],
-        out: &mut [f32],
-        clocks: &mut [u64],
-        scratch: &mut BatchScratch,
-    ) {
+    /// One lock per segment touched; bit-identical to a per-row loop (rows
+    /// are disjoint slices).
+    fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
         assert_eq!(
             out.len(),
             rows.len() * self.dim,
@@ -377,43 +429,24 @@ impl ShardedTable {
                 let k = k as usize;
                 let slot = self.locate(rows[k]).1;
                 clocks[k] = seg_clocks[slot].load(Ordering::Relaxed);
-                out[k * dim..(k + 1) * dim]
-                    .copy_from_slice(&held.values[slot * dim..(slot + 1) * dim]);
+                held.read(slot, &mut out[k * dim..(k + 1) * dim]);
             }
         }
     }
 
-    /// [`ShardedTable::read_rows`] for callers that keep no
-    /// [`BatchScratch`]; it groups through a fresh one.
-    ///
-    /// # Panics
-    /// As [`ShardedTable::read_rows`].
-    pub fn read_rows_snapshot(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64]) {
-        self.read_rows(rows, out, clocks, &mut BatchScratch::default())
-    }
-
-    /// Applies one gradient `grad` to `row` under `opt`, increments the
-    /// row's clock, and returns the new clock value.
-    pub fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64 {
+    fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64 {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
         self.check_row(row);
         let (segment, slot) = self.locate(row);
         let mut held = self.write_segment(segment);
-        held.apply(slot, self.dim, grad, opt);
-        self.segments[segment].tick(slot)
+        held.apply(slot, grad, opt);
+        tick(&self.segments[segment].clocks[slot])
     }
 
-    /// Batched [`ShardedTable::apply_grad`]: applies `grads[k*dim..(k+1)*dim]`
-    /// to `rows[k]` under `opt`, ticking each row's clock and storing the new
-    /// clock in `clocks[k]`. Each segment's lock is taken once per batch;
-    /// within a segment, rows apply in the caller's order, so duplicate rows
-    /// (and the resulting Adagrad accumulator sequence) are bit-identical to
-    /// a per-row loop over `apply_grad`.
-    ///
-    /// # Panics
-    /// Panics if `grads.len() != rows.len() * dim`, `clocks.len() !=
-    /// rows.len()`, or any row is out of range.
-    pub fn apply_grads(
+    /// One lock per segment touched; within a segment, rows apply in the
+    /// caller's order, so duplicate rows (and the resulting Adagrad
+    /// accumulator sequence) are bit-identical to a per-row loop.
+    fn apply_grads(
         &self,
         rows: &[u32],
         grads: &[f32],
@@ -431,34 +464,26 @@ impl ShardedTable {
         let dim = self.dim;
         for (segment, group) in scratch.groups() {
             let mut held = self.write_segment(segment);
+            let seg_clocks = &self.segments[segment].clocks;
             for &k in group {
                 let k = k as usize;
                 let slot = self.locate(rows[k]).1;
-                held.apply(slot, dim, &grads[k * dim..(k + 1) * dim], opt);
-                clocks[k] = self.segments[segment].tick(slot);
+                held.apply(slot, &grads[k * dim..(k + 1) * dim], opt);
+                clocks[k] = tick(&seg_clocks[slot]);
             }
         }
     }
 
-    /// Overwrites `row` with explicit values (used by tests and by model
-    /// checkpoint restore). Does not advance the clock.
-    pub fn write_row(&self, row: u32, values: &[f32]) {
+    fn write_row(&self, row: u32, values: &[f32]) {
         assert_eq!(values.len(), self.dim, "values length != dim");
         self.check_row(row);
         let (segment, slot) = self.locate(row);
-        let mut held = self.write_segment(segment);
-        held.values[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
+        self.write_segment(segment).write(slot, values);
     }
 
-    /// Batched [`ShardedTable::write_row`]: overwrites `rows[k]` with
-    /// `values[k*dim..(k+1)*dim]`, one lock per segment per batch. Does not
-    /// advance clocks. Duplicate rows write in the caller's order (last
-    /// write wins, same as a per-row loop).
-    ///
-    /// # Panics
-    /// Panics if `values.len() != rows.len() * dim` or any row is out of
-    /// range.
-    pub fn write_rows(&self, rows: &[u32], values: &[f32], scratch: &mut BatchScratch) {
+    /// One lock per segment touched; duplicate rows write in the caller's
+    /// order (last write wins, same as a per-row loop).
+    fn write_rows(&self, rows: &[u32], values: &[f32], scratch: &mut BatchScratch) {
         assert_eq!(
             values.len(),
             rows.len() * self.dim,
@@ -470,74 +495,41 @@ impl ShardedTable {
             let mut held = self.write_segment(segment);
             for &k in group {
                 let k = k as usize;
-                let slot = self.locate(rows[k]).1;
-                held.values[slot * dim..(slot + 1) * dim]
-                    .copy_from_slice(&values[k * dim..(k + 1) * dim]);
+                held.write(self.locate(rows[k]).1, &values[k * dim..(k + 1) * dim]);
             }
         }
     }
 
-    /// Overwrites `row` with explicit values *and* clock — checkpoint
-    /// restore and crash-recovery rollback, where the row must rejoin the
-    /// protocol exactly as it was saved. Unlike [`ShardedTable::write_row`],
-    /// the stored clock replaces the current one (it may move backwards:
-    /// rolling back lost updates shrinks the clock, and staleness gaps are
-    /// computed with saturating subtraction precisely so replicas that
-    /// observed the lost updates read as "fresh", not as violations).
-    pub fn restore_row(&self, row: u32, values: &[f32], clock: u64) {
+    fn restore_row(&self, row: u32, values: &[f32], clock: u64) {
         assert_eq!(values.len(), self.dim, "values length != dim");
         self.check_row(row);
         let (segment, slot) = self.locate(row);
         let mut held = self.write_segment(segment);
-        held.values[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
+        held.write(slot, values);
         self.segments[segment].clocks[slot].store(clock, Ordering::Release);
     }
 
-    /// True if any segment holds allocated optimizer (Adagrad) state.
-    pub fn has_optimizer_state(&self) -> bool {
+    fn has_optimizer_state(&self) -> bool {
         self.segments.iter().any(|s| s.rows.read().accum.is_some())
     }
 
-    /// Reads `row`'s Adagrad accumulator into `out`. Returns `false` (and
-    /// zero-fills `out`) if the row's segment has never taken an Adagrad
-    /// update — the accumulator is implicitly zero. Which rows share a
-    /// segment depends on the layout, so only the values are
-    /// layout-independent, not this flag.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != dim` or `row` out of range.
-    pub fn read_accum(&self, row: u32, out: &mut [f32]) -> bool {
+    /// Which rows share a segment depends on the layout, so only the values
+    /// are layout-independent, not the returned flag.
+    fn read_accum(&self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "output buffer length != dim");
         self.check_row(row);
         let (segment, slot) = self.locate(row);
-        match &self.segments[segment].rows.read().accum {
-            Some(a) => {
-                out.copy_from_slice(&a[slot * self.dim..(slot + 1) * self.dim]);
-                true
-            }
-            None => {
-                out.fill(0.0);
-                false
-            }
-        }
+        self.segments[segment].rows.read().read_accum(slot, out)
     }
 
-    /// Overwrites `row`'s Adagrad accumulator, allocating segment state as
-    /// needed (checkpoint restore and crash rollback: optimizer state must
-    /// move with the values it produced, or a restored Adagrad run re-takes
-    /// the early large steps and diverges from the uninterrupted one).
-    pub fn restore_accum(&self, row: u32, values: &[f32]) {
+    fn restore_accum(&self, row: u32, values: &[f32]) {
         assert_eq!(values.len(), self.dim, "values length != dim");
         self.check_row(row);
         let (segment, slot) = self.locate(row);
-        let mut held = self.segments[segment].rows.write();
-        let len = held.values.len();
-        let accum = held.accum.get_or_insert_with(|| vec![0.0; len]);
-        accum[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
+        self.segments[segment].rows.write().restore_accum(slot, values);
     }
 
-    /// Sum of all clocks — total updates applied to the table.
-    pub fn total_updates(&self) -> u64 {
+    fn total_updates(&self) -> u64 {
         self.segments
             .iter()
             .flat_map(|s| &s.clocks)
@@ -545,8 +537,7 @@ impl ShardedTable {
             .sum()
     }
 
-    /// Approximate heap footprint, bytes.
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         let rows: usize = self
             .segments
             .iter()
@@ -557,6 +548,10 @@ impl ShardedTable {
             })
             .sum();
         rows + self.placement.as_ref().map_or(0, |codes| codes.len() * 4)
+    }
+
+    fn lock_acquisitions(&self) -> u64 {
+        self.lock_acquisitions.load(Ordering::Relaxed)
     }
 }
 

@@ -1,12 +1,13 @@
 //! The spillable storage tier: hot pages in RAM, cold pages in one slotted,
 //! checksummed spill file (§7.4 capacity story past the host's memory).
 //!
-//! [`TieredTable`] implements the exact [`RowStore`] surface of
-//! [`crate::ShardedTable`] — same batched API, same per-row FP operation
-//! sequence, same stable duplicate-row ordering — so workers, the LFU
-//! cache, and checkpointing are unchanged clients, and every result is
-//! **bit-identical** to the in-memory store
-//! (enforced by `tests/tiered_differential.rs`).
+//! [`TieredTable`] implements the [`RowStore`] surface of
+//! [`crate::ShardedTable`] — same batched API, same stable duplicate-row
+//! ordering — so workers, the LFU cache, and checkpointing are unchanged
+//! clients. A resident page holds the in-memory table's row core
+//! (`table::Rows`), and every read, write and update goes through it, so
+//! every result is **bit-identical** to the in-memory store by
+//! construction; `tests/tiered_differential.rs` still checks it.
 //!
 //! # Layout
 //!
@@ -15,12 +16,14 @@
 //! up to a configured byte budget; colder pages live in the spill file.
 //! Per-row update clocks always stay in RAM (they are 8 bytes/row and every
 //! staleness decision reads them), so spilling never perturbs the
-//! bounded-asynchrony protocol.
+//! bounded-asynchrony protocol. A clock is read and ticked under the tier
+//! lock that guards its row's values, as the in-memory table does under
+//! its segment lock.
 //!
-//! Initial values replicate [`crate::ShardedTable::new`]'s per-stripe RNG
-//! exactly (stripe = `row % 256`, offset `(row / 256) * dim`), then cold
-//! pages are spilled until the pool fits the budget — a fresh tiered table
-//! reads back bit-for-bit what the in-memory table holds.
+//! Initial values come from the in-memory table's generator (row `r` takes
+//! the next `dim` values of stripe `r % 256`), and cold pages are spilled
+//! as they are filled — a fresh tiered table reads back bit-for-bit what
+//! the in-memory table holds.
 //!
 //! # Spill file
 //!
@@ -83,17 +86,12 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use hetgmp_telemetry::{names, HetGmpError, Json, Recorder, TraceCollector};
 
 use crate::sparse_optim::SparseOpt;
 use crate::store::{CapacityStats, ReadPathStats, RowStore};
-use crate::table::BatchScratch;
-
-/// Lock-stripe count of the in-memory store; the tiered store replicates
-/// its per-stripe init RNG so both stores start bit-identical.
-const STRIPES: usize = 256;
+use crate::table::{draw_row, init_rng, tick, BatchScratch, Rows, STRIPES};
 
 const PAGE_MAGIC: &[u8; 4] = b"HGPG";
 const PAGE_VERSION: u32 = 3;
@@ -241,11 +239,9 @@ impl Default for TieredConfig {
 }
 
 struct PageState {
-    /// Resident values, `rows_in_page * dim`; `None` when spilled.
-    data: Option<Vec<f32>>,
-    /// Resident Adagrad accumulators (same layout); `Some` iff resident
-    /// and `has_accum`.
-    accum: Option<Vec<f32>>,
+    /// The resident rows, `rows_in_page` slots; `None` when spilled. Its
+    /// accumulators are `Some` iff resident and `has_accum`.
+    rows: Option<Rows>,
     /// The page carries accumulator state (resident or spilled).
     has_accum: bool,
     /// Modified since the last spill (a page never spilled is dirty).
@@ -254,6 +250,18 @@ struct PageState {
     pinned: bool,
     /// LRU tick of the last touch.
     last_use: u64,
+}
+
+impl PageState {
+    fn rows(&self) -> &Rows {
+        self.rows.as_ref().expect("page resident")
+    }
+
+    /// The resident rows, for writing: marks the page dirty.
+    fn rows_mut(&mut self) -> &mut Rows {
+        self.dirty = true;
+        self.rows.as_mut().expect("page resident")
+    }
 }
 
 struct TierState {
@@ -418,17 +426,15 @@ impl TieredTable {
     }
 
     /// Fills every page with its initial rows, drawn in row order from the
-    /// 256 per-stripe generators of `ShardedTable::new` (row `r` takes the
-    /// next `dim` values of stripe `r % 256`, as the stripes lay them
-    /// out). Pages stay resident while they fit the budget; from the first
-    /// that does not, each is written to its spill slot as soon as it is
-    /// whole, through one reused buffer. The LRU ticks rank the low pages
+    /// in-memory table's per-stripe generators (row `r` takes the next
+    /// `dim` values of stripe `r % 256`, as the stripes lay them out).
+    /// Pages stay resident while they fit the budget; from the first that
+    /// does not, each is written to its spill slot as soon as it is whole,
+    /// through one reused buffer. The LRU ticks rank the low pages
     /// newest, so the first evictions take the high ones.
     fn write_initial_pages(&self, st: &mut TierState, init_scale: f32, seed: u64) {
         let dim = self.dim;
-        let mut stripes: Vec<StdRng> = (0..STRIPES)
-            .map(|s| StdRng::seed_from_u64(seed ^ (s as u64).wrapping_mul(0x9E3779B97F4A7C15)))
-            .collect();
+        let mut stripes: Vec<StdRng> = (0..STRIPES).map(|s| init_rng(seed, s)).collect();
         let mut spill_buf: Option<Vec<f32>> = None;
         for p in 0..self.num_pages {
             let first = p * self.rows_per_page;
@@ -439,14 +445,13 @@ impl TieredTable {
                 Some(buf) => buf,
                 None => Vec::with_capacity(rows_here * dim),
             };
-            data.clear();
-            for row in first..first + rows_here {
-                let rng = &mut stripes[row % STRIPES];
-                data.extend((0..dim).map(|_| rng.gen_range(-init_scale..=init_scale)));
+            data.resize(rows_here * dim, 0.0);
+            for (row, out) in (first..).zip(data.chunks_exact_mut(dim)) {
+                draw_row(&mut stripes[row % STRIPES], init_scale, out);
             }
-            let data = if resident {
+            let rows = if resident {
                 st.resident_bytes += bytes;
-                Some(data)
+                Some(Rows { values: data, accum: None })
             } else {
                 self.write_page(st, p, &data, None);
                 st.spilled_bytes += bytes;
@@ -454,9 +459,8 @@ impl TieredTable {
                 None
             };
             st.pages.push(PageState {
-                dirty: data.is_some(),
-                data,
-                accum: None,
+                dirty: rows.is_some(),
+                rows,
                 has_accum: false,
                 pinned: false,
                 last_use: (self.num_pages - p) as u64,
@@ -556,8 +560,8 @@ impl TieredTable {
         });
         let len = st.staging.len();
         let values_end = HEADER_BYTES + self.rows_in_page(page) * self.dim * 4;
-        let mut data = st.free.pop().unwrap_or_default();
-        get_f32s(&st.staging[HEADER_BYTES..values_end], &mut data);
+        let mut values = st.free.pop().unwrap_or_default();
+        get_f32s(&st.staging[HEADER_BYTES..values_end], &mut values);
         let accum = st.pages[page].has_accum.then(|| {
             let mut accum = st.free.pop().unwrap_or_default();
             get_f32s(&st.staging[values_end..len - 8], &mut accum);
@@ -565,8 +569,7 @@ impl TieredTable {
         });
         let pb = self.page_bytes(st, page);
         let pg = &mut st.pages[page];
-        pg.data = Some(data);
-        pg.accum = accum;
+        pg.rows = Some(Rows { values, accum });
         pg.dirty = false;
         st.resident_bytes += pb;
         st.spilled_bytes -= pb;
@@ -625,7 +628,7 @@ impl TieredTable {
     /// victims' buffers are on the free list when the load wants them.
     /// Callers pin the page first so the budget pass never drops it.
     fn ensure_resident(&self, st: &mut TierState, page: usize) {
-        if st.pages[page].data.is_some() {
+        if st.pages[page].rows.is_some() {
             self.make_room(st, 0);
         } else {
             self.make_room(st, self.page_bytes(st, page));
@@ -641,7 +644,7 @@ impl TieredTable {
                 .pages
                 .iter()
                 .enumerate()
-                .filter(|(_, p)| p.data.is_some() && !p.pinned)
+                .filter(|(_, p)| p.rows.is_some() && !p.pinned)
                 .min_by_key(|(_, p)| p.last_use)
                 .map(|(i, _)| i);
             let Some(v) = victim else { break };
@@ -652,14 +655,13 @@ impl TieredTable {
     fn evict(&self, st: &mut TierState, page: usize) {
         let pb = self.page_bytes(st, page);
         let pg = &mut st.pages[page];
-        let data = pg.data.take().expect("evicting resident page");
-        let accum = pg.accum.take();
+        let Rows { values, accum } = pg.rows.take().expect("evicting resident page");
         if std::mem::take(&mut pg.dirty) {
-            self.write_page(st, page, &data, accum.as_deref());
+            self.write_page(st, page, &values, accum.as_deref());
             st.writebacks += 1;
             self.emit_fault(st, page, "writeback", names::CAPACITY_FAULT_WRITEBACKS);
         }
-        st.recycle(data);
+        st.recycle(values);
         if let Some(a) = accum {
             st.recycle(a);
         }
@@ -714,7 +716,7 @@ impl TieredTable {
         let swept = st.lru_tick;
         for resident_pass in [true, false] {
             for (page, group) in scratch.groups() {
-                let resident = st.pages[page].data.is_some();
+                let resident = st.pages[page].rows.is_some();
                 if st.pages[page].last_use > swept || (resident_pass && !resident) {
                     continue;
                 }
@@ -745,13 +747,12 @@ impl TieredTable {
         let dim = self.dim;
         let (mut resident_rows, mut faulted_rows) = (0u64, 0u64);
         self.for_each_page(rows, scratch, |st, page, group, resident| {
-            let data = st.pages[page].data.as_ref().expect("page resident");
+            let held = st.pages[page].rows();
             for &k in group {
                 let k = k as usize;
                 let row = rows[k] as usize;
-                clocks[k] = self.clocks[row].load(Ordering::Acquire);
-                let slot = (row % self.rows_per_page) * dim;
-                out[k * dim..(k + 1) * dim].copy_from_slice(&data[slot..slot + dim]);
+                clocks[k] = self.clocks[row].load(Ordering::Relaxed);
+                held.read(row % self.rows_per_page, &mut out[k * dim..(k + 1) * dim]);
             }
             if resident {
                 resident_rows += group.len() as u64;
@@ -763,70 +764,59 @@ impl TieredTable {
     }
 
     /// The single-row read behind `read_row` and `read_row_snapshot`;
-    /// returns the pre-read clock and whether the page was already
-    /// resident.
+    /// returns the row's clock and whether the page was already resident.
     fn read_one(&self, row: u32, out: &mut [f32]) -> (u64, bool) {
         assert_eq!(out.len(), self.dim, "output buffer length != dim");
         self.assert_row(row);
-        let clock = self.clock(row);
         let (page, slot) = self.locate(row);
         self.count_lock();
         let mut st = self.state.lock();
-        let resident = st.pages[page].data.is_some();
-        self.with_page(&mut st, page, |st| {
-            let data = st.pages[page].data.as_ref().expect("page resident");
-            out.copy_from_slice(&data[slot..slot + self.dim]);
+        let resident = st.pages[page].rows.is_some();
+        let clock = self.with_page(&mut st, page, |st| {
+            st.pages[page].rows().read(slot, out);
+            self.clocks[row as usize].load(Ordering::Relaxed)
         });
         (clock, resident)
     }
 
-    /// Gives a resident page zeroed accumulators if it has none, charging
-    /// the pool for the doubled footprint.
+    /// Gives a resident page zeroed accumulators if it has none, taking the
+    /// buffer from the free list and charging the pool for the doubled
+    /// footprint.
     fn ensure_accum(st: &mut TierState, page: usize) {
-        if st.pages[page].accum.is_some() {
-            return;
-        }
-        let len = st.pages[page].data.as_ref().expect("page resident").len();
+        let len = match &st.pages[page].rows {
+            Some(Rows { accum: None, values }) => values.len(),
+            _ => return,
+        };
         let mut accum = st.free.pop().unwrap_or_default();
         accum.clear();
         accum.resize(len, 0.0);
         let pg = &mut st.pages[page];
-        pg.accum = Some(accum);
+        pg.rows_mut().accum = Some(accum);
         pg.has_accum = true;
         st.resident_bytes += (len * 4) as u64;
     }
 
-    /// The single-row update body — the same FP operation sequence as
-    /// `ShardedTable::apply_in_shard`, applied to the page buffers, which
-    /// is what keeps the two stores bit-identical.
-    fn apply_to_page(st: &mut TierState, page: usize, slot: usize, dim: usize, grad: &[f32], opt: &SparseOpt) {
-        match *opt {
-            SparseOpt::Sgd { lr } => {
-                let data = st.pages[page].data.as_mut().expect("page resident");
-                for (p, &g) in data[slot..slot + dim].iter_mut().zip(grad) {
-                    *p -= lr * g;
-                }
-            }
-            SparseOpt::Adagrad { lr, eps } => {
-                Self::ensure_accum(st, page);
-                let pg = &mut st.pages[page];
-                let data = pg.data.as_mut().expect("page resident");
-                let accum = pg.accum.as_mut().expect("accumulator allocated above");
-                let acc = &mut accum[slot..slot + dim];
-                for ((p, &g), a) in data[slot..slot + dim].iter_mut().zip(grad).zip(acc.iter_mut()) {
-                    *a += g * g;
-                    *p -= lr * g / (a.sqrt() + eps);
-                }
-            }
+    /// Applies `grad` to `row` of its resident `page` and ticks the row's
+    /// clock, under the tier lock; returns the new clock.
+    fn apply_in_page(
+        &self,
+        st: &mut TierState,
+        page: usize,
+        row: u32,
+        grad: &[f32],
+        opt: &SparseOpt,
+    ) -> u64 {
+        if let SparseOpt::Adagrad { .. } = opt {
+            Self::ensure_accum(st, page);
         }
-        st.pages[page].dirty = true;
+        st.pages[page].rows_mut().apply(row as usize % self.rows_per_page, grad, opt);
+        tick(&self.clocks[row as usize])
     }
 
+    /// `(page, slot)` of `row`.
     #[inline]
     fn locate(&self, row: u32) -> (usize, usize) {
-        let page = row as usize / self.rows_per_page;
-        let slot = (row as usize % self.rows_per_page) * self.dim;
-        (page, slot)
+        (row as usize / self.rows_per_page, row as usize % self.rows_per_page)
     }
 }
 
@@ -862,15 +852,10 @@ impl RowStore for TieredTable {
     fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64 {
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
         self.assert_row(row);
-        let (page, slot) = self.locate(row);
+        let page = self.locate(row).0;
         self.count_lock();
-        {
-            let mut st = self.state.lock();
-            self.with_page(&mut st, page, |st| {
-                Self::apply_to_page(st, page, slot, self.dim, grad, opt);
-            });
-        }
-        self.clocks[row as usize].fetch_add(1, Ordering::AcqRel) + 1
+        let mut st = self.state.lock();
+        self.with_page(&mut st, page, |st| self.apply_in_page(st, page, row, grad, opt))
     }
 
     fn apply_grads(
@@ -891,10 +876,7 @@ impl RowStore for TieredTable {
         self.for_each_page(rows, scratch, |st, page, group, _| {
             for &k in group {
                 let k = k as usize;
-                let row = rows[k] as usize;
-                let slot = (row % self.rows_per_page) * dim;
-                Self::apply_to_page(st, page, slot, dim, &grads[k * dim..(k + 1) * dim], opt);
-                clocks[k] = self.clocks[row].fetch_add(1, Ordering::AcqRel) + 1;
+                clocks[k] = self.apply_in_page(st, page, rows[k], &grads[k * dim..(k + 1) * dim], opt);
             }
         });
     }
@@ -905,12 +887,7 @@ impl RowStore for TieredTable {
         let (page, slot) = self.locate(row);
         self.count_lock();
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, |st| {
-            let pg = &mut st.pages[page];
-            let data = pg.data.as_mut().expect("page resident");
-            data[slot..slot + self.dim].copy_from_slice(values);
-            pg.dirty = true;
-        });
+        self.with_page(&mut st, page, |st| st.pages[page].rows_mut().write(slot, values));
     }
 
     fn write_rows(&self, rows: &[u32], values: &[f32], scratch: &mut BatchScratch) {
@@ -921,20 +898,24 @@ impl RowStore for TieredTable {
         );
         let dim = self.dim;
         self.for_each_page(rows, scratch, |st, page, group, _| {
-            let pg = &mut st.pages[page];
-            let data = pg.data.as_mut().expect("page resident");
+            let held = st.pages[page].rows_mut();
             for &k in group {
                 let k = k as usize;
-                let slot = (rows[k] as usize % self.rows_per_page) * dim;
-                data[slot..slot + dim].copy_from_slice(&values[k * dim..(k + 1) * dim]);
+                held.write(rows[k] as usize % self.rows_per_page, &values[k * dim..(k + 1) * dim]);
             }
-            pg.dirty = true;
         });
     }
 
     fn restore_row(&self, row: u32, values: &[f32], clock: u64) {
-        self.write_row(row, values);
-        self.clocks[row as usize].store(clock, Ordering::Release);
+        assert_eq!(values.len(), self.dim, "values length != dim");
+        self.assert_row(row);
+        let (page, slot) = self.locate(row);
+        self.count_lock();
+        let mut st = self.state.lock();
+        self.with_page(&mut st, page, |st| {
+            st.pages[page].rows_mut().write(slot, values);
+            self.clocks[row as usize].store(clock, Ordering::Release);
+        });
     }
 
     fn has_optimizer_state(&self) -> bool {
@@ -946,16 +927,7 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, |st| match &st.pages[page].accum {
-            Some(a) => {
-                out.copy_from_slice(&a[slot..slot + self.dim]);
-                true
-            }
-            None => {
-                out.fill(0.0);
-                false
-            }
-        })
+        self.with_page(&mut st, page, |st| st.pages[page].rows().read_accum(slot, out))
     }
 
     fn restore_accum(&self, row: u32, values: &[f32]) {
@@ -965,10 +937,7 @@ impl RowStore for TieredTable {
         let mut st = self.state.lock();
         self.with_page(&mut st, page, |st| {
             Self::ensure_accum(st, page);
-            let pg = &mut st.pages[page];
-            let accum = pg.accum.as_mut().expect("accumulator allocated above");
-            accum[slot..slot + self.dim].copy_from_slice(values);
-            pg.dirty = true;
+            st.pages[page].rows_mut().restore_accum(slot, values);
         });
     }
 

@@ -5,6 +5,7 @@
 //! run relies on every update being a reproducible FP operation sequence).
 
 use hetgmp_embedding::{BatchScratch, ShardedTable, SparseOpt};
+use hetgmp_embedding::RowStore;
 use hetgmp_partition::Partition;
 use proptest::prelude::*;
 

@@ -44,6 +44,7 @@ use hetgmp_embedding::{
     CachedWorkerEmbedding, EmbeddingWorker, LfuCache, ReadReport, SecondaryCache, ShardedTable,
     SparseOpt, StalenessBound, SyncFormat, UpdateReport, WorkerEmbedding, WriteExchange,
 };
+use hetgmp_embedding::RowStore;
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{AuditMode, ProtocolAuditor};
 use proptest::prelude::*;

@@ -117,7 +117,7 @@ impl HybridPartitioner {
         initial: Partition,
         topo: &Topology,
     ) -> (Partition, Vec<RoundStats>) {
-        self.partition_weighted(g, initial, &self.weight_matrix(topo))
+        self.partition_weighted(g, initial, &self.weight_matrix(topo), 0)
     }
 
     /// The 1D sweeps' weight matrix on `topo` (see
@@ -132,12 +132,15 @@ impl HybridPartitioner {
             .collect()
     }
 
-    /// [`Self::partition_from`] with the weight matrix given directly.
+    /// [`Self::partition_from`] with the weight matrix given directly,
+    /// scoring on `threads` threads (`0` = one per available core). The
+    /// result is identical for every thread count.
     pub(crate) fn partition_weighted(
         &self,
         g: &Bigraph,
         initial: Partition,
         weights: &[Vec<f64>],
+        threads: usize,
     ) -> (Partition, Vec<RoundStats>) {
         let start = Instant::now();
         let mut part = Partition::new(
@@ -149,7 +152,8 @@ impl HybridPartitioner {
                 .map(|e| initial.primary_of(e))
                 .collect(),
         );
-        let mut state = OneDeeState::new(g, &part, self.config.onedee.clone(), weights);
+        let mut state =
+            OneDeeState::with_threads(g, &part, self.config.onedee.clone(), weights, threads);
         let mut rounds = Vec::with_capacity(self.config.rounds);
         // Pre-sweep baseline so round 1's improvement is meaningful. Every
         // remote-fetch count comes from the state's access counts, O(|X|·N).
@@ -195,7 +199,7 @@ impl HybridPartitioner {
                 state.counts(),
                 &mut part,
                 budget.slots(g.num_embeddings()),
-                self.config.onedee.score_threads,
+                threads,
             );
             if let Some(r) = &self.recorder {
                 r.gauge_set(
@@ -331,16 +335,14 @@ mod tests {
     fn score_threads_do_not_change_the_partition() {
         let g = graph();
         let run = |threads: usize| {
-            let cfg = HybridConfig {
+            let hybrid = HybridPartitioner::new(HybridConfig {
                 rounds: 4,
                 replication: Some(ReplicationBudget::PerPartitionSlots(3)),
-                onedee: crate::onedee::OneDeeConfig {
-                    score_threads: threads,
-                    ..Default::default()
-                },
                 ..Default::default()
-            };
-            HybridPartitioner::new(cfg).partition_rounds(&g, &Topology::nvlink_island(4))
+            });
+            let topo = Topology::nvlink_island(4);
+            let initial = random_partition(&g, 4, hybrid.config.seed);
+            hybrid.partition_weighted(&g, initial, &hybrid.weight_matrix(&topo), threads)
         };
         let (base, base_rounds) = run(1);
         for threads in [0, 2, 4] {

@@ -52,7 +52,7 @@
 //!
 //! The sequential loops decide every move, in a fixed vertex order, from
 //! floating-point totals; the result is a pure function of the graph, the
-//! initial partition and the config, identical for every `score_threads`.
+//! initial partition and the config, identical for every thread count.
 //! The fills only write scores the loops read, each computed by one thread
 //! in the serial order; the count rebuild is exact integer arithmetic.
 //!
@@ -106,15 +106,6 @@ pub struct OneDeeConfig {
     /// α/β/γ terms steer placement *within* this feasible region; the cap is
     /// what guarantees the "balanced" in balanced partitioning.
     pub slack: f64,
-    /// Worker threads for the δg edge-cut scoring and the access-count
-    /// rebuild (`0` = one per available core). The δc term of every
-    /// candidate is a pure function of state that is *frozen* for the
-    /// duration of a sweep (sample scores read only primaries, which sample
-    /// moves never touch; embedding scores read only the access-count rows,
-    /// which embedding moves never touch), so the scoring fans out across
-    /// threads while the move decisions stay sequential — the result is
-    /// identical for every thread count.
-    pub score_threads: usize,
 }
 
 impl Default for OneDeeConfig {
@@ -124,7 +115,6 @@ impl Default for OneDeeConfig {
             beta: 1.0,
             gamma: 1.0,
             slack: 1.05,
-            score_threads: 0,
         }
     }
 }
@@ -156,7 +146,7 @@ fn check_weights(m: &[Vec<f64>]) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolves a `score_threads` config value: `0` = available parallelism.
+/// Resolves a thread count: `0` = available parallelism.
 pub(crate) fn resolve_threads(cfg: usize) -> usize {
     if cfg > 0 {
         cfg
@@ -280,6 +270,14 @@ pub struct OneDeeState {
     /// the last sample fill found it.
     edge_primary: Vec<u8>,
     cfg: OneDeeConfig,
+    /// Threads for the δg edge-cut scoring and the access-count rebuild.
+    /// The δc term of every candidate is a pure function of state that is
+    /// *frozen* for the duration of a sweep (sample scores read only
+    /// primaries, which sample moves never touch; embedding scores read
+    /// only the access-count rows, which embedding moves never touch), so
+    /// the scoring fans out across threads while the move decisions stay
+    /// sequential — the result is identical for every thread count.
+    threads: usize,
 }
 
 impl OneDeeState {
@@ -294,6 +292,18 @@ impl OneDeeState {
     /// included): the branch-free sums need every weight finite and
     /// sign-clear.
     pub fn new(g: &Bigraph, part: &Partition, cfg: OneDeeConfig, weights: &[Vec<f64>]) -> Self {
+        Self::with_threads(g, part, cfg, weights, 0)
+    }
+
+    /// [`OneDeeState::new`] scoring on `threads` threads (`0` = one per
+    /// available core).
+    pub(crate) fn with_threads(
+        g: &Bigraph,
+        part: &Partition,
+        cfg: OneDeeConfig,
+        weights: &[Vec<f64>],
+        threads: usize,
+    ) -> Self {
         let n = part.num_partitions();
         assert_eq!(weights.len(), n, "weight matrix rows != partitions");
         if let Err(e) = check_weights(weights) {
@@ -331,6 +341,7 @@ impl OneDeeState {
             cost: Vec::new(),
             edge_primary: vec![0; g.num_edges()],
             cfg,
+            threads: resolve_threads(threads),
         };
         state.rebuild(g, part);
         state
@@ -341,12 +352,7 @@ impl OneDeeState {
     /// weight (the owner's own diagonal contributes `+0.0`).
     fn rebuild(&mut self, g: &Bigraph, part: &Partition) {
         let n = self.n;
-        rebuild_counts(
-            &mut self.counts,
-            g,
-            part,
-            resolve_threads(self.cfg.score_threads),
-        );
+        rebuild_counts(&mut self.counts, g, part, self.threads);
         self.comm.fill(0.0);
         self.sample_cnt.fill(0);
         self.emb_cnt.fill(0);
@@ -433,7 +439,7 @@ impl OneDeeState {
         let (offsets, emb) = (csr.offsets(), csr.indices());
         self.cost.clear();
         self.cost.resize(g.num_samples() * n, 0.0);
-        let ranges = row_ranges(offsets, resolve_threads(self.cfg.score_threads));
+        let ranges = row_ranges(offsets, self.threads);
         let costs = split_at_ends(&mut self.cost, ranges.iter().map(|r| r.end * n));
         let edges = split_at_ends(
             &mut self.edge_primary,
@@ -545,10 +551,7 @@ impl OneDeeState {
         let n = self.n;
         self.cost.clear();
         self.cost.resize(g.num_embeddings() * n, 0.0);
-        let ranges = row_ranges(
-            g.emb_to_sample().offsets(),
-            resolve_threads(self.cfg.score_threads),
-        );
+        let ranges = row_ranges(g.emb_to_sample().offsets(), self.threads);
         let counts = split_at_ends(&mut self.counts, ranges.iter().map(|r| r.end * n));
         let costs = split_at_ends(&mut self.cost, ranges.iter().map(|r| r.end * n));
         let w = &self.w;

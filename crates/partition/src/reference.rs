@@ -396,18 +396,19 @@ mod tests {
         }
     }
 
-    /// Sweep by sweep, the state matches the reference: the same moves,
-    /// partition, counts, balance counters and communication totals to the
-    /// bit.
+    /// Sweep by sweep, the state scoring on `threads` threads matches the
+    /// reference: the same moves, partition, counts, balance counters and
+    /// communication totals to the bit.
     fn check_states(
         g: &Bigraph,
         initial: &Partition,
         cfg: &OneDeeConfig,
         w: &[Vec<f64>],
         rounds: usize,
+        threads: usize,
     ) {
         let (mut part, mut ref_part) = (initial.clone(), initial.clone());
-        let mut state = OneDeeState::new(g, &part, cfg.clone(), w);
+        let mut state = OneDeeState::with_threads(g, &part, cfg.clone(), w, threads);
         let mut oracle = ReferenceState::new(g, &ref_part, cfg.clone(), w);
         let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         for round in 0..=rounds {
@@ -452,7 +453,6 @@ mod tests {
             let w = weights(n, weight_choice, &mut rng);
             let onedee = OneDeeConfig {
                 slack: [1.05, 1.3][rng.gen_range(0..2usize)],
-                score_threads: threads,
                 ..OneDeeConfig::default()
             };
             let replication = match replicate {
@@ -462,10 +462,10 @@ mod tests {
             };
             let cfg = HybridConfig { rounds, onedee, replication, seed, ..HybridConfig::default() };
             let initial = random_partition(&g, n, seed);
-            check_states(&g, &initial, &cfg.onedee, &w, rounds);
+            check_states(&g, &initial, &cfg.onedee, &w, rounds, threads);
 
-            let (part, stats) =
-                HybridPartitioner::new(cfg.clone()).partition_weighted(&g, initial.clone(), &w);
+            let (part, stats) = HybridPartitioner::new(cfg.clone())
+                .partition_weighted(&g, initial.clone(), &w, threads);
             let (ref_part, ref_stats) = reference_partition(&g, &initial, &cfg, &w);
             assert_same_partition(&g, &part, &ref_part, "final");
             prop_assert_eq!(stats.len(), ref_stats.len());
@@ -502,16 +502,12 @@ mod tests {
         ] {
             let cfg = HybridConfig {
                 rounds: 5,
-                onedee: OneDeeConfig {
-                    score_threads: threads,
-                    ..OneDeeConfig::default()
-                },
                 ..HybridConfig::default()
             };
             let initial = random_partition(&g, 4, 7);
-            check_states(&g, &initial, &cfg.onedee, &w, 5);
-            let (part, stats) =
-                HybridPartitioner::new(cfg.clone()).partition_weighted(&g, initial.clone(), &w);
+            check_states(&g, &initial, &cfg.onedee, &w, 5, threads);
+            let (part, stats) = HybridPartitioner::new(cfg.clone())
+                .partition_weighted(&g, initial.clone(), &w, threads);
             let (ref_part, ref_stats) = reference_partition(&g, &initial, &cfg, &w);
             assert_same_partition(&g, &part, &ref_part, "final");
             for (a, b) in stats.iter().zip(&ref_stats) {

@@ -77,7 +77,7 @@ pub(crate) fn replicate_from_counts(
     counts: &[u32],
     part: &mut Partition,
     slots: usize,
-    score_threads: usize,
+    threads: usize,
 ) -> usize {
     let n = part.num_partitions();
     let num_embeddings = part.num_embeddings();
@@ -104,7 +104,7 @@ pub(crate) fn replicate_from_counts(
         candidates.sort_unstable_by(rank);
         candidates.iter().map(|&(_, x)| x).collect()
     };
-    let threads = crate::onedee::resolve_threads(score_threads).clamp(1, n);
+    let threads = crate::onedee::resolve_threads(threads).clamp(1, n);
     let mut winners: Vec<Vec<u32>> = vec![Vec::new(); n];
     let per = n.div_ceil(threads);
     crate::onedee::run_pieces(

@@ -47,7 +47,7 @@ pub use export::JsonlWriter;
 pub use json::Json;
 pub use manifest::RunManifest;
 pub use memory::MemoryRecorder;
-pub use recorder::{NoopRecorder, Recorder, SimTimeCell, SpanGuard};
+pub use recorder::{NoopRecorder, Recorder};
 pub use registry::MetricsRegistry;
 pub use snapshot::{HistogramSummary, TelemetrySnapshot};
 pub use trace::{TraceCollector, TraceEvent, TraceLevel, TraceTrack};

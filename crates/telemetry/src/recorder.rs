@@ -7,34 +7,7 @@
 //! snapshots and export.
 
 use crate::snapshot::HistogramSummary;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Shared cell holding the current *simulated* time in seconds.
-///
-/// A `SimClock` publishes its `now` here as it advances; clones share the
-/// same cell, so a [`SpanGuard`] (or any other observer) can read the
-/// simulated clock without borrowing the `&mut` clock itself.
-#[derive(Debug, Clone, Default)]
-pub struct SimTimeCell(Arc<AtomicU64>);
-
-impl SimTimeCell {
-    /// A cell starting at 0 seconds.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publishes the current simulated time.
-    pub fn set(&self, secs: f64) {
-        self.0.store(secs.to_bits(), Ordering::Relaxed);
-    }
-
-    /// The last-published simulated time, in seconds.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
 
 /// Sink for metric events. Implementations must be cheap and thread-safe:
 /// workers record from inside training loops.
@@ -58,80 +31,6 @@ pub trait Recorder: Send + Sync {
     /// (the no-op) ignore it.
     fn histogram_merge(&self, name: &str, summary: &HistogramSummary) {
         let _ = (name, summary);
-    }
-
-    /// Starts a wall-clock span; its duration in seconds is recorded into
-    /// the histogram `name` when the returned guard drops.
-    fn span(&self, name: &str) -> SpanGuard<'_>
-    where
-        Self: Sized,
-    {
-        SpanGuard::new(self, name)
-    }
-
-    /// Starts a span that measures **simulated** time read from `clock`
-    /// instead of wall time, so span histograms agree with trace
-    /// durations. The clock's publisher must keep the cell current while
-    /// the span is open.
-    fn span_with_clock(&self, name: &str, clock: SimTimeCell) -> SpanGuard<'_>
-    where
-        Self: Sized,
-    {
-        SpanGuard::with_clock(self, name, clock)
-    }
-}
-
-/// RAII timer produced by [`Recorder::span`]. On drop, observes the
-/// elapsed wall-clock seconds into the recorder's histogram — or, when a
-/// simulated clock is attached ([`Recorder::span_with_clock`]), the
-/// elapsed *simulated* seconds.
-pub struct SpanGuard<'a> {
-    recorder: &'a dyn Recorder,
-    name: String,
-    start: Instant,
-    sim: Option<(SimTimeCell, f64)>,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Starts timing now (wall clock).
-    pub fn new(recorder: &'a dyn Recorder, name: &str) -> Self {
-        Self {
-            recorder,
-            name: name.to_string(),
-            start: Instant::now(),
-            sim: None,
-        }
-    }
-
-    /// Starts timing now against the simulated clock in `clock`.
-    pub fn with_clock(recorder: &'a dyn Recorder, name: &str, clock: SimTimeCell) -> Self {
-        let start_sim = clock.get();
-        Self {
-            recorder,
-            name: name.to_string(),
-            start: Instant::now(),
-            sim: Some((clock, start_sim)),
-        }
-    }
-
-    /// Simulated start time in seconds, when a clock is attached.
-    pub fn sim_start_secs(&self) -> Option<f64> {
-        self.sim.as_ref().map(|(_, start)| *start)
-    }
-
-    /// Seconds elapsed so far: simulated when a clock is attached, wall
-    /// otherwise.
-    pub fn elapsed_secs(&self) -> f64 {
-        match &self.sim {
-            Some((clock, start)) => clock.get() - start,
-            None => self.start.elapsed().as_secs_f64(),
-        }
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.recorder.histogram_observe(&self.name, self.elapsed_secs());
     }
 }
 
@@ -190,36 +89,6 @@ mod tests {
         r.counter_add("a", 1);
         r.gauge_set("b", 2.0);
         r.histogram_observe("c", 3.0);
-        drop(r.span("d"));
-    }
-
-    #[test]
-    fn span_records_elapsed_time() {
-        let r = MemoryRecorder::default();
-        {
-            let _g = r.span("span.test_secs");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let snap = r.snapshot();
-        let h = &snap.histograms["span.test_secs"];
-        assert_eq!(h.count, 1);
-        assert!(h.sum >= 0.002, "span too short: {}", h.sum);
-    }
-
-    #[test]
-    fn span_with_clock_records_simulated_time() {
-        let r = MemoryRecorder::default();
-        let clock = SimTimeCell::new();
-        clock.set(10.0);
-        {
-            let g = r.span_with_clock("time.batch_secs", clock.clone());
-            assert_eq!(g.sim_start_secs(), Some(10.0));
-            clock.set(12.5);
-            assert!((g.elapsed_secs() - 2.5).abs() < 1e-12);
-        }
-        let h = r.snapshot().histogram("time.batch_secs");
-        assert_eq!(h.count, 1);
-        assert!((h.sum - 2.5).abs() < 1e-12, "sim duration, not wall: {}", h.sum);
     }
 
     #[test]

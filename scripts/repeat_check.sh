@@ -21,6 +21,13 @@
 #     happen to be resident.
 # None of them matches the names above.
 #
+# A sixth run repeats the command with `--storage tiered
+# --storage-budget-mb 1`, a budget under the table (14,000 rows of dim 16
+# plus their Adagrad accumulators). Its summary and every compared counter
+# must equal run 1's: the storage tier moves no bit. Only its extra
+# `capacity:` line is left out of the comparison, and that line must
+# report page faults, or the tier never spilled.
+#
 # Run from the repo root (make repeat-check / make verify does). Needs the
 # release binary (make build); an optional argument names another binary.
 # POSIX sh + grep/sed/sort/diff only.
@@ -34,17 +41,25 @@ BIN=$(cd "$(dirname "$BIN")" && pwd)/$(basename "$BIN")
 OUT=$(pwd)/target/repeat-check
 rm -rf "$OUT"
 
-for i in 1 2 3 4 5; do
+for i in 1 2 3 4 5 tiered; do
     # One directory per run, one log name: the printed summary names it.
     mkdir -p "$OUT/$i"
+    storage=
+    [ "$i" = tiered ] && storage="--storage tiered --storage-budget-mb 1"
+    # shellcheck disable=SC2086 # $storage is two flags or none
     (cd "$OUT/$i" && "$BIN" train --preset avazu --scale 1.0 --workers 4 \
-        --system het-gmp --staleness 100 --epochs 1 --seed 7 \
+        --system het-gmp --staleness 100 --epochs 1 --seed 7 $storage \
         --telemetry run.jsonl > summary.txt)
     grep '"event":"final"' "$OUT/$i/run.jsonl" |
         grep -oE '"(embedding\.(sync|flush|update)|traffic\.(bytes|messages))\.[A-Za-z0-9_.]*":[0-9]+|"traffic\.link\.[A-Za-z0-9_]*\.transfers":[0-9]+' |
         sort > "$OUT/$i/counters.txt"
-    cat "$OUT/$i/summary.txt" "$OUT/$i/counters.txt" > "$OUT/$i/observed.txt"
+    grep -v '^capacity: ' "$OUT/$i/summary.txt" | cat - "$OUT/$i/counters.txt" > "$OUT/$i/observed.txt"
 done
+
+if ! grep -qE '^capacity: [1-9][0-9]* page fault' "$OUT/tiered/summary.txt"; then
+    echo "repeat_check: the tiered run reports no page faults; its leg proves nothing" >&2
+    exit 1
+fi
 
 if ! grep -qE '"embedding\.flush\.sync":[1-9]' "$OUT/1/counters.txt"; then
     echo "repeat_check: no sync flush fired; the check proves nothing" >&2
@@ -57,7 +72,7 @@ if ! grep -q '"traffic\.bytes\.embed_data":' "$OUT/1/counters.txt"; then
 fi
 
 status=0
-for i in 2 3 4 5; do
+for i in 2 3 4 5 tiered; do
     if ! diff -u "$OUT/1/observed.txt" "$OUT/$i/observed.txt"; then
         echo "repeat_check: run $i differs from run 1" >&2
         status=1
@@ -65,4 +80,4 @@ for i in 2 3 4 5; do
 done
 [ "$status" -eq 0 ] || exit 1
 
-echo "repeat_check: OK (5 of 5 runs print the same summary, protocol and ledger counters)"
+echo "repeat_check: OK (5 of 5 runs, and the tiered run, print the same summary, protocol and ledger counters)"

@@ -17,7 +17,8 @@
 //! 74 = I/O, 78 = bad config.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind, Write as _};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -111,6 +112,40 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   parse as their flag's type, and --workers 0 (exit 2); none of them falls
   back to a default.";
 
+/// The path standard output goes by in errors, as in `--telemetry -`.
+const STDOUT: &str = "-";
+
+/// Writes `text` to standard output. Everything the CLI prints goes through
+/// here (or through `outln!`), so a failed write is an I/O error on [`STDOUT`],
+/// never a panic.
+fn out(text: std::fmt::Arguments<'_>) -> Result<(), HetGmpError> {
+    std::io::stdout().lock().write_fmt(text).map_err(|e| HetGmpError::io(STDOUT, e))
+}
+
+/// [`out`] with a trailing newline, taking format arguments.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// The exit code of a failed command, its error reported on stderr. A
+/// reader that closed standard output early (`| head`) ended the run, not
+/// an error: exit 0, nothing on stderr.
+fn fail(e: HetGmpError) -> ExitCode {
+    match &e {
+        HetGmpError::Io { path, source }
+            if path == Path::new(STDOUT) && source.kind() == ErrorKind::BrokenPipe =>
+        {
+            ExitCode::SUCCESS
+        }
+        _ => {
+            eprintln!("error: {e}");
+            ExitCode::from(e.exit_code())
+        }
+    }
+}
+
 /// [`USAGE`] with the experiment names filled in from [`EXPERIMENTS`].
 fn usage() -> String {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, ..)| *name).collect();
@@ -120,8 +155,7 @@ fn usage() -> String {
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
     if args.has("help") {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
+        return outln!("{}", usage()).map_or_else(fail, |()| ExitCode::SUCCESS);
     }
     let result = match args.command() {
         Some("gen") => cmd_gen(&args),
@@ -131,27 +165,13 @@ fn main() -> ExitCode {
         Some("experiment") => cmd_experiment(&args),
         // `inspect diff` signals regressions through the exit code (1), which
         // is distinct from the sysexits error path below.
-        Some("inspect") => {
-            return match cmd_inspect(&args) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::from(e.exit_code())
-                }
-            }
-        }
+        Some("inspect") => return cmd_inspect(&args).unwrap_or_else(fail),
         _ => {
             eprintln!("{}", usage());
             return ExitCode::from(2);
         }
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    result.map_or_else(fail, |()| ExitCode::SUCCESS)
 }
 
 /// Rejects any flag outside `known` with a usage error naming it: a typo or
@@ -309,7 +329,7 @@ fn write_trace(trace: &Option<(Arc<TraceCollector>, String)>) -> Result<(), HetG
     if let Some((t, path)) = trace {
         t.write_chrome_trace(path)?;
         if path != "-" {
-            println!("trace: {path}");
+            outln!("trace: {path}")?;
         }
     }
     Ok(())
@@ -323,14 +343,14 @@ fn cmd_gen(args: &Args) -> Result<(), HetGmpError> {
         .ok_or_else(|| HetGmpError::usage("--out FILE required"))?;
     let file = File::create(out).map_err(|e| HetGmpError::io(out, e))?;
     write_libsvm(&data, BufWriter::new(file)).map_err(|e| HetGmpError::io(out, e))?;
-    println!(
+    outln!(
         "wrote {}: {} samples x {} fields, {} features, CTR {:.3}",
         out,
         data.num_samples(),
         data.num_fields,
         data.num_features,
         data.ctr()
-    );
+    )?;
     Ok(())
 }
 
@@ -356,7 +376,7 @@ fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
     };
     let part = algo.partition(&graph, &topo);
     let m = PartitionMetrics::compute(&graph, &part);
-    println!(
+    outln!(
         "{} over {} workers: remote fetches/epoch {} ({:.1}% of accesses), \
          sample imbalance {:.3}, replication factor {:.3}",
         algo.name(),
@@ -365,7 +385,7 @@ fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
         m.remote_fraction() * 100.0,
         m.sample_imbalance(),
         m.replication_factor
-    );
+    )?;
     Ok(())
 }
 
@@ -453,27 +473,27 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         trainer = trainer.with_faults(Arc::clone(f));
     }
     let r = trainer.try_run()?;
-    println!(
+    outln!(
         "{} ({}): final AUC {:.4}, {:.0} samples/s simulated, comm share {:.0}%",
         r.strategy,
         model.name(),
         r.final_auc,
         r.throughput,
         r.breakdown.comm_fraction() * 100.0
-    );
+    )?;
     for p in &r.curve {
-        println!("  epoch {}: sim {:.4}s AUC {:.4}", p.epoch, p.sim_time, p.auc);
+        outln!("  epoch {}: sim {:.4}s AUC {:.4}", p.epoch, p.sim_time, p.auc)?;
     }
     if faults.is_some() {
         let crashes = r.telemetry.counter("fault.crashes");
         let stalls = r.telemetry.counter("fault.stalls");
-        println!(
+        outln!(
             "faults: {crashes} crash(es), {stalls} stall(s), {:.4}s downtime simulated",
             r.breakdown.fault
-        );
+        )?;
     }
     if let Some(cs) = &r.capacity {
-        println!(
+        outln!(
             "capacity: {} page fault(s), {} eviction(s) ({} written back), \
              {:.1} MiB resident / {:.1} MiB spilled under a {:.1} MiB budget",
             cs.fault_loads,
@@ -482,15 +502,15 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
             cs.resident_bytes as f64 / (1 << 20) as f64,
             cs.spilled_bytes as f64 / (1 << 20) as f64,
             cs.budget_bytes as f64 / (1 << 20) as f64,
-        );
+        )?;
     }
     if let Some(w) = telemetry.as_mut() {
         dump_train_telemetry(w, &r)?;
-        println!("telemetry: {}", w.path().display());
+        outln!("telemetry: {}", w.path().display())?;
     }
     write_trace(&trace)?;
     if let Some(a) = &r.audit {
-        println!("{}", a.render());
+        outln!("{}", a.render())?;
         if let Some(e) = a.to_error() {
             return Err(e);
         }
@@ -521,21 +541,21 @@ fn cmd_capacity(args: &Args) -> Result<(), HetGmpError> {
         replication_fraction: args.parsed_or("replication", 0.01)?,
         optimizer_state_factor: args.parsed_or("opt-factor", 1.0)?,
     };
-    println!(
+    outln!(
         "{} workers x {} GB, dim {}: up to {:.3e} rows = {:.3e} parameters",
         plan.num_workers,
         plan.memory_per_worker >> 30,
         plan.dim,
         plan.max_rows() as f64,
         plan.max_params() as f64
-    );
+    )?;
     Ok(())
 }
 
 /// A paper experiment: the scale and the hooks every training run goes
 /// through in, its report printed on stdout (a per-dataset experiment's
 /// reports each followed by a blank line).
-type Runner = fn(f64, &mut experiments::Hooks);
+type Runner = fn(f64, &mut experiments::Hooks) -> Result<(), HetGmpError>;
 
 /// A `het-gmp experiment NAME`: the name, the most workers any of its
 /// training runs uses (0: no run goes through the hooks) and its runner.
@@ -545,25 +565,25 @@ type Experiment = (&'static str, usize, Runner);
 /// text, the dispatch, `all` and the trace collector's size read this one
 /// table.
 const EXPERIMENTS: &[Experiment] = &[
-    ("fig1", 8, |scale, hooks| println!("{}", experiments::overhead::run(scale, hooks))),
+    ("fig1", 8, |scale, hooks| outln!("{}", experiments::overhead::run(scale, hooks))),
     ("fig3", 0, |scale, _| {
-        experiments::cooccurrence::run(scale).iter().for_each(|r| println!("{r}\n"))
+        experiments::cooccurrence::run(scale).iter().try_for_each(|r| outln!("{r}\n"))
     }),
     ("table3", 0, |scale, _| {
-        experiments::partitioners::run(scale).iter().for_each(|r| println!("{r}\n"))
+        experiments::partitioners::run(scale).iter().try_for_each(|r| outln!("{r}\n"))
     }),
-    ("fig7", 8, |scale, hooks| println!("{}", experiments::convergence::run(scale, hooks))),
-    ("fig8", 8, |scale, hooks| println!("{}", experiments::comm_breakdown::run(scale, hooks))),
-    ("table2", 8, |scale, hooks| println!("{}", experiments::staleness::run(scale, hooks))),
+    ("fig7", 8, |scale, hooks| outln!("{}", experiments::convergence::run(scale, hooks))),
+    ("fig8", 8, |scale, hooks| outln!("{}", experiments::comm_breakdown::run(scale, hooks))),
+    ("table2", 8, |scale, hooks| outln!("{}", experiments::staleness::run(scale, hooks))),
     ("fig9", 16, |scale, hooks| {
-        experiments::hierarchy::run(scale, hooks).iter().for_each(|r| println!("{r}\n"))
+        experiments::hierarchy::run(scale, hooks).iter().try_for_each(|r| outln!("{r}\n"))
     }),
     ("fig10", 24, |scale, hooks| {
-        experiments::scalability::run(scale, hooks).iter().for_each(|r| println!("{r}\n"))
+        experiments::scalability::run(scale, hooks).iter().try_for_each(|r| outln!("{r}\n"))
     }),
-    ("ablation", 8, |scale, hooks| println!("{}", experiments::ablation::run(scale, hooks))),
+    ("ablation", 8, |scale, hooks| outln!("{}", experiments::ablation::run(scale, hooks))),
     // Trains through `core::kg`'s own loop, which takes no hooks.
-    ("kg", 0, |scale, _| println!("{}", experiments::kg::run(scale))),
+    ("kg", 0, |scale, _| outln!("{}", experiments::kg::run(scale))),
 ];
 
 /// The flags `experiment` hands to every training run through the hooks.
@@ -628,11 +648,11 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
                 hook_flags.join(", --")
             );
         }
-        runner(scale, &mut hooks);
+        runner(scale, &mut hooks)?;
     }
     if let Some(w) = hooks.telemetry.as_mut() {
         w.flush()?;
-        println!("telemetry: {}", w.path().display());
+        outln!("telemetry: {}", w.path().display())?;
     }
     write_trace(&trace)?;
     hooks.failure.map_or(Ok(()), Err)
@@ -657,12 +677,12 @@ fn cmd_inspect(args: &Args) -> Result<ExitCode, HetGmpError> {
     match mode {
         "report" => {
             let artifact = Artifact::load(path(2, "a telemetry FILE.jsonl")?)?;
-            print!("{}", render_report(&artifact, args.has("wall"))?);
+            out(format_args!("{}", render_report(&artifact, args.has("wall"))?))?;
             Ok(ExitCode::SUCCESS)
         }
         "pipeline" => {
             let artifact = Artifact::load(path(2, "a FILE.trace.json")?)?;
-            print!("{}", render_gantt(&artifact)?);
+            out(format_args!("{}", render_gantt(&artifact)?))?;
             Ok(ExitCode::SUCCESS)
         }
         "diff" => {
@@ -676,7 +696,7 @@ fn cmd_inspect(args: &Args) -> Result<ExitCode, HetGmpError> {
             if let Some(warning) = &outcome.manifest_warning {
                 eprintln!("{warning}");
             }
-            print!("{}", outcome.report);
+            out(format_args!("{}", outcome.report))?;
             Ok(if outcome.regressions.is_empty() {
                 ExitCode::SUCCESS
             } else {

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `het-gmp` CLI binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn het_gmp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_het-gmp"))
@@ -274,6 +274,23 @@ fn removed_sync_formats_are_usage_errors_naming_the_value() {
         );
         assert!(out.stdout.is_empty(), "{format} printed a result: {:?}", out.stdout);
     }
+}
+
+/// A reader that closes standard output before the run prints (`| true`,
+/// `| head -0`) ends the run quietly: exit 0, no panic on stderr.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let mut child = het_gmp()
+        .args(["train", "--preset", "tiny", "--workers", "2", "--epochs", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
 }
 
 /// The §3 KG extension has a route: `experiment kg` exits 0 and prints one

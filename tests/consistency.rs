@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding, WriteExchange};
+use het_gmp::embedding::RowStore;
 use het_gmp::partition::Partition;
 
 /// Builds a 2-worker layout where embedding 0 is primary on worker 1 with a

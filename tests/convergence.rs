@@ -268,7 +268,8 @@ fn golden_run_tiered(
 
 /// The {memory, tiered} column at four workers, on `het_gmp(8)`, where
 /// replicas sync while holding deferred gradients: the tiered run must
-/// reproduce the in-memory run's AUC, loss, traffic and flush count.
+/// reproduce the in-memory run's AUC, loss, traffic and flush count, and
+/// only the tiered run reports capacity.
 #[test]
 fn tiered_storage_matches_memory_at_four_workers() {
     let memory = golden_run_on(4, "s8", 42, None);
@@ -282,6 +283,13 @@ fn tiered_storage_matches_memory_at_four_workers() {
     assert_eq!(tiered.traffic_bytes, memory.traffic_bytes, "tiered moved the traffic");
     let cs = tiered.capacity.expect("tiered run reports capacity stats");
     assert!(cs.spilled_bytes > 0 && cs.fault_loads > 0, "nothing spilled or faulted");
+    // `inspect report` gates its capacity section on the budget gauge.
+    let budget = |r: &het_gmp::core::trainer::TrainResult| {
+        r.telemetry.gauge(names::CAPACITY_BUDGET_BYTES)
+    };
+    assert_eq!(budget(&tiered), Some(cs.budget_bytes as f64));
+    assert_eq!(memory.capacity, None, "a RAM-only run has no capacity stats");
+    assert_eq!(budget(&memory), None, "a RAM-only run recorded a RAM budget");
 }
 
 /// Checkpoint resume at four workers on `het_gmp(8)`: epoch 2 resumed from

@@ -4,6 +4,7 @@
 use het_gmp::bigraph::Bigraph;
 use het_gmp::cluster::Topology;
 use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
+use het_gmp::embedding::RowStore;
 use het_gmp::partition::{
     bicut_partition, random_partition, HybridConfig, HybridPartitioner, PartitionMetrics,
     ReplicationBudget,

@@ -10,6 +10,7 @@ use het_gmp::core::strategy::StrategyConfig;
 use het_gmp::core::trainer::{Trainer, TrainerConfig};
 use het_gmp::data::{generate, DatasetSpec};
 use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
+use het_gmp::embedding::RowStore;
 use het_gmp::partition::Partition;
 use het_gmp::telemetry::AuditMode;
 
