@@ -18,10 +18,11 @@ clippy:
 	$(CARGO) clippy --offline --workspace --all-targets -- -D warnings
 
 # Rustdoc with warnings denied, over the default members (third_party/ is
-# excluded): a doc comment that links to a private, renamed or deleted item
-# fails here instead of rotting.
+# excluded), private items included: a doc comment that links to a private,
+# renamed or deleted item fails here instead of rotting, in crate-private
+# modules too.
 doc:
-	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --offline
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --offline --document-private-items
 
 # Metric-name hygiene: every dotted name used in code is defined in
 # hetgmp_telemetry::names and documented in TELEMETRY.md.

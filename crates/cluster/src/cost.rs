@@ -307,19 +307,6 @@ impl CostModel {
         wait + factor * base
     }
 
-    /// AllGather time for `bytes` contributed per worker: `(N−1)` steps each
-    /// moving `bytes` over the bottleneck link. Sparse AllReduce degenerates
-    /// to this primitive (paper §3, "degenerates to inefficient AllGather").
-    pub fn allgather_time(&self, bytes_per_worker: u64) -> f64 {
-        let n = self.topology.num_workers();
-        if n <= 1 {
-            return 0.0;
-        }
-        let bw = self.topology.bottleneck_bandwidth();
-        let steps = n - 1;
-        steps as f64 * (self.worst_latency() + bytes_per_worker as f64 / bw)
-    }
-
     fn worst_latency(&self) -> f64 {
         let n = self.topology.num_workers();
         let mut worst: f64 = 0.0;
@@ -364,7 +351,6 @@ mod tests {
     fn allreduce_zero_for_single_worker() {
         let m = CostModel::new(Topology::cluster_b_scaled(1));
         assert_eq!(m.allreduce_time(1 << 30), 0.0);
-        assert_eq!(m.allgather_time(1 << 30), 0.0);
     }
 
     #[test]
@@ -373,16 +359,6 @@ mod tests {
         let slow = CostModel::new(Topology::cluster_b_scaled(16));
         let bytes = 64 << 20;
         assert!(slow.allreduce_time(bytes) > fast.allreduce_time(bytes));
-    }
-
-    #[test]
-    fn allgather_more_expensive_than_allreduce_for_same_payload() {
-        // AllGather moves the full per-worker payload each step; ring
-        // AllReduce moves 1/N per step. For N ≥ 3 and sizeable payloads,
-        // AllGather of B/worker costs more than AllReduce of B total.
-        let m = CostModel::new(Topology::pcie_island(8));
-        let bytes = 32 << 20;
-        assert!(m.allgather_time(bytes) > m.allreduce_time(bytes));
     }
 
     #[test]

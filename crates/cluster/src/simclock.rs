@@ -196,19 +196,11 @@ impl SimClock {
     }
 
     /// Total seconds submitted through [`SimClock::advance_overlapped`],
-    /// hidden or not — the denominator of [`SimClock::overlap_ratio`].
+    /// hidden or not — the denominator of the run's
+    /// `pipeline.overlap_ratio`, whose numerator is
+    /// [`SimClock::hidden_secs`].
     pub fn overlappable_secs(&self) -> f64 {
         self.charged_overlappable
-    }
-
-    /// Fraction of overlappable seconds that were hidden: the pipeline's
-    /// `pipeline.overlap_ratio`. 0 when nothing overlappable was charged.
-    pub fn overlap_ratio(&self) -> f64 {
-        if self.charged_overlappable == 0.0 {
-            0.0
-        } else {
-            self.hidden / self.charged_overlappable
-        }
     }
 
     /// Synchronisation barrier: jumps this clock forward to `other_time` if
@@ -283,17 +275,6 @@ mod tests {
         // Overlap accounting: 2.0 of the first charge + all 0.5 of the
         // second were hidden, out of 3.5 overlappable seconds.
         assert_eq!(c.hidden_secs(), 2.5);
-        assert!((c.overlap_ratio() - 2.5 / 3.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_ratio_empty_is_zero() {
-        let mut c = SimClock::new();
-        assert_eq!(c.overlap_ratio(), 0.0);
-        // Plain advances don't count as overlappable.
-        c.advance(TimeCategory::EmbedComm, 4.0);
-        assert_eq!(c.overlap_ratio(), 0.0);
-        assert_eq!(c.hidden_secs(), 0.0);
     }
 
     #[test]

@@ -277,14 +277,6 @@ impl Topology {
         }
     }
 
-    /// Bandwidth matrix in bytes/second, `[src][dst]`.
-    pub fn bandwidth_matrix(&self) -> Vec<Vec<f64>> {
-        let n = self.num_workers();
-        (0..n)
-            .map(|a| (0..n).map(|b| self.link(a, b).bandwidth()).collect())
-            .collect()
-    }
-
     /// The partitioner's communication-cost weight matrix (paper §5.2:
     /// "profile the communication speeds for all GPU-GPU pairs and formulate
     /// them into a weight matrix"). Entry `[a][b]` is the relative cost of
@@ -435,16 +427,5 @@ mod tests {
     fn weight_matrix_single_worker() {
         let t = Topology::cluster_b_scaled(1);
         assert_eq!(t.weight_matrix(), vec![vec![0.0]]);
-    }
-
-    #[test]
-    fn bandwidth_matrix_symmetric() {
-        let t = Topology::cluster_a(2);
-        let m = t.bandwidth_matrix();
-        for (a, row) in m.iter().enumerate() {
-            for (b, &v) in row.iter().enumerate() {
-                assert_eq!(v, m[b][a]);
-            }
-        }
     }
 }

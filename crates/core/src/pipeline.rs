@@ -786,7 +786,7 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
 /// in pipeline order fetch → compute → write_back → sync. An approximation
 /// by construction — overlapped charges genuinely overlap on the clock —
 /// but it makes the batch's composition visible on the timeline. Gated at
-/// [`TraceLevel::Sync`] so default (`batch`-level) traces stay lean.
+/// [`hetgmp_telemetry::TraceLevel::Sync`] so default (`batch`-level) traces stay lean.
 fn trace_stage_spans(tracer: &TraceCollector, w: usize, batch_start: f64, sim: [f64; 4]) {
     if !tracer.enabled(hetgmp_telemetry::TraceLevel::Sync) {
         return;

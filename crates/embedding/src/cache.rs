@@ -1,149 +1,50 @@
-//! A worker's secondary-replica cache.
-//!
-//! Holds the stale-tolerant copies created by vertex-cut replication. Each
-//! cached row tracks:
-//! * `base_clock` — the primary's clock when the row was last synchronised;
-//! * `local_updates` — updates this worker applied (and wrote back) since
-//!   the sync; the replica's *effective clock* is `base_clock +
-//!   local_updates`, so the staleness gap `primary_clock − effective_clock`
-//!   counts exactly the **other workers'** updates this copy has missed.
+//! HET-GMP's replica set: the secondaries the 2D vertex-cut placed on this
+//! worker (§4), fixed for the run, each with a stale-gradient buffer (§6:
+//! "Secondary embeddings require extra space for stale gradients").
 
-use crate::index::IdSlots;
+use hetgmp_telemetry::{names, Recorder};
 
-/// Secondary replicas for one worker.
+use crate::replica::{ReplicaPolicy, Replicas};
+use crate::report::ReadReport;
+
+/// Secondary replicas for one worker: clocked replica rows, slots in
+/// ascending id order, each with its deferred gradients.
+pub type SecondaryCache = Replicas<StaleGradients>;
+
+/// What a [`SecondaryCache`] keeps beside each replica: the deferred
+/// ("stale") gradients awaiting write-back to the primary.
 #[derive(Debug, Clone)]
-pub struct SecondaryCache {
-    dim: usize,
-    /// Row id → slot: a dense array, one indexed load per lookup.
-    slots: IdSlots,
-    /// Slot → row id, ascending — slot order *is* id order, so walking the
-    /// slots visits replicas in the order flushes and refreshes must run.
-    rows: Vec<u32>,
-    data: Vec<f32>,
-    base_clock: Vec<u64>,
-    local_updates: Vec<u64>,
-    /// Deferred ("stale") gradients awaiting write-back to the primary
-    /// (paper §6: "Secondary embeddings require extra space for stale
-    /// gradients").
-    pending_grad: Vec<f32>,
-    /// The local deltas those gradients applied to `data`, which a sync
-    /// keeps ([`SecondaryCache::sync`]).
-    pending_delta: Vec<f32>,
-    /// Number of batch gradients accumulated in `pending_grad` per slot.
-    pending_count: Vec<u32>,
+pub struct StaleGradients {
+    /// The summed deferred gradients, `dim` per slot.
+    grad: Vec<f32>,
+    /// The local deltas those gradients applied to the replica, which a
+    /// sync keeps ([`SecondaryCache::sync`]).
+    delta: Vec<f32>,
+    /// Number of batch gradients accumulated in `grad` per slot.
+    count: Vec<u32>,
+    /// Slots whose `count` is above 0.
+    pending_rows: usize,
 }
 
 impl SecondaryCache {
     /// Allocates a cache for the given replica row ids (from the partition's
     /// secondary list for this worker), in any order.
     pub fn new(dim: usize, rows: &[u32]) -> Self {
-        assert!(dim > 0, "dim must be positive");
         let mut rows = rows.to_vec();
         rows.sort_unstable();
         rows.dedup();
-        let mut slots = IdSlots::default();
-        for (i, &r) in rows.iter().enumerate() {
-            slots.insert(r, i);
+        let n = rows.len();
+        let pending = StaleGradients {
+            grad: vec![0.0; n * dim],
+            delta: vec![0.0; n * dim],
+            count: vec![0; n],
+            pending_rows: 0,
+        };
+        let mut cache = Replicas::with_capacity(dim, n, pending);
+        for r in rows {
+            cache.claim(cache.len(), r, 0);
         }
-        Self {
-            dim,
-            data: vec![0.0; rows.len() * dim],
-            base_clock: vec![0; rows.len()],
-            local_updates: vec![0; rows.len()],
-            pending_grad: vec![0.0; rows.len() * dim],
-            pending_delta: vec![0.0; rows.len() * dim],
-            pending_count: vec![0; rows.len()],
-            slots,
-            rows,
-        }
-    }
-
-    /// Number of cached rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The cached row ids, ascending.
-    pub fn rows(&self) -> &[u32] {
-        &self.rows
-    }
-
-    /// True when `row` has a slot in this cache.
-    #[inline]
-    pub fn contains(&self, row: u32) -> bool {
-        self.slots.get(row).is_some()
-    }
-
-    /// `row`'s slot, for callers that resolve a row once and then read its
-    /// clock many times ([`SecondaryCache::clock_at`]). Slots never move.
-    #[inline]
-    pub(crate) fn slot_of(&self, row: u32) -> Option<usize> {
-        self.slots.get(row)
-    }
-
-    /// The effective clock (`base + local`) of the replica in `slot`.
-    #[inline]
-    pub(crate) fn clock_at(&self, slot: usize) -> u64 {
-        self.base_clock[slot] + self.local_updates[slot]
-    }
-
-    /// The replica's effective clock (`base + local`), or `None` if absent.
-    pub fn effective_clock(&self, row: u32) -> Option<u64> {
-        self.slots.get(row).map(|i| self.clock_at(i))
-    }
-
-    /// Reads the cached value into `out`. Returns false if absent.
-    #[inline]
-    pub fn read(&self, row: u32, out: &mut [f32]) -> bool {
-        assert_eq!(out.len(), self.dim, "buffer length != dim");
-        match self.slots.get(row) {
-            Some(i) => {
-                out.copy_from_slice(&self.data[i * self.dim..(i + 1) * self.dim]);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Overwrites the cached value after a sync with the primary, resetting
-    /// the staleness bookkeeping to `primary_clock`.
-    ///
-    /// # Panics
-    /// Panics if `row` has no slot.
-    #[inline]
-    pub fn install(&mut self, row: u32, values: &[f32], primary_clock: u64) {
-        assert_eq!(values.len(), self.dim, "values length != dim");
-        let i = self.slots.get(row).expect("row not in cache");
-        self.data[i * self.dim..(i + 1) * self.dim].copy_from_slice(values);
-        self.base_clock[i] = primary_clock;
-        self.local_updates[i] = 0;
-    }
-
-    /// Applies a local delta to the cached copy (mirroring the update this
-    /// worker wrote back to the primary) and bumps `local_updates`.
-    ///
-    /// Returns false (no-op) if the row is not cached.
-    #[inline]
-    pub fn apply_local_delta(&mut self, row: u32, delta: &[f32]) -> bool {
-        assert_eq!(delta.len(), self.dim, "delta length != dim");
-        match self.slots.get(row) {
-            Some(i) => {
-                for (d, &x) in self.data[i * self.dim..(i + 1) * self.dim]
-                    .iter_mut()
-                    .zip(delta)
-                {
-                    *d += x;
-                }
-                self.local_updates[i] += 1;
-                true
-            }
-            None => false,
-        }
+        cache
     }
 
     /// Defers one update of `row`: applies `delta` to the cached copy
@@ -155,21 +56,24 @@ impl SecondaryCache {
     /// Panics if `row` has no slot.
     #[inline]
     pub fn accumulate_pending(&mut self, row: u32, delta: &[f32], grad: &[f32]) -> u32 {
-        assert_eq!(delta.len(), self.dim, "delta length != dim");
         assert_eq!(grad.len(), self.dim, "gradient length != dim");
-        let i = self.slots.get(row).expect("row not in cache");
+        let i = self.slot_of(row).expect("row not in cache");
+        self.add_at(i, delta);
+        let p = &mut self.design;
         for (k, (&x, &g)) in (i * self.dim..).zip(delta.iter().zip(grad)) {
-            self.data[k] += x;
-            self.pending_delta[k] += x;
-            self.pending_grad[k] += g;
+            p.delta[k] += x;
+            p.grad[k] += g;
         }
-        self.pending_count[i] += 1;
-        self.pending_count[i]
+        p.count[i] += 1;
+        if p.count[i] == 1 {
+            p.pending_rows += 1;
+        }
+        p.count[i]
     }
 
     /// Number of deferred gradients pending for `row` (0 if none or absent).
     pub fn pending_count(&self, row: u32) -> u32 {
-        self.slots.get(row).map_or(0, |i| self.pending_count[i])
+        self.slot_of(row).map_or(0, |i| self.design.count[i])
     }
 
     /// Moves `row`'s pending gradient into `out` — one merged update bound
@@ -179,18 +83,20 @@ impl SecondaryCache {
     #[inline]
     pub fn take_pending(&mut self, row: u32, out: &mut [f32]) -> bool {
         assert_eq!(out.len(), self.dim, "buffer length != dim");
-        let Some(i) = self.slots.get(row) else {
+        let Some(i) = self.slot_of(row) else {
             return false;
         };
-        if self.pending_count[i] == 0 {
+        let p = &mut self.design;
+        if p.count[i] == 0 {
             return false;
         }
         let span = i * self.dim..(i + 1) * self.dim;
-        out.copy_from_slice(&self.pending_grad[span.clone()]);
-        self.pending_grad[span.clone()].fill(0.0);
-        self.pending_delta[span].fill(0.0);
-        self.pending_count[i] = 0;
-        self.local_updates[i] += 1;
+        out.copy_from_slice(&p.grad[span.clone()]);
+        p.grad[span.clone()].fill(0.0);
+        p.delta[span].fill(0.0);
+        p.count[i] = 0;
+        p.pending_rows -= 1;
+        self.count_own_update(i);
         true
     }
 
@@ -202,9 +108,9 @@ impl SecondaryCache {
     /// # Panics
     /// Panics if `row` has no slot.
     pub fn sync(&mut self, row: u32, values: &mut [f32], primary_clock: u64) {
-        let i = self.slots.get(row).expect("row not in cache");
-        if self.pending_count[i] > 0 {
-            let delta = &self.pending_delta[i * self.dim..(i + 1) * self.dim];
+        let i = self.slot_of(row).expect("row not in cache");
+        if self.design.count[i] > 0 {
+            let delta = &self.design.delta[i * self.dim..(i + 1) * self.dim];
             values.iter_mut().zip(delta).for_each(|(v, &d)| *v += d);
         }
         self.install(row, values, primary_clock);
@@ -212,24 +118,44 @@ impl SecondaryCache {
 
     /// Rows that currently hold pending gradients, ascending.
     pub fn rows_with_pending(&self) -> Vec<u32> {
-        self.rows
+        self.rows()
             .iter()
-            .zip(&self.pending_count)
+            .zip(&self.design.count)
             .filter(|&(_, &n)| n > 0)
             .map(|(&r, _)| r)
             .collect()
     }
+}
 
-    /// Heap footprint, bytes: per replica the values, the pending gradient
-    /// and delta, two clocks, the pending count and the row id; plus the
-    /// id → slot index, which costs 4 bytes per *table* row up to the
-    /// largest replicated id, whether replicated or not.
-    pub fn heap_bytes(&self) -> usize {
-        (self.data.len() + self.pending_grad.len() + self.pending_delta.len()) * 4
-            + self.base_clock.len() * 16
-            + self.pending_count.len() * 4
-            + self.rows.len() * 4
-            + self.slots.heap_bytes()
+impl ReplicaPolicy for SecondaryCache {
+    const DEFERS: bool = true;
+
+    #[inline]
+    fn refresh(&mut self, e: u32, row: &mut [f32], clock: u64) {
+        self.sync(e, row, clock);
+    }
+    #[inline]
+    fn take_pending(&mut self, e: u32, out: &mut [f32]) -> bool {
+        SecondaryCache::take_pending(self, e, out)
+    }
+    #[inline]
+    fn defer(&mut self, e: u32, delta: &[f32], grad: &[f32]) -> u64 {
+        self.accumulate_pending(e, delta, grad) as u64
+    }
+    fn rows_with_pending(&self) -> Vec<u32> {
+        SecondaryCache::rows_with_pending(self)
+    }
+    fn pending_rows(&self) -> usize {
+        self.design.pending_rows
+    }
+    fn record_read(&self, recorder: &dyn Recorder, report: &ReadReport) {
+        recorder.counter_add(names::EMBED_SYNC_INTER, report.inter_syncs);
+    }
+    fn read_mix(report: &ReadReport) -> [(&'static str, u64); 2] {
+        [
+            ("local_fresh", report.local_fresh),
+            ("remote", report.remote_fetches),
+        ]
     }
 }
 
@@ -337,15 +263,6 @@ mod tests {
         c.accumulate_pending(9, &[0.0], &[1.0]);
         c.accumulate_pending(2, &[0.0], &[1.0]);
         assert_eq!(c.rows_with_pending(), vec![2, 9]);
-    }
-
-    #[test]
-    fn heap_bytes_counts_the_index() {
-        // Two replicas of dim 2: values, pending gradient and pending delta
-        // (8 B each), two clocks, a pending count and a row id per replica;
-        // and the index, one `u32` per table row up to id 9.
-        let c = SecondaryCache::new(2, &[5, 9]);
-        assert_eq!(c.heap_bytes(), 2 * (8 + 8 + 8 + 16 + 4 + 4) + 10 * 4);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl IdSlots {
     pub fn len(&self) -> usize {
         self.len
     }
-
-    /// Heap footprint, bytes.
-    pub fn heap_bytes(&self) -> usize {
-        self.slots.len() * 4
-    }
 }
 
 /// The per-batch resolver: id → index of that id among the batch's unique
@@ -154,7 +149,6 @@ mod tests {
         m.remove(7);
         m.remove(1000);
         assert_eq!((m.get(7), m.len()), (None, 1));
-        assert_eq!(m.heap_bytes(), 8 * 4);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! This module provides the cache so the two designs can be compared on the
 //! same substrate (see the `cache_comparison` ablation).
 
-use crate::index::IdSlots;
+use hetgmp_telemetry::{names, Recorder};
+
+use crate::replica::{ReplicaPolicy, Replicas};
+use crate::report::ReadReport;
+use crate::store::RowStore;
 
 /// A fixed-capacity least-frequently-used cache of embedding rows with
 /// staleness bookkeeping compatible with the bounded-asynchrony protocol.
@@ -26,17 +30,12 @@ use crate::index::IdSlots;
 /// still at `min_freq`. Only when the cursor runs off the end — no slot is
 /// left at that level — is the cache rescanned for the next minimum: one
 /// pass over the slots per minimum *level*, not per miss.
-#[derive(Debug)]
-pub struct LfuCache {
-    dim: usize,
+pub type LfuCache = Replicas<LfuAdmission>;
+
+/// What an [`LfuCache`] keeps beside its rows: the admission statistics.
+#[derive(Debug, Clone)]
+pub struct LfuAdmission {
     capacity: usize,
-    /// id → slot index: a dense array that grows to the largest id cached.
-    slots: IdSlots,
-    /// Reverse map: slot → id (u32::MAX = free).
-    ids: Vec<u32>,
-    data: Vec<f32>,
-    base_clock: Vec<u64>,
-    local_updates: Vec<u64>,
     /// In-cache access frequency per slot; never decreases.
     slot_freq: Vec<u64>,
     /// A lower bound on every occupied slot's frequency.
@@ -49,148 +48,14 @@ pub struct LfuCache {
     counts: Vec<u64>,
 }
 
-impl LfuCache {
-    /// Creates an empty cache for rows of `dim` floats with `capacity`
-    /// slots.
-    pub fn new(dim: usize, capacity: usize) -> Self {
-        assert!(dim > 0, "dim must be positive");
-        Self {
-            dim,
-            capacity,
-            slots: IdSlots::default(),
-            ids: vec![u32::MAX; capacity],
-            data: vec![0.0; capacity * dim],
-            base_clock: vec![0; capacity],
-            local_updates: vec![0; capacity],
-            slot_freq: vec![0; capacity],
-            min_freq: 0,
-            cursor: 0,
-            counts: Vec::new(),
-        }
-    }
-
-    /// Capacity in rows.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Rows currently cached.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.slots.len() == 0
-    }
-
-    /// True when `row` is cached.
-    #[inline]
-    pub fn contains(&self, row: u32) -> bool {
-        self.slots.get(row).is_some()
-    }
-
-    /// `row`'s slot, for callers that resolve a row once and then read its
-    /// clock ([`LfuCache::clock_at`]). A slot is stable until the next
-    /// admission.
-    #[inline]
-    pub(crate) fn slot_of(&self, row: u32) -> Option<usize> {
-        self.slots.get(row)
-    }
-
-    /// The effective clock (`base + local`) of the row in `slot`.
-    #[inline]
-    pub(crate) fn clock_at(&self, slot: usize) -> u64 {
-        self.base_clock[slot] + self.local_updates[slot]
-    }
-
-    /// Records an access to `row` (for admission statistics) and bumps its
-    /// in-cache frequency if cached. Returns the updated global count.
-    #[inline]
-    pub fn touch(&mut self, row: u32) -> u64 {
-        let i = row as usize;
-        if i >= self.counts.len() {
-            self.counts.resize(i + 1, 0);
-        }
-        self.counts[i] += 1;
-        let count = self.counts[i];
-        if let Some(slot) = self.slots.get(row) {
-            self.slot_freq[slot] = count;
-        }
-        count
-    }
-
-    /// Effective clock of a cached row.
-    pub fn effective_clock(&self, row: u32) -> Option<u64> {
-        self.slots.get(row).map(|s| self.clock_at(s))
-    }
-
-    /// Reads a cached row into `out`; false when absent.
-    #[inline]
-    pub fn read(&self, row: u32, out: &mut [f32]) -> bool {
-        assert_eq!(out.len(), self.dim, "buffer length != dim");
-        match self.slots.get(row) {
-            Some(s) => {
-                out.copy_from_slice(&self.data[s * self.dim..(s + 1) * self.dim]);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Applies a delta to a cached row, advancing its effective clock.
-    #[inline]
-    pub fn apply_local_delta(&mut self, row: u32, delta: &[f32]) -> bool {
-        assert_eq!(delta.len(), self.dim, "delta length != dim");
-        match self.slots.get(row) {
-            Some(s) => {
-                for (d, &x) in self.data[s * self.dim..(s + 1) * self.dim]
-                    .iter_mut()
-                    .zip(delta)
-                {
-                    *d += x;
-                }
-                self.local_updates[s] += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Offers a freshly-fetched row for admission. Admits when a slot is
-    /// free or when `row`'s observed frequency exceeds the coldest cached
-    /// row's (LFU displacement). Returns true if the row is now cached.
-    pub fn admit(&mut self, row: u32, values: &[f32], primary_clock: u64) -> bool {
-        assert_eq!(values.len(), self.dim, "values length != dim");
-        if self.capacity == 0 {
-            return false;
-        }
-        if let Some(s) = self.slots.get(row) {
-            // Refresh in place.
-            self.install_at(s, row, values, primary_clock);
-            return true;
-        }
-        let freq = self.counts.get(row as usize).copied().unwrap_or(0);
-        if self.slots.len() < self.capacity {
-            let s = self.slots.len();
-            self.slots.insert(row, s);
-            self.install_at(s, row, values, primary_clock);
-            self.slot_freq[s] = freq;
-            return true;
-        }
-        let Some(victim_slot) = self.coldest_below(freq) else {
-            return false;
-        };
-        let victim_id = self.ids[victim_slot];
-        self.slots.remove(victim_id);
-        self.slots.insert(row, victim_slot);
-        self.install_at(victim_slot, row, values, primary_clock);
-        self.slot_freq[victim_slot] = freq;
-        true
+impl LfuAdmission {
+    /// `row`'s global access count.
+    fn count(&self, row: u32) -> u64 {
+        self.counts.get(row as usize).copied().unwrap_or(0)
     }
 
     /// The first of the coldest slots of a full cache, if it is strictly
-    /// colder than `freq`; see the type docs for why this rarely scans.
+    /// colder than `freq`; see [`LfuCache`] for why this rarely scans.
     fn coldest_below(&mut self, freq: u64) -> Option<usize> {
         loop {
             if freq <= self.min_freq {
@@ -210,12 +75,75 @@ impl LfuCache {
             self.cursor = 0;
         }
     }
+}
 
-    fn install_at(&mut self, slot: usize, row: u32, values: &[f32], primary_clock: u64) {
-        self.ids[slot] = row;
-        self.data[slot * self.dim..(slot + 1) * self.dim].copy_from_slice(values);
-        self.base_clock[slot] = primary_clock;
-        self.local_updates[slot] = 0;
+impl LfuCache {
+    /// Creates an empty cache for rows of `dim` floats with `capacity`
+    /// slots.
+    pub fn new(dim: usize, capacity: usize) -> Self {
+        let admission = LfuAdmission {
+            capacity,
+            slot_freq: vec![0; capacity],
+            min_freq: 0,
+            cursor: 0,
+            counts: Vec::new(),
+        };
+        Replicas::with_capacity(dim, capacity, admission)
+    }
+
+    /// Capacity in rows.
+    pub fn capacity(&self) -> usize {
+        self.design.capacity
+    }
+
+    /// Records an access to `row` (for admission statistics) and bumps its
+    /// in-cache frequency if cached. Returns the updated global count.
+    #[inline]
+    pub fn touch(&mut self, row: u32) -> u64 {
+        let a = &mut self.design;
+        let i = row as usize;
+        if i >= a.counts.len() {
+            a.counts.resize(i + 1, 0);
+        }
+        a.counts[i] += 1;
+        let count = a.counts[i];
+        if let Some(slot) = self.slot_of(row) {
+            self.design.slot_freq[slot] = count;
+        }
+        count
+    }
+
+    /// Offers a freshly-fetched row for admission. Admits when a slot is
+    /// free or when `row`'s observed frequency exceeds the coldest cached
+    /// row's (LFU displacement). Returns true if the row is now cached.
+    pub fn admit(&mut self, row: u32, values: &[f32], primary_clock: u64) -> bool {
+        assert_eq!(values.len(), self.dim, "values length != dim");
+        let Some(slot) = self.admission_slot(row) else {
+            return false;
+        };
+        self.claim(slot, row, primary_clock).copy_from_slice(values);
+        true
+    }
+
+    /// The slot `row` is admitted to — its own when cached (a refresh in
+    /// place), else a free one or the coldest one's it displaces, taking
+    /// `row`'s count as its frequency — or `None` when admission is
+    /// declined.
+    fn admission_slot(&mut self, row: u32) -> Option<usize> {
+        if self.design.capacity == 0 {
+            return None;
+        }
+        if let Some(s) = self.slot_of(row) {
+            return Some(s);
+        }
+        let freq = self.design.count(row);
+        let slot = if self.len() < self.design.capacity {
+            self.len()
+        } else {
+            self.design.coldest_below(freq)?
+        };
+        self.design.slot_freq[slot] = freq;
+        Some(slot)
     }
 
     /// Refreshes a cached row after a staleness sync.
@@ -224,22 +152,21 @@ impl LfuCache {
     /// Panics if the row is not cached.
     #[inline]
     pub fn refresh(&mut self, row: u32, values: &[f32], primary_clock: u64) {
-        let s = self.slots.get(row).expect("row not cached");
-        self.install_at(s, row, values, primary_clock);
+        self.install(row, values, primary_clock);
     }
 
     /// Overwrites a cached row's values without touching its clock or
-    /// frequency bookkeeping. The batched read path admits rows with
-    /// placeholder data at classification time (so LFU victim selection is
-    /// identical to the per-row order) and fills the values once the
-    /// shard-grouped fetch lands. Returns false when the row is not cached
-    /// — its admission was declined.
+    /// frequency bookkeeping. The batched read path admits rows at
+    /// classification time (so LFU victim selection is identical to the
+    /// per-row order) and fills the values once the shard-grouped fetch
+    /// lands. Returns false when the row is not cached — its admission was
+    /// declined.
     #[inline]
     pub fn fill(&mut self, row: u32, values: &[f32]) -> bool {
         assert_eq!(values.len(), self.dim, "values length != dim");
-        match self.slots.get(row) {
+        match self.slot_of(row) {
             Some(s) => {
-                self.data[s * self.dim..(s + 1) * self.dim].copy_from_slice(values);
+                self.values_mut(s).copy_from_slice(values);
                 true
             }
             None => false,
@@ -248,44 +175,97 @@ impl LfuCache {
 
     /// Currently cached row ids (sorted).
     pub fn cached_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.ids.iter().copied().filter(|&i| i != u32::MAX).collect();
+        let mut ids = self.rows().to_vec();
         ids.sort_unstable();
         ids
+    }
+}
+
+/// HET's decisions: admit by observed access frequency, take no part in
+/// the inter-embedding pass, defer nothing.
+impl ReplicaPolicy for LfuCache {
+    /// LFU touches are stateful, so they run in batch order, local
+    /// primaries included.
+    #[inline]
+    fn touch(&mut self, e: u32) {
+        LfuCache::touch(self, e);
+    }
+    /// Dynamic admission: the fetch already pays the traffic. The row is
+    /// admitted *now* — clock as observed here, values left to the fetch —
+    /// so LFU victim selection matches the per-row order exactly; the data
+    /// fills in when the batched fetch lands.
+    #[inline]
+    fn miss(&mut self, e: u32, table: &dyn RowStore) {
+        let clock = table.clock(e);
+        if let Some(slot) = self.admission_slot(e) {
+            self.claim(slot, e, clock);
+        }
+    }
+    /// A no-op when the admission was declined.
+    #[inline]
+    fn fill(&mut self, e: u32, row: &[f32]) {
+        LfuCache::fill(self, e, row);
+    }
+    /// Were a later admission in the same batch to evict a sync victim, the
+    /// per-row order would have refreshed it first and evicted it after,
+    /// landing in the same final state as skipping it here. (The strict LFU
+    /// rule cannot in fact evict a row the batch has just touched — see
+    /// `tests/worker_differential.rs` — so the test is defensive.)
+    #[inline]
+    fn refresh(&mut self, e: u32, row: &mut [f32], clock: u64) {
+        if self.contains(e) {
+            self.install(e, row, clock);
+        }
+    }
+    /// For the dynamic cache a fresh or refreshed row is a hit; only a full
+    /// fetch-and-admit is a miss.
+    fn record_read(&self, recorder: &dyn Recorder, report: &ReadReport) {
+        recorder.counter_add(
+            names::EMBED_CACHE_HIT,
+            report.local_fresh + report.intra_syncs,
+        );
+        recorder.counter_add(names::EMBED_CACHE_MISS, report.remote_fetches);
+    }
+    fn read_mix(report: &ReadReport) -> [(&'static str, u64); 2] {
+        [
+            ("cache_hit", report.local_fresh + report.intra_syncs),
+            ("cache_miss", report.remote_fetches),
+        ]
     }
 }
 
 #[cfg(test)]
 impl LfuCache {
     /// [`LfuCache::admit`] as it was first written, kept as the oracle: one
-    /// scan for the first free slot, one for the first coldest slot, per
-    /// miss.
+    /// scan for the coldest slot per miss once the cache is full. (Slots
+    /// are never freed, so the first free slot is `len()`.)
     fn admit_reference(&mut self, row: u32, values: &[f32], primary_clock: u64) -> bool {
-        if self.capacity == 0 {
+        if self.design.capacity == 0 {
             return false;
         }
-        if let Some(s) = self.slots.get(row) {
-            self.install_at(s, row, values, primary_clock);
-            return true;
-        }
-        let freq = self.counts.get(row as usize).copied().unwrap_or(0);
-        let slot = if self.slots.len() < self.capacity {
-            self.ids.iter().position(|&i| i == u32::MAX).expect("free slot")
+        let slot = if let Some(s) = self.slot_of(row) {
+            s
         } else {
-            let (victim_slot, &victim_freq) = self
-                .slot_freq
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, f)| *f)
-                .expect("non-empty cache");
-            if freq <= victim_freq {
-                return false;
-            }
-            self.slots.remove(self.ids[victim_slot]);
-            victim_slot
+            let freq = self.design.count(row);
+            let slot = if self.len() < self.design.capacity {
+                self.len()
+            } else {
+                let (victim_slot, &victim_freq) = self
+                    .design
+                    .slot_freq
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, f)| *f)
+                    .expect("non-empty cache");
+                if freq <= victim_freq {
+                    return false;
+                }
+                victim_slot
+            };
+            self.design.slot_freq[slot] = freq;
+            slot
         };
-        self.slots.insert(row, slot);
-        self.install_at(slot, row, values, primary_clock);
-        self.slot_freq[slot] = freq;
+        self.claim(slot, row, primary_clock).copy_from_slice(values);
         true
     }
 }

@@ -35,28 +35,32 @@
 //!   [`WriteExchange`] and applied by each row's primary holder (§6) —
 //!   returning a [`ReadReport`]/[`UpdateReport`] of every byte that would
 //!   have crossed the interconnect. It knows the
-//!   whole bounded-staleness protocol and is generic over a small replica
-//!   policy holding what the two designs decide differently. Both are
+//!   whole bounded-staleness protocol and holds one [`Replicas`] set: the
+//!   clocked replica rows (base clock plus own updates) written once, with
+//!   each design's own state beside them, and each design's replica set
+//!   makes the few decisions the two designs make differently. Both are
 //!   reached through [`EmbeddingWorker`]:
 //!   * [`WorkerEmbedding`] — HET-GMP: the static vertex-cut secondaries in a
-//!     [`SecondaryCache`] (base-clock / local-update bookkeeping plus the
-//!     "extra space for stale gradients", §6), under both checks, with
-//!     deferred write-backs;
+//!     [`SecondaryCache`] (the replica rows plus the "extra space for stale
+//!     gradients", §6), under both checks (the worker holds the bigraph
+//!     frequencies the inter check normalises clocks by), with deferred
+//!     write-backs;
 //!   * [`CachedWorkerEmbedding`] — HET (arXiv 2112.07221): rows admitted
-//!     dynamically into an [`LfuCache`], under the intra check only, with
-//!     eager write-backs;
+//!     dynamically into an [`LfuCache`] (the replica rows plus the LFU
+//!     admission statistics), under the intra check only, with eager
+//!     write-backs;
 //! * [`SparseOpt`] — per-row SGD / Adagrad applied at the primary.
 
 use std::sync::Arc;
 
 use hetgmp_telemetry::{ProtocolAuditor, Recorder, TraceCollector};
 
-pub mod cache;
+mod cache;
 mod cached_worker;
 pub mod capacity;
 pub mod checkpoint;
 mod index;
-pub mod lfu;
+mod lfu;
 mod replica;
 pub mod report;
 pub mod sparse_optim;
@@ -74,7 +78,7 @@ pub use checkpoint::{
     CheckpointError, RunState, WorkerState,
 };
 pub use lfu::LfuCache;
-pub use replica::WorkerEmbedding;
+pub use replica::{Replicas, WorkerEmbedding};
 pub use report::{ReadReport, UpdateReport};
 pub use sparse_optim::SparseOpt;
 pub use store::{CapacityStats, ReadPath, ReadPathStats, RowStore};
@@ -149,7 +153,10 @@ pub trait EmbeddingWorker: Send {
     fn set_read_path(&mut self, path: ReadPath);
 }
 
-impl<'a, P: ReplicaPolicy<'a>> EmbeddingWorker for Worker<'a, P> {
+impl<D> EmbeddingWorker for Worker<'_, D>
+where
+    Replicas<D>: ReplicaPolicy,
+{
     fn read_batch(&mut self, samples: &[&[u32]], out: &mut [f32]) -> ReadReport {
         Worker::read_batch(self, samples, out)
     }

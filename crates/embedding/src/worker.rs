@@ -13,7 +13,9 @@
 //! the step's rendezvous (the `writeback` module); nothing else writes the
 //! table, a sync's flush included.
 //! What the two designs it serves disagree on — which rows are replicated
-//! and when — is a [`ReplicaPolicy`], chosen at compile time.
+//! and when — is the [`ReplicaPolicy`] of their replica set, chosen at
+//! compile time; whether replicas take part in the inter-embedding pass is
+//! whether the worker holds the access frequencies that normalise clocks.
 //!
 //! Cost model: resolving and classifying a batch is O(lookups), the
 //! inter-embedding check is O(Σ replicas-per-sample²), and no id is ever
@@ -28,9 +30,9 @@ use hetgmp_partition::Partition;
 use hetgmp_telemetry::{names, Json, ProtocolAuditor, Recorder, TraceCollector};
 
 use crate::index::{BatchIndex, ABSENT};
-use crate::replica::ReplicaPolicy;
 #[cfg(test)]
 use crate::replica::WorkerEmbedding;
+use crate::replica::{ReplicaPolicy, Replicas};
 use crate::report::{ReadReport, Traffic, UpdateReport};
 use crate::sparse_optim::SparseOpt;
 use crate::store::{ReadPath, RowStore};
@@ -44,7 +46,7 @@ use crate::table::ShardedTable;
 #[derive(Debug, Clone, Copy)]
 struct SampleReplica {
     id: u32,
-    /// The replica's slot in the policy's replica set.
+    /// The replica's slot in the worker's replica set.
     cache_slot: u32,
     /// The id's index among the batch's unique ids.
     uniq: u32,
@@ -285,8 +287,9 @@ impl Wire {
     }
 }
 
-/// One worker's embedding-table interface, generic over how its replica set
-/// is chosen ([`ReplicaPolicy`]); reached through the two names
+/// One worker's embedding-table interface, generic over the design `D` of
+/// its replica set ([`Replicas`], which is its own [`ReplicaPolicy`]);
+/// reached through the two names
 /// [`WorkerEmbedding`](crate::WorkerEmbedding) (static vertex-cut replicas,
 /// HET-GMP) and [`CachedWorkerEmbedding`](crate::CachedWorkerEmbedding)
 /// (dynamic LFU cache, HET).
@@ -296,14 +299,17 @@ impl Wire {
 /// workers. Every operation reports the bytes, per peer, that would have
 /// crossed the interconnect so the trainer can charge simulated time and
 /// reproduce the paper's traffic breakdowns.
-pub struct Worker<'a, P> {
+pub struct Worker<'a, D> {
     worker: u32,
     table: &'a dyn RowStore,
     part: &'a Partition,
     bound: StalenessBound,
     /// The replica set, and every decision about it that the two designs
     /// make differently.
-    pub(crate) policy: P,
+    pub(crate) replicas: Replicas<D>,
+    /// The access frequencies `p_i` that normalise clocks in the
+    /// inter-embedding pass; `None` keeps the replicas out of it.
+    freq: Option<&'a [u64]>,
     /// Batched-path scratch (batch resolver, fetch staging, reduction).
     scratch: HotScratch,
     wire: Wire,
@@ -315,15 +321,20 @@ pub struct Worker<'a, P> {
     tracer: Option<Arc<TraceCollector>>,
 }
 
-impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
-    /// The worker view over `policy`'s replica set, which the caller
-    /// re-primes ([`Worker::sync_all`]) if it starts non-empty.
-    pub(crate) fn with_policy(
+impl<'a, D> Worker<'a, D>
+where
+    Replicas<D>: ReplicaPolicy,
+{
+    /// The worker view over `replicas`, which the caller re-primes
+    /// ([`Worker::sync_all`]) if it starts non-empty. `freq` is `Some` when
+    /// the replicas take part in the inter-embedding pass.
+    pub(crate) fn with_replicas(
         worker: u32,
         table: &'a dyn RowStore,
         part: &'a Partition,
         bound: StalenessBound,
-        policy: P,
+        replicas: Replicas<D>,
+        freq: Option<&'a [u64]>,
     ) -> Self {
         assert_eq!(
             part.num_embeddings(),
@@ -335,7 +346,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             table,
             part,
             bound,
-            policy,
+            replicas,
+            freq,
             scratch: HotScratch::new(table.num_rows(), table.dim()),
             wire: Wire::new(SyncFormat::F32, true, table.num_rows(), table.dim()),
             read_path: ReadPath::default(),
@@ -395,8 +407,11 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
 
     /// Publishes a deferring policy's backlog of stale-gradient rows.
     fn record_pending(&self) {
-        if let (true, Some(r)) = (P::DEFERS, &self.recorder) {
-            r.gauge_set(names::EMBED_PENDING_ROWS, self.policy.pending_rows() as f64);
+        if let (true, Some(r)) = (Replicas::<D>::DEFERS, &self.recorder) {
+            r.gauge_set(
+                names::EMBED_PENDING_ROWS,
+                self.replicas.pending_rows() as f64,
+            );
         }
     }
 
@@ -421,8 +436,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     /// The effective clock (`base + local updates`) of this worker's
     /// replica of `e`; `None` when it holds none.
     pub fn replica_clock(&self, e: u32) -> Option<u64> {
-        let slot = self.policy.slot_of(e)?;
-        Some(self.policy.clock_at(slot))
+        self.replicas.effective_clock(e)
     }
 
     /// The intra-embedding check (§5.3): whether the replica of `e` in
@@ -437,7 +451,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         if !bounded && self.auditor.is_none() {
             return true;
         }
-        let local_clock = self.policy.clock_at(cache_slot);
+        let local_clock = self.replicas.clock_at(cache_slot);
         let gap = self.table.clock(e).saturating_sub(local_clock) as f64;
         let fresh = self.bound.tolerates(gap);
         if let Some(a) = &self.auditor {
@@ -477,15 +491,15 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                 let Some(slot) = self.scratch.resolve(e, dim) else {
                     continue;
                 };
-                self.policy.touch(e);
+                self.replicas.touch(e);
                 let mut replica = ABSENT;
                 if self.part.primary_of(e) == self.worker {
                     self.scratch.plan_fetch(e, slot, Landing::Local);
                     report.local_primary += 1;
-                } else if let Some(cache_slot) = self.policy.slot_of(e) {
+                } else if let Some(cache_slot) = self.replicas.slot_of(e) {
                     replica = cache_slot as u32;
                     if self.replica_is_fresh(e, cache_slot, &mut report) {
-                        self.policy
+                        self.replicas
                             .read(e, &mut self.scratch.rows[slot..slot + dim]);
                         report.local_fresh += 1;
                     } else {
@@ -498,7 +512,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                     self.scratch.plan_fetch(e, slot, Landing::Miss);
                     report.remote_fetches += 1;
                     self.count_remote_row(e, &mut report);
-                    self.policy.miss(e, self.table);
+                    self.replicas.miss(e, self.table);
                 }
                 self.scratch.replica_slots.push(replica);
             }
@@ -514,9 +528,9 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             r.counter_add(names::HOTPATH_BATCH_READ_ROWS, nfetch as u64);
         }
 
-        // Pass 2 — inter-embedding synchronisation, for policies whose
+        // Pass 2 — inter-embedding synchronisation, for a worker whose
         // replicas take part in it.
-        if let Some(freq) = self.policy.frequencies() {
+        if let Some(freq) = self.freq {
             if !matches!(self.bound, StalenessBound::Infinite) {
                 self.sync_inter(samples, freq, &mut report);
             }
@@ -530,12 +544,12 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             r.counter_add(names::EMBED_READ_LOCAL_FRESH, report.local_fresh);
             r.counter_add(names::EMBED_READ_REMOTE, report.remote_fetches);
             r.counter_add(names::EMBED_SYNC_INTRA, report.intra_syncs);
-            self.policy.record_read(r.as_ref(), &report);
+            self.replicas.record_read(r.as_ref(), &report);
         }
         self.record_pending();
         if let Some(t) = &self.tracer {
             let w = self.worker as usize;
-            let [served, fetched] = P::read_mix(&report);
+            let [served, fetched] = Replicas::<D>::read_mix(&report);
             t.worker_instant(
                 w,
                 names::TRACE_READ,
@@ -574,8 +588,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             }
             match landing {
                 Landing::Local => {}
-                Landing::Miss => self.policy.fill(e, row),
-                Landing::Refresh => self.policy.refresh(e, row, s.fetch_clocks[k]),
+                Landing::Miss => self.replicas.fill(e, row),
+                Landing::Refresh => self.replicas.refresh(e, row, s.fetch_clocks[k]),
             }
             if scatter {
                 s.rows[s.fetch_slots[k]..][..dim].copy_from_slice(row);
@@ -625,8 +639,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                     }
                     // Read per pair: a sync earlier in this sample moved
                     // its victim's clock.
-                    let ca = self.policy.clock_at(a.cache_slot as usize);
-                    let cb = self.policy.clock_at(b.cache_slot as usize);
+                    let ca = self.replicas.clock_at(a.cache_slot as usize);
+                    let cb = self.replicas.clock_at(b.cache_slot as usize);
                     // Orient so p_hot ≥ p_cold (paper: assume p_i ≥ p_j).
                     let (hot, cold, c_hot, c_cold) = if freq_of(a.id) >= freq_of(b.id) {
                         (a, b, ca, cb)
@@ -665,7 +679,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                         ReadPath::Locked => self.table.read_row(victim.id, buf),
                     };
                     self.wire.format.transport(buf);
-                    self.policy.refresh(victim.id, buf, clock);
+                    self.replicas.refresh(victim.id, buf, clock);
                     self.stash_flush(victim.id, report);
                     report.inter_syncs += 1;
                     self.count_remote_row(victim.id, report);
@@ -774,7 +788,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         // `s` gives `k ≤ max(1, s/N)`.
         let n = self.part.num_partitions() as u64;
         let defer_threshold: Option<u64> = match self.bound {
-            _ if !P::DEFERS => None,
+            _ if !Replicas::<D>::DEFERS => None,
             StalenessBound::Bounded(0) => None,
             StalenessBound::Bounded(s) => Some((s / n).max(1)),
             StalenessBound::Infinite => Some(u64::MAX),
@@ -793,14 +807,14 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                 report.local_updates += 1;
                 continue;
             }
-            let replicated = self.policy.slot_of(e).is_some();
+            let replicated = self.replicas.contains(e);
             if let (Some(threshold), true) = (defer_threshold, replicated) {
                 // Mirror locally (uncounted — the clock advances at flush),
                 // defer the primary write-back.
                 for (d, &x) in delta.iter_mut().zip(g.iter()) {
                     *d = -lr * x;
                 }
-                let pending = self.policy.defer(e, &delta, g);
+                let pending = self.replicas.defer(e, &delta, g);
                 report.deferred += 1;
                 if pending >= threshold && self.take_flush(e, &mut report) {
                     emit(owner, e, &self.scratch.row_buf);
@@ -821,7 +835,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                 for (d, &x) in delta.iter_mut().zip(g.iter()) {
                     *d = -lr * x;
                 }
-                self.policy.mirror(e, &delta);
+                self.replicas.apply_local_delta(e, &delta);
             }
             emit(owner, e, g);
         }
@@ -830,7 +844,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
             let direct = report.local_updates + report.remote_writebacks;
             r.counter_add(names::HOTPATH_BATCH_APPLY_ROWS, direct - flushed);
             r.counter_add(names::EMBED_UPDATE_DIRECT, direct);
-            if P::DEFERS {
+            if Replicas::<D>::DEFERS {
                 r.counter_add(names::EMBED_UPDATE_DEFERRED, report.deferred);
             }
         }
@@ -845,7 +859,10 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
                     names::TRACE_DEFER,
                     &[
                         ("deferred", Json::U64(report.deferred)),
-                        ("pending_rows", Json::U64(self.policy.pending_rows() as u64)),
+                        (
+                            "pending_rows",
+                            Json::U64(self.replicas.pending_rows() as u64),
+                        ),
                     ],
                 );
             }
@@ -869,7 +886,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     /// `report`. False when nothing was pending.
     fn take_flush(&mut self, e: u32, report: &mut impl Traffic) -> bool {
         let buf = &mut self.scratch.row_buf;
-        if !self.policy.take_pending(e, buf) {
+        if !self.replicas.take_pending(e, buf) {
             return false;
         }
         self.wire.push(e, buf);
@@ -900,7 +917,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         let mut out = exchange.route_from(self.worker as usize);
         self.emit_stash(&mut |owner, e, g| out.push(owner as usize, e, g));
         let mut report = UpdateReport::default();
-        for e in self.policy.rows_with_pending() {
+        for e in self.replicas.rows_with_pending() {
             if self.take_flush(e, &mut report) {
                 out.push(self.part.primary_of(e) as usize, e, &self.scratch.row_buf);
                 report.remote_writebacks += 1;
@@ -910,7 +927,7 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         report
     }
 
-    /// Re-primes every replica the policy currently holds from the
+    /// Re-primes every replica the worker currently holds from the
     /// authoritative table, through the wire format (evaluation and epoch
     /// barriers, a change of format, crash recovery). Returns the rows
     /// synced from each primary owner, indexed by partition.
@@ -918,7 +935,11 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
         // One segment-grouped read: a re-prime runs at a barrier, where
         // the locked batch read is all any store needs.
         self.scratch.fetch_ids.clear();
-        self.policy.replicated(&mut self.scratch.fetch_ids);
+        self.scratch
+            .fetch_ids
+            .extend_from_slice(self.replicas.rows());
+        // In ascending id, whatever the slot order.
+        self.scratch.fetch_ids.sort_unstable();
         self.scratch.fetch_landing.clear();
         self.scratch
             .fetch_landing
@@ -945,8 +966,8 @@ impl<'a, P: ReplicaPolicy<'a>> Worker<'a, P> {
     /// table (which the trainer has already rolled back to the checkpoint).
     /// Returns the rows re-fetched from each primary owner.
     pub fn recover_from_crash(&mut self) -> Vec<u64> {
-        for e in self.policy.rows_with_pending() {
-            self.policy.take_pending(e, &mut self.scratch.row_buf);
+        for e in self.replicas.rows_with_pending() {
+            self.replicas.take_pending(e, &mut self.scratch.row_buf);
         }
         self.scratch.stash_ids.clear();
         self.scratch.stash_grads.clear();
@@ -1273,7 +1294,7 @@ mod tests {
         w0.apply_gradients(&samples, &[0.5, -1.0], &opt);
         assert_eq!(w0.pending_count(2), 1);
         let mut mirror = [0.0f32; 2];
-        w0.policy.read(2, &mut mirror); // the pending delta, on a zero row
+        w0.replicas.read(2, &mut mirror); // the pending delta, on a zero row
         for _ in 0..5 {
             table.apply_grad(2, &[1.0, 0.25], &opt);
         }
@@ -1371,6 +1392,78 @@ mod tests {
         assert_eq!(out, primary);
         // Nothing pending remains.
         assert_eq!(flush(&mut w0, &table, &opt).remote_writebacks, 0);
+    }
+
+    #[test]
+    fn pending_rows_gauge_counts_the_rows_holding_gradients() {
+        // Worker 0 replicates every row it does not own. s = 8 over two
+        // workers is a budget of 4, so gradients wait a few batches; peers'
+        // bursts make reads sync (and flush) some of them.
+        let (rows, dim) = (48usize, 2usize);
+        let mut state = 0x5EED_u64;
+        let mut below = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % n as u64) as usize
+        };
+        let primaries: Vec<u32> = (0..rows).map(|_| below(2) as u32).collect();
+        let mut part = Partition::new(2, vec![0, 1], primaries.clone());
+        for e in (0..rows as u32).filter(|&e| primaries[e as usize] != 0) {
+            part.add_replica(e, 0);
+        }
+        let freq = vec![1u64; rows];
+        let opt = SparseOpt::sgd(0.1);
+        let table = ShardedTable::new(rows, dim, 0.1, 7);
+        let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(8));
+        let recorder = Arc::new(hetgmp_telemetry::MemoryRecorder::new());
+        w0.attach_recorder(recorder.clone());
+        let check = |w: &WorkerEmbedding, what: &str, step: usize| -> usize {
+            let holding = (0..rows as u32).filter(|&e| w.pending_count(e) > 0).count();
+            let gauge = recorder.snapshot().gauge(names::EMBED_PENDING_ROWS);
+            assert_eq!(gauge, Some(holding as f64), "after {what}, step {step}");
+            holding
+        };
+        let (mut most, mut discarded) = (0, 0);
+        for step in 0..200 {
+            for _ in 0..below(4) {
+                let e = below(rows) as u32;
+                for _ in 0..1 + below(12) {
+                    table.apply_grad(e, &[0.25, -0.5], &opt);
+                }
+            }
+            let ids: Vec<u32> = (0..1 + below(12)).map(|_| below(rows) as u32).collect();
+            let samples: Vec<&[u32]> = vec![&ids];
+            let mut out = vec![0.0f32; ids.len() * dim];
+            w0.read_batch(&samples, &mut out);
+            let holding = check(&w0, "read", step);
+            most = most.max(holding);
+            let exchange = WriteExchange::new(2);
+            let what = match below(8) {
+                0 => {
+                    w0.flush_all(&exchange);
+                    "flush_all"
+                }
+                1 => {
+                    discarded += holding;
+                    w0.recover_from_crash();
+                    "recover_from_crash"
+                }
+                _ => {
+                    let grads: Vec<f32> = (0..ids.len() * dim)
+                        .map(|_| below(2001) as f32 / 1000.0 - 1.0)
+                        .collect();
+                    w0.route_gradients(&samples, &grads, &opt, &exchange);
+                    "route"
+                }
+            };
+            for owner in 0..2 {
+                exchange.apply_owned(owner, &table, &opt);
+            }
+            most = most.max(check(&w0, what, step));
+        }
+        assert!(most > 1, "at most {most} rows ever held gradients");
+        assert!(discarded > 0, "no crash discarded a gradient");
     }
 
     #[test]

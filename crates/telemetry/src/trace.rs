@@ -322,11 +322,6 @@ impl TraceCollector {
         out
     }
 
-    /// Link-class labels that have at least one event, sorted.
-    pub fn link_labels(&self) -> Vec<String> {
-        self.links.lock().keys().cloned().collect()
-    }
-
     /// Renders the Chrome trace-event JSON document.
     ///
     /// Track layout: `pid 0` holds one thread per worker, `pid 1` one
@@ -572,6 +567,5 @@ mod tests {
             }
         });
         assert_eq!(c.len(), 4 * 100 * 2 + 400);
-        assert_eq!(c.link_labels(), vec!["ethernet_10g".to_string()]);
     }
 }

@@ -8,9 +8,9 @@ use het_gmp::comms::{TrafficClass, TrafficLedger};
 use het_gmp::core::strategy::StrategyConfig;
 use het_gmp::core::trainer::{Trainer, TrainerConfig};
 use het_gmp::data::{generate, DatasetSpec};
-use het_gmp::telemetry::{Json, JsonlWriter, MetricsRegistry};
+use het_gmp::telemetry::{names, Json, JsonlWriter, MetricsRegistry};
 
-fn fixed_seed_result() -> het_gmp::core::trainer::TrainResult {
+fn fixed_seed_run(strategy: StrategyConfig) -> het_gmp::core::trainer::TrainResult {
     let mut spec = DatasetSpec::tiny();
     spec.num_samples = 512;
     let data = generate(&spec);
@@ -22,7 +22,35 @@ fn fixed_seed_result() -> het_gmp::core::trainer::TrainResult {
         seed: 1234,
         ..TrainerConfig::default()
     };
-    Trainer::new(&data, Topology::pcie_island(4), StrategyConfig::het_gmp(10), cfg).run()
+    Trainer::new(&data, Topology::pcie_island(4), strategy, cfg).run()
+}
+
+fn fixed_seed_result() -> het_gmp::core::trainer::TrainResult {
+    fixed_seed_run(StrategyConfig::het_gmp(10))
+}
+
+/// Each design publishes its own read counters and no other's: HET-GMP's
+/// inter-embedding syncs and stale-gradient backlog, HET's cache hits and
+/// misses, which are the shared read counters regrouped.
+#[test]
+fn each_design_publishes_its_own_counters() {
+    let gmp = fixed_seed_run(StrategyConfig::het_gmp(10)).telemetry;
+    assert!(gmp.counters.contains_key(names::EMBED_SYNC_INTER));
+    assert!(gmp.gauges.contains_key(names::EMBED_PENDING_ROWS));
+    assert!(!gmp.counters.contains_key(names::EMBED_CACHE_HIT));
+    assert!(!gmp.counters.contains_key(names::EMBED_CACHE_MISS));
+
+    let het = fixed_seed_run(StrategyConfig::het_cache(10, 0.1)).telemetry;
+    let hit = het.counter(names::EMBED_CACHE_HIT);
+    let miss = het.counter(names::EMBED_CACHE_MISS);
+    assert!(hit > 0 && miss > 0, "hit {hit}, miss {miss}");
+    assert_eq!(
+        hit,
+        het.counter(names::EMBED_READ_LOCAL_FRESH) + het.counter(names::EMBED_SYNC_INTRA)
+    );
+    assert_eq!(miss, het.counter(names::EMBED_READ_REMOTE));
+    assert!(!het.counters.contains_key(names::EMBED_SYNC_INTER));
+    assert!(!het.gauges.contains_key(names::EMBED_PENDING_ROWS));
 }
 
 /// The Figure 8 parity check: `TrainResult::traffic_bytes` is produced by
