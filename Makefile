@@ -5,8 +5,8 @@
 
 CARGO ?= cargo
 
-.PHONY: build test clippy doc lint-metrics lint-rounding lint-unsafe fault-matrix inspect-smoke \
-	repeat-check tsan verify bench benchmark-smoke clean
+.PHONY: build test clippy doc fmt-check lint-metrics lint-rounding lint-unsafe fault-matrix \
+	inspect-smoke repeat-check tsan verify bench benchmark-smoke clean
 
 build:
 	$(CARGO) build --release --offline --workspace
@@ -23,6 +23,12 @@ clippy:
 # modules too.
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --offline --document-private-items
+
+# Formatting: rustfmt's default style over the first-party Rust sources
+# (crates/, src/, tests/, examples/); benchmark/ and third_party/ are not
+# checked. `rustfmt --edition 2021 <files>` applies the same style.
+fmt-check:
+	rustfmt --edition 2021 --check $$(git ls-files 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs')
 
 # Metric-name hygiene: every dotted name used in code is defined in
 # hetgmp_telemetry::names and documented in TELEMETRY.md.
@@ -78,10 +84,11 @@ benchmark-smoke:
 	bash benchmark/run.sh run --smoke --out target/benchmark-smoke.json
 
 # The gate every change must pass: release build, full test suite, clippy
-# and rustdoc with warnings denied, metric-name lint, hot-path rounding
-# lint, the one-unsafe-site lint, the fault-injection matrix, the inspect
-# smoke, the repeatability check, and the benchmark smoke.
-verify: build test clippy doc lint-metrics lint-rounding lint-unsafe fault-matrix \
+# and rustdoc with warnings denied, the rustfmt check, metric-name lint,
+# hot-path rounding lint, the one-unsafe-site lint, the fault-injection
+# matrix, the inspect smoke, the repeatability check, and the benchmark
+# smoke.
+verify: build test clippy doc fmt-check lint-metrics lint-rounding lint-unsafe fault-matrix \
 	inspect-smoke repeat-check benchmark-smoke
 
 # Criterion microbenchmarks, one bench per layer (crates/bench/benches).

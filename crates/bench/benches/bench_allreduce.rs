@@ -1,9 +1,11 @@
-//! Performance of the communication substrate (AllReduce group, ledger).
+//! Performance of the communication substrate (AllReduce group, traffic
+//! counting).
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hetgmp_comms::{AllReduceGroup, TrafficClass, TrafficLedger};
+use hetgmp_comms::{AllReduceGroup, TrafficClass};
+use hetgmp_telemetry::MetricsRegistry;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("comms");
@@ -54,12 +56,17 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    group.bench_function("ledger_record", |b| {
-        let ledger = TrafficLedger::new(8);
+    // What the charge path records per traffic class: the bytes and the
+    // messages counter of the charging worker's recorder.
+    group.bench_function("traffic_record", |b| {
+        let registry = MetricsRegistry::new(8);
+        let recorders: Vec<_> = (0..8).map(|w| registry.worker(w)).collect();
+        let class = TrafficClass::EmbedData;
         let mut w = 0usize;
         b.iter(|| {
             w = (w + 1) % 8;
-            ledger.record(w, TrafficClass::EmbedData, 64, 1);
+            recorders[w].counter_add(class.bytes_metric(), 64);
+            recorders[w].counter_add(class.messages_metric(), 1);
         });
     });
 

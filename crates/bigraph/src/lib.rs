@@ -40,7 +40,7 @@ pub mod stats;
 pub use bigraph::{Bigraph, BigraphBuilder};
 pub use cooccurrence::{CooccurrenceConfig, CooccurrenceGraph};
 pub use csr::Csr;
-pub use stats::{DegreeStats, LocalityReport};
+pub use stats::DegreeStats;
 
 /// Identifier of a sample vertex (`ξ_j` in the paper).
 pub type SampleId = u32;

@@ -132,59 +132,6 @@ impl DegreeStats {
     }
 }
 
-/// Locality report relative to a sample partitioning: for each embedding, how
-/// concentrated are its accesses in a single partition?
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalityReport {
-    /// Mean (over embeddings with ≥1 access) of the fraction of an
-    /// embedding's accesses coming from its most-frequent partition.
-    pub mean_max_partition_share: f64,
-    /// Fraction of accessed embeddings whose accesses all come from a single
-    /// partition.
-    pub fully_local_fraction: f64,
-}
-
-impl LocalityReport {
-    /// Computes locality of embedding accesses under the given
-    /// sample → partition assignment with `num_partitions` partitions.
-    ///
-    /// # Panics
-    /// Panics if `sample_partition.len() != g.num_samples()`.
-    pub fn compute(g: &Bigraph, sample_partition: &[u32], num_partitions: usize) -> Self {
-        assert_eq!(sample_partition.len(), g.num_samples());
-        let mut sum_share = 0.0f64;
-        let mut accessed = 0usize;
-        let mut fully_local = 0usize;
-        let mut counts = vec![0usize; num_partitions];
-        for e in 0..g.num_embeddings() as u32 {
-            let samples = g.samples_of(e);
-            if samples.is_empty() {
-                continue;
-            }
-            counts.iter_mut().for_each(|c| *c = 0);
-            for &s in samples {
-                counts[sample_partition[s as usize] as usize] += 1;
-            }
-            let max = *counts.iter().max().expect("non-empty partitions");
-            sum_share += max as f64 / samples.len() as f64;
-            if max == samples.len() {
-                fully_local += 1;
-            }
-            accessed += 1;
-        }
-        if accessed == 0 {
-            return Self {
-                mean_max_partition_share: 1.0,
-                fully_local_fraction: 1.0,
-            };
-        }
-        Self {
-            mean_max_partition_share: sum_share / accessed as f64,
-            fully_local_fraction: fully_local as f64 / accessed as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,35 +189,5 @@ mod tests {
         assert_eq!(e.max, 3); // embedding 0
         let s = DegreeStats::samples(&g);
         assert_eq!(s.mean, 2.0);
-    }
-
-    #[test]
-    fn locality_perfect_when_clustered() {
-        let g = Bigraph::from_samples(
-            4,
-            &[vec![0, 1], vec![0, 1], vec![2, 3], vec![2, 3]],
-        );
-        let r = LocalityReport::compute(&g, &[0, 0, 1, 1], 2);
-        assert_eq!(r.fully_local_fraction, 1.0);
-        assert_eq!(r.mean_max_partition_share, 1.0);
-    }
-
-    #[test]
-    fn locality_degrades_with_bad_partition() {
-        let g = Bigraph::from_samples(
-            4,
-            &[vec![0, 1], vec![0, 1], vec![2, 3], vec![2, 3]],
-        );
-        let good = LocalityReport::compute(&g, &[0, 0, 1, 1], 2);
-        let bad = LocalityReport::compute(&g, &[0, 1, 0, 1], 2);
-        assert!(good.mean_max_partition_share > bad.mean_max_partition_share);
-        assert!(bad.fully_local_fraction < 1.0);
-    }
-
-    #[test]
-    fn locality_empty_embeddings_ignored() {
-        let g = Bigraph::from_samples(10, &[vec![0], vec![0]]);
-        let r = LocalityReport::compute(&g, &[0, 0], 2);
-        assert_eq!(r.fully_local_fraction, 1.0);
     }
 }

@@ -4,8 +4,8 @@
 //! it and is attributed to a category so experiments can report the paper's
 //! communication-vs-computation breakdowns (Figures 1 and 8).
 //!
-//! A clock can be attached to a telemetry [`Recorder`]
-//! ([`SimClock::attach_recorder`]): each charge is then also observed into
+//! A clock can report to a telemetry [`Recorder`]
+//! ([`SimClock::with_recorder`]): each charge is then also observed into
 //! the `time.<category>_secs` histograms and the simulated position is
 //! mirrored to the `clock.now_secs` gauge, so unified snapshots carry the
 //! same breakdown this type reports directly.
@@ -119,7 +119,7 @@ pub struct SimClock {
     hidden: f64,
     /// Total seconds submitted through `advance_overlapped`, hidden or not.
     charged_overlappable: f64,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
 }
 
 impl std::fmt::Debug for SimClock {
@@ -139,17 +139,11 @@ impl SimClock {
     }
 
     /// A clock at time zero reporting every charge to `recorder`.
-    pub fn with_recorder(recorder: Arc<dyn Recorder>) -> Self {
+    pub fn with_recorder(recorder: Arc<Recorder>) -> Self {
         Self {
             recorder: Some(recorder),
             ..Self::default()
         }
-    }
-
-    /// Attaches a telemetry recorder; subsequent charges are observed into
-    /// `time.*_secs` histograms and `clock.now_secs`.
-    pub fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = Some(recorder);
     }
 
     /// Current simulated time in seconds.
@@ -289,8 +283,7 @@ mod tests {
 
     #[test]
     fn recorder_sees_same_breakdown() {
-        use hetgmp_telemetry::MemoryRecorder;
-        let rec = Arc::new(MemoryRecorder::new());
+        let rec = Arc::new(Recorder::new());
         let mut c = SimClock::with_recorder(rec.clone());
         c.advance(TimeCategory::Compute, 1.5);
         c.advance(TimeCategory::EmbedComm, 2.0);

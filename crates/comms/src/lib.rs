@@ -11,20 +11,22 @@
 //! but the *pattern* and the *byte accounting* are faithful. There is no
 //! point-to-point channel: a worker reads and updates a remote row through
 //! the shared `RowStore` (`hetgmp-embedding`), and the exchange NCCL p2p
-//! would have carried is charged to the ledger and the cost model from the
-//! embedding worker's per-peer byte reports:
+//! would have carried is charged to the cost model and recorded as traffic
+//! from the embedding worker's per-peer byte reports:
 //!
 //! * [`AllReduceGroup`] — a reusable sum-AllReduce across `n` worker
 //!   threads (barrier semantics identical to NCCL's collective call); the
 //!   cost model in `hetgmp-cluster` charges it with the standard ring bound
 //!   `2·(N−1)/N · bytes` over the bottleneck link;
-//! * [`TrafficLedger`] — global per-worker, per-class byte/message counters
-//!   from which the Figure 1/8 communication breakdowns are read.
+//! * [`TrafficClass`] — the Figure 8 traffic classes, whose per-worker
+//!   byte and message counters (`traffic.*`, recorded by the charge path
+//!   in `hetgmp-core`) the Figure 1/8 communication breakdowns are read
+//!   from.
 
 pub mod allreduce;
-pub mod ledger;
 pub mod quant;
+pub mod traffic;
 
 pub use allreduce::AllReduceGroup;
-pub use ledger::{TrafficClass, TrafficLedger};
 pub use quant::{DenseQuantizer, ErrorFeedback, SyncFormat, DENSE_CHUNK};
+pub use traffic::TrafficClass;

@@ -15,8 +15,8 @@
 //! Workers never materialise byte buffers (threads share memory); the
 //! simulated wire is modelled by *transporting* a row in place —
 //! encode + decode through the format — so the values a replica holds
-//! are exactly the values a real receiver would decode, and the ledger
-//! charges [`SyncFormat::row_wire_bytes`] instead of `dim × 4`.
+//! are exactly the values a real receiver would decode, and the charge
+//! path records [`SyncFormat::row_wire_bytes`] instead of `dim × 4`.
 //!
 //! All encodings are deterministic (round-to-nearest-even, no
 //! data-dependent branching on accumulated state), which preserves the
@@ -79,7 +79,7 @@ impl SyncFormat {
     /// Bytes one `dim`-element row occupies on the wire.
     ///
     /// This is the *single* source of truth for embedding wire sizes —
-    /// every ledger charge and cost-model transfer derives from it, so
+    /// every traffic record and cost-model transfer derives from it, so
     /// byte accounting can never drift from the actual payload format.
     /// int8 pays 4 extra bytes for its per-row f32 scale.
     pub fn row_wire_bytes(self, dim: usize) -> u64 {

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use hetgmp_comms::{AllReduceGroup, TrafficClass, TrafficLedger};
+use hetgmp_comms::AllReduceGroup;
 use proptest::prelude::*;
 
 proptest! {
@@ -59,27 +59,6 @@ proptest! {
         for h in handles {
             prop_assert_eq!(h.join().unwrap(), expected);
         }
-    }
-
-    #[test]
-    fn ledger_totals_add_up(
-        records in prop::collection::vec((0usize..4, 0u8..3, 0u64..1000), 0..60)
-    ) {
-        let ledger = TrafficLedger::new(4);
-        let mut expected = [0u64; 3];
-        for &(w, c, bytes) in &records {
-            let class = match c {
-                0 => TrafficClass::EmbedData,
-                1 => TrafficClass::KeysClocks,
-                _ => TrafficClass::AllReduce,
-            };
-            ledger.record(w, class, bytes, 1);
-            expected[c as usize] += bytes;
-        }
-        prop_assert_eq!(ledger.total_bytes(TrafficClass::EmbedData), expected[0]);
-        prop_assert_eq!(ledger.total_bytes(TrafficClass::KeysClocks), expected[1]);
-        prop_assert_eq!(ledger.total_bytes(TrafficClass::AllReduce), expected[2]);
-        prop_assert_eq!(ledger.grand_total_bytes(), expected.iter().sum::<u64>());
     }
 
     #[test]

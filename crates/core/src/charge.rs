@@ -1,17 +1,19 @@
 //! The one charge path: every simulated second a worker spends on the
-//! wire, and every entry of the traffic ledger, comes from [`charge`].
+//! wire, and every `traffic.bytes.*` / `traffic.messages.*` count, comes
+//! from [`charge`].
 //!
 //! Each phase of a step yields a list of [`Transfer`]s: the read exchange,
 //! the write-back exchange, the epoch-end flush, the replica re-prime, the
 //! crash re-prime. `charge` issues each list as one group under the cost
 //! model's grouped-issue rule ([`CostModel::group_schedule_at`]), counts one
-//! ledger message per transfer, lays the transfers' trace spans out from the
-//! group's schedule, tallies each link class's busy seconds and advances the
-//! clock. The dense collective ([`Phases::Dense`]) keeps its own collective
-//! cost and goes through the same ledger and clock.
+//! message per transfer into the charging worker's recorder, lays the
+//! transfers' trace spans out from the group's schedule, tallies each link
+//! class's busy seconds and advances the clock. The dense collective
+//! ([`Phases::Dense`]) keeps its own collective cost and goes through the
+//! same recorder and clock.
 
 use hetgmp_cluster::{CostModel, GroupSchedule, LinkClass, SimClock, TimeCategory};
-use hetgmp_comms::{TrafficClass, TrafficLedger};
+use hetgmp_comms::TrafficClass;
 use hetgmp_embedding::report::META_ENTRY_BYTES;
 use hetgmp_embedding::{ReadReport, UpdateReport};
 use hetgmp_telemetry::{names, Json, Recorder, TraceCollector};
@@ -82,7 +84,7 @@ pub(crate) type LinkTallies = [LinkTally; LinkClass::ALL.len()];
 
 /// Publishes the run's summed tallies as `traffic.link.<class>.*`: the
 /// busy-second gauges and the transfer counter, for every class used.
-pub(crate) fn publish_links(recorder: &dyn Recorder, tallies: impl Iterator<Item = LinkTallies>) {
+pub(crate) fn publish_links(recorder: &Recorder, tallies: impl Iterator<Item = LinkTallies>) {
     let mut sum = LinkTallies::default();
     for t in tallies {
         for (s, x) in sum.iter_mut().zip(t) {
@@ -103,8 +105,9 @@ pub(crate) fn publish_links(recorder: &dyn Recorder, tallies: impl Iterator<Item
 /// is recorded.
 pub(crate) struct Wire<'a> {
     pub(crate) cost: &'a CostModel,
-    /// `None` for a loop that keeps no ledger (`core::kg`).
-    pub(crate) ledger: Option<&'a TrafficLedger>,
+    /// The charging worker's recorder, which its traffic is counted into;
+    /// `None` for a loop that records no traffic (`core::kg`).
+    pub(crate) recorder: Option<&'a Recorder>,
     pub(crate) tracer: Option<&'a TraceCollector>,
     /// Embeddings live on a CPU parameter server: a step's rows all cross
     /// the shared host link (see [`Phases::Step`]).
@@ -149,7 +152,7 @@ pub(crate) enum Phases<'t> {
     /// host link, which the `N` workers share: the step pays the host link
     /// for `rows · row_bytes · N` bytes of data and `rows · 12 · N` bytes of
     /// metadata, and the data time is split between the groups by rows. The
-    /// ledger records each worker's own `rows · row_bytes` and `rows · 12`.
+    /// recorder counts each worker's own `rows · row_bytes` and `rows · 12`.
     Step {
         read: &'t [Transfer],
         write: &'t [Transfer],
@@ -180,8 +183,9 @@ impl Charged {
     }
 }
 
-/// Charges `phases` for worker `w`: records their traffic on the ledger,
-/// tallies their link time into `links` and advances `clock`.
+/// Charges `phases` for worker `w`: records their traffic
+/// ([`record_traffic`]), tallies their link time into `links` and advances
+/// `clock`.
 ///
 /// Embedding data advances [`TimeCategory::EmbedComm`] by each group's
 /// data-only time. Metadata advances [`TimeCategory::MetaComm`] by what it
@@ -196,12 +200,11 @@ pub(crate) fn charge(
 ) -> Charged {
     let start = clock.now();
     let record = |transfers: &[Transfer]| {
-        let Some(ledger) = wire.ledger else { return };
         for class in [TrafficClass::EmbedData, TrafficClass::KeysClocks] {
             let of_class = transfers.iter().filter(|t| t.class == class);
             let (bytes, messages) = of_class.fold((0, 0), |(b, m), t| (b + t.bytes, m + 1));
             if messages > 0 {
-                ledger.record(w, class, bytes, messages);
+                record_traffic(wire, w, class, bytes, messages);
             }
         }
     };
@@ -263,15 +266,36 @@ pub(crate) fn charge(
                 let args = [("worker", Json::U64(w as u64)), ("bytes", Json::U64(payload))];
                 tr.link_span(label, names::TRACE_ALLREDUCE, start, t, &args);
             }
-            if let Some(ledger) = wire.ledger {
-                ledger.record(w, TrafficClass::AllReduce, wire_bytes, messages);
-            }
+            record_traffic(wire, w, TrafficClass::AllReduce, wire_bytes, messages);
             clock.advance(TimeCategory::AllReduceComm, t);
             Charged {
                 data: [t, 0.0],
                 meta: 0.0,
             }
         }
+    }
+}
+
+/// Counts `bytes` in `messages` transfers of `class` into worker `w`'s
+/// recorder: `traffic.bytes.<class>` on every call,
+/// `traffic.messages.<class>` when `messages > 0`, and a `trace.traffic`
+/// instant on the worker's track (sync trace level).
+fn record_traffic(wire: &Wire<'_>, w: usize, class: TrafficClass, bytes: u64, messages: u64) {
+    let Some(r) = wire.recorder else { return };
+    r.counter_add(class.bytes_metric(), bytes);
+    if messages > 0 {
+        r.counter_add(class.messages_metric(), messages);
+    }
+    if let Some(t) = wire.tracer {
+        t.worker_instant(
+            w,
+            names::TRACE_TRAFFIC,
+            &[
+                ("class", Json::from(class.metric_suffix())),
+                ("bytes", Json::U64(bytes)),
+                ("messages", Json::U64(messages)),
+            ],
+        );
     }
 }
 
@@ -383,13 +407,14 @@ fn host_ps_step(
 #[cfg(test)]
 mod tests {
     use hetgmp_cluster::Topology;
+    use hetgmp_telemetry::{MetricsRegistry, TraceLevel, TraceTrack};
 
     use super::*;
 
-    fn wire<'a>(cost: &'a CostModel, ledger: &'a TrafficLedger) -> Wire<'a> {
+    fn wire<'a>(cost: &'a CostModel, recorder: &'a Recorder) -> Wire<'a> {
         Wire {
             cost,
-            ledger: Some(ledger),
+            recorder: Some(recorder),
             tracer: None,
             host_ps: false,
             row_bytes: 64,
@@ -399,8 +424,9 @@ mod tests {
     #[test]
     fn a_step_records_one_message_per_transfer_and_charges_grouped_time() {
         let cost = CostModel::new(Topology::pcie_island(4));
-        let ledger = TrafficLedger::new(4);
-        let wire = wire(&cost, &ledger);
+        let registry = MetricsRegistry::new(4);
+        let rec = registry.worker(0);
+        let wire = wire(&cost, &rec);
         let read = Transfer::exchange(&[0, 640, 0, 128], &[0, 120, 0, 24], 64);
         let write = Transfer::exchange(&[0, 0, 64, 0], &[0, 0, 12, 0], 64);
         assert_eq!(read.len(), 4);
@@ -409,10 +435,13 @@ mod tests {
         let step = Phases::Step { read: &read, write: &write, overlap: None };
         let c = charge(&wire, 0, &mut clock, &mut links, step);
         // Two transfers per class in the read, one per class in the write.
-        assert_eq!(ledger.messages(0, TrafficClass::EmbedData), 3);
-        assert_eq!(ledger.messages(0, TrafficClass::KeysClocks), 3);
-        assert_eq!(ledger.bytes(0, TrafficClass::EmbedData), 832);
-        assert_eq!(ledger.bytes(0, TrafficClass::KeysClocks), 156);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.messages_metric()), 3);
+        assert_eq!(rec.counter(TrafficClass::KeysClocks.messages_metric()), 3);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.bytes_metric()), 832);
+        assert_eq!(rec.counter(TrafficClass::KeysClocks.bytes_metric()), 156);
+        // Only the charging worker's recorder sees the traffic.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter_prefix_sum(names::TRAFFIC_BYTES_PREFIX), 832 + 156);
         // Both read peers queue on the one PCIe port: one latency.
         let bw = LinkClass::Pcie3.bandwidth();
         let expect_read = LinkClass::Pcie3.latency() + 768.0 / bw;
@@ -430,34 +459,36 @@ mod tests {
     #[test]
     fn recovery_is_priced_and_recorded() {
         let cost = CostModel::new(Topology::nvlink_island(4));
-        let ledger = TrafficLedger::new(4);
-        let wire = wire(&cost, &ledger);
+        let registry = MetricsRegistry::new(4);
+        let rec = registry.worker(0);
+        let wire = wire(&cost, &rec);
         let reprime = Transfer::rows(&[0, 3, 3, 0], 64);
         let (mut clock, mut links) = (SimClock::new(), LinkTallies::default());
         let c = charge(&wire, 0, &mut clock, &mut links, Phases::Recovery(&reprime));
         // Two NVLink peers, two links: the group costs one transfer.
         assert_eq!(c.total(), cost.transfer_time(0, 1, 192));
         // The caller folds the time into its recovery charge: the clock
-        // stays put, but the ledger and the link tallies see the group.
+        // stays put, but the recorder and the link tallies see the group.
         assert_eq!(clock.now(), 0.0);
-        assert_eq!(ledger.messages(0, TrafficClass::EmbedData), 2);
-        assert_eq!(ledger.bytes(0, TrafficClass::EmbedData), 384);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.messages_metric()), 2);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.bytes_metric()), 384);
         let nvlink = |l: &LinkTallies| l[LinkClass::ALL.iter().position(|&c| c == LinkClass::NvLink).unwrap()];
         assert_eq!(nvlink(&links).transfers, 2);
         // The same rows at a barrier are charged, recorded and tallied alike.
         let recovery_links = links;
         let c = charge(&wire, 0, &mut clock, &mut links, Phases::Barrier("reprime", &reprime));
         assert_eq!(clock.now(), c.total());
-        assert_eq!(ledger.messages(0, TrafficClass::EmbedData), 4);
-        assert_eq!(ledger.bytes(0, TrafficClass::EmbedData), 768);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.messages_metric()), 4);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.bytes_metric()), 768);
         assert_eq!(nvlink(&links).transfers, 2 * nvlink(&recovery_links).transfers);
     }
 
     #[test]
     fn cpu_ps_step_pays_the_shared_host_link() {
         let cost = CostModel::new(Topology::pcie_island(2));
-        let ledger = TrafficLedger::new(2);
-        let wire = Wire { host_ps: true, ..wire(&cost, &ledger) };
+        let registry = MetricsRegistry::new(2);
+        let rec = registry.worker(1);
+        let wire = Wire { host_ps: true, ..wire(&cost, &rec) };
         let read = ReadReport { local_primary: 3, remote_fetches: 1, data_bytes: 64, meta_bytes: 12, ..Default::default() };
         let up = UpdateReport { local_updates: 4, ..Default::default() };
         let (r, u) = wire.step(&read, &up);
@@ -467,10 +498,34 @@ mod tests {
         let t = cost.link_transfer_time(host, 8 * 64 * 2);
         assert_eq!(c.data, [t * 0.5, t * (1.0 - 0.5)]);
         assert_eq!(c.meta, cost.link_transfer_time(host, 8 * 12 * 2));
-        // The ledger records this worker's rows, local ones included: 4
+        // The recorder counts this worker's rows, local ones included: 4
         // lookups and 4 updates, without the shared link's factor N.
-        assert_eq!(ledger.bytes(1, TrafficClass::EmbedData), 8 * 64);
-        assert_eq!(ledger.bytes(1, TrafficClass::KeysClocks), 8 * 12);
-        assert_eq!(ledger.messages(1, TrafficClass::EmbedData), 2);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.bytes_metric()), 8 * 64);
+        assert_eq!(rec.counter(TrafficClass::KeysClocks.bytes_metric()), 8 * 12);
+        assert_eq!(rec.counter(TrafficClass::EmbedData.messages_metric()), 2);
+    }
+
+    #[test]
+    fn traced_records_land_on_the_worker_track() {
+        let cost = CostModel::new(Topology::pcie_island(2));
+        let rec = Recorder::new();
+        let tracer = TraceCollector::new(2, TraceLevel::Sync);
+        let wire = Wire { tracer: Some(&tracer), ..wire(&cost, &rec) };
+        let meta = Transfer::exchange(&[], &[24, 0], 64);
+        let (mut clock, mut links) = (SimClock::new(), LinkTallies::default());
+        charge(&wire, 1, &mut clock, &mut links, Phases::Barrier("flush", &meta));
+        let traffic: Vec<_> =
+            tracer.events().into_iter().filter(|e| e.name == names::TRACE_TRAFFIC).collect();
+        assert_eq!(traffic.len(), 1);
+        assert_eq!(traffic[0].track, TraceTrack::Worker(1));
+        let arg = |k: &str| traffic[0].args.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+        assert_eq!(arg("class"), Some(Json::from("keys_clocks")));
+        assert_eq!(arg("bytes"), Some(Json::U64(24)));
+        assert_eq!(arg("messages"), Some(Json::U64(1)));
+        // At batch level the instants are suppressed.
+        let batch_tracer = TraceCollector::new(2, TraceLevel::Batch);
+        let wire = Wire { tracer: Some(&batch_tracer), ..wire };
+        charge(&wire, 1, &mut clock, &mut links, Phases::Barrier("flush", &meta));
+        assert!(batch_tracer.events().iter().all(|e| e.name != names::TRACE_TRAFFIC));
     }
 }

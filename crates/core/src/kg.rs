@@ -338,7 +338,7 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
     let dim = cfg.dim;
     let wire = Wire {
         cost,
-        ledger: None,
+        recorder: None,
         tracer: None,
         host_ps: false,
         row_bytes: (dim * 4) as u64,

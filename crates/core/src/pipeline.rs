@@ -67,7 +67,7 @@ use std::time::Instant;
 use hetgmp_cluster::{
     CostModel, FaultSchedule, LinkClass, SimClock, TimeCategory, WorkerFaultKind,
 };
-use hetgmp_comms::{AllReduceGroup, DenseQuantizer, TrafficLedger};
+use hetgmp_comms::{AllReduceGroup, DenseQuantizer};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{EmbeddingWorker, ReadReport, RowStore, UpdateReport, WriteExchange};
 use hetgmp_partition::Partition;
@@ -259,7 +259,7 @@ impl StageProfiler {
     /// Merges the accumulated histograms into `recorder` and resets them
     /// (called once per epoch; merges are additive across epochs and
     /// workers).
-    pub fn flush(&mut self, recorder: &dyn Recorder) {
+    pub fn flush(&mut self, recorder: &Recorder) {
         for i in 0..4 {
             recorder.histogram_merge(&self.wall_names[i], &self.wall[i]);
             recorder.histogram_merge(&self.sim_names[i], &self.sim[i]);
@@ -303,7 +303,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) registry: MetricsRegistry,
     pub(crate) group: AllReduceGroup,
     pub(crate) exchange: WriteExchange,
-    pub(crate) ledger: TrafficLedger,
     pub(crate) tracer: Option<&'a TraceCollector>,
     pub(crate) auditor: Option<Arc<ProtocolAuditor>>,
     /// Dense parameters per model replica, and their wire bytes per sync.
@@ -323,11 +322,12 @@ pub(crate) struct RunCtx<'a> {
 }
 
 impl RunCtx<'_> {
-    /// What the run's traffic is charged against.
-    pub(crate) fn wire(&self) -> Wire<'_> {
+    /// What the run's traffic is charged against, counted into the
+    /// charging worker's `recorder`.
+    pub(crate) fn wire<'a>(&'a self, recorder: &'a Recorder) -> Wire<'a> {
         Wire {
             cost: &self.cost,
-            ledger: Some(&self.ledger),
+            recorder: Some(recorder),
             tracer: self.tracer,
             host_ps: matches!(self.strategy.embed_home, EmbedHome::CpuPs),
             row_bytes: self.row_bytes,
@@ -356,7 +356,7 @@ pub(crate) struct WorkerRun<'t> {
     /// Stage histograms, flushed into `recorder` at every epoch's end (the
     /// timer calibration is paid once per run).
     pub(crate) profiler: StageProfiler,
-    pub(crate) recorder: Arc<dyn Recorder>,
+    pub(crate) recorder: Arc<Recorder>,
     /// Slowdown factor of this worker's accelerator (1.0 = nominal).
     pub(crate) compute_scale: f64,
     pub(crate) batch_size: usize,
@@ -585,7 +585,7 @@ fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_repo
         compute_t,
     );
 
-    let wire = run.wire();
+    let wire = run.wire(&me.recorder);
     let (read, write) = wire.step(&me.slot.read_report, up_report);
     let overlap = run.strategy.overlap.then_some(compute_t);
     let step = Phases::Step { read: &read, write: &write, overlap };
@@ -625,7 +625,8 @@ fn sync_dense(
         // Push gradients + pull parameters over the shared host link.
         DenseSync::PsAsync => Dense::HostPs(run.dense_bytes),
     };
-    let t = charge(&run.wire(), w, &mut me.clock, &mut me.links, Phases::Dense(dense)).total();
+    let t = charge(&run.wire(&me.recorder), w, &mut me.clock, &mut me.links, Phases::Dense(dense))
+        .total();
     if is_bsp {
         let (max_clock, _) = run.group.fused_mean_max(dense_grads, me.clock.now(), false);
         clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
@@ -754,7 +755,7 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                     .link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
                 let reprime = Transfer::rows(&refreshed, run.row_bytes);
                 let refresh_t =
-                    charge(&run.wire(), w, clock, links, Phases::Recovery(&reprime)).total();
+                    charge(&run.wire(recorder), w, clock, links, Phases::Recovery(&reprime)).total();
                 let refreshed: u64 = refreshed.iter().sum();
                 let replay_t = (crash_time - image.sim_times[w]).max(0.0);
                 let recovery_t = faults.restart_overhead() + restore_t + refresh_t + replay_t;

@@ -71,7 +71,7 @@ impl PartitionPolicy {
     pub fn partitioner_instrumented(
         &self,
         seed: u64,
-        recorder: Option<Arc<dyn Recorder>>,
+        recorder: Option<Arc<Recorder>>,
         tracer: Option<Arc<TraceCollector>>,
     ) -> Box<dyn Partitioner> {
         match self {

@@ -32,7 +32,7 @@ use hetgmp_bigraph::Bigraph;
 use hetgmp_cluster::{
     CostModel, FaultSchedule, LinkClass, SimClock, TimeBreakdown, TimeCategory, Topology,
 };
-use hetgmp_comms::{AllReduceGroup, SyncFormat, TrafficClass, TrafficLedger};
+use hetgmp_comms::{AllReduceGroup, SyncFormat, TrafficClass};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{
     load_run, run_encoded_len, save_run, BatchScratch, CachedWorkerEmbedding, CapacityStats,
@@ -41,7 +41,7 @@ use hetgmp_embedding::{
 };
 use hetgmp_partition::{Partition, PartitionMetrics, Partitioner};
 use hetgmp_telemetry::{
-    names, AuditMode, AuditSummary, HetGmpError, Json, MetricsRegistry, ProtocolAuditor, Recorder,
+    names, AuditMode, AuditSummary, HetGmpError, Json, MetricsRegistry, ProtocolAuditor,
     RunManifest, TelemetrySnapshot, TraceCollector,
 };
 use hetgmp_tensor::loss::sigmoid;
@@ -125,7 +125,8 @@ pub struct TrainerConfig {
     /// Wire format for inter-worker embedding payloads and the dense
     /// AllReduce (`f32` default = bit-exact identity transport). Lossy
     /// formats decode-on-arrival, so replicas hold exactly what a real
-    /// receiver would; the ledger and cost model charge compressed bytes.
+    /// receiver would; traffic counters and the cost model charge
+    /// compressed bytes.
     pub sync_format: SyncFormat,
     /// Per-row error feedback on lossy gradient pushes (EF-SGD style).
     /// Ignored under `f32`; on by default.
@@ -745,10 +746,6 @@ impl<'d> Trainer<'d> {
         let cfg = &self.config;
         let n = self.topology.num_workers();
         let num_dense = first.model.num_dense_params();
-        let mut ledger = TrafficLedger::from_registry(&registry);
-        if let Some(t) = &self.tracer {
-            ledger.attach_tracer(Arc::clone(t));
-        }
         RunCtx {
             cfg,
             strategy: &self.strategy,
@@ -762,7 +759,6 @@ impl<'d> Trainer<'d> {
             registry,
             group: AllReduceGroup::new(n),
             exchange: WriteExchange::new(n),
-            ledger,
             tracer: self.tracer.as_deref(),
             auditor,
             num_dense,
@@ -943,6 +939,7 @@ impl<'d> Trainer<'d> {
             },
         );
         let capacity = record_closing_gauges(run, workers);
+        let telemetry = run.registry.snapshot();
         TrainResult {
             strategy: self.strategy.name.clone(),
             final_auc,
@@ -956,13 +953,9 @@ impl<'d> Trainer<'d> {
             },
             breakdown,
             per_worker,
-            traffic_bytes: [
-                run.ledger.total_bytes(TrafficClass::EmbedData),
-                run.ledger.total_bytes(TrafficClass::KeysClocks),
-                run.ledger.total_bytes(TrafficClass::AllReduce),
-            ],
+            traffic_bytes: TrafficClass::all().map(|c| telemetry.counter(c.bytes_metric())),
             partition_metrics,
-            telemetry: run.registry.snapshot(),
+            telemetry,
             audit: run.auditor.as_ref().map(|a| a.summary()),
             nonfinite_batches: run.nonfinite.load(Ordering::Relaxed),
             manifest: self.manifest(),
@@ -1006,10 +999,10 @@ fn train_epoch(
 /// the restored table), so a resumed run replays the uninterrupted run's
 /// math.
 fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
-    let wire = run.wire();
     for me in workers.iter_mut() {
         let rep = me.emb.flush_all(&run.exchange);
         let flush = Transfer::exchange(&rep.data_bytes_by_dst, &rep.meta_bytes_by_dst, run.row_bytes);
+        let wire = run.wire(&me.recorder);
         charge(&wire, me.w, &mut me.clock, &mut me.links, Phases::Barrier("flush", &flush));
     }
     for me in workers.iter() {
@@ -1017,6 +1010,7 @@ fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
     }
     for me in workers.iter_mut() {
         let reprime = Transfer::rows(&me.emb.sync_replicas(), run.row_bytes);
+        let wire = run.wire(&me.recorder);
         charge(&wire, me.w, &mut me.clock, &mut me.links, Phases::Barrier("reprime", &reprime));
     }
 }

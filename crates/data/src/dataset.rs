@@ -1,4 +1,4 @@
-//! In-memory CTR dataset, batching, and bigraph export.
+//! In-memory CTR dataset, train/test split, and bigraph export.
 
 use hetgmp_bigraph::Bigraph;
 
@@ -83,17 +83,6 @@ impl CtrDataset {
         TrainTestSplit { train, test }
     }
 
-    /// Iterator over mini-batches of the given sample index list.
-    pub fn batches<'a>(&'a self, indices: &'a [u32], batch_size: usize) -> BatchIter<'a> {
-        assert!(batch_size > 0, "batch_size must be positive");
-        BatchIter {
-            dataset: self,
-            indices,
-            batch_size,
-            cursor: 0,
-        }
-    }
-
     /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.features.len() * 4 + self.labels.len() * 4 + self.clusters.len() * 2
@@ -107,75 +96,6 @@ pub struct TrainTestSplit {
     pub train: Vec<u32>,
     /// Held-out test-sample indices.
     pub test: Vec<u32>,
-}
-
-/// One mini-batch: borrowed feature rows + labels.
-#[derive(Debug)]
-pub struct Batch<'a> {
-    /// The sample indices in this batch.
-    pub indices: &'a [u32],
-    dataset: &'a CtrDataset,
-}
-
-impl<'a> Batch<'a> {
-    /// Batch size.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// True when empty (never produced by [`BatchIter`]).
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
-    }
-
-    /// Feature ids of the `j`-th sample in the batch.
-    pub fn sample(&self, j: usize) -> &'a [u32] {
-        self.dataset.sample(self.indices[j] as usize)
-    }
-
-    /// Label of the `j`-th sample in the batch.
-    pub fn label(&self, j: usize) -> f32 {
-        self.dataset.label(self.indices[j] as usize)
-    }
-
-    /// All distinct feature ids accessed by this batch, sorted ascending —
-    /// the batch's embedding-lookup working set.
-    pub fn unique_features(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self
-            .indices
-            .iter()
-            .flat_map(|&i| self.dataset.sample(i as usize).iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-}
-
-/// Iterator over consecutive mini-batches (last batch may be short).
-#[derive(Debug)]
-pub struct BatchIter<'a> {
-    dataset: &'a CtrDataset,
-    indices: &'a [u32],
-    batch_size: usize,
-    cursor: usize,
-}
-
-impl<'a> Iterator for BatchIter<'a> {
-    type Item = Batch<'a>;
-
-    fn next(&mut self) -> Option<Batch<'a>> {
-        if self.cursor >= self.indices.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.indices.len());
-        let batch = Batch {
-            indices: &self.indices[self.cursor..end],
-            dataset: self.dataset,
-        };
-        self.cursor = end;
-        Some(batch)
-    }
 }
 
 #[cfg(test)]
@@ -230,36 +150,5 @@ mod tests {
     #[should_panic(expected = "test_fraction")]
     fn split_rejects_bad_fraction() {
         toy().split(1.5);
-    }
-
-    #[test]
-    fn batches_cover_everything_once() {
-        let d = toy();
-        let idx: Vec<u32> = (0..4).collect();
-        let sizes: Vec<usize> = d.batches(&idx, 3).map(|b| b.len()).collect();
-        assert_eq!(sizes, vec![3, 1]);
-        let seen: Vec<u32> = d
-            .batches(&idx, 3)
-            .flat_map(|b| b.indices.to_vec())
-            .collect();
-        assert_eq!(seen, idx);
-    }
-
-    #[test]
-    fn batch_unique_features_sorted_dedup() {
-        let d = toy();
-        let idx: Vec<u32> = (0..4).collect();
-        let batch = d.batches(&idx, 4).next().expect("one batch");
-        assert_eq!(batch.unique_features(), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(batch.sample(3), &[0, 4]);
-        assert_eq!(batch.label(0), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch_size")]
-    fn zero_batch_size_panics() {
-        let d = toy();
-        let idx = [0u32];
-        let _ = d.batches(&idx, 0);
     }
 }

@@ -1,11 +1,9 @@
-//! Dataset import/export: libsvm-style sparse lines and CSV with the
-//! hashing trick.
+//! Dataset import/export: libsvm-style sparse lines.
 //!
-//! The paper's public datasets (Avazu, Criteo) are distributed as CSV/TSV of
-//! categorical fields; the common interchange for one-hot CTR data is the
-//! libsvm format. These readers let a downstream user run the real datasets
-//! through this system instead of the synthetic generators (the experiments
-//! only require a [`CtrDataset`]).
+//! The common interchange for one-hot CTR data is the libsvm format. These
+//! functions let a downstream user run the real datasets through this
+//! system instead of the synthetic generators (the experiments only
+//! require a [`CtrDataset`]).
 
 use std::io::{BufRead, Write};
 
@@ -102,67 +100,6 @@ pub fn write_libsvm<W: Write>(dataset: &CtrDataset, mut writer: W) -> std::io::R
     Ok(())
 }
 
-/// Reads CSV lines `label,cat1,cat2,…` of categorical strings, mapping each
-/// field's values into its own hash space of `buckets_per_field` ids (the
-/// hashing trick — how production CTR pipelines ingest raw categorical
-/// data). Empty fields hash like any other value (the empty string).
-pub fn read_csv_hashed<R: BufRead>(
-    reader: R,
-    num_fields: usize,
-    buckets_per_field: usize,
-) -> Result<CtrDataset, ParseError> {
-    if num_fields == 0 {
-        return Err(HetGmpError::config("num_fields", "must be positive"));
-    }
-    if buckets_per_field == 0 {
-        return Err(HetGmpError::config("buckets_per_field", "must be positive"));
-    }
-    let mut features: Vec<u32> = Vec::new();
-    let mut labels: Vec<f32> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(stream_err)?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut cols = line.split(',');
-        let label_tok = cols
-            .next()
-            .ok_or_else(|| HetGmpError::data_unattributed(lineno + 1, "missing label column"))?;
-        let label: f32 = label_tok.trim().parse().map_err(|_| {
-            HetGmpError::data_unattributed(lineno + 1, format!("bad label {label_tok:?}"))
-        })?;
-        let mut count = 0usize;
-        for f in 0..num_fields {
-            let value = cols.next().unwrap_or("");
-            let bucket = fnv1a(value.as_bytes()) as usize % buckets_per_field;
-            features.push((f * buckets_per_field + bucket) as u32);
-            count += 1;
-        }
-        debug_assert_eq!(count, num_fields);
-        labels.push(if label > 0.5 { 1.0 } else { 0.0 });
-    }
-    Ok(CtrDataset {
-        name: "csv".into(),
-        num_fields,
-        num_features: num_fields * buckets_per_field,
-        clusters: vec![0; labels.len()],
-        features,
-        labels,
-    })
-}
-
-/// FNV-1a 64-bit (stable across runs and platforms — hashed feature ids
-/// must be reproducible).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,54 +144,5 @@ mod tests {
         let err = read_libsvm(Cursor::new("1 1:1\n"), 0).unwrap_err();
         assert!(err.to_string().contains("num_fields"), "{err}");
         assert_eq!(err.exit_code(), 78);
-        let err = read_csv_hashed(Cursor::new("1,a\n"), 2, 0).unwrap_err();
-        assert!(err.to_string().contains("buckets_per_field"), "{err}");
-    }
-
-    #[test]
-    fn csv_hashing_is_stable_and_field_scoped() {
-        let text = "1,appA,deviceX\n0,appB,deviceX\n1,appA,deviceY\n";
-        let d = read_csv_hashed(Cursor::new(text), 2, 100).unwrap();
-        assert_eq!(d.num_samples(), 3);
-        assert_eq!(d.num_features, 200);
-        // Same value in the same field hashes identically.
-        assert_eq!(d.sample(0)[0], d.sample(2)[0]);
-        // Field 0 ids live in [0,100), field 1 in [100,200).
-        for i in 0..3 {
-            assert!(d.sample(i)[0] < 100);
-            assert!((100..200).contains(&d.sample(i)[1]));
-        }
-        // Same string in *different* fields gets different ids.
-        let text2 = "1,same,same\n";
-        let d2 = read_csv_hashed(Cursor::new(text2), 2, 100).unwrap();
-        assert_ne!(d2.sample(0)[0], d2.sample(0)[1]);
-    }
-
-    #[test]
-    fn csv_missing_trailing_fields_hash_empty() {
-        let text = "0,onlyfirst\n";
-        let d = read_csv_hashed(Cursor::new(text), 3, 50).unwrap();
-        assert_eq!(d.sample(0).len(), 3);
-        // Fields 1 and 2 both hashed "" but in their own spaces.
-        assert_ne!(d.sample(0)[1], d.sample(0)[2]);
-    }
-
-    #[test]
-    fn imported_dataset_feeds_the_pipeline() {
-        let text = (0..50)
-            .map(|i| format!("{},{},{}", i % 2, i % 5, (i * 3) % 7))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let d = read_csv_hashed(Cursor::new(text), 2, 32).unwrap();
-        let g = d.to_bigraph();
-        assert_eq!(g.num_samples(), 50);
-        assert_eq!(g.num_edges(), 100);
-    }
-
-    #[test]
-    fn fnv_known_value() {
-        // FNV-1a("") is the offset basis.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
     }
 }

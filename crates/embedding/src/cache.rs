@@ -148,7 +148,7 @@ impl ReplicaPolicy for SecondaryCache {
     fn pending_rows(&self) -> usize {
         self.design.pending_rows
     }
-    fn record_read(&self, recorder: &dyn Recorder, report: &ReadReport) {
+    fn record_read(&self, recorder: &Recorder, report: &ReadReport) {
         recorder.counter_add(names::EMBED_SYNC_INTER, report.inter_syncs);
     }
     fn read_mix(report: &ReadReport) -> [(&'static str, u64); 2] {

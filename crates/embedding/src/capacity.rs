@@ -69,20 +69,6 @@ impl CapacityPlan {
     pub fn max_params(&self) -> u64 {
         self.max_rows() * self.dim as u64
     }
-
-    /// True when a table of `rows` rows fits.
-    pub fn fits(&self, rows: u64) -> bool {
-        rows <= self.max_rows()
-    }
-
-    /// Memory footprint of `rows` rows on the busiest worker assuming
-    /// balanced primaries plus a full local replication budget.
-    pub fn per_worker_bytes(&self, rows: u64) -> u64 {
-        let primaries =
-            (rows as f64 / self.num_workers as f64).ceil(); // allow(libm-rounding): once per plan
-        let secondaries = rows as f64 * self.replication_fraction;
-        (primaries * self.primary_row_bytes() + secondaries * self.secondary_row_bytes()) as u64
-    }
 }
 
 #[cfg(test)]
@@ -121,15 +107,6 @@ mod tests {
         plan.optimizer_state_factor = 2.0;
         let adagrad = plan.max_rows();
         assert!((sgd as f64 / adagrad as f64 - 2.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn fits_and_per_worker() {
-        let plan = CapacityPlan::paper_cluster_b(32);
-        let rows = plan.max_rows();
-        assert!(plan.fits(rows));
-        assert!(!plan.fits(rows + rows / 2));
-        assert!(plan.per_worker_bytes(rows) <= plan.memory_per_worker + (1 << 20));
     }
 
     #[test]

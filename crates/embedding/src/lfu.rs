@@ -219,7 +219,7 @@ impl ReplicaPolicy for LfuCache {
     }
     /// For the dynamic cache a fresh or refreshed row is a hit; only a full
     /// fetch-and-admit is a miss.
-    fn record_read(&self, recorder: &dyn Recorder, report: &ReadReport) {
+    fn record_read(&self, recorder: &Recorder, report: &ReadReport) {
         recorder.counter_add(
             names::EMBED_CACHE_HIT,
             report.local_fresh + report.intra_syncs,

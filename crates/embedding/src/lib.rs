@@ -130,7 +130,7 @@ pub trait EmbeddingWorker: Send {
     /// their transfer.
     fn sync_replicas(&mut self) -> Vec<u64>;
     /// Attaches a telemetry recorder for `embedding.*` metrics.
-    fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>);
+    fn attach_recorder(&mut self, recorder: Arc<Recorder>);
     /// Attaches a protocol auditor observing every staleness decision.
     fn attach_auditor(&mut self, auditor: Arc<ProtocolAuditor>);
     /// Attaches a trace collector for per-batch decision instants.
@@ -183,7 +183,7 @@ where
     fn sync_replicas(&mut self) -> Vec<u64> {
         Worker::sync_all(self)
     }
-    fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>) {
+    fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
         Worker::attach_recorder(self, recorder)
     }
     fn attach_auditor(&mut self, auditor: Arc<ProtocolAuditor>) {

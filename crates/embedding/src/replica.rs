@@ -87,7 +87,7 @@ pub trait ReplicaPolicy: Send {
     }
     /// (7) Counts one batch read into the policy's own `embedding.*`
     /// metrics, beside the four every policy shares.
-    fn record_read(&self, recorder: &dyn Recorder, report: &ReadReport);
+    fn record_read(&self, recorder: &Recorder, report: &ReadReport);
     /// (7) How the read trace event names the replica-served and the fetched
     /// lookups of a batch, after `local_primary`.
     fn read_mix(report: &ReadReport) -> [(&'static str, u64); 2];

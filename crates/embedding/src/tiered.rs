@@ -280,7 +280,7 @@ struct TierState {
     loads: u64,
     evictions: u64,
     writebacks: u64,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
     tracer: Option<Arc<TraceCollector>>,
 }
 
@@ -488,7 +488,7 @@ impl TieredTable {
 
     /// Attaches a telemetry recorder for the `capacity.fault.*` and
     /// `capacity.spill.*` metrics.
-    pub fn attach_recorder(&self, recorder: Arc<dyn Recorder>) {
+    pub fn attach_recorder(&self, recorder: Arc<Recorder>) {
         self.state.lock().recorder = Some(recorder);
     }
 

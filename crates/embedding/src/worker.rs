@@ -316,7 +316,7 @@ pub struct Worker<'a, D> {
     /// Which table read path fetches go through (snapshot by default;
     /// both paths return bit-identical bytes).
     read_path: ReadPath,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
     auditor: Option<Arc<ProtocolAuditor>>,
     tracer: Option<Arc<TraceCollector>>,
 }
@@ -417,7 +417,7 @@ where
 
     /// Attaches a telemetry recorder; reads, syncs, deferrals and flushes
     /// are counted into the `embedding.*` metrics from then on.
-    pub fn attach_recorder(&mut self, recorder: Arc<dyn Recorder>) {
+    pub fn attach_recorder(&mut self, recorder: Arc<Recorder>) {
         self.recorder = Some(recorder);
     }
 
@@ -1416,7 +1416,7 @@ mod tests {
         let opt = SparseOpt::sgd(0.1);
         let table = ShardedTable::new(rows, dim, 0.1, 7);
         let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(8));
-        let recorder = Arc::new(hetgmp_telemetry::MemoryRecorder::new());
+        let recorder = Arc::new(hetgmp_telemetry::Recorder::new());
         w0.attach_recorder(recorder.clone());
         let check = |w: &WorkerEmbedding, what: &str, step: usize| -> usize {
             let holding = (0..rows as u32).filter(|&e| w.pending_count(e) > 0).count();

@@ -65,7 +65,7 @@ pub struct RoundStats {
 /// Driver object for Algorithm 1.
 pub struct HybridPartitioner {
     config: HybridConfig,
-    recorder: Option<Arc<dyn Recorder>>,
+    recorder: Option<Arc<Recorder>>,
     tracer: Option<Arc<TraceCollector>>,
 }
 
@@ -82,7 +82,7 @@ impl HybridPartitioner {
     /// Attaches a telemetry recorder: every run then emits `partition.*`
     /// metrics (per-round score/improvement, moves, replication budget and
     /// replicas created, wall time).
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
+    pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
     }

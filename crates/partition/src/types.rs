@@ -117,12 +117,6 @@ impl Partition {
         self.sample_owner[s as usize] = k;
     }
 
-    /// All partitions holding a replica of `e` (primary included).
-    pub fn replicas_of(&self, e: EmbId) -> impl Iterator<Item = u32> + '_ {
-        let mask = self.replica_mask[e as usize];
-        (0..self.num_partitions as u32).filter(move |k| mask & (1u64 << k) != 0)
-    }
-
     /// Number of replicas of `e` (≥ 1).
     #[inline]
     pub fn replica_count(&self, e: EmbId) -> u32 {
@@ -234,8 +228,6 @@ mod tests {
         assert!(p.is_local(0, 2));
         assert!(p.is_secondary(0, 2));
         assert_eq!(p.replica_count(0), 2);
-        let reps: Vec<u32> = p.replicas_of(0).collect();
-        assert_eq!(reps, vec![0, 2]);
         // idempotent
         p.add_replica(0, 2);
         assert_eq!(p.replica_count(0), 2);

@@ -117,7 +117,7 @@ impl ProtocolAuditor {
     /// Reports one intra-embedding staleness check. `raw_gap` is the clock
     /// gap before any sync; `served_gap` is the gap the read was actually
     /// served with (0 after a replica refresh).
-    pub fn observe_intra(&self, recorder: Option<&dyn Recorder>, raw_gap: f64, served_gap: f64) {
+    pub fn observe_intra(&self, recorder: Option<&Recorder>, raw_gap: f64, served_gap: f64) {
         self.intra_reads.fetch_add(1, Ordering::Relaxed);
         atomic_max_f64(&self.max_intra_bits, raw_gap);
         if let Some(r) = recorder {
@@ -136,7 +136,7 @@ impl ProtocolAuditor {
 
     /// Reports one inter-embedding staleness check (normalised clock gap,
     /// §5.3). Same raw/served split as [`ProtocolAuditor::observe_intra`].
-    pub fn observe_inter(&self, recorder: Option<&dyn Recorder>, raw_gap: f64, served_gap: f64) {
+    pub fn observe_inter(&self, recorder: Option<&Recorder>, raw_gap: f64, served_gap: f64) {
         self.inter_checks.fetch_add(1, Ordering::Relaxed);
         atomic_max_f64(&self.max_inter_bits, raw_gap);
         if let Some(r) = recorder {
@@ -251,7 +251,6 @@ impl AuditSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemoryRecorder;
 
     #[test]
     fn mode_parses_cli_spellings() {
@@ -267,7 +266,7 @@ mod tests {
     #[test]
     fn served_within_bound_is_not_a_violation() {
         let a = ProtocolAuditor::new(10.0, AuditMode::Strict);
-        let r = MemoryRecorder::new();
+        let r = Recorder::new();
         // Raw gap above the bound, but the worker synced before serving.
         a.observe_intra(Some(&r), 25.0, 0.0);
         // Raw gap within the bound, served as-is.

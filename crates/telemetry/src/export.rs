@@ -122,7 +122,6 @@ impl Drop for JsonlWriter {
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
-    use crate::MemoryRecorder;
 
     #[test]
     fn writes_one_parseable_line_per_record() {
@@ -130,7 +129,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.jsonl");
 
-        let rec = MemoryRecorder::new();
+        let rec = Recorder::new();
         rec.counter_add("traffic.bytes.embed_data", 123);
         let snap = rec.snapshot();
 

@@ -2,18 +2,17 @@
 
 //! Unified telemetry for the HET-GMP workspace.
 //!
-//! Every instrumented component — the traffic ledger, simulated clocks,
+//! Every instrumented component — the charge path, simulated clocks,
 //! embedding workers, partitioners, the trainer — writes named metrics
-//! through one small [`Recorder`] trait:
+//! into one in-memory [`Recorder`]:
 //!
 //! * **counters** — monotonic `u64` totals (bytes sent, cache hits),
 //! * **gauges** — last-write-wins `f64` levels (simulated clock, scores),
-//! * **histograms** — `f64` observation streams with count/sum/min/max,
-//! * **spans** — RAII wall-clock timers feeding a histogram on drop.
+//! * **histograms** — `f64` observation streams with count/sum/min/max.
 //!
-//! [`NoopRecorder`] is the default sink and costs nothing; a
-//! [`MetricsRegistry`] hands each worker its own [`MemoryRecorder`] so the
-//! hot path never contends, and merges everything into a
+//! Telemetry off is `None` where a component takes an optional recorder;
+//! a [`MetricsRegistry`] hands each worker its own [`Recorder`] so the hot
+//! path never contends, and merges everything into a
 //! [`TelemetrySnapshot`] on demand. Snapshots export as JSONL
 //! ([`JsonlWriter`]) or a pretty table
 //! ([`TelemetrySnapshot::render_table`]).
@@ -35,7 +34,6 @@ pub mod error;
 pub mod export;
 pub mod json;
 pub mod manifest;
-pub mod memory;
 pub mod recorder;
 pub mod registry;
 pub mod snapshot;
@@ -46,8 +44,7 @@ pub use error::HetGmpError;
 pub use export::JsonlWriter;
 pub use json::Json;
 pub use manifest::RunManifest;
-pub use memory::MemoryRecorder;
-pub use recorder::{NoopRecorder, Recorder};
+pub use recorder::Recorder;
 pub use registry::MetricsRegistry;
 pub use snapshot::{HistogramSummary, TelemetrySnapshot};
 pub use trace::{TraceCollector, TraceEvent, TraceLevel, TraceTrack};
@@ -151,7 +148,7 @@ pub mod names {
     pub const TRACE_SYNC: &str = "trace.sync";
     /// Trace instant: gradient-deferral decision (sync level).
     pub const TRACE_DEFER: &str = "trace.defer";
-    /// Trace instant: traffic-ledger charge (sync level).
+    /// Trace instant: one charge's traffic of one class (sync level).
     pub const TRACE_TRAFFIC: &str = "trace.traffic";
 
     /// Counter: batches whose loss came back non-finite (NaN/∞). Non-zero
@@ -295,21 +292,9 @@ pub mod names {
 mod tests {
     use super::*;
 
-    // The crate-level contract: recorders are object-safe and swap-able.
-    #[test]
-    fn recorders_are_object_safe() {
-        let recorders: Vec<Box<dyn Recorder>> =
-            vec![Box::new(NoopRecorder), Box::new(MemoryRecorder::new())];
-        for r in &recorders {
-            r.counter_add(names::EMBED_CACHE_HIT, 1);
-            r.gauge_set(names::TRAIN_AUC, 0.5);
-            r.histogram_observe("h", 1.0);
-        }
-    }
-
     #[test]
     fn traffic_prefix_constants_compose() {
-        let r = MemoryRecorder::new();
+        let r = Recorder::new();
         let name = format!("{}embed_data", names::TRAFFIC_BYTES_PREFIX);
         r.counter_add(&name, 64);
         assert_eq!(r.snapshot().counter_prefix_sum(names::TRAFFIC_BYTES_PREFIX), 64);

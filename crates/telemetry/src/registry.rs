@@ -1,38 +1,33 @@
 //! Registry aggregating per-worker recorders into one view.
 
-use crate::memory::MemoryRecorder;
+use crate::recorder::Recorder;
 use crate::snapshot::TelemetrySnapshot;
 use std::sync::Arc;
 
-/// Owns one [`MemoryRecorder`] per worker plus a global one for metrics
+/// Owns one [`Recorder`] per worker plus a global one for metrics
 /// not attributable to a single worker (partitioning, dataset I/O, the
 /// driver loop). Worker recorders are handed out as `Arc`s, so threads
 /// record without any cross-worker contention; [`MetricsRegistry::snapshot`]
 /// merges everything after the fact.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    global: Arc<MemoryRecorder>,
-    workers: Vec<Arc<MemoryRecorder>>,
+    global: Arc<Recorder>,
+    workers: Vec<Arc<Recorder>>,
 }
 
 impl MetricsRegistry {
     /// Registry for `num_workers` workers.
     pub fn new(num_workers: usize) -> Self {
         Self {
-            global: Arc::new(MemoryRecorder::new()),
+            global: Arc::new(Recorder::new()),
             workers: (0..num_workers)
-                .map(|_| Arc::new(MemoryRecorder::new()))
+                .map(|_| Arc::new(Recorder::new()))
                 .collect(),
         }
     }
 
-    /// Number of per-worker recorders.
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The global (worker-agnostic) recorder.
-    pub fn global(&self) -> Arc<MemoryRecorder> {
+    pub fn global(&self) -> Arc<Recorder> {
         Arc::clone(&self.global)
     }
 
@@ -40,13 +35,8 @@ impl MetricsRegistry {
     ///
     /// # Panics
     /// Panics if `worker` is out of range.
-    pub fn worker(&self, worker: usize) -> Arc<MemoryRecorder> {
+    pub fn worker(&self, worker: usize) -> Arc<Recorder> {
         Arc::clone(&self.workers[worker])
-    }
-
-    /// Snapshot of a single worker's metrics.
-    pub fn worker_snapshot(&self, worker: usize) -> TelemetrySnapshot {
-        self.workers[worker].snapshot()
     }
 
     /// Merged snapshot: global metrics plus every worker's, with counters
@@ -58,20 +48,11 @@ impl MetricsRegistry {
         }
         merged
     }
-
-    /// Clears every recorder (global and per-worker).
-    pub fn reset(&self) {
-        self.global.reset();
-        for w in &self.workers {
-            w.reset();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Recorder;
 
     #[test]
     fn snapshot_merges_workers_and_global() {
@@ -86,8 +67,8 @@ mod tests {
         assert_eq!(s.counter("traffic.bytes.embed_data"), 60);
         assert_eq!(s.histogram("time.compute_secs").count, 3);
         // Per-worker views stay separate.
-        assert_eq!(reg.worker_snapshot(1).counter("traffic.bytes.embed_data"), 20);
-        assert_eq!(reg.worker_snapshot(1).counter("partition.moves"), 0);
+        assert_eq!(reg.worker(1).snapshot().counter("traffic.bytes.embed_data"), 20);
+        assert_eq!(reg.worker(1).snapshot().counter("partition.moves"), 0);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Ring {
 /// contend with each other; link and driver rings share one lock each.
 /// The collector also carries a per-worker *simulated now* cell that the
 /// trainer refreshes each batch, so components without clock access (the
-/// embedding workers, the traffic ledger) can stamp instant events at the
+/// embedding workers, the charge path's traffic instants) can stamp instant events at the
 /// right simulated time.
 pub struct TraceCollector {
     level: TraceLevel,

@@ -81,7 +81,7 @@ const USAGE: &str = "usage: het-gmp <gen|partition|train|capacity|experiment|ins
   --sync-format picks the wire encoding for inter-worker embedding rows
   and the dense AllReduce payload: f32 (default, bit-exact) or int8
   (per-row scale + 1 byte/element, ~3.6x fewer embedding bytes at dim
-  32). Traffic ledgers and the cost model charge the compressed wire
+  32). Traffic counters and the cost model charge the compressed wire
   size; checkpoints stay f32 and any format bit-matches itself across
   checkpoint resume. --sync-feedback off disables the
   per-row error-feedback accumulator on lossy gradient pushes (on by

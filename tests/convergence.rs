@@ -424,7 +424,7 @@ fn seed_sweep_matches_goldens() {
     );
 }
 
-/// One ledger message is one transfer the clock charged: on every `GOLDENS`
+/// One traffic message is one transfer the clock charged: on every `GOLDENS`
 /// configuration the embedding and metadata messages equal the transfers
 /// the grouped exchange put on the links (`traffic.link.<class>.transfers`),
 /// and every worker step sends one collective.

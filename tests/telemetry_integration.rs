@@ -1,16 +1,26 @@
-//! Cross-crate telemetry integration: the unified snapshot and the legacy
-//! `TrafficLedger` interface must report identical per-class byte totals,
-//! end to end through a real training run, and the JSONL export must carry
-//! those exact numbers.
+//! Cross-crate telemetry integration, end to end through a real training
+//! run: `TrainResult::traffic_bytes` is the merged snapshot's per-class
+//! byte totals, the sync-level `trace.traffic` instants add up to the same
+//! totals, and the JSONL export carries those exact numbers.
+
+use std::sync::Arc;
 
 use het_gmp::cluster::Topology;
-use het_gmp::comms::{TrafficClass, TrafficLedger};
+use het_gmp::comms::TrafficClass;
 use het_gmp::core::strategy::StrategyConfig;
 use het_gmp::core::trainer::{Trainer, TrainerConfig};
 use het_gmp::data::{generate, DatasetSpec};
-use het_gmp::telemetry::{names, Json, JsonlWriter, MetricsRegistry};
+use het_gmp::telemetry::{names, Json, JsonlWriter, TraceCollector, TraceLevel};
 
 fn fixed_seed_run(strategy: StrategyConfig) -> het_gmp::core::trainer::TrainResult {
+    fixed_seed_trainer(strategy, |t| t)
+}
+
+/// The fixed-seed 4-worker run, with `hooks` applied to its trainer.
+fn fixed_seed_trainer(
+    strategy: StrategyConfig,
+    hooks: impl FnOnce(Trainer<'_>) -> Trainer<'_>,
+) -> het_gmp::core::trainer::TrainResult {
     let mut spec = DatasetSpec::tiny();
     spec.num_samples = 512;
     let data = generate(&spec);
@@ -22,7 +32,7 @@ fn fixed_seed_run(strategy: StrategyConfig) -> het_gmp::core::trainer::TrainResu
         seed: 1234,
         ..TrainerConfig::default()
     };
-    Trainer::new(&data, Topology::pcie_island(4), strategy, cfg).run()
+    hooks(Trainer::new(&data, Topology::pcie_island(4), strategy, cfg)).run()
 }
 
 fn fixed_seed_result() -> het_gmp::core::trainer::TrainResult {
@@ -53,10 +63,9 @@ fn each_design_publishes_its_own_counters() {
     assert!(!het.gauges.contains_key(names::EMBED_PENDING_ROWS));
 }
 
-/// The Figure 8 parity check: `TrainResult::traffic_bytes` is produced by
-/// the legacy `TrafficLedger` interface, while `TrainResult::telemetry` is
-/// the merged recorder snapshot — the per-class byte totals must agree
-/// exactly on the same run.
+/// The Figure 8 parity check: `TrainResult::traffic_bytes` and the
+/// `traffic.bytes.*` counters of `TrainResult::telemetry`, the merged
+/// recorder snapshot, must agree exactly on the same run.
 #[test]
 fn fig8_traffic_classes_agree_between_snapshot_and_ledger() {
     let r = fixed_seed_result();
@@ -74,23 +83,26 @@ fn fig8_traffic_classes_agree_between_snapshot_and_ledger() {
     assert!(r.traffic_bytes[2] > 0, "no all-reduce traffic recorded");
 }
 
-/// Recording through the façade and reading back through the registry (or
-/// vice versa) is the same data: `TrafficLedger::from_registry` shares the
-/// registry's recorders rather than keeping its own cells.
+/// Every traffic count the charge path records also drops a
+/// `trace.traffic` instant on the charging worker's track at sync trace
+/// level: summed per class, their bytes are `TrainResult::traffic_bytes`.
 #[test]
-fn ledger_facade_shares_registry_counters() {
-    let registry = MetricsRegistry::new(2);
-    let ledger = TrafficLedger::from_registry(&registry);
-    ledger.record(0, TrafficClass::EmbedData, 640, 10);
-    ledger.record(1, TrafficClass::EmbedData, 360, 5);
-    ledger.record(1, TrafficClass::AllReduce, 128, 1);
-
-    let snap = registry.snapshot();
-    assert_eq!(snap.counter(TrafficClass::EmbedData.bytes_metric()), 1000);
-    assert_eq!(snap.counter(TrafficClass::EmbedData.messages_metric()), 15);
-    assert_eq!(snap.counter(TrafficClass::AllReduce.bytes_metric()), 128);
-    assert_eq!(ledger.total_bytes(TrafficClass::EmbedData), 1000);
-    assert_eq!(ledger.grand_total_bytes(), 1128);
+fn trace_traffic_instants_add_up_to_the_traffic_totals() {
+    let tracer = Arc::new(TraceCollector::new(4, TraceLevel::Sync));
+    let r = fixed_seed_trainer(StrategyConfig::het_gmp(10), |t| t.with_tracer(Arc::clone(&tracer)));
+    assert_eq!(tracer.dropped(), 0, "the ring dropped events; the sums would be partial");
+    let mut traced = [0u64; 3];
+    for e in tracer.events().iter().filter(|e| e.name == names::TRACE_TRAFFIC) {
+        let arg = |k: &str| &e.args.iter().find(|(n, _)| n == k).expect("traffic arg").1;
+        let class = arg("class").as_str().expect("class label");
+        let i = TrafficClass::all()
+            .iter()
+            .position(|c| c.metric_suffix() == class)
+            .expect("a known class");
+        traced[i] += arg("bytes").as_u64().expect("byte count");
+    }
+    assert_eq!(traced, r.traffic_bytes);
+    assert!(traced.iter().all(|&b| b > 0), "{traced:?}");
 }
 
 /// The JSONL export carries the exact per-class byte totals (the
