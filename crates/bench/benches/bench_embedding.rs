@@ -131,8 +131,9 @@ fn owner_phases(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(0x0A5E ^ t.wrapping_mul(0x9E3779B9));
             (0..PHASE_BATCHES)
                 .map(|_| {
-                    let mut ids: Vec<u32> =
-                        (0..PHASE_DRAWS).map(|_| zipf.sample(&mut rng) as u32).collect();
+                    let mut ids: Vec<u32> = (0..PHASE_DRAWS)
+                        .map(|_| zipf.sample(&mut rng) as u32)
+                        .collect();
                     ids.sort_unstable();
                     ids.dedup();
                     ids
@@ -141,7 +142,9 @@ fn owner_phases(c: &mut Criterion) {
         })
         .collect();
     let mut rng = StdRng::seed_from_u64(7);
-    let primary = (0..PHASE_ROWS).map(|_| rng.gen_range(0..PHASE_OWNERS as u32)).collect();
+    let primary = (0..PHASE_ROWS)
+        .map(|_| rng.gen_range(0..PHASE_OWNERS as u32))
+        .collect();
     let part = Partition::new(PHASE_OWNERS, vec![0], primary);
     let table = ShardedTable::with_partition(PHASE_ROWS, DIM, 0.05, 1, &part);
     let exchange = WriteExchange::new(PHASE_OWNERS);
@@ -164,7 +167,12 @@ fn owner_phases(c: &mut Criterion) {
                         let mut clocks = vec![0u64; longest];
                         for ids in mine {
                             let n = ids.len();
-                            table.read_rows(ids, &mut out[..n * DIM], &mut clocks[..n], &mut scratch);
+                            table.read_rows(
+                                ids,
+                                &mut out[..n * DIM],
+                                &mut clocks[..n],
+                                &mut scratch,
+                            );
                             criterion::black_box(&out);
                             {
                                 let mut routing = exchange.route_from(owner);

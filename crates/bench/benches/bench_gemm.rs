@@ -41,7 +41,9 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("blocked_{n}x{n}x{n}"), |b| {
             b.iter(|| a.matmul_into(&b_m, &mut out))
         });
-        group.bench_function(format!("naive_{n}x{n}x{n}"), |b| b.iter(|| a.matmul_ref(&b_m)));
+        group.bench_function(format!("naive_{n}x{n}x{n}"), |b| {
+            b.iter(|| a.matmul_ref(&b_m))
+        });
     }
 
     // WDL/DCN-shaped rectangular: the three GEMMs of one Dense layer step.
@@ -49,11 +51,17 @@ fn bench(c: &mut Criterion) {
     let w = lcg_matrix(416, 64, 4); // features × hidden
     let dy = lcg_matrix(256, 64, 5); // batch × hidden
     let mut out = Matrix::zeros(0, 0);
-    group.bench_function("blocked_fwd_256x416x64", |b| b.iter(|| x.matmul_into(&w, &mut out)));
+    group.bench_function("blocked_fwd_256x416x64", |b| {
+        b.iter(|| x.matmul_into(&w, &mut out))
+    });
     group.bench_function("naive_fwd_256x416x64", |b| b.iter(|| x.matmul_ref(&w)));
-    group.bench_function("blocked_dw_416x256x64", |b| b.iter(|| x.t_matmul_into(&dy, &mut out)));
+    group.bench_function("blocked_dw_416x256x64", |b| {
+        b.iter(|| x.t_matmul_into(&dy, &mut out))
+    });
     group.bench_function("naive_dw_416x256x64", |b| b.iter(|| x.t_matmul_ref(&dy)));
-    group.bench_function("blocked_dx_256x64x416", |b| b.iter(|| dy.matmul_t_into(&w, &mut out)));
+    group.bench_function("blocked_dx_256x64x416", |b| {
+        b.iter(|| dy.matmul_t_into(&w, &mut out))
+    });
     group.bench_function("naive_dx_256x64x416", |b| b.iter(|| dy.matmul_t_ref(&w)));
 
     // Fused epilogues: bias and bias+ReLU folded into the kernel's write
@@ -71,17 +79,27 @@ fn bench(c: &mut Criterion) {
     let x = lcg_matrix(256, 1408, 6);
     let w1 = lcg_matrix(1408, 256, 7);
     let dy = lcg_matrix(256, 256, 8);
-    group.bench_function("dense_fwd_256x1408x256", |b| b.iter(|| x.matmul_into(&w1, &mut out)));
-    group.bench_function("dense_dw_1408x256x256", |b| b.iter(|| x.t_matmul_into(&dy, &mut out)));
-    group.bench_function("dense_dx_256x256x1408", |b| b.iter(|| dy.matmul_t_into(&w1, &mut out)));
+    group.bench_function("dense_fwd_256x1408x256", |b| {
+        b.iter(|| x.matmul_into(&w1, &mut out))
+    });
+    group.bench_function("dense_dw_1408x256x256", |b| {
+        b.iter(|| x.t_matmul_into(&dy, &mut out))
+    });
+    group.bench_function("dense_dx_256x256x1408", |b| {
+        b.iter(|| dy.matmul_t_into(&w1, &mut out))
+    });
     let cat = lcg_matrix(256, 1536, 9);
     let w = lcg_matrix(1536, 1, 10);
     let dlogit = lcg_matrix(256, 1, 11);
-    group.bench_function("dense_fwd_256x1536x1", |b| b.iter(|| cat.matmul_into(&w, &mut out)));
+    group.bench_function("dense_fwd_256x1536x1", |b| {
+        b.iter(|| cat.matmul_into(&w, &mut out))
+    });
     group.bench_function("dense_dw_1536x256x1", |b| {
         b.iter(|| cat.t_matmul_into(&dlogit, &mut out))
     });
-    group.bench_function("dense_dx_256x1x1536", |b| b.iter(|| dlogit.matmul_t_into(&w, &mut out)));
+    group.bench_function("dense_dx_256x1x1536", |b| {
+        b.iter(|| dlogit.matmul_t_into(&w, &mut out))
+    });
 
     group.finish();
 }

@@ -4,12 +4,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hetgmp_bigraph::Bigraph;
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, DatasetSpec};
-use hetgmp_partition::{
-    bicut_partition, random_partition, HybridConfig, HybridPartitioner,
-    OneDeeConfig, PartitionMetrics, ReplicationBudget,
-};
 use hetgmp_partition::onedee::OneDeeState;
 use hetgmp_partition::vertexcut::replicate_hot_embeddings;
+use hetgmp_partition::{
+    bicut_partition, random_partition, HybridConfig, HybridPartitioner, OneDeeConfig,
+    PartitionMetrics, ReplicationBudget,
+};
 
 fn graph() -> Bigraph {
     generate(&DatasetSpec::criteo_like(0.1)).to_bigraph()
@@ -57,11 +57,7 @@ fn bench(c: &mut Criterion) {
         let part0 = random_partition(&g, 8, 7);
         b.iter(|| {
             let mut part = part0.clone();
-            replicate_hot_embeddings(
-                &g,
-                &mut part,
-                ReplicationBudget::FractionOfEmbeddings(0.01),
-            )
+            replicate_hot_embeddings(&g, &mut part, ReplicationBudget::FractionOfEmbeddings(0.01))
         });
     });
 

@@ -8,7 +8,11 @@ use rand::{Rng, SeedableRng};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
-    Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect())
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect(),
+    )
 }
 
 fn bench(c: &mut Criterion) {
@@ -89,7 +93,9 @@ fn bench(c: &mut Criterion) {
     group.bench_function("auc_100k", |b| {
         let mut rng = StdRng::seed_from_u64(8);
         let scores: Vec<f32> = (0..100_000).map(|_| rng.gen()).collect();
-        let labels: Vec<f32> = (0..100_000).map(|_| if rng.gen::<f32>() < 0.3 { 1.0 } else { 0.0 }).collect();
+        let labels: Vec<f32> = (0..100_000)
+            .map(|_| if rng.gen::<f32>() < 0.3 { 1.0 } else { 0.0 })
+            .collect();
         b.iter(|| auc(&scores, &labels));
     });
 

@@ -46,7 +46,11 @@ impl Bigraph {
     }
 
     /// Builds from a raw edge list of `(sample, embedding)` pairs.
-    pub fn from_edges(num_samples: usize, num_embeddings: usize, edges: &[(SampleId, EmbId)]) -> Self {
+    pub fn from_edges(
+        num_samples: usize,
+        num_embeddings: usize,
+        edges: &[(SampleId, EmbId)],
+    ) -> Self {
         let sample_to_emb = Csr::from_edges(num_samples, edges);
         if let Some(max) = sample_to_emb.max_neighbor() {
             assert!(
@@ -221,7 +225,7 @@ mod tests {
         let g = fig2();
         let hot = g.embeddings_by_hotness();
         assert_eq!(hot[0], 0); // "a" is hottest with frequency 2
-        // all frequency-1 embeddings precede frequency-0 ones
+                               // all frequency-1 embeddings precede frequency-0 ones
         let freqs: Vec<usize> = hot.iter().map(|&e| g.emb_frequency(e)).collect();
         let mut sorted = freqs.clone();
         sorted.sort_by(|a, b| b.cmp(a));

@@ -264,10 +264,7 @@ mod tests {
     fn hot_exclusion_drops_universal_embeddings() {
         // Embedding 0 appears in all 4 samples — with a 0.5 fraction cutoff it
         // is excluded from pair counting.
-        let g = Bigraph::from_samples(
-            3,
-            &[vec![0, 1], vec![0, 1], vec![0, 2], vec![0, 2]],
-        );
+        let g = Bigraph::from_samples(3, &[vec![0, 1], vec![0, 1], vec![0, 2], vec![0, 2]]);
         let cfg = CooccurrenceConfig {
             hot_exclude_fraction: 0.5,
             ..Default::default()

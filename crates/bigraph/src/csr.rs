@@ -284,10 +284,7 @@ mod tests {
     #[test]
     fn from_parts_validates() {
         assert!(Csr::from_parts(vec![0, 2], vec![0, 1]).is_ok());
-        assert_eq!(
-            Csr::from_parts(vec![], vec![]),
-            Err(CsrError::EmptyOffsets)
-        );
+        assert_eq!(Csr::from_parts(vec![], vec![]), Err(CsrError::EmptyOffsets));
         assert_eq!(
             Csr::from_parts(vec![1, 2], vec![9]),
             Err(CsrError::BadFirstOffset(1))

@@ -200,7 +200,12 @@ impl CostModel {
     /// [`CostModel::transfer_time_at`]; the others follow it in the order
     /// given, each costing its bytes over its bandwidth. A transfer to `src`
     /// itself is free and uses no resource.
-    pub fn group_schedule_at(&self, src: WorkerId, transfers: &[Transfer], now: f64) -> GroupSchedule {
+    pub fn group_schedule_at(
+        &self,
+        src: WorkerId,
+        transfers: &[Transfer],
+        now: f64,
+    ) -> GroupSchedule {
         let mut sched = GroupSchedule {
             secs: 0.0,
             slots: vec![Slot::default(); transfers.len()],
@@ -244,12 +249,18 @@ impl CostModel {
         }
         let mut ends: Vec<f64> = payers.iter().map(|&(_, _, total)| total).collect();
         for (r, &(payer, latency, total)) in payers.iter().enumerate() {
-            sched.slots[payer] = Slot { start: 0.0, secs: total };
+            sched.slots[payer] = Slot {
+                start: 0.0,
+                secs: total,
+            };
             sched.busy[r].latency = latency;
         }
         for (i, p) in placed.into_iter().enumerate() {
             if let Some((r, bandwidth)) = p.filter(|&(r, _)| payers[r].0 != i) {
-                sched.slots[i] = Slot { start: ends[r], secs: bandwidth };
+                sched.slots[i] = Slot {
+                    start: ends[r],
+                    secs: bandwidth,
+                };
                 ends[r] += bandwidth;
             }
         }
@@ -382,7 +393,10 @@ mod tests {
     #[test]
     fn faultless_at_variants_match_base() {
         let m = CostModel::new(Topology::pcie_island(4));
-        assert_eq!(m.transfer_time_at(0, 1, 1 << 20, 5.0), m.transfer_time(0, 1, 1 << 20));
+        assert_eq!(
+            m.transfer_time_at(0, 1, 1 << 20, 5.0),
+            m.transfer_time(0, 1, 1 << 20)
+        );
         assert_eq!(m.allreduce_time_at(1 << 20, 5.0), m.allreduce_time(1 << 20));
     }
 
@@ -395,7 +409,10 @@ mod tests {
         assert_eq!(m.transfer_time_at(0, 1, 1 << 20, 1.5), 8.0 * healthy);
         assert_eq!(m.transfer_time_at(0, 1, 1 << 20, 2.5), healthy);
         // Other pairs unaffected.
-        assert_eq!(m.transfer_time_at(2, 3, 1 << 20, 1.5), m.transfer_time(2, 3, 1 << 20));
+        assert_eq!(
+            m.transfer_time_at(2, 3, 1 << 20, 1.5),
+            m.transfer_time(2, 3, 1 << 20)
+        );
         // The collective sees the worst pair.
         assert!(m.allreduce_time_at(1 << 20, 1.5) > m.allreduce_time(1 << 20));
     }
@@ -450,7 +467,13 @@ mod tests {
         assert_eq!((busy.class, busy.transfers), (LinkClass::Pcie3, 3));
         assert_eq!(busy.latency, LinkClass::Pcie3.latency());
         // The first transfer pays the latency; the others stream behind it.
-        assert_eq!(g.slots[0], Slot { start: 0.0, secs: m.transfer_time(0, 1, MB) });
+        assert_eq!(
+            g.slots[0],
+            Slot {
+                start: 0.0,
+                secs: m.transfer_time(0, 1, MB)
+            }
+        );
         assert_eq!(g.slots[1].start, g.slots[0].secs);
         assert!(close(g.slots[2].start + g.slots[2].secs, g.secs));
         // Never slower than issuing the three one after another.
@@ -478,7 +501,10 @@ mod tests {
         let nic = queued(LinkClass::Ethernet1G, 2, MB);
         assert!(close(g.secs, nic));
         let classes: Vec<LinkClass> = g.busy.iter().map(|b| b.class).collect();
-        assert_eq!(classes, [LinkClass::Pcie3, LinkClass::Qpi, LinkClass::Ethernet1G]);
+        assert_eq!(
+            classes,
+            [LinkClass::Pcie3, LinkClass::Qpi, LinkClass::Ethernet1G]
+        );
     }
 
     #[test]
@@ -497,7 +523,13 @@ mod tests {
         // Peers on two other machines still leave through worker 0's NIC.
         let g = m.group_schedule_at(0, &to(&[8, 16, 3], MB), 0.0);
         assert!(close(g.secs, queued(LinkClass::Ethernet10G, 2, MB)));
-        assert_eq!(g.slots[2], Slot { start: 0.0, secs: m.transfer_time(0, 3, MB) });
+        assert_eq!(
+            g.slots[2],
+            Slot {
+                start: 0.0,
+                secs: m.transfer_time(0, 3, MB)
+            }
+        );
         // A one-transfer group costs exactly the transfer.
         let one = m.group_schedule_at(0, &to(&[16], MB), 0.0);
         assert_eq!(one.secs, m.transfer_time(0, 16, MB));
@@ -509,8 +541,18 @@ mod tests {
         let m = CostModel::new(Topology::pcie_island(4)).with_faults(Arc::new(f));
         for (peer, now) in [(1, 0.5), (1, 1.5), (2, 0.1), (2, 0.7), (3, 1.5)] {
             let g = m.group_schedule_at(0, &to(&[peer], 12_345), now);
-            assert_eq!(g.secs, m.transfer_time_at(0, peer, 12_345, now), "peer {peer} at {now}");
-            assert_eq!(g.slots[0], Slot { start: 0.0, secs: g.secs });
+            assert_eq!(
+                g.secs,
+                m.transfer_time_at(0, peer, 12_345, now),
+                "peer {peer} at {now}"
+            );
+            assert_eq!(
+                g.slots[0],
+                Slot {
+                    start: 0.0,
+                    secs: g.secs
+                }
+            );
         }
         // A degraded transfer scales only its own terms: grouped with a
         // healthy one, the port pays the slow latency once plus both
@@ -532,6 +574,9 @@ mod tests {
         let m = CostModel::new(Topology::pcie_island(2));
         assert_eq!(m.group_schedule_at(1, &[], 0.0), GroupSchedule::default());
         let g = m.group_schedule_at(1, &to(&[1], MB), 0.0);
-        assert_eq!((g.secs, g.slots[0], g.busy.len()), (0.0, Slot::default(), 0));
+        assert_eq!(
+            (g.secs, g.slots[0], g.busy.len()),
+            (0.0, Slot::default(), 0)
+        );
     }
 }

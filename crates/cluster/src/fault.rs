@@ -233,13 +233,19 @@ impl FaultSchedule {
         Ok(schedule)
     }
 
-    fn resolve_worker(&self, token: &str, clause_idx: usize, clause: &str) -> Result<usize, String> {
+    fn resolve_worker(
+        &self,
+        token: &str,
+        clause_idx: usize,
+        clause: &str,
+    ) -> Result<usize, String> {
         if token == "*" {
             if self.num_workers == 0 {
                 return Err("no workers to pick from".into());
             }
-            return Ok((splitmix64(self.seed ^ clause_idx as u64) % self.num_workers as u64)
-                as usize);
+            return Ok(
+                (splitmix64(self.seed ^ clause_idx as u64) % self.num_workers as u64) as usize,
+            );
         }
         let w: usize = token
             .parse()
@@ -443,8 +449,7 @@ mod tests {
     fn overlapping_partitions_chain() {
         // Two windows overlapping: a message parked at 0.1 must wait for the
         // later heal at 0.6, not the first at 0.4.
-        let f = FaultSchedule::parse("partition@0-1:0.0:0.4; partition@0-1:0.3:0.3", 2, 0)
-            .unwrap();
+        let f = FaultSchedule::parse("partition@0-1:0.0:0.4; partition@0-1:0.3:0.3", 2, 0).unwrap();
         assert_eq!(f.partition_heal_time(0, 1, 0.1), Some(0.6));
     }
 

@@ -130,11 +130,15 @@ impl Topology {
         intra_machine: LinkClass,
         inter_machine: LinkClass,
     ) -> Self {
-        let mut placements = Vec::with_capacity(machines * sockets_per_machine * workers_per_socket);
+        let mut placements =
+            Vec::with_capacity(machines * sockets_per_machine * workers_per_socket);
         for m in 0..machines {
             for s in 0..sockets_per_machine {
                 for _ in 0..workers_per_socket {
-                    placements.push(Placement { machine: m, socket: s });
+                    placements.push(Placement {
+                        machine: m,
+                        socket: s,
+                    });
                 }
             }
         }
@@ -171,7 +175,10 @@ impl Topology {
 
     /// Figure 1's "8-GPU QPI": one machine, two PCIe sockets joined by QPI.
     pub fn qpi_dual_socket(n: usize) -> Self {
-        assert!(n >= 2 && n.is_multiple_of(2), "QPI preset needs an even worker count");
+        assert!(
+            n >= 2 && n.is_multiple_of(2),
+            "QPI preset needs an even worker count"
+        );
         Self::regular(
             format!("{n}-GPU QPI"),
             1,

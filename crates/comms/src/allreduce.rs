@@ -221,7 +221,11 @@ impl AllReduceGroup {
             // `s·1.0` is `s` to the bit for every sum the network stores
             // (an addition never returns a signalling NaN), so a sum round
             // shares the mean's store.
-            let scale = if op == Op::Mean { 1.0 / self.n as f32 } else { 1.0 };
+            let scale = if op == Op::Mean {
+                1.0 / self.n as f32
+            } else {
+                1.0
+            };
             self.sorter.lock().reduce_into(data, &mut slots, scale);
             st = self.state.lock();
             st.slots = slots;
@@ -358,7 +362,8 @@ impl Sorter {
         }
         for start in (0..mine.len()).step_by(LANE) {
             let end = mine.len().min(start + LANE);
-            let rows = std::iter::once(&mine[start..end]).chain(others.iter().map(|r| &r[start..end]));
+            let rows =
+                std::iter::once(&mine[start..end]).chain(others.iter().map(|r| &r[start..end]));
             // A short last block leaves stale keys in its spare lanes; they
             // are sorted and summed like the rest and never stored.
             for (keys, row) in self.keys.chunks_exact_mut(LANE).zip(rows) {
@@ -623,7 +628,9 @@ mod tests {
             let mut state = (round * 131 + rank) as u64 ^ 0x2545_F491_4F6C_DD1D;
             (0..len)
                 .map(|i| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     let unit = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
                     if (i + round).is_multiple_of(5) {
                         -0.0
@@ -659,11 +666,18 @@ mod tests {
                                 want.iter_mut().for_each(|s| *s *= 1.0 / n as f32);
                             }
                             let case = format!("n {n} rank {rank} round {round}");
-                            assert_eq!((v.as_ptr(), v.capacity()), own, "{case}: not its own buffer");
+                            assert_eq!(
+                                (v.as_ptr(), v.capacity()),
+                                own,
+                                "{case}: not its own buffer"
+                            );
                             assert_eq!(bits(&v), bits(&want), "{case}");
                             negative_zeros += v.iter().filter(|x| x.to_bits() == 1 << 31).count();
                         }
-                        assert!(negative_zeros > 0, "the rounds must reduce to -0.0 somewhere");
+                        assert!(
+                            negative_zeros > 0,
+                            "the rounds must reduce to -0.0 somewhere"
+                        );
                     })
                 })
                 .collect();
@@ -815,8 +829,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..20u32 {
                         let mut v = vec![(k + round as usize) as f32; 4];
-                        let (mx, or) =
-                            g.fused_mean_max(&mut v, (k as f64) + round as f64, false);
+                        let (mx, or) = g.fused_mean_max(&mut v, (k as f64) + round as f64, false);
                         assert_eq!(v[0], (3 + 3 * round) as f32 / 3.0);
                         assert_eq!(mx, 2.0 + round as f64);
                         assert!(!or);

@@ -162,7 +162,11 @@ fn transport_int8(row: &mut [f32]) {
 /// to zero leaves the row as it is.
 #[cold]
 fn transport_int8_tiny(row: &mut [f32], max_abs: f32, scale: f32) {
-    let scale = if 127.0 * scale > max_abs { scale.next_down() } else { scale };
+    let scale = if 127.0 * scale > max_abs {
+        scale.next_down()
+    } else {
+        scale
+    };
     if scale == 0.0 {
         return;
     }
@@ -221,7 +225,10 @@ impl ErrorFeedback {
     /// for an owner that knows its table's row count: the index is sized
     /// once instead of growing with the ids pushed.
     pub fn with_capacity(num_ids: usize) -> Self {
-        Self { slot_of: vec![NO_SLOT; num_ids], ..Self::default() }
+        Self {
+            slot_of: vec![NO_SLOT; num_ids],
+            ..Self::default()
+        }
     }
 
     /// Compensates `grad` with row `id`'s stored residual, transports it
@@ -248,7 +255,11 @@ impl ErrorFeedback {
                 // First sight: the compensated value is the gradient itself.
                 let offset = self.arena.len();
                 self.slot_of[i] = u32::try_from(self.slots.len()).expect("one slot per u32 id");
-                self.slots.push(Slot { id, offset, len: grad.len() });
+                self.slots.push(Slot {
+                    id,
+                    offset,
+                    len: grad.len(),
+                });
                 self.arena.extend_from_slice(grad);
                 &mut self.arena[offset..]
             }
@@ -322,7 +333,11 @@ impl DenseQuantizer {
     /// A quantizer for `format`; `error_feedback` enables per-block
     /// residual carry on lossy formats.
     pub fn new(format: SyncFormat, error_feedback: bool) -> Self {
-        Self { format, feedback_on: error_feedback, feedback: ErrorFeedback::new() }
+        Self {
+            format,
+            feedback_on: error_feedback,
+            feedback: ErrorFeedback::new(),
+        }
     }
 
     /// Simulates the payload crossing the wire in place (encode + decode
@@ -333,7 +348,8 @@ impl DenseQuantizer {
         }
         for (i, chunk) in data.chunks_mut(DENSE_CHUNK).enumerate() {
             if self.feedback_on {
-                self.feedback.compensate_and_transport(self.format, i as u32, chunk);
+                self.feedback
+                    .compensate_and_transport(self.format, i as u32, chunk);
             } else {
                 self.format.transport(chunk);
             }
@@ -448,7 +464,12 @@ mod tests {
         let max_abs = orig.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         let step = max_abs / 127.0;
         for (a, b) in v.iter().zip(orig.iter()) {
-            assert!((a - b).abs() <= step / 2.0 + 1e-7, "int8 error {} > half step {}", (a - b).abs(), step / 2.0);
+            assert!(
+                (a - b).abs() <= step / 2.0 + 1e-7,
+                "int8 error {} > half step {}",
+                (a - b).abs(),
+                step / 2.0
+            );
         }
     }
 
@@ -537,7 +558,11 @@ mod tests {
     fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}: length");
         for (i, (a, b)) in got.iter().zip(want).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a:e} vs {b:e}");
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: element {i}: {a:e} vs {b:e}"
+            );
         }
     }
 
@@ -626,12 +651,26 @@ mod tests {
             SyncFormat::Int8.transport(&mut out);
             for (&o, &x) in out.iter().zip(&row) {
                 assert!(!o.is_nan(), "max {m:e}: {x:e} -> NaN");
-                assert_eq!(o.is_sign_negative(), x.is_sign_negative(), "max {m:e}: {x:e} -> {o:e}");
-                assert!(o.abs() <= m, "max {m:e}: {x:e} -> {o:e} exceeds the row's max");
-                assert!((o - x).abs() <= m / 127.0, "max {m:e}: {x:e} -> {o:e} is over a step off");
+                assert_eq!(
+                    o.is_sign_negative(),
+                    x.is_sign_negative(),
+                    "max {m:e}: {x:e} -> {o:e}"
+                );
+                assert!(
+                    o.abs() <= m,
+                    "max {m:e}: {x:e} -> {o:e} exceeds the row's max"
+                );
+                assert!(
+                    (o - x).abs() <= m / 127.0,
+                    "max {m:e}: {x:e} -> {o:e} is over a step off"
+                );
             }
             if m / 127.0 == 0.0 {
-                assert_bits_eq(&out, &row, "a scale that underflows leaves the row as it is");
+                assert_bits_eq(
+                    &out,
+                    &row,
+                    "a scale that underflows leaves the row as it is",
+                );
             }
         }
     }
@@ -682,10 +721,15 @@ mod tests {
                 _ => DENSE_CHUNK,
             };
             for _ in 0..600 {
-                let id = if rng.gen_bool(0.02) { 1_000_003 } else { rng.gen_range(0u32..40) };
+                let id = if rng.gen_bool(0.02) {
+                    1_000_003
+                } else {
+                    rng.gen_range(0u32..40)
+                };
                 let top = 2f32.powi(rng.gen_range(-12i32..=2));
-                let grad: Vec<f32> =
-                    (0..len_of(id)).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * top).collect();
+                let grad: Vec<f32> = (0..len_of(id))
+                    .map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * top)
+                    .collect();
                 let (mut got, mut want) = (grad.clone(), grad);
                 ef.compensate_and_transport(format, id, &mut got);
                 reference.compensate_and_transport(format, id, &mut want);

@@ -35,7 +35,11 @@ impl Transfer {
     /// An exchange phase's transfers: one embedding-data transfer per peer
     /// that moved rows, then one keys/clocks transfer per peer that
     /// exchanged metadata.
-    pub(crate) fn exchange(data_by_peer: &[u64], meta_by_peer: &[u64], row_bytes: u64) -> Vec<Self> {
+    pub(crate) fn exchange(
+        data_by_peer: &[u64],
+        meta_by_peer: &[u64],
+        row_bytes: u64,
+    ) -> Vec<Self> {
         let mut out = Vec::new();
         for (class, by_peer, unit) in [
             (TrafficClass::EmbedData, data_by_peer, row_bytes),
@@ -43,7 +47,12 @@ impl Transfer {
         ] {
             for (peer, &bytes) in by_peer.iter().enumerate().filter(|(_, &b)| b > 0) {
                 let rows = bytes / unit.max(1);
-                out.push(Transfer { peer, class, bytes, rows });
+                out.push(Transfer {
+                    peer,
+                    class,
+                    bytes,
+                    rows,
+                });
             }
         }
         out
@@ -51,7 +60,10 @@ impl Transfer {
 
     /// A re-prime's transfers: `rows_by_owner[o]` rows from owner `o`.
     pub(crate) fn rows(rows_by_owner: &[u64], row_bytes: u64) -> Vec<Self> {
-        let bytes: Vec<u64> = rows_by_owner.iter().map(|&r| r.saturating_mul(row_bytes)).collect();
+        let bytes: Vec<u64> = rows_by_owner
+            .iter()
+            .map(|&r| r.saturating_mul(row_bytes))
+            .collect();
         Self::exchange(&bytes, &[], row_bytes)
     }
 
@@ -62,7 +74,12 @@ impl Transfer {
         if rows == 0 {
             return Vec::new();
         }
-        let host = |class, bytes| Transfer { peer: HOST, class, bytes, rows };
+        let host = |class, bytes| Transfer {
+            peer: HOST,
+            class,
+            bytes,
+            rows,
+        };
         vec![
             host(TrafficClass::EmbedData, rows * row_bytes),
             host(TrafficClass::KeysClocks, rows * META_ENTRY_BYTES),
@@ -93,7 +110,11 @@ pub(crate) fn publish_links(recorder: &Recorder, tallies: impl Iterator<Item = L
             s.transfers += x.transfers;
         }
     }
-    for (class, s) in LinkClass::ALL.iter().zip(sum).filter(|(_, s)| s.transfers > 0) {
+    for (class, s) in LinkClass::ALL
+        .iter()
+        .zip(sum)
+        .filter(|(_, s)| s.transfers > 0)
+    {
         let name = |what: &str| format!("{}{}.{what}", names::TRAFFIC_LINK_PREFIX, class.label());
         recorder.gauge_set(&name("latency_secs"), s.latency);
         recorder.gauge_set(&name("bandwidth_secs"), s.bandwidth);
@@ -119,7 +140,11 @@ pub(crate) struct Wire<'a> {
 impl Wire<'_> {
     /// A training step's read and write-back transfers, from the reports
     /// of its read and its routed write-back.
-    pub(crate) fn step(&self, read: &ReadReport, up: &UpdateReport) -> (Vec<Transfer>, Vec<Transfer>) {
+    pub(crate) fn step(
+        &self,
+        read: &ReadReport,
+        up: &UpdateReport,
+    ) -> (Vec<Transfer>, Vec<Transfer>) {
         if self.host_ps {
             return (
                 Transfer::host(read.lookups(), self.row_bytes),
@@ -127,7 +152,11 @@ impl Wire<'_> {
             );
         }
         (
-            Transfer::exchange(&read.data_bytes_by_src, &read.meta_bytes_by_src, self.row_bytes),
+            Transfer::exchange(
+                &read.data_bytes_by_src,
+                &read.meta_bytes_by_src,
+                self.row_bytes,
+            ),
             Transfer::exchange(&up.data_bytes_by_dst, &up.meta_bytes_by_dst, self.row_bytes),
         )
     }
@@ -209,7 +238,11 @@ pub(crate) fn charge(
         }
     };
     match phases {
-        Phases::Step { read, write, overlap } => {
+        Phases::Step {
+            read,
+            write,
+            overlap,
+        } => {
             let charged = if wire.host_ps {
                 host_ps_step(wire, w, read, write, start, links)
             } else {
@@ -254,16 +287,31 @@ pub(crate) fn charge(
                     } else {
                         LinkClass::Local.label()
                     };
-                    let ring = if n > 1 { 2 * (n as u64 - 1) * payload / n as u64 } else { 0 };
-                    (wire.cost.allreduce_time_at(payload, start), label, payload, ring, 1)
+                    let ring = if n > 1 {
+                        2 * (n as u64 - 1) * payload / n as u64
+                    } else {
+                        0
+                    };
+                    (
+                        wire.cost.allreduce_time_at(payload, start),
+                        label,
+                        payload,
+                        ring,
+                        1,
+                    )
                 }
                 Dense::HostPs(payload) => {
-                    let t = wire.cost.link_transfer_time(LinkClass::HostPcie, 2 * payload * n as u64);
+                    let t = wire
+                        .cost
+                        .link_transfer_time(LinkClass::HostPcie, 2 * payload * n as u64);
                     (t, LinkClass::HostPcie.label(), 2 * payload, 2 * payload, 2)
                 }
             };
             if let Some(tr) = wire.tracer {
-                let args = [("worker", Json::U64(w as u64)), ("bytes", Json::U64(payload))];
+                let args = [
+                    ("worker", Json::U64(w as u64)),
+                    ("bytes", Json::U64(payload)),
+                ];
                 tr.link_span(label, names::TRACE_ALLREDUCE, start, t, &args);
             }
             record_traffic(wire, w, TrafficClass::AllReduce, wire_bytes, messages);
@@ -322,7 +370,10 @@ fn issue(
     links: &mut LinkTallies,
 ) -> Charged {
     let all = links_of(transfers);
-    let n_data = transfers.iter().take_while(|t| t.class == TrafficClass::EmbedData).count();
+    let n_data = transfers
+        .iter()
+        .take_while(|t| t.class == TrafficClass::EmbedData)
+        .count();
     let sched = wire.cost.group_schedule_at(w, &all, at);
     let data = if n_data == all.len() {
         sched.secs
@@ -377,19 +428,30 @@ fn host_ps_step(
     links: &mut LinkTallies,
 ) -> Charged {
     let rows = |ts: &[Transfer]| -> u64 {
-        ts.iter().filter(|t| t.class == TrafficClass::EmbedData).map(|t| t.rows).sum()
+        ts.iter()
+            .filter(|t| t.class == TrafficClass::EmbedData)
+            .map(|t| t.rows)
+            .sum()
     };
     let (lookups, updates) = (rows(read), rows(write));
     let n = wire.cost.topology.num_workers() as u64;
     let host = LinkClass::HostPcie;
     let data_bytes = (lookups + updates) * wire.row_bytes * n;
     let t = wire.cost.link_transfer_time(host, data_bytes);
-    let mt = wire.cost.link_transfer_time(host, (lookups + updates) * META_ENTRY_BYTES * n);
+    let mt = wire
+        .cost
+        .link_transfer_time(host, (lookups + updates) * META_ENTRY_BYTES * n);
     if let Some(tr) = wire.tracer.filter(|_| data_bytes > 0) {
-        let args = [("worker", Json::U64(w as u64)), ("bytes", Json::U64(data_bytes))];
+        let args = [
+            ("worker", Json::U64(w as u64)),
+            ("bytes", Json::U64(data_bytes)),
+        ];
         tr.link_span(host.label(), names::TRACE_LINK_TRANSFER, start, t, &args);
     }
-    let i = LinkClass::ALL.iter().position(|&c| c == host).expect("host link is a link class");
+    let i = LinkClass::ALL
+        .iter()
+        .position(|&c| c == host)
+        .expect("host link is a link class");
     links[i].latency += 2.0 * host.latency();
     links[i].bandwidth += (t - host.latency()) + (mt - host.latency());
     links[i].transfers += (read.len() + write.len()) as u64;
@@ -430,9 +492,21 @@ mod tests {
         let read = Transfer::exchange(&[0, 640, 0, 128], &[0, 120, 0, 24], 64);
         let write = Transfer::exchange(&[0, 0, 64, 0], &[0, 0, 12, 0], 64);
         assert_eq!(read.len(), 4);
-        assert_eq!(read[0], Transfer { peer: 1, class: TrafficClass::EmbedData, bytes: 640, rows: 10 });
+        assert_eq!(
+            read[0],
+            Transfer {
+                peer: 1,
+                class: TrafficClass::EmbedData,
+                bytes: 640,
+                rows: 10
+            }
+        );
         let (mut clock, mut links) = (SimClock::new(), LinkTallies::default());
-        let step = Phases::Step { read: &read, write: &write, overlap: None };
+        let step = Phases::Step {
+            read: &read,
+            write: &write,
+            overlap: None,
+        };
         let c = charge(&wire, 0, &mut clock, &mut links, step);
         // Two transfers per class in the read, one per class in the write.
         assert_eq!(rec.counter(TrafficClass::EmbedData.messages_metric()), 3);
@@ -441,7 +515,10 @@ mod tests {
         assert_eq!(rec.counter(TrafficClass::KeysClocks.bytes_metric()), 156);
         // Only the charging worker's recorder sees the traffic.
         let snap = registry.snapshot();
-        assert_eq!(snap.counter_prefix_sum(names::TRAFFIC_BYTES_PREFIX), 832 + 156);
+        assert_eq!(
+            snap.counter_prefix_sum(names::TRAFFIC_BYTES_PREFIX),
+            832 + 156
+        );
         // Both read peers queue on the one PCIe port: one latency.
         let bw = LinkClass::Pcie3.bandwidth();
         let expect_read = LinkClass::Pcie3.latency() + 768.0 / bw;
@@ -472,15 +549,29 @@ mod tests {
         assert_eq!(clock.now(), 0.0);
         assert_eq!(rec.counter(TrafficClass::EmbedData.messages_metric()), 2);
         assert_eq!(rec.counter(TrafficClass::EmbedData.bytes_metric()), 384);
-        let nvlink = |l: &LinkTallies| l[LinkClass::ALL.iter().position(|&c| c == LinkClass::NvLink).unwrap()];
+        let nvlink = |l: &LinkTallies| {
+            l[LinkClass::ALL
+                .iter()
+                .position(|&c| c == LinkClass::NvLink)
+                .unwrap()]
+        };
         assert_eq!(nvlink(&links).transfers, 2);
         // The same rows at a barrier are charged, recorded and tallied alike.
         let recovery_links = links;
-        let c = charge(&wire, 0, &mut clock, &mut links, Phases::Barrier("reprime", &reprime));
+        let c = charge(
+            &wire,
+            0,
+            &mut clock,
+            &mut links,
+            Phases::Barrier("reprime", &reprime),
+        );
         assert_eq!(clock.now(), c.total());
         assert_eq!(rec.counter(TrafficClass::EmbedData.messages_metric()), 4);
         assert_eq!(rec.counter(TrafficClass::EmbedData.bytes_metric()), 768);
-        assert_eq!(nvlink(&links).transfers, 2 * nvlink(&recovery_links).transfers);
+        assert_eq!(
+            nvlink(&links).transfers,
+            2 * nvlink(&recovery_links).transfers
+        );
     }
 
     #[test]
@@ -488,12 +579,34 @@ mod tests {
         let cost = CostModel::new(Topology::pcie_island(2));
         let registry = MetricsRegistry::new(2);
         let rec = registry.worker(1);
-        let wire = Wire { host_ps: true, ..wire(&cost, &rec) };
-        let read = ReadReport { local_primary: 3, remote_fetches: 1, data_bytes: 64, meta_bytes: 12, ..Default::default() };
-        let up = UpdateReport { local_updates: 4, ..Default::default() };
+        let wire = Wire {
+            host_ps: true,
+            ..wire(&cost, &rec)
+        };
+        let read = ReadReport {
+            local_primary: 3,
+            remote_fetches: 1,
+            data_bytes: 64,
+            meta_bytes: 12,
+            ..Default::default()
+        };
+        let up = UpdateReport {
+            local_updates: 4,
+            ..Default::default()
+        };
         let (r, u) = wire.step(&read, &up);
         let (mut clock, mut links) = (SimClock::new(), LinkTallies::default());
-        let c = charge(&wire, 1, &mut clock, &mut links, Phases::Step { read: &r, write: &u, overlap: None });
+        let c = charge(
+            &wire,
+            1,
+            &mut clock,
+            &mut links,
+            Phases::Step {
+                read: &r,
+                write: &u,
+                overlap: None,
+            },
+        );
         let host = LinkClass::HostPcie;
         let t = cost.link_transfer_time(host, 8 * 64 * 2);
         assert_eq!(c.data, [t * 0.5, t * (1.0 - 0.5)]);
@@ -510,22 +623,52 @@ mod tests {
         let cost = CostModel::new(Topology::pcie_island(2));
         let rec = Recorder::new();
         let tracer = TraceCollector::new(2, TraceLevel::Sync);
-        let wire = Wire { tracer: Some(&tracer), ..wire(&cost, &rec) };
+        let wire = Wire {
+            tracer: Some(&tracer),
+            ..wire(&cost, &rec)
+        };
         let meta = Transfer::exchange(&[], &[24, 0], 64);
         let (mut clock, mut links) = (SimClock::new(), LinkTallies::default());
-        charge(&wire, 1, &mut clock, &mut links, Phases::Barrier("flush", &meta));
-        let traffic: Vec<_> =
-            tracer.events().into_iter().filter(|e| e.name == names::TRACE_TRAFFIC).collect();
+        charge(
+            &wire,
+            1,
+            &mut clock,
+            &mut links,
+            Phases::Barrier("flush", &meta),
+        );
+        let traffic: Vec<_> = tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.name == names::TRACE_TRAFFIC)
+            .collect();
         assert_eq!(traffic.len(), 1);
         assert_eq!(traffic[0].track, TraceTrack::Worker(1));
-        let arg = |k: &str| traffic[0].args.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+        let arg = |k: &str| {
+            traffic[0]
+                .args
+                .iter()
+                .find(|(n, _)| n == k)
+                .map(|(_, v)| v.clone())
+        };
         assert_eq!(arg("class"), Some(Json::from("keys_clocks")));
         assert_eq!(arg("bytes"), Some(Json::U64(24)));
         assert_eq!(arg("messages"), Some(Json::U64(1)));
         // At batch level the instants are suppressed.
         let batch_tracer = TraceCollector::new(2, TraceLevel::Batch);
-        let wire = Wire { tracer: Some(&batch_tracer), ..wire };
-        charge(&wire, 1, &mut clock, &mut links, Phases::Barrier("flush", &meta));
-        assert!(batch_tracer.events().iter().all(|e| e.name != names::TRACE_TRAFFIC));
+        let wire = Wire {
+            tracer: Some(&batch_tracer),
+            ..wire
+        };
+        charge(
+            &wire,
+            1,
+            &mut clock,
+            &mut links,
+            Phases::Barrier("flush", &meta),
+        );
+        assert!(batch_tracer
+            .events()
+            .iter()
+            .all(|e| e.name != names::TRACE_TRAFFIC));
     }
 }

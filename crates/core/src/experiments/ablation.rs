@@ -19,8 +19,8 @@ use std::fmt;
 use hetgmp_bigraph::Bigraph;
 use hetgmp_cluster::Topology;
 use hetgmp_data::{generate, CtrDataset, DatasetSpec};
-use hetgmp_embedding::{CachedWorkerEmbedding, ShardedTable, WorkerEmbedding};
 use hetgmp_embedding::StalenessBound;
+use hetgmp_embedding::{CachedWorkerEmbedding, ShardedTable, WorkerEmbedding};
 use hetgmp_partition::{
     migration_cost, HybridConfig, HybridPartitioner, OneDeeConfig, PartitionMetrics,
     ReplicationBudget,
@@ -64,7 +64,10 @@ pub fn staleness_throughput(
             },
         );
         let r = hooks.train("ablation.staleness", trainer, |r| {
-            vec![("staleness", Json::U64(s)), ("throughput", Json::F64(r.throughput))]
+            vec![
+                ("staleness", Json::U64(s)),
+                ("throughput", Json::F64(r.throughput)),
+            ]
         });
         rows.push((format!("s={s}"), r.throughput, r.traffic_bytes[0]));
     }
@@ -223,21 +226,12 @@ pub fn cache_comparison(data: &CtrDataset, batch_size: usize) -> CacheComparison
     let mut dynamic_report = hetgmp_embedding::ReadReport::default();
     for w in 0..n as u32 {
         let capacity = replicas[w as usize] - primaries[w as usize];
-        let mut stat =
-            WorkerEmbedding::new(w, &table, &part, &freq, StalenessBound::Bounded(100));
-        let mut dyn_w = CachedWorkerEmbedding::new(
-            w,
-            &table,
-            &part,
-            capacity,
-            StalenessBound::Bounded(100),
-        );
+        let mut stat = WorkerEmbedding::new(w, &table, &part, &freq, StalenessBound::Bounded(100));
+        let mut dyn_w =
+            CachedWorkerEmbedding::new(w, &table, &part, capacity, StalenessBound::Bounded(100));
         let shard = &shards[w as usize];
         for chunk in shard.chunks(batch_size) {
-            let samples: Vec<&[u32]> = chunk
-                .iter()
-                .map(|&s| graph.embeddings_of(s))
-                .collect();
+            let samples: Vec<&[u32]> = chunk.iter().map(|&s| graph.embeddings_of(s)).collect();
             let total: usize = samples.iter().map(|s| s.len()).sum();
             let mut out = vec![0.0f32; total * dim];
             static_report.merge(&stat.read_batch(&samples, &mut out));
@@ -298,8 +292,16 @@ pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &mut Hooks) ->
     let mut rows = Vec::new();
     for (label, scales_opt, aware) in [
         ("homogeneous".to_string(), None, false),
-        (format!("{factor}x straggler, uniform batches"), Some(scales.clone()), false),
-        (format!("{factor}x straggler, aware batching"), Some(scales), true),
+        (
+            format!("{factor}x straggler, uniform batches"),
+            Some(scales.clone()),
+            false,
+        ),
+        (
+            format!("{factor}x straggler, aware batching"),
+            Some(scales),
+            true,
+        ),
     ] {
         let trainer = Trainer::new(
             data,
@@ -319,7 +321,10 @@ pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &mut Hooks) ->
             },
         );
         let r = hooks.train("ablation.straggler", trainer, |r| {
-            vec![("setting", Json::from(label.as_str())), ("throughput", Json::F64(r.throughput))]
+            vec![
+                ("setting", Json::from(label.as_str())),
+                ("throughput", Json::F64(r.throughput)),
+            ]
         });
         rows.push((label, r.throughput));
     }
@@ -328,7 +333,10 @@ pub fn straggler_tolerance(data: &CtrDataset, factor: f64, hooks: &mut Hooks) ->
 
 impl fmt::Display for StragglerReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Ablation — straggler tolerance (WDL, 8 GPUs, 1 slow worker)")?;
+        writeln!(
+            f,
+            "Ablation — straggler tolerance (WDL, 8 GPUs, 1 slow worker)"
+        )?;
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
@@ -359,12 +367,8 @@ pub fn repartition_drift(scale: f64) -> DriftReport {
     spec.seed ^= 0xD21F7;
     let new_data = generate(&spec);
     let keep = old_data.num_samples() * 6 / 10;
-    let mut rows: Vec<Vec<u32>> = (0..keep)
-        .map(|i| old_data.sample(i).to_vec())
-        .collect();
-    rows.extend(
-        (keep..new_data.num_samples()).map(|i| new_data.sample(i).to_vec()),
-    );
+    let mut rows: Vec<Vec<u32>> = (0..keep).map(|i| old_data.sample(i).to_vec()).collect();
+    rows.extend((keep..new_data.num_samples()).map(|i| new_data.sample(i).to_vec()));
     let today = hetgmp_bigraph::Bigraph::from_samples(old_data.num_features, &rows);
 
     let cfg = HybridConfig {
@@ -504,7 +508,10 @@ mod tests {
         let (_, tp0, bytes0) = &sweep.rows[0];
         let (_, tp1k, bytes1k) = &sweep.rows[1];
         // Looser staleness can only reduce sync traffic.
-        assert!(bytes1k <= bytes0, "traffic s=1000 {bytes1k} !<= s=0 {bytes0}");
+        assert!(
+            bytes1k <= bytes0,
+            "traffic s=1000 {bytes1k} !<= s=0 {bytes0}"
+        );
         // And throughput should not meaningfully degrade (small wobble from
         // scheduling noise is fine; the byte reduction above is the claim).
         assert!(*tp1k >= tp0 * 0.85, "throughput regressed: {tp0} -> {tp1k}");
@@ -520,7 +527,10 @@ mod tests {
         let homogeneous = report.rows[0].1;
         let uniform = report.rows[1].1;
         let aware = report.rows[2].1;
-        assert!(uniform < homogeneous * 0.7, "uniform {uniform} vs homo {homogeneous}");
+        assert!(
+            uniform < homogeneous * 0.7,
+            "uniform {uniform} vs homo {homogeneous}"
+        );
         // Speed-proportional batching recovers a large share of it.
         assert!(aware > uniform * 1.3, "aware {aware} vs uniform {uniform}");
         assert!(report.to_string().contains("straggler"));

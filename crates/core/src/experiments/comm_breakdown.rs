@@ -82,7 +82,10 @@ fn run_panel(
             },
         );
         let r = hooks.train("fig8", trainer, |_| {
-            vec![("workload", Json::from(label)), ("setting", Json::from(setting.as_str()))]
+            vec![
+                ("workload", Json::from(label)),
+                ("setting", Json::from(setting.as_str())),
+            ]
         });
         // Average per iteration ≈ per epoch totals / iterations; iterations
         // ≈ samples / (batch × workers). Report per-iteration bytes.
@@ -157,7 +160,12 @@ impl fmt::Display for BreakdownReport {
                 f,
                 "{}",
                 render_table(
-                    &["setting", "embeds&grads B/iter", "keys&clocks B/iter", "allreduce B/iter"],
+                    &[
+                        "setting",
+                        "embeds&grads B/iter",
+                        "keys&clocks B/iter",
+                        "allreduce B/iter"
+                    ],
                     &rows
                 )
             )?;

@@ -122,10 +122,7 @@ pub fn run_panel(model: ModelKind, spec: &DatasetSpec, hooks: &mut Hooks) -> Con
     // Post-hoc target: just below the best GPU system's final AUC, so the
     // winner reaches it and time-to-target is measurable for all systems
     // that got close (mirrors the paper's fixed 76 %/80 % thresholds).
-    let best = runs
-        .iter()
-        .map(|r| r.final_auc)
-        .fold(f64::MIN, f64::max);
+    let best = runs.iter().map(|r| r.final_auc).fold(f64::MIN, f64::max);
     let target = best - 0.005;
     for run in &mut runs {
         run.time_to_target = run

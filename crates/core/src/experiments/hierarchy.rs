@@ -81,7 +81,10 @@ pub fn run_dataset(data: &CtrDataset, label: &str, hooks: &mut Hooks) -> Hierarc
             },
         );
         let r = hooks.train("fig9", trainer, |_| {
-            vec![("dataset", Json::from(label)), ("policy", Json::from(policy.as_str()))]
+            vec![
+                ("dataset", Json::from(label)),
+                ("policy", Json::from(policy.as_str())),
+            ]
         });
         let pm = r.partition_metrics.as_ref().expect("GPU strategy");
         let machine_of: Vec<usize> = (0..topo.num_workers())
@@ -110,7 +113,11 @@ pub fn run(scale: f64, hooks: &mut Hooks) -> Vec<HierarchyReport> {
 
 impl fmt::Display for HierarchyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 9(a) — throughput by partitioning policy ({})", self.dataset)?;
+        writeln!(
+            f,
+            "Figure 9(a) — throughput by partitioning policy ({})",
+            self.dataset
+        )?;
         let rows: Vec<Vec<String>> = self
             .runs
             .iter()

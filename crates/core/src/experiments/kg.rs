@@ -39,7 +39,13 @@ pub fn run(scale: f64) -> KgReport {
     ]
     .into_iter()
     .map(|strat| {
-        KgTrainer::new(&kg, Topology::pcie_island(8), strat, KgTrainerConfig::default()).run()
+        KgTrainer::new(
+            &kg,
+            Topology::pcie_island(8),
+            strat,
+            KgTrainerConfig::default(),
+        )
+        .run()
     })
     .collect();
     KgReport {

@@ -140,7 +140,9 @@ mod tests {
         };
         let fig1 = overhead::run(0.02, &mut hooks).cells.len();
         let avazu = DatasetSpec::avazu_like(0.02);
-        let fig7 = convergence::run_panel(ModelKind::Wdl, &avazu, &mut hooks).runs.len();
+        let fig7 = convergence::run_panel(ModelKind::Wdl, &avazu, &mut hooks)
+            .runs
+            .len();
         let criteo = generate(&DatasetSpec::criteo_like(0.02));
         let fig10 = scalability::run_dataset(&criteo, "criteo-like", &[1, 2], &mut hooks)
             .points
@@ -183,7 +185,10 @@ mod tests {
             },
         );
         let mut r = hooks.train("cell", trainer, |_| vec![]);
-        assert!(hooks.failure.is_none(), "a correct protocol violated its bound");
+        assert!(
+            hooks.failure.is_none(),
+            "a correct protocol violated its bound"
+        );
         let mut fail = |reason: &str| {
             let audit = r.audit.as_mut().expect("audited run");
             audit.strict_failure = Some(reason.into());
@@ -215,7 +220,9 @@ mod tests {
             StrategyConfig {
                 name: "mine".into(),
                 staleness: StalenessBound::Bounded(50),
-                cache: CacheDesign::DynamicLfu { capacity_fraction: 0.1 },
+                cache: CacheDesign::DynamicLfu {
+                    capacity_fraction: 0.1,
+                },
                 ..StrategyConfig::het_gmp(0)
             },
         ];

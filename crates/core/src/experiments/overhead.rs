@@ -92,7 +92,11 @@ impl fmt::Display for OverheadReport {
                 ]
             })
             .collect();
-        write!(f, "{}", render_table(&["topology", "dataset", "comm share"], &rows))
+        write!(
+            f,
+            "{}",
+            render_table(&["topology", "dataset", "comm share"], &rows)
+        )
     }
 }
 

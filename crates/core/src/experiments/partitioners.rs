@@ -131,7 +131,10 @@ impl fmt::Display for PartitionerReport {
         write!(
             f,
             "{}",
-            render_table(&["algorithm", "communication", "reduction", "time (s)"], &rows)
+            render_table(
+                &["algorithm", "communication", "reduction", "time (s)"],
+                &rows
+            )
         )
     }
 }

@@ -162,7 +162,11 @@ impl fmt::Display for ScalabilityReport {
                 ]
             })
             .collect();
-        write!(f, "{}", render_table(&["system", "#GPUs", "samples/s"], &rows))
+        write!(
+            f,
+            "{}",
+            render_table(&["system", "#GPUs", "samples/s"], &rows)
+        )
     }
 }
 

@@ -130,7 +130,10 @@ impl<'d> KgTrainer<'d> {
     pub fn try_run(&self) -> Result<KgResult, HetGmpError> {
         let cfg = &self.config;
         if cfg.dim == 0 {
-            return Err(HetGmpError::config("dim", "embedding dimension must be positive"));
+            return Err(HetGmpError::config(
+                "dim",
+                "embedding dimension must be positive",
+            ));
         }
         if cfg.batch_size == 0 {
             return Err(HetGmpError::config("batch_size", "must be positive"));
@@ -284,7 +287,14 @@ fn distance(h: &[f32], r: &[f32], t: &[f32]) -> f32 {
 /// `max(0, γ + d(h, r, t) − d(h, r, t'))` with `d` = [`distance`], written
 /// into `grad = [dL/dh ; dL/dt ; dL/dt']` (`3·dim`). `dL/dr` equals
 /// `dL/dh`. Returns `false`, writing nothing, where the hinge is flat.
-fn margin_ranking_grad(h: &[f32], r: &[f32], t: &[f32], neg: &[f32], margin: f32, grad: &mut [f32]) -> bool {
+fn margin_ranking_grad(
+    h: &[f32],
+    r: &[f32],
+    t: &[f32],
+    neg: &[f32],
+    margin: f32,
+    grad: &mut [f32],
+) -> bool {
     let d_pos = distance(h, r, t);
     let d_neg = distance(h, r, neg);
     if margin + d_pos - d_neg <= 0.0 {
@@ -396,13 +406,15 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
         // Charge simulated time through the trainer's charge path: the
         // embedding rows (no metadata; this loop never charged it) behind
         // the compute, then the relations' collective.
-        let compute_t = cost
-            .compute
-            .compute_time((6 * dim * bs) as f64 * 3.0);
+        let compute_t = cost.compute.compute_time((6 * dim * bs) as f64 * 3.0);
         clock.advance(TimeCategory::Compute, compute_t);
         let read_x = Transfer::exchange(&read.data_bytes_by_src, &[], wire.row_bytes);
         let write_x = Transfer::exchange(&update.data_bytes_by_dst, &[], wire.row_bytes);
-        let step = Phases::Step { read: &read_x, write: &write_x, overlap: Some(compute_t) };
+        let step = Phases::Step {
+            read: &read_x,
+            write: &write_x,
+            overlap: Some(compute_t),
+        };
         charge(&wire, w, clock, &mut links, step);
         let relations = Dense::Ring((rel_grad.len() * 4) as u64);
         charge(&wire, w, clock, &mut links, Phases::Dense(relations));
@@ -433,10 +445,13 @@ mod tests {
         let (dim, margin) = (6usize, 4.0f32);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..4 {
-            let v: Vec<Vec<f32>> =
-                (0..4).map(|_| (0..dim).map(|_| rng.gen_range(-0.5..0.5)).collect()).collect();
+            let v: Vec<Vec<f32>> = (0..4)
+                .map(|_| (0..dim).map(|_| rng.gen_range(-0.5..0.5)).collect())
+                .collect();
             let mut grad = vec![0.0f32; 3 * dim];
-            assert!(margin_ranking_grad(&v[0], &v[1], &v[2], &v[3], margin, &mut grad));
+            assert!(margin_ranking_grad(
+                &v[0], &v[1], &v[2], &v[3], margin, &mut grad
+            ));
             // h, r, t and t' against dL/dh, dL/dh, dL/dt and dL/dt'.
             for (arg, part) in [0usize, 0, 1, 2].into_iter().enumerate() {
                 let at = |p: &[f32]| {
@@ -457,7 +472,14 @@ mod tests {
         // d(h, r, t) = 0 and d(h, r, t') = 25, so a margin of 1 is met.
         let (h, r, t) = ([0.1f32, 0.2], [0.0f32, 0.1], [0.1f32, 0.3]);
         let mut grad = [f32::NAN; 6];
-        assert!(!margin_ranking_grad(&h, &r, &t, &[5.1, 0.3], 1.0, &mut grad));
+        assert!(!margin_ranking_grad(
+            &h,
+            &r,
+            &t,
+            &[5.1, 0.3],
+            1.0,
+            &mut grad
+        ));
         assert!(grad.iter().all(|g| g.is_nan()), "nothing written");
     }
 
@@ -474,14 +496,33 @@ mod tests {
     fn zero_dim_or_batch_is_a_config_error() {
         let kg = small_kg();
         for (field, config) in [
-            ("dim", KgTrainerConfig { dim: 0, ..Default::default() }),
-            ("batch_size", KgTrainerConfig { batch_size: 0, ..Default::default() }),
+            (
+                "dim",
+                KgTrainerConfig {
+                    dim: 0,
+                    ..Default::default()
+                },
+            ),
+            (
+                "batch_size",
+                KgTrainerConfig {
+                    batch_size: 0,
+                    ..Default::default()
+                },
+            ),
         ] {
-            let trainer =
-                KgTrainer::new(&kg, Topology::pcie_island(2), StrategyConfig::het_gmp(100), config);
+            let trainer = KgTrainer::new(
+                &kg,
+                Topology::pcie_island(2),
+                StrategyConfig::het_gmp(100),
+                config,
+            );
             let err = trainer.try_run().expect_err(field);
             assert_eq!(err.exit_code(), 78, "{err}");
-            assert!(matches!(&err, HetGmpError::Config { param, .. } if param == field), "{err}");
+            assert!(
+                matches!(&err, HetGmpError::Config { param, .. } if param == field),
+                "{err}"
+            );
         }
     }
 

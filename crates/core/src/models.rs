@@ -130,8 +130,17 @@ impl CtrModel {
     ///
     /// # Panics
     /// Panics if `hidden` is empty.
-    pub fn new(kind: ModelKind, num_fields: usize, dim: usize, hidden: &[usize], seed: u64) -> Self {
-        assert!(!hidden.is_empty(), "deep tower needs at least one hidden layer");
+    pub fn new(
+        kind: ModelKind,
+        num_fields: usize,
+        dim: usize,
+        hidden: &[usize],
+        seed: u64,
+    ) -> Self {
+        assert!(
+            !hidden.is_empty(),
+            "deep tower needs at least one hidden layer"
+        );
         let input_dim = num_fields * dim;
         match kind {
             ModelKind::Wdl => Self {
@@ -236,7 +245,13 @@ impl CtrModel {
                     .backward_tape(input, &tape.g_deep, grad_in, &mut tape.dense);
                 let cross = self.cross.as_mut().expect("DCN has a cross tower");
                 tape.dense.add_flops(2 * cross.flops(batch));
-                cross.backward(input, &tape.cross_dots, grad_logits.data(), w_cross, grad_in);
+                cross.backward(
+                    input,
+                    &tape.cross_dots,
+                    grad_logits.data(),
+                    w_cross,
+                    grad_in,
+                );
             }
         }
     }
@@ -322,7 +337,9 @@ mod tests {
         let mut v = Vec::with_capacity(rows * dim);
         let mut state = seed;
         for _ in 0..rows * dim {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             v.push(((state >> 33) as f32 / u32::MAX as f32) - 0.5);
         }
         Matrix::from_vec(rows, dim, v)
@@ -414,11 +431,7 @@ mod tests {
                 }
             });
         }
-        assert!(
-            last < initial * 0.8,
-            "{:?}: loss {initial} -> {last}",
-            kind
-        );
+        assert!(last < initial * 0.8, "{:?}: loss {initial} -> {last}", kind);
     }
 
     #[test]
@@ -450,19 +463,27 @@ mod tests {
         let pinned: [(ModelKind, [u32; 6]); 2] = [
             (
                 ModelKind::Wdl,
-                [0x3eca47ec, 0x3e6abd72, 0x3e18898b, 0x3e697970, 0x3e888f95, 0x3e7f17b0],
+                [
+                    0x3eca47ec, 0x3e6abd72, 0x3e18898b, 0x3e697970, 0x3e888f95, 0x3e7f17b0,
+                ],
             ),
             (
                 ModelKind::Dcn,
-                [0x3ee5398b, 0x3f002832, 0x3ee4a9ce, 0x3ee11f33, 0x3ed420f0, 0x3ee0b063],
+                [
+                    0x3ee5398b, 0x3f002832, 0x3ee4a9ce, 0x3ee11f33, 0x3ed420f0, 0x3ee0b063,
+                ],
             ),
         ];
         for (kind, want) in pinned {
             let mut model = CtrModel::new(kind, 4, 8, &[16, 8], 7);
             let mut tape = ModelTape::new();
             model.forward_tape(&batch(6, 32, 13), &mut tape);
-            let scores: Vec<u32> =
-                tape.logits().data().iter().map(|&z| sigmoid(z).to_bits()).collect();
+            let scores: Vec<u32> = tape
+                .logits()
+                .data()
+                .iter()
+                .map(|&z| sigmoid(z).to_bits())
+                .collect();
             assert_eq!(scores, want, "{kind:?} scores");
             tape.end_batch();
             assert!(tape.flops() > 0, "{kind:?} flop counter");
@@ -495,7 +516,11 @@ mod tests {
                 model.zero_grad();
                 model.backward_tape(&x, &g, gx, tape);
             }
-            assert_eq!(fresh.logits().data(), reused.logits().data(), "{kind:?} logits");
+            assert_eq!(
+                fresh.logits().data(),
+                reused.logits().data(),
+                "{kind:?} logits"
+            );
             assert_eq!(gx_fresh.data(), gx_reused.data(), "{kind:?} input grad");
             assert_eq!(
                 flat_grads(&mut fresh_model),
@@ -509,7 +534,9 @@ mod tests {
     fn digest(v: &[f32]) -> u64 {
         v.iter()
             .flat_map(|x| x.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+            })
     }
 
     #[test]
@@ -522,12 +549,29 @@ mod tests {
         // of that row underflows to a signed zero. Both DCN grad_in digests
         // were re-based once, when the cross tower's x_0 gradient gained its
         // multiplicand terms; nothing else moved.
-        let shapes: [(usize, usize, usize, &[usize]); 2] = [(37, 5, 8, &[16, 8]), (64, 4, 16, &[32, 16])];
+        let shapes: [(usize, usize, usize, &[usize]); 2] =
+            [(37, 5, 8, &[16, 8]), (64, 4, 16, &[32, 16])];
         let pinned = [
-            (ModelKind::Dcn, 0, [0x83f8faa2d6ae23ba, 0xac3f3a4509067a9c, 0xc4f8b87228deb600]),
-            (ModelKind::Wdl, 0, [0x9fe170cfbf502a3d, 0xca544021a1522121, 0xe4e46a33c091dcd4]),
-            (ModelKind::Dcn, 1, [0x36f247b44a9543c1, 0x7237e2a01d734f26, 0xcee6be3eacb561c3]),
-            (ModelKind::Wdl, 1, [0x1f7b07bfefc79a01, 0x64a1feb7cac73d8a, 0x30bd05581d60d4a0]),
+            (
+                ModelKind::Dcn,
+                0,
+                [0x83f8faa2d6ae23ba, 0xac3f3a4509067a9c, 0xc4f8b87228deb600],
+            ),
+            (
+                ModelKind::Wdl,
+                0,
+                [0x9fe170cfbf502a3d, 0xca544021a1522121, 0xe4e46a33c091dcd4],
+            ),
+            (
+                ModelKind::Dcn,
+                1,
+                [0x36f247b44a9543c1, 0x7237e2a01d734f26, 0xcee6be3eacb561c3],
+            ),
+            (
+                ModelKind::Wdl,
+                1,
+                [0x1f7b07bfefc79a01, 0x64a1feb7cac73d8a, 0x30bd05581d60d4a0],
+            ),
         ];
         let mut negative_zeros = 0;
         for (kind, shape, want) in pinned {
@@ -552,12 +596,19 @@ mod tests {
             m.forward_tape(&x, &mut tape);
             m.zero_grad();
             m.backward_tape(&x, &dy, &mut gx, &mut tape);
-            let got = [digest(tape.logits().data()), digest(gx.data()), digest(&flat_grads(&mut m))];
+            let got = [
+                digest(tape.logits().data()),
+                digest(gx.data()),
+                digest(&flat_grads(&mut m)),
+            ];
             let case = format!("{kind:?} {rows}x{fields}x{dim} [logits, grad_in, param grads]");
             assert_eq!(got, want, "{case}: {got:x?}");
             negative_zeros += gx.data().iter().filter(|v| v.to_bits() == 1 << 31).count();
         }
-        assert!(negative_zeros > 0, "the underflowing row must reach grad_in as -0.0");
+        assert!(
+            negative_zeros > 0,
+            "the underflowing row must reach grad_in as -0.0"
+        );
     }
 
     #[test]
@@ -583,9 +634,20 @@ mod tests {
 
     /// `Σ_r dy_r·logit_r` in f64, and whether each hidden ReLU is on, after
     /// a forward pass of `x`.
-    fn weighted_logits(m: &mut CtrModel, x: &Matrix, dy: &[f32], tape: &mut ModelTape) -> (f64, Vec<bool>) {
+    fn weighted_logits(
+        m: &mut CtrModel,
+        x: &Matrix,
+        dy: &[f32],
+        tape: &mut ModelTape,
+    ) -> (f64, Vec<bool>) {
         m.forward_tape(x, tape);
-        let loss = tape.logits().data().iter().zip(dy).map(|(&z, &d)| z as f64 * d as f64).sum();
+        let loss = tape
+            .logits()
+            .data()
+            .iter()
+            .zip(dy)
+            .map(|(&z, &d)| z as f64 * d as f64)
+            .sum();
         let on = (0..GRADCHECK_HIDDEN.len())
             .flat_map(|i| tape.dense.act(i).data().iter().map(|&a| a > 0.0))
             .collect();
@@ -610,7 +672,12 @@ mod tests {
         let mut gx = Matrix::zeros(0, 0);
         let (_, on) = weighted_logits(&mut m, &x, dy, &mut tape);
         m.zero_grad();
-        m.backward_tape(&x, &Matrix::from_vec(rows, 1, dy.to_vec()), &mut gx, &mut tape);
+        m.backward_tape(
+            &x,
+            &Matrix::from_vec(rows, 1, dy.to_vec()),
+            &mut gx,
+            &mut tape,
+        );
 
         let mut loss = |m: &mut CtrModel, x: &Matrix| {
             let (loss, probe_on) = weighted_logits(m, x, dy, &mut tape);
@@ -620,7 +687,14 @@ mod tests {
         let cols = fields * dim;
         let input_loss = |p: &[f32]| loss(&mut m, &Matrix::from_vec(rows, cols, p.to_vec()));
         gradcheck(input_loss, x.data(), gx.data(), eps, 1e-4, 1e-3);
-        gradcheck_params(&mut m, CtrModel::visit_params, |m| loss(m, &x), eps, 1e-4, 1e-3);
+        gradcheck_params(
+            &mut m,
+            CtrModel::visit_params,
+            |m| loss(m, &x),
+            eps,
+            1e-4,
+            1e-3,
+        );
     }
 
     #[test]

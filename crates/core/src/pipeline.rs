@@ -251,8 +251,8 @@ impl StageProfiler {
         }
         // Own cost: this fold, its two timer reads, and every stage stamp
         // the loop took since the previous fold.
-        self.overhead_secs += t0.elapsed().as_secs_f64()
-            + f64::from(self.stamps + 2) * self.timer_read_secs;
+        self.overhead_secs +=
+            t0.elapsed().as_secs_f64() + f64::from(self.stamps + 2) * self.timer_read_secs;
         self.stamps = 0;
     }
 
@@ -424,7 +424,12 @@ pub(crate) fn run_worker_epoch(
         let t_fetch = me.profiler.start();
         assemble_batch(&mut me.slot, shard, &mut me.cursor, me.batch_size);
         sample_slices.clear();
-        sample_slices.extend(me.slot.batch_idx.iter().map(|&i| dataset.sample(i as usize)));
+        sample_slices.extend(
+            me.slot
+                .batch_idx
+                .iter()
+                .map(|&i| dataset.sample(i as usize)),
+        );
         let actual = sample_slices.len();
         // (Degenerate empty-shard corner: skip the math, still join every
         // rendezvous so peers don't deadlock.)
@@ -447,7 +452,8 @@ pub(crate) fn run_worker_epoch(
         let t_route = me.profiler.start();
         let up_report = have_grad.then(|| {
             let grads = me.slot.grad_input.data();
-            me.emb.route_gradients(&sample_slices, grads, &cfg.embed_opt, &run.exchange)
+            me.emb
+                .route_gradients(&sample_slices, grads, &cfg.embed_opt, &run.exchange)
         });
         me.profiler.wall(BatchStage::Push, t_route);
 
@@ -588,7 +594,11 @@ fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_repo
     let wire = run.wire(&me.recorder);
     let (read, write) = wire.step(&me.slot.read_report, up_report);
     let overlap = run.strategy.overlap.then_some(compute_t);
-    let step = Phases::Step { read: &read, write: &write, overlap };
+    let step = Phases::Step {
+        read: &read,
+        write: &write,
+        overlap,
+    };
     let comm = charge(&wire, me.w, clock, &mut me.links, step);
     me.profiler.sim(BatchStage::Fetch, comm.data[0]);
     me.profiler.sim(BatchStage::Push, comm.data[1]);
@@ -625,8 +635,14 @@ fn sync_dense(
         // Push gradients + pull parameters over the shared host link.
         DenseSync::PsAsync => Dense::HostPs(run.dense_bytes),
     };
-    let t = charge(&run.wire(&me.recorder), w, &mut me.clock, &mut me.links, Phases::Dense(dense))
-        .total();
+    let t = charge(
+        &run.wire(&me.recorder),
+        w,
+        &mut me.clock,
+        &mut me.links,
+        Phases::Dense(dense),
+    )
+    .total();
     if is_bsp {
         let (max_clock, _) = run.group.fused_mean_max(dense_grads, me.clock.now(), false);
         clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
@@ -751,11 +767,17 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                 // image was captured.
                 let cost = &run.cost;
                 let n_workers = cost.topology.num_workers() as u64;
-                let restore_t = cost
-                    .link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
+                let restore_t =
+                    cost.link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
                 let reprime = Transfer::rows(&refreshed, run.row_bytes);
-                let refresh_t =
-                    charge(&run.wire(recorder), w, clock, links, Phases::Recovery(&reprime)).total();
+                let refresh_t = charge(
+                    &run.wire(recorder),
+                    w,
+                    clock,
+                    links,
+                    Phases::Recovery(&reprime),
+                )
+                .total();
                 let refreshed: u64 = refreshed.iter().sum();
                 let replay_t = (crash_time - image.sim_times[w]).max(0.0);
                 let recovery_t = faults.restart_overhead() + restore_t + refresh_t + replay_t;
@@ -844,9 +866,8 @@ mod tests {
         // and the collective abort vote keeps every worker leaving at the
         // same iteration boundary (a deadlock here would hang the test).
         let data = tiny_dataset();
-        let faults = Arc::new(
-            FaultSchedule::parse("stall@0:0.0:0.003; crash@1:0.000001", 2, 42).unwrap(),
-        );
+        let faults =
+            Arc::new(FaultSchedule::parse("stall@0:0.0:0.003; crash@1:0.000001", 2, 42).unwrap());
         let r = Trainer::new(
             &data,
             Topology::pcie_island(2),

@@ -231,7 +231,10 @@ impl StrategyConfig {
     /// would abort in its allocation). [`crate::Trainer::try_run`] calls it first.
     pub fn validate(&self) -> Result<(), HetGmpError> {
         if self.name.is_empty() {
-            return Err(HetGmpError::config("name", "strategy name must be non-empty"));
+            return Err(HetGmpError::config(
+                "name",
+                "strategy name must be non-empty",
+            ));
         }
         if let PartitionPolicy::Hybrid(cfg) = &self.partition {
             if cfg.rounds == 0 {

@@ -180,18 +180,30 @@ impl TrainerConfig {
     /// legal: the run sets up, evaluates nothing and returns.
     pub fn validate(&self, workers: usize) -> Result<(), HetGmpError> {
         if self.dim == 0 {
-            return Err(HetGmpError::config("dim", "embedding dimension must be positive"));
+            return Err(HetGmpError::config(
+                "dim",
+                "embedding dimension must be positive",
+            ));
         }
         if self.hidden.is_empty() {
-            return Err(HetGmpError::config("hidden", "at least one hidden layer is required"));
+            return Err(HetGmpError::config(
+                "hidden",
+                "at least one hidden layer is required",
+            ));
         }
         if self.hidden.contains(&0) {
-            return Err(HetGmpError::config("hidden", "hidden layer sizes must be positive"));
+            return Err(HetGmpError::config(
+                "hidden",
+                "hidden layer sizes must be positive",
+            ));
         }
         if !(self.test_fraction > 0.0 && self.test_fraction < 1.0) {
             return Err(HetGmpError::config(
                 "test_fraction",
-                format!("must lie strictly between 0 and 1, got {}", self.test_fraction),
+                format!(
+                    "must lie strictly between 0 and 1, got {}",
+                    self.test_fraction
+                ),
             ));
         }
         if self.batch_size == 0 {
@@ -243,7 +255,10 @@ impl TrainerConfig {
                 "checkpoint_dir is set but checkpoint_every is 0 (checkpointing disabled)",
             ));
         }
-        if let StorageMode::Tiered { budget_bytes: 0, .. } = self.storage {
+        if let StorageMode::Tiered {
+            budget_bytes: 0, ..
+        } = self.storage
+        {
             return Err(HetGmpError::config(
                 "storage",
                 "tiered storage needs a positive RAM budget",
@@ -528,15 +543,23 @@ impl<'d> Trainer<'d> {
             cfg.batch_size,
         );
         let partition_metrics = match self.strategy.embed_home {
-            EmbedHome::Gpu => {
-                Some(PartitionMetrics::compute(&placement.graph, &placement.partition))
-            }
+            EmbedHome::Gpu => Some(PartitionMetrics::compute(
+                &placement.graph,
+                &placement.partition,
+            )),
             EmbedHome::CpuPs => None,
         };
         let table = self.open_table(&registry, &placement.partition)?;
         let auditor = self.auditor();
         let mut workers = self.workers(&*table, &placement, &registry, auditor.as_ref());
-        let run = self.run_ctx(&*table, &placement, registry, faults, auditor, &mut workers[0]);
+        let run = self.run_ctx(
+            &*table,
+            &placement,
+            registry,
+            faults,
+            auditor,
+            &mut workers[0],
+        );
         let start_epoch = self.resume(&run, &mut workers)?;
 
         // ---- Epochs ----------------------------------------------------------
@@ -569,7 +592,14 @@ impl<'d> Trainer<'d> {
             }
         }
         let wall_secs = wall_start.elapsed().as_secs_f64();
-        Ok(self.finish(&run, &workers, curve, time_to_target, wall_secs, partition_metrics))
+        Ok(self.finish(
+            &run,
+            &workers,
+            curve,
+            time_to_target,
+            wall_secs,
+            partition_metrics,
+        ))
     }
 
     /// The injected fault schedule (an empty one without
@@ -618,7 +648,13 @@ impl<'d> Trainer<'d> {
     /// A dense model replica; every worker's starts identical.
     fn new_model(&self) -> CtrModel {
         let cfg = &self.config;
-        CtrModel::new(cfg.model, self.dataset.num_fields, cfg.dim, &cfg.hidden, cfg.seed)
+        CtrModel::new(
+            cfg.model,
+            self.dataset.num_fields,
+            cfg.dim,
+            &cfg.hidden,
+            cfg.seed,
+        )
     }
 
     /// Opens the primary table in the configured storage tier. In memory,
@@ -841,7 +877,9 @@ impl<'d> Trainer<'d> {
         let batches = run.loss_batches.load(Ordering::Relaxed).max(1);
         let train_loss = run.loss_sum_micro.load(Ordering::Relaxed) as f64 / 1e6 / batches as f64;
         run.registry.global().gauge_set(names::TRAIN_AUC, auc_v);
-        run.registry.global().gauge_set(names::TRAIN_SIM_TIME, sim_time);
+        run.registry
+            .global()
+            .gauge_set(names::TRAIN_SIM_TIME, sim_time);
         EvalPoint {
             epoch,
             sim_time,
@@ -1001,17 +1039,34 @@ fn train_epoch(
 fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
     for me in workers.iter_mut() {
         let rep = me.emb.flush_all(&run.exchange);
-        let flush = Transfer::exchange(&rep.data_bytes_by_dst, &rep.meta_bytes_by_dst, run.row_bytes);
+        let flush = Transfer::exchange(
+            &rep.data_bytes_by_dst,
+            &rep.meta_bytes_by_dst,
+            run.row_bytes,
+        );
         let wire = run.wire(&me.recorder);
-        charge(&wire, me.w, &mut me.clock, &mut me.links, Phases::Barrier("flush", &flush));
+        charge(
+            &wire,
+            me.w,
+            &mut me.clock,
+            &mut me.links,
+            Phases::Barrier("flush", &flush),
+        );
     }
     for me in workers.iter() {
-        run.exchange.apply_owned(me.w, run.table, &run.cfg.embed_opt);
+        run.exchange
+            .apply_owned(me.w, run.table, &run.cfg.embed_opt);
     }
     for me in workers.iter_mut() {
         let reprime = Transfer::rows(&me.emb.sync_replicas(), run.row_bytes);
         let wire = run.wire(&me.recorder);
-        charge(&wire, me.w, &mut me.clock, &mut me.links, Phases::Barrier("reprime", &reprime));
+        charge(
+            &wire,
+            me.w,
+            &mut me.clock,
+            &mut me.links,
+            Phases::Barrier("reprime", &reprime),
+        );
     }
 }
 
@@ -1051,14 +1106,21 @@ fn checkpoint(
     for me in workers.iter_mut() {
         me.clock.advance(TimeCategory::HostIo, io_t);
     }
-    run.registry.global().counter_add(names::CHECKPOINT_SAVES, 1);
-    run.registry.global().counter_add(names::CHECKPOINT_BYTES, bytes);
+    run.registry
+        .global()
+        .counter_add(names::CHECKPOINT_SAVES, 1);
+    run.registry
+        .global()
+        .counter_add(names::CHECKPOINT_BYTES, bytes);
     if let Some(t) = run.tracer {
         t.driver_span(
             names::TRACE_CHECKPOINT,
             ckpt_start,
             io_t,
-            &[("epoch", Json::U64(epoch as u64)), ("bytes", Json::U64(bytes))],
+            &[
+                ("epoch", Json::U64(epoch as u64)),
+                ("bytes", Json::U64(bytes)),
+            ],
         );
     }
     // Future crashes roll back to this image instead of the start-of-run
@@ -1076,7 +1138,10 @@ fn checkpoint(
 fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<CapacityStats> {
     let global = run.registry.global();
     let table = run.table;
-    global.gauge_set(names::HOTPATH_LOCK_ACQUISITIONS, table.lock_acquisitions() as f64);
+    global.gauge_set(
+        names::HOTPATH_LOCK_ACQUISITIONS,
+        table.lock_acquisitions() as f64,
+    );
     // Read-path accounting: how many rows a tiered store's snapshot path
     // served from resident pages and how many through a fault (all zero
     // in memory, where no read tears and so none retries). The mode gauge
@@ -1110,7 +1175,10 @@ fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<
     // work done, arena high-water mark, steady-state allocation violations
     // (must stay 0), and dense-path-only throughput.
     let tapes = || workers.iter().map(|me| &me.slot.tape);
-    global.counter_add(names::DENSE_GEMM_FLOPS, tapes().map(|t| t.flops()).sum::<u64>());
+    global.counter_add(
+        names::DENSE_GEMM_FLOPS,
+        tapes().map(|t| t.flops()).sum::<u64>(),
+    );
     global.gauge_set(
         names::DENSE_ARENA_BYTES,
         tapes().map(|t| t.arena_bytes()).sum::<usize>() as f64,
@@ -1135,7 +1203,11 @@ fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<
     let overlappable: f64 = workers.iter().map(|me| me.clock.overlappable_secs()).sum();
     global.gauge_set(
         names::PIPELINE_OVERLAP_RATIO,
-        if overlappable > 0.0 { hidden / overlappable } else { 0.0 },
+        if overlappable > 0.0 {
+            hidden / overlappable
+        } else {
+            0.0
+        },
     );
     // Busy seconds per link class, latency and bandwidth apart.
     publish_links(global.as_ref(), workers.iter().map(|me| me.links));
@@ -1144,7 +1216,10 @@ fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<
     // benchmark ledger reports it as `telemetry.profiler_overhead_pct`.
     global.gauge_set(
         names::TELEMETRY_OVERHEAD_SECS,
-        workers.iter().map(|me| me.profiler.overhead_secs()).sum::<f64>(),
+        workers
+            .iter()
+            .map(|me| me.profiler.overhead_secs())
+            .sum::<f64>(),
     );
     capacity
 }
@@ -1270,13 +1345,7 @@ mod tests {
         let data = generate(&DatasetSpec::avazu_like(0.05));
         let topo = Topology::pcie_island(4);
         let mp = Trainer::new(&data, topo.clone(), StrategyConfig::het_mp(), fast_config()).run();
-        let gmp = Trainer::new(
-            &data,
-            topo,
-            StrategyConfig::het_gmp(100),
-            fast_config(),
-        )
-        .run();
+        let gmp = Trainer::new(&data, topo, StrategyConfig::het_gmp(100), fast_config()).run();
         assert!(
             gmp.traffic_bytes[0] < mp.traffic_bytes[0],
             "embed traffic: gmp {} vs mp {}",
@@ -1361,7 +1430,10 @@ mod tests {
         let audit = r.audit.expect("audit enabled");
         assert_eq!(audit.total_violations(), 0, "{}", audit.render());
         assert!(audit.strict_failure.is_none());
-        assert!(audit.intra_reads + audit.inter_checks > 0, "auditor saw no decisions");
+        assert!(
+            audit.intra_reads + audit.inter_checks > 0,
+            "auditor saw no decisions"
+        );
         assert_eq!(audit.bound, 0.0);
         // The full curve ran: strict mode did not abort.
         assert_eq!(r.curve.len(), 2);
@@ -1421,17 +1493,27 @@ mod tests {
         // spans are laid out from each group's schedule: on the worker's one
         // PCIe port a group's keys and clocks queue behind its rows.
         let arg = |e: &hetgmp_telemetry::TraceEvent, key: &str| {
-            e.args.iter().find(|(k, _)| k == key).map(|(_, v)| v.render())
+            e.args
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.render())
         };
         let transfers: Vec<_> = events
             .iter()
-            .filter(|e| e.track == TraceTrack::Link("pcie3".into()) && e.name == names::TRACE_LINK_TRANSFER)
+            .filter(|e| {
+                e.track == TraceTrack::Link("pcie3".into()) && e.name == names::TRACE_LINK_TRANSFER
+            })
             .collect();
         let of_class = |class: &str| {
             let class = Json::from(class).render();
-            transfers.iter().filter(move |e| arg(e, "class").as_ref() == Some(&class))
+            transfers
+                .iter()
+                .filter(move |e| arg(e, "class").as_ref() == Some(&class))
         };
-        assert!(of_class("embed_data").next().is_some(), "no link transfer spans");
+        assert!(
+            of_class("embed_data").next().is_some(),
+            "no link transfer spans"
+        );
         assert!(
             of_class("keys_clocks").any(|m| of_class("embed_data").any(|d| {
                 (arg(d, "worker"), arg(d, "dir")) == (arg(m, "worker"), arg(m, "dir"))
@@ -1442,20 +1524,31 @@ mod tests {
         // On a dual-socket machine a group's PCIe and QPI transfers start
         // together: the port and the uplink are separate resources.
         let tracer = Arc::new(TraceCollector::new(4, TraceLevel::Batch));
-        Trainer::new(&data, Topology::qpi_dual_socket(4), StrategyConfig::het_gmp(100), fast_config())
-            .with_tracer(Arc::clone(&tracer))
-            .run();
+        Trainer::new(
+            &data,
+            Topology::qpi_dual_socket(4),
+            StrategyConfig::het_gmp(100),
+            fast_config(),
+        )
+        .with_tracer(Arc::clone(&tracer))
+        .run();
         let starts = |label: &str| -> Vec<(Option<String>, u64)> {
             let events = tracer.events();
             events
                 .iter()
-                .filter(|e| e.track == TraceTrack::Link(label.into()) && e.name == names::TRACE_LINK_TRANSFER)
+                .filter(|e| {
+                    e.track == TraceTrack::Link(label.into())
+                        && e.name == names::TRACE_LINK_TRANSFER
+                })
                 .map(|e| (arg(e, "worker"), e.ts_us.to_bits()))
                 .collect()
         };
         let qpi = starts("qpi");
         assert!(!qpi.is_empty(), "no QPI transfers");
-        assert!(starts("pcie3").iter().any(|s| qpi.contains(s)), "no PCIe and QPI transfer issued together");
+        assert!(
+            starts("pcie3").iter().any(|s| qpi.contains(s)),
+            "no PCIe and QPI transfer issued together"
+        );
         // Algorithm 1's rounds land on the driver track.
         assert!(events
             .iter()
@@ -1509,7 +1602,12 @@ mod tests {
             ("test_fraction", cfg(|c| c.test_fraction = 1.0), gmp.clone()),
             (
                 "storage",
-                cfg(|c| c.storage = StorageMode::Tiered { budget_bytes: 0, dir: None }),
+                cfg(|c| {
+                    c.storage = StorageMode::Tiered {
+                        budget_bytes: 0,
+                        dir: None,
+                    }
+                }),
                 gmp.clone(),
             ),
             (
@@ -1517,8 +1615,19 @@ mod tests {
                 cfg(|c| c.checkpoint_dir = Some(PathBuf::from("/tmp/ckpts"))),
                 gmp.clone(),
             ),
-            ("partition.rounds", fast_config(), gmp.clone().with_rounds(0)),
-            ("name", fast_config(), StrategyConfig { name: String::new(), ..gmp.clone() }),
+            (
+                "partition.rounds",
+                fast_config(),
+                gmp.clone().with_rounds(0),
+            ),
+            (
+                "name",
+                fast_config(),
+                StrategyConfig {
+                    name: String::new(),
+                    ..gmp.clone()
+                },
+            ),
         ];
         for (field, config, strategy) in cases {
             let label = format!("{field}: {config:?} / {strategy:?}");
@@ -1657,7 +1766,10 @@ mod tests {
             .try_run()
             .unwrap_err();
             assert_eq!(err.exit_code(), 78, "{fraction}: {err}");
-            assert!(err.to_string().contains("cache.capacity_fraction"), "{fraction}: {err}");
+            assert!(
+                err.to_string().contains("cache.capacity_fraction"),
+                "{fraction}: {err}"
+            );
         }
     }
 
@@ -1737,11 +1849,17 @@ mod tests {
         assert!(r.telemetry.counter(names::HOTPATH_BATCH_READ_ROWS) > 0);
         assert!(r.telemetry.counter(names::HOTPATH_BATCH_APPLY_ROWS) > 0);
         assert!(
-            r.telemetry.gauge(names::HOTPATH_LOCK_ACQUISITIONS).unwrap_or(0.0) > 0.0,
+            r.telemetry
+                .gauge(names::HOTPATH_LOCK_ACQUISITIONS)
+                .unwrap_or(0.0)
+                > 0.0,
             "lock gauge missing"
         );
         assert!(
-            r.telemetry.gauge(names::HOTPATH_SAMPLES_PER_SEC).unwrap_or(0.0) > 0.0,
+            r.telemetry
+                .gauge(names::HOTPATH_SAMPLES_PER_SEC)
+                .unwrap_or(0.0)
+                > 0.0,
             "throughput gauge missing"
         );
         // Zero steady-state allocations, end to end: no worker's tape grew
@@ -1786,9 +1904,8 @@ mod tests {
         // after training starts, under the strictest protocol setting
         // (BSP, strict audit): the run must complete its full curve with
         // zero violations, and the downtime must appear as fault time.
-        let faults = Arc::new(
-            FaultSchedule::parse("stall@0:0.0:0.003; crash@1:0.000001", 2, 42).unwrap(),
-        );
+        let faults =
+            Arc::new(FaultSchedule::parse("stall@0:0.0:0.003; crash@1:0.000001", 2, 42).unwrap());
         let r = Trainer::new(
             &data,
             Topology::pcie_island(2),
@@ -1807,7 +1924,11 @@ mod tests {
         assert_eq!(r.telemetry.counter(names::FAULT_STALLS), 1);
         assert!(r.telemetry.gauge(names::FAULT_RECOVERY_SECS).unwrap_or(0.0) > 0.0);
         // Faults slow the run down but never change the math's correctness.
-        assert!(r.final_auc > 0.55, "AUC collapsed under faults: {}", r.final_auc);
+        assert!(
+            r.final_auc > 0.55,
+            "AUC collapsed under faults: {}",
+            r.final_auc
+        );
     }
 
     #[test]
@@ -1815,9 +1936,8 @@ mod tests {
         use hetgmp_telemetry::{TraceCollector, TraceLevel, TraceTrack};
         let data = tiny_dataset();
         let tracer = Arc::new(TraceCollector::new(2, TraceLevel::Sync));
-        let faults = Arc::new(
-            FaultSchedule::parse("stall@0:0.0:0.002; crash@1:0.000001", 2, 42).unwrap(),
-        );
+        let faults =
+            Arc::new(FaultSchedule::parse("stall@0:0.0:0.002; crash@1:0.000001", 2, 42).unwrap());
         Trainer::new(
             &data,
             Topology::pcie_island(2),
@@ -1841,10 +1961,7 @@ mod tests {
 
     #[test]
     fn checkpointed_run_writes_resumable_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "hetgmp-trainer-ckpt-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("hetgmp-trainer-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let data = tiny_dataset();
         let cfg = TrainerConfig {
@@ -1913,14 +2030,27 @@ mod tests {
             self.per_row_reads.fetch_add(1, Ordering::Relaxed);
             self.inner.read_row(row, out)
         }
-        fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
+        fn read_rows(
+            &self,
+            rows: &[u32],
+            out: &mut [f32],
+            clocks: &mut [u64],
+            scratch: &mut BatchScratch,
+        ) {
             self.batched_reads.lock().unwrap().push(rows.len());
             self.inner.read_rows(rows, out, clocks, scratch)
         }
         fn apply_grad(&self, _: u32, _: &[f32], _: &SparseOpt) -> u64 {
             unreachable!("evaluation only reads")
         }
-        fn apply_grads(&self, _: &[u32], _: &[f32], _: &SparseOpt, _: &mut [u64], _: &mut BatchScratch) {
+        fn apply_grads(
+            &self,
+            _: &[u32],
+            _: &[f32],
+            _: &SparseOpt,
+            _: &mut [u64],
+            _: &mut BatchScratch,
+        ) {
             unreachable!("evaluation only reads")
         }
         fn write_row(&self, _: u32, _: &[f32]) {

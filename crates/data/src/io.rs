@@ -55,10 +55,7 @@ pub fn read_libsvm<R: BufRead>(reader: R, num_fields: usize) -> Result<CtrDatase
         for tok in parts.take(num_fields) {
             let idx_str = tok.split(':').next().unwrap_or(tok);
             let idx: u32 = idx_str.parse().map_err(|_| {
-                HetGmpError::data_unattributed(
-                    lineno + 1,
-                    format!("bad feature index {idx_str:?}"),
-                )
+                HetGmpError::data_unattributed(lineno + 1, format!("bad feature index {idx_str:?}"))
             })?;
             max_id = max_id.max(idx);
             row.push(idx);

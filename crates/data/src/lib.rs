@@ -29,9 +29,9 @@
 //! scale factor.
 
 pub mod dataset;
+pub mod generate;
 pub mod io;
 pub mod kg;
-pub mod generate;
 pub mod spec;
 pub mod zipf;
 

@@ -111,7 +111,12 @@ mod tests {
             counts[k] += 1;
         }
         // Rank-0 item should dominate rank-25 item heavily.
-        assert!(counts[0] > counts[25] * 5, "{} vs {}", counts[0], counts[25]);
+        assert!(
+            counts[0] > counts[25] * 5,
+            "{} vs {}",
+            counts[0],
+            counts[25]
+        );
     }
 
     #[test]

@@ -59,9 +59,7 @@ impl CapacityPlan {
         // each replicated row has on average `replication_fraction ×
         // num_workers` secondaries spread over the cluster.
         let per_row = self.primary_row_bytes()
-            + self.replication_fraction
-                * self.num_workers as f64
-                * self.secondary_row_bytes();
+            + self.replication_fraction * self.num_workers as f64 * self.secondary_row_bytes();
         (total_memory / per_row) as u64
     }
 

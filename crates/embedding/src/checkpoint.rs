@@ -266,7 +266,11 @@ pub fn save_run<W: Write>(
     writer: W,
 ) -> Result<u64, CheckpointError> {
     let dense_len = state.workers.first().map_or(0, |w| w.dense_params.len());
-    if state.workers.iter().any(|w| w.dense_params.len() != dense_len) {
+    if state
+        .workers
+        .iter()
+        .any(|w| w.dense_params.len() != dense_len)
+    {
         return Err(CheckpointError::BadHeader(
             "workers carry unequal dense parameter counts".into(),
         ));
@@ -546,8 +550,8 @@ mod tests {
         assert!(msg.contains("model.hgmp"), "{msg}");
         assert!(msg.contains("magic"), "{msg}");
 
-        let io_err = CheckpointError::Io(io::Error::other("disk gone"))
-            .into_workspace("model.hgmp");
+        let io_err =
+            CheckpointError::Io(io::Error::other("disk gone")).into_workspace("model.hgmp");
         assert_eq!(io_err.exit_code(), 74);
     }
 

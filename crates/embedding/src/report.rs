@@ -107,7 +107,10 @@ pub struct ReadReport {
 impl ReadReport {
     /// Total lookups performed.
     pub fn lookups(&self) -> u64 {
-        self.local_primary + self.local_fresh + self.intra_syncs + self.inter_syncs
+        self.local_primary
+            + self.local_fresh
+            + self.intra_syncs
+            + self.inter_syncs
             + self.remote_fetches
     }
 
@@ -269,7 +272,10 @@ mod tests {
         r.add_remote_row(2, 64, 3);
         r.add_src_meta(1, 3);
         assert_eq!(r.data_bytes_by_src, vec![0, 0, 64]);
-        assert_eq!(r.meta_bytes_by_src, vec![0, META_ENTRY_BYTES, META_ENTRY_BYTES]);
+        assert_eq!(
+            r.meta_bytes_by_src,
+            vec![0, META_ENTRY_BYTES, META_ENTRY_BYTES]
+        );
         assert_eq!((r.data_bytes, r.meta_bytes), (64, 2 * META_ENTRY_BYTES));
         let mut u = UpdateReport::default();
         u.add_remote_row(0, 32, 3);

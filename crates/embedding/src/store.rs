@@ -94,7 +94,13 @@ pub trait RowStore: Sync {
     /// # Panics
     /// Panics if `out.len() != rows.len() * dim`, `clocks.len() !=
     /// rows.len()`, or any row is out of range.
-    fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch);
+    fn read_rows(
+        &self,
+        rows: &[u32],
+        out: &mut [f32],
+        clocks: &mut [u64],
+        scratch: &mut BatchScratch,
+    );
     /// Applies one gradient `grad` to `row` under `opt`, ticks the row's
     /// clock, and returns the new clock value.
     fn apply_grad(&self, row: u32, grad: &[f32], opt: &SparseOpt) -> u64;

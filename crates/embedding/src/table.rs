@@ -124,7 +124,11 @@ impl Rows {
             SparseOpt::Adagrad { lr, eps } => {
                 let len = self.values.len();
                 let acc = self.accum.get_or_insert_with(|| vec![0.0; len]);
-                for ((p, &g), a) in self.values[row.clone()].iter_mut().zip(grad).zip(&mut acc[row]) {
+                for ((p, &g), a) in self.values[row.clone()]
+                    .iter_mut()
+                    .zip(grad)
+                    .zip(&mut acc[row])
+                {
                     *a += g * g;
                     *p -= lr * g / (a.sqrt() + eps);
                 }
@@ -243,11 +247,14 @@ impl BatchScratch {
     pub(crate) fn groups(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
         // The scatter pass left each bucket's *end* in `offsets`.
         let mut start = 0;
-        self.offsets.iter().enumerate().filter_map(move |(bucket, &end)| {
-            let group = &self.perm[start..end as usize];
-            start = end as usize;
-            (!group.is_empty()).then_some((bucket, group))
-        })
+        self.offsets
+            .iter()
+            .enumerate()
+            .filter_map(move |(bucket, &end)| {
+                let group = &self.perm[start..end as usize];
+                start = end as usize;
+                (!group.is_empty()).then_some((bucket, group))
+            })
     }
 }
 
@@ -255,7 +262,9 @@ impl ShardedTable {
     /// Creates a striped table initialised uniformly in
     /// `[-init_scale, init_scale]`, deterministic in `seed`.
     pub fn new(num_rows: usize, dim: usize, init_scale: f32, seed: u64) -> Self {
-        let lens = (0..STRIPES).map(|s| num_rows.saturating_sub(s).div_ceil(STRIPES)).collect();
+        let lens = (0..STRIPES)
+            .map(|s| num_rows.saturating_sub(s).div_ceil(STRIPES))
+            .collect();
         Self::build(num_rows, dim, init_scale, seed, lens, STRIPE_BITS, None)
     }
 
@@ -318,13 +327,20 @@ impl ShardedTable {
         };
         let mut segments: Vec<Rows> = lens
             .iter()
-            .map(|&n| Rows { values: vec![0.0; n * dim], accum: None })
+            .map(|&n| Rows {
+                values: vec![0.0; n * dim],
+                accum: None,
+            })
             .collect();
         for stripe in 0..STRIPES {
             let mut rng = init_rng(seed, stripe);
             for row in (stripe..num_rows).step_by(STRIPES) {
                 let (segment, slot) = table.locate(row as u32);
-                draw_row(&mut rng, init_scale, &mut segments[segment].values[Rows::span(slot, dim)]);
+                draw_row(
+                    &mut rng,
+                    init_scale,
+                    &mut segments[segment].values[Rows::span(slot, dim)],
+                );
             }
         }
         table.segments = segments
@@ -413,7 +429,13 @@ impl RowStore for ShardedTable {
 
     /// One lock per segment touched; bit-identical to a per-row loop (rows
     /// are disjoint slices).
-    fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
+    fn read_rows(
+        &self,
+        rows: &[u32],
+        out: &mut [f32],
+        clocks: &mut [u64],
+        scratch: &mut BatchScratch,
+    ) {
         assert_eq!(
             out.len(),
             rows.len() * self.dim,
@@ -526,7 +548,10 @@ impl RowStore for ShardedTable {
         assert_eq!(values.len(), self.dim, "values length != dim");
         self.check_row(row);
         let (segment, slot) = self.locate(row);
-        self.segments[segment].rows.write().restore_accum(slot, values);
+        self.segments[segment]
+            .rows
+            .write()
+            .restore_accum(slot, values);
     }
 
     fn total_updates(&self) -> u64 {
@@ -728,7 +753,9 @@ mod tests {
 
     /// Rows `0..num_rows` over `owners` primaries, dealt out unevenly.
     fn owners_of(num_rows: usize, owners: u32) -> Partition {
-        let primary = (0..num_rows as u32).map(|r| (r * 7 + r / 3) % owners).collect();
+        let primary = (0..num_rows as u32)
+            .map(|r| (r * 7 + r / 3) % owners)
+            .collect();
         Partition::new(owners as usize, vec![0], primary)
     }
 
@@ -751,7 +778,13 @@ mod tests {
         let opt = SparseOpt::adagrad(0.1);
         let grads = vec![0.5f32; mine.len() * 4];
         let mut clocks = vec![0u64; mine.len()];
-        owned.apply_grads(&mine, &grads, &opt, &mut clocks, &mut BatchScratch::default());
+        owned.apply_grads(
+            &mine,
+            &grads,
+            &opt,
+            &mut clocks,
+            &mut BatchScratch::default(),
+        );
         assert_eq!(owned.lock_acquisitions() - before, 1);
     }
 
@@ -775,7 +808,9 @@ mod tests {
         // the caller's order within a segment so accumulator sequences match.
         let rows: Vec<u32> = vec![3, 259, 3, 514, 2, 3, 258];
         let dim = 4;
-        let grads: Vec<f32> = (0..rows.len() * dim).map(|i| (i as f32) * 0.3 - 2.0).collect();
+        let grads: Vec<f32> = (0..rows.len() * dim)
+            .map(|i| (i as f32) * 0.3 - 2.0)
+            .collect();
         for opt in [
             SparseOpt::Sgd { lr: 0.07 },
             SparseOpt::Adagrad { lr: 0.5, eps: 1e-8 },

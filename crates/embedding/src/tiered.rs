@@ -176,8 +176,18 @@ fn encode_page(buf: &mut Vec<u8>, page: usize, dim: usize, data: &[f32], accum: 
 /// Validates `bytes`, read from page `page`'s slot at the length its image
 /// must have (`rows × dim`, accumulators iff `has_accum`): the check every
 /// fault-in load performs before a byte of the image is served.
-fn check_image(bytes: &[u8], page: usize, rows: usize, dim: usize, has_accum: bool) -> Result<(), String> {
-    assert_eq!(bytes.len(), image_bytes(rows * dim, has_accum), "caller reads a whole image");
+fn check_image(
+    bytes: &[u8],
+    page: usize,
+    rows: usize,
+    dim: usize,
+    has_accum: bool,
+) -> Result<(), String> {
+    assert_eq!(
+        bytes.len(),
+        image_bytes(rows * dim, has_accum),
+        "caller reads a whole image"
+    );
     let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("u64"));
     if &bytes[0..4] != PAGE_MAGIC {
         return Err(format!("magic {:?} != {PAGE_MAGIC:?}", &bytes[0..4]));
@@ -188,7 +198,11 @@ fn check_image(bytes: &[u8], page: usize, rows: usize, dim: usize, has_accum: bo
             "page format version {version} unsupported (this build reads version {PAGE_VERSION})"
         ));
     }
-    for (name, at, expect) in [("page id", 8, page), ("row count", 16, rows), ("dim", 24, dim)] {
+    for (name, at, expect) in [
+        ("page id", 8, page),
+        ("row count", 16, rows),
+        ("dim", 24, dim),
+    ] {
         if word(at) != expect as u64 {
             return Err(format!("{name} {} != expected {expect}", word(at)));
         }
@@ -335,7 +349,13 @@ impl TieredTable {
     /// # Panics
     /// Panics if `dim == 0` or the spill directory or file cannot be
     /// created.
-    pub fn new(num_rows: usize, dim: usize, init_scale: f32, seed: u64, config: TieredConfig) -> Self {
+    pub fn new(
+        num_rows: usize,
+        dim: usize,
+        init_scale: f32,
+        seed: u64,
+        config: TieredConfig,
+    ) -> Self {
         Self::try_new(num_rows, dim, init_scale, seed, config)
             .unwrap_or_else(|e| panic!("tiered: {e}"))
     }
@@ -451,7 +471,10 @@ impl TieredTable {
             }
             let rows = if resident {
                 st.resident_bytes += bytes;
-                Some(Rows { values: data, accum: None })
+                Some(Rows {
+                    values: data,
+                    accum: None,
+                })
             } else {
                 self.write_page(st, p, &data, None);
                 st.spilled_bytes += bytes;
@@ -510,7 +533,8 @@ impl TieredTable {
 
     #[inline]
     fn rows_in_page(&self, page: usize) -> usize {
-        self.rows_per_page.min(self.num_rows - page * self.rows_per_page)
+        self.rows_per_page
+            .min(self.num_rows - page * self.rows_per_page)
     }
 
     #[inline]
@@ -616,10 +640,7 @@ impl TieredTable {
                 names::TRACE_CAPACITY_FAULT,
                 at,
                 0.0,
-                &[
-                    ("page", Json::U64(page as u64)),
-                    ("kind", Json::from(kind)),
-                ],
+                &[("page", Json::U64(page as u64)), ("kind", Json::from(kind))],
             );
         }
     }
@@ -678,7 +699,12 @@ impl TieredTable {
     /// Runs `f` with `page` pinned resident, stamping the visit with a fresh
     /// LRU tick. The single entry point for every data access, so pin/unpin
     /// and budget enforcement cannot be bypassed.
-    fn with_page<R>(&self, st: &mut TierState, page: usize, f: impl FnOnce(&mut TierState) -> R) -> R {
+    fn with_page<R>(
+        &self,
+        st: &mut TierState,
+        page: usize,
+        f: impl FnOnce(&mut TierState) -> R,
+    ) -> R {
         st.pages[page].pinned = true;
         self.ensure_resident(st, page);
         st.lru_tick += 1;
@@ -721,9 +747,7 @@ impl TieredTable {
                     continue;
                 }
                 self.count_lock();
-                self.with_page(&mut st, page, |st| {
-                    body(st, page, group, resident)
-                });
+                self.with_page(&mut st, page, |st| body(st, page, group, resident));
             }
         }
     }
@@ -784,7 +808,10 @@ impl TieredTable {
     /// footprint.
     fn ensure_accum(st: &mut TierState, page: usize) {
         let len = match &st.pages[page].rows {
-            Some(Rows { accum: None, values }) => values.len(),
+            Some(Rows {
+                accum: None,
+                values,
+            }) => values.len(),
             _ => return,
         };
         let mut accum = st.free.pop().unwrap_or_default();
@@ -809,14 +836,19 @@ impl TieredTable {
         if let SparseOpt::Adagrad { .. } = opt {
             Self::ensure_accum(st, page);
         }
-        st.pages[page].rows_mut().apply(row as usize % self.rows_per_page, grad, opt);
+        st.pages[page]
+            .rows_mut()
+            .apply(row as usize % self.rows_per_page, grad, opt);
         tick(&self.clocks[row as usize])
     }
 
     /// `(page, slot)` of `row`.
     #[inline]
     fn locate(&self, row: u32) -> (usize, usize) {
-        (row as usize / self.rows_per_page, row as usize % self.rows_per_page)
+        (
+            row as usize / self.rows_per_page,
+            row as usize % self.rows_per_page,
+        )
     }
 }
 
@@ -845,7 +877,13 @@ impl RowStore for TieredTable {
         self.read_one(row, out).0
     }
 
-    fn read_rows(&self, rows: &[u32], out: &mut [f32], clocks: &mut [u64], scratch: &mut BatchScratch) {
+    fn read_rows(
+        &self,
+        rows: &[u32],
+        out: &mut [f32],
+        clocks: &mut [u64],
+        scratch: &mut BatchScratch,
+    ) {
         self.read_grouped(rows, out, clocks, scratch);
     }
 
@@ -855,7 +893,9 @@ impl RowStore for TieredTable {
         let page = self.locate(row).0;
         self.count_lock();
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, |st| self.apply_in_page(st, page, row, grad, opt))
+        self.with_page(&mut st, page, |st| {
+            self.apply_in_page(st, page, row, grad, opt)
+        })
     }
 
     fn apply_grads(
@@ -876,7 +916,8 @@ impl RowStore for TieredTable {
         self.for_each_page(rows, scratch, |st, page, group, _| {
             for &k in group {
                 let k = k as usize;
-                clocks[k] = self.apply_in_page(st, page, rows[k], &grads[k * dim..(k + 1) * dim], opt);
+                clocks[k] =
+                    self.apply_in_page(st, page, rows[k], &grads[k * dim..(k + 1) * dim], opt);
             }
         });
     }
@@ -887,7 +928,9 @@ impl RowStore for TieredTable {
         let (page, slot) = self.locate(row);
         self.count_lock();
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, |st| st.pages[page].rows_mut().write(slot, values));
+        self.with_page(&mut st, page, |st| {
+            st.pages[page].rows_mut().write(slot, values)
+        });
     }
 
     fn write_rows(&self, rows: &[u32], values: &[f32], scratch: &mut BatchScratch) {
@@ -901,7 +944,10 @@ impl RowStore for TieredTable {
             let held = st.pages[page].rows_mut();
             for &k in group {
                 let k = k as usize;
-                held.write(rows[k] as usize % self.rows_per_page, &values[k * dim..(k + 1) * dim]);
+                held.write(
+                    rows[k] as usize % self.rows_per_page,
+                    &values[k * dim..(k + 1) * dim],
+                );
             }
         });
     }
@@ -927,7 +973,9 @@ impl RowStore for TieredTable {
         self.assert_row(row);
         let (page, slot) = self.locate(row);
         let mut st = self.state.lock();
-        self.with_page(&mut st, page, |st| st.pages[page].rows().read_accum(slot, out))
+        self.with_page(&mut st, page, |st| {
+            st.pages[page].rows().read_accum(slot, out)
+        })
     }
 
     fn restore_accum(&self, row: u32, values: &[f32]) {
@@ -983,7 +1031,11 @@ impl RowStore for TieredTable {
 
     fn read_row_snapshot(&self, row: u32, out: &mut [f32]) -> u64 {
         let (clock, resident) = self.read_one(row, out);
-        let tally = if resident { &self.snapshot_rows } else { &self.fallback_rows };
+        let tally = if resident {
+            &self.snapshot_rows
+        } else {
+            &self.fallback_rows
+        };
         tally.fetch_add(1, Ordering::Relaxed);
         clock
     }
@@ -1060,7 +1112,10 @@ mod tests {
         }
         let stats = t.capacity_stats();
         assert!(stats.fault_loads > 0, "expected page faults: {stats:?}");
-        assert!(stats.writebacks > 0, "expected dirty write-backs: {stats:?}");
+        assert!(
+            stats.writebacks > 0,
+            "expected dirty write-backs: {stats:?}"
+        );
         assert!(
             stats.resident_bytes <= budget as u64,
             "resident pool over budget at rest: {stats:?}"
@@ -1071,7 +1126,9 @@ mod tests {
     fn batched_ops_bit_identical_to_sharded_table_under_eviction() {
         let rows: Vec<u32> = vec![3, 61, 3, 17, 44, 3, 60, 9, 9];
         let dim = 3;
-        let grads: Vec<f32> = (0..rows.len() * dim).map(|i| i as f32 * 0.21 - 1.3).collect();
+        let grads: Vec<f32> = (0..rows.len() * dim)
+            .map(|i| i as f32 * 0.21 - 1.3)
+            .collect();
         for opt in [SparseOpt::sgd(0.07), SparseOpt::adagrad(0.5)] {
             let mem = ShardedTable::new(64, dim, 0.1, 9);
             let tiered = TieredTable::new(64, dim, 0.1, 9, tiny_cfg(dim * 4 * 4, 2));
@@ -1083,13 +1140,19 @@ mod tests {
             let mut o2 = vec![0.0f32; rows.len() * dim];
             mem.read_rows(&rows, &mut o1, &mut c1, &mut s1);
             tiered.read_rows(&rows, &mut o2, &mut c2, &mut s2);
-            assert_eq!(o1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                       o2.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            assert_eq!(
+                o1.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                o2.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
             assert_eq!(c1, c2);
             mem.apply_grads(&rows, &grads, &opt, &mut c1, &mut s1);
             tiered.apply_grads(&rows, &grads, &opt, &mut c2, &mut s2);
             assert_eq!(c1, c2, "batch clocks under {opt:?}");
-            assert_eq!(read_all_bits(&mem), read_all_bits(&tiered), "values under {opt:?}");
+            assert_eq!(
+                read_all_bits(&mem),
+                read_all_bits(&tiered),
+                "values under {opt:?}"
+            );
             let mut a1 = vec![0.0f32; dim];
             let mut a2 = vec![0.0f32; dim];
             for r in 0..64u32 {
@@ -1163,7 +1226,8 @@ mod tests {
         // ...and only that page's: its neighbours verify and still load.
         let (mut a, mut b) = (vec![0.0f32; 4], vec![0.0f32; 4]);
         for page in [1u32, 3] {
-            t.verify_page(page as usize).expect("neighbour slot untouched");
+            t.verify_page(page as usize)
+                .expect("neighbour slot untouched");
             t.read_row(page * 4, &mut a);
             mem.read_row(page * 4, &mut b);
             assert_eq!(a, b, "page {page} served wrong rows");
@@ -1323,8 +1387,13 @@ mod tests {
             dir: Some(file.clone()),
             ..tiny_cfg(64, 4)
         };
-        let err = TieredTable::try_new(16, 4, 0.1, 3, cfg).err().expect("a file is no spill dir");
-        assert!(matches!(&err, HetGmpError::Io { path, .. } if path == &file), "{err}");
+        let err = TieredTable::try_new(16, 4, 0.1, 3, cfg)
+            .err()
+            .expect("a file is no spill dir");
+        assert!(
+            matches!(&err, HetGmpError::Io { path, .. } if path == &file),
+            "{err}"
+        );
         fs::remove_file(&file).unwrap();
     }
 
@@ -1333,7 +1402,10 @@ mod tests {
         let t = TieredTable::new(100, 8, 0.1, 2, tiny_cfg(5 * 8 * 4, 5)); // 1-page budget
         let stats = t.capacity_stats();
         let total_value_bytes = (100 * 8 * 4) as u64;
-        assert_eq!(stats.resident_bytes + stats.spilled_bytes, total_value_bytes);
+        assert_eq!(
+            stats.resident_bytes + stats.spilled_bytes,
+            total_value_bytes
+        );
         assert_eq!(t.spilled_bytes(), stats.spilled_bytes);
         // heap_bytes counts resident data + clocks, never spilled pages.
         assert_eq!(t.heap_bytes(), stats.resident_bytes as usize + 100 * 8);

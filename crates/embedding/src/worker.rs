@@ -37,9 +37,9 @@ use crate::report::{ReadReport, Traffic, UpdateReport};
 use crate::sparse_optim::SparseOpt;
 use crate::store::{ReadPath, RowStore};
 use crate::table::BatchScratch;
-use crate::writeback::WriteExchange;
 #[cfg(test)]
 use crate::table::ShardedTable;
+use crate::writeback::WriteExchange;
 
 /// One field of the sample under the inter-embedding check that is served
 /// from a secondary replica.
@@ -176,7 +176,13 @@ impl HotScratch {
         self.fetch_clocks.clear();
         self.fetch_clocks.resize(n, 0);
         if n > 0 {
-            let Self { batch, fetch_ids: ids, fetch_buf: buf, fetch_clocks: clocks, .. } = self;
+            let Self {
+                batch,
+                fetch_ids: ids,
+                fetch_buf: buf,
+                fetch_clocks: clocks,
+                ..
+            } = self;
             match path {
                 ReadPath::Snapshot => table.read_rows_snapshot(ids, buf, clocks, batch),
                 ReadPath::Locked => table.read_rows(ids, buf, clocks, batch),
@@ -265,7 +271,12 @@ impl Wire {
         } else {
             ErrorFeedback::new()
         };
-        Self { format, feedback_on, feedback, row_bytes: format.row_wire_bytes(dim) }
+        Self {
+            format,
+            feedback_on,
+            feedback,
+            row_bytes: format.row_wire_bytes(dim),
+        }
     }
 
     /// Sends the gradient of row `e` through the wire format (with error
@@ -364,7 +375,12 @@ where
     /// before training; checkpoint-resumed runs reconstruct the same state
     /// because residuals are cleared at every full sync.
     pub fn set_sync_format(&mut self, format: SyncFormat, error_feedback: bool) {
-        self.wire = Wire::new(format, error_feedback, self.table.num_rows(), self.table.dim());
+        self.wire = Wire::new(
+            format,
+            error_feedback,
+            self.table.num_rows(),
+            self.table.dim(),
+        );
         if !format.is_lossless() {
             self.sync_all();
         }
@@ -475,7 +491,10 @@ where
         let total: usize = samples.iter().map(|s| s.len()).sum();
         assert_eq!(out.len(), total * dim, "output buffer size mismatch");
 
-        debug_assert!(self.scratch.stash_ids.is_empty(), "a sync flush was never routed");
+        debug_assert!(
+            self.scratch.stash_ids.is_empty(),
+            "a sync flush was never routed"
+        );
         let mut report = ReadReport::default();
         self.scratch.begin_read();
 
@@ -625,7 +644,11 @@ where
                 for (&id, &uniq) in sample.iter().zip(uniqs) {
                     let cache_slot = replica_slots[uniq as usize];
                     if cache_slot != ABSENT {
-                        sample_replicas.push(SampleReplica { id, cache_slot, uniq });
+                        sample_replicas.push(SampleReplica {
+                            id,
+                            cache_slot,
+                            uniq,
+                        });
                     }
                 }
             }
@@ -873,7 +896,11 @@ where
     /// Emits the stashed sync flushes, in the order taken, and empties them.
     fn emit_stash(&mut self, emit: &mut impl FnMut(u32, u32, &[f32])) {
         let dim = self.table.dim();
-        let HotScratch { stash_ids, stash_grads, .. } = &mut self.scratch;
+        let HotScratch {
+            stash_ids,
+            stash_grads,
+            ..
+        } = &mut self.scratch;
         for (&e, g) in stash_ids.iter().zip(stash_grads.chunks_exact(dim)) {
             emit(self.part.primary_of(e), e, g);
         }
@@ -1035,7 +1062,7 @@ mod tests {
         assert_eq!(r.local_fresh, 1);
         assert_eq!(r.intra_syncs, 0);
         assert!(r.meta_bytes > 0); // clock check still exchanged metadata
-        // Cache value is the stale (pre-update) one: 0.0.
+                                   // Cache value is the stale (pre-update) one: 0.0.
         assert_eq!(out, vec![0.0, 0.0]);
     }
 
@@ -1054,7 +1081,7 @@ mod tests {
         assert_eq!(r.intra_syncs, 1);
         assert!(r.data_bytes > 0);
         assert!((out[0] + 0.3).abs() < 1e-6); // fresh value −3·0.1
-        // Second read is fresh again.
+                                              // Second read is fresh again.
         let r2 = w0.read_batch(&samples, &mut out);
         assert_eq!(r2.local_fresh, 1);
         assert_eq!(r2.intra_syncs, 0);
@@ -1135,8 +1162,8 @@ mod tests {
             table.apply_grad(0, &[0.1, 0.0], &SparseOpt::sgd(0.1));
         }
         w0.sync_all(); // emb0 clock 120, emb2 clock 0
-        // Now: c_hot(emb0)=120, p_hot=100; c_cold(emb2)=0, p_cold=1.
-        // Normalised gap = |120·(1/100) − 0| = 1.2 ≤ 3 → fresh.
+                       // Now: c_hot(emb0)=120, p_hot=100; c_cold(emb2)=0, p_cold=1.
+                       // Normalised gap = |120·(1/100) − 0| = 1.2 ≤ 3 → fresh.
         let samples: Vec<&[u32]> = vec![&[0, 2]];
         let mut out = vec![0.0; 4];
         let r = w0.read_batch(&samples, &mut out);
@@ -1175,7 +1202,7 @@ mod tests {
         let r = w0.apply_gradients(&samples, &grads, &SparseOpt::sgd(0.1));
         assert_eq!(r.local_updates, 1); // emb 0 (primary on worker 0)
         assert_eq!(r.remote_writebacks, 1); // emb 3 (primary on worker 1)
-        // emb0 received the *reduced* gradient (1+1, 0+0) in one update.
+                                            // emb0 received the *reduced* gradient (1+1, 0+0) in one update.
         assert_eq!(table.clock(0), 1);
         let mut row = vec![0.0; 2];
         table.read_row(0, &mut row);
@@ -1221,11 +1248,18 @@ mod tests {
         assert_eq!(r1.deferred, 1);
         assert_eq!(r1.remote_writebacks, 0);
         assert_eq!(r1.data_bytes, 0);
-        assert_eq!(table.clock(2), 0, "primary must not see deferred updates yet");
+        assert_eq!(
+            table.clock(2),
+            0,
+            "primary must not see deferred updates yet"
+        );
         let r2 = w0.apply_gradients(&samples, &grads, &opt);
         assert_eq!(r2.remote_writebacks, 0);
         let r3 = w0.apply_gradients(&samples, &grads, &opt);
-        assert_eq!(r3.remote_writebacks, 1, "third update hits the flush threshold");
+        assert_eq!(
+            r3.remote_writebacks, 1,
+            "third update hits the flush threshold"
+        );
         assert!(r3.data_bytes > 0);
         assert_eq!(table.clock(2), 1, "flush is one merged update");
         let mut row = vec![0.0; 2];
@@ -1242,8 +1276,7 @@ mod tests {
         let table = ShardedTable::new(4, 2, 0.0, 1);
         let part = setup(&table);
         let freq = freq4();
-        let mut w0 =
-            WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(100));
+        let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(100));
         let samples: Vec<&[u32]> = vec![&[2]];
         let grads = vec![2.0, 0.0];
         let opt = SparseOpt::sgd(0.1);
@@ -1369,8 +1402,7 @@ mod tests {
         let table = ShardedTable::new(4, 2, 0.0, 1);
         let part = setup(&table);
         let freq = freq4();
-        let mut w0 =
-            WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(100));
+        let mut w0 = WorkerEmbedding::new(0, &table, &part, &freq, StalenessBound::Bounded(100));
         let samples: Vec<&[u32]> = vec![&[2]];
         let grads = vec![1.0, 0.0];
         let opt = SparseOpt::sgd(0.1);
@@ -1381,7 +1413,7 @@ mod tests {
         table.apply_grad(2, &[1.0, 0.0], &opt);
         let refreshed = w0.recover_from_crash();
         assert_eq!(refreshed, [0, 1]); // one secondary replica re-primed, from its owner
-        // The discarded gradients never reach the primary...
+                                       // The discarded gradients never reach the primary...
         assert_eq!(table.clock(2), 1);
         // ...and the local replica now mirrors the primary exactly.
         let mut out = vec![0.0; 2];
@@ -1525,7 +1557,10 @@ mod tests {
         // Two workers over twin tables run the same read/apply sequence; one
         // starts its resolver three batches short of the u32 wrap, so stamps
         // written before the wrap are still in the index after it.
-        let tables = [ShardedTable::new(4, 2, 0.1, 9), ShardedTable::new(4, 2, 0.1, 9)];
+        let tables = [
+            ShardedTable::new(4, 2, 0.1, 9),
+            ShardedTable::new(4, 2, 0.1, 9),
+        ];
         let part = setup(&tables[0]);
         let freq = freq4();
         let mut workers: Vec<_> = tables

@@ -4,8 +4,8 @@
 //! without breaking PR 3's determinism guarantees (resumed run == uninterrupted
 //! run relies on every update being a reproducible FP operation sequence).
 
-use hetgmp_embedding::{BatchScratch, ShardedTable, SparseOpt};
 use hetgmp_embedding::RowStore;
+use hetgmp_embedding::{BatchScratch, ShardedTable, SparseOpt};
 use hetgmp_partition::Partition;
 use proptest::prelude::*;
 
@@ -30,10 +30,8 @@ fn opt_strategy() -> impl Strategy<Value = SparseOpt> {
 fn workload_strategy() -> impl Strategy<Value = Workload> {
     (2usize..600, 1usize..24, 0u64..u64::MAX, opt_strategy()).prop_flat_map(
         |(num_rows, dim, seed, opt)| {
-            let batches = prop::collection::vec(
-                prop::collection::vec(0..num_rows as u32, 1..64),
-                1..6,
-            );
+            let batches =
+                prop::collection::vec(prop::collection::vec(0..num_rows as u32, 1..64), 1..6);
             batches.prop_map(move |batches| Workload {
                 num_rows,
                 dim,

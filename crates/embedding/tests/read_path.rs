@@ -361,8 +361,7 @@ fn lfu_fill_planner_dedups_rows_before_batched_read() {
     // reach the store exactly once per batch.
     let part = Partition::new(2, vec![0, 1], vec![1; 16]);
     for path in [ReadPath::Snapshot, ReadPath::Locked] {
-        let mut w =
-            CachedWorkerEmbedding::new(0, &store, &part, 8, StalenessBound::Bounded(10));
+        let mut w = CachedWorkerEmbedding::new(0, &store, &part, 8, StalenessBound::Bounded(10));
         w.set_read_path(path);
         // Duplicate hot keys within and across samples.
         let samples: Vec<&[u32]> = vec![&[7, 7, 9, 7], &[9, 7, 2]];
@@ -404,7 +403,10 @@ fn replica_worker_warm_loads_through_one_batched_read() {
     let mut w = WorkerEmbedding::new(0, &store, &part, &freq, StalenessBound::Infinite);
     // Set-up is exactly one deduplicated batched read of the secondaries —
     // on a tiered table a per-row warm-load is a page fault per replica.
-    assert_eq!(*store.batched_reads.lock().unwrap(), vec![secondaries.to_vec()]);
+    assert_eq!(
+        *store.batched_reads.lock().unwrap(),
+        vec![secondaries.to_vec()]
+    );
     assert_eq!(store.per_row_reads.load(Ordering::Relaxed), 0);
     // The replicas hold the primaries' bits: under an infinite bound they
     // are served from the cache, with no further table read.
@@ -416,7 +418,10 @@ fn replica_worker_warm_loads_through_one_batched_read() {
     for (k, &e) in secondaries.iter().enumerate() {
         table.read_row(e, &mut expect);
         assert_eq!(
-            out[k * 4..(k + 1) * 4].iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            out[k * 4..(k + 1) * 4]
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>(),
             expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             "replica of row {e}"
         );
@@ -438,6 +443,9 @@ fn replica_worker_sync_all_is_one_batched_read_of_exactly_the_replicas() {
     let mut w = WorkerEmbedding::new(0, &store, &part, &freq, StalenessBound::Bounded(10));
     store.batched_reads.lock().unwrap().clear();
     assert_eq!(w.sync_all().iter().sum::<u64>(), secondaries.len() as u64);
-    assert_eq!(*store.batched_reads.lock().unwrap(), vec![vec![2u32, 17, 41, 63]]);
+    assert_eq!(
+        *store.batched_reads.lock().unwrap(),
+        vec![vec![2u32, 17, 41, 63]]
+    );
     assert_eq!(store.per_row_reads.load(Ordering::Relaxed), 0);
 }

@@ -189,7 +189,10 @@ fn recycled_buffers_never_leak_between_pages() {
         ],
     });
     assert!(stats.fault_loads >= 8, "every step should fault: {stats:?}");
-    assert!(stats.writebacks >= 4, "dirty pages must round-trip: {stats:?}");
+    assert!(
+        stats.writebacks >= 4,
+        "dirty pages must round-trip: {stats:?}"
+    );
 }
 
 proptest! {

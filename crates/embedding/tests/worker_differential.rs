@@ -40,11 +40,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hetgmp_comms::ErrorFeedback;
+use hetgmp_embedding::RowStore;
 use hetgmp_embedding::{
     CachedWorkerEmbedding, EmbeddingWorker, LfuCache, ReadReport, SecondaryCache, ShardedTable,
     SparseOpt, StalenessBound, SyncFormat, UpdateReport, WorkerEmbedding, WriteExchange,
 };
-use hetgmp_embedding::RowStore;
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{AuditMode, ProtocolAuditor};
 use proptest::prelude::*;
@@ -135,7 +135,8 @@ impl<'a> ReferenceWorker<'a> {
         let flushed = self.cache.take_pending(e, &mut grad);
         self.cache.install(e, row, clock);
         if flushed {
-            self.cache.apply_local_delta(e, &self.deltas.remove(&e).unwrap());
+            self.cache
+                .apply_local_delta(e, &self.deltas.remove(&e).unwrap());
             self.cache.read(e, row);
             self.stash.push((e, grad));
             self.count_remote_read(e, report);
@@ -240,7 +241,8 @@ impl<'a> ReferenceWorker<'a> {
                         resolved.insert(victim, row);
                         report.inter_syncs += 1;
                         self.count_remote_read(victim, &mut report);
-                        report.add_src_meta(self.part.primary_of(victim), self.part.num_partitions());
+                        report
+                            .add_src_meta(self.part.primary_of(victim), self.part.num_partitions());
                     }
                 }
             }
@@ -852,7 +854,11 @@ fn check_write_order<W: Probe>(
             let before = pending(&workers[w]);
             let report = workers[w].read_batch(&samples, &mut out);
             let after = pending(&workers[w]);
-            flushes.sync += before.iter().zip(&after).filter(|&(&b, &a)| b && !a).count();
+            flushes.sync += before
+                .iter()
+                .zip(&after)
+                .filter(|&(&b, &a)| b && !a)
+                .count();
             reads[w] = Some((report, out));
         }
         for w in (0..n).filter(active) {

@@ -35,8 +35,7 @@ impl Artifact {
     /// Loads and classifies the artifact at `path`.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, HetGmpError> {
         let path = path.as_ref();
-        let text =
-            std::fs::read_to_string(path).map_err(|e| HetGmpError::io(path, e))?;
+        let text = std::fs::read_to_string(path).map_err(|e| HetGmpError::io(path, e))?;
         Self::parse(&text).map_err(|(line, reason)| HetGmpError::data(path, line, reason))
     }
 
@@ -75,7 +74,10 @@ impl Artifact {
             let manifest = (doc.get("event").and_then(Json::as_str) == Some("manifest"))
                 .then(|| doc.get("manifest").and_then(RunManifest::from_json))
                 .flatten();
-            return Ok(Artifact::Telemetry { manifest, records: vec![doc] });
+            return Ok(Artifact::Telemetry {
+                manifest,
+                records: vec![doc],
+            });
         }
         let manifest = doc
             .get("manifest")
@@ -152,7 +154,11 @@ mod tests {
         assert_eq!(a.manifest(), Some(&m));
         let fin = a.final_record().expect("final record");
         assert_eq!(
-            fin.get("counters").unwrap().get("traffic.bytes.embed_data").unwrap().as_u64(),
+            fin.get("counters")
+                .unwrap()
+                .get("traffic.bytes.embed_data")
+                .unwrap()
+                .as_u64(),
             Some(10)
         );
     }
@@ -181,10 +187,9 @@ mod tests {
 
     #[test]
     fn flatten_walks_nested_objects_and_arrays() {
-        let doc = Json::parse(
-            r#"{"a":{"b":1,"c":2.5},"arr":[3,{"d":4}],"s":"skip","n":null,"t":true}"#,
-        )
-        .unwrap();
+        let doc =
+            Json::parse(r#"{"a":{"b":1,"c":2.5},"arr":[3,{"d":4}],"s":"skip","n":null,"t":true}"#)
+                .unwrap();
         let mut out = Vec::new();
         flatten_numeric(&doc, "", &mut out);
         assert_eq!(

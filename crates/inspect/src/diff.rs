@@ -97,7 +97,10 @@ pub fn diff_artifacts(
         "metric", "baseline", "candidate", "delta"
     );
     let mut only_a = 0usize;
-    let only_b = metrics_b.keys().filter(|k| !metrics_a.contains_key(*k)).count();
+    let only_b = metrics_b
+        .keys()
+        .filter(|k| !metrics_a.contains_key(*k))
+        .count();
     for (name, &va) in &metrics_a {
         let Some(&vb) = metrics_b.get(name) else {
             only_a += 1;
@@ -142,7 +145,11 @@ pub fn diff_artifacts(
         ),
     };
 
-    Ok(DiffOutcome { report: out, regressions, manifest_warning })
+    Ok(DiffOutcome {
+        report: out,
+        regressions,
+        manifest_warning,
+    })
 }
 
 #[derive(Debug, PartialEq, Clone, Copy)]
@@ -234,7 +241,11 @@ mod tests {
         let b = bench(94000.0, 1.0, 42);
         let out = diff_artifacts(&a, &b, &DiffOptions::default()).unwrap();
         assert_eq!(out.regressions.len(), 1, "{}", out.report);
-        assert!(out.regressions[0].contains("samples_per_sec"), "{}", out.report);
+        assert!(
+            out.regressions[0].contains("samples_per_sec"),
+            "{}",
+            out.report
+        );
         assert!(out.manifest_warning.is_none(), "{:?}", out.manifest_warning);
         assert!(out.report.contains("REGRESSION"), "{}", out.report);
     }
@@ -258,7 +269,14 @@ mod tests {
         assert_eq!(out.regressions.len(), 1, "{}", out.report);
         assert!(out.regressions[0].contains("stall_pct"), "{}", out.report);
         // With a 25% threshold the same 20% rise passes.
-        let out = diff_artifacts(&a, &b, &DiffOptions { threshold_pct: 25.0 }).unwrap();
+        let out = diff_artifacts(
+            &a,
+            &b,
+            &DiffOptions {
+                threshold_pct: 25.0,
+            },
+        )
+        .unwrap();
         assert!(out.regressions.is_empty(), "{}", out.report);
     }
 
@@ -292,7 +310,11 @@ mod tests {
         // auc dropped 6.7% -> regression; traffic has no direction -> reported only.
         assert_eq!(out.regressions.len(), 1, "{}", out.report);
         assert!(out.regressions[0].contains("auc"), "{}", out.report);
-        assert!(out.report.contains("traffic.bytes.embed_data"), "{}", out.report);
+        assert!(
+            out.report.contains("traffic.bytes.embed_data"),
+            "{}",
+            out.report
+        );
         // Neither side has a manifest: nothing to warn about.
         assert!(out.manifest_warning.is_none());
     }

@@ -51,7 +51,10 @@ pub fn render_gantt(artifact: &Artifact) -> Result<String, HetGmpError> {
         let name = e.get("name").and_then(Json::as_str).unwrap_or("");
         match ph {
             "M" => {
-                if let Some(label) = e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str)
+                if let Some(label) = e
+                    .get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Json::as_str)
                 {
                     match name {
                         "process_name" => {
@@ -67,7 +70,10 @@ pub fn render_gantt(artifact: &Artifact) -> Result<String, HetGmpError> {
             "X" => {
                 let ts_us = e.get("ts").and_then(Json::as_f64).unwrap_or(0.0);
                 let dur_us = e.get("dur").and_then(Json::as_f64).unwrap_or(0.0);
-                tracks.entry((pid, tid)).or_default().push(Span { ts_us, dur_us });
+                tracks
+                    .entry((pid, tid))
+                    .or_default()
+                    .push(Span { ts_us, dur_us });
                 if let Some(stage) = name.strip_prefix(names::TRACE_STAGE_PREFIX) {
                     let entry = stages.entry(stage.to_string()).or_insert((0, 0.0));
                     entry.0 += 1;
@@ -134,7 +140,15 @@ pub fn render_gantt(artifact: &Artifact) -> Result<String, HetGmpError> {
         }
         let grid: String = busy
             .iter()
-            .map(|&b| if b > 0.5 { '#' } else if b > 0.0 { '.' } else { ' ' })
+            .map(|&b| {
+                if b > 0.5 {
+                    '#'
+                } else if b > 0.0 {
+                    '.'
+                } else {
+                    ' '
+                }
+            })
             .collect();
         let util = 100.0 * total_busy / range;
         let label = track_label(key, &process_names, &thread_names);
@@ -144,11 +158,19 @@ pub fn render_gantt(artifact: &Artifact) -> Result<String, HetGmpError> {
     if !stages.is_empty() {
         let stage_total: f64 = stages.values().map(|(_, d)| d).sum();
         let _ = writeln!(out, "\nstage occupancy (share of attributed span time)");
-        let _ = writeln!(out, "  {:<12} {:>8} {:>12} {:>8}", "stage", "spans", "total_ms", "share");
+        let _ = writeln!(
+            out,
+            "  {:<12} {:>8} {:>12} {:>8}",
+            "stage", "spans", "total_ms", "share"
+        );
         // Canonical stage order first, then anything unexpected.
         for stage in names::PIPELINE_STAGES {
             if let Some((count, dur)) = stages.get(stage) {
-                let share = if stage_total > 0.0 { 100.0 * dur / stage_total } else { 0.0 };
+                let share = if stage_total > 0.0 {
+                    100.0 * dur / stage_total
+                } else {
+                    0.0
+                };
                 let _ = writeln!(
                     out,
                     "  {stage:<12} {count:>8} {:>12.3} {share:>7.1}%",
@@ -158,7 +180,11 @@ pub fn render_gantt(artifact: &Artifact) -> Result<String, HetGmpError> {
         }
         for (stage, (count, dur)) in &stages {
             if !names::PIPELINE_STAGES.contains(&stage.as_str()) {
-                let share = if stage_total > 0.0 { 100.0 * dur / stage_total } else { 0.0 };
+                let share = if stage_total > 0.0 {
+                    100.0 * dur / stage_total
+                } else {
+                    0.0
+                };
                 let _ = writeln!(
                     out,
                     "  {stage:<12} {count:>8} {:>12.3} {share:>7.1}%",
@@ -192,8 +218,10 @@ mod tests {
     use super::*;
 
     fn trace(events: &str) -> Artifact {
-        Artifact::parse(&format!("{{\"traceEvents\": [{events}], \"displayTimeUnit\": \"ms\"}}"))
-            .unwrap()
+        Artifact::parse(&format!(
+            "{{\"traceEvents\": [{events}], \"displayTimeUnit\": \"ms\"}}"
+        ))
+        .unwrap()
     }
 
     #[test]
@@ -217,9 +245,8 @@ mod tests {
 
     #[test]
     fn gantt_handles_empty_trace_and_rejects_logs() {
-        let a = trace(
-            r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"workers"}}"#,
-        );
+        let a =
+            trace(r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"workers"}}"#);
         let g = render_gantt(&a).unwrap();
         assert!(g.contains("metadata-only"), "{g}");
 

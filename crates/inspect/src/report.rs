@@ -53,7 +53,11 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
             m.workers,
             m.gemm_isa.as_deref().unwrap_or("unknown"),
             m.git_rev,
-            if m.git_dirty == Some(true) { "+dirty" } else { "" },
+            if m.git_dirty == Some(true) {
+                "+dirty"
+            } else {
+                ""
+            },
             m.build_profile,
         );
     } else {
@@ -73,7 +77,9 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
             .unwrap_or(0.0)
     };
     let gauge = |name: &str| -> Option<f64> {
-        fin.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_f64)
+        fin.get("gauges")
+            .and_then(|g| g.get(name))
+            .and_then(Json::as_f64)
     };
 
     // ---- Algorithm 1 (present only when the hybrid partitioner ran) -----
@@ -124,10 +130,18 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         .collect();
     let total_bytes: f64 = bytes.iter().sum();
     let _ = writeln!(out, "\ntraffic breakdown (Fig. 8)");
-    let _ = writeln!(out, "  {:<12} {:>14} {:>8} {:>10}", "class", "bytes", "share", "messages");
+    let _ = writeln!(
+        out,
+        "  {:<12} {:>14} {:>8} {:>10}",
+        "class", "bytes", "share", "messages"
+    );
     for (class, b) in TRAFFIC_CLASSES.iter().zip(&bytes) {
         let msgs = counter(&format!("{}{class}", names::TRAFFIC_MESSAGES_PREFIX));
-        let share = if total_bytes > 0.0 { 100.0 * b / total_bytes } else { 0.0 };
+        let share = if total_bytes > 0.0 {
+            100.0 * b / total_bytes
+        } else {
+            0.0
+        };
         let _ = writeln!(out, "  {class:<12} {b:>14.0} {share:>7.1}% {msgs:>10.0}");
     }
 
@@ -136,7 +150,10 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
     // their sums are the totals. Gauges/counters are accepted as fallbacks
     // so hand-rolled logs still report.
     let hist_sum = |name: &str| -> Option<f64> {
-        fin.get("histograms")?.get(name)?.get("sum").and_then(Json::as_f64)
+        fin.get("histograms")?
+            .get(name)?
+            .get("sum")
+            .and_then(Json::as_f64)
     };
     let secs: Vec<f64> = TIME_CATEGORIES
         .iter()
@@ -149,12 +166,20 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         .collect();
     let total_secs: f64 = secs.iter().sum();
     let _ = writeln!(out, "\nsimulated time breakdown");
-    let _ = writeln!(out, "  {:<20} {:>12} {:>8}", "category", "sim_secs", "share");
+    let _ = writeln!(
+        out,
+        "  {:<20} {:>12} {:>8}",
+        "category", "sim_secs", "share"
+    );
     for (cat, s) in TIME_CATEGORIES.iter().zip(&secs) {
         if *s == 0.0 {
             continue;
         }
-        let share = if total_secs > 0.0 { 100.0 * s / total_secs } else { 0.0 };
+        let share = if total_secs > 0.0 {
+            100.0 * s / total_secs
+        } else {
+            0.0
+        };
         let _ = writeln!(out, "  {cat:<20} {s:>12.4} {share:>7.1}%");
     }
 
@@ -167,10 +192,14 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         .and_then(Json::as_obj)
         .unwrap_or(&[])
         .iter()
-        .filter_map(|(k, _)| k.strip_prefix(names::TRAFFIC_LINK_PREFIX)?.strip_suffix(".transfers"))
+        .filter_map(|(k, _)| {
+            k.strip_prefix(names::TRAFFIC_LINK_PREFIX)?
+                .strip_suffix(".transfers")
+        })
         .collect();
     if !link_classes.is_empty() {
-        let link = |class: &str, what: &str| format!("{}{class}.{what}", names::TRAFFIC_LINK_PREFIX);
+        let link =
+            |class: &str, what: &str| format!("{}{class}.{what}", names::TRAFFIC_LINK_PREFIX);
         let _ = writeln!(out, "\nlinks (grouped exchange, summed over workers)");
         let _ = writeln!(
             out,
@@ -181,9 +210,16 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         for class in link_classes {
             let lat = gauge(&link(class, "latency_secs")).unwrap_or(0.0);
             let bw = gauge(&link(class, "bandwidth_secs")).unwrap_or(0.0);
-            let share = if lat + bw > 0.0 { 100.0 * lat / (lat + bw) } else { 0.0 };
+            let share = if lat + bw > 0.0 {
+                100.0 * lat / (lat + bw)
+            } else {
+                0.0
+            };
             let n = counter(&link(class, "transfers"));
-            let _ = writeln!(out, "  {class:<14} {n:>10.0} {lat:>14.4} {bw:>16.4} {share:>8.1}%");
+            let _ = writeln!(
+                out,
+                "  {class:<14} {n:>10.0} {lat:>14.4} {bw:>16.4} {share:>8.1}%"
+            );
             lat_total += lat;
             busy_total += lat + bw;
         }
@@ -198,16 +234,20 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
 
     // ---- Per-stage simulated attribution ---------------------------------
     let stage_hist = |stage: &str, kind: &str| -> Option<(f64, f64, f64)> {
-        let h = fin
-            .get("histograms")?
-            .get(&format!("{}{stage}.{kind}_secs", names::PIPELINE_STAGE_PREFIX))?;
+        let h = fin.get("histograms")?.get(&format!(
+            "{}{stage}.{kind}_secs",
+            names::PIPELINE_STAGE_PREFIX
+        ))?;
         Some((
             h.get("count")?.as_f64()?,
             h.get("sum")?.as_f64()?,
             h.get("p95").and_then(Json::as_f64).unwrap_or(0.0),
         ))
     };
-    if names::PIPELINE_STAGES.iter().any(|s| stage_hist(s, "sim").is_some()) {
+    if names::PIPELINE_STAGES
+        .iter()
+        .any(|s| stage_hist(s, "sim").is_some())
+    {
         let _ = writeln!(out, "\npipeline stages (simulated, per batch)");
         let _ = writeln!(
             out,
@@ -216,10 +256,7 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         );
         for stage in names::PIPELINE_STAGES {
             if let Some((count, sum, p95)) = stage_hist(stage, "sim") {
-                let _ = writeln!(
-                    out,
-                    "  {stage:<12} {count:>10.0} {sum:>12.4} {p95:>12.6}"
-                );
+                let _ = writeln!(out, "  {stage:<12} {count:>10.0} {sum:>12.4} {p95:>12.6}");
             }
         }
     }
@@ -257,7 +294,11 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         // nondeterministic figures only.
         if wall {
             for (what, secs, bytes) in [
-                ("load", names::CAPACITY_FAULT_LOAD_SECS, names::CAPACITY_SPILL_BYTES_READ),
+                (
+                    "load",
+                    names::CAPACITY_FAULT_LOAD_SECS,
+                    names::CAPACITY_SPILL_BYTES_READ,
+                ),
                 (
                     "write-back",
                     names::CAPACITY_FAULT_WRITEBACK_SECS,
@@ -291,7 +332,11 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
         let _ = writeln!(
             out,
             "\nread path: {}",
-            if mode >= 1.0 { "snapshot (default)" } else { "locked (differential oracle)" }
+            if mode >= 1.0 {
+                "snapshot (default)"
+            } else {
+                "locked (differential oracle)"
+            }
         );
     }
 
@@ -327,14 +372,20 @@ pub fn render_report(artifact: &Artifact, wall: bool) -> Result<String, HetGmpEr
             let retries = counter(names::HOTPATH_READ_RETRIES);
             let fallback = counter(names::HOTPATH_READ_FALLBACK);
             let attempts = snap + retries;
-            let retry_rate = if attempts > 0.0 { retries / attempts } else { 0.0 };
+            let retry_rate = if attempts > 0.0 {
+                retries / attempts
+            } else {
+                0.0
+            };
             let _ = writeln!(
                 out,
                 "  hotpath.read: snapshot={snap:.0} fallback={fallback:.0} \
                  retries={retries:.0} (retry rate {retry_rate:.4})"
             );
         }
-        let any_wall = names::PIPELINE_STAGES.iter().any(|s| stage_hist(s, "wall").is_some());
+        let any_wall = names::PIPELINE_STAGES
+            .iter()
+            .any(|s| stage_hist(s, "wall").is_some());
         if any_wall {
             let _ = writeln!(out, "  per-stage wall histograms (per batch):");
             for stage in names::PIPELINE_STAGES {
@@ -413,8 +464,14 @@ mod tests {
         let r = render_report(&Artifact::parse(&log).unwrap(), false).unwrap();
         assert!(r.contains("links (grouped exchange"), "{r}");
         assert!(r.contains("pcie3"), "{r}");
-        assert!(r.contains("75.0%") && r.contains("25.0%"), "per-class shares: {r}");
-        assert!(r.contains("latency share of charged link time: 50.0%"), "{r}");
+        assert!(
+            r.contains("75.0%") && r.contains("25.0%"),
+            "per-class shares: {r}"
+        );
+        assert!(
+            r.contains("latency share of charged link time: 50.0%"),
+            "{r}"
+        );
     }
 
     #[test]
@@ -497,7 +554,10 @@ mod tests {
         // Partitioning time is wall time: absent by default.
         assert!(!r.contains("wall time"), "{r}");
         let w = render_report(&a, true).unwrap();
-        assert!(w.contains(&format!("{section}  wall time: 0.0731 s\n")), "{w}");
+        assert!(
+            w.contains(&format!("{section}  wall time: 0.0731 s\n")),
+            "{w}"
+        );
     }
 
     #[test]
@@ -505,7 +565,10 @@ mod tests {
         // Logs written before the read-path knob existed have no mode
         // gauge: no section, deterministic or wall.
         let a = Artifact::parse(&sample_log()).unwrap();
-        assert!(!render_report(&a, true).unwrap().contains("read path"), "old log grew a section");
+        assert!(
+            !render_report(&a, true).unwrap().contains("read path"),
+            "old log grew a section"
+        );
 
         let m = RunManifest::new(7, RunManifest::digest_of("cfg"), 1);
         let log = format!(
@@ -536,8 +599,10 @@ mod tests {
     fn report_rejects_documents_and_finalless_logs() {
         let doc = Artifact::parse("{\"samples_per_sec\": 10}").unwrap();
         assert!(render_report(&doc, false).is_err());
-        let log = Artifact::parse("{\"event\":\"epoch\",\"epoch\":1}\n{\"event\":\"epoch\",\"epoch\":2}\n")
-            .unwrap();
+        let log = Artifact::parse(
+            "{\"event\":\"epoch\",\"epoch\":1}\n{\"event\":\"epoch\",\"epoch\":2}\n",
+        )
+        .unwrap();
         assert!(render_report(&log, false).is_err());
     }
 }

@@ -85,10 +85,7 @@ mod tests {
     fn embeddings_follow_majority() {
         // Embedding 0 used only by samples on partition 1 (ids 1, 5, 9 with
         // round robin over 4).
-        let g = Bigraph::from_samples(
-            4,
-            &[vec![1], vec![0], vec![1], vec![0]],
-        );
+        let g = Bigraph::from_samples(4, &[vec![1], vec![0], vec![1], vec![0]]);
         let p = bicut_partition(&g, 2);
         // Samples 0,2 → partition 0; samples 1,3 → partition 1.
         assert_eq!(p.primary_of(1), 0); // used by samples 0 and 2

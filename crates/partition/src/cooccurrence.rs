@@ -140,9 +140,7 @@ mod tests {
         let co = planted(3, 12);
         let clustered = cluster_cooccurrence(&co, 3, 5);
         let strided: Vec<u32> = (0..co.num_nodes()).map(|i| (i % 3) as u32).collect();
-        assert!(
-            co.diagonal_density(&clustered, 3) > co.diagonal_density(&strided, 3) + 0.3
-        );
+        assert!(co.diagonal_density(&clustered, 3) > co.diagonal_density(&strided, 3) + 0.3);
     }
 
     #[test]

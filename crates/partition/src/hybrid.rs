@@ -292,7 +292,11 @@ mod tests {
         assert!(m1.replication_factor > 1.0);
         // The hot embedding 0 (every sample reads it) must be replicated
         // widely.
-        assert!(p1.replica_count(0) >= 3, "hot emb replicas: {}", p1.replica_count(0));
+        assert!(
+            p1.replica_count(0) >= 3,
+            "hot emb replicas: {}",
+            p1.replica_count(0)
+        );
     }
 
     #[test]
@@ -356,10 +360,18 @@ mod tests {
                 );
             }
             for s in 0..g.num_samples() as u32 {
-                assert_eq!(base.sample_owner(s), p.sample_owner(s), "{threads} threads, sample {s}");
+                assert_eq!(
+                    base.sample_owner(s),
+                    p.sample_owner(s),
+                    "{threads} threads, sample {s}"
+                );
             }
             for e in 0..g.num_embeddings() as u32 {
-                assert_eq!(base.primary_of(e), p.primary_of(e), "{threads} threads, emb {e}");
+                assert_eq!(
+                    base.primary_of(e),
+                    p.primary_of(e),
+                    "{threads} threads, emb {e}"
+                );
                 for i in 0..4u32 {
                     assert_eq!(
                         base.is_secondary(e, i),

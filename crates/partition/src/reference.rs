@@ -506,8 +506,12 @@ mod tests {
             };
             let initial = random_partition(&g, 4, 7);
             check_states(&g, &initial, &cfg.onedee, &w, 5, threads);
-            let (part, stats) = HybridPartitioner::new(cfg.clone())
-                .partition_weighted(&g, initial.clone(), &w, threads);
+            let (part, stats) = HybridPartitioner::new(cfg.clone()).partition_weighted(
+                &g,
+                initial.clone(),
+                &w,
+                threads,
+            );
             let (ref_part, ref_stats) = reference_partition(&g, &initial, &cfg, &w);
             assert_same_partition(&g, &part, &ref_part, "final");
             for (a, b) in stats.iter().zip(&ref_stats) {

@@ -161,7 +161,11 @@ impl Partition {
         if self.emb_primary.is_empty() {
             return 1.0;
         }
-        let total: u64 = self.replica_mask.iter().map(|m| m.count_ones() as u64).sum();
+        let total: u64 = self
+            .replica_mask
+            .iter()
+            .map(|m| m.count_ones() as u64)
+            .sum();
         total as f64 / self.emb_primary.len() as f64
     }
 

@@ -134,9 +134,7 @@ mod tests {
     /// Embedding 0 is globally hot (used by every sample); embeddings 1..5
     /// are cold and local.
     fn hot_graph() -> Bigraph {
-        let rows: Vec<Vec<u32>> = (0..20)
-            .map(|i| vec![0u32, 1 + (i % 5) as u32])
-            .collect();
+        let rows: Vec<Vec<u32>> = (0..20).map(|i| vec![0u32, 1 + (i % 5) as u32]).collect();
         Bigraph::from_samples(6, &rows)
     }
 
@@ -153,11 +151,7 @@ mod tests {
         let g = hot_graph();
         let mut p = base_partition();
         let before = PartitionMetrics::compute(&g, &p).remote_fetches;
-        let created = replicate_hot_embeddings(
-            &g,
-            &mut p,
-            ReplicationBudget::PerPartitionSlots(1),
-        );
+        let created = replicate_hot_embeddings(&g, &mut p, ReplicationBudget::PerPartitionSlots(1));
         assert!(created >= 1);
         // Partition 1's single slot must go to embedding 0 (hottest remote).
         assert!(p.is_secondary(0, 1));
@@ -184,7 +178,10 @@ mod tests {
         let replicas = p.replicas_per_partition();
         let primaries = p.primaries_per_partition();
         for k in 0..2 {
-            assert!(replicas[k] - primaries[k] <= 2, "budget exceeded: {replicas:?}");
+            assert!(
+                replicas[k] - primaries[k] <= 2,
+                "budget exceeded: {replicas:?}"
+            );
         }
     }
 

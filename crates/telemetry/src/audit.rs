@@ -200,7 +200,9 @@ impl AuditSummary {
 
     /// The error a strict run should surface, if it tripped.
     pub fn to_error(&self) -> Option<HetGmpError> {
-        self.strict_failure.as_ref().map(|m| HetGmpError::audit(m.clone()))
+        self.strict_failure
+            .as_ref()
+            .map(|m| HetGmpError::audit(m.clone()))
     }
 
     /// JSON form, embedded in JSONL records and `TrainResult` dumps.

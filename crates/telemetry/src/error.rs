@@ -140,16 +140,14 @@ impl fmt::Display for HetGmpError {
             Self::Io { path, source } => {
                 write!(f, "I/O error on {}: {source}", path.display())
             }
-            Self::Data { path, line, reason } => {
-                match (path, line) {
-                    (Some(p), 0) => write!(f, "malformed data in {}: {reason}", p.display()),
-                    (Some(p), n) => {
-                        write!(f, "malformed data in {} (line {n}): {reason}", p.display())
-                    }
-                    (None, 0) => write!(f, "malformed data: {reason}"),
-                    (None, n) => write!(f, "malformed data (line {n}): {reason}"),
+            Self::Data { path, line, reason } => match (path, line) {
+                (Some(p), 0) => write!(f, "malformed data in {}: {reason}", p.display()),
+                (Some(p), n) => {
+                    write!(f, "malformed data in {} (line {n}): {reason}", p.display())
                 }
-            }
+                (None, 0) => write!(f, "malformed data: {reason}"),
+                (None, n) => write!(f, "malformed data (line {n}): {reason}"),
+            },
             Self::Checkpoint { path, reason } => {
                 write!(f, "bad checkpoint {}: {reason}", path.display())
             }

@@ -95,8 +95,7 @@ impl JsonlWriter {
         extra: &[(&str, Json)],
         snapshot: &TelemetrySnapshot,
     ) -> Result<(), HetGmpError> {
-        let mut members: Vec<(String, Json)> =
-            vec![("event".to_string(), Json::from(event))];
+        let mut members: Vec<(String, Json)> = vec![("event".to_string(), Json::from(event))];
         for (k, v) in extra {
             members.push((k.to_string(), v.clone()));
         }
@@ -142,7 +141,11 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with(r#"{"event":"epoch","epoch":1,"#), "{}", lines[0]);
+        assert!(
+            lines[0].starts_with(r#"{"event":"epoch","epoch":1,"#),
+            "{}",
+            lines[0]
+        );
         assert!(lines[0].contains(r#""traffic.bytes.embed_data":123"#));
         assert!(lines[1].starts_with(r#"{"event":"final","#));
         for line in lines {
@@ -158,15 +161,14 @@ mod tests {
 
     #[test]
     fn create_makes_missing_parent_directories() {
-        let dir = std::env::temp_dir().join(format!(
-            "hetgmp-telemetry-parents-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("hetgmp-telemetry-parents-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("deep/nested/out.jsonl");
 
         let mut w = JsonlWriter::create(&path).unwrap();
-        w.write_record(&Json::obj([("ok", Json::Bool(true))])).unwrap();
+        w.write_record(&Json::obj([("ok", Json::Bool(true))]))
+            .unwrap();
         w.flush().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -186,10 +188,8 @@ mod tests {
     fn create_on_bad_path_is_io_error_with_path() {
         // A *file* in the parent-directory position still fails: the
         // directory chain cannot be created through it.
-        let dir = std::env::temp_dir().join(format!(
-            "hetgmp-telemetry-badpath-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("hetgmp-telemetry-badpath-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let blocker = dir.join("blocker");
         std::fs::write(&blocker, b"not a directory").unwrap();

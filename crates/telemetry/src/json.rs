@@ -27,12 +27,7 @@ pub enum Json {
 impl Json {
     /// Convenience constructor for object members built inline.
     pub fn obj(members: impl IntoIterator<Item = (impl Into<String>, Json)>) -> Json {
-        Json::Obj(
-            members
-                .into_iter()
-                .map(|(k, v)| (k.into(), v))
-                .collect(),
-        )
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Renders the value as compact JSON.
@@ -218,10 +213,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -364,8 +356,7 @@ impl<'a> Parser<'a> {
         }
         let hex = std::str::from_utf8(&self.bytes[self.pos..end])
             .map_err(|_| "invalid \\u escape".to_string())?;
-        let code =
-            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())?;
         self.pos = end;
         Ok(code)
     }
@@ -464,8 +455,9 @@ mod tests {
 
     #[test]
     fn parse_handles_whitespace_numbers_and_escapes() {
-        let v = Json::parse(" { \"a\" : [ 1 , 2.5e1 , -3 ] , \"s\" : \"x\\u0041\\ud83d\\ude00\" } ")
-            .unwrap();
+        let v =
+            Json::parse(" { \"a\" : [ 1 , 2.5e1 , -3 ] , \"s\" : \"x\\u0041\\ud83d\\ude00\" } ")
+                .unwrap();
         assert_eq!(
             v.get("a").unwrap().as_arr().unwrap(),
             &[Json::U64(1), Json::F64(25.0), Json::F64(-3.0)]

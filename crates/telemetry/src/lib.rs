@@ -297,6 +297,9 @@ mod tests {
         let r = Recorder::new();
         let name = format!("{}embed_data", names::TRAFFIC_BYTES_PREFIX);
         r.counter_add(&name, 64);
-        assert_eq!(r.snapshot().counter_prefix_sum(names::TRAFFIC_BYTES_PREFIX), 64);
+        assert_eq!(
+            r.snapshot().counter_prefix_sum(names::TRAFFIC_BYTES_PREFIX),
+            64
+        );
     }
 }

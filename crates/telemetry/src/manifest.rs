@@ -85,7 +85,10 @@ impl RunManifest {
             ("git_rev", Json::from(self.git_rev.as_str())),
             ("git_dirty", self.git_dirty.map_or(Json::Null, Json::Bool)),
             ("build_profile", Json::from(self.build_profile.as_str())),
-            ("gemm_isa", self.gemm_isa.as_deref().map_or(Json::Null, Json::from)),
+            (
+                "gemm_isa",
+                self.gemm_isa.as_deref().map_or(Json::Null, Json::from),
+            ),
         ])
     }
 
@@ -204,7 +207,11 @@ mod tests {
         b.git_rev = "feedfeedfeed".to_string();
         b.git_dirty = Some(a.git_dirty != Some(true));
         let lines = a.mismatches(&b);
-        assert_eq!(lines.len(), 1, "git_rev/git_dirty must not be flagged: {lines:?}");
+        assert_eq!(
+            lines.len(),
+            1,
+            "git_rev/git_dirty must not be flagged: {lines:?}"
+        );
         assert!(lines[0].starts_with("seed:"), "{lines:?}");
     }
 
@@ -232,7 +239,10 @@ mod tests {
         assert!(sample().mismatches(&back).is_empty());
         let mut other = sample();
         other.gemm_isa = Some("avx512f".to_string());
-        assert_eq!(sample().mismatches(&other), vec!["gemm_isa: avx2 vs avx512f".to_string()]);
+        assert_eq!(
+            sample().mismatches(&other),
+            vec!["gemm_isa: avx2 vs avx512f".to_string()]
+        );
     }
 
     #[test]

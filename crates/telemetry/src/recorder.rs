@@ -160,7 +160,10 @@ mod tests {
             observed.histogram_observe("h", v);
         }
         merged.histogram_merge("h", &local);
-        assert_eq!(merged.snapshot().histogram("h"), observed.snapshot().histogram("h"));
+        assert_eq!(
+            merged.snapshot().histogram("h"),
+            observed.snapshot().histogram("h")
+        );
 
         // Merging an empty summary must not materialise an empty histogram.
         merged.histogram_merge("untouched", &HistogramSummary::empty());

@@ -67,7 +67,10 @@ mod tests {
         assert_eq!(s.counter("traffic.bytes.embed_data"), 60);
         assert_eq!(s.histogram("time.compute_secs").count, 3);
         // Per-worker views stay separate.
-        assert_eq!(reg.worker(1).snapshot().counter("traffic.bytes.embed_data"), 20);
+        assert_eq!(
+            reg.worker(1).snapshot().counter("traffic.bytes.embed_data"),
+            20
+        );
         assert_eq!(reg.worker(1).snapshot().counter("partition.moves"), 0);
     }
 

@@ -334,7 +334,10 @@ mod tests {
     #[test]
     fn json_round_trips_key_facts() {
         let rendered = sample().to_json().render();
-        assert!(rendered.contains(r#""traffic.bytes.embed_data":100"#), "{rendered}");
+        assert!(
+            rendered.contains(r#""traffic.bytes.embed_data":100"#),
+            "{rendered}"
+        );
         assert!(rendered.contains(r#""count":2"#), "{rendered}");
         assert!(rendered.contains(r#""mean":3.0"#), "{rendered}");
     }
@@ -355,7 +358,8 @@ mod tests {
                 h.observe(*v);
             }
             for q in [0.50, 0.95, 0.99] {
-                let exact = sorted[((q * sorted.len() as f64).ceil() as usize - 1).min(sorted.len() - 1)];
+                let exact =
+                    sorted[((q * sorted.len() as f64).ceil() as usize - 1).min(sorted.len() - 1)];
                 let est = h.quantile(q);
                 assert!(
                     est >= exact / tol && est <= exact * tol,
@@ -409,7 +413,8 @@ mod tests {
     #[test]
     fn empty_histogram_exports_null_statistics() {
         let mut s = TelemetrySnapshot::default();
-        s.histograms.insert("empty.hist".into(), HistogramSummary::empty());
+        s.histograms
+            .insert("empty.hist".into(), HistogramSummary::empty());
         let rendered = s.to_json().render();
         assert!(
             rendered.contains(

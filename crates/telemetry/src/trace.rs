@@ -144,7 +144,9 @@ impl TraceCollector {
             level,
             capacity,
             epoch: Instant::now(),
-            workers: (0..num_workers).map(|_| Mutex::new(Ring::new(capacity))).collect(),
+            workers: (0..num_workers)
+                .map(|_| Mutex::new(Ring::new(capacity)))
+                .collect(),
             worker_now_us: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
             links: Mutex::new(BTreeMap::new()),
             driver: Mutex::new(Ring::new(capacity)),
@@ -200,7 +202,9 @@ impl TraceCollector {
     }
 
     fn make_args(args: &[(&str, Json)]) -> Vec<(String, Json)> {
-        args.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
+        args.iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect()
     }
 
     /// Records a span on worker `w`'s track. Times are simulated seconds.
@@ -212,7 +216,9 @@ impl TraceCollector {
         dur_secs: f64,
         args: &[(&str, Json)],
     ) {
-        let Some(ring) = self.workers.get(w) else { return };
+        let Some(ring) = self.workers.get(w) else {
+            return;
+        };
         let event = TraceEvent {
             track: TraceTrack::Worker(w),
             name: name.to_string(),
@@ -231,7 +237,9 @@ impl TraceCollector {
         if !self.enabled(TraceLevel::Sync) {
             return;
         }
-        let Some(ring) = self.workers.get(w) else { return };
+        let Some(ring) = self.workers.get(w) else {
+            return;
+        };
         let event = TraceEvent {
             track: TraceTrack::Worker(w),
             name: name.to_string(),
@@ -288,7 +296,12 @@ impl TraceCollector {
         for w in &self.workers {
             n += w.lock().events.len();
         }
-        n += self.links.lock().values().map(|r| r.events.len()).sum::<usize>();
+        n += self
+            .links
+            .lock()
+            .values()
+            .map(|r| r.events.len())
+            .sum::<usize>();
         n += self.driver.lock().events.len();
         n
     }
@@ -352,7 +365,12 @@ impl TraceCollector {
 
         events.push(meta(PID_WORKERS, 0, "process_name", "workers"));
         for w in 0..self.workers.len() {
-            events.push(meta(PID_WORKERS, w as u64, "thread_name", &format!("worker {w}")));
+            events.push(meta(
+                PID_WORKERS,
+                w as u64,
+                "thread_name",
+                &format!("worker {w}"),
+            ));
         }
 
         let links = self.links.lock();
@@ -364,7 +382,12 @@ impl TraceCollector {
         if !links.is_empty() {
             events.push(meta(PID_LINKS, 0, "process_name", "links"));
             for (label, tid) in &link_tid {
-                events.push(meta(PID_LINKS, *tid, "thread_name", &format!("link {label}")));
+                events.push(meta(
+                    PID_LINKS,
+                    *tid,
+                    "thread_name",
+                    &format!("link {label}"),
+                ));
             }
         }
         let driver = self.driver.lock();
@@ -377,7 +400,10 @@ impl TraceCollector {
             let instant = event.dur_us == 0.0;
             let mut members = vec![
                 ("name".to_string(), Json::from(event.name.as_str())),
-                ("ph".to_string(), Json::from(if instant { "i" } else { "X" })),
+                (
+                    "ph".to_string(),
+                    Json::from(if instant { "i" } else { "X" }),
+                ),
                 ("pid".to_string(), Json::U64(pid)),
                 ("tid".to_string(), Json::U64(tid)),
                 ("ts".to_string(), Json::F64(event.ts_us)),
@@ -498,7 +524,13 @@ mod tests {
         let c = TraceCollector::new(2, TraceLevel::Sync);
         c.worker_span(0, "trace.batch", 0.0, 0.010, &[("batch", Json::U64(0))]);
         c.worker_span(1, "trace.batch", 0.0, 0.012, &[]);
-        c.link_span("pcie3", "trace.link.transfer", 0.010, 0.002, &[("bytes", Json::U64(4096))]);
+        c.link_span(
+            "pcie3",
+            "trace.link.transfer",
+            0.010,
+            0.002,
+            &[("bytes", Json::U64(4096))],
+        );
         c.link_span("qpi", "trace.link.transfer", 0.010, 0.003, &[]);
         c.driver_span("trace.partition.round", 0.0, 0.5, &[]);
 
@@ -511,7 +543,7 @@ mod tests {
             r#""name":"link qpi""#,
             r#""name":"driver""#,
             r#""ph":"X""#,
-            r#""dur":2000.0"#,     // 0.002 s -> 2000 us on the pcie3 track
+            r#""dur":2000.0"#, // 0.002 s -> 2000 us on the pcie3 track
             r#""displayTimeUnit":"ms""#,
         ] {
             assert!(doc.contains(needle), "missing {needle} in:\n{doc}");
@@ -545,8 +577,7 @@ mod tests {
         assert_eq!(c.manifest(), Some(m.clone()));
         let doc = Json::parse(&c.to_chrome_json().render()).unwrap();
         let back =
-            RunManifest::from_json(doc.get("otherData").unwrap().get("manifest").unwrap())
-                .unwrap();
+            RunManifest::from_json(doc.get("otherData").unwrap().get("manifest").unwrap()).unwrap();
         assert_eq!(back, m);
     }
 

@@ -7,10 +7,7 @@ use proptest::prelude::*;
 
 /// Strategy: per-worker lists of (metric index, increment) operations.
 fn workloads() -> impl Strategy<Value = Vec<Vec<(usize, u64)>>> {
-    prop::collection::vec(
-        prop::collection::vec((0usize..4, 1u64..1000), 0..50),
-        1..6,
-    )
+    prop::collection::vec(prop::collection::vec((0usize..4, 1u64..1000), 0..50), 1..6)
 }
 
 const METRICS: [&str; 4] = [

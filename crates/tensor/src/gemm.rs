@@ -780,10 +780,7 @@ mod tests {
     fn assert_close(a: &[f32], b: &[f32], tol: f32) {
         for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
             let denom = x.abs().max(y.abs()).max(1.0);
-            assert!(
-                (x - y).abs() / denom <= tol,
-                "element {i}: {x} vs {y}"
-            );
+            assert!((x - y).abs() / denom <= tol, "element {i}: {x} vs {y}");
         }
     }
 
@@ -849,7 +846,10 @@ mod tests {
             assert_eq!(f.to_bits(), if p > 0.0 { p } else { 0.0 }.to_bits());
         }
         assert!(fused.iter().all(|&x| x >= 0.0));
-        assert!(plain.iter().any(|&x| x < 0.0), "test needs negative outputs");
+        assert!(
+            plain.iter().any(|&x| x < 0.0),
+            "test needs negative outputs"
+        );
     }
 
     #[test]
@@ -1029,17 +1029,43 @@ mod tests {
     #[test]
     fn rank1_is_the_depth1_nest_product() {
         let tiny = f32::from_bits(1);
-        let v = [0.0f32, -0.0, tiny, -tiny, 1e-30, -1e-30, 0.5, -3.0, f32::MAX, f32::INFINITY];
+        let v = [
+            0.0f32,
+            -0.0,
+            tiny,
+            -tiny,
+            1e-30,
+            -1e-30,
+            0.5,
+            -3.0,
+            f32::MAX,
+            f32::INFINITY,
+        ];
         let vals: Vec<f32> = v.into_iter().chain([f32::NEG_INFINITY, f32::NAN]).collect();
         let n = vals.len();
         let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
         for tier in detected_tiers() {
             let mut nest = vec![f32::NAN; n * n];
-            gemm_on(tier, "nt", n, 1, n, &vals, &vals, &[], Epilogue::Store, &mut nest);
+            gemm_on(
+                tier,
+                "nt",
+                n,
+                1,
+                n,
+                &vals,
+                &vals,
+                &[],
+                Epilogue::Store,
+                &mut nest,
+            );
             for (e, &want) in nest.iter().enumerate() {
                 let (a, b) = (vals[e / n], vals[e % n]);
                 let got = rank1(a, b);
-                assert!(same(got, want), "{} {a:e}·{b:e}: {got:e} vs {want:e}", tier.name);
+                assert!(
+                    same(got, want),
+                    "{} {a:e}·{b:e}: {got:e} vs {want:e}",
+                    tier.name
+                );
                 assert!(same(got, a.mul_add(b, 0.0)), "{a:e}·{b:e} vs fma");
             }
         }

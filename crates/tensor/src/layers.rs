@@ -144,11 +144,23 @@ impl Dense {
     /// [`Matrix::set_outer`], [`CrossTower::backward`]).
     pub fn backward_concat_params(&mut self, parts: &[&Matrix], grad_out: &Matrix) {
         let rows = self.check_concat(parts);
-        assert_eq!((grad_out.rows(), grad_out.cols()), (rows, 1), "logit gradient shape mismatch");
+        assert_eq!(
+            (grad_out.rows(), grad_out.cols()),
+            (rows, 1),
+            "logit gradient shape mismatch"
+        );
         let mut offset = 0;
         for part in parts {
             let gw = &mut self.grad_w.data_mut()[offset..offset + part.cols()];
-            gemm_tn(part.cols(), rows, 1, part.data(), grad_out.data(), Epilogue::Accumulate, gw);
+            gemm_tn(
+                part.cols(),
+                rows,
+                1,
+                part.data(),
+                grad_out.data(),
+                Epilogue::Accumulate,
+                gw,
+            );
             offset += part.cols();
         }
         grad_out.col_sums_into(&mut self.grad_b);
@@ -157,9 +169,15 @@ impl Dense {
     /// Rows of `parts`, after checking that they are a one-column linear
     /// layer's input split by columns.
     fn check_concat(&self, parts: &[&Matrix]) -> usize {
-        assert!(!self.relu && self.out_dim() == 1, "concatenated passes need a one-column linear layer");
+        assert!(
+            !self.relu && self.out_dim() == 1,
+            "concatenated passes need a one-column linear layer"
+        );
         let rows = parts.first().map_or(0, |p| p.rows());
-        assert!(parts.iter().all(|p| p.rows() == rows), "concatenated parts disagree on rows");
+        assert!(
+            parts.iter().all(|p| p.rows() == rows),
+            "concatenated parts disagree on rows"
+        );
         let width: usize = parts.iter().map(|p| p.cols()).sum();
         assert_eq!(width, self.in_dim(), "concatenated width mismatch");
         rows
@@ -243,7 +261,9 @@ impl CrossTower {
     pub fn new(dim: usize, depth: usize, seed: u64) -> Self {
         assert!(depth > 0, "a cross tower needs at least one layer");
         Self {
-            layers: (0..depth).map(|i| CrossLayer::new(dim, seed.wrapping_add(i as u64))).collect(),
+            layers: (0..depth)
+                .map(|i| CrossLayer::new(dim, seed.wrapping_add(i as u64)))
+                .collect(),
             scratch: Vec::new(),
         }
     }
@@ -279,7 +299,8 @@ impl CrossTower {
                 // Layer 0 reads x_0; every later layer updates the block in
                 // place (its dot has already read the whole row).
                 row_dots(dim, if l == 0 { x0b } else { &*xb }, dim, &layer.w, 0, d);
-                for ((x, x0r), &dot) in xb.chunks_exact_mut(dim).zip(x0b.chunks_exact(dim)).zip(&*d) {
+                for ((x, x0r), &dot) in xb.chunks_exact_mut(dim).zip(x0b.chunks_exact(dim)).zip(&*d)
+                {
                     if l == 0 {
                         cross_row(x, x0r, dot, &layer.b, x0r);
                     } else {
@@ -322,10 +343,18 @@ impl CrossTower {
     ) {
         let (rows, dim, depth) = (x0.rows(), self.dim(), self.depth());
         assert_eq!(x0.cols(), dim, "cross tower x0 width mismatch");
-        assert_eq!((dots.rows(), dots.cols()), (depth, rows), "cross tower dots shape mismatch");
+        assert_eq!(
+            (dots.rows(), dots.cols()),
+            (depth, rows),
+            "cross tower dots shape mismatch"
+        );
         assert_eq!(grad_top.len(), rows, "cross tower upstream rows mismatch");
         assert_eq!(w_top.len(), dim, "cross tower head width mismatch");
-        assert_eq!((grad_in.rows(), grad_in.cols()), (rows, dim), "cross tower grad_in shape mismatch");
+        assert_eq!(
+            (grad_in.rows(), grad_in.cols()),
+            (rows, dim),
+            "cross tower grad_in shape mismatch"
+        );
         let slot = CROSS_BLOCK * dim;
         self.scratch.resize(depth * slot, 0.0);
         let (xs, g) = self.scratch.split_at_mut((depth - 1) * slot);
@@ -336,7 +365,11 @@ impl CrossTower {
             // x_1 … x_{L-1} of the block, slot l - 1 holding x_l.
             for l in 1..depth {
                 let (done, next) = xs.split_at_mut((l - 1) * slot);
-                let prev = if l == 1 { x0b } else { &done[(l - 2) * slot..][..n] };
+                let prev = if l == 1 {
+                    x0b
+                } else {
+                    &done[(l - 2) * slot..][..n]
+                };
                 let rows_l = next[..n].chunks_exact_mut(dim).zip(x0b.chunks_exact(dim));
                 let dots_l = &dots.row(l - 1)[r0..r1];
                 for (((x, x0r), xp), &dot) in rows_l.zip(prev.chunks_exact(dim)).zip(dots_l) {
@@ -350,7 +383,11 @@ impl CrossTower {
                 }
             }
             for (l, layer) in self.layers.iter_mut().enumerate().rev() {
-                let xl = if l == 0 { x0b } else { &xs[(l - 1) * slot..][..n] };
+                let xl = if l == 0 {
+                    x0b
+                } else {
+                    &xs[(l - 1) * slot..][..n]
+                };
                 // s = Σ_j g_j·x0_j per row: the scalar every partial
                 // derivative of this layer goes through.
                 let mut s = [-0.0f32; CROSS_BLOCK];
@@ -363,14 +400,18 @@ impl CrossTower {
                     let params = layer.grad_b.iter_mut().zip(&mut layer.grad_w).zip(&layer.w);
                     let gi = grad_in.row_mut(r0 + i);
                     if l > 0 {
-                        for ((((gb, gw), &wj), (gj, &xj)), o) in params.zip(gr.iter_mut().zip(xr)).zip(gi) {
+                        for ((((gb, gw), &wj), (gj, &xj)), o) in
+                            params.zip(gr.iter_mut().zip(xr)).zip(gi)
+                        {
                             *gb += *gj;
                             *gw += s * xj;
                             *o += *gj * dot;
                             *gj += s * wj;
                         }
                     } else {
-                        for ((((gb, gw), &wj), (&gj, &xj)), o) in params.zip(gr.iter().zip(xr)).zip(gi) {
+                        for ((((gb, gw), &wj), (&gj, &xj)), o) in
+                            params.zip(gr.iter().zip(xr)).zip(gi)
+                        {
                             *gb += gj;
                             *gw += s * xj;
                             *o = *o + gj * dot + (gj + s * wj);
@@ -474,7 +515,11 @@ impl Mlp {
         tape.g_a.ensure_capacity(max_elems);
         tape.g_b.ensure_capacity(max_elems);
         for i in (0..n).rev() {
-            let rows = if i == 0 { input.rows() } else { tape.acts[i - 1].rows() };
+            let rows = if i == 0 {
+                input.rows()
+            } else {
+                tape.acts[i - 1].rows()
+            };
             tape.add_flops(2 * self.layers[i].flops(rows));
             if i == 0 {
                 let src: &Matrix = if n == 1 { grad_out } else { &tape.g_a };
@@ -568,9 +613,23 @@ mod tests {
             weighted_sum(dy.data(), y.data())
         };
         let probe = |p: &[f32]| Matrix::from_vec(3, 4, p.to_vec());
-        gradcheck(|p| loss(&mut layer, &probe(p), &mut y), x.data(), grad_in.data(), 1e-2, 1e-4, 1e-3);
+        gradcheck(
+            |p| loss(&mut layer, &probe(p), &mut y),
+            x.data(),
+            grad_in.data(),
+            1e-2,
+            1e-4,
+            1e-3,
+        );
         let params_loss = |l: &mut Dense| loss(l, &x, &mut y);
-        gradcheck_params(&mut layer, Dense::visit_params, params_loss, 1e-2, 1e-4, 1e-3);
+        gradcheck_params(
+            &mut layer,
+            Dense::visit_params,
+            params_loss,
+            1e-2,
+            1e-4,
+            1e-3,
+        );
     }
 
     #[test]
@@ -646,7 +705,14 @@ mod tests {
         let x0_loss = |p: &[f32]| loss(&t, &probe(p), &mut out, &mut dots);
         gradcheck(x0_loss, x0.data(), grad_in.data(), 1e-2, 1e-4, 1e-3);
         let params_loss = |t: &mut CrossTower| loss(t, &x0, &mut out, &mut dots);
-        gradcheck_params(&mut t, CrossTower::visit_params, params_loss, 1e-2, 1e-4, 1e-3);
+        gradcheck_params(
+            &mut t,
+            CrossTower::visit_params,
+            params_loss,
+            1e-2,
+            1e-4,
+            1e-3,
+        );
     }
 
     #[test]
@@ -780,7 +846,8 @@ mod tests {
                 for dim in [1usize, 2, 3, 4, 5, 8, 22, 67] {
                     let case = format!("depth {depth} {rows}x{dim}");
                     let x0 = zeroish(rows, dim, 51);
-                    let (mut fast, mut slow) = (zeroish_tower(dim, depth), zeroish_tower(dim, depth));
+                    let (mut fast, mut slow) =
+                        (zeroish_tower(dim, depth), zeroish_tower(dim, depth));
                     let mut dy = fill_zeroish(rows, 56);
                     dy[0] = -f32::from_bits(1);
                     let w_top = fill_zeroish(dim, 57);
@@ -794,10 +861,18 @@ mod tests {
                     assert_eq!(bits(out.data()), bits(xs[depth].data()), "{case} forward");
                     for (l, layer) in slow.layers.iter().enumerate() {
                         let want: Vec<f32> = (0..rows)
-                            .map(|r| xs[l].row(r).iter().zip(&layer.w).map(|(&x, &w)| x * w).sum())
+                            .map(|r| {
+                                xs[l]
+                                    .row(r)
+                                    .iter()
+                                    .zip(&layer.w)
+                                    .map(|(&x, &w)| x * w)
+                                    .sum()
+                            })
                             .collect();
                         assert_eq!(bits(dots.row(l)), bits(&want), "{case} dots of layer {l}");
-                        negative_zero_dots += want.iter().filter(|d| d.to_bits() == 1 << 31).count();
+                        negative_zero_dots +=
+                            want.iter().filter(|d| d.to_bits() == 1 << 31).count();
                     }
 
                     for pass in 0..2 {
@@ -808,21 +883,43 @@ mod tests {
                         let mut g = Matrix::from_vec(rows, dim, top.collect());
                         let mut want = base.clone();
                         for l in (0..depth).rev() {
-                            g = cross_backward_scalar(&mut slow.layers[l], &x0, &xs[l], &g, &mut want);
+                            g = cross_backward_scalar(
+                                &mut slow.layers[l],
+                                &x0,
+                                &xs[l],
+                                &g,
+                                &mut want,
+                            );
                         }
                         // The bottom layer's x_l term lands last.
-                        let want: Vec<f32> = want.data().iter().zip(g.data()).map(|(w, g)| w + g).collect();
+                        let want: Vec<f32> = want
+                            .data()
+                            .iter()
+                            .zip(g.data())
+                            .map(|(w, g)| w + g)
+                            .collect();
                         let case = format!("{case} pass {pass}");
                         assert_eq!(bits(grad_in.data()), bits(&want), "{case} grad_in");
                         for (l, (f, s)) in fast.layers.iter().zip(&slow.layers).enumerate() {
-                            assert_eq!(bits(&f.grad_w), bits(&s.grad_w), "{case} grad_w of layer {l}");
-                            assert_eq!(bits(&f.grad_b), bits(&s.grad_b), "{case} grad_b of layer {l}");
+                            assert_eq!(
+                                bits(&f.grad_w),
+                                bits(&s.grad_w),
+                                "{case} grad_w of layer {l}"
+                            );
+                            assert_eq!(
+                                bits(&f.grad_b),
+                                bits(&s.grad_b),
+                                "{case} grad_b of layer {l}"
+                            );
                         }
                     }
                 }
             }
         }
-        assert!(negative_zero_dots > 0, "the inputs must drive some dots to -0.0");
+        assert!(
+            negative_zero_dots > 0,
+            "the inputs must drive some dots to -0.0"
+        );
     }
 
     #[test]
@@ -835,7 +932,9 @@ mod tests {
             let cat = Matrix::from_vec(
                 rows,
                 wa + wb,
-                (0..rows).flat_map(|r| a.row(r).iter().chain(b.row(r)).copied()).collect(),
+                (0..rows)
+                    .flat_map(|r| a.row(r).iter().chain(b.row(r)).copied())
+                    .collect(),
             );
             let mut dy = zeroish(rows, 1, 73);
             dy.data_mut()[rows - 1] = -f32::from_bits(1);
@@ -850,7 +949,11 @@ mod tests {
                 split.backward_concat_params(&[&a, &b], &dy);
                 whole.backward_into(&cat, &dy, &mut gx);
             }
-            assert_eq!(bits(split.grad_w.data()), bits(whole.grad_w.data()), "{case} grad_w");
+            assert_eq!(
+                bits(split.grad_w.data()),
+                bits(whole.grad_w.data()),
+                "{case} grad_w"
+            );
             assert_eq!(bits(&split.grad_b), bits(&whole.grad_b), "{case} grad_b");
             let mut outer = poisoned(2, 2);
             outer.set_outer(dy.data(), split.weights());
@@ -875,7 +978,11 @@ mod tests {
         let grads_dirty = passes(&mut dirty, &mut y_dirty, &mut gx_dirty);
         assert_eq!(y_fresh, y_dirty, "{what} forward");
         assert_eq!(gx_fresh, gx_dirty, "{what} backward");
-        assert_eq!(bits(&grads_fresh), bits(&grads_dirty), "{what} parameter gradients");
+        assert_eq!(
+            bits(&grads_fresh),
+            bits(&grads_dirty),
+            "{what} parameter gradients"
+        );
     }
 
     /// Every layer pass skips the zero-fill of its output (`reshape`, not
@@ -920,7 +1027,11 @@ mod tests {
         dirty.scratch = vec![f32::NAN; 4 * CROSS_BLOCK * dim];
         let (mut out_fresh, mut dots_fresh) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         let (mut out_dirty, mut dots_dirty) = (poisoned(rows + 2, dim + 3), poisoned(1, 2));
-        let fresh = passes(&mut CrossTower::new(dim, 3, 3), &mut out_fresh, &mut dots_fresh);
+        let fresh = passes(
+            &mut CrossTower::new(dim, 3, 3),
+            &mut out_fresh,
+            &mut dots_fresh,
+        );
         let dirty = passes(&mut dirty, &mut out_dirty, &mut dots_dirty);
         assert_eq!(out_fresh, out_dirty, "cross forward");
         assert_eq!(dots_fresh, dots_dirty, "cross dots");
@@ -934,7 +1045,8 @@ mod tests {
         let x0 = Matrix::from_vec(3, 5, fill(15, 2));
         let (mut out, mut dots) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         t.forward(&x0, &mut out, &mut dots);
-        let (mut x, mut dy, mut w, mut grad_in) = (x0, vec![1.0; 3], vec![1.0; 5], Matrix::zeros(3, 5));
+        let (mut x, mut dy, mut w, mut grad_in) =
+            (x0, vec![1.0; 3], vec![1.0; 5], Matrix::zeros(3, 5));
         match bad {
             "x0" => x = Matrix::zeros(3, 4),
             "dots" => dots = Matrix::zeros(3, 3),

@@ -141,7 +141,16 @@ impl Matrix {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         out.reshape(m, n);
-        gemm::gemm_nn(m, k, n, &self.data, &other.data, &[], Epilogue::Store, &mut out.data);
+        gemm::gemm_nn(
+            m,
+            k,
+            n,
+            &self.data,
+            &other.data,
+            &[],
+            Epilogue::Store,
+            &mut out.data,
+        );
     }
 
     /// `out = self · other + bias` (bias broadcast over rows), fused —
@@ -151,7 +160,16 @@ impl Matrix {
         assert_eq!(bias.len(), other.cols, "bias length mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         out.reshape(m, n);
-        gemm::gemm_nn(m, k, n, &self.data, &other.data, bias, Epilogue::Bias, &mut out.data);
+        gemm::gemm_nn(
+            m,
+            k,
+            n,
+            &self.data,
+            &other.data,
+            bias,
+            Epilogue::Bias,
+            &mut out.data,
+        );
     }
 
     /// `out = max(self · other + bias, 0)` — fused dense-layer forward.
@@ -162,7 +180,16 @@ impl Matrix {
         assert_eq!(bias.len(), other.cols, "bias length mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         out.reshape(m, n);
-        gemm::gemm_nn(m, k, n, &self.data, &other.data, bias, Epilogue::BiasRelu, &mut out.data);
+        gemm::gemm_nn(
+            m,
+            k,
+            n,
+            &self.data,
+            &other.data,
+            bias,
+            Epilogue::BiasRelu,
+            &mut out.data,
+        );
     }
 
     /// `out = selfᵀ · other` — shapes `(k×m)ᵀ·(k×n) → (m×n)`, reusing
@@ -171,7 +198,15 @@ impl Matrix {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
         out.reshape(m, n);
-        gemm::gemm_tn(m, k, n, &self.data, &other.data, Epilogue::Store, &mut out.data);
+        gemm::gemm_tn(
+            m,
+            k,
+            n,
+            &self.data,
+            &other.data,
+            Epilogue::Store,
+            &mut out.data,
+        );
     }
 
     /// `out += selfᵀ · other` — accumulating weight-gradient GEMM
@@ -179,8 +214,20 @@ impl Matrix {
     pub fn t_matmul_acc(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        assert_eq!((out.rows, out.cols), (m, n), "t_matmul_acc out shape mismatch");
-        gemm::gemm_tn(m, k, n, &self.data, &other.data, Epilogue::Accumulate, &mut out.data);
+        assert_eq!(
+            (out.rows, out.cols),
+            (m, n),
+            "t_matmul_acc out shape mismatch"
+        );
+        gemm::gemm_tn(
+            m,
+            k,
+            n,
+            &self.data,
+            &other.data,
+            Epilogue::Accumulate,
+            &mut out.data,
+        );
     }
 
     /// `out = self · otherᵀ` — shapes `(m×k)·(n×k)ᵀ → (m×n)`, the
@@ -189,7 +236,15 @@ impl Matrix {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         out.reshape(m, n);
-        gemm::gemm_nt(m, k, n, &self.data, &other.data, Epilogue::Store, &mut out.data);
+        gemm::gemm_nt(
+            m,
+            k,
+            n,
+            &self.data,
+            &other.data,
+            Epilogue::Store,
+            &mut out.data,
+        );
     }
 
     /// `self = col · rowᵀ` (reshaped to `col.len() × row.len()`): the input
@@ -213,7 +268,11 @@ impl Matrix {
     /// # Panics
     /// Panics unless `self` is `col.len() × row.len()`.
     pub fn add_outer(&mut self, col: &[f32], row: &[f32]) {
-        assert_eq!((self.rows, self.cols), (col.len(), row.len()), "add_outer shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (col.len(), row.len()),
+            "add_outer shape mismatch"
+        );
         let single = row.len() == 1;
         for (out, &c) in self.data.chunks_exact_mut(row.len().max(1)).zip(col) {
             for (o, &r) in out.iter_mut().zip(row) {
@@ -389,7 +448,12 @@ mod tests {
     fn blocked_matches_naive_reference() {
         // The differential pin at the Matrix level: blocked kernels vs the
         // kept naive oracles, relative error ≤ 1e-5 over tail-heavy shapes.
-        for &(m, k, n) in &[(7usize, 13usize, 11usize), (16, 8, 24), (1, 5, 1), (9, 1, 17)] {
+        for &(m, k, n) in &[
+            (7usize, 13usize, 11usize),
+            (16, 8, 24),
+            (1, 5, 1),
+            (9, 1, 17),
+        ] {
             let a = rand_matrix(m, k, 1);
             let b = rand_matrix(k, n, 2);
             let mut out = Matrix::zeros(0, 0);
@@ -455,7 +519,11 @@ mod tests {
         assert_eq!(m.data(), &[1., 2., 3.], "a shrink keeps what was there");
         assert_eq!(m.capacity_bytes(), before, "and the allocation");
         m.reshape(3, 2);
-        assert_eq!(m.data(), &[1., 2., 3., 0., 0., 0.], "only the grown tail is filled");
+        assert_eq!(
+            m.data(),
+            &[1., 2., 3., 0., 0., 0.],
+            "only the grown tail is filled"
+        );
     }
 
     /// Every overwriting `*_into` kernel skips the zero-fill of its output
@@ -484,8 +552,12 @@ mod tests {
             type Kernel<'a> = &'a dyn Fn(&mut Matrix);
             let kernels: [(&str, Kernel); 5] = [
                 ("matmul_into", &|out| a.matmul_into(&b, out)),
-                ("matmul_bias_into", &|out| a.matmul_bias_into(&b, &bias, out)),
-                ("matmul_bias_relu_into", &|out| a.matmul_bias_relu_into(&b, &bias, out)),
+                ("matmul_bias_into", &|out| {
+                    a.matmul_bias_into(&b, &bias, out)
+                }),
+                ("matmul_bias_relu_into", &|out| {
+                    a.matmul_bias_relu_into(&b, &bias, out)
+                }),
                 ("t_matmul_into", &|out| at.t_matmul_into(&b, out)),
                 ("matmul_t_into", &|out| a.matmul_t_into(&bt, out)),
             ];
@@ -520,13 +592,21 @@ mod tests {
             assert_eq!((got.rows(), got.cols()), (7, width));
             assert_eq!(bits(got.data()), bits(want.data()), "set_outer {width}");
             if width > 1 {
-                assert!(want.data().iter().any(|v| v.to_bits() == 1 << 31), "want a -0.0 product");
+                assert!(
+                    want.data().iter().any(|v| v.to_bits() == 1 << 31),
+                    "want a -0.0 product"
+                );
             }
 
             let base = Matrix::from_vec(7, width, fill_zeroish(7 * width, 6));
             let mut sum = base.clone();
             sum.add_outer(&col, &row);
-            let added: Vec<f32> = base.data().iter().zip(want.data()).map(|(b, w)| b + w).collect();
+            let added: Vec<f32> = base
+                .data()
+                .iter()
+                .zip(want.data())
+                .map(|(b, w)| b + w)
+                .collect();
             assert_eq!(bits(sum.data()), bits(&added), "add_outer {width}");
         }
     }

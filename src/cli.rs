@@ -34,9 +34,7 @@ impl Args {
                     out.flags.insert(k.to_string(), v.to_string());
                 } else {
                     let value = match iter.peek() {
-                        Some(next) if !next.starts_with("--") => {
-                            iter.next().expect("peeked")
-                        }
+                        Some(next) if !next.starts_with("--") => iter.next().expect("peeked"),
                         _ => String::new(),
                     };
                     out.flags.insert(name.to_string(), value);

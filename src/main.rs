@@ -30,11 +30,11 @@ use het_gmp::core::strategy::StrategyConfig;
 use het_gmp::core::trainer::{StorageMode, TrainResult, Trainer, TrainerConfig};
 use het_gmp::data::{generate, read_libsvm, write_libsvm, CtrDataset, DatasetSpec};
 use het_gmp::embedding::CapacityPlan;
+use het_gmp::inspect::{diff_artifacts, render_gantt, render_report, Artifact, DiffOptions};
 use het_gmp::partition::{
     BiCutPartitioner, HybridConfig, HybridPartitioner, PartitionMetrics, Partitioner,
     RandomPartitioner,
 };
-use het_gmp::inspect::{diff_artifacts, render_gantt, render_report, Artifact, DiffOptions};
 use het_gmp::telemetry::{
     AuditMode, HetGmpError, Json, JsonlWriter, RunManifest, TraceCollector, TraceLevel,
 };
@@ -119,7 +119,10 @@ const STDOUT: &str = "-";
 /// here (or through `outln!`), so a failed write is an I/O error on [`STDOUT`],
 /// never a panic.
 fn out(text: std::fmt::Arguments<'_>) -> Result<(), HetGmpError> {
-    std::io::stdout().lock().write_fmt(text).map_err(|e| HetGmpError::io(STDOUT, e))
+    std::io::stdout()
+        .lock()
+        .write_fmt(text)
+        .map_err(|e| HetGmpError::io(STDOUT, e))
 }
 
 /// [`out`] with a trailing newline, taking format arguments.
@@ -249,9 +252,8 @@ fn trace_collector(
     }
     let level = match args.get("trace-level") {
         None => TraceLevel::Batch,
-        Some(s) => TraceLevel::parse(s).ok_or_else(|| {
-            HetGmpError::usage(format!("unknown trace level {s:?} (batch|sync)"))
-        })?,
+        Some(s) => TraceLevel::parse(s)
+            .ok_or_else(|| HetGmpError::usage(format!("unknown trace level {s:?} (batch|sync)")))?,
     };
     let collector = Arc::new(TraceCollector::new(num_workers, level));
     Ok(Some((collector, path.to_string())))
@@ -358,7 +360,9 @@ fn cmd_partition(args: &Args) -> Result<(), HetGmpError> {
     check_flags(
         args,
         "partition",
-        &["in", "fields", "preset", "scale", "workers", "algo", "rounds"],
+        &[
+            "in", "fields", "preset", "scale", "workers", "algo", "rounds",
+        ],
     )?;
     let data = load_dataset(args)?;
     let graph = data.to_bigraph();
@@ -419,10 +423,31 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         args,
         "train",
         &[
-            "in", "fields", "preset", "scale", "system", "staleness", "workers", "epochs",
-            "batch", "dim", "model", "seed", "telemetry", "trace", "trace-level", "audit",
-            "faults", "checkpoint-every", "checkpoint-dir", "resume", "sync-format",
-            "sync-feedback", "storage", "storage-budget-mb", "storage-dir",
+            "in",
+            "fields",
+            "preset",
+            "scale",
+            "system",
+            "staleness",
+            "workers",
+            "epochs",
+            "batch",
+            "dim",
+            "model",
+            "seed",
+            "telemetry",
+            "trace",
+            "trace-level",
+            "audit",
+            "faults",
+            "checkpoint-every",
+            "checkpoint-dir",
+            "resume",
+            "sync-format",
+            "sync-feedback",
+            "storage",
+            "storage-budget-mb",
+            "storage-dir",
         ],
     )?;
     let data = load_dataset(args)?;
@@ -459,13 +484,14 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
     };
     let faults = match args.get("faults") {
         None => None,
-        Some(spec) => Some(Arc::new(FaultSchedule::parse(spec, n, seed).map_err(
-            |e| HetGmpError::usage(format!("bad --faults spec: {e}")),
-        )?)),
+        Some(spec) => Some(Arc::new(
+            FaultSchedule::parse(spec, n, seed)
+                .map_err(|e| HetGmpError::usage(format!("bad --faults spec: {e}")))?,
+        )),
     };
     let trace = trace_collector(args, n)?;
-    let mut trainer = Trainer::new(&data, Topology::pcie_island(n), strat, cfg)
-        .with_audit(audit_mode(args)?);
+    let mut trainer =
+        Trainer::new(&data, Topology::pcie_island(n), strat, cfg).with_audit(audit_mode(args)?);
     if let Some((t, _)) = &trace {
         trainer = trainer.with_tracer(Arc::clone(t));
     }
@@ -482,7 +508,12 @@ fn cmd_train(args: &Args) -> Result<(), HetGmpError> {
         r.breakdown.comm_fraction() * 100.0
     )?;
     for p in &r.curve {
-        outln!("  epoch {}: sim {:.4}s AUC {:.4}", p.epoch, p.sim_time, p.auc)?;
+        outln!(
+            "  epoch {}: sim {:.4}s AUC {:.4}",
+            p.epoch,
+            p.sim_time,
+            p.auc
+        )?;
     }
     if faults.is_some() {
         let crashes = r.telemetry.counter("fault.crashes");
@@ -565,29 +596,55 @@ type Experiment = (&'static str, usize, Runner);
 /// text, the dispatch, `all` and the trace collector's size read this one
 /// table.
 const EXPERIMENTS: &[Experiment] = &[
-    ("fig1", 8, |scale, hooks| outln!("{}", experiments::overhead::run(scale, hooks))),
+    ("fig1", 8, |scale, hooks| {
+        outln!("{}", experiments::overhead::run(scale, hooks))
+    }),
     ("fig3", 0, |scale, _| {
-        experiments::cooccurrence::run(scale).iter().try_for_each(|r| outln!("{r}\n"))
+        experiments::cooccurrence::run(scale)
+            .iter()
+            .try_for_each(|r| outln!("{r}\n"))
     }),
     ("table3", 0, |scale, _| {
-        experiments::partitioners::run(scale).iter().try_for_each(|r| outln!("{r}\n"))
+        experiments::partitioners::run(scale)
+            .iter()
+            .try_for_each(|r| outln!("{r}\n"))
     }),
-    ("fig7", 8, |scale, hooks| outln!("{}", experiments::convergence::run(scale, hooks))),
-    ("fig8", 8, |scale, hooks| outln!("{}", experiments::comm_breakdown::run(scale, hooks))),
-    ("table2", 8, |scale, hooks| outln!("{}", experiments::staleness::run(scale, hooks))),
+    ("fig7", 8, |scale, hooks| {
+        outln!("{}", experiments::convergence::run(scale, hooks))
+    }),
+    ("fig8", 8, |scale, hooks| {
+        outln!("{}", experiments::comm_breakdown::run(scale, hooks))
+    }),
+    ("table2", 8, |scale, hooks| {
+        outln!("{}", experiments::staleness::run(scale, hooks))
+    }),
     ("fig9", 16, |scale, hooks| {
-        experiments::hierarchy::run(scale, hooks).iter().try_for_each(|r| outln!("{r}\n"))
+        experiments::hierarchy::run(scale, hooks)
+            .iter()
+            .try_for_each(|r| outln!("{r}\n"))
     }),
     ("fig10", 24, |scale, hooks| {
-        experiments::scalability::run(scale, hooks).iter().try_for_each(|r| outln!("{r}\n"))
+        experiments::scalability::run(scale, hooks)
+            .iter()
+            .try_for_each(|r| outln!("{r}\n"))
     }),
-    ("ablation", 8, |scale, hooks| outln!("{}", experiments::ablation::run(scale, hooks))),
+    ("ablation", 8, |scale, hooks| {
+        outln!("{}", experiments::ablation::run(scale, hooks))
+    }),
     // Trains through `core::kg`'s own loop, which takes no hooks.
-    ("kg", 0, |scale, _| outln!("{}", experiments::kg::run(scale))),
+    ("kg", 0, |scale, _| {
+        outln!("{}", experiments::kg::run(scale))
+    }),
 ];
 
 /// The flags `experiment` hands to every training run through the hooks.
-const HOOK_FLAGS: &[&str] = &["telemetry", "trace", "audit", "sync-format", "sync-feedback"];
+const HOOK_FLAGS: &[&str] = &[
+    "telemetry",
+    "trace",
+    "audit",
+    "sync-format",
+    "sync-feedback",
+];
 
 /// The [`EXPERIMENTS`] entries `het-gmp experiment WHICH` runs: all of
 /// them for `all`, else the one named.
@@ -607,7 +664,12 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         args,
         "experiment",
         &[
-            "scale", "telemetry", "trace", "trace-level", "audit", "sync-format",
+            "scale",
+            "telemetry",
+            "trace",
+            "trace-level",
+            "audit",
+            "sync-format",
             "sync-feedback",
         ],
     )?;
@@ -618,7 +680,11 @@ fn cmd_experiment(args: &Args) -> Result<(), HetGmpError> {
         .ok_or_else(|| HetGmpError::usage("experiment name required"))?;
     let selected = experiments_for(which)?;
     let scale: f64 = args.parsed_or("scale", 0.15)?;
-    let workers = selected.iter().map(|&(_, workers, _)| workers).max().unwrap_or(0);
+    let workers = selected
+        .iter()
+        .map(|&(_, workers, _)| workers)
+        .max()
+        .unwrap_or(0);
     let trace = trace_collector(args, workers)?;
     let mut hooks = experiments::Hooks {
         tracer: trace.as_ref().map(|(t, _)| Arc::clone(t)),
@@ -677,7 +743,10 @@ fn cmd_inspect(args: &Args) -> Result<ExitCode, HetGmpError> {
     match mode {
         "report" => {
             let artifact = Artifact::load(path(2, "a telemetry FILE.jsonl")?)?;
-            out(format_args!("{}", render_report(&artifact, args.has("wall"))?))?;
+            out(format_args!(
+                "{}",
+                render_report(&artifact, args.has("wall"))?
+            ))?;
             Ok(ExitCode::SUCCESS)
         }
         "pipeline" => {

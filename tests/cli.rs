@@ -25,7 +25,15 @@ fn unknown_command_fails_with_usage() {
 #[test]
 fn capacity_reproduces_paper_claim() {
     let out = het_gmp()
-        .args(["capacity", "--workers", "24", "--mem-gb", "32", "--dim", "128"])
+        .args([
+            "capacity",
+            "--workers",
+            "24",
+            "--mem-gb",
+            "32",
+            "--dim",
+            "128",
+        ])
         .output()
         .expect("spawn");
     assert!(out.status.success());
@@ -45,12 +53,24 @@ fn gen_partition_train_roundtrip() {
         .args(["gen", "--preset", "tiny", "--out", path])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(file.exists());
 
     let out = het_gmp()
         .args([
-            "partition", "--in", path, "--fields", "4", "--workers", "4", "--algo", "hybrid",
+            "partition",
+            "--in",
+            path,
+            "--fields",
+            "4",
+            "--workers",
+            "4",
+            "--algo",
+            "hybrid",
         ])
         .output()
         .expect("spawn");
@@ -60,12 +80,25 @@ fn gen_partition_train_roundtrip() {
 
     let out = het_gmp()
         .args([
-            "train", "--in", path, "--fields", "4", "--workers", "2", "--epochs", "1",
-            "--system", "het-gmp",
+            "train",
+            "--in",
+            path,
+            "--fields",
+            "4",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+            "--system",
+            "het-gmp",
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("final AUC"), "{text}");
 
@@ -103,12 +136,23 @@ fn train_telemetry_flag_writes_parseable_jsonl() {
 
     let out = het_gmp()
         .args([
-            "train", "--preset", "tiny", "--workers", "2", "--epochs", "1",
-            "--telemetry", tele.to_str().unwrap(),
+            "train",
+            "--preset",
+            "tiny",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+            "--telemetry",
+            tele.to_str().unwrap(),
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&tele).unwrap();
     let lines: Vec<&str> = text.lines().collect();
@@ -116,7 +160,11 @@ fn train_telemetry_flag_writes_parseable_jsonl() {
     assert!(lines.len() >= 3, "{text}");
     for line in &lines {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert_eq!(line.matches('{').count(), line.matches('}').count(), "{line}");
+        assert_eq!(
+            line.matches('{').count(),
+            line.matches('}').count(),
+            "{line}"
+        );
     }
     assert!(lines[0].contains(r#""event":"manifest""#), "{}", lines[0]);
     assert!(lines[0].contains(r#""config_digest":"#), "{}", lines[0]);
@@ -136,7 +184,17 @@ fn train_telemetry_flag_writes_parseable_jsonl() {
 fn train_zero_batch_or_dim_is_a_config_error_naming_the_field() {
     for (flag, field) in [("--batch", "`batch_size`"), ("--dim", "`dim`")] {
         let out = het_gmp()
-            .args(["train", "--preset", "tiny", "--workers", "2", "--epochs", "1", flag, "0"])
+            .args([
+                "train",
+                "--preset",
+                "tiny",
+                "--workers",
+                "2",
+                "--epochs",
+                "1",
+                flag,
+                "0",
+            ])
             .output()
             .expect("spawn");
         assert_eq!(out.status.code(), Some(78), "{flag} 0 exits 78");
@@ -179,7 +237,15 @@ fn exit_codes_follow_sysexits() {
     let not_a_dir = dir.join("spill");
     std::fs::write(&not_a_dir, "x").unwrap();
     let out = het_gmp()
-        .args(["train", "--preset", "tiny", "--workers", "2", "--epochs", "1"])
+        .args([
+            "train",
+            "--preset",
+            "tiny",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+        ])
         .args(["--storage", "tiered", "--storage-budget-mb", "1"])
         .args(["--storage-dir", not_a_dir.to_str().unwrap()])
         .output()
@@ -195,7 +261,15 @@ fn exit_codes_follow_sysexits() {
 #[test]
 fn partition_multilevel_is_an_unknown_algorithm() {
     let out = het_gmp()
-        .args(["partition", "--preset", "tiny", "--workers", "4", "--algo", "multilevel"])
+        .args([
+            "partition",
+            "--preset",
+            "tiny",
+            "--workers",
+            "4",
+            "--algo",
+            "multilevel",
+        ])
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(2), "unknown algorithm exits 2");
@@ -210,21 +284,61 @@ fn partition_multilevel_is_an_unknown_algorithm() {
 #[test]
 fn unknown_flags_are_usage_errors_naming_the_flag() {
     let cases: [(&[&str], &str); 9] = [
-        (&["train", "--preset", "tiny", "--frobnicate", "3"], "--frobnicate"),
-        (&["train", "--preset", "tiny", "--sync-formt", "int8"], "--sync-formt"),
-        (&["train", "--preset", "tiny", "--pipeline-depth", "2"], "--pipeline-depth"),
-        (&["train", "--preset", "tiny", "--gemm-threads", "2"], "--gemm-threads"),
-        (&["train", "--preset", "tiny", "--read-path", "locked"], "--read-path"),
-        (&["train", "--preset", "tiny", "--batch-ordering=off"], "--batch-ordering"),
-        (&["experiment", "fig8", "--scale", "0.02", "--pipeline-depth=2"], "--pipeline-depth"),
-        (&["experiment", "fig8", "--scale", "0.02", "--gemm-threads", "2"], "--gemm-threads"),
+        (
+            &["train", "--preset", "tiny", "--frobnicate", "3"],
+            "--frobnicate",
+        ),
+        (
+            &["train", "--preset", "tiny", "--sync-formt", "int8"],
+            "--sync-formt",
+        ),
+        (
+            &["train", "--preset", "tiny", "--pipeline-depth", "2"],
+            "--pipeline-depth",
+        ),
+        (
+            &["train", "--preset", "tiny", "--gemm-threads", "2"],
+            "--gemm-threads",
+        ),
+        (
+            &["train", "--preset", "tiny", "--read-path", "locked"],
+            "--read-path",
+        ),
+        (
+            &["train", "--preset", "tiny", "--batch-ordering=off"],
+            "--batch-ordering",
+        ),
+        (
+            &[
+                "experiment",
+                "fig8",
+                "--scale",
+                "0.02",
+                "--pipeline-depth=2",
+            ],
+            "--pipeline-depth",
+        ),
+        (
+            &[
+                "experiment",
+                "fig8",
+                "--scale",
+                "0.02",
+                "--gemm-threads",
+                "2",
+            ],
+            "--gemm-threads",
+        ),
         (&["inspect", "report", "run.jsonl", "--wal"], "--wal"),
     ];
     for (argv, flag) in cases {
         let out = het_gmp().args(argv).output().expect("spawn");
         assert_eq!(out.status.code(), Some(2), "{argv:?} must be a usage error");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("unknown flag {flag} ")), "{argv:?}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag {flag} ")),
+            "{argv:?}: {err}"
+        );
     }
 }
 
@@ -235,25 +349,106 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
 #[test]
 fn unparsable_numbers_and_zero_workers_are_usage_errors() {
     let cases: [(&[&str], &str, &str); 12] = [
-        (&["train", "--preset", "tiny", "--workers", "abc", "--epochs", "1"], "--workers", "\"abc\""),
-        (&["train", "--preset", "tiny", "--workers", "2", "--epochs", "1x"], "--epochs", "\"1x\""),
-        (&["train", "--preset", "avazu", "--scale", "abc", "--epochs", "1"], "--scale", "\"abc\""),
-        (&["train", "--preset", "tiny", "--staleness", "-1"], "--staleness", "\"-1\""),
+        (
+            &[
+                "train",
+                "--preset",
+                "tiny",
+                "--workers",
+                "abc",
+                "--epochs",
+                "1",
+            ],
+            "--workers",
+            "\"abc\"",
+        ),
+        (
+            &[
+                "train",
+                "--preset",
+                "tiny",
+                "--workers",
+                "2",
+                "--epochs",
+                "1x",
+            ],
+            "--epochs",
+            "\"1x\"",
+        ),
+        (
+            &[
+                "train", "--preset", "avazu", "--scale", "abc", "--epochs", "1",
+            ],
+            "--scale",
+            "\"abc\"",
+        ),
+        (
+            &["train", "--preset", "tiny", "--staleness", "-1"],
+            "--staleness",
+            "\"-1\"",
+        ),
         (&["train", "--preset", "tiny", "--seed"], "--seed", "\"\""),
-        (&["partition", "--preset", "tiny", "--workers", "four"], "--workers", "\"four\""),
-        (&["partition", "--preset", "tiny", "--workers", "2", "--rounds", "3.5"], "--rounds", "\"3.5\""),
-        (&["capacity", "--workers", "24", "--mem-gb", "lots"], "--mem-gb", "\"lots\""),
-        (&["experiment", "fig8", "--scale", "small"], "--scale", "\"small\""),
-        (&["train", "--preset", "tiny", "--workers", "0", "--epochs", "1"], "--workers", "0"),
-        (&["partition", "--preset", "tiny", "--workers", "0"], "--workers", "0"),
+        (
+            &["partition", "--preset", "tiny", "--workers", "four"],
+            "--workers",
+            "\"four\"",
+        ),
+        (
+            &[
+                "partition",
+                "--preset",
+                "tiny",
+                "--workers",
+                "2",
+                "--rounds",
+                "3.5",
+            ],
+            "--rounds",
+            "\"3.5\"",
+        ),
+        (
+            &["capacity", "--workers", "24", "--mem-gb", "lots"],
+            "--mem-gb",
+            "\"lots\"",
+        ),
+        (
+            &["experiment", "fig8", "--scale", "small"],
+            "--scale",
+            "\"small\"",
+        ),
+        (
+            &[
+                "train",
+                "--preset",
+                "tiny",
+                "--workers",
+                "0",
+                "--epochs",
+                "1",
+            ],
+            "--workers",
+            "0",
+        ),
+        (
+            &["partition", "--preset", "tiny", "--workers", "0"],
+            "--workers",
+            "0",
+        ),
         (&["capacity", "--workers", "0"], "--workers", "0"),
     ];
     for (argv, flag, value) in cases {
         let out = het_gmp().args(argv).output().expect("spawn");
         assert_eq!(out.status.code(), Some(2), "{argv:?} must be a usage error");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("{flag} ")) && err.contains(value), "{argv:?}: {err}");
-        assert!(out.stdout.is_empty(), "{argv:?} printed a result: {:?}", out.stdout);
+        assert!(
+            err.contains(&format!("{flag} ")) && err.contains(value),
+            "{argv:?}: {err}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{argv:?} printed a result: {:?}",
+            out.stdout
+        );
     }
 }
 
@@ -263,16 +458,32 @@ fn unparsable_numbers_and_zero_workers_are_usage_errors() {
 fn removed_sync_formats_are_usage_errors_naming_the_value() {
     for format in ["f16", "bf16"] {
         let out = het_gmp()
-            .args(["train", "--preset", "tiny", "--epochs", "1", "--sync-format", format])
+            .args([
+                "train",
+                "--preset",
+                "tiny",
+                "--epochs",
+                "1",
+                "--sync-format",
+                format,
+            ])
             .output()
             .expect("spawn");
-        assert_eq!(out.status.code(), Some(2), "--sync-format {format} must be a usage error");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--sync-format {format} must be a usage error"
+        );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
             err.contains("--sync-format") && err.contains(&format!("\"{format}\"")),
             "{format}: {err}"
         );
-        assert!(out.stdout.is_empty(), "{format} printed a result: {:?}", out.stdout);
+        assert!(
+            out.stdout.is_empty(),
+            "{format} printed a result: {:?}",
+            out.stdout
+        );
     }
 }
 
@@ -281,7 +492,15 @@ fn removed_sync_formats_are_usage_errors_naming_the_value() {
 #[test]
 fn closed_stdout_exits_quietly() {
     let mut child = het_gmp()
-        .args(["train", "--preset", "tiny", "--workers", "2", "--epochs", "1"])
+        .args([
+            "train",
+            "--preset",
+            "tiny",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -301,9 +520,16 @@ fn experiment_kg_prints_every_system() {
         .args(["experiment", "kg", "--scale", "0.02"])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     for system in ["HET-MP ", "HET-GMP(s=0) ", "HET-GMP(s=100) "] {
-        assert!(text.lines().any(|l| l.starts_with(system)), "no {system}row:\n{text}");
+        assert!(
+            text.lines().any(|l| l.starts_with(system)),
+            "no {system}row:\n{text}"
+        );
     }
 }

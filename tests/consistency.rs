@@ -3,8 +3,8 @@
 
 use std::sync::Arc;
 
-use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding, WriteExchange};
 use het_gmp::embedding::RowStore;
+use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding, WriteExchange};
 use het_gmp::partition::Partition;
 
 /// Builds a 2-worker layout where embedding 0 is primary on worker 1 with a
@@ -90,7 +90,11 @@ fn concurrent_workers_converge_to_consistent_table() {
     let rows = 64usize;
     let dim = 4usize;
     let table = Arc::new(ShardedTable::new(rows, dim, 0.0, 3));
-    let mut part = Partition::new(4, (0..16).map(|i| i % 4).collect(), (0..rows as u32).map(|e| e % 4).collect());
+    let mut part = Partition::new(
+        4,
+        (0..16).map(|i| i % 4).collect(),
+        (0..rows as u32).map(|e| e % 4).collect(),
+    );
     for e in 0..8u32 {
         for k in 0..4u32 {
             part.add_replica(e, k);

@@ -45,7 +45,10 @@ fn objective_decreases_sufficiently() {
     // far (allows stochastic wiggle without allowing divergence).
     let mut best = f64::INFINITY;
     for (i, &l) in losses.iter().enumerate() {
-        assert!(l <= best * 1.02, "epoch {i}: loss {l} regressed past {best}");
+        assert!(
+            l <= best * 1.02,
+            "epoch {i}: loss {l} regressed past {best}"
+        );
         best = best.min(l);
     }
 }
@@ -158,7 +161,11 @@ fn golden_run_with(
 /// (`embedding.flush.sync`); at the smaller scale no configuration does at
 /// three workers.
 fn golden_data(strategy: &str) -> CtrDataset {
-    let scale = if strategy.starts_with("s8") { 0.06 } else { 0.03 };
+    let scale = if strategy.starts_with("s8") {
+        0.06
+    } else {
+        0.03
+    };
     let mut spec = DatasetSpec::avazu_like(scale);
     spec.cluster_affinity = 0.9;
     generate(&spec)
@@ -232,9 +239,15 @@ fn tiered_storage_matches_goldens() {
             .expect("golden row");
         let r = golden_run_tiered(2, "ssp", seed);
         let loss = r.curve.last().expect("curve").train_loss;
-        assert_eq!(r.final_auc, g.final_auc, "seed {seed}: tiered moved the AUC");
+        assert_eq!(
+            r.final_auc, g.final_auc,
+            "seed {seed}: tiered moved the AUC"
+        );
         assert_eq!(loss, g.train_loss, "seed {seed}: tiered moved the loss");
-        assert_eq!(r.samples_processed, g.samples, "seed {seed}: sample count moved");
+        assert_eq!(
+            r.samples_processed, g.samples,
+            "seed {seed}: sample count moved"
+        );
         // The squeeze was real: the run must actually have spilled and
         // faulted, or this column proves nothing.
         let cs = r.capacity.expect("tiered run reports capacity stats");
@@ -275,21 +288,36 @@ fn tiered_storage_matches_memory_at_four_workers() {
     let memory = golden_run_on(4, "s8", 42, None);
     let tiered = golden_run_tiered(4, "s8", 42);
     let flushes = memory.telemetry.counter(names::EMBED_FLUSH_SYNC);
-    assert!(flushes > 0, "no sync flush fired: this column proves nothing");
+    assert!(
+        flushes > 0,
+        "no sync flush fired: this column proves nothing"
+    );
     assert_eq!(tiered.telemetry.counter(names::EMBED_FLUSH_SYNC), flushes);
     assert_eq!(tiered.final_auc, memory.final_auc, "tiered moved the AUC");
     let loss = |r: &het_gmp::core::trainer::TrainResult| r.curve.last().expect("curve").train_loss;
     assert_eq!(loss(&tiered), loss(&memory), "tiered moved the loss");
-    assert_eq!(tiered.traffic_bytes, memory.traffic_bytes, "tiered moved the traffic");
+    assert_eq!(
+        tiered.traffic_bytes, memory.traffic_bytes,
+        "tiered moved the traffic"
+    );
     let cs = tiered.capacity.expect("tiered run reports capacity stats");
-    assert!(cs.spilled_bytes > 0 && cs.fault_loads > 0, "nothing spilled or faulted");
+    assert!(
+        cs.spilled_bytes > 0 && cs.fault_loads > 0,
+        "nothing spilled or faulted"
+    );
     // `inspect report` gates its capacity section on the budget gauge.
-    let budget = |r: &het_gmp::core::trainer::TrainResult| {
-        r.telemetry.gauge(names::CAPACITY_BUDGET_BYTES)
-    };
+    let budget =
+        |r: &het_gmp::core::trainer::TrainResult| r.telemetry.gauge(names::CAPACITY_BUDGET_BYTES);
     assert_eq!(budget(&tiered), Some(cs.budget_bytes as f64));
-    assert_eq!(memory.capacity, None, "a RAM-only run has no capacity stats");
-    assert_eq!(budget(&memory), None, "a RAM-only run recorded a RAM budget");
+    assert_eq!(
+        memory.capacity, None,
+        "a RAM-only run has no capacity stats"
+    );
+    assert_eq!(
+        budget(&memory),
+        None,
+        "a RAM-only run recorded a RAM budget"
+    );
 }
 
 /// Checkpoint resume at four workers on `het_gmp(8)`: epoch 2 resumed from
@@ -302,7 +330,13 @@ fn resume_matches_uninterrupted_at_four_workers() {
     let _ = std::fs::remove_dir_all(&dir);
     let data = golden_data("s8");
     let run = |cfg: TrainerConfig| {
-        Trainer::new(&data, Topology::pcie_island(4), StrategyConfig::het_gmp(8), cfg).run()
+        Trainer::new(
+            &data,
+            Topology::pcie_island(4),
+            StrategyConfig::het_gmp(8),
+            cfg,
+        )
+        .run()
     };
     let full = run(TrainerConfig {
         checkpoint_every: 1,
@@ -328,7 +362,11 @@ fn resume_matches_uninterrupted_at_four_workers() {
     let epoch_two: Vec<u64> = (0..3)
         .map(|k| full.traffic_bytes[k] - first.traffic_bytes[k])
         .collect();
-    assert_eq!(resumed.traffic_bytes.to_vec(), epoch_two, "epoch 2 moved other traffic");
+    assert_eq!(
+        resumed.traffic_bytes.to_vec(),
+        epoch_two,
+        "epoch 2 moved other traffic"
+    );
 }
 
 /// `--sync-format f32` is the identity transport: selecting it explicitly
@@ -343,9 +381,18 @@ fn explicit_f32_sync_format_matches_goldens() {
             .expect("golden row");
         let r = golden_run_with(strategy, 42, Some(het_gmp::comms::SyncFormat::F32));
         let loss = r.curve.last().expect("curve").train_loss;
-        assert_eq!(r.final_auc, g.final_auc, "{strategy}: explicit f32 moved the AUC");
-        assert_eq!(loss, g.train_loss, "{strategy}: explicit f32 moved the loss");
-        assert_eq!(r.samples_processed, g.samples, "{strategy}: sample count moved");
+        assert_eq!(
+            r.final_auc, g.final_auc,
+            "{strategy}: explicit f32 moved the AUC"
+        );
+        assert_eq!(
+            loss, g.train_loss,
+            "{strategy}: explicit f32 moved the loss"
+        );
+        assert_eq!(
+            r.samples_processed, g.samples,
+            "{strategy}: sample count moved"
+        );
     }
 }
 
@@ -363,7 +410,11 @@ fn seed_sweep_matches_goldens() {
     let mut rows = String::new();
     let mut failures = Vec::new();
     for strategy in ["bsp", "ssp", "asp", "lfu", "lfu_int8"] {
-        let seeds: &[u64] = if strategy == "lfu_int8" { &[42] } else { &[42, 1337, 2026] };
+        let seeds: &[u64] = if strategy == "lfu_int8" {
+            &[42]
+        } else {
+            &[42, 1337, 2026]
+        };
         for &seed in seeds {
             let r = golden_run(strategy, seed);
             let audit = r.audit.expect("audit enabled");
@@ -431,16 +482,29 @@ fn seed_sweep_matches_goldens() {
 #[test]
 fn ledger_messages_are_the_charged_transfers() {
     for strategy in ["bsp", "ssp", "asp", "lfu", "lfu_int8"] {
-        let seeds: &[u64] = if strategy == "lfu_int8" { &[42] } else { &[42, 1337, 2026] };
+        let seeds: &[u64] = if strategy == "lfu_int8" {
+            &[42]
+        } else {
+            &[42, 1337, 2026]
+        };
         for &seed in seeds {
             let t = golden_run(strategy, seed).telemetry;
-            let messages = |class: &str| t.counter(&format!("{}{class}", names::TRAFFIC_MESSAGES_PREFIX));
+            let messages =
+                |class: &str| t.counter(&format!("{}{class}", names::TRAFFIC_MESSAGES_PREFIX));
             let sent = messages("embed_data") + messages("keys_clocks");
             let charged = t.counter_prefix_sum(names::TRAFFIC_LINK_PREFIX);
             assert!(sent > 0, "{strategy}/{seed}: no embedding traffic");
-            assert_eq!(sent, charged, "{strategy}/{seed}: ledger messages vs charged transfers");
-            let steps = t.counter(names::TRAIN_SAMPLES) / golden_config(seed, None).batch_size as u64;
-            assert_eq!(messages("allreduce"), steps, "{strategy}/{seed}: one collective per step");
+            assert_eq!(
+                sent, charged,
+                "{strategy}/{seed}: ledger messages vs charged transfers"
+            );
+            let steps =
+                t.counter(names::TRAIN_SAMPLES) / golden_config(seed, None).batch_size as u64;
+            assert_eq!(
+                messages("allreduce"),
+                steps,
+                "{strategy}/{seed}: one collective per step"
+            );
         }
     }
 }
@@ -489,11 +553,18 @@ fn wide_seed_sweep_matches_goldens_and_repeats() {
     let mut rows = String::new();
     let mut failures = Vec::new();
     for workers in [3usize, 4] {
-        for strategy in ["bsp", "bsp_int8", "s8", "s8_int8", "mp", "mp_int8", "lfu", "lfu_int8"] {
+        for strategy in [
+            "bsp", "bsp_int8", "s8", "s8_int8", "mp", "mp_int8", "lfu", "lfu_int8",
+        ] {
             let run = || {
                 let r = golden_run_on(workers, strategy, 42, None);
                 let audit = r.audit.expect("audit enabled");
-                assert_eq!(audit.total_violations(), 0, "{workers}/{strategy}: {}", audit.render());
+                assert_eq!(
+                    audit.total_violations(),
+                    0,
+                    "{workers}/{strategy}: {}",
+                    audit.render()
+                );
                 let flushes = r.telemetry.counter(names::EMBED_FLUSH_SYNC);
                 assert_eq!(
                     flushes > 0,
@@ -513,7 +584,9 @@ fn wide_seed_sweep_matches_goldens_and_repeats() {
             };
             let (first, second) = (run(), run());
             if first != second {
-                failures.push(format!("{workers}/{strategy}: two runs differ:\n{first}\n{second}"));
+                failures.push(format!(
+                    "{workers}/{strategy}: two runs differ:\n{first}\n{second}"
+                ));
             }
             let pinned = WIDE_GOLDENS
                 .iter()
@@ -521,7 +594,9 @@ fn wide_seed_sweep_matches_goldens_and_repeats() {
                 .map(|(w, g)| wide_row(*w, g));
             let (first, _) = first.split_once(" // ").expect("row and flush count");
             if pinned.as_deref() != Some(first) {
-                failures.push(format!("{workers}/{strategy}: {first} != pinned {pinned:?}"));
+                failures.push(format!(
+                    "{workers}/{strategy}: {first} != pinned {pinned:?}"
+                ));
             }
             rows.push_str(&format!("    {first}\n"));
         }

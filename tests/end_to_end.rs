@@ -104,12 +104,7 @@ fn dcn_and_wdl_both_train_distributed() {
             },
         )
         .run();
-        assert!(
-            r.final_auc > 0.55,
-            "{} AUC {}",
-            model.name(),
-            r.final_auc
-        );
+        assert!(r.final_auc > 0.55, "{} AUC {}", model.name(), r.final_auc);
     }
 }
 

@@ -47,7 +47,9 @@ fn single_hot_feature_dataset() {
         name: "hotspot".into(),
         num_fields: 2,
         num_features: 8,
-        features: (0..n).flat_map(|i| vec![0u32, 1 + (i % 7) as u32]).collect(),
+        features: (0..n)
+            .flat_map(|i| vec![0u32, 1 + (i % 7) as u32])
+            .collect(),
         labels: (0..n).map(|i| (i % 2) as f32).collect(),
         clusters: vec![0; n],
     };
@@ -154,7 +156,9 @@ fn label_constant_dataset_does_not_crash() {
         name: "all-clicks".into(),
         num_fields: 2,
         num_features: 16,
-        features: (0..n).flat_map(|i| vec![(i % 8) as u32, 8 + (i % 8) as u32]).collect(),
+        features: (0..n)
+            .flat_map(|i| vec![(i % 8) as u32, 8 + (i % 8) as u32])
+            .collect(),
         labels: vec![1.0; n],
         clusters: vec![0; n],
     };
@@ -262,7 +266,12 @@ fn resumed_run_is_deterministic_under_bsp() {
     let b = resume();
     assert_eq!(a.curve.len(), 1);
     assert_eq!(a.curve[0].epoch, 2);
-    assert!((a.final_auc - full.final_auc).abs() < 0.01, "{} vs {}", a.final_auc, full.final_auc);
+    assert!(
+        (a.final_auc - full.final_auc).abs() < 0.01,
+        "{} vs {}",
+        a.final_auc,
+        full.final_auc
+    );
     assert!(
         (a.final_auc - b.final_auc).abs() < 1e-12,
         "two identical resumes diverged: {} vs {}",
@@ -277,9 +286,8 @@ fn stall_and_degradation_hold_under_strict_audit() {
     // A stalled worker plus a degraded link stretch the simulated clock but
     // must not break the staleness protocol, even at s = 0.
     let data = generate(&DatasetSpec::tiny());
-    let faults = Arc::new(
-        FaultSchedule::parse("stall@0:0.0:0.004; degrade@0-1:0.0:0.05:8", 2, 42).unwrap(),
-    );
+    let faults =
+        Arc::new(FaultSchedule::parse("stall@0:0.0:0.004; degrade@0-1:0.0:0.05:8", 2, 42).unwrap());
     let clean = Trainer::new(
         &data,
         Topology::pcie_island(2),
@@ -300,7 +308,10 @@ fn stall_and_degradation_hold_under_strict_audit() {
     assert_eq!(audit.total_violations(), 0, "{}", audit.render());
     assert_eq!(r.telemetry.counter("fault.stalls"), 1);
     assert!(r.telemetry.gauge("fault.stall_secs").unwrap_or(0.0) > 0.0);
-    assert!(r.sim_time > clean.sim_time, "faults did not slow the run down");
+    assert!(
+        r.sim_time > clean.sim_time,
+        "faults did not slow the run down"
+    );
 }
 
 #[test]
@@ -308,9 +319,8 @@ fn fault_trace_and_metrics_surface_through_result() {
     use het_gmp::telemetry::{names, TraceCollector, TraceLevel, TraceTrack};
     let data = generate(&DatasetSpec::tiny());
     let tracer = Arc::new(TraceCollector::new(2, TraceLevel::Sync));
-    let faults = Arc::new(
-        FaultSchedule::parse("stall@0:0.0:0.002; crash@1:0.000001", 2, 42).unwrap(),
-    );
+    let faults =
+        Arc::new(FaultSchedule::parse("stall@0:0.0:0.002; crash@1:0.000001", 2, 42).unwrap());
     let r = Trainer::new(
         &data,
         Topology::pcie_island(2),

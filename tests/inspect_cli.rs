@@ -27,14 +27,29 @@ fn train_with_artifacts(dir: &std::path::Path, seed: u64) -> (PathBuf, PathBuf) 
     let trace = dir.join(format!("run-{seed}.trace.json"));
     let out = het_gmp()
         .args([
-            "train", "--preset", "tiny", "--workers", "2", "--epochs", "1",
-            "--seed", &seed.to_string(),
-            "--telemetry", jsonl.to_str().unwrap(),
-            "--trace", trace.to_str().unwrap(), "--trace-level", "sync",
+            "train",
+            "--preset",
+            "tiny",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+            "--seed",
+            &seed.to_string(),
+            "--telemetry",
+            jsonl.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
+            "--trace-level",
+            "sync",
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     (jsonl, trace)
 }
 
@@ -60,7 +75,11 @@ fn manifest_round_trips_through_telemetry_and_trace_writers() {
 
     // The artifact loader surfaces the identical struct from both files.
     let tele = Artifact::load(&jsonl).unwrap();
-    assert_eq!(tele.manifest(), Some(&from_record), "loader disagrees with raw record");
+    assert_eq!(
+        tele.manifest(),
+        Some(&from_record),
+        "loader disagrees with raw record"
+    );
     let chrome = Artifact::load(&trace).unwrap();
     assert_eq!(
         chrome.manifest(),
@@ -78,10 +97,17 @@ fn manifest_round_trips_through_bench_documents() {
     let m = RunManifest::new(42, RunManifest::digest_of("dim=8|hidden=16"), 4);
     let doc = Json::obj([
         ("manifest", m.to_json()),
-        ("end_to_end", Json::obj([("samples_per_sec", Json::F64(1000.0))])),
+        (
+            "end_to_end",
+            Json::obj([("samples_per_sec", Json::F64(1000.0))]),
+        ),
     ]);
     let artifact = Artifact::parse(&doc.render()).expect("document parses");
-    assert_eq!(artifact.manifest(), Some(&m), "document round-trip changed the manifest");
+    assert_eq!(
+        artifact.manifest(),
+        Some(&m),
+        "document round-trip changed the manifest"
+    );
 }
 
 /// `inspect report` and `inspect pipeline` render their headline sections
@@ -95,7 +121,11 @@ fn inspect_report_and_pipeline_render_cli_artifacts() {
         .args(["inspect", "report", jsonl.to_str().unwrap()])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("manifest: seed=7"), "{text}");
     assert!(text.contains("traffic breakdown (Fig. 8)"), "{text}");
@@ -106,7 +136,11 @@ fn inspect_report_and_pipeline_render_cli_artifacts() {
         .args(["inspect", "pipeline", trace.to_str().unwrap()])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("timeline:"), "{text}");
     assert!(text.contains("workers/worker 0"), "{text}");
@@ -123,10 +157,20 @@ fn inspect_diff_exit_codes_self_clean_regression_loud() {
     let (jsonl, _) = train_with_artifacts(&dir, 7);
 
     let out = het_gmp()
-        .args(["inspect", "diff", jsonl.to_str().unwrap(), jsonl.to_str().unwrap()])
+        .args([
+            "inspect",
+            "diff",
+            jsonl.to_str().unwrap(),
+            jsonl.to_str().unwrap(),
+        ])
         .output()
         .expect("spawn");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Inject a throughput collapse into a copy of the final snapshot.
     let text = std::fs::read_to_string(&jsonl).unwrap();
@@ -148,7 +192,12 @@ fn inspect_diff_exit_codes_self_clean_regression_loud() {
     std::fs::write(&regressed, doctored).unwrap();
 
     let out = het_gmp()
-        .args(["inspect", "diff", jsonl.to_str().unwrap(), regressed.to_str().unwrap()])
+        .args([
+            "inspect",
+            "diff",
+            jsonl.to_str().unwrap(),
+            regressed.to_str().unwrap(),
+        ])
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1), "regression must exit 1");
@@ -197,8 +246,14 @@ fn inspect_diff_reads_pre_one_schedule_telemetry() {
     let (jsonl, _) = train_with_artifacts(&dir, 7);
     let text = std::fs::read_to_string(&jsonl).unwrap();
     let legacy = text
-        .replace(r#""workers":2,"#, r#""workers":2,"pipeline_depth":1,"gemm_threads":1,"#)
-        .replace(r#""log_loss":"#, r#""stage_occupancy":0.0,"stall_secs":0.0,"log_loss":"#)
+        .replace(
+            r#""workers":2,"#,
+            r#""workers":2,"pipeline_depth":1,"gemm_threads":1,"#,
+        )
+        .replace(
+            r#""log_loss":"#,
+            r#""stage_occupancy":0.0,"stall_secs":0.0,"log_loss":"#,
+        )
         .replace(
             r#""pipeline.overlap_ratio":"#,
             // The retired gauge's name is split so `check_metric_names.sh`
@@ -215,26 +270,53 @@ fn inspect_diff_reads_pre_one_schedule_telemetry() {
 
     let current = Artifact::load(&jsonl).unwrap();
     let loaded = Artifact::load(&old).unwrap();
-    assert_eq!(loaded.manifest(), current.manifest(), "legacy manifest must load");
+    assert_eq!(
+        loaded.manifest(),
+        current.manifest(),
+        "legacy manifest must load"
+    );
     let outcome = diff_artifacts(&loaded, &current, &DiffOptions::default()).unwrap();
-    assert!(outcome.manifest_warning.is_none(), "{:?}", outcome.manifest_warning);
+    assert!(
+        outcome.manifest_warning.is_none(),
+        "{:?}",
+        outcome.manifest_warning
+    );
 
     let out = het_gmp()
-        .args(["inspect", "diff", old.to_str().unwrap(), jsonl.to_str().unwrap()])
+        .args([
+            "inspect",
+            "diff",
+            old.to_str().unwrap(),
+            jsonl.to_str().unwrap(),
+        ])
         .output()
         .expect("spawn");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let out = het_gmp()
         .args(["inspect", "report", old.to_str().unwrap()])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // And a real metric regression in the current log still decides.
     let regressed = dir.join("regressed.jsonl");
     std::fs::write(&regressed, text.replace(r#""auc":0."#, r#""auc":0.00"#)).unwrap();
     let out = het_gmp()
-        .args(["inspect", "diff", old.to_str().unwrap(), regressed.to_str().unwrap()])
+        .args([
+            "inspect",
+            "diff",
+            old.to_str().unwrap(),
+            regressed.to_str().unwrap(),
+        ])
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(1), "regression must exit 1");
@@ -246,7 +328,10 @@ fn inspect_diff_reads_pre_one_schedule_telemetry() {
 /// (distinct from the regression exit code 1).
 #[test]
 fn inspect_error_paths_follow_sysexits() {
-    let out = het_gmp().args(["inspect", "frobnicate", "x"]).output().expect("spawn");
+    let out = het_gmp()
+        .args(["inspect", "frobnicate", "x"])
+        .output()
+        .expect("spawn");
     assert_eq!(out.status.code(), Some(2), "unknown mode is a usage error");
 
     let out = het_gmp()

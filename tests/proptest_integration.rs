@@ -3,8 +3,8 @@
 
 use het_gmp::bigraph::Bigraph;
 use het_gmp::cluster::Topology;
-use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
 use het_gmp::embedding::RowStore;
+use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
 use het_gmp::partition::{
     bicut_partition, random_partition, HybridConfig, HybridPartitioner, PartitionMetrics,
     ReplicationBudget,
@@ -14,11 +14,8 @@ use proptest::prelude::*;
 /// Strategy: a random small bigraph as per-sample field lists.
 fn bigraph_strategy() -> impl Strategy<Value = Bigraph> {
     (2usize..40, 4u32..60).prop_flat_map(|(samples, vocab)| {
-        prop::collection::vec(
-            prop::collection::vec(0..vocab, 1..6),
-            samples..=samples,
-        )
-        .prop_map(move |rows| Bigraph::from_samples(vocab as usize, &rows))
+        prop::collection::vec(prop::collection::vec(0..vocab, 1..6), samples..=samples)
+            .prop_map(move |rows| Bigraph::from_samples(vocab as usize, &rows))
     })
 }
 

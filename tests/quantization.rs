@@ -9,8 +9,8 @@ use het_gmp::comms::SyncFormat;
 use het_gmp::core::strategy::StrategyConfig;
 use het_gmp::core::trainer::{Trainer, TrainerConfig};
 use het_gmp::data::{generate, DatasetSpec};
-use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
 use het_gmp::embedding::RowStore;
+use het_gmp::embedding::{ShardedTable, SparseOpt, StalenessBound, WorkerEmbedding};
 use het_gmp::partition::Partition;
 use het_gmp::telemetry::AuditMode;
 
@@ -115,7 +115,10 @@ fn error_feedback_recovers_subquantization_gradients() {
     let ef = trajectory(SyncFormat::Int8, true);
     let no_ef = trajectory(SyncFormat::Int8, false);
     // f32 reference: row -= lr·g per push → [−0.04, −20].
-    assert!((exact[0] + 0.04).abs() < 1e-4, "f32 reference off: {exact:?}");
+    assert!(
+        (exact[0] + 0.04).abs() < 1e-4,
+        "f32 reference off: {exact:?}"
+    );
     // The dominant coordinate converges under every variant.
     assert!((ef[1] - exact[1]).abs() < 0.05, "{ef:?} vs {exact:?}");
     assert!((no_ef[1] - exact[1]).abs() < 0.05, "{no_ef:?} vs {exact:?}");
@@ -123,8 +126,14 @@ fn error_feedback_recovers_subquantization_gradients() {
     // quantization step (·lr), no-feedback never moves it at all.
     let ef_err = (ef[0] - exact[0]).abs();
     let no_ef_err = (no_ef[0] - exact[0]).abs();
-    assert!(ef_err < 0.004, "feedback lost the small coordinate: {ef:?} vs {exact:?}");
-    assert!(no_ef[0].abs() < 1e-6, "without feedback the coordinate moved: {no_ef:?}");
+    assert!(
+        ef_err < 0.004,
+        "feedback lost the small coordinate: {ef:?} vs {exact:?}"
+    );
+    assert!(
+        no_ef[0].abs() < 1e-6,
+        "without feedback the coordinate moved: {no_ef:?}"
+    );
     assert!(
         no_ef_err > 10.0 * ef_err.max(1e-6),
         "feedback is not measurably better: {ef_err} vs {no_ef_err}"

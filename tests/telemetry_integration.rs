@@ -89,10 +89,20 @@ fn fig8_traffic_classes_agree_between_snapshot_and_ledger() {
 #[test]
 fn trace_traffic_instants_add_up_to_the_traffic_totals() {
     let tracer = Arc::new(TraceCollector::new(4, TraceLevel::Sync));
-    let r = fixed_seed_trainer(StrategyConfig::het_gmp(10), |t| t.with_tracer(Arc::clone(&tracer)));
-    assert_eq!(tracer.dropped(), 0, "the ring dropped events; the sums would be partial");
+    let r = fixed_seed_trainer(StrategyConfig::het_gmp(10), |t| {
+        t.with_tracer(Arc::clone(&tracer))
+    });
+    assert_eq!(
+        tracer.dropped(),
+        0,
+        "the ring dropped events; the sums would be partial"
+    );
     let mut traced = [0u64; 3];
-    for e in tracer.events().iter().filter(|e| e.name == names::TRACE_TRAFFIC) {
+    for e in tracer
+        .events()
+        .iter()
+        .filter(|e| e.name == names::TRACE_TRAFFIC)
+    {
         let arg = |k: &str| &e.args.iter().find(|(n, _)| n == k).expect("traffic arg").1;
         let class = arg("class").as_str().expect("class label");
         let i = TrafficClass::all()

@@ -24,12 +24,23 @@ fn train_trace_flag_writes_chrome_trace_schema() {
 
     let out = het_gmp()
         .args([
-            "train", "--preset", "tiny", "--workers", "2", "--epochs", "1",
-            "--trace", trace.to_str().unwrap(),
+            "train",
+            "--preset",
+            "tiny",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+            "--trace",
+            trace.to_str().unwrap(),
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(
         String::from_utf8_lossy(&out.stdout).contains("trace: "),
         "trace path not reported"
@@ -41,7 +52,10 @@ fn train_trace_flag_writes_chrome_trace_schema() {
     assert!(text.trim_start().starts_with('{'), "{text}");
     assert_eq!(text.matches('{').count(), text.matches('}').count());
     assert_eq!(text.matches('[').count(), text.matches(']').count());
-    assert!(text.contains(r#""traceEvents""#), "missing traceEvents envelope");
+    assert!(
+        text.contains(r#""traceEvents""#),
+        "missing traceEvents envelope"
+    );
 
     // Track metadata: both worker threads, at least one link class, driver.
     assert!(text.contains(r#""worker 0""#), "missing worker 0 track");
@@ -54,7 +68,10 @@ fn train_trace_flag_writes_chrome_trace_schema() {
     assert!(text.contains(r#""ts":"#), "no timestamps");
     assert!(text.contains("trace.batch"), "no batch spans");
     assert!(text.contains("trace.epoch"), "no epoch spans");
-    assert!(text.contains("trace.partition.round"), "no partitioner spans");
+    assert!(
+        text.contains("trace.partition.round"),
+        "no partitioner spans"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -65,16 +82,32 @@ fn train_trace_flag_writes_chrome_trace_schema() {
 fn trace_to_stdout_with_sync_level_instants() {
     let out = het_gmp()
         .args([
-            "train", "--preset", "tiny", "--workers", "2", "--epochs", "1",
-            "--trace", "-", "--trace-level", "sync",
+            "train",
+            "--preset",
+            "tiny",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+            "--trace",
+            "-",
+            "--trace-level",
+            "sync",
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains(r#""traceEvents""#), "{text}");
     // Sync level: instant events (ph "i") for protocol decisions.
-    assert!(text.contains(r#""ph":"i""#), "no instant events at sync level");
+    assert!(
+        text.contains(r#""ph":"i""#),
+        "no instant events at sync level"
+    );
     assert!(text.contains("trace.read"), "no read-mix instants");
 }
 
@@ -83,7 +116,13 @@ fn trace_to_stdout_with_sync_level_instants() {
 fn trace_and_audit_flags_validate() {
     let out = het_gmp()
         .args([
-            "train", "--preset", "tiny", "--trace", "-", "--trace-level", "verbose",
+            "train",
+            "--preset",
+            "tiny",
+            "--trace",
+            "-",
+            "--trace-level",
+            "verbose",
         ])
         .output()
         .expect("spawn");
@@ -105,12 +144,24 @@ fn trace_and_audit_flags_validate() {
 fn strict_audit_bsp_run_reports_zero_violations() {
     let out = het_gmp()
         .args([
-            "train", "--preset", "tiny", "--workers", "2", "--epochs", "1",
-            "--staleness", "0", "--audit=strict",
+            "train",
+            "--preset",
+            "tiny",
+            "--workers",
+            "2",
+            "--epochs",
+            "1",
+            "--staleness",
+            "0",
+            "--audit=strict",
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("audit: bound=0"), "{text}");
     assert!(text.contains("violations=0"), "{text}");
@@ -128,19 +179,31 @@ fn experiment_ablation_jsonl_event_shapes() {
 
     let out = het_gmp()
         .args([
-            "experiment", "ablation", "--scale", "0.02",
-            "--telemetry", tele.to_str().unwrap(), "--audit",
+            "experiment",
+            "ablation",
+            "--scale",
+            "0.02",
+            "--telemetry",
+            tele.to_str().unwrap(),
+            "--audit",
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     for heading in [
         "Ablation — static vertex-cut replicas vs dynamic LFU cache (equal memory)",
         "Ablation — re-partitioning under access drift (criteo-like, 8 partitions)",
         "Ablation — straggler tolerance (WDL, 8 GPUs, 1 slow worker)",
     ] {
-        assert!(stdout.lines().any(|l| l == heading), "no {heading:?}:\n{stdout}");
+        assert!(
+            stdout.lines().any(|l| l == heading),
+            "no {heading:?}:\n{stdout}"
+        );
     }
 
     let text = std::fs::read_to_string(&tele).unwrap();
@@ -153,7 +216,10 @@ fn experiment_ablation_jsonl_event_shapes() {
     for l in &staleness {
         assert!(l.contains(r#""staleness":"#), "{l}");
         assert!(l.contains(r#""throughput":"#), "{l}");
-        assert!(l.contains(r#""audit":"#), "audited run lacks audit object: {l}");
+        assert!(
+            l.contains(r#""audit":"#),
+            "audited run lacks audit object: {l}"
+        );
         assert!(l.contains(r#""intra_violations":0"#), "{l}");
         assert!(l.contains(r#""counters":"#), "snapshot missing: {l}");
     }
@@ -182,13 +248,23 @@ fn experiment_fig8_jsonl_and_trace() {
 
     let out = het_gmp()
         .args([
-            "experiment", "fig8", "--scale", "0.01",
-            "--telemetry", tele.to_str().unwrap(),
-            "--audit", "--trace", trace.to_str().unwrap(),
+            "experiment",
+            "fig8",
+            "--scale",
+            "0.01",
+            "--telemetry",
+            tele.to_str().unwrap(),
+            "--audit",
+            "--trace",
+            trace.to_str().unwrap(),
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&tele).unwrap();
     let fig8: Vec<&str> = text
@@ -222,12 +298,21 @@ fn experiment_table2_jsonl_event_shapes() {
 
     let out = het_gmp()
         .args([
-            "experiment", "table2", "--scale", "0.01",
-            "--telemetry", tele.to_str().unwrap(), "--audit",
+            "experiment",
+            "table2",
+            "--scale",
+            "0.01",
+            "--telemetry",
+            tele.to_str().unwrap(),
+            "--audit",
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&tele).unwrap();
     let table2: Vec<&str> = text
@@ -261,13 +346,23 @@ fn experiment_fig9_honours_hooks() {
 
     let out = het_gmp()
         .args([
-            "experiment", "fig9", "--scale", "0.02", "--audit",
-            "--telemetry", tele.to_str().unwrap(),
-            "--trace", trace.to_str().unwrap(),
+            "experiment",
+            "fig9",
+            "--scale",
+            "0.02",
+            "--audit",
+            "--telemetry",
+            tele.to_str().unwrap(),
+            "--trace",
+            trace.to_str().unwrap(),
         ])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let text = std::fs::read_to_string(&tele).unwrap();
     let fig9: Vec<&str> = text
@@ -305,13 +400,25 @@ fn empty_trace_export_is_valid_metadata_only_chrome_json() {
 
     let collector = TraceCollector::new(2, TraceLevel::Batch);
     collector.attach_manifest(RunManifest::new(5, RunManifest::digest_of("x"), 2));
-    collector.write_chrome_trace(path.to_str().unwrap()).unwrap();
+    collector
+        .write_chrome_trace(path.to_str().unwrap())
+        .unwrap();
 
     let text = std::fs::read_to_string(&path).unwrap();
     assert!(text.contains(r#""traceEvents""#), "{text}");
-    assert_eq!(text.matches('{').count(), text.matches('}').count(), "{text}");
-    assert!(text.contains(r#""ph":"M""#), "metadata events missing: {text}");
-    assert!(!text.contains(r#""ph":"X""#), "span events in an empty trace: {text}");
+    assert_eq!(
+        text.matches('{').count(),
+        text.matches('}').count(),
+        "{text}"
+    );
+    assert!(
+        text.contains(r#""ph":"M""#),
+        "metadata events missing: {text}"
+    );
+    assert!(
+        !text.contains(r#""ph":"X""#),
+        "span events in an empty trace: {text}"
+    );
 
     let artifact = Artifact::load(&path).unwrap();
     assert_eq!(artifact.manifest().map(|m| m.seed), Some(5));
