@@ -29,15 +29,6 @@ impl TrafficClass {
         ]
     }
 
-    /// Display label matching the paper's legend.
-    pub fn label(self) -> &'static str {
-        match self {
-            TrafficClass::EmbedData => "embeds & grads",
-            TrafficClass::KeysClocks => "keys & clocks",
-            TrafficClass::AllReduce => "all-reduce",
-        }
-    }
-
     /// Suffix used in telemetry metric names (`traffic.bytes.<suffix>`).
     pub fn metric_suffix(self) -> &'static str {
         match self {
@@ -63,16 +54,5 @@ impl TrafficClass {
             TrafficClass::KeysClocks => "traffic.messages.keys_clocks",
             TrafficClass::AllReduce => "traffic.messages.allreduce",
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_stable() {
-        assert_eq!(TrafficClass::EmbedData.label(), "embeds & grads");
-        assert_eq!(TrafficClass::all().len(), 3);
     }
 }

@@ -69,7 +69,9 @@ use hetgmp_cluster::{
 };
 use hetgmp_comms::{AllReduceGroup, DenseQuantizer};
 use hetgmp_data::CtrDataset;
-use hetgmp_embedding::{EmbeddingWorker, ReadReport, RowStore, UpdateReport, WriteExchange};
+use hetgmp_embedding::{
+    load_run_rows, EmbeddingWorker, ReadReport, RowStore, UpdateReport, WriteExchange,
+};
 use hetgmp_partition::Partition;
 use hetgmp_telemetry::{
     names, HistogramSummary, Json, MetricsRegistry, ProtocolAuditor, Recorder, TraceCollector,
@@ -79,7 +81,7 @@ use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, Matrix, Sgd};
 use crate::charge::{charge, Dense, LinkTallies, Phases, Transfer, Wire};
 use crate::models::{CtrModel, ModelTape};
 use crate::strategy::{DenseSync, EmbedHome, StrategyConfig};
-use crate::trainer::{CheckpointImage, TrainerConfig};
+use crate::trainer::{CrashImage, TrainerConfig};
 
 /// The four stages of a step, in execution order — the labels the
 /// [`StageProfiler`] attributes wall and simulated time to
@@ -375,13 +377,13 @@ pub(crate) struct WorkerFaultState {
 }
 
 /// Runs one worker's epoch: the nine-step schedule of the module docs.
-/// `image` is the checkpoint a crash rolls back to (present whenever the
+/// `image` is the run image a crash rolls back to (present whenever the
 /// schedule can crash).
 pub(crate) fn run_worker_epoch(
     run: &RunCtx<'_>,
     me: &mut WorkerRun<'_>,
     epoch: usize,
-    image: Option<&CheckpointImage>,
+    image: Option<&CrashImage>,
 ) {
     let (cfg, dataset, group) = (run.cfg, run.dataset, &run.group);
     let shard = &run.shards[me.w];
@@ -690,7 +692,7 @@ fn clip_and_step(
 /// collectives: the worker never abandons a rendezvous, so peers are
 /// never stranded — they simply absorb the downtime through the BSP
 /// simulated-time barrier.
-fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&CheckpointImage>) {
+fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&CrashImage>) {
     let (w, faults, tracer, table) = (me.w, &run.faults, run.tracer, run.table);
     let (clock, fstate, recorder, links) =
         (&mut me.clock, &mut me.fstate, &me.recorder, &mut me.links);
@@ -722,43 +724,23 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                     t.set_worker_time(w, crash_time);
                     t.worker_instant(w, names::TRACE_FAULT_CRASH, &[]);
                 }
-                let image = image.expect("crash schedules always capture a checkpoint image");
-                // The device's state is gone. Roll this worker's primary
-                // rows back to the checkpoint image (clocks move
-                // backwards; peers' saturating gap math reads them as
-                // fresh, so the staleness invariant holds), then discard
-                // worker-local pendings and re-prime replicas.
-                let dim = table.dim();
-                let zero_accum = vec![0.0f32; dim];
-                let roll_accums = table.has_optimizer_state();
-                let mut lost = 0u64;
-                let mut rolled = 0u64;
-                for e in 0..table.num_rows() as u32 {
-                    if run.partition.primary_of(e) != w as u32 {
-                        continue;
+                let image = image.expect("crash schedules always keep a crash image");
+                // The device's state is gone. Every primary row of this
+                // worker whose clock moved since the image goes back to it
+                // (clocks move backwards; peers' saturating gap math reads
+                // them as fresh, so the staleness invariant holds), then
+                // worker-local pendings are discarded and replicas
+                // re-primed.
+                let (mut rolled, mut lost) = (0u64, 0u64);
+                let saved = load_run_rows(table, image.bytes.as_slice(), |e, ck| {
+                    if run.partition.primary_of(e) != w as u32 || table.clock(e) == ck {
+                        return false;
                     }
-                    let cur = table.clock(e);
-                    let ck = image.clocks[e as usize];
-                    if cur != ck {
-                        table.restore_row(
-                            e,
-                            &image.values[e as usize * dim..(e as usize + 1) * dim],
-                            ck,
-                        );
-                        // Optimizer state rolls back with the values it
-                        // produced (a `None` capture means it was zero).
-                        if roll_accums {
-                            table.restore_accum(
-                                e,
-                                image.accums.as_ref().map_or(&zero_accum[..], |a| {
-                                    &a[e as usize * dim..(e as usize + 1) * dim]
-                                }),
-                            );
-                        }
-                        rolled += 1;
-                        lost += cur.saturating_sub(ck);
-                    }
-                }
+                    rolled += 1;
+                    lost += table.clock(e).saturating_sub(ck);
+                    true
+                })
+                .expect("the crash image decodes: this run encoded it");
                 let refreshed = me.emb.recover_from_crash();
                 // Recovery cost: restart, restore this worker's shard of
                 // the image over the host link, re-fetch refreshed
@@ -766,9 +748,8 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                 // barrier re-prime), and replay the work done since the
                 // image was captured.
                 let cost = &run.cost;
-                let n_workers = cost.topology.num_workers() as u64;
-                let restore_t =
-                    cost.link_transfer_time(LinkClass::HostPcie, image.bytes / n_workers.max(1));
+                let shard = image.bytes.len() as u64 / cost.topology.num_workers().max(1) as u64;
+                let restore_t = cost.link_transfer_time(LinkClass::HostPcie, shard);
                 let reprime = Transfer::rows(&refreshed, run.row_bytes);
                 let refresh_t = charge(
                     &run.wire(recorder),
@@ -779,7 +760,8 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                 )
                 .total();
                 let refreshed: u64 = refreshed.iter().sum();
-                let replay_t = (crash_time - image.sim_times[w]).max(0.0);
+                let taken = saved.workers[w].sim_time + image.write_secs;
+                let replay_t = (crash_time - taken).max(0.0);
                 let recovery_t = faults.restart_overhead() + restore_t + refresh_t + replay_t;
                 clock.advance(TimeCategory::Fault, recovery_t);
                 fstate.recovery_secs += recovery_t;

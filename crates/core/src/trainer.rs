@@ -21,8 +21,6 @@
 //! barrier is applied and every sparse access pays the CPU host link — so
 //! they are time-starved exactly as measured in Figure 7.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,9 +33,9 @@ use hetgmp_cluster::{
 use hetgmp_comms::{AllReduceGroup, SyncFormat, TrafficClass};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{
-    load_run, run_encoded_len, save_run, BatchScratch, CachedWorkerEmbedding, CapacityStats,
-    EmbeddingWorker, ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound,
-    TieredConfig, TieredTable, WorkerEmbedding, WorkerState, WriteExchange,
+    load_run, save_run, BatchScratch, CachedWorkerEmbedding, CapacityStats, EmbeddingWorker,
+    ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound, TieredConfig,
+    TieredTable, WorkerEmbedding, WorkerState, WriteExchange,
 };
 use hetgmp_partition::{Partition, PartitionMetrics, Partitioner};
 use hetgmp_telemetry::{
@@ -563,12 +561,12 @@ impl<'d> Trainer<'d> {
         let start_epoch = self.resume(&run, &mut workers)?;
 
         // ---- Epochs ----------------------------------------------------------
-        // The in-memory image crashes roll back to, refreshed at every
-        // checkpoint; only materialised when the schedule can crash.
-        let mut image = run
-            .faults
-            .has_crashes()
-            .then(|| CheckpointImage::capture(run.table, &workers, run.num_dense));
+        // The run image crashes roll back to, replaced at every checkpoint;
+        // only kept when the schedule can crash.
+        let mut image = run.faults.has_crashes().then(|| CrashImage {
+            bytes: encode_run(&run, &mut workers, start_epoch - 1),
+            write_secs: 0.0,
+        });
         let mut curve: Vec<EvalPoint> = Vec::with_capacity(cfg.epochs);
         // The evaluation's dense arena, warm after the first chunk.
         let mut eval_tape = ModelTape::new();
@@ -819,9 +817,15 @@ impl<'d> Trainer<'d> {
         let Some(path) = &self.config.resume_from else {
             return Ok(1);
         };
-        let file = File::open(path).map_err(|e| HetGmpError::io(path.clone(), e))?;
-        let state = load_run(run.table, &mut BufReader::new(file))
-            .map_err(|e| e.into_workspace(path.clone()))?;
+        let bytes = std::fs::read(path).map_err(|e| HetGmpError::io(path.clone(), e))?;
+        let state =
+            load_run(run.table, bytes.as_slice()).map_err(|e| e.into_workspace(path.clone()))?;
+        let Some(next_epoch) = usize::try_from(state.epoch)
+            .ok()
+            .and_then(|e| e.checked_add(1))
+        else {
+            return Err(HetGmpError::checkpoint(path.clone(), "corrupt epoch"));
+        };
         if state.workers.len() != workers.len() {
             return Err(HetGmpError::config(
                 "resume_from",
@@ -858,7 +862,7 @@ impl<'d> Trainer<'d> {
                 me.fstate.next += 1;
             }
         }
-        Ok(state.epoch as usize + 1)
+        Ok(next_epoch)
     }
 
     /// Evaluates the epoch's models on the test split and records the
@@ -1011,7 +1015,7 @@ fn train_epoch(
     run: &RunCtx<'_>,
     workers: &mut [WorkerRun<'_>],
     epoch: usize,
-    image: Option<&CheckpointImage>,
+    image: Option<&CrashImage>,
 ) -> bool {
     run.loss_sum_micro.store(0, Ordering::Relaxed);
     run.loss_batches.store(0, Ordering::Relaxed);
@@ -1070,18 +1074,9 @@ fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
     }
 }
 
-/// Writes `ckpt-epoch-<epoch>.hgmr`. Runs after the barrier, so nothing is
-/// pending and the file captures an exact, resumable state; then moves
-/// the crash image (if the run keeps one) up to this point.
-fn checkpoint(
-    run: &RunCtx<'_>,
-    workers: &mut [WorkerRun<'_>],
-    epoch: usize,
-    image: &mut Option<CheckpointImage>,
-) -> Result<(), HetGmpError> {
-    let dir = (run.cfg.checkpoint_dir.as_ref())
-        .expect("TrainerConfig::validate pairs checkpoint_every with a checkpoint_dir");
-    std::fs::create_dir_all(dir).map_err(|e| HetGmpError::io(dir.clone(), e))?;
+/// The run's `HGMR` encoding after `epoch`: the table plus each worker's
+/// simulated clock, shard cursor and dense model.
+fn encode_run(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>], epoch: usize) -> Vec<u8> {
     let state = RunState {
         epoch: epoch as u64,
         workers: workers
@@ -1093,10 +1088,28 @@ fn checkpoint(
             })
             .collect(),
     };
+    let mut bytes = Vec::new();
+    save_run(run.table, &state, &mut bytes)
+        .expect("a run encodes into memory: every worker's dense model has one shape");
+    bytes
+}
+
+/// Writes `ckpt-epoch-<epoch>.hgmr`. Runs after the barrier, so nothing is
+/// pending and the file captures an exact, resumable state; the same
+/// bytes then become the crash image, if the run keeps one.
+fn checkpoint(
+    run: &RunCtx<'_>,
+    workers: &mut [WorkerRun<'_>],
+    epoch: usize,
+    image: &mut Option<CrashImage>,
+) -> Result<(), HetGmpError> {
+    let dir = (run.cfg.checkpoint_dir.as_ref())
+        .expect("TrainerConfig::validate pairs checkpoint_every with a checkpoint_dir");
+    std::fs::create_dir_all(dir).map_err(|e| HetGmpError::io(dir.clone(), e))?;
+    let encoded = encode_run(run, workers, epoch);
     let path = dir.join(format!("ckpt-epoch-{epoch}.hgmr"));
-    let file = File::create(&path).map_err(|e| HetGmpError::io(path.clone(), e))?;
-    let bytes = save_run(run.table, &state, &mut BufWriter::new(file))
-        .map_err(|e| e.into_workspace(path.clone()))?;
+    std::fs::write(&path, &encoded).map_err(|e| HetGmpError::io(path.clone(), e))?;
+    let bytes = encoded.len() as u64;
     // Every worker streams its shard of the image over the host link in
     // parallel; charge each one its share.
     let io_t = run
@@ -1106,12 +1119,9 @@ fn checkpoint(
     for me in workers.iter_mut() {
         me.clock.advance(TimeCategory::HostIo, io_t);
     }
-    run.registry
-        .global()
-        .counter_add(names::CHECKPOINT_SAVES, 1);
-    run.registry
-        .global()
-        .counter_add(names::CHECKPOINT_BYTES, bytes);
+    let global = run.registry.global();
+    global.counter_add(names::CHECKPOINT_SAVES, 1);
+    global.counter_add(names::CHECKPOINT_BYTES, bytes);
     if let Some(t) = run.tracer {
         t.driver_span(
             names::TRACE_CHECKPOINT,
@@ -1123,10 +1133,12 @@ fn checkpoint(
             ],
         );
     }
-    // Future crashes roll back to this image instead of the start-of-run
-    // one.
-    if image.is_some() {
-        *image = Some(CheckpointImage::capture(run.table, workers, run.num_dense));
+    // Future crashes roll back to this image instead of the earlier one.
+    if let Some(image) = image {
+        *image = CrashImage {
+            bytes: encoded,
+            write_secs: io_t,
+        };
     }
     Ok(())
 }
@@ -1224,51 +1236,15 @@ fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<
     capacity
 }
 
-/// In-memory copy of the last checkpoint: per-row values + clocks of the
-/// whole embedding table and each worker's simulated time at capture. Crash
-/// recovery rolls the crashed worker's primary rows back to this image.
-/// Dense parameters are *not* stored: a recovering worker copies them from
-/// any live peer (replicated under BSP), which is charged but needs no data.
-pub(crate) struct CheckpointImage {
-    pub(crate) clocks: Vec<u64>,
-    pub(crate) values: Vec<f32>,
-    /// Per-row Adagrad accumulators at capture time (`None` if the table
-    /// held no optimizer state yet, i.e. the accumulators were all zero).
-    /// Rollback must restore these alongside the values: an accumulator
-    /// that kept post-crash curvature would shrink the replayed steps and
-    /// diverge from the uninterrupted run.
-    pub(crate) accums: Option<Vec<f32>>,
-    pub(crate) sim_times: Vec<f64>,
-    /// Serialized size of the equivalent on-disk checkpoint; used to charge
-    /// restore transfer time.
-    pub(crate) bytes: u64,
-}
-
-impl CheckpointImage {
-    fn capture(table: &dyn RowStore, workers: &[WorkerRun<'_>], dense_len: usize) -> Self {
-        let rows = table.num_rows();
-        let dim = table.dim();
-        let mut row_clocks = Vec::with_capacity(rows);
-        let mut values = vec![0.0f32; rows * dim];
-        for r in 0..rows as u32 {
-            let c = table.read_row(r, &mut values[r as usize * dim..(r as usize + 1) * dim]);
-            row_clocks.push(c);
-        }
-        let accums = table.has_optimizer_state().then(|| {
-            let mut a = vec![0.0f32; rows * dim];
-            for r in 0..rows as u32 {
-                table.read_accum(r, &mut a[r as usize * dim..(r as usize + 1) * dim]);
-            }
-            a
-        });
-        Self {
-            clocks: row_clocks,
-            values,
-            accums,
-            sim_times: workers.iter().map(|me| me.clock.now()).collect(),
-            bytes: run_encoded_len(table, workers.len(), dense_len),
-        }
-    }
+/// What a crash rolls back to: the `HGMR` bytes of the last checkpoint
+/// (of the run's start before the first one), and the simulated seconds
+/// each worker spent writing them, which a recovery does not replay.
+/// Dense parameters are not read back: a recovering worker copies them
+/// from any live peer (replicated under BSP), which is charged but needs
+/// no data.
+pub(crate) struct CrashImage {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) write_secs: f64,
 }
 
 #[cfg(test)]

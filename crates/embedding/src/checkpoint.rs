@@ -1,9 +1,21 @@
-//! Checkpointing: versioned little-endian binary formats for the embedding
-//! table and for a whole training run's restorable state.
+//! Checkpointing: the `HGMR` run image, a versioned little-endian binary
+//! container holding everything a training run needs to resume. The
+//! trainer writes it to `ckpt-epoch-<E>.hgmr` and keeps the same bytes in
+//! memory as the image a crashed worker rolls back to.
+//!
+//! # Run container (`HGMR`, version 1)
+//!
+//! ```text
+//! magic       4 bytes   "HGMR"
+//! version     u32       1
+//! epoch       u64       last completed epoch
+//! workers     u64
+//! dense_len   u64       dense f32 parameters per worker (uniform)
+//! <table section>
+//! workers × ( sim_time f64, cursor u64, dense_len × f32 )
+//! ```
 //!
 //! # Table section (`HGMP`, version 2)
-//!
-//! [`save_table`]/[`load_table`] serialise the primary store alone:
 //!
 //! ```text
 //! magic     4 bytes   "HGMP"
@@ -14,36 +26,19 @@
 //! rows × ( clock u64, dim × f32 values, [dim × f32 accum] )
 //! ```
 //!
-//! All integers and floats are little-endian. [`load_table`] validates the
-//! header, requires an exact shape match with the target table, and
-//! restores values, per-row update clocks, **and** (when present) the
-//! sparse optimizer's Adagrad accumulators — a restored table rejoins the
-//! bounded-asynchrony protocol exactly where it left off and its optimizer
-//! re-takes curvature-adapted steps, so a resumed run's staleness decisions
-//! *and* its math match the uninterrupted run's. Version-1 files (no
-//! `has_accum` byte, no accumulators) still load; their accumulators are
-//! implicitly zero.
+//! All integers and floats are little-endian. [`save_run`] writes the
+//! container; [`load_run`] validates the headers, requires an exact shape
+//! match with the target table, and restores every row's values, update
+//! clock and Adagrad accumulator, so a resumed run's staleness decisions
+//! *and* its optimizer steps match the uninterrupted run's.
+//! [`load_run_rows`] decodes the same bytes but restores only the rows a
+//! filter keeps: crash rollback restores one worker's primaries this way.
+//! Either way a restored row takes the file's accumulator, or zeros when
+//! the file has none and the table holds optimizer state.
 //!
-//! # Run container (`HGMR`, version 1)
-//!
-//! [`save_run`]/[`load_run`] wrap the table section with everything else a
-//! resumable run needs — per-worker simulated clocks, shard cursors, and
-//! dense-model parameters:
-//!
-//! ```text
-//! magic       4 bytes   "HGMR"
-//! version     u32       1
-//! epoch       u64       last completed epoch
-//! workers     u64
-//! dense_len   u64       dense f32 parameters per worker (uniform)
-//! <table section>       a complete HGMP record (see above)
-//! workers × ( sim_time f64, cursor u64, dense_len × f32 )
-//! ```
-//!
-//! The container embeds the table section verbatim, so a `HGMR` file can be
-//! opened by table-only tooling by skipping the 32-byte run header.
-//! [`run_encoded_len`] gives the exact on-disk size without serialising —
-//! the trainer uses it to charge simulated checkpoint I/O.
+//! Every count in a file is trusted only as far as the bytes after it
+//! bear it out: a corrupt or truncated file is a
+//! [`CheckpointError::BadHeader`], never an allocation sized by the file.
 
 use std::io::{self, Read, Write};
 
@@ -55,8 +50,6 @@ use crate::table::ShardedTable;
 
 const MAGIC: &[u8; 4] = b"HGMP";
 const VERSION: u32 = 2;
-/// Oldest table-section version still loadable (v1: no accumulators).
-const MIN_VERSION: u32 = 1;
 const RUN_MAGIC: &[u8; 4] = b"HGMR";
 const RUN_VERSION: u32 = 1;
 
@@ -65,7 +58,8 @@ const RUN_VERSION: u32 = 1;
 pub enum CheckpointError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// Not a checkpoint file / wrong version.
+    /// Not a checkpoint file, a wrong version, or corrupt or truncated
+    /// content.
     BadHeader(String),
     /// Shape mismatch on restore.
     ShapeMismatch {
@@ -93,7 +87,12 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl From<io::Error> for CheckpointError {
+    /// A read that runs out of bytes means a truncated file: corrupt
+    /// content, not an I/O failure.
     fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            return CheckpointError::BadHeader("truncated: the file ends mid-record".into());
+        }
         CheckpointError::Io(e)
     }
 }
@@ -110,9 +109,54 @@ impl CheckpointError {
     }
 }
 
-/// Writes the table (values + clocks + Adagrad accumulators when any have
-/// been allocated) to `writer`.
-pub fn save_table<W: Write>(table: &dyn RowStore, mut writer: W) -> Result<(), CheckpointError> {
+fn write_f32s<W: Write>(writer: &mut W, values: &[f32]) -> io::Result<()> {
+    values
+        .iter()
+        .try_for_each(|x| writer.write_all(&x.to_le_bytes()))
+}
+
+fn read_u64<R: Read>(reader: &mut R) -> io::Result<u64> {
+    let mut buf = [0u8; 8];
+    reader.read_exact(&mut buf)?;
+    Ok(u64::from_le_bytes(buf))
+}
+
+fn read_f32s<R: Read>(reader: &mut R, out: &mut [f32]) -> io::Result<()> {
+    let mut buf = [0u8; 4];
+    for x in out {
+        reader.read_exact(&mut buf)?;
+        *x = f32::from_le_bytes(buf);
+    }
+    Ok(())
+}
+
+/// Reads a section's magic and version, refusing any other.
+fn read_header<R: Read>(
+    reader: &mut R,
+    magic: &[u8; 4],
+    version: u32,
+    what: &str,
+) -> Result<(), CheckpointError> {
+    let mut got = [0u8; 4];
+    reader.read_exact(&mut got)?;
+    if &got != magic {
+        return Err(CheckpointError::BadHeader(format!(
+            "magic {got:?} != {magic:?} (not a {what})"
+        )));
+    }
+    reader.read_exact(&mut got)?;
+    let got = u32::from_le_bytes(got);
+    if got != version {
+        return Err(CheckpointError::BadHeader(format!(
+            "{what} version {got} unsupported"
+        )));
+    }
+    Ok(())
+}
+
+/// Writes the `HGMP` table section: values + clocks, and the Adagrad
+/// accumulators when any have been allocated.
+fn save_table<W: Write>(table: &dyn RowStore, writer: &mut W) -> io::Result<()> {
     let has_accum = table.has_optimizer_state();
     writer.write_all(MAGIC)?;
     writer.write_all(&VERSION.to_le_bytes())?;
@@ -124,100 +168,64 @@ pub fn save_table<W: Write>(table: &dyn RowStore, mut writer: W) -> Result<(), C
     for r in 0..table.num_rows() as u32 {
         let clock = table.read_row(r, &mut row);
         writer.write_all(&clock.to_le_bytes())?;
-        for &x in &row {
-            writer.write_all(&x.to_le_bytes())?;
-        }
+        write_f32s(writer, &row)?;
         if has_accum {
             table.read_accum(r, &mut accum);
-            for &x in &accum {
-                writer.write_all(&x.to_le_bytes())?;
-            }
+            write_f32s(writer, &accum)?;
         }
     }
     Ok(())
 }
 
-/// Restores values, **row clocks**, and (version-2 files) Adagrad
-/// accumulators into an existing table of matching shape. The round-trip is
-/// bit-identical: a saved row's f32 values, its u64 update clock, and its
-/// optimizer accumulator come back exactly, so staleness bookkeeping *and*
-/// curvature-adapted step sizes continue seamlessly across a save/load
-/// boundary (and a crashed worker rolled back to a checkpoint presents the
-/// same clocks it checkpointed with).
-pub fn load_table<R: Read>(table: &dyn RowStore, mut reader: R) -> Result<(), CheckpointError> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadHeader(format!(
-            "magic {magic:?} != {MAGIC:?}"
-        )));
+/// The one row decoder: reads an `HGMP` table section and restores, into
+/// a table of matching shape, every row `keep(row, saved_clock)` accepts —
+/// its values, its update clock (which may move backwards) and its
+/// accumulator. The round-trip is bit-identical, so a restored row rejoins
+/// the bounded-staleness protocol and its optimizer exactly where it was
+/// saved.
+fn load_table<R: Read>(
+    table: &dyn RowStore,
+    reader: &mut R,
+    mut keep: impl FnMut(u32, u64) -> bool,
+) -> Result<(), CheckpointError> {
+    read_header(reader, MAGIC, VERSION, "table section")?;
+    let rows = read_u64(reader)?;
+    let dim = read_u64(reader)?;
+    let mut flag = [0u8; 1];
+    reader.read_exact(&mut flag)?;
+    let has_accum = flag[0] == 1;
+    if flag[0] > 1 {
+        let msg = format!("corrupt accumulator flag {}", flag[0]);
+        return Err(CheckpointError::BadHeader(msg));
     }
-    let mut u32buf = [0u8; 4];
-    reader.read_exact(&mut u32buf)?;
-    let version = u32::from_le_bytes(u32buf);
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(CheckpointError::BadHeader(format!(
-            "version {version} unsupported"
-        )));
-    }
-    let mut u64buf = [0u8; 8];
-    reader.read_exact(&mut u64buf)?;
-    let rows = u64::from_le_bytes(u64buf) as usize;
-    reader.read_exact(&mut u64buf)?;
-    let dim = u64::from_le_bytes(u64buf) as usize;
-    let has_accum = if version >= 2 {
-        let mut flag = [0u8; 1];
-        reader.read_exact(&mut flag)?;
-        if flag[0] > 1 {
-            return Err(CheckpointError::BadHeader(format!(
-                "corrupt accumulator flag {}",
-                flag[0]
-            )));
-        }
-        flag[0] == 1
-    } else {
-        false
-    };
-    if rows != table.num_rows() || dim != table.dim() {
+    if rows != table.num_rows() as u64 || dim != table.dim() as u64 {
         return Err(CheckpointError::ShapeMismatch {
-            file: (rows, dim),
+            file: (rows as usize, dim as usize),
             table: (table.num_rows(), table.dim()),
         });
     }
-    let mut row = vec![0.0f32; dim];
-    let mut accum = vec![0.0f32; dim];
-    let mut f32buf = [0u8; 4];
-    for r in 0..rows as u32 {
-        reader.read_exact(&mut u64buf)?;
-        let clock = u64::from_le_bytes(u64buf);
-        for x in &mut row {
-            reader.read_exact(&mut f32buf)?;
-            *x = f32::from_le_bytes(f32buf);
-        }
-        table.restore_row(r, &row, clock);
+    // Optimizer state rolls back with the values it produced: a row takes
+    // the file's accumulator, or zeros when the file has none (it was
+    // saved before any was allocated) and the table holds some now. An
+    // accumulator that kept later curvature would shrink the replayed
+    // steps and diverge from the uninterrupted run.
+    let restore_accum = has_accum || table.has_optimizer_state();
+    let mut row = vec![0.0f32; table.dim()];
+    let mut accum = vec![0.0f32; table.dim()];
+    for r in 0..table.num_rows() as u32 {
+        let clock = read_u64(reader)?;
+        read_f32s(reader, &mut row)?;
         if has_accum {
-            for x in &mut accum {
-                reader.read_exact(&mut f32buf)?;
-                *x = f32::from_le_bytes(f32buf);
+            read_f32s(reader, &mut accum)?;
+        }
+        if keep(r, clock) {
+            table.restore_row(r, &row, clock);
+            if restore_accum {
+                table.restore_accum(r, &accum);
             }
-            table.restore_accum(r, &accum);
         }
     }
     Ok(())
-}
-
-/// Encoded size of the `HGMP` table section for `table`, bytes. Depends on
-/// whether the table currently holds optimizer state (accumulators are
-/// written only when allocated).
-pub fn table_encoded_len(table: &dyn RowStore) -> u64 {
-    let per_row = 8 + table.dim() as u64 * 4 * if table.has_optimizer_state() { 2 } else { 1 };
-    4 + 4 + 8 + 8 + 1 + table.num_rows() as u64 * per_row
-}
-
-/// Encoded size of a `HGMR` run container for `table` plus `workers`
-/// workers each carrying `dense_len` dense f32 parameters, bytes.
-pub fn run_encoded_len(table: &dyn RowStore, workers: usize, dense_len: usize) -> u64 {
-    4 + 4 + 8 + 8 + 8 + table_encoded_len(table) + workers as u64 * (8 + 8 + dense_len as u64 * 4)
 }
 
 /// One worker's restorable position in a training run.
@@ -288,57 +296,50 @@ pub fn save_run<W: Write>(
     for ws in &state.workers {
         w.write_all(&ws.sim_time.to_le_bytes())?;
         w.write_all(&ws.cursor.to_le_bytes())?;
-        for &x in &ws.dense_params {
-            w.write_all(&x.to_le_bytes())?;
-        }
+        write_f32s(&mut w, &ws.dense_params)?;
     }
     w.flush()?;
     Ok(w.written)
 }
 
 /// Restores a run checkpoint: the embedded table section is loaded into
-/// `table` (values + clocks; shape must match) and the per-worker state is
-/// returned for the trainer to re-seat clocks, cursors, and dense models.
-pub fn load_run<R: Read>(table: &dyn RowStore, mut reader: R) -> Result<RunState, CheckpointError> {
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if &magic != RUN_MAGIC {
-        return Err(CheckpointError::BadHeader(format!(
-            "magic {magic:?} != {RUN_MAGIC:?} (not a run checkpoint)"
-        )));
-    }
-    let mut u32buf = [0u8; 4];
-    reader.read_exact(&mut u32buf)?;
-    let version = u32::from_le_bytes(u32buf);
-    if version != RUN_VERSION {
-        return Err(CheckpointError::BadHeader(format!(
-            "run version {version} unsupported"
-        )));
-    }
-    let mut u64buf = [0u8; 8];
-    reader.read_exact(&mut u64buf)?;
-    let epoch = u64::from_le_bytes(u64buf);
-    reader.read_exact(&mut u64buf)?;
-    let workers = u64::from_le_bytes(u64buf) as usize;
-    reader.read_exact(&mut u64buf)?;
-    let dense_len = u64::from_le_bytes(u64buf) as usize;
-    load_table(table, &mut reader)?;
-    let mut out = Vec::with_capacity(workers);
-    let mut f32buf = [0u8; 4];
+/// `table` (values + clocks + accumulators; shape must match) and the
+/// per-worker state is returned for the trainer to re-seat clocks,
+/// cursors, and dense models.
+pub fn load_run<R: Read>(table: &dyn RowStore, reader: R) -> Result<RunState, CheckpointError> {
+    load_run_rows(table, reader, |_, _| true)
+}
+
+/// [`load_run`] restoring only the rows `keep(row, saved_clock)` accepts
+/// (it sees every row once, in order, before that row is restored). Crash
+/// rollback passes "this worker's primaries whose clock moved".
+pub fn load_run_rows<R: Read>(
+    table: &dyn RowStore,
+    mut reader: R,
+    keep: impl FnMut(u32, u64) -> bool,
+) -> Result<RunState, CheckpointError> {
+    let reader = &mut reader;
+    read_header(reader, RUN_MAGIC, RUN_VERSION, "run checkpoint")?;
+    let epoch = read_u64(reader)?;
+    let workers = read_u64(reader)?;
+    let dense_len = read_u64(reader)?;
+    load_table(table, reader, keep)?;
+    // The two counts size nothing up front: each vector grows only as its
+    // bytes arrive, so a corrupt count ends in a truncation error.
+    let mut out = Vec::new();
     for _ in 0..workers {
-        reader.read_exact(&mut u64buf)?;
-        let sim_time = f64::from_le_bytes(u64buf);
+        let sim_time = f64::from_bits(read_u64(reader)?);
         if !sim_time.is_finite() || sim_time < 0.0 {
             return Err(CheckpointError::BadHeader(format!(
                 "corrupt worker sim_time {sim_time}"
             )));
         }
-        reader.read_exact(&mut u64buf)?;
-        let cursor = u64::from_le_bytes(u64buf);
-        let mut dense_params = Vec::with_capacity(dense_len);
+        let cursor = read_u64(reader)?;
+        let mut dense_params = Vec::new();
+        let mut x = [0.0f32];
         for _ in 0..dense_len {
-            reader.read_exact(&mut f32buf)?;
-            dense_params.push(f32::from_le_bytes(f32buf));
+            read_f32s(reader, &mut x)?;
+            dense_params.push(x[0]);
         }
         out.push(WorkerState {
             sim_time,
@@ -357,6 +358,10 @@ mod tests {
     use super::*;
     use crate::sparse_optim::SparseOpt;
 
+    fn load_all(table: &dyn RowStore, mut bytes: &[u8]) -> Result<(), CheckpointError> {
+        load_table(table, &mut bytes, |_, _| true)
+    }
+
     #[test]
     fn roundtrip_preserves_values_and_clocks() {
         let t = ShardedTable::new(32, 4, 0.1, 7);
@@ -365,10 +370,9 @@ mod tests {
         t.apply_grad(17, &[1.0, 1.0, 1.0, 1.0], &SparseOpt::sgd(0.1));
         let mut buf = Vec::new();
         save_table(&t, &mut buf).unwrap();
-        assert_eq!(buf.len() as u64, table_encoded_len(&t));
 
         let restored = ShardedTable::new(32, 4, 0.0, 99); // different init
-        load_table(&restored, buf.as_slice()).unwrap();
+        load_all(&restored, &buf).unwrap();
         let mut a = vec![0.0; 4];
         let mut b = vec![0.0; 4];
         for r in 0..32u32 {
@@ -390,10 +394,9 @@ mod tests {
         t.apply_grad(9, &[3.0, 0.0, -1.0], &opt);
         let mut buf = Vec::new();
         save_table(&t, &mut buf).unwrap();
-        assert_eq!(buf.len() as u64, table_encoded_len(&t));
 
         let restored = ShardedTable::new(16, 3, 0.0, 99);
-        load_table(&restored, buf.as_slice()).unwrap();
+        load_all(&restored, &buf).unwrap();
         assert!(restored.has_optimizer_state());
         let mut a = vec![0.0; 3];
         let mut b = vec![0.0; 3];
@@ -424,8 +427,52 @@ mod tests {
         // Flag byte present, accumulator payload absent.
         assert_eq!(buf.len() as u64, 4 + 4 + 8 + 8 + 1 + 8 * (8 + 2 * 4));
         let restored = ShardedTable::new(8, 2, 0.0, 4);
-        load_table(&restored, buf.as_slice()).unwrap();
+        load_all(&restored, &buf).unwrap();
         assert!(!restored.has_optimizer_state());
+    }
+
+    #[test]
+    fn filtered_load_restores_only_kept_rows_with_the_accumulator_rule() {
+        // The image is saved before any accumulator exists; the table then
+        // takes Adagrad steps on rows 1 and 5. Rolling back row 1 restores
+        // its values and clock and zeros its accumulator; row 5 is not
+        // kept and keeps everything it has.
+        let t = ShardedTable::new(8, 2, 0.1, 3);
+        let state = RunState {
+            epoch: 0,
+            workers: vec![WorkerState {
+                sim_time: 1.5,
+                cursor: 0,
+                dense_params: vec![],
+            }],
+        };
+        let mut image = Vec::new();
+        save_run(&t, &state, &mut image).unwrap();
+        let mut saved = vec![0.0; 2];
+        t.read_row(1, &mut saved);
+        let opt = SparseOpt::adagrad(0.1);
+        for r in [1, 5] {
+            t.apply_grad(r, &[1.0, -1.0], &opt);
+        }
+        let mut after5 = vec![0.0; 2];
+        t.read_row(5, &mut after5);
+        let mut seen = Vec::new();
+        let got = load_run_rows(&t, image.as_slice(), |r, clock| {
+            seen.push((r, clock));
+            r == 1
+        })
+        .unwrap();
+        assert_eq!(got, state);
+        assert_eq!(seen, (0..8).map(|r| (r, 0)).collect::<Vec<_>>());
+        let (mut row, mut accum) = (vec![0.0; 2], vec![0.0; 2]);
+        assert_eq!(t.read_row(1, &mut row), 0);
+        assert_eq!(row, saved);
+        t.read_accum(1, &mut accum);
+        assert_eq!(accum, [0.0, 0.0]);
+        assert_eq!(t.read_row(5, &mut row), 1);
+        assert_eq!(row, after5);
+        t.read_accum(5, &mut accum);
+        assert_eq!(accum, [1.0, 1.0]);
     }
 
     #[test]
@@ -450,7 +497,6 @@ mod tests {
         let mut buf = Vec::new();
         let written = save_run(&t, &state, &mut buf).unwrap();
         assert_eq!(written, buf.len() as u64);
-        assert_eq!(written, run_encoded_len(&t, 2, 3));
 
         let restored = ShardedTable::new(16, 2, 0.0, 77);
         let got = load_run(&restored, buf.as_slice()).unwrap();
@@ -477,7 +523,7 @@ mod tests {
         let mut buf = Vec::new();
         save_run(&t, &state, &mut buf).unwrap();
         let fresh = ShardedTable::new(8, 2, 0.0, 4);
-        load_table(&fresh, &buf[32..]).unwrap();
+        load_all(&fresh, &buf[32..]).unwrap();
         let mut a = vec![0.0; 2];
         let mut b = vec![0.0; 2];
         for r in 0..8u32 {
@@ -485,6 +531,69 @@ mod tests {
             fresh.read_row(r, &mut b);
             assert_eq!(a, b);
         }
+    }
+
+    /// A two-worker container over an 8 × 2 table, with 3 dense
+    /// parameters per worker.
+    fn small_container() -> Vec<u8> {
+        let t = ShardedTable::new(8, 2, 0.1, 3);
+        let worker = WorkerState {
+            sim_time: 0.5,
+            cursor: 7,
+            dense_params: vec![1.0, 2.0, 3.0],
+        };
+        let state = RunState {
+            epoch: 1,
+            workers: vec![worker.clone(), worker],
+        };
+        let mut buf = Vec::new();
+        save_run(&t, &state, &mut buf).unwrap();
+        buf
+    }
+
+    #[test]
+    fn corrupt_count_fields_are_errors_not_allocations() {
+        // Byte offsets of the container's four counts: `workers` and
+        // `dense_len` in the run header, `rows` and `dim` in the table
+        // section that starts 32 bytes in. Huge values once sized a
+        // `Vec::with_capacity` before any of their bytes were read (a
+        // capacity-overflow panic, or an abort on a terabyte allocation).
+        let valid = small_container();
+        let t = ShardedTable::new(8, 2, 0.0, 1);
+        for (field, offset) in [
+            ("workers", 16),
+            ("dense_len", 24),
+            ("rows", 40),
+            ("dim", 48),
+        ] {
+            for value in [4u64, 1 << 36, 1 << 61, 1 << 62, u64::MAX] {
+                let mut buf = valid.clone();
+                buf[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+                let err =
+                    load_run(&t, buf.as_slice()).expect_err(&format!("{field} = {value} loaded"));
+                let ws = err.into_workspace("ckpt.hgmr");
+                assert_eq!(ws.exit_code(), 65, "{field} = {value}: {ws}");
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_file_errors() {
+        // Every prefix of a valid container is corrupt content (exit 65),
+        // not an I/O failure.
+        let valid = small_container();
+        let t = ShardedTable::new(8, 2, 0.0, 1);
+        for len in 0..valid.len() {
+            let err = load_run(&t, &valid[..len]).expect_err("a truncated file loaded");
+            assert!(
+                matches!(err, CheckpointError::BadHeader(_)),
+                "prefix {len}: {err}"
+            );
+            let ws = err.into_workspace("ckpt.hgmr");
+            assert_eq!(ws.exit_code(), 65, "prefix {len}: {ws}");
+            assert!(ws.to_string().contains("truncated"), "{ws}");
+        }
+        assert!(load_run(&t, valid.as_slice()).is_ok());
     }
 
     #[test]
@@ -520,7 +629,7 @@ mod tests {
     #[test]
     fn rejects_wrong_magic() {
         let t = ShardedTable::new(4, 2, 0.0, 1);
-        let err = load_table(&t, &b"NOPE\x01\x00\x00\x00"[..]).unwrap_err();
+        let err = load_all(&t, b"NOPE\x01\x00\x00\x00").unwrap_err();
         assert!(err.to_string().contains("magic"));
     }
 
@@ -530,7 +639,7 @@ mod tests {
         let mut buf = Vec::new();
         save_table(&t, &mut buf).unwrap();
         let small = ShardedTable::new(4, 2, 0.0, 1);
-        match load_table(&small, buf.as_slice()).unwrap_err() {
+        match load_all(&small, &buf).unwrap_err() {
             CheckpointError::ShapeMismatch { file, table } => {
                 assert_eq!(file, (8, 2));
                 assert_eq!(table, (4, 2));
@@ -542,7 +651,7 @@ mod tests {
     #[test]
     fn workspace_conversion_keeps_path_and_exit_code() {
         let t = ShardedTable::new(4, 2, 0.0, 1);
-        let err = load_table(&t, &b"NOPE\x01\x00\x00\x00"[..])
+        let err = load_all(&t, b"NOPE\x01\x00\x00\x00")
             .unwrap_err()
             .into_workspace("model.hgmp");
         assert_eq!(err.exit_code(), 65);
@@ -553,14 +662,5 @@ mod tests {
         let io_err =
             CheckpointError::Io(io::Error::other("disk gone")).into_workspace("model.hgmp");
         assert_eq!(io_err.exit_code(), 74);
-    }
-
-    #[test]
-    fn truncated_file_errors() {
-        let t = ShardedTable::new(8, 2, 0.1, 1);
-        let mut buf = Vec::new();
-        save_table(&t, &mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(load_table(&t, buf.as_slice()).is_err());
     }
 }

@@ -73,10 +73,7 @@ pub mod writeback;
 pub use cache::SecondaryCache;
 pub use cached_worker::CachedWorkerEmbedding;
 pub use capacity::CapacityPlan;
-pub use checkpoint::{
-    load_run, load_table, run_encoded_len, save_run, save_table, table_encoded_len,
-    CheckpointError, RunState, WorkerState,
-};
+pub use checkpoint::{load_run, load_run_rows, save_run, CheckpointError, RunState, WorkerState};
 pub use lfu::LfuCache;
 pub use replica::{Replicas, WorkerEmbedding};
 pub use report::{ReadReport, UpdateReport};

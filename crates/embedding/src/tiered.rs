@@ -1181,8 +1181,12 @@ mod tests {
         }
         let mut img_mem = Vec::new();
         let mut img_tiered = Vec::new();
-        crate::checkpoint::save_table(&mem, &mut img_mem).unwrap();
-        crate::checkpoint::save_table(&tiered, &mut img_tiered).unwrap();
+        let state = crate::RunState {
+            epoch: 0,
+            workers: vec![],
+        };
+        crate::save_run(&mem, &state, &mut img_mem).unwrap();
+        crate::save_run(&tiered, &state, &mut img_tiered).unwrap();
         assert_eq!(img_mem, img_tiered, "checkpoint images diverge");
     }
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # Fault-matrix smoke: drives the release `train` CLI through the
 # injected-failure classes — worker crash (with checkpointing), worker
-# stall, link degradation, crash under the int8 wire, and crash under
-# tiered storage — each under `--audit=strict`, so the bounded-staleness
-# invariant is machine-checked while faults fire.
+# stall, link degradation, crash under the int8 wire, crash under tiered
+# storage, and a crash after a checkpoint on both storage tiers — each
+# under `--audit=strict`, so the bounded-staleness invariant is
+# machine-checked while faults fire. A resume from a checkpoint with a
+# corrupt header must fail as bad content (exit 65).
 #
 # Run from the repo root (make verify does). Builds nothing: expects
 # `cargo build --release` to have produced target/release/het-gmp.
@@ -31,7 +33,7 @@ run_case() {
 }
 
 # 1. Crash + periodic checkpoint: worker 1 dies just after training
-#    starts, restores from the checkpoint image, and the run completes.
+#    starts, rolls back to the start-of-run image, and the run completes.
 run_case crash \
     --faults 'crash@1:0.000001' \
     --checkpoint-every 1 --checkpoint-dir "$TMP/ckpts"
@@ -135,4 +137,41 @@ memory=$(final_auc "$TMP/resume-crash-memory.jsonl")
     exit 1
 }
 
-echo "fault_matrix: OK (crash, stall, degrade, int8-crash, tiered-crash all recovered under strict audit)"
+# 6. Crash after the checkpoint: worker 1 dies in epoch 2, so it rolls
+#    back to the epoch-1 checkpoint's bytes (accumulators included, which
+#    the start-of-run image lacks). The recovery is tier-agnostic: the
+#    in-memory and the spilling tiered run land on the same final AUC.
+for storage in memory tiered; do
+    run_case "crash-ckpt-$storage" --preset criteo --scale 0.5 \
+        --storage "$storage" --storage-budget-mb 1 --storage-dir "$TMP/spill-ckpt-$storage" \
+        --faults 'crash@1:0.0045' \
+        --checkpoint-every 1 --checkpoint-dir "$TMP/ckpts-crash-ckpt-$storage" \
+        --telemetry "$TMP/crash-ckpt-$storage.jsonl"
+    grep -q 'faults: 1 crash' "$TMP/crash-ckpt-$storage.log" || {
+        echo "fault_matrix: $storage crash after the checkpoint never fired" >&2
+        cat "$TMP/crash-ckpt-$storage.log" >&2
+        exit 1
+    }
+done
+memory=$(final_auc "$TMP/crash-ckpt-memory.jsonl")
+tiered=$(final_auc "$TMP/crash-ckpt-tiered.jsonl")
+[ -n "$memory" ] && [ "$memory" = "$tiered" ] || {
+    echo "fault_matrix: recovery from the checkpoint depends on the storage tier ($tiered vs $memory)" >&2
+    exit 1
+}
+
+# 7. Corrupt checkpoint: the run header's `workers` count (offset 16) set
+#    to 2^61. The resume must reject it as bad content, naming the file.
+cp "$TMP/ckpts/ckpt-epoch-1.hgmr" "$TMP/corrupt.hgmr"
+printf '\000\000\000\000\000\000\000\040' |
+    dd of="$TMP/corrupt.hgmr" bs=1 seek=16 conv=notrunc 2>/dev/null
+echo "fault_matrix: corrupt-resume"
+code=0
+"$BIN" train $COMMON --resume "$TMP/corrupt.hgmr" > "$TMP/corrupt.log" 2>&1 || code=$?
+[ "$code" -eq 65 ] && grep -q 'corrupt.hgmr' "$TMP/corrupt.log" || {
+    echo "fault_matrix: corrupt checkpoint exited $code, want 65 naming the file" >&2
+    cat "$TMP/corrupt.log" >&2
+    exit 1
+}
+
+echo "fault_matrix: OK (crash, stall, degrade, int8-crash, tiered-crash and crash-after-checkpoint all recovered under strict audit; corrupt checkpoint refused)"

@@ -256,6 +256,66 @@ fn exit_codes_follow_sysexits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resume from a checkpoint with a corrupt count or a truncated body is
+/// bad content: exit 65 naming the file, never a panic, an abort on a
+/// huge allocation, an I/O error, or a run from a wrapped epoch.
+#[test]
+fn resume_from_a_corrupt_checkpoint_exits_65_naming_it() {
+    let dir = std::env::temp_dir().join(format!("hetgmp-cli-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let train = |extra: &[&str]| {
+        het_gmp()
+            .args([
+                "train",
+                "--preset",
+                "tiny",
+                "--workers",
+                "2",
+                "--epochs",
+                "1",
+            ])
+            .args(extra)
+            .output()
+            .expect("spawn")
+    };
+    let ckpts = dir.join("ckpts");
+    let out = train(&[
+        "--checkpoint-every",
+        "1",
+        "--checkpoint-dir",
+        ckpts.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let valid = std::fs::read(ckpts.join("ckpt-epoch-1.hgmr")).unwrap();
+    // `epoch` (offset 8), `workers` (16) and `dense_len` (24) of the run
+    // header.
+    let mut cases = Vec::new();
+    for (name, offset, value) in [
+        ("epoch", 8, u64::MAX),
+        ("workers61", 16, 1 << 61),
+        ("workers36", 16, 1 << 36),
+        ("dense62", 24, 1 << 62),
+    ] {
+        let mut bytes = valid.clone();
+        bytes[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        cases.push((name, bytes));
+    }
+    cases.push(("truncated", valid[..valid.len() / 2].to_vec()));
+    for (name, bytes) in cases {
+        let path = dir.join(format!("{name}.hgmr"));
+        std::fs::write(&path, bytes).unwrap();
+        let out = train(&["--resume", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(65), "{name}: {err}");
+        assert!(err.contains(&format!("{name}.hgmr")), "{name}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--algo multilevel` names no algorithm: it gets the usage error every
 /// unknown name gets.
 #[test]

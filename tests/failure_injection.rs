@@ -7,12 +7,12 @@ use std::sync::Arc;
 use het_gmp::bigraph::Bigraph;
 use het_gmp::cluster::{FaultSchedule, Topology};
 use het_gmp::core::strategy::StrategyConfig;
-use het_gmp::core::trainer::{Trainer, TrainerConfig};
+use het_gmp::core::trainer::{StorageMode, TrainResult, Trainer, TrainerConfig};
 use het_gmp::data::{generate, CtrDataset, DatasetSpec};
 use het_gmp::partition::{
     random_partition, HybridConfig, HybridPartitioner, PartitionMetrics, ReplicationBudget,
 };
-use het_gmp::telemetry::AuditMode;
+use het_gmp::telemetry::{names, AuditMode};
 
 fn tiny_config() -> TrainerConfig {
     TrainerConfig {
@@ -231,6 +231,99 @@ fn crash_recovery_matches_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash in epoch 2 rolls back to the epoch-1 checkpoint, whose image
+/// carries the Adagrad accumulators the start-of-run image lacks. The
+/// recovery must fire, give the same bits on a spilling tiered table as
+/// in memory, and keep the values pinned below.
+#[test]
+fn crash_after_checkpoint_recovers_identically_on_every_tier() {
+    const CRASH_AT: f64 = 0.0035;
+    let data = generate(&DatasetSpec {
+        num_samples: 2048,
+        ..DatasetSpec::tiny()
+    });
+    let run = |tag: &str, storage: StorageMode| {
+        let dir =
+            std::env::temp_dir().join(format!("hetgmp-it-crash-ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let faults = Arc::new(FaultSchedule::parse(&format!("crash@1:{CRASH_AT}"), 2, 7).unwrap());
+        let r = Trainer::new(
+            &data,
+            Topology::pcie_island(2),
+            StrategyConfig::het_gmp(0),
+            TrainerConfig {
+                checkpoint_every: 1,
+                checkpoint_dir: Some(dir.clone()),
+                storage,
+                ..fault_config()
+            },
+        )
+        .with_audit(AuditMode::Strict)
+        .with_faults(faults)
+        .run();
+        let _ = std::fs::remove_dir_all(&dir);
+        r
+    };
+    let memory = run("memory", StorageMode::Memory);
+    let tiered = run(
+        "tiered",
+        StorageMode::Tiered {
+            budget_bytes: 1 << 10,
+            dir: None,
+        },
+    );
+    // The crash fires once, inside epoch 2: after the epoch-1 checkpoint
+    // (a crash past the last iteration boundary would never fire).
+    for r in [&memory, &tiered] {
+        assert_eq!(r.telemetry.counter(names::FAULT_CRASHES), 1);
+        assert_eq!(r.curve.len(), 2, "run did not complete");
+        assert!(r.curve[0].sim_time < CRASH_AT && CRASH_AT < r.curve[1].sim_time);
+    }
+    let cs = tiered.capacity.expect("tiered run reports capacity stats");
+    assert!(
+        cs.spilled_bytes > 0 && cs.fault_loads > 0,
+        "nothing spilled or faulted"
+    );
+    assert_eq!(tiered.final_auc.to_bits(), memory.final_auc.to_bits());
+    let fault_keys = [
+        names::FAULT_CRASHES,
+        names::FAULT_LOST_UPDATES,
+        names::FAULT_RESTORED_ROWS,
+        names::FAULT_RECOVERY_SECS,
+    ];
+    let traffic_prefixes = [
+        names::TRAFFIC_BYTES_PREFIX,
+        names::TRAFFIC_MESSAGES_PREFIX,
+        names::TRAFFIC_LINK_PREFIX,
+    ];
+    let recovery = |r: &TrainResult| {
+        let counters = r.telemetry.counters.iter().map(|(k, v)| (k.clone(), *v));
+        let gauges = r
+            .telemetry
+            .gauges
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_bits()));
+        counters
+            .chain(gauges)
+            .filter(|(k, _)| {
+                fault_keys.contains(&k.as_str())
+                    || traffic_prefixes.iter().any(|p| k.starts_with(p))
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(recovery(&tiered), recovery(&memory));
+    // Pinned: a rollback that restores another row, clock or accumulator,
+    // or charges recovery differently, moves one of these.
+    assert_eq!(memory.final_auc, 0.7552083333333334);
+    assert_eq!(memory.telemetry.counter(names::FAULT_LOST_UPDATES), 1171);
+    assert_eq!(memory.telemetry.counter(names::FAULT_RESTORED_ROWS), 63);
+    assert_eq!(
+        memory.telemetry.gauge(names::FAULT_RECOVERY_SECS),
+        Some(0.0030687543047619075)
+    );
+    assert_eq!(memory.telemetry.counter("traffic.bytes.embed_data"), 127376);
+}
+
 #[test]
 fn resumed_run_is_deterministic_under_bsp() {
     // Checkpoint after epoch 1, then resume twice: both resumed runs and
@@ -316,7 +409,7 @@ fn stall_and_degradation_hold_under_strict_audit() {
 
 #[test]
 fn fault_trace_and_metrics_surface_through_result() {
-    use het_gmp::telemetry::{names, TraceCollector, TraceLevel, TraceTrack};
+    use het_gmp::telemetry::{TraceCollector, TraceLevel, TraceTrack};
     let data = generate(&DatasetSpec::tiny());
     let tracer = Arc::new(TraceCollector::new(2, TraceLevel::Sync));
     let faults =

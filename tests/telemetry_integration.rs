@@ -74,7 +74,7 @@ fn fig8_traffic_classes_agree_between_snapshot_and_ledger() {
             r.telemetry.counter(class.bytes_metric()),
             r.traffic_bytes[i],
             "class {} diverged between snapshot and ledger",
-            class.label()
+            class.metric_suffix()
         );
     }
     // A 4-worker partitioned run genuinely moves embedding bytes — the
