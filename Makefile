@@ -61,8 +61,9 @@ inspect-smoke: build
 
 # Run-to-run repeatability: the canonical 4-worker HET-GMP(s=100) run,
 # five times; the printed summary and the embedding.{sync,flush,update}.*
-# counters must match in every run, with sync flushes firing. The script
-# names what it leaves out (wall time, read-path counters).
+# counters must match in every run, with sync flushes firing. Then
+# `experiment kg --scale 1` three times, printing the same table. The
+# script names what it leaves out (wall time, read-path counters).
 repeat-check: build
 	sh scripts/repeat_check.sh
 

@@ -12,6 +12,18 @@
 //! ranking loss `max(0, γ + d(h,r,t) − d(h,r,t'))` with corrupted tails
 //! `t'`. Relations are few and dense, so each worker keeps a replica synced
 //! by AllReduce — exactly the paper's hybrid dense/sparse architecture.
+//!
+//! A step takes the CTR trainer's owner-ordered write path (§6; see the
+//! embedding crate's `writeback` module). The entity table has one segment
+//! per primary owner. Each worker reads its batch of `[h, t, t']` triples,
+//! computes the margin-ranking gradients, and routes them by primary owner
+//! into the run's [`WriteExchange`]. All workers then meet at the
+//! reads-done barrier, joined every step, an empty batch included. After
+//! it each worker applies the rows it owns, sources in ascending rank. The
+//! relations' fused collective closes the step, so every write lands
+//! before the next step's reads. Same-seed runs are therefore bit-identical
+//! at any worker count. The step's triples, rows and gradients live in
+//! buffers sized once per epoch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,7 +171,8 @@ impl<'d> KgTrainer<'d> {
         );
         let partition_metrics = PartitionMetrics::compute(&graph, &partition);
 
-        let entities = ShardedTable::new(self.kg.num_entities, cfg.dim, 0.1, cfg.seed);
+        let entities =
+            ShardedTable::with_partition(self.kg.num_entities, cfg.dim, 0.1, cfg.seed, &partition);
         let group = AllReduceGroup::new(n);
         let triples_done = AtomicU64::new(0);
         let embed_bytes = AtomicU64::new(0);
@@ -192,6 +205,7 @@ impl<'d> KgTrainer<'d> {
                     let cost = &cost;
                     let triples_done = &triples_done;
                     let embed_bytes = &embed_bytes;
+                    let (entities, exchange) = (&entities, &exchange);
                     scope.spawn(move || {
                         let mut rng =
                             StdRng::seed_from_u64(cfg.seed ^ ((epoch * n + w) as u64) << 8);
@@ -206,6 +220,8 @@ impl<'d> KgTrainer<'d> {
                             cfg,
                             cost,
                             group,
+                            entities,
+                            exchange,
                             rng: &mut rng,
                             triples_done,
                             embed_bytes,
@@ -324,6 +340,8 @@ struct KgWorkerCtx<'a, 'b, 'd> {
     cfg: &'a KgTrainerConfig,
     cost: &'a CostModel,
     group: &'a AllReduceGroup,
+    entities: &'a ShardedTable,
+    exchange: &'a WriteExchange,
     rng: &'a mut StdRng,
     triples_done: &'a AtomicU64,
     embed_bytes: &'a AtomicU64,
@@ -341,6 +359,8 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
         cfg,
         cost,
         group,
+        entities,
+        exchange,
         rng,
         triples_done,
         embed_bytes,
@@ -356,35 +376,38 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
     let mut links = LinkTallies::default();
     let mut cursor = rng.gen_range(0..shard.len().max(1));
     let mut rel_grad = vec![0.0f32; rel.len()];
+    // Each step's `[h, t, t']` triples, their relations and their rows.
+    let bs = cfg.batch_size.min(shard.len().max(1));
+    let mut triples: Vec<[u32; 3]> = Vec::with_capacity(bs);
+    let mut rels: Vec<u32> = Vec::with_capacity(bs);
+    let mut flat = vec![0.0f32; 3 * bs * dim];
+    let mut grads = vec![0.0f32; 3 * bs * dim];
 
     for _ in 0..iters {
-        let bs = cfg.batch_size.min(shard.len().max(1));
         // Assemble ids: for each triple, h, t and a corrupted tail t'.
-        let mut triple_ids = Vec::with_capacity(bs);
-        let mut id_rows: Vec<Vec<u32>> = Vec::with_capacity(bs);
+        triples.clear();
+        rels.clear();
         if !shard.is_empty() {
             for _ in 0..bs {
                 let idx = shard[cursor % shard.len()];
                 cursor += 1;
                 let (h, r, t) = kg.triples[idx as usize];
                 let neg = rng.gen_range(0..kg.num_entities as u32);
-                triple_ids.push((h, r, t, neg));
-                id_rows.push(vec![h, t, neg]);
+                triples.push([h, t, neg]);
+                rels.push(r);
             }
         }
-        let sample_refs: Vec<&[u32]> = id_rows.iter().map(Vec::as_slice).collect();
-        let total_rows: usize = sample_refs.iter().map(|s| s.len()).sum();
-        let mut flat = vec![0.0f32; total_rows * dim];
-        let read = if total_rows > 0 {
-            we.read_batch(&sample_refs, &mut flat)
+        let samples: Vec<&[u32]> = triples.iter().map(|t| t.as_slice()).collect();
+        let read = if !samples.is_empty() {
+            we.read_batch(&samples, &mut flat)
         } else {
             Default::default()
         };
 
         // Margin-ranking gradients per triple; dL/dr is dL/dh.
-        rel_grad.iter_mut().for_each(|g| *g = 0.0);
-        let mut grads = vec![0.0f32; total_rows * dim];
-        for (j, &(_h, r, _t, _n)) in triple_ids.iter().enumerate() {
+        rel_grad.fill(0.0);
+        grads.fill(0.0);
+        for (j, &r) in rels.iter().enumerate() {
             let base = j * 3 * dim;
             let (hv, rest) = flat[base..base + 3 * dim].split_at(dim);
             let (tv, nv) = rest.split_at(dim);
@@ -397,11 +420,15 @@ fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
             }
         }
 
-        let update = if total_rows > 0 {
-            we.apply_gradients(&sample_refs, &grads, &cfg.entity_opt)
+        // Route by primary owner, wait until every peer's reads are done,
+        // then apply the rows this worker owns, sources in rank order.
+        let update = if !samples.is_empty() {
+            we.route_gradients(&samples, &grads, &cfg.entity_opt, exchange)
         } else {
             Default::default()
         };
+        group.barrier();
+        exchange.apply_owned(w, entities, &cfg.entity_opt);
 
         // Charge simulated time through the trainer's charge path: the
         // embedding rows (no metadata; this loop never charged it) behind
@@ -524,6 +551,72 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    /// The bits a run's result is compared on: MRR, hits@10, remote bytes
+    /// and simulated seconds.
+    fn result_bits(r: &KgResult) -> (u64, u64, u64, u64) {
+        (
+            r.mrr.to_bits(),
+            r.hits_at_10.to_bits(),
+            r.embed_bytes,
+            r.sim_time.to_bits(),
+        )
+    }
+
+    fn two_epochs(kg: &hetgmp_data::KgDataset, workers: usize, staleness: u64) -> KgResult {
+        KgTrainer::new(
+            kg,
+            Topology::pcie_island(workers),
+            StrategyConfig::het_gmp(staleness),
+            KgTrainerConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+        )
+        .run()
+    }
+
+    /// Every write lands after the step's reads-done barrier, so two
+    /// same-seed runs agree to the bit at any worker count and staleness.
+    #[test]
+    fn same_seed_runs_are_bit_identical() {
+        let kg = small_kg();
+        for workers in [2, 3] {
+            for staleness in [0, 100] {
+                let a = two_epochs(&kg, workers, staleness);
+                let b = two_epochs(&kg, workers, staleness);
+                assert_eq!(
+                    result_bits(&a),
+                    result_bits(&b),
+                    "{workers} workers, s={staleness}: MRR {} vs {}",
+                    a.mrr,
+                    b.mrr
+                );
+            }
+        }
+    }
+
+    /// One worker owns every row, so the owner-ordered write path applies
+    /// exactly what the worker's own one-call write-back applied: the
+    /// result is pinned to the bits of that earlier path.
+    #[test]
+    fn single_worker_run_is_pinned() {
+        let r = two_epochs(&small_kg(), 1, 100);
+        let (mrr, hits, sim): (f64, f64, f64) = (
+            0.3212981842816563,
+            0.5983333333333334,
+            0.0013204634331428582,
+        );
+        assert_eq!(
+            result_bits(&r),
+            (mrr.to_bits(), hits.to_bits(), 0, sim.to_bits()),
+            "MRR {:?} hits@10 {:?} bytes {} sim {:?}",
+            r.mrr,
+            r.hits_at_10,
+            r.embed_bytes,
+            r.sim_time
+        );
     }
 
     #[test]

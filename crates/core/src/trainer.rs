@@ -826,6 +826,16 @@ impl<'d> Trainer<'d> {
         else {
             return Err(HetGmpError::checkpoint(path.clone(), "corrupt epoch"));
         };
+        if next_epoch > self.config.epochs {
+            return Err(HetGmpError::config(
+                "epochs",
+                format!(
+                    "checkpoint is at epoch {} but the run trains {} epochs; \
+                     nothing is left to train",
+                    state.epoch, self.config.epochs
+                ),
+            ));
+        }
         if state.workers.len() != workers.len() {
             return Err(HetGmpError::config(
                 "resume_from",

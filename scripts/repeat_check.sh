@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Run-to-run repeatability of the canonical end-to-end run: 4 workers,
-# HET-GMP(s=100), avazu-like, one epoch, seed 7.
+# Run-to-run repeatability of the canonical end-to-end run (4 workers,
+# HET-GMP(s=100), avazu-like, one epoch, seed 7) and of the KG experiment.
 #
 # The run is started five times. Every run must print the same summary
 # (final AUC, simulated throughput, comm share, the epoch line) and end
@@ -27,6 +27,12 @@
 # must equal run 1's: the storage tier moves no bit. Only its extra
 # `capacity:` line is left out of the comparison, and that line must
 # report page faults, or the tier never spilled.
+#
+# A KG leg runs `experiment kg --scale 1` (TransE at 8 workers under
+# HET-MP, HET-GMP(s=0) and HET-GMP(s=100)) three times. Every run must
+# print the same table: a TransE step writes only after its reads-done
+# barrier, so its MRR, hits@10 and remote bytes are the same bits in
+# every run.
 #
 # Run from the repo root (make repeat-check / make verify does). Needs the
 # release binary (make build); an optional argument names another binary.
@@ -78,6 +84,14 @@ for i in 2 3 4 5 tiered; do
         status=1
     fi
 done
+for i in 1 2 3; do
+    mkdir -p "$OUT/kg$i"
+    (cd "$OUT/kg$i" && "$BIN" experiment kg --scale 1 > table.txt)
+    if [ "$i" != 1 ] && ! diff -u "$OUT/kg1/table.txt" "$OUT/kg$i/table.txt"; then
+        echo "repeat_check: KG run $i differs from KG run 1" >&2
+        status=1
+    fi
+done
 [ "$status" -eq 0 ] || exit 1
 
-echo "repeat_check: OK (5 of 5 runs, and the tiered run, print the same summary, protocol and ledger counters)"
+echo "repeat_check: OK (5 of 5 runs, and the tiered run, print the same summary, protocol and ledger counters; 3 of 3 KG runs print the same table)"

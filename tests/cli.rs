@@ -316,6 +316,58 @@ fn resume_from_a_corrupt_checkpoint_exits_65_naming_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resume from a checkpoint at or past `--epochs` has nothing left to
+/// train: a config error naming `epochs` and both numbers, not a run that
+/// prints AUC 0.5 and exits 0.
+#[test]
+fn resume_with_no_epoch_left_is_a_config_error() {
+    let dir = std::env::temp_dir().join(format!("hetgmp-cli-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let train = |epochs: &str, extra: &[&str]| {
+        het_gmp()
+            .args(["train", "--preset", "tiny", "--workers", "2", "--epochs"])
+            .arg(epochs)
+            .args(extra)
+            .output()
+            .expect("spawn")
+    };
+    let ckpts = dir.join("ckpts");
+    let out = train(
+        "2",
+        &[
+            "--checkpoint-every",
+            "1",
+            "--checkpoint-dir",
+            ckpts.to_str().unwrap(),
+        ],
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let last = ckpts.join("ckpt-epoch-2.hgmr");
+    for epochs in ["1", "2"] {
+        let out = train(epochs, &["--resume", last.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(78), "--epochs {epochs}: {err}");
+        assert!(
+            err.contains("`epochs`")
+                && err.contains("epoch 2")
+                && err.contains(&format!("trains {epochs} epochs")),
+            "--epochs {epochs}: {err}"
+        );
+    }
+    let first = ckpts.join("ckpt-epoch-1.hgmr");
+    let out = train("2", &["--resume", first.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--algo multilevel` names no algorithm: it gets the usage error every
 /// unknown name gets.
 #[test]
