@@ -126,9 +126,8 @@ pub(crate) fn publish_links(recorder: &Recorder, tallies: impl Iterator<Item = L
 /// is recorded.
 pub(crate) struct Wire<'a> {
     pub(crate) cost: &'a CostModel,
-    /// The charging worker's recorder, which its traffic is counted into;
-    /// `None` for a loop that records no traffic (`core::kg`).
-    pub(crate) recorder: Option<&'a Recorder>,
+    /// The charging worker's recorder, which its traffic is counted into.
+    pub(crate) recorder: &'a Recorder,
     pub(crate) tracer: Option<&'a TraceCollector>,
     /// Embeddings live on a CPU parameter server: a step's rows all cross
     /// the shared host link (see [`Phases::Step`]).
@@ -329,7 +328,7 @@ pub(crate) fn charge(
 /// `traffic.messages.<class>` when `messages > 0`, and a `trace.traffic`
 /// instant on the worker's track (sync trace level).
 fn record_traffic(wire: &Wire<'_>, w: usize, class: TrafficClass, bytes: u64, messages: u64) {
-    let Some(r) = wire.recorder else { return };
+    let r = wire.recorder;
     r.counter_add(class.bytes_metric(), bytes);
     if messages > 0 {
         r.counter_add(class.messages_metric(), messages);
@@ -476,7 +475,7 @@ mod tests {
     fn wire<'a>(cost: &'a CostModel, recorder: &'a Recorder) -> Wire<'a> {
         Wire {
             cost,
-            recorder: Some(recorder),
+            recorder,
             tracer: None,
             host_ps: false,
             row_bytes: 64,

@@ -2,43 +2,40 @@
 //!
 //! The paper's §3 claims its graph-based replication and consistency
 //! principles "could be naturally applied" to KG training systems. This
-//! module realises that extension: a multi-worker TransE trainer whose
-//! entity table is the same [`ShardedTable`] + [`WorkerEmbedding`]
-//! bounded-asynchrony stack used by the CTR trainer, partitioned by the same
-//! Algorithm 1 over the triple bigraph (where each sample touches exactly
-//! *two* embeddings — the contrast with CTR the paper highlights in §2).
+//! module realises that extension on the CTR trainer's own loop. The entity
+//! table is the same [`ShardedTable`] + [`WorkerEmbedding`]
+//! bounded-asynchrony stack, partitioned by the same Algorithm 1 over the
+//! triple bigraph (where each sample touches exactly *two* embeddings — the
+//! contrast with CTR the paper highlights in §2).
 //!
 //! TransE (Bordes et al. 2013): score `d(h, r, t) = ‖h + r − t‖²`; margin
 //! ranking loss `max(0, γ + d(h,r,t) − d(h,r,t'))` with corrupted tails
 //! `t'`. Relations are few and dense, so each worker keeps a replica synced
 //! by AllReduce — exactly the paper's hybrid dense/sparse architecture.
 //!
-//! A step takes the CTR trainer's owner-ordered write path (§6; see the
-//! embedding crate's `writeback` module). The entity table has one segment
-//! per primary owner. Each worker reads its batch of `[h, t, t']` triples,
-//! computes the margin-ranking gradients, and routes them by primary owner
-//! into the run's [`WriteExchange`]. All workers then meet at the
-//! reads-done barrier, joined every step, an empty batch included. After
-//! it each worker applies the rows it owns, sources in ascending rank. The
-//! relations' fused collective closes the step, so every write lands
-//! before the next step's reads. Same-seed runs are therefore bit-identical
-//! at any worker count. The step's triples, rows and gradients live in
-//! buffers sized once per epoch.
+//! `TransE` is the model the loop steps (`pipeline::StepModel`): its
+//! samples are `[h, t, t']` with a corrupted tail `t'`, its backward the
+//! margin-ranking gradient, its dense parameters the relation table. The
+//! rest — the owner-ordered write path (§6), the charge path, the fused
+//! relation collective, the epoch barrier and the metrics — is the CTR
+//! step's, so same-seed runs are bit-identical at any worker count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-use hetgmp_cluster::{CostModel, SimClock, TimeCategory, Topology};
-use hetgmp_comms::AllReduceGroup;
+use hetgmp_cluster::Topology;
+use hetgmp_comms::TrafficClass;
 use hetgmp_data::KgDataset;
-use hetgmp_embedding::{RowStore, ShardedTable, SparseOpt, WorkerEmbedding, WriteExchange};
+use hetgmp_embedding::{RowStore, ShardedTable, SparseOpt, WorkerEmbedding};
 use hetgmp_partition::PartitionMetrics;
-use hetgmp_telemetry::HetGmpError;
+use hetgmp_telemetry::{HetGmpError, MetricsRegistry, TelemetrySnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::charge::{charge, Dense, LinkTallies, Phases, Transfer, Wire};
+use crate::pipeline::{RunCtx, StepCtx, StepModel, WorkerRun};
 use crate::strategy::StrategyConfig;
-use crate::trainer::Placement;
+use crate::trainer::{
+    barrier, record_closing_gauges, sim_time, train_epoch, Placement, TrainerConfig,
+};
 
 /// TransE training hyper-parameters.
 #[derive(Debug, Clone)]
@@ -94,10 +91,12 @@ pub struct KgResult {
     pub sim_time: f64,
     /// Triples processed per simulated second.
     pub throughput: f64,
-    /// Remote embedding traffic, bytes.
+    /// Embedding-row bytes on the wire (`traffic.bytes.embed_data`).
     pub embed_bytes: u64,
     /// Partition quality on the triple bigraph.
     pub partition_metrics: PartitionMetrics,
+    /// Every metric the run recorded, traffic classes included.
+    pub telemetry: TelemetrySnapshot,
 }
 
 /// Distributed TransE trainer.
@@ -109,8 +108,8 @@ pub struct KgTrainer<'d> {
 }
 
 impl<'d> KgTrainer<'d> {
-    /// Creates a trainer. Only the strategy's partition policy and staleness
-    /// bound are consulted (KG has no CPU-PS mode here).
+    /// Creates a trainer. The strategy applies as in the CTR trainer, except
+    /// its cache design: every worker keeps static vertex-cut replicas.
     pub fn new(
         kg: &'d KgDataset,
         topology: Topology,
@@ -150,92 +149,85 @@ impl<'d> KgTrainer<'d> {
         if cfg.batch_size == 0 {
             return Err(HetGmpError::config("batch_size", "must be positive"));
         }
-        let n = self.topology.num_workers();
-        let cost = CostModel::new(self.topology.clone());
-        let (train, test) = self.kg.split(0.1);
+        let (kg, n) = (self.kg, self.topology.num_workers());
+        let (train, test) = kg.split(0.1);
+        let registry = MetricsRegistry::new(n);
 
         // Bigraph over training triples only.
-        let Placement {
-            graph,
-            partition,
-            freq,
-            shards,
-            iters_per_epoch: iters,
-        } = Placement::build(
-            self.kg.num_entities,
+        let placement = Placement::build(
+            kg.num_entities,
             &train,
-            |i| self.kg.entity_row(i as usize),
-            self.strategy.partition.partitioner(cfg.seed).as_ref(),
+            |i| kg.entity_row(i as usize),
+            self.strategy
+                .partition
+                .partitioner_instrumented(cfg.seed, Some(registry.global()), None)
+                .as_ref(),
             &self.topology,
             cfg.batch_size,
         );
-        let partition_metrics = PartitionMetrics::compute(&graph, &partition);
-
+        let partition = &placement.partition;
+        let partition_metrics = PartitionMetrics::compute(&placement.graph, partition);
         let entities =
-            ShardedTable::with_partition(self.kg.num_entities, cfg.dim, 0.1, cfg.seed, &partition);
-        let group = AllReduceGroup::new(n);
-        let triples_done = AtomicU64::new(0);
-        let embed_bytes = AtomicU64::new(0);
+            ShardedTable::with_partition(kg.num_entities, cfg.dim, 0.1, cfg.seed, partition);
 
-        let mut relations: Vec<Vec<f32>> = {
-            // One replica per worker, identical init.
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE1);
-            let base: Vec<f32> = (0..self.kg.num_relations * cfg.dim)
-                .map(|_| rng.gen_range(-0.1..0.1))
-                .collect();
-            (0..n).map(|_| base.clone()).collect()
+        // The loop reads KG's hyper-parameters through the CTR names: the
+        // entity optimizer is the embedding one, the relation rate the
+        // dense one.
+        let run_cfg = TrainerConfig {
+            dim: cfg.dim,
+            batch_size: cfg.batch_size,
+            epochs: cfg.epochs,
+            embed_opt: cfg.entity_opt,
+            dense_lr: cfg.relation_lr,
+            seed: cfg.seed,
+            ..TrainerConfig::default()
         };
-        let mut workers: Vec<WorkerEmbedding<'_>> = (0..n as u32)
-            .map(|w| WorkerEmbedding::new(w, &entities, &partition, &freq, self.strategy.staleness))
+        let run = RunCtx::new(
+            &run_cfg,
+            &self.strategy,
+            kg,
+            &entities,
+            &placement,
+            &self.topology,
+            registry,
+        );
+        // One relation replica per worker, identical init.
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE1);
+        let relations: Vec<f32> = (0..kg.num_relations * cfg.dim)
+            .map(|_| rng.gen_range(-0.1..0.1))
             .collect();
-        let mut clocks: Vec<SimClock> = (0..n).map(|_| SimClock::new()).collect();
-        let exchange = WriteExchange::new(n);
-
-        let kg = self.kg;
+        let mut workers: Vec<WorkerRun<'_, TransE>> = (0..n)
+            .map(|w| {
+                let mut emb = WorkerEmbedding::new(
+                    w as u32,
+                    &entities,
+                    partition,
+                    &placement.freq,
+                    self.strategy.staleness,
+                );
+                emb.attach_recorder(run.registry.worker(w));
+                let model = TransE {
+                    relations: relations.clone(),
+                    grad: vec![0.0; relations.len()],
+                    dim: cfg.dim,
+                    margin: cfg.margin,
+                    rng: StdRng::seed_from_u64(cfg.seed),
+                };
+                let recorder = run.registry.worker(w);
+                WorkerRun::new(w, Box::new(emb), model, recorder, 1.0, cfg.batch_size)
+            })
+            .collect();
         for epoch in 0..cfg.epochs {
-            std::thread::scope(|scope| {
-                for (w, ((we, rel), clock)) in workers
-                    .iter_mut()
-                    .zip(relations.iter_mut())
-                    .zip(clocks.iter_mut())
-                    .enumerate()
-                {
-                    let shard = &shards[w];
-                    let group = &group;
-                    let cost = &cost;
-                    let triples_done = &triples_done;
-                    let embed_bytes = &embed_bytes;
-                    let (entities, exchange) = (&entities, &exchange);
-                    scope.spawn(move || {
-                        let mut rng =
-                            StdRng::seed_from_u64(cfg.seed ^ ((epoch * n + w) as u64) << 8);
-                        run_kg_worker_epoch(KgWorkerCtx {
-                            w,
-                            shard,
-                            kg,
-                            we,
-                            rel,
-                            clock,
-                            iters,
-                            cfg,
-                            cost,
-                            group,
-                            entities,
-                            exchange,
-                            rng: &mut rng,
-                            triples_done,
-                            embed_bytes,
-                        });
-                    });
-                }
-            });
-            for we in &mut workers {
-                we.flush_all(&exchange);
+            // KG's batch source: a fresh RNG per (epoch, worker), and a
+            // random cursor start drawn from it.
+            for (w, me) in workers.iter_mut().enumerate() {
+                me.model.rng = StdRng::seed_from_u64(cfg.seed ^ ((epoch * n + w) as u64) << 8);
+                me.cursor = me.model.rng.gen_range(0..placement.shards[w].len().max(1));
             }
-            for owner in 0..n {
-                exchange.apply_owned(owner, &entities, &cfg.entity_opt);
-            }
+            train_epoch(&run, &mut workers, epoch + 1, None);
+            barrier(&run, &mut workers);
         }
+        record_closing_gauges(&run, &workers);
 
         // Evaluation: rank the true tail among sampled candidates.
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xEA);
@@ -246,7 +238,7 @@ impl<'d> KgTrainer<'d> {
         let mut h_buf = vec![0.0f32; dim];
         let mut t_buf = vec![0.0f32; dim];
         let mut c_buf = vec![0.0f32; dim];
-        let rel0 = &relations[0];
+        let rel0 = &workers[0].model.relations;
         for &i in &test[..take] {
             let (h, r, t) = kg.triples[i as usize];
             entities.read_row(h, &mut h_buf);
@@ -269,8 +261,9 @@ impl<'d> KgTrainer<'d> {
                 hits += 1;
             }
         }
-        let sim_time = clocks.iter().map(|c| c.now()).fold(0.0, f64::max);
-        let done = triples_done.load(Ordering::Relaxed);
+        let sim_time = sim_time(&workers);
+        let done = run.samples.load(Ordering::Relaxed);
+        let telemetry = run.registry.snapshot();
         Ok(KgResult {
             strategy: self.strategy.name.clone(),
             mrr: mrr / take.max(1) as f64,
@@ -281,8 +274,9 @@ impl<'d> KgTrainer<'d> {
             } else {
                 0.0
             },
-            embed_bytes: embed_bytes.load(Ordering::Relaxed),
+            embed_bytes: telemetry.counter(TrafficClass::EmbedData.bytes_metric()),
             partition_metrics,
+            telemetry,
         })
     }
 }
@@ -302,7 +296,8 @@ fn distance(h: &[f32], r: &[f32], t: &[f32]) -> f32 {
 /// Gradient of one triple's margin-ranking loss
 /// `max(0, γ + d(h, r, t) − d(h, r, t'))` with `d` = [`distance`], written
 /// into `grad = [dL/dh ; dL/dt ; dL/dt']` (`3·dim`). `dL/dr` equals
-/// `dL/dh`. Returns `false`, writing nothing, where the hinge is flat.
+/// `dL/dh`. Returns the loss, or `None`, writing nothing, where the hinge
+/// is flat.
 fn margin_ranking_grad(
     h: &[f32],
     r: &[f32],
@@ -310,11 +305,12 @@ fn margin_ranking_grad(
     neg: &[f32],
     margin: f32,
     grad: &mut [f32],
-) -> bool {
+) -> Option<f32> {
     let d_pos = distance(h, r, t);
     let d_neg = distance(h, r, neg);
-    if margin + d_pos - d_neg <= 0.0 {
-        return false;
+    let loss = margin + d_pos - d_neg;
+    if loss <= 0.0 {
+        return None;
     }
     let (gh, rest) = grad.split_at_mut(h.len());
     let (gt, gn) = rest.split_at_mut(h.len());
@@ -326,136 +322,86 @@ fn margin_ranking_grad(
         gt[d] = -2.0 * e_pos;
         gn[d] = 2.0 * e_neg;
     }
-    true
+    Some(loss)
 }
 
-struct KgWorkerCtx<'a, 'b, 'd> {
-    w: usize,
-    shard: &'a [u32],
-    kg: &'d KgDataset,
-    we: &'a mut WorkerEmbedding<'b>,
-    rel: &'a mut [f32],
-    clock: &'a mut SimClock,
-    iters: usize,
-    cfg: &'a KgTrainerConfig,
-    cost: &'a CostModel,
-    group: &'a AllReduceGroup,
-    entities: &'a ShardedTable,
-    exchange: &'a WriteExchange,
-    rng: &'a mut StdRng,
-    triples_done: &'a AtomicU64,
-    embed_bytes: &'a AtomicU64,
+/// One worker's TransE replica: the relation table every worker keeps a
+/// copy of, its batch gradient, and the RNG its corrupted tails draw from.
+struct TransE {
+    relations: Vec<f32>,
+    /// `dL/dr`, summed over the batch.
+    grad: Vec<f32>,
+    dim: usize,
+    margin: f32,
+    /// Re-seeded per (epoch, worker) by the driver.
+    rng: StdRng,
 }
 
-fn run_kg_worker_epoch(ctx: KgWorkerCtx<'_, '_, '_>) {
-    let KgWorkerCtx {
-        w,
-        shard,
-        kg,
-        we,
-        rel,
-        clock,
-        iters,
-        cfg,
-        cost,
-        group,
-        entities,
-        exchange,
-        rng,
-        triples_done,
-        embed_bytes,
-    } = ctx;
-    let dim = cfg.dim;
-    let wire = Wire {
-        cost,
-        recorder: None,
-        tracer: None,
-        host_ps: false,
-        row_bytes: (dim * 4) as u64,
-    };
-    let mut links = LinkTallies::default();
-    let mut cursor = rng.gen_range(0..shard.len().max(1));
-    let mut rel_grad = vec![0.0f32; rel.len()];
-    // Each step's `[h, t, t']` triples, their relations and their rows.
-    let bs = cfg.batch_size.min(shard.len().max(1));
-    let mut triples: Vec<[u32; 3]> = Vec::with_capacity(bs);
-    let mut rels: Vec<u32> = Vec::with_capacity(bs);
-    let mut flat = vec![0.0f32; 3 * bs * dim];
-    let mut grads = vec![0.0f32; 3 * bs * dim];
+impl StepModel for TransE {
+    type Data = KgDataset;
 
-    for _ in 0..iters {
-        // Assemble ids: for each triple, h, t and a corrupted tail t'.
-        triples.clear();
-        rels.clear();
-        if !shard.is_empty() {
-            for _ in 0..bs {
-                let idx = shard[cursor % shard.len()];
-                cursor += 1;
-                let (h, r, t) = kg.triples[idx as usize];
-                let neg = rng.gen_range(0..kg.num_entities as u32);
-                triples.push([h, t, neg]);
-                rels.push(r);
-            }
+    fn ids_per_sample(_: &KgDataset) -> usize {
+        3
+    }
+
+    /// Each triple's `[h, t, t']`, the corrupted tail `t'` drawn uniformly.
+    fn samples<'s>(
+        &mut self,
+        kg: &'s KgDataset,
+        batch: &[u32],
+        ids: &'s mut Vec<u32>,
+        samples: &mut Vec<&'s [u32]>,
+    ) {
+        ids.clear();
+        for &i in batch {
+            let (h, _, t) = kg.triples[i as usize];
+            let neg = self.rng.gen_range(0..kg.num_entities as u32);
+            ids.extend([h, t, neg]);
         }
-        let samples: Vec<&[u32]> = triples.iter().map(|t| t.as_slice()).collect();
-        let read = if !samples.is_empty() {
-            we.read_batch(&samples, &mut flat)
-        } else {
-            Default::default()
-        };
+        let ids: &'s [u32] = ids;
+        samples.extend(ids.chunks_exact(3));
+    }
 
-        // Margin-ranking gradients per triple; dL/dr is dL/dh.
-        rel_grad.fill(0.0);
-        grads.fill(0.0);
-        for (j, &r) in rels.iter().enumerate() {
-            let base = j * 3 * dim;
-            let (hv, rest) = flat[base..base + 3 * dim].split_at(dim);
+    /// Margin-ranking gradients per triple; `dL/dr` is `dL/dh`.
+    fn backward(&mut self, kg: &KgDataset, slot: &mut StepCtx) -> f32 {
+        let dim = self.dim;
+        let rows = slot.batch_idx.len();
+        slot.grad_input.reset(rows, 3 * dim);
+        self.grad.fill(0.0);
+        let mut loss = 0.0f32;
+        let grads = slot.grad_input.data_mut().chunks_exact_mut(3 * dim);
+        let input = slot.input.data().chunks_exact(3 * dim);
+        for ((&i, row), g) in slot.batch_idx.iter().zip(input).zip(grads) {
+            let r = kg.triples[i as usize].1 as usize;
+            let (hv, rest) = row.split_at(dim);
             let (tv, nv) = rest.split_at(dim);
-            let rows = r as usize * dim..(r as usize + 1) * dim;
-            let g = &mut grads[base..base + 3 * dim];
-            if margin_ranking_grad(hv, &rel[rows.clone()], tv, nv, cfg.margin, g) {
-                for (rg, &gh) in rel_grad[rows].iter_mut().zip(&g[..dim]) {
+            let rel = r * dim..(r + 1) * dim;
+            if let Some(l) =
+                margin_ranking_grad(hv, &self.relations[rel.clone()], tv, nv, self.margin, g)
+            {
+                loss += l;
+                for (rg, &gh) in self.grad[rel].iter_mut().zip(&g[..dim]) {
                     *rg += gh;
                 }
             }
         }
+        loss / rows.max(1) as f32
+    }
 
-        // Route by primary owner, wait until every peer's reads are done,
-        // then apply the rows this worker owns, sources in rank order.
-        let update = if !samples.is_empty() {
-            we.route_gradients(&samples, &grads, &cfg.entity_opt, exchange)
-        } else {
-            Default::default()
-        };
-        group.barrier();
-        exchange.apply_owned(w, entities, &cfg.entity_opt);
+    fn flatten_grads_into(&mut self, out: &mut Vec<f32>) {
+        out.clone_from(&self.grad);
+    }
 
-        // Charge simulated time through the trainer's charge path: the
-        // embedding rows (no metadata; this loop never charged it) behind
-        // the compute, then the relations' collective.
-        let compute_t = cost.compute.compute_time((6 * dim * bs) as f64 * 3.0);
-        clock.advance(TimeCategory::Compute, compute_t);
-        let read_x = Transfer::exchange(&read.data_bytes_by_src, &[], wire.row_bytes);
-        let write_x = Transfer::exchange(&update.data_bytes_by_dst, &[], wire.row_bytes);
-        let step = Phases::Step {
-            read: &read_x,
-            write: &write_x,
-            overlap: Some(compute_t),
-        };
-        charge(&wire, w, clock, &mut links, step);
-        let relations = Dense::Ring((rel_grad.len() * 4) as u64);
-        charge(&wire, w, clock, &mut links, Phases::Dense(relations));
-        embed_bytes.fetch_add(read.data_bytes + update.data_bytes, Ordering::Relaxed);
-        triples_done.fetch_add(bs as u64, Ordering::Relaxed);
-
-        // Relations: one collective carries the gradient mean and, as the
-        // BSP barrier in simulated time, the post-charge clock; then the
-        // local SGD step.
-        let (max_clock, _) = group.fused_mean_max(&mut rel_grad, clock.now(), false);
-        for (p, &g) in rel.iter_mut().zip(rel_grad.iter()) {
-            *p -= cfg.relation_lr * g / cfg.batch_size.max(1) as f32;
+    /// Plain SGD on the mean gradient, scaled by the batch size.
+    fn dense_step(&mut self, cfg: &TrainerConfig, grads: &mut [f32]) {
+        for (p, &g) in self.relations.iter_mut().zip(grads.iter()) {
+            *p -= cfg.dense_lr * g / cfg.batch_size.max(1) as f32;
         }
-        clock.wait_until(max_clock);
+    }
+
+    /// Three distances of `dim` elements, forward and backward.
+    fn flops_per_sample(&mut self) -> f64 {
+        (18 * self.dim) as f64
     }
 }
 
@@ -476,9 +422,7 @@ mod tests {
                 .map(|_| (0..dim).map(|_| rng.gen_range(-0.5..0.5)).collect())
                 .collect();
             let mut grad = vec![0.0f32; 3 * dim];
-            assert!(margin_ranking_grad(
-                &v[0], &v[1], &v[2], &v[3], margin, &mut grad
-            ));
+            assert!(margin_ranking_grad(&v[0], &v[1], &v[2], &v[3], margin, &mut grad).is_some());
             // h, r, t and t' against dL/dh, dL/dh, dL/dt and dL/dt'.
             for (arg, part) in [0usize, 0, 1, 2].into_iter().enumerate() {
                 let at = |p: &[f32]| {
@@ -499,14 +443,7 @@ mod tests {
         // d(h, r, t) = 0 and d(h, r, t') = 25, so a margin of 1 is met.
         let (h, r, t) = ([0.1f32, 0.2], [0.0f32, 0.1], [0.1f32, 0.3]);
         let mut grad = [f32::NAN; 6];
-        assert!(!margin_ranking_grad(
-            &h,
-            &r,
-            &t,
-            &[5.1, 0.3],
-            1.0,
-            &mut grad
-        ));
+        assert!(margin_ranking_grad(&h, &r, &t, &[5.1, 0.3], 1.0, &mut grad).is_none());
         assert!(grad.iter().all(|g| g.is_nan()), "nothing written");
     }
 
@@ -617,6 +554,45 @@ mod tests {
             r.embed_bytes,
             r.sim_time
         );
+    }
+
+    /// Two workers hold replicas and exchange rows, so this pins the
+    /// replicated path too: the keys/clocks metadata the step charges and
+    /// the epoch barrier's charged flush and re-prime.
+    #[test]
+    fn two_worker_run_is_pinned() {
+        let r = two_epochs(&small_kg(), 2, 100);
+        let (mrr, hits, sim): (f64, f64, f64) = (0.3095764801625792, 0.595, 0.0009597637165714289);
+        assert_eq!(
+            result_bits(&r),
+            (mrr.to_bits(), hits.to_bits(), 1554688, sim.to_bits()),
+            "MRR {:?} hits@10 {:?} bytes {} sim {:?}",
+            r.mrr,
+            r.hits_at_10,
+            r.embed_bytes,
+            r.sim_time
+        );
+    }
+
+    /// KG's traffic lands in the run's one metric sink: `embed_bytes` is
+    /// its `traffic.bytes.embed_data`, and the replicas' keys and clocks
+    /// are charged beside it. One worker owns every row, so it moves
+    /// neither.
+    #[test]
+    fn traffic_lands_in_the_metric_sink() {
+        let kg = small_kg();
+        let counters = |r: &KgResult| {
+            [TrafficClass::EmbedData, TrafficClass::KeysClocks]
+                .map(|c| r.telemetry.counter(c.bytes_metric()))
+        };
+        let two = two_epochs(&kg, 2, 100);
+        let [data, meta] = counters(&two);
+        assert!(two.embed_bytes > 0);
+        assert_eq!(two.embed_bytes, data);
+        assert!(meta > 0, "no keys/clocks charged");
+        let one = two_epochs(&kg, 1, 100);
+        assert_eq!(counters(&one), [0, 0]);
+        assert_eq!(one.embed_bytes, 0);
     }
 
     #[test]

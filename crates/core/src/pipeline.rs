@@ -2,6 +2,9 @@
 //! read → compute → write-back → AllReduce step (§5) — as one straight-line
 //! schedule over a reusable [`StepCtx`].
 //!
+//! Both trainers run it: what differs between a CTR model and TransE sits
+//! behind `StepModel`, and everything else is one code path.
+//!
 //! ## The step
 //!
 //! ```text
@@ -16,7 +19,7 @@
 //!    faults, then one `barrier()` so a crash rollback is visible before
 //!    any peer reads;
 //! 2. assemble the batch and `read_batch` it;
-//! 3. dense forward/backward;
+//! 3. the model's backward (`StepModel::backward`);
 //! 4. route the write-back (`route_gradients`), outside any fence: reduce,
 //!    encode and bin the batch's gradient rows by primary owner into this
 //!    rank's outboxes of the [`WriteExchange`] — nothing shared is touched;
@@ -29,7 +32,8 @@
 //!    primary, which applies it;
 //! 7. charge the batch's simulated time;
 //! 8. dense sync: under BSP one [`AllReduceGroup::fused_mean_max`] carries
-//!    the gradient mean and the post-charge clock together. Every rank
+//!    the gradient mean and the post-charge clock together, then the
+//!    model takes its local step (`StepModel::dense_step`). Every rank
 //!    enters it only after applying its own rows, so returning from it
 //!    happens-after the last write — it is the writes-done rendezvous for
 //!    the next iteration's reads and routing;
@@ -65,14 +69,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hetgmp_cluster::{
-    CostModel, FaultSchedule, LinkClass, SimClock, TimeCategory, WorkerFaultKind,
+    CostModel, FaultSchedule, LinkClass, SimClock, TimeCategory, Topology, WorkerFaultKind,
 };
 use hetgmp_comms::{AllReduceGroup, DenseQuantizer};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{
     load_run_rows, EmbeddingWorker, ReadReport, RowStore, UpdateReport, WriteExchange,
 };
-use hetgmp_partition::Partition;
 use hetgmp_telemetry::{
     names, HistogramSummary, Json, MetricsRegistry, ProtocolAuditor, Recorder, TraceCollector,
 };
@@ -81,7 +84,7 @@ use hetgmp_tensor::{bce_with_logits_into, DenseOptimizer, Matrix, Sgd};
 use crate::charge::{charge, Dense, LinkTallies, Phases, Transfer, Wire};
 use crate::models::{CtrModel, ModelTape};
 use crate::strategy::{DenseSync, EmbedHome, StrategyConfig};
-use crate::trainer::{CrashImage, TrainerConfig};
+use crate::trainer::{CrashImage, Placement, TrainerConfig};
 
 /// The four stages of a step, in execution order — the labels the
 /// [`StageProfiler`] attributes wall and simulated time to
@@ -98,45 +101,126 @@ pub enum BatchStage {
     Sync,
 }
 
-/// One worker's complete per-batch working set, allocated once per run and
-/// reused by every iteration — the hot loop allocates nothing once warm
-/// (the `dense.*` gauges assert zero steady-state growth of the tape).
+/// One worker's complete per-batch working set, empty at first and reused
+/// by every iteration — the hot loop allocates nothing once warm (the
+/// `dense.*` gauges assert zero steady-state growth of the tape).
+#[derive(Default)]
 pub struct StepCtx {
     /// Dataset indices of this batch's samples, in cursor order.
     pub(crate) batch_idx: Vec<u32>,
-    /// Per-sample labels, filled during Compute.
+    /// Per-sample labels, filled by the CTR backward.
     pub(crate) labels: Vec<f32>,
-    /// Flat embedding input (`batch × fields·dim`), filled during Fetch.
+    /// Flat embedding input (`batch × ids·dim`), filled during Fetch.
     pub(crate) input: Matrix,
     /// Loss gradient w.r.t. the logits.
     pub(crate) grad_logits: Matrix,
     /// Gradient w.r.t. the embedding input (consumed by Push).
     pub(crate) grad_input: Matrix,
-    /// Dense forward/backward arena — all model-internal scratch.
+    /// The CTR model's forward/backward arena — all model-internal scratch.
     pub(crate) tape: ModelTape,
     /// Traffic report of this batch's embedding read.
     pub(crate) read_report: ReadReport,
 }
 
-impl StepCtx {
-    /// Empty buffers; everything grows to its steady-state size during the
-    /// first batches.
-    pub fn new() -> Self {
-        Self {
-            batch_idx: Vec::new(),
-            labels: Vec::new(),
-            input: Matrix::zeros(0, 0),
-            grad_logits: Matrix::zeros(0, 0),
-            grad_input: Matrix::zeros(0, 0),
-            tape: ModelTape::new(),
-            read_report: ReadReport::default(),
-        }
-    }
+/// What a step asks of a worker's model replica, statically dispatched:
+/// the batch, backward into the `grad_input` rows, the dense parameters'
+/// flat gradient and local step, and the flops per sample. [`CtrModel`]
+/// and `core::kg`'s TransE implement it.
+pub(crate) trait StepModel: Send {
+    /// What the run's samples are read from.
+    type Data: Sync;
+    /// Embedding ids per sample: the width of an `input` row, in rows.
+    fn ids_per_sample(data: &Self::Data) -> usize;
+    /// Pushes the id list of every sample in `batch` (dataset indices) onto
+    /// `samples`. Lists the data does not hold are built in `ids`.
+    fn samples<'s>(
+        &mut self,
+        data: &'s Self::Data,
+        batch: &[u32],
+        ids: &'s mut Vec<u32>,
+        samples: &mut Vec<&'s [u32]>,
+    );
+    /// Backward from the rows in `slot.input` into `slot.grad_input` and
+    /// the dense gradient; returns the batch's training loss.
+    fn backward(&mut self, data: &Self::Data, slot: &mut StepCtx) -> f32;
+    /// The dense parameters' local gradient, flattened into `out`.
+    fn flatten_grads_into(&mut self, out: &mut Vec<f32>);
+    /// One local step on the dense parameters with the reduced gradient.
+    fn dense_step(&mut self, cfg: &TrainerConfig, grads: &mut [f32]);
+    /// Flops of one sample's forward and backward.
+    fn flops_per_sample(&mut self) -> f64;
 }
 
-impl Default for StepCtx {
-    fn default() -> Self {
-        Self::new()
+impl StepModel for CtrModel {
+    type Data = CtrDataset;
+
+    fn ids_per_sample(data: &CtrDataset) -> usize {
+        data.num_fields
+    }
+
+    fn samples<'s>(
+        &mut self,
+        data: &'s CtrDataset,
+        batch: &[u32],
+        _ids: &'s mut Vec<u32>,
+        samples: &mut Vec<&'s [u32]>,
+    ) {
+        samples.extend(batch.iter().map(|&i| data.sample(i as usize)));
+    }
+
+    /// Dense forward/backward on the slot's tape, blocked kernels: zero
+    /// allocations once warm (the `dense.*` gauges assert it).
+    fn backward(&mut self, data: &CtrDataset, slot: &mut StepCtx) -> f32 {
+        let StepCtx {
+            batch_idx,
+            labels,
+            input,
+            grad_logits,
+            grad_input,
+            tape,
+            ..
+        } = slot;
+        let dense_start = Instant::now();
+        self.forward_tape(input, tape);
+        labels.clear();
+        labels.extend(batch_idx.iter().map(|&i| data.label(i as usize)));
+        let batch_loss = bce_with_logits_into(tape.logits(), labels, grad_logits);
+        self.zero_grad();
+        self.backward_tape(input, grad_logits, grad_input, tape);
+        tape.dense_secs += dense_start.elapsed().as_secs_f64();
+        tape.end_batch();
+        batch_loss
+    }
+
+    fn flatten_grads_into(&mut self, out: &mut Vec<f32>) {
+        CtrModel::flatten_grads_into(self, out);
+    }
+
+    /// Global-norm clip, then one SGD step (`p -= lr·g`) per parameter
+    /// buffer on its slice of the reduced vector, in `visit_params` order.
+    fn dense_step(&mut self, cfg: &TrainerConfig, grads: &mut [f32]) {
+        if let Some(clip) = cfg.grad_clip {
+            let norm = grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+            if norm > clip {
+                let scale = clip / norm;
+                for g in grads.iter_mut() {
+                    *g *= scale;
+                }
+            }
+        }
+        let mut sgd = Sgd::new(cfg.dense_lr);
+        sgd.begin_step();
+        let (mut slot, mut cursor) = (0usize, 0usize);
+        self.visit_params(&mut |p, _| {
+            sgd.update(slot, p, &grads[cursor..cursor + p.len()]);
+            slot += 1;
+            cursor += p.len();
+        });
+        assert_eq!(cursor, grads.len(), "flat gradient length mismatch");
+    }
+
+    fn flops_per_sample(&mut self) -> f64 {
+        CtrModel::flops_per_sample(self)
     }
 }
 
@@ -283,20 +367,19 @@ impl Default for StageProfiler {
 }
 
 /// What every worker thread of a run reads and none owns: the
-/// configuration, the shared table and partition, the collectives, the
-/// cost model, the run's hooks and its counters. The driver builds it once
-/// per run ([`crate::Trainer::try_run`]'s set-up) and every worker thread
-/// borrows it, every epoch.
-pub(crate) struct RunCtx<'a> {
+/// configuration, the samples, the shared table and partition, the
+/// collectives, the cost model, the run's hooks and its counters. The
+/// driver builds it once per run (the set-up of [`crate::Trainer::try_run`]
+/// or [`crate::KgTrainer::try_run`]) and every worker thread borrows it,
+/// every epoch.
+pub(crate) struct RunCtx<'a, M: StepModel> {
     pub(crate) cfg: &'a TrainerConfig,
     pub(crate) strategy: &'a StrategyConfig,
-    pub(crate) dataset: &'a CtrDataset,
+    pub(crate) data: &'a M::Data,
     /// The primary store, RAM-only or tiered.
     pub(crate) table: &'a dyn RowStore,
-    pub(crate) partition: &'a Partition,
-    /// Each worker's training shard (dataset indices).
-    pub(crate) shards: &'a [Vec<u32>],
-    pub(crate) iters_per_epoch: usize,
+    /// The partition, each worker's shard and the epoch's length.
+    pub(crate) placement: &'a Placement,
     pub(crate) cost: CostModel,
     pub(crate) faults: Arc<FaultSchedule>,
     /// One registry for the whole run: the partitioner records globally,
@@ -307,10 +390,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) exchange: WriteExchange,
     pub(crate) tracer: Option<&'a TraceCollector>,
     pub(crate) auditor: Option<Arc<ProtocolAuditor>>,
-    /// Dense parameters per model replica, and their wire bytes per sync.
-    pub(crate) num_dense: usize,
-    pub(crate) dense_bytes: u64,
-    pub(crate) flops_per_sample: f64,
     /// Wire bytes of one embedding row.
     pub(crate) row_bytes: u64,
     /// Samples processed, over the whole run.
@@ -323,13 +402,45 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) nonfinite: AtomicU64,
 }
 
-impl RunCtx<'_> {
+impl<'a, M: StepModel> RunCtx<'a, M> {
+    /// A run over `placement` on `topology`, with no faults or hooks.
+    pub(crate) fn new(
+        cfg: &'a TrainerConfig,
+        strategy: &'a StrategyConfig,
+        data: &'a M::Data,
+        table: &'a dyn RowStore,
+        placement: &'a Placement,
+        topology: &Topology,
+        registry: MetricsRegistry,
+    ) -> Self {
+        let n = topology.num_workers();
+        Self {
+            cfg,
+            strategy,
+            data,
+            table,
+            placement,
+            cost: CostModel::new(topology.clone()),
+            faults: Arc::new(FaultSchedule::empty(n)),
+            registry,
+            group: AllReduceGroup::new(n),
+            exchange: WriteExchange::new(n),
+            tracer: None,
+            auditor: None,
+            row_bytes: cfg.sync_format.row_wire_bytes(cfg.dim),
+            samples: AtomicU64::new(0),
+            loss_sum_micro: AtomicU64::new(0),
+            loss_batches: AtomicU64::new(0),
+            nonfinite: AtomicU64::new(0),
+        }
+    }
+
     /// What the run's traffic is charged against, counted into the
     /// charging worker's `recorder`.
-    pub(crate) fn wire<'a>(&'a self, recorder: &'a Recorder) -> Wire<'a> {
+    pub(crate) fn wire<'w>(&'w self, recorder: &'w Recorder) -> Wire<'w> {
         Wire {
             cost: &self.cost,
-            recorder: Some(recorder),
+            recorder,
             tracer: self.tracer,
             host_ps: matches!(self.strategy.embed_home, EmbedHome::CpuPs),
             row_bytes: self.row_bytes,
@@ -340,19 +451,19 @@ impl RunCtx<'_> {
 /// What one worker keeps from epoch to epoch. Every worker owns one; the
 /// driver hands each thread its own for the epoch and takes it back at the
 /// barrier.
-pub(crate) struct WorkerRun<'t> {
+pub(crate) struct WorkerRun<'t, M> {
     /// The worker's rank.
     pub(crate) w: usize,
     /// The one embedding worker, under the strategy's replica policy.
     pub(crate) emb: Box<dyn EmbeddingWorker + 't>,
-    /// The worker's dense replica (identical init on every worker).
-    pub(crate) model: CtrModel,
+    /// The worker's model replica (identical init on every worker).
+    pub(crate) model: M,
     /// Every per-batch buffer, reused by every step.
     pub(crate) slot: StepCtx,
     pub(crate) clock: SimClock,
     /// Busy link seconds of every group this worker issued.
     pub(crate) links: LinkTallies,
-    /// Position in the shard; wraps around, persists across epochs.
+    /// Position in the shard; wraps around (KG re-draws it every epoch).
     pub(crate) cursor: usize,
     pub(crate) fstate: WorkerFaultState,
     /// Stage histograms, flushed into `recorder` at every epoch's end (the
@@ -362,6 +473,33 @@ pub(crate) struct WorkerRun<'t> {
     /// Slowdown factor of this worker's accelerator (1.0 = nominal).
     pub(crate) compute_scale: f64,
     pub(crate) batch_size: usize,
+}
+
+impl<'t, M> WorkerRun<'t, M> {
+    /// Worker `w` at the run's start, recording into `recorder`.
+    pub(crate) fn new(
+        w: usize,
+        emb: Box<dyn EmbeddingWorker + 't>,
+        model: M,
+        recorder: Arc<Recorder>,
+        compute_scale: f64,
+        batch_size: usize,
+    ) -> Self {
+        Self {
+            w,
+            emb,
+            model,
+            slot: StepCtx::default(),
+            clock: SimClock::with_recorder(Arc::clone(&recorder)),
+            links: Default::default(),
+            cursor: 0,
+            fstate: WorkerFaultState::default(),
+            profiler: StageProfiler::new(),
+            recorder,
+            compute_scale,
+            batch_size,
+        }
+    }
 }
 
 /// Per-worker fault-injection cursor and accumulated downtime, persistent
@@ -379,16 +517,16 @@ pub(crate) struct WorkerFaultState {
 /// Runs one worker's epoch: the nine-step schedule of the module docs.
 /// `image` is the run image a crash rolls back to (present whenever the
 /// schedule can crash).
-pub(crate) fn run_worker_epoch(
-    run: &RunCtx<'_>,
-    me: &mut WorkerRun<'_>,
+pub(crate) fn run_worker_epoch<M: StepModel>(
+    run: &RunCtx<'_, M>,
+    me: &mut WorkerRun<'_, M>,
     epoch: usize,
     image: Option<&CrashImage>,
 ) {
-    let (cfg, dataset, group) = (run.cfg, run.dataset, &run.group);
-    let shard = &run.shards[me.w];
-    let dim = cfg.dim;
-    let fields = dataset.num_fields;
+    let (cfg, group) = (run.cfg, &run.group);
+    let shard = &run.placement.shards[me.w];
+    let width = M::ids_per_sample(run.data) * cfg.dim;
+    let flops_per_sample = me.model.flops_per_sample();
     let epoch_start = me.clock.now();
     // Whether *any* worker can fault this run decides — uniformly across
     // workers, so the rendezvous schedules agree — whether the
@@ -396,16 +534,16 @@ pub(crate) fn run_worker_epoch(
     let have_faults =
         (0..group.num_participants()).any(|p| !run.faults.worker_faults(p).is_empty());
 
-    let mut sample_slices: Vec<&[u32]> = Vec::with_capacity(me.batch_size);
+    // The step's sample id lists, and the lists the data does not hold.
+    let mut spare: Vec<&[u32]> = Vec::with_capacity(me.batch_size);
+    let mut ids: Vec<u32> = Vec::new();
     let mut dense_grads: Vec<f32> = Vec::new();
-    // Stateless SGD on the replicated dense parameters.
-    let mut sgd = Sgd::new(cfg.dense_lr);
     // Dense-gradient wire transport. Per-epoch so its error-feedback
     // residuals reset at the same barrier replica resync does — a
     // checkpoint-resumed run bit-matches an uninterrupted one.
     let mut dense_quant = DenseQuantizer::new(cfg.sync_format, cfg.sync_error_feedback);
 
-    for _ in 0..run.iters_per_epoch {
+    for _ in 0..run.placement.iters_per_epoch {
         // ---- (1) Injected faults, at the iteration boundary. ---------------
         if have_faults {
             process_due_faults(run, me, image);
@@ -425,26 +563,32 @@ pub(crate) fn run_worker_epoch(
         // ---- (2) Assemble the batch and read its embeddings. ---------------
         let t_fetch = me.profiler.start();
         assemble_batch(&mut me.slot, shard, &mut me.cursor, me.batch_size);
-        sample_slices.clear();
-        sample_slices.extend(
-            me.slot
-                .batch_idx
-                .iter()
-                .map(|&i| dataset.sample(i as usize)),
-        );
-        let actual = sample_slices.len();
+        let mut samples = recycle(spare);
+        me.model
+            .samples(run.data, &me.slot.batch_idx, &mut ids, &mut samples);
+        let actual = samples.len();
         // (Degenerate empty-shard corner: skip the math, still join every
         // rendezvous so peers don't deadlock.)
         let have_grad = actual > 0;
         if have_grad {
-            me.slot.input.reset(actual, fields * dim);
-            me.slot.read_report = me.emb.read_batch(&sample_slices, me.slot.input.data_mut());
+            me.slot.input.reset(actual, width);
+            me.slot.read_report = me.emb.read_batch(&samples, me.slot.input.data_mut());
         }
         me.profiler.wall(BatchStage::Fetch, t_fetch);
-        // ---- (3) Dense forward/backward (real math, blocked kernels). ------
+        // ---- (3) The model's backward. -------------------------------------
         if have_grad {
             let t_compute = me.profiler.start();
-            dense_compute(run, me);
+            let loss = me.model.backward(run.data, &mut me.slot);
+            if loss.is_finite() {
+                let micro = (loss.max(0.0) as f64 * 1e6) as u64;
+                run.loss_sum_micro.fetch_add(micro, Ordering::Relaxed);
+                run.loss_batches.fetch_add(1, Ordering::Relaxed);
+            } else {
+                // `max(0.0)` on a NaN would silently yield 0.0 and bury the
+                // divergence in the epoch's mean loss; count it instead.
+                run.nonfinite.fetch_add(1, Ordering::Relaxed);
+                me.recorder.counter_add(names::TRAIN_LOSS_NONFINITE, 1);
+            }
             me.profiler.wall(BatchStage::Compute, t_compute);
         }
 
@@ -455,8 +599,9 @@ pub(crate) fn run_worker_epoch(
         let up_report = have_grad.then(|| {
             let grads = me.slot.grad_input.data();
             me.emb
-                .route_gradients(&sample_slices, grads, &cfg.embed_opt, &run.exchange)
+                .route_gradients(&samples, grads, &cfg.embed_opt, &run.exchange)
         });
+        spare = recycle(samples);
         me.profiler.wall(BatchStage::Push, t_route);
 
         // ---- (5) Reads-done fence. -----------------------------------------
@@ -475,12 +620,12 @@ pub(crate) fn run_worker_epoch(
 
         // ---- (7) Charge simulated time. ------------------------------------
         if let Some(up_report) = &up_report {
-            charge_batch(run, me, actual, up_report);
+            charge_batch(run, me, actual, flops_per_sample, up_report);
         }
 
         // ---- (8) Dense sync; also the writes-done rendezvous. --------------
         let t_sync = me.profiler.start();
-        let sync_t = sync_dense(run, me, &mut dense_grads, &mut dense_quant, &mut sgd);
+        let sync_t = sync_dense(run, me, &mut dense_grads, &mut dense_quant);
         me.profiler.wall(BatchStage::Sync, t_sync);
         me.profiler.sim(BatchStage::Sync, sync_t);
 
@@ -522,6 +667,13 @@ pub(crate) fn run_worker_epoch(
 // Stage bodies.
 // ---------------------------------------------------------------------------
 
+/// Empties `v` for borrows of another lifetime, keeping its allocation (a
+/// `vec::IntoIter` collects in place): a step's samples die with the step.
+fn recycle<'b>(mut v: Vec<&[u32]>) -> Vec<&'b [u32]> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("cleared")).collect()
+}
+
 /// Fills the slot's batch from the local shard, wrap-around over the
 /// persistent cursor (an empty shard yields an empty batch).
 fn assemble_batch(slot: &mut StepCtx, shard: &[u32], cursor: &mut usize, batch_size: usize) {
@@ -536,57 +688,28 @@ fn assemble_batch(slot: &mut StepCtx, shard: &[u32], cursor: &mut usize, batch_s
     slot.read_report = ReadReport::default();
 }
 
-/// Dense forward/backward on the slot's tape — real math, blocked kernels.
-/// Everything between entry and `end_batch` reuses tape buffers — zero
-/// allocations once warm (the `dense.*` gauges assert it).
-fn dense_compute(run: &RunCtx<'_>, me: &mut WorkerRun<'_>) {
-    let StepCtx {
-        batch_idx,
-        labels,
-        input,
-        grad_logits,
-        grad_input,
-        tape,
-        ..
-    } = &mut me.slot;
-    let model = &mut me.model;
-    let dense_start = Instant::now();
-    model.forward_tape(input, tape);
-    labels.clear();
-    labels.extend(batch_idx.iter().map(|&i| run.dataset.label(i as usize)));
-    let batch_loss = bce_with_logits_into(tape.logits(), labels, grad_logits);
-    if batch_loss.is_finite() {
-        run.loss_sum_micro
-            .fetch_add((batch_loss.max(0.0) as f64 * 1e6) as u64, Ordering::Relaxed);
-        run.loss_batches.fetch_add(1, Ordering::Relaxed);
-    } else {
-        // `max(0.0)` on a NaN would silently yield 0.0 and bury the
-        // divergence in the epoch's mean loss; count it instead.
-        run.nonfinite.fetch_add(1, Ordering::Relaxed);
-        me.recorder.counter_add(names::TRAIN_LOSS_NONFINITE, 1);
-    }
-    model.zero_grad();
-    model.backward_tape(input, grad_logits, grad_input, tape);
-    tape.dense_secs += dense_start.elapsed().as_secs_f64();
-    tape.end_batch();
-}
-
 /// Charges one batch's simulated time (compute, input pipeline, embedding
 /// comm, metadata) and records its traffic through [`charge`].
-fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_report: &UpdateReport) {
+fn charge_batch<M: StepModel>(
+    run: &RunCtx<'_, M>,
+    me: &mut WorkerRun<'_, M>,
+    actual: usize,
+    flops_per_sample: f64,
+    up_report: &UpdateReport,
+) {
     let cost = &run.cost;
     let clock = &mut me.clock;
     // The straggler factor scales arithmetic throughput, not the
     // fixed launch overhead (a slow accelerator still dispatches
     // kernels at normal latency).
-    let flops = run.flops_per_sample * actual as f64;
+    let flops = flops_per_sample * actual as f64;
     let compute_t = cost.compute.per_batch_overhead
         + (flops / cost.compute.flops_per_second) * me.compute_scale;
     clock.advance(TimeCategory::Compute, compute_t);
     me.profiler.sim(BatchStage::Compute, compute_t);
 
     // Input pipeline (overlapped behind compute).
-    let input_bytes = (actual * run.dataset.num_fields * 4) as u64;
+    let input_bytes = (actual * M::ids_per_sample(run.data) * 4) as u64;
     clock.advance_overlapped(
         TimeCategory::HostIo,
         cost.link_transfer_time(LinkClass::HostPcie, input_bytes),
@@ -608,8 +731,8 @@ fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_repo
 }
 
 /// Dense gradient synchronisation: the collective's charge, mean-AllReduce,
-/// clip, SGD step and the BSP clock barrier. Returns the dense-sync seconds
-/// charged.
+/// the model's local step and the BSP clock barrier. Returns the
+/// dense-sync seconds charged.
 ///
 /// Every system charges first. Under BSP the step then issues **one**
 /// [`AllReduceGroup::fused_mean_max`] whose f64 max lane carries the
@@ -618,24 +741,24 @@ fn charge_batch(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, actual: usize, up_repo
 /// their simulated clocks drift freely — but the OS threads still
 /// rendezvous at the plain mean collective (math-level combining without a
 /// time barrier). The gradient mean is bitwise the same either way.
-fn sync_dense(
-    run: &RunCtx<'_>,
-    me: &mut WorkerRun<'_>,
+fn sync_dense<M: StepModel>(
+    run: &RunCtx<'_, M>,
+    me: &mut WorkerRun<'_, M>,
     dense_grads: &mut Vec<f32>,
     quant: &mut DenseQuantizer,
-    sgd: &mut Sgd,
 ) -> f64 {
-    let (strategy, grad_clip, w) = (run.strategy, run.cfg.grad_clip, me.w);
+    let (strategy, cfg, w) = (run.strategy, run.cfg, me.w);
     let is_bsp = matches!(strategy.dense_sync, DenseSync::AllReduce)
         && matches!(strategy.embed_home, EmbedHome::Gpu);
     me.model.flatten_grads_into(dense_grads);
     // The local gradient crosses the wire once per collective, before the
     // reduction.
     quant.transport(dense_grads);
+    let bytes = cfg.sync_format.dense_wire_bytes(dense_grads.len());
     let dense = match strategy.dense_sync {
-        DenseSync::AllReduce => Dense::Ring(run.dense_bytes),
+        DenseSync::AllReduce => Dense::Ring(bytes),
         // Push gradients + pull parameters over the shared host link.
-        DenseSync::PsAsync => Dense::HostPs(run.dense_bytes),
+        DenseSync::PsAsync => Dense::HostPs(bytes),
     };
     let t = charge(
         &run.wire(&me.recorder),
@@ -647,44 +770,13 @@ fn sync_dense(
     .total();
     if is_bsp {
         let (max_clock, _) = run.group.fused_mean_max(dense_grads, me.clock.now(), false);
-        clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
+        me.model.dense_step(cfg, dense_grads);
         me.clock.wait_until(max_clock);
     } else {
         run.group.allreduce_mean(dense_grads);
-        clip_and_step(&mut me.model, dense_grads, sgd, grad_clip);
+        me.model.dense_step(cfg, dense_grads);
     }
     t
-}
-
-/// Global-norm clip, then one SGD step on the (replicated) dense
-/// parameters — same math as the former inline loop (`p -= lr·g`), routed
-/// through the optimizer abstraction's slot protocol. Each parameter
-/// buffer is stepped with its slice of the reduced flat vector, taken by
-/// cursor in `visit_params` order; the model's own gradient buffers keep
-/// the local gradient until the next `zero_grad`.
-fn clip_and_step(
-    model: &mut CtrModel,
-    dense_grads: &mut [f32],
-    sgd: &mut Sgd,
-    grad_clip: Option<f32>,
-) {
-    if let Some(clip) = grad_clip {
-        let norm = dense_grads.iter().map(|g| g * g).sum::<f32>().sqrt();
-        if norm > clip {
-            let scale = clip / norm;
-            for g in dense_grads.iter_mut() {
-                *g *= scale;
-            }
-        }
-    }
-    sgd.begin_step();
-    let (mut slot, mut cursor) = (0usize, 0usize);
-    model.visit_params(&mut |p, _| {
-        sgd.update(slot, p, &dense_grads[cursor..cursor + p.len()]);
-        slot += 1;
-        cursor += p.len();
-    });
-    assert_eq!(cursor, dense_grads.len(), "flat gradient length mismatch");
 }
 
 /// Consumes every fault event due at the worker's current simulated time.
@@ -692,7 +784,11 @@ fn clip_and_step(
 /// collectives: the worker never abandons a rendezvous, so peers are
 /// never stranded — they simply absorb the downtime through the BSP
 /// simulated-time barrier.
-fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&CrashImage>) {
+fn process_due_faults<M: StepModel>(
+    run: &RunCtx<'_, M>,
+    me: &mut WorkerRun<'_, M>,
+    image: Option<&CrashImage>,
+) {
     let (w, faults, tracer, table) = (me.w, &run.faults, run.tracer, run.table);
     let (clock, fstate, recorder, links) =
         (&mut me.clock, &mut me.fstate, &me.recorder, &mut me.links);
@@ -733,7 +829,7 @@ fn process_due_faults(run: &RunCtx<'_>, me: &mut WorkerRun<'_>, image: Option<&C
                 // re-primed.
                 let (mut rolled, mut lost) = (0u64, 0u64);
                 let saved = load_run_rows(table, image.bytes.as_slice(), |e, ck| {
-                    if run.partition.primary_of(e) != w as u32 || table.clock(e) == ck {
+                    if run.placement.partition.primary_of(e) != w as u32 || table.clock(e) == ck {
                         return false;
                     }
                     rolled += 1;

@@ -4,7 +4,7 @@
 //! Workers are OS threads executing *real* training math — embedding
 //! lookups through the bounded-asynchrony protocol, exact forward/backward
 //! passes, gradient write-back, dense AllReduce — while *time* is charged to
-//! per-worker [`SimClock`]s from the `hetgmp-cluster` cost model. This keeps
+//! per-worker `SimClock`s from the `hetgmp-cluster` cost model. This keeps
 //! quality effects honest (staleness genuinely degrades AUC) and makes
 //! performance effects reproducible and hardware-independent (communication
 //! volume is exact; time = volume over modelled links).
@@ -22,20 +22,18 @@
 //! they are time-starved exactly as measured in Figure 7.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use hetgmp_bigraph::Bigraph;
-use hetgmp_cluster::{
-    CostModel, FaultSchedule, LinkClass, SimClock, TimeBreakdown, TimeCategory, Topology,
-};
-use hetgmp_comms::{AllReduceGroup, SyncFormat, TrafficClass};
+use hetgmp_cluster::{FaultSchedule, LinkClass, TimeBreakdown, TimeCategory, Topology};
+use hetgmp_comms::{SyncFormat, TrafficClass};
 use hetgmp_data::CtrDataset;
 use hetgmp_embedding::{
     load_run, save_run, BatchScratch, CachedWorkerEmbedding, CapacityStats, EmbeddingWorker,
     ReadPath, RowStore, RunState, ShardedTable, SparseOpt, StalenessBound, TieredConfig,
-    TieredTable, WorkerEmbedding, WorkerState, WriteExchange,
+    TieredTable, WorkerEmbedding, WorkerState,
 };
 use hetgmp_partition::{Partition, PartitionMetrics, Partitioner};
 use hetgmp_telemetry::{
@@ -47,9 +45,7 @@ use hetgmp_tensor::{auc, log_loss, Matrix};
 
 use crate::charge::{charge, publish_links, Phases, Transfer};
 use crate::models::{CtrModel, ModelKind, ModelTape};
-use crate::pipeline::{
-    run_worker_epoch, RunCtx, StageProfiler, StepCtx, WorkerFaultState, WorkerRun,
-};
+use crate::pipeline::{run_worker_epoch, RunCtx, StepModel, WorkerRun};
 use crate::strategy::{CacheDesign, EmbedHome, StrategyConfig};
 
 /// Where the primary embedding table keeps its rows.
@@ -419,7 +415,7 @@ impl Placement {
 }
 
 /// The latest simulated clock over `workers`.
-fn sim_time(workers: &[WorkerRun<'_>]) -> f64 {
+pub(crate) fn sim_time<M>(workers: &[WorkerRun<'_, M>]) -> f64 {
     workers.iter().map(|me| me.clock.now()).fold(0.0, f64::max)
 }
 
@@ -550,14 +546,17 @@ impl<'d> Trainer<'d> {
         let table = self.open_table(&registry, &placement.partition)?;
         let auditor = self.auditor();
         let mut workers = self.workers(&*table, &placement, &registry, auditor.as_ref());
-        let run = self.run_ctx(
+        let mut run = RunCtx::new(
+            cfg,
+            &self.strategy,
+            self.dataset,
             &*table,
             &placement,
+            &self.topology,
             registry,
-            faults,
-            auditor,
-            &mut workers[0],
         );
+        run.cost = run.cost.with_faults(Arc::clone(&faults));
+        (run.faults, run.tracer, run.auditor) = (faults, self.tracer.as_deref(), auditor);
         let start_epoch = self.resume(&run, &mut workers)?;
 
         // ---- Epochs ----------------------------------------------------------
@@ -696,15 +695,19 @@ impl<'d> Trainer<'d> {
         placement: &'t Placement,
         registry: &MetricsRegistry,
         auditor: Option<&Arc<ProtocolAuditor>>,
-    ) -> Vec<WorkerRun<'t>> {
+    ) -> Vec<WorkerRun<'t, CtrModel>> {
         let cfg = &self.config;
         let n = self.topology.num_workers();
-        let mut embs: Vec<Box<dyn EmbeddingWorker + 't>> = (0..n as u32)
-            .map(|w| -> Box<dyn EmbeddingWorker + 't> {
-                let (partition, staleness) = (&placement.partition, self.strategy.staleness);
-                match self.strategy.cache {
+        let (partition, staleness) = (&placement.partition, self.strategy.staleness);
+        // Compute scales and (optionally) speed-proportional batch sizes so
+        // a straggler's BSP iteration takes as long as its peers'.
+        let scales: Vec<f64> = cfg.compute_scales.clone().unwrap_or_else(|| vec![1.0; n]);
+        let mean_speed = scales.iter().map(|&s| 1.0 / s).sum::<f64>() / n as f64;
+        (0..n)
+            .map(|w| {
+                let mut emb: Box<dyn EmbeddingWorker + 't> = match self.strategy.cache {
                     CacheDesign::StaticVertexCut => Box::new(WorkerEmbedding::new(
-                        w,
+                        w as u32,
                         table,
                         partition,
                         &placement.freq,
@@ -714,96 +717,36 @@ impl<'d> Trainer<'d> {
                         let capacity =
                             (placement.graph.num_embeddings() as f64 * capacity_fraction) as usize;
                         Box::new(CachedWorkerEmbedding::new(
-                            w, table, partition, capacity, staleness,
+                            w as u32, table, partition, capacity, staleness,
                         ))
                     }
+                };
+                // Select the wire format before attaching telemetry: the
+                // replica re-prime a lossy format triggers is initial
+                // placement, not steady-state traffic, so it stays
+                // uncharged and unmetered like the rest of placement.
+                emb.set_sync_format(cfg.sync_format, cfg.sync_error_feedback);
+                // Route the hot-loop fetches through the configured read
+                // path. Both paths return bit-identical rows, so this never
+                // perturbs the training trajectory.
+                emb.set_read_path(cfg.read_path);
+                emb.attach_recorder(registry.worker(w));
+                if let Some(a) = auditor {
+                    emb.attach_auditor(Arc::clone(a));
                 }
-            })
-            .collect();
-        for (w, emb) in embs.iter_mut().enumerate() {
-            // Select the wire format before attaching telemetry: the
-            // replica re-prime that a lossy format triggers is initial
-            // placement, not steady-state traffic, so it stays uncharged
-            // and unmetered like construction-time placement does.
-            emb.set_sync_format(cfg.sync_format, cfg.sync_error_feedback);
-            // Route the hot-loop fetches through the configured read path.
-            // Both paths return bit-identical rows, so this never perturbs
-            // the training trajectory.
-            emb.set_read_path(cfg.read_path);
-            emb.attach_recorder(registry.worker(w));
-            if let Some(a) = auditor {
-                emb.attach_auditor(Arc::clone(a));
-            }
-            if let Some(t) = &self.tracer {
-                emb.attach_tracer(Arc::clone(t));
-            }
-        }
-        // Compute scales and (optionally) speed-proportional batch sizes so
-        // a straggler's BSP iteration takes as long as its peers'.
-        let scales: Vec<f64> = cfg.compute_scales.clone().unwrap_or_else(|| vec![1.0; n]);
-        let mean_speed = scales.iter().map(|&s| 1.0 / s).sum::<f64>() / n as f64;
-        embs.into_iter()
-            .enumerate()
-            .map(|(w, emb)| WorkerRun {
-                w,
-                emb,
-                model: self.new_model(),
-                slot: StepCtx::new(),
-                clock: SimClock::with_recorder(registry.worker(w)),
-                links: Default::default(),
-                cursor: 0,
-                fstate: WorkerFaultState::default(),
-                profiler: StageProfiler::new(),
-                recorder: registry.worker(w),
-                compute_scale: scales[w],
-                batch_size: if cfg.hetero_aware_batching {
+                if let Some(t) = &self.tracer {
+                    emb.attach_tracer(Arc::clone(t));
+                }
+                let batch_size = if cfg.hetero_aware_batching {
                     let speed = 1.0 / scales[w];
                     ((cfg.batch_size as f64 * speed / mean_speed).round() as usize).max(1)
                 } else {
                     cfg.batch_size
-                },
+                };
+                let model = self.new_model();
+                WorkerRun::new(w, emb, model, registry.worker(w), scales[w], batch_size)
             })
             .collect()
-    }
-
-    /// The context every worker thread shares, taking the dense-model
-    /// constants from `first`'s replica.
-    fn run_ctx<'a>(
-        &'a self,
-        table: &'a dyn RowStore,
-        placement: &'a Placement,
-        registry: MetricsRegistry,
-        faults: Arc<FaultSchedule>,
-        auditor: Option<Arc<ProtocolAuditor>>,
-        first: &mut WorkerRun<'_>,
-    ) -> RunCtx<'a> {
-        let cfg = &self.config;
-        let n = self.topology.num_workers();
-        let num_dense = first.model.num_dense_params();
-        RunCtx {
-            cfg,
-            strategy: &self.strategy,
-            dataset: self.dataset,
-            table,
-            partition: &placement.partition,
-            shards: &placement.shards,
-            iters_per_epoch: placement.iters_per_epoch,
-            cost: CostModel::new(self.topology.clone()).with_faults(Arc::clone(&faults)),
-            faults,
-            registry,
-            group: AllReduceGroup::new(n),
-            exchange: WriteExchange::new(n),
-            tracer: self.tracer.as_deref(),
-            auditor,
-            num_dense,
-            dense_bytes: cfg.sync_format.dense_wire_bytes(num_dense),
-            flops_per_sample: first.model.flops_per_sample(),
-            row_bytes: cfg.sync_format.row_wire_bytes(cfg.dim),
-            samples: AtomicU64::new(0),
-            loss_sum_micro: AtomicU64::new(0),
-            loss_batches: AtomicU64::new(0),
-            nonfinite: AtomicU64::new(0),
-        }
     }
 
     /// Restores [`TrainerConfig::resume_from`] into the table and every
@@ -811,8 +754,8 @@ impl<'d> Trainer<'d> {
     /// cursor — and returns the first epoch to train (1 without a checkpoint).
     fn resume(
         &self,
-        run: &RunCtx<'_>,
-        workers: &mut [WorkerRun<'_>],
+        run: &RunCtx<'_, CtrModel>,
+        workers: &mut [WorkerRun<'_, CtrModel>],
     ) -> Result<usize, HetGmpError> {
         let Some(path) = &self.config.resume_from else {
             return Ok(1);
@@ -847,15 +790,23 @@ impl<'d> Trainer<'d> {
             ));
         }
         for (me, ws) in workers.iter_mut().zip(&state.workers) {
-            if ws.dense_params.len() != run.num_dense {
+            let num_dense = me.model.num_dense_params();
+            if ws.dense_params.len() != num_dense {
                 return Err(HetGmpError::config(
                     "resume_from",
                     format!(
                         "checkpoint dense model has {} parameters but this \
-                         configuration has {}",
+                         configuration has {num_dense}",
                         ws.dense_params.len(),
-                        run.num_dense
                     ),
+                ));
+            }
+            // Checked here rather than in the shared decoder, which crash
+            // rollback also reads through.
+            if let Some(i) = ws.dense_params.iter().position(|p| !p.is_finite()) {
+                return Err(HetGmpError::checkpoint(
+                    path.clone(),
+                    format!("worker {} dense parameter {i} is not finite", me.w),
                 ));
             }
             me.model.load_params(&ws.dense_params);
@@ -879,8 +830,8 @@ impl<'d> Trainer<'d> {
     /// curve point.
     fn evaluate_epoch(
         &self,
-        run: &RunCtx<'_>,
-        workers: &mut [WorkerRun<'_>],
+        run: &RunCtx<'_, CtrModel>,
+        workers: &mut [WorkerRun<'_, CtrModel>],
         epoch: usize,
         test: &[u32],
         tape: &mut ModelTape,
@@ -962,8 +913,8 @@ impl<'d> Trainer<'d> {
     /// Records the run's closing telemetry and assembles the result.
     fn finish(
         &self,
-        run: &RunCtx<'_>,
-        workers: &[WorkerRun<'_>],
+        run: &RunCtx<'_, CtrModel>,
+        workers: &[WorkerRun<'_, CtrModel>],
         curve: Vec<EvalPoint>,
         time_to_target: Option<f64>,
         wall_secs: f64,
@@ -1021,9 +972,9 @@ impl<'d> Trainer<'d> {
 /// flush. Returns `false` when a strict audit tripped: every worker then
 /// left at the same iteration boundary and the run is abandoned without
 /// evaluating.
-fn train_epoch(
-    run: &RunCtx<'_>,
-    workers: &mut [WorkerRun<'_>],
+pub(crate) fn train_epoch<M: StepModel>(
+    run: &RunCtx<'_, M>,
+    workers: &mut [WorkerRun<'_, M>],
     epoch: usize,
     image: Option<&CrashImage>,
 ) -> bool {
@@ -1046,11 +997,11 @@ fn train_epoch(
 /// secondary gradients (charged as one group, by destination); every owner
 /// applies them, as a step's write phase does, so the evaluation (and the
 /// next epoch) sees every update; each worker re-primes its local replicas
-/// from the now-final table (one group, by primary owner). The state entering the next epoch is then what a
-/// checkpoint resume reconstructs (resumed workers re-prime replicas from
-/// the restored table), so a resumed run replays the uninterrupted run's
-/// math.
-fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
+/// from the now-final table (one group, by primary owner). The state
+/// entering the next epoch is then what a checkpoint resume reconstructs
+/// (resumed workers re-prime replicas from the restored table), so a
+/// resumed run replays the uninterrupted run's math.
+pub(crate) fn barrier<M: StepModel>(run: &RunCtx<'_, M>, workers: &mut [WorkerRun<'_, M>]) {
     for me in workers.iter_mut() {
         let rep = me.emb.flush_all(&run.exchange);
         let flush = Transfer::exchange(
@@ -1086,7 +1037,11 @@ fn barrier(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>]) {
 
 /// The run's `HGMR` encoding after `epoch`: the table plus each worker's
 /// simulated clock, shard cursor and dense model.
-fn encode_run(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>], epoch: usize) -> Vec<u8> {
+fn encode_run(
+    run: &RunCtx<'_, CtrModel>,
+    workers: &mut [WorkerRun<'_, CtrModel>],
+    epoch: usize,
+) -> Vec<u8> {
     let state = RunState {
         epoch: epoch as u64,
         workers: workers
@@ -1108,8 +1063,8 @@ fn encode_run(run: &RunCtx<'_>, workers: &mut [WorkerRun<'_>], epoch: usize) -> 
 /// pending and the file captures an exact, resumable state; the same
 /// bytes then become the crash image, if the run keeps one.
 fn checkpoint(
-    run: &RunCtx<'_>,
-    workers: &mut [WorkerRun<'_>],
+    run: &RunCtx<'_, CtrModel>,
+    workers: &mut [WorkerRun<'_, CtrModel>],
     epoch: usize,
     image: &mut Option<CrashImage>,
 ) -> Result<(), HetGmpError> {
@@ -1157,7 +1112,10 @@ fn checkpoint(
 /// accounting, tiered capacity, the dense engine's work and arena, the
 /// communication overlap and the profilers' own cost. Returns the store's
 /// capacity stats when it has a RAM budget (`None` for RAM-only runs).
-fn record_closing_gauges(run: &RunCtx<'_>, workers: &[WorkerRun<'_>]) -> Option<CapacityStats> {
+pub(crate) fn record_closing_gauges<M: StepModel>(
+    run: &RunCtx<'_, M>,
+    workers: &[WorkerRun<'_, M>],
+) -> Option<CapacityStats> {
     let global = run.registry.global();
     let table = run.table;
     global.gauge_set(
@@ -1259,6 +1217,8 @@ pub(crate) struct CrashImage {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicU64;
+
     use super::*;
     use hetgmp_data::{generate, DatasetSpec};
 

@@ -30,9 +30,9 @@
 #
 # A KG leg runs `experiment kg --scale 1` (TransE at 8 workers under
 # HET-MP, HET-GMP(s=0) and HET-GMP(s=100)) three times. Every run must
-# print the same table: a TransE step writes only after its reads-done
-# barrier, so its MRR, hits@10 and remote bytes are the same bits in
-# every run.
+# print the same table: TransE steps through the same loop as the CTR
+# runs, whose writes land only after the reads-done barrier, so its MRR,
+# hits@10 and embedding bytes are the same bits in every run.
 #
 # Run from the repo root (make repeat-check / make verify does). Needs the
 # release binary (make build); an optional argument names another binary.

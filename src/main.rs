@@ -631,7 +631,8 @@ const EXPERIMENTS: &[Experiment] = &[
     ("ablation", 8, |scale, hooks| {
         outln!("{}", experiments::ablation::run(scale, hooks))
     }),
-    // Trains through `core::kg`'s own loop, which takes no hooks.
+    // TransE steps through the trainer's loop, but `KgTrainer` takes no
+    // hooks.
     ("kg", 0, |scale, _| {
         outln!("{}", experiments::kg::run(scale))
     }),

@@ -256,13 +256,16 @@ fn exit_codes_follow_sysexits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A resume from a checkpoint with a corrupt count or a truncated body is
-/// bad content: exit 65 naming the file, never a panic, an abort on a
-/// huge allocation, an I/O error, or a run from a wrapped epoch.
+/// A resume from a checkpoint with a corrupt count, a truncated body or a
+/// non-finite dense parameter is bad content: exit 65 naming the file,
+/// never a panic, an abort on a huge allocation, an I/O error, a run from a
+/// wrapped epoch or a run from NaN weights.
 #[test]
 fn resume_from_a_corrupt_checkpoint_exits_65_naming_it() {
     let dir = std::env::temp_dir().join(format!("hetgmp-cli-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    // Two epochs, so a resume from epoch 1 has one left to train: a
+    // checkpoint that loaded would run, not stop at "nothing left".
     let train = |extra: &[&str]| {
         het_gmp()
             .args([
@@ -272,7 +275,7 @@ fn resume_from_a_corrupt_checkpoint_exits_65_naming_it() {
                 "--workers",
                 "2",
                 "--epochs",
-                "1",
+                "2",
             ])
             .args(extra)
             .output()
@@ -305,6 +308,12 @@ fn resume_from_a_corrupt_checkpoint_exits_65_naming_it() {
         cases.push((name, bytes));
     }
     cases.push(("truncated", valid[..valid.len() / 2].to_vec()));
+    // The file ends with the last worker's dense parameters: make the last
+    // one NaN.
+    let mut nan = valid.clone();
+    let at = nan.len() - 4;
+    nan[at..].copy_from_slice(&f32::NAN.to_le_bytes());
+    cases.push(("densenan", nan));
     for (name, bytes) in cases {
         let path = dir.join(format!("{name}.hgmr"));
         std::fs::write(&path, bytes).unwrap();
